@@ -67,9 +67,53 @@ fn bench_reduce(c: &mut Criterion) {
     g.finish();
 }
 
+/// The scan kernels on the benchmark harness's query shape
+/// (`benchmark/src/query.rs`: 1024 × 512 f64 in 64 × 32 blocks over 8
+/// shards), next to the harness's `dataspaces.*` probes.
+fn bench_query_shape(c: &mut Criterion) {
+    const DOMAIN: [u64; 2] = [1024, 512];
+    let ds = DataSpaces::new(DsConfig::new(DOMAIN.to_vec(), vec![64, 32], 8));
+    let whole = Region::whole(&DOMAIN);
+    let ramp: Vec<f64> = (0..whole.volume()).map(|i| i as f64).collect();
+    ds.put("f", 0, &whole, DataArray::F64(ramp)).unwrap();
+    ds.commit("f", 0);
+    let session = ds.session_now("f", 0).unwrap();
+
+    let mut g = c.benchmark_group("dataspaces_query_shape");
+    g.throughput(Throughput::Bytes(whole.volume() * 8));
+    g.bench_function("get_whole_domain", |b| {
+        b.iter(|| black_box(session.get(&whole).unwrap()))
+    });
+    g.throughput(Throughput::Elements(whole.volume()));
+    for (name, how) in [("max", Reduction::Max), ("sum", Reduction::Sum)] {
+        g.bench_function(format!("reduce_{name}_whole_domain"), |b| {
+            b.iter(|| black_box(session.reduce(&whole, how).unwrap()))
+        });
+    }
+    // Rows 37..549: the first and last block rows are cut, so their
+    // blocks are scanned; the rows between are served from summaries.
+    let half = Region::new(vec![37, 0], vec![DOMAIN[0] / 2, DOMAIN[1]]);
+    g.throughput(Throughput::Elements(half.volume()));
+    g.bench_function("reduce_sum_half_domain_unaligned", |b| {
+        b.iter(|| black_box(session.reduce(&half, Reduction::Sum).unwrap()))
+    });
+    let stripe = Region::new(vec![0, 0], vec![32, DOMAIN[1]]);
+    let data = DataArray::F64(vec![1.0; stripe.volume() as usize]);
+    g.throughput(Throughput::Bytes(stripe.volume() * 8));
+    g.bench_function("put_stripe", |b| {
+        let mut v = 0;
+        b.iter(|| {
+            v += 1;
+            ds.put("g", v, &stripe, data.clone()).unwrap();
+            ds.evict_before("g", v);
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_put, bench_get, bench_reduce
+    targets = bench_put, bench_get, bench_reduce, bench_query_shape
 }
 criterion_main!(benches);

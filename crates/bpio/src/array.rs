@@ -226,13 +226,207 @@ pub fn box_to_linear(coord: &[u64], extents: &[u64]) -> u64 {
     idx
 }
 
+/// A primitive element type a [`DataArray`] can hold: the bridge from
+/// a generic kernel back to the array's typed buffer.
+pub trait Elem: Copy + Send + Sync + 'static {
+    const DTYPE: Dtype;
+    /// The elements of `data`, or `None` when it holds another type.
+    fn slice(data: &DataArray) -> Option<&[Self]>;
+    fn slice_mut(data: &mut DataArray) -> Option<&mut [Self]>;
+    /// Widened to f64 (the type reductions accumulate in).
+    fn to_f64(self) -> f64;
+}
+
+macro_rules! impl_elem {
+    ($($t:ty => $v:ident),*) => {$(
+        impl Elem for $t {
+            const DTYPE: Dtype = Dtype::$v;
+            fn slice(data: &DataArray) -> Option<&[Self]> {
+                match data {
+                    DataArray::$v(v) => Some(v),
+                    _ => None,
+                }
+            }
+            fn slice_mut(data: &mut DataArray) -> Option<&mut [Self]> {
+                match data {
+                    DataArray::$v(v) => Some(v),
+                    _ => None,
+                }
+            }
+            fn to_f64(self) -> f64 {
+                self as f64
+            }
+        }
+    )*};
+}
+impl_elem!(f32 => F32, f64 => F64, i32 => I32, i64 => I64, u32 => U32, u64 => U64);
+
+/// Evaluate `$body` with `$T` bound to the element type of `$dtype` —
+/// the one dispatch from a runtime [`Dtype`] to a kernel generic over
+/// [`Elem`].
+#[macro_export]
+macro_rules! with_elem {
+    ($dtype:expr, $T:ident => $body:expr) => {
+        match $dtype {
+            $crate::Dtype::F32 => {
+                type $T = f32;
+                $body
+            }
+            $crate::Dtype::F64 => {
+                type $T = f64;
+                $body
+            }
+            $crate::Dtype::I32 => {
+                type $T = i32;
+                $body
+            }
+            $crate::Dtype::I64 => {
+                type $T = i64;
+                $body
+            }
+            $crate::Dtype::U32 => {
+                type $T = u32;
+                $body
+            }
+            $crate::Dtype::U64 => {
+                type $T = u64;
+                $body
+            }
+        }
+    };
+}
+
+/// The contiguous last-dimension runs of a sub-box inside an enclosing
+/// row-major box, as element ranges of the enclosing box's buffer, in
+/// row-major order of the sub-box. Every run is [`run_len`] long.
+/// Allocation-free at any rank: the offset advances by stride, and a
+/// carry out of the second-to-last dimension is resolved from the run
+/// counter.
+///
+/// Two `BoxRuns` over one sub-box step in lockstep, so zipping them
+/// pairs each source run with its destination run.
+///
+/// [`run_len`]: BoxRuns::run_len
+#[derive(Debug, Clone)]
+pub struct BoxRuns<'a> {
+    outer: &'a [u64],
+    inner: &'a [u64],
+    /// Start of the next run.
+    next: usize,
+    /// Runs yielded so far.
+    run: u64,
+    n_runs: u64,
+    /// Runs left before the second-to-last dimension wraps.
+    left: u64,
+}
+
+impl<'a> BoxRuns<'a> {
+    /// Runs of the box (`corner`, `extent`) inside the box
+    /// (`outer_corner`, `outer_extent`), all in global coordinates.
+    /// Errors unless the ranks agree and the sub-box lies inside.
+    pub fn new(
+        outer_corner: &[u64],
+        outer_extent: &'a [u64],
+        corner: &[u64],
+        extent: &'a [u64],
+    ) -> Result<BoxRuns<'a>> {
+        let ndim = outer_extent.len();
+        if ndim == 0 || [outer_corner.len(), corner.len(), extent.len()] != [ndim; 3] {
+            return Err(BpError::Corrupt("rank mismatch between boxes"));
+        }
+        // Every offset below is bounded by the enclosing volume.
+        outer_extent
+            .iter()
+            .try_fold(1u64, |v, &e| v.checked_mul(e))
+            .ok_or(BpError::Corrupt("box volume overflows"))?;
+        let mut start = 0u64;
+        for d in 0..ndim {
+            let hi = corner[d].checked_add(extent[d]);
+            let outer_hi = outer_corner[d].checked_add(outer_extent[d]);
+            match (hi, outer_hi) {
+                (Some(hi), Some(outer_hi)) if corner[d] >= outer_corner[d] && hi <= outer_hi => {}
+                _ => return Err(BpError::OutOfBounds { var: String::new() }),
+            }
+            // Below the volume for a non-empty sub-box; an empty one
+            // yields no run, so a wrapped start is never used.
+            start = start
+                .wrapping_mul(outer_extent[d])
+                .wrapping_add(corner[d] - outer_corner[d]);
+        }
+        let n_runs = linear_len(&extent[..ndim - 1]);
+        Ok(BoxRuns {
+            outer: outer_extent,
+            inner: extent,
+            next: start as usize,
+            run: 0,
+            n_runs: if extent[ndim - 1] == 0 { 0 } else { n_runs },
+            left: if ndim >= 2 { extent[ndim - 2] } else { 1 },
+        })
+    }
+
+    /// Elements per run (the sub-box's last-dimension extent).
+    pub fn run_len(&self) -> usize {
+        self.inner[self.inner.len() - 1] as usize
+    }
+
+    /// The second-to-last dimension wrapped: rewind it and step the
+    /// next outer one, repeating while that one wraps too. `run` counts
+    /// whole rows of dimension `d` once divided by the inner extents
+    /// below it, so `k` a multiple of `inner[d]` is "dimension `d` wrapped".
+    fn carry(&mut self) {
+        let mut d = self.outer.len() - 2;
+        let mut stride = self.outer[d + 1] as usize;
+        let mut k = self.run / self.inner[d];
+        self.left = self.inner[d];
+        loop {
+            self.next -= (self.inner[d] - 1) as usize * stride;
+            stride *= self.outer[d] as usize;
+            d -= 1;
+            if !k.is_multiple_of(self.inner[d]) {
+                self.next += stride;
+                return;
+            }
+            k /= self.inner[d];
+        }
+    }
+}
+
+impl Iterator for BoxRuns<'_> {
+    type Item = std::ops::Range<usize>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.run == self.n_runs {
+            return None;
+        }
+        let start = self.next;
+        self.run += 1;
+        self.left -= 1;
+        if self.left > 0 {
+            self.next += self.outer[self.outer.len() - 1] as usize;
+        } else if self.run < self.n_runs {
+            self.carry();
+        }
+        Some(start..start + self.run_len())
+    }
+}
+
+/// Copy each run of `src_runs` in `src` to the paired run of `dst_runs`
+/// in `dst` (two [`BoxRuns`] over one sub-box). Returns the runs copied.
+pub fn copy_runs<T: Copy>(src: &[T], src_runs: BoxRuns, dst: &mut [T], dst_runs: BoxRuns) -> u64 {
+    let mut runs = 0;
+    for (s, d) in src_runs.zip(dst_runs) {
+        dst[d].copy_from_slice(&src[s]);
+        runs += 1;
+    }
+    runs
+}
+
 /// Copy a row-major chunk (`src`, occupying the box at `offset` with
 /// `extents`) into the right places of a row-major global buffer
 /// (`dst`, with `global` extents). Copies are done per contiguous
 /// last-dimension run, the same access pattern a real reorganizer uses.
 ///
-/// Returns the number of contiguous runs copied (1 when the chunk spans
-/// whole rows of the global array — the merged-layout fast path).
+/// Returns the number of contiguous runs copied.
 pub fn copy_box(
     src: &DataArray,
     dst: &mut DataArray,
@@ -240,71 +434,8 @@ pub fn copy_box(
     extents: &[u64],
     global: &[u64],
 ) -> Result<u64> {
-    let ndim = global.len();
-    if offset.len() != ndim || extents.len() != ndim {
-        return Err(BpError::Corrupt("dimension rank mismatch in copy_box"));
-    }
-    for d in 0..ndim {
-        if offset[d] + extents[d] > global[d] {
-            return Err(BpError::OutOfBounds { var: String::new() });
-        }
-    }
-    let n_src = linear_len(extents);
-    if src.len() as u64 != n_src || dst.len() as u64 != linear_len(global) {
-        return Err(BpError::Corrupt("buffer length mismatch in copy_box"));
-    }
-    if n_src == 0 {
-        return Ok(0);
-    }
-
-    // Degenerate 0-d / full-cover fast path.
-    let row = extents[ndim - 1] as usize; // contiguous run length
-    let n_rows = (n_src / extents[ndim - 1]).max(1);
-
-    macro_rules! do_copy {
-        ($s:expr, $d:expr) => {{
-            let mut runs = 0u64;
-            let mut coord = vec![0u64; ndim - 1]; // iterate all but last dim
-            for r in 0..n_rows {
-                // Global coordinate of this run's first element.
-                let mut gcoord = Vec::with_capacity(ndim);
-                for d in 0..ndim - 1 {
-                    gcoord.push(offset[d] + coord[d]);
-                }
-                gcoord.push(offset[ndim - 1]);
-                let dst_start = box_to_linear(&gcoord, global) as usize;
-                let src_start = r as usize * row;
-                $d[dst_start..dst_start + row].copy_from_slice(&$s[src_start..src_start + row]);
-                runs += 1;
-                // Odometer increment over extents[0..ndim-1].
-                for d in (0..ndim - 1).rev() {
-                    coord[d] += 1;
-                    if coord[d] < extents[d] {
-                        break;
-                    }
-                    coord[d] = 0;
-                }
-            }
-            runs
-        }};
-    }
-
-    let runs = match (src, dst) {
-        (DataArray::F32(s), DataArray::F32(d)) => do_copy!(s, d),
-        (DataArray::F64(s), DataArray::F64(d)) => do_copy!(s, d),
-        (DataArray::I32(s), DataArray::I32(d)) => do_copy!(s, d),
-        (DataArray::I64(s), DataArray::I64(d)) => do_copy!(s, d),
-        (DataArray::U32(s), DataArray::U32(d)) => do_copy!(s, d),
-        (DataArray::U64(s), DataArray::U64(d)) => do_copy!(s, d),
-        (s, d) => {
-            return Err(BpError::DtypeMismatch {
-                var: String::new(),
-                expected: d.dtype().name(),
-                got: s.dtype().name(),
-            })
-        }
-    };
-    Ok(runs)
+    let origin = vec![0; global.len()];
+    copy_box_between(src, offset, extents, dst, &origin, global, offset, extents)
 }
 
 /// Copy the box `isect` (given in global coordinates) from a row-major
@@ -322,82 +453,21 @@ pub fn copy_box_between(
     isect_corner: &[u64],
     isect_extent: &[u64],
 ) -> Result<u64> {
-    let ndim = isect_corner.len();
-    if [
-        src_corner.len(),
-        src_extent.len(),
-        dst_corner.len(),
-        dst_extent.len(),
-        isect_extent.len(),
-    ]
-    .iter()
-    .any(|&l| l != ndim)
-    {
-        return Err(BpError::Corrupt("rank mismatch in copy_box_between"));
+    let src_runs = BoxRuns::new(src_corner, src_extent, isect_corner, isect_extent)?;
+    let dst_runs = BoxRuns::new(dst_corner, dst_extent, isect_corner, isect_extent)?;
+    if src.len() as u64 != linear_len(src_extent) || dst.len() as u64 != linear_len(dst_extent) {
+        return Err(BpError::Corrupt("buffer length does not match its box"));
     }
-    for d in 0..ndim {
-        let lo = isect_corner[d];
-        let hi = lo + isect_extent[d];
-        if lo < src_corner[d]
-            || hi > src_corner[d] + src_extent[d]
-            || lo < dst_corner[d]
-            || hi > dst_corner[d] + dst_extent[d]
-        {
-            return Err(BpError::OutOfBounds { var: String::new() });
-        }
-    }
-    let n = linear_len(isect_extent);
-    if n == 0 {
-        return Ok(0);
-    }
-    let row = isect_extent[ndim - 1] as usize;
-    let n_rows = (n / isect_extent[ndim - 1]).max(1);
-
-    macro_rules! go {
-        ($s:expr, $d:expr) => {{
-            let mut runs = 0u64;
-            let mut coord = vec![0u64; ndim - 1];
-            for _ in 0..n_rows {
-                let gcoord: Vec<u64> = (0..ndim)
-                    .map(|d| {
-                        if d < ndim - 1 {
-                            isect_corner[d] + coord[d]
-                        } else {
-                            isect_corner[d]
-                        }
-                    })
-                    .collect();
-                let s_idx: Vec<u64> = (0..ndim).map(|d| gcoord[d] - src_corner[d]).collect();
-                let d_idx: Vec<u64> = (0..ndim).map(|d| gcoord[d] - dst_corner[d]).collect();
-                let s0 = box_to_linear(&s_idx, src_extent) as usize;
-                let d0 = box_to_linear(&d_idx, dst_extent) as usize;
-                $d[d0..d0 + row].copy_from_slice(&$s[s0..s0 + row]);
-                runs += 1;
-                for d in (0..ndim - 1).rev() {
-                    coord[d] += 1;
-                    if coord[d] < isect_extent[d] {
-                        break;
-                    }
-                    coord[d] = 0;
-                }
-            }
-            runs
-        }};
-    }
-
-    match (src, dst) {
-        (DataArray::F32(s), DataArray::F32(d)) => Ok(go!(s, d)),
-        (DataArray::F64(s), DataArray::F64(d)) => Ok(go!(s, d)),
-        (DataArray::I32(s), DataArray::I32(d)) => Ok(go!(s, d)),
-        (DataArray::I64(s), DataArray::I64(d)) => Ok(go!(s, d)),
-        (DataArray::U32(s), DataArray::U32(d)) => Ok(go!(s, d)),
-        (DataArray::U64(s), DataArray::U64(d)) => Ok(go!(s, d)),
-        (s, d) => Err(BpError::DtypeMismatch {
+    with_elem!(src.dtype(), T => {
+        let mismatch = BpError::DtypeMismatch {
             var: String::new(),
-            expected: d.dtype().name(),
-            got: s.dtype().name(),
-        }),
-    }
+            expected: dst.dtype().name(),
+            got: src.dtype().name(),
+        };
+        let s = T::slice(src).expect("dispatched on src's dtype");
+        let d = T::slice_mut(dst).ok_or(mismatch)?;
+        Ok(copy_runs(s, src_runs, d, dst_runs))
+    })
 }
 
 #[cfg(test)]
@@ -566,6 +636,149 @@ mod tests {
             &[2, 2], // exceeds both boxes
         )
         .is_err());
+    }
+
+    /// Hostile corners: `corner + extent` must not wrap into bounds.
+    #[test]
+    fn copy_box_rejects_wrapping_offsets() {
+        let chunk = DataArray::I32(vec![0; 4]);
+        let mut global = DataArray::zeros(Dtype::I32, 16);
+        assert!(matches!(
+            copy_box(&chunk, &mut global, &[u64::MAX - 1, 0], &[2, 2], &[4, 4]),
+            Err(BpError::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn copy_box_between_rejects_wrapping_corners() {
+        let src = DataArray::U64(vec![0; 4]);
+        let mut dst = DataArray::zeros(Dtype::U64, 4);
+        let big = u64::MAX - 1;
+        // The intersection wraps...
+        assert!(matches!(
+            copy_box_between(
+                &src,
+                &[0, 0],
+                &[2, 2],
+                &mut dst,
+                &[0, 0],
+                &[2, 2],
+                &[big, 0],
+                &[2, 2]
+            ),
+            Err(BpError::OutOfBounds { .. })
+        ));
+        // ...or an enclosing box does.
+        assert!(matches!(
+            copy_box_between(
+                &src,
+                &[big, 0],
+                &[2, 2],
+                &mut dst,
+                &[0, 0],
+                &[2, 2],
+                &[0, 0],
+                &[1, 1]
+            ),
+            Err(BpError::OutOfBounds { .. })
+        ));
+        // Extents whose product overflows are refused, not multiplied.
+        assert!(matches!(
+            copy_box_between(
+                &src,
+                &[0, 0],
+                &[1 << 40, 1 << 40],
+                &mut dst,
+                &[0, 0],
+                &[2, 2],
+                &[0, 0],
+                &[1, 1]
+            ),
+            Err(BpError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn copy_box_between_checks_buffer_lengths() {
+        let src = DataArray::U64(vec![0; 3]); // box says 4
+        let mut dst = DataArray::zeros(Dtype::U64, 4);
+        assert!(matches!(
+            copy_box_between(
+                &src,
+                &[0, 0],
+                &[2, 2],
+                &mut dst,
+                &[0, 0],
+                &[2, 2],
+                &[0, 0],
+                &[2, 2]
+            ),
+            Err(BpError::Corrupt(_))
+        ));
+    }
+
+    /// Every sub-box of a rank 1-4 box: the runs are exactly the
+    /// per-element row-major walk, cut at last-dimension boundaries.
+    #[test]
+    fn box_runs_match_per_element_walk() {
+        fn walk(outer: &[u64], corner: &[u64], extent: &[u64]) -> Vec<usize> {
+            let mut out = Vec::new();
+            let mut coord = vec![0u64; outer.len()];
+            for _ in 0..linear_len(extent) {
+                let at: Vec<u64> = coord.iter().zip(corner).map(|(c, o)| c + o).collect();
+                out.push(box_to_linear(&at, outer) as usize);
+                for d in (0..outer.len()).rev() {
+                    coord[d] += 1;
+                    if coord[d] < extent[d] {
+                        break;
+                    }
+                    coord[d] = 0;
+                }
+            }
+            out
+        }
+        for outer in [vec![7], vec![3, 5], vec![2, 3, 4], vec![2, 3, 2, 3]] {
+            let n = outer.len();
+            let origin = vec![0; n];
+            // Enumerate every (corner, extent) with extent ≥ 0.
+            let mut corner = vec![0u64; n];
+            'corners: loop {
+                let mut extent = vec![0u64; n];
+                'extents: loop {
+                    let runs = BoxRuns::new(&origin, &outer, &corner, &extent).unwrap();
+                    let len = runs.run_len();
+                    let flat: Vec<usize> = runs
+                        .inspect(|r| assert_eq!(r.len(), len))
+                        .flatten()
+                        .collect();
+                    assert_eq!(
+                        flat,
+                        walk(&outer, &corner, &extent),
+                        "{outer:?} {corner:?} {extent:?}"
+                    );
+                    for d in (0..n).rev() {
+                        extent[d] += 1;
+                        if corner[d] + extent[d] <= outer[d] {
+                            continue 'extents;
+                        }
+                        extent[d] = 0;
+                    }
+                    break;
+                }
+                for d in (0..n).rev() {
+                    corner[d] += 1;
+                    if corner[d] <= outer[d] {
+                        continue 'corners;
+                    }
+                    corner[d] = 0;
+                }
+                break;
+            }
+        }
+        assert!(
+            BoxRuns::new(&[], &[], &[], &[]).is_err(),
+            "rank 0 has no last dimension"
+        );
     }
 
     #[test]

@@ -249,7 +249,7 @@ mod tests {
         let out = World::run(3, |comm| {
             let mut op = SortOp::new();
             let dir = std::env::temp_dir().join(format!(
-                "sort-test-{}-{}",
+                "sorts_globally_across_pipeline_ranks-{}-{}",
                 std::process::id(),
                 comm.rank()
             ));
@@ -321,7 +321,10 @@ mod tests {
     fn empty_input_produces_empty_sorted_file() {
         let out = World::run(1, |comm| {
             let mut op = SortOp::new();
-            let dir = std::env::temp_dir().join(format!("sort-empty-{}", std::process::id()));
+            let dir = std::env::temp_dir().join(format!(
+                "empty_input_produces_empty_sorted_file-{}",
+                std::process::id()
+            ));
             std::fs::create_dir_all(&dir).unwrap();
             let ctx = OpCtx {
                 comm: &comm,

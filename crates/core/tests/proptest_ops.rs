@@ -2,6 +2,7 @@
 //! serial computation over the same randomly-generated particle dumps,
 //! for arbitrary pipeline widths and chunk distributions.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ffs::{AttrList, Value};
@@ -70,13 +71,20 @@ where
     F: Fn() -> Box<dyn StreamOp> + Send + Sync + 'static,
     G: Fn(&predata_core::OpResult, &OpCtx) -> T + Send + Sync + 'static,
 {
+    // One scratch directory per call: the property tests run on
+    // parallel threads of one process and each removes its directory.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dump = Arc::new(dump.clone());
     let make_op = Arc::new(make_op);
     let extract = Arc::new(extract);
     World::run(n_ranks, move |comm| {
         let mut op = make_op();
-        let dir =
-            std::env::temp_dir().join(format!("prop-ops-{}-{}", std::process::id(), comm.rank()));
+        let dir = std::env::temp_dir().join(format!(
+            "prop-ops-{}-{call}-{}",
+            std::process::id(),
+            comm.rank()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         // Aggregates: min/max over the whole dump, plus per-rank np.
         let mut attrs = AttrList::new();

@@ -120,8 +120,11 @@ impl DsConfig {
             });
         }
         for d in 0..self.rank() {
-            if region.corner[d] + region.extent[d] > self.domain[d] {
-                return Err(DsError::OutOfDomain);
+            // `checked_add`: a corner near `u64::MAX` must not wrap into
+            // the domain.
+            match region.corner[d].checked_add(region.extent[d]) {
+                Some(end) if end <= self.domain[d] => {}
+                _ => return Err(DsError::OutOfDomain),
             }
         }
         Ok(())
@@ -177,41 +180,6 @@ impl DsConfig {
             idx = idx * self.domain[d].div_ceil(self.block[d]) + gd;
         }
         idx
-    }
-
-    /// Deterministically split `region` into at most `max_bands`
-    /// contiguous row bands along dimension 0, cut only at block
-    /// boundaries. The bands are disjoint, cover `region` exactly, and
-    /// each band's elements form one contiguous run of the row-major
-    /// order of `region` — so banded results concatenate positionally.
-    ///
-    /// The decomposition is a pure function of `(region, block,
-    /// max_bands)` — never of worker count or timing — which is what
-    /// makes fanned-out query execution bit-reproducible at any
-    /// parallelism (partials are merged in band order).
-    pub fn row_bands(&self, region: &Region, max_bands: usize) -> Vec<Region> {
-        if region.is_empty() {
-            return Vec::new();
-        }
-        let b0 = self.block[0];
-        let lo_block = region.corner[0] / b0;
-        let hi_block = (region.corner[0] + region.extent[0] - 1) / b0;
-        let n_blocks = hi_block - lo_block + 1;
-        let n = (max_bands.max(1) as u64).min(n_blocks);
-        let row_end = region.corner[0] + region.extent[0];
-        let mut bands = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            let first = lo_block + i * n_blocks / n;
-            let last = lo_block + (i + 1) * n_blocks / n; // exclusive
-            let row_lo = (first * b0).max(region.corner[0]);
-            let row_hi = (last * b0).min(row_end);
-            let mut corner = region.corner.clone();
-            let mut extent = region.extent.clone();
-            corner[0] = row_lo;
-            extent[0] = row_hi - row_lo;
-            bands.push(Region { corner, extent });
-        }
-        bands
     }
 
     /// The shard owning a block: FNV hash of its grid coordinate — the
@@ -303,6 +271,20 @@ mod tests {
         assert!(c.check(&Region::new(vec![90, 0], vec![10, 40])).is_ok());
     }
 
+    /// Hostile corner: `corner + extent` wraps to a small number and must
+    /// still be out of domain.
+    #[test]
+    fn check_rejects_wrapping_corners() {
+        let c = cfg();
+        for r in [
+            Region::new(vec![u64::MAX - 1, 0], vec![2, 1]),
+            Region::new(vec![0, u64::MAX], vec![1, 1]),
+            Region::new(vec![1, 0], vec![u64::MAX, 1]),
+        ] {
+            assert_eq!(c.check(&r), Err(DsError::OutOfDomain), "{r:?}");
+        }
+    }
+
     #[test]
     fn shard_hash_spreads_blocks() {
         let c = DsConfig::new(vec![1024, 1024], vec![32, 32], 8);
@@ -327,35 +309,6 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..12).collect::<Vec<u64>>());
         assert_eq!(c.grid_index(&[3, 2]), 3 * 3 + 2);
-    }
-
-    #[test]
-    fn row_bands_partition_on_block_boundaries() {
-        let c = DsConfig::new(vec![100, 40], vec![16, 16], 4);
-        let r = Region::new(vec![10, 4], vec![70, 20]); // rows 10..80
-        for max_bands in [1, 2, 3, 5, 64] {
-            let bands = c.row_bands(&r, max_bands);
-            assert!(bands.len() <= max_bands.max(1));
-            // Disjoint, ordered, covering: bands chain exactly.
-            let mut row = r.corner[0];
-            for b in &bands {
-                assert_eq!(b.corner[0], row);
-                assert_eq!(b.corner[1], 4);
-                assert_eq!(b.extent[1], 20);
-                assert!(b.extent[0] > 0);
-                row += b.extent[0];
-            }
-            assert_eq!(row, 80);
-            // Interior cuts sit on block boundaries.
-            for b in &bands[1..] {
-                assert_eq!(b.corner[0] % 16, 0);
-            }
-        }
-        // More bands than blocks intersected: one band per block row.
-        assert_eq!(c.row_bands(&r, 64).len(), 5); // rows 10..80 touch blocks 0..=4
-        assert!(c
-            .row_bands(&Region::new(vec![0, 0], vec![0, 5]), 4)
-            .is_empty());
     }
 
     #[test]

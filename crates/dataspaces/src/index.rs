@@ -23,16 +23,64 @@
 //! index)` — so index probes allocate nothing.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use bpio::{DataArray, Dtype};
+use bpio::{with_elem, BoxRuns, DataArray, Dtype, Elem};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::domain::Region;
 
 /// Key of one stored block: (var id, version, linear grid index).
 pub(crate) type BlockKey = (u32, u64, u64);
+
+/// The fold of a set of filled elements: what every reduction is read
+/// from. A fold visits a block's elements in row-major order, and
+/// partials [`merge`](Summary::merge) in `blocks_of` order, so `sum`
+/// has one defined rounding whoever computes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Summary {
+    pub min: f64,
+    pub max: f64,
+    pub sum: f64,
+    pub n_filled: u64,
+}
+
+impl Summary {
+    pub const EMPTY: Summary = Summary {
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        sum: 0.0,
+        n_filled: 0,
+    };
+
+    /// By value, so a fold's accumulator lives in registers.
+    fn push(mut self, v: f64) -> Summary {
+        if v < self.min {
+            self.min = v;
+        }
+        if v > self.max {
+            self.max = v;
+        }
+        self.sum += v;
+        self.n_filled += 1;
+        self
+    }
+
+    /// Fold a later partial into this one (ties keep the earlier
+    /// value, as in `push`, so even the sign of a zero is defined).
+    pub fn merge(&mut self, later: &Summary) {
+        if later.min < self.min {
+            self.min = later.min;
+        }
+        if later.max > self.max {
+            self.max = later.max;
+        }
+        self.sum += later.sum;
+        self.n_filled += later.n_filled;
+    }
+}
 
 /// One stored block: the clipped block region, its data, and a
 /// per-element fill mask (puts may cover a block partially, from several
@@ -43,6 +91,28 @@ pub(crate) struct Block {
     pub data: DataArray,
     filled: Vec<u64>, // bitmask words
     pub n_filled: u64,
+    /// The fold of the whole block, kept by the first reduction that
+    /// asks for it. Only a frozen block is asked:
+    /// [`ShardIndex::publish`] empties the cell as it freezes one.
+    summary: OnceLock<Summary>,
+}
+
+/// Per 64-bit mask word, the bits that `range` (of element indices)
+/// covers.
+fn word_masks(range: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+    let (lo, hi) = (range.start, range.end);
+    (lo / 64..hi.div_ceil(64)).map(move |w| {
+        let from = lo.max(w * 64) - w * 64;
+        let to = hi.min(w * 64 + 64) - w * 64;
+        (w, (!0u64 >> (64 - to)) & (!0u64 << from))
+    })
+}
+
+/// The runs of `isect` (global coordinates, inside `region`) as ranges
+/// of the linear index local to `region`.
+fn runs<'a>(region: &'a Region, isect: &'a Region) -> BoxRuns<'a> {
+    BoxRuns::new(&region.corner, &region.extent, &isect.corner, &isect.extent)
+        .expect("an intersection lies inside both of its boxes")
 }
 
 impl Block {
@@ -52,89 +122,71 @@ impl Block {
             data: DataArray::zeros(dtype, n),
             filled: vec![0; n.div_ceil(64)],
             n_filled: 0,
+            summary: OnceLock::new(),
             region,
         }
     }
 
-    pub fn mark(&mut self, local_idx: u64) {
-        let w = (local_idx / 64) as usize;
-        let b = 1u64 << (local_idx % 64);
-        if self.filled[w] & b == 0 {
-            self.filled[w] |= b;
-            self.n_filled += 1;
+    pub fn is_set(&self, local_idx: usize) -> bool {
+        self.filled[local_idx / 64] & (1 << (local_idx % 64)) != 0
+    }
+
+    fn is_full(&self) -> bool {
+        self.n_filled == self.region.volume()
+    }
+
+    /// Mark every element of `isect` filled.
+    pub fn mark_region(&mut self, isect: &Region) {
+        if self.is_full() {
+            return;
         }
-    }
-
-    pub fn is_set(&self, local_idx: u64) -> bool {
-        self.filled[(local_idx / 64) as usize] & (1 << (local_idx % 64)) != 0
-    }
-}
-
-/// Mark every element of `isect` (global coords) filled in `block`.
-pub(crate) fn mark_region(block: &mut Block, isect: &Region) {
-    let ndim = isect.rank();
-    let mut coord = vec![0u64; ndim];
-    let n = isect.volume();
-    for _ in 0..n {
-        let local: Vec<u64> = (0..ndim)
-            .map(|d| isect.corner[d] + coord[d] - block.region.corner[d])
-            .collect();
-        block.mark(bpio::box_to_linear(&local, &block.region.extent));
-        for d in (0..ndim).rev() {
-            coord[d] += 1;
-            if coord[d] < isect.extent[d] {
-                break;
+        for run in runs(&self.region, isect) {
+            for (w, mask) in word_masks(run) {
+                self.n_filled += (mask & !self.filled[w]).count_ones() as u64;
+                self.filled[w] |= mask;
             }
-            coord[d] = 0;
         }
     }
-}
 
-pub(crate) fn count_filled(block: &Block, isect: &Region) -> u64 {
-    let mut n = 0;
-    visit(block, isect, |b, idx| {
-        if b.is_set(idx) {
-            n += 1;
+    /// How many elements of `isect` are filled.
+    pub fn count_filled(&self, isect: &Region) -> u64 {
+        if self.is_full() {
+            return isect.volume();
         }
-    });
-    n
-}
-
-pub(crate) fn for_each_filled(block: &Block, isect: &Region, mut f: impl FnMut(f64)) {
-    visit(block, isect, |b, idx| {
-        if b.is_set(idx) {
-            f(value_at(&b.data, idx as usize));
-        }
-    });
-}
-
-fn visit(block: &Block, isect: &Region, mut f: impl FnMut(&Block, u64)) {
-    let ndim = isect.rank();
-    let mut coord = vec![0u64; ndim];
-    let n = isect.volume();
-    for _ in 0..n {
-        let local: Vec<u64> = (0..ndim)
-            .map(|d| isect.corner[d] + coord[d] - block.region.corner[d])
-            .collect();
-        f(block, bpio::box_to_linear(&local, &block.region.extent));
-        for d in (0..ndim).rev() {
-            coord[d] += 1;
-            if coord[d] < isect.extent[d] {
-                break;
-            }
-            coord[d] = 0;
-        }
+        runs(&self.region, isect)
+            .flat_map(word_masks)
+            .map(|(w, mask)| (self.filled[w] & mask).count_ones() as u64)
+            .sum()
     }
-}
 
-pub(crate) fn value_at(data: &DataArray, idx: usize) -> f64 {
-    match data {
-        DataArray::F32(v) => v[idx] as f64,
-        DataArray::F64(v) => v[idx],
-        DataArray::I32(v) => v[idx] as f64,
-        DataArray::I64(v) => v[idx] as f64,
-        DataArray::U32(v) => v[idx] as f64,
-        DataArray::U64(v) => v[idx] as f64,
+    /// Fold the filled elements of `isect`, row-major.
+    pub fn fold(&self, isect: &Region) -> Summary {
+        with_elem!(self.data.dtype(), T => {
+            let data = T::slice(&self.data).expect("dispatched on the block's dtype");
+            let full = self.is_full();
+            runs(&self.region, isect).fold(Summary::EMPTY, |acc, run| {
+                if full {
+                    data[run].iter().fold(acc, |acc, v| acc.push(v.to_f64()))
+                } else {
+                    run.filter(|&i| self.is_set(i))
+                        .fold(acc, |acc, i| acc.push(data[i].to_f64()))
+                }
+            })
+        })
+    }
+
+    /// The fold of the whole block — computed once, then O(1).
+    pub fn summary(&self) -> &Summary {
+        self.summary.get_or_init(|| self.fold(&self.region))
+    }
+
+    /// Copy the elements of `isect` into `dst`, a buffer laid out
+    /// row-major over the box `dst_box`. `None` when the block holds
+    /// another element type than `T`.
+    pub fn copy_to<T: Elem>(&self, isect: &Region, dst: &mut [T], dst_box: &Region) -> Option<()> {
+        let src = T::slice(&self.data)?;
+        bpio::copy_runs(src, runs(&self.region, isect), dst, runs(dst_box, isect));
+        Some(())
     }
 }
 
@@ -272,7 +324,8 @@ impl ShardIndex {
             }
             let mut map = BlockMap::clone(&shard.committed.load());
             for key in keys {
-                let block = pending.remove(&key).expect("key just enumerated");
+                let mut block = pending.remove(&key).expect("key just enumerated");
+                block.summary = OnceLock::new();
                 map.insert(key, Arc::new(block));
                 moved += 1;
             }
@@ -421,7 +474,7 @@ mod tests {
             0,
             (1, 0, 0),
             || Block::new(region(0, 4), Dtype::F64),
-            |b| b.mark(0),
+            |b| b.mark_region(&region(0, 1)),
         );
         assert!(idx.snapshot()[0].is_empty(), "pending is not published");
         assert_eq!(idx.publish(1, 0), 1);
@@ -438,7 +491,7 @@ mod tests {
             0,
             (1, 0, 0),
             || Block::new(region(0, 4), Dtype::F64),
-            |b| b.mark(1),
+            |b| b.mark_region(&region(1, 1)),
         );
         idx.publish(1, 0);
         let snap = idx.snapshot();
@@ -457,7 +510,7 @@ mod tests {
             0,
             (1, 0, 0),
             || Block::new(region(0, 4), Dtype::F64),
-            |b| b.mark(0),
+            |b| b.mark_region(&region(0, 1)),
         );
         idx.publish(1, 0);
         // A later put unshares; the published block is untouched.
@@ -467,7 +520,7 @@ mod tests {
             || unreachable!("committed block must seed the clone"),
             |b| {
                 assert!(b.is_set(0), "clone carries the committed fill");
-                b.mark(2);
+                b.mark_region(&region(2, 1));
             },
         );
         assert_eq!(idx.snapshot()[0][&(1, 0, 0)].n_filled, 1);

@@ -36,8 +36,8 @@
 //!   isolation by reference counting).
 //! * **a concurrent query front-end** — [`QueryService`] admits
 //!   range/reduction/continuous queries into a bounded queue served by a
-//!   worker pool; large queries fan out across deterministic row bands,
-//!   and every query carries a deadline. See [`service`](QueryService).
+//!   worker pool, and every query carries a deadline. See
+//!   [`service`](QueryService).
 
 //! # Example
 //!
@@ -62,6 +62,8 @@ pub mod bridge;
 mod domain;
 mod error;
 mod index;
+#[cfg(test)]
+mod kernel_tests;
 mod service;
 mod session;
 mod space;

@@ -7,18 +7,15 @@
 //! `PREDATA_QUERY_QUEUE`), served by a fixed worker pool
 //! (`PREDATA_QUERY_WORKERS`), and each carries a per-query deadline.
 //!
-//! # Sessions and fan-out
+//! # Sessions
 //!
 //! A query binds to its dump version *at admission to execution*: the
-//! worker opens a [`Session`] (a committed snapshot pinned by `Arc`s),
-//! so concurrent commits and `evict_before` calls never corrupt an
-//! in-flight scan. Large queries are decomposed into row *bands*
-//! ([`DsConfig::row_bands`], `PREDATA_QUERY_BANDS`) that fan out across
-//! the pool; the decomposition and the band-order merge are pure
-//! functions of the query — never of the worker count — so results are
-//! byte-identical at any parallelism. The serving worker executes band
-//! 0 itself and helps drain the band queue while waiting, so the
-//! service cannot deadlock even with a single worker.
+//! worker opens a [`Session`](crate::Session) (a committed snapshot
+//! pinned by `Arc`s), so concurrent commits and `evict_before` calls
+//! never corrupt an in-flight scan. The worker that dequeues a query serves it whole —
+//! one scan into one answer buffer, or one fold — so the pool's
+//! parallelism is across queries, and an answer is a pure function of
+//! (query, committed data): the same bytes at any worker count.
 //!
 //! # Continuous queries
 //!
@@ -37,15 +34,13 @@
 //! [`RetryPolicy`] — transient faults are absorbed by retries (counted
 //! in `transport.retries{op=query}`), exhaustion surfaces as
 //! [`DsError::Faulted`] (counted in `transport.retry_exhausted`).
-//!
-//! [`DsConfig::row_bands`]: crate::DsConfig::row_bands
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bpio::{copy_box_between, DataArray};
+use bpio::DataArray;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use transport::evq::{EventQueue, PollError, SubmitError};
@@ -53,7 +48,6 @@ use transport::{FaultPlan, RetryPolicy};
 
 use crate::domain::Region;
 use crate::error::DsError;
-use crate::session::{finish_reduction, merge_reduction, reduce_identity, Session};
 use crate::space::{DataSpaces, Reduction};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -73,8 +67,6 @@ pub struct QueryServiceConfig {
     /// Admission-queue capacity; a full queue rejects with
     /// [`DsError::QueueFull`] (`PREDATA_QUERY_QUEUE`).
     pub queue_cap: usize,
-    /// Maximum bands a query fans out into (`PREDATA_QUERY_BANDS`).
-    pub bands: usize,
     /// Deadline for queries submitted without an explicit one
     /// (`PREDATA_QUERY_DEADLINE_MS`).
     pub default_deadline: Duration,
@@ -85,7 +77,6 @@ impl Default for QueryServiceConfig {
         QueryServiceConfig {
             workers: 4,
             queue_cap: 256,
-            bands: 4,
             default_deadline: Duration::from_secs(10),
         }
     }
@@ -98,7 +89,6 @@ impl QueryServiceConfig {
         QueryServiceConfig {
             workers: env_usize("PREDATA_QUERY_WORKERS", d.workers),
             queue_cap: env_usize("PREDATA_QUERY_QUEUE", d.queue_cap),
-            bands: env_usize("PREDATA_QUERY_BANDS", d.bands),
             default_deadline: Duration::from_millis(env_usize(
                 "PREDATA_QUERY_DEADLINE_MS",
                 d.default_deadline.as_millis() as usize,
@@ -231,51 +221,10 @@ struct ContinuousSub {
     tx: Sender<ContinuousUpdate>,
 }
 
-/// A band's partial result.
-enum BandOut {
-    /// Range-scan data plus its covered-element count.
-    Data(DataArray, u64),
-    /// Reduction accumulator plus its element count.
-    Part(f64, u64),
-}
-
-/// Shared state of one fanned-out query.
-struct Fan {
-    session: Session,
-    how: Option<Reduction>,
-    bands: Vec<Region>,
-    results: Mutex<Vec<Option<Result<BandOut, DsError>>>>,
-    remaining: AtomicUsize,
-}
-
-impl Fan {
-    fn run_band(&self, idx: usize) {
-        let band = &self.bands[idx];
-        let out = match self.how {
-            None => self
-                .session
-                .get_band(band)
-                .map(|(d, c)| BandOut::Data(d, c)),
-            Some(how) => {
-                let (acc, count) = self.session.reduce_band(band, how);
-                Ok(BandOut::Part(acc, count))
-            }
-        };
-        self.results.lock()[idx] = Some(out);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-struct Subtask {
-    fan: Arc<Fan>,
-    band: usize,
-}
-
 struct Inner {
     space: Arc<DataSpaces>,
     cfg: QueryServiceConfig,
     jobs: EventQueue<Job>,
-    subtasks: EventQueue<Subtask>,
     next_id: AtomicU64,
     subs: Mutex<Vec<ContinuousSub>>,
     faults: Option<Arc<FaultPlan>>,
@@ -293,7 +242,7 @@ struct Inner {
 }
 
 /// The concurrent query front-end: a bounded admission queue served by
-/// a worker pool, with deterministic band fan-out per query.
+/// a worker pool, each query served whole on one session.
 pub struct QueryService {
     inner: Arc<Inner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -307,7 +256,6 @@ impl QueryService {
         let reg = obs::global();
         let inner = Arc::new(Inner {
             jobs: EventQueue::bounded(cfg.queue_cap),
-            subtasks: EventQueue::unbounded(),
             next_id: AtomicU64::new(0),
             subs: Mutex::new(Vec::new()),
             faults: FaultPlan::from_env(),
@@ -459,7 +407,6 @@ impl QueryService {
         for w in workers.drain(..) {
             let _ = w.join();
         }
-        self.inner.subtasks.close();
     }
 }
 
@@ -470,23 +417,14 @@ impl Drop for QueryService {
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
+    // No deadline: a worker parks until a job or close.
     loop {
-        // Bands of in-flight queries take priority over admitting new
-        // work — finish what is started before starting more.
-        while let Some(t) = inner.subtasks.try_poll() {
-            t.fan.run_band(t.band);
-        }
-        match inner.jobs.recv(Duration::from_millis(5)) {
+        match inner.jobs.recv(Duration::MAX) {
             Ok(Job::Query(job)) => serve(inner, job),
             Ok(Job::Continuous { var, version }) => serve_continuous(inner, &var, version),
             Err(PollError::Timeout) => continue,
             Err(PollError::Closed) => break,
         }
-    }
-    // Shutdown: other workers may still be parenting fans; help them
-    // finish their outstanding bands.
-    while let Some(t) = inner.subtasks.try_poll() {
-        t.fan.run_band(t.band);
     }
 }
 
@@ -543,101 +481,9 @@ fn execute(inner: &Arc<Inner>, job: &QueryJob) -> Result<QueryOutput, DsError> {
     let session = inner
         .space
         .session(&job.var, job.version, job.deadline - now)?;
-    let (region, how) = match &job.kind {
-        QueryKind::Range(r) => (r, None),
-        QueryKind::Reduce(r, h) => (r, Some(*h)),
-    };
-    inner.space.config().check(region)?;
-    let bands = inner.space.config().row_bands(region, inner.cfg.bands);
-    if bands.len() <= 1 {
-        // Small query: serve inline, no fan-out overhead.
-        return match how {
-            None => session.get(region).map(QueryOutput::Data),
-            Some(h) => session.reduce(region, h).map(QueryOutput::Value),
-        };
-    }
-
-    let n = bands.len();
-    let fan = Arc::new(Fan {
-        session,
-        how,
-        bands,
-        results: Mutex::new((0..n).map(|_| None).collect()),
-        remaining: AtomicUsize::new(n),
-    });
-    for band in 1..n {
-        inner.subtasks.submit(Subtask {
-            fan: Arc::clone(&fan),
-            band,
-        });
-    }
-    // Execute band 0 ourselves, then help drain the band queue (any
-    // query's bands) until ours are all in — this is what keeps a
-    // 1-worker pool deadlock-free.
-    fan.run_band(0);
-    while fan.remaining.load(Ordering::Acquire) > 0 {
-        if Instant::now() >= job.deadline {
-            return Err(DsError::DeadlineMissed { query: job.id });
-        }
-        match inner.subtasks.try_poll() {
-            Some(t) => t.fan.run_band(t.band),
-            None => std::thread::sleep(Duration::from_micros(50)),
-        }
-    }
-    merge(&fan, region)
-}
-
-/// Merge band partials **in band order** — the determinism contract.
-fn merge(fan: &Fan, region: &Region) -> Result<QueryOutput, DsError> {
-    let mut results = fan.results.lock();
-    match fan.how {
-        Some(how) => {
-            let mut acc = reduce_identity(how);
-            let mut count: u64 = 0;
-            for slot in results.iter_mut() {
-                match slot.take().expect("remaining hit 0")? {
-                    BandOut::Part(a, c) => {
-                        acc = merge_reduction(how, acc, a);
-                        count += c;
-                    }
-                    BandOut::Data(..) => unreachable!("reduce fan produced data"),
-                }
-            }
-            Ok(QueryOutput::Value(finish_reduction(how, acc, count)))
-        }
-        None => {
-            let mut out: Option<DataArray> = None;
-            let mut covered: u64 = 0;
-            for (i, slot) in results.iter_mut().enumerate() {
-                let BandOut::Data(data, c) = slot.take().expect("remaining hit 0")? else {
-                    unreachable!("range fan produced a partial value")
-                };
-                let band = &fan.bands[i];
-                let out = out.get_or_insert_with(|| {
-                    DataArray::zeros(data.dtype(), region.volume() as usize)
-                });
-                copy_box_between(
-                    &data,
-                    &band.corner,
-                    &band.extent,
-                    out,
-                    &region.corner,
-                    &region.extent,
-                    &band.corner,
-                    &band.extent,
-                )
-                .map_err(|_| DsError::DtypeMismatch)?;
-                covered += c;
-            }
-            if covered != region.volume() {
-                return Err(DsError::Incomplete {
-                    missing_elems: region.volume() - covered,
-                });
-            }
-            Ok(out
-                .map(QueryOutput::Data)
-                .unwrap_or_else(|| QueryOutput::Data(DataArray::F64(Vec::new()))))
-        }
+    match &job.kind {
+        QueryKind::Range(region) => session.get(region).map(QueryOutput::Data),
+        QueryKind::Reduce(region, how) => session.reduce(region, *how).map(QueryOutput::Value),
     }
 }
 
@@ -751,38 +597,93 @@ mod tests {
         }
     }
 
+    fn deadline_missed_count() -> u64 {
+        obs::global()
+            .snapshot()
+            .counter("dataspaces.query_deadline_missed", &[])
+            .unwrap_or(0)
+    }
+
     #[test]
     fn deadline_is_enforced() {
-        let ds = Arc::new(DataSpaces::new(DsConfig::new(
-            vec![64, 64],
-            vec![16, 16],
-            4,
-        )));
+        let ds = staged_space();
         let svc = service(&ds, 1);
-        // Version 9 is never committed: the query burns its (tiny)
-        // deadline waiting and must fail, not hang.
         let q = Region::new(vec![0, 0], vec![4, 4]);
+        // A deadline already over at admission: the typed error names
+        // the query and the counter moves (`>=`: the registry is shared
+        // with tests running beside this one).
+        let before = deadline_missed_count();
+        let ticket = svc
+            .submit_with_deadline("field", 0, QueryKind::Range(q.clone()), Duration::ZERO)
+            .unwrap();
+        let id = ticket.id();
+        assert_eq!(
+            ticket.wait(Duration::from_secs(5)).unwrap_err(),
+            DsError::DeadlineMissed { query: id }
+        );
+        assert!(deadline_missed_count() > before);
+        // Version 9 is never committed: the query spends its deadline
+        // waiting for the commit and fails with the version it waited
+        // for, not a hang.
         let err = svc
-            .submit_with_deadline("ghost", 9, QueryKind::Range(q), Duration::from_millis(30))
+            .submit_with_deadline("ghost", 9, QueryKind::Range(q), Duration::from_millis(200))
             .unwrap()
             .wait(Duration::from_secs(5))
             .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                DsError::VersionTimeout { .. } | DsError::DeadlineMissed { .. }
-            ),
-            "{err:?}"
+        assert_eq!(
+            err,
+            DsError::VersionTimeout {
+                var: "ghost".into(),
+                version: 9
+            }
         );
-        let snap = obs::global().snapshot();
-        let missed = snap
-            .counter("dataspaces.query_deadline_missed", &[])
-            .unwrap_or(0);
-        let admitted = snap
-            .counter("dataspaces.queries_admitted", &[("kind", "range")])
-            .unwrap_or(0);
-        assert!(admitted >= 1);
-        let _ = missed; // either error branch is acceptable; both counted above
+    }
+
+    /// Only queries nobody serves yet hold admission slots: with the
+    /// one worker busy, the queue admits exactly its capacity — and the
+    /// one worker then serves them all.
+    #[test]
+    fn a_running_query_takes_no_admission_slot() {
+        let ds = staged_space();
+        let svc = QueryService::new(
+            Arc::clone(&ds),
+            QueryServiceConfig {
+                workers: 1,
+                queue_cap: 3,
+                ..QueryServiceConfig::default()
+            },
+        );
+        let whole = Region::whole(&[64, 64]);
+        // Version 1 is not committed yet: the worker waits on it.
+        let running = svc
+            .submit(
+                "field",
+                1,
+                QueryKind::Reduce(whole.clone(), Reduction::Count),
+            )
+            .unwrap();
+        while svc.backlog() > 0 {
+            std::thread::yield_now();
+        }
+        let waiting: Vec<_> = (0..3)
+            .map(|_| svc.submit("field", 0, QueryKind::Range(whole.clone())))
+            .collect::<Result<_, _>>()
+            .expect("an idle queue admits its capacity");
+        assert_eq!(svc.backlog(), 3);
+        assert!(matches!(
+            svc.submit("field", 0, QueryKind::Range(whole.clone())),
+            Err(DsError::QueueFull)
+        ));
+        ds.commit("field", 1);
+        assert_eq!(
+            running.wait(Duration::from_secs(5)).unwrap().output.value(),
+            0.0
+        );
+        let expected = ds.get("field", 0, &whole, Duration::from_secs(1)).unwrap();
+        for ticket in waiting {
+            let got = ticket.wait(Duration::from_secs(5)).unwrap();
+            assert_eq!(got.output.into_data(), expected);
+        }
     }
 
     #[test]

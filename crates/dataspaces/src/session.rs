@@ -9,19 +9,17 @@
 //! in-flight scan (the old maps stay alive until the last session drops
 //! them: snapshot isolation by reference counting).
 //!
-//! Band scans ([`Session::get_band`] / [`Session::reduce_band`]) are the
-//! unit of parallel fan-out used by the query service: the band
-//! decomposition ([`DsConfig::row_bands`]) and the band-order merge are
-//! pure functions of the query, so results are byte-identical at any
-//! worker count.
+//! A reduction's rounding is defined: block partials merge in
+//! `blocks_of` order and each is a row-major fold, so an answer is a
+//! pure function of the query and the committed data.
 
 use std::sync::Arc;
 
-use bpio::{copy_box_between, DataArray, Dtype};
+use bpio::{with_elem, DataArray, Dtype, Elem};
 
 use crate::domain::{DsConfig, Region};
 use crate::error::DsError;
-use crate::index::{self, BlockMap};
+use crate::index::{Block, BlockMap, Summary};
 use crate::space::Reduction;
 
 /// A read session pinned to the committed snapshot of one
@@ -54,120 +52,73 @@ impl Session {
         self.epoch
     }
 
-    /// Retrieve the data of `region` from the pinned snapshot. Errors
-    /// if parts of the region were never put (holes).
+    /// Retrieve the data of `region` from the pinned snapshot, copying
+    /// block runs straight to their place in the answer. Errors if
+    /// parts of the region were never put (holes).
     pub fn get(&self, region: &Region) -> Result<DataArray, DsError> {
         self.cfg.check(region)?;
-        let (out, covered) = self.get_band(region)?;
-        if covered != region.volume() {
-            return Err(DsError::Incomplete {
-                missing_elems: region.volume() - covered,
-            });
-        }
+        let dtype = self.dtype.unwrap_or(Dtype::F64);
+        let mut out = DataArray::zeros(dtype, region.volume() as usize);
+        let mut covered = 0;
+        with_elem!(dtype, T => {
+            let dst = T::slice_mut(&mut out).expect("dispatched on out's dtype");
+            for (block, isect) in self.blocks(region) {
+                covered += block.count_filled(&isect);
+                block
+                    .copy_to(&isect, dst, region)
+                    .ok_or(DsError::DtypeMismatch)?;
+            }
+        });
+        complete(region, covered)?;
         Ok(out)
     }
 
     /// Reduction over `region` on the pinned snapshot. Holes are
-    /// skipped, matching [`crate::DataSpaces::reduce`].
+    /// skipped, matching [`crate::DataSpaces::reduce`]. A block lying
+    /// wholly inside the region contributes its summary — the same
+    /// row-major fold a scan of it performs, so which one serves a block
+    /// never shows in the answer.
     pub fn reduce(&self, region: &Region, how: Reduction) -> Result<f64, DsError> {
         self.cfg.check(region)?;
-        let (acc, count) = self.reduce_band(region, how);
-        Ok(finish_reduction(how, acc, count))
+        let mut total = Summary::EMPTY;
+        for (block, isect) in self.blocks(region) {
+            if isect.extent == block.region.extent {
+                total.merge(block.summary());
+            } else {
+                total.merge(&block.fold(&isect));
+            }
+        }
+        Ok(finish_reduction(how, &total))
     }
 
-    /// Scan one band: the band's data (row-major over `band`) plus how
-    /// many of its elements were actually covered by puts. Completeness
-    /// is judged by the *merger* over the whole query, not per band.
-    pub(crate) fn get_band(&self, band: &Region) -> Result<(DataArray, u64), DsError> {
-        let mut out = DataArray::zeros(self.dtype.unwrap_or(Dtype::F64), band.volume() as usize);
-        let mut covered: u64 = 0;
-        if self.dtype.is_none() {
-            return Ok((out, 0));
-        }
-        for g in self.cfg.blocks_of(band) {
+    /// The committed blocks intersecting `region`, in `blocks_of` order,
+    /// each with its intersection.
+    fn blocks<'a>(&'a self, region: &'a Region) -> impl Iterator<Item = (&'a Block, Region)> {
+        self.cfg.blocks_of(region).into_iter().filter_map(move |g| {
             let key = (self.var_id, self.version, self.cfg.grid_index(&g));
-            let Some(block) = self.shards[self.cfg.shard_of(&g)].get(&key) else {
-                continue;
-            };
-            let isect = block
-                .region
-                .intersect(band)
-                .expect("block intersects query band");
-            covered += index::count_filled(block, &isect);
-            copy_box_between(
-                &block.data,
-                &block.region.corner,
-                &block.region.extent,
-                &mut out,
-                &band.corner,
-                &band.extent,
-                &isect.corner,
-                &isect.extent,
-            )
-            .map_err(|_| DsError::DtypeMismatch)?;
-        }
-        Ok((out, covered))
-    }
-
-    /// Partial reduction over one band: `(accumulator, filled count)`.
-    /// Partials merge in band order via [`merge_reduction`]. The band
-    /// decomposition and the merge order are pure functions of the
-    /// query — never of worker count or scheduling — so a fanned-out
-    /// reduction is bit-identical across any parallelism (and exactly
-    /// equals the single-scan result whenever the accumulation is
-    /// exact: min/max/count always, sum/avg when values are
-    /// integer-valued).
-    pub(crate) fn reduce_band(&self, band: &Region, how: Reduction) -> (f64, u64) {
-        let mut acc = reduce_identity(how);
-        let mut count: u64 = 0;
-        for g in self.cfg.blocks_of(band) {
-            let key = (self.var_id, self.version, self.cfg.grid_index(&g));
-            let Some(block) = self.shards[self.cfg.shard_of(&g)].get(&key) else {
-                continue;
-            };
-            let isect = block
-                .region
-                .intersect(band)
-                .expect("block intersects query band");
-            index::for_each_filled(block, &isect, |v| {
-                count += 1;
-                match how {
-                    Reduction::Min => acc = acc.min(v),
-                    Reduction::Max => acc = acc.max(v),
-                    Reduction::Sum | Reduction::Avg => acc += v,
-                    Reduction::Count => {}
-                }
-            });
-        }
-        (acc, count)
+            let block = self.shards[self.cfg.shard_of(&g)].get(&key)?;
+            let isect = block.region.intersect(region)?;
+            Some((&**block, isect))
+        })
     }
 }
 
-/// Fold-identity of a reduction's accumulator.
-pub(crate) fn reduce_identity(how: Reduction) -> f64 {
-    match how {
-        Reduction::Min => f64::INFINITY,
-        Reduction::Max => f64::NEG_INFINITY,
-        _ => 0.0,
+/// A range answer must cover its whole region.
+pub(crate) fn complete(region: &Region, covered: u64) -> Result<(), DsError> {
+    match region.volume() - covered {
+        0 => Ok(()),
+        missing_elems => Err(DsError::Incomplete { missing_elems }),
     }
 }
 
-/// Merge two band partials (in band order, for determinism).
-pub(crate) fn merge_reduction(how: Reduction, a: f64, b: f64) -> f64 {
+/// Read the query's answer off the merged partial.
+pub(crate) fn finish_reduction(how: Reduction, total: &Summary) -> f64 {
     match how {
-        Reduction::Min => a.min(b),
-        Reduction::Max => a.max(b),
-        Reduction::Sum | Reduction::Avg => a + b,
-        Reduction::Count => 0.0,
-    }
-}
-
-/// Turn the merged accumulator + count into the query's answer.
-pub(crate) fn finish_reduction(how: Reduction, acc: f64, count: u64) -> f64 {
-    match how {
-        Reduction::Count => count as f64,
-        Reduction::Avg if count > 0 => acc / count as f64,
+        Reduction::Min => total.min,
+        Reduction::Max => total.max,
+        Reduction::Sum => total.sum,
+        Reduction::Count => total.n_filled as f64,
+        Reduction::Avg if total.n_filled > 0 => total.sum / total.n_filled as f64,
         Reduction::Avg => f64::NAN,
-        _ => acc,
     }
 }

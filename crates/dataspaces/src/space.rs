@@ -18,15 +18,15 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bpio::{copy_box_between, DataArray, Dtype};
+use bpio::{copy_box_between, with_elem, DataArray, Dtype, Elem};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use transport::{FaultPlan, RetryPolicy};
 
 use crate::domain::{DsConfig, Region};
 use crate::error::DsError;
-use crate::index::{self, Block, ShardIndex};
-use crate::session::Session;
+use crate::index::{Block, ShardIndex};
+use crate::session::{complete, Session};
 
 /// Per-variable directory entry (sharded by variable-name hash).
 struct VarMeta {
@@ -361,7 +361,7 @@ impl DataSpaces {
                         &isect.extent,
                     )
                     .map_err(|_| DsError::DtypeMismatch)?;
-                    index::mark_region(block, &isect);
+                    block.mark_region(&isect);
                     Ok::<(), DsError>(())
                 },
             )?;
@@ -537,42 +537,24 @@ impl DataSpaces {
             });
         };
         let mut out = DataArray::zeros(dtype, region.volume() as usize);
-        let mut covered: u64 = 0;
-        for g in self.cfg.blocks_of(region) {
-            let key = (var_id, version, self.cfg.grid_index(&g));
-            let copied = self.index.read_dirty(self.cfg.shard_of(&g), key, |block| {
-                let isect = block
-                    .region
-                    .intersect(region)
-                    .expect("block intersects query");
-                let filled = index::count_filled(block, &isect);
-                copy_box_between(
-                    &block.data,
-                    &block.region.corner,
-                    &block.region.extent,
-                    &mut out,
-                    &region.corner,
-                    &region.extent,
-                    &isect.corner,
-                    &isect.extent,
-                )
-                .map_err(|_| DsError::DtypeMismatch)?;
-                Ok::<u64, DsError>(filled)
-            });
-            match copied {
-                None => {}
-                Some(Ok(filled)) => {
-                    covered += filled;
+        let covered = with_elem!(dtype, T => {
+            let dst = T::slice_mut(&mut out).expect("dispatched on out's dtype");
+            let mut covered = 0;
+            for g in self.cfg.blocks_of(region) {
+                let key = (var_id, version, self.cfg.grid_index(&g));
+                let hit = self.index.read_dirty(self.cfg.shard_of(&g), key, |block| {
+                    let isect = block.region.intersect(region).expect("blocks_of returned it");
+                    block.copy_to(&isect, dst, region)?;
+                    Some(block.count_filled(&isect))
+                });
+                if let Some(filled) = hit {
+                    covered += filled.ok_or(DsError::DtypeMismatch)?;
                     self.stats.blocks_touched.fetch_add(1, Ordering::Relaxed);
                 }
-                Some(Err(e)) => return Err(e),
             }
-        }
-        if covered != region.volume() {
-            return Err(DsError::Incomplete {
-                missing_elems: region.volume() - covered,
-            });
-        }
+            covered
+        });
+        complete(region, covered)?;
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_got

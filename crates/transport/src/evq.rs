@@ -163,6 +163,7 @@ impl<T> EventQueue<T> {
 
     /// Blocking receive with deadline, distinguishing timeout from
     /// teardown. A closed queue is drained before `Closed` is reported.
+    /// `Duration::MAX` waits without a deadline.
     pub fn recv(&self, timeout: Duration) -> Result<T, PollError> {
         self.recv_waited(timeout).map(|(ev, _)| ev)
     }
@@ -173,7 +174,9 @@ impl<T> EventQueue<T> {
     /// measuring it costs an `Instant::now` per event, so it rides the
     /// same `PREDATA_LINEAGE` gate.
     pub fn recv_waited(&self, timeout: Duration) -> Result<(T, Duration), PollError> {
-        let deadline = Instant::now() + timeout;
+        // `None`: a timeout too long to state as a deadline (such as
+        // `Duration::MAX`) waits for an event or teardown alone.
+        let deadline = Instant::now().checked_add(timeout);
         let mut inner = self.shared.lock();
         loop {
             if let Some((stamp, ev)) = inner.queue.pop_front() {
@@ -185,6 +188,14 @@ impl<T> EventQueue<T> {
             if inner.closed {
                 return Err(PollError::Closed);
             }
+            let Some(deadline) = deadline else {
+                inner = self
+                    .shared
+                    .not_empty
+                    .wait(inner)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                continue;
+            };
             let now = Instant::now();
             if now >= deadline {
                 return Err(PollError::Timeout);
@@ -444,6 +455,18 @@ mod tests {
         q.close();
         // Far sooner than the 30 s deadline: close() woke the waiter.
         assert_eq!(t.join().unwrap(), Err(PollError::Closed));
+    }
+
+    /// `Duration::MAX` is no deadline (it used to overflow `Instant`):
+    /// the consumer parks until an event, then until close.
+    #[test]
+    fn recv_without_deadline_parks_until_event_or_close() {
+        let q = EventQueue::<u8>::unbounded();
+        let q2 = q.clone();
+        let t = std::thread::spawn(move || (q2.recv(Duration::MAX), q2.recv(Duration::MAX)));
+        q.submit(7);
+        q.close();
+        assert_eq!(t.join().unwrap(), (Ok(7), Err(PollError::Closed)));
     }
 
     #[test]
