@@ -7,25 +7,23 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use predata_core::agg::Aggregates;
 use predata_core::op::{OpCtx, StreamOp};
+use predata_core::ops::histogram::attach_particle_stats;
 use predata_core::ops::{BitmapIndex, Histogram2dOp, HistogramOp, ReorgOp, SortOp};
 use predata_core::schema::make_particle_pg;
 use predata_core::PackedChunk;
 use std::hint::black_box;
 
 fn particle_chunk(n: usize) -> PackedChunk {
+    labelled_chunk(n, |i| ((i % 16) as f64, i as f64))
+}
+
+/// `n` particle rows whose `(rank, id)` label columns come from `label`.
+fn labelled_chunk(n: usize, label: impl Fn(usize) -> (f64, f64)) -> PackedChunk {
     let rows: Vec<f64> = (0..n)
         .flat_map(|i| {
             let x = (i as f64 * 0.61) % std::f64::consts::TAU;
-            vec![
-                x,
-                x * 0.5,
-                0.1,
-                x - 3.0,
-                x * 0.25,
-                1.0,
-                (i % 16) as f64,
-                i as f64,
-            ]
+            let (rank, id) = label(i);
+            [x, x * 0.5, 0.1, x - 3.0, x * 0.25, 1.0, rank, id]
         })
         .collect();
     PackedChunk::new(make_particle_pg(0, 0, rows))
@@ -121,9 +119,64 @@ fn bench_reorg_split(c: &mut Criterion) {
     g.finish();
 }
 
+/// `SortOp::reduce` over eight shuffled blobs: 65 536 rows is what one of
+/// two staging ranks receives per GTC dump, 16 384 what one of eight
+/// compute ranks receives in the in-compute placement.
+fn bench_sort_reduce(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sort_reduce");
+    for n in [65_536usize, 16_384] {
+        // One blob per source chunk, as the mapper emits it; labels
+        // scattered by a multiplicative hash so every blob spans the whole
+        // key range, like a migrated particle population.
+        let blobs: Vec<_> = with_ctx(|ctx| {
+            let mut op = SortOp::new();
+            op.initialize(&stats_attrs(), ctx);
+            (0..8)
+                .flat_map(|b| {
+                    let chunk = labelled_chunk(n / 8, |i| {
+                        let label = ((b * n / 8 + i) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        ((label >> 60) as f64, (label & 0xf_ffff) as f64)
+                    });
+                    op.map(&chunk, ctx)
+                })
+                .map(|tagged| tagged.bytes)
+                .collect()
+        });
+        assert_eq!(blobs.len(), 8);
+        g.throughput(Throughput::Bytes((n * 64) as u64));
+        g.bench_with_input(
+            BenchmarkId::from_parameter(format!("{n}_rows_8_blobs")),
+            &blobs,
+            |b, blobs| {
+                with_ctx(|ctx| {
+                    let mut op = SortOp::new();
+                    b.iter(|| op.reduce(0, black_box(blobs.clone()), ctx));
+                })
+            },
+        );
+    }
+    g.finish();
+}
+
+/// The compute-side pass inside every GTC `write_pg`, on one 1 MiB chunk.
+fn bench_particle_stats(c: &mut Criterion) {
+    let mut g = c.benchmark_group("particle_stats");
+    let chunk = particle_chunk(16_384);
+    g.throughput(Throughput::Bytes(16_384 * 64));
+    g.bench_function("16384_rows", |b| {
+        b.iter(|| {
+            let mut attrs = ffs::AttrList::new();
+            attach_particle_stats(black_box(&chunk.pg), &mut attrs);
+            attrs
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_map_phase, bench_bitmap, bench_reorg_split
+    targets = bench_map_phase, bench_bitmap, bench_reorg_split, bench_sort_reduce,
+        bench_particle_stats
 }
 criterion_main!(benches);

@@ -113,16 +113,19 @@ impl HistogramOp {
 pub fn attach_particle_stats(pg: &bpio::ProcessGroup, out: &mut AttrList) {
     let Some(rows) = particles_of(pg) else { return };
     out.set("np", Value::U64((rows.len() / PARTICLE_WIDTH) as u64));
-    for (c, name) in PARTICLE_ATTRS.iter().enumerate() {
-        let col = rows.chunks_exact(PARTICLE_WIDTH).map(|r| r[c]);
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for v in col {
-            lo = lo.min(v);
-            hi = hi.max(v);
+    // One row-major pass, eight running (min, max) lanes.
+    let mut lo = [f64::INFINITY; PARTICLE_WIDTH];
+    let mut hi = [f64::NEG_INFINITY; PARTICLE_WIDTH];
+    for row in rows.chunks_exact(PARTICLE_WIDTH) {
+        for c in 0..PARTICLE_WIDTH {
+            lo[c] = lo[c].min(row[c]);
+            hi[c] = hi[c].max(row[c]);
         }
-        if lo <= hi {
-            out.set(format!("min_{name}"), Value::F64(lo));
-            out.set(format!("max_{name}"), Value::F64(hi));
+    }
+    for (c, name) in PARTICLE_ATTRS.iter().enumerate() {
+        if lo[c] <= hi[c] {
+            out.set(format!("min_{name}"), Value::F64(lo[c]));
+            out.set(format!("max_{name}"), Value::F64(hi[c]));
         }
     }
 }
@@ -271,6 +274,47 @@ mod tests {
         assert_eq!(attrs.get_u64("np"), Some(2));
         assert_eq!(attrs.get_f64("min_x"), Some(-2.0));
         assert_eq!(attrs.get_f64("max_x"), Some(1.0));
+    }
+
+    /// The eight-pass reference: one strided pass per attribute.
+    fn stats_by_column(rows: &[f64], out: &mut AttrList) {
+        out.set("np", Value::U64((rows.len() / PARTICLE_WIDTH) as u64));
+        for (c, name) in PARTICLE_ATTRS.iter().enumerate() {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for v in rows.chunks_exact(PARTICLE_WIDTH).map(|r| r[c]) {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            if lo <= hi {
+                out.set(format!("min_{name}"), Value::F64(lo));
+                out.set(format!("max_{name}"), Value::F64(hi));
+            }
+        }
+    }
+
+    #[test]
+    fn particle_stats_match_the_per_column_passes() {
+        const NAN: f64 = f64::NAN;
+        let chunks: [Vec<f64>; 5] = [
+            vec![],
+            vec![3.0, -0.0, NAN, 1e300, -1e-300, 0.0, 2.0, 7.0],
+            // A NaN first, last and alone in a column; -0.0 against 0.0.
+            [
+                [NAN, 1.0, NAN, -0.0, 0.0, 5.0, 0.0, 0.0],
+                [2.0, NAN, NAN, 0.0, -0.0, 5.0, 1.0, 1.0],
+                [-2.0, 3.0, NAN, -0.0, 0.0, NAN, 1.0, 2.0],
+            ]
+            .concat(),
+            vec![NAN; 8],
+            (0..800).map(|i| ((i * 37) % 101) as f64 - 50.0).collect(),
+        ];
+        for rows in chunks {
+            let (mut got, mut expect) = (AttrList::new(), AttrList::new());
+            attach_particle_stats(&make_particle_pg(0, 0, rows.clone()), &mut got);
+            stats_by_column(&rows, &mut expect);
+            // Encoded form: same keys in the same order, values to the bit.
+            assert_eq!(got.to_bytes().unwrap(), expect.to_bytes().unwrap());
+        }
     }
 
     #[test]

@@ -20,7 +20,15 @@ use ffs::Value;
 use crate::agg::Aggregates;
 use crate::chunk::PackedChunk;
 use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
-use crate::schema::{particle_key, particles_of, PARTICLE_WIDTH};
+use crate::schema::{label_key, particle_key, COL_ID, COL_RANK, PARTICLE_WIDTH};
+
+/// Bytes of one particle row on the wire (eight little-endian f64).
+const ROW_BYTES: usize = 8 * PARTICLE_WIDTH;
+
+/// Attribute `col` of a wire-format row.
+fn le_f64(row: &[u8], col: usize) -> f64 {
+    f64::from_le_bytes(row[8 * col..8 * col + 8].try_into().expect("8-byte window"))
+}
 
 /// Global sort of particle rows by label key.
 pub struct SortOp {
@@ -62,26 +70,34 @@ struct SortMapper {
 
 impl ChunkMapper for SortMapper {
     fn map_chunk(&self, chunk: &PackedChunk, ctx: &MapCtx) -> Vec<Tagged> {
-        let Some(rows) = particles_of(&chunk.pg) else {
+        let Some(particles) = chunk.pg.var("particles").map(|v| &v.data) else {
+            return Vec::new();
+        };
+        let Some(rows) = particles.as_f64() else {
             return Vec::new();
         };
         let n_ranks = ctx.n_ranks();
-        // Counting pass over the keys, then one exact reservation per
-        // destination — no doubling growth while rows stream in.
+        // Key pass: each row's destination, computed once, and the row
+        // count per destination — one exact reservation each, no
+        // doubling growth while rows stream in.
         let mut row_counts = vec![0usize; n_ranks];
-        for row in rows.chunks_exact(PARTICLE_WIDTH) {
-            row_counts[bucket_of(particle_key(row), self.n_compute_hint, n_ranks)] += 1;
-        }
-        // One bucket per destination rank; rows appended as raw f64 LE.
+        let dests: Vec<u32> = rows
+            .chunks_exact(PARTICLE_WIDTH)
+            .map(|row| {
+                let b = bucket_of(particle_key(row), self.n_compute_hint, n_ranks);
+                row_counts[b] += 1;
+                b as u32
+            })
+            .collect();
+        // One bucket per destination rank; a row moves as one slice of
+        // the array's little-endian view.
         let mut buckets: Vec<Vec<u8>> = row_counts
             .iter()
-            .map(|&n| Vec::with_capacity(n * 8 * PARTICLE_WIDTH))
+            .map(|&n| Vec::with_capacity(n * ROW_BYTES))
             .collect();
-        for row in rows.chunks_exact(PARTICLE_WIDTH) {
-            let b = bucket_of(particle_key(row), self.n_compute_hint, n_ranks);
-            for v in row {
-                buckets[b].extend_from_slice(&v.to_le_bytes());
-            }
+        let le = particles.as_le_bytes();
+        for (row, &b) in le.chunks_exact(ROW_BYTES).zip(&dests) {
+            buckets[b as usize].extend_from_slice(row);
         }
         buckets
             .into_iter()
@@ -128,20 +144,32 @@ impl StreamOp for SortOp {
         (tag as usize).min(n_ranks - 1)
     }
 
+    /// Sorts `(key, blob, row)` triples and gathers each row once into
+    /// the one output buffer `finalize` hands to the writer. Equal keys
+    /// keep arrival order — blob order (the shuffle delivers blobs in
+    /// source-rank order), then row order within a blob — so the result
+    /// is the stable sort of the concatenated blobs.
     fn reduce(&mut self, _tag: u64, items: Vec<bytes::Bytes>, _ctx: &OpCtx) {
-        let total_rows: usize = items.iter().map(|b| b.len() / (8 * PARTICLE_WIDTH)).sum();
-        let mut rows: Vec<[f64; PARTICLE_WIDTH]> = Vec::with_capacity(total_rows);
-        for blob in items {
-            for row in blob.chunks_exact(8 * PARTICLE_WIDTH) {
-                let mut r = [0f64; PARTICLE_WIDTH];
-                for (i, w) in row.chunks_exact(8).enumerate() {
-                    r[i] = f64::from_le_bytes(w.try_into().unwrap());
-                }
-                rows.push(r);
+        assert!(items.len() <= u32::MAX as usize, "blob index fits u32");
+        let total_rows: usize = items.iter().map(|b| b.len() / ROW_BYTES).sum();
+        let mut order: Vec<(u64, u32, u32)> = Vec::with_capacity(total_rows);
+        for (b, blob) in items.iter().enumerate() {
+            assert!(
+                blob.len() / ROW_BYTES <= u32::MAX as usize,
+                "row index fits u32"
+            );
+            for (r, row) in blob.chunks_exact(ROW_BYTES).enumerate() {
+                let key = label_key(le_f64(row, COL_RANK), le_f64(row, COL_ID));
+                order.push((key, b as u32, r as u32));
             }
         }
-        rows.sort_by_key(|r| particle_key(r));
-        self.sorted = rows.into_iter().flatten().collect();
+        order.sort_unstable();
+        let mut sorted = Vec::with_capacity(total_rows * PARTICLE_WIDTH);
+        for (_, b, r) in order {
+            let row = &items[b as usize][r as usize * ROW_BYTES..][..ROW_BYTES];
+            sorted.extend((0..PARTICLE_WIDTH).map(|c| le_f64(row, c)));
+        }
+        self.sorted = sorted;
     }
 
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
@@ -211,6 +239,7 @@ mod tests {
     use crate::schema::make_particle_pg;
     use ffs::AttrList;
     use minimpi::World;
+    use proptest::prelude::*;
 
     /// A particle row with the given label, other attrs derived.
     fn row(rank: u64, id: u64) -> Vec<f64> {
@@ -224,6 +253,97 @@ mod tests {
             rank as f64,
             id as f64,
         ]
+    }
+
+    /// Rows whose label columns collide often (also across blobs and at
+    /// and above the `n_compute << 32` key bound) and whose other columns
+    /// carry the values a careless copy would change: NaN, -0.0.
+    fn arb_rows(max_rows: usize) -> impl Strategy<Value = Vec<f64>> {
+        let odd = prop::sample::select(vec![f64::NAN, -0.0, 0.0, -1.5, f64::INFINITY]);
+        let id = prop::sample::select(vec![0.0, 1.0, 2.0, 4294967295.0, 8589934592.0]);
+        let n = prop_oneof![Just(0usize), 0usize..=max_rows];
+        n.prop_flat_map(move |n| {
+            prop::collection::vec((-9.0f64..9.0, odd.clone(), 0u32..6, id.clone()), n..=n)
+        })
+        .prop_map(|rows| {
+            rows.into_iter()
+                .flat_map(|(x, odd, rank, id)| [x, odd, -0.0, odd, f64::NAN, x, rank as f64, id])
+                .collect()
+        })
+    }
+
+    fn le_bytes(rows: &[f64]) -> Vec<u8> {
+        rows.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    fn bits(rows: &[f64]) -> Vec<u64> {
+        rows.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-row reference: decode every row, stable-sort the rows
+        /// by key, flatten.
+        #[test]
+        fn reduce_is_the_stable_sort_of_the_decoded_rows(
+            blobs in prop::collection::vec(arb_rows(300), 0..=6),
+        ) {
+            let mut rows: Vec<[f64; PARTICLE_WIDTH]> = blobs
+                .iter()
+                .flat_map(|b| b.chunks_exact(PARTICLE_WIDTH))
+                .map(|r| r.try_into().unwrap())
+                .collect();
+            rows.sort_by_key(|r| particle_key(r));
+            let expect: Vec<f64> = rows.into_iter().flatten().collect();
+
+            let (_world, comms) = World::with_size(1);
+            let ctx = OpCtx {
+                comm: &comms[0],
+                out_dir: std::path::Path::new(""),
+                step: 0,
+                n_compute: 3,
+                agg: None,
+            };
+            let mut op = SortOp::new();
+            let items = blobs.iter().map(|b| le_bytes(b).into()).collect();
+            op.reduce(0, items, &ctx);
+            prop_assert_eq!(bits(&op.sorted), bits(&expect));
+        }
+
+        /// The two-pass reference: bucket `b` is every row whose key maps
+        /// to `b`, in chunk order, each attribute pushed as LE bytes.
+        #[test]
+        fn map_chunk_is_the_per_row_partition(rows in arb_rows(200), n_ranks in 1usize..=5) {
+            let n_compute = 3;
+            let expect: Vec<(u64, Vec<u8>)> = (0..n_ranks)
+                .map(|b| {
+                    let mine: Vec<f64> = rows
+                        .chunks_exact(PARTICLE_WIDTH)
+                        .filter(|r| bucket_of(particle_key(r), n_compute, n_ranks) == b)
+                        .flatten()
+                        .copied()
+                        .collect();
+                    (b as u64, le_bytes(&mine))
+                })
+                .filter(|(_, bytes)| !bytes.is_empty())
+                .collect();
+
+            let ctx = MapCtx {
+                my_rank: 0,
+                n_ranks,
+                step: 0,
+                n_compute: n_compute as usize,
+                agg: None,
+            };
+            let mapper = SortMapper { n_compute_hint: n_compute };
+            let got: Vec<(u64, Vec<u8>)> = mapper
+                .map_chunk(&PackedChunk::new(make_particle_pg(0, 0, rows.clone())), &ctx)
+                .into_iter()
+                .map(|t| (t.tag, t.bytes.to_vec()))
+                .collect();
+            prop_assert_eq!(got, expect);
+        }
     }
 
     #[test]

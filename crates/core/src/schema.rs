@@ -62,9 +62,13 @@ pub fn particle_count(pg: &ProcessGroup) -> Option<u64> {
 /// by key equals lexicographic ordering by label.
 pub fn particle_key(row: &[f64]) -> u64 {
     debug_assert_eq!(row.len(), PARTICLE_WIDTH);
-    let rank = row[COL_RANK] as u64;
-    let id = row[COL_ID] as u64;
-    (rank << 32) | (id & 0xffff_ffff)
+    label_key(row[COL_RANK], row[COL_ID])
+}
+
+/// [`particle_key`] from the two label attributes alone, for callers
+/// that hold a row in another form than `&[f64]`.
+pub fn label_key(rank: f64, id: f64) -> u64 {
+    ((rank as u64) << 32) | (id as u64 & 0xffff_ffff)
 }
 
 /// The eight Pixie3D field variables, in output order.

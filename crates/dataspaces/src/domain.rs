@@ -27,23 +27,27 @@ impl Region {
         self.corner.len()
     }
 
-    /// Element count.
+    /// Element count. Panics when the product overflows: a region that
+    /// passed [`DsConfig::check`] lies inside a domain whose own volume
+    /// fits, so only an unvalidated region gets here.
     pub fn volume(&self) -> u64 {
-        self.extent.iter().product()
+        checked_volume(&self.extent).expect("region volume overflows u64")
     }
 
     pub fn is_empty(&self) -> bool {
         self.extent.contains(&0)
     }
 
-    /// Intersection, or `None` when disjoint/empty.
+    /// Intersection, or `None` when disjoint/empty — or when either
+    /// box's `corner + extent` overflows, which is no box at all.
     pub fn intersect(&self, other: &Region) -> Option<Region> {
         debug_assert_eq!(self.rank(), other.rank());
         let mut corner = Vec::with_capacity(self.rank());
         let mut extent = Vec::with_capacity(self.rank());
         for d in 0..self.rank() {
             let lo = self.corner[d].max(other.corner[d]);
-            let hi = (self.corner[d] + self.extent[d]).min(other.corner[d] + other.extent[d]);
+            let hi = (self.corner[d].checked_add(self.extent[d])?)
+                .min(other.corner[d].checked_add(other.extent[d])?);
             if lo >= hi {
                 return None;
             }
@@ -59,6 +63,11 @@ impl Region {
                 && other.corner[d] + other.extent[d] <= self.corner[d] + self.extent[d]
         })
     }
+}
+
+/// Product of `extent`, or `None` when it overflows.
+fn checked_volume(extent: &[u64]) -> Option<u64> {
+    extent.iter().try_fold(1u64, |v, &e| v.checked_mul(e))
 }
 
 /// Static configuration of one space.
@@ -79,6 +88,11 @@ impl DsConfig {
         assert!(!domain.is_empty() && domain.len() == block.len());
         assert!(block.iter().all(|&b| b > 0) && domain.iter().all(|&d| d > 0));
         assert!(n_shards > 0);
+        // Bounds the volume of every region `check` accepts.
+        assert!(
+            checked_volume(&domain).is_some(),
+            "domain volume overflows u64"
+        );
         DsConfig {
             domain,
             block,
@@ -283,6 +297,37 @@ mod tests {
         ] {
             assert_eq!(c.check(&r), Err(DsError::OutOfDomain), "{r:?}");
         }
+    }
+
+    /// A hostile subscription region reaches `intersect` unchecked: a
+    /// wrapping end must not alias a box inside the domain.
+    #[test]
+    fn intersect_refuses_wrapping_corners() {
+        let whole = Region::whole(&[100, 40]);
+        for r in [
+            Region::new(vec![u64::MAX - 1, 0], vec![12, 1]),
+            Region::new(vec![5, 1], vec![1, u64::MAX]),
+        ] {
+            assert_eq!(whole.intersect(&r), None, "{r:?}");
+            assert_eq!(r.intersect(&whole), None, "{r:?}");
+        }
+        // An end of exactly `u64::MAX` is still a box.
+        let edge = Region::new(vec![u64::MAX - 4], vec![4]);
+        assert_eq!(edge.intersect(&edge), Some(edge.clone()));
+    }
+
+    /// `2^32 · 2^32` wraps to 0 in release arithmetic — an "empty" box
+    /// that any zero-length payload would match.
+    #[test]
+    #[should_panic(expected = "region volume overflows")]
+    fn volume_refuses_an_overflowing_product() {
+        Region::new(vec![0, 0], vec![1 << 32, 1 << 32]).volume();
+    }
+
+    #[test]
+    #[should_panic(expected = "domain volume overflows")]
+    fn domain_volume_must_fit() {
+        DsConfig::new(vec![1 << 32, 1 << 32], vec![64, 64], 2);
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl Comm {
             );
         }
         let env = self.world.mailboxes[self.members[self.rank]]
-            .take_match(self.comm_id, src, tag, None)
+            .take_match(self.comm_id, src, tag, None, &self.world.dead)
             .expect("untimed take_match never returns None");
         let src = env.src;
         match env.payload.downcast::<T>() {
@@ -176,7 +176,13 @@ impl Comm {
         timeout: Duration,
     ) -> Result<(T, usize), RecvError> {
         let env = self.world.mailboxes[self.members[self.rank]]
-            .take_match(self.comm_id, src, tag, Some(Instant::now() + timeout))
+            .take_match(
+                self.comm_id,
+                src,
+                tag,
+                Some(Instant::now() + timeout),
+                &self.world.dead,
+            )
             .ok_or(RecvError::Timeout)?;
         let s = env.src;
         env.payload
@@ -193,7 +199,7 @@ impl Comm {
     /// Synchronize all ranks of this communicator.
     pub fn barrier(&self) {
         self.world.stats.record_collective();
-        self.barrier.wait();
+        self.barrier.wait(&self.world.dead);
     }
 
     /// Split into disjoint sub-communicators by `color`; ranks within each
@@ -223,7 +229,7 @@ impl Comm {
         const SPLIT_TAG: u64 = u64::MAX - 1;
         let (comm_id, barrier) = if self.rank == leader {
             let id = self.world.alloc_comm_id();
-            let barrier = Arc::new(SubsetBarrier::new(member_parent_ranks.len()));
+            let barrier = self.world.new_barrier(member_parent_ranks.len());
             for &m in &member_parent_ranks[1..] {
                 self.send_raw(
                     m,

@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
+use crate::world::DeadRank;
 use crate::{ANY_SOURCE, ANY_TAG};
 
 /// One in-flight message.
@@ -40,14 +41,23 @@ impl Mailbox {
         self.arrived.notify_all();
     }
 
+    /// Wake every waiter so it re-checks `dead`. Taking the lock first
+    /// means a waiter that read `dead` before the store is parked by now.
+    pub fn wake_all(&self) {
+        drop(self.queue.lock());
+        self.arrived.notify_all();
+    }
+
     /// Block until a message matching (comm, src, tag) is available and
     /// remove it. `deadline` bounds the wait; `None` waits forever.
+    /// Panics with "rank N died" instead of waiting on a dead world.
     pub fn take_match(
         &self,
         comm_id: u64,
         src: usize,
         tag: u64,
         deadline: Option<Instant>,
+        dead: &DeadRank,
     ) -> Option<Envelope> {
         let mut q = self.queue.lock().expect("mailbox poisoned");
         loop {
@@ -58,6 +68,7 @@ impl Mailbox {
             }) {
                 return q.remove(pos);
             }
+            q = dead.check(q);
             match deadline {
                 None => q = self.arrived.wait(q).expect("mailbox poisoned"),
                 Some(d) => {
@@ -109,6 +120,11 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// An untimed `take_match` on a world with every rank alive.
+    fn take(mb: &Mailbox, comm: u64, src: usize, tag: u64) -> Option<Envelope> {
+        mb.take_match(comm, src, tag, None, &DeadRank::default())
+    }
+
     fn env(src: usize, comm: u64, tag: u64) -> Envelope {
         Envelope {
             src,
@@ -132,7 +148,7 @@ mod tests {
             });
         }
         for expect in 0..3u8 {
-            let e = mb.take_match(0, 1, 5, None).unwrap();
+            let e = take(&mb, 0, 1, 5).unwrap();
             assert_eq!(*e.payload.downcast::<u8>().unwrap(), expect);
         }
     }
@@ -143,7 +159,7 @@ mod tests {
         mb.push(env(0, 0, 1));
         mb.push(env(0, 7, 2)); // other communicator
         mb.push(env(2, 0, 2));
-        let e = mb.take_match(0, ANY_SOURCE, 2, None).unwrap();
+        let e = take(&mb, 0, ANY_SOURCE, 2).unwrap();
         assert_eq!((e.src, e.comm_id), (2, 0));
         assert_eq!(mb.len(), 2);
     }
@@ -152,13 +168,14 @@ mod tests {
     fn wildcard_source_and_tag() {
         let mb = Mailbox::new();
         mb.push(env(3, 0, 9));
-        assert!(mb.take_match(0, ANY_SOURCE, ANY_TAG, None).is_some());
+        assert!(take(&mb, 0, ANY_SOURCE, ANY_TAG).is_some());
     }
 
     #[test]
     fn timeout_expires() {
         let mb = Mailbox::new();
-        let got = mb.take_match(0, 0, 0, Some(Instant::now() + Duration::from_millis(20)));
+        let deadline = Some(Instant::now() + Duration::from_millis(20));
+        let got = mb.take_match(0, 0, 0, deadline, &DeadRank::default());
         assert!(got.is_none());
     }
 
@@ -166,10 +183,27 @@ mod tests {
     fn cross_thread_wakeup() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || mb2.take_match(0, 0, 1, None).map(|e| e.tag));
+        let h = std::thread::spawn(move || take(&mb2, 0, 0, 1).map(|e| e.tag));
         std::thread::sleep(Duration::from_millis(10));
         mb.push(env(0, 0, 1));
         assert_eq!(h.join().unwrap(), Some(1));
+    }
+
+    #[test]
+    fn dead_world_panics_in_place_of_parking() {
+        let mb = Mailbox::new();
+        let dead = DeadRank::default();
+        assert!(dead.set(1));
+        mb.push(env(0, 0, 1));
+        // A queued match is still delivered ...
+        assert!(mb.take_match(0, 0, 1, None, &dead).is_some());
+        // ... a wait panics, timed or not, and leaves the lock usable.
+        for deadline in [None, Some(Instant::now() + Duration::from_secs(60))] {
+            let r = std::panic::catch_unwind(|| mb.take_match(0, 0, 1, deadline, &dead));
+            let cause = r.err().expect("a wait on a dead world panics");
+            assert_eq!(cause.downcast_ref::<String>().unwrap(), "rank 1 died");
+        }
+        assert_eq!(mb.len(), 0);
     }
 
     #[test]

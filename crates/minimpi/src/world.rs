@@ -1,7 +1,7 @@
 //! World creation and rank launching.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 
 use crate::comm::Comm;
 use crate::envelope::Mailbox;
@@ -13,6 +13,43 @@ pub struct World {
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) stats: TrafficStats,
     next_comm_id: AtomicU64,
+    pub(crate) dead: DeadRank,
+    /// Every barrier of this world (its own and each split's), for
+    /// [`World::poison`] to wake.
+    barriers: Mutex<Vec<Weak<SubsetBarrier>>>,
+}
+
+/// The first rank whose thread unwound, as world rank + 1; 0 while every
+/// rank is alive. A rank about to park reads it while holding the lock
+/// of the condvar it parks on, and [`World::poison`] takes that lock
+/// between storing and notifying, so the lock orders the two and
+/// `Relaxed` is enough: the waiter either sees the store or is already
+/// parked when the notification comes.
+#[derive(Default)]
+pub(crate) struct DeadRank(AtomicUsize);
+
+impl DeadRank {
+    pub fn get(&self) -> Option<usize> {
+        self.0.load(Ordering::Relaxed).checked_sub(1)
+    }
+
+    /// Record `rank` as dead; false if another rank died first.
+    pub fn set(&self, rank: usize) -> bool {
+        self.0
+            .compare_exchange(0, rank + 1, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Panic in place of parking on a wait a dead rank will never end.
+    /// Takes the guard the caller holds, to release it first: the panic
+    /// must not poison a lock that live ranks still use.
+    pub fn check<G>(&self, guard: G) -> G {
+        if let Some(rank) = self.get() {
+            drop(guard);
+            panic!("rank {rank} died");
+        }
+        guard
+    }
 }
 
 /// Reusable, generation-counted barrier for an arbitrary subset of ranks.
@@ -33,7 +70,8 @@ impl SubsetBarrier {
         }
     }
 
-    pub fn wait(&self) {
+    /// Panics with "rank N died" instead of waiting for a dead rank.
+    pub fn wait(&self, dead: &DeadRank) {
         let mut s = self.state.lock().expect("barrier poisoned");
         let gen = s.1;
         s.0 += 1;
@@ -43,7 +81,7 @@ impl SubsetBarrier {
             self.cv.notify_all();
         } else {
             while s.1 == gen {
-                s = self.cv.wait(s).expect("barrier poisoned");
+                s = self.cv.wait(dead.check(s)).expect("barrier poisoned");
             }
         }
     }
@@ -60,8 +98,10 @@ impl World {
             mailboxes: (0..size).map(|_| Mailbox::new()).collect(),
             stats: TrafficStats::default(),
             next_comm_id: AtomicU64::new(1),
+            dead: DeadRank::default(),
+            barriers: Mutex::new(Vec::new()),
         });
-        let barrier = Arc::new(SubsetBarrier::new(size));
+        let barrier = world.new_barrier(size);
         let members: Arc<[usize]> = (0..size).collect();
         let comms = (0..size)
             .map(|r| {
@@ -79,37 +119,16 @@ impl World {
     /// Launch `size` ranks, run `f` on each with its world communicator,
     /// and return the per-rank results ordered by rank.
     ///
-    /// Panics in any rank propagate (after all threads are joined) so test
-    /// failures inside ranks surface normally.
+    /// A panic in any rank aborts the world — peers blocked in `recv` or
+    /// `barrier` panic with "rank N died" instead of waiting for ever —
+    /// and propagates (after all threads are joined), so test failures
+    /// inside ranks surface normally.
     pub fn run<T, F>(size: usize, f: F) -> Vec<T>
     where
         T: Send + 'static,
         F: Fn(Comm) -> T + Send + Sync + 'static,
     {
-        let (_world, comms) = World::with_size(size);
-        let f = Arc::new(f);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let f = Arc::clone(&f);
-                std::thread::Builder::new()
-                    .name(format!("rank{}", comm.rank()))
-                    .spawn(move || f(comm))
-                    .expect("spawn rank thread")
-            })
-            .collect();
-        let mut out = Vec::with_capacity(size);
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            match h.join() {
-                Ok(v) => out.push(v),
-                Err(e) => panic = Some(e),
-            }
-        }
-        if let Some(e) = panic {
-            std::panic::resume_unwind(e);
-        }
-        out
+        World::run_with_stats(size, f).0
     }
 
     /// Like [`World::run`] but also returns the world so the caller can
@@ -119,20 +138,74 @@ impl World {
         T: Send + 'static,
         F: Fn(Comm) -> T + Send + Sync + 'static,
     {
+        /// Poisons the world when its rank's thread unwinds.
+        struct PoisonOnUnwind(Arc<World>, usize);
+        impl Drop for PoisonOnUnwind {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.poison(self.1);
+                }
+            }
+        }
+
         let (world, comms) = World::with_size(size);
         let f = Arc::new(f);
         let handles: Vec<_> = comms
             .into_iter()
             .map(|comm| {
                 let f = Arc::clone(&f);
-                std::thread::spawn(move || f(comm))
+                let guard = PoisonOnUnwind(Arc::clone(&world), comm.rank());
+                std::thread::Builder::new()
+                    .name(format!("rank{}", comm.rank()))
+                    .spawn(move || {
+                        let _guard = guard;
+                        f(comm)
+                    })
+                    .expect("spawn rank thread")
             })
             .collect();
-        let out = handles
+        let mut joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        // The first death is the cause; the peers' "rank N died" panics
+        // are its echo.
+        if let Some(rank) = world.dead.get() {
+            match joined.swap_remove(rank) {
+                Err(cause) => std::panic::resume_unwind(cause),
+                Ok(_) => unreachable!("rank {rank} poisoned the world while unwinding"),
+            }
+        }
+        let out = joined
             .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
+            .map(|r| r.expect("no rank died"))
             .collect();
         (out, world)
+    }
+
+    /// Mark `rank` dead and wake every rank parked in a `recv` or a
+    /// barrier, which then panics. The first call wins; later deaths are
+    /// consequences of it and find everyone already awake.
+    fn poison(&self, rank: usize) {
+        if !self.dead.set(rank) {
+            return;
+        }
+        for mailbox in &self.mailboxes {
+            mailbox.wake_all();
+        }
+        // Runs in a `Drop`, so a poisoned lock is passed through rather
+        // than unwrapped.
+        let barriers = self.barriers.lock().unwrap_or_else(|e| e.into_inner());
+        for barrier in barriers.iter().filter_map(Weak::upgrade) {
+            drop(barrier.state.lock());
+            barrier.cv.notify_all();
+        }
+    }
+
+    /// A barrier for `parties` ranks of this world, known to `poison`.
+    pub(crate) fn new_barrier(&self, parties: usize) -> Arc<SubsetBarrier> {
+        let barrier = Arc::new(SubsetBarrier::new(parties));
+        let mut all = self.barriers.lock().expect("barrier list poisoned");
+        all.retain(|b| b.strong_count() > 0);
+        all.push(Arc::downgrade(&barrier));
+        barrier
     }
 
     pub fn size(&self) -> usize {
@@ -182,6 +255,55 @@ mod tests {
         assert!(r.is_err());
     }
 
+    /// Run `f` on a 3-rank world in which rank 1 panics where `f` calls
+    /// `die_if_rank_1`, and check that `World::run` comes back with that
+    /// panic. Whether a peer is parked when rank 1 dies or arrives
+    /// afterwards is up to the scheduler, so every case runs many times.
+    fn aborts_with_rank_1s_panic(f: fn(Comm)) {
+        for _ in 0..20 {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                tx.send(std::panic::catch_unwind(|| World::run(3, f))).ok();
+            });
+            let cause = rx
+                .recv_timeout(std::time::Duration::from_secs(1))
+                .expect("the world is still parked 1 s after rank 1 died")
+                .expect_err("the panic propagates");
+            assert_eq!(cause.downcast_ref::<&str>(), Some(&"boom in rank 1"));
+        }
+    }
+
+    fn die_if_rank_1(c: &Comm) {
+        if c.rank() == 1 {
+            panic!("boom in rank 1");
+        }
+    }
+
+    #[test]
+    fn dead_rank_aborts_a_barrier() {
+        aborts_with_rank_1s_panic(|c| {
+            die_if_rank_1(&c);
+            c.barrier()
+        });
+    }
+
+    #[test]
+    fn dead_rank_aborts_a_recv() {
+        aborts_with_rank_1s_panic(|c| {
+            die_if_rank_1(&c);
+            c.recv::<u8>(1, 0);
+        });
+    }
+
+    #[test]
+    fn dead_rank_aborts_a_split_communicators_barrier() {
+        aborts_with_rank_1s_panic(|c| {
+            let sub = c.split(0, c.rank() as u64);
+            die_if_rank_1(&c);
+            sub.barrier()
+        });
+    }
+
     #[test]
     fn subset_barrier_reusable() {
         let b = Arc::new(SubsetBarrier::new(4));
@@ -191,13 +313,14 @@ mod tests {
                 let b = Arc::clone(&b);
                 let c = Arc::clone(&counter);
                 std::thread::spawn(move || {
+                    let alive = DeadRank::default();
                     for round in 0..100u64 {
                         c.fetch_add(1, Ordering::SeqCst);
-                        b.wait();
+                        b.wait(&alive);
                         // After each barrier, all 4 increments of this
                         // round must be visible.
                         assert!(c.load(Ordering::SeqCst) >= (round + 1) * 4);
-                        b.wait();
+                        b.wait(&alive);
                     }
                 })
             })
