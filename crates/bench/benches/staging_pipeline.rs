@@ -1,6 +1,7 @@
 //! The staging map-stage pipeline: one full `run_step` — gather →
 //! aggregate → pull → parallel decode+map → combine/shuffle/reduce →
-//! finalize — at different `PREDATA_MAP_WORKERS` settings.
+//! finalize — at different `StagingConfig::map_workers`
+//! (`PREDATA_MAP_WORKERS`) settings.
 //!
 //! This is the ablation for the worker-pool rewrite: 16 chunks of 1 MiB
 //! each (16 Ki particles × 64 B) through a histogram over all eight
@@ -51,8 +52,9 @@ fn dump(rank: u64) -> Vec<f64> {
 }
 
 /// Build a single-rank staging setup with all `N_CHUNKS` dumps already
-/// written (requests queued, payloads exposed), ready for one `run_step`.
-fn staged_step(dir: &std::path::Path) -> (Fabric, StagingRank) {
+/// written (requests queued, payloads exposed), ready for one `run_step`
+/// on `workers` decode+map workers (`None`: the configured default).
+fn staged_step(dir: &std::path::Path, workers: Option<usize>) -> (Fabric, StagingRank) {
     let (fabric, computes, mut stagings) = Fabric::new(N_CHUNKS, 1, None);
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(N_CHUNKS, 1));
     for (r, e) in computes.into_iter().enumerate() {
@@ -65,6 +67,10 @@ fn staged_step(dir: &std::path::Path) -> (Fabric, StagingRank) {
             .write_pg(make_particle_pg(r as u64, 0, dump(r as u64)))
             .unwrap();
     }
+    let mut cfg = StagingConfig::new(N_CHUNKS, dir);
+    if let Some(workers) = workers {
+        cfg.map_workers = workers;
+    }
     let (_world, mut comms) = minimpi::World::with_size(1);
     let rank = StagingRank::new(
         comms.remove(0),
@@ -72,7 +78,7 @@ fn staged_step(dir: &std::path::Path) -> (Fabric, StagingRank) {
         router,
         Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>,
         ops(),
-        StagingConfig::new(N_CHUNKS, dir),
+        cfg,
     )
     .expect("staging rank starts");
     (fabric, rank)
@@ -83,7 +89,7 @@ fn bench_map_stage(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).unwrap();
     let payload_bytes = {
         // What one step actually pulls: N_CHUNKS packed 1 MiB chunks.
-        let (_f, rank) = staged_step(&dir);
+        let (_f, rank) = staged_step(&dir, None);
         drop(rank);
         (N_CHUNKS * ROWS_PER_CHUNK * 64) as u64
     };
@@ -93,11 +99,10 @@ fn bench_map_stage(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(payload_bytes));
     let mut medians: Vec<(usize, f64)> = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        std::env::set_var("PREDATA_MAP_WORKERS", workers.to_string());
         let mut median = 0.0;
         g.bench_function(BenchmarkId::new("workers", workers), |b| {
             b.iter_batched(
-                || staged_step(&dir),
+                || staged_step(&dir, Some(workers)),
                 |(_fabric, mut rank)| black_box(rank.run_step(0).unwrap()),
                 BatchSize::PerIteration,
             );
@@ -106,7 +111,6 @@ fn bench_map_stage(c: &mut Criterion) {
         medians.push((workers, median));
     }
     g.finish();
-    std::env::remove_var("PREDATA_MAP_WORKERS");
     std::fs::remove_dir_all(&dir).ok();
 
     let time_of = |w: usize| medians.iter().find(|(n, _)| *n == w).map(|(_, t)| *t);
@@ -139,7 +143,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
         let mut median = 0.0;
         g.bench_function(mode, |b| {
             b.iter_batched(
-                || staged_step(&dir),
+                || staged_step(&dir, None),
                 |(_fabric, mut rank)| black_box(rank.run_step(0).unwrap()),
                 BatchSize::PerIteration,
             );

@@ -4,9 +4,8 @@
 //! predata-bench trajectory [--quick] [--check] [--out PATH]
 //! ```
 //!
-//! Runs the `staging_pipeline` scenarios inline (a large-chunk step, and
-//! the many-small-chunks step with and without `PREDATA_PULL_BATCH`
-//! coalescing), the `query_service` scenario (1/8/64 concurrent readers
+//! Runs the `staging_pipeline` scenarios inline (a large-chunk step and
+//! a many-small-chunks step), the `query_service` scenario (1/8/64 concurrent readers
 //! hammering a committed dump version while a writer keeps staging fresh
 //! ones), the `membership_churn` scenario (a staging rank leaves and
 //! another joins mid-run, with index handoff at the epoch boundary),
@@ -20,8 +19,8 @@
 //!
 //! * `wall` — medians of real wall-clock runs on whatever machine this
 //!   is; recorded for the trajectory, never gated (CI hardware varies).
-//! * `exact` — deterministic counters (fabric transactions, coalesced
-//!   pulls, hot-path copies); change only when behaviour changes.
+//! * `exact` — deterministic counters (fabric transactions, hot-path
+//!   copies); change only when behaviour changes.
 //! * `model` — simhec machine-model outputs; bit-deterministic, so any
 //!   drift is a real change to the modelled system.
 //!
@@ -44,7 +43,7 @@ use predata_core::{PredataClient, StreamOp};
 use simhec::pfs::PfsModel;
 use simhec::scenario::Placement;
 use simhec::{MachineConfig, StagedRun};
-use transport::{BlockRouter, Fabric, FifoPolicy, PullBatch, PullPolicy, Router};
+use transport::{BlockRouter, Fabric, FifoPolicy, PullPolicy, Router};
 
 const SCHEMA: &str = "predata-bench-trajectory/v1";
 const PR: u64 = 9;
@@ -59,7 +58,6 @@ struct Bench {
 struct Scenario {
     n_chunks: usize,
     rows_per_chunk: usize,
-    batch: Option<PullBatch>,
 }
 
 fn ops() -> Vec<Box<dyn StreamOp>> {
@@ -108,8 +106,6 @@ fn staged_step(dir: &Path, sc: &Scenario) -> (Fabric, StagingRank) {
             ))
             .unwrap();
     }
-    let mut cfg = StagingConfig::new(sc.n_chunks, dir);
-    cfg.pull_batch = sc.batch.clone();
     let (_world, mut comms) = minimpi::World::with_size(1);
     let rank = StagingRank::new(
         comms.remove(0),
@@ -117,7 +113,7 @@ fn staged_step(dir: &Path, sc: &Scenario) -> (Fabric, StagingRank) {
         router,
         Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>,
         ops(),
-        cfg,
+        StagingConfig::new(sc.n_chunks, dir),
     )
     .expect("staging rank starts");
     (fabric, rank)
@@ -369,7 +365,6 @@ fn run_trajectory(quick: bool) -> BTreeMap<String, Bench> {
     let iters = if quick { 3 } else { 7 };
     let (large_chunks, large_rows) = if quick { (4, 2048) } else { (16, 16 * 1024) };
     let (small_chunks, small_rows) = if quick { (32, 128) } else { (128, 256) };
-    let batch = PullBatch::new(64 * 1024, 16);
 
     eprintln!("trajectory: staging_step large ({large_chunks} x {large_rows} rows)...");
     let (large_ms, _) = measure(
@@ -377,19 +372,18 @@ fn run_trajectory(quick: bool) -> BTreeMap<String, Bench> {
         &Scenario {
             n_chunks: large_chunks,
             rows_per_chunk: large_rows,
-            batch: None,
         },
         iters,
     );
     put("staging_step_large_ms", large_ms, "wall", "ms");
 
-    eprintln!("trajectory: staging_step small ({small_chunks} x {small_rows} rows), unbatched...");
+    eprintln!("trajectory: staging_step small ({small_chunks} x {small_rows} rows)...");
+    let copied_before = counter("predata.bytes_copied");
     let (small_ms, small_gets) = measure(
         &dir,
         &Scenario {
             n_chunks: small_chunks,
             rows_per_chunk: small_rows,
-            batch: None,
         },
         iters,
     );
@@ -401,34 +395,6 @@ fn run_trajectory(quick: bool) -> BTreeMap<String, Bench> {
         "gets",
     );
 
-    eprintln!("trajectory: staging_step small, PREDATA_PULL_BATCH on...");
-    let coalesced_before = counter("transport.pulls_coalesced");
-    let copied_before = counter("predata.bytes_copied");
-    let (batched_ms, batched_gets) = measure(
-        &dir,
-        &Scenario {
-            n_chunks: small_chunks,
-            rows_per_chunk: small_rows,
-            batch: Some(batch),
-        },
-        iters,
-    );
-    put("staging_step_small_batched_ms", batched_ms, "wall", "ms");
-    put(
-        "small_batched_rdma_gets",
-        batched_gets as f64,
-        "exact",
-        "gets",
-    );
-    // Coalesced count for ONE batched step (iters + 1 instrumented runs
-    // executed above, all identical by construction).
-    let coalesced = (counter("transport.pulls_coalesced") - coalesced_before) / (iters as u64 + 1);
-    put(
-        "small_batched_pulls_coalesced",
-        coalesced as f64,
-        "exact",
-        "pulls",
-    );
     // The zero-copy acceptance bar: the output path never re-copies a
     // result buffer on little-endian targets.
     put(
@@ -436,12 +402,6 @@ fn run_trajectory(quick: bool) -> BTreeMap<String, Bench> {
         (counter("predata.bytes_copied") - copied_before) as f64,
         "exact",
         "bytes",
-    );
-    put(
-        "small_chunk_batch_speedup",
-        small_ms / batched_ms.max(1e-9),
-        "wall",
-        "x",
     );
 
     // --- wall: the obs_live_overhead scenario ---
@@ -455,7 +415,6 @@ fn run_trajectory(quick: bool) -> BTreeMap<String, Bench> {
     let live_sc = Scenario {
         n_chunks: small_chunks,
         rows_per_chunk: small_rows,
-        batch: None,
     };
     // Reconfigure before every iteration: each run replays step 0, and a
     // stale plane would skip its sample/ingest on the replays (the

@@ -34,6 +34,8 @@
 
 use std::sync::{Arc, OnceLock};
 
+use obs::spec::Spec;
+
 /// Parsed `PREDATA_ADMIT` plan. See the module docs for grammar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmitControl {
@@ -51,30 +53,28 @@ impl AdmitControl {
     /// control" (empty, `0`, or `off`); `Err` describes the malformed
     /// field.
     pub fn parse(spec: &str) -> Result<Option<AdmitControl>, String> {
-        let spec = spec.trim();
-        if matches!(spec, "" | "0" | "off" | "false") {
-            return Ok(None);
-        }
+        let fields = match obs::spec::parse("admit", spec)? {
+            Spec::Unset | Spec::Off => return Ok(None),
+            Spec::On => return Err(obs::spec::no_defaults("admit")),
+            Spec::Fields(fields) => fields,
+        };
         let mut queue_hwm = None;
         let mut blocked = None;
         let mut defer = Vec::new();
-        for field in spec.split(',').map(str::trim).filter(|f| !f.is_empty()) {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("admit field `{field}` is not key=value"))?;
-            let bad = |e: &dyn std::fmt::Display| format!("admit field `{field}`: {e}");
-            match key {
-                "queue_hwm" => queue_hwm = Some(value.parse().map_err(|e| bad(&e))?),
-                "blocked" => blocked = Some(value.parse().map_err(|e| bad(&e))?),
+        for f in &fields {
+            match f.key {
+                "queue_hwm" => queue_hwm = Some(f.num()?),
+                "blocked" => blocked = Some(f.num()?),
                 "defer" => {
-                    defer = value
+                    defer = f
+                        .value
                         .split('+')
                         .map(str::trim)
                         .filter(|n| !n.is_empty())
                         .map(String::from)
                         .collect();
                 }
-                _ => return Err(format!("unknown admit field `{key}`")),
+                _ => return Err(f.unknown()),
             }
         }
         if queue_hwm.is_none() && blocked.is_none() {
@@ -104,26 +104,12 @@ impl AdmitControl {
         .clone()
     }
 
-    /// Is a step with `backlog` gathered chunks and prior-step
-    /// simulation blocked-fraction `blocked` overloaded? Thin wrapper
-    /// over [`AdmitControl::overloaded_signals`] so the raw-value and
-    /// signal paths can never disagree.
-    pub fn overloaded(&self, backlog: usize, blocked: Option<f64>) -> bool {
-        let mut signals = vec![obs::live::HealthSignal::QueuePressure {
-            rank: 0,
-            backlog: backlog as u64,
-        }];
-        if let Some(fraction) = blocked {
-            signals.push(obs::live::HealthSignal::SimulationBlocked { fraction });
-        }
-        self.overloaded_signals(&signals)
-    }
-
     /// Is a rank presenting these [`obs::live::HealthSignal`]s
-    /// overloaded? This is the decision point the staging loop calls:
-    /// the thresholds apply to the *typed signal values* — the same
-    /// numbers the raw path carried, so a shedding decision is
-    /// byte-identical whether the live plane is on or off. Cluster
+    /// overloaded? This is the one decision point, and the staging
+    /// runtime's `shed` stage calls it: the thresholds apply to the
+    /// typed signal values, which `obs::live::local_signals` fills the
+    /// same with the live plane on or off, so a shedding decision is
+    /// byte-identical either way. Cluster
     /// signals (straggler, backlog growth, retry exhaustion) are
     /// advisory context for now; they don't trigger sheds.
     pub fn overloaded_signals(&self, signals: &[obs::live::HealthSignal]) -> bool {
@@ -171,49 +157,41 @@ mod tests {
         assert!(AdmitControl::parse("queue_hwm=lots,defer=x").is_err());
     }
 
+    /// The thresholds are strict (`>`), apply only when configured, and
+    /// ignore cluster-level advisory signals.
     #[test]
     fn overload_triggers() {
+        use obs::live::HealthSignal;
+        let queue = |backlog| HealthSignal::QueuePressure { rank: 1, backlog };
+        let sim = |fraction| HealthSignal::SimulationBlocked { fraction };
+
         let a = AdmitControl::parse("queue_hwm=4,defer=x").unwrap().unwrap();
-        assert!(!a.overloaded(4, None), "at the mark is not over it");
-        assert!(a.overloaded(5, None));
         assert!(
-            !a.overloaded(0, Some(0.9)),
+            !a.overloaded_signals(&[queue(4)]),
+            "at the mark is not over"
+        );
+        assert!(a.overloaded_signals(&[queue(5)]));
+        assert!(
+            !a.overloaded_signals(&[queue(0), sim(0.9)]),
             "no blocked threshold configured"
         );
 
         let a = AdmitControl::parse("blocked=0.25,defer=x")
             .unwrap()
             .unwrap();
-        assert!(!a.overloaded(1000, None), "no backlog threshold, no stat");
-        assert!(!a.overloaded(0, Some(0.25)));
-        assert!(a.overloaded(0, Some(0.26)));
-    }
+        assert!(
+            !a.overloaded_signals(&[queue(1000)]),
+            "no backlog threshold"
+        );
+        assert!(!a.overloaded_signals(&[queue(0), sim(0.25)]));
+        assert!(a.overloaded_signals(&[queue(0), sim(0.26)]));
 
-    /// The signal path must apply exactly the thresholds the raw path
-    /// did — same strict `>`, same fields — and ignore cluster-level
-    /// advisory signals.
-    #[test]
-    fn signal_triggers_match_raw_triggers() {
-        use obs::live::HealthSignal;
         let a = AdmitControl::parse("queue_hwm=4,blocked=0.25,defer=x")
             .unwrap()
             .unwrap();
-        let at_the_mark = [
-            HealthSignal::QueuePressure {
-                rank: 1,
-                backlog: 4,
-            },
-            HealthSignal::SimulationBlocked { fraction: 0.25 },
-        ];
-        assert!(
-            !a.overloaded_signals(&at_the_mark),
-            "at the mark is not over"
-        );
-        assert!(a.overloaded_signals(&[HealthSignal::QueuePressure {
-            rank: 1,
-            backlog: 5,
-        }]));
-        assert!(a.overloaded_signals(&[HealthSignal::SimulationBlocked { fraction: 0.26 }]));
+        assert!(!a.overloaded_signals(&[queue(4), sim(0.25)]));
+        assert!(a.overloaded_signals(&[queue(4), sim(0.26)]));
+        assert!(a.overloaded_signals(&[queue(5), sim(0.25)]));
         // Advisory cluster signals never shed on their own.
         let advisory = [
             HealthSignal::Straggler { rank: 2, z: 99.0 },
@@ -222,24 +200,5 @@ mod tests {
         ];
         assert!(!a.overloaded_signals(&advisory));
         assert!(!a.overloaded_signals(&[]));
-
-        // Cross-check: the raw wrapper and the signal path agree on a
-        // grid of inputs.
-        for backlog in [0usize, 4, 5, 100] {
-            for blocked in [None, Some(0.1), Some(0.25), Some(0.9)] {
-                let mut signals = vec![HealthSignal::QueuePressure {
-                    rank: 0,
-                    backlog: backlog as u64,
-                }];
-                if let Some(fraction) = blocked {
-                    signals.push(HealthSignal::SimulationBlocked { fraction });
-                }
-                assert_eq!(
-                    a.overloaded(backlog, blocked),
-                    a.overloaded_signals(&signals),
-                    "backlog={backlog} blocked={blocked:?}"
-                );
-            }
-        }
     }
 }

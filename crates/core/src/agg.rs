@@ -24,14 +24,19 @@ pub struct Aggregates {
 impl Aggregates {
     /// Exchange locally-gathered `(compute_rank, attrs)` pairs across the
     /// staging communicator so every rank sees all of them. Collective.
-    pub fn build(local: &[(usize, AttrList)], comm: &Comm) -> Aggregates {
+    /// The attribute lists are only read (encoded for the exchange), so
+    /// they are borrowed from wherever the caller keeps them.
+    pub fn build<'a>(
+        local: impl IntoIterator<Item = (usize, &'a AttrList)>,
+        comm: &Comm,
+    ) -> Aggregates {
         // Encode local pairs: [rank u64][len u32][attr bytes] …, into an
         // exact-sized buffer (encode the attr lists first, then sum).
         let encoded: Vec<(usize, Vec<u8>)> = local
-            .iter()
+            .into_iter()
             .map(|(rank, attrs)| {
                 let bytes = attrs.to_bytes().expect("request attrs fit the budget");
-                (*rank, bytes)
+                (rank, bytes)
             })
             .collect();
         let total: usize = encoded.iter().map(|(_, b)| 12 + b.len()).sum();
@@ -178,7 +183,7 @@ mod tests {
                     (cr, attrs(cr as u64 + 1, cr as f64, cr as f64 * 10.0))
                 })
                 .collect();
-            let agg = Aggregates::build(&local, &comm);
+            let agg = Aggregates::build(local.iter().map(|(r, a)| (*r, a)), &comm);
             (agg.n_ranks(), agg.sum_u64("np"), agg.prefix_u64("np", 4))
         });
         for (n, total, prefix4) in out {

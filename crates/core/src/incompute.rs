@@ -38,7 +38,7 @@ impl InComputeRunner {
             op.partial_calculate(&pg, &mut attrs);
         }
         // Aggregation over the compute communicator.
-        let agg = Aggregates::build(&[(comm.rank(), attrs)], comm);
+        let agg = Aggregates::build([(comm.rank(), &attrs)], comm);
         let ctx = OpCtx {
             comm,
             out_dir,

@@ -70,6 +70,7 @@ use std::time::Duration;
 
 use bpio::ProcessGroup;
 use minimpi::{Comm, World};
+use obs::spec::Spec;
 use transport::{ComputeEndpoint, Router};
 
 use crate::client::{ClientError, PredataClient, WriteReceipt};
@@ -108,30 +109,22 @@ impl DegradePolicy {
     /// Parse a `PREDATA_DEGRADE` spec. `Ok(None)` means "use the
     /// default policy"; `off` never declares staging unhealthy.
     pub fn parse(spec: &str) -> Result<Option<DegradePolicy>, String> {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return Ok(None);
-        }
-        if matches!(spec, "0" | "off" | "false") {
-            return Ok(Some(DegradePolicy {
-                unhealthy_after: u32::MAX,
-                ..DegradePolicy::default()
-            }));
-        }
         let mut policy = DegradePolicy::default();
-        for field in spec.split(',').map(str::trim).filter(|f| !f.is_empty()) {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("degrade field `{field}` is not key=value"))?;
-            let bad = |e: &dyn std::fmt::Display| format!("degrade field `{field}`: {e}");
-            match key {
-                "unhealthy_after" => policy.unhealthy_after = value.parse().map_err(|e| bad(&e))?,
-                "probe_every" => policy.probe_every = value.parse().map_err(|e| bad(&e))?,
-                "deadline_ms" => {
-                    policy.step_deadline =
-                        Duration::from_millis(value.parse().map_err(|e| bad(&e))?)
-                }
-                _ => return Err(format!("unknown degrade field `{key}`")),
+        let fields = match obs::spec::parse("degrade", spec)? {
+            Spec::Unset => return Ok(None),
+            Spec::Off => {
+                policy.unhealthy_after = u32::MAX;
+                return Ok(Some(policy));
+            }
+            Spec::On => return Err(obs::spec::no_defaults("degrade")),
+            Spec::Fields(fields) => fields,
+        };
+        for f in &fields {
+            match f.key {
+                "unhealthy_after" => policy.unhealthy_after = f.num()?,
+                "probe_every" => policy.probe_every = f.num()?,
+                "deadline_ms" => policy.step_deadline = Duration::from_millis(f.num()?),
+                _ => return Err(f.unknown()),
             }
         }
         policy.unhealthy_after = policy.unhealthy_after.max(1);

@@ -3,14 +3,25 @@
 //! The staging area runs as its own SPMD program: each rank owns one
 //! [`transport::StagingEndpoint`], a share of the compute ranks (from the
 //! `Route()` inverse map), and a full set of operator instances. Per I/O
-//! step each rank:
+//! step, [`StagingRank::run_step`] is five stages, each a private method
+//! with typed inputs and outputs:
 //!
-//! 1. gathers the fetch requests of the compute ranks it serves,
-//! 2. builds global [`Aggregates`] with one small staging-wide exchange,
-//! 3. `initialize`s every operator,
-//! 4. pulls chunks in the order/pacing of its [`transport::PullPolicy`]
-//!    and fans them out to a pool of decode+map workers,
-//! 5. completes each operator's combine → shuffle → reduce → finalize.
+//! 1. **gather** — collect the fetch requests of the compute ranks this
+//!    rank serves (requests for later steps are stashed, a request for
+//!    an earlier one is [`StagingError::StepSkew`]);
+//! 2. **shed** — overload admission control ([`crate::admit`]): which
+//!    operators, if any, sit this step out;
+//! 3. **aggregate + initialize** — build the global [`Aggregates`] with
+//!    one small staging-wide exchange and `initialize` every operator;
+//! 4. **pull + map** — pull every chunk in the order and pacing of the
+//!    [`transport::PullPolicy`], decode and map them on a worker pool,
+//!    merge the outputs in policy order;
+//! 5. **exchange + step end** — each operator's combine → shuffle →
+//!    reduce → finalize, then the live-telemetry tick and the
+//!    [`StepReport`].
+//!
+//! Stages 1 and 4 can fail; `run_step` has one error exit, which closes
+//! the lineage record of every chunk gathered so far.
 //!
 //! # The pull → decode → map pipeline (stage 4)
 //!
@@ -19,32 +30,39 @@
 //! three-role pipeline over two event queues:
 //!
 //! ```text
-//!  puller ──(idx, src, bytes)──▶ bounded ──▶ decode+map ──┐
-//!    │  policy order + pacing     work         worker 0   │
-//!    ▼  RDMA get                  queue           ⋮       ├──▶ unbounded ──▶ collector
+//!  puller ─────(idx, bytes)─────▶ bounded ──▶ decode+map ──┐
+//!    │  policy order + pacing      work         worker 0   │
+//!    ▼  one RDMA get per chunk     queue           ⋮       ├──▶ unbounded ──▶ collector
 //!                                   └───────▶ worker N-1 ─┘     results        │
 //!                                   unpack → map_chunk×ops       queue    slots[idx] = out
 //! ```
 //!
-//! The *puller* issues RDMA gets serially in policy order and blocks on
-//! the bounded work queue — its capacity (`max_inflight`) is the
-//! back-pressure bound on pulled-but-unmapped bytes, so the streaming
-//! memory footprint stays at a few chunks no matter how fast the network
-//! outruns the operators. Each *worker* unpacks a chunk (a zero-copy
-//! borrow of the pull buffer via [`ffs::decode_view`]) and runs every
-//! operator's [`crate::op::ChunkMapper`] on it. The *collector* (the
-//! `run_step` thread) files each worker's output into a slot indexed by
-//! the chunk's position in the policy order, then merges slots **in
-//! index order** — so the per-operator intermediate streams, and
-//! therefore every downstream combine/shuffle/reduce result, are
-//! bit-identical regardless of worker count or completion interleaving.
+//! The *puller* issues one RDMA get per chunk, serially, in policy order
+//! — the paper's server-directed, scheduled pull. Every pull goes
+//! through the same path: the fault plan is consulted, the get is
+//! retried under the step's deadline budget, and a chunk whose retries
+//! exhaust on a transient error is skipped (the step completes without
+//! it; [`StepReport::truncated`]). There is no coalescing of small
+//! pulls: measured, all 64 pulls of a 32 KiB-chunk step are under 1 % of
+//! the step (DESIGN.md §3.4). The puller blocks on the bounded work
+//! queue — its capacity (`max_inflight`) is the back-pressure bound on
+//! pulled-but-unmapped bytes, so the streaming memory footprint stays at
+//! a few chunks no matter how fast the network outruns the operators.
+//! Each *worker* unpacks a chunk (a zero-copy borrow of the pull buffer
+//! via [`ffs::decode_view`]) and runs every operator's
+//! [`crate::op::ChunkMapper`] on it. The *collector* (the `run_step`
+//! thread) files each chunk's one outcome into a slot indexed by the
+//! chunk's position in the policy order, then merges slots **in index
+//! order** — so the per-operator intermediate streams, and therefore
+//! every downstream combine/shuffle/reduce result, are bit-identical
+//! regardless of worker count or completion interleaving.
 //!
 //! All waiting is condvar-based (queue parking, [`PullPolicy::wait_ready`]);
 //! there are no sleep-poll loops in this pipeline.
 //!
-//! The worker count is the `PREDATA_MAP_WORKERS` environment variable
-//! (default 4, minimum 1; see [`map_workers`]) — the ablation knob for
-//! the decode+map scaling experiments.
+//! The worker count is [`StagingConfig::map_workers`] (the
+//! `PREDATA_MAP_WORKERS` environment variable; default 4, minimum 1) —
+//! the ablation knob for the decode+map scaling experiments.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,10 +71,9 @@ use std::time::{Duration, Instant};
 
 use transport::evq::{EventQueue, PollError};
 
-use ffs::AttrList;
-use minimpi::{Comm, World};
+use minimpi::{Comm, PoisonOnUnwind, World};
 use transport::{
-    Epoch, FetchRequest, Membership, MembershipPlan, PullBatch, PullPolicy, RetryPolicy, Router,
+    Epoch, FetchRequest, Membership, MembershipPlan, PullPolicy, RetryPolicy, Router,
     StagingEndpoint, TransportError,
 };
 
@@ -157,48 +174,48 @@ impl From<std::io::Error> for StagingError {
     }
 }
 
-/// Decode+map worker threads per staging rank: the `PREDATA_MAP_WORKERS`
-/// environment variable, defaulting to 4 and clamped to at least 1.
-pub fn map_workers() -> usize {
-    std::env::var("PREDATA_MAP_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(4)
-}
-
-/// One finished (or failed) unit of pipeline work, filed by the slot
-/// index the chunk holds in the policy-ordered pull list.
-enum WorkerOut {
+/// What became of one chunk that stage 4 is done with, filed by the
+/// index the chunk holds in the policy-ordered request list. (A chunk
+/// that fails the step instead — a non-retryable pull error, bytes that
+/// do not decode — is reported as the `Err` beside this.)
+enum ChunkOutcome {
+    /// Pulled, decoded and mapped: the pulled bytes and every operator's
+    /// `map_chunk` output, in operator order.
     Mapped {
-        idx: usize,
-        src_rank: usize,
         bytes: u64,
-        /// `map_chunk` output of every operator, in operator order.
         per_op: Vec<Vec<Tagged>>,
     },
-    DecodeErr(ChunkError),
-    PullErr(TransportError),
-    /// The chunk's pull exhausted its retries on a *transient* error:
-    /// the step continues without it (degradation ladder rung 1).
-    Skipped {
-        idx: usize,
-        src_rank: usize,
-    },
+    /// The pull exhausted its retries on a *transient* error: the step
+    /// continues without the chunk (degradation ladder rung 1) and its
+    /// lineage is marked [`obs::lineage::Stage::Truncated`].
+    Skipped,
 }
 
-/// A collected chunk's contribution: source rank, pulled bytes, per-op
-/// mapper output.
-type ChunkSlot = (usize, u64, Vec<Vec<Tagged>>);
+/// Output of the pull + map stage: what the step's report says about the
+/// chunks, and the per-operator intermediate streams.
+struct Mapped {
+    /// Compute ranks whose chunks were mapped, in policy order.
+    pull_order: Vec<usize>,
+    /// Compute ranks whose chunks were skipped, in policy order.
+    truncated: Vec<usize>,
+    bytes_pulled: u64,
+    /// Every operator's `map_chunk` outputs, concatenated in policy order.
+    per_op: Vec<Vec<Tagged>>,
+    /// Wall time of the whole rank-local stage. This is the span the
+    /// live plane's straggler detector compares across ranks: stage 5 is
+    /// collective — every rank waits for the slowest inside it — so only
+    /// this stage carries a per-rank imbalance signal.
+    span_ns: u64,
+}
 
-/// What ended up in one policy-order slot.
-enum SlotOutcome {
-    Mapped(ChunkSlot),
-    /// Pull retries exhausted; the chunk is excluded from the merge and
-    /// its lineage marked [`obs::lineage::Stage::Truncated`].
-    Skipped {
-        src_rank: usize,
-    },
+/// The mapper of an operator shed by admission control: the work stays
+/// unmapped, not queued for later.
+struct ShedMapper;
+
+impl ChunkMapper for ShedMapper {
+    fn map_chunk(&self, _chunk: &PackedChunk, _ctx: &MapCtx) -> Vec<Tagged> {
+        Vec::new()
+    }
 }
 
 /// Callback at a membership epoch boundary: `(epoch, my_rank)`, invoked
@@ -220,10 +237,9 @@ pub struct StagingConfig {
     /// Retry policy for fetch-request receives and `rdma_get` pulls
     /// (`PREDATA_RETRY`; its deadline is the per-step pull budget).
     pub retry: RetryPolicy,
-    /// Small-pull coalescing thresholds (`PREDATA_PULL_BATCH`); `None`
-    /// keeps one `rdma_get` per chunk. Batching changes when bytes
-    /// move, never what moves — outputs stay byte-identical.
-    pub pull_batch: Option<PullBatch>,
+    /// Decode+map worker threads per staging rank (`PREDATA_MAP_WORKERS`,
+    /// default 4; at least one runs whatever this says).
+    pub map_workers: usize,
     /// Elastic membership schedule (`PREDATA_MEMBERSHIP`); `None` means
     /// every rank serves every step. Ranks outside the step's epoch stay
     /// in the collectives (they must — the world is one communicator)
@@ -243,7 +259,10 @@ impl StagingConfig {
             out_dir: out_dir.into(),
             gather_timeout: Duration::from_secs(30),
             retry: RetryPolicy::from_env(),
-            pull_batch: PullBatch::from_env(),
+            map_workers: std::env::var("PREDATA_MAP_WORKERS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(4),
             membership: MembershipPlan::from_env().map(|p| {
                 Arc::new(
                     Membership::from_plan(&p).unwrap_or_else(|e| panic!("PREDATA_MEMBERSHIP: {e}")),
@@ -297,6 +316,18 @@ pub struct StagingRank {
     cfg: StagingConfig,
     /// Requests that arrived early for future steps.
     stashed: Vec<FetchRequest>,
+}
+
+/// The operator context of `step` on the rank that owns `comm` and `cfg`
+/// (a free function so a stage can hold it beside `&mut self.ops`).
+fn op_ctx<'a>(comm: &'a Comm, cfg: &'a StagingConfig, step: u64, agg: &'a Aggregates) -> OpCtx<'a> {
+    OpCtx {
+        comm,
+        out_dir: &cfg.out_dir,
+        step,
+        n_compute: cfg.n_compute,
+        agg: Some(agg),
+    }
 }
 
 impl StagingRank {
@@ -387,25 +418,41 @@ impl StagingRank {
         Some(membership.epoch_at(step).version)
     }
 
-    /// Process one I/O step end to end.
+    /// Process one I/O step end to end: the five stages of the module
+    /// docs, and the one exit of a step that fails in one of them.
     pub fn run_step(&mut self, step: u64) -> Result<StepReport, StagingError> {
         let epoch = self.enter_epoch(step);
-        let served = self
-            .router
-            .served_by(self.comm.rank(), self.cfg.n_compute, step);
-
-        // --- Stage 2a: gather this step's requests ---
-        let gather_span = obs::span!("gather", step);
-        let mut pending: Vec<FetchRequest> = Vec::with_capacity(served.len());
-        let mut keep = Vec::new();
-        for r in self.stashed.drain(..) {
-            if r.io_step == step {
-                pending.push(r);
-            } else {
-                keep.push(r);
-            }
+        // Filled by `gather` and kept here, so that whichever stage
+        // abandons the step, the exit below sees what had arrived.
+        let mut requests = Vec::new();
+        let report = (|| {
+            self.gather(step, &mut requests)?;
+            let deferred = self.shed(step, requests.len());
+            let agg = self.aggregate(step, &requests);
+            let mapped = self.pull_map(step, &mut requests, &agg, &deferred)?;
+            Ok(self.exchange(step, epoch, &agg, mapped, deferred))
+        })();
+        if report.is_err() {
+            truncate_lineage(&requests, step);
         }
-        self.stashed = keep;
+        report
+    }
+
+    /// Stage 1 (paper stage 2a): fill `requests` with this step's fetch
+    /// request from every compute rank this rank serves. Requests that
+    /// arrive early for a later step are stashed for its gather; one
+    /// for an earlier step is [`StagingError::StepSkew`].
+    fn gather(&mut self, step: u64, requests: &mut Vec<FetchRequest>) -> Result<(), StagingError> {
+        let _span = obs::span!("gather", step);
+        let n_served = self
+            .router
+            .served_by(self.comm.rank(), self.cfg.n_compute, step)
+            .len();
+        let (now, later) = std::mem::take(&mut self.stashed)
+            .into_iter()
+            .partition(|r| r.io_step == step);
+        *requests = now;
+        self.stashed = later;
         // Receives retry in slices of the gather deadline: a missed
         // slice is a retry (`transport.retries{op=recv}`), the spent
         // deadline is exhaustion. The overall budget stays
@@ -413,435 +460,340 @@ impl StagingRank {
         let recv_retry = self.cfg.retry.clone().deadline(self.cfg.gather_timeout);
         let recv_slice =
             (self.cfg.gather_timeout / recv_retry.max_attempts()).max(Duration::from_millis(1));
-        while pending.len() < served.len() {
+        while requests.len() < n_served {
             let endpoint = &self.endpoint;
-            let r = match recv_retry.run("recv", step, |_| endpoint.recv_request(recv_slice)) {
-                Ok(r) => r,
-                Err(e) => {
-                    truncate_lineage(&pending, step);
-                    return Err(e.into());
-                }
-            };
+            let r = recv_retry.run("recv", step, |_| endpoint.recv_request(recv_slice))?;
             if r.io_step == step {
-                pending.push(r);
+                requests.push(r);
             } else if r.io_step > step {
                 self.stashed.push(r);
             } else {
-                truncate_lineage(&pending, step);
                 return Err(StagingError::StepSkew {
                     expected: step,
                     got: r.io_step,
                 });
             }
         }
-        drop(gather_span);
+        Ok(())
+    }
 
-        // --- Overload admission control (degradation-ladder rung 4) ---
-        //
-        // The decision consumes typed health signals, not raw values:
-        // `obs::live::local_signals` carries this rank's queue pressure
-        // (known the moment the gather closes) and the prior step's
-        // simulation blocked-fraction (perturbation monitor, populated
-        // under `PREDATA_LINEAGE`), plus — when the live plane is on —
-        // the latest cluster-level advisories. The signal values are
-        // the same numbers the raw path used, so the shed decision (and
-        // every data byte downstream) is identical with the plane off.
-        // Overload sheds the configured non-critical operators for this
-        // step: their mappers become no-ops (the decode+map stage does
-        // none of their work) while their collective phases still run,
-        // so an asymmetrically-loaded area never deadlocks. Outputs of
-        // shed operators are truncated — computed over no data — rather
-        // than back-pressuring the simulation.
-        let mut deferred: Vec<String> = Vec::new();
-        if let Some(admit) = &self.cfg.admit {
-            let signals =
-                obs::live::local_signals(self.comm.rank() as u64, step, pending.len() as u64);
-            if admit.overloaded_signals(&signals) {
-                deferred = self
-                    .ops
-                    .iter()
-                    .map(|op| op.name())
-                    .filter(|n| admit.defers(n))
-                    .map(String::from)
-                    .collect();
-                if !deferred.is_empty() {
-                    let reg = obs::global();
-                    reg.counter("staging.admission_triggers", &[]).inc();
-                    reg.counter("staging.admission_deferred_ops", &[])
-                        .add(deferred.len() as u64);
-                }
-            }
-        }
-
-        // --- Stage 2b: aggregate attached partial results globally ---
-        let agg_span = obs::span!("aggregate", step);
-        let local: Vec<(usize, AttrList)> = pending
-            .iter()
-            .map(|r| (r.src_rank, r.attrs.clone()))
-            .collect();
-        let agg = Aggregates::build(&local, &self.comm);
-        let ctx = OpCtx {
-            comm: &self.comm,
-            out_dir: &self.cfg.out_dir,
-            step,
-            n_compute: self.cfg.n_compute,
-            agg: Some(&agg),
+    /// Stage 2: overload admission control (degradation-ladder rung 4).
+    /// Returns the operators shed for this step — empty on a healthy
+    /// one — given the `backlog` of chunks the gather closed with.
+    ///
+    /// The decision consumes typed health signals, not raw values:
+    /// `obs::live::local_signals` carries this rank's queue pressure and
+    /// the prior step's simulation blocked-fraction (perturbation
+    /// monitor, populated under `PREDATA_LINEAGE`), plus — when the live
+    /// plane is on — the latest cluster-level advisories, which never
+    /// shed on their own; so the decision (and every data byte
+    /// downstream) is identical with the plane off. A shed operator's
+    /// mappers become no-ops (stage 4 does none of its work) while its
+    /// collective phases still run, so an asymmetrically loaded area
+    /// never deadlocks. Its output is truncated — computed over no data
+    /// — rather than back-pressuring the simulation.
+    fn shed(&self, step: u64, backlog: usize) -> Vec<String> {
+        let Some(admit) = &self.cfg.admit else {
+            return Vec::new();
         };
+        let signals = obs::live::local_signals(self.comm.rank() as u64, step, backlog as u64);
+        if !admit.overloaded_signals(&signals) {
+            return Vec::new();
+        }
+        let deferred: Vec<String> = self
+            .ops
+            .iter()
+            .map(|op| op.name())
+            .filter(|n| admit.defers(n))
+            .map(String::from)
+            .collect();
+        if !deferred.is_empty() {
+            let reg = obs::global();
+            reg.counter("staging.admission_triggers", &[]).inc();
+            reg.counter("staging.admission_deferred_ops", &[])
+                .add(deferred.len() as u64);
+        }
+        deferred
+    }
+
+    /// Stage 3 (paper stage 2b): exchange the partial results attached
+    /// to the requests staging-wide, and `initialize` every operator
+    /// with the global [`Aggregates`]. Collective.
+    fn aggregate(&mut self, step: u64, requests: &[FetchRequest]) -> Aggregates {
+        let _span = obs::span!("aggregate", step);
+        let local = requests.iter().map(|r| (r.src_rank, &r.attrs));
+        let agg = Aggregates::build(local, &self.comm);
+        let ctx = op_ctx(&self.comm, &self.cfg, step, &agg);
         for op in &mut self.ops {
             op.initialize(&agg, &ctx);
         }
-        drop(agg_span);
+        agg
+    }
 
-        // --- Stage 3 + 4a: scheduled pulls, parallel decode+map ---
-        //
-        // See the module docs for the pipeline picture: one puller feeds
-        // a bounded work queue (back-pressure bounds the streaming memory
-        // footprint at a few chunks), `map_workers()` workers decode and
-        // run every operator's mapper, and this thread collects their
-        // outputs into position-indexed slots for a deterministic merge.
-        self.policy.order(&mut pending);
-        let n_chunks = pending.len();
-        let mut mapped: Vec<Vec<Tagged>> = (0..self.ops.len()).map(|_| Vec::new()).collect();
-        let mut bytes_pulled = 0u64;
-        let mut pull_order = Vec::with_capacity(n_chunks);
-        let mut truncated = Vec::new();
-        let mut pull_err: Option<TransportError> = None;
-        let mut decode_err: Option<StagingError> = None;
-        // Wall time of the whole rank-local phase (pull + decode + map).
-        // This is the span the live plane's straggler detector compares
-        // across ranks: stage 4b below is collective — every rank waits
-        // for the slowest inside it — so only 4a carries a per-rank
-        // imbalance signal.
-        let map_phase_started = Instant::now();
-        if n_chunks > 0 {
-            // Map state frozen by `initialize`, shareable across workers.
-            // Operators shed by admission control get a no-op mapper:
-            // the work stays unmapped, not queued for later.
-            struct ShedMapper;
-            impl ChunkMapper for ShedMapper {
-                fn map_chunk(&self, _chunk: &PackedChunk, _ctx: &MapCtx) -> Vec<Tagged> {
-                    Vec::new()
+    /// Stage 4 (paper stages 3 + 4a): put `requests` in policy order,
+    /// pull every chunk, decode and map it, and merge the outcomes in
+    /// policy order. See the module docs for the pipeline picture: one
+    /// puller feeds a bounded work queue, `cfg.map_workers` workers
+    /// decode and run every operator's mapper, and this thread collects
+    /// their outcomes into position-indexed slots.
+    fn pull_map(
+        &mut self,
+        step: u64,
+        requests: &mut Vec<FetchRequest>,
+        agg: &Aggregates,
+        deferred: &[String],
+    ) -> Result<Mapped, StagingError> {
+        self.policy.order(requests);
+        let requests = requests.as_slice();
+        let n_chunks = requests.len();
+        let mut out = Mapped {
+            pull_order: Vec::with_capacity(n_chunks),
+            truncated: Vec::new(),
+            bytes_pulled: 0,
+            per_op: self.ops.iter().map(|_| Vec::new()).collect(),
+            span_ns: 0,
+        };
+        if n_chunks == 0 {
+            return Ok(out);
+        }
+        let started = Instant::now();
+        // Map state frozen by `initialize`, shareable across workers.
+        let mappers: Vec<Arc<dyn ChunkMapper>> = self
+            .ops
+            .iter()
+            .map(|op| {
+                if deferred.iter().any(|d| d == op.name()) {
+                    Arc::new(ShedMapper) as Arc<dyn ChunkMapper>
+                } else {
+                    op.mapper()
                 }
-            }
-            let mappers: Vec<Arc<dyn ChunkMapper>> = self
-                .ops
-                .iter()
-                .map(|op| {
-                    if deferred.iter().any(|d| d == op.name()) {
-                        Arc::new(ShedMapper) as Arc<dyn ChunkMapper>
-                    } else {
-                        op.mapper()
+            })
+            .collect();
+        let map_ctx = op_ctx(&self.comm, &self.cfg, step, agg).map_ctx();
+        // slots[i] belongs to requests[i]; filled in completion order,
+        // merged in index order.
+        let mut slots: Vec<Option<ChunkOutcome>> = requests.iter().map(|_| None).collect();
+        let work: EventQueue<(usize, Arc<[u8]>)> =
+            EventQueue::bounded(self.policy.max_inflight().max(1));
+        let results: EventQueue<(usize, Result<ChunkOutcome, StagingError>)> =
+            EventQueue::unbounded();
+        // Raised when this thread abandons the step (timeout or error);
+        // parked threads are woken by closing `work`.
+        let cancelled = AtomicBool::new(false);
+        let failed: Option<StagingError> = std::thread::scope(|scope| {
+            let endpoint = &self.endpoint;
+            let policy = &self.policy;
+            let retry = &self.cfg.retry;
+            let gather_timeout = self.cfg.gather_timeout;
+            let (work, results, cancelled, mappers) = (&work, &results, &cancelled, &mappers);
+            // Puller: one RDMA get per chunk, serially, in policy order
+            // and pacing.
+            scope.spawn(move || {
+                for (idx, req) in requests.iter().enumerate() {
+                    // Condvar/deadline park inside the policy; the short
+                    // tick only bounds cancellation latency.
+                    let wait_started = obs::lineage::enabled().then(Instant::now);
+                    while !policy.wait_ready(Duration::from_millis(25)) {
+                        if cancelled.load(Ordering::Acquire) {
+                            return;
+                        }
                     }
-                })
-                .collect();
-            let map_ctx = ctx.map_ctx();
-            let n_workers = map_workers().min(n_chunks);
-            // slots[i] belongs to pending[i]; filled in completion order,
-            // merged in index order.
-            let mut slots: Vec<Option<SlotOutcome>> = (0..n_chunks).map(|_| None).collect();
-            let step_started = Instant::now();
-            let work: EventQueue<(usize, usize, Arc<[u8]>)> =
-                EventQueue::bounded(self.policy.max_inflight().max(1));
-            let results: EventQueue<WorkerOut> = EventQueue::unbounded();
-            // Raised when this thread abandons the step (timeout or
-            // error); parked threads are woken by closing `work`.
-            let cancelled = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                let endpoint = &self.endpoint;
-                let policy = &self.policy;
-                let retry = &self.cfg.retry;
-                let gather_timeout = self.cfg.gather_timeout;
-                let (work, results) = (&work, &results);
-                let (cancelled, mappers, pending) = (&cancelled, &mappers, &pending);
-                // Puller: RDMA gets, serially, in policy order and pacing.
-                // A `PREDATA_PULL_BATCH` threshold coalesces runs of
-                // small consecutive pulls into one fabric transaction.
-                // Coalescing is bypassed only when an attached fault
-                // schedule actually covers *this step's pulls* — inside
-                // the fault window injection bookkeeping must stay
-                // exactly per-pull (see `transport::batch`); outside it
-                // batching proceeds as on a healthy run.
-                let batch = self.cfg.pull_batch.as_ref().filter(|_| {
-                    self.endpoint
-                        .fault_plan()
-                        .is_none_or(|p| !p.covers_pulls(step))
-                });
-                scope.spawn(move || {
-                    // One individually-retried pull. Pulls retry under
-                    // the *step's* remaining deadline budget: transient
-                    // errors (timeouts, stale handles, injected faults)
-                    // back off and re-attempt; exhausting them skips
-                    // this chunk — degradation, not abort. Returns
-                    // `false` when the step is abandoned (non-retryable
-                    // error, or the work queue closed under it) and the
-                    // puller must exit.
-                    let pull_one = |idx: usize, req: &FetchRequest| -> bool {
-                        let salt = ((req.src_rank as u64) << 32) ^ step;
-                        let remaining = retry
-                            .step_deadline()
-                            .saturating_sub(step_started.elapsed())
-                            .max(Duration::from_millis(1));
-                        let plan = endpoint.fault_plan();
-                        let pull_span = obs::span!("pull", step);
-                        match retry.clone().deadline(remaining).run("pull", salt, |_| {
-                            if let Some(p) = plan {
-                                if let Some(e) =
-                                    p.inject_pull(req.src_rank as u64, step, req.handle)
-                                {
-                                    return Err(e);
-                                }
-                            }
-                            endpoint.rdma_get(req)
-                        }) {
-                            // Blocking send parks under back-pressure and
-                            // wakes with `Closed` if the step is abandoned.
-                            Ok(buf) => {
-                                drop(pull_span);
-                                work.send((idx, req.src_rank, buf)).is_ok()
-                            }
-                            Err(e) if RetryPolicy::is_retryable(&e) => {
-                                pull_span.cancel();
-                                results.submit(WorkerOut::Skipped {
-                                    idx,
-                                    src_rank: req.src_rank,
-                                });
-                                true
-                            }
-                            Err(e) => {
-                                pull_span.cancel();
-                                results.submit(WorkerOut::PullErr(e));
-                                false
+                    // The policy deferral is the chunk's scheduling wait
+                    // — the rate/phase control the paper bounds
+                    // interference with.
+                    if let Some(t) = wait_started {
+                        obs::lineage::record_wait(
+                            req.src_rank as u64,
+                            step,
+                            obs::lineage::Stage::PullScheduled,
+                            t.elapsed().as_nanos() as u64,
+                        );
+                    }
+                    // The pull retries under the *step's* remaining
+                    // deadline budget: transient errors (timeouts, stale
+                    // handles, injected faults) back off and re-attempt;
+                    // exhausting them skips this chunk — degradation,
+                    // not abort. Any other error abandons the step.
+                    let salt = ((req.src_rank as u64) << 32) ^ step;
+                    let remaining = retry
+                        .step_deadline()
+                        .saturating_sub(started.elapsed())
+                        .max(Duration::from_millis(1));
+                    let pull_span = obs::span!("pull", step);
+                    let pulled = retry.clone().deadline(remaining).run("pull", salt, |_| {
+                        if let Some(p) = endpoint.fault_plan() {
+                            if let Some(e) = p.inject_pull(req.src_rank as u64, step, req.handle) {
+                                return Err(e);
                             }
                         }
-                    };
-                    let mut idx = 0;
-                    while idx < pending.len() {
-                        // Condvar/deadline park inside the policy; the
-                        // short tick only bounds cancellation latency.
-                        let wait_started = obs::lineage::enabled().then(Instant::now);
-                        while !policy.wait_ready(Duration::from_millis(25)) {
-                            if cancelled.load(Ordering::Acquire) {
+                        endpoint.rdma_get(req)
+                    });
+                    match pulled {
+                        // Blocking send parks under back-pressure and
+                        // wakes with `Closed` if the step is abandoned.
+                        Ok(buf) => {
+                            drop(pull_span);
+                            if work.send((idx, buf)).is_err() {
                                 return;
                             }
                         }
-                        // Greedy coalescing: extend over the run of
-                        // consecutive policy-ordered chunks under the
-                        // size threshold, up to the count cap.
-                        let mut end = idx + 1;
-                        if let Some(b) = batch {
-                            if b.covers(&pending[idx]) {
-                                while end < pending.len()
-                                    && end - idx < b.max_count()
-                                    && b.covers(&pending[end])
-                                {
-                                    end += 1;
-                                }
-                            }
+                        Err(e) if RetryPolicy::is_retryable(&e) => {
+                            pull_span.cancel();
+                            results.submit((idx, Ok(ChunkOutcome::Skipped)));
                         }
-                        // The policy deferral is the chunks' scheduling
-                        // wait — the rate/phase control the paper bounds
-                        // interference with.
-                        if let Some(t) = wait_started {
-                            let ns = t.elapsed().as_nanos() as u64;
-                            for req in &pending[idx..end] {
-                                obs::lineage::record_wait(
-                                    req.src_rank as u64,
-                                    step,
-                                    obs::lineage::Stage::PullScheduled,
-                                    ns,
-                                );
-                            }
-                        }
-                        if end - idx > 1 {
-                            // Batched fast path: one registry visit for
-                            // the whole run. A retryable per-slot failure
-                            // falls back to the individually-retried
-                            // pull; non-retryable ones abandon the step
-                            // as before.
-                            let pull_span = obs::span!("pull", step);
-                            let outs = endpoint.rdma_get_batch(&pending[idx..end]);
-                            drop(pull_span);
-                            for (off, out) in outs.into_iter().enumerate() {
-                                let i = idx + off;
-                                let req = &pending[i];
-                                let ok = match out {
-                                    Ok(buf) => work.send((i, req.src_rank, buf)).is_ok(),
-                                    Err(e) if RetryPolicy::is_retryable(&e) => pull_one(i, req),
-                                    Err(e) => {
-                                        results.submit(WorkerOut::PullErr(e));
-                                        false
-                                    }
-                                };
-                                if !ok {
-                                    return;
-                                }
-                            }
-                        } else if !pull_one(idx, &pending[idx]) {
+                        Err(e) => {
+                            pull_span.cancel();
+                            results.submit((idx, Err(e.into())));
                             return;
                         }
-                        idx = end;
                     }
-                    // All pulls issued: workers drain the queue, then exit.
-                    work.close();
-                });
-                // Decode+map workers.
-                for worker in 0..n_workers {
-                    scope.spawn(move || {
-                        // Per-worker utilization: busy (decode+map) time
-                        // accumulates locally, flushed once at exit.
-                        let mut busy_ns = 0u64;
-                        loop {
-                            match work.recv_waited(gather_timeout) {
-                                Ok(((idx, src_rank, buf), queued)) => {
-                                    if cancelled.load(Ordering::Acquire) {
-                                        continue; // abandoned: discard undecoded
-                                    }
-                                    let decode_span = obs::span!("decode", step);
-                                    let out = match PackedChunk::unpack(&buf) {
-                                        Ok(chunk) => {
-                                            busy_ns += decode_span.elapsed_ns();
-                                            drop(decode_span);
-                                            let bytes = buf.len() as u64;
-                                            drop(buf); // chunk owns its data now
-                                                       // `queued` is how long the pulled
-                                                       // bytes sat awaiting a worker.
-                                            obs::lineage::record_wait(
-                                                src_rank as u64,
-                                                step,
-                                                obs::lineage::Stage::Decoded,
-                                                queued.as_nanos() as u64,
-                                            );
-                                            let map_span = obs::span!("map", step);
-                                            let per_op = mappers
-                                                .iter()
-                                                .map(|m| m.map_chunk(&chunk, &map_ctx))
-                                                .collect();
-                                            busy_ns += map_span.elapsed_ns();
-                                            obs::lineage::record(
-                                                src_rank as u64,
-                                                step,
-                                                obs::lineage::Stage::Mapped,
-                                            );
-                                            WorkerOut::Mapped {
-                                                idx,
-                                                src_rank,
-                                                bytes,
-                                                per_op,
-                                            }
-                                        }
-                                        Err(e) => WorkerOut::DecodeErr(e),
-                                    };
-                                    results.submit(out);
+                }
+                // All pulls issued: workers drain the queue, then exit.
+                work.close();
+            });
+            // Decode+map workers.
+            for worker in 0..self.cfg.map_workers.clamp(1, n_chunks) {
+                scope.spawn(move || {
+                    // Per-worker utilization: busy (decode+map) time
+                    // accumulates locally, flushed once at exit.
+                    let mut busy_ns = 0u64;
+                    loop {
+                        match work.recv_waited(gather_timeout) {
+                            Ok(((idx, buf), queued)) => {
+                                if cancelled.load(Ordering::Acquire) {
+                                    continue; // abandoned: discard undecoded
                                 }
-                                Err(PollError::Closed) => break,
-                                Err(PollError::Timeout) => {
-                                    if cancelled.load(Ordering::Acquire) {
-                                        break;
+                                let src_rank = requests[idx].src_rank as u64;
+                                let decode_span = obs::span!("decode", step);
+                                let outcome = match PackedChunk::unpack(&buf) {
+                                    Ok(chunk) => {
+                                        busy_ns += decode_span.elapsed_ns();
+                                        drop(decode_span);
+                                        let bytes = buf.len() as u64;
+                                        // The chunk owns its data now.
+                                        drop(buf);
+                                        // `queued` is how long the pulled bytes
+                                        // sat awaiting a worker.
+                                        obs::lineage::record_wait(
+                                            src_rank,
+                                            step,
+                                            obs::lineage::Stage::Decoded,
+                                            queued.as_nanos() as u64,
+                                        );
+                                        let map_span = obs::span!("map", step);
+                                        let per_op = mappers
+                                            .iter()
+                                            .map(|m| m.map_chunk(&chunk, &map_ctx))
+                                            .collect();
+                                        busy_ns += map_span.elapsed_ns();
+                                        obs::lineage::record(
+                                            src_rank,
+                                            step,
+                                            obs::lineage::Stage::Mapped,
+                                        );
+                                        Ok(ChunkOutcome::Mapped { bytes, per_op })
                                     }
+                                    Err(e) => Err(e.into()),
+                                };
+                                results.submit((idx, outcome));
+                            }
+                            Err(PollError::Closed) => break,
+                            Err(PollError::Timeout) => {
+                                if cancelled.load(Ordering::Acquire) {
+                                    break;
                                 }
                             }
                         }
-                        if busy_ns > 0 {
-                            obs::global()
-                                .counter(
-                                    "staging.worker_busy_ns",
-                                    &[("worker", &worker.to_string())],
-                                )
-                                .add(busy_ns);
-                        }
-                    });
-                }
-                // Collector: exactly one message arrives per chunk unless
-                // a role fails; the first failure abandons the step.
-                let mut filled = 0usize;
-                while filled < n_chunks {
-                    match results.poll(gather_timeout) {
-                        None => {
-                            pull_err = Some(TransportError::Timeout);
-                            break;
-                        }
-                        Some(WorkerOut::Mapped {
-                            idx,
-                            src_rank,
-                            bytes,
-                            per_op,
-                        }) => {
-                            slots[idx] = Some(SlotOutcome::Mapped((src_rank, bytes, per_op)));
-                            filled += 1;
-                        }
-                        Some(WorkerOut::Skipped { idx, src_rank }) => {
-                            slots[idx] = Some(SlotOutcome::Skipped { src_rank });
-                            filled += 1;
-                        }
-                        Some(WorkerOut::DecodeErr(e)) => {
-                            decode_err = Some(StagingError::Chunk(e));
-                            break;
-                        }
-                        Some(WorkerOut::PullErr(e)) => {
-                            pull_err = Some(e);
-                            break;
-                        }
                     }
+                    if busy_ns > 0 {
+                        obs::global()
+                            .counter("staging.worker_busy_ns", &[("worker", &worker.to_string())])
+                            .add(busy_ns);
+                    }
+                });
+            }
+            // Collector: exactly one outcome arrives per chunk unless a
+            // role fails; the first failure abandons the step.
+            let failed = (0..n_chunks).find_map(|_| match results.poll(gather_timeout) {
+                None => Some(TransportError::Timeout.into()),
+                Some((_, Err(e))) => Some(e),
+                Some((idx, Ok(outcome))) => {
+                    slots[idx] = Some(outcome);
+                    None
                 }
-                // Wake anything still parked so the scope can join. On
-                // the success path both are no-ops.
-                cancelled.store(true, Ordering::Release);
-                work.close();
             });
-            // Queue-depth high-water marks: how far the puller ran ahead
-            // of the workers (work) and the workers ahead of the
-            // collector (results) this step.
-            obs::global()
-                .gauge("staging.work_queue_hwm", &[])
-                .record_max(work.high_water() as i64);
-            obs::global()
-                .gauge("staging.results_queue_hwm", &[])
-                .record_max(results.high_water() as i64);
-            if let Some(e) = decode_err {
-                truncate_lineage(&pending, step);
-                return Err(e);
-            }
-            if let Some(e) = pull_err {
-                truncate_lineage(&pending, step);
-                return Err(StagingError::Transport(e));
-            }
-            // Deterministic merge: slot order == policy order, so the
-            // concatenated per-operator streams (and everything downstream
-            // of combine) are identical for every worker count. Skipped
-            // chunks leave the merge entirely — excluded, counted, and
-            // terminally marked in lineage, never silently half-applied.
-            for (index, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    None => {
-                        truncate_lineage(&pending, step);
-                        return Err(StagingError::SlotMissing { index, n_chunks });
-                    }
-                    Some(SlotOutcome::Skipped { src_rank }) => {
-                        obs::lineage::truncate(src_rank as u64, step);
-                        obs::global().counter("staging.truncated_chunks", &[]).inc();
-                        truncated.push(src_rank);
-                    }
-                    Some(SlotOutcome::Mapped((src_rank, bytes, per_op))) => {
-                        pull_order.push(src_rank);
-                        bytes_pulled += bytes;
-                        for (i, items) in per_op.into_iter().enumerate() {
-                            mapped[i].extend(items);
-                        }
+            // Wake anything still parked so the scope can join. On the
+            // success path both are no-ops.
+            cancelled.store(true, Ordering::Release);
+            work.close();
+            failed
+        });
+        // Queue-depth high-water marks: how far the puller ran ahead of
+        // the workers (work) and the workers ahead of the collector
+        // (results) this step.
+        obs::global()
+            .gauge("staging.work_queue_hwm", &[])
+            .record_max(work.high_water() as i64);
+        obs::global()
+            .gauge("staging.results_queue_hwm", &[])
+            .record_max(results.high_water() as i64);
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        // Deterministic merge: slot order == policy order, so the
+        // concatenated per-operator streams (and everything downstream
+        // of combine) are identical for every worker count. Skipped
+        // chunks leave the merge entirely — excluded, counted, and
+        // terminally marked in lineage, never silently half-applied.
+        for (index, (slot, req)) in slots.into_iter().zip(requests).enumerate() {
+            match slot {
+                Some(ChunkOutcome::Mapped { bytes, per_op }) => {
+                    out.pull_order.push(req.src_rank);
+                    out.bytes_pulled += bytes;
+                    for (stream, items) in out.per_op.iter_mut().zip(per_op) {
+                        stream.extend(items);
                     }
                 }
+                Some(ChunkOutcome::Skipped) => {
+                    obs::lineage::truncate(req.src_rank as u64, step);
+                    obs::global().counter("staging.truncated_chunks", &[]).inc();
+                    out.truncated.push(req.src_rank);
+                }
+                // One outcome per chunk yet this slot is empty: another
+                // slot was filled twice.
+                None => return Err(StagingError::SlotMissing { index, n_chunks }),
             }
         }
-        let compute_span_ns = if n_chunks > 0 {
-            map_phase_started.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
+        out.span_ns = started.elapsed().as_nanos() as u64;
+        Ok(out)
+    }
 
-        // --- Stage 4b: combine / shuffle / reduce / finalize per op ---
-        let mut results = Vec::with_capacity(self.ops.len());
-        for (op, m) in self.ops.iter_mut().zip(mapped) {
-            results.push(complete_pipeline_traced(op.as_mut(), m, &ctx, &pull_order));
-        }
+    /// Stage 5 (paper stage 4b and the step's end): every operator's
+    /// combine → shuffle → reduce → finalize over its mapped stream, the
+    /// lineage close-out, the live-telemetry tick, and the report.
+    /// Collective.
+    fn exchange(
+        &mut self,
+        step: u64,
+        epoch: Option<u64>,
+        agg: &Aggregates,
+        mapped: Mapped,
+        deferred: Vec<String>,
+    ) -> StepReport {
+        let Mapped {
+            pull_order,
+            truncated,
+            bytes_pulled,
+            per_op,
+            span_ns,
+        } = mapped;
+        let ctx = op_ctx(&self.comm, &self.cfg, step, agg);
+        let results = self
+            .ops
+            .iter_mut()
+            .zip(per_op)
+            .map(|(op, stream)| complete_pipeline_traced(op.as_mut(), stream, &ctx, &pull_order))
+            .collect();
         // Lineage catch-all: the first operator's in-phase marks win
         // (first-write-wins); this closes every record even for op-less
         // runs, and `written` here means "the step's outputs — including
@@ -853,24 +805,23 @@ impl StagingRank {
                 obs::lineage::record(src as u64, step, obs::lineage::Stage::Written);
             }
         }
-
-        // --- Live telemetry tick (PREDATA_LIVE; default off) ---
-        //
-        // One sampler tick per rank per step, and — when a frame
-        // exchange is due — an `allgather` of this rank's POD frame.
-        // The collective only exists when the plane is enabled, so a
-        // disabled run's collective count (and the deterministic tests
-        // pinned to it) is untouched; every rank runs every step from 0
-        // regardless of membership (inactive ranks idle in the
-        // collectives), so the exchange is symmetric by construction.
+        let chunks = pull_order.len() + truncated.len();
+        // Live telemetry tick (`PREDATA_LIVE`; default off): one sampler
+        // tick per rank per step, and — when a frame exchange is due —
+        // an `allgather` of this rank's POD frame. The collective only
+        // exists when the plane is enabled, so a disabled run's
+        // collective count (and the deterministic tests pinned to it) is
+        // untouched; every rank runs every step from 0 regardless of
+        // membership (inactive ranks idle in the collectives), so the
+        // exchange is symmetric by construction.
         if obs::live::enabled() {
             let rank = self.comm.rank() as u64;
             obs::live::step_end(
                 rank,
                 step,
                 obs::live::StepStats {
-                    backlog: n_chunks as u64,
-                    compute_span_ns,
+                    backlog: chunks as u64,
+                    compute_span_ns: span_ns,
                     shed_ops: deferred.len() as u64,
                     truncated: truncated.len() as u64,
                 },
@@ -882,17 +833,16 @@ impl StagingRank {
                 }
             }
         }
-
-        Ok(StepReport {
+        StepReport {
             step,
-            chunks: n_chunks,
+            chunks,
             bytes_pulled,
             pull_order,
             truncated,
             deferred,
             epoch,
             results,
-        })
+        }
     }
 }
 
@@ -915,6 +865,12 @@ pub struct StagingArea {
 impl StagingArea {
     /// Launch one thread per staging endpoint, each processing steps
     /// `0..n_steps`. `ops` and `policy` build each rank's instances.
+    ///
+    /// A rank that stops early — its thread unwinds, or it returns an
+    /// error and so runs no further collective — marks itself dead in
+    /// the area's `minimpi` world, which wakes every peer parked in a
+    /// collective (the peer panics with "rank N died") instead of
+    /// leaving it to wait for ever.
     pub fn spawn(
         endpoints: Vec<StagingEndpoint>,
         router: Arc<dyn Router>,
@@ -924,7 +880,7 @@ impl StagingArea {
         n_steps: u64,
     ) -> StagingArea {
         let n = endpoints.len();
-        let (_world, comms) = World::with_size(n);
+        let (world, comms) = World::with_size(n);
         let handles = endpoints
             .into_iter()
             .zip(comms)
@@ -934,12 +890,17 @@ impl StagingArea {
                 let policy = Arc::clone(&policy);
                 let cfg = cfg.clone();
                 let rank = comm.rank();
+                let guard = PoisonOnUnwind(Arc::clone(&world), rank);
                 let handle = std::thread::Builder::new()
                     .name(format!("staging{}", endpoint.rank()))
                     .spawn(move || {
-                        let mut sr =
-                            StagingRank::new(comm, endpoint, router, policy(rank), ops(rank), cfg)?;
-                        (0..n_steps).map(|s| sr.run_step(s)).collect()
+                        let out: RankOutcome =
+                            StagingRank::new(comm, endpoint, router, policy(rank), ops(rank), cfg)
+                                .and_then(|mut sr| (0..n_steps).map(|s| sr.run_step(s)).collect());
+                        if out.is_err() {
+                            guard.0.poison(rank);
+                        }
+                        out
                     })
                     .expect("spawn staging thread");
                 (rank, handle)
@@ -950,8 +911,9 @@ impl StagingArea {
 
     /// Wait for every staging rank; returns per-rank step reports. A
     /// panicking rank surfaces as [`StagingError::WorkerPanicked`] in its
-    /// report slot instead of crashing the harness; the other ranks'
-    /// results are still returned.
+    /// report slot instead of crashing the harness, and so does every
+    /// peer that its death (or another rank's error) woke out of a
+    /// collective; the other ranks' results are still returned.
     ///
     /// On the way out, honours the obs export contract: writes a JSON
     /// metrics snapshot when `PREDATA_METRICS` names a path, and flushes
@@ -981,12 +943,34 @@ mod tests {
     use crate::client::PredataClient;
     use crate::ops::HistogramOp;
     use crate::schema::make_particle_pg;
-    use transport::{BlockRouter, Fabric, FifoPolicy, LargestFirstPolicy};
+    use transport::{BlockRouter, Fabric, FaultKind, FaultPlan, FifoPolicy, LargestFirstPolicy};
 
     fn out_dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("staging-test-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    /// The only staging rank of its area, for driving stages directly.
+    fn lone_rank(
+        stagings: Vec<StagingEndpoint>,
+        router: Arc<dyn Router>,
+        policy: Box<dyn PullPolicy>,
+        ops: Vec<Box<dyn StreamOp>>,
+        cfg: StagingConfig,
+    ) -> StagingRank {
+        let (_world, mut comms) = World::with_size(1);
+        let endpoint = stagings.into_iter().next().unwrap();
+        StagingRank::new(comms.remove(0), endpoint, router, policy, ops, cfg).unwrap()
+    }
+
+    /// `area.join()`, which must come back within 5 s: a rank stranded
+    /// by a peer that stopped would park it for ever.
+    fn join_within_5s(area: StagingArea) -> Vec<RankOutcome> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(area.join()));
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("a staging rank is still parked 5 s after its peer stopped")
     }
 
     /// 4 compute ranks → 2 staging ranks, histogram over column 0,
@@ -1050,73 +1034,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The same 4→2 histogram pipeline with `PREDATA_PULL_BATCH`-style
-    /// coalescing enabled: results are identical, but each staging rank
-    /// pulls its two small chunks in ONE fabric transaction per step.
-    /// Pinned clean (`with_faults(.., None)`): an ambient fault plan
-    /// would bypass coalescing by design, breaking the exact counts.
-    #[test]
-    fn batched_pulls_coalesce_without_changing_results() {
-        let n_compute = 4;
-        let n_staging = 2;
-        let (fabric, computes, stagings) = Fabric::with_faults(n_compute, n_staging, None, None);
-        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
-        let dir = out_dir("batch");
-        let coalesced = obs::global().counter("transport.pulls_coalesced", &[]);
-        let before = coalesced.get();
-
-        let mut cfg = StagingConfig::new(n_compute, &dir);
-        cfg.pull_batch = Some(PullBatch::new(1 << 20, 16));
-        let area = StagingArea::spawn(
-            stagings,
-            Arc::clone(&router),
-            Arc::new(|_| vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>]),
-            Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
-            cfg,
-            2,
-        );
-
-        let clients: Vec<PredataClient> = computes
-            .into_iter()
-            .map(|e| {
-                PredataClient::new(
-                    e,
-                    Arc::clone(&router),
-                    vec![Arc::new(HistogramOp::new(vec![0], 4))],
-                )
-            })
-            .collect();
-        for step in 0..2u64 {
-            for (r, c) in clients.iter().enumerate() {
-                let rows: Vec<f64> = (0..4)
-                    .flat_map(|i| vec![(r * 4 + i) as f64, 0., 0., 0., 0., 0., r as f64, i as f64])
-                    .collect();
-                c.write_pg(make_particle_pg(r as u64, step, rows)).unwrap();
-            }
-        }
-
-        let reports = area.join();
-        let mut total_hist = vec![0u64; 4];
-        for rank_reports in reports {
-            for rep in rank_reports.expect("staging rank succeeded") {
-                assert_eq!(rep.chunks, 2);
-                for res in &rep.results {
-                    if let Some(ffs::Value::ArrU64(bins)) = res.values.get("hist_x") {
-                        for (i, b) in bins.iter().enumerate() {
-                            total_hist[i] += b;
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(total_hist, vec![8, 8, 8, 8], "coalescing changes nothing");
-        // 2 staging ranks × 2 steps × 1 batched transaction (instead of
-        // 8 individual gets); each 2-chunk batch saves one request.
-        assert_eq!(fabric.stats().rdma_gets(), 4);
-        assert_eq!(coalesced.get() - before, 4);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn pull_policy_controls_order() {
         let n_compute = 3;
@@ -1173,27 +1090,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// An operator whose `initialize` panics.
+    struct PanicOp;
+    impl crate::op::StreamOp for PanicOp {
+        fn name(&self) -> &str {
+            "panic"
+        }
+        fn initialize(&mut self, _agg: &Aggregates, _ctx: &OpCtx) {
+            panic!("operator bug");
+        }
+        fn mapper(&self) -> Arc<dyn ChunkMapper> {
+            unreachable!()
+        }
+        fn reduce(&mut self, _tag: u64, _items: Vec<bytes::Bytes>, _ctx: &OpCtx) {}
+        fn finalize(&mut self, _ctx: &OpCtx) -> crate::op::OpResult {
+            crate::op::OpResult::default()
+        }
+    }
+
     /// An operator that panics inside the pipeline must surface as
-    /// `WorkerPanicked(rank)` for that rank only — not crash the harness.
+    /// `WorkerPanicked(rank)` — not crash the harness, and not strand the
+    /// peer: rank 0 waits for rank 1 in its histogram's shuffle, and is
+    /// woken out of it when rank 1 dies.
     #[test]
     fn panicking_rank_reports_worker_panicked() {
-        struct PanicOp;
-        impl crate::op::StreamOp for PanicOp {
-            fn name(&self) -> &str {
-                "panic"
-            }
-            fn initialize(&mut self, _agg: &Aggregates, _ctx: &OpCtx) {
-                panic!("operator bug");
-            }
-            fn mapper(&self) -> Arc<dyn ChunkMapper> {
-                unreachable!()
-            }
-            fn reduce(&mut self, _tag: u64, _items: Vec<bytes::Bytes>, _ctx: &OpCtx) {}
-            fn finalize(&mut self, _ctx: &OpCtx) -> crate::op::OpResult {
-                crate::op::OpResult::default()
-            }
-        }
-
         let n_compute = 2;
         let (_fabric, computes, stagings) = Fabric::new(n_compute, 2, None);
         let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, 2));
@@ -1201,13 +1121,13 @@ mod tests {
         let area = StagingArea::spawn(
             stagings,
             Arc::clone(&router),
-            // Only rank 1 gets the panicking operator.
+            // Every rank runs a histogram; rank 1's second operator panics.
             Arc::new(|rank| {
+                let mut ops = vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>];
                 if rank == 1 {
-                    vec![Box::new(PanicOp) as Box<dyn StreamOp>]
-                } else {
-                    Vec::new()
+                    ops.push(Box::new(PanicOp));
                 }
+                ops
             }),
             Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
             StagingConfig::new(n_compute, &dir),
@@ -1221,8 +1141,166 @@ mod tests {
             c.write_pg(make_particle_pg(r as u64, 0, vec![0.0; 8]))
                 .unwrap();
         }
-        let reports = area.join();
+        let reports = join_within_5s(area);
         assert!(matches!(reports[1], Err(StagingError::WorkerPanicked(1))));
+        assert!(
+            matches!(reports[0], Err(StagingError::WorkerPanicked(0))),
+            "the woken peer: {:?}",
+            reports[0]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A rank that leaves with an error (here: a chunk that does not
+    /// decode) runs no further collective, so it must wake its peers
+    /// like one that panics. Rank 1 keeps its own error.
+    #[test]
+    fn failing_rank_wakes_its_peers() {
+        let n_compute = 2;
+        let (_fabric, mut computes, stagings) = Fabric::new(n_compute, 2, None);
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, 2));
+        let dir = out_dir("decode-error");
+        let area = StagingArea::spawn(
+            stagings,
+            Arc::clone(&router),
+            Arc::new(|_| vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>]),
+            Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+            StagingConfig::new(n_compute, &dir),
+            1,
+        );
+        // Compute rank 1 (served by staging rank 1) exposes bytes that
+        // are not a packed chunk; compute rank 0 writes a real dump.
+        let garbage = computes.pop().unwrap();
+        let handle = garbage.expose(vec![0xAB_u8; 64].into(), 0).unwrap();
+        let request = FetchRequest {
+            src_rank: 1,
+            io_step: 0,
+            handle,
+            chunk_bytes: 64,
+            format: 0,
+            attrs: ffs::AttrList::new(),
+        };
+        garbage.send_request(1, request).unwrap();
+        PredataClient::new(computes.pop().unwrap(), Arc::clone(&router), vec![])
+            .write_pg(make_particle_pg(0, 0, vec![0.0; 8]))
+            .unwrap();
+
+        let reports = join_within_5s(area);
+        assert!(
+            matches!(reports[1], Err(StagingError::Chunk(_))),
+            "the culprit's own error: {:?}",
+            reports[1]
+        );
+        assert!(matches!(reports[0], Err(StagingError::WorkerPanicked(0))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `gather` alone: a request for a later step is stashed for that
+    /// step's gather, one for an earlier step is `StepSkew`.
+    #[test]
+    fn gather_stashes_early_requests_and_refuses_late_ones() {
+        let (_fabric, computes, stagings) = Fabric::new(2, 1, None);
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(2, 1));
+        let dir = out_dir("gather");
+        let clients: Vec<PredataClient> = computes
+            .into_iter()
+            .map(|e| PredataClient::new(e, Arc::clone(&router), vec![]))
+            .collect();
+        let write = |rank: usize, step: u64| {
+            clients[rank]
+                .write_pg(make_particle_pg(rank as u64, step, vec![0.0; 8]))
+                .unwrap();
+        };
+        // Rank 0 runs a step ahead of rank 1.
+        write(0, 0);
+        write(0, 1);
+        write(1, 0);
+        let mut sr = lone_rank(
+            stagings,
+            Arc::clone(&router),
+            Box::new(FifoPolicy::default()),
+            Vec::new(),
+            StagingConfig::new(2, &dir),
+        );
+        let mut requests = Vec::new();
+        sr.gather(0, &mut requests).unwrap();
+        let key = |r: &FetchRequest| (r.src_rank, r.io_step);
+        assert_eq!(
+            requests.iter().map(key).collect::<Vec<_>>(),
+            [(0, 0), (1, 0)]
+        );
+        assert_eq!(sr.stashed.iter().map(key).collect::<Vec<_>>(), [(0, 1)]);
+
+        // Rank 1 writes step 0 again: late for the gather of step 1,
+        // which by then holds the stashed request.
+        write(1, 0);
+        let err = sr.gather(1, &mut requests).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StagingError::StepSkew {
+                    expected: 1,
+                    got: 0
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(requests.iter().map(key).collect::<Vec<_>>(), [(0, 1)]);
+        assert!(sr.stashed.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `pull_map` alone, under a plan that never lets rank 1's chunk
+    /// through: its retries exhaust, it is returned in `truncated`, and
+    /// the others are pulled and merged in policy (largest-first) order.
+    #[test]
+    fn pull_map_skips_an_exhausted_chunk_and_keeps_policy_order() {
+        const STEP: u64 = 90;
+        let selects = |seed: u64, rank: u64| {
+            FaultPlan::new(seed)
+                .drop_chunks(0.5)
+                .selects(FaultKind::Drop, rank, STEP)
+        };
+        let seed = (0..)
+            .find(|&s| selects(s, 1) && !selects(s, 0) && !selects(s, 2))
+            .unwrap();
+        let plan = Arc::new(FaultPlan::new(seed).drop_chunks(0.5));
+        let (_fabric, computes, stagings) = Fabric::with_faults(3, 1, None, Some(plan));
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(3, 1));
+        let dir = out_dir("pull-map");
+        // Rank r writes r+1 particles → chunk sizes 1 < 2 < 3.
+        for (r, e) in computes.into_iter().enumerate() {
+            PredataClient::new(e, Arc::clone(&router), vec![])
+                .write_pg(make_particle_pg(r as u64, STEP, vec![0.5; (r + 1) * 8]))
+                .unwrap();
+        }
+        let mut cfg = StagingConfig::new(3, &dir);
+        cfg.retry = RetryPolicy::default()
+            .attempts(3)
+            .base_backoff(Duration::from_micros(100));
+        let mut sr = lone_rank(
+            stagings,
+            router,
+            Box::new(LargestFirstPolicy),
+            vec![Box::new(HistogramOp::new(vec![0], 4))],
+            cfg,
+        );
+        let mut requests = Vec::new();
+        sr.gather(STEP, &mut requests).unwrap();
+        let agg = sr.aggregate(STEP, &requests);
+        let mapped = sr.pull_map(STEP, &mut requests, &agg, &[]).unwrap();
+
+        let policy_order: Vec<usize> = requests.iter().map(|r| r.src_rank).collect();
+        assert_eq!(policy_order, [2, 1, 0], "largest chunk first");
+        assert_eq!(mapped.truncated, [1]);
+        assert_eq!(mapped.pull_order, [2, 0]);
+        let pulled: usize = [&requests[0], &requests[2]]
+            .iter()
+            .map(|r| r.chunk_bytes)
+            .sum();
+        assert_eq!(mapped.bytes_pulled, pulled as u64);
+        assert_eq!(mapped.per_op.len(), 1, "one stream per operator");
+        assert!(!mapped.per_op[0].is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

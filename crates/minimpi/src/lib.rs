@@ -40,7 +40,7 @@ mod world;
 pub use comm::{CollectiveGate, Comm, RecvError};
 pub use data::{MpiData, MpiScalar};
 pub use stats::TrafficStats;
-pub use world::World;
+pub use world::{PoisonOnUnwind, World};
 
 /// Wildcard source for receive matching.
 pub const ANY_SOURCE: usize = usize::MAX;

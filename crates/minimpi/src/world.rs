@@ -87,11 +87,27 @@ impl SubsetBarrier {
     }
 }
 
+/// Held by the thread that runs rank `.1` of world `.0`:
+/// [`World::poison`]s the world when that thread unwinds, so the rank's
+/// peers panic out of their waits instead of parking for ever.
+/// [`World::run`] gives every thread it launches one; a caller that
+/// drives the ranks of a [`World::with_size`] world on its own threads
+/// (the staging area) does the same, or nothing observes a rank's death.
+pub struct PoisonOnUnwind(pub Arc<World>, pub usize);
+
+impl Drop for PoisonOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison(self.1);
+        }
+    }
+}
+
 impl World {
     /// Create a world of `size` ranks without launching threads; used when
     /// the caller manages its own threads (e.g. a staging area embedded in
     /// a larger harness); the returned communicators are handed to those
-    /// threads.
+    /// threads, each of which should hold a [`PoisonOnUnwind`].
     pub fn with_size(size: usize) -> (Arc<World>, Vec<Comm>) {
         assert!(size > 0, "world must have at least one rank");
         let world = Arc::new(World {
@@ -138,16 +154,6 @@ impl World {
         T: Send + 'static,
         F: Fn(Comm) -> T + Send + Sync + 'static,
     {
-        /// Poisons the world when its rank's thread unwinds.
-        struct PoisonOnUnwind(Arc<World>, usize);
-        impl Drop for PoisonOnUnwind {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.poison(self.1);
-                }
-            }
-        }
-
         let (world, comms) = World::with_size(size);
         let f = Arc::new(f);
         let handles: Vec<_> = comms
@@ -182,8 +188,10 @@ impl World {
 
     /// Mark `rank` dead and wake every rank parked in a `recv` or a
     /// barrier, which then panics. The first call wins; later deaths are
-    /// consequences of it and find everyone already awake.
-    fn poison(&self, rank: usize) {
+    /// consequences of it and find everyone already awake. For a rank
+    /// that gives up without unwinding (it returns an error and runs no
+    /// further collective), which [`PoisonOnUnwind`] cannot see.
+    pub fn poison(&self, rank: usize) {
         if !self.dead.set(rank) {
             return;
         }

@@ -49,7 +49,8 @@
 //!
 //! The full `PREDATA_*` reference — including the transport fault/retry
 //! and client degradation knobs whose counters land in this registry —
-//! is `docs/OPERATIONS.md` at the repository root.
+//! is `docs/OPERATIONS.md` at the repository root. The structured knobs
+//! (`k=v,k=v` specs) of every crate share one parser, [`spec`].
 //!
 //! All variables are read once, lazily; tests use the programmatic
 //! overrides ([`set_enabled`], [`set_metrics_export_path`],
@@ -76,6 +77,7 @@ pub mod live;
 mod metrics;
 pub mod perturb;
 mod span;
+pub mod spec;
 pub mod trace;
 
 pub use metrics::{

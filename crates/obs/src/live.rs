@@ -53,6 +53,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::metrics::{json_str, Registry};
+use crate::spec::Spec;
 
 const STATE_UNSET: u8 = 0;
 const STATE_ON: u8 = 1;
@@ -80,23 +81,17 @@ impl LiveConfig {
     /// Parse a `PREDATA_LIVE` spec. `Ok(None)` means "plane off" (empty,
     /// `0`, `off`, `false`); bare `1`/`on`/`true` takes the defaults.
     pub fn parse(spec: &str) -> Result<Option<LiveConfig>, String> {
-        let spec = spec.trim();
-        if matches!(spec, "" | "0" | "off" | "false") {
-            return Ok(None);
-        }
-        if matches!(spec, "1" | "on" | "true") {
-            return Ok(Some(LiveConfig::default()));
-        }
         let mut cfg = LiveConfig::default();
-        for field in spec.split(',').map(str::trim).filter(|f| !f.is_empty()) {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("live field `{field}` is not key=value"))?;
-            let bad = |e: &dyn std::fmt::Display| format!("live field `{field}`: {e}");
-            match key {
-                "window" => cfg.window = value.parse().map_err(|e| bad(&e))?,
-                "period_steps" => cfg.period_steps = value.parse().map_err(|e| bad(&e))?,
-                _ => return Err(format!("unknown live field `{key}`")),
+        let fields = match crate::spec::parse("live", spec)? {
+            Spec::Unset | Spec::Off => return Ok(None),
+            Spec::On => return Ok(Some(cfg)),
+            Spec::Fields(fields) => fields,
+        };
+        for f in &fields {
+            match f.key {
+                "window" => cfg.window = f.num()?,
+                "period_steps" => cfg.period_steps = f.num()?,
+                _ => return Err(f.unknown()),
             }
         }
         if cfg.window == 0 {

@@ -121,8 +121,6 @@ struct FabricInner {
     obs_get_ns: obs::Histogram,
     obs_get_bytes: obs::Counter,
     obs_pinned_hwm: obs::Gauge,
-    obs_pull_batches: obs::Counter,
-    obs_pulls_coalesced: obs::Counter,
 }
 
 /// Factory for matched endpoint sets.
@@ -167,8 +165,6 @@ impl Fabric {
             obs_get_ns: obs::global().histogram("transport.rdma_get_ns", &[]),
             obs_get_bytes: obs::global().counter("transport.rdma_get_bytes", &[]),
             obs_pinned_hwm: obs::global().gauge("transport.pinned_bytes", &[]),
-            obs_pull_batches: obs::global().counter("transport.pull_batches", &[]),
-            obs_pulls_coalesced: obs::global().counter("transport.pulls_coalesced", &[]),
         });
         let computes = comp_rx
             .into_iter()
@@ -384,18 +380,17 @@ impl StagingEndpoint {
     /// Pull a *run* of exposed chunks in one fabric transaction: the
     /// registry is locked once for every handle, then per-request
     /// bookkeeping and completions proceed as for
-    /// [`rdma_get`](Self::rdma_get). This is the mechanism behind
-    /// `PREDATA_PULL_BATCH` ([`crate::PullBatch`]): on many-small-chunks
-    /// dumps the per-pull fixed cost is paid once per batch instead of
-    /// once per chunk.
+    /// [`rdma_get`](Self::rdma_get).
+    ///
+    /// Nothing in this workspace calls it: the staging puller issues one
+    /// `rdma_get` per chunk (DESIGN.md §3.4). It is kept only because
+    /// the frozen `benchmark/` harness times it in its batched-pull
+    /// probe (`benchmark/src/probes.rs`); the `benchmark` issue that
+    /// retires that probe deletes this function with it.
     ///
     /// Results are positional. A stale handle fails only its own slot
-    /// ([`TransportError::StaleHandle`]); the other slots still deliver,
-    /// so callers can route individual failures through their retry
-    /// path. One batch counts as one `rdma_gets` fabric transaction;
-    /// the requests it saved relative to individual pulls are recorded
-    /// on `transport.pulls_coalesced` (and `transport.pull_batches`
-    /// counts the batches themselves).
+    /// ([`TransportError::StaleHandle`]); the other slots still deliver.
+    /// One batch counts as one `rdma_gets` fabric transaction.
     pub fn rdma_get_batch(&self, reqs: &[FetchRequest]) -> Vec<Result<Arc<[u8]>, TransportError>> {
         if reqs.is_empty() {
             return Vec::new();
@@ -416,10 +411,6 @@ impl StagingEndpoint {
                 .collect()
         };
         self.inner.stats.rdma_gets.fetch_add(1, Ordering::Relaxed);
-        if reqs.len() > 1 {
-            self.inner.obs_pull_batches.inc();
-            self.inner.obs_pulls_coalesced.add(reqs.len() as u64 - 1);
-        }
         if let Some(t) = started {
             self.inner.obs_get_ns.record(t.elapsed().as_nanos() as u64);
         }
@@ -607,9 +598,6 @@ mod tests {
         let h1 = computes[0].expose(vec![1u8; 16].into(), 3).unwrap();
         let h2 = computes[0].expose(vec![2u8; 32].into(), 3).unwrap();
         let stale = MemHandle::test_only(999);
-        let before = obs::global()
-            .counter("transport.pulls_coalesced", &[])
-            .get();
 
         let reqs = [req(0, h1, 16), req(0, stale, 0), req(0, h2, 32)];
         let out = stagings[0].rdma_get_batch(&reqs);
@@ -618,19 +606,11 @@ mod tests {
         assert_eq!(out[1], Err(TransportError::StaleHandle(stale)));
         assert_eq!(&out[2].as_ref().unwrap()[..], &[2u8; 32]);
 
-        // One fabric transaction moved all the bytes; two requests were
-        // saved relative to individual pulls (the stale slot still rode
-        // along in the same registry visit).
+        // One fabric transaction moved all the bytes (the stale slot
+        // rode along in the same registry visit).
         assert_eq!(fabric.stats().rdma_gets(), 1);
         assert_eq!(fabric.stats().bytes_pulled(), 48);
         assert_eq!(fabric.pinned_bytes(), 0);
-        assert_eq!(
-            obs::global()
-                .counter("transport.pulls_coalesced", &[])
-                .get()
-                - before,
-            2
-        );
 
         // Both successful slots posted completions; the stale one did not.
         let a = computes[0].wait_completion(Duration::from_secs(1)).unwrap();

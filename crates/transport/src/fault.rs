@@ -80,6 +80,8 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
+use obs::spec::Spec;
+
 use crate::fabric::{MemHandle, TransportError};
 
 /// The injectable fault classes.
@@ -228,35 +230,30 @@ impl FaultPlan {
     /// Parse a `PREDATA_FAULTS` spec. `Ok(None)` means "no plan"
     /// (empty, `0`, or `off`); `Err` describes a malformed field.
     pub fn parse(spec: &str) -> Result<Option<FaultPlan>, String> {
-        let spec = spec.trim();
-        if matches!(spec, "" | "0" | "off" | "false") {
-            return Ok(None);
-        }
+        let fields = match obs::spec::parse("fault", spec)? {
+            Spec::Unset | Spec::Off => return Ok(None),
+            Spec::On => return Err(obs::spec::no_defaults("fault")),
+            Spec::Fields(fields) => fields,
+        };
         let mut plan = FaultPlan::new(0);
         let mut delay_p: Option<f64> = None;
-        for field in spec.split(',').map(str::trim).filter(|f| !f.is_empty()) {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("fault field `{field}` is not key=value"))?;
-            let bad = |e: &dyn std::fmt::Display| format!("fault field `{field}`: {e}");
-            match key {
-                "seed" => plan.seed = value.parse().map_err(|e| bad(&e))?,
-                "drop" => plan.drop_p = value.parse().map_err(|e| bad(&e))?,
-                "stale" => plan.stale_p = value.parse().map_err(|e| bad(&e))?,
-                "pin" => plan.pin_p = value.parse().map_err(|e| bad(&e))?,
-                "delay" => delay_p = Some(value.parse().map_err(|e| bad(&e))?),
-                "delay_ms" => {
-                    plan.delay = Duration::from_millis(value.parse().map_err(|e| bad(&e))?)
-                }
-                "max_injections" => plan.max_injections = value.parse().map_err(|e| bad(&e))?,
+        for f in &fields {
+            match f.key {
+                "seed" => plan.seed = f.num()?,
+                "drop" => plan.drop_p = f.num()?,
+                "stale" => plan.stale_p = f.num()?,
+                "pin" => plan.pin_p = f.num()?,
+                "delay" => delay_p = Some(f.num()?),
+                "delay_ms" => plan.delay = Duration::from_millis(f.num()?),
+                "max_injections" => plan.max_injections = f.num()?,
                 "steps" => {
-                    let (a, b) = value
+                    let (a, b) = f
+                        .value
                         .split_once("..")
-                        .ok_or_else(|| format!("fault field `{field}` wants a..b"))?;
-                    plan.steps =
-                        Some(a.parse().map_err(|e| bad(&e))?..b.parse().map_err(|e| bad(&e))?);
+                        .ok_or_else(|| f.err("wants a..b"))?;
+                    plan.steps = Some(f.num_of(a)?..f.num_of(b)?);
                 }
-                _ => return Err(format!("unknown fault field `{key}`")),
+                _ => return Err(f.unknown()),
             }
         }
         plan.delay_p = match delay_p {
@@ -400,19 +397,6 @@ impl FaultPlan {
         None
     }
 
-    /// Whether the plan can fault *pulls* of `step` at all: some pull
-    /// probability is non-zero and `step` is inside the plan's window.
-    /// The staging puller consults this to bypass pull coalescing only
-    /// for steps a fault could actually hit, so unaffected steps keep
-    /// batching (injection bookkeeping stays exactly per-pull wherever
-    /// it matters).
-    pub fn covers_pulls(&self, step: u64) -> bool {
-        if self.drop_p <= 0.0 && self.stale_p <= 0.0 && self.delay_p <= 0.0 {
-            return false;
-        }
-        self.steps.as_ref().is_none_or(|r| r.contains(&step))
-    }
-
     /// Consult the plan before one `expose` of `requested` bytes by
     /// compute rank `rank` at `step`.
     pub fn inject_expose(&self, rank: u64, step: u64, requested: usize) -> Option<TransportError> {
@@ -539,20 +523,6 @@ mod tests {
                 || plan.selects(FaultKind::Drop, i, 0) != plan.selects(FaultKind::Collective, i, 0)
         });
         assert!(diverges, "independent salts give independent schedules");
-    }
-
-    #[test]
-    fn covers_pulls_tracks_probabilities_and_window() {
-        let plan = FaultPlan::new(0).drop_chunks(1.0).steps(2..4);
-        assert!(!plan.covers_pulls(1));
-        assert!(plan.covers_pulls(2));
-        assert!(plan.covers_pulls(3));
-        assert!(!plan.covers_pulls(4));
-        let unwindowed = FaultPlan::new(0).stale_handles(0.5);
-        assert!(unwindowed.covers_pulls(0));
-        // A pin- or put-only plan never faults pulls.
-        let pin_only = FaultPlan::new(0).pin_exhaustion(1.0);
-        assert!(!pin_only.covers_pulls(0));
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! Pull *order and pacing* are policy ([`PullPolicy`]): FIFO, largest-first,
 //! or phase-aware (pause while the application is inside collectives —
 //! the mechanism behind the paper's "<6% worst-case interference" claim).
-//! Runs of small pulls can additionally be *coalesced* into one fabric
-//! transaction ([`PullBatch`], `PREDATA_PULL_BATCH`, see [`batch`]) so
-//! the per-pull fixed cost stops dominating many-small-chunks dumps.
+//! Every chunk is its own pull: one server-directed `rdma_get` per fetch
+//! request, in policy order (DESIGN.md §3.4 has the measurement behind
+//! that).
 //!
 //! The [`evq`] module provides EVPath-flavoured typed event queues
 //! ("stones") used to chain in-transit processing inside a staging node.
@@ -69,7 +69,6 @@
 //! ));
 //! ```
 
-pub mod batch;
 pub mod evq;
 mod fabric;
 pub mod fault;
@@ -79,7 +78,6 @@ mod request;
 pub mod retry;
 mod router;
 
-pub use batch::PullBatch;
 pub use fabric::{
     CompletionEvent, ComputeEndpoint, Fabric, FabricStats, MemHandle, StagingEndpoint,
     TransportError,

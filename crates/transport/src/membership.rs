@@ -46,6 +46,8 @@
 
 use std::sync::{Arc, OnceLock};
 
+use obs::spec::Spec;
+
 use crate::router::Router;
 
 /// One membership change event.
@@ -74,42 +76,26 @@ impl MembershipPlan {
     /// Parse a `PREDATA_MEMBERSHIP` spec. `Ok(None)` means static
     /// membership; `Err` describes a malformed field.
     pub fn parse(spec: &str) -> Result<Option<MembershipPlan>, String> {
-        let spec = spec.trim();
-        if matches!(spec, "" | "0" | "off" | "false") {
-            return Ok(None);
-        }
+        let fields = match obs::spec::parse("membership", spec)? {
+            Spec::Unset | Spec::Off => return Ok(None),
+            Spec::On => return Err(obs::spec::no_defaults("membership")),
+            Spec::Fields(fields) => fields,
+        };
         let mut base: Option<usize> = None;
         let mut events = Vec::new();
-        for field in spec.split(',').map(str::trim).filter(|f| !f.is_empty()) {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("membership field `{field}` is not key=value"))?;
-            let bad = |e: &dyn std::fmt::Display| format!("membership field `{field}`: {e}");
-            let rank_at_step = |value: &str| -> Result<(usize, u64), String> {
-                let (r, s) = value
-                    .split_once('@')
-                    .ok_or_else(|| format!("membership field `{field}` wants R@S"))?;
-                Ok((
-                    r.parse().map_err(|e| bad(&e))?,
-                    s.parse().map_err(|e| bad(&e))?,
-                ))
+        for f in &fields {
+            let event = match f.key {
+                "base" => {
+                    base = Some(f.num()?);
+                    continue;
+                }
+                "join" => MembershipEvent::Join,
+                "leave" => MembershipEvent::Leave,
+                "evict" => MembershipEvent::Evict,
+                _ => return Err(f.unknown()),
             };
-            match key {
-                "base" => base = Some(value.parse().map_err(|e| bad(&e))?),
-                "join" => {
-                    let (r, s) = rank_at_step(value)?;
-                    events.push((s, MembershipEvent::Join(r)));
-                }
-                "leave" => {
-                    let (r, s) = rank_at_step(value)?;
-                    events.push((s, MembershipEvent::Leave(r)));
-                }
-                "evict" => {
-                    let (r, s) = rank_at_step(value)?;
-                    events.push((s, MembershipEvent::Evict(r)));
-                }
-                _ => return Err(format!("unknown membership field `{key}`")),
-            }
+            let (r, s) = f.value.split_once('@').ok_or_else(|| f.err("wants R@S"))?;
+            events.push((f.num_of(s)?, event(f.num_of(r)?)));
         }
         let base = base.ok_or("membership spec needs base=N")?;
         if base == 0 {

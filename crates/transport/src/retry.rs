@@ -45,6 +45,8 @@
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use obs::spec::Spec;
+
 use crate::fabric::TransportError;
 
 /// Exponential-backoff retry policy with a deadline budget. See the
@@ -116,31 +118,20 @@ impl RetryPolicy {
     /// Parse a `PREDATA_RETRY` spec. `Ok(None)` means "use the default
     /// policy" (empty spec); `off`/`0` yields a no-retry policy.
     pub fn parse(spec: &str) -> Result<Option<RetryPolicy>, String> {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return Ok(None);
-        }
-        if matches!(spec, "0" | "off" | "false") {
-            return Ok(Some(RetryPolicy::default().attempts(1)));
-        }
         let mut policy = RetryPolicy::default();
-        for field in spec.split(',').map(str::trim).filter(|f| !f.is_empty()) {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("retry field `{field}` is not key=value"))?;
-            let bad = |e: &dyn std::fmt::Display| format!("retry field `{field}`: {e}");
-            match key {
-                "attempts" => policy.max_attempts = value.parse().map_err(|e| bad(&e))?,
-                "base_ms" => {
-                    policy.base_backoff = Duration::from_millis(value.parse().map_err(|e| bad(&e))?)
-                }
-                "max_ms" => {
-                    policy.max_backoff = Duration::from_millis(value.parse().map_err(|e| bad(&e))?)
-                }
-                "deadline_ms" => {
-                    policy.deadline = Duration::from_millis(value.parse().map_err(|e| bad(&e))?)
-                }
-                _ => return Err(format!("unknown retry field `{key}`")),
+        let fields = match obs::spec::parse("retry", spec)? {
+            Spec::Unset => return Ok(None),
+            Spec::Off => return Ok(Some(policy.attempts(1))),
+            Spec::On => return Err(obs::spec::no_defaults("retry")),
+            Spec::Fields(fields) => fields,
+        };
+        for f in &fields {
+            match f.key {
+                "attempts" => policy.max_attempts = f.num()?,
+                "base_ms" => policy.base_backoff = Duration::from_millis(f.num()?),
+                "max_ms" => policy.max_backoff = Duration::from_millis(f.num()?),
+                "deadline_ms" => policy.deadline = Duration::from_millis(f.num()?),
+                _ => return Err(f.unknown()),
             }
         }
         policy.max_attempts = policy.max_attempts.max(1);

@@ -567,111 +567,6 @@ fn degradation_ladder_absorbs_truncates_and_falls_back() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Pull-batch coalescing and fault injection compose: a *windowed*
-/// fault schedule bypasses batching only for the steps it covers.
-/// Steps outside the window still coalesce (`pull_batches` advances),
-/// the faulted step retries per-pull, and the merged outputs are
-/// byte-identical to a clean unbatched run.
-#[test]
-fn windowed_faults_keep_batching_outside_the_window() {
-    use predata::core::ops::{HistogramOp, SortOp};
-    use predata::transport::{FaultPlan, PullBatch};
-
-    // Two steps; the fault window covers step 1 only.
-    let run_all = |dir: &std::path::Path,
-                   faults: Option<Arc<FaultPlan>>,
-                   batch: Option<PullBatch>|
-     -> Vec<predata::core::StepReport> {
-        let (n_compute, n_staging) = (4usize, 2usize);
-        let (_fabric, computes, stagings) =
-            predata::transport::Fabric::with_faults(n_compute, n_staging, None, faults);
-        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
-        let mut cfg = StagingConfig::new(n_compute, dir);
-        cfg.pull_batch = batch;
-        let area = StagingArea::spawn(
-            stagings,
-            Arc::clone(&router),
-            Arc::new(|_| {
-                vec![
-                    Box::new(SortOp::new()) as Box<dyn StreamOp>,
-                    Box::new(HistogramOp::new(vec![0], 8)),
-                ]
-            }),
-            Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
-            cfg,
-            2,
-        );
-        let world = predata::apps::GtcWorld::new(n_compute, 60, 7);
-        let clients: Vec<PredataClient> = computes
-            .into_iter()
-            .map(|e| PredataClient::new(e, Arc::clone(&router), vec![]))
-            .collect();
-        for step in 0..2u64 {
-            for (r, c) in clients.iter().enumerate() {
-                let mut pg = world.output_pg(r);
-                pg.step = step;
-                c.write_pg(pg).unwrap();
-            }
-        }
-        area.join()
-            .into_iter()
-            .flat_map(|r| r.expect("staging rank survives"))
-            .collect()
-    };
-
-    let snapshot = |name: &str| {
-        predata::obs::global()
-            .snapshot()
-            .counter(name, &[])
-            .unwrap_or(0)
-    };
-
-    let clean_dir = out_dir("window-clean");
-    let reports = run_all(&clean_dir, None, None);
-    assert!(reports.iter().all(|r| !r.is_degraded()));
-
-    // Faults cover step 1 only; batching is on. Step 0 must coalesce,
-    // step 1 must fall back to per-pull injection + retry.
-    let batched_dir = out_dir("window-batched");
-    let batches_before = snapshot("transport.pull_batches");
-    let retries_before = counter("transport.retries", "pull");
-    let plan = Arc::new(
-        FaultPlan::new(4242)
-            .drop_chunks(1.0)
-            .max_injections(1)
-            .steps(1..2),
-    );
-    let reports = run_all(&batched_dir, Some(plan), Some(PullBatch::new(1 << 20, 16)));
-    assert!(
-        reports.iter().all(|r| !r.is_degraded()),
-        "transient faults must be absorbed, not truncate"
-    );
-    assert!(
-        snapshot("transport.pull_batches") > batches_before,
-        "the un-faulted step must still coalesce its pulls"
-    );
-    assert!(
-        counter("transport.retries", "pull") > retries_before,
-        "the faulted step's pulls must retry per-pull"
-    );
-
-    let clean = bp_files(&clean_dir);
-    let batched = bp_files(&batched_dir);
-    assert!(!clean.is_empty());
-    assert_eq!(
-        clean.keys().collect::<Vec<_>>(),
-        batched.keys().collect::<Vec<_>>()
-    );
-    for (name, bytes) in &clean {
-        assert_eq!(
-            bytes, &batched[name],
-            "{name}: windowed faults + batching must stay byte-identical"
-        );
-    }
-    std::fs::remove_dir_all(&clean_dir).ok();
-    std::fs::remove_dir_all(&batched_dir).ok();
-}
-
 /// The *expose*-side rung of the ladder: a pin-exhaustion outage makes
 /// `write_pg` itself fail (before any request is sent), so the client
 /// must fall back immediately, skip probes while unhealthy per

@@ -2,12 +2,19 @@
 //! budget (and ISSUE acceptance bar) is <3% overhead on the staging
 //! pipeline with metrics enabled vs disabled.
 //!
-//! Methodology: run the same multi-step staging workload several times
-//! in each mode and compare the *minimum* wall times — the minimum is
-//! the least noise-contaminated estimator on a shared machine. The
-//! assertion allows 10% so scheduler jitter on loaded CI runners can't
-//! flake the suite; the `staging_pipeline` Criterion bench is the
-//! precision instrument for the 3% figure itself.
+//! Methodology: run the same multi-step staging workload many times in
+//! each mode, *interleaved* (off, on, on, off, off, on, … — which mode
+//! goes first alternates), and compare a *fast* run of each series: the
+//! one an eighth of the way up the sorted times. Interleaving gives both
+//! series the same share of whatever the machine was doing — five "off"
+//! runs followed by five "on" runs compared two different moments, and
+//! failed about 3 runs in 10 on a 2-core box — and the lower eighth is
+//! the least noise-contaminated estimator that is still stable: the
+//! bare minimum of 40 runs of this ≈ 13 ms pipeline is often a lone
+//! lucky run 10 % under the next. The assertion allows 10% so scheduler
+//! jitter on loaded CI runners can't flake the suite; the
+//! `staging_pipeline` Criterion bench is the precision instrument for
+//! the 3% figure itself.
 //!
 //! Lives in its own integration-test binary (own process) because it
 //! toggles the process-global `obs::set_enabled` switch.
@@ -31,7 +38,7 @@ const N_COMPUTE: usize = 4;
 const N_STAGING: usize = 1;
 const N_STEPS: u64 = 3;
 const ROWS_PER_DUMP: usize = 4096; // ~256 KiB per dump → real decode/map work
-const TRIALS: usize = 5;
+const TRIALS: usize = 40;
 
 fn dump(rank: u64, step: u64) -> Vec<f64> {
     let mut s = rank.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(step) | 1;
@@ -80,13 +87,18 @@ fn run_once(dir: &std::path::Path) -> Duration {
                 .unwrap();
         }
     }
+    // One decode+map worker: with the default four, six threads take
+    // turns on a 2-core box and that shuffling is most of the run-to-run
+    // spread. The spans recorded per chunk and per stage are the same.
+    let mut cfg = StagingConfig::new(N_COMPUTE, dir);
+    cfg.map_workers = 1;
     let started = Instant::now();
     let area = StagingArea::spawn(
         stagings,
         router,
         Arc::new(|_| make_ops()),
         Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
-        StagingConfig::new(N_COMPUTE, dir),
+        cfg,
         N_STEPS,
     );
     for rank_reports in area.join() {
@@ -95,8 +107,24 @@ fn run_once(dir: &std::path::Path) -> Duration {
     started.elapsed()
 }
 
-fn best_of(trials: usize, dir: &std::path::Path) -> Duration {
-    (0..trials).map(|_| run_once(dir)).min().unwrap()
+/// A fast run with span recording off and one with it on, from `trials`
+/// interleaved pairs of runs: the run an eighth of the way up each
+/// sorted series. Not the very fastest: on this box one lucky run in 40
+/// lands up to 13 % under the second fastest, in either series.
+fn interleaved_fast_runs(trials: usize, dir: &std::path::Path) -> (Duration, Duration) {
+    let mut series = [Vec::new(), Vec::new()]; // [off, on]
+    for trial in 0..trials {
+        let first_on = trial % 2 == 1;
+        for on in [first_on, !first_on] {
+            predata::obs::set_enabled(on);
+            series[on as usize].push(run_once(dir));
+        }
+    }
+    let [off, on] = series.map(|mut runs| {
+        runs.sort();
+        runs[trials / 8]
+    });
+    (off, on)
 }
 
 #[test]
@@ -114,9 +142,7 @@ fn metrics_overhead_stays_within_budget() {
     predata::obs::set_enabled(false);
     run_once(&dir);
 
-    let off = best_of(TRIALS, &dir);
-    predata::obs::set_enabled(true);
-    let on = best_of(TRIALS, &dir);
+    let (off, on) = interleaved_fast_runs(TRIALS, &dir);
     predata::obs::set_enabled(false);
 
     let ratio = on.as_secs_f64() / off.as_secs_f64().max(1e-9);

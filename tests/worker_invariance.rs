@@ -1,5 +1,6 @@
 //! Determinism of the staging worker pool: every operator's results must
-//! be **bit-identical** whatever `PREDATA_MAP_WORKERS` is set to.
+//! be **bit-identical** whatever `StagingConfig::map_workers`
+//! (`PREDATA_MAP_WORKERS`) is set to.
 //!
 //! The pipeline guarantees this by construction — `map_chunk` is
 //! per-chunk pure, and the collector merges per-chunk outputs in policy
@@ -69,7 +70,6 @@ struct ReportFingerprint {
 }
 
 fn run_area(workers: usize, dir: &Path) -> Vec<Vec<ReportFingerprint>> {
-    std::env::set_var("PREDATA_MAP_WORKERS", workers.to_string());
     let (_fabric, computes, stagings) = Fabric::new(N_COMPUTE, N_STAGING, None);
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(N_COMPUTE, N_STAGING));
 
@@ -95,12 +95,14 @@ fn run_area(workers: usize, dir: &Path) -> Vec<Vec<ReportFingerprint>> {
         }
     }
 
+    let mut cfg = StagingConfig::new(N_COMPUTE, dir);
+    cfg.map_workers = workers;
     let area = StagingArea::spawn(
         stagings,
         router,
         Arc::new(|_| make_ops()),
         Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
-        StagingConfig::new(N_COMPUTE, dir),
+        cfg,
         N_STEPS,
     );
     area.join()
@@ -160,5 +162,4 @@ fn results_identical_across_worker_counts() {
     for d in dirs {
         std::fs::remove_dir_all(&d).ok();
     }
-    std::env::remove_var("PREDATA_MAP_WORKERS");
 }

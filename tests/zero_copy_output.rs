@@ -1,10 +1,8 @@
-//! Zero-copy output-path invariants: the vectored BP writer, the
-//! `Bytes`-backed shuffle, and batched RDMA pulls may change *how*
-//! bytes move — never *what* lands in a file, a shared space, or a
-//! metrics counter.
+//! Zero-copy output-path invariants: the vectored BP writer and the
+//! `Bytes`-backed shuffle may change *how* bytes move — never *what*
+//! lands in a file, a shared space, or a metrics counter.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use predata::apps::GtcWorld;
 use predata::core::op::StreamOp;
@@ -12,10 +10,10 @@ use predata::core::ops::{HistogramOp, SortOp};
 use predata::core::schema::make_particle_pg;
 use predata::core::staging::StagingRank;
 use predata::core::{PredataClient, StagingArea, StagingConfig};
-use predata::dataspaces::{DataSpaces, DsConfig, Region, SpaceIndexOp};
+use predata::dataspaces::{DataSpaces, DsConfig, SpaceIndexOp};
 use predata::minimpi::World;
 use predata::transport::{
-    BlockRouter, Fabric, FaultKind, FaultPlan, FifoPolicy, PullBatch, PullPolicy, Router,
+    BlockRouter, Fabric, FaultKind, FaultPlan, FifoPolicy, PullPolicy, Router,
 };
 
 fn out_dir(tag: &str) -> std::path::PathBuf {
@@ -79,7 +77,7 @@ fn vectored_writer_matches_contiguous_reference_assembly() {
 /// indexing, 4 compute → 2 staging, 2 steps). Writes are issued from
 /// one thread so request arrival order — and with it every merged
 /// output byte — is reproducible across runs.
-fn run_pipeline(dir: &std::path::Path, pull_batch: Option<PullBatch>) -> Arc<DataSpaces> {
+fn run_pipeline(dir: &std::path::Path) {
     let (n_compute, n_staging, n_steps) = (4usize, 2usize, 2u64);
     let ids_per_rank = 50u64;
     let space = Arc::new(DataSpaces::new(DsConfig::new(
@@ -89,9 +87,6 @@ fn run_pipeline(dir: &std::path::Path, pull_batch: Option<PullBatch>) -> Arc<Dat
     )));
     let (_fabric, computes, stagings) = Fabric::new(n_compute, n_staging, None);
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
-    let mut cfg = StagingConfig::new(n_compute, dir);
-    cfg.pull_batch = pull_batch;
-    let space_for_ops = Arc::clone(&space);
     let area = StagingArea::spawn(
         stagings,
         Arc::clone(&router),
@@ -99,11 +94,11 @@ fn run_pipeline(dir: &std::path::Path, pull_batch: Option<PullBatch>) -> Arc<Dat
             vec![
                 Box::new(SortOp::new()) as Box<dyn StreamOp>,
                 Box::new(HistogramOp::new(vec![0], 8)),
-                Box::new(SpaceIndexOp::new(Arc::clone(&space_for_ops), 5, "weight")),
+                Box::new(SpaceIndexOp::new(Arc::clone(&space), 5, "weight")),
             ]
         }),
         Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
-        cfg,
+        StagingConfig::new(n_compute, dir),
         n_steps,
     );
     let mut world = GtcWorld::new(n_compute, ids_per_rank as usize, 31);
@@ -122,42 +117,6 @@ fn run_pipeline(dir: &std::path::Path, pull_batch: Option<PullBatch>) -> Arc<Dat
     area.join().into_iter().for_each(|r| {
         r.expect("staging rank succeeded");
     });
-    space
-}
-
-/// Coalesced pulls against one-get-per-chunk: the BP outputs are
-/// byte-identical and the DataSpaces contents are equal, element for
-/// element. Batching changes when bytes move, never what moves.
-#[test]
-fn batched_pulls_write_byte_identical_outputs() {
-    let plain_dir = out_dir("plain");
-    let batched_dir = out_dir("batched");
-    let plain_space = run_pipeline(&plain_dir, None);
-    let batched_space = run_pipeline(&batched_dir, Some(PullBatch::new(1 << 20, 16)));
-
-    let plain = bp_files(&plain_dir);
-    let batched = bp_files(&batched_dir);
-    assert!(!plain.is_empty(), "the pipeline wrote sorted outputs");
-    assert_eq!(
-        plain.keys().collect::<Vec<_>>(),
-        batched.keys().collect::<Vec<_>>()
-    );
-    for (name, bytes) in &plain {
-        assert_eq!(bytes, &batched[name], "{name} differs under batching");
-    }
-
-    let whole = Region::whole(&[50, 4]);
-    for version in 0..2u64 {
-        let a = plain_space
-            .get("weight", version, &whole, Duration::from_secs(5))
-            .unwrap();
-        let b = batched_space
-            .get("weight", version, &whole, Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(a, b, "DataSpaces version {version} differs under batching");
-    }
-    std::fs::remove_dir_all(&plain_dir).ok();
-    std::fs::remove_dir_all(&batched_dir).ok();
 }
 
 /// The acceptance bar for the zero-copy path: between operator
@@ -177,7 +136,7 @@ fn output_path_copies_nothing_on_little_endian() {
     };
     let before = (copied.get(), site("bpio.byteswap"));
     let dir = out_dir("no-copies");
-    run_pipeline(&dir, Some(PullBatch::new(1 << 20, 16)));
+    run_pipeline(&dir);
     assert_eq!(
         (copied.get(), site("bpio.byteswap")),
         before,
