@@ -1,15 +1,17 @@
 //! Rendering of `obs` JSON snapshots into paper-style timing tables.
 //!
-//! The input is the schema produced by [`obs::Snapshot::to_json`]
-//! (version 3, with version-2 files still accepted — the exporter's
-//! versioning policy is additive sections, readers take N and N−1):
-//! counters, gauges, log₂ histograms, per-step span aggregates, and —
-//! when the run had `PREDATA_LINEAGE` on — per-chunk lineage records
-//! and per-step perturbation stats; version 3 adds the `live`/`health`
-//! sections from the `PREDATA_LIVE` telemetry plane. The output mirrors
-//! the stage-breakdown tables of the paper's Fig. 7–9, plus a per-chunk
-//! critical-path view, a straggler table, the paper §5-style
-//! perturbation summary, and the live-window health view.
+//! The input is the one schema [`obs::Snapshot::to_json`] writes
+//! ([`obs::SNAPSHOT_VERSION`]; any other version is refused): counters,
+//! gauges, log₂ histograms, the per-step, per-rank stage rows of the
+//! fold, and the views over it — per-chunk lineage (when the run logged
+//! events), per-step perturbation, the live window and its health
+//! reports (when `PREDATA_LIVE` was on). The output mirrors the
+//! stage-breakdown tables of the paper's Fig. 7–9 — with one column per
+//! staging rank, so "where did step N's time go, on which rank" is one
+//! table — plus a per-chunk critical-path view, a straggler table, the
+//! paper §5-style perturbation summary, and the live-window health view.
+//! What `obs` derives (a chunk's total and dominant gap, a step's
+//! blocked fraction) is asked of `obs`'s own view types, not re-derived.
 //!
 //! [`render_live_stream_str`] additionally renders the *rolling JSONL
 //! stream* (`PREDATA_LIVE_PATH`) as a per-step dashboard — the
@@ -19,21 +21,26 @@
 //! test, so any change to the exporter's JSON shape fails the build
 //! here before it reaches a user.
 
+use obs::lineage::{ChunkLineage, Stage, StageMark};
+use obs::perturb::PerturbStat;
 use serde_json::Value;
 
 /// Stages in canonical pipeline order (the order work flows through a
 /// staging rank); stages not listed here render after these,
 /// alphabetically.
-const STAGE_ORDER: [&str; 9] = [
+const STAGE_ORDER: [&str; 12] = [
+    "gather",
+    "aggregate",
+    "pull_map",
+    "pull_wait",
     "pull",
     "decode",
     "map",
-    "gather",
-    "aggregate",
     "combine",
     "shuffle",
     "reduce",
     "finalize",
+    "write",
 ];
 
 /// Format a nanosecond quantity with a human-scale unit.
@@ -87,10 +94,18 @@ fn require_str<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v str, String
         .ok_or_else(|| format!("snapshot {ctx}: `{key}` is not a string"))
 }
 
-/// One `(stage, step)` span aggregate pulled out of the `steps` section.
+fn require_array<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v [Value], String> {
+    require(v, key, ctx)?
+        .as_array()
+        .ok_or_else(|| format!("snapshot {ctx}: `{key}` is not an array"))
+}
+
+/// One `(stage, step, rank)` row of the fold, from the `steps` section.
 struct StageCell {
     step: u64,
     stage: String,
+    /// `None`: a compute-side or rank-less event.
+    rank: Option<u64>,
     count: u64,
     total_ns: u64,
     max_ns: u64,
@@ -98,21 +113,13 @@ struct StageCell {
 
 fn parse_steps(root: &Value) -> Result<Vec<StageCell>, String> {
     let mut cells = Vec::new();
-    for step_obj in require(root, "steps", "root")?
-        .as_array()
-        .ok_or("snapshot root: `steps` is not an array")?
-    {
+    for step_obj in require_array(root, "steps", "root")? {
         let step = require_u64(step_obj, "step", "steps[]")?;
-        for stage_obj in require(step_obj, "stages", "steps[]")?
-            .as_array()
-            .ok_or("snapshot steps[]: `stages` is not an array")?
-        {
+        for stage_obj in require_array(step_obj, "stages", "steps[]")? {
             cells.push(StageCell {
                 step,
-                stage: require(stage_obj, "stage", "stages[]")?
-                    .as_str()
-                    .ok_or("snapshot stages[]: `stage` is not a string")?
-                    .to_string(),
+                stage: require_str(stage_obj, "stage", "stages[]")?.to_string(),
+                rank: stage_obj.get("rank").and_then(Value::as_u64),
                 count: require_u64(stage_obj, "count", "stages[]")?,
                 total_ns: require_u64(stage_obj, "total_ns", "stages[]")?,
                 max_ns: require_u64(stage_obj, "max_ns", "stages[]")?,
@@ -131,58 +138,42 @@ fn stage_sort_key(stage: &str) -> (usize, String) {
     }
 }
 
+/// The per-step stage table: one row per `(step, stage)`, the stage's
+/// total over every rank and rank-less event under `all`, then one
+/// column per staging rank.
 fn render_step_table(cells: &[StageCell], out: &mut String) {
-    let mut stages: Vec<&str> = Vec::new();
-    let mut steps: Vec<u64> = Vec::new();
-    for c in cells {
-        if !stages.contains(&c.stage.as_str()) {
-            stages.push(&c.stage);
-        }
-        if !steps.contains(&c.step) {
-            steps.push(c.step);
-        }
-    }
-    stages.sort_by_key(|s| stage_sort_key(s));
-    steps.sort_unstable();
-
-    out.push_str("=== per-step stage timing (total span time) ===\n");
+    out.push_str("=== per-step stage timing (total span time, per staging rank) ===\n");
     if cells.is_empty() {
         out.push_str("(no spans recorded)\n");
         return;
     }
+    let mut ranks: Vec<u64> = cells.iter().filter_map(|c| c.rank).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut rows: Vec<(u64, &str)> = cells.iter().map(|c| (c.step, c.stage.as_str())).collect();
+    rows.sort_by_key(|&(step, stage)| (step, stage_sort_key(stage)));
+    rows.dedup();
 
-    // Column widths: max of header and every cell in that column.
-    let mut widths: Vec<usize> = stages.iter().map(|s| s.len()).collect();
-    let mut grid: Vec<Vec<String>> = Vec::new();
-    for &step in &steps {
-        let mut row = Vec::new();
-        for (i, &stage) in stages.iter().enumerate() {
-            let cell = cells
-                .iter()
-                .find(|c| c.step == step && c.stage == stage)
-                .map(|c| fmt_ns(c.total_ns))
-                .unwrap_or_else(|| "-".to_string());
-            widths[i] = widths[i].max(cell.len());
-            row.push(cell);
-        }
-        grid.push(row);
-    }
-
-    let step_w = "step"
-        .len()
-        .max(steps.iter().map(|s| s.to_string().len()).max().unwrap_or(0));
-    let mut header = format!("{:>step_w$}", "step");
-    for (i, &stage) in stages.iter().enumerate() {
-        header.push_str(&format!("  {:>w$}", stage, w = widths[i]));
+    let mut header = format!("{:>6}  {:<18} {:>10}", "step", "stage", "all");
+    for r in &ranks {
+        header.push_str(&format!(" {:>10}", format!("r{r}")));
     }
     out.push_str(&header);
     out.push('\n');
     out.push_str(&"-".repeat(header.len()));
     out.push('\n');
-    for (r, &step) in steps.iter().enumerate() {
-        out.push_str(&format!("{step:>step_w$}"));
-        for (i, cell) in grid[r].iter().enumerate() {
-            out.push_str(&format!("  {:>w$}", cell, w = widths[i]));
+    for (step, stage) in rows {
+        let of_row = || cells.iter().filter(|c| c.step == step && c.stage == stage);
+        let all: u64 = of_row().map(|c| c.total_ns).sum();
+        if all == 0 {
+            continue; // marks: counted in the summary, no time to tabulate
+        }
+        out.push_str(&format!("{step:>6}  {stage:<18} {:>10}", fmt_ns(all)));
+        for r in &ranks {
+            let cell = of_row()
+                .find(|c| c.rank == Some(*r))
+                .map_or("-".to_string(), |c| fmt_ns(c.total_ns));
+            out.push_str(&format!(" {cell:>10}"));
         }
         out.push('\n');
     }
@@ -199,7 +190,7 @@ fn render_stage_summary(cells: &[StageCell], out: &mut String) {
 
     out.push_str("\n=== stage summary (all steps) ===\n");
     out.push_str(&format!(
-        "{:<12} {:>8} {:>12} {:>12} {:>12}\n",
+        "{:<18} {:>8} {:>12} {:>12} {:>12}\n",
         "stage", "calls", "total", "mean", "max"
     ));
     for stage in stages {
@@ -211,7 +202,7 @@ fn render_stage_summary(cells: &[StageCell], out: &mut String) {
         }
         let mean = total.checked_div(calls).unwrap_or(0);
         out.push_str(&format!(
-            "{:<12} {:>8} {:>12} {:>12} {:>12}\n",
+            "{:<18} {:>8} {:>12} {:>12} {:>12}\n",
             stage,
             calls,
             fmt_ns(total),
@@ -244,14 +235,10 @@ fn render_resilience(root: &Value, out: &mut String) -> Result<(), String> {
         ("membership.handoff_blocks", "index blocks handed off"),
         ("membership.handoff_bytes", "index bytes handed off"),
     ];
-    let counters = require(root, "counters", "root")?
-        .as_array()
-        .ok_or("snapshot root: `counters` is not an array")?;
+    let counters = require_array(root, "counters", "root")?;
     let mut lines = Vec::new();
     for c in counters {
-        let name = require(c, "name", "counters[]")?
-            .as_str()
-            .ok_or("snapshot counters[]: `name` is not a string")?;
+        let name = require_str(c, "name", "counters[]")?;
         let Some((_, what)) = LADDER.iter().find(|(n, _)| *n == name) else {
             continue;
         };
@@ -270,17 +257,13 @@ fn render_resilience(root: &Value, out: &mut String) -> Result<(), String> {
 }
 
 fn render_counters(root: &Value, out: &mut String) -> Result<(), String> {
-    let counters = require(root, "counters", "root")?
-        .as_array()
-        .ok_or("snapshot root: `counters` is not an array")?;
+    let counters = require_array(root, "counters", "root")?;
     out.push_str("\n=== counters ===\n");
     if counters.is_empty() {
         out.push_str("(none)\n");
     }
     for c in counters {
-        let name = require(c, "name", "counters[]")?
-            .as_str()
-            .ok_or("snapshot counters[]: `name` is not a string")?;
+        let name = require_str(c, "name", "counters[]")?;
         let value = require_u64(c, "value", "counters[]")?;
         out.push_str(&format!("{name}{} = {value}\n", label_suffix(c)));
     }
@@ -288,17 +271,13 @@ fn render_counters(root: &Value, out: &mut String) -> Result<(), String> {
 }
 
 fn render_gauges(root: &Value, out: &mut String) -> Result<(), String> {
-    let gauges = require(root, "gauges", "root")?
-        .as_array()
-        .ok_or("snapshot root: `gauges` is not an array")?;
+    let gauges = require_array(root, "gauges", "root")?;
     out.push_str("\n=== gauges ===\n");
     if gauges.is_empty() {
         out.push_str("(none)\n");
     }
     for g in gauges {
-        let name = require(g, "name", "gauges[]")?
-            .as_str()
-            .ok_or("snapshot gauges[]: `name` is not a string")?;
+        let name = require_str(g, "name", "gauges[]")?;
         let value = require(g, "value", "gauges[]")?
             .as_i64()
             .ok_or("snapshot gauges[]: `value` is not an i64")?;
@@ -314,22 +293,16 @@ fn render_gauges(root: &Value, out: &mut String) -> Result<(), String> {
 }
 
 fn render_histograms(root: &Value, out: &mut String) -> Result<(), String> {
-    let hists = require(root, "histograms", "root")?
-        .as_array()
-        .ok_or("snapshot root: `histograms` is not an array")?;
+    let hists = require_array(root, "histograms", "root")?;
     out.push_str("\n=== histograms ===\n");
     if hists.is_empty() {
         out.push_str("(none)\n");
     }
     for h in hists {
-        let name = require(h, "name", "histograms[]")?
-            .as_str()
-            .ok_or("snapshot histograms[]: `name` is not a string")?;
+        let name = require_str(h, "name", "histograms[]")?;
         let count = require_u64(h, "count", "histograms[]")?;
         let sum = require_u64(h, "sum", "histograms[]")?;
-        let buckets = require(h, "buckets", "histograms[]")?
-            .as_array()
-            .ok_or("snapshot histograms[]: `buckets` is not an array")?;
+        let buckets = require_array(h, "buckets", "histograms[]")?;
         let mean = sum.checked_div(count).unwrap_or(0);
         out.push_str(&format!(
             "{name}{}  count={count} sum={sum} mean={mean}\n",
@@ -353,85 +326,54 @@ fn render_histograms(root: &Value, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-/// One recorded stage transition of one chunk (v2 `lineage` section).
-struct LineageEvent {
-    stage: String,
-    at_ns: u64,
-    wait_ns: Option<u64>,
-}
-
-/// One chunk's lineage record.
-struct LineageChunk {
-    src: u64,
-    step: u64,
-    truncated: bool,
-    events: Vec<LineageEvent>,
-}
-
-impl LineageChunk {
-    /// First-to-last recorded timestamp: the chunk's end-to-end latency.
-    fn total_ns(&self) -> u64 {
-        match (self.events.first(), self.events.last()) {
-            (Some(a), Some(b)) => b.at_ns.saturating_sub(a.at_ns),
-            _ => 0,
-        }
-    }
-
-    /// The consecutive-event transition with the largest delta:
-    /// `(from, to, ns)`.
-    fn dominant_gap(&self) -> Option<(&str, &str, u64)> {
-        self.events
-            .windows(2)
-            .map(|w| {
-                (
-                    w[0].stage.as_str(),
-                    w[1].stage.as_str(),
-                    w[1].at_ns.saturating_sub(w[0].at_ns),
-                )
-            })
-            .max_by_key(|(_, _, ns)| *ns)
-    }
-}
-
-/// Parse the optional v2 `lineage` section (empty for v1 snapshots).
-fn parse_lineage(root: &Value) -> Result<Vec<LineageChunk>, String> {
-    let Some(section) = root.get("lineage") else {
-        return Ok(Vec::new());
-    };
+/// Parse the `lineage` section into `obs`'s own view type.
+fn parse_lineage(root: &Value) -> Result<Vec<ChunkLineage>, String> {
     let mut chunks = Vec::new();
-    for c in section
-        .as_array()
-        .ok_or("snapshot root: `lineage` is not an array")?
-    {
-        let mut events = Vec::new();
-        for e in require(c, "events", "lineage[]")?
-            .as_array()
-            .ok_or("snapshot lineage[]: `events` is not an array")?
-        {
-            events.push(LineageEvent {
-                stage: require(e, "stage", "lineage[].events[]")?
-                    .as_str()
-                    .ok_or("snapshot lineage[].events[]: `stage` is not a string")?
-                    .to_string(),
-                at_ns: require_u64(e, "at_ns", "lineage[].events[]")?,
-                wait_ns: e.get("wait_ns").and_then(Value::as_u64),
-            });
+    for c in require_array(root, "lineage", "root")? {
+        let mut marks = Vec::new();
+        for e in require_array(c, "events", "lineage[]")? {
+            let ctx = "lineage[].events[]";
+            let name = require_str(e, "stage", ctx)?;
+            let stage = Stage::from_name(name)
+                .ok_or_else(|| format!("snapshot {ctx}: unknown stage `{name}`"))?;
+            marks.push((
+                stage,
+                StageMark {
+                    at_ns: require_u64(e, "at_ns", ctx)?,
+                    bytes: e.get("bytes").and_then(Value::as_u64),
+                    wait_ns: e.get("wait_ns").and_then(Value::as_u64),
+                    tid: 0,
+                },
+            ));
         }
-        chunks.push(LineageChunk {
-            src: require_u64(c, "src", "lineage[]")?,
-            step: require_u64(c, "step", "lineage[]")?,
-            truncated: require(c, "truncated", "lineage[]")?
-                .as_bool()
-                .ok_or("snapshot lineage[]: `truncated` is not a bool")?,
-            events,
-        });
+        chunks.push(ChunkLineage::new(
+            require_u64(c, "src", "lineage[]")?,
+            require_u64(c, "step", "lineage[]")?,
+            marks,
+        ));
     }
     Ok(chunks)
 }
 
+/// One chunk as a table row: end-to-end latency and the transition
+/// that dominated it.
+fn chunk_row(c: &ChunkLineage, out: &mut String) {
+    let dom = match c.dominant_gap() {
+        Some((from, to, ns)) => format!("{} -> {} ({})", from.name(), to.name(), fmt_ns(ns)),
+        None => "-".to_string(),
+    };
+    let marker = if c.is_truncated() { " [truncated]" } else { "" };
+    out.push_str(&format!(
+        "{:>6} {:>6} {:>12}  {dom}{marker}\n",
+        c.step,
+        c.src_rank,
+        fmt_ns(c.total_ns().unwrap_or(0)),
+    ));
+}
+
 /// Per-chunk critical path: end-to-end latency and dominant transition
 /// per chunk, plus the full timeline of the slowest chunk.
-fn render_critical_path(chunks: &[LineageChunk], out: &mut String) {
+fn render_critical_path(chunks: &[ChunkLineage], out: &mut String) {
     out.push_str("\n=== per-chunk critical path ===\n");
     if chunks.is_empty() {
         out.push_str("(no lineage records — run with PREDATA_LINEAGE=1)\n");
@@ -442,33 +384,24 @@ fn render_critical_path(chunks: &[LineageChunk], out: &mut String) {
         "step", "src", "total", "dominant transition"
     ));
     for c in chunks {
-        let (dom, flag) = match c.dominant_gap() {
-            Some((from, to, ns)) => (format!("{from} -> {to} ({})", fmt_ns(ns)), ""),
-            None => ("-".to_string(), ""),
-        };
-        let marker = if c.truncated { " [truncated]" } else { flag };
-        out.push_str(&format!(
-            "{:>6} {:>6} {:>12}  {dom}{marker}\n",
-            c.step,
-            c.src,
-            fmt_ns(c.total_ns()),
-        ));
+        chunk_row(c, out);
     }
     if let Some(slowest) = chunks.iter().max_by_key(|c| c.total_ns()) {
         out.push_str(&format!(
             "\nslowest chunk (src {}, step {}) timeline:\n",
-            slowest.src, slowest.step
+            slowest.src_rank, slowest.step
         ));
-        let t0 = slowest.events.first().map(|e| e.at_ns).unwrap_or(0);
-        for e in &slowest.events {
-            let wait = e
+        let events = slowest.events();
+        let t0 = events.first().map_or(0, |(_, m)| m.at_ns);
+        for (stage, mark) in events {
+            let took = mark
                 .wait_ns
-                .map(|w| format!("  (waited {})", fmt_ns(w)))
+                .map(|w| format!("  (took {})", fmt_ns(w)))
                 .unwrap_or_default();
             out.push_str(&format!(
-                "  +{:>10}  {}{wait}\n",
-                fmt_ns(e.at_ns.saturating_sub(t0)),
-                e.stage
+                "  +{:>10}  {}{took}\n",
+                fmt_ns(mark.at_ns.saturating_sub(t0)),
+                stage.name()
             ));
         }
     }
@@ -476,7 +409,7 @@ fn render_critical_path(chunks: &[LineageChunk], out: &mut String) {
 
 /// Straggler table: the slowest `k` chunks of every step and the stage
 /// transition that dominated each.
-fn render_stragglers(chunks: &[LineageChunk], k: usize, out: &mut String) {
+fn render_stragglers(chunks: &[ChunkLineage], k: usize, out: &mut String) {
     out.push_str(&format!(
         "\n=== stragglers (slowest {k} chunks per step) ===\n"
     ));
@@ -484,28 +417,16 @@ fn render_stragglers(chunks: &[LineageChunk], k: usize, out: &mut String) {
         out.push_str("(no lineage records — run with PREDATA_LINEAGE=1)\n");
         return;
     }
-    let mut steps: Vec<u64> = chunks.iter().map(|c| c.step).collect();
-    steps.sort_unstable();
-    steps.dedup();
     out.push_str(&format!(
         "{:>6} {:>6} {:>12}  {}\n",
         "step", "src", "total", "dominating stage"
     ));
-    for step in steps {
-        let mut of_step: Vec<&LineageChunk> = chunks.iter().filter(|c| c.step == step).collect();
+    // `chunks` arrive sorted by step.
+    for of_step in chunks.chunk_by(|a, b| a.step == b.step) {
+        let mut of_step: Vec<&ChunkLineage> = of_step.iter().collect();
         of_step.sort_by_key(|c| std::cmp::Reverse(c.total_ns()));
         for c in of_step.into_iter().take(k) {
-            let dom = match c.dominant_gap() {
-                Some((from, to, ns)) => format!("{from} -> {to} ({})", fmt_ns(ns)),
-                None => "-".to_string(),
-            };
-            let marker = if c.truncated { " [truncated]" } else { "" };
-            out.push_str(&format!(
-                "{:>6} {:>6} {:>12}  {dom}{marker}\n",
-                c.step,
-                c.src,
-                fmt_ns(c.total_ns()),
-            ));
+            chunk_row(c, out);
         }
     }
 }
@@ -515,15 +436,9 @@ fn render_stragglers(chunks: &[LineageChunk], k: usize, out: &mut String) {
 /// and the transport activity concurrent with each step.
 fn render_perturb(root: &Value, out: &mut String) -> Result<(), String> {
     out.push_str("\n=== per-step perturbation ===\n");
-    let Some(section) = root.get("perturb") else {
-        out.push_str("(no perturbation section)\n");
-        return Ok(());
-    };
-    let rows = section
-        .as_array()
-        .ok_or("snapshot root: `perturb` is not an array")?;
+    let rows = require_array(root, "perturb", "root")?;
     if rows.is_empty() {
-        out.push_str("(no perturbation records — run with PREDATA_LINEAGE=1)\n");
+        out.push_str("(no perturbation records — no compute, blocked or pull spans)\n");
         return Ok(());
     }
     out.push_str(&format!(
@@ -532,51 +447,40 @@ fn render_perturb(root: &Value, out: &mut String) -> Result<(), String> {
     ));
     for r in rows {
         let step = require_u64(r, "step", "perturb[]")?;
-        let compute = require_u64(r, "compute_ns", "perturb[]")?;
-        let blocked = require_u64(r, "blocked_ns", "perturb[]")?;
-        let pull_bytes = require_u64(r, "pull_bytes", "perturb[]")?;
-        let pulls = require_u64(r, "pulls", "perturb[]")?;
-        let pct = if compute + blocked > 0 {
-            format!(
-                "{:.2}%",
-                blocked as f64 / (compute + blocked) as f64 * 100.0
-            )
-        } else {
-            "-".to_string()
+        let stat = PerturbStat {
+            compute_ns: require_u64(r, "compute_ns", "perturb[]")?,
+            blocked_ns: require_u64(r, "blocked_ns", "perturb[]")?,
+            pull_bytes: require_u64(r, "pull_bytes", "perturb[]")?,
+            pulls: require_u64(r, "pulls", "perturb[]")?,
         };
+        let pct = stat
+            .blocked_fraction()
+            .map_or("-".to_string(), |f| format!("{:.2}%", f * 100.0));
         out.push_str(&format!(
             "{:>6} {:>12} {:>12} {:>9} {:>14} {:>7}\n",
             step,
-            fmt_ns(compute),
-            fmt_ns(blocked),
+            fmt_ns(stat.compute_ns),
+            fmt_ns(stat.blocked_ns),
             pct,
-            pull_bytes,
-            pulls
+            stat.pull_bytes,
+            stat.pulls
         ));
     }
     Ok(())
 }
 
-/// Live-window view (v3 `live` section): the latest value and window
-/// extent of every sampled series, plus the most recent cluster frame.
+/// Live-window view (the `live` section): the latest value and window
+/// extent of every series the plane kept.
 fn render_live(root: &Value, out: &mut String) -> Result<(), String> {
     out.push_str("\n=== live telemetry (windowed) ===\n");
-    let Some(section) = root.get("live") else {
-        out.push_str("(version 2 snapshot — no live section)\n");
-        return Ok(());
-    };
+    let section = require(root, "live", "root")?;
     let window = require_u64(section, "window", "live")?;
     if window == 0 {
         out.push_str("(live plane disabled — run with PREDATA_LIVE=1)\n");
         return Ok(());
     }
-    let period = require_u64(section, "period_steps", "live")?;
-    out.push_str(&format!(
-        "window {window} step(s), frame exchange every {period} step(s)\n"
-    ));
-    let series = require(section, "series", "live")?
-        .as_array()
-        .ok_or("snapshot live: `series` is not an array")?;
+    out.push_str(&format!("window {window} step(s)\n"));
+    let series = require_array(section, "series", "live")?;
     if !series.is_empty() {
         out.push_str(&format!(
             "{:<36} {:>8} {:>14} {:>14} {:>14}\n",
@@ -585,22 +489,16 @@ fn render_live(root: &Value, out: &mut String) -> Result<(), String> {
     }
     for s in series {
         let name = require_str(s, "name", "live.series[]")?;
-        let points = require(s, "points", "live.series[]")?
-            .as_array()
-            .ok_or("snapshot live.series[]: `points` is not an array")?;
+        let points = require_array(s, "points", "live.series[]")?;
         let mut last = 0.0f64;
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         for p in points {
-            let p = p
-                .as_array()
-                .ok_or("snapshot live.series[]: point is not a [step,value] pair")?;
-            if p.len() != 2 {
-                return Err("snapshot live.series[]: point is not a [step,value] pair".into());
+            let v = match p.as_array() {
+                Some([_, v]) => v.as_f64(),
+                _ => None,
             }
-            let v = p[1]
-                .as_f64()
-                .ok_or("snapshot live.series[]: value is not a number")?;
+            .ok_or("snapshot live.series[]: point is not a [step,value] pair")?;
             last = v;
             min = min.min(v);
             max = max.max(v);
@@ -613,34 +511,10 @@ fn render_live(root: &Value, out: &mut String) -> Result<(), String> {
             points.len()
         ));
     }
-    let frames = require(section, "frames", "live")?
-        .as_array()
-        .ok_or("snapshot live: `frames` is not an array")?;
-    if let Some(frame) = frames.last() {
-        let step = require_u64(frame, "step", "live.frames[]")?;
-        let ranks = require_u64(frame, "ranks", "live.frames[]")?;
-        out.push_str(&format!(
-            "\nlatest cluster frame (step {step}, {ranks} rank(s)):\n"
-        ));
-        let cells = require(frame, "cells", "live.frames[]")?
-            .as_object()
-            .ok_or("snapshot live.frames[]: `cells` is not an object")?;
-        for (key, cell) in cells.iter() {
-            let ctx = "live.frames[].cells";
-            out.push_str(&format!(
-                "  {key:<18} min={} max={} sum={} count={} last={}\n",
-                require_f64(cell, "min", ctx)?,
-                require_f64(cell, "max", ctx)?,
-                require_f64(cell, "sum", ctx)?,
-                require_u64(cell, "count", ctx)?,
-                require_f64(cell, "last", ctx)?,
-            ));
-        }
-    }
     Ok(())
 }
 
-/// One health report (v3 `health` entry or a stream line's `health`
+/// One health report (a `health` entry or a stream line's `health`
 /// object) as a dashboard row.
 fn health_row(report: &Value, out: &mut String) -> Result<(), String> {
     let ctx = "health[]";
@@ -649,13 +523,9 @@ fn health_row(report: &Value, out: &mut String) -> Result<(), String> {
     let backlog = require_u64(report, "backlog", ctx)?;
     let trend = require_f64(report, "backlog_trend", ctx)?;
     let blocked = require_f64(report, "blocked_fraction", ctx)?;
-    let hwm = require_u64(report, "queue_high_water", ctx)?;
     let exhausted = require_u64(report, "retry_exhausted", ctx)?;
     let mut flags: Vec<String> = Vec::new();
-    for s in require(report, "signals", ctx)?
-        .as_array()
-        .ok_or("snapshot health[]: `signals` is not an array")?
-    {
+    for s in require_array(report, "signals", ctx)? {
         let kind = require_str(s, "kind", "health[].signals[]")?;
         flags.push(match kind {
             "straggler" => format!(
@@ -680,25 +550,18 @@ fn health_row(report: &Value, out: &mut String) -> Result<(), String> {
         flags.join(", ")
     };
     out.push_str(&format!(
-        "{step:>6} {ranks:>5} {backlog:>8} {trend:>+9.2} {:>8} {hwm:>9} {exhausted:>9}  {flags}\n",
+        "{step:>6} {ranks:>5} {backlog:>8} {trend:>+9.2} {:>8} {exhausted:>9}  {flags}\n",
         format!("{:.1}%", blocked * 100.0),
     ));
     Ok(())
 }
 
-const HEALTH_HEADER: &str =
-    "  step ranks  backlog     trend blocked%  queue-hw retry-exh  signals\n";
+const HEALTH_HEADER: &str = "  step ranks  backlog     trend blocked% retry-exh  signals\n";
 
-/// Health view (v3 `health` section): one row per frame exchange.
+/// Health view (the `health` section): one row per closed step.
 fn render_health(root: &Value, out: &mut String) -> Result<(), String> {
     out.push_str("\n=== health (cluster window) ===\n");
-    let Some(section) = root.get("health") else {
-        out.push_str("(version 2 snapshot — no health section)\n");
-        return Ok(());
-    };
-    let reports = section
-        .as_array()
-        .ok_or("snapshot root: `health` is not an array")?;
+    let reports = require_array(root, "health", "root")?;
     if reports.is_empty() {
         out.push_str("(no health reports — run with PREDATA_LIVE=1)\n");
         return Ok(());
@@ -711,15 +574,15 @@ fn render_health(root: &Value, out: &mut String) -> Result<(), String> {
 }
 
 /// Render a rolling JSONL telemetry stream (`PREDATA_LIVE_PATH`) as a
-/// per-step dashboard: one health row per exchange, plus the per-rank
-/// compute spans of the final exchange. Every line must parse — this is
+/// per-step dashboard: one health row per closed step, plus the per-rank
+/// rows of the last one. Every line must parse — this is
 /// the `predata-report live --check` gate CI runs on the stream a
 /// smoke run produced.
 pub fn render_live_stream_str(text: &str) -> Result<String, String> {
     let mut out = String::new();
     out.push_str("=== live telemetry stream ===\n");
     out.push_str(HEALTH_HEADER);
-    let mut exchanges = 0usize;
+    let mut steps = 0usize;
     let mut last_line: Option<Value> = None;
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -730,22 +593,21 @@ pub fn render_live_stream_str(text: &str) -> Result<String, String> {
             serde_json::from_str(line).map_err(|e| format!("stream line {}: {e}", i + 1))?;
         let health = require(&v, "health", "stream line")?;
         health_row(health, &mut out).map_err(|e| format!("stream line {}: {e}", i + 1))?;
-        // The frame must at least parse as an object even when we don't
-        // tabulate it — `--check` means every field a dashboard reads.
-        require(&v, "frame", "stream line")?
+        // The stage rows must at least parse as an object even when we
+        // don't tabulate them — `--check` means every field a dashboard
+        // reads.
+        require(&v, "stages", "stream line")?
             .as_object()
-            .ok_or_else(|| format!("stream line {}: `frame` is not an object", i + 1))?;
-        exchanges += 1;
+            .ok_or_else(|| format!("stream line {}: `stages` is not an object", i + 1))?;
+        steps += 1;
         last_line = Some(v);
     }
-    if exchanges == 0 {
+    if steps == 0 {
         return Err("live stream: no telemetry lines".into());
     }
     if let Some(v) = last_line {
-        let per_rank = require(&v, "per_rank", "stream line")?
-            .as_array()
-            .ok_or("stream line: `per_rank` is not an array")?;
-        out.push_str("\nlast exchange, per rank:\n");
+        let per_rank = require_array(&v, "per_rank", "stream line")?;
+        out.push_str("\nlast step, per rank:\n");
         out.push_str(&format!(
             "{:>6} {:>14} {:>8} {:>6} {:>9}\n",
             "rank", "compute", "backlog", "sheds", "truncated"
@@ -755,14 +617,14 @@ pub fn render_live_stream_str(text: &str) -> Result<String, String> {
             out.push_str(&format!(
                 "{:>6} {:>14} {:>8} {:>6} {:>9}\n",
                 require_u64(r, "rank", ctx)?,
-                fmt_ns(require_f64(r, "compute_ns", ctx)? as u64),
-                require_f64(r, "backlog", ctx)?,
-                require_f64(r, "sheds", ctx)?,
-                require_f64(r, "truncated", ctx)?,
+                fmt_ns(require_u64(r, "compute_ns", ctx)?),
+                require_u64(r, "backlog", ctx)?,
+                require_u64(r, "sheds", ctx)?,
+                require_u64(r, "truncated", ctx)?,
             ));
         }
     }
-    out.push_str(&format!("\n({exchanges} exchange(s))\n"));
+    out.push_str(&format!("\n({steps} step(s))\n"));
     Ok(out)
 }
 
@@ -773,9 +635,10 @@ pub fn render_live_stream_str(text: &str) -> Result<String, String> {
 /// sample so exporter drift is caught at build time.
 pub fn render_snapshot(root: &Value) -> Result<String, String> {
     let version = require_u64(root, "version", "root")?;
-    if !(2..=3).contains(&version) {
+    if version != obs::SNAPSHOT_VERSION {
         return Err(format!(
-            "unsupported snapshot version {version} (expected 2 or 3)"
+            "unsupported snapshot version {version} (this reader takes {})",
+            obs::SNAPSHOT_VERSION
         ));
     }
     let cells = parse_steps(root)?;
@@ -804,86 +667,127 @@ pub fn render_snapshot_str(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::{Event, Registry};
 
-    /// The sample snapshots shipped for the CI smoke run.
+    /// The sample snapshot shipped for the CI smoke run.
     const SAMPLE: &str = include_str!("../testdata/sample_snapshot.json");
-    const SAMPLE_V3: &str = include_str!("../testdata/sample_snapshot_v3.json");
 
     #[test]
-    fn renders_the_checked_in_sample() {
+    fn renders_the_checked_in_sample_with_every_view() {
         let report = render_snapshot_str(SAMPLE).expect("sample snapshot must render");
-        assert!(report.contains("per-step stage timing"));
-        assert!(report.contains("decode"));
-        assert!(report.contains("transport.rdma_get_bytes"));
+        for view in [
+            "per-step stage timing",
+            "per-chunk critical path",
+            "per-step perturbation",
+            "live telemetry (windowed)",
+            "health (cluster window)",
+            "straggler r2",
+            "transport.rdma_get_bytes",
+        ] {
+            assert!(report.contains(view), "missing `{view}`: {report}");
+        }
+        assert!(!report.contains("no lineage records"), "got: {report}");
     }
 
+    /// Build a registry through the real obs API and round-trip it
+    /// through to_json → parse → render, so any change to the exporter
+    /// schema breaks this test immediately.
     #[test]
-    fn renders_the_checked_in_v3_sample_with_live_views() {
-        let report = render_snapshot_str(SAMPLE_V3).expect("v3 sample must render");
-        assert!(
-            report.contains("live telemetry (windowed)"),
-            "got: {report}"
-        );
-        assert!(report.contains("health (cluster window)"), "got: {report}");
-        assert!(report.contains("straggler"), "got: {report}");
-    }
-
-    #[test]
-    fn renders_a_live_registry_snapshot() {
-        // Build a registry through the real obs API and round-trip it
-        // through to_json → parse → render, so any change to the
-        // exporter schema breaks this test immediately.
-        let reg = obs::Registry::new();
+    fn renders_a_live_registry_snapshot_with_a_column_per_rank() {
+        let reg = Registry::new();
         reg.counter("transport.rdma_get_bytes", &[]).add(4096);
         reg.gauge("staging.work_queue_hwm", &[]).record_max(7);
         reg.histogram("transport.rdma_get_ns", &[]).record(1500);
-        reg.record_span("decode", 0, 2_000_000);
-        reg.record_span("map", 0, 3_000_000);
-        reg.record_span("reduce", 1, 500_000);
+        reg.record(Event::new("decode", 0).rank(0).at(0, 2_000_000));
+        reg.record(Event::new("decode", 0).rank(1).at(0, 3_000_000));
+        reg.record(Event::new("blocked", 0).at(0, 1_000_000));
+        reg.record(Event::new("reduce", 1).rank(1).at(0, 500_000));
         let json = reg.snapshot().to_json();
         let report = render_snapshot_str(&json).expect("live snapshot must render");
-        assert!(report.contains("decode"));
-        assert!(report.contains("map"));
-        assert!(report.contains("reduce"));
+        let row = |step: u64, stage: &str| {
+            let want = format!("{step:>6}  {stage:<18}");
+            let line = report.lines().find(|l| l.starts_with(&want));
+            line.unwrap_or_else(|| panic!("no row for {stage}@{step}: {report}"))
+                .split_whitespace()
+                .skip(2)
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        assert!(
+            report.contains("all         r0         r1"),
+            "got: {report}"
+        );
+        assert_eq!(row(0, "decode"), ["5.00ms", "2.00ms", "3.00ms"]);
+        assert_eq!(
+            row(0, "blocked"),
+            ["1.00ms", "-", "-"],
+            "rank-less: all only"
+        );
+        assert_eq!(row(1, "reduce"), ["500.00us", "-", "500.00us"]);
         assert!(report.contains("staging.work_queue_hwm"));
     }
 
+    /// One version is written and one is read: every other is refused,
+    /// and so is the current one with a section missing.
     #[test]
-    fn rejects_wrong_version() {
-        let err = render_snapshot_str(
-            r#"{"version":99,"counters":[],"gauges":[],"histograms":[],"steps":[]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("version"), "got: {err}");
+    fn rejects_every_other_version_and_missing_sections() {
+        for version in [1, 2, 3, obs::SNAPSHOT_VERSION + 1] {
+            let json = Registry::new().snapshot().to_json().replacen(
+                &format!("\"version\":{}", obs::SNAPSHOT_VERSION),
+                &format!("\"version\":{version}"),
+                1,
+            );
+            let err = render_snapshot_str(&json).unwrap_err();
+            assert!(err.contains("version"), "version {version}: {err}");
+        }
+        let bare = format!("{{\"version\":{}}}", obs::SNAPSHOT_VERSION);
+        let err = render_snapshot_str(&bare).unwrap_err();
+        assert!(err.contains("steps"), "got: {err}");
+        let no_live = Registry::new()
+            .snapshot()
+            .to_json()
+            .replace("\"live\":", "\"dead\":");
+        let err = render_snapshot_str(&no_live).unwrap_err();
+        assert!(err.contains("`live`"), "got: {err}");
     }
 
     #[test]
     fn renders_lineage_and_perturb_views_from_a_live_registry() {
         use obs::lineage::Stage;
-        let reg = obs::Registry::new();
-        // Chunk (src 0, step 0): complete pipeline (timestamps are
-        // stamped by record_mark's own monotonic clock).
-        for stage in Stage::PIPELINE {
-            let _ = reg.lineage().record_mark(0, 0, stage, Some(64), None, true);
+        let reg = Registry::new();
+        reg.set_detail(true);
+        // Chunk (src 0, step 0): complete pipeline, 10 ns apart, with a
+        // 70 ns wait before the pull.
+        for (i, stage) in Stage::PIPELINE.into_iter().enumerate() {
+            let t = 100 * i as u64;
+            let t1 = t + if stage == Stage::RdmaDone { 70 } else { 0 };
+            reg.record(Event::new(stage.event(), 0).chunk(0).at(t, t1).bytes(64));
         }
-        // Chunk (src 1, step 0): truncated after routing.
-        let _ = reg
-            .lineage()
-            .record_mark(1, 0, Stage::Packed, Some(64), None, true);
-        let _ = reg
-            .lineage()
-            .record_mark(1, 0, Stage::Truncated, None, None, true);
+        // Chunk (src 1, step 0): truncated after packing.
+        reg.record(Event::new("pack", 0).chunk(1).at(0, 5).bytes(64));
+        reg.record(Event::new("truncated", 0).chunk(1).at(9, 9));
+        reg.record(Event::new("compute", 0).at(0, 300));
+        reg.record(Event::new("blocked", 0).at(300, 400));
         let json = reg.snapshot().to_json();
-        let report = render_snapshot_str(&json).expect("v2 snapshot must render");
+        let report = render_snapshot_str(&json).expect("snapshot must render");
         assert!(report.contains("per-chunk critical path"), "got: {report}");
+        assert!(
+            report.contains("pull_scheduled -> rdma_done (170ns)"),
+            "dominant gap comes from obs: {report}"
+        );
+        assert!(report.contains("rdma_done  (took 70ns)"), "got: {report}");
         assert!(report.contains("stragglers"), "got: {report}");
         assert!(report.contains("[truncated]"), "got: {report}");
-        assert!(report.contains("per-step perturbation"), "got: {report}");
+        assert!(report.contains("25.00%"), "blocked 100 of 400: {report}");
+        assert!(
+            report.contains("            64       1"),
+            "pull row: {report}"
+        );
     }
 
     #[test]
     fn resilience_section_appears_only_when_the_ladder_was_climbed() {
-        let reg = obs::Registry::new();
+        let reg = Registry::new();
         reg.counter("staging.chunks", &[]).add(8);
         let quiet = render_snapshot_str(&reg.snapshot().to_json()).unwrap();
         assert!(
@@ -912,60 +816,42 @@ mod tests {
         assert!(!report.contains("chunks truncated"), "got: {report}");
     }
 
-    /// N/N−1 with N=3: version 2 (without live/health) still renders,
-    /// version 1 has aged out of the support window.
-    #[test]
-    fn v2_renders_and_v1_has_aged_out() {
-        let v2 = r#"{"version":2,"counters":[],"gauges":[],"histograms":[],"steps":[]}"#;
-        let report = render_snapshot_str(v2).expect("v2 snapshot must render");
-        assert!(report.contains("no lineage records"), "got: {report}");
-        assert!(report.contains("no live section"), "got: {report}");
-        assert!(report.contains("no health section"), "got: {report}");
-
-        let v1 = r#"{"version":1,"counters":[],"gauges":[],"histograms":[],"steps":[]}"#;
-        let err = render_snapshot_str(v1).unwrap_err();
-        assert!(err.contains("version"), "got: {err}");
+    /// A registry with the plane on, `n_ranks` ranks each finishing
+    /// `steps` steps; rank `slow`'s stage 4a takes 50 ms, the others'
+    /// 40 µs — a straggler.
+    fn live_run(
+        n_ranks: usize,
+        steps: u64,
+        slow: usize,
+        stream: Option<std::path::PathBuf>,
+    ) -> Registry {
+        let reg = Registry::new();
+        reg.live()
+            .configure(Some(obs::live::LiveConfig { window: 8 }), stream);
+        for step in 0..steps {
+            for rank in 0..n_ranks {
+                let ns = if rank == slow { 50_000_000 } else { 40_000 };
+                reg.record(Event::new("pull_map", step).rank(rank).at(0, ns));
+                reg.record(
+                    Event::new("request_received", step)
+                        .rank(rank)
+                        .chunk(rank as u64),
+                );
+                reg.step_end(n_ranks, step);
+            }
+        }
+        reg
     }
 
-    /// The full v3 round trip: a live registry with the telemetry plane
+    /// The full live round trip: a registry with the telemetry plane
     /// configured → to_json → parse → render, live and health included.
     #[test]
-    fn renders_v3_live_and_health_from_a_live_registry() {
-        use obs::live::{LiveConfig, StepStats, TelemetryFrame};
-        let reg = obs::Registry::new();
-        reg.live().configure(
-            Some(LiveConfig {
-                window: 8,
-                period_steps: 1,
-            }),
-            None,
-        );
-        reg.counter("transport.retries", &[("op", "pull")]).add(2);
-        reg.record_span("decode", 0, 1_000_000);
-        for rank in 0..4u64 {
-            reg.live().step_end(
-                &reg,
-                rank,
-                0,
-                StepStats {
-                    backlog: 2,
-                    // Rank 3 is 50ms; the rest are 40µs — a straggler.
-                    compute_span_ns: if rank == 3 { 50_000_000 } else { 40_000 },
-                    ..Default::default()
-                },
-            );
-        }
-        let frames: Vec<TelemetryFrame> = (0..4)
-            .map(|r| reg.live().local_frame(r, 0).unwrap())
-            .collect();
-        reg.live().ingest_frames(0, &frames).unwrap();
+    fn renders_live_and_health_from_a_live_registry() {
+        let reg = live_run(4, 1, 3, None);
         let json = reg.snapshot().to_json();
-        reg.live().configure(None, None);
-
-        let report = render_snapshot_str(&json).expect("v3 snapshot must render");
+        let report = render_snapshot_str(&json).expect("snapshot must render");
         assert!(report.contains("window 8 step(s)"), "got: {report}");
-        assert!(report.contains("transport.retries"), "got: {report}");
-        assert!(report.contains("latest cluster frame"), "got: {report}");
+        assert!(report.contains("pull_map.total_ns"), "got: {report}");
         assert!(report.contains("straggler r3"), "got: {report}");
     }
 
@@ -973,30 +859,9 @@ mod tests {
     /// writes to `PREDATA_LIVE_PATH`, and rejects non-JSON lines.
     #[test]
     fn renders_a_live_stream_and_rejects_garbage() {
-        use obs::live::{LiveConfig, StepStats, TelemetryFrame};
         let path =
             std::env::temp_dir().join(format!("report-live-stream-{}.jsonl", std::process::id()));
-        let reg = obs::Registry::new();
-        reg.live()
-            .configure(Some(LiveConfig::default()), Some(path.clone()));
-        for step in 0..2u64 {
-            for rank in 0..3u64 {
-                reg.live().step_end(
-                    &reg,
-                    rank,
-                    step,
-                    StepStats {
-                        backlog: 1 + rank,
-                        compute_span_ns: 10_000,
-                        ..Default::default()
-                    },
-                );
-            }
-            let frames: Vec<TelemetryFrame> = (0..3)
-                .map(|r| reg.live().local_frame(r, step).unwrap())
-                .collect();
-            reg.live().ingest_frames(step, &frames).unwrap();
-        }
+        let reg = live_run(3, 2, 1, Some(path.clone()));
         reg.live().configure(None, None);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -1006,21 +871,16 @@ mod tests {
             dashboard.contains("live telemetry stream"),
             "got: {dashboard}"
         );
-        assert!(dashboard.contains("(2 exchange(s))"), "got: {dashboard}");
+        assert!(dashboard.contains("(2 step(s))"), "got: {dashboard}");
+        assert!(dashboard.contains("straggler r1"), "got: {dashboard}");
         assert!(
-            dashboard.contains("last exchange, per rank"),
+            dashboard.contains("last step, per rank") && dashboard.contains("50.00ms"),
             "got: {dashboard}"
         );
 
         assert!(render_live_stream_str("").is_err(), "empty stream fails");
         let err = render_live_stream_str("not json\n").unwrap_err();
         assert!(err.contains("line 1"), "got: {err}");
-    }
-
-    #[test]
-    fn rejects_missing_sections_with_a_named_key() {
-        let err = render_snapshot_str(r#"{"version":2}"#).unwrap_err();
-        assert!(err.contains("steps"), "got: {err}");
     }
 
     #[test]

@@ -110,15 +110,15 @@ impl BpWriter {
         let (segments, payload_offsets, block_len) = pg.encode_parts();
         let base = self.pos;
         let slices: Vec<&[u8]> = segments.iter().map(|s| &s[..]).collect();
+        // Rank- and chunk-less: `writer_rank` is a staging rank for a
+        // merged output and a compute rank for an in-compute one.
+        let write_span = obs::span!("write", pg.step).bytes(block_len);
         write_all_vectored(&mut self.out, &slices)?;
+        drop(write_span);
         self.pos += block_len;
         obs::global()
             .counter("bpio.bytes_written", &[])
             .add(block_len);
-        // Record-if-tracked: for per-chunk outputs `writer_rank` names a
-        // source chunk and closes its lineage; merged outputs are keyed
-        // by the staging rank, which must not invent a phantom chunk.
-        obs::lineage::record_write(pg.writer_rank, pg.step, block_len);
         self.index.pgs.push(PgEntry {
             writer_rank: pg.writer_rank,
             step: pg.step,

@@ -22,7 +22,7 @@
 //! | field       | meaning                                               |
 //! |-------------|-------------------------------------------------------|
 //! | `queue_hwm` | shed when a step gathers more than this many chunks   |
-//! | `blocked`   | shed when the prior step's simulation blocked-fraction exceeds this (needs `PREDATA_LINEAGE`) |
+//! | `blocked`   | shed when the prior step's simulation blocked-fraction exceeds this (the application must record its `compute` span) |
 //! | `defer`     | `+`-separated [`crate::op::StreamOp::name`]s to shed  |
 //!
 //! At least one trigger (`queue_hwm` or `blocked`) is required; `defer`
@@ -42,7 +42,8 @@ pub struct AdmitControl {
     /// Shed when a step's gathered chunk backlog exceeds this.
     pub queue_hwm: Option<usize>,
     /// Shed when the prior step's simulation blocked-fraction exceeds
-    /// this (`obs::perturb`; only populated under `PREDATA_LINEAGE`).
+    /// this (`obs::perturb`: the `blocked` and `compute` rows of the
+    /// fold).
     pub blocked: Option<f64>,
     /// Operator names deferred while overloaded.
     pub defer: Vec<String>,
@@ -104,24 +105,17 @@ impl AdmitControl {
         .clone()
     }
 
-    /// Is a rank presenting these [`obs::live::HealthSignal`]s
-    /// overloaded? This is the one decision point, and the staging
-    /// runtime's `shed` stage calls it: the thresholds apply to the
-    /// typed signal values, which `obs::live::local_signals` fills the
-    /// same with the live plane on or off, so a shedding decision is
-    /// byte-identical either way. Cluster
-    /// signals (straggler, backlog growth, retry exhaustion) are
-    /// advisory context for now; they don't trigger sheds.
-    pub fn overloaded_signals(&self, signals: &[obs::live::HealthSignal]) -> bool {
-        signals.iter().any(|signal| match *signal {
-            obs::live::HealthSignal::QueuePressure { backlog, .. } => {
-                self.queue_hwm.is_some_and(|hwm| backlog as usize > hwm)
-            }
-            obs::live::HealthSignal::SimulationBlocked { fraction } => {
-                self.blocked.is_some_and(|threshold| fraction > threshold)
-            }
-            _ => false,
-        })
+    /// Is a rank that gathered `backlog` chunks, under a simulation
+    /// that spent `blocked` of its prior step blocked in output (`None`
+    /// when that is not known), overloaded? This is the one decision
+    /// point, and the staging runtime's `shed` stage calls it. The
+    /// thresholds are strict and apply only when configured.
+    pub fn overloaded(&self, backlog: usize, blocked: Option<f64>) -> bool {
+        self.queue_hwm.is_some_and(|hwm| backlog > hwm)
+            || self
+                .blocked
+                .zip(blocked)
+                .is_some_and(|(threshold, fraction)| fraction > threshold)
     }
 
     /// Whether `op` is shed while overloaded.
@@ -157,48 +151,29 @@ mod tests {
         assert!(AdmitControl::parse("queue_hwm=lots,defer=x").is_err());
     }
 
-    /// The thresholds are strict (`>`), apply only when configured, and
-    /// ignore cluster-level advisory signals.
+    /// The thresholds are strict (`>`) and apply only when configured.
     #[test]
     fn overload_triggers() {
-        use obs::live::HealthSignal;
-        let queue = |backlog| HealthSignal::QueuePressure { rank: 1, backlog };
-        let sim = |fraction| HealthSignal::SimulationBlocked { fraction };
-
         let a = AdmitControl::parse("queue_hwm=4,defer=x").unwrap().unwrap();
+        assert!(!a.overloaded(4, None), "at the mark is not over");
+        assert!(a.overloaded(5, None));
         assert!(
-            !a.overloaded_signals(&[queue(4)]),
-            "at the mark is not over"
-        );
-        assert!(a.overloaded_signals(&[queue(5)]));
-        assert!(
-            !a.overloaded_signals(&[queue(0), sim(0.9)]),
+            !a.overloaded(0, Some(0.9)),
             "no blocked threshold configured"
         );
 
         let a = AdmitControl::parse("blocked=0.25,defer=x")
             .unwrap()
             .unwrap();
-        assert!(
-            !a.overloaded_signals(&[queue(1000)]),
-            "no backlog threshold"
-        );
-        assert!(!a.overloaded_signals(&[queue(0), sim(0.25)]));
-        assert!(a.overloaded_signals(&[queue(0), sim(0.26)]));
+        assert!(!a.overloaded(1000, None), "no backlog threshold");
+        assert!(!a.overloaded(0, Some(0.25)));
+        assert!(a.overloaded(0, Some(0.26)));
 
         let a = AdmitControl::parse("queue_hwm=4,blocked=0.25,defer=x")
             .unwrap()
             .unwrap();
-        assert!(!a.overloaded_signals(&[queue(4), sim(0.25)]));
-        assert!(a.overloaded_signals(&[queue(4), sim(0.26)]));
-        assert!(a.overloaded_signals(&[queue(5), sim(0.25)]));
-        // Advisory cluster signals never shed on their own.
-        let advisory = [
-            HealthSignal::Straggler { rank: 2, z: 99.0 },
-            HealthSignal::BacklogGrowth { per_step: 1e9 },
-            HealthSignal::RetryExhaustion { in_window: 1000 },
-        ];
-        assert!(!a.overloaded_signals(&advisory));
-        assert!(!a.overloaded_signals(&[]));
+        assert!(!a.overloaded(4, Some(0.25)));
+        assert!(a.overloaded(4, Some(0.26)));
+        assert!(a.overloaded(5, Some(0.25)));
     }
 }

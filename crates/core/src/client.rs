@@ -103,28 +103,36 @@ impl PredataClient {
     /// passes, packs, exposes, routes, requests. Does not wait for the
     /// pull.
     ///
-    /// The whole call is the simulation's blocked-in-output window: under
-    /// `PREDATA_LINEAGE` its duration feeds the perturbation monitor, and
-    /// the pack/route/request hand-offs open the chunk's lineage record.
-    /// (`wait_drained` is not attributed — it spans steps.)
+    /// The whole call is the simulation's blocked-in-output window — the
+    /// `blocked` row of the perturbation view — and the pack / route /
+    /// request hand-offs inside it are the first three stages of the
+    /// chunk's lineage. (`wait_drained` is not attributed — it spans
+    /// steps.)
     pub fn write_pg(&self, pg: ProcessGroup) -> Result<WriteReceipt, ClientError> {
         let step = pg.step;
         let src = self.rank() as u64;
-        let call_started = obs::lineage::enabled().then(std::time::Instant::now);
+        let _blocked = obs::span!("blocked", step);
         // Stage 1a: optional local first pass; results ride the request.
         let mut attrs = AttrList::new();
         for op in &self.ops {
             op.partial_calculate(&pg, &mut attrs);
         }
         // Stage 1b: pack into a self-describing contiguous buffer.
+        let pack_span = obs::span!("pack", step).chunk(src);
         let chunk = PackedChunk::new(pg);
         let buf: Arc<[u8]> = chunk.pack()?.into();
         let bytes = buf.len();
-        obs::lineage::record_bytes(src, step, obs::lineage::Stage::Packed, bytes as u64);
+        drop(pack_span.bytes(bytes as u64));
         // Stage 1c: expose + route + request.
         let handle = self.endpoint.expose(buf, step)?;
         let staging_rank = self.router.route(self.rank(), step);
-        obs::lineage::record(src, step, obs::lineage::Stage::Routed);
+        // Only the lineage view reads the `routed` and `request_sent`
+        // marks, so they cost the simulation's thread nothing unless the
+        // registry is logging events.
+        let lineage = obs::global().detail();
+        if lineage {
+            obs::mark("routed", step).chunk(src);
+        }
         if let Err(e) = self.endpoint.send_request(
             staging_rank,
             FetchRequest {
@@ -141,11 +149,10 @@ impl PredataClient {
             self.endpoint.reclaim(handle);
             return Err(e.into());
         }
-        obs::lineage::record(src, step, obs::lineage::Stage::RequestSent);
-        self.outstanding.borrow_mut().insert(handle, (bytes, step));
-        if let Some(started) = call_started {
-            obs::perturb::record_blocked(step, started.elapsed());
+        if lineage {
+            obs::mark("request_sent", step).chunk(src);
         }
+        self.outstanding.borrow_mut().insert(handle, (bytes, step));
         Ok(WriteReceipt {
             staging_rank,
             bytes,
@@ -205,7 +212,7 @@ impl PredataClient {
             match self.endpoint.reclaim(handle) {
                 Some(n) => {
                     debug_assert_eq!(n, bytes);
-                    obs::lineage::truncate(src, step);
+                    obs::mark("truncated", step).chunk(src);
                     reclaimed += 1;
                     reclaimed_bytes += n as u64;
                     false

@@ -267,45 +267,46 @@ pub fn complete_pipeline(op: &mut dyn StreamOp, mapped: Vec<Tagged>, ctx: &OpCtx
     complete_pipeline_traced(op, mapped, ctx, &[])
 }
 
-/// [`complete_pipeline`] that also stamps each source chunk's `shuffled`
+/// [`complete_pipeline`] that also marks each source chunk's `shuffled`
 /// and `reduced` lineage transitions as the phases complete. `chunk_srcs`
 /// are the compute ranks whose chunks fed `mapped` (the staging runtime
-/// passes its pull order); per-stage slots are first-write-wins, so when
+/// passes its pull order); the lineage view is first-write-wins, so when
 /// several operators run, the first operator's phases — the earliest
 /// moment the chunk's data crossed that boundary — set the timestamps.
+/// The per-chunk marks serve only that view, so they are skipped unless
+/// the registry is logging events.
 pub fn complete_pipeline_traced(
     op: &mut dyn StreamOp,
     mapped: Vec<Tagged>,
     ctx: &OpCtx,
     chunk_srcs: &[usize],
 ) -> OpResult {
-    let step = ctx.step;
+    let (step, rank) = (ctx.step, ctx.comm.rank());
+    let mark_chunks = |stage: &'static str| {
+        if obs::global().detail() {
+            for &src in chunk_srcs {
+                obs::mark(stage, step).rank(rank).chunk(src as u64);
+            }
+        }
+    };
     let combined = {
-        let _s = obs::span!("combine", step);
+        let _s = obs::span!("combine", step).rank(rank);
         op.combine(mapped)
     };
     let grouped = {
-        let _s = obs::span!("shuffle", step);
+        let _s = obs::span!("shuffle", step).rank(rank);
         shuffle_tagged(combined, op, ctx.comm)
     };
-    if obs::lineage::enabled() {
-        for &src in chunk_srcs {
-            obs::lineage::record(src as u64, step, obs::lineage::Stage::Shuffled);
-        }
-    }
+    mark_chunks("shuffled");
     {
-        let _s = obs::span!("reduce", step);
+        let _s = obs::span!("reduce", step).rank(rank);
         for (tag, items) in grouped {
             op.reduce(tag, items, ctx);
         }
     }
-    if obs::lineage::enabled() {
-        for &src in chunk_srcs {
-            obs::lineage::record(src as u64, step, obs::lineage::Stage::Reduced);
-        }
-    }
+    mark_chunks("reduced");
     ctx.comm.barrier();
-    let _s = obs::span!("finalize", step);
+    let _s = obs::span!("finalize", step).rank(rank);
     op.finalize(ctx)
 }
 

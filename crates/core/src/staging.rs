@@ -82,13 +82,14 @@ use crate::agg::Aggregates;
 use crate::chunk::{ChunkError, PackedChunk};
 use crate::op::{complete_pipeline_traced, ChunkMapper, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
 
-/// Mark every chunk of an abandoned step explicitly truncated, so a
-/// failed/timed-out step leaves terminal lineage records rather than
-/// dangling entries. No-op unless lineage recording is on.
-fn truncate_lineage(requests: &[FetchRequest], step: u64) {
-    for r in requests {
-        obs::lineage::truncate(r.src_rank as u64, step);
-    }
+/// Mark chunk `(src_rank, step)` truncated on staging rank `rank`: its
+/// pull was given up, or its step abandoned, and it will never reach
+/// `written`. A terminal lineage stage, and — counted per rank and step —
+/// the live plane's retries-exhausted signal.
+fn mark_truncated(rank: usize, src_rank: usize, step: u64) {
+    obs::mark("truncated", step)
+        .rank(rank)
+        .chunk(src_rank as u64);
 }
 
 /// Staging-side failures.
@@ -201,11 +202,6 @@ struct Mapped {
     bytes_pulled: u64,
     /// Every operator's `map_chunk` outputs, concatenated in policy order.
     per_op: Vec<Vec<Tagged>>,
-    /// Wall time of the whole rank-local stage. This is the span the
-    /// live plane's straggler detector compares across ranks: stage 5 is
-    /// collective — every rank waits for the slowest inside it — so only
-    /// this stage carries a per-rank imbalance signal.
-    span_ns: u64,
 }
 
 /// The mapper of an operator shed by admission control: the work stays
@@ -433,7 +429,11 @@ impl StagingRank {
             Ok(self.exchange(step, epoch, &agg, mapped, deferred))
         })();
         if report.is_err() {
-            truncate_lineage(&requests, step);
+            // A failed or timed-out step leaves terminal lineage
+            // records, not dangling ones.
+            for r in &requests {
+                mark_truncated(self.comm.rank(), r.src_rank, step);
+            }
         }
         report
     }
@@ -443,7 +443,7 @@ impl StagingRank {
     /// arrive early for a later step are stashed for its gather; one
     /// for an earlier step is [`StagingError::StepSkew`].
     fn gather(&mut self, step: u64, requests: &mut Vec<FetchRequest>) -> Result<(), StagingError> {
-        let _span = obs::span!("gather", step);
+        let _span = obs::span!("gather", step).rank(self.comm.rank());
         let n_served = self
             .router
             .served_by(self.comm.rank(), self.cfg.n_compute, step)
@@ -481,13 +481,11 @@ impl StagingRank {
     /// Returns the operators shed for this step — empty on a healthy
     /// one — given the `backlog` of chunks the gather closed with.
     ///
-    /// The decision consumes typed health signals, not raw values:
-    /// `obs::live::local_signals` carries this rank's queue pressure and
-    /// the prior step's simulation blocked-fraction (perturbation
-    /// monitor, populated under `PREDATA_LINEAGE`), plus — when the live
-    /// plane is on — the latest cluster-level advisories, which never
-    /// shed on their own; so the decision (and every data byte
-    /// downstream) is identical with the plane off. A shed operator's
+    /// The decision reads two facts: this rank's backlog and the prior
+    /// step's simulation blocked-fraction (the perturbation view of the
+    /// fold). The live plane's health reports are advisory and never
+    /// consulted, so the decision (and every data byte downstream) is
+    /// identical with the plane on or off. A shed operator's
     /// mappers become no-ops (stage 4 does none of its work) while its
     /// collective phases still run, so an asymmetrically loaded area
     /// never deadlocks. Its output is truncated — computed over no data
@@ -496,8 +494,11 @@ impl StagingRank {
         let Some(admit) = &self.cfg.admit else {
             return Vec::new();
         };
-        let signals = obs::live::local_signals(self.comm.rank() as u64, step, backlog as u64);
-        if !admit.overloaded_signals(&signals) {
+        let blocked = step
+            .checked_sub(1)
+            .and_then(|prev| obs::global().perturb_at(prev))
+            .and_then(|stat| stat.blocked_fraction());
+        if !admit.overloaded(backlog, blocked) {
             return Vec::new();
         }
         let deferred: Vec<String> = self
@@ -512,6 +513,9 @@ impl StagingRank {
             reg.counter("staging.admission_triggers", &[]).inc();
             reg.counter("staging.admission_deferred_ops", &[])
                 .add(deferred.len() as u64);
+            for _ in &deferred {
+                obs::mark("shed", step).rank(self.comm.rank());
+            }
         }
         deferred
     }
@@ -520,7 +524,7 @@ impl StagingRank {
     /// to the requests staging-wide, and `initialize` every operator
     /// with the global [`Aggregates`]. Collective.
     fn aggregate(&mut self, step: u64, requests: &[FetchRequest]) -> Aggregates {
-        let _span = obs::span!("aggregate", step);
+        let _span = obs::span!("aggregate", step).rank(self.comm.rank());
         let local = requests.iter().map(|r| (r.src_rank, &r.attrs));
         let agg = Aggregates::build(local, &self.comm);
         let ctx = op_ctx(&self.comm, &self.cfg, step, &agg);
@@ -551,11 +555,16 @@ impl StagingRank {
             truncated: Vec::new(),
             bytes_pulled: 0,
             per_op: self.ops.iter().map(|_| Vec::new()).collect(),
-            span_ns: 0,
         };
         if n_chunks == 0 {
             return Ok(out);
         }
+        let my_rank = self.comm.rank();
+        // Wall time of the whole rank-local stage: the row the live
+        // plane's straggler detector compares across ranks. Stage 5 is
+        // collective — every rank waits for the slowest inside it — so
+        // only this stage carries a per-rank imbalance signal.
+        let _span = obs::span!("pull_map", step).rank(my_rank);
         let started = Instant::now();
         // Map state frozen by `initialize`, shareable across workers.
         let mappers: Vec<Arc<dyn ChunkMapper>> = self
@@ -590,25 +599,19 @@ impl StagingRank {
             // and pacing.
             scope.spawn(move || {
                 for (idx, req) in requests.iter().enumerate() {
-                    // Condvar/deadline park inside the policy; the short
-                    // tick only bounds cancellation latency.
-                    let wait_started = obs::lineage::enabled().then(Instant::now);
+                    let src_rank = req.src_rank as u64;
+                    // The policy deferral is the chunk's scheduling wait
+                    // — the rate/phase control the paper bounds
+                    // interference with. Condvar/deadline park inside
+                    // the policy; the short tick only bounds
+                    // cancellation latency.
+                    let wait_span = obs::span!("pull_wait", step).rank(my_rank).chunk(src_rank);
                     while !policy.wait_ready(Duration::from_millis(25)) {
                         if cancelled.load(Ordering::Acquire) {
                             return;
                         }
                     }
-                    // The policy deferral is the chunk's scheduling wait
-                    // — the rate/phase control the paper bounds
-                    // interference with.
-                    if let Some(t) = wait_started {
-                        obs::lineage::record_wait(
-                            req.src_rank as u64,
-                            step,
-                            obs::lineage::Stage::PullScheduled,
-                            t.elapsed().as_nanos() as u64,
-                        );
-                    }
+                    drop(wait_span);
                     // The pull retries under the *step's* remaining
                     // deadline budget: transient errors (timeouts, stale
                     // handles, injected faults) back off and re-attempt;
@@ -619,7 +622,7 @@ impl StagingRank {
                         .step_deadline()
                         .saturating_sub(started.elapsed())
                         .max(Duration::from_millis(1));
-                    let pull_span = obs::span!("pull", step);
+                    let pull_span = obs::span!("pull", step).rank(my_rank).chunk(src_rank);
                     let pulled = retry.clone().deadline(remaining).run("pull", salt, |_| {
                         if let Some(p) = endpoint.fault_plan() {
                             if let Some(e) = p.inject_pull(req.src_rank as u64, step, req.handle) {
@@ -632,7 +635,7 @@ impl StagingRank {
                         // Blocking send parks under back-pressure and
                         // wakes with `Closed` if the step is abandoned.
                         Ok(buf) => {
-                            drop(pull_span);
+                            drop(pull_span.bytes(buf.len() as u64));
                             if work.send((idx, buf)).is_err() {
                                 return;
                             }
@@ -652,63 +655,47 @@ impl StagingRank {
                 work.close();
             });
             // Decode+map workers.
-            for worker in 0..self.cfg.map_workers.clamp(1, n_chunks) {
-                scope.spawn(move || {
-                    // Per-worker utilization: busy (decode+map) time
-                    // accumulates locally, flushed once at exit.
-                    let mut busy_ns = 0u64;
-                    loop {
-                        match work.recv_waited(gather_timeout) {
-                            Ok(((idx, buf), queued)) => {
-                                if cancelled.load(Ordering::Acquire) {
-                                    continue; // abandoned: discard undecoded
-                                }
-                                let src_rank = requests[idx].src_rank as u64;
-                                let decode_span = obs::span!("decode", step);
-                                let outcome = match PackedChunk::unpack(&buf) {
-                                    Ok(chunk) => {
-                                        busy_ns += decode_span.elapsed_ns();
-                                        drop(decode_span);
-                                        let bytes = buf.len() as u64;
-                                        // The chunk owns its data now.
-                                        drop(buf);
-                                        // `queued` is how long the pulled bytes
-                                        // sat awaiting a worker.
-                                        obs::lineage::record_wait(
-                                            src_rank,
-                                            step,
-                                            obs::lineage::Stage::Decoded,
-                                            queued.as_nanos() as u64,
-                                        );
-                                        let map_span = obs::span!("map", step);
-                                        let per_op = mappers
-                                            .iter()
-                                            .map(|m| m.map_chunk(&chunk, &map_ctx))
-                                            .collect();
-                                        busy_ns += map_span.elapsed_ns();
-                                        obs::lineage::record(
-                                            src_rank,
-                                            step,
-                                            obs::lineage::Stage::Mapped,
-                                        );
-                                        Ok(ChunkOutcome::Mapped { bytes, per_op })
-                                    }
-                                    Err(e) => Err(e.into()),
-                                };
-                                results.submit((idx, outcome));
+            // Their `decode` and `map` rows are the workers' busy time
+            // (`Snapshot::worker_busy_ns`); how long pulled bytes sat
+            // awaiting a worker is the chunk's `rdma_done → decoded`
+            // gap less the decode itself.
+            for _ in 0..self.cfg.map_workers.clamp(1, n_chunks) {
+                scope.spawn(move || loop {
+                    match work.recv(gather_timeout) {
+                        Ok((idx, buf)) => {
+                            if cancelled.load(Ordering::Acquire) {
+                                continue; // abandoned: discard undecoded
                             }
-                            Err(PollError::Closed) => break,
-                            Err(PollError::Timeout) => {
-                                if cancelled.load(Ordering::Acquire) {
-                                    break;
+                            let src_rank = requests[idx].src_rank as u64;
+                            let decode_span =
+                                obs::span!("decode", step).rank(my_rank).chunk(src_rank);
+                            let outcome = match PackedChunk::unpack(&buf) {
+                                Ok(chunk) => {
+                                    drop(decode_span);
+                                    let bytes = buf.len() as u64;
+                                    // The chunk owns its data now.
+                                    drop(buf);
+                                    let _map_span =
+                                        obs::span!("map", step).rank(my_rank).chunk(src_rank);
+                                    let per_op = mappers
+                                        .iter()
+                                        .map(|m| m.map_chunk(&chunk, &map_ctx))
+                                        .collect();
+                                    Ok(ChunkOutcome::Mapped { bytes, per_op })
                                 }
+                                Err(e) => {
+                                    decode_span.cancel();
+                                    Err(e.into())
+                                }
+                            };
+                            results.submit((idx, outcome));
+                        }
+                        Err(PollError::Closed) => break,
+                        Err(PollError::Timeout) => {
+                            if cancelled.load(Ordering::Acquire) {
+                                break;
                             }
                         }
-                    }
-                    if busy_ns > 0 {
-                        obs::global()
-                            .counter("staging.worker_busy_ns", &[("worker", &worker.to_string())])
-                            .add(busy_ns);
                     }
                 });
             }
@@ -755,7 +742,7 @@ impl StagingRank {
                     }
                 }
                 Some(ChunkOutcome::Skipped) => {
-                    obs::lineage::truncate(req.src_rank as u64, step);
+                    mark_truncated(my_rank, req.src_rank, step);
                     obs::global().counter("staging.truncated_chunks", &[]).inc();
                     out.truncated.push(req.src_rank);
                 }
@@ -764,7 +751,6 @@ impl StagingRank {
                 None => return Err(StagingError::SlotMissing { index, n_chunks }),
             }
         }
-        out.span_ns = started.elapsed().as_nanos() as u64;
         Ok(out)
     }
 
@@ -785,7 +771,6 @@ impl StagingRank {
             truncated,
             bytes_pulled,
             per_op,
-            span_ns,
         } = mapped;
         let ctx = op_ctx(&self.comm, &self.cfg, step, agg);
         let results = self
@@ -798,41 +783,22 @@ impl StagingRank {
         // (first-write-wins); this closes every record even for op-less
         // runs, and `written` here means "the step's outputs — including
         // any merged bp files keyed by staging rank — are committed".
-        if obs::lineage::enabled() {
+        // Only the lineage view reads these per-chunk marks.
+        let rank = self.comm.rank();
+        if obs::global().detail() {
             for &src in &pull_order {
-                obs::lineage::record(src as u64, step, obs::lineage::Stage::Shuffled);
-                obs::lineage::record(src as u64, step, obs::lineage::Stage::Reduced);
-                obs::lineage::record(src as u64, step, obs::lineage::Stage::Written);
-            }
-        }
-        let chunks = pull_order.len() + truncated.len();
-        // Live telemetry tick (`PREDATA_LIVE`; default off): one sampler
-        // tick per rank per step, and — when a frame exchange is due —
-        // an `allgather` of this rank's POD frame. The collective only
-        // exists when the plane is enabled, so a disabled run's
-        // collective count (and the deterministic tests pinned to it) is
-        // untouched; every rank runs every step from 0 regardless of
-        // membership (inactive ranks idle in the collectives), so the
-        // exchange is symmetric by construction.
-        if obs::live::enabled() {
-            let rank = self.comm.rank() as u64;
-            obs::live::step_end(
-                rank,
-                step,
-                obs::live::StepStats {
-                    backlog: chunks as u64,
-                    compute_span_ns: span_ns,
-                    shed_ops: deferred.len() as u64,
-                    truncated: truncated.len() as u64,
-                },
-            );
-            if obs::live::frame_due(step) {
-                if let Some(local) = obs::live::local_frame(rank, step) {
-                    let frames = self.comm.allgather(local);
-                    obs::live::ingest_frames(step, &frames);
+                for stage in ["shuffled", "reduced", "written"] {
+                    obs::mark(stage, step).rank(rank).chunk(src as u64);
                 }
             }
         }
+        let chunks = pull_order.len() + truncated.len();
+        // Live telemetry tick (`PREDATA_LIVE`; default off): every rank
+        // runs every step from 0 regardless of membership (inactive
+        // ranks idle in the collectives), so each step is counted in by
+        // all `comm.size()` ranks and closed by the last — from the fold,
+        // with no collective of its own.
+        obs::global().step_end(self.comm.size(), step);
         StepReport {
             step,
             chunks,
@@ -924,15 +890,9 @@ impl StagingArea {
             .into_iter()
             .map(|(rank, h)| h.join().unwrap_or(Err(StagingError::WorkerPanicked(rank))))
             .collect();
-        if let Some(path) = obs::metrics_export_path() {
-            if let Err(e) = std::fs::write(&path, obs::global().snapshot().to_json()) {
-                eprintln!("warning: PREDATA_METRICS snapshot to {path:?} failed: {e}");
-            }
+        if let Err(e) = obs::global().export() {
+            eprintln!("warning: PREDATA_METRICS / PREDATA_TRACE export failed: {e}");
         }
-        if let Err(e) = obs::trace::flush() {
-            eprintln!("warning: PREDATA_TRACE flush failed: {e}");
-        }
-        obs::live::flush();
         reports
     }
 }

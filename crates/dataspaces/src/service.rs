@@ -439,7 +439,7 @@ fn serve(inner: &Arc<Inner>, job: QueryJob) {
     match &result {
         Ok(_) => {
             inner.served.inc();
-            obs::global().record_span("ds.query", job.version, exec.as_nanos() as u64);
+            obs::global().record(obs::Event::timed("ds.query", job.version, started, exec));
         }
         Err(DsError::DeadlineMissed { .. }) => inner.deadline_missed.inc(),
         Err(_) => {}

@@ -37,12 +37,6 @@ impl<T: MpiScalar, const N: usize> MpiScalar for [T; N] {}
 impl<A: MpiScalar, B: MpiScalar> MpiScalar for (A, B) {}
 impl<A: MpiScalar, B: MpiScalar, C: MpiScalar> MpiScalar for (A, B, C) {}
 
-/// Live-telemetry frames are plain POD by construction (fixed cell
-/// array, no heap), so a per-rank frame rides any collective as one
-/// element — the cross-rank aggregation path of `obs::live`.
-impl MpiScalar for obs::live::FrameCell {}
-impl MpiScalar for obs::live::TelemetryFrame {}
-
 /// Anything that can be sent through a communicator, with a byte-size
 /// estimate used for traffic accounting.
 pub trait MpiData: Send + 'static {
@@ -125,29 +119,6 @@ mod tests {
         assert_eq!(vec![0f64; 100].byte_len(), 800);
         assert_eq!(vec![vec![0u32; 3], vec![0u32; 5]].byte_len(), 32);
         assert_eq!(String::from("abcd").byte_len(), 4);
-    }
-
-    /// Telemetry frames allgather like any scalar and fold into one
-    /// cluster frame on every rank — the live plane's exchange step.
-    #[test]
-    fn telemetry_frames_allgather_and_aggregate() {
-        use obs::live::{FrameKey, TelemetryFrame};
-        let cluster_sums = crate::World::run(4, |comm| {
-            let mut frame = TelemetryFrame::local(comm.rank() as u64, 3);
-            frame
-                .cell_mut(FrameKey::Backlog)
-                .observe((comm.rank() + 1) as f64);
-            let frames = comm.allgather(frame);
-            assert_eq!(frames.len(), 4);
-            assert!(
-                frames.windows(2).all(|w| w[0].rank < w[1].rank),
-                "allgather returns frames rank-ordered"
-            );
-            let agg = TelemetryFrame::aggregate(&frames).unwrap();
-            assert_eq!(agg.ranks, 4);
-            agg.cell(FrameKey::Backlog).sum
-        });
-        assert_eq!(cluster_sums, vec![10.0; 4], "1+2+3+4 on every rank");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `obs` — the unified metrics + span-tracing subsystem.
+//! `obs` — one event, two sinks, views.
 //!
 //! The paper's headline claims are all *measurements*: per-stage timing
 //! breakdowns (Fig. 7–9), staged-I/O bandwidth, and the "<6% worst-case
@@ -7,55 +7,62 @@
 //! low enough to leave on in production (the in-transit monitoring
 //! requirement of the ADIOS streaming line of work).
 //!
-//! # Pieces
+//! # The model
 //!
-//! * [`Registry`] — a lock-light metrics registry: [`Counter`]s,
-//!   [`Gauge`]s, and [`Histogram`]s with fixed log₂ buckets. The hot
-//!   path is a relaxed atomic add — no locks, no allocation. Handles
-//!   are resolved once (registration takes a short-lived lock) and then
-//!   shared freely across threads.
-//! * Spans — [`span!`]`("decode", step)` returns a [`SpanGuard`] whose
-//!   drop records the elapsed time under `(stage, step, thread)` labels
-//!   into the owning registry's span table, and (when tracing is on)
-//!   emits a Chrome-trace complete event.
-//! * Exporters — [`Registry::snapshot`] → [`Snapshot`] →
-//!   [`Snapshot::to_json`] renders the per-step stage tables that
-//!   reproduce the paper's Fig. 7–9 breakdowns; [`trace`] collects
-//!   Chrome-trace events loadable by `chrome://tracing` or Perfetto.
+//! * **One record.** Everything timed is an [`Event`]: stage, step, the
+//!   staging rank that did the work, the source chunk it was done for,
+//!   start, end, bytes. It enters through [`Registry::record`] — in
+//!   practice through the guard [`span!`]`("decode", step)` returns
+//!   (`.rank(r)`, `.chunk(src)`, `.bytes(n)` say the rest; it records
+//!   when it drops) or through [`mark`] for a zero-length transition.
+//! * **Two sinks.** Always: a fold into `(stage, step, rank) →`
+//!   [`SpanStat`], sharded by stage and rank and bounded to the newest
+//!   [`FOLD_STEPS`] steps of each, in rings allocated once. Only while
+//!   *detail* is requested: an append to the registry's one event log.
+//! * **Views.** Nothing else is stored. The per-step stage tables of
+//!   the paper's Fig. 7–9 are the fold; [`perturb`] is three of its rows;
+//!   [`lineage`] is the log's events that carry a chunk,
+//!   first-write-wins per stage; the Chrome trace ([`trace`]) is the log
+//!   rendered; the [`live`] window is the fold read at each step's close.
+//!   [`Registry::snapshot`] → [`Snapshot::to_json`] exports all of them
+//!   in one schema ([`SNAPSHOT_VERSION`]) for `predata-report`.
+//!
+//! Beside the events the [`Registry`] is a lock-light metrics registry:
+//! [`Counter`]s, [`Gauge`]s and [`Histogram`]s with fixed log₂ buckets,
+//! whose hot path is a relaxed atomic add.
 //!
 //! # Environment contract
 //!
-//! * `PREDATA_METRICS` — `0` / `off` / `false` disables span recording
-//!   at the source (counters stay exact: they are cheaper than the
-//!   branch that would gate them). A *path* value asks the middleware
-//!   (e.g. `predata_core::StagingArea::join`) to write a JSON snapshot
-//!   there on shutdown. Anything else (or unset) means "enabled, no
-//!   auto-export".
-//! * `PREDATA_TRACE=path` — enables the Chrome-trace collector; the
-//!   middleware flushes the event stream to `path` on shutdown (or call
-//!   [`trace::flush`] yourself).
-//! * `PREDATA_LINEAGE` — off by default; any value other than ``""`` /
-//!   `0` / `off` / `false` enables the per-chunk [`lineage`] log and the
-//!   [`perturb`]ation monitor. Their records ride the same snapshot
-//!   (schema version 2) and, when tracing is on, appear as per-chunk
-//!   flow arrows in the Chrome trace.
-//! * `PREDATA_LIVE` — off by default; `1` / `on` / `true` or a
-//!   `window=64,period_steps=1` spec enables the [`live`] telemetry
-//!   plane: windowed per-step series, cross-rank [`live::TelemetryFrame`]
-//!   exchange, and [`live::HealthReport`] evaluation, exported in the
-//!   snapshot (schema version 3) and — with `PREDATA_LIVE_PATH=path` —
-//!   as a rolling JSONL stream a dashboard can tail mid-run. Disabled,
-//!   every entry point is one relaxed atomic load.
+//! [`Config::from_env`] is the one place this crate reads the
+//! environment, once, when the [`global`] registry is first used:
+//!
+//! * `PREDATA_METRICS` — `0` / `off` / `false` turns event recording off
+//!   at the source: no fold rows, no log, and nothing derived from them
+//!   (counters, gauges and histograms stay exact — they are cheaper than
+//!   the branch that would gate them). A *path* value asks the
+//!   middleware (`predata_core::StagingArea::join`, through
+//!   [`Registry::export`]) to write a JSON snapshot there on shutdown.
+//!   Anything else (or unset) means "recording, no auto-export".
+//! * `PREDATA_LINEAGE` — any value other than ``""`` / `0` / `off` /
+//!   `false` turns detail on: events are logged, so the snapshot carries
+//!   per-chunk [`lineage`].
+//! * `PREDATA_TRACE=path` — turns detail on too, and has
+//!   [`Registry::export`] write the log there as a Chrome trace.
+//! * `PREDATA_LIVE` — `1` / `on` / `true` or `window=64` turns the
+//!   [`live`] plane on: a window of closed steps with a
+//!   [`live::HealthReport`] each, exported in the snapshot and — with
+//!   `PREDATA_LIVE_PATH=path` — as a rolling JSONL stream a dashboard
+//!   can tail mid-run. Off, its tick is one relaxed atomic load.
 //!
 //! The full `PREDATA_*` reference — including the transport fault/retry
 //! and client degradation knobs whose counters land in this registry —
 //! is `docs/OPERATIONS.md` at the repository root. The structured knobs
 //! (`k=v,k=v` specs) of every crate share one parser, [`spec`].
 //!
-//! All variables are read once, lazily; tests use the programmatic
-//! overrides ([`set_enabled`], [`set_metrics_export_path`],
-//! [`lineage::set_enabled`], [`live::configure`], [`trace::install`])
-//! instead of the process environment.
+//! The gates live on the [`Registry`], so a test builds its own
+//! ([`Registry::new`], [`Registry::set_detail`], …) and races nobody;
+//! [`set_enabled`], [`lineage::set_enabled`] and [`trace::install`] set
+//! the global registry's for whole-pipeline tests.
 //!
 //! # Example
 //!
@@ -64,129 +71,115 @@
 //! let pulled = reg.counter("transport.bytes_pulled", &[]);
 //! pulled.add(4096);
 //! {
-//!     let _s = obs::span_in(&reg, "decode", 0);
+//!     let _s = obs::span_in(&reg, "decode", 0).rank(1).chunk(7);
 //!     // ... work ...
 //! }
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("transport.bytes_pulled", &[]), Some(4096));
+//! assert_eq!(snap.span("decode", 0).unwrap().count, 1);
 //! assert!(snap.to_json().contains("\"decode\""));
 //! ```
 
+mod event;
 pub mod lineage;
 pub mod live;
 mod metrics;
 pub mod perturb;
-mod span;
 pub mod spec;
 pub mod trace;
 
+pub use event::{mark, mark_in, span, span_in, Event, SpanGuard, SpanRow, SpanStat, FOLD_STEPS};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, SpanStat, HIST_BUCKETS,
+    Counter, Gauge, Histogram, HistogramSnapshot, LineageView, Registry, Snapshot, HIST_BUCKETS,
+    SNAPSHOT_VERSION,
 };
-pub use span::{span, span_in, SpanGuard};
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Instant;
+
+/// What the observability variables ask for; [`Registry::with_config`]
+/// builds a registry that does it. The default is what an empty
+/// environment means: recording on, everything else off.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Config {
+    /// Record events at all (`PREDATA_METRICS` not an off-word).
+    pub spans: bool,
+    /// Snapshot destination at export (`PREDATA_METRICS` as a path).
+    pub export_path: Option<PathBuf>,
+    /// Log events for the lineage view (`PREDATA_LINEAGE`).
+    pub lineage: bool,
+    /// Chrome-trace destination at export (`PREDATA_TRACE`); logs too.
+    pub trace_path: Option<PathBuf>,
+    /// The live plane (`PREDATA_LIVE`) and its stream
+    /// (`PREDATA_LIVE_PATH`).
+    pub live: Option<live::LiveConfig>,
+    pub live_path: Option<PathBuf>,
+}
+
+impl Default for Config {
+    fn default() -> Self {
+        Config::from_lookup(|_| None)
+    }
+}
+
+impl Config {
+    /// The process environment's configuration. A malformed
+    /// `PREDATA_LIVE` aborts loudly.
+    pub fn from_env() -> Config {
+        Config::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// [`from_env`](Config::from_env) over any variable lookup, so the
+    /// grammar is testable without touching the process environment.
+    pub fn from_lookup(var: impl Fn(&str) -> Option<String>) -> Config {
+        let path = |name| var(name).filter(|p| !p.is_empty()).map(PathBuf::from);
+        let metrics = var("PREDATA_METRICS").unwrap_or_default();
+        let is_word = matches!(
+            metrics.as_str(),
+            "" | "0" | "1" | "on" | "off" | "true" | "false"
+        );
+        Config {
+            spans: !matches!(metrics.as_str(), "0" | "off" | "false"),
+            export_path: (!is_word).then(|| PathBuf::from(&metrics)),
+            lineage: var("PREDATA_LINEAGE")
+                .is_some_and(|v| !matches!(v.as_str(), "" | "0" | "off" | "false")),
+            trace_path: path("PREDATA_TRACE"),
+            live: var("PREDATA_LIVE").and_then(|spec| {
+                live::LiveConfig::parse(&spec).unwrap_or_else(|e| panic!("PREDATA_LIVE: {e}"))
+            }),
+            live_path: path("PREDATA_LIVE_PATH"),
+        }
+    }
+}
 
 /// The process-wide registry every instrumented crate records into, so
 /// compute-side (minimpi) and staging-side (transport, staging, bpio)
-/// numbers land in one report.
+/// numbers land in one report. Configured from the environment on first
+/// use.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
+    GLOBAL.get_or_init(|| Registry::with_config(Config::from_env()))
 }
 
-/// The process epoch all span/trace timestamps are relative to.
+/// The process epoch all event timestamps are relative to.
 pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-const STATE_UNSET: u8 = 0;
-const STATE_ON: u8 = 1;
-const STATE_OFF: u8 = 2;
-
-static ENABLED_OVERRIDE: AtomicU8 = AtomicU8::new(STATE_UNSET);
-static ENV_DISABLED: OnceLock<bool> = OnceLock::new();
-
-fn env_disabled() -> bool {
-    *ENV_DISABLED.get_or_init(|| {
-        matches!(
-            std::env::var("PREDATA_METRICS").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
-
-/// Whether span recording is on. Counters and gauges are always live.
+/// Whether the [`global`] registry records events.
 pub fn enabled() -> bool {
-    match ENABLED_OVERRIDE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => !env_disabled(),
-    }
+    global().enabled()
 }
 
-/// Programmatic override of [`enabled`] (wins over `PREDATA_METRICS`).
+/// Turn the [`global`] registry's event recording on or off (wins over
+/// `PREDATA_METRICS`).
 pub fn set_enabled(on: bool) {
-    ENABLED_OVERRIDE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    global().set_enabled(on);
 }
 
-/// Programmatic override for [`metrics_export_path`]. `PREDATA_METRICS`
-/// does double duty (span toggle *and* export path) and is cached in a
-/// `OnceLock`, so tests that need different export behaviour can't race
-/// on the process-global environment — they set an explicit override
-/// instead: `Some(path)` forces auto-export there, `None` disables
-/// auto-export. The override wins over the environment until replaced.
-pub fn set_metrics_export_path(path: Option<std::path::PathBuf>) {
-    *export_override()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(path);
-}
-
-fn export_override() -> &'static Mutex<Option<Option<std::path::PathBuf>>> {
-    static OVERRIDE: OnceLock<Mutex<Option<Option<std::path::PathBuf>>>> = OnceLock::new();
-    OVERRIDE.get_or_init(|| Mutex::new(None))
-}
-
-/// The snapshot auto-export path: the [`set_metrics_export_path`]
-/// override when one is installed, else `PREDATA_METRICS` when it holds
-/// a path rather than an on/off word.
-pub fn metrics_export_path() -> Option<std::path::PathBuf> {
-    if let Some(overridden) = export_override()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .as_ref()
-    {
-        return overridden.clone();
-    }
-    static PATH: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
-    PATH.get_or_init(|| match std::env::var("PREDATA_METRICS") {
-        Ok(v) if !matches!(v.as_str(), "" | "0" | "1" | "on" | "off" | "true" | "false") => {
-            Some(std::path::PathBuf::from(v))
-        }
-        _ => None,
-    })
-    .clone()
-}
-
-pub(crate) static TRACE_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// Record a span duration + emit a trace event: the [`SpanGuard`] drop
-/// path, callable directly when the start/stop points don't nest.
-pub fn record_span(registry: &Registry, stage: &'static str, step: u64, start: Instant) {
-    let dur = start.elapsed();
-    registry.record_span(stage, step, dur.as_nanos() as u64);
-    // `trace::active()` (not a bare TRACE_ACTIVE load) so the first span
-    // of a run initializes the collector from `PREDATA_TRACE` — a raw
-    // flag read would stay false until something else touched it.
-    if trace::active() {
-        trace::record_complete(stage, step, start, dur);
-    }
-}
-
-/// Start a span in the [`global`] registry. Prefer the [`span!`] macro.
+/// Start a span in the [`global`] registry.
 #[macro_export]
 macro_rules! span {
     ($stage:expr, $step:expr) => {
@@ -198,32 +191,68 @@ macro_rules! span {
 mod tests {
     use super::*;
 
-    #[test]
-    fn enabled_override_round_trips() {
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
+    fn config(vars: &[(&str, &str)]) -> Config {
+        Config::from_lookup(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
     }
 
     #[test]
-    fn export_path_override_wins_over_env() {
-        let p = std::path::PathBuf::from("/tmp/override-snapshot.json");
-        set_metrics_export_path(Some(p.clone()));
-        assert_eq!(metrics_export_path(), Some(p));
-        set_metrics_export_path(None);
-        assert_eq!(metrics_export_path(), None);
+    fn empty_environment_records_and_nothing_else() {
+        let cfg = config(&[]);
+        assert_eq!(cfg, Config::default());
+        assert!(cfg.spans && !cfg.lineage);
+        assert_eq!(
+            (cfg.export_path, cfg.trace_path, cfg.live),
+            (None, None, None)
+        );
+    }
+
+    #[test]
+    fn metrics_is_a_switch_or_a_path() {
+        for off in ["0", "off", "false"] {
+            let cfg = config(&[("PREDATA_METRICS", off)]);
+            assert!(!cfg.spans && cfg.export_path.is_none(), "{off}");
+        }
+        for on in ["", "1", "on", "true"] {
+            let cfg = config(&[("PREDATA_METRICS", on)]);
+            assert!(cfg.spans && cfg.export_path.is_none(), "{on:?}");
+        }
+        let cfg = config(&[("PREDATA_METRICS", "/tmp/snap.json")]);
+        assert!(cfg.spans);
+        assert_eq!(cfg.export_path, Some(PathBuf::from("/tmp/snap.json")));
+    }
+
+    #[test]
+    fn detail_and_live_variables() {
+        assert!(config(&[("PREDATA_LINEAGE", "1")]).lineage);
+        assert!(!config(&[("PREDATA_LINEAGE", "off")]).lineage);
+        let cfg = config(&[("PREDATA_TRACE", "/tmp/t.json"), ("PREDATA_LIVE_PATH", "")]);
+        assert_eq!(cfg.trace_path, Some(PathBuf::from("/tmp/t.json")));
+        assert_eq!(cfg.live_path, None, "an empty path is no path");
+        let reg = Registry::with_config(cfg);
+        assert!(reg.detail(), "a trace destination needs the log");
+        assert!(!reg.live().is_enabled());
+
+        let cfg = config(&[("PREDATA_LIVE", "window=8")]);
+        assert_eq!(cfg.live, Some(live::LiveConfig { window: 8 }));
+        assert!(Registry::with_config(cfg).live().is_enabled());
+        assert_eq!(config(&[("PREDATA_LIVE", "off")]).live, None);
     }
 
     #[test]
     fn span_macro_records_into_global() {
+        // No other unit test touches the global gate: they build their
+        // own registries.
         set_enabled(true);
         {
             let _g = span!("unit-test-stage", 7);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let snap = global().snapshot();
-        let stat = snap
+        let stat = global()
+            .snapshot()
             .span("unit-test-stage", 7)
             .expect("span recorded in global registry");
         assert!(stat.count >= 1);

@@ -6,15 +6,30 @@
 //! handful of relaxed atomic operations on a shared handle: no locks, no
 //! allocation, safe to leave enabled in production runs.
 //!
-//! Span durations go through [`Registry::record_span`] into a per-
-//! `(stage, step)` aggregate table. Spans are coarse (per pipeline stage
-//! or per chunk, not per element), so a mutex around the table is cheap
-//! relative to the work being timed; the keys are `&'static str` stage
-//! names so recording allocates nothing after a stage's first hit.
+//! Timed events go through [`Registry::record`] into the two sinks of
+//! [`crate::event`]: the always-on fold and, while detail is requested,
+//! the event log. The registry also holds the gates that decide both —
+//! on the registry, not on the process, so two registries (two tests)
+//! cannot race on a switch.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+
+use crate::event::{Event, Fold, SpanRow, SpanStat};
+use crate::lineage::ChunkLineage;
+use crate::perturb::PerturbStat;
+
+/// Schema version [`Snapshot::to_json`] writes — the only one
+/// `predata-report` reads.
+pub const SNAPSHOT_VERSION: u64 = 4;
+
+/// Lock `m`, recovering the data of a poisoned mutex: every update under
+/// these locks leaves the tables valid at every step.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Number of log₂ histogram buckets: bucket 0 holds zero values, bucket
 /// `b ≥ 1` holds values in `[2^(b-1), 2^b)`. 64 buckets cover all of
@@ -261,33 +276,41 @@ impl HistogramSnapshot {
     }
 }
 
-/// Aggregate of one `(stage, step)` span family.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    pub count: u64,
-    pub total_ns: u64,
-    pub max_ns: u64,
+/// The event log: the second sink, appended to only while detail is
+/// requested. `threads` names every thread that logged an event.
+#[derive(Debug, Default)]
+pub(crate) struct Log {
+    pub(crate) events: Vec<(u32, Event)>,
+    pub(crate) threads: BTreeMap<u32, String>,
 }
 
 /// The metric store. Cheap to share (`&'static` via [`crate::global`] or
 /// per-test instances); every accessor takes `&self`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Registry {
     counters: RwLock<BTreeMap<MetricKey, Counter>>,
     gauges: RwLock<BTreeMap<MetricKey, Gauge>>,
     histograms: RwLock<BTreeMap<MetricKey, Histogram>>,
-    /// stage → step → aggregate. Stage keys are `&'static str`, so a
-    /// span record allocates only on a stage's first-ever hit.
-    spans: Mutex<BTreeMap<&'static str, BTreeMap<u64, SpanStat>>>,
-    /// Per-chunk stage transitions (populated only under
-    /// `PREDATA_LINEAGE`; see [`crate::lineage`]).
-    lineage: crate::lineage::LineageLog,
-    /// Per-step simulation perturbation stats (same gate; see
-    /// [`crate::perturb`]).
-    perturb: crate::perturb::PerturbTable,
-    /// The live telemetry plane (windowed series, cross-rank frames,
-    /// health; gated by `PREDATA_LIVE`, see [`crate::live`]).
+    /// Whether events are recorded at all (`PREDATA_METRICS`).
+    enabled: AtomicBool,
+    /// Whether recorded events are also logged (`PREDATA_LINEAGE`,
+    /// `PREDATA_TRACE`).
+    detail: AtomicBool,
+    fold: Fold,
+    log: Mutex<Log>,
+    /// Where [`export`](Registry::export) writes the snapshot and the
+    /// Chrome trace.
+    export_path: Mutex<Option<PathBuf>>,
+    trace_path: Mutex<Option<PathBuf>>,
+    /// The live telemetry plane (`PREDATA_LIVE`, see [`crate::live`]).
     live: crate::live::LivePlane,
+}
+
+impl Default for Registry {
+    /// Recording on, detail off, no export, no live plane.
+    fn default() -> Self {
+        Registry::with_config(crate::Config::default())
+    }
 }
 
 macro_rules! resolve {
@@ -316,6 +339,24 @@ impl Registry {
         Registry::default()
     }
 
+    /// A registry gated and exporting as `cfg` says.
+    pub fn with_config(cfg: crate::Config) -> Self {
+        let reg = Registry {
+            counters: RwLock::default(),
+            gauges: RwLock::default(),
+            histograms: RwLock::default(),
+            enabled: AtomicBool::new(cfg.spans),
+            detail: AtomicBool::new(cfg.lineage || cfg.trace_path.is_some()),
+            fold: Fold::default(),
+            log: Mutex::default(),
+            export_path: Mutex::new(cfg.export_path),
+            trace_path: Mutex::new(cfg.trace_path),
+            live: crate::live::LivePlane::default(),
+        };
+        reg.live.configure(cfg.live, cfg.live_path);
+        reg
+    }
+
     /// Resolve (registering on first use) a counter handle.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         resolve!(self.counters, name, labels, Counter)
@@ -331,14 +372,81 @@ impl Registry {
         resolve!(self.histograms, name, labels, Histogram)
     }
 
-    /// The per-chunk lineage log owned by this registry.
-    pub fn lineage(&self) -> &crate::lineage::LineageLog {
-        &self.lineage
+    /// Whether events are recorded. Counters, gauges and histograms are
+    /// always live.
+    pub fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
     }
 
-    /// The per-step perturbation table owned by this registry.
-    pub fn perturb(&self) -> &crate::perturb::PerturbTable {
-        &self.perturb
+    pub fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether recorded events are also kept one by one, for the
+    /// lineage view and the Chrome trace.
+    pub fn detail(&self) -> bool {
+        self.detail.load(Ordering::Relaxed)
+    }
+
+    pub fn set_detail(&self, on: bool) {
+        self.detail.store(on, Ordering::Relaxed);
+    }
+
+    /// Where [`export`](Registry::export) writes the snapshot.
+    pub fn export_path(&self) -> Option<PathBuf> {
+        lock(&self.export_path).clone()
+    }
+
+    pub fn set_export_path(&self, path: Option<PathBuf>) {
+        *lock(&self.export_path) = path;
+    }
+
+    /// Send the Chrome trace to `path` at [`export`](Registry::export),
+    /// and turn detail on so there are events to send.
+    pub fn set_trace_path(&self, path: PathBuf) {
+        *lock(&self.trace_path) = Some(path);
+        self.set_detail(true);
+    }
+
+    /// The one entry point for timed facts: fold `ev` into its
+    /// `(stage, step, rank)` row and, while [`detail`](Registry::detail)
+    /// is on, append it to the event log. Nothing when recording is off.
+    pub fn record(&self, ev: Event) {
+        if !self.enabled() {
+            return;
+        }
+        self.fold.add(&ev);
+        if self.detail() {
+            let tid = crate::event::thread_id();
+            let mut log = lock(&self.log);
+            log.threads.entry(tid).or_insert_with(|| {
+                let thread = std::thread::current();
+                thread.name().unwrap_or("unnamed").to_string()
+            });
+            log.events.push((tid, ev));
+        }
+    }
+
+    /// The fold's rows for `steps`, sorted by `(stage, step, rank)`.
+    pub fn span_rows(&self, steps: std::ops::RangeInclusive<u64>) -> Vec<SpanRow> {
+        self.fold.rows(steps)
+    }
+
+    /// The per-chunk lineage view of the event log.
+    pub fn lineage(&self) -> LineageView<'_> {
+        LineageView(self)
+    }
+
+    /// The perturbation view of one step's rows, if any were recorded.
+    pub fn perturb_at(&self, step: u64) -> Option<PerturbStat> {
+        crate::perturb::view(&self.fold.rows(step..=step))
+            .pop()
+            .map(|(_, stat)| stat)
+    }
+
+    /// The event log rendered as Chrome-trace JSON.
+    pub fn trace_json(&self) -> String {
+        crate::trace::render(&lock(&self.log))
     }
 
     /// The live telemetry plane owned by this registry.
@@ -346,62 +454,29 @@ impl Registry {
         &self.live
     }
 
-    /// Sum of one counter across all its label sets. The live sampler
-    /// watches by name; sites split the same counter by `op`/`kind`
-    /// labels.
-    pub(crate) fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, c)| c.get())
-            .sum()
+    /// The live plane's per-step tick, called by each of the `n_ranks`
+    /// staging ranks when it finishes `step`: the last one to arrive
+    /// closes the step (see [`crate::live`]).
+    pub fn step_end(&self, n_ranks: usize, step: u64) {
+        self.live.step_end(self, n_ranks, step);
     }
 
-    /// `(value, high_water)` of the first gauge with this name (the
-    /// watched gauges are label-free). `None` if never registered.
-    pub(crate) fn gauge_peek(&self, name: &str) -> Option<(i64, i64)> {
-        self.gauges
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .find(|(k, _)| k.name == name)
-            .map(|(_, g)| (g.get(), g.max()))
-    }
-
-    /// Quantile estimates of one histogram, bucket counts merged across
-    /// label sets. `None` if the name was never registered; inner
-    /// `None`s mean the merged histogram is empty.
-    pub(crate) fn histogram_quantiles(&self, name: &str, qs: [f64; 3]) -> Option<[Option<u64>; 3]> {
-        let guard = self
-            .histograms
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut counts = [0u64; HIST_BUCKETS];
-        let mut found = false;
-        for (_, h) in guard.iter().filter(|(k, _)| k.name == name) {
-            found = true;
-            for (acc, c) in counts.iter_mut().zip(h.dense_buckets()) {
-                *acc += c;
-            }
+    /// The shutdown hook: write the snapshot to the export path and the
+    /// Chrome trace to the trace path, where those are set, and flush
+    /// the live stream. The log is kept — the lineage view reads it too —
+    /// so a later export rewrites the trace with everything since.
+    pub fn export(&self) -> std::io::Result<()> {
+        if let Some(path) = self.export_path() {
+            std::fs::write(path, self.snapshot().to_json())?;
         }
-        found.then(|| qs.map(|q| quantile_from_buckets(&counts, q)))
+        if let Some(path) = lock(&self.trace_path).clone() {
+            std::fs::write(path, self.trace_json())?;
+        }
+        self.live.flush();
+        Ok(())
     }
 
-    /// Fold one span duration into the `(stage, step)` aggregate.
-    pub fn record_span(&self, stage: &'static str, step: u64, ns: u64) {
-        let mut spans = self
-            .spans
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stat = spans.entry(stage).or_default().entry(step).or_default();
-        stat.count += 1;
-        stat.total_ns += ns;
-        stat.max_ns = stat.max_ns.max(ns);
-    }
-
-    /// Point-in-time copy of every metric and span aggregate.
+    /// Point-in-time copy of every metric and every view.
     pub fn snapshot(&self) -> Snapshot {
         let counters = self
             .counters
@@ -424,27 +499,26 @@ impl Registry {
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
-        let spans = self
-            .spans
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .flat_map(|(stage, steps)| {
-                steps
-                    .iter()
-                    .map(|(step, stat)| (stage.to_string(), *step, *stat))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let spans = self.fold.rows(0..=u64::MAX);
         Snapshot {
             counters,
             gauges,
             histograms,
+            perturb: crate::perturb::view(&spans),
             spans,
-            lineage: self.lineage.snapshot(),
-            perturb: self.perturb.snapshot(),
+            lineage: self.lineage().snapshot(),
             live: self.live.snap(),
         }
+    }
+}
+
+/// [`Registry::lineage`]: the event log read as per-chunk journeys.
+pub struct LineageView<'r>(&'r Registry);
+
+impl LineageView<'_> {
+    /// Every chunk the log knows, sorted by `(step, src_rank)`.
+    pub fn snapshot(&self) -> Vec<ChunkLineage> {
+        crate::lineage::view(&lock(&self.0.log).events)
     }
 }
 
@@ -454,15 +528,14 @@ pub struct Snapshot {
     counters: Vec<(MetricKey, u64)>,
     gauges: Vec<(MetricKey, (i64, i64))>,
     histograms: Vec<(MetricKey, HistogramSnapshot)>,
-    /// `(stage, step, aggregate)`, sorted by stage then step.
-    spans: Vec<(String, u64, SpanStat)>,
-    /// Per-chunk lineage records, sorted by `(step, src_rank)`. Empty
-    /// unless `PREDATA_LINEAGE` was on.
-    lineage: Vec<crate::lineage::ChunkLineage>,
-    /// `(step, stat)` perturbation rows, step-sorted. Same gate.
-    perturb: Vec<(u64, crate::perturb::PerturbStat)>,
-    /// Live telemetry plane state (series windows, cluster frames,
-    /// health reports). `None` unless `PREDATA_LIVE` was on.
+    /// The fold, sorted by `(stage, step, rank)`.
+    spans: Vec<SpanRow>,
+    /// Per-chunk lineage, sorted by `(step, src_rank)`. Empty unless
+    /// detail was on.
+    lineage: Vec<ChunkLineage>,
+    /// `(step, stat)` perturbation rows, step-sorted.
+    perturb: Vec<(u64, PerturbStat)>,
+    /// The live plane's window. `None` unless `PREDATA_LIVE` was on.
     live: Option<crate::live::LiveSnap>,
 }
 
@@ -489,43 +562,53 @@ impl Snapshot {
             .map(|(_, v)| v)
     }
 
-    pub fn span(&self, stage: &str, step: u64) -> Option<SpanStat> {
-        self.spans
-            .iter()
-            .find(|(s, st, _)| s == stage && *st == step)
-            .map(|(_, _, stat)| *stat)
+    /// Every fold row, sorted by `(stage, step, rank)`.
+    pub fn span_rows(&self) -> &[SpanRow] {
+        &self.spans
     }
 
-    /// All steps that have at least one span aggregate, ascending.
+    /// `stage` at `step`, all ranks together.
+    pub fn span(&self, stage: &str, step: u64) -> Option<SpanStat> {
+        let mut rows = self
+            .spans
+            .iter()
+            .filter(|r| r.stage == stage && r.step == step);
+        let mut stat = rows.next()?.stat;
+        rows.for_each(|r| stat.merge(&r.stat));
+        Some(stat)
+    }
+
+    /// All steps that have at least one row, ascending.
     pub fn steps(&self) -> Vec<u64> {
-        let mut steps: Vec<u64> = self.spans.iter().map(|(_, s, _)| *s).collect();
+        let mut steps: Vec<u64> = self.spans.iter().map(|r| r.step).collect();
         steps.sort_unstable();
         steps.dedup();
         steps
     }
 
-    /// `(stage, aggregate)` rows for one step, stage-sorted.
-    pub fn stages_of(&self, step: u64) -> Vec<(&str, SpanStat)> {
-        self.spans
+    /// Time the decode+map workers spent working on `step`: the `decode`
+    /// and `map` rows together. Span-derived — a run with recording off
+    /// has no worker busy time to report, as it has no rows.
+    pub fn worker_busy_ns(&self, step: u64) -> u64 {
+        ["decode", "map"]
             .iter()
-            .filter(|(_, s, _)| *s == step)
-            .map(|(stage, _, stat)| (stage.as_str(), *stat))
-            .collect()
+            .filter_map(|stage| self.span(stage, step))
+            .map(|stat| stat.total_ns)
+            .sum()
     }
 
     /// Per-chunk lineage records, sorted by `(step, src_rank)`. Empty
-    /// unless lineage recording was on.
-    pub fn lineage(&self) -> &[crate::lineage::ChunkLineage] {
+    /// unless detail was on.
+    pub fn lineage(&self) -> &[ChunkLineage] {
         &self.lineage
     }
 
     /// `(step, perturbation stat)` rows, step-sorted.
-    pub fn perturb(&self) -> &[(u64, crate::perturb::PerturbStat)] {
+    pub fn perturb(&self) -> &[(u64, PerturbStat)] {
         &self.perturb
     }
 
-    /// The live plane's windowed state; `None` unless `PREDATA_LIVE`
-    /// was on.
+    /// The live plane's window; `None` unless `PREDATA_LIVE` was on.
     pub fn live(&self) -> Option<&crate::live::LiveSnap> {
         self.live.as_ref()
     }
@@ -536,43 +619,35 @@ impl Snapshot {
         self.live.as_ref().map_or(&[], |l| l.health.as_slice())
     }
 
-    /// Render the snapshot as the versioned JSON schema `predata-report`
-    /// consumes (see DESIGN.md §obs):
+    /// Render the snapshot as the JSON `predata-report` consumes:
     ///
     /// ```json
-    /// {"version":3,
+    /// {"version":4,
     ///  "counters":[{"name":"…","labels":{…},"value":0}],
     ///  "gauges":[{"name":"…","labels":{…},"value":0,"max":0}],
     ///  "histograms":[{"name":"…","labels":{…},"count":0,"sum":0,
     ///                 "buckets":[[lo,hi,count]]}],
-    ///  "steps":[{"step":0,"stages":[{"stage":"pull","count":0,
-    ///            "total_ns":0,"max_ns":0}]}],
+    ///  "steps":[{"step":0,"stages":[{"stage":"pull","rank":0,"count":0,
+    ///            "total_ns":0,"max_ns":0,"bytes":0}]}],
     ///  "lineage":[{"src":0,"step":0,"truncated":false,
     ///              "events":[{"stage":"packed","at_ns":0,
     ///                         "bytes":0,"wait_ns":0}]}],
     ///  "perturb":[{"step":0,"compute_ns":0,"blocked_ns":0,
     ///              "pull_bytes":0,"pulls":0}],
-    ///  "live":{"window":0,"period_steps":0,
-    ///          "series":[{"name":"…","points":[[step,value]]}],
-    ///          "frames":[{"step":0,"ranks":0,
-    ///                     "cells":{"backlog":{"min":0,"max":0,"sum":0,
-    ///                              "count":0,"last":0}}}]},
+    ///  "live":{"window":0,
+    ///          "series":[{"name":"…","points":[[step,value]]}]},
     ///  "health":[{"step":0,"ranks":0,"blocked_fraction":0,"backlog":0,
-    ///             "queue_high_water":0,"backlog_trend":0,
-    ///             "retry_exhausted":0,"straggler_rank":null,
-    ///             "signals":[{"kind":"…"}]}]}
+    ///             "backlog_trend":0,"retry_exhausted":0,
+    ///             "straggler_rank":null,"signals":[{"kind":"…"}]}]}
     /// ```
     ///
-    /// Versioning policy: schema changes are additive (new optional
-    /// top-level sections or object fields); the major version bumps
-    /// when a section is added, and readers accept version N and N−1.
-    /// Version 2 added `lineage` and `perturb` — both optional, and
-    /// omitted fields (`bytes`, `wait_ns`) mean "the site didn't
-    /// measure this". Version 3 added `live` and `health` — both empty
-    /// (zero window, no reports) unless `PREDATA_LIVE` was on.
+    /// A stage row's `rank` is absent for rank-less events, a lineage
+    /// event's `bytes` / `wait_ns` when the site didn't measure them.
+    /// There is one version: a change to this shape bumps
+    /// [`SNAPSHOT_VERSION`], and the reader takes no other.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\"version\":3,\"counters\":[");
+        out.push_str(&format!("{{\"version\":{SNAPSHOT_VERSION},\"counters\":["));
         for (i, (k, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -607,21 +682,26 @@ impl Snapshot {
             out.push_str("]}");
         }
         out.push_str("],\"steps\":[");
-        for (i, step) in self.steps().iter().enumerate() {
+        let mut by_step: BTreeMap<u64, Vec<&SpanRow>> = BTreeMap::new();
+        for row in &self.spans {
+            by_step.entry(row.step).or_default().push(row);
+        }
+        for (i, (step, rows)) in by_step.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!("{{\"step\":{step},\"stages\":["));
-            for (j, (stage, stat)) in self.stages_of(*step).iter().enumerate() {
+            for (j, row) in rows.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
+                out.push_str(&format!("{{\"stage\":{}", json_str(row.stage)));
+                if let Some(rank) = row.rank {
+                    out.push_str(&format!(",\"rank\":{rank}"));
+                }
                 out.push_str(&format!(
-                    "{{\"stage\":{},\"count\":{},\"total_ns\":{},\"max_ns\":{}}}",
-                    json_str(stage),
-                    stat.count,
-                    stat.total_ns,
-                    stat.max_ns
+                    ",\"count\":{},\"total_ns\":{},\"max_ns\":{},\"bytes\":{}}}",
+                    row.stat.count, row.stat.total_ns, row.stat.max_ns, row.stat.bytes
                 ));
             }
             out.push_str("]}");
@@ -670,7 +750,7 @@ impl Snapshot {
         out.push_str("],\"live\":");
         match &self.live {
             Some(live) => live.push_json(&mut out),
-            None => out.push_str("{\"window\":0,\"period_steps\":0,\"series\":[],\"frames\":[]}"),
+            None => out.push_str("{\"window\":0,\"series\":[]}"),
         }
         out.push_str(",\"health\":[");
         for (i, report) in self.health().iter().enumerate() {
@@ -782,37 +862,165 @@ mod tests {
     }
 
     #[test]
-    fn span_aggregates_accumulate_per_stage_and_step() {
+    fn events_fold_per_stage_step_and_rank() {
         let reg = Registry::new();
-        reg.record_span("pull", 0, 100);
-        reg.record_span("pull", 0, 50);
-        reg.record_span("pull", 1, 7);
-        reg.record_span("map", 0, 9);
+        reg.record(Event::new("pull", 0).rank(0).at(0, 100).bytes(8));
+        reg.record(Event::new("pull", 0).rank(0).at(100, 150).bytes(8));
+        reg.record(Event::new("pull", 0).rank(1).at(0, 30));
+        reg.record(Event::new("pull", 1).at(0, 7));
+        reg.record(Event::new("map", 0).at(5, 14));
         let snap = reg.snapshot();
         assert_eq!(
-            snap.span("pull", 0),
-            Some(SpanStat {
-                count: 2,
-                total_ns: 150,
-                max_ns: 100
-            })
+            snap.span_rows()[1..3],
+            [
+                SpanRow {
+                    stage: "pull",
+                    step: 0,
+                    rank: Some(0),
+                    stat: SpanStat {
+                        count: 2,
+                        total_ns: 150,
+                        max_ns: 100,
+                        bytes: 16
+                    }
+                },
+                SpanRow {
+                    stage: "pull",
+                    step: 0,
+                    rank: Some(1),
+                    stat: SpanStat {
+                        count: 1,
+                        total_ns: 30,
+                        max_ns: 30,
+                        bytes: 0
+                    }
+                },
+            ]
         );
+        let all = snap.span("pull", 0).unwrap();
+        assert_eq!((all.count, all.total_ns, all.max_ns), (3, 180, 100));
+        assert_eq!(snap.span("pull", 2), None);
         assert_eq!(snap.steps(), vec![0, 1]);
+        assert_eq!(reg.span_rows(1..=1).len(), 1);
+    }
+
+    /// Threads folding one key at once lose nothing.
+    #[test]
+    fn concurrent_events_fold_into_one_row() {
+        let reg = Registry::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..100 {
+                        reg.record(Event::new("map", 3).rank(1).at(0, 2));
+                    }
+                });
+            }
+        });
+        let stat = reg.snapshot().span("map", 3).unwrap();
+        assert_eq!((stat.count, stat.total_ns, stat.max_ns), (400, 800, 2));
+    }
+
+    /// Of a stage (and rank) the fold keeps the newest `FOLD_STEPS`
+    /// steps, whatever another stage's clock reads, and drops what
+    /// arrives behind them.
+    #[test]
+    fn fold_is_bounded_to_the_newest_steps_of_each_stage() {
+        let reg = Registry::new();
+        reg.record(Event::new("slow", 1));
+        reg.record(Event::new("pull", 1).rank(1));
+        for step in 0..crate::FOLD_STEPS + 10 {
+            reg.record(Event::new("pull", step));
+        }
+        reg.record(Event::new("pull", 3));
+        let snap = reg.snapshot();
+        let pulls: Vec<u64> = snap
+            .span_rows()
+            .iter()
+            .filter(|r| r.stage == "pull" && r.rank.is_none())
+            .map(|r| r.step)
+            .collect();
+        assert_eq!(pulls.len() as u64, crate::FOLD_STEPS);
         assert_eq!(
-            snap.stages_of(1),
-            vec![("pull", snap.span("pull", 1).unwrap())]
+            pulls[0], 10,
+            "steps 0..10 fell off, late step 3 was dropped"
         );
+        assert!(snap.span("slow", 1).is_some(), "stages age independently");
+        let ranked = snap.span_rows().iter().find(|r| r.rank == Some(1));
+        assert_eq!(ranked.map(|r| r.step), Some(1), "and so do ranks");
+    }
+
+    /// The gates are the registry's own: turning one registry off (or
+    /// its detail on) says nothing about another.
+    #[test]
+    fn gates_are_per_registry() {
+        let (off, on) = (Registry::new(), Registry::new());
+        off.set_enabled(false);
+        on.set_detail(true);
+        for reg in [&off, &on] {
+            drop(crate::span_in(reg, "work", 0));
+            crate::mark_in(reg, "routed", 0).chunk(4);
+            reg.record(Event::new("direct", 0));
+        }
+        assert!(off.snapshot().span_rows().is_empty());
+        assert_eq!(off.lineage().snapshot(), vec![]);
+        assert!(!off.detail() && on.enabled());
+        assert_eq!(on.snapshot().span_rows().len(), 3);
+        assert_eq!(on.lineage().snapshot().len(), 1);
+    }
+
+    #[test]
+    fn guards_time_cancel_and_mark() {
+        let reg = Registry::new();
+        {
+            let _g = crate::span_in(&reg, "work", 3).bytes(64);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        crate::span_in(&reg, "abandoned", 3).cancel();
+        crate::mark_in(&reg, "shed", 3).rank(1);
+        let snap = reg.snapshot();
+        let work = snap.span("work", 3).unwrap();
+        assert_eq!((work.count, work.bytes), (1, 64));
+        assert!(work.total_ns >= 1_000_000, "slept ≥ 1 ms: {work:?}");
+        assert_eq!(snap.span("abandoned", 3), None);
+        let shed = snap.span("shed", 3).unwrap();
+        assert_eq!((shed.count, shed.total_ns), (1, 0), "a mark has no length");
+    }
+
+    /// Worker busy time is a view of the `decode` and `map` rows — with
+    /// recording off it is absent along with them, not a counter that
+    /// silently reads zero.
+    #[test]
+    fn worker_busy_time_is_the_decode_and_map_rows() {
+        let reg = Registry::new();
+        reg.record(Event::new("decode", 2).rank(0).at(0, 40));
+        reg.record(Event::new("map", 2).rank(0).at(40, 100));
+        reg.record(Event::new("map", 2).rank(1).at(0, 25));
+        reg.record(Event::new("pull", 2).rank(0).at(0, 1000));
+        assert_eq!(reg.snapshot().worker_busy_ns(2), 125);
+        reg.set_enabled(false);
+        reg.record(Event::new("map", 3).at(0, 25));
+        let snap = reg.snapshot();
+        assert_eq!((snap.span("map", 3), snap.worker_busy_ns(3)), (None, 0));
     }
 
     #[test]
     fn snapshot_json_is_well_formed() {
         let reg = Registry::new();
+        reg.set_detail(true);
         reg.counter("c", &[("k", "v")]).add(1);
         reg.gauge("g", &[]).set(-2);
         reg.histogram("h", &[]).record(3);
-        reg.record_span("pull", 0, 42);
+        reg.record(
+            Event::new("pull", 0)
+                .rank(1)
+                .chunk(3)
+                .at(10, 52)
+                .bytes(4096),
+        );
+        reg.record(Event::new("finalize", 0).at(60, 61));
         let json = reg.snapshot().to_json();
-        assert!(json.starts_with("{\"version\":3,"));
+        assert!(json.starts_with("{\"version\":4,"));
         assert!(
             json.contains("\"counters\":[{\"name\":\"c\",\"labels\":{\"k\":\"v\"},\"value\":1}]")
         );
@@ -821,13 +1029,20 @@ mod tests {
         );
         assert!(json.contains("\"buckets\":[[2,3,1]]"));
         assert!(json.contains(
-            "\"steps\":[{\"step\":0,\"stages\":[{\"stage\":\"pull\",\"count\":1,\"total_ns\":42,\"max_ns\":42}]}]"
+            "\"steps\":[{\"step\":0,\"stages\":[\
+             {\"stage\":\"finalize\",\"count\":1,\"total_ns\":1,\"max_ns\":1,\"bytes\":0},\
+             {\"stage\":\"pull\",\"rank\":1,\"count\":1,\"total_ns\":42,\"max_ns\":42,\"bytes\":4096}]}]"
         ));
-        // v2/v3 sections are present even when empty.
-        assert!(json.contains("\"lineage\":[]"));
-        assert!(
-            json.contains("\"live\":{\"window\":0,\"period_steps\":0,\"series\":[],\"frames\":[]}")
-        );
+        assert!(json.contains(
+            "\"lineage\":[{\"src\":3,\"step\":0,\"truncated\":false,\"events\":[\
+             {\"stage\":\"rdma_done\",\"at_ns\":52,\"bytes\":4096,\"wait_ns\":42}]}]"
+        ));
+        assert!(json.contains(
+            "\"perturb\":[{\"step\":0,\"compute_ns\":0,\"blocked_ns\":0,\
+             \"pull_bytes\":4096,\"pulls\":1}]"
+        ));
+        // The live sections are present even with the plane off.
+        assert!(json.contains("\"live\":{\"window\":0,\"series\":[]}"));
         assert!(json.ends_with("\"health\":[]}"));
     }
 
@@ -868,51 +1083,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), Some(0));
         h.record(u64::MAX);
         assert_eq!(h.quantile(1.0), Some(u64::MAX));
-    }
-
-    #[test]
-    fn registry_lookup_helpers_merge_label_sets() {
-        let reg = Registry::new();
-        reg.counter("retries", &[("op", "pull")]).add(3);
-        reg.counter("retries", &[("op", "recv")]).add(4);
-        assert_eq!(reg.counter_total("retries"), 7);
-        assert_eq!(reg.counter_total("missing"), 0);
-
-        assert_eq!(reg.gauge_peek("depth"), None);
-        reg.gauge("depth", &[]).set(9);
-        reg.gauge("depth", &[]).set(2);
-        assert_eq!(reg.gauge_peek("depth"), Some((2, 9)));
-
-        assert_eq!(reg.histogram_quantiles("lat", [0.5, 0.95, 0.99]), None);
-        reg.histogram("lat", &[("op", "a")]).record(1);
-        reg.histogram("lat", &[("op", "b")]).record(1 << 10);
-        let qs = reg
-            .histogram_quantiles("lat", [0.5, 0.95, 0.99])
-            .expect("registered");
-        assert_eq!(qs[0], Some(1), "p50 merges both label sets");
-        assert_eq!(qs[2], Some((1 << 11) - 1));
-    }
-
-    #[test]
-    fn snapshot_json_renders_lineage_and_perturb() {
-        use crate::lineage::Stage;
-        let reg = Registry::new();
-        reg.lineage()
-            .record_mark(3, 1, Stage::Packed, Some(4096), None, true);
-        reg.lineage()
-            .record_mark(3, 1, Stage::Decoded, None, Some(250), true);
-        reg.perturb().update_for_test(1, 100, 20, 4096, 1);
-        let json = reg.snapshot().to_json();
-        assert!(json.contains(
-            "\"lineage\":[{\"src\":3,\"step\":1,\"truncated\":false,\"events\":[\
-             {\"stage\":\"packed\",\"at_ns\":"
-        ));
-        assert!(json.contains("\"bytes\":4096"));
-        assert!(json.contains("\"wait_ns\":250"));
-        assert!(json.contains(
-            "\"perturb\":[{\"step\":1,\"compute_ns\":100,\"blocked_ns\":20,\
-             \"pull_bytes\":4096,\"pulls\":1}]"
-        ));
     }
 
     #[test]

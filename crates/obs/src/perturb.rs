@@ -1,31 +1,27 @@
-//! Perturbation monitor: how much did staging slow the simulation?
+//! Perturbation view: how much did staging slow the simulation?
 //!
 //! PreDatA's headline evaluation (paper §5) measures per-step GTC
 //! *compute-time perturbation* — the slowdown the simulation suffers
 //! while the middleware moves and processes its output — and compares
-//! the staged approach against In-Compute-Node processing. This module
-//! makes that comparison a first-class record: per I/O step it
-//! accumulates
+//! the staged approach against In-Compute-Node processing. The inputs
+//! are three rows of the fold, per I/O step:
 //!
-//! - **compute time** — wall time the simulation spent in its own
-//!   iteration loop ([`record_compute`], called by the application),
-//! - **blocked time** — wall time `write_pg` held the simulation thread
-//!   (pack + expose + request send; [`record_blocked`], called by the
-//!   client), and
-//! - **concurrent transport activity** — RDMA pull count and bytes
-//!   landed during the step ([`record_pull`], called by the fabric),
+//! - **`compute`** — wall time the simulation spent in its own iteration
+//!   loop (the application wraps it in `obs::span!("compute", step)`),
+//! - **`blocked`** — wall time `write_pg` held the simulation thread
+//!   (pack + expose + request send; the client's span), and
+//! - **`pull`** — RDMA pull count and bytes landed during the step (the
+//!   staging puller's span),
 //!
 //! so a report can correlate "step 7's compute ran 4% long" with "step
-//! 7 pulled 900 MB". Recording shares the [`crate::lineage::enabled`]
-//! gate (`PREDATA_LINEAGE`): perturbation attribution is part of the
-//! same opt-in deep-observability layer, and a disabled call is one
-//! relaxed atomic load.
+//! 7 pulled 900 MB". Being rows of the fold they are recorded whenever
+//! recording is on; [`view`] only reads them.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
-use std::time::Duration;
 
-/// Accumulated perturbation inputs for one I/O step.
+use crate::event::SpanRow;
+
+/// Perturbation inputs for one I/O step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerturbStat {
     /// Simulation compute wall time attributed to this step (ns).
@@ -40,176 +36,66 @@ pub struct PerturbStat {
 
 impl PerturbStat {
     /// Fraction of the simulation's step wall time spent blocked in
-    /// output: `blocked / (compute + blocked)`. `None` until any time
-    /// has been recorded.
+    /// output: `blocked / (compute + blocked)`. `None` until the
+    /// application has reported compute time — without it every step
+    /// would read as fully blocked.
     pub fn blocked_fraction(&self) -> Option<f64> {
-        let denom = self.compute_ns + self.blocked_ns;
-        (denom > 0).then(|| self.blocked_ns as f64 / denom as f64)
+        (self.compute_ns > 0)
+            .then(|| self.blocked_ns as f64 / (self.compute_ns + self.blocked_ns) as f64)
     }
 }
 
-/// Per-registry table of per-step perturbation stats.
-#[derive(Debug, Default)]
-pub struct PerturbTable {
-    steps: Mutex<BTreeMap<u64, PerturbStat>>,
-}
-
-impl PerturbTable {
-    fn update(&self, step: u64, f: impl FnOnce(&mut PerturbStat)) {
-        let mut steps = self
-            .steps
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f(steps.entry(step).or_default());
+/// The `(step, stat)` rows of `rows`, step-sorted; steps with none of
+/// the three stages have no row.
+pub fn view(rows: &[SpanRow]) -> Vec<(u64, PerturbStat)> {
+    let mut steps: BTreeMap<u64, PerturbStat> = BTreeMap::new();
+    for row in rows {
+        match row.stage {
+            "compute" => steps.entry(row.step).or_default().compute_ns += row.stat.total_ns,
+            "blocked" => steps.entry(row.step).or_default().blocked_ns += row.stat.total_ns,
+            "pull" => {
+                let stat = steps.entry(row.step).or_default();
+                stat.pull_bytes += row.stat.bytes;
+                stat.pulls += row.stat.count;
+            }
+            _ => {}
+        }
     }
-
-    #[cfg(test)]
-    pub(crate) fn update_for_test(
-        &self,
-        step: u64,
-        compute_ns: u64,
-        blocked_ns: u64,
-        pull_bytes: u64,
-        pulls: u64,
-    ) {
-        self.update(step, |s| {
-            s.compute_ns += compute_ns;
-            s.blocked_ns += blocked_ns;
-            s.pull_bytes += pull_bytes;
-            s.pulls += pulls;
-        });
-    }
-
-    /// Copy out `(step, stat)` rows, **sorted by step** — report views
-    /// and the live sampler rely on the order and must not re-sort.
-    pub fn snapshot(&self) -> Vec<(u64, PerturbStat)> {
-        self.steps
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(&step, &stat)| (step, stat))
-            .collect()
-    }
-
-    /// One step's stat, without copying the whole table — the per-step
-    /// lookup admission control and the live sampler make each step.
-    pub fn stat_for(&self, step: u64) -> Option<PerturbStat> {
-        self.steps
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&step)
-            .copied()
-    }
-}
-
-/// Attribute simulation compute wall time to `step`. Called by the
-/// application around its iteration loop. No-op unless
-/// [`crate::lineage::enabled`].
-pub fn record_compute(step: u64, elapsed: Duration) {
-    if !crate::lineage::enabled() {
-        return;
-    }
-    crate::global()
-        .perturb()
-        .update(step, |s| s.compute_ns += elapsed.as_nanos() as u64);
-}
-
-/// Attribute simulation blocked-in-output wall time to `step`. Called by
-/// the client once per `write_pg`.
-pub fn record_blocked(step: u64, elapsed: Duration) {
-    if !crate::lineage::enabled() {
-        return;
-    }
-    crate::global()
-        .perturb()
-        .update(step, |s| s.blocked_ns += elapsed.as_nanos() as u64);
-}
-
-/// Record one completed RDMA pull of `bytes` for `step`. Called by the
-/// fabric on `rdma_get` success.
-pub fn record_pull(step: u64, bytes: u64) {
-    if !crate::lineage::enabled() {
-        return;
-    }
-    crate::global().perturb().update(step, |s| {
-        s.pull_bytes += bytes;
-        s.pulls += 1;
-    });
+    steps.into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Event, Registry};
 
     #[test]
-    fn accumulates_per_step() {
-        let t = PerturbTable::default();
-        t.update(0, |s| s.compute_ns += 100);
-        t.update(0, |s| s.compute_ns += 50);
-        t.update(1, |s| {
-            s.blocked_ns += 25;
-            s.pull_bytes += 4096;
-            s.pulls += 1;
-        });
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(
-            snap[0],
-            (
-                0,
-                PerturbStat {
-                    compute_ns: 150,
-                    ..Default::default()
-                }
-            )
-        );
-        assert_eq!(snap[1].1.pull_bytes, 4096);
-        assert_eq!(snap[1].1.pulls, 1);
-    }
-
-    /// Regression: rows must come out step-sorted no matter the
-    /// insertion order — consumers (report views, the live sampler)
-    /// index and scan without re-sorting.
-    #[test]
-    fn snapshot_rows_are_step_sorted() {
-        let t = PerturbTable::default();
-        for step in [9u64, 2, 17, 0, 5] {
-            t.update(step, |s| s.compute_ns += step + 1);
-        }
-        let snap = t.snapshot();
-        let steps: Vec<u64> = snap.iter().map(|&(s, _)| s).collect();
-        assert_eq!(steps, vec![0, 2, 5, 9, 17]);
-        assert!(steps.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn stat_for_looks_up_without_copying_the_table() {
-        let t = PerturbTable::default();
-        t.update(3, |s| s.blocked_ns += 40);
-        t.update(3, |s| s.compute_ns += 60);
-        let stat = t.stat_for(3).expect("recorded step");
-        assert_eq!(stat.blocked_ns, 40);
+    fn three_rows_of_the_fold_make_a_step() {
+        let reg = Registry::new();
+        reg.record(Event::new("compute", 3).at(0, 60));
+        reg.record(Event::new("blocked", 3).at(60, 100));
+        reg.record(Event::new("pull", 3).rank(0).at(0, 5).bytes(4096));
+        reg.record(Event::new("pull", 3).rank(1).at(0, 5).bytes(4096));
+        reg.record(Event::new("decode", 4).at(0, 5));
+        let stat = reg.perturb_at(3).expect("recorded step");
+        assert_eq!((stat.compute_ns, stat.blocked_ns), (60, 40));
+        assert_eq!((stat.pulls, stat.pull_bytes), (2, 8192));
         assert!((stat.blocked_fraction().unwrap() - 0.4).abs() < 1e-12);
-        assert_eq!(t.stat_for(4), None);
+        assert_eq!(reg.perturb_at(4), None, "no perturbation stage at step 4");
+        assert_eq!(reg.snapshot().perturb(), &[(3, stat)]);
     }
 
     #[test]
-    fn blocked_fraction() {
+    fn blocked_fraction_needs_compute_time() {
         let mut s = PerturbStat::default();
         assert_eq!(s.blocked_fraction(), None);
-        s.compute_ns = 75;
         s.blocked_ns = 25;
+        assert_eq!(
+            s.blocked_fraction(),
+            None,
+            "blocked alone is not a fraction"
+        );
+        s.compute_ns = 75;
         assert!((s.blocked_fraction().unwrap() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disabled_record_is_a_no_op() {
-        crate::lineage::set_enabled(false);
-        record_compute(12_345, Duration::from_secs(1));
-        assert!(crate::global()
-            .perturb()
-            .snapshot()
-            .iter()
-            .all(|&(step, _)| step != 12_345));
     }
 }

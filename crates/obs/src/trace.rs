@@ -1,284 +1,131 @@
-//! Chrome-trace (`chrome://tracing` / Perfetto) event collection.
+//! Chrome-trace (`chrome://tracing` / Perfetto) rendering of the event
+//! log.
 //!
-//! When active — `PREDATA_TRACE=path` in the environment, or a
-//! programmatic [`install`] — every span drop appends one *complete*
-//! event (`"ph":"X"`) to an in-memory buffer, stamped with microseconds
-//! since the process epoch and the recording thread's stable id. [`flush`] writes the buffer as a JSON array (the trace
-//! format both viewers load directly), including one metadata event per
-//! thread carrying its name.
-//!
-//! Collection is buffered rather than streamed so the per-span cost is a
-//! mutex push of a small POD — the file write happens once, at flush.
+//! While a registry's detail gate is on — `PREDATA_TRACE=path`,
+//! `PREDATA_LINEAGE`, or a programmatic [`install`] — every recorded
+//! event is kept. [`crate::Registry::trace_json`] turns that log into
+//! the JSON array both viewers load directly: one metadata event
+//! (`"ph":"M"`) naming each recording thread, one *complete* event
+//! (`"ph":"X"`, microseconds since the process epoch) per event that
+//! took time, and the [`crate::lineage`] view of the same log as *flow
+//! events* — `"s"` at a chunk's first stage, `"f"` at a terminal one,
+//! `"t"` between, all of one chunk sharing an `id` — so each chunk's
+//! journey draws as arrows across threads.
+//! [`crate::Registry::export`] writes it once, at shutdown; nothing is
+//! streamed.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::path::Path;
 
-use crate::metrics::json_str;
+use crate::metrics::{json_str, Log};
 
-#[derive(Debug, Clone)]
-struct TraceEvent {
-    name: &'static str,
-    step: u64,
-    /// Microseconds since the process epoch.
-    ts_us: u64,
-    dur_us: u64,
-    tid: u64,
-}
-
-/// One per-chunk lineage flow event: `"ph":"s"` starts the arrow chain
-/// at the chunk's first recorded stage, `"t"` continues it, `"f"` ends
-/// it at a terminal stage. All events of one chunk share a flow `id`,
-/// so Perfetto draws the chunk's journey as arrows across threads.
-#[derive(Debug, Clone)]
-struct FlowEvent {
-    stage: &'static str,
-    src: u64,
-    step: u64,
-    ts_us: u64,
-    ph: char,
-    tid: u64,
-}
-
-#[derive(Debug, Default)]
-struct Collector {
-    events: Vec<TraceEvent>,
-    flows: Vec<FlowEvent>,
-    /// `(tid, name)` of every thread that recorded at least one event.
-    threads: Vec<(u64, String)>,
-    path: Option<PathBuf>,
-}
-
-fn collector() -> &'static Mutex<Collector> {
-    static COLLECTOR: OnceLock<Mutex<Collector>> = OnceLock::new();
-    COLLECTOR.get_or_init(|| {
-        let path = std::env::var("PREDATA_TRACE").ok().map(PathBuf::from);
-        if path.is_some() {
-            crate::TRACE_ACTIVE.store(true, Ordering::Relaxed);
-        }
-        Mutex::new(Collector {
-            events: Vec::new(),
-            flows: Vec::new(),
-            threads: Vec::new(),
-            path,
-        })
-    })
-}
-
-/// Whether span drops currently emit trace events.
-pub fn active() -> bool {
-    // Touch the collector so PREDATA_TRACE is honoured on first query.
-    let _ = collector();
-    crate::TRACE_ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Programmatically activate tracing to `path` (overrides any earlier
-/// destination; already-buffered events are kept).
+/// Send the [global registry](crate::global)'s trace to `path` at
+/// export, and start logging events for it.
 pub fn install(path: impl AsRef<Path>) {
-    let mut c = collector()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    c.path = Some(path.as_ref().to_path_buf());
-    crate::TRACE_ACTIVE.store(true, Ordering::Relaxed);
+    crate::global().set_trace_path(path.as_ref().to_path_buf());
 }
 
-/// Stable small integer id for the calling thread, assigned on first use.
-fn thread_id() -> (u64, bool) {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TID: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-    TID.with(|t| {
-        if t.get() == 0 {
-            t.set(NEXT.fetch_add(1, Ordering::Relaxed));
-            (t.get(), true)
-        } else {
-            (t.get(), false)
-        }
-    })
-}
-
-/// Append one complete event. Called from the span drop path only while
-/// [`active`]; safe (and a no-op destination-wise) otherwise.
-pub(crate) fn record_complete(stage: &'static str, step: u64, start: Instant, dur: Duration) {
-    let ts_us = start.saturating_duration_since(crate::epoch()).as_micros() as u64;
-    let (tid, fresh) = thread_id();
-    let mut c = collector()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if fresh {
-        let name = std::thread::current()
-            .name()
-            .unwrap_or("unnamed")
-            .to_string();
-        c.threads.push((tid, name));
-    }
-    c.events.push(TraceEvent {
-        name: stage,
-        step,
-        ts_us,
-        dur_us: dur.as_micros() as u64,
-        tid,
-    });
-}
-
-/// Append one lineage flow event for chunk `(src, step)`. Called from
-/// `lineage::record*` while [`active`].
-pub(crate) fn record_flow(stage: &'static str, src: u64, step: u64, ph: char) {
-    let ts_us = crate::epoch().elapsed().as_micros() as u64;
-    let (tid, fresh) = thread_id();
-    let mut c = collector()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if fresh {
-        let name = std::thread::current()
-            .name()
-            .unwrap_or("unnamed")
-            .to_string();
-        c.threads.push((tid, name));
-    }
-    c.flows.push(FlowEvent {
-        stage,
-        src,
-        step,
-        ts_us,
-        ph,
-        tid,
-    });
-}
-
-/// Number of buffered events (diagnostics/tests).
-pub fn buffered() -> usize {
-    collector()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .events
-        .len()
-}
-
-/// Render the buffered events as Chrome-trace JSON (an array of event
-/// objects — the form `chrome://tracing` and Perfetto both accept).
-pub fn render() -> String {
-    let c = collector()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut out = String::with_capacity(64 + c.events.len() * 96);
-    out.push('[');
-    let mut first = true;
-    for (tid, name) in &c.threads {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
+/// Render `log` as Chrome-trace JSON.
+pub(crate) fn render(log: &Log) -> String {
+    let mut events: Vec<String> = Vec::with_capacity(log.threads.len() + log.events.len());
+    for (tid, name) in &log.threads {
+        events.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
              \"args\":{{\"name\":{}}}}}",
             json_str(name)
         ));
     }
-    for ev in &c.events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
+    for (tid, ev) in log.events.iter().filter(|(_, ev)| ev.dur_ns() > 0) {
+        events.push(format!(
             "{{\"name\":{},\"cat\":\"predata\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"step\":{}}}}}",
-            json_str(ev.name),
-            ev.ts_us,
-            ev.dur_us,
-            ev.tid,
+             \"pid\":1,\"tid\":{tid},\"args\":{{\"step\":{}}}}}",
+            json_str(ev.stage),
+            ev.t0_ns / 1_000,
+            ev.dur_ns() / 1_000,
             ev.step
         ));
     }
-    for fl in &c.flows {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+    for chunk in crate::lineage::view(&log.events) {
         // Flow ids must be unique per chunk; ranks and steps are far
         // below 10^6 in any run this middleware hosts.
-        let id = fl.src * 1_000_000 + fl.step;
-        out.push_str(&format!(
-            "{{\"name\":\"chunk\",\"cat\":\"lineage\",\"ph\":\"{}\",\"id\":{id},\
-             \"ts\":{},\"pid\":1,\"tid\":{},\
-             \"args\":{{\"src\":{},\"step\":{},\"stage\":{}}}}}",
-            fl.ph,
-            fl.ts_us,
-            fl.tid,
-            fl.src,
-            fl.step,
-            json_str(fl.stage)
-        ));
-    }
-    out.push(']');
-    out
-}
-
-/// Write the buffered events to the installed destination and clear the
-/// buffer. Returns the path written, or `None` when tracing is inactive.
-pub fn flush() -> std::io::Result<Option<PathBuf>> {
-    if !active() {
-        return Ok(None);
-    }
-    let json = render();
-    let path = {
-        let mut c = collector()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        c.events.clear();
-        c.flows.clear();
-        c.threads.clear();
-        c.path.clone()
-    };
-    match path {
-        Some(p) => {
-            std::fs::write(&p, json)?;
-            Ok(Some(p))
+        let id = chunk.src_rank * 1_000_000 + chunk.step;
+        for (i, (stage, mark)) in chunk.events().into_iter().enumerate() {
+            let ph = match (i, stage.is_terminal()) {
+                (0, _) => 's',
+                (_, true) => 'f',
+                _ => 't',
+            };
+            events.push(format!(
+                "{{\"name\":\"chunk\",\"cat\":\"lineage\",\"ph\":\"{ph}\",\"id\":{id},\
+                 \"ts\":{},\"pid\":1,\"tid\":{},\
+                 \"args\":{{\"src\":{},\"step\":{},\"stage\":{}}}}}",
+                mark.at_ns / 1_000,
+                mark.tid,
+                chunk.src_rank,
+                chunk.step,
+                json_str(stage.name())
+            ));
         }
-        None => Ok(None),
     }
+    format!("[{}]", events.join(","))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{mark_in, span_in, Registry};
 
+    /// One private registry with its own gate and log: nothing here can
+    /// meet another test's events.
     #[test]
-    fn events_render_as_chrome_trace_json() {
-        crate::set_enabled(true);
-        install(std::env::temp_dir().join(format!("obs-trace-{}.json", std::process::id())));
-        let reg = crate::Registry::new();
-        drop(crate::span_in(&reg, "trace-stage", 2));
-        let json = render();
+    fn log_renders_complete_metadata_and_flow_events() {
+        let reg = Registry::new();
+        drop(span_in(&reg, "before-detail", 0));
+        reg.set_detail(true);
+        {
+            let _pull = span_in(&reg, "pull", 7).chunk(3);
+            std::thread::sleep(std::time::Duration::from_micros(50));
+        }
+        mark_in(&reg, "routed", 7).chunk(3);
+        mark_in(&reg, "written", 7).chunk(3);
+        drop(span_in(&reg, "finalize", 2));
+        let json = reg.trace_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"name\":\"trace-stage\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"args\":{\"step\":2}"));
+        assert!(!json.contains("before-detail"), "logged only while on");
+        assert!(json.contains("\"name\":\"pull\",\"cat\":\"predata\",\"ph\":\"X\""));
+        assert!(json.contains("\"args\":{\"step\":7}"));
         assert!(json.contains("\"ph\":\"M\""), "thread metadata present");
-        let written = flush().unwrap().expect("trace destination installed");
-        let back = std::fs::read_to_string(&written).unwrap();
-        assert!(back.contains("trace-stage"));
-        std::fs::remove_file(written).ok();
+        // Stage order, not log order: routed starts the chain.
+        let id = 3 * 1_000_000 + 7;
+        for (ph, stage) in [("s", "routed"), ("t", "rdma_done"), ("f", "written")] {
+            assert!(
+                json.contains(&format!("\"ph\":\"{ph}\",\"id\":{id}"))
+                    && json.contains(&format!("\"stage\":\"{stage}\"")),
+                "missing flow {ph} at {stage}: {json}"
+            );
+        }
+        assert!(
+            !json.contains("\"name\":\"routed\""),
+            "a mark is no X event"
+        );
     }
 
     #[test]
-    fn flow_events_share_one_id_per_chunk() {
-        install(std::env::temp_dir().join(format!("obs-flow-{}.json", std::process::id())));
-        record_flow("packed", 3, 7, 's');
-        record_flow("decoded", 3, 7, 't');
-        record_flow("written", 3, 7, 'f');
-        let json = render();
-        let id = 3 * 1_000_000 + 7;
-        for ph in ["s", "t", "f"] {
-            assert!(
-                json.contains(&format!("\"ph\":\"{ph}\",\"id\":{id}")),
-                "missing flow phase {ph}: {json}"
-            );
+    fn export_writes_the_trace_to_the_installed_path() {
+        let path = std::env::temp_dir().join(format!("obs-trace-{}.json", std::process::id()));
+        let reg = Registry::new();
+        reg.set_trace_path(path.clone());
+        assert!(reg.detail(), "a trace destination turns detail on");
+        {
+            let _s = span_in(&reg, "trace-stage", 2);
+            std::thread::sleep(std::time::Duration::from_micros(50));
         }
-        assert!(json.contains("\"stage\":\"decoded\""));
-        assert!(json.contains("\"cat\":\"lineage\""));
-        flush().unwrap();
+        reg.export().unwrap();
+        let back = std::fs::read_to_string(&path).unwrap();
+        assert!(back.contains("trace-stage"));
+        assert_eq!(
+            back,
+            reg.trace_json(),
+            "the log stays: lineage reads it too"
+        );
+        std::fs::remove_file(path).ok();
     }
 }

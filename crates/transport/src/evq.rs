@@ -42,11 +42,7 @@ pub enum PollError {
 }
 
 struct Inner<T> {
-    /// Events with their enqueue stamp. The stamp is taken only while
-    /// lineage recording is on (one `Instant::now` under the lock we
-    /// already hold) and feeds [`EventQueue::recv_waited`]'s queue-wait
-    /// measurement; otherwise it is `None` and costs nothing.
-    queue: VecDeque<(Option<Instant>, T)>,
+    queue: VecDeque<T>,
     closed: bool,
     /// Deepest the queue has ever been — the back-pressure/utilization
     /// signal the obs subsystem reports per pipeline queue. Updated under
@@ -136,7 +132,7 @@ impl<T> EventQueue<T> {
                 _ => break,
             }
         }
-        inner.queue.push_back((enqueue_stamp(), ev));
+        inner.queue.push_back(ev);
         inner.high_water = inner.high_water.max(inner.queue.len());
         drop(inner);
         self.shared.not_empty.notify_one();
@@ -154,7 +150,7 @@ impl<T> EventQueue<T> {
                 return Err(SubmitError::Full(ev));
             }
         }
-        inner.queue.push_back((enqueue_stamp(), ev));
+        inner.queue.push_back(ev);
         inner.high_water = inner.high_water.max(inner.queue.len());
         drop(inner);
         self.shared.not_empty.notify_one();
@@ -165,25 +161,15 @@ impl<T> EventQueue<T> {
     /// teardown. A closed queue is drained before `Closed` is reported.
     /// `Duration::MAX` waits without a deadline.
     pub fn recv(&self, timeout: Duration) -> Result<T, PollError> {
-        self.recv_waited(timeout).map(|(ev, _)| ev)
-    }
-
-    /// [`recv`](EventQueue::recv) that also reports how long the event
-    /// sat in the queue (its enqueue-to-dequeue wait). The wait is
-    /// `Duration::ZERO` when lineage recording was off at enqueue time —
-    /// measuring it costs an `Instant::now` per event, so it rides the
-    /// same `PREDATA_LINEAGE` gate.
-    pub fn recv_waited(&self, timeout: Duration) -> Result<(T, Duration), PollError> {
         // `None`: a timeout too long to state as a deadline (such as
         // `Duration::MAX`) waits for an event or teardown alone.
         let deadline = Instant::now().checked_add(timeout);
         let mut inner = self.shared.lock();
         loop {
-            if let Some((stamp, ev)) = inner.queue.pop_front() {
+            if let Some(ev) = inner.queue.pop_front() {
                 drop(inner);
                 self.shared.not_full.notify_one();
-                let waited = stamp.map(|s| s.elapsed()).unwrap_or_default();
-                return Ok((ev, waited));
+                return Ok(ev);
             }
             if inner.closed {
                 return Err(PollError::Closed);
@@ -221,7 +207,7 @@ impl<T> EventQueue<T> {
         if ev.is_some() {
             self.shared.not_full.notify_one();
         }
-        ev.map(|(_, ev)| ev)
+        ev
     }
 
     /// Close the queue: parked producers fail with `Closed`, consumers
@@ -257,10 +243,6 @@ impl<T> EventQueue<T> {
             shared: Arc::clone(&self.shared),
         }
     }
-}
-
-fn enqueue_stamp() -> Option<Instant> {
-    obs::lineage::enabled().then(Instant::now)
 }
 
 /// Cheap clonable handle for submitting into an [`EventQueue`].
@@ -494,21 +476,6 @@ mod tests {
         let per_worker: Vec<u64> = workers.into_iter().map(|t| t.join().unwrap()).collect();
         assert_eq!(per_worker.iter().sum::<u64>(), 100);
         assert_eq!(consumed.load(Ordering::SeqCst), 5050);
-    }
-
-    #[test]
-    fn recv_waited_reports_queue_wait_when_lineage_is_on() {
-        obs::lineage::set_enabled(true);
-        let q = EventQueue::unbounded();
-        q.submit(1u64);
-        std::thread::sleep(Duration::from_millis(5));
-        let (v, waited) = q.recv_waited(Duration::from_secs(1)).unwrap();
-        assert_eq!(v, 1);
-        assert!(waited >= Duration::from_millis(4), "waited {waited:?}");
-        obs::lineage::set_enabled(false);
-        q.submit(2);
-        let (_, unstamped) = q.recv_waited(Duration::from_secs(1)).unwrap();
-        assert_eq!(unstamped, Duration::ZERO);
     }
 
     #[test]

@@ -332,11 +332,7 @@ impl StagingEndpoint {
     pub fn recv_request(&self, timeout: Duration) -> Result<FetchRequest, TransportError> {
         match self.requests.recv_timeout(timeout) {
             Ok(r) => {
-                obs::lineage::record(
-                    r.src_rank as u64,
-                    r.io_step,
-                    obs::lineage::Stage::RequestReceived,
-                );
+                self.request_received(&r);
                 Ok(r)
             }
             Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
@@ -347,12 +343,16 @@ impl StagingEndpoint {
     /// Non-blocking request poll.
     pub fn try_recv_request(&self) -> Option<FetchRequest> {
         let r = self.requests.try_recv().ok()?;
-        obs::lineage::record(
-            r.src_rank as u64,
-            r.io_step,
-            obs::lineage::Stage::RequestReceived,
-        );
+        self.request_received(&r);
         Some(r)
+    }
+
+    /// The chunk's `request_received` transition, on this staging rank:
+    /// counted per step, these marks are the rank's gathered backlog.
+    fn request_received(&self, r: &FetchRequest) {
+        obs::mark("request_received", r.io_step)
+            .rank(self.rank)
+            .chunk(r.src_rank as u64);
     }
 
     /// One-sided pull of an exposed chunk. Consumes the exposure (the
@@ -426,23 +426,16 @@ impl StagingEndpoint {
     }
 
     /// Per-request bookkeeping once bytes have left the registry:
-    /// traffic stats, lineage, the perturbation table, and the
-    /// best-effort completion posted back to the exposing compute
-    /// endpoint (if that endpoint is gone the data still flows —
-    /// matches one-sided RDMA semantics).
+    /// traffic stats and the best-effort completion posted back to the
+    /// exposing compute endpoint (if that endpoint is gone the data
+    /// still flows — matches one-sided RDMA semantics). The pull's
+    /// event is the caller's: it knows the rank and times the retries.
     fn pull_done(&self, req: &FetchRequest, buf: &Arc<[u8]>, io_step: u64) {
         self.inner
             .stats
             .bytes_pulled
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
         self.inner.obs_get_bytes.add(buf.len() as u64);
-        obs::lineage::record_bytes(
-            req.src_rank as u64,
-            req.io_step,
-            obs::lineage::Stage::RdmaDone,
-            buf.len() as u64,
-        );
-        obs::perturb::record_pull(req.io_step, buf.len() as u64);
         let _ = self.inner.comp_tx[req.src_rank].send(CompletionEvent {
             handle: req.handle,
             bytes: buf.len(),

@@ -3,9 +3,10 @@
 //! by label, builds 1-D and 2-D histograms, and bitmap-indexes a
 //! coordinate — all in transit, while the simulation keeps iterating.
 //!
-//! Per-chunk lineage and the perturbation monitor are on for the run
-//! (unless `PREDATA_LINEAGE` explicitly disables them), so the final
-//! printout includes the paper's §V perturbation view: per-step compute
+//! Per-chunk lineage is on for the run (unless `PREDATA_LINEAGE`
+//! explicitly disables it), and the simulation's iterations run under a
+//! `compute` span, so the final printout includes the paper's §V
+//! perturbation view: per-step compute
 //! time vs time blocked in the output path. Export a full snapshot with
 //! `PREDATA_METRICS=/path/snapshot.json` and render the critical-path
 //! and straggler views with `predata-report`.
@@ -34,8 +35,8 @@ fn main() {
     let out_dir = std::env::temp_dir().join("predata-gtc-monitoring");
     std::fs::create_dir_all(&out_dir).ok();
 
-    // Chunk lineage + perturbation on by default for the demo; an
-    // explicit PREDATA_LINEAGE setting (e.g. `=0`) still wins.
+    // Chunk lineage on by default for the demo; an explicit
+    // PREDATA_LINEAGE setting (e.g. `=0`) still wins.
     if std::env::var_os("PREDATA_LINEAGE").is_none() {
         predata::obs::lineage::set_enabled(true);
     }
@@ -92,11 +93,10 @@ fn main() {
             blocking.as_secs_f64() * 1e3,
             world.displaced_fraction() * 100.0
         );
-        let t_compute = Instant::now();
+        let _compute = predata::obs::span!("compute", io_step);
         for _ in 0..iterations_per_interval {
             world.step(); // simulation continues while staging pulls
         }
-        predata::obs::perturb::record_compute(io_step, t_compute.elapsed());
     }
 
     // Monitoring feed: per-step statistics flow through an EVPath-style
@@ -185,23 +185,18 @@ fn main() {
         );
     }
 
-    // Live telemetry plane (PREDATA_LIVE): the latest cluster health
-    // report from the last frame exchange. With PREDATA_LIVE_PATH set,
-    // the full per-step stream renders via `predata-report live`.
-    if let Some(health) = predata::obs::live::latest_health() {
+    // Live telemetry plane (PREDATA_LIVE): the cluster health report of
+    // the last closed step. With PREDATA_LIVE_PATH set, the full
+    // per-step stream renders via `predata-report live`.
+    if let Some(health) = predata::obs::global().live().latest_health() {
         let straggler = match health.straggler {
             Some((rank, z)) => format!("straggler r{rank} (z={z:.2})"),
             None => "no straggler".into(),
         };
         println!(
             "live health @ step {}: {} rank(s), backlog {} (trend {:+.1}/step), \
-             queue high-water {}, retries exhausted {}, {straggler}",
-            health.step,
-            health.ranks,
-            health.backlog,
-            health.backlog_trend,
-            health.queue_high_water,
-            health.retry_exhausted
+             retries exhausted {}, {straggler}",
+            health.step, health.ranks, health.backlog, health.backlog_trend, health.retry_exhausted
         );
     }
     std::fs::remove_dir_all(&out_dir).ok();

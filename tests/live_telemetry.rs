@@ -5,11 +5,13 @@
 //! stream whose aggregated `HealthReport` flags the seeded straggler
 //! rank, while the **data** outputs stay byte-identical to the same run
 //! with the plane off (observability that changes results isn't
-//! observability).
+//! observability) — and the live run performs exactly the `minimpi`
+//! collectives of the reference run: the plane reads the shared fold, it
+//! exchanges nothing.
 //!
-//! One `#[test]` drives both runs sequentially: the plane is
-//! process-global (`obs::live::configure`), so concurrent tests inside
-//! this binary would race its configuration.
+//! One `#[test]` drives both runs sequentially: they share the global
+//! registry's plane (and its collective counters), so concurrent tests
+//! inside this binary would race its configuration.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,8 +104,8 @@ fn run(dir: &std::path::Path) -> Vec<Vec<predata::core::StepReport>> {
         .unwrap();
     cfg.membership = Some(membership);
     // Serving ranks gather 2+ chunks > hwm of 1: sheds every step. The
-    // decision goes through `AdmitControl::overloaded_signals`, i.e. the
-    // typed HealthSignal path the live plane feeds.
+    // decision is `AdmitControl::overloaded`, which never consults the
+    // live plane's health.
     cfg.admit = Some(Arc::new(
         AdmitControl::parse("queue_hwm=1,defer=histogram")
             .unwrap()
@@ -144,32 +146,54 @@ fn run(dir: &std::path::Path) -> Vec<Vec<predata::core::StepReport>> {
         .collect()
 }
 
+/// `(collective calls, messages)` every `minimpi` world of this process
+/// has made so far.
+fn collectives() -> (u64, u64) {
+    let snap = predata::obs::global().snapshot();
+    let count = |name| snap.counter(name, &[]).unwrap_or(0);
+    (count("minimpi.collective_calls"), count("minimpi.messages"))
+}
+
 #[test]
 fn live_run_flags_the_straggler_and_leaves_outputs_byte_identical() {
-    // --- Reference run: plane off. Zero instrumentation cost path. ---
-    predata::obs::live::configure(None, None);
-    let off_dir = out_dir("off");
-    let off_reports = run(&off_dir);
-    assert!(
-        !predata::obs::live::enabled(),
-        "reference run must not enable the plane"
-    );
-
-    // --- Live run: same world, plane on, streaming to a JSONL file. ---
+    let plane = predata::obs::global().live();
+    let before = collectives();
+    // --- Live run: plane on, streaming to a JSONL file. It goes first:
+    // the plane reads the process-wide fold, which a second run over the
+    // same step numbers adds to. ---
     let on_dir = out_dir("on");
     let stream_path = on_dir.join("live_stream.jsonl");
-    predata::obs::live::configure(
+    plane.configure(
         Some(predata::obs::live::LiveConfig::default()),
         Some(stream_path.clone()),
     );
     let on_reports = run(&on_dir);
     // Turn the plane back off before asserting, so a failure below can't
     // leak an enabled plane into other expectations.
-    predata::obs::live::configure(None, None);
+    plane.configure(None, None);
+    let after_on = collectives();
 
-    // The stream: one line per frame exchange (period_steps=1 → one per
-    // step), every line independently parseable JSON with the full
-    // frame/health/per-rank schema.
+    // --- Reference run: same world, plane off. ---
+    let off_dir = out_dir("off");
+    let off_reports = run(&off_dir);
+    assert!(
+        !plane.is_enabled(),
+        "reference run must not enable the plane"
+    );
+    let after_off = collectives();
+
+    // Watching costs no communication: the live run made exactly the
+    // collective calls (and messages) of the reference run.
+    let delta = |a: (u64, u64), b: (u64, u64)| (b.0 - a.0, b.1 - a.1);
+    assert!(delta(before, after_on).0 > 0, "the runs are collective");
+    assert_eq!(
+        delta(before, after_on),
+        delta(after_on, after_off),
+        "live-on collectives == live-off collectives"
+    );
+
+    // The stream: one line per closed step, every line independently
+    // parseable JSON with the full stages/health/per-rank schema.
     let text = std::fs::read_to_string(&stream_path).expect("stream file written");
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     assert_eq!(
@@ -188,7 +212,16 @@ fn live_run_flags_the_straggler_and_leaves_outputs_byte_identical() {
         );
         let health = v.get("health").expect("health section");
         let per_rank = v.get("per_rank").and_then(|p| p.as_array()).unwrap();
-        assert_eq!(per_rank.len(), N_STAGING, "every rank reports a frame");
+        assert_eq!(per_rank.len(), N_STAGING, "every rank has a row");
+        // The rows are the fold's: every serving rank gathered chunks,
+        // and the overloaded ones shed the histogram.
+        let sum = |key| -> u64 {
+            let of = |r: &serde_json::Value| r.get(key).and_then(|v| v.as_u64()).unwrap();
+            per_rank.iter().map(of).sum()
+        };
+        assert_eq!(sum("backlog"), N_COMPUTE as u64, "line {}", i + 1);
+        assert!(sum("sheds") > 0, "line {}", i + 1);
+        assert!(v.get("stages").and_then(|s| s.get("pull_map")).is_some());
         last_straggler = health.get("straggler_rank").and_then(|s| s.as_u64());
     }
     // The seeded straggler: SLEEPY_RANK's windowed compute span (~25ms

@@ -19,7 +19,7 @@
 //! Lives in its own integration-test binary (own process) because it
 //! toggles the process-global `obs::set_enabled` switch.
 //!
-//! Also exercises `obs::set_metrics_export_path`, the programmatic
+//! Also exercises `Registry::set_export_path`, the programmatic
 //! override of `PREDATA_METRICS`: the measurement runs pin the export
 //! path to `None` (no snapshot I/O in the timed region regardless of
 //! the ambient environment), then a final run points it at a real file
@@ -134,9 +134,9 @@ fn metrics_overhead_stays_within_budget() {
 
     // No snapshot export during the timed runs, whatever the ambient
     // PREDATA_METRICS says — the override wins over the environment.
-    predata::obs::set_metrics_export_path(None);
-    // Lineage stays off: its cost is opt-in and outside this budget.
-    predata::obs::lineage::set_enabled(false);
+    predata::obs::global().set_export_path(None);
+    // The event log stays off: its cost is opt-in and outside this budget.
+    predata::obs::global().set_detail(false);
 
     // Warm-up: fault in code paths, allocators, and the temp filesystem.
     predata::obs::set_enabled(false);
@@ -156,15 +156,18 @@ fn metrics_overhead_stays_within_budget() {
     // With the measurement done, flip the override to a real path: one
     // more run must export a current-version snapshot there at join().
     let snap_path = dir.join("override-snapshot.json");
-    predata::obs::set_metrics_export_path(Some(snap_path.clone()));
+    predata::obs::global().set_export_path(Some(snap_path.clone()));
     predata::obs::set_enabled(true);
     run_once(&dir);
     predata::obs::set_enabled(false);
-    predata::obs::set_metrics_export_path(None);
+    predata::obs::global().set_export_path(None);
     let text = std::fs::read_to_string(&snap_path)
         .expect("join() exports a snapshot to the overridden path");
     let root: serde_json::Value = serde_json::from_str(&text).expect("exported snapshot parses");
-    assert_eq!(root.get("version").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(
+        root.get("version").and_then(|v| v.as_u64()),
+        Some(predata::obs::SNAPSHOT_VERSION)
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,9 @@
 //! covering every pipeline stage in order, a JSON export that
 //! round-trips through the `predata-report` schema (including the
 //! critical-path and perturbation views), and a Chrome-trace file that
-//! `chrome://tracing` / Perfetto can load.
+//! `chrome://tracing` / Perfetto can load — all of them views of one
+//! event stream, so they must agree with each other and with the
+//! transport's own counters.
 //!
 //! Uses the programmatic overrides (`obs::set_enabled`,
 //! `obs::lineage::set_enabled`, `obs::trace::install`) rather than
@@ -86,9 +88,9 @@ fn pipeline_emits_snapshot_and_perfetto_trace() {
     for step in 0..N_STEPS {
         // "Simulation compute" for the perturbation monitor: the dump
         // synthesis stands in for the application's iteration work.
-        let t_compute = std::time::Instant::now();
+        let compute = predata::obs::span!("compute", step);
         let dumps: Vec<Vec<f64>> = (0..N_COMPUTE as u64).map(|r| dump(r, step)).collect();
-        predata::obs::perturb::record_compute(step, t_compute.elapsed());
+        drop(compute);
         for (r, c) in clients.iter().enumerate() {
             c.write_pg(make_particle_pg(r as u64, step, dumps[r].clone()))
                 .unwrap();
@@ -123,9 +125,42 @@ fn pipeline_emits_snapshot_and_perfetto_trace() {
         }
     }
 
-    // 2. Transport and writer counters saw real traffic.
-    assert!(snap.counter("transport.rdma_get_bytes", &[]).unwrap_or(0) > 0);
+    // 2. Transport and writer counters saw real traffic, and the views
+    //    agree with them and with each other: per step, one chunk-tagged
+    //    `pull` event per chunk is the `pull` row's count, and the
+    //    events' bytes, the rows' bytes and the fabric's own byte counter
+    //    are one number.
+    let pulled = snap.counter("transport.rdma_get_bytes", &[]).unwrap_or(0);
+    assert!(pulled > 0);
     assert!(snap.counter("bpio.bytes_written", &[]).unwrap_or(0) > 0);
+    let mut row_bytes = 0;
+    let mut event_bytes = 0;
+    for step in 0..N_STEPS {
+        let row = snap.span("pull", step).unwrap();
+        let events: Vec<_> = snap
+            .lineage()
+            .iter()
+            .filter(|c| c.step == step)
+            .filter_map(|c| c.mark(predata::obs::lineage::Stage::RdmaDone))
+            .collect();
+        assert_eq!(events.len() as u64, row.count, "step {step} pulls");
+        assert_eq!(row.count, N_COMPUTE as u64);
+        row_bytes += row.bytes;
+        event_bytes += events.iter().map(|m| m.bytes.unwrap_or(0)).sum::<u64>();
+        assert_eq!(
+            snap.span("pull", step),
+            snap.span_rows()
+                .iter()
+                .find(|r| r.stage == "pull" && r.step == step && r.rank == Some(0))
+                .map(|r| r.stat),
+            "the one staging rank did every pull"
+        );
+        assert_eq!(
+            snap.worker_busy_ns(step),
+            snap.span("decode", step).unwrap().total_ns + snap.span("map", step).unwrap().total_ns
+        );
+    }
+    assert_eq!((row_bytes, event_bytes), (pulled, pulled));
 
     // 3. Every chunk (compute rank × step) has a lineage record covering
     //    the full pipeline, with timestamps in stage order.
@@ -156,7 +191,9 @@ fn pipeline_emits_snapshot_and_perfetto_trace() {
             chunk.src_rank,
             chunk.step
         );
-        // The transitions that move bytes know their sizes.
+        // The scheduling wait and the transfer know how long they took,
+        // and the transitions that move bytes know their sizes.
+        assert!(chunk.mark(Stage::RdmaDone).unwrap().wait_ns.is_some());
         assert!(chunk.mark(Stage::Packed).unwrap().bytes.is_some());
         assert!(chunk.mark(Stage::RdmaDone).unwrap().bytes.is_some());
         assert!(chunk.dominant_gap().is_some());
@@ -181,7 +218,10 @@ fn pipeline_emits_snapshot_and_perfetto_trace() {
     let snap_path = out_dir.join("snapshot.json");
     std::fs::write(&snap_path, &json).unwrap();
     let root = serde_json::from_str(&json).expect("snapshot JSON parses");
-    assert_eq!(root.get("version").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(
+        root.get("version").and_then(|v| v.as_u64()),
+        Some(predata::obs::SNAPSHOT_VERSION)
+    );
     let steps = root
         .get("steps")
         .and_then(|v| v.as_array())

@@ -79,7 +79,7 @@ const KNOBS: [Knob; 6] = [
         parse: |s| LiveConfig::parse(s).map(drop),
         has_on: true,
         number_key: "window",
-        accepted: &["window=64,period_steps=1", "window=16", "period_steps=4"],
+        accepted: &["window=64", "window=16"],
     },
 ];
 
@@ -145,7 +145,7 @@ fn malformed_specs_are_errors_that_name_the_field() {
 fn fragments() -> Vec<&'static str> {
     let words = "= = , , .. @ + - . 0 1 7 0.5 1e400 99999999999999999999 x é on off true false \
         seed drop delay_ms steps max_injections attempts deadline_ms unhealthy_after probe_every \
-        base join leave evict queue_hwm blocked defer window period_steps";
+        base join leave evict queue_hwm blocked defer window";
     let mut all: Vec<_> = words.split(' ').collect();
     all.push(" ");
     all
