@@ -131,38 +131,19 @@ impl DataArray {
         if !bytes.len().is_multiple_of(dtype.size()) {
             return Err(BpError::Corrupt("payload not a multiple of element size"));
         }
-        let n = bytes.len() / dtype.size();
+        fn elems<T, const N: usize>(bytes: &[u8], from: impl Fn([u8; N]) -> T) -> Vec<T> {
+            bytes
+                .chunks_exact(N)
+                .map(|c| from(c.try_into().expect("chunks_exact yields N bytes")))
+                .collect()
+        }
         Ok(match dtype {
-            Dtype::F32 => DataArray::F32(
-                (0..n)
-                    .map(|i| f32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::F64 => DataArray::F64(
-                (0..n)
-                    .map(|i| f64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::I32 => DataArray::I32(
-                (0..n)
-                    .map(|i| i32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::I64 => DataArray::I64(
-                (0..n)
-                    .map(|i| i64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::U32 => DataArray::U32(
-                (0..n)
-                    .map(|i| u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::U64 => DataArray::U64(
-                (0..n)
-                    .map(|i| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()))
-                    .collect(),
-            ),
+            Dtype::F32 => DataArray::F32(elems(bytes, f32::from_le_bytes)),
+            Dtype::F64 => DataArray::F64(elems(bytes, f64::from_le_bytes)),
+            Dtype::I32 => DataArray::I32(elems(bytes, i32::from_le_bytes)),
+            Dtype::I64 => DataArray::I64(elems(bytes, i64::from_le_bytes)),
+            Dtype::U32 => DataArray::U32(elems(bytes, u32::from_le_bytes)),
+            Dtype::U64 => DataArray::U64(elems(bytes, u64::from_le_bytes)),
         })
     }
 

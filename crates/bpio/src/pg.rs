@@ -155,8 +155,40 @@ impl ProcessGroup {
     /// Encode, also returning each variable's payload byte offset within
     /// the block — the writer records these in the footer index.
     pub fn encode_indexed(&self) -> (Vec<u8>, Vec<u64>) {
-        let mut w = W::new();
+        let mut block = Vec::with_capacity(self.encoded_len());
         let mut offsets = Vec::with_capacity(self.vars.len());
+        self.encode_each(&mut block, |at| offsets.push(at));
+        (block, offsets)
+    }
+
+    /// Append the block to `out` — the one PG encoder; [`encode`] and
+    /// [`encode_indexed`] wrap it. Each payload is copied once, from its
+    /// [`DataArray`] to its place in `out`; reserve [`encoded_len`]
+    /// first and `out` never reallocates.
+    ///
+    /// [`encode`]: ProcessGroup::encode
+    /// [`encode_indexed`]: ProcessGroup::encode_indexed
+    /// [`encoded_len`]: ProcessGroup::encoded_len
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode_each(out, |_| {});
+    }
+
+    /// Byte length of the encoded block.
+    pub fn encoded_len(&self) -> usize {
+        let dims = |d: &[u64]| 1 + 8 * d.len();
+        let header = 4 + self.group.len() + 8 + 8 + 4;
+        self.vars.iter().fold(header, |n, v| {
+            let var_header =
+                4 + v.name.len() + 1 + dims(&v.local) + dims(&v.global) + dims(&v.offset) + 8;
+            n + var_header + v.data.byte_len()
+        })
+    }
+
+    /// Append the block to `out`, reporting each variable's payload
+    /// offset from the block's start as it is reached.
+    fn encode_each(&self, out: &mut Vec<u8>, mut payload_at: impl FnMut(u64)) {
+        let start = out.len();
+        let mut w = W(std::mem::take(out));
         w.s(&self.group);
         w.u64(self.writer_rank);
         w.u64(self.step);
@@ -168,10 +200,10 @@ impl ProcessGroup {
             w.dims(&v.global);
             w.dims(&v.offset);
             w.u64(v.data.byte_len() as u64);
-            offsets.push(w.0.len() as u64);
+            payload_at((w.0.len() - start) as u64);
             w.0.extend_from_slice(&v.data.as_le_bytes());
         }
-        (w.0, offsets)
+        *out = w.0;
     }
 
     /// The PG block as a sequence of write segments that *borrow* each
@@ -346,6 +378,27 @@ mod tests {
         assert_eq!(total, block.len() as u64);
         // 1 leading header + (header, payload) per var.
         assert_eq!(segments.len(), 1 + 2 * pg.vars.len());
+    }
+
+    #[test]
+    fn encode_into_appends_the_block_and_never_regrows() {
+        let g = grid_group();
+        let mut pg = ProcessGroup::new("grid", 7, 3);
+        pg.write(&g, "n", DataArray::U64(vec![2])).unwrap();
+        pg.write(&g, "off", DataArray::U64(vec![4])).unwrap();
+        pg.write(&g, "field", DataArray::F64(vec![0.5, -0.5]))
+            .unwrap();
+        let block = pg.encode();
+        assert_eq!(pg.encoded_len(), block.len());
+        assert_eq!(block.capacity(), block.len(), "sized exactly");
+        let mut out = b"prefix".to_vec();
+        out.reserve_exact(pg.encoded_len());
+        let at = out.as_ptr();
+        pg.encode_into(&mut out);
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], &block[..]);
+        assert_eq!(out.as_ptr(), at, "reserved once, never moved");
+        assert_eq!(ProcessGroup::new("empty", 0, 0).encoded_len(), 5 + 4 + 20);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use bpio::ProcessGroup;
-use ffs::{BaseType, FieldDesc, FormatDesc, Record, Value};
+use ffs::{AttrList, BaseType, FieldDesc, FormatDesc, RecordEncoder};
 
 /// Errors from packing/unpacking chunks.
 #[derive(Debug)]
@@ -84,14 +84,34 @@ impl PackedChunk {
 
     /// Pack into one contiguous self-describing buffer (Stage 1b).
     pub fn pack(&self) -> Result<Vec<u8>, ChunkError> {
-        let pg_bytes = self.pg.encode();
-        let mut rec = Record::new(chunk_format());
-        rec.set("group", Value::Str(self.group.clone()))?;
-        rec.set("writer_rank", Value::U64(self.writer_rank))?;
-        rec.set("step", Value::U64(self.step))?;
-        rec.set("pg_len", Value::U64(pg_bytes.len() as u64))?;
-        rec.set("pg", Value::ArrU8(pg_bytes))?;
-        Ok(rec.encode_self_contained()?)
+        let mut buf = Vec::new();
+        self.pack_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// Pack onto the end of `out` — the one chunk encoder ([`pack`]
+    /// wraps it). The frame is written field by field and the process
+    /// group encodes itself in place inside it, so each payload byte is
+    /// copied once, from its `DataArray` to `out`; room is reserved
+    /// once and exactly, so a buffer that is reused for chunks of one
+    /// size is never regrown. On error `out` is left as it was.
+    ///
+    /// [`pack`]: PackedChunk::pack
+    pub fn pack_into(&self, out: &mut Vec<u8>) -> Result<(), ChunkError> {
+        let pg_len = self.pg.encoded_len();
+        out.reserve_exact(frame_len() + self.group.len() + pg_len);
+        self.write(pg_len, out)
+    }
+
+    /// The encoder proper; `pg_len` is `self.pg.encoded_len()`.
+    fn write(&self, pg_len: usize, out: &mut Vec<u8>) -> Result<(), ChunkError> {
+        let mut rec = RecordEncoder::self_contained(chunk_format(), &AttrList::new(), out)?;
+        rec.str(&self.group)?;
+        rec.u64(self.writer_rank)?;
+        rec.u64(self.step)?;
+        rec.u64(pg_len as u64)?;
+        rec.bytes_with(pg_len, |out| self.pg.encode_into(out))?;
+        Ok(rec.finish()?)
     }
 
     /// Unpack a buffer produced by [`PackedChunk::pack`].
@@ -136,6 +156,22 @@ impl PackedChunk {
     }
 }
 
+/// Bytes of a packed chunk that are neither its group name nor its PG
+/// block — the record header, the embedded schema and the fixed-size
+/// fields — measured once, on an empty chunk.
+fn frame_len() -> usize {
+    static LEN: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *LEN.get_or_init(|| {
+        let empty = PackedChunk::new(ProcessGroup::new("", 0, 0));
+        let pg_len = empty.pg.encoded_len();
+        let mut frame = Vec::new();
+        empty
+            .write(pg_len, &mut frame)
+            .expect("an empty chunk packs");
+        frame.len() - pg_len
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +203,24 @@ mod tests {
             back.pg.var("x").unwrap().data,
             DataArray::F64(vec![0.5, -1.5])
         );
+    }
+
+    #[test]
+    fn pack_into_appends_reserves_exactly_and_reuses_capacity() {
+        let chunk = PackedChunk::new(sample_pg());
+        let packed = chunk.pack().unwrap();
+        assert_eq!(packed.capacity(), packed.len(), "sized exactly");
+        let mut buf = b"kept".to_vec();
+        chunk.pack_into(&mut buf).unwrap();
+        assert_eq!(&buf[..4], b"kept");
+        assert_eq!(&buf[4..], &packed[..]);
+        // A recycled buffer of the same size is refilled where it lies.
+        let mut recycled = packed.clone();
+        let at = recycled.as_ptr();
+        recycled.clear();
+        chunk.pack_into(&mut recycled).unwrap();
+        assert_eq!(recycled, packed);
+        assert_eq!((recycled.as_ptr(), recycled.capacity()), (at, packed.len()));
     }
 
     #[test]

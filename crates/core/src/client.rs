@@ -7,13 +7,30 @@
 //! staging rank with the configured `Route()`, and sends the data-fetch
 //! request — then returns immediately. The simulation resumes while the
 //! staging area pulls the bulk bytes.
+//!
+//! # Buffer recycling
+//!
+//! Packing is the one copy the compute side makes of a payload byte, and
+//! in the steady state it allocates nothing: the client keeps every
+//! buffer it has exposed and packs the next chunk into one of them. The
+//! exposed buffer is shared with the fabric by reference count
+//! ([`ComputeEndpoint::expose_bytes`]), and the client is its only
+//! writer, under one rule — **a buffer is written again only after its
+//! exposure has ended** (the pull's completion was consumed by
+//! [`wait_drained`](PredataClient::wait_drained), or the exposure was
+//! withdrawn by [`reclaim_outstanding`](PredataClient::reclaim_outstanding))
+//! **and every other handle on it is gone** ([`Bytes::is_unique`]: the
+//! registry's and the puller's). A staging rank that is still decoding a
+//! pulled chunk therefore keeps it intact for as long as it holds it;
+//! the client packs into another buffer meanwhile.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bpio::ProcessGroup;
+use bytes::Bytes;
 use ffs::AttrList;
 use transport::{ComputeEndpoint, FetchRequest, MemHandle, Router, TransportError};
 
@@ -75,10 +92,14 @@ pub struct PredataClient {
     endpoint: ComputeEndpoint,
     router: Arc<dyn Router>,
     ops: Vec<Arc<dyn ComputeSideOp>>,
-    /// Exposures not yet confirmed pulled: handle → (bytes, step).
-    /// Keyed by handle so completions can be matched exactly and
-    /// un-pulled dumps can be withdrawn ([`Self::reclaim_outstanding`]).
-    outstanding: RefCell<HashMap<MemHandle, (usize, u64)>>,
+    /// Exposures not yet confirmed pulled: handle → (the client's
+    /// handle on the exposed buffer, step). Keyed by handle so
+    /// completions can be matched exactly and un-pulled dumps can be
+    /// withdrawn ([`Self::reclaim_outstanding`]).
+    outstanding: RefCell<HashMap<MemHandle, (Bytes, u64)>>,
+    /// Buffers whose exposure has ended, kept to be packed into again
+    /// (module docs: only once [`Bytes::is_unique`]).
+    retired: RefCell<Vec<Bytes>>,
 }
 
 impl PredataClient {
@@ -92,6 +113,7 @@ impl PredataClient {
             router,
             ops,
             outstanding: RefCell::new(HashMap::new()),
+            retired: RefCell::new(Vec::new()),
         }
     }
 
@@ -99,9 +121,9 @@ impl PredataClient {
         self.endpoint.rank()
     }
 
-    /// Asynchronous output of one process group: runs the compute-side
-    /// passes, packs, exposes, routes, requests. Does not wait for the
-    /// pull.
+    /// Asynchronous output of one process group: packs, runs the
+    /// compute-side passes, exposes, routes, requests. Does not wait for
+    /// the pull.
     ///
     /// The whole call is the simulation's blocked-in-output window — the
     /// `blocked` row of the perturbation view — and the pack / route /
@@ -110,21 +132,51 @@ impl PredataClient {
     /// steps.)
     pub fn write_pg(&self, pg: ProcessGroup) -> Result<WriteReceipt, ClientError> {
         let step = pg.step;
+        // The one clock read both always-on rows (`blocked`, `pack`)
+        // start from: packing is the first thing the call does.
+        let started = obs::enabled().then(Instant::now);
+        let receipt = self.write_pg_from(pg, started);
+        if let Some(t) = started {
+            obs::global().record(obs::Event::timed("blocked", step, t, t.elapsed()));
+        }
+        receipt
+    }
+
+    /// [`write_pg`](Self::write_pg) proper; `started` is the call's one
+    /// clock read (`None` while recording is off).
+    fn write_pg_from(
+        &self,
+        pg: ProcessGroup,
+        started: Option<Instant>,
+    ) -> Result<WriteReceipt, ClientError> {
+        let step = pg.step;
         let src = self.rank() as u64;
-        let _blocked = obs::span!("blocked", step);
+        // Stage 1b: pack into a self-describing contiguous buffer — the
+        // one copy of the payload, into a buffer this client already owns.
+        let chunk = PackedChunk::new(pg);
+        let mut buf = self.take_buffer();
+        chunk.pack_into(&mut buf)?;
+        let bytes = buf.len();
+        if let Some(t) = started {
+            let pack = obs::Event::timed("pack", step, t, t.elapsed());
+            obs::global().record(pack.chunk(src).bytes(bytes as u64));
+        }
         // Stage 1a: optional local first pass; results ride the request.
+        // (After the pack, which does not need them, so that the pack's
+        // row is the pack alone.)
         let mut attrs = AttrList::new();
         for op in &self.ops {
-            op.partial_calculate(&pg, &mut attrs);
+            op.partial_calculate(&chunk.pg, &mut attrs);
         }
-        // Stage 1b: pack into a self-describing contiguous buffer.
-        let pack_span = obs::span!("pack", step).chunk(src);
-        let chunk = PackedChunk::new(pg);
-        let buf: Arc<[u8]> = chunk.pack()?.into();
-        let bytes = buf.len();
-        drop(pack_span.bytes(bytes as u64));
         // Stage 1c: expose + route + request.
-        let handle = self.endpoint.expose(buf, step)?;
+        let buf = Bytes::from(buf);
+        let handle = match self.endpoint.expose_bytes(buf.clone(), step) {
+            Ok(handle) => handle,
+            Err(e) => {
+                self.retired.borrow_mut().push(buf);
+                return Err(e.into());
+            }
+        };
         let staging_rank = self.router.route(self.rank(), step);
         // Only the lineage view reads the `routed` and `request_sent`
         // marks, so they cost the simulation's thread nothing unless the
@@ -147,17 +199,39 @@ impl PredataClient {
             // The request never left: withdraw the exposure so a failed
             // write doesn't leak pinned compute-node memory.
             self.endpoint.reclaim(handle);
+            self.retired.borrow_mut().push(buf);
             return Err(e.into());
         }
         if lineage {
             obs::mark("request_sent", step).chunk(src);
         }
-        self.outstanding.borrow_mut().insert(handle, (bytes, step));
+        self.outstanding.borrow_mut().insert(handle, (buf, step));
         Ok(WriteReceipt {
             staging_rank,
             bytes,
             step,
         })
+    }
+
+    /// An empty buffer to pack into: a retired one nobody else holds any
+    /// more, with its capacity, or a new one.
+    fn take_buffer(&self) -> Vec<u8> {
+        let mut retired = self.retired.borrow_mut();
+        match retired.iter().position(Bytes::is_unique) {
+            Some(i) => {
+                let mut buf = Vec::from(retired.swap_remove(i));
+                buf.clear();
+                buf
+            }
+            None => Vec::new(),
+        }
+    }
+
+    /// A completion arrived: the exposure is over and its buffer retires.
+    fn retire(&self, outstanding: &mut HashMap<MemHandle, (Bytes, u64)>, handle: MemHandle) {
+        if let Some((buf, _step)) = outstanding.remove(&handle) {
+            self.retired.borrow_mut().push(buf);
+        }
     }
 
     /// Bytes currently buffered (exposed, not yet pulled) on this node —
@@ -173,7 +247,7 @@ impl PredataClient {
         let deadline = std::time::Instant::now() + timeout;
         let mut outstanding = self.outstanding.borrow_mut();
         for ev in self.endpoint.poll_completions() {
-            outstanding.remove(&ev.handle);
+            self.retire(&mut outstanding, ev.handle);
         }
         while !outstanding.is_empty() {
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
@@ -181,7 +255,7 @@ impl PredataClient {
                 return Err(TransportError::Timeout);
             }
             let ev = self.endpoint.wait_completion(remaining)?;
-            outstanding.remove(&ev.handle);
+            self.retire(&mut outstanding, ev.handle);
         }
         Ok(())
     }
@@ -192,7 +266,8 @@ impl PredataClient {
     }
 
     /// Withdraw every exposure the staging area hasn't pulled, freeing
-    /// the pinned bytes and terminally marking each dump's lineage
+    /// the pinned bytes (the buffers retire, to be packed into again)
+    /// and terminally marking each dump's lineage
     /// [`Truncated`](obs::lineage::Stage::Truncated). Returns how many
     /// exposures were withdrawn. Dumps whose pull already won the race
     /// stay tracked — their completions drain normally.
@@ -203,18 +278,20 @@ impl PredataClient {
     pub fn reclaim_outstanding(&self) -> usize {
         let mut outstanding = self.outstanding.borrow_mut();
         for ev in self.endpoint.poll_completions() {
-            outstanding.remove(&ev.handle);
+            self.retire(&mut outstanding, ev.handle);
         }
         let src = self.rank() as u64;
         let mut reclaimed = 0usize;
         let mut reclaimed_bytes = 0u64;
-        outstanding.retain(|&handle, &mut (bytes, step)| {
+        let mut retired = self.retired.borrow_mut();
+        outstanding.retain(|&handle, (buf, step)| {
             match self.endpoint.reclaim(handle) {
                 Some(n) => {
-                    debug_assert_eq!(n, bytes);
-                    obs::mark("truncated", step).chunk(src);
+                    debug_assert_eq!(n, buf.len());
+                    obs::mark("truncated", *step).chunk(src);
                     reclaimed += 1;
                     reclaimed_bytes += n as u64;
+                    retired.push(std::mem::take(buf));
                     false
                 }
                 // Pulled between the poll above and now: the completion
@@ -283,5 +360,110 @@ mod tests {
             c1.wait_drained(Duration::from_millis(20)),
             Err(TransportError::Timeout)
         ));
+    }
+
+    /// One client, one staging endpoint, a fabric with a pin budget of
+    /// `budget` bytes.
+    fn one_client(budget: Option<usize>) -> (Fabric, PredataClient, transport::StagingEndpoint) {
+        let (fabric, mut computes, mut stagings) = Fabric::new(1, 1, budget);
+        let router = Arc::new(BlockRouter::new(1, 1));
+        let client = PredataClient::new(computes.remove(0), router, vec![]);
+        (fabric, client, stagings.remove(0))
+    }
+
+    fn pull(staging: &transport::StagingEndpoint) -> Bytes {
+        let req = staging.recv_request(Duration::from_secs(1)).unwrap();
+        let buf = staging.rdma_get(&req).unwrap();
+        assert_eq!(buf.len(), req.chunk_bytes, "exposed exactly the chunk");
+        buf
+    }
+
+    #[test]
+    fn a_buffer_the_staging_side_holds_is_never_overwritten() {
+        let (_fabric, client, staging) = one_client(None);
+        let pg = |step: u64| make_particle_pg(0, step, vec![step as f64; 64]);
+
+        client.write_pg(pg(1)).unwrap();
+        let held = pull(&staging);
+        let snapshot = held.to_vec();
+        client.wait_drained(Duration::from_secs(1)).unwrap();
+
+        // The pull completed, but the staging side still reads `held`:
+        // the next dump must go somewhere else.
+        client.write_pg(pg(2)).unwrap();
+        let second = pull(&staging);
+        assert_ne!(second.as_ptr(), held.as_ptr());
+        assert_eq!(
+            &held[..],
+            &snapshot[..],
+            "bytes under a live handle changed"
+        );
+        assert_eq!(PackedChunk::unpack(&held).unwrap().step, 1);
+        client.wait_drained(Duration::from_secs(1)).unwrap();
+
+        // Both handles dropped: the third dump lands in one of the two
+        // buffers, the fourth in the other, and nothing new is allocated.
+        let owned = [held.as_ptr(), second.as_ptr()];
+        drop((held, second));
+        for step in [3, 4] {
+            client.write_pg(pg(step)).unwrap();
+        }
+        let (third, fourth) = (pull(&staging), pull(&staging));
+        assert!(owned.contains(&third.as_ptr()) && owned.contains(&fourth.as_ptr()));
+        assert_ne!(third.as_ptr(), fourth.as_ptr());
+        assert_eq!(PackedChunk::unpack(&third).unwrap().step, 3);
+        assert_eq!(PackedChunk::unpack(&fourth).unwrap().step, 4);
+    }
+
+    #[test]
+    fn reclaimed_buffers_return_to_the_pool_and_unpin() {
+        let (fabric, client, staging) = one_client(None);
+        let pg = |step: u64| make_particle_pg(0, step, vec![0.5; 64]);
+        for step in 0..3 {
+            client.write_pg(pg(step)).unwrap();
+        }
+        let pinned = client.buffered_bytes();
+        assert_eq!(fabric.pinned_bytes(), pinned);
+        // One dump is pulled (and its reader lets go); two are withdrawn.
+        drop(pull(&staging));
+        assert_eq!(client.reclaim_outstanding(), 2);
+        for _ in 0..2 {
+            let late = staging.recv_request(Duration::from_secs(1)).unwrap();
+            assert!(matches!(
+                staging.rdma_get(&late),
+                Err(TransportError::StaleHandle(_))
+            ));
+        }
+        assert_eq!(client.outstanding_writes(), 0);
+        assert_eq!((client.buffered_bytes(), fabric.pinned_bytes()), (0, 0));
+        assert_eq!(client.retired.borrow().len(), 3);
+        assert!(client.retired.borrow().iter().all(Bytes::is_unique));
+        // All three are packed into again before anything is allocated.
+        let pool: Vec<*const u8> = client.retired.borrow().iter().map(|b| b.as_ptr()).collect();
+        for step in 3..6 {
+            client.write_pg(pg(step)).unwrap();
+        }
+        assert!(client.retired.borrow().is_empty());
+        for _ in 3..6 {
+            assert!(pool.contains(&pull(&staging).as_ptr()));
+        }
+        client.wait_drained(Duration::from_secs(1)).unwrap();
+        assert_eq!((client.buffered_bytes(), fabric.pinned_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_refused_exposure_keeps_its_buffer() {
+        let (fabric, client, _staging) = one_client(Some(16));
+        for step in 0..2 {
+            let err = client.write_pg(make_particle_pg(0, step, vec![0.0; 64]));
+            assert!(matches!(
+                err,
+                Err(ClientError::Transport(
+                    TransportError::PinBudgetExceeded { .. }
+                ))
+            ));
+            assert_eq!(client.retired.borrow().len(), 1, "packed into, then kept");
+        }
+        assert_eq!((client.buffered_bytes(), fabric.pinned_bytes()), (0, 0));
     }
 }

@@ -8,10 +8,16 @@
 //! rank along the slowest dimension; `map` routes each chunk piece to its
 //! slab owner, `reduce` copies pieces into contiguous slab buffers, and
 //! `finalize` writes each slab as one large contiguous extent ("merged").
+//!
+//! A payload byte is copied twice on its way from the decoded chunk to
+//! the file: `map` frames each piece with one slice copy, `reduce` copies
+//! the piece's rows from that frame into the slab, and `finalize` lends
+//! the slabs to the writer. The slabs themselves live as long as the
+//! operator: `initialize` re-zeroes them, so a step allocates no slab.
 
 use std::sync::Arc;
 
-use bpio::{copy_box, linear_len, DataArray, Dtype};
+use bpio::{BoxRuns, DataArray, Dtype};
 use ffs::Value;
 
 use crate::agg::Aggregates;
@@ -26,9 +32,16 @@ pub struct ReorgOp {
     global: Vec<u64>,
     /// This rank's slab `[lo, hi)` along dimension 0.
     slab: (u64, u64),
-    /// Slab buffers, one per variable.
-    buffers: Vec<DataArray>,
+    /// Slab buffers, one per variable, kept across steps. Between
+    /// `initialize` and `finalize` each reads 0.0 wherever no piece of
+    /// this step has landed.
+    buffers: Vec<Vec<f64>>,
 }
+
+/// A mapped piece: seven little-endian `u64` words — variable index,
+/// global corner (d0, d1, d2), extents (n0, n1, n2) — then the piece's
+/// `f64` payload, row-major.
+const PIECE_HEADER: usize = 7 * 8;
 
 impl ReorgOp {
     pub fn new(vars: Vec<String>) -> Self {
@@ -97,9 +110,15 @@ impl StreamOp for ReorgOp {
         self.global = vec![g("gx"), g("gy"), g("gz")];
         self.slab = Self::slab_range(ctx.my_rank(), ctx.n_ranks(), self.global[0]);
         let slab_elems = ((self.slab.1 - self.slab.0) * self.global[1] * self.global[2]) as usize;
-        self.buffers = (0..self.vars.len())
-            .map(|_| DataArray::zeros(Dtype::F64, slab_elems))
-            .collect();
+        // Re-zero, don't reallocate: whatever the last step left behind
+        // (its slabs come back from `finalize`) must not show through
+        // where this step delivers no piece — a skipped chunk, a shed
+        // operator.
+        self.buffers.resize_with(self.vars.len(), Vec::new);
+        for slab in &mut self.buffers {
+            slab.clear();
+            slab.resize(slab_elems, 0.0);
+        }
     }
 
     fn mapper(&self) -> Arc<dyn ChunkMapper> {
@@ -113,12 +132,10 @@ impl StreamOp for ReorgOp {
                 let mut out = Vec::new();
                 for (vi, var) in self.vars.iter().enumerate() {
                     let Some(v) = chunk.pg.var(var) else { continue };
-                    let Some(data) = v.data.as_f64() else {
-                        continue;
-                    };
-                    if v.global.len() != 3 {
+                    if v.data.dtype() != Dtype::F64 || v.global.len() != 3 {
                         continue;
                     }
+                    let data = v.data.as_le_bytes();
                     // Split the chunk along dim 0 by destination slab.
                     let (o, l) = (&v.offset, &v.local);
                     let mut d0 = o[0];
@@ -130,13 +147,11 @@ impl StreamOp for ReorgOp {
                         let rows_per_d0 = (l[1] * l[2]) as usize;
                         let start = ((d0 - o[0]) as usize) * rows_per_d0;
                         let end = ((hi - o[0]) as usize) * rows_per_d0;
-                        let mut bytes = Vec::with_capacity(8 * 7 + (end - start) * 8);
+                        let mut bytes = Vec::with_capacity(PIECE_HEADER + (end - start) * 8);
                         for v in [vi as u64, d0, o[1], o[2], hi - d0, l[1], l[2]] {
                             bytes.extend_from_slice(&v.to_le_bytes());
                         }
-                        for x in &data[start..end] {
-                            bytes.extend_from_slice(&x.to_le_bytes());
-                        }
+                        bytes.extend_from_slice(&data[start * 8..end * 8]);
                         out.push(Tagged::new(dest as u64, bytes));
                         d0 = hi;
                     }
@@ -156,26 +171,30 @@ impl StreamOp for ReorgOp {
     }
 
     fn reduce(&mut self, _tag: u64, items: Vec<bytes::Bytes>, _ctx: &OpCtx) {
-        let slab_extents = [self.slab.1 - self.slab.0, self.global[1], self.global[2]];
+        let slab_corner = [self.slab.0, 0, 0];
+        let slab_extent = [self.slab.1 - self.slab.0, self.global[1], self.global[2]];
         for item in items {
-            let h: Vec<u64> = (0..7)
-                .map(|i| u64::from_le_bytes(item[i * 8..i * 8 + 8].try_into().unwrap()))
-                .collect();
-            let (vi, d0, o1, o2, n0, n1, n2) = (h[0] as usize, h[1], h[2], h[3], h[4], h[5], h[6]);
-            let n = (n0 * n1 * n2) as usize;
-            let data: Vec<f64> = item[56..56 + n * 8]
-                .chunks_exact(8)
-                .map(|w| f64::from_le_bytes(w.try_into().unwrap()))
-                .collect();
-            debug_assert_eq!(linear_len(&[n0, n1, n2]) as usize, data.len());
-            copy_box(
-                &DataArray::F64(data),
-                &mut self.buffers[vi],
-                &[d0 - self.slab.0, o1, o2],
-                &[n0, n1, n2],
-                &slab_extents,
-            )
-            .expect("piece fits its slab");
+            // The header is read where it lies and each row of the piece
+            // goes from the item straight to its place in the slab.
+            let word =
+                |i: usize| u64::from_le_bytes(item[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+            let corner = [word(1), word(2), word(3)];
+            let extent = [word(4), word(5), word(6)];
+            let rows = BoxRuns::new(&slab_corner, &slab_extent, &corner, &extent)
+                .expect("piece fits its slab");
+            let row_bytes = rows.run_len() * 8;
+            let slab = &mut self.buffers[word(0) as usize];
+            let payload = &item[PIECE_HEADER..];
+            assert_eq!(
+                payload.len() as u64,
+                extent.iter().product::<u64>() * 8,
+                "a piece carries exactly its box"
+            );
+            for (row, src) in rows.zip(payload.chunks_exact(row_bytes.max(1))) {
+                for (x, le) in slab[row].iter_mut().zip(src.chunks_exact(8)) {
+                    *x = f64::from_le_bytes(le.try_into().expect("8 bytes"));
+                }
+            }
         }
     }
 
@@ -223,19 +242,22 @@ impl StreamOp for ReorgOp {
             ] {
                 pg.write(&def, name, DataArray::U64(vec![val])).unwrap();
             }
-            for (i, v) in self.vars.iter().enumerate() {
-                pg.write(
-                    &def,
-                    v,
-                    std::mem::replace(&mut self.buffers[i], DataArray::zeros(Dtype::F64, 0)),
-                )
-                .unwrap();
+            // The slabs are lent to the PG for the write (the writer
+            // borrows them again for its vectored write) and taken back.
+            let first_slab = pg.vars.len();
+            for (v, slab) in self.vars.iter().zip(&mut self.buffers) {
+                pg.write(&def, v, DataArray::F64(std::mem::take(slab)))
+                    .unwrap();
             }
             if w.append_pg(&pg).is_ok() && w.finish().is_ok() {
                 result.files.push(path);
             }
+            for (slab, var) in self.buffers.iter_mut().zip(pg.vars.drain(first_slab..)) {
+                if let DataArray::F64(data) = var.data {
+                    *slab = data;
+                }
+            }
         }
-        self.buffers.clear();
         result
     }
 }

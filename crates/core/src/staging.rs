@@ -582,7 +582,7 @@ impl StagingRank {
         // slots[i] belongs to requests[i]; filled in completion order,
         // merged in index order.
         let mut slots: Vec<Option<ChunkOutcome>> = requests.iter().map(|_| None).collect();
-        let work: EventQueue<(usize, Arc<[u8]>)> =
+        let work: EventQueue<(usize, bytes::Bytes)> =
             EventQueue::bounded(self.policy.max_inflight().max(1));
         let results: EventQueue<(usize, Result<ChunkOutcome, StagingError>)> =
             EventQueue::unbounded();
@@ -673,7 +673,9 @@ impl StagingRank {
                                 Ok(chunk) => {
                                     drop(decode_span);
                                     let bytes = buf.len() as u64;
-                                    // The chunk owns its data now.
+                                    // The chunk owns its data now; the
+                                    // compute side may pack into the
+                                    // buffer again.
                                     drop(buf);
                                     let _map_span =
                                         obs::span!("map", step).rank(my_rank).chunk(src_rank);

@@ -66,9 +66,9 @@ impl AttrList {
     /// Standalone serialization (e.g. for shipping attribute lists through
     /// a transport that is not an `ffs` record).
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let mut w = Writer::with_capacity(64);
-        self.encode_into(&mut w)?;
-        Ok(w.into_inner())
+        let mut buf = Vec::with_capacity(64);
+        self.encode_into(&mut Writer::new(&mut buf))?;
+        Ok(buf)
     }
 
     /// Inverse of [`AttrList::to_bytes`].
@@ -150,9 +150,8 @@ mod tests {
         a.set("min", Value::F64(-1.25));
         a.set("hist", Value::ArrU64(vec![1, 2, 3]));
         a.set("tag", Value::Str("electrons".into()));
-        let mut w = Writer::with_capacity(128);
-        a.encode_into(&mut w).unwrap();
-        let buf = w.into_inner();
+        let mut buf = Vec::new();
+        a.encode_into(&mut Writer::new(&mut buf)).unwrap();
         let back = AttrList::decode_from(&mut Reader::new(&buf)).unwrap();
         assert_eq!(a, back);
     }
@@ -161,7 +160,8 @@ mod tests {
     fn budget_enforced() {
         let mut a = AttrList::new();
         a.set("big", Value::ArrF64(vec![0.0; MAX_ENCODED_LEN / 8]));
-        let mut w = Writer::with_capacity(16);
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
         assert!(matches!(a.encode_into(&mut w), Err(FfsError::Attr(_))));
     }
 

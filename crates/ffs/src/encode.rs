@@ -14,8 +14,9 @@
 //! value       := scalar bytes | count:u64 elems | len:u32 utf8  -- str
 //! ```
 
+use crate::attr::AttrList;
 use crate::error::{FfsError, Result};
-use crate::types::{DimSpec, FieldType, FormatDesc, Record, Value};
+use crate::types::{BaseType, DimSpec, FieldType, FormatDesc, Record, Value};
 use crate::wire::Writer;
 use crate::MAGIC;
 
@@ -39,15 +40,113 @@ impl Record {
 
     fn encode_inner(&self, embed: bool) -> Result<Vec<u8>> {
         let fmt = self.format();
-        // Validate completeness and var-dim consistency before any bytes
-        // are produced, so failure never yields a half-written buffer.
-        for (i, field) in fmt.fields().iter().enumerate() {
-            let v = self.values()[i]
+        let payload_size: usize = self
+            .values()
+            .iter()
+            .map(|v| v.as_ref().map_or(0, Value::wire_size))
+            .sum();
+        let mut buf = Vec::with_capacity(64 + payload_size);
+        let mut enc = RecordEncoder::begin(fmt, self.attrs(), embed, &mut buf)?;
+        for (field, v) in fmt.fields().iter().zip(self.values()) {
+            let v = v
                 .as_ref()
                 .ok_or_else(|| FfsError::UnsetField(field.name.clone()))?;
-            if let FieldType::Array { .. } = field.ty {
-                let expected = self.resolved_len(i)?;
-                let got = v.len().expect("array fields hold array values");
+            enc.value(v)?;
+        }
+        enc.finish()?;
+        Ok(buf)
+    }
+}
+
+/// One record being encoded field by field, in declaration order,
+/// straight onto the end of a caller's buffer — the one encoder of the
+/// record wire layout ([`Record`]'s `encode_*` drive it with their stored
+/// values). A caller that already holds its data elsewhere skips the
+/// `Record` and its owned [`Value`]s: scalars go in by value, a byte
+/// array is written in place by a closure, and each payload byte is
+/// copied once, into a buffer the caller may keep and reuse.
+///
+/// Every field is checked against the format as it is written: its
+/// type, and an array's length against its fixed and variable
+/// dimensions. Dropping the encoder before
+/// [`finish`](RecordEncoder::finish) — which is what `?` on any of its
+/// errors does — cuts the buffer back to the length it had at the
+/// start, so a failure never leaves half a record.
+pub struct RecordEncoder<'a> {
+    w: Writer<'a>,
+    fmt: &'a FormatDesc,
+    /// Length of the buffer when the record began.
+    start: usize,
+    /// Index of the next field to write.
+    next: usize,
+    /// `(field index, value)` of the integer scalars written so far,
+    /// which later arrays' variable dimensions resolve against.
+    sizes: Vec<(usize, u64)>,
+    finished: bool,
+}
+
+impl<'a> RecordEncoder<'a> {
+    /// Begin a self-contained record (schema embedded) of `fmt` at the
+    /// end of `out`.
+    pub fn self_contained(
+        fmt: &'a FormatDesc,
+        attrs: &AttrList,
+        out: &'a mut Vec<u8>,
+    ) -> Result<Self> {
+        Self::begin(fmt, attrs, true, out)
+    }
+
+    pub(crate) fn begin(
+        fmt: &'a FormatDesc,
+        attrs: &AttrList,
+        embed: bool,
+        out: &'a mut Vec<u8>,
+    ) -> Result<Self> {
+        let mut enc = RecordEncoder {
+            start: out.len(),
+            w: Writer::new(out),
+            fmt,
+            next: 0,
+            sizes: Vec::new(),
+            finished: false,
+        };
+        let w = &mut enc.w;
+        w.bytes(&MAGIC);
+        w.u8(WIRE_VERSION);
+        w.u8(if embed { FLAG_EMBEDDED_SCHEMA } else { 0 });
+        w.u64(fmt.fingerprint());
+        if embed {
+            encode_schema(w, fmt);
+        }
+        attrs.encode_into(w)?;
+        Ok(enc)
+    }
+
+    /// Step past the next field, which must hold a `base` scalar (`len`
+    /// is `None`) or a `base` array of `len` elements.
+    fn field(&mut self, base: BaseType, len: Option<u64>) -> Result<()> {
+        let fmt = self.fmt;
+        let field = fmt.fields().get(self.next).ok_or_else(|| {
+            FfsError::NoSuchField(format!("field #{} of `{}`", self.next, fmt.name()))
+        })?;
+        match (&field.ty, len) {
+            (FieldType::Scalar(b), None) if *b == base => {}
+            (FieldType::Array { elem, dims }, Some(got)) if *elem == base => {
+                let mut expected = 1u64;
+                for d in dims {
+                    let extent = match d {
+                        DimSpec::Fixed(n) => *n,
+                        DimSpec::Var(name) => {
+                            let j = fmt.field_index(name).expect("validated at build");
+                            self.sizes
+                                .iter()
+                                .find(|(i, _)| *i == j)
+                                .expect("size fields precede their arrays")
+                                .1
+                        }
+                    };
+                    expected = expected.saturating_mul(extent);
+                }
                 if expected != got {
                     return Err(FfsError::LengthMismatch {
                         field: field.name.clone(),
@@ -56,26 +155,83 @@ impl Record {
                     });
                 }
             }
+            _ => {
+                return Err(FfsError::TypeMismatch {
+                    field: field.name.clone(),
+                    expected: field.ty.type_name(),
+                    got: match len {
+                        Some(_) => format!("{}[]", base.name()),
+                        None => base.name().to_string(),
+                    },
+                })
+            }
         }
+        self.next += 1;
+        Ok(())
+    }
 
-        let payload_size: usize = self
-            .values()
-            .iter()
-            .map(|v| v.as_ref().unwrap().wire_size())
-            .sum();
-        let mut w = Writer::with_capacity(64 + payload_size);
-        w.bytes(&MAGIC);
-        w.u8(WIRE_VERSION);
-        w.u8(if embed { FLAG_EMBEDDED_SCHEMA } else { 0 });
-        w.u64(fmt.fingerprint());
-        if embed {
-            encode_schema(&mut w, fmt);
+    /// Write the next field from an owned value.
+    pub(crate) fn value(&mut self, v: &Value) -> Result<()> {
+        let (base, is_array) = v.shape();
+        self.field(base, if is_array { v.len() } else { None })?;
+        if let (false, Some(n)) = (is_array, v.as_u64()) {
+            self.sizes.push((self.next - 1, n));
         }
-        self.attrs().encode_into(&mut w)?;
-        for v in self.values() {
-            encode_value_payload(&mut w, v.as_ref().unwrap());
+        encode_value_payload(&mut self.w, v);
+        Ok(())
+    }
+
+    /// Write the next field, a `u64` scalar.
+    pub fn u64(&mut self, v: u64) -> Result<()> {
+        self.field(BaseType::U64, None)?;
+        self.sizes.push((self.next - 1, v));
+        self.w.u64(v);
+        Ok(())
+    }
+
+    /// Write the next field, a string.
+    pub fn str(&mut self, s: &str) -> Result<()> {
+        self.field(BaseType::Str, None)?;
+        self.w.str32(s);
+        Ok(())
+    }
+
+    /// Write the next field, a `u8` array of `len` bytes that `fill`
+    /// appends to the buffer it is handed — the bytes are produced in
+    /// their final place. `fill` appending any other number of bytes is
+    /// a [`FfsError::LengthMismatch`].
+    pub fn bytes_with(&mut self, len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        self.field(BaseType::U8, Some(len as u64))?;
+        self.w.u64(len as u64);
+        let buf = self.w.buf();
+        let before = buf.len();
+        fill(buf);
+        let got = buf.len().wrapping_sub(before);
+        if got != len {
+            return Err(FfsError::LengthMismatch {
+                field: self.fmt.fields()[self.next - 1].name.clone(),
+                expected: len as u64,
+                got: got as u64,
+            });
         }
-        Ok(w.into_inner())
+        Ok(())
+    }
+
+    /// End the record; every field must have been written.
+    pub fn finish(mut self) -> Result<()> {
+        if let Some(unset) = self.fmt.fields().get(self.next) {
+            return Err(FfsError::UnsetField(unset.name.clone()));
+        }
+        self.finished = true;
+        Ok(())
+    }
+}
+
+impl Drop for RecordEncoder<'_> {
+    fn drop(&mut self) {
+        if !self.finished {
+            self.w.buf().truncate(self.start);
+        }
     }
 }
 
@@ -223,5 +379,107 @@ mod tests {
         assert!(by_ref.len() < full.len());
         assert_eq!(&full[..4], &MAGIC);
         assert_eq!(&by_ref[..4], &MAGIC);
+    }
+
+    fn blob_fmt() -> std::sync::Arc<FormatDesc> {
+        FormatDesc::new("blob")
+            .field(FieldDesc::scalar("tag", BaseType::Str))
+            .field(FieldDesc::scalar("len", BaseType::U64))
+            .field(FieldDesc::vec("raw", BaseType::U8, "len"))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn streamed_fields_equal_the_record_encoding() {
+        let f = blob_fmt();
+        let mut r = Record::new(&f);
+        r.set("tag", Value::Str("t".into())).unwrap();
+        r.set("len", Value::U64(3)).unwrap();
+        r.set("raw", Value::ArrU8(vec![7, 8, 9])).unwrap();
+        let mut out = b"kept".to_vec();
+        let mut enc = RecordEncoder::self_contained(&f, r.attrs(), &mut out).unwrap();
+        enc.str("t").unwrap();
+        enc.u64(3).unwrap();
+        enc.bytes_with(3, |b| b.extend_from_slice(&[7, 8, 9]))
+            .unwrap();
+        enc.finish().unwrap();
+        assert_eq!(&out[..4], b"kept");
+        assert_eq!(&out[4..], &r.encode_self_contained().unwrap()[..]);
+    }
+
+    #[test]
+    fn a_failed_or_abandoned_record_leaves_the_buffer_as_it_was() {
+        let f = blob_fmt();
+        let attrs = AttrList::new();
+        let mut out = b"kept".to_vec();
+        // Out of order, wrong type, wrong length, short fill, too many
+        // fields, too few: each is refused and rolled back.
+        type Steps = fn(&mut RecordEncoder) -> Result<()>;
+        type Check = fn(&FfsError) -> bool;
+        let bad: [(Steps, Check); 5] = [
+            (
+                |e| e.u64(1),
+                |e| matches!(e, FfsError::TypeMismatch { field, .. } if field == "tag"),
+            ),
+            (
+                |e| e.str("t").and_then(|_| e.u64(2)).and_then(|_| e.u64(3)),
+                |e| matches!(e, FfsError::TypeMismatch { field, .. } if field == "raw"),
+            ),
+            (
+                |e| {
+                    e.str("t")?;
+                    e.u64(2)?;
+                    e.bytes_with(3, |b| b.extend_from_slice(&[0; 3]))
+                },
+                |e| {
+                    matches!(
+                        e,
+                        FfsError::LengthMismatch {
+                            expected: 2,
+                            got: 3,
+                            ..
+                        }
+                    )
+                },
+            ),
+            (
+                |e| {
+                    e.str("t")?;
+                    e.u64(2)?;
+                    e.bytes_with(2, |b| b.push(0))
+                },
+                |e| {
+                    matches!(
+                        e,
+                        FfsError::LengthMismatch {
+                            expected: 2,
+                            got: 1,
+                            ..
+                        }
+                    )
+                },
+            ),
+            (
+                |e| {
+                    e.str("t")?;
+                    e.u64(0)?;
+                    e.bytes_with(0, |_| {})?;
+                    e.u64(9)
+                },
+                |e| matches!(e, FfsError::NoSuchField(_)),
+            ),
+        ];
+        for (steps, expected) in bad {
+            let mut enc = RecordEncoder::self_contained(&f, &attrs, &mut out).unwrap();
+            let err = steps(&mut enc).unwrap_err();
+            assert!(expected(&err), "{err:?}");
+            drop(enc);
+            assert_eq!(out, b"kept");
+        }
+        let mut enc = RecordEncoder::self_contained(&f, &attrs, &mut out).unwrap();
+        enc.str("t").unwrap();
+        assert_eq!(enc.finish(), Err(FfsError::UnsetField("len".into())));
+        assert_eq!(out, b"kept");
     }
 }

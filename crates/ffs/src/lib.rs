@@ -50,6 +50,7 @@ mod wire;
 
 pub use attr::AttrList;
 pub use decode::{decode, decode_header, decode_view, DecodedHeader, RecordView, ViewValue};
+pub use encode::RecordEncoder;
 pub use error::{FfsError, Result};
 pub use registry::{FormatId, FormatRegistry};
 pub use types::{

@@ -523,31 +523,6 @@ impl Record {
     pub(crate) fn values(&self) -> &[Option<Value>] {
         &self.values
     }
-
-    /// Resolve the expected element count of the array field at `idx`,
-    /// reading variable dims from this record's own size fields.
-    pub(crate) fn resolved_len(&self, idx: usize) -> Result<u64> {
-        let field = &self.format.fields()[idx];
-        let dims = match &field.ty {
-            FieldType::Array { dims, .. } => dims,
-            FieldType::Scalar(_) => return Ok(1),
-        };
-        let mut n: u64 = 1;
-        for d in dims {
-            let extent = match d {
-                DimSpec::Fixed(k) => *k,
-                DimSpec::Var(v) => {
-                    let j = self.format.field_index(v).expect("validated at build");
-                    self.values[j]
-                        .as_ref()
-                        .and_then(|val| val.as_u64())
-                        .ok_or_else(|| FfsError::UnsetField(v.clone()))?
-                }
-            };
-            n = n.saturating_mul(extent);
-        }
-        Ok(n)
-    }
 }
 
 #[cfg(test)]

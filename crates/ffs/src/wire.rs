@@ -2,19 +2,18 @@
 
 use crate::error::{FfsError, Result};
 
-/// Append-only writer over a byte vector.
-pub(crate) struct Writer {
-    buf: Vec<u8>,
+/// Append-only writer onto the end of a caller's byte vector.
+pub(crate) struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
-    pub fn with_capacity(cap: usize) -> Self {
-        Writer {
-            buf: Vec::with_capacity(cap),
-        }
+impl<'a> Writer<'a> {
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        Writer { buf }
     }
 
-    pub fn into_inner(self) -> Vec<u8> {
+    /// The vector written so far (whatever it held before included).
+    pub fn buf(&mut self) -> &mut Vec<u8> {
         self.buf
     }
 
@@ -128,7 +127,8 @@ mod tests {
 
     #[test]
     fn roundtrip_primitives() {
-        let mut w = Writer::with_capacity(64);
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
         w.u8(7);
         w.u16(300);
         w.u32(70_000);
@@ -137,7 +137,6 @@ mod tests {
         w.f64(-2.25);
         w.str16("hello");
         w.str32("world");
-        let buf = w.into_inner();
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8("t").unwrap(), 7);
         assert_eq!(r.u16("t").unwrap(), 300);
@@ -162,10 +161,10 @@ mod tests {
 
     #[test]
     fn non_utf8_name_rejected() {
-        let mut w = Writer::with_capacity(8);
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
         w.u16(2);
         w.bytes(&[0xff, 0xfe]);
-        let buf = w.into_inner();
         let mut r = Reader::new(&buf);
         assert!(matches!(r.str16("name"), Err(FfsError::Corrupt(_))));
     }

@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
@@ -103,7 +104,7 @@ impl FabricStats {
 
 struct Registry {
     next: u64,
-    exposed: HashMap<u64, (Arc<[u8]>, u64)>, // handle -> (buf, io_step)
+    exposed: HashMap<u64, (Bytes, u64)>, // handle -> (buf, io_step)
     pinned_bytes: usize,
 }
 
@@ -218,9 +219,20 @@ impl ComputeEndpoint {
         self.my_pinned.load(Ordering::Relaxed)
     }
 
+    /// [`expose_bytes`](Self::expose_bytes) of a buffer already shaped
+    /// `Arc<[u8]>`.
+    pub fn expose(&self, buf: Arc<[u8]>, io_step: u64) -> Result<MemHandle, TransportError> {
+        self.expose_bytes(buf.into(), io_step)
+    }
+
     /// Register a packed chunk for one-sided access and get its handle.
     /// The buffer stays pinned until a staging node pulls it.
-    pub fn expose(&self, buf: Arc<[u8]>, io_step: u64) -> Result<MemHandle, TransportError> {
+    ///
+    /// The registry holds `buf` by reference count and hands that handle
+    /// to the puller, so an exposer that keeps a clone can tell when
+    /// every reader is done with the bytes: its completion has arrived
+    /// and the clone [`is_unique`](Bytes::is_unique).
+    pub fn expose_bytes(&self, buf: Bytes, io_step: u64) -> Result<MemHandle, TransportError> {
         let len = buf.len();
         if let Some(plan) = &self.inner.faults {
             if let Some(err) = plan.inject_expose(self.rank as u64, io_step, len) {
@@ -357,8 +369,8 @@ impl StagingEndpoint {
 
     /// One-sided pull of an exposed chunk. Consumes the exposure (the
     /// compute side sees a completion and may reuse its buffer) and
-    /// returns the bytes.
-    pub fn rdma_get(&self, req: &FetchRequest) -> Result<Arc<[u8]>, TransportError> {
+    /// returns the bytes — the exposer's own buffer, by reference count.
+    pub fn rdma_get(&self, req: &FetchRequest) -> Result<Bytes, TransportError> {
         let started = obs::enabled().then(std::time::Instant::now);
         let (buf, io_step) = {
             let mut reg = self.inner.registry.lock();
@@ -391,12 +403,12 @@ impl StagingEndpoint {
     /// Results are positional. A stale handle fails only its own slot
     /// ([`TransportError::StaleHandle`]); the other slots still deliver.
     /// One batch counts as one `rdma_gets` fabric transaction.
-    pub fn rdma_get_batch(&self, reqs: &[FetchRequest]) -> Vec<Result<Arc<[u8]>, TransportError>> {
+    pub fn rdma_get_batch(&self, reqs: &[FetchRequest]) -> Vec<Result<Bytes, TransportError>> {
         if reqs.is_empty() {
             return Vec::new();
         }
         let started = obs::enabled().then(std::time::Instant::now);
-        type Entry = Result<(Arc<[u8]>, u64), TransportError>;
+        type Entry = Result<(Bytes, u64), TransportError>;
         let entries: Vec<Entry> = {
             let mut reg = self.inner.registry.lock();
             reqs.iter()
@@ -430,7 +442,7 @@ impl StagingEndpoint {
     /// exposing compute endpoint (if that endpoint is gone the data
     /// still flows — matches one-sided RDMA semantics). The pull's
     /// event is the caller's: it knows the rank and times the retries.
-    fn pull_done(&self, req: &FetchRequest, buf: &Arc<[u8]>, io_step: u64) {
+    fn pull_done(&self, req: &FetchRequest, buf: &Bytes, io_step: u64) {
         self.inner
             .stats
             .bytes_pulled
@@ -569,6 +581,23 @@ mod tests {
         assert_eq!(computes[0].reclaim(h), None);
         // The freed budget is usable again.
         computes[0].expose(vec![0u8; 100].into(), 0).unwrap();
+    }
+
+    #[test]
+    fn exposers_clone_is_unique_once_every_reader_let_go() {
+        let (_f, computes, stagings) = Fabric::new(1, 1, None);
+        let mine = Bytes::from(vec![3u8; 32]);
+        let h = computes[0].expose_bytes(mine.clone(), 0).unwrap();
+        assert!(!mine.is_unique(), "the registry holds it");
+        let pulled = stagings[0].rdma_get(&req(0, h, 32)).unwrap();
+        assert_eq!(pulled.as_ptr(), mine.as_ptr(), "the pull copies nothing");
+        assert!(!mine.is_unique(), "the puller holds it");
+        drop(pulled);
+        assert!(mine.is_unique());
+        // A withdrawn exposure lets go too.
+        let h = computes[0].expose_bytes(mine.clone(), 1).unwrap();
+        assert_eq!(computes[0].reclaim(h), Some(32));
+        assert!(mine.is_unique());
     }
 
     #[test]

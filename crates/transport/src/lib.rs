@@ -15,9 +15,11 @@
 //! 2. compute: [`ComputeEndpoint::send_request`] with attached
 //!    [`ffs::AttrList`] partial results (the Stage-1c "data fetch request")
 //! 3. staging: [`StagingEndpoint::recv_request`]s, aggregates attachments
-//! 4. staging: [`StagingEndpoint::rdma_get`] pulls bytes one-sided;
-//!    completion is posted to the compute endpoint's completion queue so
-//!    it can recycle its buffer.
+//! 4. staging: [`StagingEndpoint::rdma_get`] pulls bytes one-sided — it
+//!    is handed the exposed buffer itself, by reference count; completion
+//!    is posted to the compute endpoint's completion queue, and once the
+//!    puller has also dropped the bytes the exposer may recycle its
+//!    buffer ([`ComputeEndpoint::expose_bytes`]).
 //!
 //! Pull *order and pacing* are policy ([`PullPolicy`]): FIFO, largest-first,
 //! or phase-aware (pause while the application is inside collectives —

@@ -9,7 +9,9 @@
 //! mailboxes and into `bpio` without being reassembled. Converting an
 //! owned `Vec<u8>` in is also copy-free (the vector itself moves
 //! behind the `Arc`; an `Arc<[u8]>` conversion would relocate the
-//! contents next to the refcount header). The API is the (tiny) subset
+//! contents next to the refcount header), and the way back out —
+//! [`Bytes::is_unique`] then `Vec::from` — is what lets a producer
+//! recycle a buffer once every consumer has dropped it. The API is the (tiny) subset
 //! of the real crate the workspace uses; anything fancier (`BytesMut`,
 //! vtables, rope splitting) is out of scope.
 
@@ -91,6 +93,19 @@ impl Bytes {
             len: end - start,
         }
     }
+
+    /// Whether this is the only handle on its backing allocation *and*
+    /// `Vec<u8>::from(self)` would take that allocation over instead of
+    /// copying it — the test a producer makes before recycling a buffer
+    /// it once shared. Like the real crate's, it is `false` for storage
+    /// a `Vec` cannot adopt (here an `Arc<[u8]>`, whose bytes sit beside
+    /// the reference count) and for the empty buffer.
+    pub fn is_unique(&self) -> bool {
+        match &self.data {
+            Some(Backing::Vec(v)) => Arc::strong_count(v) == 1,
+            Some(Backing::Shared(_)) | None => false,
+        }
+    }
 }
 
 impl Deref for Bytes {
@@ -118,6 +133,27 @@ impl From<Vec<u8>> for Bytes {
             data: Some(Backing::Vec(Arc::new(v))),
             start: 0,
             len,
+        }
+    }
+}
+
+impl From<Bytes> for Vec<u8> {
+    /// Takes the backing vector over when `b` is its only handle (no
+    /// copy: the allocation, capacity included, comes back); otherwise
+    /// copies the viewed range.
+    fn from(b: Bytes) -> Vec<u8> {
+        let Bytes { data, start, len } = b;
+        match data {
+            Some(Backing::Vec(v)) => match Arc::try_unwrap(v) {
+                Ok(mut v) => {
+                    v.truncate(start + len);
+                    v.drain(..start);
+                    v
+                }
+                Err(shared) => shared[start..start + len].to_vec(),
+            },
+            Some(Backing::Shared(s)) => s[start..start + len].to_vec(),
+            None => Vec::new(),
         }
     }
 }
@@ -260,6 +296,34 @@ mod tests {
         let b = Bytes::from(a);
         assert_eq!(&b[..], &[9, 8, 7]);
         assert_eq!(b.as_ptr(), p);
+    }
+
+    #[test]
+    fn unique_vec_backing_comes_back_without_a_copy() {
+        let mut v = Vec::with_capacity(64);
+        v.extend_from_slice(&[1u8, 2, 3, 4]);
+        let p = v.as_ptr();
+        let b = Bytes::from(v);
+        let held = b.clone();
+        assert!(!b.is_unique(), "a second handle is alive");
+        assert_eq!(Vec::from(held.clone()), vec![1, 2, 3, 4], "shared: copied");
+        drop(held);
+        assert!(b.is_unique());
+        let back = Vec::from(b);
+        assert_eq!((back.as_ptr(), back.capacity()), (p, 64));
+        assert_eq!(back, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn unique_sub_view_and_other_backings_convert_by_contents() {
+        let b = Bytes::from(vec![0u8, 1, 2, 3, 4, 5]).slice(2..5);
+        assert!(b.is_unique());
+        assert_eq!(Vec::from(b), vec![2, 3, 4]);
+        let shared = Bytes::from(Arc::<[u8]>::from(vec![9u8, 8]));
+        assert!(!shared.is_unique(), "a Vec cannot adopt an Arc<[u8]>");
+        assert_eq!(Vec::from(shared), vec![9, 8]);
+        assert!(!Bytes::new().is_unique());
+        assert!(Vec::from(Bytes::new()).is_empty());
     }
 
     #[test]

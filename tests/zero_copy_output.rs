@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
-use predata::apps::GtcWorld;
+use predata::apps::{GtcWorld, PixieWorld};
 use predata::core::op::StreamOp;
-use predata::core::ops::{HistogramOp, SortOp};
-use predata::core::schema::make_particle_pg;
+use predata::core::ops::{HistogramOp, ReorgOp, SortOp};
+use predata::core::schema::{make_particle_pg, PIXIE_FIELDS};
 use predata::core::staging::StagingRank;
 use predata::core::{PredataClient, StagingArea, StagingConfig};
 use predata::dataspaces::{DataSpaces, DsConfig, SpaceIndexOp};
@@ -227,4 +227,109 @@ fn truncated_step_writes_correct_partial_output() {
     assert_eq!(sorted.len(), 16 * 8, "exactly the surviving chunk's rows");
     std::fs::remove_dir_all(&degraded_dir).ok();
     std::fs::remove_dir_all(&reference_dir).ok();
+}
+
+/// `ReorgOp` keeps its slabs across steps. A step that delivers no piece
+/// for part of a slab — here one chunk's pull exhausts its retries —
+/// must write zeros there, not the previous step's values: the box of
+/// the skipped chunk is all zeros and the merged file is byte-identical
+/// to the one a fresh operator writes for that step.
+#[test]
+fn kept_slabs_show_no_stale_data_after_a_skipped_chunk() {
+    const STEPS: [u64; 2] = [90, 91];
+    const VICTIM: usize = 2;
+    let mut world = PixieWorld::new([2, 2, 1], [4, 4, 4]);
+    let n = world.n_ranks();
+    // A schedule that abandons exactly VICTIM's chunk of the second step.
+    let plan = |seed| {
+        FaultPlan::new(seed)
+            .drop_chunks(0.5)
+            .steps(STEPS[1]..STEPS[1] + 1)
+    };
+    let seed = (0..)
+        .find(|&s| {
+            (0..n).all(|r| plan(s).selects(FaultKind::Drop, r as u64, STEPS[1]) == (r == VICTIM))
+        })
+        .unwrap();
+
+    // One staging rank, one `ReorgOp` for as many of `steps` as are
+    // given; returns the last step's report and the directory.
+    let run = |world: &mut PixieWorld, steps: &[u64], tag: &str| {
+        let (_fabric, computes, stagings) =
+            Fabric::with_faults(n, 1, None, Some(Arc::new(plan(seed))));
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n, 1));
+        let clients: Vec<PredataClient> = computes
+            .into_iter()
+            .map(|e| PredataClient::new(e, Arc::clone(&router), vec![Arc::new(ReorgOp::pixie3d())]))
+            .collect();
+        let dir = out_dir(tag);
+        let (_world, mut comms) = World::with_size(1);
+        let mut rank = StagingRank::new(
+            comms.remove(0),
+            stagings.into_iter().next().unwrap(),
+            router,
+            Box::new(FifoPolicy::default()),
+            vec![Box::new(ReorgOp::pixie3d()) as Box<dyn StreamOp>],
+            StagingConfig::new(n, &dir),
+        )
+        .expect("staging rank starts");
+        let mut last = None;
+        for &step in steps {
+            for (r, c) in clients.iter().enumerate() {
+                let mut pg = world.output_pg(r);
+                pg.step = step;
+                c.write_pg(pg).unwrap();
+            }
+            last = Some(rank.run_step(step).expect("step completes"));
+            if step != STEPS[1] {
+                world.step();
+            }
+        }
+        (last.unwrap(), dir)
+    };
+
+    let (report, kept_dir) = run(&mut world, &STEPS, "kept-slabs");
+    assert_eq!(
+        report.truncated,
+        vec![VICTIM],
+        "exactly one chunk was abandoned"
+    );
+    // `world` now holds the second step's fields.
+    let (fresh_report, fresh_dir) = run(&mut world, &STEPS[1..], "fresh-slabs");
+    assert_eq!(fresh_report.truncated, vec![VICTIM]);
+
+    let name = format!("merged_step{}_rank0.bp", STEPS[1]);
+    assert_eq!(
+        bp_files(&kept_dir).get(&name).expect("merged file written"),
+        bp_files(&fresh_dir)
+            .get(&name)
+            .expect("merged file written"),
+        "kept slabs must write what fresh slabs write"
+    );
+    let (g, lo) = (world.global_dims(), world.offset_of(VICTIM));
+    let mut r = bpio::BpReader::open(kept_dir.join(&name)).unwrap();
+    for field in PIXIE_FIELDS {
+        let merged = r.read_global(field, STEPS[1]).unwrap();
+        let merged = merged.as_f64().unwrap();
+        let mut at = 0;
+        for i in 0..g[0] {
+            for j in 0..g[1] {
+                for k in 0..g[2] {
+                    let skipped = [i, j, k]
+                        .iter()
+                        .zip(&lo)
+                        .all(|(x, o)| (*o..o + 4).contains(x));
+                    let expect = if skipped {
+                        0.0
+                    } else {
+                        world.field_at(field, [i, j, k])
+                    };
+                    assert_eq!(merged[at], expect, "{field} at ({i},{j},{k})");
+                    at += 1;
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&kept_dir).ok();
+    std::fs::remove_dir_all(&fresh_dir).ok();
 }
