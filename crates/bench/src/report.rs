@@ -696,7 +696,7 @@ mod tests {
     fn renders_a_live_registry_snapshot_with_a_column_per_rank() {
         let reg = Registry::new();
         reg.counter("transport.rdma_get_bytes", &[]).add(4096);
-        reg.gauge("staging.work_queue_hwm", &[]).record_max(7);
+        reg.gauge("transport.pinned_bytes", &[]).record_max(7);
         reg.histogram("transport.rdma_get_ns", &[]).record(1500);
         reg.record(Event::new("decode", 0).rank(0).at(0, 2_000_000));
         reg.record(Event::new("decode", 0).rank(1).at(0, 3_000_000));
@@ -724,7 +724,7 @@ mod tests {
             "rank-less: all only"
         );
         assert_eq!(row(1, "reduce"), ["500.00us", "-", "500.00us"]);
-        assert!(report.contains("staging.work_queue_hwm"));
+        assert!(report.contains("transport.pinned_bytes"));
     }
 
     /// One version is written and one is read: every other is refused,

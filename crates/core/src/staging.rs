@@ -14,8 +14,8 @@
 //! 3. **aggregate + initialize** — build the global [`Aggregates`] with
 //!    one small staging-wide exchange and `initialize` every operator;
 //! 4. **pull + map** — pull every chunk in the order and pacing of the
-//!    [`transport::PullPolicy`], decode and map them on a worker pool,
-//!    merge the outputs in policy order;
+//!    [`transport::PullPolicy`], decode and map each one, and file the
+//!    outputs in policy order;
 //! 5. **exchange + step end** — each operator's combine → shuffle →
 //!    reduce → finalize, then the live-telemetry tick and the
 //!    [`StepReport`].
@@ -23,55 +23,51 @@
 //! Stages 1 and 4 can fail; `run_step` has one error exit, which closes
 //! the lineage record of every chunk gathered so far.
 //!
-//! # The pull → decode → map pipeline (stage 4)
+//! # The pull → decode → map loop (stage 4)
 //!
-//! Each staging process runs "multiple threads that exploit concurrency
-//! in different parts of the execution flow" (paper §IV-C). Stage 4 is a
-//! three-role pipeline over two event queues:
+//! Stage 4 is one loop on the rank thread (DESIGN.md §3.1 has the long
+//! form). For each request, in policy order: wait until the policy is
+//! willing, pull the chunk, unpack it, release the pull buffer, run every
+//! operator's [`crate::op::ChunkMapper`] on it:
 //!
 //! ```text
-//!  puller ─────(idx, bytes)─────▶ bounded ──▶ decode+map ──┐
-//!    │  policy order + pacing      work         worker 0   │
-//!    ▼  one RDMA get per chunk     queue           ⋮       ├──▶ unbounded ──▶ collector
-//!                                   └───────▶ worker N-1 ─┘     results        │
-//!                                   unpack → map_chunk×ops       queue    slots[idx] = out
+//!  rank thread:  wait_ready → rdma_get ──▶ run ──┬──────────▶ map_run ──┐
+//!    policy order + pacing, one get      ≥ 256 KiB │ queue full, or none  │
+//!    per chunk, retried, skippable                 ▼                      ├─▶ sorted by
+//!                                           bounded queue ──▶ helper:     │   first chunk
+//!                                           (only with helpers) map_run ──┘
 //! ```
 //!
-//! The *puller* issues one RDMA get per chunk, serially, in policy order
-//! — the paper's server-directed, scheduled pull. Every pull goes
-//! through the same path: the fault plan is consulted, the get is
-//! retried under the step's deadline budget, and a chunk whose retries
-//! exhaust on a transient error is skipped (the step completes without
-//! it; [`StepReport::truncated`]). There is no coalescing of small
-//! pulls: measured, all 64 pulls of a 32 KiB-chunk step are under 1 % of
-//! the step (DESIGN.md §3.4). The puller blocks on the bounded work
-//! queue — its capacity (`max_inflight`) is the back-pressure bound on
-//! pulled-but-unmapped bytes, so the streaming memory footprint stays at
-//! a few chunks no matter how fast the network outruns the operators.
-//! Each *worker* unpacks a chunk (a zero-copy borrow of the pull buffer
-//! via [`ffs::decode_view`]) and runs every operator's
-//! [`crate::op::ChunkMapper`] on it. The *collector* (the `run_step`
-//! thread) files each chunk's one outcome into a slot indexed by the
-//! chunk's position in the policy order, then merges slots **in index
-//! order** — so the per-operator intermediate streams, and therefore
-//! every downstream combine/shuffle/reduce result, are bit-identical
-//! regardless of worker count or completion interleaving.
+//! *Pulling* is the paper's server-directed, scheduled pull: one RDMA
+//! get per chunk, serially, each through the same path — fault plan
+//! consulted, retried under the step's deadline budget, skipped when the
+//! retries exhaust on a transient error ([`StepReport::truncated`]).
 //!
-//! All waiting is condvar-based (queue parking, [`PullPolicy::wait_ready`]);
-//! there are no sleep-poll loops in this pipeline.
+//! *Mapping* is one function, `map_run`, over a **run** — consecutive
+//! chunks of the policy order. The rank thread is mapper 0. It has
+//! [`StagingConfig::map_workers`]` − 1` scoped *helpers*, and only where
+//! there are cores for them: by default, on a host with as many staging
+//! ranks as cores, a run is one chunk, mapped where it was pulled, and a
+//! step spawns no thread and builds no queue. With helpers, the rank
+//! thread fills a run to 256 KiB (`RUN_BYTES`) before it offers it to
+//! their queue, maps the run itself when the queue is full, and when the
+//! pulls are done maps what is still queued. The runs' outputs are
+//! sorted by first chunk and concatenated, so each operator's stream is
+//! in policy order — and every downstream result bit-identical —
+//! whichever thread mapped which run, at every worker count.
 //!
-//! The worker count is [`StagingConfig::map_workers`] (the
-//! `PREDATA_MAP_WORKERS` environment variable; default 4, minimum 1) —
-//! the ablation knob for the decode+map scaling experiments.
+//! All waiting is condvar-based; there are no sleep-poll loops. The rank
+//! thread waits for two others: the policy, for at most
+//! [`StagingConfig::gather_timeout`], and — the queue closed, at the end
+//! of the stage — each helper finishing the run it has in hand.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use transport::evq::{EventQueue, PollError};
-
+use bytes::Bytes;
 use minimpi::{Comm, PoisonOnUnwind, World};
+use transport::evq::{EventQueue, SubmitError};
 use transport::{
     Epoch, FetchRequest, Membership, MembershipPlan, PullPolicy, RetryPolicy, Router,
     StagingEndpoint, TransportError,
@@ -109,13 +105,6 @@ pub enum StagingError {
     /// The staging thread for this rank panicked. The panic payload is
     /// swallowed by the thread boundary; the rank identifies the culprit.
     WorkerPanicked(usize),
-    /// The collector saw one result per chunk yet a policy-order slot was
-    /// never filled — a duplicate slot index, i.e. a pipeline bug. Names
-    /// the missing index so the report pinpoints the chunk.
-    SlotMissing {
-        index: usize,
-        n_chunks: usize,
-    },
 }
 
 impl std::fmt::Display for StagingError {
@@ -130,13 +119,6 @@ impl std::fmt::Display for StagingError {
             StagingError::WorkerPanicked(rank) => {
                 write!(f, "staging rank {rank} panicked")
             }
-            StagingError::SlotMissing { index, n_chunks } => {
-                write!(
-                    f,
-                    "policy-order slot {index} of {n_chunks} never reported \
-                     (duplicate slot index in the pipeline)"
-                )
-            }
         }
     }
 }
@@ -150,9 +132,7 @@ impl std::error::Error for StagingError {
             StagingError::Transport(e) => Some(e),
             StagingError::Chunk(e) => Some(e),
             StagingError::Io(e) => Some(e),
-            StagingError::StepSkew { .. }
-            | StagingError::WorkerPanicked(_)
-            | StagingError::SlotMissing { .. } => None,
+            StagingError::StepSkew { .. } | StagingError::WorkerPanicked(_) => None,
         }
     }
 }
@@ -175,25 +155,24 @@ impl From<std::io::Error> for StagingError {
     }
 }
 
-/// What became of one chunk that stage 4 is done with, filed by the
-/// index the chunk holds in the policy-ordered request list. (A chunk
-/// that fails the step instead — a non-retryable pull error, bytes that
-/// do not decode — is reported as the `Err` beside this.)
-enum ChunkOutcome {
-    /// Pulled, decoded and mapped: the pulled bytes and every operator's
-    /// `map_chunk` output, in operator order.
-    Mapped {
-        bytes: u64,
-        per_op: Vec<Vec<Tagged>>,
-    },
-    /// The pull exhausted its retries on a *transient* error: the step
-    /// continues without the chunk (degradation ladder rung 1) and its
-    /// lineage is marked [`obs::lineage::Stage::Truncated`].
-    Skipped,
-}
+/// Least bytes the rank thread hands a helper at once (one chunk, when
+/// the chunk is larger). A hand-off that has to wake the receiver costs
+/// ≈ 17 µs (the benchmark's `transport.evq.handoff_us`) and a 32 KiB
+/// chunk's unpack + map ≈ 4 µs, so a chunk at a time the queue would cost
+/// four times the work it moves; 256 KiB is ≈ 32 µs of work, twice its
+/// hand-off.
+const RUN_BYTES: usize = 256 << 10;
 
-/// Output of the pull + map stage: what the step's report says about the
-/// chunks, and the per-operator intermediate streams.
+/// A run: consecutive chunks of the policy order, pulled and not yet
+/// mapped. `(first, bufs)`: `bufs[i]` is the pulled chunk of
+/// `requests[first + i]`, or `None` where the pull exhausted its retries
+/// on a transient error and the step goes on without the chunk.
+type Run = (usize, Vec<Option<Bytes>>);
+
+/// Output of the pull + map stage, or of one run of it: what the step's
+/// report says about the chunks, and the per-operator intermediate
+/// streams.
+#[derive(Default)]
 struct Mapped {
     /// Compute ranks whose chunks were mapped, in policy order.
     pull_order: Vec<usize>,
@@ -202,6 +181,28 @@ struct Mapped {
     bytes_pulled: u64,
     /// Every operator's `map_chunk` outputs, concatenated in policy order.
     per_op: Vec<Vec<Tagged>>,
+    /// The `*_busy` fields; `run_step` fills in the stages'.
+    times: StageTimes,
+}
+
+impl Mapped {
+    fn new(n_ops: usize) -> Mapped {
+        Mapped {
+            per_op: vec![Vec::new(); n_ops],
+            ..Mapped::default()
+        }
+    }
+}
+
+/// Closes the helpers' queue when the rank thread is done offering runs
+/// — by finishing, failing or unwinding — so that parked helpers wake,
+/// map what is left and can be joined.
+struct CloseOnDrop<'a>(&'a EventQueue<Run>);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// The mapper of an operator shed by admission control: the work stays
@@ -233,9 +234,13 @@ pub struct StagingConfig {
     /// Retry policy for fetch-request receives and `rdma_get` pulls
     /// (`PREDATA_RETRY`; its deadline is the per-step pull budget).
     pub retry: RetryPolicy,
-    /// Decode+map worker threads per staging rank (`PREDATA_MAP_WORKERS`,
-    /// default 4; at least one runs whatever this says).
-    pub map_workers: usize,
+    /// Mapping threads per staging rank, the rank thread included (so 1
+    /// means no helper; 0 is taken as 1). `None` — what [`new`](Self::new)
+    /// sets — is what the host has room for: its cores per staging rank,
+    /// `available_parallelism() / comm.size()`, clamped to `1..=4` by
+    /// [`StagingRank::new`]. Tests and the worker-count bench force a
+    /// count.
+    pub map_workers: Option<usize>,
     /// Elastic membership schedule (`PREDATA_MEMBERSHIP`); `None` means
     /// every rank serves every step. Ranks outside the step's epoch stay
     /// in the collectives (they must — the world is one communicator)
@@ -255,10 +260,7 @@ impl StagingConfig {
             out_dir: out_dir.into(),
             gather_timeout: Duration::from_secs(30),
             retry: RetryPolicy::from_env(),
-            map_workers: std::env::var("PREDATA_MAP_WORKERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(4),
+            map_workers: None,
             membership: MembershipPlan::from_env().map(|p| {
                 Arc::new(
                     Membership::from_plan(&p).unwrap_or_else(|e| panic!("PREDATA_MEMBERSHIP: {e}")),
@@ -292,6 +294,30 @@ pub struct StepReport {
     pub epoch: Option<u64>,
     /// Per-operator results.
     pub results: Vec<OpResult>,
+    /// Where the step's time went.
+    pub stages: StageTimes,
+}
+
+/// Where one rank's `run_step` went: the wall time of its five stages
+/// (plain `Instant`s, recorded whether or not `obs` is; they sum to the
+/// call less the membership bookkeeping ahead of `gather`) and the busy
+/// time inside `pull_map`, summed over the step's chunks — and, with
+/// helpers, over their threads, so it can exceed the stage's wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// Mostly waiting for the compute side's requests.
+    pub gather: Duration,
+    pub shed: Duration,
+    pub aggregate: Duration,
+    pub pull_map: Duration,
+    /// Includes waiting for the slowest rank in the operators' shuffles.
+    pub exchange: Duration,
+    /// In `rdma_get`, retries included; not the policy's pacing waits.
+    pub pull_busy: Duration,
+    /// In `PackedChunk::unpack`.
+    pub decode_busy: Duration,
+    /// In the operators' `map_chunk`.
+    pub map_busy: Duration,
 }
 
 impl StepReport {
@@ -310,6 +336,8 @@ pub struct StagingRank {
     policy: Box<dyn PullPolicy>,
     ops: Vec<Box<dyn StreamOp>>,
     cfg: StagingConfig,
+    /// `cfg.map_workers`, resolved against the host: at least 1.
+    map_workers: usize,
     /// Requests that arrived early for future steps.
     stashed: Vec<FetchRequest>,
 }
@@ -360,6 +388,11 @@ impl StagingRank {
                 });
             }));
         }
+        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let map_workers = cfg
+            .map_workers
+            .unwrap_or_else(|| (cores() / comm.size()).min(4))
+            .max(1);
         Ok(StagingRank {
             comm,
             endpoint,
@@ -367,6 +400,7 @@ impl StagingRank {
             policy,
             ops,
             cfg,
+            map_workers,
             stashed: Vec::new(),
         })
     }
@@ -422,11 +456,20 @@ impl StagingRank {
         // abandons the step, the exit below sees what had arrived.
         let mut requests = Vec::new();
         let report = (|| {
+            let t0 = Instant::now();
             self.gather(step, &mut requests)?;
+            let t1 = Instant::now();
             let deferred = self.shed(step, requests.len());
+            let t2 = Instant::now();
             let agg = self.aggregate(step, &requests);
+            let t3 = Instant::now();
             let mapped = self.pull_map(step, &mut requests, &agg, &deferred)?;
-            Ok(self.exchange(step, epoch, &agg, mapped, deferred))
+            let t4 = Instant::now();
+            let mut report = self.exchange(step, epoch, &agg, mapped, deferred);
+            let s = &mut report.stages;
+            (s.gather, s.shed, s.aggregate, s.pull_map, s.exchange) =
+                (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4.elapsed());
+            Ok(report)
         })();
         if report.is_err() {
             // A failed or timed-out step leaves terminal lineage
@@ -535,11 +578,8 @@ impl StagingRank {
     }
 
     /// Stage 4 (paper stages 3 + 4a): put `requests` in policy order,
-    /// pull every chunk, decode and map it, and merge the outcomes in
-    /// policy order. See the module docs for the pipeline picture: one
-    /// puller feeds a bounded work queue, `cfg.map_workers` workers
-    /// decode and run every operator's mapper, and this thread collects
-    /// their outcomes into position-indexed slots.
+    /// pull every chunk, decode and map it, and file the outputs in
+    /// policy order — the loop of the module docs.
     fn pull_map(
         &mut self,
         step: u64,
@@ -550,14 +590,9 @@ impl StagingRank {
         self.policy.order(requests);
         let requests = requests.as_slice();
         let n_chunks = requests.len();
-        let mut out = Mapped {
-            pull_order: Vec::with_capacity(n_chunks),
-            truncated: Vec::new(),
-            bytes_pulled: 0,
-            per_op: self.ops.iter().map(|_| Vec::new()).collect(),
-        };
+        let n_ops = self.ops.len();
         if n_chunks == 0 {
-            return Ok(out);
+            return Ok(Mapped::new(n_ops));
         }
         let my_rank = self.comm.rank();
         // Wall time of the whole rank-local stage: the row the live
@@ -565,8 +600,7 @@ impl StagingRank {
         // collective — every rank waits for the slowest inside it — so
         // only this stage carries a per-rank imbalance signal.
         let _span = obs::span!("pull_map", step).rank(my_rank);
-        let started = Instant::now();
-        // Map state frozen by `initialize`, shareable across workers.
+        // Map state frozen by `initialize`, shareable across threads.
         let mappers: Vec<Arc<dyn ChunkMapper>> = self
             .ops
             .iter()
@@ -579,180 +613,169 @@ impl StagingRank {
             })
             .collect();
         let map_ctx = op_ctx(&self.comm, &self.cfg, step, agg).map_ctx();
-        // slots[i] belongs to requests[i]; filled in completion order,
-        // merged in index order.
-        let mut slots: Vec<Option<ChunkOutcome>> = requests.iter().map(|_| None).collect();
-        let work: EventQueue<(usize, bytes::Bytes)> =
-            EventQueue::bounded(self.policy.max_inflight().max(1));
-        let results: EventQueue<(usize, Result<ChunkOutcome, StagingError>)> =
-            EventQueue::unbounded();
-        // Raised when this thread abandons the step (timeout or error);
-        // parked threads are woken by closing `work`.
-        let cancelled = AtomicBool::new(false);
-        let failed: Option<StagingError> = std::thread::scope(|scope| {
-            let endpoint = &self.endpoint;
-            let policy = &self.policy;
-            let retry = &self.cfg.retry;
-            let gather_timeout = self.cfg.gather_timeout;
-            let (work, results, cancelled, mappers) = (&work, &results, &cancelled, &mappers);
-            // Puller: one RDMA get per chunk, serially, in policy order
-            // and pacing.
-            scope.spawn(move || {
+        // `stage` of the chunk from `src_rank` ran from `t0` to `t1` —
+        // clock reads the caller made anyway.
+        let event = |stage, src_rank: usize, t0: Instant, t1: Instant, bytes: usize| {
+            let event = obs::Event::timed(stage, step, t0, t1 - t0)
+                .rank(my_rank)
+                .chunk(src_rank as u64)
+                .bytes(bytes as u64);
+            obs::global().record(event);
+        };
+        // The one map function, of the rank thread and of its helpers:
+        // unpack and map the chunks of a run, in order.
+        let map_run = |(first, bufs): Run| -> Result<(usize, Mapped), StagingError> {
+            let mut run = Mapped::new(n_ops);
+            for (req, buf) in requests[first..].iter().zip(bufs) {
+                // A skipped chunk leaves the streams entirely — excluded,
+                // counted, and terminally marked in lineage, never
+                // silently half-applied.
+                let Some(buf) = buf else {
+                    mark_truncated(my_rank, req.src_rank, step);
+                    obs::global().counter("staging.truncated_chunks", &[]).inc();
+                    run.truncated.push(req.src_rank);
+                    continue;
+                };
+                let t_decode = Instant::now();
+                let chunk = PackedChunk::unpack(&buf)?;
+                let t_map = Instant::now();
+                run.bytes_pulled += buf.len() as u64;
+                // The chunk owns its data now; the compute side may pack
+                // into the buffer again.
+                drop(buf);
+                for (stream, mapper) in run.per_op.iter_mut().zip(&mappers) {
+                    stream.extend(mapper.map_chunk(&chunk, &map_ctx));
+                }
+                let t_done = Instant::now();
+                run.pull_order.push(req.src_rank);
+                // The `decode` and `map` rows are the mapping threads'
+                // busy time (`Snapshot::worker_busy_ns`).
+                run.times.decode_busy += t_map - t_decode;
+                run.times.map_busy += t_done - t_map;
+                event("decode", req.src_rank, t_decode, t_map, 0);
+                event("map", req.src_rank, t_map, t_done, 0);
+            }
+            Ok((first, run))
+        };
+        // No more helpers than the step can have runs besides the rank
+        // thread's own: a step of under two runs' bytes spawns nothing.
+        let step_bytes: usize = requests.iter().map(|r| r.chunk_bytes).sum();
+        let helpers = (self.map_workers - 1).min((step_bytes / RUN_BYTES).clamp(1, n_chunks) - 1);
+        // Without a helper a run is one chunk, mapped as soon as pulled.
+        let run_bytes = if helpers == 0 { 0 } else { RUN_BYTES };
+        let work = (helpers > 0).then(|| EventQueue::bounded(self.policy.max_inflight().max(1)));
+        let work = work.as_ref();
+        let retry = &self.cfg.retry;
+        let gather_timeout = self.cfg.gather_timeout;
+        let tick = gather_timeout.min(Duration::from_millis(25));
+        let started = Instant::now();
+        let mut pull_busy = Duration::ZERO;
+        let mut runs = std::thread::scope(|scope| {
+            // A helper maps the runs the rank thread queues until the
+            // queue is closed and empty, or a run fails.
+            let helpers: Vec<_> = (0..helpers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let work = work.expect("helpers come with their queue");
+                        std::iter::from_fn(|| work.recv(Duration::MAX).ok())
+                            .map(&map_run)
+                            .collect::<Result<Vec<_>, _>>()
+                    })
+                })
+                .collect();
+            let mut runs = Vec::new();
+            {
+                let _wake_helpers = work.map(CloseOnDrop);
+                let mut bufs = Vec::new();
+                let mut filled = 0;
                 for (idx, req) in requests.iter().enumerate() {
-                    let src_rank = req.src_rank as u64;
-                    // The policy deferral is the chunk's scheduling wait
+                    // The policy's deferral is the chunk's scheduling wait
                     // — the rate/phase control the paper bounds
-                    // interference with. Condvar/deadline park inside
-                    // the policy; the short tick only bounds
-                    // cancellation latency.
-                    let wait_span = obs::span!("pull_wait", step).rank(my_rank).chunk(src_rank);
-                    while !policy.wait_ready(Duration::from_millis(25)) {
-                        if cancelled.load(Ordering::Acquire) {
-                            return;
+                    // interference with. The tick bounds one park of a
+                    // policy that only says `should_defer`; one that never
+                    // turns ready ends the step like requests that never
+                    // arrive.
+                    let t_wait = Instant::now();
+                    while !self.policy.wait_ready(tick) {
+                        if t_wait.elapsed() >= gather_timeout {
+                            return Err(TransportError::Timeout.into());
                         }
                     }
-                    drop(wait_span);
+                    let t_pull = Instant::now();
+                    event("pull_wait", req.src_rank, t_wait, t_pull, 0);
                     // The pull retries under the *step's* remaining
                     // deadline budget: transient errors (timeouts, stale
                     // handles, injected faults) back off and re-attempt;
-                    // exhausting them skips this chunk — degradation,
-                    // not abort. Any other error abandons the step.
-                    let salt = ((req.src_rank as u64) << 32) ^ step;
+                    // exhausting them skips this chunk — degradation, not
+                    // abort. Any other error abandons the step.
+                    let src_rank = req.src_rank as u64;
+                    let salt = (src_rank << 32) ^ step;
                     let remaining = retry
                         .step_deadline()
-                        .saturating_sub(started.elapsed())
+                        .saturating_sub(t_pull - started)
                         .max(Duration::from_millis(1));
-                    let pull_span = obs::span!("pull", step).rank(my_rank).chunk(src_rank);
                     let pulled = retry.clone().deadline(remaining).run("pull", salt, |_| {
-                        if let Some(p) = endpoint.fault_plan() {
-                            if let Some(e) = p.inject_pull(req.src_rank as u64, step, req.handle) {
-                                return Err(e);
-                            }
-                        }
-                        endpoint.rdma_get(req)
+                        let plan = self.endpoint.fault_plan();
+                        let fault = plan.and_then(|p| p.inject_pull(src_rank, step, req.handle));
+                        fault.map_or_else(|| self.endpoint.rdma_get(req), Err)
                     });
-                    match pulled {
-                        // Blocking send parks under back-pressure and
-                        // wakes with `Closed` if the step is abandoned.
+                    bufs.push(match pulled {
                         Ok(buf) => {
-                            drop(pull_span.bytes(buf.len() as u64));
-                            if work.send((idx, buf)).is_err() {
-                                return;
-                            }
+                            let t_done = Instant::now();
+                            event("pull", req.src_rank, t_pull, t_done, buf.len());
+                            pull_busy += t_done - t_pull;
+                            filled += buf.len();
+                            Some(buf)
                         }
-                        Err(e) if RetryPolicy::is_retryable(&e) => {
-                            pull_span.cancel();
-                            results.submit((idx, Ok(ChunkOutcome::Skipped)));
-                        }
-                        Err(e) => {
-                            pull_span.cancel();
-                            results.submit((idx, Err(e.into())));
-                            return;
-                        }
+                        Err(e) if RetryPolicy::is_retryable(&e) => None,
+                        Err(e) => return Err(e.into()),
+                    });
+                    if filled < run_bytes && idx + 1 < n_chunks {
+                        continue;
+                    }
+                    // The run is full: a helper's, if their queue takes
+                    // it, else mapped here.
+                    let run = (idx + 1 - bufs.len(), std::mem::take(&mut bufs));
+                    filled = 0;
+                    let offered = match work {
+                        Some(work) => work.try_submit(run),
+                        None => Err(SubmitError::Full(run)),
+                    };
+                    if let Err(SubmitError::Full(run) | SubmitError::Closed(run)) = offered {
+                        runs.push(map_run(run)?);
                     }
                 }
-                // All pulls issued: workers drain the queue, then exit.
-                work.close();
-            });
-            // Decode+map workers.
-            // Their `decode` and `map` rows are the workers' busy time
-            // (`Snapshot::worker_busy_ns`); how long pulled bytes sat
-            // awaiting a worker is the chunk's `rdma_done → decoded`
-            // gap less the decode itself.
-            for _ in 0..self.cfg.map_workers.clamp(1, n_chunks) {
-                scope.spawn(move || loop {
-                    match work.recv(gather_timeout) {
-                        Ok((idx, buf)) => {
-                            if cancelled.load(Ordering::Acquire) {
-                                continue; // abandoned: discard undecoded
-                            }
-                            let src_rank = requests[idx].src_rank as u64;
-                            let decode_span =
-                                obs::span!("decode", step).rank(my_rank).chunk(src_rank);
-                            let outcome = match PackedChunk::unpack(&buf) {
-                                Ok(chunk) => {
-                                    drop(decode_span);
-                                    let bytes = buf.len() as u64;
-                                    // The chunk owns its data now; the
-                                    // compute side may pack into the
-                                    // buffer again.
-                                    drop(buf);
-                                    let _map_span =
-                                        obs::span!("map", step).rank(my_rank).chunk(src_rank);
-                                    let per_op = mappers
-                                        .iter()
-                                        .map(|m| m.map_chunk(&chunk, &map_ctx))
-                                        .collect();
-                                    Ok(ChunkOutcome::Mapped { bytes, per_op })
-                                }
-                                Err(e) => {
-                                    decode_span.cancel();
-                                    Err(e.into())
-                                }
-                            };
-                            results.submit((idx, outcome));
-                        }
-                        Err(PollError::Closed) => break,
-                        Err(PollError::Timeout) => {
-                            if cancelled.load(Ordering::Acquire) {
-                                break;
-                            }
-                        }
-                    }
-                });
+                // The pulls are done: map what no helper has started on.
+                while let Some(run) = work.and_then(EventQueue::try_poll) {
+                    runs.push(map_run(run)?);
+                }
             }
-            // Collector: exactly one outcome arrives per chunk unless a
-            // role fails; the first failure abandons the step.
-            let failed = (0..n_chunks).find_map(|_| match results.poll(gather_timeout) {
-                None => Some(TransportError::Timeout.into()),
-                Some((_, Err(e))) => Some(e),
-                Some((idx, Ok(outcome))) => {
-                    slots[idx] = Some(outcome);
-                    None
-                }
-            });
-            // Wake anything still parked so the scope can join. On the
-            // success path both are no-ops.
-            cancelled.store(true, Ordering::Release);
-            work.close();
-            failed
-        });
-        // Queue-depth high-water marks: how far the puller ran ahead of
-        // the workers (work) and the workers ahead of the collector
-        // (results) this step.
-        obs::global()
-            .gauge("staging.work_queue_hwm", &[])
-            .record_max(work.high_water() as i64);
-        obs::global()
-            .gauge("staging.results_queue_hwm", &[])
-            .record_max(results.high_water() as i64);
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        // Deterministic merge: slot order == policy order, so the
-        // concatenated per-operator streams (and everything downstream
-        // of combine) are identical for every worker count. Skipped
-        // chunks leave the merge entirely — excluded, counted, and
-        // terminally marked in lineage, never silently half-applied.
-        for (index, (slot, req)) in slots.into_iter().zip(requests).enumerate() {
-            match slot {
-                Some(ChunkOutcome::Mapped { bytes, per_op }) => {
-                    out.pull_order.push(req.src_rank);
-                    out.bytes_pulled += bytes;
-                    for (stream, items) in out.per_op.iter_mut().zip(per_op) {
-                        stream.extend(items);
-                    }
-                }
-                Some(ChunkOutcome::Skipped) => {
-                    mark_truncated(my_rank, req.src_rank, step);
-                    obs::global().counter("staging.truncated_chunks", &[]).inc();
-                    out.truncated.push(req.src_rank);
-                }
-                // One outcome per chunk yet this slot is empty: another
-                // slot was filled twice.
-                None => return Err(StagingError::SlotMissing { index, n_chunks }),
+            for helper in helpers {
+                // A helper's panic is this rank's, payload and all.
+                let theirs = helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                runs.extend(theirs?);
             }
+            Ok::<_, StagingError>(runs)
+        })?;
+        // Deterministic merge: runs by first chunk are the policy order,
+        // so the concatenated per-operator streams (and everything
+        // downstream of combine) are identical for every worker count.
+        runs.sort_unstable_by_key(|(first, _)| *first);
+        let mut out = Mapped::new(n_ops);
+        for (_, run) in runs {
+            out.pull_order.extend(run.pull_order);
+            out.truncated.extend(run.truncated);
+            out.bytes_pulled += run.bytes_pulled;
+            for (stream, items) in out.per_op.iter_mut().zip(run.per_op) {
+                stream.extend(items);
+            }
+            out.times.decode_busy += run.times.decode_busy;
+            out.times.map_busy += run.times.map_busy;
         }
+        assert_eq!(out.pull_order.len() + out.truncated.len(), n_chunks);
+        out.times.pull_busy = pull_busy;
         Ok(out)
     }
 
@@ -773,6 +796,7 @@ impl StagingRank {
             truncated,
             bytes_pulled,
             per_op,
+            times,
         } = mapped;
         let ctx = op_ctx(&self.comm, &self.cfg, step, agg);
         let results = self
@@ -810,6 +834,7 @@ impl StagingRank {
             deferred,
             epoch,
             results,
+            stages: times,
         }
     }
 }
@@ -1264,6 +1289,213 @@ mod tests {
         assert_eq!(mapped.per_op.len(), 1, "one stream per operator");
         assert!(!mapped.per_op[0].is_empty());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A policy that is never willing to pull.
+    struct NeverReady;
+    impl PullPolicy for NeverReady {
+        fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
+        fn max_inflight(&self) -> usize {
+            4
+        }
+        fn should_defer(&self) -> bool {
+            true
+        }
+    }
+
+    /// The rank thread bounds its own wait for the policy: a policy that
+    /// never turns ready ends the step with `Timeout` after
+    /// `gather_timeout`, and the step's exit marks every gathered chunk
+    /// truncated.
+    #[test]
+    fn a_policy_that_never_turns_ready_times_the_step_out() {
+        const STEP: u64 = 95;
+        let (_fabric, computes, stagings) = Fabric::new(3, 1, None);
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(3, 1));
+        let dir = out_dir("never-ready");
+        for (r, e) in computes.into_iter().enumerate() {
+            PredataClient::new(e, Arc::clone(&router), vec![])
+                .write_pg(make_particle_pg(r as u64, STEP, vec![0.0; 8]))
+                .unwrap();
+        }
+        let mut cfg = StagingConfig::new(3, &dir);
+        cfg.gather_timeout = Duration::from_millis(200);
+        let mut sr = lone_rank(stagings, router, Box::new(NeverReady), Vec::new(), cfg);
+        let started = Instant::now();
+        let err = sr.run_step(STEP).unwrap_err();
+        let took = started.elapsed();
+        assert!(
+            matches!(err, StagingError::Transport(TransportError::Timeout)),
+            "{err:?}"
+        );
+        assert!(
+            took >= Duration::from_millis(200) && took < Duration::from_secs(5),
+            "{took:?}"
+        );
+        let marked = obs::global().snapshot().span("truncated", STEP);
+        assert_eq!(marked.map(|s| s.count), Some(3), "one mark per chunk");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The five stage times are the step: on a 64-chunk step they sum to
+    /// within 10 % of the `run_step` call, and stage 4's busy times fit
+    /// inside it when the rank thread is the only mapper.
+    #[test]
+    fn stage_times_sum_to_the_step() {
+        let n_compute = 64;
+        let (_fabric, computes, stagings) = Fabric::new(n_compute, 1, None);
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, 1));
+        let dir = out_dir("stage-times");
+        for (r, e) in computes.into_iter().enumerate() {
+            PredataClient::new(e, Arc::clone(&router), vec![])
+                .write_pg(make_particle_pg(r as u64, 0, vec![r as f64; 512 * 8]))
+                .unwrap();
+        }
+        let mut cfg = StagingConfig::new(n_compute, &dir);
+        cfg.map_workers = Some(1);
+        let mut sr = lone_rank(
+            stagings,
+            router,
+            Box::new(FifoPolicy::default()),
+            vec![Box::new(HistogramOp::new(vec![0], 16))],
+            cfg,
+        );
+        let started = Instant::now();
+        let report = sr.run_step(0).unwrap();
+        let wall = started.elapsed();
+        assert_eq!(report.chunks, 64);
+        let s = report.stages;
+        let sum = s.gather + s.shed + s.aggregate + s.pull_map + s.exchange;
+        assert!(sum <= wall && sum >= wall.mul_f64(0.9), "{s:?} of {wall:?}");
+        assert!(
+            s.pull_busy + s.decode_busy + s.map_busy <= s.pull_map,
+            "{s:?}"
+        );
+        assert!(!s.pull_busy.is_zero() && !s.decode_busy.is_zero() && !s.map_busy.is_zero());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An operator whose mapper notes the thread it runs on and panics
+    /// on the chunk of compute rank `panic_at`.
+    struct ProbeOp {
+        seen: Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+        panic_at: Option<u64>,
+    }
+    impl ChunkMapper for ProbeOp {
+        fn map_chunk(&self, chunk: &PackedChunk, _ctx: &MapCtx) -> Vec<Tagged> {
+            assert_ne!(Some(chunk.writer_rank), self.panic_at, "mapper bug");
+            self.seen.lock().unwrap().push(std::thread::current().id());
+            Vec::new()
+        }
+    }
+    impl crate::op::StreamOp for ProbeOp {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn initialize(&mut self, _agg: &Aggregates, _ctx: &OpCtx) {}
+        fn mapper(&self) -> Arc<dyn ChunkMapper> {
+            Arc::new(ProbeOp {
+                seen: Arc::clone(&self.seen),
+                panic_at: self.panic_at,
+            })
+        }
+        fn reduce(&mut self, _tag: u64, _items: Vec<bytes::Bytes>, _ctx: &OpCtx) {}
+        fn finalize(&mut self, _ctx: &OpCtx) -> crate::op::OpResult {
+            crate::op::OpResult::default()
+        }
+    }
+
+    /// A dump of `n` ranks whose chunks are each a run of their own
+    /// (≥ `RUN_BYTES`), so a rank that serves two of them has work for a
+    /// helper.
+    fn write_run_sized_chunks(computes: Vec<transport::ComputeEndpoint>, router: &Arc<dyn Router>) {
+        for (r, e) in computes.into_iter().enumerate() {
+            let rows = vec![r as f64; RUN_BYTES / 8];
+            PredataClient::new(e, Arc::clone(router), vec![])
+                .write_pg(make_particle_pg(r as u64, 0, rows))
+                .unwrap();
+        }
+    }
+
+    /// With one map worker the step runs on the rank thread alone; with
+    /// two, on it and at most one helper.
+    #[test]
+    fn helpers_exist_only_when_asked_for() {
+        for workers in [1, 2] {
+            let (_fabric, computes, stagings) = Fabric::new(4, 1, None);
+            let router: Arc<dyn Router> = Arc::new(BlockRouter::new(4, 1));
+            let dir = out_dir(&format!("threads-{workers}"));
+            write_run_sized_chunks(computes, &router);
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let probe = ProbeOp {
+                seen: Arc::clone(&seen),
+                panic_at: None,
+            };
+            let mut cfg = StagingConfig::new(4, &dir);
+            cfg.map_workers = Some(workers);
+            let mut sr = lone_rank(
+                stagings,
+                router,
+                Box::new(FifoPolicy::default()),
+                vec![Box::new(probe)],
+                cfg,
+            );
+            assert_eq!(sr.run_step(0).unwrap().pull_order, [0, 1, 2, 3]);
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen.len(), 4, "every chunk mapped once");
+            let threads: std::collections::HashSet<_> = seen.iter().collect();
+            if workers == 1 {
+                assert_eq!(threads, [std::thread::current().id()].iter().collect());
+            } else {
+                assert!(threads.len() <= 2, "{threads:?}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A mapper that panics — on the rank thread or on a helper — is the
+    /// rank's death: it reports `WorkerPanicked`, and the peer parked in
+    /// its histogram's shuffle is woken, never left hanging.
+    #[test]
+    fn panicking_mapper_is_the_ranks_failure_at_any_worker_count() {
+        for workers in [1, 2] {
+            let (_fabric, computes, stagings) = Fabric::new(4, 2, None);
+            let router: Arc<dyn Router> = Arc::new(BlockRouter::new(4, 2));
+            let dir = out_dir(&format!("map-panic-{workers}"));
+            let mut cfg = StagingConfig::new(4, &dir);
+            cfg.map_workers = Some(workers);
+            let area = StagingArea::spawn(
+                stagings,
+                Arc::clone(&router),
+                // Compute rank 3 is the second of the two that staging
+                // rank 1 serves.
+                Arc::new(|_| {
+                    vec![
+                        Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>,
+                        Box::new(ProbeOp {
+                            seen: Arc::default(),
+                            panic_at: Some(3),
+                        }),
+                    ]
+                }),
+                Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+                cfg,
+                1,
+            );
+            write_run_sized_chunks(computes, &router);
+            let reports = join_within_5s(area);
+            assert!(
+                matches!(reports[1], Err(StagingError::WorkerPanicked(1))),
+                "{workers} workers: {:?}",
+                reports[1]
+            );
+            assert!(
+                matches!(reports[0], Err(StagingError::WorkerPanicked(0))),
+                "{workers} workers, the woken peer: {:?}",
+                reports[0]
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

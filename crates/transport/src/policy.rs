@@ -93,7 +93,14 @@ pub trait PullPolicy: Send + Sync {
     /// Reorder `pending` in place (front = next to pull).
     fn order(&mut self, pending: &mut Vec<FetchRequest>);
 
-    /// How many pulls to have in flight at once.
+    /// How many pulled *runs* may wait for a map helper at once — the
+    /// capacity of the queue between a staging rank's pulling thread and
+    /// its helpers. (Pulls themselves have always been issued one at a
+    /// time.) A run is offered once it holds 256 KiB, so it is under
+    /// 256 KiB plus one chunk, and besides the queued ones each mapping
+    /// thread holds one: a rank's pulled-but-unmapped bytes stay under
+    /// `(max_inflight + map_workers) × (256 KiB + largest chunk)`. A rank
+    /// without helpers has no queue and holds one chunk.
     fn max_inflight(&self) -> usize;
 
     /// Whether to defer issuing pulls right now.
@@ -117,7 +124,7 @@ pub trait PullPolicy: Send + Sync {
     }
 }
 
-/// Pull in arrival order, a fixed number in flight.
+/// Pull in arrival order, a fixed number of runs queued for helpers.
 #[derive(Debug, Clone)]
 pub struct FifoPolicy {
     pub inflight: usize,

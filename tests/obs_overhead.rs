@@ -87,11 +87,11 @@ fn run_once(dir: &std::path::Path) -> Duration {
                 .unwrap();
         }
     }
-    // One decode+map worker: with the default four, six threads take
-    // turns on a 2-core box and that shuffling is most of the run-to-run
-    // spread. The spans recorded per chunk and per stage are the same.
+    // The rank thread alone, whatever the host: a helper's scheduling
+    // would be most of the run-to-run spread, and the events recorded
+    // per chunk and per stage are the same.
     let mut cfg = StagingConfig::new(N_COMPUTE, dir);
-    cfg.map_workers = 1;
+    cfg.map_workers = Some(1);
     let started = Instant::now();
     let area = StagingArea::spawn(
         stagings,
