@@ -122,7 +122,7 @@ fn staged_step(
         comms.remove(0),
         stagings.remove(0),
         router,
-        Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>,
+        Box::new(FifoPolicy) as Box<dyn PullPolicy>,
         shape.staging_ops(),
         cfg,
     )

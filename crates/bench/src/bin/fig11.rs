@@ -78,7 +78,7 @@ fn main() {
         stagings,
         Arc::clone(&router),
         Arc::new(|_| vec![Box::new(ReorgOp::pixie3d()) as Box<dyn StreamOp>]),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         1,
     );

@@ -147,6 +147,19 @@ impl DataArray {
         })
     }
 
+    /// Overwrite elements `at` with little-endian payload `bytes` — the
+    /// reader's one conversion from a file range to its place in the
+    /// output. `bytes` holds exactly `at.len()` elements.
+    pub(crate) fn fill_from_le_bytes(&mut self, at: std::ops::Range<usize>, bytes: &[u8]) {
+        crate::with_elem!(self.dtype(), T => {
+            let dst = &mut T::slice_mut(self).expect("dispatched on own dtype")[at];
+            debug_assert_eq!(bytes.len(), std::mem::size_of_val(dst));
+            for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(std::mem::size_of::<T>())) {
+                *d = T::from_le_bytes(c.try_into().expect("chunks_exact yields whole elements"));
+            }
+        })
+    }
+
     /// (min, max) of the elements, widened to f64 — the per-chunk
     /// characteristics stored in the footer index. Empty arrays give None.
     pub fn min_max(&self) -> Option<(f64, f64)> {

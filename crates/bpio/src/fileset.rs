@@ -8,9 +8,9 @@
 
 use std::path::Path;
 
-use crate::array::{linear_len, DataArray};
+use crate::array::DataArray;
 use crate::error::{BpError, Result};
-use crate::reader::{BpReader, ReadStats};
+use crate::reader::{self, BpReader, ReadStats};
 
 /// A set of BP-like files serving one logical dataset.
 pub struct BpFileSet {
@@ -44,13 +44,7 @@ impl BpFileSet {
 
     /// Global extents of `var` at `step` (from whichever part has it).
     pub fn global_extents(&self, var: &str, step: u64) -> Result<Vec<u64>> {
-        self.parts
-            .iter()
-            .find_map(|p| p.global_extents(var, step).ok())
-            .ok_or_else(|| BpError::NotFound {
-                var: var.to_string(),
-                step,
-            })
+        reader::global_var(&self.parts, var, step).map(|c| c.global.clone())
     }
 
     /// Read the sub-box `[corner, corner+extent)` of `var` at `step`,
@@ -62,61 +56,13 @@ impl BpFileSet {
         corner: &[u64],
         extent: &[u64],
     ) -> Result<DataArray> {
-        let global = self.global_extents(var, step)?;
-        let ndim = global.len();
-        let mut out: Option<DataArray> = None;
-        let mut covered = 0u64;
-        for part in &mut self.parts {
-            // Which cells does this part own? Intersect the request with
-            // each of its chunks and read piecewise.
-            let chunks: Vec<(Vec<u64>, Vec<u64>)> = part
-                .index()
-                .chunks_of(var, step)
-                .into_iter()
-                .map(|c| (c.offset_in_global.clone(), c.local.clone()))
-                .collect();
-            for (off, loc) in chunks {
-                let mut lo = vec![0u64; ndim];
-                let mut hi = vec![0u64; ndim];
-                let mut empty = false;
-                for d in 0..ndim {
-                    lo[d] = corner[d].max(off[d]);
-                    hi[d] = (corner[d] + extent[d]).min(off[d] + loc[d]);
-                    if lo[d] >= hi[d] {
-                        empty = true;
-                        break;
-                    }
-                }
-                if empty {
-                    continue;
-                }
-                let isect: Vec<u64> = (0..ndim).map(|d| hi[d] - lo[d]).collect();
-                let piece = part.read_box(var, step, &lo, &isect)?;
-                let dst = out.get_or_insert_with(|| {
-                    DataArray::zeros(piece.dtype(), linear_len(extent) as usize)
-                });
-                scatter_box(&piece, dst, &lo, &isect, corner, extent);
-                covered += linear_len(&isect);
-            }
-        }
-        if covered != linear_len(extent) {
-            return Err(BpError::IncompleteTiling {
-                var: var.to_string(),
-                step,
-                covered,
-                expected: linear_len(extent),
-            });
-        }
-        out.ok_or(BpError::NotFound {
-            var: var.to_string(),
-            step,
-        })
+        reader::read_box(&mut self.parts, var, step, corner, extent)
     }
 
     /// Read the whole global array.
     pub fn read_global(&mut self, var: &str, step: u64) -> Result<DataArray> {
         let g = self.global_extents(var, step)?;
-        self.read_box(var, step, &vec![0; g.len()], &g.clone())
+        self.read_box(var, step, &vec![0; g.len()], &g)
     }
 
     /// Aggregate read statistics across parts.
@@ -130,22 +76,6 @@ impl BpFileSet {
         }
         total
     }
-}
-
-/// Copy `piece` (row-major over the box at `p_corner`/`p_extent`) into
-/// `dst` (row-major over `d_corner`/`d_extent`).
-fn scatter_box(
-    piece: &DataArray,
-    dst: &mut DataArray,
-    p_corner: &[u64],
-    p_extent: &[u64],
-    d_corner: &[u64],
-    d_extent: &[u64],
-) {
-    crate::array::copy_box_between(
-        piece, p_corner, p_extent, dst, d_corner, d_extent, p_corner, p_extent,
-    )
-    .expect("piece lies inside the destination box");
 }
 
 #[cfg(test)]

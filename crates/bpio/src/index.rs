@@ -42,6 +42,39 @@ pub struct VarEntry {
     pub max: f64,
 }
 
+/// Whether `[lo, lo + len)` lies inside `[0, bound)`, overflow included.
+pub(crate) fn fits(lo: u64, len: u64, bound: u64) -> bool {
+    lo.checked_add(len).is_some_and(|hi| hi <= bound)
+}
+
+impl VarEntry {
+    /// Refuse an entry the reader could not serve as it stands: a payload
+    /// outside the file's payload region (which ends at `payload_end`) or
+    /// not `volume(local) × element size` long, or a global chunk whose
+    /// ranks disagree or that pokes out of its global box. Every later
+    /// read trusts these, so offsets and volumes need no further checks.
+    pub(crate) fn check(&self, payload_end: u64) -> Result<()> {
+        let volume = |d: &[u64]| d.iter().try_fold(1u64, |v, &e| v.checked_mul(e));
+        let bytes = volume(&self.local).and_then(|n| n.checked_mul(self.dtype.size() as u64));
+        if bytes != Some(self.payload_len) {
+            return Err(BpError::Corrupt("index entry: payload is not its shape"));
+        }
+        if !fits(self.file_offset, self.payload_len, payload_end) {
+            return Err(BpError::Corrupt("index entry: payload outside the file"));
+        }
+        let (global, local, offset) = (&self.global, &self.local, &self.offset_in_global);
+        let inside = global.is_empty()
+            || local.len() == global.len()
+                && offset.len() == global.len()
+                && volume(global).is_some()
+                && (0..global.len()).all(|d| fits(offset[d], local[d], global[d]));
+        if !inside {
+            return Err(BpError::Corrupt("index entry: chunk outside its global"));
+        }
+        Ok(())
+    }
+}
+
 /// Complete footer index.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileIndex {
@@ -123,14 +156,17 @@ impl FileIndex {
 
     pub fn decode(buf: &[u8]) -> Result<FileIndex> {
         let mut r = R::new(buf);
-        let na = r.u32()? as usize;
+        // Each count is bounded by its smallest entry: two empty strings;
+        // four words; an empty name, a tag, six words and three empty
+        // dimension lists.
+        let na = r.count(4 + 4)?;
         let mut attrs = Vec::with_capacity(na);
         for _ in 0..na {
             let n = r.s()?;
             let v = r.s()?;
             attrs.push((n, v));
         }
-        let npg = r.u32()? as usize;
+        let npg = r.count(4 * 8)?;
         let mut pgs = Vec::with_capacity(npg);
         for _ in 0..npg {
             pgs.push(PgEntry {
@@ -140,7 +176,7 @@ impl FileIndex {
                 length: r.u64()?,
             });
         }
-        let nv = r.u32()? as usize;
+        let nv = r.count(4 + 1 + 6 * 8 + 3)?;
         let mut vars = Vec::with_capacity(nv);
         for _ in 0..nv {
             vars.push(VarEntry {

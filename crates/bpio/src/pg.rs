@@ -157,20 +157,17 @@ impl ProcessGroup {
     pub fn encode_indexed(&self) -> (Vec<u8>, Vec<u64>) {
         let mut block = Vec::with_capacity(self.encoded_len());
         let mut offsets = Vec::with_capacity(self.vars.len());
-        self.encode_each(&mut block, |at| offsets.push(at));
+        self.walk(&mut block, true, |at| offsets.push(at));
         (block, offsets)
     }
 
-    /// Append the block to `out` — the one PG encoder; [`encode`] and
-    /// [`encode_indexed`] wrap it. Each payload is copied once, from its
+    /// Append the block to `out`. Each payload is copied once, from its
     /// [`DataArray`] to its place in `out`; reserve [`encoded_len`]
     /// first and `out` never reallocates.
     ///
-    /// [`encode`]: ProcessGroup::encode
-    /// [`encode_indexed`]: ProcessGroup::encode_indexed
     /// [`encoded_len`]: ProcessGroup::encoded_len
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.encode_each(out, |_| {});
+        self.walk(out, true, |_| {});
     }
 
     /// Byte length of the encoded block.
@@ -184,11 +181,16 @@ impl ProcessGroup {
         })
     }
 
-    /// Append the block to `out`, reporting each variable's payload
-    /// offset from the block's start as it is reached.
-    fn encode_each(&self, out: &mut Vec<u8>, mut payload_at: impl FnMut(u64)) {
+    /// The one walk of the PG layout — every encoder drives it. Header
+    /// bytes are appended to `out`, and payloads too when `with_payloads`
+    /// (the contiguous form); a vectored encoder leaves them where they
+    /// are, so `out` holds headers only. `payload_at` is told each
+    /// payload's offset from the start of the whole block either way.
+    fn walk(&self, out: &mut Vec<u8>, with_payloads: bool, mut payload_at: impl FnMut(u64)) {
         let start = out.len();
         let mut w = W(std::mem::take(out));
+        // Payload bytes of the block that were not appended to `out`.
+        let mut left_out = 0u64;
         w.s(&self.group);
         w.u64(self.writer_rank);
         w.u64(self.step);
@@ -200,15 +202,21 @@ impl ProcessGroup {
             w.dims(&v.global);
             w.dims(&v.offset);
             w.u64(v.data.byte_len() as u64);
-            payload_at((w.0.len() - start) as u64);
-            w.0.extend_from_slice(&v.data.as_le_bytes());
+            payload_at((w.0.len() - start) as u64 + left_out);
+            if with_payloads {
+                w.0.extend_from_slice(&v.data.as_le_bytes());
+            } else {
+                left_out += v.data.byte_len() as u64;
+            }
         }
         *out = w.0;
     }
 
     /// The PG block as a sequence of write segments that *borrow* each
-    /// variable's payload: small owned header pieces interleaved with
-    /// byte views of the [`DataArray`] buffers ([`DataArray::as_le_bytes`]).
+    /// variable's payload: slices of `head` — scratch that is overwritten
+    /// with every header byte of the block, one buffer for all variables
+    /// — interleaved with byte views of the [`DataArray`] buffers
+    /// ([`DataArray::as_le_bytes`]).
     /// Concatenated, the segments are byte-identical to
     /// [`ProcessGroup::encode_indexed`]'s block; the writer hands them to
     /// one vectored write, so payloads go from the operator's buffers to
@@ -217,34 +225,28 @@ impl ProcessGroup {
     /// Returns `(segments, payload_offsets, total_len)`; offsets are
     /// relative to the block start, exactly as in `encode_indexed`.
     #[allow(clippy::type_complexity)]
-    pub fn encode_parts(&self) -> (Vec<std::borrow::Cow<'_, [u8]>>, Vec<u64>, u64) {
+    pub fn encode_parts<'a>(
+        &'a self,
+        head: &'a mut Vec<u8>,
+    ) -> (Vec<std::borrow::Cow<'a, [u8]>>, Vec<u64>, u64) {
         use std::borrow::Cow;
-        let mut segments: Vec<Cow<'_, [u8]>> = Vec::with_capacity(1 + 2 * self.vars.len());
+        head.clear();
         let mut offsets = Vec::with_capacity(self.vars.len());
-        let mut pos;
-        let mut w = W::new();
-        w.s(&self.group);
-        w.u64(self.writer_rank);
-        w.u64(self.step);
-        w.u32(self.vars.len() as u32);
-        pos = w.0.len() as u64;
-        segments.push(Cow::Owned(w.0));
-        for v in &self.vars {
-            let mut h = W::new();
-            h.s(&v.name);
-            h.u8(v.dtype.tag());
-            h.dims(&v.local);
-            h.dims(&v.global);
-            h.dims(&v.offset);
-            h.u64(v.data.byte_len() as u64);
-            pos += h.0.len() as u64;
-            segments.push(Cow::Owned(h.0));
-            offsets.push(pos);
-            let payload = v.data.as_le_bytes();
-            pos += payload.len() as u64;
-            segments.push(payload);
+        self.walk(head, false, |at| offsets.push(at));
+        let head: &'a [u8] = head;
+        // A variable's header ends where its payload starts: at its block
+        // offset less the payload bytes before it.
+        let mut segments = Vec::with_capacity(1 + 2 * self.vars.len());
+        let (mut cut, mut payloads) = (0usize, 0usize);
+        for (v, &at) in self.vars.iter().zip(&offsets) {
+            let end = at as usize - payloads;
+            segments.push(Cow::Borrowed(&head[cut..end]));
+            segments.push(v.data.as_le_bytes());
+            cut = end;
+            payloads += v.data.byte_len();
         }
-        (segments, offsets, pos)
+        segments.push(Cow::Borrowed(&head[cut..]));
+        (segments, offsets, (head.len() + payloads) as u64)
     }
 
     /// Decode a block produced by [`ProcessGroup::encode`].
@@ -253,7 +255,9 @@ impl ProcessGroup {
         let group = r.s()?;
         let writer_rank = r.u64()?;
         let step = r.u64()?;
-        let nvars = r.u32()? as usize;
+        // A variable is at least an empty name, a dtype tag, three empty
+        // dimension lists and a payload length.
+        let nvars = r.count(4 + 1 + 3 + 8)?;
         let mut vars = Vec::with_capacity(nvars);
         for _ in 0..nvars {
             let name = r.s()?;
@@ -261,7 +265,7 @@ impl ProcessGroup {
             let local = r.dims()?;
             let global = r.dims()?;
             let offset = r.dims()?;
-            let plen = r.u64()? as usize;
+            let plen = usize::try_from(r.u64()?).map_err(|_| BpError::Corrupt("payload length"))?;
             let data = DataArray::from_le_bytes(dtype, r.take(plen)?)?;
             vars.push(PgVar {
                 name,
@@ -365,19 +369,37 @@ mod tests {
     #[test]
     fn encode_parts_concatenates_to_encode_indexed() {
         let g = grid_group();
-        let mut pg = ProcessGroup::new("grid", 7, 3);
-        pg.write(&g, "n", DataArray::U64(vec![2])).unwrap();
-        pg.write(&g, "off", DataArray::U64(vec![4])).unwrap();
-        pg.write(&g, "field", DataArray::F64(vec![0.5, -0.5]))
+        let mut full = ProcessGroup::new("grid", 7, 3);
+        full.write(&g, "n", DataArray::U64(vec![2])).unwrap();
+        full.write(&g, "off", DataArray::U64(vec![4])).unwrap();
+        full.write(&g, "field", DataArray::F64(vec![0.5, -0.5]))
             .unwrap();
-        let (block, offsets) = pg.encode_indexed();
-        let (segments, part_offsets, total) = pg.encode_parts();
-        let concat: Vec<u8> = segments.iter().flat_map(|s| s.iter().copied()).collect();
-        assert_eq!(concat, block);
-        assert_eq!(part_offsets, offsets);
-        assert_eq!(total, block.len() as u64);
-        // 1 leading header + (header, payload) per var.
-        assert_eq!(segments.len(), 1 + 2 * pg.vars.len());
+        let mut scalars_only = ProcessGroup::new("grid", 1, 0);
+        scalars_only
+            .write(&g, "n", DataArray::U64(vec![2]))
+            .unwrap();
+        let mut empty_array = ProcessGroup::new("grid", 2, 9);
+        empty_array.write(&g, "n", DataArray::U64(vec![0])).unwrap();
+        empty_array
+            .write(&g, "off", DataArray::U64(vec![16]))
+            .unwrap();
+        empty_array
+            .write(&g, "field", DataArray::F64(vec![]))
+            .unwrap();
+        let no_vars = ProcessGroup::new("grid", 0, 0);
+        for pg in [full, scalars_only, empty_array, no_vars] {
+            let (block, offsets) = pg.encode_indexed();
+            assert_eq!(block, pg.encode());
+            let mut head = b"scratch".to_vec();
+            let (segments, part_offsets, total) = pg.encode_parts(&mut head);
+            let concat: Vec<u8> = segments.iter().flat_map(|s| s.iter().copied()).collect();
+            assert_eq!(concat, block);
+            assert_eq!(part_offsets, offsets);
+            assert_eq!(total, block.len() as u64);
+            // (header, payload) per var + the header's tail.
+            assert_eq!(segments.len(), 1 + 2 * pg.vars.len());
+            assert_eq!(head.len(), block.len() - pg.payload_bytes());
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Footer-driven reads with I/O-plan instrumentation.
 //!
 //! The reader materializes a read *plan* — the minimal set of contiguous
-//! byte ranges needed — executes it, and scatters bytes into the result.
+//! byte ranges needed — executes it, and converts each range into its
+//! place in the result; one planner serves a single file and a
+//! [`crate::BpFileSet`] alike.
 //! [`ReadStats`] reports the plan's cost (read ops, seeks, bytes): the
 //! quantity Fig. 11 of the paper compares between merged and unmerged
 //! layouts. On a merged file a whole-array read collapses to one large
@@ -9,12 +11,13 @@
 //! scattered small reads.
 
 use std::fs::File;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use crate::array::{box_to_linear, linear_len, DataArray};
+use crate::array::{linear_len, BoxRuns, DataArray};
 use crate::error::{BpError, Result};
-use crate::index::{FileIndex, VarEntry};
+use crate::index::{fits, FileIndex, VarEntry};
 use crate::FILE_MAGIC;
 
 /// Cost of reads performed since the last [`BpReader::take_stats`].
@@ -38,7 +41,10 @@ pub struct BpReader {
 }
 
 impl BpReader {
-    /// Open and load the footer index.
+    /// Open and load the footer index. Refuses a file whose index does
+    /// not describe it: an entry whose payload lies outside the payload
+    /// region or is not `volume(local) × element size` long, or a chunk
+    /// that pokes out of its global box.
     pub fn open(path: impl AsRef<Path>) -> Result<BpReader> {
         let file = File::open(path)?;
         let flen = file.metadata()?.len();
@@ -51,12 +57,15 @@ impl BpReader {
             return Err(BpError::Corrupt("missing BP magic"));
         }
         let idx_len = u64::from_le_bytes(tail[..8].try_into().unwrap());
-        if idx_len + 12 > flen {
-            return Err(BpError::Corrupt("index length exceeds file"));
-        }
+        // `[PG blocks…][index][index_len][magic]`: the payload region ends
+        // where the index starts.
+        let payload_end = (flen - 12)
+            .checked_sub(idx_len)
+            .ok_or(BpError::Corrupt("index length exceeds file"))?;
         let mut idx_buf = vec![0u8; idx_len as usize];
-        file.read_exact_at(&mut idx_buf, flen - 12 - idx_len)?;
+        file.read_exact_at(&mut idx_buf, payload_end)?;
         let index = FileIndex::decode(&idx_buf)?;
+        index.vars.iter().try_for_each(|v| v.check(payload_end))?;
         Ok(BpReader {
             file,
             index,
@@ -75,28 +84,7 @@ impl BpReader {
         std::mem::take(&mut self.stats)
     }
 
-    /// Read one writer's scalar value.
-    pub fn read_scalar(&mut self, var: &str, step: u64, writer_rank: u64) -> Result<DataArray> {
-        let e = self
-            .index
-            .vars
-            .iter()
-            .find(|v| {
-                v.name == var
-                    && v.step == step
-                    && v.writer_rank == writer_rank
-                    && v.local.is_empty()
-            })
-            .ok_or_else(|| BpError::NotFound {
-                var: var.to_string(),
-                step,
-            })?
-            .clone();
-        let buf = self.read_range(e.file_offset, e.payload_len)?;
-        DataArray::from_le_bytes(e.dtype, &buf)
-    }
-
-    /// Read one writer's local array (or scalar) payload in full.
+    /// Read one writer's scalar or local-array payload in full.
     pub fn read_local(&mut self, var: &str, step: u64, writer_rank: u64) -> Result<DataArray> {
         let e = self
             .index
@@ -106,10 +94,11 @@ impl BpReader {
             .ok_or_else(|| BpError::NotFound {
                 var: var.to_string(),
                 step,
-            })?
-            .clone();
-        let buf = self.read_range(e.file_offset, e.payload_len)?;
-        DataArray::from_le_bytes(e.dtype, &buf)
+            })?;
+        let (dtype, offset) = (e.dtype, e.file_offset);
+        let mut buf = vec![0u8; e.payload_len as usize];
+        self.read_range(offset, &mut buf)?;
+        DataArray::from_le_bytes(dtype, &buf)
     }
 
     /// Assemble the full global array of `var` at `step` from its chunks.
@@ -128,124 +117,12 @@ impl BpReader {
         corner: &[u64],
         extent: &[u64],
     ) -> Result<DataArray> {
-        let global = self.global_extents(var, step)?;
-        let ndim = global.len();
-        if corner.len() != ndim || extent.len() != ndim {
-            return Err(BpError::Corrupt("box rank mismatch"));
-        }
-        for d in 0..ndim {
-            if corner[d] + extent[d] > global[d] {
-                return Err(BpError::OutOfBounds {
-                    var: var.to_string(),
-                });
-            }
-        }
-        let chunks: Vec<VarEntry> = self
-            .index
-            .chunks_of(var, step)
-            .into_iter()
-            .cloned()
-            .collect();
-        let dtype = chunks[0].dtype;
-        let esize = dtype.size() as u64;
-        let out_len = linear_len(extent) as usize;
-        let mut out = DataArray::zeros(dtype, out_len);
-
-        // Build the run plan: (file_offset, byte_len, dst_element_index).
-        let mut runs: Vec<(u64, u64, usize)> = Vec::new();
-        let mut covered: u64 = 0;
-        for c in &chunks {
-            // Intersection of the request with this chunk, in global coords.
-            let mut lo = vec![0u64; ndim];
-            let mut hi = vec![0u64; ndim];
-            let mut empty = false;
-            for d in 0..ndim {
-                lo[d] = corner[d].max(c.offset_in_global[d]);
-                hi[d] = (corner[d] + extent[d]).min(c.offset_in_global[d] + c.local[d]);
-                if lo[d] >= hi[d] {
-                    empty = true;
-                    break;
-                }
-            }
-            if empty {
-                continue;
-            }
-            let isect: Vec<u64> = (0..ndim).map(|d| hi[d] - lo[d]).collect();
-            covered += linear_len(&isect);
-
-            // Iterate rows of the intersection (all dims but the last).
-            let row = isect[ndim - 1];
-            let n_rows: u64 = isect[..ndim - 1].iter().product::<u64>().max(1);
-            let mut coord = vec![0u64; ndim.saturating_sub(1)];
-            for _ in 0..n_rows {
-                // Global coordinate of this run's first element.
-                let mut g = Vec::with_capacity(ndim);
-                for d in 0..ndim - 1 {
-                    g.push(lo[d] + coord[d]);
-                }
-                g.push(lo[ndim - 1]);
-                // Position inside the chunk's row-major payload.
-                let in_chunk: Vec<u64> = (0..ndim).map(|d| g[d] - c.offset_in_global[d]).collect();
-                let src_elem = box_to_linear(&in_chunk, &c.local);
-                // Position inside the output box.
-                let in_out: Vec<u64> = (0..ndim).map(|d| g[d] - corner[d]).collect();
-                let dst_elem = box_to_linear(&in_out, extent) as usize;
-                runs.push((c.file_offset + src_elem * esize, row * esize, dst_elem));
-                for d in (0..ndim - 1).rev() {
-                    coord[d] += 1;
-                    if coord[d] < isect[d] {
-                        break;
-                    }
-                    coord[d] = 0;
-                }
-            }
-        }
-
-        if covered != linear_len(extent) {
-            return Err(BpError::IncompleteTiling {
-                var: var.to_string(),
-                step,
-                covered,
-                expected: linear_len(extent),
-            });
-        }
-
-        // Coalesce file-adjacent runs into single read ops, then execute.
-        runs.sort_unstable_by_key(|r| r.0);
-        let mut i = 0;
-        while i < runs.len() {
-            let start = runs[i].0;
-            let mut end = runs[i].0 + runs[i].1;
-            let mut j = i + 1;
-            while j < runs.len() && runs[j].0 == end {
-                end += runs[j].1;
-                j += 1;
-            }
-            let buf = self.read_range(start, end - start)?;
-            // Scatter each original run from the coalesced buffer.
-            for r in &runs[i..j] {
-                let off = (r.0 - start) as usize;
-                let chunk = DataArray::from_le_bytes(dtype, &buf[off..off + r.1 as usize])?;
-                scatter(&chunk, &mut out, r.2);
-            }
-            i = j;
-        }
-        Ok(out)
+        read_box(std::slice::from_mut(self), var, step, corner, extent)
     }
 
     /// Global extents of `var` at `step` (error if absent or not global).
     pub fn global_extents(&self, var: &str, step: u64) -> Result<Vec<u64>> {
-        let chunks = self.index.chunks_of(var, step);
-        let first = chunks.first().ok_or_else(|| BpError::NotFound {
-            var: var.to_string(),
-            step,
-        })?;
-        if first.global.is_empty() {
-            return Err(BpError::BadDecl(format!(
-                "variable `{var}` is not a global array"
-            )));
-        }
-        Ok(first.global.clone())
+        global_var(std::slice::from_ref(self), var, step).map(|c| c.global.clone())
     }
 
     /// Prune chunks by the footer min/max characteristics: which chunks
@@ -265,35 +142,136 @@ impl BpReader {
             .collect()
     }
 
-    fn read_range(&mut self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut buf, offset)?;
+    /// One read op: fill `buf` from `offset`, counted in the stats.
+    fn read_range(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.file.read_exact_at(buf, offset)?;
         self.stats.reads += 1;
-        self.stats.bytes += len;
+        self.stats.bytes += buf.len() as u64;
         if self.last_end != Some(offset) {
             self.stats.seeks += 1;
         }
-        self.last_end = Some(offset + len);
-        Ok(buf)
+        self.last_end = Some(offset + buf.len() as u64);
+        Ok(())
     }
 }
 
-/// Copy all elements of `src` into `dst` starting at element `at`.
-fn scatter(src: &DataArray, dst: &mut DataArray, at: usize) {
-    macro_rules! sc {
-        ($s:expr, $d:expr) => {
-            $d[at..at + $s.len()].copy_from_slice($s)
-        };
+/// The first chunk of global variable `var` at `step` in the first part
+/// that has one: it carries the dtype and global extents every other
+/// chunk must share. Errors if no part has the variable or it is not a
+/// global array.
+pub(crate) fn global_var<'a>(parts: &'a [BpReader], var: &str, step: u64) -> Result<&'a VarEntry> {
+    let mut entries = parts.iter().flat_map(|p| &p.index.vars);
+    let first = entries
+        .find(|v| v.name == var && v.step == step)
+        .ok_or_else(|| BpError::NotFound {
+            var: var.to_string(),
+            step,
+        })?;
+    if first.global.is_empty() {
+        return Err(BpError::BadDecl(format!(
+            "variable `{var}` is not a global array"
+        )));
     }
-    match (src, dst) {
-        (DataArray::F32(s), DataArray::F32(d)) => sc!(s, d),
-        (DataArray::F64(s), DataArray::F64(d)) => sc!(s, d),
-        (DataArray::I32(s), DataArray::I32(d)) => sc!(s, d),
-        (DataArray::I64(s), DataArray::I64(d)) => sc!(s, d),
-        (DataArray::U32(s), DataArray::U32(d)) => sc!(s, d),
-        (DataArray::U64(s), DataArray::U64(d)) => sc!(s, d),
-        _ => unreachable!("dtype fixed per variable"),
+    Ok(first)
+}
+
+/// The overlap of two boxes of one rank, each `(corner, extent)`; `None`
+/// when they share no cell. Neither `corner + extent` overflows: requests
+/// are checked by [`read_box`], chunks at [`BpReader::open`].
+fn intersect(a: (&[u64], &[u64]), b: (&[u64], &[u64])) -> Option<(Vec<u64>, Vec<u64>)> {
+    let ndim = a.0.len();
+    let (mut corner, mut extent) = (Vec::with_capacity(ndim), Vec::with_capacity(ndim));
+    for d in 0..ndim {
+        let lo = a.0[d].max(b.0[d]);
+        let hi = (a.0[d] + a.1[d]).min(b.0[d] + b.1[d]);
+        if lo >= hi {
+            return None;
+        }
+        corner.push(lo);
+        extent.push(hi - lo);
     }
+    Some((corner, extent))
+}
+
+/// One contiguous last-dimension row of a chunk ∩ request: the elements
+/// at byte `file_offset` of part `part`'s file fill `dst` of the output.
+struct Run {
+    part: usize,
+    file_offset: u64,
+    dst: Range<usize>,
+}
+
+/// The one box read, over one file or many: plan every part's chunks
+/// against the request (two [`BoxRuns`] in lockstep pair each file range
+/// with its place in the output), check that they tile it, then read
+/// each maximal file-adjacent group of runs with one op and convert its
+/// little-endian bytes straight into the output.
+pub(crate) fn read_box(
+    parts: &mut [BpReader],
+    var: &str,
+    step: u64,
+    corner: &[u64],
+    extent: &[u64],
+) -> Result<DataArray> {
+    let first = global_var(parts, var, step)?;
+    let (dtype, global) = (first.dtype, first.global.clone());
+    let esize = dtype.size();
+    if corner.len() != global.len() || extent.len() != global.len() {
+        return Err(BpError::Corrupt("box rank mismatch"));
+    }
+    if !(0..global.len()).all(|d| fits(corner[d], extent[d], global[d])) {
+        return Err(BpError::OutOfBounds {
+            var: var.to_string(),
+        });
+    }
+
+    let mut runs: Vec<Run> = Vec::new();
+    let mut covered = 0u64;
+    for (part, p) in parts.iter().enumerate() {
+        for c in p.index.chunks_of(var, step) {
+            if c.dtype != dtype || c.global != global {
+                return Err(BpError::Corrupt("chunks disagree on dtype or extents"));
+            }
+            let chunk = (&c.offset_in_global[..], &c.local[..]);
+            let Some((lo, isect)) = intersect((corner, extent), chunk) else {
+                continue;
+            };
+            covered += linear_len(&isect);
+            let src = BoxRuns::new(chunk.0, chunk.1, &lo, &isect)?;
+            let dst = BoxRuns::new(corner, extent, &lo, &isect)?;
+            runs.extend(src.zip(dst).map(|(src, dst)| Run {
+                part,
+                file_offset: c.file_offset + (src.start * esize) as u64,
+                dst,
+            }));
+        }
+    }
+    let expected = linear_len(extent);
+    if covered != expected {
+        return Err(BpError::IncompleteTiling {
+            var: var.to_string(),
+            step,
+            covered,
+            expected,
+        });
+    }
+
+    let mut out = DataArray::zeros(dtype, expected as usize);
+    let mut buf = Vec::new();
+    let end = |r: &Run| r.file_offset + (r.dst.len() * esize) as u64;
+    runs.sort_unstable_by_key(|r| (r.part, r.file_offset));
+    for group in runs.chunk_by(|a, b| a.part == b.part && end(a) == b.file_offset) {
+        let (head, tail) = (&group[0], &group[group.len() - 1]);
+        buf.resize((end(tail) - head.file_offset) as usize, 0);
+        parts[head.part].read_range(head.file_offset, &mut buf)?;
+        let mut bytes = &buf[..];
+        for r in group {
+            let (run, rest) = bytes.split_at(r.dst.len() * esize);
+            out.fill_from_le_bytes(r.dst.clone(), run);
+            bytes = rest;
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -473,7 +451,7 @@ mod tests {
         let path = tmp("scalar");
         write_strips(&path, 2);
         let mut r = BpReader::open(&path).unwrap();
-        let v = r.read_scalar("oy", 0, 1).unwrap();
+        let v = r.read_local("oy", 0, 1).unwrap();
         assert_eq!(v, DataArray::U64(vec![4]));
         std::fs::remove_file(&path).unwrap();
     }

@@ -69,9 +69,19 @@ impl<'a> R<'a> {
         let n = self.u8()? as usize;
         (0..n).map(|_| self.u64()).collect()
     }
-    #[cfg(test)]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// An entry count off the wire, refused unless the bytes left could
+    /// hold that many entries of `min_entry` bytes each — so a caller may
+    /// allocate for it.
+    pub fn count(&mut self, min_entry: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / min_entry {
+            return Err(BpError::Corrupt("entry count exceeds block"));
+        }
+        Ok(n)
     }
 }
 

@@ -107,7 +107,9 @@ impl BpWriter {
     /// One vectored write: headers + borrowed payload views, no
     /// contiguous block assembly.
     pub fn append_pg(&mut self, pg: &ProcessGroup) -> Result<()> {
-        let (segments, payload_offsets, block_len) = pg.encode_parts();
+        // Every header of the block in one buffer; payloads stay put.
+        let mut head = Vec::with_capacity(pg.encoded_len() - pg.payload_bytes());
+        let (segments, payload_offsets, block_len) = pg.encode_parts(&mut head);
         let base = self.pos;
         let slices: Vec<&[u8]> = segments.iter().map(|s| &s[..]).collect();
         // Rank- and chunk-less: `writer_rank` is a staging rank for a

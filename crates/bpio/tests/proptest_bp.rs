@@ -4,7 +4,10 @@
 
 use std::path::PathBuf;
 
-use bpio::{BpReader, BpWriter, DataArray, Dim, Dtype, GroupDef, ProcessGroup, VarDef};
+use bpio::{
+    BpError, BpFileSet, BpReader, BpWriter, DataArray, Dim, Dtype, GroupDef, ProcessGroup,
+    ReadStats, VarDef,
+};
 use proptest::prelude::*;
 
 const G: [u64; 2] = [24, 16];
@@ -139,4 +142,211 @@ proptest! {
         prop_assert_eq!(min, 0.0);
         prop_assert_eq!(max, val(G[0] - 1, G[1] - 1));
     }
+}
+
+// ---- Any rank, any dtype, one file or several ----------------------------
+
+/// Element `i` (global linear index) of the test array, as `dtype`.
+fn elems(dtype: Dtype, idx: impl Iterator<Item = u64>) -> DataArray {
+    match dtype {
+        Dtype::F32 => DataArray::F32(idx.map(|i| i as f32 + 0.5).collect()),
+        Dtype::F64 => DataArray::F64(idx.map(|i| i as f64 - 0.25).collect()),
+        Dtype::I32 => DataArray::I32(idx.map(|i| -(i as i32) - 1).collect()),
+        Dtype::I64 => DataArray::I64(idx.map(|i| i as i64 - (1 << 40)).collect()),
+        Dtype::U32 => DataArray::U32(idx.map(|i| i as u32 + 7).collect()),
+        Dtype::U64 => DataArray::U64(idx.map(|i| i + (1 << 50)).collect()),
+    }
+}
+
+/// Global linear indices of the box (`corner`, `extent`) in row-major
+/// order, one coordinate at a time — the per-element reference.
+fn box_indices(global: &[u64], corner: &[u64], extent: &[u64]) -> Vec<u64> {
+    let mut out = Vec::new();
+    let mut coord = vec![0u64; global.len()];
+    for _ in 0..extent.iter().product::<u64>() {
+        let at = coord.iter().zip(corner).zip(global);
+        out.push(at.fold(0, |idx, ((c, o), g)| idx * g + c + o));
+        for d in (0..global.len()).rev() {
+            coord[d] += 1;
+            if coord[d] < extent[d] {
+                break;
+            }
+            coord[d] = 0;
+        }
+    }
+    out
+}
+
+type Tile = (Vec<u64>, Vec<u64>);
+
+/// Cut every axis of `global` into `cuts[d]` near-equal pieces.
+fn tiles_of(global: &[u64], cuts: &[u64]) -> Vec<Tile> {
+    let mut tiles: Vec<Tile> = vec![(vec![], vec![])];
+    for (&g, &n) in global.iter().zip(cuts) {
+        let mut next = Vec::new();
+        for (off, loc) in &tiles {
+            for k in 0..n {
+                let (lo, hi) = (g * k / n, g * (k + 1) / n);
+                let (mut o, mut l) = (off.clone(), loc.clone());
+                o.push(lo);
+                l.push(hi - lo);
+                next.push((o, l));
+            }
+        }
+        tiles = next;
+    }
+    tiles
+}
+
+/// One file holding `tiles` of the global array `a`, a PG per tile.
+fn write_chunks(path: &PathBuf, dtype: Dtype, global: &[u64], tiles: &[Tile]) {
+    let consts = |d: &[u64]| d.iter().map(|&x| Dim::c(x)).collect::<Vec<_>>();
+    let mut w = BpWriter::create(path).unwrap();
+    for (rank, (off, loc)) in tiles.iter().enumerate() {
+        let var = VarDef::global_chunk("a", dtype, consts(global), consts(loc), consts(off));
+        let def = GroupDef::new("g", vec![var]).unwrap();
+        let mut pg = ProcessGroup::new("g", rank as u64, 0);
+        let data = elems(dtype, box_indices(global, off, loc).into_iter());
+        pg.write(&def, "a", data).unwrap();
+        w.append_pg(&pg).unwrap();
+    }
+    w.finish().unwrap();
+}
+
+/// `tiles` dealt round-robin into `n_files` files.
+fn write_fileset(
+    tag: u64,
+    dtype: Dtype,
+    global: &[u64],
+    tiles: &[Tile],
+    n_files: usize,
+) -> Vec<PathBuf> {
+    (0..n_files)
+        .map(|f| {
+            let path = tmp(tag.wrapping_mul(8).wrapping_add(f as u64));
+            let mine: Vec<Tile> = tiles.iter().skip(f).step_by(n_files).cloned().collect();
+            write_chunks(&path, dtype, global, &mine);
+            path
+        })
+        .collect()
+}
+
+const DTYPES: [Dtype; 6] = [
+    Dtype::F32,
+    Dtype::F64,
+    Dtype::I32,
+    Dtype::I64,
+    Dtype::U32,
+    Dtype::U64,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// 1-D…3-D decompositions into 1–4 files: a single reader over all
+    /// the chunks and a file set over their round-robin split both equal
+    /// the per-element reference on any sub-box; drop a tile and a
+    /// request that touches the hole is `IncompleteTiling`.
+    #[test]
+    fn any_rank_dtype_and_file_count_matches_reference(
+        dims in prop::collection::vec((1u64..=9, 1u64..=3), 1..=3),
+        dtype in prop::sample::select(DTYPES.to_vec()),
+        n_files in 1usize..=4,
+        fracs in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 3),
+        tag in any::<u64>(),
+    ) {
+        let global: Vec<u64> = dims.iter().map(|d| d.0).collect();
+        let cuts: Vec<u64> = dims.iter().map(|d| d.1.min(d.0)).collect();
+        let tiles = tiles_of(&global, &cuts);
+        let corner: Vec<u64> =
+            global.iter().zip(&fracs).map(|(&g, f)| (f.0 * g as f64) as u64).collect();
+        let extent: Vec<u64> = global
+            .iter()
+            .zip(&corner)
+            .zip(&fracs)
+            .map(|((&g, &c), f)| 1 + (f.1 * (g - c - 1) as f64) as u64)
+            .collect();
+        let expect = elems(dtype, box_indices(&global, &corner, &extent).into_iter());
+
+        let one = tmp(tag.wrapping_mul(8).wrapping_add(7));
+        write_chunks(&one, dtype, &global, &tiles);
+        let parts = write_fileset(tag, dtype, &global, &tiles, n_files);
+        let mut reader = BpReader::open(&one).unwrap();
+        let mut set = BpFileSet::open(&parts).unwrap();
+        let from_reader = reader.read_box("a", 0, &corner, &extent);
+        let from_set = set.read_box("a", 0, &corner, &extent);
+        let whole = set.read_global("a", 0);
+        let (r_stats, s_stats) = (reader.take_stats(), set.take_stats());
+
+        // The same file set without its first tile.
+        let holed = write_fileset(tag, dtype, &global, &tiles[1..], n_files);
+        let hole = if tiles.len() > 1 {
+            let mut set = BpFileSet::open(&holed).unwrap();
+            Some((set.read_global("a", 0), set.read_box("a", 0, &tiles[1].0, &tiles[1].1)))
+        } else {
+            None
+        };
+        for p in parts.iter().chain(&holed).chain([&one]) {
+            std::fs::remove_file(p).ok();
+        }
+
+        prop_assert_eq!(from_reader.unwrap(), expect.clone());
+        prop_assert_eq!(from_set.unwrap(), expect);
+        let all = vec![0; global.len()];
+        prop_assert_eq!(whole.unwrap(), elems(dtype, box_indices(&global, &all, &global).into_iter()));
+        // A sub-box moves exactly its own bytes, through reader or set.
+        let box_bytes = extent.iter().product::<u64>() * dtype.size() as u64;
+        prop_assert_eq!(r_stats.bytes, box_bytes);
+        prop_assert_eq!(s_stats.bytes, box_bytes + global.iter().product::<u64>() * dtype.size() as u64);
+        if let Some((whole, present)) = hole {
+            let missing = tiles[0].1.iter().product::<u64>();
+            let total = global.iter().product::<u64>();
+            prop_assert!(
+                matches!(
+                    whole,
+                    Err(BpError::IncompleteTiling { covered, expected, .. })
+                        if covered == total - missing && expected == total
+                ),
+                "a missing tile must be reported"
+            );
+            prop_assert!(present.is_ok(), "reads confined to present tiles still work");
+        }
+    }
+}
+
+/// `ReadStats` is the paper's Fig. 11 quantity, so the fold of the read
+/// paths must not move it: these are the numbers the per-path readers
+/// reported for one merged and one scattered layout of a 4×6×8 array.
+#[test]
+fn read_stats_are_pinned_for_a_merged_and_an_unmerged_layout() {
+    let global = [4u64, 6, 8];
+    let stats = |s: ReadStats| (s.reads, s.seeks, s.bytes);
+    let run = |tag: u64, cuts: [u64; 3], n_files: usize| {
+        let tiles = tiles_of(&global, &cuts);
+        let one = tmp(tag);
+        write_chunks(&one, Dtype::F64, &global, &tiles);
+        let parts = write_fileset(tag, Dtype::F64, &global, &tiles, n_files);
+        let mut reader = BpReader::open(&one).unwrap();
+        let mut set = BpFileSet::open(&parts).unwrap();
+        let mut out = Vec::new();
+        reader.read_global("a", 0).unwrap();
+        out.push(stats(reader.take_stats()));
+        reader.read_box("a", 0, &[1, 2, 3], &[2, 3, 4]).unwrap();
+        out.push(stats(reader.take_stats()));
+        set.read_global("a", 0).unwrap();
+        out.push(stats(set.take_stats()));
+        set.read_box("a", 0, &[1, 2, 3], &[2, 3, 4]).unwrap();
+        // Not taken in between: a second read accumulates.
+        set.read_box("a", 0, &[0, 0, 0], &[4, 6, 1]).unwrap();
+        out.push(stats(set.take_stats()));
+        for p in parts.iter().chain([&one]) {
+            std::fs::remove_file(p).ok();
+        }
+        out
+    };
+    // [reader global, reader box, set global, set box + column]
+    let merged = [(1, 1, 1536), (6, 6, 192), (1, 1, 1536), (30, 30, 384)];
+    let unmerged = [(12, 12, 1536), (12, 12, 192), (12, 12, 1536), (36, 36, 384)];
+    assert_eq!(run(0xA1, [1, 1, 1], 1), merged);
+    assert_eq!(run(0xA2, [2, 3, 2], 3), unmerged);
 }

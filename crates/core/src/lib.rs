@@ -62,7 +62,7 @@
 //! let area = StagingArea::spawn(
 //!     stagings, Arc::clone(&router),
 //!     Arc::new(|_| vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>]),
-//!     Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+//!     Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
 //!     StagingConfig::new(2, &out), 1);
 //!
 //! for (rank, endpoint) in computes.into_iter().enumerate() {

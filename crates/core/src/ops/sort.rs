@@ -408,7 +408,7 @@ mod tests {
             let path = result.files.first().expect("sort writes a file").clone();
             let mut r = bpio::BpReader::open(&path).unwrap();
             let me_rank = comm.rank() as u64;
-            let data = r.read_scalar("offset", 0, me_rank).unwrap();
+            let data = r.read_local("offset", 0, me_rank).unwrap();
             let offset = data.as_u64().unwrap()[0];
             let idx = r.index().chunks_of("particles", 0)[0].clone();
             let my_rows: Vec<f64> = {

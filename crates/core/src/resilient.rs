@@ -24,14 +24,6 @@
 //! Every fallback step increments `client.fallback_steps`; recoveries
 //! increment `client.recoveries`.
 //!
-//! # Environment contract
-//!
-//! `PREDATA_DEGRADE` tunes the process-wide default policy, e.g.
-//! `unhealthy_after=2,probe_every=1,deadline_ms=10000`. `off` keeps the
-//! client trying staged writes every step no matter how often they fail
-//! (each failed step still falls back individually — data is never
-//! dropped).
-//!
 //! # Example
 //!
 //! ```
@@ -47,7 +39,7 @@
 //! let area = StagingArea::spawn(
 //!     stagings, Arc::clone(&router),
 //!     Arc::new(|_| Vec::new()),
-//!     Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+//!     Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
 //!     StagingConfig::new(1, &out), 1);
 //!
 //! let mut client = ResilientClient::new(
@@ -70,7 +62,6 @@ use std::time::Duration;
 
 use bpio::ProcessGroup;
 use minimpi::{Comm, World};
-use obs::spec::Spec;
 use transport::{ComputeEndpoint, Router};
 
 use crate::client::{ClientError, PredataClient, WriteReceipt};
@@ -78,8 +69,7 @@ use crate::incompute::InComputeRunner;
 use crate::op::{ComputeSideOp, OpResult, StreamOp};
 
 /// When to stop paying for staged writes, and how often to probe for
-/// recovery. See the [module docs](self) for the `PREDATA_DEGRADE`
-/// grammar.
+/// recovery. Whoever builds the [`ResilientClient`] passes one in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradePolicy {
     /// Consecutive failed staged steps before the client declares
@@ -101,45 +91,6 @@ impl Default for DegradePolicy {
             unhealthy_after: 2,
             probe_every: 1,
             step_deadline: Duration::from_secs(10),
-        }
-    }
-}
-
-impl DegradePolicy {
-    /// Parse a `PREDATA_DEGRADE` spec. `Ok(None)` means "use the
-    /// default policy"; `off` never declares staging unhealthy.
-    pub fn parse(spec: &str) -> Result<Option<DegradePolicy>, String> {
-        let mut policy = DegradePolicy::default();
-        let fields = match obs::spec::parse("degrade", spec)? {
-            Spec::Unset => return Ok(None),
-            Spec::Off => {
-                policy.unhealthy_after = u32::MAX;
-                return Ok(Some(policy));
-            }
-            Spec::On => return Err(obs::spec::no_defaults("degrade")),
-            Spec::Fields(fields) => fields,
-        };
-        for f in &fields {
-            match f.key {
-                "unhealthy_after" => policy.unhealthy_after = f.num()?,
-                "probe_every" => policy.probe_every = f.num()?,
-                "deadline_ms" => policy.step_deadline = Duration::from_millis(f.num()?),
-                _ => return Err(f.unknown()),
-            }
-        }
-        policy.unhealthy_after = policy.unhealthy_after.max(1);
-        policy.probe_every = policy.probe_every.max(1);
-        Ok(Some(policy))
-    }
-
-    /// The process-wide policy from `PREDATA_DEGRADE`. Malformed specs
-    /// abort loudly.
-    pub fn from_env() -> DegradePolicy {
-        match std::env::var("PREDATA_DEGRADE") {
-            Ok(spec) => DegradePolicy::parse(&spec)
-                .unwrap_or_else(|e| panic!("PREDATA_DEGRADE: {e}"))
-                .unwrap_or_default(),
-            Err(_) => DegradePolicy::default(),
         }
     }
 }
@@ -285,26 +236,6 @@ mod tests {
     use crate::ops::HistogramOp;
     use crate::schema::make_particle_pg;
     use transport::{BlockRouter, Fabric};
-
-    #[test]
-    fn parse_grammar_and_off() {
-        let p = DegradePolicy::parse("unhealthy_after=3, probe_every=5, deadline_ms=2500")
-            .unwrap()
-            .unwrap();
-        assert_eq!(p.unhealthy_after, 3);
-        assert_eq!(p.probe_every, 5);
-        assert_eq!(p.step_deadline, Duration::from_millis(2500));
-        assert_eq!(
-            DegradePolicy::parse("off")
-                .unwrap()
-                .unwrap()
-                .unhealthy_after,
-            u32::MAX
-        );
-        assert!(DegradePolicy::parse("").unwrap().is_none());
-        assert!(DegradePolicy::parse("probe_every=x").is_err());
-        assert!(DegradePolicy::parse("frob=1").is_err());
-    }
 
     /// No staging area at all: every step falls back, the ladder
     /// degrades after the configured failures, and the *operators still

@@ -663,7 +663,8 @@ impl StagingRank {
         let helpers = (self.map_workers - 1).min((step_bytes / RUN_BYTES).clamp(1, n_chunks) - 1);
         // Without a helper a run is one chunk, mapped as soon as pulled.
         let run_bytes = if helpers == 0 { 0 } else { RUN_BYTES };
-        let work = (helpers > 0).then(|| EventQueue::bounded(self.policy.max_inflight().max(1)));
+        // One queued run per mapping thread (the helpers and this one).
+        let work = (helpers > 0).then(|| EventQueue::bounded(helpers + 1));
         let work = work.as_ref();
         let retry = &self.cfg.retry;
         let gather_timeout = self.cfg.gather_timeout;
@@ -974,7 +975,7 @@ mod tests {
             stagings,
             Arc::clone(&router),
             Arc::new(|_| vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>]),
-            Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+            Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
             StagingConfig::new(n_compute, &dir),
             2,
         );
@@ -1064,7 +1065,7 @@ mod tests {
             stagings,
             router,
             Arc::new(|_| Vec::new()),
-            Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+            Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
             cfg,
             1,
         );
@@ -1116,7 +1117,7 @@ mod tests {
                 }
                 ops
             }),
-            Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+            Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
             StagingConfig::new(n_compute, &dir),
             1,
         );
@@ -1151,7 +1152,7 @@ mod tests {
             stagings,
             Arc::clone(&router),
             Arc::new(|_| vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>]),
-            Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+            Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
             StagingConfig::new(n_compute, &dir),
             1,
         );
@@ -1205,7 +1206,7 @@ mod tests {
         let mut sr = lone_rank(
             stagings,
             Arc::clone(&router),
-            Box::new(FifoPolicy::default()),
+            Box::new(FifoPolicy),
             Vec::new(),
             StagingConfig::new(2, &dir),
         );
@@ -1295,9 +1296,6 @@ mod tests {
     struct NeverReady;
     impl PullPolicy for NeverReady {
         fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
-        fn max_inflight(&self) -> usize {
-            4
-        }
         fn should_defer(&self) -> bool {
             true
         }
@@ -1356,7 +1354,7 @@ mod tests {
         let mut sr = lone_rank(
             stagings,
             router,
-            Box::new(FifoPolicy::default()),
+            Box::new(FifoPolicy),
             vec![Box::new(HistogramOp::new(vec![0], 16))],
             cfg,
         );
@@ -1436,7 +1434,7 @@ mod tests {
             let mut sr = lone_rank(
                 stagings,
                 router,
-                Box::new(FifoPolicy::default()),
+                Box::new(FifoPolicy),
                 vec![Box::new(probe)],
                 cfg,
             );
@@ -1478,7 +1476,7 @@ mod tests {
                         }),
                     ]
                 }),
-                Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+                Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
                 cfg,
                 1,
             );
@@ -1528,7 +1526,7 @@ mod tests {
             stagings,
             router,
             Arc::new(|_| Vec::new()),
-            Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+            Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
             StagingConfig::new(n_compute, &dir),
             2,
         );

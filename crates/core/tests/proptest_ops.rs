@@ -174,7 +174,7 @@ proptest! {
                 };
                 let mut r = bpio::BpReader::open(path).unwrap();
                 let off = r
-                    .read_scalar("offset", 0, ctx.my_rank() as u64)
+                    .read_local("offset", 0, ctx.my_rank() as u64)
                     .unwrap()
                     .as_u64()
                     .unwrap()[0];

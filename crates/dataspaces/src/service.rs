@@ -3,9 +3,9 @@
 //! The paper's querying application runs on its own cores and fires
 //! range/reduction/continuous queries at the staged index while the next
 //! dump is still being staged. This module is that front-end: queries
-//! are admitted as jobs into a bounded [`EventQueue`] (back-pressure,
-//! `PREDATA_QUERY_QUEUE`), served by a fixed worker pool
-//! (`PREDATA_QUERY_WORKERS`), and each carries a per-query deadline.
+//! are admitted as jobs into a bounded [`EventQueue`] (back-pressure),
+//! served by a fixed worker pool, and each carries a per-query deadline
+//! ([`QueryServiceConfig`] sizes all three).
 //!
 //! # Sessions
 //!
@@ -50,25 +50,15 @@ use crate::domain::Region;
 use crate::error::DsError;
 use crate::space::{DataSpaces, Reduction};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(default)
-}
-
-/// Query-service tuning. Defaults are overridable per process via the
-/// `PREDATA_QUERY_*` environment knobs (see `docs/OPERATIONS.md`).
+/// Query-service tuning, set by whoever builds the service.
 #[derive(Debug, Clone)]
 pub struct QueryServiceConfig {
-    /// Worker threads serving queries (`PREDATA_QUERY_WORKERS`).
+    /// Worker threads serving queries.
     pub workers: usize,
     /// Admission-queue capacity; a full queue rejects with
-    /// [`DsError::QueueFull`] (`PREDATA_QUERY_QUEUE`).
+    /// [`DsError::QueueFull`].
     pub queue_cap: usize,
-    /// Deadline for queries submitted without an explicit one
-    /// (`PREDATA_QUERY_DEADLINE_MS`).
+    /// Deadline for queries submitted without an explicit one.
     pub default_deadline: Duration,
 }
 
@@ -78,21 +68,6 @@ impl Default for QueryServiceConfig {
             workers: 4,
             queue_cap: 256,
             default_deadline: Duration::from_secs(10),
-        }
-    }
-}
-
-impl QueryServiceConfig {
-    /// Defaults overridden by the `PREDATA_QUERY_*` environment.
-    pub fn from_env() -> Self {
-        let d = QueryServiceConfig::default();
-        QueryServiceConfig {
-            workers: env_usize("PREDATA_QUERY_WORKERS", d.workers),
-            queue_cap: env_usize("PREDATA_QUERY_QUEUE", d.queue_cap),
-            default_deadline: Duration::from_millis(env_usize(
-                "PREDATA_QUERY_DEADLINE_MS",
-                d.default_deadline.as_millis() as usize,
-            ) as u64),
         }
     }
 }

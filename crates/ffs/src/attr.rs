@@ -7,7 +7,7 @@
 //! for those attachments: an ordered name → scalar/small-array map with a
 //! hard size budget, since requests must stay tiny.
 
-use crate::decode::decode_value_payload;
+use crate::decode::view_value;
 use crate::encode::encode_value_payload;
 use crate::error::{FfsError, Result};
 use crate::types::{BaseType, Value};
@@ -110,7 +110,7 @@ impl AttrList {
                 1 => true,
                 _ => return Err(FfsError::Corrupt("attr array flag")),
             };
-            let value = decode_value_payload(r, base, is_arr, None)?;
+            let value = view_value(r, base, is_arr, None)?.to_value()?;
             entries.push((name, value));
         }
         Ok(AttrList { entries })

@@ -40,64 +40,21 @@ pub fn decode_header(buf: &[u8]) -> Result<DecodedHeader> {
     })
 }
 
-/// Decode a full record.
+/// Decode a full record: [`decode_view`], then every field materialized
+/// into an owned [`Value`] (array payloads are copied out of `buf`).
 ///
 /// * Self-contained records decode with `registry = None`; if a registry is
 ///   supplied, the recovered schema is interned into it as a side effect
 ///   (mirroring FFS' format caching on first contact).
 /// * By-reference records require a registry holding the fingerprint.
 pub fn decode(buf: &[u8], registry: Option<&FormatRegistry>) -> Result<Record> {
-    let header = decode_header(buf)?;
-    let mut r = Reader::new(buf);
-    r.take(14, "header")?; // skip re-validated header
-
-    let format: Arc<FormatDesc> = if header.has_embedded_schema {
-        let fmt = decode_schema(&mut r)?;
-        if fmt.fingerprint() != header.fingerprint {
-            return Err(FfsError::Corrupt("embedded schema fingerprint mismatch"));
-        }
-        match registry {
-            Some(reg) => reg.intern(fmt),
-            None => Arc::new(fmt),
-        }
-    } else {
-        let reg = registry.ok_or(FfsError::RegistryRequired(header.fingerprint))?;
-        reg.lookup(header.fingerprint)
-            .ok_or(FfsError::UnknownFormat(header.fingerprint))?
-    };
-
-    let attrs = AttrList::decode_from(&mut r)?;
-
-    let mut values: Vec<Option<Value>> = vec![None; format.fields().len()];
-    for (i, field) in format.fields().iter().enumerate() {
-        let v = match &field.ty {
-            FieldType::Scalar(b) => decode_value_payload(&mut r, *b, false, None)?,
-            FieldType::Array { elem, dims } => {
-                // Resolve expected length from already-decoded size fields
-                // (they are guaranteed to precede this array).
-                let mut expected: u64 = 1;
-                for d in dims {
-                    let extent = match d {
-                        DimSpec::Fixed(n) => *n,
-                        DimSpec::Var(name) => {
-                            let j = format
-                                .field_index(name)
-                                .ok_or(FfsError::Corrupt("dangling var dim"))?;
-                            values[j]
-                                .as_ref()
-                                .and_then(|v| v.as_u64())
-                                .ok_or(FfsError::Corrupt("var dim not yet decoded"))?
-                        }
-                    };
-                    expected = expected.saturating_mul(extent);
-                }
-                decode_value_payload(&mut r, *elem, true, Some(expected))?
-            }
-        };
-        values[i] = Some(v);
-    }
-
-    Ok(Record::from_decoded(format, values, attrs))
+    let view = decode_view(buf, registry)?;
+    let values = view
+        .values
+        .iter()
+        .map(|v| v.to_value().map(Some))
+        .collect::<Result<_>>()?;
+    Ok(Record::from_decoded(view.format, values, view.attrs))
 }
 
 /// One field of a [`RecordView`]: scalars are decoded eagerly (they are
@@ -142,16 +99,37 @@ impl<'a> ViewValue<'a> {
         }
     }
 
-    /// Materialize an owned [`Value`] (copies array payloads).
+    /// Materialize an owned [`Value`] (copies array payloads) — the one
+    /// place array elements are converted from wire bytes.
     pub fn to_value(&self) -> Result<Value> {
-        match self {
-            ViewValue::Scalar(v) => Ok(v.clone()),
-            ViewValue::Array { elem, count, bytes } => {
-                let mut r = Reader::new(bytes);
-                let n = *count as usize;
-                decode_array_elems(&mut r, *elem, n)
-            }
+        fn elems<T, const N: usize>(bytes: &[u8], from: fn([u8; N]) -> T) -> Vec<T> {
+            bytes
+                .chunks_exact(N)
+                .map(|c| from(c.try_into().expect("chunks_exact yields N bytes")))
+                .collect()
         }
+        let (elem, count, bytes) = match self {
+            ViewValue::Scalar(v) => return Ok(v.clone()),
+            ViewValue::Array { elem, count, bytes } => (*elem, *count, *bytes),
+        };
+        // The variant's fields are public: hold a hand-built view to what
+        // `view_value` guarantees for a decoded one.
+        if count.checked_mul(elem.wire_size() as u64) != Some(bytes.len() as u64) {
+            return Err(FfsError::Corrupt("array view length disagrees with count"));
+        }
+        Ok(match elem {
+            BaseType::I8 => Value::ArrI8(elems(bytes, i8::from_le_bytes)),
+            BaseType::U8 => Value::ArrU8(bytes.to_vec()),
+            BaseType::I16 => Value::ArrI16(elems(bytes, i16::from_le_bytes)),
+            BaseType::U16 => Value::ArrU16(elems(bytes, u16::from_le_bytes)),
+            BaseType::I32 => Value::ArrI32(elems(bytes, i32::from_le_bytes)),
+            BaseType::U32 => Value::ArrU32(elems(bytes, u32::from_le_bytes)),
+            BaseType::I64 => Value::ArrI64(elems(bytes, i64::from_le_bytes)),
+            BaseType::U64 => Value::ArrU64(elems(bytes, u64::from_le_bytes)),
+            BaseType::F32 => Value::ArrF32(elems(bytes, f32::from_le_bytes)),
+            BaseType::F64 => Value::ArrF64(elems(bytes, f64::from_le_bytes)),
+            BaseType::Str => return Err(FfsError::Corrupt("string arrays are not supported")),
+        })
     }
 }
 
@@ -182,8 +160,8 @@ impl<'a> RecordView<'a> {
 }
 
 /// Decode a record without copying array payloads: the returned view
-/// borrows every array field from `buf`. Schema handling matches
-/// [`decode`].
+/// borrows every array field from `buf`. This is the one record walk —
+/// [`decode`] materializes its result.
 pub fn decode_view<'a>(buf: &'a [u8], registry: Option<&FormatRegistry>) -> Result<RecordView<'a>> {
     let header = decode_header(buf)?;
     let mut r = Reader::new(buf);
@@ -206,13 +184,13 @@ pub fn decode_view<'a>(buf: &'a [u8], registry: Option<&FormatRegistry>) -> Resu
 
     let attrs = AttrList::decode_from(&mut r)?;
 
-    let mut values: Vec<Option<ViewValue<'a>>> = vec![None; format.fields().len()];
-    for (i, field) in format.fields().iter().enumerate() {
-        let v = match &field.ty {
-            FieldType::Scalar(b) => {
-                ViewValue::Scalar(decode_value_payload(&mut r, *b, false, None)?)
-            }
+    let mut values: Vec<ViewValue<'a>> = Vec::with_capacity(format.fields().len());
+    for field in format.fields() {
+        values.push(match &field.ty {
+            FieldType::Scalar(b) => view_value(&mut r, *b, false, None)?,
             FieldType::Array { elem, dims } => {
+                // Resolve expected length from already-decoded size fields
+                // (they are guaranteed to precede this array).
                 let mut expected: u64 = 1;
                 for d in dims {
                     let extent = match d {
@@ -221,77 +199,23 @@ pub fn decode_view<'a>(buf: &'a [u8], registry: Option<&FormatRegistry>) -> Resu
                             let j = format
                                 .field_index(name)
                                 .ok_or(FfsError::Corrupt("dangling var dim"))?;
-                            values[j]
-                                .as_ref()
+                            values
+                                .get(j)
                                 .and_then(|v| v.as_u64())
                                 .ok_or(FfsError::Corrupt("var dim not yet decoded"))?
                         }
                     };
                     expected = expected.saturating_mul(extent);
                 }
-                let count = r.u64("array count")?;
-                if expected != count {
-                    return Err(FfsError::Corrupt("array count disagrees with dimensions"));
-                }
-                if *elem == BaseType::Str {
-                    return Err(FfsError::Corrupt("string arrays are not supported"));
-                }
-                let elem_size = elem.wire_size().max(1);
-                if count as usize > r.remaining() / elem_size {
-                    return Err(FfsError::Truncated("array elements"));
-                }
-                let bytes = r.take(count as usize * elem_size, "array payload")?;
-                ViewValue::Array {
-                    elem: *elem,
-                    count,
-                    bytes,
-                }
+                view_value(&mut r, *elem, true, Some(expected))?
             }
-        };
-        values[i] = Some(v);
+        });
     }
 
     Ok(RecordView {
         format,
-        values: values
-            .into_iter()
-            .map(|v| v.expect("all decoded"))
-            .collect(),
+        values,
         attrs,
-    })
-}
-
-/// Materialize `n` owned array elements from a reader positioned at the
-/// element bytes.
-fn decode_array_elems(r: &mut Reader<'_>, base: BaseType, n: usize) -> Result<Value> {
-    Ok(match base {
-        BaseType::I8 => Value::ArrI8(
-            (0..n)
-                .map(|_| r.u8("e").map(|b| b as i8))
-                .collect::<Result<_>>()?,
-        ),
-        BaseType::U8 => Value::ArrU8(r.take(n, "bytes")?.to_vec()),
-        BaseType::I16 => Value::ArrI16(
-            (0..n)
-                .map(|_| r.u16("e").map(|b| b as i16))
-                .collect::<Result<_>>()?,
-        ),
-        BaseType::U16 => Value::ArrU16((0..n).map(|_| r.u16("e")).collect::<Result<_>>()?),
-        BaseType::I32 => Value::ArrI32(
-            (0..n)
-                .map(|_| r.u32("e").map(|b| b as i32))
-                .collect::<Result<_>>()?,
-        ),
-        BaseType::U32 => Value::ArrU32((0..n).map(|_| r.u32("e")).collect::<Result<_>>()?),
-        BaseType::I64 => Value::ArrI64(
-            (0..n)
-                .map(|_| r.u64("e").map(|b| b as i64))
-                .collect::<Result<_>>()?,
-        ),
-        BaseType::U64 => Value::ArrU64((0..n).map(|_| r.u64("e")).collect::<Result<_>>()?),
-        BaseType::F32 => Value::ArrF32((0..n).map(|_| r.f32("e")).collect::<Result<_>>()?),
-        BaseType::F64 => Value::ArrF64((0..n).map(|_| r.f64("e")).collect::<Result<_>>()?),
-        BaseType::Str => return Err(FfsError::Corrupt("string arrays are not supported")),
     })
 }
 
@@ -324,16 +248,17 @@ pub(crate) fn decode_schema(r: &mut Reader<'_>) -> Result<FormatDesc> {
     FormatDesc::from_parts(name, fields)
 }
 
-/// Decode one value payload. For arrays, `expected_len` (when known from
-/// the schema) is cross-checked against the on-wire element count.
-pub(crate) fn decode_value_payload(
-    r: &mut Reader<'_>,
+/// Read one value payload: a scalar decoded, or an array as a borrowed
+/// view of its element bytes. `expected_len` (when known from the
+/// schema) is cross-checked against the on-wire element count.
+pub(crate) fn view_value<'a>(
+    r: &mut Reader<'a>,
     base: BaseType,
     is_array: bool,
     expected_len: Option<u64>,
-) -> Result<Value> {
+) -> Result<ViewValue<'a>> {
     if !is_array {
-        return Ok(match base {
+        return Ok(ViewValue::Scalar(match base {
             BaseType::I8 => Value::I8(r.u8("i8")? as i8),
             BaseType::U8 => Value::U8(r.u8("u8")?),
             BaseType::I16 => Value::I16(r.u16("i16")? as i16),
@@ -345,49 +270,27 @@ pub(crate) fn decode_value_payload(
             BaseType::F32 => Value::F32(r.f32("f32")?),
             BaseType::F64 => Value::F64(r.f64("f64")?),
             BaseType::Str => Value::Str(r.str32("str")?),
-        });
+        }));
     }
 
     let count = r.u64("array count")?;
-    if let Some(exp) = expected_len {
-        if exp != count {
-            return Err(FfsError::Corrupt("array count disagrees with dimensions"));
-        }
+    if expected_len.is_some_and(|exp| exp != count) {
+        return Err(FfsError::Corrupt("array count disagrees with dimensions"));
     }
-    // Guard against hostile counts before allocating.
-    let elem_size = base.wire_size().max(1);
-    if count as usize > r.remaining() / elem_size {
+    if base == BaseType::Str {
+        return Err(FfsError::Corrupt("string arrays are not supported"));
+    }
+    // Guard against hostile counts before slicing (and before any
+    // materializing allocation).
+    let elem_size = base.wire_size();
+    if count > (r.remaining() / elem_size) as u64 {
         return Err(FfsError::Truncated("array elements"));
     }
-    let n = count as usize;
-    Ok(match base {
-        BaseType::I8 => Value::ArrI8(
-            (0..n)
-                .map(|_| r.u8("e").map(|b| b as i8))
-                .collect::<Result<_>>()?,
-        ),
-        BaseType::U8 => Value::ArrU8(r.take(n, "bytes")?.to_vec()),
-        BaseType::I16 => Value::ArrI16(
-            (0..n)
-                .map(|_| r.u16("e").map(|b| b as i16))
-                .collect::<Result<_>>()?,
-        ),
-        BaseType::U16 => Value::ArrU16((0..n).map(|_| r.u16("e")).collect::<Result<_>>()?),
-        BaseType::I32 => Value::ArrI32(
-            (0..n)
-                .map(|_| r.u32("e").map(|b| b as i32))
-                .collect::<Result<_>>()?,
-        ),
-        BaseType::U32 => Value::ArrU32((0..n).map(|_| r.u32("e")).collect::<Result<_>>()?),
-        BaseType::I64 => Value::ArrI64(
-            (0..n)
-                .map(|_| r.u64("e").map(|b| b as i64))
-                .collect::<Result<_>>()?,
-        ),
-        BaseType::U64 => Value::ArrU64((0..n).map(|_| r.u64("e")).collect::<Result<_>>()?),
-        BaseType::F32 => Value::ArrF32((0..n).map(|_| r.f32("e")).collect::<Result<_>>()?),
-        BaseType::F64 => Value::ArrF64((0..n).map(|_| r.f64("e")).collect::<Result<_>>()?),
-        BaseType::Str => return Err(FfsError::Corrupt("string arrays are not supported")),
+    let bytes = r.take(count as usize * elem_size, "array payload")?;
+    Ok(ViewValue::Array {
+        elem: base,
+        count,
+        bytes,
     })
 }
 

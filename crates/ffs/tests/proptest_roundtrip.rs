@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use ffs::{
-    decode, decode_header, BaseType, DimSpec, FieldDesc, FormatDesc, FormatRegistry, Record, Value,
+    decode, decode_header, decode_view, BaseType, DimSpec, FieldDesc, FormatDesc, FormatRegistry,
+    Record, Value,
 };
 use proptest::prelude::*;
 
@@ -109,10 +110,14 @@ proptest! {
         let rec = build_record(&far);
         let buf = rec.encode_self_contained().unwrap();
         let back = decode(&buf, None).unwrap();
+        // The owned decode is the view, materialized field by field.
+        let view = decode_view(&buf, None).unwrap();
         for (name, v) in &far.values {
             prop_assert_eq!(back.get(name), Some(v));
+            prop_assert_eq!(&view.get(name).unwrap().to_value().unwrap(), v);
         }
         prop_assert_eq!(back.format().fingerprint(), far.format.fingerprint());
+        prop_assert_eq!(view.attrs(), back.attrs());
     }
 
     #[test]

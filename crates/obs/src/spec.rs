@@ -1,13 +1,12 @@
 //! The one `k=v,k=v` parser behind every structured `PREDATA_*` knob.
 //!
-//! `PREDATA_FAULTS`, `PREDATA_RETRY`, `PREDATA_DEGRADE`,
-//! `PREDATA_MEMBERSHIP`, `PREDATA_ADMIT` and `PREDATA_LIVE` share one
-//! grammar: surrounding whitespace is ignored; the empty string is
+//! `PREDATA_FAULTS`, `PREDATA_RETRY`, `PREDATA_MEMBERSHIP`,
+//! `PREDATA_ADMIT` and `PREDATA_LIVE` share one grammar: surrounding whitespace is ignored; the empty string is
 //! *unset*; `0` / `off` / `false` are the off-words; `1` / `on` / `true`
 //! the on-words; anything else is a comma-separated list of `key=value`
 //! fields (empty fields skipped, each trimmed). What unset, off and on
 //! *mean* is the knob's business — `PREDATA_RETRY=off` is "one attempt",
-//! `PREDATA_DEGRADE=off` is "never unhealthy", most knobs have no
+//! `PREDATA_ADMIT=off` is "never shed", most knobs have no
 //! defaults for a bare on-word to switch on — so [`parse`] only
 //! classifies, and each knob's parser keeps its `match key` and its own
 //! validation. It lives here because `obs` is the lowest crate all of

@@ -195,11 +195,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Blocking receive with deadline. `None` on timeout or teardown.
-    pub fn poll(&self, timeout: Duration) -> Option<T> {
-        self.recv(timeout).ok()
-    }
-
     pub fn try_poll(&self) -> Option<T> {
         let mut inner = self.shared.lock();
         let ev = inner.queue.pop_front();
@@ -220,10 +215,6 @@ impl<T> EventQueue<T> {
         self.shared.not_full.notify_all();
     }
 
-    pub fn is_closed(&self) -> bool {
-        self.shared.lock().closed
-    }
-
     pub fn len(&self) -> usize {
         self.shared.lock().queue.len()
     }
@@ -235,40 +226,6 @@ impl<T> EventQueue<T> {
     /// Deepest this queue has ever been (its depth high-water mark).
     pub fn high_water(&self) -> usize {
         self.shared.lock().high_water
-    }
-
-    /// A clonable submission handle (e.g. one per fetcher thread).
-    pub fn sender(&self) -> QueueSender<T> {
-        QueueSender {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-/// Cheap clonable handle for submitting into an [`EventQueue`].
-pub struct QueueSender<T> {
-    shared: Arc<Shared<T>>,
-}
-
-impl<T> Clone for QueueSender<T> {
-    fn clone(&self) -> Self {
-        QueueSender {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> QueueSender<T> {
-    pub fn submit(&self, ev: T) {
-        let _ = self.send(ev);
-    }
-
-    /// Blocking submit that reports teardown (see [`EventQueue::send`]).
-    pub fn send(&self, ev: T) -> Result<(), SubmitError<T>> {
-        EventQueue {
-            shared: Arc::clone(&self.shared),
-        }
-        .send(ev)
     }
 }
 
@@ -334,26 +291,6 @@ impl<T> Stone<T> {
     }
 }
 
-/// Drain a queue into a stone until the queue closes or `deadline_idle`
-/// passes with no event. Returns number of events processed.
-pub fn pump<T>(queue: &EventQueue<T>, stone: &mut Stone<T>, deadline_idle: Duration) -> u64 {
-    let mut n = 0;
-    while let Some(ev) = queue.poll(deadline_idle) {
-        stone.submit(ev);
-        n += 1;
-    }
-    n
-}
-
-/// Convenience: shareable queue pair for producer/consumer threads.
-pub fn channel<T>(cap: Option<usize>) -> (QueueSender<T>, Arc<EventQueue<T>>) {
-    let q = Arc::new(match cap {
-        Some(c) => EventQueue::bounded(c),
-        None => EventQueue::unbounded(),
-    });
-    (q.sender(), q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +325,7 @@ mod tests {
         q.try_submit(1).unwrap();
         q.try_submit(2).unwrap();
         assert_eq!(q.try_submit(3), Err(SubmitError::Full(3)));
-        assert_eq!(q.poll(Duration::from_millis(1)), Some(1));
+        assert_eq!(q.recv(Duration::from_millis(1)), Ok(1));
         q.try_submit(3).unwrap();
         assert_eq!(q.len(), 2);
     }
@@ -400,8 +337,8 @@ mod tests {
         let q2 = q.clone();
         let t = std::thread::spawn(move || q2.send(2).is_ok());
         std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(q.poll(Duration::from_secs(1)), Some(1));
-        assert_eq!(q.poll(Duration::from_secs(1)), Some(2));
+        assert_eq!(q.recv(Duration::from_secs(1)), Ok(1));
+        assert_eq!(q.recv(Duration::from_secs(1)), Ok(2));
         assert!(t.join().unwrap());
     }
 
@@ -493,41 +430,5 @@ mod tests {
         // Evens 0,2,4 → ×10 → 0+20+40 = 60.
         assert_eq!(seen.load(Ordering::SeqCst), 60);
         assert_eq!(stone.counts(), (3, 3));
-    }
-
-    #[test]
-    fn pump_until_idle() {
-        let q = EventQueue::unbounded();
-        for v in 0..10u32 {
-            q.submit(v);
-        }
-        let mut out = Vec::new();
-        let collected = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let c2 = Arc::clone(&collected);
-        let mut stone = Stone::new(move |v| c2.lock().push(v));
-        let n = pump(&q, &mut stone, Duration::from_millis(5));
-        assert_eq!(n, 10);
-        out.extend(collected.lock().iter().copied());
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cross_thread_producer_consumer() {
-        let (tx, q) = channel::<u64>(Some(8));
-        let h = std::thread::spawn(move || {
-            for v in 0..100 {
-                tx.submit(v);
-            }
-        });
-        let mut sum = 0;
-        let mut got = 0;
-        while got < 100 {
-            if let Some(v) = q.poll(Duration::from_secs(1)) {
-                sum += v;
-                got += 1;
-            }
-        }
-        h.join().unwrap();
-        assert_eq!(sum, 4950);
     }
 }

@@ -344,27 +344,17 @@ impl StagingEndpoint {
     pub fn recv_request(&self, timeout: Duration) -> Result<FetchRequest, TransportError> {
         match self.requests.recv_timeout(timeout) {
             Ok(r) => {
-                self.request_received(&r);
+                // The chunk's `request_received` transition, on this
+                // staging rank: counted per step, these marks are the
+                // rank's gathered backlog.
+                obs::mark("request_received", r.io_step)
+                    .rank(self.rank)
+                    .chunk(r.src_rank as u64);
                 Ok(r)
             }
             Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
         }
-    }
-
-    /// Non-blocking request poll.
-    pub fn try_recv_request(&self) -> Option<FetchRequest> {
-        let r = self.requests.try_recv().ok()?;
-        self.request_received(&r);
-        Some(r)
-    }
-
-    /// The chunk's `request_received` transition, on this staging rank:
-    /// counted per step, these marks are the rank's gathered backlog.
-    fn request_received(&self, r: &FetchRequest) {
-        obs::mark("request_received", r.io_step)
-            .rank(self.rank)
-            .chunk(r.src_rank as u64);
     }
 
     /// One-sided pull of an exposed chunk. Consumes the exposure (the
@@ -551,7 +541,10 @@ mod tests {
         let b = stagings[1].recv_request(Duration::from_secs(1)).unwrap();
         assert_eq!(a.src_rank, 1);
         assert_eq!(b.src_rank, 0);
-        assert!(stagings[0].try_recv_request().is_none());
+        assert_eq!(
+            stagings[0].recv_request(Duration::ZERO).unwrap_err(),
+            TransportError::Timeout
+        );
     }
 
     #[test]

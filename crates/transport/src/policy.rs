@@ -85,23 +85,17 @@ impl CongestionSignal {
 
 /// Decides pull order and pacing for one staging node.
 ///
-/// `select` receives the queue of pending requests and returns how many
-/// of the *first k after reordering* to issue immediately; the runtime
-/// issues `plan`-ordered pulls `0..k` and re-invokes the policy when they
-/// complete. Returning 0 means "back off, poll again shortly".
+/// Each step the staging rank hands its gathered requests to [`order`]
+/// once, then pulls them one at a time in that order on its own thread;
+/// before each pull it calls [`wait_ready`] and pulls only once the
+/// policy is willing (a policy that stays unwilling past the rank's
+/// gather timeout fails the step with `Timeout`).
+///
+/// [`order`]: PullPolicy::order
+/// [`wait_ready`]: PullPolicy::wait_ready
 pub trait PullPolicy: Send + Sync {
     /// Reorder `pending` in place (front = next to pull).
     fn order(&mut self, pending: &mut Vec<FetchRequest>);
-
-    /// How many pulled *runs* may wait for a map helper at once — the
-    /// capacity of the queue between a staging rank's pulling thread and
-    /// its helpers. (Pulls themselves have always been issued one at a
-    /// time.) A run is offered once it holds 256 KiB, so it is under
-    /// 256 KiB plus one chunk, and besides the queued ones each mapping
-    /// thread holds one: a rank's pulled-but-unmapped bytes stay under
-    /// `(max_inflight + map_workers) × (256 KiB + largest chunk)`. A rank
-    /// without helpers has no queue and holds one chunk.
-    fn max_inflight(&self) -> usize;
 
     /// Whether to defer issuing pulls right now.
     fn should_defer(&self) -> bool {
@@ -124,24 +118,12 @@ pub trait PullPolicy: Send + Sync {
     }
 }
 
-/// Pull in arrival order, a fixed number of runs queued for helpers.
-#[derive(Debug, Clone)]
-pub struct FifoPolicy {
-    pub inflight: usize,
-}
-
-impl Default for FifoPolicy {
-    fn default() -> Self {
-        FifoPolicy { inflight: 4 }
-    }
-}
+/// Pull in arrival order.
+#[derive(Debug, Clone, Default)]
+pub struct FifoPolicy;
 
 impl PullPolicy for FifoPolicy {
     fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
-
-    fn max_inflight(&self) -> usize {
-        self.inflight
-    }
 }
 
 /// Pull the largest chunks first: finishes the bulk of the buffered bytes
@@ -153,32 +135,23 @@ impl PullPolicy for LargestFirstPolicy {
     fn order(&mut self, pending: &mut Vec<FetchRequest>) {
         pending.sort_by_key(|r| std::cmp::Reverse(r.chunk_bytes));
     }
-
-    fn max_inflight(&self) -> usize {
-        4
-    }
 }
 
 /// FIFO, but defers pulls while the application holds the congestion
 /// signal — the interference-avoidance scheduler of the paper.
 #[derive(Debug, Clone)]
 pub struct PhaseAwarePolicy {
-    pub inflight: usize,
     signal: CongestionSignal,
 }
 
 impl PhaseAwarePolicy {
-    pub fn new(signal: CongestionSignal, inflight: usize) -> Self {
-        PhaseAwarePolicy { inflight, signal }
+    pub fn new(signal: CongestionSignal) -> Self {
+        PhaseAwarePolicy { signal }
     }
 }
 
 impl PullPolicy for PhaseAwarePolicy {
     fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
-
-    fn max_inflight(&self) -> usize {
-        self.inflight
-    }
 
     fn should_defer(&self) -> bool {
         self.signal.is_busy()
@@ -243,10 +216,6 @@ impl RateLimitedPolicy {
 impl PullPolicy for RateLimitedPolicy {
     fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
 
-    fn max_inflight(&self) -> usize {
-        2
-    }
-
     fn should_defer(&self) -> bool {
         // Defer while the bucket cannot cover a nominal chunk; the probe
         // charge keeps long-run throughput at the configured rate.
@@ -296,7 +265,7 @@ mod tests {
 
     #[test]
     fn fifo_keeps_order() {
-        let mut p = FifoPolicy::default();
+        let mut p = FifoPolicy;
         let mut q = vec![req(10), req(30), req(20)];
         p.order(&mut q);
         let sizes: Vec<_> = q.iter().map(|r| r.chunk_bytes).collect();
@@ -337,7 +306,7 @@ mod tests {
     #[test]
     fn phase_aware_defers_while_busy() {
         let sig = CongestionSignal::new();
-        let p = PhaseAwarePolicy::new(sig.clone(), 2);
+        let p = PhaseAwarePolicy::new(sig.clone());
         assert!(!p.should_defer());
         sig.set_busy(true);
         assert!(p.should_defer());
@@ -349,7 +318,7 @@ mod tests {
     fn phase_aware_wait_ready_wakes_on_signal_clear() {
         let sig = CongestionSignal::new();
         sig.set_busy(true);
-        let p = PhaseAwarePolicy::new(sig.clone(), 2);
+        let p = PhaseAwarePolicy::new(sig.clone());
         assert!(!p.wait_ready(Duration::from_millis(2)), "still busy");
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));

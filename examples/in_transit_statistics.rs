@@ -43,7 +43,7 @@ fn main() {
                 Box::new(SortOp::new()),
             ]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         n_steps,
     );

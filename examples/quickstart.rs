@@ -33,7 +33,7 @@ fn main() {
         stagings,
         Arc::clone(&router),
         Arc::new(|_rank| vec![Box::new(HistogramOp::new(vec![0], 8)) as Box<dyn StreamOp>]),
-        Arc::new(|_rank| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_rank| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &out_dir),
         1, // one I/O step
     );

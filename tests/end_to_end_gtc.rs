@@ -41,7 +41,7 @@ fn gtc_three_steps_sort_hist_index() {
                 Box::new(BitmapIndexOp::new(2, 8)),
             ]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         n_steps,
     );
@@ -135,7 +135,7 @@ fn histogram_totals_equal_particle_count() {
         stagings,
         Arc::clone(&router),
         Arc::new(|_| vec![Box::new(HistogramOp::all_attrs(32)) as Box<dyn StreamOp>]),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         1,
     );

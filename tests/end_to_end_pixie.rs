@@ -35,7 +35,7 @@ fn reorg_merges_exactly_and_reads_cheaper() {
         stagings,
         Arc::clone(&router),
         Arc::new(|_| vec![Box::new(ReorgOp::pixie3d()) as Box<dyn StreamOp>]),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         1,
     );
@@ -145,7 +145,7 @@ fn diagnostics_pipeline_on_merged_output() {
         stagings,
         Arc::clone(&router),
         Arc::new(|_| vec![Box::new(ReorgOp::pixie3d()) as Box<dyn StreamOp>]),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         1,
     );

@@ -42,7 +42,7 @@ fn uncreatable_out_dir_fails_at_startup() {
         comms.remove(0),
         stagings.into_iter().next().unwrap(),
         router,
-        Box::new(FifoPolicy::default()),
+        Box::new(FifoPolicy),
         vec![],
         StagingConfig::new(1, blocker.join("out")),
     );
@@ -84,7 +84,7 @@ fn corrupt_chunk_reported_as_chunk_error() {
         comms.remove(0),
         stagings.into_iter().next().unwrap(),
         router,
-        Box::new(FifoPolicy::default()),
+        Box::new(FifoPolicy),
         vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>],
         StagingConfig::new(1, &dir),
     )
@@ -142,7 +142,7 @@ fn failed_pull_truncates_lineage_instead_of_dangling() {
         comms.remove(0),
         stagings.into_iter().next().unwrap(),
         router,
-        Box::new(FifoPolicy::default()),
+        Box::new(FifoPolicy),
         vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>],
         StagingConfig::new(2, &dir),
     )
@@ -198,7 +198,7 @@ fn stale_step_reported_as_skew() {
         comms.remove(0),
         stagings.into_iter().next().unwrap(),
         router,
-        Box::new(FifoPolicy::default()),
+        Box::new(FifoPolicy),
         vec![],
         StagingConfig::new(1, &dir),
     )
@@ -267,7 +267,7 @@ fn partial_dump_times_out_cleanly() {
         stagings,
         Arc::clone(&router),
         Arc::new(|_| vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>]),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         cfg,
         1,
     );
@@ -323,7 +323,7 @@ fn run_gtc(
                 Box::new(HistogramOp::new(vec![0], 8)),
             ]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         predata::core::StagingConfig::new(n_compute, dir),
         n_steps,
     );
@@ -448,7 +448,7 @@ fn degradation_ladder_absorbs_truncates_and_falls_back() {
         comms.remove(0),
         stagings.into_iter().next().unwrap(),
         router,
-        Box::new(FifoPolicy::default()),
+        Box::new(FifoPolicy),
         vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>],
         StagingConfig::new(2, &dir),
     )
@@ -502,7 +502,7 @@ fn degradation_ladder_absorbs_truncates_and_falls_back() {
             comms.remove(0),
             stagings.into_iter().next().unwrap(),
             staging_router,
-            Box::new(FifoPolicy::default()),
+            Box::new(FifoPolicy),
             vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>],
             StagingConfig::new(n_compute, &staging_dir),
         )
@@ -596,7 +596,7 @@ fn fallback_and_recovery_flip_at_the_right_steps() {
             comms.remove(0),
             stagings.into_iter().next().unwrap(),
             staging_router,
-            Box::new(FifoPolicy::default()),
+            Box::new(FifoPolicy),
             vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>],
             cfg,
         )

@@ -122,7 +122,7 @@ fn run(dir: &std::path::Path) -> Vec<Vec<predata::core::StepReport>> {
                 Box::new(SleepyOp),
             ]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         cfg,
         N_STEPS,
     );

@@ -101,7 +101,7 @@ fn run(
                 )),
             ]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         cfg,
         N_STEPS,
     );

@@ -97,7 +97,7 @@ fn run_once(dir: &std::path::Path) -> Duration {
         stagings,
         router,
         Arc::new(|_| make_ops()),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         cfg,
         N_STEPS,
     );

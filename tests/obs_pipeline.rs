@@ -101,7 +101,7 @@ fn pipeline_emits_snapshot_and_perfetto_trace() {
         stagings,
         router,
         Arc::new(|_| make_ops()),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(N_COMPUTE, &out_dir),
         N_STEPS,
     );

@@ -31,7 +31,7 @@ fn pulls_defer_while_application_communicates() {
         stagings,
         Arc::clone(&router),
         Arc::new(|_| Vec::new()),
-        Arc::new(move |_| Box::new(PhaseAwarePolicy::new(sig.clone(), 2)) as Box<dyn PullPolicy>),
+        Arc::new(move |_| Box::new(PhaseAwarePolicy::new(sig.clone())) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         1,
     );

@@ -45,7 +45,7 @@ fn histograms_identical_across_placements() {
                 Box::new(Histogram2dOp::new(vec![(0, 3)], 6)),
             ]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir_s),
         1,
     );

@@ -32,7 +32,7 @@ fn indexed_range_query_matches_naive_and_prunes() {
         stagings,
         Arc::clone(&router),
         Arc::new(move |_| vec![Box::new(BitmapIndexOp::new(column, 32)) as Box<dyn StreamOp>]),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         1,
     );

@@ -4,7 +4,6 @@
 //! `docs/OPERATIONS.md` documents) and how each refuses a malformed
 //! spec: with an `Err` that names the knob and the offending field.
 
-use predata::core::resilient::DegradePolicy;
 use predata::core::AdmitControl;
 use predata::obs::live::LiveConfig;
 use predata::transport::{FaultPlan, MembershipPlan, RetryPolicy};
@@ -23,7 +22,7 @@ struct Knob {
     accepted: &'static [&'static str],
 }
 
-const KNOBS: [Knob; 6] = [
+const KNOBS: [Knob; 5] = [
     Knob {
         name: "fault",
         parse: |s| FaultPlan::parse(s).map(drop),
@@ -44,16 +43,6 @@ const KNOBS: [Knob; 6] = [
             "attempts=4,base_ms=1,max_ms=100,deadline_ms=10000",
             "attempts=3,base_ms=1,max_ms=20,deadline_ms=2000",
             "attempts=1",
-        ],
-    },
-    Knob {
-        name: "degrade",
-        parse: |s| DegradePolicy::parse(s).map(drop),
-        has_on: false,
-        number_key: "probe_every",
-        accepted: &[
-            "unhealthy_after=2,probe_every=1,deadline_ms=10000",
-            "unhealthy_after=1,probe_every=4,deadline_ms=2000",
         ],
     },
     Knob {
@@ -144,7 +133,7 @@ fn malformed_specs_are_errors_that_name_the_field() {
 /// parse, on/off words, non-ASCII).
 fn fragments() -> Vec<&'static str> {
     let words = "= = , , .. @ + - . 0 1 7 0.5 1e400 99999999999999999999 x é on off true false \
-        seed drop delay_ms steps max_injections attempts deadline_ms unhealthy_after probe_every \
+        seed drop delay_ms steps max_injections attempts deadline_ms \
         base join leave evict queue_hwm blocked defer window";
     let mut all: Vec<_> = words.split(' ').collect();
     all.push(" ");

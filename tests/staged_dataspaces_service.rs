@@ -96,7 +96,7 @@ fn staged_indexing_serves_concurrent_queries() {
                 Box::new(SpaceIndexOp::new(Arc::clone(&space_for_ops), 5, "weight")),
             ]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         n_steps,
     );

@@ -20,7 +20,8 @@ use predata::core::agg::Aggregates;
 use predata::core::op::{ChunkMapper, OpCtx, OpResult, StreamOp, Tagged};
 use predata::core::ops::ReorgOp;
 use predata::core::{PredataClient, StagingArea, StagingConfig};
-use predata::transport::{BlockRouter, Fabric, FifoPolicy, PullPolicy, Router};
+use predata::ffs::AttrList;
+use predata::transport::{BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPolicy, Router};
 
 /// A block a 32 KiB chunk or a 256 KiB slab would need; every per-chunk
 /// bookkeeping allocation is far below it.
@@ -141,6 +142,30 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
     let seen = Arc::new(Seen::default());
 
     let (_fabric, computes, stagings) = Fabric::new(n_compute, n_staging, None);
+    // A staging rank's request queue is an unbounded `VecDeque`: whether
+    // it doubles during a dump depends on how far behind that rank's
+    // thread happens to be scheduled, and a doubling inside the measured
+    // dump reads as a 2–4 KiB `write_pg` (15 % of runs on two cores).
+    // Grow every queue to a whole dump's requests before anything is
+    // measured; a `VecDeque` keeps its capacity.
+    let handle = computes[0].expose(vec![0u8; 1].into(), 0).unwrap();
+    for (rank, staging) in stagings.iter().enumerate() {
+        for _ in 0..n_compute {
+            let req = FetchRequest {
+                src_rank: 0,
+                io_step: 0,
+                handle,
+                chunk_bytes: 1,
+                format: 0,
+                attrs: AttrList::new(),
+            };
+            computes[0].send_request(rank, req).unwrap();
+        }
+        for _ in 0..n_compute {
+            staging.recv_request(Duration::from_secs(1)).unwrap();
+        }
+    }
+    computes[0].reclaim(handle);
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
     let for_ops = Arc::clone(&seen);
     let area = StagingArea::spawn(
@@ -152,7 +177,7 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
                 seen: Arc::clone(&for_ops),
             }) as Box<dyn StreamOp>]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         WARM_UP + 1,
     );

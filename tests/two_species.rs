@@ -32,7 +32,7 @@ fn both_species_sorted_and_histogrammed() {
                 Box::new(HistogramOp::new(vec![3], 16)),
             ]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir),
         2, // io_step 0 = electrons, io_step 1 = ions
     );

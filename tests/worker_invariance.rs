@@ -135,7 +135,7 @@ fn run_area(shape: &Shape, workers: usize, dir: &Path) -> Vec<Vec<ReportFingerpr
         stagings,
         router,
         Arc::new(|_| make_ops()),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         cfg,
         N_STEPS,
     );

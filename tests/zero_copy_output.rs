@@ -97,7 +97,7 @@ fn run_pipeline(dir: &std::path::Path) {
                 Box::new(SpaceIndexOp::new(Arc::clone(&space), 5, "weight")),
             ]
         }),
-        Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, dir),
         n_steps,
     );
@@ -183,7 +183,7 @@ fn truncated_step_writes_correct_partial_output() {
         comms.remove(0),
         stagings.into_iter().next().unwrap(),
         router,
-        Box::new(FifoPolicy::default()),
+        Box::new(FifoPolicy),
         vec![Box::new(SortOp::new()) as Box<dyn StreamOp>],
         StagingConfig::new(2, &degraded_dir),
     )
@@ -206,7 +206,7 @@ fn truncated_step_writes_correct_partial_output() {
         comms.remove(0),
         stagings.into_iter().next().unwrap(),
         router,
-        Box::new(FifoPolicy::default()),
+        Box::new(FifoPolicy),
         vec![Box::new(SortOp::new()) as Box<dyn StreamOp>],
         StagingConfig::new(1, &reference_dir),
     )
@@ -268,7 +268,7 @@ fn kept_slabs_show_no_stale_data_after_a_skipped_chunk() {
             comms.remove(0),
             stagings.into_iter().next().unwrap(),
             router,
-            Box::new(FifoPolicy::default()),
+            Box::new(FifoPolicy),
             vec![Box::new(ReorgOp::pixie3d()) as Box<dyn StreamOp>],
             StagingConfig::new(n, &dir),
         )
