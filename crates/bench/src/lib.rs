@@ -99,12 +99,10 @@ pub fn maybe_json(name: &str, value: &serde_json::Value) {
 /// set to anything but off), print the degradation-ladder counters
 /// (DESIGN.md §3.3) — faults injected, retries paid, chunks truncated —
 /// so numbers produced under injection are never mistaken for clean-run
-/// numbers. Silent when no schedule is active.
+/// numbers. Silent when no schedule is active: it asks for the plan the
+/// middleware itself runs under rather than reading the variable again.
 pub fn maybe_print_fault_ladder() {
-    let Ok(spec) = std::env::var("PREDATA_FAULTS") else {
-        return;
-    };
-    if matches!(spec.trim(), "" | "0" | "off" | "false") {
+    if transport::FaultPlan::from_env().is_none() {
         return;
     }
     const LADDER: [&str; 4] = [
@@ -141,7 +139,7 @@ pub fn maybe_print_fault_ladder() {
         let suffix = labels.map(|l| format!("{{{l}}}")).unwrap_or_default();
         lines.push(format!("  {name}{suffix} = {value}"));
     }
-    println!("\n=== fault schedule active (PREDATA_FAULTS={spec}) ===");
+    println!("\n=== fault schedule active (PREDATA_FAULTS) ===");
     if lines.is_empty() {
         println!("  no ladder counters ticked");
     } else {

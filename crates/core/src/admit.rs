@@ -96,13 +96,8 @@ impl AdmitControl {
     /// would fake surviving an overload test.
     pub fn from_env() -> Option<Arc<AdmitControl>> {
         static PLAN: OnceLock<Option<Arc<AdmitControl>>> = OnceLock::new();
-        PLAN.get_or_init(|| match std::env::var("PREDATA_ADMIT") {
-            Ok(spec) => AdmitControl::parse(&spec)
-                .unwrap_or_else(|e| panic!("PREDATA_ADMIT: {e}"))
-                .map(Arc::new),
-            Err(_) => None,
-        })
-        .clone()
+        PLAN.get_or_init(|| obs::spec::from_env("PREDATA_ADMIT", AdmitControl::parse).map(Arc::new))
+            .clone()
     }
 
     /// Is a rank that gathered `backlog` chunks, under a simulation

@@ -69,8 +69,8 @@ use bytes::Bytes;
 use minimpi::{Comm, PoisonOnUnwind, World};
 use transport::evq::{EventQueue, SubmitError};
 use transport::{
-    Epoch, FetchRequest, Membership, MembershipPlan, PullPolicy, RetryPolicy, Router,
-    StagingEndpoint, TransportError,
+    Epoch, FaultKind, FetchRequest, PullPolicy, RetryPolicy, Router, StagingEndpoint,
+    TransportError,
 };
 
 use crate::admit::AdmitControl;
@@ -241,12 +241,8 @@ pub struct StagingConfig {
     /// [`StagingRank::new`]. Tests and the worker-count bench force a
     /// count.
     pub map_workers: Option<usize>,
-    /// Elastic membership schedule (`PREDATA_MEMBERSHIP`); `None` means
-    /// every rank serves every step. Ranks outside the step's epoch stay
-    /// in the collectives (they must — the world is one communicator)
-    /// but serve no compute ranks and pull nothing.
-    pub membership: Option<Arc<Membership>>,
-    /// Invoked at each epoch boundary (index handoff; see [`EpochHook`]).
+    /// Invoked at each epoch boundary of the router's membership
+    /// schedule (index handoff; see [`EpochHook`]).
     pub on_epoch: Option<Arc<EpochHook>>,
     /// Overload admission control (`PREDATA_ADMIT`) — degradation-ladder
     /// rung 4; `None` never sheds.
@@ -261,11 +257,6 @@ impl StagingConfig {
             gather_timeout: Duration::from_secs(30),
             retry: RetryPolicy::from_env(),
             map_workers: None,
-            membership: MembershipPlan::from_env().map(|p| {
-                Arc::new(
-                    Membership::from_plan(&p).unwrap_or_else(|e| panic!("PREDATA_MEMBERSHIP: {e}")),
-                )
-            }),
             on_epoch: None,
             admit: AdmitControl::from_env(),
         }
@@ -289,8 +280,8 @@ pub struct StepReport {
     /// Operators shed by admission control this step (ladder rung 4):
     /// their mappers ran as no-ops, so their outputs cover no data.
     pub deferred: Vec<String>,
-    /// Membership epoch version this step ran under (`None` without a
-    /// membership schedule).
+    /// Membership epoch version this step ran under (`None` when the
+    /// router has no membership schedule).
     pub epoch: Option<u64>,
     /// Per-operator results.
     pub results: Vec<OpResult>,
@@ -359,7 +350,9 @@ impl StagingRank {
     ///
     /// Fails with [`StagingError::Io`] when the output directory cannot
     /// be created — a misconfigured path must surface at startup, not as
-    /// mysterious per-step write failures later.
+    /// mysterious per-step write failures later — and when the router's
+    /// membership schedule is for a world of another size than `comm`'s:
+    /// its epochs would name ranks that are not there, or leave some out.
     pub fn new(
         mut comm: Comm,
         endpoint: StagingEndpoint,
@@ -368,6 +361,11 @@ impl StagingRank {
         ops: Vec<Box<dyn StreamOp>>,
         cfg: StagingConfig,
     ) -> Result<Self, StagingError> {
+        let world = comm.size();
+        if router.membership().is_some_and(|m| m.world_size() != world) {
+            let why = format!("the router's membership schedule is not for {world} staging ranks");
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why).into());
+        }
         std::fs::create_dir_all(&cfg.out_dir)?;
         // An attached fault plan covers the staging-wide collectives
         // too: every collective entry consults `FaultKind::Collective`
@@ -380,12 +378,7 @@ impl StagingRank {
             let plan = Arc::clone(plan);
             let retry = cfg.retry.clone();
             comm.set_collective_gate(Arc::new(move |_op, rank, seq| {
-                let _ = retry.run("collective", (rank << 32) ^ seq, |_| {
-                    match plan.inject_collective(rank, seq) {
-                        Some(e) => Err(e),
-                        None => Ok(()),
-                    }
-                });
+                let _ = retry.guard(Some(&plan), "collective", FaultKind::Collective, rank, seq);
             }));
         }
         let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -416,7 +409,7 @@ impl StagingRank {
     /// old owners, and this step's requests route to the new ones.
     /// Returns the epoch version the step runs under.
     fn enter_epoch(&self, step: u64) -> Option<u64> {
-        let membership = self.cfg.membership.as_ref()?;
+        let membership = self.router.membership()?;
         if let Some(opening) = membership.epoch_opening_at(step) {
             // Barrier-bracketed: the handoff must not race the old
             // epoch's tail nor the new epoch's first gather.
@@ -668,7 +661,6 @@ impl StagingRank {
         let work = work.as_ref();
         let retry = &self.cfg.retry;
         let gather_timeout = self.cfg.gather_timeout;
-        let tick = gather_timeout.min(Duration::from_millis(25));
         let started = Instant::now();
         let mut pull_busy = Duration::ZERO;
         let mut runs = std::thread::scope(|scope| {
@@ -692,13 +684,13 @@ impl StagingRank {
                 for (idx, req) in requests.iter().enumerate() {
                     // The policy's deferral is the chunk's scheduling wait
                     // — the rate/phase control the paper bounds
-                    // interference with. The tick bounds one park of a
-                    // policy that only says `should_defer`; one that never
-                    // turns ready ends the step like requests that never
-                    // arrive.
+                    // interference with. It is asked again when it comes
+                    // back unready with budget left; one that never turns
+                    // ready ends the step like requests that never arrive.
                     let t_wait = Instant::now();
-                    while !self.policy.wait_ready(tick) {
-                        if t_wait.elapsed() >= gather_timeout {
+                    let left = || gather_timeout.saturating_sub(t_wait.elapsed());
+                    while !self.policy.wait_ready(req, left()) {
+                        if left().is_zero() {
                             return Err(TransportError::Timeout.into());
                         }
                     }
@@ -931,7 +923,10 @@ mod tests {
     use crate::client::PredataClient;
     use crate::ops::HistogramOp;
     use crate::schema::make_particle_pg;
-    use transport::{BlockRouter, Fabric, FaultKind, FaultPlan, FifoPolicy, LargestFirstPolicy};
+    use transport::{
+        BlockRouter, EpochRouter, Fabric, FaultPlan, FifoPolicy, LargestFirstPolicy, Membership,
+        RateLimitedPolicy,
+    };
 
     fn out_dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("staging-test-{name}-{}", std::process::id()));
@@ -1296,8 +1291,9 @@ mod tests {
     struct NeverReady;
     impl PullPolicy for NeverReady {
         fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
-        fn should_defer(&self) -> bool {
-            true
+        fn wait_ready(&self, _next: &FetchRequest, timeout: Duration) -> bool {
+            std::thread::sleep(timeout);
+            false
         }
     }
 
@@ -1332,6 +1328,48 @@ mod tests {
         );
         let marked = obs::global().snapshot().span("truncated", STEP);
         assert_eq!(marked.map(|s| s.count), Some(3), "one mark per chunk");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The rate limiter paces by the bytes of the chunk it is asked
+    /// about: eight 64 KiB chunks against 1 MB/s with a one-chunk burst
+    /// are one free pull and seven refills of 64 ms each.
+    #[test]
+    fn rate_limited_pulls_are_charged_their_bytes() {
+        let (_fabric, computes, stagings) = Fabric::new(8, 1, None);
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(8, 1));
+        let dir = out_dir("rate-limited");
+        for (r, e) in computes.into_iter().enumerate() {
+            PredataClient::new(e, Arc::clone(&router), vec![])
+                .write_pg(make_particle_pg(
+                    r as u64,
+                    0,
+                    vec![r as f64; (64 << 10) / 8],
+                ))
+                .unwrap();
+        }
+        let deferrals = || {
+            let policy = [("policy", "rate_limited")];
+            obs::global()
+                .counter("transport.pull_deferrals", &policy)
+                .get()
+        };
+        let deferrals_before = deferrals();
+        let mut sr = lone_rank(
+            stagings,
+            router,
+            Box::new(RateLimitedPolicy::new(1e6, 64e3)),
+            Vec::new(),
+            StagingConfig::new(8, &dir),
+        );
+        let report = sr.run_step(0).unwrap();
+        assert_eq!(report.pull_order, [0, 1, 2, 3, 4, 5, 6, 7]);
+        assert!(
+            report.stages.pull_map >= Duration::from_millis(350),
+            "8 × 64 KiB at 1 MB/s took {:?}",
+            report.stages.pull_map
+        );
+        assert!(deferrals() >= deferrals_before + 7);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1449,6 +1487,34 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// A membership schedule is for one world size; a staging area of
+    /// another size refuses it at start-up instead of opening epochs
+    /// that name ranks it does not have.
+    #[test]
+    fn a_schedule_for_another_world_size_is_refused() {
+        let router: Arc<dyn Router> = Arc::new(EpochRouter::new(4, Membership::static_of(2)));
+        let dir = out_dir("world-size");
+        let new_rank = |n_staging: usize| {
+            let (_fabric, _computes, mut stagings) = Fabric::new(4, n_staging, None);
+            let (_world, mut comms) = World::with_size(n_staging);
+            StagingRank::new(
+                comms.remove(0),
+                stagings.remove(0),
+                Arc::clone(&router),
+                Box::new(FifoPolicy),
+                Vec::new(),
+                StagingConfig::new(4, &dir),
+            )
+        };
+        assert!(new_rank(2).is_ok());
+        match new_rank(3) {
+            Err(StagingError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+            Err(e) => panic!("{e:?}"),
+            Ok(_) => panic!("a 2-rank schedule was accepted by a 3-rank area"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A mapper that panics — on the rank thread or on a helper — is the

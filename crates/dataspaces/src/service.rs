@@ -29,10 +29,10 @@
 //! # Resilience
 //!
 //! The service is a boundary of the staged read path, so it honours the
-//! ambient fault plan: with `PREDATA_FAULTS` set, each execution
-//! attempt consults [`FaultPlan::inject_query`] under the ambient
-//! [`RetryPolicy`] — transient faults are absorbed by retries (counted
-//! in `transport.retries{op=query}`), exhaustion surfaces as
+//! ambient fault plan: with `PREDATA_FAULTS` set, each query passes
+//! [`RetryPolicy::guard`] as a [`FaultKind::Query`] before it touches
+//! the space — transient faults are absorbed by retries (counted in
+//! `transport.retries{op=query}`), exhaustion surfaces as
 //! [`DsError::Faulted`] (counted in `transport.retry_exhausted`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +44,7 @@ use bpio::DataArray;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use transport::evq::{EventQueue, PollError, SubmitError};
-use transport::{FaultPlan, RetryPolicy};
+use transport::{FaultKind, FaultPlan, RetryPolicy};
 
 use crate::domain::Region;
 use crate::error::DsError;
@@ -435,20 +435,14 @@ fn execute(inner: &Arc<Inner>, job: &QueryJob) -> Result<QueryOutput, DsError> {
     }
     // Resilience boundary: consult the ambient fault plan under the
     // ambient retry policy before touching the space.
-    if let Some(plan) = &inner.faults {
-        inner
-            .retry
-            .run("query", job.id, |_| {
-                match plan.inject_query(job.id, job.version) {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            })
-            .map_err(|cause| DsError::Faulted {
-                query: job.id,
-                cause,
-            })?;
-    }
+    let plan = inner.faults.as_deref();
+    inner
+        .retry
+        .guard(plan, "query", FaultKind::Query, job.id, job.version)
+        .map_err(|cause| DsError::Faulted {
+            query: job.id,
+            cause,
+        })?;
     let now = Instant::now();
     if now >= job.deadline {
         return Err(DsError::DeadlineMissed { query: job.id });

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use bpio::{copy_box_between, with_elem, DataArray, Dtype, Elem};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
-use transport::{FaultPlan, RetryPolicy};
+use transport::{FaultKind, FaultPlan, RetryPolicy};
 
 use crate::domain::{DsConfig, Region};
 use crate::error::DsError;
@@ -323,21 +323,14 @@ impl DataSpaces {
         // absorbed by the ambient retry policy before any block is
         // touched — a retried put never half-writes; exhaustion surfaces
         // as `PutFaulted` with the transport cause chained.
-        if let Some(plan) = &self.faults {
-            let salt = ((var.id as u64) << 32) ^ version;
-            self.retry
-                .run("put", salt, |_| {
-                    match plan.inject_put(var.id as u64, version) {
-                        Some(e) => Err(e),
-                        None => Ok(()),
-                    }
-                })
-                .map_err(|cause| DsError::PutFaulted {
-                    var: var.name.to_string(),
-                    version,
-                    cause,
-                })?;
-        }
+        let plan = self.faults.as_deref();
+        self.retry
+            .guard(plan, "put", FaultKind::Put, var.id as u64, version)
+            .map_err(|cause| DsError::PutFaulted {
+                var: var.name.to_string(),
+                version,
+                cause,
+            })?;
         for g in self.cfg.blocks_of(region) {
             let block_region = self.cfg.block_region(&g);
             let isect = block_region

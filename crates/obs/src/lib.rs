@@ -34,7 +34,9 @@
 //! # Environment contract
 //!
 //! [`Config::from_env`] is the one place this crate reads the
-//! environment, once, when the [`global`] registry is first used:
+//! environment for itself, once, when the [`global`] registry is first
+//! used ([`spec::from_env`] reads it for the structured knobs of the
+//! crates above):
 //!
 //! * `PREDATA_METRICS` — `0` / `off` / `false` turns event recording off
 //!   at the source: no fold rows, no log, and nothing derived from them
@@ -145,9 +147,7 @@ impl Config {
             lineage: var("PREDATA_LINEAGE")
                 .is_some_and(|v| !matches!(v.as_str(), "" | "0" | "off" | "false")),
             trace_path: path("PREDATA_TRACE"),
-            live: var("PREDATA_LIVE").and_then(|spec| {
-                live::LiveConfig::parse(&spec).unwrap_or_else(|e| panic!("PREDATA_LIVE: {e}"))
-            }),
+            live: spec::from_lookup(&var, "PREDATA_LIVE", live::LiveConfig::parse),
             live_path: path("PREDATA_LIVE_PATH"),
         }
     }

@@ -1,16 +1,18 @@
 //! The one `k=v,k=v` parser behind every structured `PREDATA_*` knob.
 //!
-//! `PREDATA_FAULTS`, `PREDATA_RETRY`, `PREDATA_MEMBERSHIP`,
-//! `PREDATA_ADMIT` and `PREDATA_LIVE` share one grammar: surrounding whitespace is ignored; the empty string is
-//! *unset*; `0` / `off` / `false` are the off-words; `1` / `on` / `true`
-//! the on-words; anything else is a comma-separated list of `key=value`
-//! fields (empty fields skipped, each trimmed). What unset, off and on
-//! *mean* is the knob's business — `PREDATA_RETRY=off` is "one attempt",
-//! `PREDATA_ADMIT=off` is "never shed", most knobs have no
-//! defaults for a bare on-word to switch on — so [`parse`] only
+//! `PREDATA_FAULTS`, `PREDATA_RETRY`, `PREDATA_ADMIT` and `PREDATA_LIVE`
+//! (and `MembershipPlan::parse`, whose spec an application hands over
+//! itself) share one grammar: surrounding whitespace is ignored; the
+//! empty string is *unset*; `0` / `off` / `false` are the off-words;
+//! `1` / `on` / `true` the on-words; anything else is a comma-separated
+//! list of `key=value` fields (empty fields skipped, each trimmed). What
+//! unset, off and on *mean* is the knob's business — `PREDATA_RETRY=off`
+//! is "one attempt", `PREDATA_ADMIT=off` is "never shed", most knobs have
+//! no defaults for a bare on-word to switch on — so [`parse`] only
 //! classifies, and each knob's parser keeps its `match key` and its own
 //! validation. It lives here because `obs` is the lowest crate all of
-//! those parsers depend on.
+//! those parsers depend on — and so does [`from_env`], the one function
+//! through which a knob's parser meets the process environment.
 //!
 //! ```
 //! use obs::spec::{parse, Spec};
@@ -82,6 +84,26 @@ pub fn parse<'a>(knob: &'static str, spec: &'a str) -> Result<Spec<'a>, String> 
 /// (`1` / `on` / `true`) to switch on.
 pub fn no_defaults(knob: &str) -> String {
     format!("{knob} has no defaults to switch on: give key=value fields")
+}
+
+/// The value of the knob in environment variable `name`, through the
+/// knob's own `parse`: `None` when the variable is unset (or not
+/// unicode), else whatever `parse` makes of its text — its off value
+/// for an off-word. A malformed spec aborts, naming the variable: a
+/// silently ignored fault plan or admission rule would fake a passing
+/// resilience run.
+pub fn from_env<T>(name: &str, parse: impl FnOnce(&str) -> Result<Option<T>, String>) -> Option<T> {
+    from_lookup(|name| std::env::var(name).ok(), name, parse)
+}
+
+/// [`from_env`] over any variable lookup, so what unset, off and
+/// malformed mean is testable without touching the process environment.
+pub fn from_lookup<T>(
+    var: impl FnOnce(&str) -> Option<String>,
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<Option<T>, String>,
+) -> Option<T> {
+    parse(var(name)?.trim()).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 impl Field<'_> {

@@ -77,10 +77,11 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use obs::spec::Spec;
+use parking_lot::Mutex;
 
 use crate::fabric::{MemHandle, TransportError};
 
@@ -160,7 +161,8 @@ pub struct FaultPlan {
     injected: Mutex<HashMap<(FaultKind, u64, u64), u32>>,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The one mixer behind fault selection and retry jitter.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -204,13 +206,6 @@ impl FaultPlan {
     /// Set P(`expose` fails with `PinBudgetExceeded`).
     pub fn pin_exhaustion(mut self, p: f64) -> Self {
         self.pin_p = p;
-        self
-    }
-
-    /// Delay selected pulls by `delay` with probability `p`.
-    pub fn delay_pulls(mut self, p: f64, delay: Duration) -> Self {
-        self.delay_p = p;
-        self.delay = delay;
         self
     }
 
@@ -269,13 +264,8 @@ impl FaultPlan {
     /// would fake passing resilience tests.
     pub fn from_env() -> Option<Arc<FaultPlan>> {
         static PLAN: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-        PLAN.get_or_init(|| match std::env::var("PREDATA_FAULTS") {
-            Ok(spec) => FaultPlan::parse(&spec)
-                .unwrap_or_else(|e| panic!("PREDATA_FAULTS: {e}"))
-                .map(Arc::new),
-            Err(_) => None,
-        })
-        .clone()
+        PLAN.get_or_init(|| obs::spec::from_env("PREDATA_FAULTS", FaultPlan::parse).map(Arc::new))
+            .clone()
     }
 
     /// The plan's seed (also salts retry-backoff jitter).
@@ -315,10 +305,7 @@ impl FaultPlan {
         if !self.selects(kind, src_rank, step) {
             return false;
         }
-        let mut injected = self
-            .injected
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut injected = self.injected.lock();
         let count = injected.entry((kind, src_rank, step)).or_insert(0);
         if *count >= self.max_injections {
             return false;
@@ -354,47 +341,34 @@ impl FaultPlan {
         None
     }
 
-    /// Consult the plan before one execution attempt of query `query`
-    /// against dump version `version` (the query service's boundary).
-    /// A faulted attempt sleeps any configured `delay_ms` (burning the
-    /// query's deadline budget) and fails with `Timeout` — keyed on
-    /// `(Query, query, version)`, disjoint from every pull-fault key,
-    /// so the same `PREDATA_FAULTS` spec exercises both paths without
-    /// coupling their schedules.
-    pub fn inject_query(&self, query: u64, version: u64) -> Option<TransportError> {
-        if self.try_inject(FaultKind::Query, query, version) {
-            if self.delay > Duration::ZERO {
-                std::thread::sleep(self.delay);
-            }
-            return Some(TransportError::Timeout);
+    /// Consult the plan before one attempt at an operation that is keyed
+    /// by two numbers and faults with `Timeout` before it touches
+    /// anything, so a retry is exact — the kinds that ride the `drop`
+    /// probability, each under its own salt and its own `(kind, a, b)`
+    /// injection count, so one spec exercises every path without
+    /// coupling their schedules:
+    ///
+    /// * [`FaultKind::Query`], `(query id, dump version)`: one execution
+    ///   attempt of the query service. A faulted attempt first sleeps
+    ///   the plan's `delay_ms`, burning the query's deadline budget.
+    /// * [`FaultKind::Put`], `(var id, dump version)`: one DataSpaces
+    ///   `put` / `put_ref` attempt, before the index is touched.
+    /// * [`FaultKind::Collective`], `(rank, collective sequence
+    ///   number)`: strictly before the collective's first message. On
+    ///   retry exhaustion the caller proceeds with the collective
+    ///   anyway — abandoning one unilaterally would deadlock every peer.
+    ///
+    /// Pulls and exposes, which carry a handle and a size, have
+    /// [`inject_pull`](Self::inject_pull) and
+    /// [`inject_expose`](Self::inject_expose).
+    pub fn inject(&self, kind: FaultKind, a: u64, b: u64) -> Option<TransportError> {
+        if !self.try_inject(kind, a, b) {
+            return None;
         }
-        None
-    }
-
-    /// Consult the plan before one DataSpaces `put`/`put_ref` attempt
-    /// of variable `var_id` at dump `version`. Keyed on
-    /// `(Put, var_id, version)` — disjoint from every other fault key —
-    /// so a spec that drops pulls exercises the put path without
-    /// coupling the two schedules. A faulted attempt fails with
-    /// `Timeout` before the index is touched, so a retry is exact.
-    pub fn inject_put(&self, var_id: u64, version: u64) -> Option<TransportError> {
-        if self.try_inject(FaultKind::Put, var_id, version) {
-            return Some(TransportError::Timeout);
+        if kind == FaultKind::Query && self.delay > Duration::ZERO {
+            std::thread::sleep(self.delay);
         }
-        None
-    }
-
-    /// Consult the plan before rank `rank` enters its `seq`-th
-    /// collective (shuffle/gather/reduce). Keyed on
-    /// `(Collective, rank, seq)`. The caller injects strictly before
-    /// the collective's first message and, on retry exhaustion,
-    /// proceeds with the collective anyway — abandoning a collective
-    /// unilaterally would deadlock every peer.
-    pub fn inject_collective(&self, rank: u64, seq: u64) -> Option<TransportError> {
-        if self.try_inject(FaultKind::Collective, rank, seq) {
-            return Some(TransportError::Timeout);
-        }
-        None
+        Some(TransportError::Timeout)
     }
 
     /// Consult the plan before one `expose` of `requested` bytes by
@@ -508,10 +482,14 @@ mod tests {
     #[test]
     fn put_and_collective_ride_drop_with_independent_schedules() {
         let plan = FaultPlan::new(3).drop_chunks(1.0).max_injections(1);
-        assert_eq!(plan.inject_put(4, 1), Some(TransportError::Timeout));
-        assert!(plan.inject_put(4, 1).is_none(), "transient: retry clean");
-        assert_eq!(plan.inject_collective(0, 7), Some(TransportError::Timeout));
-        assert!(plan.inject_collective(0, 7).is_none());
+        let timeout = Some(TransportError::Timeout);
+        assert_eq!(plan.inject(FaultKind::Put, 4, 1), timeout);
+        assert!(
+            plan.inject(FaultKind::Put, 4, 1).is_none(),
+            "transient: retry clean"
+        );
+        assert_eq!(plan.inject(FaultKind::Collective, 0, 7), timeout);
+        assert!(plan.inject(FaultKind::Collective, 0, 7).is_none());
         // Keys are disjoint: the pull key (4, 1) is still uninjected.
         let h = MemHandle::test_only(1);
         assert!(plan.inject_pull(4, 1, h).is_some());

@@ -1,4 +1,4 @@
-//! Elastic staging membership (`PREDATA_MEMBERSHIP`).
+//! Elastic staging membership.
 //!
 //! The paper's two-level load balancing assumes a fixed staging-rank
 //! set; its streaming successors size in-transit resources to bursty
@@ -11,7 +11,10 @@
 //! function of the epoch live *at* `s`, so in-flight pulls of an old
 //! step complete against the old owner while new writes route to the
 //! new owner. No handshake, no re-routing protocol: both sides derive
-//! the same owner from `(step, epoch table)`.
+//! the same owner from `(step, epoch table)`. The router *is* the
+//! schedule: the staging runtime asks its router for the table
+//! ([`Router::membership`]), so the epochs it opens are those the
+//! chunks are routed by.
 //!
 //! The staging *world* keeps its full size across every epoch
 //! ([`Membership::world_size`]): a rank outside the active set still
@@ -29,22 +32,20 @@
 //! rank held is gone and downstream consumers see holes, exactly like
 //! a crash.
 //!
-//! # Environment contract
+//! # The schedule grammar
 //!
-//! `PREDATA_MEMBERSHIP` holds a comma-separated spec, read once:
+//! An application builds its [`EpochRouter`] from a [`Membership`], and
+//! that from events it states in code or from a comma-separated spec
+//! ([`MembershipPlan::parse`]):
 //!
-//! * unset / empty / `0` / `off` / `false` — static membership (no
-//!   plan).
+//! * empty / `0` / `off` / `false` — static membership (no plan).
 //! * `base=N` — ranks `0..N` are active from step 0 (required).
 //! * `join=R@S` / `leave=R@S` / `evict=R@S` — rank `R` joins / leaves /
 //!   is evicted at the start of step `S`. Repeatable; events at the
 //!   same step fold into one epoch.
 //!
-//! Malformed specs abort at startup, like `PREDATA_FAULTS`. Example:
-//! `base=2,leave=1@2,join=2@2` runs steps 0–1 on ranks `{0,1}` and
+//! Example: `base=2,leave=1@2,join=2@2` runs steps 0–1 on ranks `{0,1}` and
 //! steps 2+ on `{0,2}` — the world stays 3 ranks wide throughout.
-
-use std::sync::{Arc, OnceLock};
 
 use obs::spec::Spec;
 
@@ -62,8 +63,8 @@ pub enum MembershipEvent {
 }
 
 /// A declared schedule of membership changes: the base active set plus
-/// step-keyed events. See the [module docs](self) for the
-/// `PREDATA_MEMBERSHIP` grammar.
+/// step-keyed events. See the [module docs](self) for the spec
+/// grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MembershipPlan {
     /// Ranks `0..base` are active from step 0.
@@ -73,7 +74,7 @@ pub struct MembershipPlan {
 }
 
 impl MembershipPlan {
-    /// Parse a `PREDATA_MEMBERSHIP` spec. `Ok(None)` means static
+    /// Parse a membership spec. `Ok(None)` means static
     /// membership; `Err` describes a malformed field.
     pub fn parse(spec: &str) -> Result<Option<MembershipPlan>, String> {
         let fields = match obs::spec::parse("membership", spec)? {
@@ -102,19 +103,6 @@ impl MembershipPlan {
             return Err("membership base must be >= 1".into());
         }
         Ok(Some(MembershipPlan { base, events }))
-    }
-
-    /// The process-wide plan from `PREDATA_MEMBERSHIP`, read once. A
-    /// malformed spec aborts loudly.
-    pub fn from_env() -> Option<Arc<MembershipPlan>> {
-        static PLAN: OnceLock<Option<Arc<MembershipPlan>>> = OnceLock::new();
-        PLAN.get_or_init(|| match std::env::var("PREDATA_MEMBERSHIP") {
-            Ok(spec) => MembershipPlan::parse(&spec)
-                .unwrap_or_else(|e| panic!("PREDATA_MEMBERSHIP: {e}"))
-                .map(Arc::new),
-            Err(_) => None,
-        })
-        .clone()
     }
 }
 
@@ -148,17 +136,11 @@ impl Membership {
     /// Static membership: one epoch, ranks `0..n` active forever.
     pub fn static_of(n: usize) -> Membership {
         assert!(n > 0, "membership needs at least one rank");
-        Membership {
-            epochs: vec![Epoch {
-                version: 0,
-                from_step: 0,
-                active: (0..n).collect(),
-                joined: Vec::new(),
-                left: Vec::new(),
-                evicted: Vec::new(),
-            }],
-            world_size: n,
-        }
+        let plan = MembershipPlan {
+            base: n,
+            events: Vec::new(),
+        };
+        Membership::from_plan(&plan).expect("a plan without events is consistent")
     }
 
     /// Fold a plan's events into the epoch table. Events at the same
@@ -250,11 +232,6 @@ impl Membership {
         &self.epochs[idx]
     }
 
-    /// All epochs, ascending by `from_step`.
-    pub fn epochs(&self) -> &[Epoch] {
-        &self.epochs
-    }
-
     /// Total staging world size: every rank active in *any* epoch must
     /// exist (and participate in collectives) for the whole run.
     pub fn world_size(&self) -> usize {
@@ -284,20 +261,16 @@ impl Membership {
 #[derive(Debug, Clone)]
 pub struct EpochRouter {
     n_compute: usize,
-    membership: Arc<Membership>,
+    membership: Membership,
 }
 
 impl EpochRouter {
-    pub fn new(n_compute: usize, membership: Arc<Membership>) -> Self {
+    pub fn new(n_compute: usize, membership: Membership) -> Self {
         assert!(n_compute >= membership.world_size());
         EpochRouter {
             n_compute,
             membership,
         }
-    }
-
-    pub fn membership(&self) -> &Arc<Membership> {
-        &self.membership
     }
 }
 
@@ -310,6 +283,10 @@ impl Router for EpochRouter {
 
     fn n_staging(&self) -> usize {
         self.membership.world_size()
+    }
+
+    fn membership(&self) -> Option<&Membership> {
+        Some(&self.membership)
     }
 }
 
@@ -391,8 +368,7 @@ mod tests {
         let plan = MembershipPlan::parse("base=2,leave=1@1,join=2@1")
             .unwrap()
             .unwrap();
-        let m = Arc::new(Membership::from_plan(&plan).unwrap());
-        let r = EpochRouter::new(8, Arc::clone(&m));
+        let r = EpochRouter::new(8, Membership::from_plan(&plan).unwrap());
         assert_eq!(r.n_staging(), 3, "world keeps every rank that ever serves");
         // Step 0 routes over {0, 1}; step 1 over {0, 2}.
         for c in 0..8 {
@@ -411,8 +387,7 @@ mod tests {
 
     #[test]
     fn static_membership_matches_block_router_shape() {
-        let m = Arc::new(Membership::static_of(2));
-        let r = EpochRouter::new(8, m);
+        let r = EpochRouter::new(8, Membership::static_of(2));
         let block = crate::BlockRouter::new(8, 2);
         for c in 0..8 {
             assert_eq!(r.route(c, 0), block.route(c, 0));

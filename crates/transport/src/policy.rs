@@ -7,8 +7,10 @@
 //! staging node is ready to issue pulls, *which* pending requests to pull
 //! now and which to defer.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::request::FetchRequest;
 
@@ -38,46 +40,27 @@ impl CongestionSignal {
     ///
     /// [`wait_until_idle`]: CongestionSignal::wait_until_idle
     pub fn set_busy(&self, busy: bool) {
-        let mut guard = self
-            .inner
-            .busy
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *guard = busy;
-        drop(guard);
+        *self.inner.busy.lock() = busy;
         if !busy {
             self.inner.idle.notify_all();
         }
     }
 
     pub fn is_busy(&self) -> bool {
-        *self
-            .inner
-            .busy
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        *self.inner.busy.lock()
     }
 
     /// Park until the signal clears or `timeout` passes. Returns true if
     /// the network is idle on return.
     pub fn wait_until_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut guard = self
-            .inner
-            .busy
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while *guard {
+        let mut busy = self.inner.busy.lock();
+        while *busy {
             let now = Instant::now();
             if now >= deadline {
                 return false;
             }
-            let (g, _) = self
-                .inner
-                .idle
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard = g;
+            self.inner.idle.wait_for(&mut busy, deadline - now);
         }
         true
     }
@@ -87,9 +70,10 @@ impl CongestionSignal {
 ///
 /// Each step the staging rank hands its gathered requests to [`order`]
 /// once, then pulls them one at a time in that order on its own thread;
-/// before each pull it calls [`wait_ready`] and pulls only once the
-/// policy is willing (a policy that stays unwilling past the rank's
-/// gather timeout fails the step with `Timeout`).
+/// before each pull it calls [`wait_ready`] with the request it is about
+/// to pull, and pulls only once the policy is willing (a policy that
+/// stays unwilling past the rank's gather timeout fails the step with
+/// `Timeout`).
 ///
 /// [`order`]: PullPolicy::order
 /// [`wait_ready`]: PullPolicy::wait_ready
@@ -97,24 +81,13 @@ pub trait PullPolicy: Send + Sync {
     /// Reorder `pending` in place (front = next to pull).
     fn order(&mut self, pending: &mut Vec<FetchRequest>);
 
-    /// Whether to defer issuing pulls right now.
-    fn should_defer(&self) -> bool {
-        false
-    }
-
-    /// Block until the policy is willing to issue pulls, or `timeout`
-    /// passes. Returns true when ready. Built-in deferring policies park
-    /// on a condvar ([`PhaseAwarePolicy`]) or for the exact token-refill
-    /// interval ([`RateLimitedPolicy`]) — callers never need to spin on
-    /// [`should_defer`](PullPolicy::should_defer).
-    fn wait_ready(&self, timeout: Duration) -> bool {
-        if !self.should_defer() {
-            return true;
-        }
-        // Fallback pacing for custom deferring policies that don't
-        // override this: one bounded park, then re-check.
-        std::thread::sleep(timeout);
-        !self.should_defer()
+    /// Block until the policy is willing to pull `next`, or `timeout`
+    /// passes. Returns true when ready; a policy that paces parks here —
+    /// on a condvar ([`PhaseAwarePolicy`]), or for the refill time of
+    /// `next`'s bytes ([`RateLimitedPolicy`]) — and one that does not is
+    /// always ready.
+    fn wait_ready(&self, _next: &FetchRequest, _timeout: Duration) -> bool {
+        true
     }
 }
 
@@ -153,11 +126,7 @@ impl PhaseAwarePolicy {
 impl PullPolicy for PhaseAwarePolicy {
     fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
 
-    fn should_defer(&self) -> bool {
-        self.signal.is_busy()
-    }
-
-    fn wait_ready(&self, timeout: Duration) -> bool {
+    fn wait_ready(&self, _next: &FetchRequest, timeout: Duration) -> bool {
         if self.signal.is_busy() {
             obs::global()
                 .counter("transport.pull_deferrals", &[("policy", "phase_aware")])
@@ -170,13 +139,15 @@ impl PullPolicy for PhaseAwarePolicy {
 /// Token-bucket throttle: bounds the average pull bandwidth so staged
 /// output traffic stays under a configured share of the NIC even outside
 /// collective windows (the coarse complement of [`PhaseAwarePolicy`]).
+/// Every pull is charged its chunk's bytes.
 #[derive(Debug)]
 pub struct RateLimitedPolicy {
     /// Sustained budget, bytes per second.
     pub bytes_per_sec: f64,
     /// Burst capacity, bytes.
     pub burst: f64,
-    tokens: std::sync::Mutex<(f64, std::time::Instant)>,
+    /// Tokens (bytes) in the bucket, as of the instant beside them.
+    tokens: Mutex<(f64, Instant)>,
 }
 
 impl RateLimitedPolicy {
@@ -185,7 +156,7 @@ impl RateLimitedPolicy {
         RateLimitedPolicy {
             bytes_per_sec,
             burst,
-            tokens: std::sync::Mutex::new((burst, std::time::Instant::now())),
+            tokens: Mutex::new((burst, Instant::now())),
         }
     }
 
@@ -199,8 +170,8 @@ impl RateLimitedPolicy {
     /// while letting oversized pulls through one refill apart.
     pub fn try_spend(&self, bytes: f64) -> bool {
         let bytes = bytes.min(self.burst);
-        let mut guard = self.tokens.lock().expect("token bucket poisoned");
-        let now = std::time::Instant::now();
+        let mut guard = self.tokens.lock();
+        let now = Instant::now();
         let refill = now.duration_since(guard.1).as_secs_f64() * self.bytes_per_sec;
         guard.0 = (guard.0 + refill).min(self.burst);
         guard.1 = now;
@@ -216,25 +187,15 @@ impl RateLimitedPolicy {
 impl PullPolicy for RateLimitedPolicy {
     fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
 
-    fn should_defer(&self) -> bool {
-        // Defer while the bucket cannot cover a nominal chunk; the probe
-        // charge keeps long-run throughput at the configured rate.
-        !self.try_spend(self.bytes_per_sec * 0.01)
-    }
-
-    fn wait_ready(&self, timeout: Duration) -> bool {
-        let probe = (self.bytes_per_sec * 0.01).min(self.burst);
-        if self.try_spend(probe) {
+    fn wait_ready(&self, next: &FetchRequest, timeout: Duration) -> bool {
+        let bytes = (next.chunk_bytes as f64).min(self.burst);
+        if self.try_spend(bytes) {
             return true;
         }
         // Park once for exactly the refill time of the deficit — no
         // repeated polling at a fixed interval.
-        let wait = {
-            let guard = self.tokens.lock().expect("token bucket poisoned");
-            let deficit = (probe - guard.0).max(0.0);
-            Duration::from_secs_f64(deficit / self.bytes_per_sec)
-        };
-        let parked = wait.min(timeout);
+        let deficit = (bytes - self.tokens.lock().0).max(0.0);
+        let parked = Duration::from_secs_f64(deficit / self.bytes_per_sec).min(timeout);
         std::thread::sleep(parked);
         obs::global()
             .counter("transport.pull_deferrals", &[("policy", "rate_limited")])
@@ -242,7 +203,7 @@ impl PullPolicy for RateLimitedPolicy {
         obs::global()
             .histogram("transport.ratelimit_wait_ns", &[])
             .record(parked.as_nanos() as u64);
-        self.try_spend(probe)
+        self.try_spend(bytes)
     }
 }
 
@@ -270,7 +231,7 @@ mod tests {
         p.order(&mut q);
         let sizes: Vec<_> = q.iter().map(|r| r.chunk_bytes).collect();
         assert_eq!(sizes, vec![10, 30, 20]);
-        assert!(!p.should_defer());
+        assert!(p.wait_ready(&q[0], Duration::ZERO), "never paces");
     }
 
     #[test]
@@ -307,11 +268,12 @@ mod tests {
     fn phase_aware_defers_while_busy() {
         let sig = CongestionSignal::new();
         let p = PhaseAwarePolicy::new(sig.clone());
-        assert!(!p.should_defer());
+        let ready = || p.wait_ready(&req(1), Duration::ZERO);
+        assert!(ready());
         sig.set_busy(true);
-        assert!(p.should_defer());
+        assert!(!ready());
         sig.set_busy(false);
-        assert!(!p.should_defer());
+        assert!(ready());
     }
 
     #[test]
@@ -319,7 +281,10 @@ mod tests {
         let sig = CongestionSignal::new();
         sig.set_busy(true);
         let p = PhaseAwarePolicy::new(sig.clone());
-        assert!(!p.wait_ready(Duration::from_millis(2)), "still busy");
+        assert!(
+            !p.wait_ready(&req(1), Duration::from_millis(2)),
+            "still busy"
+        );
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
             sig.set_busy(false);
@@ -327,7 +292,7 @@ mod tests {
         let start = Instant::now();
         // Far shorter than the 10 s budget: woken by the condvar, not by
         // the deadline.
-        assert!(p.wait_ready(Duration::from_secs(10)));
+        assert!(p.wait_ready(&req(1), Duration::from_secs(10)));
         assert!(start.elapsed() < Duration::from_secs(5));
         t.join().unwrap();
     }
@@ -358,28 +323,29 @@ mod tests {
     }
 
     #[test]
-    fn rate_limiter_wait_ready_never_parks_forever_on_uncoverable_probe() {
-        // Probe = 1% of rate = 100 KB but burst is only 1 KB: without
-        // clamping, wait_ready could compute an unbounded deficit and
-        // never succeed. With the clamp it must come back ready well
-        // within the timeout.
+    fn rate_limiter_wait_ready_charges_an_oversized_chunk_the_burst() {
+        // A 1 MiB chunk against a 1 KB burst: charged the burst (the
+        // most the bucket can ever hold), so it comes back ready one
+        // refill (0.1 ms) later, well within the timeout.
         let p = RateLimitedPolicy::new(1e7, 1e3);
         while p.try_spend(1e3) {}
         let start = Instant::now();
         assert!(
-            p.wait_ready(Duration::from_secs(5)),
-            "wait_ready starved by probe > burst"
+            p.wait_ready(&req(1 << 20), Duration::from_secs(5)),
+            "wait_ready starved by a chunk larger than the burst"
         );
         assert!(start.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
-    fn rate_limited_wait_ready_parks_for_refill() {
+    fn rate_limited_wait_ready_parks_for_the_chunks_refill() {
         let p = RateLimitedPolicy::new(1e6, 10e3);
-        // Drain the burst.
+        // Drain the burst: under 1 KB is left.
         while p.try_spend(1e3) {}
-        // The probe is 1% of the rate = 10 KB... larger than remaining
-        // tokens, so wait_ready must park for the deficit then succeed.
-        assert!(p.wait_ready(Duration::from_secs(1)));
+        // A 10 KB chunk is short at least 9 KB, which is 9 ms of refill:
+        // wait_ready must park for the deficit, then succeed.
+        let start = Instant::now();
+        assert!(p.wait_ready(&req(10_000), Duration::from_secs(1)));
+        assert!(start.elapsed() >= Duration::from_millis(5), "parked");
     }
 }

@@ -48,6 +48,7 @@ use std::time::{Duration, Instant};
 use obs::spec::Spec;
 
 use crate::fabric::TransportError;
+use crate::fault::{splitmix64, FaultKind, FaultPlan};
 
 /// Exponential-backoff retry policy with a deadline budget. See the
 /// [module docs](self) for the `PREDATA_RETRY` grammar.
@@ -70,13 +71,6 @@ impl Default for RetryPolicy {
             deadline: Duration::from_secs(10),
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl RetryPolicy {
@@ -143,11 +137,8 @@ impl RetryPolicy {
     pub fn from_env() -> RetryPolicy {
         static POLICY: OnceLock<RetryPolicy> = OnceLock::new();
         POLICY
-            .get_or_init(|| match std::env::var("PREDATA_RETRY") {
-                Ok(spec) => RetryPolicy::parse(&spec)
-                    .unwrap_or_else(|e| panic!("PREDATA_RETRY: {e}"))
-                    .unwrap_or_default(),
-                Err(_) => RetryPolicy::default(),
+            .get_or_init(|| {
+                obs::spec::from_env("PREDATA_RETRY", RetryPolicy::parse).unwrap_or_default()
             })
             .clone()
     }
@@ -179,6 +170,28 @@ impl RetryPolicy {
         }
         let h = splitmix64(salt ^ u64::from(attempt).wrapping_mul(0xA5A5_A5A5));
         Duration::from_nanos(nanos - jitter_span / 2 + h % jitter_span)
+    }
+
+    /// The one inject-then-retry gate: consult `plan` before each attempt
+    /// at operation `kind` keyed `(a, b)` ([`FaultPlan::inject`]) and
+    /// absorb its transient faults under this policy, counted under
+    /// `op`. `Ok` means go ahead; `Err` is the fault that outlasted the
+    /// retries. Without a plan there is nothing to absorb: `Ok`, and no
+    /// counter moves.
+    pub fn guard(
+        &self,
+        plan: Option<&FaultPlan>,
+        op: &'static str,
+        kind: FaultKind,
+        a: u64,
+        b: u64,
+    ) -> Result<(), TransportError> {
+        let Some(plan) = plan else {
+            return Ok(());
+        };
+        self.run(op, (a << 32) ^ b, |_| {
+            plan.inject(kind, a, b).map_or(Ok(()), Err)
+        })
     }
 
     /// Run `f` under this policy. `f` gets the 0-based attempt index;
@@ -271,6 +284,34 @@ mod tests {
         });
         assert_eq!(out, Err(TransportError::Timeout));
         assert_eq!(calls, 3);
+    }
+
+    /// `guard` is injection and retry composed: a transient schedule
+    /// costs one retry, a hard one exhausts with the injected error, and
+    /// no plan is no work. Each case counts under an `op` of its own.
+    #[test]
+    fn guard_absorbs_a_transient_fault_and_exhausts_on_a_hard_one() {
+        let p = RetryPolicy::default()
+            .attempts(3)
+            .base_backoff(Duration::from_micros(10));
+        let count = |name, op| obs::global().counter(name, &[("op", op)]).get();
+        let plan = |spec| FaultPlan::parse(spec).unwrap();
+
+        let transient = plan("drop=1,max_injections=1");
+        let out = p.guard(transient.as_ref(), "guard_transient", FaultKind::Put, 4, 1);
+        assert_eq!(out, Ok(()));
+        assert_eq!(count("transport.retries", "guard_transient"), 1);
+        assert_eq!(count("transport.retry_exhausted", "guard_transient"), 0);
+
+        let hard = plan("drop=1");
+        let out = p.guard(hard.as_ref(), "guard_hard", FaultKind::Collective, 0, 7);
+        assert_eq!(out, Err(TransportError::Timeout));
+        assert_eq!(count("transport.retries", "guard_hard"), 2);
+        assert_eq!(count("transport.retry_exhausted", "guard_hard"), 1);
+
+        assert_eq!(p.guard(None, "guard_none", FaultKind::Query, 1, 1), Ok(()));
+        assert_eq!(count("transport.retries", "guard_none"), 0);
+        assert_eq!(count("transport.retry_exhausted", "guard_none"), 0);
     }
 
     #[test]

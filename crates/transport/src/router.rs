@@ -5,6 +5,8 @@
 //! contiguous blocks of compute ranks on one staging node (locality with
 //! block-decomposed domains); a modulo router spreads neighbours instead.
 
+use crate::membership::Membership;
+
 /// Chooses the staging rank responsible for a compute rank's output.
 pub trait Router: Send + Sync {
     /// Pick the staging rank for `(compute_rank, io_step)`. Routing is a
@@ -22,6 +24,15 @@ pub trait Router: Send + Sync {
         (0..n_compute)
             .filter(|&c| self.route(c, io_step) == staging_rank)
             .collect()
+    }
+
+    /// The epoch table this router routes by, when its active set changes
+    /// over the run ([`crate::EpochRouter`]); `None` — every rank serves
+    /// every step — for a static placement. The staging runtime opens
+    /// its epochs from this, so a schedule and its routing cannot
+    /// disagree.
+    fn membership(&self) -> Option<&Membership> {
+        None
     }
 }
 

@@ -181,7 +181,7 @@ impl WaitTimeoutResult {
 }
 
 /// parking_lot-style condvar: waits take `&mut MutexGuard`.
-#[derive(Default)]
+#[derive(Default, Debug)]
 pub struct Condvar {
     inner: std::sync::Condvar,
 }

@@ -92,8 +92,8 @@ fn run(dir: &std::path::Path) -> Vec<Vec<predata::core::StepReport>> {
     let plan = MembershipPlan::parse(&format!("base={N_STAGING},leave=1@2"))
         .unwrap()
         .unwrap();
-    let membership = Arc::new(Membership::from_plan(&plan).unwrap());
-    let router: Arc<dyn Router> = Arc::new(EpochRouter::new(N_COMPUTE, Arc::clone(&membership)));
+    let membership = Membership::from_plan(&plan).unwrap();
+    let router: Arc<dyn Router> = Arc::new(EpochRouter::new(N_COMPUTE, membership));
     let faults = Arc::new(FaultPlan::new(20100419).drop_chunks(1.0).max_injections(1));
     let (_fabric, computes, stagings) =
         Fabric::with_faults(N_COMPUTE, N_STAGING, None, Some(Arc::clone(&faults)));
@@ -102,7 +102,6 @@ fn run(dir: &std::path::Path) -> Vec<Vec<predata::core::StepReport>> {
     cfg.retry = RetryPolicy::parse("attempts=4,base_ms=1,max_ms=2,deadline_ms=20000")
         .unwrap()
         .unwrap();
-    cfg.membership = Some(membership);
     // Serving ranks gather 2+ chunks > hwm of 1: sheds every step. The
     // decision is `AdmitControl::overloaded`, which never consults the
     // live plane's health.

@@ -68,13 +68,12 @@ fn ds_cfg() -> DsConfig {
 }
 
 /// One full run: GTC dumps through sort + histogram + per-rank space
-/// indexing, any router/membership/fault wiring the caller chose.
-#[allow(clippy::too_many_arguments)]
+/// indexing, any router (its membership with it) and fault wiring the
+/// caller chose.
 fn run(
     dir: &std::path::Path,
     router: Arc<dyn Router>,
     faults: Option<Arc<FaultPlan>>,
-    membership: Option<Arc<Membership>>,
     on_epoch: Option<Arc<EpochHook>>,
     admit: Option<Arc<AdmitControl>>,
     spaces: &[Arc<DataSpaces>],
@@ -83,7 +82,6 @@ fn run(
         Fabric::with_faults(N_COMPUTE, N_STAGING, None, faults.clone());
     let mut cfg = StagingConfig::new(N_COMPUTE, dir);
     cfg.retry = retry();
-    cfg.membership = membership;
     cfg.on_epoch = on_epoch;
     cfg.admit = admit;
     let spaces_for_ops: Vec<Arc<DataSpaces>> = spaces.to_vec();
@@ -140,7 +138,6 @@ fn churn_run_matches_static_reference_with_zero_data_loss() {
         None,
         None,
         None,
-        None,
         &static_spaces,
     );
     for r in &reports {
@@ -152,8 +149,8 @@ fn churn_run_matches_static_reference_with_zero_data_loss() {
     let plan = MembershipPlan::parse("base=2,leave=1@1,join=2@1")
         .unwrap()
         .unwrap();
-    let membership = Arc::new(Membership::from_plan(&plan).unwrap());
-    let router: Arc<dyn Router> = Arc::new(EpochRouter::new(N_COMPUTE, Arc::clone(&membership)));
+    let membership = Membership::from_plan(&plan).unwrap();
+    let router: Arc<dyn Router> = Arc::new(EpochRouter::new(N_COMPUTE, membership));
     let faults = Arc::new(FaultPlan::new(20100419).drop_chunks(1.0).max_injections(1));
     let churn_spaces: Vec<Arc<DataSpaces>> = (0..N_STAGING)
         .map(|_| {
@@ -216,7 +213,6 @@ fn churn_run_matches_static_reference_with_zero_data_loss() {
         &churn_dir,
         Arc::clone(&router),
         Some(Arc::clone(&faults)),
-        Some(membership),
         Some(on_epoch),
         None,
         &churn_spaces,
@@ -309,7 +305,6 @@ fn overload_sheds_deferred_ops_and_nothing_else() {
         None,
         None,
         None,
-        None,
         &clean_spaces,
     );
 
@@ -327,7 +322,6 @@ fn overload_sheds_deferred_ops_and_nothing_else() {
     let shed = run(
         &shed_dir,
         Arc::clone(&router),
-        None,
         None,
         None,
         Some(admit),

@@ -128,6 +128,53 @@ fn malformed_specs_are_errors_that_name_the_field() {
     assert!(err.contains("`join=3`") && err.contains("R@S"), "{err}");
 }
 
+/// How a knob meets the environment (`obs::spec::from_env`, here over a
+/// lookup that stands in for it): an unset variable is `None`, an
+/// off-word is the knob's own off value, and a malformed spec aborts
+/// with the variable's name first.
+#[test]
+fn knobs_read_through_the_one_lookup() {
+    use predata::obs::spec::from_lookup;
+    let set = |value: &'static str| move |_: &str| Some(value.to_string());
+    let unset = |_: &str| None;
+
+    assert!(from_lookup(unset, "PREDATA_FAULTS", FaultPlan::parse).is_none());
+    assert!(from_lookup(unset, "PREDATA_RETRY", RetryPolicy::parse).is_none());
+    assert!(from_lookup(unset, "PREDATA_ADMIT", AdmitControl::parse).is_none());
+
+    assert!(from_lookup(set(" off "), "PREDATA_FAULTS", FaultPlan::parse).is_none());
+    assert!(from_lookup(set("0"), "PREDATA_ADMIT", AdmitControl::parse).is_none());
+    let no_retry = from_lookup(set("off"), "PREDATA_RETRY", RetryPolicy::parse);
+    assert_eq!(no_retry.map(|p| p.max_attempts()), Some(1));
+    let plan = from_lookup(set(" seed=7,drop=1 "), "PREDATA_FAULTS", FaultPlan::parse);
+    assert_eq!(plan.map(|p| p.seed()), Some(7));
+
+    let malformed: [(&str, fn()); 3] = [
+        ("PREDATA_FAULTS", || {
+            from_lookup(
+                |_| Some("drop=x".into()),
+                "PREDATA_FAULTS",
+                FaultPlan::parse,
+            );
+        }),
+        ("PREDATA_RETRY", || {
+            from_lookup(|_| Some("on".into()), "PREDATA_RETRY", RetryPolicy::parse);
+        }),
+        ("PREDATA_ADMIT", || {
+            from_lookup(
+                |_| Some("queue_hwm=8".into()),
+                "PREDATA_ADMIT",
+                AdmitControl::parse,
+            );
+        }),
+    ];
+    for (name, read) in malformed {
+        let panic = std::panic::catch_unwind(read).expect_err(name);
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.starts_with(&format!("{name}: ")), "{message}");
+    }
+}
+
 /// Spec-shaped fragments: concatenated at random they reach every arm
 /// of every parser (keys, separators, numbers that overflow or do not
 /// parse, on/off words, non-ASCII).
