@@ -7,8 +7,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use predata_core::agg::Aggregates;
 use predata_core::op::{OpCtx, StreamOp};
-use predata_core::ops::histogram::attach_particle_stats;
-use predata_core::ops::{BitmapIndex, Histogram2dOp, HistogramOp, ReorgOp, SortOp};
+use predata_core::ops::{
+    attach_particle_stats, BitmapIndex, Histogram2dOp, HistogramOp, ReorgOp, SortOp,
+};
 use predata_core::schema::make_particle_pg;
 use predata_core::PackedChunk;
 use std::hint::black_box;

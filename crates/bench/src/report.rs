@@ -218,11 +218,12 @@ fn render_stage_summary(cells: &[StageCell], out: &mut String) {
 /// steps run in-compute — at a glance. Omitted entirely for a run that
 /// climbed no rungs.
 fn render_resilience(root: &Value, out: &mut String) -> Result<(), String> {
-    const LADDER: [(&str, &str); 15] = [
+    const LADDER: [(&str, &str); 16] = [
         ("transport.faults_injected", "faults injected"),
         ("transport.retries", "retries absorbed"),
         ("transport.retry_exhausted", "retries exhausted"),
         ("staging.truncated_chunks", "chunks truncated"),
+        ("staging.output_errors", "operator outputs not written"),
         ("staging.admission_triggers", "overload sheds triggered"),
         ("staging.admission_deferred_ops", "operators deferred"),
         ("client.reclaimed_bytes", "bytes reclaimed"),
@@ -244,7 +245,7 @@ fn render_resilience(root: &Value, out: &mut String) -> Result<(), String> {
         };
         let value = require_u64(c, "value", "counters[]")?;
         if value > 0 {
-            lines.push(format!("{what:<27} {name}{} = {value}\n", label_suffix(c)));
+            lines.push(format!("{what:<28} {name}{} = {value}\n", label_suffix(c)));
         }
     }
     if !lines.is_empty() {
@@ -683,6 +684,7 @@ mod tests {
             "health (cluster window)",
             "straggler r2",
             "transport.rdma_get_bytes",
+            "operator outputs not written staging.output_errors{op=sort} = 1",
         ] {
             assert!(report.contains(view), "missing `{view}`: {report}");
         }

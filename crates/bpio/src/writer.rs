@@ -68,7 +68,9 @@ pub struct BpWriter {
     path: PathBuf,
     pos: u64,
     index: FileIndex,
-    finished: bool,
+    /// `finish` was called, or a write failed and the caller holds the
+    /// error: either way `Drop` has no forgotten `finish()` to report.
+    closed: bool,
 }
 
 impl BpWriter {
@@ -81,7 +83,7 @@ impl BpWriter {
             path,
             pos: 0,
             index: FileIndex::default(),
-            finished: false,
+            closed: false,
         })
     }
 
@@ -115,7 +117,10 @@ impl BpWriter {
         // Rank- and chunk-less: `writer_rank` is a staging rank for a
         // merged output and a compute rank for an in-compute one.
         let write_span = obs::span!("write", pg.step).bytes(block_len);
-        write_all_vectored(&mut self.out, &slices)?;
+        if let Err(e) = write_all_vectored(&mut self.out, &slices) {
+            self.closed = true;
+            return Err(e.into());
+        }
         drop(write_span);
         self.pos += block_len;
         obs::global()
@@ -150,6 +155,7 @@ impl BpWriter {
     /// `[PG blocks…][index][index_len: u64][magic: 4]`, emitted as a
     /// single vectored write.
     pub fn finish(mut self) -> Result<FileIndex> {
+        self.closed = true;
         let started = obs::enabled().then(std::time::Instant::now);
         let idx = self.index.encode();
         let idx_len = (idx.len() as u64).to_le_bytes();
@@ -161,7 +167,6 @@ impl BpWriter {
                 .histogram("bpio.finish_ns", &[])
                 .record(t.elapsed().as_nanos() as u64);
         }
-        self.finished = true;
         Ok(std::mem::take(&mut self.index))
     }
 }
@@ -171,7 +176,7 @@ impl Drop for BpWriter {
         // An unfinished file has no footer and is unreadable; surface the
         // mistake in debug builds rather than silently producing garbage.
         debug_assert!(
-            self.finished || std::thread::panicking(),
+            self.closed || std::thread::panicking(),
             "BpWriter dropped without finish(): {} is incomplete",
             self.path.display()
         );
@@ -291,5 +296,24 @@ mod tests {
         let chunk = &idx.chunks_of("x", 0)[0];
         assert_eq!((chunk.min, chunk.max), (-3.0, 7.0));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A write the device refuses comes back as `Err`, and the writer the
+    /// error abandoned drops quietly: `Drop`'s check is for a forgotten
+    /// `finish()`, not for a failure the caller already holds.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_write_is_an_error_not_a_panic_in_drop() {
+        let g = group_1d();
+        let mut pg = ProcessGroup::new("g", 0, 0);
+        pg.write(&g, "off", DataArray::U64(vec![0])).unwrap();
+        pg.write(&g, "x", DataArray::F64(vec![0.0; 4])).unwrap();
+
+        let mut w = BpWriter::create("/dev/full").unwrap();
+        assert!(matches!(w.append_pg(&pg), Err(crate::BpError::Io(_))));
+        drop(w);
+
+        let w = BpWriter::create("/dev/full").unwrap();
+        assert!(matches!(w.finish(), Err(crate::BpError::Io(_))));
     }
 }

@@ -52,6 +52,16 @@ pub struct OpResult {
     pub files: Vec<PathBuf>,
 }
 
+impl OpResult {
+    /// The result of operator `op`, with no value and no file yet.
+    pub fn new(op: &str) -> Self {
+        OpResult {
+            op: op.into(),
+            ..Default::default()
+        }
+    }
+}
+
 /// Execution context handed to every phase: where am I, who are my
 /// peers, where do results go.
 pub struct OpCtx<'a> {

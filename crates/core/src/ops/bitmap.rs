@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use super::kit::{attach_particle_stats, bin_index, global_range, record_output};
 use crate::agg::Aggregates;
 use crate::chunk::PackedChunk;
 use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
@@ -147,12 +148,7 @@ impl BitmapIndex {
         let mut bins = vec![CompressedBitmap::new(); n_bins];
         let mut n_rows = 0;
         for (i, v) in values.enumerate() {
-            let b = if hi <= lo {
-                0
-            } else {
-                (((v - lo) / (hi - lo) * n_bins as f64) as usize).min(n_bins - 1)
-            };
-            bins[b].push(i as u64);
+            bins[bin_index(lo, hi, n_bins, v)].push(i as u64);
             n_rows += 1;
         }
         BitmapIndex {
@@ -164,11 +160,7 @@ impl BitmapIndex {
     }
 
     fn bin_of(&self, v: f64) -> usize {
-        if self.hi <= self.lo {
-            return 0;
-        }
-        (((v - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize)
-            .min(self.bins.len() - 1)
+        bin_index(self.lo, self.hi, self.bins.len(), v)
     }
 
     /// Answer `lo_q <= value <= hi_q`: rows certainly matching (from
@@ -232,6 +224,12 @@ impl BitmapIndex {
         let n_rows = u64::from_le_bytes(buf[16..24].try_into().ok()?);
         let nb = u32::from_le_bytes(buf[24..28].try_into().ok()?) as usize;
         let mut pos = 28;
+        // A built index has a bin, and an encoded bin takes 12 bytes or
+        // more: a count the bytes cannot hold is refused before it sizes
+        // an allocation.
+        if nb == 0 || nb > (buf.len() - pos) / 12 {
+            return None;
+        }
         let mut bins = Vec::with_capacity(nb);
         for _ in 0..nb {
             let (b, used) = CompressedBitmap::from_bytes(&buf[pos..])?;
@@ -347,7 +345,7 @@ impl BitmapIndexOp {
 
 impl ComputeSideOp for BitmapIndexOp {
     fn partial_calculate(&self, pg: &bpio::ProcessGroup, out: &mut ffs::AttrList) {
-        crate::ops::histogram::attach_particle_stats(pg, out);
+        attach_particle_stats(pg, out);
     }
 }
 
@@ -357,11 +355,7 @@ impl StreamOp for BitmapIndexOp {
     }
 
     fn initialize(&mut self, agg: &Aggregates, _ctx: &OpCtx) {
-        let name = PARTICLE_ATTRS[self.column];
-        self.range = (
-            agg.min_f64(&format!("min_{name}")).unwrap_or(0.0),
-            agg.max_f64(&format!("max_{name}")).unwrap_or(1.0),
-        );
+        self.range = global_range(agg, self.column);
         self.built.clear();
     }
 
@@ -401,10 +395,7 @@ impl StreamOp for BitmapIndexOp {
     }
 
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
-        let mut result = OpResult {
-            op: "bitmap_index".into(),
-            ..Default::default()
-        };
+        let mut result = OpResult::new("bitmap_index");
         let total_rows: u64 = self.built.iter().map(|(_, i)| i.n_rows).sum();
         let total_bytes: u64 = self.built.iter().map(|(_, i)| i.heap_bytes() as u64).sum();
         result
@@ -435,9 +426,8 @@ impl StreamOp for BitmapIndexOp {
             blob.extend_from_slice(b);
         }
         debug_assert_eq!(blob.len(), total);
-        if std::fs::write(&path, blob).is_ok() {
-            result.files.push(path);
-        }
+        let written = std::fs::write(&path, blob);
+        record_output(&mut result, path, written);
         self.built.clear();
         result
     }

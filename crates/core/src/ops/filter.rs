@@ -124,7 +124,7 @@ fn encode_chunk(seen: u64, skipped: bool, kept: &[f64]) -> Vec<u8> {
 
 impl ComputeSideOp for FilterOp {
     fn partial_calculate(&self, pg: &bpio::ProcessGroup, out: &mut ffs::AttrList) {
-        crate::ops::histogram::attach_particle_stats(pg, out);
+        super::kit::attach_particle_stats(pg, out);
     }
 }
 
@@ -167,10 +167,7 @@ impl StreamOp for FilterOp {
         let kept_rows = (self.kept.len() / PARTICLE_WIDTH) as u64;
         let total: u64 = ctx.comm.allreduce(self.seen_rows, |a, b| a + b);
         let total_kept: u64 = ctx.comm.allreduce(kept_rows, |a, b| a + b);
-        let mut result = OpResult {
-            op: "filter".into(),
-            ..Default::default()
-        };
+        let mut result = OpResult::new("filter");
         result.values.set("rows_seen", Value::U64(self.seen_rows));
         result.values.set("rows_kept", Value::U64(kept_rows));
         result.values.set("total_kept", Value::U64(total_kept));
@@ -193,21 +190,16 @@ impl StreamOp for FilterOp {
                 ctx.my_rank()
             ));
             let def = crate::schema::gtc_particle_group();
-            if let Ok(mut w) = bpio::BpWriter::create(&path) {
-                let mut pg =
-                    bpio::ProcessGroup::new("gtc_particles", ctx.my_rank() as u64, ctx.step);
-                pg.write(&def, "np", bpio::DataArray::U64(vec![kept_rows]))
-                    .unwrap();
-                pg.write(
-                    &def,
-                    "particles",
-                    bpio::DataArray::F64(std::mem::take(&mut self.kept)),
-                )
+            let mut pg = bpio::ProcessGroup::new("gtc_particles", ctx.my_rank() as u64, ctx.step);
+            pg.write(&def, "np", bpio::DataArray::U64(vec![kept_rows]))
                 .unwrap();
-                if w.append_pg(&pg).is_ok() && w.finish().is_ok() {
-                    result.files.push(path);
-                }
-            }
+            pg.write(
+                &def,
+                "particles",
+                bpio::DataArray::F64(std::mem::take(&mut self.kept)),
+            )
+            .unwrap();
+            super::kit::write_output(&mut result, path, &[], &pg);
         }
         self.kept = Vec::new();
         result

@@ -1,92 +1,149 @@
-//! 1-D histograms over particle attributes (GTC online monitoring).
+//! Binned counts over particle attributes: GTC's 1-D histograms (online
+//! monitoring) and 2-D histograms (parallel-coordinate visualization,
+//! after Jones et al.) are one operator, [`BinnedCountOp`], whose keys
+//! have one or two attribute columns.
 //!
 //! Compute-side pass: each writer attaches its local particle count and
 //! per-attribute min/max. Staging aggregation turns those into global
 //! ranges, so every staging rank bins into identical, globally-correct
-//! histograms without a second pass over the data. Each attribute's bins
-//! are reduced on the staging rank owning its tag; `finalize` exposes the
-//! counts as values and writes one small BP file per owned attribute —
-//! the "8 MB histogram files" whose synchronous write cost the paper
-//! measures at 0.25–7 s in the In-Compute-Node configuration.
-
-use ffs::{AttrList, Value};
+//! histograms without a second pass over the data. Each key's cells are
+//! reduced on the staging rank owning its tag; `finalize` exposes the
+//! counts as values and writes one small BP file per owned key — the
+//! "8 MB histogram files" whose synchronous write cost the paper measures
+//! at 0.25–7 s in the In-Compute-Node configuration.
+//!
+//! Both forms are computation-dominant with tiny communication; two axes
+//! mean quadratically more cells and heavier binning math, which is why
+//! the paper reports higher compute times for the 2-D form (Fig. 7c/f)
+//! and stores roughly 4× more result bytes.
 
 use std::sync::Arc;
 
+use bpio::{DataArray, Dim, Dtype, GroupDef, ProcessGroup, VarDef};
+use ffs::{AttrList, Value};
+
+use super::kit::{attach_particle_stats, bin_index, global_range, write_output};
 use crate::agg::Aggregates;
 use crate::chunk::PackedChunk;
 use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
 use crate::schema::{particles_of, PARTICLE_ATTRS, PARTICLE_WIDTH};
 
-fn bin_index(lo: f64, hi: f64, bins: usize, v: f64) -> usize {
-    if hi <= lo {
-        return 0;
-    }
-    (((v - lo) / (hi - lo) * bins as f64) as usize).min(bins - 1)
-}
-
-/// Configuration + per-step state of the 1-D histogram operation.
-pub struct HistogramOp {
-    /// Attribute columns to histogram.
-    pub columns: Vec<usize>,
-    /// Bin count per histogram.
+/// Configuration + per-step state of a binned-count operation whose keys
+/// have `AXES` attribute columns each.
+pub struct BinnedCountOp<const AXES: usize> {
+    /// Attribute columns of each key: the column to histogram, or the
+    /// (column, column) pair to correlate.
+    pub keys: Vec<[usize; AXES]>,
+    /// Bins per axis (cells per key = bins^AXES).
     pub bins: usize,
-    /// When false, `map` emits one intermediate per (chunk × column) and
+    /// When false, `map` emits one intermediate per (chunk × key) and
     /// the combine pass is skipped — the ablation baseline showing how
     /// much local combining shrinks the shuffle.
     pub combine_enabled: bool,
-    /// Global (min, max) per configured column, from `initialize`.
-    ranges: Vec<(f64, f64)>,
-    /// Reduced bins for columns this rank owns.
+    /// Shuffle tag of each key, which decides the rank that owns its
+    /// file: the column itself for one axis, the key's position for two.
+    tags: Vec<u64>,
+    /// Operator (and group) name, value-key and file-name prefix, name
+    /// of the bin-count scalar in the file.
+    names: [&'static str; 3],
+    /// Global (min, max) per key and axis, from `initialize`.
+    ranges: Vec<[(f64, f64); AXES]>,
+    /// Reduced cells for keys this rank owns.
     owned: Vec<(u64, Vec<u64>)>,
 }
 
-/// Per-chunk binning half of [`HistogramOp`]: snapshots the columns,
-/// bin count, and global ranges frozen by `initialize`.
-struct HistogramMapper {
-    columns: Vec<usize>,
+/// 1-D histograms over attribute columns.
+pub type HistogramOp = BinnedCountOp<1>;
+
+/// 2-D histograms over attribute pairs.
+pub type Histogram2dOp = BinnedCountOp<2>;
+
+/// Per-chunk binning half of [`BinnedCountOp`]: snapshots the keys, their
+/// tags, the bin count, and the global ranges frozen by `initialize`.
+struct CountsMapper<const AXES: usize> {
+    keys: Vec<[usize; AXES]>,
+    tags: Vec<u64>,
     bins: usize,
-    ranges: Vec<(f64, f64)>,
+    ranges: Vec<[(f64, f64); AXES]>,
 }
 
-impl ChunkMapper for HistogramMapper {
+/// Counts on the wire: little-endian `u64`s.
+fn counts_to_bytes(counts: &[u64]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(counts.len() * 8);
+    for c in counts {
+        bytes.extend_from_slice(&c.to_le_bytes());
+    }
+    bytes
+}
+
+/// Add the counts encoded in `bytes` onto `sum`, cell by cell.
+fn add_counts(sum: &mut [u64], bytes: &[u8]) {
+    for (cell, w) in sum.iter_mut().zip(bytes.chunks_exact(8)) {
+        *cell += u64::from_le_bytes(w.try_into().expect("8-byte window"));
+    }
+}
+
+/// One tagged item per key.
+fn tagged(tags: &[u64], counts: &[Vec<u64>]) -> Vec<Tagged> {
+    tags.iter()
+        .zip(counts)
+        .map(|(&tag, cells)| Tagged::new(tag, counts_to_bytes(cells)))
+        .collect()
+}
+
+impl<const AXES: usize> ChunkMapper for CountsMapper<AXES> {
     fn map_chunk(&self, chunk: &PackedChunk, _ctx: &MapCtx) -> Vec<Tagged> {
         let Some(rows) = particles_of(&chunk.pg) else {
             return Vec::new();
         };
-        let mut per_chunk = vec![vec![0u64; self.bins]; self.columns.len()];
+        let mut per_chunk = vec![vec![0u64; self.bins.pow(AXES as u32)]; self.keys.len()];
         for row in rows.chunks_exact(PARTICLE_WIDTH) {
-            for (i, &c) in self.columns.iter().enumerate() {
-                let (lo, hi) = self.ranges[i];
-                per_chunk[i][bin_index(lo, hi, self.bins, row[c])] += 1;
+            for (i, key) in self.keys.iter().enumerate() {
+                // The row's cell under this key, row-major over its axes.
+                let mut cell = 0;
+                for (&c, &(lo, hi)) in key.iter().zip(&self.ranges[i]) {
+                    cell = cell * self.bins + bin_index(lo, hi, self.bins, row[c]);
+                }
+                per_chunk[i][cell] += 1;
             }
         }
-        per_chunk
-            .into_iter()
-            .enumerate()
-            .map(|(i, bins)| {
-                let mut bytes = Vec::with_capacity(bins.len() * 8);
-                for b in bins {
-                    bytes.extend_from_slice(&b.to_le_bytes());
-                }
-                Tagged::new(self.columns[i] as u64, bytes)
-            })
-            .collect()
+        tagged(&self.tags, &per_chunk)
     }
 }
 
-impl HistogramOp {
-    /// Histogram the given attribute columns with `bins` bins each.
-    pub fn new(columns: Vec<usize>, bins: usize) -> Self {
-        assert!(bins > 0 && !columns.is_empty());
-        assert!(columns.iter().all(|&c| c < PARTICLE_WIDTH));
-        HistogramOp {
-            columns,
+impl<const AXES: usize> BinnedCountOp<AXES> {
+    fn with_keys(
+        keys: Vec<[usize; AXES]>,
+        tags: Vec<u64>,
+        bins: usize,
+        names: [&'static str; 3],
+    ) -> Self {
+        assert!(bins > 0 && !keys.is_empty());
+        assert!(keys.iter().flatten().all(|&c| c < PARTICLE_WIDTH));
+        BinnedCountOp {
+            keys,
             bins,
             combine_enabled: true,
+            tags,
+            names,
             ranges: Vec::new(),
             owned: Vec::new(),
         }
+    }
+
+    /// Position in `keys` of the key a tag stands for.
+    fn key_of(&self, tag: u64) -> usize {
+        let key = self.tags.iter().position(|&t| t == tag);
+        key.expect("tag is a configured key")
+    }
+}
+
+impl BinnedCountOp<1> {
+    /// Histogram the given attribute columns with `bins` bins each.
+    pub fn new(columns: Vec<usize>, bins: usize) -> Self {
+        let tags = columns.iter().map(|&c| c as u64).collect();
+        let keys = columns.into_iter().map(|c| [c]).collect();
+        Self::with_keys(keys, tags, bins, ["histogram", "hist", "nbins"])
     }
 
     /// Ablation variant: ship per-chunk bins through the shuffle instead
@@ -104,60 +161,42 @@ impl HistogramOp {
 
     #[cfg(test)]
     fn bin_of(&self, col_idx: usize, v: f64) -> usize {
-        let (lo, hi) = self.ranges[col_idx];
+        let [(lo, hi)] = self.ranges[col_idx];
         bin_index(lo, hi, self.bins, v)
     }
 }
 
-/// Attribute keys used on fetch requests.
-pub fn attach_particle_stats(pg: &bpio::ProcessGroup, out: &mut AttrList) {
-    let Some(rows) = particles_of(pg) else { return };
-    out.set("np", Value::U64((rows.len() / PARTICLE_WIDTH) as u64));
-    // One row-major pass, eight running (min, max) lanes.
-    let mut lo = [f64::INFINITY; PARTICLE_WIDTH];
-    let mut hi = [f64::NEG_INFINITY; PARTICLE_WIDTH];
-    for row in rows.chunks_exact(PARTICLE_WIDTH) {
-        for c in 0..PARTICLE_WIDTH {
-            lo[c] = lo[c].min(row[c]);
-            hi[c] = hi[c].max(row[c]);
-        }
-    }
-    for (c, name) in PARTICLE_ATTRS.iter().enumerate() {
-        if lo[c] <= hi[c] {
-            out.set(format!("min_{name}"), Value::F64(lo[c]));
-            out.set(format!("max_{name}"), Value::F64(hi[c]));
-        }
+impl BinnedCountOp<2> {
+    /// Correlate the given (column, column) pairs with `bins` bins per
+    /// axis.
+    pub fn new(pairs: Vec<(usize, usize)>, bins: usize) -> Self {
+        let tags = (0..pairs.len() as u64).collect();
+        let keys = pairs.into_iter().map(|(a, b)| [a, b]).collect();
+        Self::with_keys(keys, tags, bins, ["histogram2d", "hist2d", "bins"])
     }
 }
 
-impl ComputeSideOp for HistogramOp {
-    fn partial_calculate(&self, pg: &bpio::ProcessGroup, out: &mut AttrList) {
+impl<const AXES: usize> ComputeSideOp for BinnedCountOp<AXES> {
+    fn partial_calculate(&self, pg: &ProcessGroup, out: &mut AttrList) {
         attach_particle_stats(pg, out);
     }
 }
 
-impl StreamOp for HistogramOp {
+impl<const AXES: usize> StreamOp for BinnedCountOp<AXES> {
     fn name(&self) -> &str {
-        "histogram"
+        self.names[0]
     }
 
     fn initialize(&mut self, agg: &Aggregates, _ctx: &OpCtx) {
-        self.ranges = self
-            .columns
-            .iter()
-            .map(|&c| {
-                let name = PARTICLE_ATTRS[c];
-                let lo = agg.min_f64(&format!("min_{name}")).unwrap_or(0.0);
-                let hi = agg.max_f64(&format!("max_{name}")).unwrap_or(1.0);
-                (lo, hi)
-            })
-            .collect();
+        let ranges = |key: &[usize; AXES]| key.map(|c| global_range(agg, c));
+        self.ranges = self.keys.iter().map(ranges).collect();
         self.owned.clear();
     }
 
     fn mapper(&self) -> Arc<dyn ChunkMapper> {
-        Arc::new(HistogramMapper {
-            columns: self.columns.clone(),
+        Arc::new(CountsMapper {
+            keys: self.keys.clone(),
+            tags: self.tags.clone(),
             bins: self.bins,
             ranges: self.ranges.clone(),
         })
@@ -168,76 +207,52 @@ impl StreamOp for HistogramOp {
             // Ablation baseline: ship per-chunk bins through the shuffle.
             return items;
         }
-        // Sum per-chunk bins into one item per column (u64 addition is
+        // Sum per-chunk cells into one item per key (u64 addition is
         // order-independent, so this is deterministic regardless of how
         // the per-chunk outputs were produced).
-        let mut sums = vec![vec![0u64; self.bins]; self.columns.len()];
+        let mut sums = vec![vec![0u64; self.bins.pow(AXES as u32)]; self.keys.len()];
         for item in items {
-            let idx = self
-                .columns
-                .iter()
-                .position(|&c| c as u64 == item.tag)
-                .expect("tag is a configured column");
-            for (i, w) in item.bytes.chunks_exact(8).enumerate() {
-                sums[idx][i] += u64::from_le_bytes(w.try_into().unwrap());
-            }
+            add_counts(&mut sums[self.key_of(item.tag)], &item.bytes);
         }
-        sums.into_iter()
-            .enumerate()
-            .map(|(i, bins)| {
-                let mut bytes = Vec::with_capacity(bins.len() * 8);
-                for b in bins {
-                    bytes.extend_from_slice(&b.to_le_bytes());
-                }
-                Tagged::new(self.columns[i] as u64, bytes)
-            })
-            .collect()
+        tagged(&self.tags, &sums)
     }
 
     fn reduce(&mut self, tag: u64, items: Vec<bytes::Bytes>, _ctx: &OpCtx) {
-        let mut sum = vec![0u64; self.bins];
+        let mut sum = vec![0u64; self.bins.pow(AXES as u32)];
         for item in items {
-            for (i, w) in item.chunks_exact(8).enumerate() {
-                sum[i] += u64::from_le_bytes(w.try_into().unwrap());
-            }
+            add_counts(&mut sum, &item);
         }
         self.owned.push((tag, sum));
     }
 
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
-        let mut result = OpResult {
-            op: "histogram".into(),
-            ..Default::default()
-        };
-        for (tag, bins) in self.owned.drain(..) {
-            let name = PARTICLE_ATTRS[tag as usize];
+        let [op, prefix, bins_var] = self.names;
+        let mut result = OpResult::new(op);
+        let def = GroupDef::new(
+            op,
+            vec![
+                VarDef::scalar(bins_var, Dtype::U64),
+                VarDef::local("counts", Dtype::U64, vec![Dim::r(bins_var); AXES]),
+            ],
+        )
+        .expect("static group");
+        for (tag, cells) in std::mem::take(&mut self.owned) {
+            let name = self.keys[self.key_of(tag)]
+                .map(|c| PARTICLE_ATTRS[c])
+                .join("_");
             result
                 .values
-                .set(format!("hist_{name}"), Value::ArrU64(bins.clone()));
-            // Persist as a small BP file (one per owned attribute).
-            let path = ctx.out_dir.join(format!("hist_{name}_step{}.bp", ctx.step));
-            if let Ok(mut w) = bpio::BpWriter::create(&path) {
-                let def = bpio::GroupDef::new(
-                    "histogram",
-                    vec![
-                        bpio::VarDef::scalar("nbins", bpio::Dtype::U64),
-                        bpio::VarDef::local(
-                            "counts",
-                            bpio::Dtype::U64,
-                            vec![bpio::Dim::r("nbins")],
-                        ),
-                    ],
-                )
-                .expect("static group");
-                let mut pg = bpio::ProcessGroup::new("histogram", ctx.my_rank() as u64, ctx.step);
-                pg.write(&def, "nbins", bpio::DataArray::U64(vec![self.bins as u64]))
-                    .unwrap();
-                pg.write(&def, "counts", bpio::DataArray::U64(bins))
-                    .unwrap();
-                if w.append_pg(&pg).is_ok() && w.finish().is_ok() {
-                    result.files.push(path);
-                }
-            }
+                .set(format!("{prefix}_{name}"), Value::ArrU64(cells.clone()));
+            // Persist as a small BP file (one per owned key).
+            let path = ctx
+                .out_dir
+                .join(format!("{prefix}_{name}_step{}.bp", ctx.step));
+            let mut pg = ProcessGroup::new(op, ctx.my_rank() as u64, ctx.step);
+            pg.write(&def, bins_var, DataArray::U64(vec![self.bins as u64]))
+                .expect("declared scalar");
+            pg.write(&def, "counts", DataArray::U64(cells))
+                .expect("bins^AXES cells");
+            write_output(&mut result, path, &[], &pg);
         }
         result
     }
@@ -246,8 +261,10 @@ impl StreamOp for HistogramOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::shuffle_tagged;
     use crate::schema::make_particle_pg;
     use minimpi::World;
+    use proptest::prelude::*;
 
     fn particle(vals: [f64; 8]) -> Vec<f64> {
         vals.to_vec()
@@ -276,44 +293,100 @@ mod tests {
         assert_eq!(attrs.get_f64("max_x"), Some(1.0));
     }
 
-    /// The eight-pass reference: one strided pass per attribute.
-    fn stats_by_column(rows: &[f64], out: &mut AttrList) {
-        out.set("np", Value::U64((rows.len() / PARTICLE_WIDTH) as u64));
-        for (c, name) in PARTICLE_ATTRS.iter().enumerate() {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for v in rows.chunks_exact(PARTICLE_WIDTH).map(|r| r[c]) {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            if lo <= hi {
-                out.set(format!("min_{name}"), Value::F64(lo));
-                out.set(format!("max_{name}"), Value::F64(hi));
-            }
-        }
+    /// The values a careless bin formula gets wrong, for rows and for
+    /// range ends alike (so `hi <= lo` and infinite ranges come up often).
+    const ODD: [f64; 8] = [f64::NAN, -0.0, 0.0, -1.5, 2.5, 7.0, f64::INFINITY, -1e300];
+
+    fn arb_rows(max_rows: usize) -> impl Strategy<Value = Vec<f64>> {
+        (0..=max_rows).prop_flat_map(|n| {
+            let cell = prop_oneof![prop::sample::select(ODD.to_vec()), -9.0f64..9.0];
+            prop::collection::vec(cell, n * PARTICLE_WIDTH..=n * PARTICLE_WIDTH)
+        })
     }
 
-    #[test]
-    fn particle_stats_match_the_per_column_passes() {
-        const NAN: f64 = f64::NAN;
-        let chunks: [Vec<f64>; 5] = [
-            vec![],
-            vec![3.0, -0.0, NAN, 1e300, -1e-300, 0.0, 2.0, 7.0],
-            // A NaN first, last and alone in a column; -0.0 against 0.0.
-            [
-                [NAN, 1.0, NAN, -0.0, 0.0, 5.0, 0.0, 0.0],
-                [2.0, NAN, NAN, 0.0, -0.0, 5.0, 1.0, 1.0],
-                [-2.0, 3.0, NAN, -0.0, 0.0, NAN, 1.0, 2.0],
-            ]
-            .concat(),
-            vec![NAN; 8],
-            (0..800).map(|i| ((i * 37) % 101) as f64 - 50.0).collect(),
-        ];
-        for rows in chunks {
-            let (mut got, mut expect) = (AttrList::new(), AttrList::new());
-            attach_particle_stats(&make_particle_pg(0, 0, rows.clone()), &mut got);
-            stats_by_column(&rows, &mut expect);
-            // Encoded form: same keys in the same order, values to the bit.
-            assert_eq!(got.to_bytes().unwrap(), expect.to_bytes().unwrap());
+    /// The per-element reference: every row, every key, one cell each,
+    /// `bin_index` once per axis.
+    fn naive_counts<const AXES: usize>(
+        keys: &[[usize; AXES]],
+        ranges: &[(f64, f64)],
+        bins: usize,
+        chunks: &[Vec<f64>],
+    ) -> Vec<Vec<u64>> {
+        let mut counts = vec![vec![0u64; bins.pow(AXES as u32)]; keys.len()];
+        for row in chunks.iter().flat_map(|c| c.chunks_exact(PARTICLE_WIDTH)) {
+            for (k, key) in keys.iter().enumerate() {
+                let b = key.map(|c| bin_index(ranges[c].0, ranges[c].1, bins, row[c]));
+                let cell = if AXES == 1 { b[0] } else { b[0] * bins + b[1] };
+                counts[k][cell] += 1;
+            }
+        }
+        counts
+    }
+
+    /// Map every chunk, combine, shuffle (one rank) and reduce: the items
+    /// that went into the shuffle and the reduced cells in key order.
+    fn run_counts<const AXES: usize>(
+        mut op: BinnedCountOp<AXES>,
+        ranges: &[(f64, f64)],
+        chunks: &[Vec<f64>],
+    ) -> (usize, Vec<Vec<u64>>) {
+        let mut attrs = AttrList::new();
+        for (name, (lo, hi)) in PARTICLE_ATTRS.iter().zip(ranges) {
+            attrs.set(format!("min_{name}"), Value::F64(*lo));
+            attrs.set(format!("max_{name}"), Value::F64(*hi));
+        }
+        let (_world, comms) = World::with_size(1);
+        let ctx = OpCtx {
+            comm: &comms[0],
+            out_dir: std::path::Path::new(""),
+            step: 0,
+            n_compute: chunks.len(),
+            agg: None,
+        };
+        op.initialize(&Aggregates::local_only(&[(0, attrs)]), &ctx);
+        let mut mapped = Vec::new();
+        for (r, rows) in chunks.iter().enumerate() {
+            mapped.extend(op.map(&chunk(r as u64, rows.clone()), &ctx));
+        }
+        let shuffled = op.combine(mapped);
+        let n_shuffled = shuffled.len();
+        for (tag, items) in shuffle_tagged(shuffled, &op, ctx.comm) {
+            op.reduce(tag, items, &ctx);
+        }
+        let mut owned = std::mem::take(&mut op.owned);
+        owned.sort_by_key(|(tag, _)| op.key_of(*tag));
+        (
+            n_shuffled,
+            owned.into_iter().map(|(_, cells)| cells).collect(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn counts_equal_the_per_element_reference(
+            chunks in prop::collection::vec(arb_rows(30), 1..=4),
+            ends in prop::collection::vec(prop::sample::select(ODD[1..].to_vec()), 16..=16),
+            first_column in 0usize..PARTICLE_WIDTH,
+            pairs in prop::collection::vec((0usize..PARTICLE_WIDTH, 0usize..PARTICLE_WIDTH), 1..=3),
+            bins in 1usize..=6,
+        ) {
+            let ranges: Vec<(f64, f64)> = ends.chunks_exact(2).map(|e| (e[0], e[1])).collect();
+            let columns: Vec<usize> = (first_column..PARTICLE_WIDTH).step_by(3).collect();
+            let keys: Vec<[usize; 1]> = columns.iter().map(|&c| [c]).collect();
+            let expect = naive_counts(&keys, &ranges, bins, &chunks);
+            let (n, got) = run_counts(HistogramOp::new(columns.clone(), bins), &ranges, &chunks);
+            prop_assert_eq!((n, &got), (keys.len(), &expect));
+            // The ablation ships every chunk's cells and reduces to the same.
+            let raw = HistogramOp::without_combine(columns, bins);
+            let (n, got) = run_counts(raw, &ranges, &chunks);
+            prop_assert_eq!((n, &got), (keys.len() * chunks.len(), &expect));
+
+            let keys: Vec<[usize; 2]> = pairs.iter().map(|&(a, b)| [a, b]).collect();
+            let expect = naive_counts(&keys, &ranges, bins, &chunks);
+            let (n, got) = run_counts(Histogram2dOp::new(pairs, bins), &ranges, &chunks);
+            prop_assert_eq!((n, &got), (keys.len(), &expect));
         }
     }
 
@@ -366,16 +439,62 @@ mod tests {
     #[test]
     fn degenerate_range_goes_to_bin_zero() {
         let mut op = HistogramOp::new(vec![2], 8);
-        op.ranges = vec![(5.0, 5.0)];
+        op.ranges = vec![[(5.0, 5.0)]];
         assert_eq!(op.bin_of(0, 5.0), 0);
     }
 
     #[test]
     fn out_of_range_clamps_to_last_bin() {
         let mut op = HistogramOp::new(vec![0], 4);
-        op.ranges = vec![(0.0, 4.0)];
+        op.ranges = vec![[(0.0, 4.0)]];
         assert_eq!(op.bin_of(0, 99.0), 3);
         assert_eq!(op.bin_of(0, 4.0), 3);
         assert_eq!(op.bin_of(0, 0.0), 0);
+    }
+
+    #[test]
+    fn marginals_match_1d() {
+        // One rank, one chunk: the 2-D histogram's row sums must equal a
+        // 1-D histogram of the first attribute.
+        let out = World::run(1, |comm| {
+            let mut op = Histogram2dOp::new(vec![(0, 1)], 2);
+            let dir = std::env::temp_dir().join(format!("h2d-test-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let ctx = OpCtx {
+                comm: &comm,
+                out_dir: &dir,
+                step: 0,
+                n_compute: 1,
+                agg: None,
+            };
+            let mut a = ffs::AttrList::new();
+            a.set("min_x", Value::F64(0.0));
+            a.set("max_x", Value::F64(4.0));
+            a.set("min_y", Value::F64(0.0));
+            a.set("max_y", Value::F64(4.0));
+            op.initialize(&Aggregates::local_only(&[(0, a)]), &ctx);
+            // Particles at (x, y): (0,0), (1,3), (3,1), (3,3).
+            let rows: Vec<f64> = [(0., 0.), (1., 3.), (3., 1.), (3., 3.)]
+                .iter()
+                .flat_map(|&(x, y)| vec![x, y, 0., 0., 0., 0., 0., 0.])
+                .collect();
+            let mapped = op.map(&PackedChunk::new(make_particle_pg(0, 0, rows)), &ctx);
+            let r = crate::op::complete_pipeline(&mut op, mapped, &ctx);
+            r.values.get("hist2d_x_y").cloned()
+        });
+        // 2x2 bins of width 2: (0,0)→(0,0); (1,3)→(0,1); (3,1)→(1,0); (3,3)→(1,1).
+        assert_eq!(out[0], Some(Value::ArrU64(vec![1, 1, 1, 1])));
+    }
+
+    #[test]
+    fn bins_quadratic_in_axis_count() {
+        let op = Histogram2dOp::new(vec![(0, 1)], 16);
+        assert_eq!(op.bins * op.bins, 256);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_out_of_range_columns() {
+        Histogram2dOp::new(vec![(0, 99)], 4);
     }
 }

@@ -1,0 +1,243 @@
+//! What the operators share: the bin formula, the global-range look-up,
+//! the compute-side particle statistics, and the one writer every
+//! `finalize` hands its output to.
+
+use std::fmt::Display;
+use std::path::PathBuf;
+
+use ffs::{AttrList, Value};
+
+use crate::agg::Aggregates;
+use crate::op::OpResult;
+use crate::schema::{particles_of, PARTICLE_ATTRS, PARTICLE_WIDTH};
+
+/// Which of the `bins` equal cuts of `[lo, hi]` holds `v`. Values outside
+/// the range land in the nearest end bin, NaN in bin 0, and a range with
+/// no width has only bin 0.
+///
+/// `#[inline]` because the callers' row loops are generic: they are
+/// compiled in whichever crate names `HistogramOp`, a crate away from
+/// this body.
+#[inline]
+pub(crate) fn bin_index(lo: f64, hi: f64, bins: usize, v: f64) -> usize {
+    if hi <= lo {
+        return 0;
+    }
+    (((v - lo) / (hi - lo) * bins as f64) as usize).min(bins - 1)
+}
+
+/// Global (min, max) of particle attribute `column`, from what
+/// [`attach_particle_stats`] attached on the compute ranks; `(0, 1)`
+/// where no rank reported one.
+pub(crate) fn global_range(agg: &Aggregates, column: usize) -> (f64, f64) {
+    let name = PARTICLE_ATTRS[column];
+    (
+        agg.min_f64(&format!("min_{name}")).unwrap_or(0.0),
+        agg.max_f64(&format!("max_{name}")).unwrap_or(1.0),
+    )
+}
+
+/// The compute-side pass of every operator that needs global ranges:
+/// attach the local particle count (`np`) and per-attribute
+/// `min_{name}` / `max_{name}`.
+pub fn attach_particle_stats(pg: &bpio::ProcessGroup, out: &mut AttrList) {
+    let Some(rows) = particles_of(pg) else { return };
+    out.set("np", Value::U64((rows.len() / PARTICLE_WIDTH) as u64));
+    // One row-major pass, eight running (min, max) lanes.
+    let mut lo = [f64::INFINITY; PARTICLE_WIDTH];
+    let mut hi = [f64::NEG_INFINITY; PARTICLE_WIDTH];
+    for row in rows.chunks_exact(PARTICLE_WIDTH) {
+        for c in 0..PARTICLE_WIDTH {
+            lo[c] = lo[c].min(row[c]);
+            hi[c] = hi[c].max(row[c]);
+        }
+    }
+    for (c, name) in PARTICLE_ATTRS.iter().enumerate() {
+        if lo[c] <= hi[c] {
+            out.set(format!("min_{name}"), Value::F64(lo[c]));
+            out.set(format!("max_{name}"), Value::F64(hi[c]));
+        }
+    }
+}
+
+/// Write `pg` as the one process group of a new BP file at `path`, under
+/// the given footer annotations, and list the file in `result.files`.
+pub(crate) fn write_output(
+    result: &mut OpResult,
+    path: PathBuf,
+    annotations: &[(&str, &str)],
+    pg: &bpio::ProcessGroup,
+) {
+    let written = bpio::BpWriter::create(&path).and_then(|mut w| {
+        for (name, value) in annotations {
+            w.annotate(*name, *value);
+        }
+        w.append_pg(pg)?;
+        w.finish().map(drop)
+    });
+    record_output(result, path, written);
+}
+
+/// List `path` in `result.files` if it was written. If it was not, the
+/// step still completes — the operator's values and its peers' files are
+/// good — so the loss is reported, not raised: the path stays out of
+/// `files`, `staging.output_errors{op}` ticks and one warning says why.
+pub(crate) fn record_output(
+    result: &mut OpResult,
+    path: PathBuf,
+    written: Result<(), impl Display>,
+) {
+    match written {
+        Ok(()) => result.files.push(path),
+        Err(e) => {
+            let op = result.op.as_str();
+            obs::global()
+                .counter("staging.output_errors", &[("op", op)])
+                .inc();
+            eprintln!(
+                "warning: op '{op}' could not write {}: {e}; the step goes on without it",
+                path.display()
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chunk::PackedChunk;
+    use crate::op::{complete_pipeline, OpCtx, StreamOp};
+    use crate::ops::{BitmapIndexOp, HistogramOp, SortOp};
+    use crate::schema::make_particle_pg;
+    use minimpi::World;
+
+    /// The eight-pass reference: one strided pass per attribute.
+    fn stats_by_column(rows: &[f64], out: &mut AttrList) {
+        out.set("np", Value::U64((rows.len() / PARTICLE_WIDTH) as u64));
+        for (c, name) in PARTICLE_ATTRS.iter().enumerate() {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for v in rows.chunks_exact(PARTICLE_WIDTH).map(|r| r[c]) {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            if lo <= hi {
+                out.set(format!("min_{name}"), Value::F64(lo));
+                out.set(format!("max_{name}"), Value::F64(hi));
+            }
+        }
+    }
+
+    #[test]
+    fn particle_stats_match_the_per_column_passes() {
+        const NAN: f64 = f64::NAN;
+        let chunks: [Vec<f64>; 5] = [
+            vec![],
+            vec![3.0, -0.0, NAN, 1e300, -1e-300, 0.0, 2.0, 7.0],
+            // A NaN first, last and alone in a column; -0.0 against 0.0.
+            [
+                [NAN, 1.0, NAN, -0.0, 0.0, 5.0, 0.0, 0.0],
+                [2.0, NAN, NAN, 0.0, -0.0, 5.0, 1.0, 1.0],
+                [-2.0, 3.0, NAN, -0.0, 0.0, NAN, 1.0, 2.0],
+            ]
+            .concat(),
+            vec![NAN; 8],
+            (0..800).map(|i| ((i * 37) % 101) as f64 - 50.0).collect(),
+        ];
+        for rows in chunks {
+            let (mut got, mut expect) = (AttrList::new(), AttrList::new());
+            attach_particle_stats(&make_particle_pg(0, 0, rows.clone()), &mut got);
+            stats_by_column(&rows, &mut expect);
+            // Encoded form: same keys in the same order, values to the bit.
+            assert_eq!(got.to_bytes().unwrap(), expect.to_bytes().unwrap());
+        }
+    }
+
+    /// A regular file where the output directory should be: every create
+    /// under it fails.
+    fn broken_out_dir(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("kit-{tag}-{}", std::process::id()));
+        std::fs::write(&path, b"not a directory").unwrap();
+        path
+    }
+
+    fn output_errors(op: &str) -> u64 {
+        let labels = [("op", op)];
+        obs::global()
+            .counter("staging.output_errors", &labels)
+            .get()
+    }
+
+    /// Run `make_op()` on `out_dirs.len()` ranks, one four-row chunk each,
+    /// rank `r` writing under `out_dirs[r]`; each rank's result.
+    fn run_with_out_dirs(
+        make_op: fn() -> Box<dyn StreamOp>,
+        out_dirs: Vec<PathBuf>,
+    ) -> Vec<OpResult> {
+        World::run(out_dirs.len(), move |comm| {
+            let mut op = make_op();
+            let ctx = OpCtx {
+                comm: &comm,
+                out_dir: &out_dirs[comm.rank()],
+                step: 0,
+                n_compute: comm.size(),
+                agg: None,
+            };
+            op.initialize(&Aggregates::local_only(&[]), &ctx);
+            let rows = (0..4).flat_map(|i| [0.25 * i as f64, 0., 0., 0., 0., 0., 0., i as f64]);
+            let chunk = PackedChunk::new(make_particle_pg(comm.rank() as u64, 0, rows.collect()));
+            let mapped = op.map(&chunk, &ctx);
+            complete_pipeline(op.as_mut(), mapped, &ctx)
+        })
+    }
+
+    #[test]
+    fn a_bp_output_that_cannot_be_written_is_counted_not_raised() {
+        let dir = broken_out_dir("bp");
+        let before = output_errors("histogram");
+        let results =
+            run_with_out_dirs(|| Box::new(HistogramOp::new(vec![0], 4)), vec![dir.clone()]);
+        assert!(results[0].files.is_empty());
+        assert_eq!(
+            results[0].values.get("hist_x"),
+            Some(&Value::ArrU64(vec![1, 1, 1, 1]))
+        );
+        assert_eq!(output_errors("histogram"), before + 1);
+        std::fs::remove_file(dir).unwrap();
+    }
+
+    #[test]
+    fn an_index_blob_that_cannot_be_written_is_counted_not_raised() {
+        let dir = broken_out_dir("idx");
+        let before = output_errors("bitmap_index");
+        let results = run_with_out_dirs(|| Box::new(BitmapIndexOp::new(0, 4)), vec![dir.clone()]);
+        assert!(results[0].files.is_empty());
+        assert_eq!(results[0].values.get_u64("indexed_chunks"), Some(1));
+        assert_eq!(results[0].values.get_u64("indexed_rows"), Some(4));
+        assert!(results[0].values.get_u64("index_bytes").is_some());
+        assert_eq!(output_errors("bitmap_index"), before + 1);
+        std::fs::remove_file(dir).unwrap();
+    }
+
+    /// Only rank 1's directory is broken: `SortOp::finalize`'s collectives
+    /// run before the write on both ranks, so rank 0 is not left waiting.
+    #[test]
+    fn one_rank_s_broken_directory_strands_no_peer() {
+        let broken = broken_out_dir("sort");
+        let good = std::env::temp_dir().join(format!("kit-sort-ok-{}", std::process::id()));
+        std::fs::create_dir_all(&good).unwrap();
+        let before = output_errors("sort");
+        let dirs = vec![good.clone(), broken.clone()];
+        let results = run_with_out_dirs(|| Box::new(SortOp::new()), dirs);
+        assert_eq!(results[0].files.len(), 1);
+        assert!(results[1].files.is_empty());
+        for r in &results {
+            assert_eq!(r.values.get_u64("np_total"), Some(8));
+            assert!(
+                r.values.get_u64("np_sorted").is_some() && r.values.get_u64("offset").is_some()
+            );
+        }
+        assert_eq!(output_errors("sort"), before + 1);
+        std::fs::remove_file(broken).unwrap();
+        std::fs::remove_dir_all(good).unwrap();
+    }
+}

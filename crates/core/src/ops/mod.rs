@@ -7,9 +7,10 @@
 //!   bitmap indexing for range queries over particle attributes
 //!   (GTC task 2, after Sinha & Winslett).
 //! * [`histogram::HistogramOp`] — per-attribute 1-D histograms for online
-//!   monitoring (GTC task 3).
-//! * [`histogram2d::Histogram2dOp`] — 2-D histograms for parallel-
-//!   coordinate visualization (GTC task 3).
+//!   monitoring (GTC task 3) — and [`histogram::Histogram2dOp`] — 2-D
+//!   histograms for parallel-coordinate visualization (GTC task 3): one
+//!   implementation, [`histogram::BinnedCountOp`], with one or two
+//!   attribute columns per key.
 //! * [`reorg::ReorgOp`] — array-layout re-organization: merges scattered
 //!   per-process chunks of global arrays into large contiguous extents
 //!   before writing (Pixie3D).
@@ -19,19 +20,23 @@
 //! * [`moments::MomentsOp`] — streaming mean/variance/skewness per
 //!   attribute, the "statistical measures that can be used to validate
 //!   the veracity of the ongoing simulation".
+//!
+//! What they share — the bin formula, the global-range look-up, the
+//! compute-side [`attach_particle_stats`] and the one writer of operator
+//! outputs — is the private `kit` module.
 
 pub mod bitmap;
 pub mod filter;
 pub mod histogram;
-pub mod histogram2d;
+mod kit;
 pub mod moments;
 pub mod reorg;
 pub mod sort;
 
 pub use bitmap::{BitmapIndex, BitmapIndexOp, IndexSet};
 pub use filter::{FilterOp, RangeClause};
-pub use histogram::HistogramOp;
-pub use histogram2d::Histogram2dOp;
+pub use histogram::{Histogram2dOp, HistogramOp};
+pub use kit::attach_particle_stats;
 pub use moments::{MomentState, MomentsOp};
 pub use reorg::ReorgOp;
 pub use sort::SortOp;

@@ -202,10 +202,7 @@ impl StreamOp for MomentsOp {
     }
 
     fn finalize(&mut self, _ctx: &OpCtx) -> OpResult {
-        let mut result = OpResult {
-            op: "moments".into(),
-            ..Default::default()
-        };
+        let mut result = OpResult::new("moments");
         for (tag, st) in self.owned.drain(..) {
             let name = PARTICLE_ATTRS[tag as usize];
             result.values.set(format!("count_{name}"), Value::F64(st.n));

@@ -199,10 +199,7 @@ impl StreamOp for ReorgOp {
     }
 
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
-        let mut result = OpResult {
-            op: "reorg".into(),
-            ..Default::default()
-        };
+        let mut result = OpResult::new("reorg");
         result.values.set("slab_lo", Value::U64(self.slab.0));
         result.values.set("slab_hi", Value::U64(self.slab.1));
 
@@ -229,33 +226,28 @@ impl StreamOp for ReorgOp {
             ));
         }
         let def = bpio::GroupDef::new("merged", vars).expect("static group");
-        if let Ok(mut w) = bpio::BpWriter::create(&path) {
-            w.annotate("layout", "merged");
-            w.annotate("prepared_by", "predata/reorg");
-            let mut pg = bpio::ProcessGroup::new("merged", ctx.my_rank() as u64, ctx.step);
-            for (name, val) in [
-                ("gx", self.global[0]),
-                ("gy", self.global[1]),
-                ("gz", self.global[2]),
-                ("lo", self.slab.0),
-                ("rows", slab_rows),
-            ] {
-                pg.write(&def, name, DataArray::U64(vec![val])).unwrap();
-            }
-            // The slabs are lent to the PG for the write (the writer
-            // borrows them again for its vectored write) and taken back.
-            let first_slab = pg.vars.len();
-            for (v, slab) in self.vars.iter().zip(&mut self.buffers) {
-                pg.write(&def, v, DataArray::F64(std::mem::take(slab)))
-                    .unwrap();
-            }
-            if w.append_pg(&pg).is_ok() && w.finish().is_ok() {
-                result.files.push(path);
-            }
-            for (slab, var) in self.buffers.iter_mut().zip(pg.vars.drain(first_slab..)) {
-                if let DataArray::F64(data) = var.data {
-                    *slab = data;
-                }
+        let mut pg = bpio::ProcessGroup::new("merged", ctx.my_rank() as u64, ctx.step);
+        for (name, val) in [
+            ("gx", self.global[0]),
+            ("gy", self.global[1]),
+            ("gz", self.global[2]),
+            ("lo", self.slab.0),
+            ("rows", slab_rows),
+        ] {
+            pg.write(&def, name, DataArray::U64(vec![val])).unwrap();
+        }
+        // The slabs are lent to the PG for the write (the writer
+        // borrows them again for its vectored write) and taken back.
+        let first_slab = pg.vars.len();
+        for (v, slab) in self.vars.iter().zip(&mut self.buffers) {
+            pg.write(&def, v, DataArray::F64(std::mem::take(slab)))
+                .unwrap();
+        }
+        let annotations = [("layout", "merged"), ("prepared_by", "predata/reorg")];
+        super::kit::write_output(&mut result, path, &annotations, &pg);
+        for (slab, var) in self.buffers.iter_mut().zip(pg.vars.drain(first_slab..)) {
+            if let DataArray::F64(data) = var.data {
+                *slab = data;
             }
         }
         result

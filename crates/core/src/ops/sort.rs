@@ -178,10 +178,7 @@ impl StreamOp for SortOp {
         let offset = ctx.comm.exscan(my_rows, 0, |a, b| a + b);
         let total: u64 = ctx.comm.allreduce(my_rows, |a, b| a + b);
 
-        let mut result = OpResult {
-            op: "sort".into(),
-            ..Default::default()
-        };
+        let mut result = OpResult::new("sort");
         result.values.set("np_sorted", Value::U64(my_rows));
         result.values.set("np_total", Value::U64(total));
         result.values.set("offset", Value::U64(offset));
@@ -206,28 +203,19 @@ impl StreamOp for SortOp {
             ],
         )
         .expect("static group");
-        if let Ok(mut w) = bpio::BpWriter::create(&path) {
-            w.annotate("sorted_by", "label");
-            w.annotate("prepared_by", "predata/sort");
-            let mut pg =
-                bpio::ProcessGroup::new("sorted_particles", ctx.my_rank() as u64, ctx.step);
-            pg.write(&def, "np", bpio::DataArray::U64(vec![my_rows]))
+        let mut pg = bpio::ProcessGroup::new("sorted_particles", ctx.my_rank() as u64, ctx.step);
+        for (name, val) in [("np", my_rows), ("total", total), ("offset", offset)] {
+            pg.write(&def, name, bpio::DataArray::U64(vec![val]))
                 .unwrap();
-            pg.write(&def, "total", bpio::DataArray::U64(vec![total]))
-                .unwrap();
-            pg.write(&def, "offset", bpio::DataArray::U64(vec![offset]))
-                .unwrap();
-            pg.write(
-                &def,
-                "particles",
-                bpio::DataArray::F64(std::mem::take(&mut self.sorted)),
-            )
-            .unwrap();
-            if w.append_pg(&pg).is_ok() && w.finish().is_ok() {
-                result.files.push(path);
-            }
         }
-        self.sorted = Vec::new();
+        pg.write(
+            &def,
+            "particles",
+            bpio::DataArray::F64(std::mem::take(&mut self.sorted)),
+        )
+        .unwrap();
+        let annotations = [("sorted_by", "label"), ("prepared_by", "predata/sort")];
+        super::kit::write_output(&mut result, path, &annotations, &pg);
         result
     }
 }

@@ -5,14 +5,18 @@
 //! allocation aborts rather than unwinds, so this test binary dying *is*
 //! the failure report for it.
 //!
-//! Four kinds of input — a PG block, a packed chunk, a footer index and a
-//! whole BP file — each go through every single-site damage (a sweep,
-//! so the count fields and the footer's length are certainly hit) and
-//! through seeded multi-site damage.
+//! Five kinds of input — a PG block, a packed chunk, a footer index, a
+//! whole BP file and a bitmap-index `.idx` file — each go through every
+//! single-site damage (a sweep, so the count fields and the footer's
+//! length are certainly hit) and through seeded multi-site damage.
 
 use predata::bpio::{
     BpReader, BpWriter, DataArray, Dim, Dtype, FileIndex, GroupDef, ProcessGroup, VarDef,
 };
+use predata::core::agg::Aggregates;
+use predata::core::op::{complete_pipeline, OpCtx, StreamOp};
+use predata::core::ops::{BitmapIndex, BitmapIndexOp, IndexSet};
+use predata::core::schema::make_particle_pg;
 use predata::core::PackedChunk;
 use proptest::prelude::*;
 
@@ -70,15 +74,52 @@ fn sample_file() -> &'static (Vec<u8>, Vec<u8>) {
     })
 }
 
+/// The bytes of the `.idx` file `BitmapIndexOp::finalize` writes for two
+/// chunks: `[count u32]` then per chunk `[rank u64][len u32][index]`.
+fn sample_idx() -> &'static Vec<u8> {
+    static IDX: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    IDX.get_or_init(|| {
+        let (_world, comms) = predata::minimpi::World::with_size(1);
+        let dir = scratch("idx").with_extension("");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ctx = OpCtx {
+            comm: &comms[0],
+            out_dir: &dir,
+            step: 0,
+            n_compute: 2,
+            agg: None,
+        };
+        let mut op = BitmapIndexOp::new(0, 3);
+        op.initialize(&Aggregates::local_only(&[]), &ctx);
+        let mut mapped = Vec::new();
+        for rank in 0..2u64 {
+            let rows = (0..70).flat_map(|i| [(i % 9) as f64 / 8.0, 0., 0., 0., 0., 0., 0., 0.]);
+            let chunk = PackedChunk::new(make_particle_pg(rank, 0, rows.collect()));
+            mapped.extend(op.map(&chunk, &ctx));
+        }
+        let result = complete_pipeline(&mut op, mapped, &ctx);
+        let bytes = std::fs::read(&result.files[0]).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        bytes
+    })
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Input {
     Block,
     Chunk,
     Footer,
     File,
+    Idx,
 }
 
-const INPUTS: [Input; 4] = [Input::Block, Input::Chunk, Input::Footer, Input::File];
+const INPUTS: [Input; 5] = [
+    Input::Block,
+    Input::Chunk,
+    Input::Footer,
+    Input::File,
+    Input::Idx,
+];
 
 fn valid(input: Input) -> Vec<u8> {
     match input {
@@ -86,6 +127,7 @@ fn valid(input: Input) -> Vec<u8> {
         Input::Chunk => PackedChunk::new(sample_pg(1)).pack().unwrap(),
         Input::Footer => sample_file().1.clone(),
         Input::File => sample_file().0.clone(),
+        Input::Idx => sample_idx().clone(),
     }
 }
 
@@ -115,6 +157,17 @@ fn consume(input: Input, bytes: &[u8], tag: &str) {
                         drop(r.read_local(name, step, 1));
                     }
                 }
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+        Input::Idx => {
+            // The first chunk's index lies behind the 16-byte file and
+            // chunk headers.
+            drop(BitmapIndex::from_bytes(bytes.get(16..).unwrap_or(bytes)));
+            let path = scratch(tag).with_extension("idx");
+            std::fs::write(&path, bytes).unwrap();
+            if let Ok(set) = IndexSet::load([path.clone()]) {
+                drop(set.plan(0.25, 0.75));
             }
             std::fs::remove_file(&path).unwrap();
         }
