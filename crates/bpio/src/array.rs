@@ -162,30 +162,25 @@ impl DataArray {
 
     /// (min, max) of the elements, widened to f64 — the per-chunk
     /// characteristics stored in the footer index. Empty arrays give None.
+    ///
+    /// The result is the in-order fold's (keep `x` if `x < lo`, `x > hi`):
+    /// a NaN first element gives `(NaN, NaN)`, a later NaN never wins, and
+    /// of the elements equal to an extreme the first one seen is kept —
+    /// which only shows for ±0.0. Integer extremes are exact.
     pub fn min_max(&self) -> Option<(f64, f64)> {
-        fn mm<T: Copy + PartialOrd, F: Fn(T) -> f64>(v: &[T], to: F) -> Option<(f64, f64)> {
-            if v.is_empty() {
-                return None;
-            }
-            let mut lo = v[0];
-            let mut hi = v[0];
-            for &x in &v[1..] {
-                if x < lo {
-                    lo = x;
-                }
-                if x > hi {
-                    hi = x;
-                }
-            }
-            Some((to(lo), to(hi)))
+        fn ints<T: Copy + PartialOrd>(v: &[T], to: fn(T) -> f64) -> Option<(f64, f64)> {
+            lane_min_max(v).map(|(lo, hi)| (to(lo), to(hi)))
+        }
+        fn floats<T: Copy + PartialOrd + Default>(v: &[T], to: fn(T) -> f64) -> Option<(f64, f64)> {
+            lane_min_max(v).map(|(lo, hi)| (to(first_zero(v, lo)), to(first_zero(v, hi))))
         }
         match self {
-            DataArray::F32(v) => mm(v, |x| x as f64),
-            DataArray::F64(v) => mm(v, |x| x),
-            DataArray::I32(v) => mm(v, |x| x as f64),
-            DataArray::I64(v) => mm(v, |x| x as f64),
-            DataArray::U32(v) => mm(v, |x| x as f64),
-            DataArray::U64(v) => mm(v, |x| x as f64),
+            DataArray::F32(v) => floats(v, f64::from),
+            DataArray::F64(v) => floats(v, |x| x),
+            DataArray::I32(v) => ints(v, f64::from),
+            DataArray::I64(v) => ints(v, |x| x as f64),
+            DataArray::U32(v) => ints(v, f64::from),
+            DataArray::U64(v) => ints(v, |x| x as f64),
         }
     }
 
@@ -202,6 +197,46 @@ impl DataArray {
             _ => None,
         }
     }
+}
+
+/// Independent running extremes in [`lane_min_max`]: enough to fill a
+/// vector register's worth of compares, with no chain between lanes.
+const LANES: usize = 8;
+
+/// The extreme *values* of `v` under the in-order fold's strict compares,
+/// folded in [`LANES`] lanes that each start from `v[0]` and are merged
+/// at the end. A NaN `v[0]` stays in every lane, a later NaN never enters
+/// one. Which of two equal elements a lane keeps is not the fold's
+/// choice; only ±0.0 can tell, and [`first_zero`] settles it.
+fn lane_min_max<T: Copy + PartialOrd>(v: &[T]) -> Option<(T, T)> {
+    let (&first, rest) = v.split_first()?;
+    let (mut lo, mut hi) = ([first; LANES], [first; LANES]);
+    let mut fold = |lane: usize, x: T| {
+        lo[lane] = if x < lo[lane] { x } else { lo[lane] };
+        hi[lane] = if x > hi[lane] { x } else { hi[lane] };
+    };
+    let mut blocks = rest.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (lane, &x) in block.iter().enumerate() {
+            fold(lane, x);
+        }
+    }
+    for (lane, &x) in blocks.remainder().iter().enumerate() {
+        fold(lane, x);
+    }
+    let lo = lo.into_iter().fold(first, |m, x| if x < m { x } else { m });
+    let hi = hi.into_iter().fold(first, |m, x| if x > m { x } else { m });
+    Some((lo, hi))
+}
+
+/// The element the in-order fold keeps for extreme `m`: the first one
+/// equal to it. Only a zero has a twin that compares equal (−0.0 vs
+/// 0.0), so any other `m` is already that element.
+fn first_zero<T: Copy + PartialOrd + Default>(v: &[T], m: T) -> T {
+    if m != T::default() {
+        return m;
+    }
+    v.iter().copied().find(|&x| x == m).unwrap_or(m)
 }
 
 /// Element count of a box with the given extents.
@@ -514,6 +549,134 @@ mod tests {
         );
         assert_eq!(DataArray::U32(vec![]).min_max(), None);
         assert_eq!(DataArray::I64(vec![5]).min_max(), Some((5.0, 5.0)));
+    }
+
+    /// The in-order scalar fold `min_max` must equal to the bit.
+    fn scalar_min_max(a: &DataArray) -> Option<(f64, f64)> {
+        fn mm<T: Copy + PartialOrd>(v: &[T], to: fn(T) -> f64) -> Option<(f64, f64)> {
+            let (&first, rest) = v.split_first()?;
+            let (mut lo, mut hi) = (first, first);
+            for &x in rest {
+                if x < lo {
+                    lo = x;
+                }
+                if x > hi {
+                    hi = x;
+                }
+            }
+            Some((to(lo), to(hi)))
+        }
+        match a {
+            DataArray::F32(v) => mm(v, f64::from),
+            DataArray::F64(v) => mm(v, |x| x),
+            DataArray::I32(v) => mm(v, f64::from),
+            DataArray::I64(v) => mm(v, |x| x as f64),
+            DataArray::U32(v) => mm(v, f64::from),
+            DataArray::U64(v) => mm(v, |x| x as f64),
+        }
+    }
+
+    fn bits(mm: Option<(f64, f64)>) -> Option<(u64, u64)> {
+        mm.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+    }
+
+    /// Floats that tie (±0.0), never compare (NaN) or bound everything
+    /// (±∞), drawn often enough that every lane sees them.
+    fn odd_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            prop::sample::select(vec![
+                f64::NAN,
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.5,
+                -1.5,
+            ]),
+            -1e3f64..1e3,
+        ]
+    }
+
+    /// One array of `dtype`-like elements derived from `xs`, every dtype
+    /// taking the same positions of ties and extremes.
+    fn of_dtype(dtype: Dtype, xs: &[f64], ints: &[u64]) -> DataArray {
+        match dtype {
+            Dtype::F32 => DataArray::F32(xs.iter().map(|&x| x as f32).collect()),
+            Dtype::F64 => DataArray::F64(xs.to_vec()),
+            Dtype::I32 => DataArray::I32(ints.iter().map(|&i| i as i32).collect()),
+            Dtype::I64 => DataArray::I64(ints.iter().map(|&i| i as i64).collect()),
+            Dtype::U32 => DataArray::U32(ints.iter().map(|&i| i as u32).collect()),
+            Dtype::U64 => DataArray::U64(ints.to_vec()),
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn lane_min_max_is_the_in_order_fold(
+            xs in prop::collection::vec(odd_f64(), 0..=40),
+            ints in prop::collection::vec(
+                prop_oneof![prop::sample::select(vec![0, 1, u64::MAX, 1 << 31, 1 << 63]), any::<u64>()],
+                0..=40,
+            ),
+            nan_at in 0usize..40,
+            sign in 0u8..3,
+        ) {
+            // As drawn, or folded to one sign so that a zero is often the
+            // min (or the max) — the folds keep ±0.0 apart.
+            let xs: Vec<f64> = match sign {
+                0 => xs,
+                1 => xs.into_iter().map(|x| if x < 0.0 { -x } else { x }).collect(),
+                _ => xs.into_iter().map(|x| if x > 0.0 { -x } else { x }).collect(),
+            };
+            // As drawn, with a NaN at index 0, with one at `nan_at`, and
+            // with every element NaN.
+            let mut at_k = xs.clone();
+            if let Some(x) = at_k.get_mut(nan_at) {
+                *x = f64::NAN;
+            }
+            let mut at_0 = xs.clone();
+            if let Some(x) = at_0.first_mut() {
+                *x = f64::NAN;
+            }
+            let cases = [xs.clone(), at_k, at_0, vec![f64::NAN; xs.len()]];
+            for dtype in [Dtype::F32, Dtype::F64, Dtype::I32, Dtype::I64, Dtype::U32, Dtype::U64] {
+                for case in &cases {
+                    let a = of_dtype(dtype, case, &ints);
+                    prop_assert_eq!(bits(a.min_max()), bits(scalar_min_max(&a)), "{:?}", a);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_ties_keep_the_first_seen() {
+        for (v, lo, hi) in [
+            (vec![0.0, -0.0], 0.0f64, 0.0f64),
+            (vec![-0.0, 0.0], -0.0, -0.0),
+            // The first zero sits in a later lane than the second (lane 5
+            // of the first block against lane 2 of the next).
+            (
+                [vec![1.0; 6], vec![-0.0], vec![1.0; 4], vec![0.0]].concat(),
+                -0.0,
+                1.0,
+            ),
+            (
+                [vec![-1.0; 6], vec![0.0], vec![-1.0; 4], vec![-0.0]].concat(),
+                -1.0,
+                0.0,
+            ),
+        ] {
+            let (got_lo, got_hi) = DataArray::F64(v.clone()).min_max().unwrap();
+            assert_eq!(
+                (got_lo.to_bits(), got_hi.to_bits()),
+                (lo.to_bits(), hi.to_bits()),
+                "{v:?}"
+            );
+        }
     }
 
     #[test]

@@ -58,6 +58,28 @@ impl CompressedBitmap {
         self.len_bits = i + 1;
     }
 
+    /// The bitmap whose `w`-th 64-bit word is the `w`-th item of `words`:
+    /// the runs, `last_word` and `len_bits` that pushing its set bits in
+    /// order would leave.
+    fn from_words(words: impl Iterator<Item = u64> + Clone) -> Self {
+        let mut bm = CompressedBitmap {
+            runs: Vec::with_capacity(words.clone().filter(|&w| w != 0).count()),
+            ..Self::default()
+        };
+        for (w, word) in words.enumerate().filter(|&(_, word)| word != 0) {
+            let w = w as u64;
+            let skipped = if bm.runs.is_empty() {
+                w
+            } else {
+                w - bm.last_word - 1
+            };
+            bm.runs.push((skipped as u32, word));
+            bm.last_word = w;
+            bm.len_bits = 64 * w + 64 - u64::from(word.leading_zeros());
+        }
+        bm
+    }
+
     /// Number of set bits.
     pub fn count(&self) -> u64 {
         self.runs.iter().map(|(_, w)| w.count_ones() as u64).sum()
@@ -143,14 +165,28 @@ pub struct BitmapIndex {
 
 impl BitmapIndex {
     /// Build over `values`, binning `[lo, hi]` into `n_bins`.
+    ///
+    /// Dense, then compressed: each row's bin is computed once and its
+    /// bit OR-ed into an uncompressed word matrix, which each bin's
+    /// bitmap then compresses in one pass over its own words. The matrix
+    /// is word-major (the `n_bins` words covering rows `64w..64w + 64`
+    /// side by side), so it grows by one such row per 64 values and the
+    /// row count need not be known up front.
     pub fn build(values: impl Iterator<Item = f64>, lo: f64, hi: f64, n_bins: usize) -> Self {
         assert!(n_bins > 0);
-        let mut bins = vec![CompressedBitmap::new(); n_bins];
-        let mut n_rows = 0;
-        for (i, v) in values.enumerate() {
-            bins[bin_index(lo, hi, n_bins, v)].push(i as u64);
+        let mut dense: Vec<u64> = Vec::with_capacity(values.size_hint().0.div_ceil(64) * n_bins);
+        let mut n_rows = 0u64;
+        for v in values {
+            if n_rows.is_multiple_of(64) {
+                dense.resize(dense.len() + n_bins, 0);
+            }
+            let word = dense.len() - n_bins + bin_index(lo, hi, n_bins, v);
+            dense[word] |= 1 << (n_rows % 64);
             n_rows += 1;
         }
+        let bins = (0..n_bins)
+            .map(|b| CompressedBitmap::from_words(dense.iter().skip(b).step_by(n_bins).copied()))
+            .collect();
         BitmapIndex {
             lo,
             hi,
@@ -436,6 +472,56 @@ impl StreamOp for BitmapIndexOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-row reference `build` must equal: push each row's bit into
+    /// its bin's bitmap, in row order.
+    fn build_by_push(values: &[f64], lo: f64, hi: f64, n_bins: usize) -> BitmapIndex {
+        let mut bins = vec![CompressedBitmap::new(); n_bins];
+        for (i, &v) in values.iter().enumerate() {
+            bins[bin_index(lo, hi, n_bins, v)].push(i as u64);
+        }
+        BitmapIndex {
+            lo,
+            hi,
+            bins,
+            n_rows: values.len() as u64,
+        }
+    }
+
+    /// Row counts at and around each word boundary, and any up to 2 000.
+    fn arb_values() -> impl Strategy<Value = Vec<f64>> {
+        let n = prop_oneof![
+            prop::sample::select(vec![0usize, 1, 63, 64, 65, 127, 128, 129]),
+            0usize..=2000,
+        ];
+        let v = || {
+            prop_oneof![
+                prop::sample::select(vec![f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY]),
+                -2.0f64..12.0,
+            ]
+        };
+        n.prop_flat_map(move |n| prop::collection::vec(v(), n..=n))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dense_build_is_the_per_row_push(
+            values in arb_values(),
+            n_bins in 1usize..=40,
+            // A range with width, and one with none (`hi <= lo`).
+            range in prop_oneof![Just((0.0, 10.0)), (-1.0f64..5.0, -1.0f64..5.0)],
+        ) {
+            let (lo, hi) = range;
+            let got = BitmapIndex::build(values.iter().copied(), lo, hi, n_bins);
+            let expect = build_by_push(&values, lo, hi, n_bins);
+            prop_assert_eq!(got.to_bytes(), expect.to_bytes());
+            prop_assert_eq!(got.heap_bytes(), expect.heap_bytes());
+            prop_assert_eq!(got.bins, expect.bins);
+        }
+    }
 
     #[test]
     fn bitmap_push_iter_roundtrip() {

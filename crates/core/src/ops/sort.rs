@@ -35,9 +35,15 @@ pub struct SortOp {
     /// Number of compute ranks (key-space upper bound), from `initialize`.
     n_compute_hint: u64,
     /// Rows received for this rank's key range, sorted in `reduce`.
+    /// `finalize` lends it to the output process group and, where
+    /// [`keeps_buffers`], takes it back empty, so a warm step allocates no
+    /// output.
     sorted: Vec<f64>,
     /// Total particles across all ranks, from aggregation.
     total: u64,
+    /// `reduce`'s `(key, blob, row)` triples and the radix sort's second
+    /// vector, kept for their capacity where [`keeps_buffers`].
+    slots: [Vec<Slot>; 2],
 }
 
 impl SortOp {
@@ -46,6 +52,7 @@ impl SortOp {
             n_compute_hint: 1,
             sorted: Vec::new(),
             total: 0,
+            slots: [Vec::new(), Vec::new()],
         }
     }
 
@@ -54,6 +61,67 @@ impl SortOp {
     #[cfg(test)]
     fn bucket(&self, key: u64, n_ranks: usize) -> usize {
         bucket_of(key, self.n_compute_hint, n_ranks)
+    }
+}
+
+/// Whether the operator's buffers outlive the step: only on a staging
+/// partition, which has fewer ranks than there are compute ranks. There
+/// a rank sorts several compute ranks' rows, a buffer of megabytes that
+/// the allocator would map, and fault in, afresh every step, and the
+/// node's memory is the operators'. Where the pipeline runs on the
+/// compute ranks themselves, a rank's share is small enough to come from
+/// memory the allocator already holds, and a kept buffer only takes
+/// memory from the simulation: eight ranks keeping theirs raised the
+/// in-compute GTC benchmark's peak RSS by 13 % and bought no speed.
+fn keeps_buffers(ctx: &OpCtx) -> bool {
+    ctx.n_ranks() < ctx.n_compute
+}
+
+/// A row's place in `reduce`'s input: its sort key, then the blob and
+/// the row within it that hold it.
+type Slot = (u64, u32, u32);
+
+/// Bits per radix digit: four digits span a `u64` key.
+const DIGIT_BITS: u32 = 16;
+
+/// Stable sort of `slots` by key: an LSD radix sort over the 16-bit
+/// digits that differ somewhere among the keys, ping-ponging between
+/// `slots` and `spare` and leaving the result in `slots`. A digit every
+/// key shares orders nothing, so it costs no pass — GTC labels vary in
+/// bits 0–13 (id) and 32–34 (rank) only, which leaves two passes of
+/// four. A pass buckets by the digit's varying bits alone (the rest are
+/// the same in every key, so the order is the digit's): 2^14 buckets for
+/// the id pass, 8 for the rank pass, where the whole digit would need
+/// 2^16.
+fn radix_sort_by_key(slots: &mut Vec<Slot>, spare: &mut Vec<Slot>) {
+    let Some(&(first, ..)) = slots.first() else {
+        return;
+    };
+    let varying = slots.iter().fold(0, |acc, &(key, ..)| acc | (key ^ first));
+    let digit_mask = (1u64 << DIGIT_BITS) - 1;
+    // Exact growth, as for every buffer `SortOp` keeps (see `reduce`).
+    spare.reserve_exact(slots.len().saturating_sub(spare.len()));
+    for shift in (0..u64::BITS).step_by(DIGIT_BITS as usize) {
+        let bits = (varying >> shift) & digit_mask;
+        if bits == 0 {
+            continue;
+        }
+        let bucket = |key: u64| ((key >> shift) & bits) as usize;
+        let mut starts = vec![0usize; bits as usize + 1];
+        for &(key, ..) in slots.iter() {
+            starts[bucket(key)] += 1;
+        }
+        let mut next = 0;
+        for start in &mut starts {
+            (*start, next) = (next, next + *start);
+        }
+        spare.resize(slots.len(), (0, 0, 0));
+        for &slot in slots.iter() {
+            let b = bucket(slot.0);
+            spare[starts[b]] = slot;
+            starts[b] += 1;
+        }
+        std::mem::swap(slots, spare);
     }
 }
 
@@ -144,15 +212,21 @@ impl StreamOp for SortOp {
         (tag as usize).min(n_ranks - 1)
     }
 
-    /// Sorts `(key, blob, row)` triples and gathers each row once into
-    /// the one output buffer `finalize` hands to the writer. Equal keys
-    /// keep arrival order — blob order (the shuffle delivers blobs in
-    /// source-rank order), then row order within a blob — so the result
+    /// Radix-sorts `(key, blob, row)` triples by key and gathers each row
+    /// once into the kept output buffer `finalize` lends to the writer.
+    /// The triples are built in arrival order — blob order (the shuffle
+    /// delivers blobs in source-rank order), then row order within a
+    /// blob — and the sort is stable, so equal keys keep it: the result
     /// is the stable sort of the concatenated blobs.
-    fn reduce(&mut self, _tag: u64, items: Vec<bytes::Bytes>, _ctx: &OpCtx) {
+    fn reduce(&mut self, _tag: u64, items: Vec<bytes::Bytes>, ctx: &OpCtx) {
         assert!(items.len() <= u32::MAX as usize, "blob index fits u32");
         let total_rows: usize = items.iter().map(|b| b.len() / ROW_BYTES).sum();
-        let mut order: Vec<(u64, u32, u32)> = Vec::with_capacity(total_rows);
+        let [order, spare] = &mut self.slots;
+        // Kept buffers grow to exactly what the step needs: `reserve`'s
+        // doubling would leave a step with a few more rows than the last
+        // holding twice the memory, resident on every rank for good.
+        order.clear();
+        order.reserve_exact(total_rows);
         for (b, blob) in items.iter().enumerate() {
             assert!(
                 blob.len() / ROW_BYTES <= u32::MAX as usize,
@@ -163,13 +237,17 @@ impl StreamOp for SortOp {
                 order.push((key, b as u32, r as u32));
             }
         }
-        order.sort_unstable();
-        let mut sorted = Vec::with_capacity(total_rows * PARTICLE_WIDTH);
-        for (_, b, r) in order {
+        radix_sort_by_key(order, spare);
+        self.sorted.clear();
+        self.sorted.reserve_exact(total_rows * PARTICLE_WIDTH);
+        for &(_, b, r) in order.iter() {
             let row = &items[b as usize][r as usize * ROW_BYTES..][..ROW_BYTES];
-            sorted.extend((0..PARTICLE_WIDTH).map(|c| le_f64(row, c)));
+            self.sorted
+                .extend((0..PARTICLE_WIDTH).map(|c| le_f64(row, c)));
         }
-        self.sorted = sorted;
+        if !keeps_buffers(ctx) {
+            self.slots = Default::default();
+        }
     }
 
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
@@ -208,6 +286,8 @@ impl StreamOp for SortOp {
             pg.write(&def, name, bpio::DataArray::U64(vec![val]))
                 .unwrap();
         }
+        // The rows are lent to the PG for the write and, where kept, taken
+        // back empty for the next step's `reduce` to fill.
         pg.write(
             &def,
             "particles",
@@ -216,6 +296,12 @@ impl StreamOp for SortOp {
         .unwrap();
         let annotations = [("sorted_by", "label"), ("prepared_by", "predata/sort")];
         super::kit::write_output(&mut result, path, &annotations, &pg);
+        if let Some(bpio::DataArray::F64(mut rows)) = pg.vars.pop().map(|v| v.data) {
+            if keeps_buffers(ctx) {
+                rows.clear();
+                self.sorted = rows;
+            }
+        }
         result
     }
 }
@@ -260,6 +346,57 @@ mod tests {
         })
     }
 
+    /// Blobs of rows keyed so that each of the four 16-bit key digits is,
+    /// per case, either one value for every row or drawn over its whole
+    /// range: `free` bit `d` frees digit `d`. The label is the key split
+    /// into its rank (high 32 bits) and id (low 32 bits); column 0 numbers
+    /// the rows, so a tie broken out of order shows in the output.
+    fn arb_keyed_blobs() -> impl Strategy<Value = Vec<Vec<f64>>> {
+        let base = prop_oneof![Just(u64::MAX), Just(u64::MAX - 1), Just(0u64), any::<u64>()];
+        (0u32..16, base, any::<bool>()).prop_flat_map(|(free, base, repeat)| {
+            let free: u64 = (0..4)
+                .filter(|d| free >> d & 1 == 1)
+                .map(|d| 0xffff << (16 * d))
+                .sum();
+            let key = move || any::<u64>().prop_map(move |r| (base & !free) | (r & free));
+            let n_rows = prop_oneof![Just(0usize), Just(1usize), 0usize..=300];
+            let blob = n_rows.prop_flat_map(move |n| prop::collection::vec(key(), n..=n));
+            (
+                prop::collection::vec(blob, 0..=5),
+                prop::collection::vec(key(), 1..=3),
+            )
+                .prop_map(move |(blobs, pool)| {
+                    let mut seq = 0.0;
+                    blobs
+                        .into_iter()
+                        .map(|keys| {
+                            keys.into_iter()
+                                .flat_map(|k| {
+                                    let k = if repeat {
+                                        pool[k as usize % pool.len()]
+                                    } else {
+                                        k
+                                    };
+                                    seq += 1.0;
+                                    let (rank, id) = ((k >> 32) as f64, (k & 0xffff_ffff) as f64);
+                                    [seq, -0.0, f64::NAN, 0.0, 0.0, 0.0, rank, id]
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+        })
+    }
+
+    /// A fresh directory under the system temp dir for one test case.
+    fn case_dir(tag: &str) -> std::path::PathBuf {
+        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("sort-radix-{tag}-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     fn le_bytes(rows: &[f64]) -> Vec<u8> {
         rows.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
@@ -297,6 +434,64 @@ mod tests {
             let items = blobs.iter().map(|b| le_bytes(b).into()).collect();
             op.reduce(0, items, &ctx);
             prop_assert_eq!(bits(&op.sorted), bits(&expect));
+        }
+
+        /// The same reference with keys whose 16-bit digits are, case by
+        /// case, each either shared by every row or free over its whole
+        /// range — so every radix pass, and every skipped one, is
+        /// exercised — near `u64::MAX` as well as near 0, and often
+        /// repeated. A second step of the same op with fewer rows must
+        /// write what a fresh op writes: the kept output buffer carries
+        /// nothing over.
+        #[test]
+        fn radix_reduce_is_the_stable_sort_over_every_digit_mix(
+            blobs in arb_keyed_blobs(),
+        ) {
+            let rows = |blobs: &[Vec<f64>]| -> Vec<f64> {
+                let mut rows: Vec<[f64; PARTICLE_WIDTH]> = blobs
+                    .iter()
+                    .flat_map(|b| b.chunks_exact(PARTICLE_WIDTH))
+                    .map(|r| r.try_into().unwrap())
+                    .collect();
+                rows.sort_by_key(|r| particle_key(r));
+                rows.into_iter().flatten().collect()
+            };
+            let (_world, comms) = World::with_size(1);
+            let dirs = [case_dir("kept"), case_dir("fresh")];
+            // One staging rank serving two compute ranks: buffers are kept.
+            let ctx = |dir| OpCtx {
+                comm: &comms[0],
+                out_dir: dir,
+                step: 1,
+                n_compute: 2,
+                agg: None,
+            };
+            let items = |blobs: &[Vec<f64>]| blobs.iter().map(|b| le_bytes(b).into()).collect();
+
+            let mut kept = SortOp::new();
+            kept.reduce(0, items(&blobs), &ctx(&dirs[0]));
+            prop_assert_eq!(bits(&kept.sorted), bits(&rows(&blobs)));
+            let _ = kept.finalize(&ctx(&dirs[0]));
+            prop_assert!(kept.sorted.is_empty());
+            prop_assert!(kept.sorted.capacity() >= rows(&blobs).len());
+
+            // Step two: a strict prefix of the rows, fewer than step one.
+            let fewer: Vec<Vec<f64>> = blobs
+                .iter()
+                .map(|b| b[..b.len() / 2 / PARTICLE_WIDTH * PARTICLE_WIDTH].to_vec())
+                .collect();
+            kept.reduce(0, items(&fewer), &ctx(&dirs[0]));
+            prop_assert_eq!(bits(&kept.sorted), bits(&rows(&fewer)));
+            let again = kept.finalize(&ctx(&dirs[0]));
+            let mut fresh = SortOp::new();
+            fresh.reduce(0, items(&fewer), &ctx(&dirs[1]));
+            let first = fresh.finalize(&ctx(&dirs[1]));
+            prop_assert_eq!(&again.values, &first.values);
+            let read = |r: &OpResult| std::fs::read(&r.files[0]).unwrap();
+            prop_assert_eq!(read(&again), read(&first));
+            for dir in dirs {
+                std::fs::remove_dir_all(dir).ok();
+            }
         }
 
         /// The two-pass reference: bucket `b` is every row whose key maps

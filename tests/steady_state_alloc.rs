@@ -4,7 +4,9 @@
 //! proportional to the data — no pack buffer on the generator thread, no
 //! slab on the staging ranks. This is ROADMAP item 1's "page-fault count
 //! per step flat", made checkable without the benchmark harness: a block
-//! that is never allocated is never faulted in.
+//! that is never allocated is never faulted in. The large-chunk GTC dump
+//! through `SortOp` is held to the same for its output: a warm step
+//! sorts into the buffer the previous step's write handed back.
 //!
 //! Its own test binary, because it replaces the global allocator.
 
@@ -15,10 +17,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use predata::apps::PixieWorld;
+use predata::apps::{GtcWorld, PixieWorld};
 use predata::core::agg::Aggregates;
-use predata::core::op::{ChunkMapper, OpCtx, OpResult, StreamOp, Tagged};
-use predata::core::ops::ReorgOp;
+use predata::core::chunk::PackedChunk;
+use predata::core::op::{ChunkMapper, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
+use predata::core::ops::{ReorgOp, SortOp};
 use predata::core::{PredataClient, StagingArea, StagingConfig};
 use predata::ffs::AttrList;
 use predata::transport::{BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPolicy, Router};
@@ -27,12 +30,22 @@ use predata::transport::{BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPoli
 /// bookkeeping allocation is far below it.
 const BIG: usize = 16 << 10;
 
+/// A block half a GTC staging rank's 4 MiB sort output would need; the
+/// 1 MiB chunks it pulls and the sort's 1 MiB of key slots stay below it.
+const HUGE: usize = 2 << 20;
+
 thread_local! {
     /// Bytes this thread has asked the allocator for, and how many of
     /// its requests were for `BIG` or more.
     static BYTES: Cell<u64> = const { Cell::new(0) };
     static BIG_BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread is a GTC staging thread, whose `HUGE`
+    /// requests count in `HUGE_ON_STAGING`.
+    static GTC_STAGING: Cell<bool> = const { Cell::new(false) };
 }
+
+/// `HUGE` requests made by GTC staging threads, from any of them.
+static HUGE_ON_STAGING: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -40,6 +53,9 @@ fn count(size: usize) {
     BYTES.with(|b| b.set(b.get() + size as u64));
     if size >= BIG {
         BIG_BLOCKS.with(|b| b.set(b.get() + 1));
+    }
+    if size >= HUGE && GTC_STAGING.with(Cell::get) {
+        HUGE_ON_STAGING.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -249,6 +265,119 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
         seen.big_in_reduce.load(Ordering::Relaxed),
         0,
         "ReorgOp::reduce allocated a piece-sized block on a warm step"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `SortOp` on a GTC staging rank. Every thread that runs a part of it —
+/// the rank thread, and any map helper — is marked a staging thread the
+/// first time it does, and its `HUGE` requests count from then on.
+struct OnStaging {
+    op: SortOp,
+    seen: Arc<Seen>,
+}
+
+struct MarkingMapper(Arc<dyn ChunkMapper>);
+
+impl ChunkMapper for MarkingMapper {
+    fn map_chunk(&self, chunk: &PackedChunk, ctx: &MapCtx) -> Vec<Tagged> {
+        GTC_STAGING.with(|s| s.set(true));
+        self.0.map_chunk(chunk, ctx)
+    }
+}
+
+impl StreamOp for OnStaging {
+    fn name(&self) -> &str {
+        self.op.name()
+    }
+    fn initialize(&mut self, agg: &Aggregates, ctx: &OpCtx) {
+        GTC_STAGING.with(|s| s.set(true));
+        self.op.initialize(agg, ctx);
+    }
+    fn mapper(&self) -> Arc<dyn ChunkMapper> {
+        Arc::new(MarkingMapper(self.op.mapper()))
+    }
+    fn partition(&self, tag: u64, n_ranks: usize) -> usize {
+        self.op.partition(tag, n_ranks)
+    }
+    fn reduce(&mut self, tag: u64, items: Vec<Bytes>, ctx: &OpCtx) {
+        self.op.reduce(tag, items, ctx);
+    }
+    fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
+        let result = self.op.finalize(ctx);
+        *self.seen.finalized.lock().unwrap() += 1;
+        self.seen.cv.notify_all();
+        result
+    }
+}
+
+#[test]
+fn a_warm_gtc_step_sorts_into_the_kept_output_buffer() {
+    // The `gtc_staged` dump: eight ranks of 1 MiB particle chunks, about
+    // 4 MiB of sorted rows per staging rank.
+    let (n_compute, n_staging, particles, steps) = (8, 2, 16_384, 4u64);
+    let mut world = GtcWorld::new(n_compute, particles, 29);
+    let dir = std::env::temp_dir().join(format!("steady-alloc-gtc-{}", std::process::id()));
+    let seen = Arc::new(Seen::default());
+
+    let (_fabric, computes, stagings) = Fabric::new(n_compute, n_staging, None);
+    let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
+    let for_ops = Arc::clone(&seen);
+    let area = StagingArea::spawn(
+        stagings,
+        Arc::clone(&router),
+        Arc::new(move |_| {
+            vec![Box::new(OnStaging {
+                op: SortOp::new(),
+                seen: Arc::clone(&for_ops),
+            }) as Box<dyn StreamOp>]
+        }),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
+        StagingConfig::new(n_compute, &dir),
+        steps,
+    );
+    let clients: Vec<PredataClient> = computes
+        .into_iter()
+        .map(|e| PredataClient::new(e, Arc::clone(&router), vec![Arc::new(SortOp::new())]))
+        .collect();
+
+    let mut warm_from = 0;
+    for step in 0..steps {
+        if step == 2 {
+            warm_from = HUGE_ON_STAGING.load(Ordering::Relaxed);
+        }
+        for (rank, client) in clients.iter().enumerate() {
+            let mut pg = world.output_pg(rank);
+            pg.step = step;
+            client.write_pg(pg).unwrap();
+        }
+        for client in &clients {
+            client.wait_drained(Duration::from_secs(30)).unwrap();
+        }
+        // Lockstep, as in the Pixie3D case: the step is written before
+        // the next one starts.
+        let done = seen.finalized.lock().unwrap();
+        let _done = seen
+            .cv
+            .wait_timeout_while(done, Duration::from_secs(30), |n| {
+                *n < (step + 1) * n_staging as u64
+            })
+            .unwrap();
+        if step == 0 {
+            assert!(
+                HUGE_ON_STAGING.load(Ordering::Relaxed) > 0,
+                "the counter sees the first step allocate its sort output"
+            );
+        }
+        world.step();
+    }
+    for rank in area.join() {
+        rank.expect("staging rank ran every step");
+    }
+    assert_eq!(
+        HUGE_ON_STAGING.load(Ordering::Relaxed) - warm_from,
+        0,
+        "a warm GTC step asked for a block of {HUGE} B or more on a staging thread"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
