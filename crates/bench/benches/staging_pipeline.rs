@@ -1,20 +1,12 @@
 //! One full `run_step` — gather → aggregate → pull + map →
-//! combine/shuffle/reduce → finalize — on a single staging rank, at
-//! `StagingConfig::map_workers` ∈ {1, 2, 4, 8} and in two shapes:
+//! combine/shuffle/reduce → finalize — on a single staging rank, in two
+//! shapes:
 //!
 //! * `1MiB`: 16 chunks of 1 MiB (16 Ki particles × 64 B) through a
-//!   histogram over all eight attributes plus streaming moments. Every
-//!   chunk is a run of its own and decode + map dominates, so with cores
-//!   to spare the step should speed up with workers until the serial
-//!   tail (pulls, merge, finalize) caps it.
-//! * `32KiB`: 64 Pixie3D chunks of 32 KiB through `ReorgOp`. A chunk's
-//!   unpack + map is a quarter of what one hand-off costs, so helpers
-//!   are fed runs of eight; this is the shape where one worker — the
-//!   rank thread alone, no thread or queue created — is hard to beat.
-//!
-//! With one worker there is no pool: the rank thread pulls and maps.
-//! The summary lines print each shape's 4-vs-1 ratio; on a host with as
-//! many staging ranks as cores expect ≈ 1× or below.
+//!   histogram over all eight attributes plus streaming moments, where
+//!   decode + map dominates.
+//! * `32KiB`: 64 Pixie3D chunks of 32 KiB through `ReorgOp`, where the
+//!   per-chunk fixed costs (request, pull, header decode) dominate.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -22,7 +14,7 @@ use std::time::Duration;
 
 use apps::PixieWorld;
 use bpio::ProcessGroup;
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use predata_core::op::ComputeSideOp;
 use predata_core::ops::{HistogramOp, MomentsOp, ReorgOp};
 use predata_core::schema::make_particle_pg;
@@ -100,13 +92,11 @@ fn particle_rows(rank: u64) -> Vec<f64> {
 }
 
 /// Build a single-rank staging setup with every chunk of `dump` already
-/// written (requests queued, payloads exposed), ready for one `run_step`
-/// on `workers` mapping threads (`None`: what the host has room for).
+/// written (requests queued, payloads exposed), ready for one `run_step`.
 fn staged_step(
     dir: &std::path::Path,
     shape: Shape,
     dump: &[ProcessGroup],
-    workers: Option<usize>,
 ) -> (Fabric, StagingRank) {
     let (fabric, computes, mut stagings) = Fabric::new(dump.len(), 1, None);
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(dump.len(), 1));
@@ -115,8 +105,7 @@ fn staged_step(
             .write_pg(pg.clone())
             .unwrap();
     }
-    let mut cfg = StagingConfig::new(dump.len(), dir);
-    cfg.map_workers = workers;
+    let cfg = StagingConfig::new(dump.len(), dir);
     let (_world, mut comms) = minimpi::World::with_size(1);
     let rank = StagingRank::new(
         comms.remove(0),
@@ -133,45 +122,21 @@ fn staged_step(
 fn bench_map_stage(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("staging-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    println!(
-        "staging_step: available_parallelism = {}",
-        std::thread::available_parallelism().map_or(0, |n| n.get())
-    );
+    let mut g = c.benchmark_group("staging_step");
+    g.sample_size(10).measurement_time(Duration::from_secs(8));
     for shape in [Shape::Particles, Shape::Pixie] {
         let dump = shape.dump();
         let payload: usize = dump.iter().map(ProcessGroup::payload_bytes).sum();
-        let mut g = c.benchmark_group(format!("staging_step/{}", shape.name()));
-        g.sample_size(10).measurement_time(Duration::from_secs(8));
         g.throughput(Throughput::Bytes(payload as u64));
-        let mut medians: Vec<(usize, f64)> = Vec::new();
-        for workers in [1usize, 2, 4, 8] {
-            let mut median = 0.0;
-            g.bench_function(BenchmarkId::new("workers", workers), |b| {
-                b.iter_batched(
-                    || staged_step(&dir, shape, &dump, Some(workers)),
-                    |(_fabric, mut rank)| black_box(rank.run_step(0).unwrap()),
-                    BatchSize::PerIteration,
-                );
-                median = b.median_secs_per_iter().unwrap_or(0.0);
-            });
-            medians.push((workers, median));
-        }
-        g.finish();
-
-        let time_of = |w: usize| medians.iter().find(|(n, _)| *n == w).map(|(_, t)| *t);
-        if let (Some(t1), Some(t4)) = (time_of(1), time_of(4)) {
-            if t4 > 0.0 {
-                println!(
-                    "staging_step/{}: 4 workers vs the rank thread alone = {:.2}x \
-                     ({:.2} ms -> {:.2} ms per step)",
-                    shape.name(),
-                    t1 / t4,
-                    t1 * 1e3,
-                    t4 * 1e3
-                );
-            }
-        }
+        g.bench_function(shape.name(), |b| {
+            b.iter_batched(
+                || staged_step(&dir, shape, &dump),
+                |(_fabric, mut rank)| black_box(rank.run_step(0).unwrap()),
+                BatchSize::PerIteration,
+            );
+        });
     }
+    g.finish();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -192,7 +157,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
         let mut median = 0.0;
         g.bench_function(mode, |b| {
             b.iter_batched(
-                || staged_step(&dir, Shape::Particles, &dump, None),
+                || staged_step(&dir, Shape::Particles, &dump),
                 |(_fabric, mut rank)| black_box(rank.run_step(0).unwrap()),
                 BatchSize::PerIteration,
             );

@@ -43,8 +43,10 @@ pub struct BpReader {
 impl BpReader {
     /// Open and load the footer index. Refuses a file whose index does
     /// not describe it: an entry whose payload lies outside the payload
-    /// region or is not `volume(local) × element size` long, or a chunk
-    /// that pokes out of its global box.
+    /// region or is not `volume(local) × element size` long, a chunk
+    /// that pokes out of its global box, or entries whose payloads add up
+    /// to more than the payload region. No writer puts two chunks on one
+    /// payload, so that bounds every read by the file's payload bytes.
     pub fn open(path: impl AsRef<Path>) -> Result<BpReader> {
         let file = File::open(path)?;
         let flen = file.metadata()?.len();
@@ -66,6 +68,11 @@ impl BpReader {
         file.read_exact_at(&mut idx_buf, payload_end)?;
         let index = FileIndex::decode(&idx_buf)?;
         index.vars.iter().try_for_each(|v| v.check(payload_end))?;
+        let mut payloads = index.vars.iter().map(|v| v.payload_len);
+        let total = payloads.try_fold(0u64, u64::checked_add);
+        if total.is_none_or(|sum| sum > payload_end) {
+            return Err(BpError::Corrupt("index: payloads exceed the file"));
+        }
         Ok(BpReader {
             file,
             index,

@@ -108,9 +108,9 @@ impl<'a> OpCtx<'a> {
 
 /// The map-phase execution context: everything [`ChunkMapper::map_chunk`]
 /// may consult, and nothing more. Unlike [`OpCtx`] it carries no `&Comm`,
-/// so it is `Send + Sync` and can be shared by a pool of decode+map
-/// workers. (Map is communication-free by construction — the shuffle is
-/// the only communicating phase between initialize and finalize.)
+/// so it is `Send + Sync` and can be held beside a shared mapper. (Map is
+/// communication-free by construction — the shuffle is the only
+/// communicating phase between initialize and finalize.)
 #[derive(Debug, Clone, Copy)]
 pub struct MapCtx<'a> {
     /// This pipeline rank.
@@ -139,12 +139,12 @@ impl MapCtx<'_> {
 ///
 /// `map_chunk` must depend only on the chunk, the context, and state
 /// frozen at [`StreamOp::mapper`] time (i.e. set by `initialize`). The
-/// staging runtime calls it concurrently from N workers and merges the
-/// per-chunk outputs in canonical chunk order before `combine`, which
-/// makes operator results **bit-identical for every worker count** —
-/// per-chunk purity is what buys that, since floating-point accumulation
-/// across chunks is not associative and must happen in one place
-/// (`combine`), in one deterministic order.
+/// mapper is shared by `Arc` and called on the staging rank's thread, once
+/// per chunk in pull-policy order; the benchmark harness calls it
+/// directly. The determinism contract is per-chunk pure mappers, streams
+/// in policy order, and accumulation only in `combine` — floating-point
+/// accumulation across chunks is not associative and must happen in one
+/// place, in one deterministic order.
 pub trait ChunkMapper: Send + Sync {
     fn map_chunk(&self, chunk: &PackedChunk, ctx: &MapCtx) -> Vec<Tagged>;
 }
@@ -160,8 +160,8 @@ pub trait ComputeSideOp: Send + Sync {
 /// A pluggable in-transit operation (paper Fig. 5).
 ///
 /// Call order per I/O step, on every pipeline rank:
-/// `initialize` → `map`* (once per chunk, streaming, possibly from N
-/// concurrent workers via [`StreamOp::mapper`]) → `combine` → shuffle
+/// `initialize` → `map`* (once per chunk, streaming, through
+/// [`StreamOp::mapper`] on the rank thread) → `combine` → shuffle
 /// (`partition` routes tags) → `reduce`* (once per owned tag) →
 /// `finalize`.
 pub trait StreamOp: Send {
@@ -172,7 +172,8 @@ pub trait StreamOp: Send {
 
     /// The operator's pure map half, snapshotting any state `initialize`
     /// set up. Called once per step, after `initialize`; the returned
-    /// mapper is shared (`Arc`) by every decode+map worker.
+    /// mapper is shared by `Arc` and called on the rank thread (the
+    /// benchmark harness calls it directly).
     fn mapper(&self) -> Arc<dyn ChunkMapper>;
 
     /// Process one packed partial data chunk; emit tagged intermediates.

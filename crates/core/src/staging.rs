@@ -14,8 +14,8 @@
 //! 3. **aggregate + initialize** — build the global [`Aggregates`] with
 //!    one small staging-wide exchange and `initialize` every operator;
 //! 4. **pull + map** — pull every chunk in the order and pacing of the
-//!    [`transport::PullPolicy`], decode and map each one, and file the
-//!    outputs in policy order;
+//!    [`transport::PullPolicy`], decode and map each one, and append the
+//!    outputs to the operators' streams in that order;
 //! 5. **exchange + step end** — each operator's combine → shuffle →
 //!    reduce → finalize, then the live-telemetry tick and the
 //!    [`StepReport`].
@@ -27,15 +27,12 @@
 //!
 //! Stage 4 is one loop on the rank thread (DESIGN.md §3.1 has the long
 //! form). For each request, in policy order: wait until the policy is
-//! willing, pull the chunk, unpack it, release the pull buffer, run every
-//! operator's [`crate::op::ChunkMapper`] on it:
+//! willing, pull the chunk, unpack it, release the pull buffer, and append
+//! every operator's [`crate::op::ChunkMapper`] output to its stream:
 //!
 //! ```text
-//!  rank thread:  wait_ready → rdma_get ──▶ run ──┬──────────▶ map_run ──┐
-//!    policy order + pacing, one get      ≥ 256 KiB │ queue full, or none  │
-//!    per chunk, retried, skippable                 ▼                      ├─▶ sorted by
-//!                                           bounded queue ──▶ helper:     │   first chunk
-//!                                           (only with helpers) map_run ──┘
+//!  rank thread:  wait_ready → rdma_get → unpack → drop buffer → map_chunk × ops ──▶ streams
+//!    policy order + pacing, one get per chunk, retried, skippable       (policy order)
 //! ```
 //!
 //! *Pulling* is the paper's server-directed, scheduled pull: one RDMA
@@ -43,31 +40,21 @@
 //! consulted, retried under the step's deadline budget, skipped when the
 //! retries exhaust on a transient error ([`StepReport::truncated`]).
 //!
-//! *Mapping* is one function, `map_run`, over a **run** — consecutive
-//! chunks of the policy order. The rank thread is mapper 0. It has
-//! [`StagingConfig::map_workers`]` − 1` scoped *helpers*, and only where
-//! there are cores for them: by default, on a host with as many staging
-//! ranks as cores, a run is one chunk, mapped where it was pulled, and a
-//! step spawns no thread and builds no queue. With helpers, the rank
-//! thread fills a run to 256 KiB (`RUN_BYTES`) before it offers it to
-//! their queue, maps the run itself when the queue is full, and when the
-//! pulls are done maps what is still queued. The runs' outputs are
-//! sorted by first chunk and concatenated, so each operator's stream is
-//! in policy order — and every downstream result bit-identical —
-//! whichever thread mapped which run, at every worker count.
+//! *Mapping* happens where and as soon as the chunk is pulled, so each
+//! operator's stream is in policy order by construction and a step
+//! spawns no thread and builds no queue. The busy times of
+//! [`StageTimes`] are spans of this one thread: they never exceed the
+//! stage's wall time.
 //!
 //! All waiting is condvar-based; there are no sleep-poll loops. The rank
-//! thread waits for two others: the policy, for at most
-//! [`StagingConfig::gather_timeout`], and — the queue closed, at the end
-//! of the stage — each helper finishing the run it has in hand.
+//! thread waits for one other: the policy, for at most
+//! [`StagingConfig::gather_timeout`].
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use minimpi::{Comm, PoisonOnUnwind, World};
-use transport::evq::{EventQueue, SubmitError};
 use transport::{
     Epoch, FaultKind, FetchRequest, PullPolicy, RetryPolicy, Router, StagingEndpoint,
     TransportError,
@@ -155,23 +142,8 @@ impl From<std::io::Error> for StagingError {
     }
 }
 
-/// Least bytes the rank thread hands a helper at once (one chunk, when
-/// the chunk is larger). A hand-off that has to wake the receiver costs
-/// ≈ 17 µs (the benchmark's `transport.evq.handoff_us`) and a 32 KiB
-/// chunk's unpack + map ≈ 4 µs, so a chunk at a time the queue would cost
-/// four times the work it moves; 256 KiB is ≈ 32 µs of work, twice its
-/// hand-off.
-const RUN_BYTES: usize = 256 << 10;
-
-/// A run: consecutive chunks of the policy order, pulled and not yet
-/// mapped. `(first, bufs)`: `bufs[i]` is the pulled chunk of
-/// `requests[first + i]`, or `None` where the pull exhausted its retries
-/// on a transient error and the step goes on without the chunk.
-type Run = (usize, Vec<Option<Bytes>>);
-
-/// Output of the pull + map stage, or of one run of it: what the step's
-/// report says about the chunks, and the per-operator intermediate
-/// streams.
+/// Output of the pull + map stage: what the step's report says about
+/// the chunks, and the per-operator intermediate streams.
 #[derive(Default)]
 struct Mapped {
     /// Compute ranks whose chunks were mapped, in policy order.
@@ -183,26 +155,6 @@ struct Mapped {
     per_op: Vec<Vec<Tagged>>,
     /// The `*_busy` fields; `run_step` fills in the stages'.
     times: StageTimes,
-}
-
-impl Mapped {
-    fn new(n_ops: usize) -> Mapped {
-        Mapped {
-            per_op: vec![Vec::new(); n_ops],
-            ..Mapped::default()
-        }
-    }
-}
-
-/// Closes the helpers' queue when the rank thread is done offering runs
-/// — by finishing, failing or unwinding — so that parked helpers wake,
-/// map what is left and can be joined.
-struct CloseOnDrop<'a>(&'a EventQueue<Run>);
-
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
 }
 
 /// The mapper of an operator shed by admission control: the work stays
@@ -234,13 +186,6 @@ pub struct StagingConfig {
     /// Retry policy for fetch-request receives and `rdma_get` pulls
     /// (`PREDATA_RETRY`; its deadline is the per-step pull budget).
     pub retry: RetryPolicy,
-    /// Mapping threads per staging rank, the rank thread included (so 1
-    /// means no helper; 0 is taken as 1). `None` — what [`new`](Self::new)
-    /// sets — is what the host has room for: its cores per staging rank,
-    /// `available_parallelism() / comm.size()`, clamped to `1..=4` by
-    /// [`StagingRank::new`]. Tests and the worker-count bench force a
-    /// count.
-    pub map_workers: Option<usize>,
     /// Invoked at each epoch boundary of the router's membership
     /// schedule (index handoff; see [`EpochHook`]).
     pub on_epoch: Option<Arc<EpochHook>>,
@@ -256,7 +201,6 @@ impl StagingConfig {
             out_dir: out_dir.into(),
             gather_timeout: Duration::from_secs(30),
             retry: RetryPolicy::from_env(),
-            map_workers: None,
             on_epoch: None,
             admit: AdmitControl::from_env(),
         }
@@ -292,8 +236,9 @@ pub struct StepReport {
 /// Where one rank's `run_step` went: the wall time of its five stages
 /// (plain `Instant`s, recorded whether or not `obs` is; they sum to the
 /// call less the membership bookkeeping ahead of `gather`) and the busy
-/// time inside `pull_map`, summed over the step's chunks — and, with
-/// helpers, over their threads, so it can exceed the stage's wall time.
+/// time inside `pull_map`, summed over the step's chunks. The busy times
+/// are spans of the rank thread inside that stage, so together they
+/// never exceed its wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Mostly waiting for the compute side's requests.
@@ -327,8 +272,6 @@ pub struct StagingRank {
     policy: Box<dyn PullPolicy>,
     ops: Vec<Box<dyn StreamOp>>,
     cfg: StagingConfig,
-    /// `cfg.map_workers`, resolved against the host: at least 1.
-    map_workers: usize,
     /// Requests that arrived early for future steps.
     stashed: Vec<FetchRequest>,
 }
@@ -381,11 +324,6 @@ impl StagingRank {
                 let _ = retry.guard(Some(&plan), "collective", FaultKind::Collective, rank, seq);
             }));
         }
-        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
-        let map_workers = cfg
-            .map_workers
-            .unwrap_or_else(|| (cores() / comm.size()).min(4))
-            .max(1);
         Ok(StagingRank {
             comm,
             endpoint,
@@ -393,7 +331,6 @@ impl StagingRank {
             policy,
             ops,
             cfg,
-            map_workers,
             stashed: Vec::new(),
         })
     }
@@ -571,8 +508,8 @@ impl StagingRank {
     }
 
     /// Stage 4 (paper stages 3 + 4a): put `requests` in policy order,
-    /// pull every chunk, decode and map it, and file the outputs in
-    /// policy order — the loop of the module docs.
+    /// pull every chunk, decode and map it, and append the outputs to the
+    /// operators' streams in that order — the loop of the module docs.
     fn pull_map(
         &mut self,
         step: u64,
@@ -581,11 +518,12 @@ impl StagingRank {
         deferred: &[String],
     ) -> Result<Mapped, StagingError> {
         self.policy.order(requests);
-        let requests = requests.as_slice();
-        let n_chunks = requests.len();
-        let n_ops = self.ops.len();
-        if n_chunks == 0 {
-            return Ok(Mapped::new(n_ops));
+        let mut out = Mapped {
+            per_op: vec![Vec::new(); self.ops.len()],
+            ..Mapped::default()
+        };
+        if requests.is_empty() {
+            return Ok(out);
         }
         let my_rank = self.comm.rank();
         // Wall time of the whole rank-local stage: the row the live
@@ -593,7 +531,7 @@ impl StagingRank {
         // collective — every rank waits for the slowest inside it — so
         // only this stage carries a per-rank imbalance signal.
         let _span = obs::span!("pull_map", step).rank(my_rank);
-        // Map state frozen by `initialize`, shareable across threads.
+        // Map state frozen by `initialize`.
         let mappers: Vec<Arc<dyn ChunkMapper>> = self
             .ops
             .iter()
@@ -615,160 +553,74 @@ impl StagingRank {
                 .bytes(bytes as u64);
             obs::global().record(event);
         };
-        // The one map function, of the rank thread and of its helpers:
-        // unpack and map the chunks of a run, in order.
-        let map_run = |(first, bufs): Run| -> Result<(usize, Mapped), StagingError> {
-            let mut run = Mapped::new(n_ops);
-            for (req, buf) in requests[first..].iter().zip(bufs) {
-                // A skipped chunk leaves the streams entirely — excluded,
-                // counted, and terminally marked in lineage, never
-                // silently half-applied.
-                let Some(buf) = buf else {
-                    mark_truncated(my_rank, req.src_rank, step);
-                    obs::global().counter("staging.truncated_chunks", &[]).inc();
-                    run.truncated.push(req.src_rank);
-                    continue;
-                };
-                let t_decode = Instant::now();
-                let chunk = PackedChunk::unpack(&buf)?;
-                let t_map = Instant::now();
-                run.bytes_pulled += buf.len() as u64;
-                // The chunk owns its data now; the compute side may pack
-                // into the buffer again.
-                drop(buf);
-                for (stream, mapper) in run.per_op.iter_mut().zip(&mappers) {
-                    stream.extend(mapper.map_chunk(&chunk, &map_ctx));
-                }
-                let t_done = Instant::now();
-                run.pull_order.push(req.src_rank);
-                // The `decode` and `map` rows are the mapping threads'
-                // busy time (`Snapshot::worker_busy_ns`).
-                run.times.decode_busy += t_map - t_decode;
-                run.times.map_busy += t_done - t_map;
-                event("decode", req.src_rank, t_decode, t_map, 0);
-                event("map", req.src_rank, t_map, t_done, 0);
-            }
-            Ok((first, run))
-        };
-        // No more helpers than the step can have runs besides the rank
-        // thread's own: a step of under two runs' bytes spawns nothing.
-        let step_bytes: usize = requests.iter().map(|r| r.chunk_bytes).sum();
-        let helpers = (self.map_workers - 1).min((step_bytes / RUN_BYTES).clamp(1, n_chunks) - 1);
-        // Without a helper a run is one chunk, mapped as soon as pulled.
-        let run_bytes = if helpers == 0 { 0 } else { RUN_BYTES };
-        // One queued run per mapping thread (the helpers and this one).
-        let work = (helpers > 0).then(|| EventQueue::bounded(helpers + 1));
-        let work = work.as_ref();
         let retry = &self.cfg.retry;
         let gather_timeout = self.cfg.gather_timeout;
         let started = Instant::now();
-        let mut pull_busy = Duration::ZERO;
-        let mut runs = std::thread::scope(|scope| {
-            // A helper maps the runs the rank thread queues until the
-            // queue is closed and empty, or a run fails.
-            let helpers: Vec<_> = (0..helpers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let work = work.expect("helpers come with their queue");
-                        std::iter::from_fn(|| work.recv(Duration::MAX).ok())
-                            .map(&map_run)
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            let mut runs = Vec::new();
-            {
-                let _wake_helpers = work.map(CloseOnDrop);
-                let mut bufs = Vec::new();
-                let mut filled = 0;
-                for (idx, req) in requests.iter().enumerate() {
-                    // The policy's deferral is the chunk's scheduling wait
-                    // — the rate/phase control the paper bounds
-                    // interference with. It is asked again when it comes
-                    // back unready with budget left; one that never turns
-                    // ready ends the step like requests that never arrive.
-                    let t_wait = Instant::now();
-                    let left = || gather_timeout.saturating_sub(t_wait.elapsed());
-                    while !self.policy.wait_ready(req, left()) {
-                        if left().is_zero() {
-                            return Err(TransportError::Timeout.into());
-                        }
-                    }
-                    let t_pull = Instant::now();
-                    event("pull_wait", req.src_rank, t_wait, t_pull, 0);
-                    // The pull retries under the *step's* remaining
-                    // deadline budget: transient errors (timeouts, stale
-                    // handles, injected faults) back off and re-attempt;
-                    // exhausting them skips this chunk — degradation, not
-                    // abort. Any other error abandons the step.
-                    let src_rank = req.src_rank as u64;
-                    let salt = (src_rank << 32) ^ step;
-                    let remaining = retry
-                        .step_deadline()
-                        .saturating_sub(t_pull - started)
-                        .max(Duration::from_millis(1));
-                    let pulled = retry.clone().deadline(remaining).run("pull", salt, |_| {
-                        let plan = self.endpoint.fault_plan();
-                        let fault = plan.and_then(|p| p.inject_pull(src_rank, step, req.handle));
-                        fault.map_or_else(|| self.endpoint.rdma_get(req), Err)
-                    });
-                    bufs.push(match pulled {
-                        Ok(buf) => {
-                            let t_done = Instant::now();
-                            event("pull", req.src_rank, t_pull, t_done, buf.len());
-                            pull_busy += t_done - t_pull;
-                            filled += buf.len();
-                            Some(buf)
-                        }
-                        Err(e) if RetryPolicy::is_retryable(&e) => None,
-                        Err(e) => return Err(e.into()),
-                    });
-                    if filled < run_bytes && idx + 1 < n_chunks {
-                        continue;
-                    }
-                    // The run is full: a helper's, if their queue takes
-                    // it, else mapped here.
-                    let run = (idx + 1 - bufs.len(), std::mem::take(&mut bufs));
-                    filled = 0;
-                    let offered = match work {
-                        Some(work) => work.try_submit(run),
-                        None => Err(SubmitError::Full(run)),
-                    };
-                    if let Err(SubmitError::Full(run) | SubmitError::Closed(run)) = offered {
-                        runs.push(map_run(run)?);
-                    }
-                }
-                // The pulls are done: map what no helper has started on.
-                while let Some(run) = work.and_then(EventQueue::try_poll) {
-                    runs.push(map_run(run)?);
+        for req in requests.iter() {
+            // The policy's deferral is the chunk's scheduling wait — the
+            // rate/phase control the paper bounds interference with. It
+            // is asked again when it comes back unready with budget left;
+            // one that never turns ready ends the step like requests that
+            // never arrive.
+            let t_wait = Instant::now();
+            let left = || gather_timeout.saturating_sub(t_wait.elapsed());
+            while !self.policy.wait_ready(req, left()) {
+                if left().is_zero() {
+                    return Err(TransportError::Timeout.into());
                 }
             }
-            for helper in helpers {
-                // A helper's panic is this rank's, payload and all.
-                let theirs = helper
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-                runs.extend(theirs?);
+            let t_pull = Instant::now();
+            event("pull_wait", req.src_rank, t_wait, t_pull, 0);
+            // The pull retries under the *step's* remaining deadline
+            // budget: transient errors (timeouts, stale handles, injected
+            // faults) back off and re-attempt; exhausting them skips this
+            // chunk — degradation, not abort. Any other error abandons the
+            // step.
+            let src_rank = req.src_rank as u64;
+            let salt = (src_rank << 32) ^ step;
+            let remaining = retry
+                .step_deadline()
+                .saturating_sub(t_pull - started)
+                .max(Duration::from_millis(1));
+            let pulled = retry.clone().deadline(remaining).run("pull", salt, |_| {
+                let plan = self.endpoint.fault_plan();
+                let fault = plan.and_then(|p| p.inject_pull(src_rank, step, req.handle));
+                fault.map_or_else(|| self.endpoint.rdma_get(req), Err)
+            });
+            let buf = match pulled {
+                Ok(buf) => buf,
+                // A skipped chunk leaves the streams entirely — excluded,
+                // counted, and terminally marked in lineage, never
+                // silently half-applied.
+                Err(e) if RetryPolicy::is_retryable(&e) => {
+                    mark_truncated(my_rank, req.src_rank, step);
+                    obs::global().counter("staging.truncated_chunks", &[]).inc();
+                    out.truncated.push(req.src_rank);
+                    continue;
+                }
+                Err(e) => return Err(e.into()),
+            };
+            let t_decode = Instant::now();
+            event("pull", req.src_rank, t_pull, t_decode, buf.len());
+            let chunk = PackedChunk::unpack(&buf)?;
+            let t_map = Instant::now();
+            out.bytes_pulled += buf.len() as u64;
+            // The chunk owns its data now; the compute side may pack into
+            // the buffer again.
+            drop(buf);
+            for (stream, mapper) in out.per_op.iter_mut().zip(&mappers) {
+                stream.extend(mapper.map_chunk(&chunk, &map_ctx));
             }
-            Ok::<_, StagingError>(runs)
-        })?;
-        // Deterministic merge: runs by first chunk are the policy order,
-        // so the concatenated per-operator streams (and everything
-        // downstream of combine) are identical for every worker count.
-        runs.sort_unstable_by_key(|(first, _)| *first);
-        let mut out = Mapped::new(n_ops);
-        for (_, run) in runs {
-            out.pull_order.extend(run.pull_order);
-            out.truncated.extend(run.truncated);
-            out.bytes_pulled += run.bytes_pulled;
-            for (stream, items) in out.per_op.iter_mut().zip(run.per_op) {
-                stream.extend(items);
-            }
-            out.times.decode_busy += run.times.decode_busy;
-            out.times.map_busy += run.times.map_busy;
+            let t_done = Instant::now();
+            out.pull_order.push(req.src_rank);
+            // The `decode` and `map` rows are the rank thread's busy time
+            // (`Snapshot::worker_busy_ns`).
+            out.times.pull_busy += t_decode - t_pull;
+            out.times.decode_busy += t_map - t_decode;
+            out.times.map_busy += t_done - t_map;
+            event("decode", req.src_rank, t_decode, t_map, 0);
+            event("map", req.src_rank, t_map, t_done, 0);
         }
-        assert_eq!(out.pull_order.len() + out.truncated.len(), n_chunks);
-        out.times.pull_busy = pull_busy;
         Ok(out)
     }
 
@@ -1375,7 +1227,7 @@ mod tests {
 
     /// The five stage times are the step: on a 64-chunk step they sum to
     /// within 10 % of the `run_step` call, and stage 4's busy times fit
-    /// inside it when the rank thread is the only mapper.
+    /// inside it.
     #[test]
     fn stage_times_sum_to_the_step() {
         let n_compute = 64;
@@ -1387,14 +1239,12 @@ mod tests {
                 .write_pg(make_particle_pg(r as u64, 0, vec![r as f64; 512 * 8]))
                 .unwrap();
         }
-        let mut cfg = StagingConfig::new(n_compute, &dir);
-        cfg.map_workers = Some(1);
         let mut sr = lone_rank(
             stagings,
             router,
             Box::new(FifoPolicy),
             vec![Box::new(HistogramOp::new(vec![0], 16))],
-            cfg,
+            StagingConfig::new(n_compute, &dir),
         );
         let started = Instant::now();
         let report = sr.run_step(0).unwrap();
@@ -1411,16 +1261,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// An operator whose mapper notes the thread it runs on and panics
-    /// on the chunk of compute rank `panic_at`.
+    /// An operator whose mapper notes the thread it runs on and the
+    /// chunk it maps, and panics on the chunk of compute rank `panic_at`.
     struct ProbeOp {
-        seen: Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+        seen: Arc<std::sync::Mutex<Vec<(std::thread::ThreadId, u64)>>>,
         panic_at: Option<u64>,
     }
     impl ChunkMapper for ProbeOp {
         fn map_chunk(&self, chunk: &PackedChunk, _ctx: &MapCtx) -> Vec<Tagged> {
             assert_ne!(Some(chunk.writer_rank), self.panic_at, "mapper bug");
-            self.seen.lock().unwrap().push(std::thread::current().id());
+            let me = std::thread::current().id();
+            self.seen.lock().unwrap().push((me, chunk.writer_rank));
             Vec::new()
         }
     }
@@ -1441,52 +1292,36 @@ mod tests {
         }
     }
 
-    /// A dump of `n` ranks whose chunks are each a run of their own
-    /// (≥ `RUN_BYTES`), so a rank that serves two of them has work for a
-    /// helper.
-    fn write_run_sized_chunks(computes: Vec<transport::ComputeEndpoint>, router: &Arc<dyn Router>) {
+    /// With the default configuration — no override — every chunk is
+    /// mapped on the rank thread, in pull order, even where the chunks
+    /// are large and the host has a core to spare.
+    #[test]
+    fn stage_4_maps_on_the_rank_thread_by_default() {
+        let (_fabric, computes, stagings) = Fabric::new(4, 1, None);
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(4, 1));
+        let dir = out_dir("rank-thread");
         for (r, e) in computes.into_iter().enumerate() {
-            let rows = vec![r as f64; RUN_BYTES / 8];
-            PredataClient::new(e, Arc::clone(router), vec![])
+            let rows = vec![r as f64; (256 << 10) / 8];
+            PredataClient::new(e, Arc::clone(&router), vec![])
                 .write_pg(make_particle_pg(r as u64, 0, rows))
                 .unwrap();
         }
-    }
-
-    /// With one map worker the step runs on the rank thread alone; with
-    /// two, on it and at most one helper.
-    #[test]
-    fn helpers_exist_only_when_asked_for() {
-        for workers in [1, 2] {
-            let (_fabric, computes, stagings) = Fabric::new(4, 1, None);
-            let router: Arc<dyn Router> = Arc::new(BlockRouter::new(4, 1));
-            let dir = out_dir(&format!("threads-{workers}"));
-            write_run_sized_chunks(computes, &router);
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let probe = ProbeOp {
-                seen: Arc::clone(&seen),
-                panic_at: None,
-            };
-            let mut cfg = StagingConfig::new(4, &dir);
-            cfg.map_workers = Some(workers);
-            let mut sr = lone_rank(
-                stagings,
-                router,
-                Box::new(FifoPolicy),
-                vec![Box::new(probe)],
-                cfg,
-            );
-            assert_eq!(sr.run_step(0).unwrap().pull_order, [0, 1, 2, 3]);
-            let seen = seen.lock().unwrap();
-            assert_eq!(seen.len(), 4, "every chunk mapped once");
-            let threads: std::collections::HashSet<_> = seen.iter().collect();
-            if workers == 1 {
-                assert_eq!(threads, [std::thread::current().id()].iter().collect());
-            } else {
-                assert!(threads.len() <= 2, "{threads:?}");
-            }
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let probe = ProbeOp {
+            seen: Arc::clone(&seen),
+            panic_at: None,
+        };
+        let mut sr = lone_rank(
+            stagings,
+            router,
+            Box::new(FifoPolicy),
+            vec![Box::new(probe)],
+            StagingConfig::new(4, &dir),
+        );
+        assert_eq!(sr.run_step(0).unwrap().pull_order, [0, 1, 2, 3]);
+        let me = std::thread::current().id();
+        assert_eq!(*seen.lock().unwrap(), [(me, 0), (me, 1), (me, 2), (me, 3)]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A membership schedule is for one world size; a staging area of
@@ -1517,49 +1352,49 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A mapper that panics — on the rank thread or on a helper — is the
-    /// rank's death: it reports `WorkerPanicked`, and the peer parked in
-    /// its histogram's shuffle is woken, never left hanging.
+    /// A mapper that panics is the rank's death: it reports
+    /// `WorkerPanicked`, and the peer parked in its histogram's shuffle is
+    /// woken, never left hanging.
     #[test]
-    fn panicking_mapper_is_the_ranks_failure_at_any_worker_count() {
-        for workers in [1, 2] {
-            let (_fabric, computes, stagings) = Fabric::new(4, 2, None);
-            let router: Arc<dyn Router> = Arc::new(BlockRouter::new(4, 2));
-            let dir = out_dir(&format!("map-panic-{workers}"));
-            let mut cfg = StagingConfig::new(4, &dir);
-            cfg.map_workers = Some(workers);
-            let area = StagingArea::spawn(
-                stagings,
-                Arc::clone(&router),
-                // Compute rank 3 is the second of the two that staging
-                // rank 1 serves.
-                Arc::new(|_| {
-                    vec![
-                        Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>,
-                        Box::new(ProbeOp {
-                            seen: Arc::default(),
-                            panic_at: Some(3),
-                        }),
-                    ]
-                }),
-                Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
-                cfg,
-                1,
-            );
-            write_run_sized_chunks(computes, &router);
-            let reports = join_within_5s(area);
-            assert!(
-                matches!(reports[1], Err(StagingError::WorkerPanicked(1))),
-                "{workers} workers: {:?}",
-                reports[1]
-            );
-            assert!(
-                matches!(reports[0], Err(StagingError::WorkerPanicked(0))),
-                "{workers} workers, the woken peer: {:?}",
-                reports[0]
-            );
-            std::fs::remove_dir_all(&dir).ok();
+    fn panicking_mapper_is_the_ranks_failure() {
+        let (_fabric, computes, stagings) = Fabric::new(4, 2, None);
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(4, 2));
+        let dir = out_dir("map-panic");
+        let area = StagingArea::spawn(
+            stagings,
+            Arc::clone(&router),
+            // Compute rank 3 is the second of the two that staging rank 1
+            // serves.
+            Arc::new(|_| {
+                vec![
+                    Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>,
+                    Box::new(ProbeOp {
+                        seen: Arc::default(),
+                        panic_at: Some(3),
+                    }),
+                ]
+            }),
+            Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
+            StagingConfig::new(4, &dir),
+            1,
+        );
+        for (r, e) in computes.into_iter().enumerate() {
+            PredataClient::new(e, Arc::clone(&router), vec![])
+                .write_pg(make_particle_pg(r as u64, 0, vec![r as f64; 8]))
+                .unwrap();
         }
+        let reports = join_within_5s(area);
+        assert!(
+            matches!(reports[1], Err(StagingError::WorkerPanicked(1))),
+            "{:?}",
+            reports[1]
+        );
+        assert!(
+            matches!(reports[0], Err(StagingError::WorkerPanicked(0))),
+            "the woken peer: {:?}",
+            reports[0]
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -586,9 +586,9 @@ impl Snapshot {
         steps
     }
 
-    /// Time the decode+map workers spent working on `step`: the `decode`
-    /// and `map` rows together. Span-derived — a run with recording off
-    /// has no worker busy time to report, as it has no rows.
+    /// Time the staging ranks spent decoding and mapping `step`'s chunks:
+    /// the `decode` and `map` rows together. Span-derived — a run with
+    /// recording off has no busy time to report, as it has no rows.
     pub fn worker_busy_ns(&self, step: u64) -> u64 {
         ["decode", "map"]
             .iter()

@@ -3,7 +3,7 @@
 //! PreDatA buffers and manipulates in-transit data with the EVPath event
 //! system: events flow through a graph of *stones*, each applying a
 //! filter/transform action or handing events to a terminal handler. This
-//! module provides the small subset the staging runtime needs: a typed
+//! module provides the small subset the staging node needs: a typed
 //! [`EventQueue`] and composable [`Stone`] chains.
 //!
 //! [`EventQueue`] is a multi-producer **multi-consumer** bounded queue
@@ -13,11 +13,12 @@
 //! spin interval. [`EventQueue::close`] tears the queue down: parked
 //! producers fail fast with [`SubmitError::Closed`], and consumers drain
 //! the remaining events before seeing [`PollError::Closed`]. That is the
-//! shutdown/cancellation path of the staging worker pool.
+//! shutdown/cancellation path of the query service's worker pool.
 //!
 //! Stones run inline on the submitting thread (EVPath's default immediate
-//! dispatch); queues decouple threads where the staging node's worker pool
-//! needs it.
+//! dispatch); queues decouple threads where a consumer needs it — the
+//! DataSpaces query service's job queue, and the benchmark harness's
+//! hand-off probe.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -65,10 +66,10 @@ impl<T> Shared<T> {
     }
 }
 
-/// Typed MPMC event queue connecting pipeline threads inside a staging
-/// node. Bounded queues provide back-pressure so a fast fetcher cannot
-/// overrun slow operators (the streaming-memory constraint); multiple
-/// consumers let a decode+map worker pool pull from one queue.
+/// Typed MPMC event queue connecting threads inside a staging node.
+/// Bounded queues provide back-pressure so a fast producer cannot overrun
+/// slow consumers (the streaming-memory constraint); multiple consumers
+/// let a worker pool — the query service's — pull from one queue.
 pub struct EventQueue<T> {
     shared: Arc<Shared<T>>,
 }

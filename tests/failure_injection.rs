@@ -376,7 +376,8 @@ fn counter(name: &str, op: &str) -> u64 {
 ///     `retry_exhausted{op=pull} == 0`;
 /// (b) a *hard* schedule (pulls never succeed) exhausts retries — the
 ///     step still completes, its chunks land truncated in report and
-///     lineage;
+///     lineage; in a two-rank area, one abandoned chunk is truncated by
+///     the rank that serves it alone;
 /// (c) with `ResilientClient`s over a one-step outage, every rank falls
 ///     back to in-compute for the faulted step and recovers to staged
 ///     writes on the next — `fallback_steps > 0`, no abort anywhere.
@@ -384,7 +385,7 @@ fn counter(name: &str, op: &str) -> u64 {
 fn degradation_ladder_absorbs_truncates_and_falls_back() {
     use predata::core::ops::HistogramOp;
     use predata::core::resilient::{DegradePolicy, ResilientClient};
-    use predata::transport::FaultPlan;
+    use predata::transport::{FaultKind, FaultPlan};
 
     // --- (a) transient faults: retried into a byte-identical run ---
     let clean_dir = out_dir("ladder-clean");
@@ -427,6 +428,29 @@ fn degradation_ladder_absorbs_truncates_and_falls_back() {
     std::fs::remove_dir_all(&faulty_dir).ok();
 
     // --- (b) retry exhaustion: truncated-but-written step ---
+    // A schedule that abandons exactly one chunk of the second step of a
+    // two-rank area: the rank serving it reports it truncated, the peer
+    // and the first step are untouched, and every gathered chunk counts.
+    let plan = |seed| FaultPlan::new(seed).drop_chunks(0.25).steps(1..2);
+    let victims = |seed| -> Vec<usize> {
+        (0..4)
+            .filter(|&r| plan(seed).selects(FaultKind::Drop, r as u64, 1))
+            .collect()
+    };
+    let seed = (0..).find(|&s| victims(s).len() == 1).unwrap();
+    let victim = victims(seed)[0];
+    let dir = out_dir("ladder-one-victim");
+    let reports = run_gtc(&dir, Some(Arc::new(plan(seed))));
+    // Staging rank 0's steps, then rank 1's; each serves two compute ranks.
+    for (rank, steps) in reports.chunks(2).enumerate() {
+        for rep in steps {
+            assert_eq!(rep.chunks, 2);
+            let lost = rep.step == 1 && victim / 2 == rank;
+            assert_eq!(rep.truncated, if lost { vec![victim] } else { vec![] });
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
     // Steps 50+: outside every other test's lineage key range.
     const STEP: u64 = 50;
     let _lineage = LINEAGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -5,13 +5,14 @@
 //! allocation aborts rather than unwinds, so this test binary dying *is*
 //! the failure report for it.
 //!
-//! Five kinds of input — a PG block, a packed chunk, a footer index, a
-//! whole BP file and a bitmap-index `.idx` file — each go through every
+//! Six kinds of input — a PG block, a packed chunk, a footer index, a
+//! whole BP file, a BP file whose forged index aliases one payload under
+//! many chunks, and a bitmap-index `.idx` file — each go through every
 //! single-site damage (a sweep, so the count fields and the footer's
 //! length are certainly hit) and through seeded multi-site damage.
 
 use predata::bpio::{
-    BpReader, BpWriter, DataArray, Dim, Dtype, FileIndex, GroupDef, ProcessGroup, VarDef,
+    BpReader, BpWriter, DataArray, Dim, Dtype, FileIndex, GroupDef, ProcessGroup, VarDef, VarEntry,
 };
 use predata::core::agg::Aggregates;
 use predata::core::op::{complete_pipeline, OpCtx, StreamOp};
@@ -74,6 +75,56 @@ fn sample_file() -> &'static (Vec<u8>, Vec<u8>) {
     })
 }
 
+/// The bytes of a BP file whose index is consistent but forged: it puts
+/// 16 disjoint chunks of one global array on the one 256-byte payload the
+/// file holds. Every entry lies inside the payload region and has its
+/// shape's length, yet the whole array, read back, would be 16 times the
+/// payload — larger than the file.
+fn aliased_file() -> &'static Vec<u8> {
+    static FILE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    FILE.get_or_init(|| {
+        const CHUNKS: u64 = 16;
+        const LEN: u64 = 32;
+        let def = GroupDef::new(
+            "g",
+            vec![VarDef::global_chunk(
+                "a",
+                Dtype::F64,
+                vec![Dim::c(LEN)],
+                vec![Dim::c(LEN)],
+                vec![Dim::c(0)],
+            )],
+        )
+        .unwrap();
+        let mut pg = ProcessGroup::new("g", 0, 0);
+        pg.write(&def, "a", DataArray::F64(vec![1.0; LEN as usize]))
+            .unwrap();
+        let path = scratch("aliased");
+        let mut w = BpWriter::create(&path).unwrap();
+        w.append_pg(&pg).unwrap();
+        let mut index = w.finish().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let chunk = index.vars.pop().unwrap();
+        index.vars = (0..CHUNKS)
+            .map(|i| VarEntry {
+                global: vec![CHUNKS * LEN],
+                offset_in_global: vec![i * LEN],
+                ..chunk.clone()
+            })
+            .collect();
+        // `[PG blocks…][index][index_len][magic]`, with the forged index.
+        let (body, tail) = bytes.split_at(bytes.len() - 12);
+        let idx_len = u64::from_le_bytes(tail[..8].try_into().unwrap()) as usize;
+        let forged = index.encode();
+        let mut file = body[..body.len() - idx_len].to_vec();
+        file.extend_from_slice(&forged);
+        file.extend_from_slice(&(forged.len() as u64).to_le_bytes());
+        file.extend_from_slice(&tail[8..]);
+        file
+    })
+}
+
 /// The bytes of the `.idx` file `BitmapIndexOp::finalize` writes for two
 /// chunks: `[count u32]` then per chunk `[rank u64][len u32][index]`.
 fn sample_idx() -> &'static Vec<u8> {
@@ -110,14 +161,16 @@ enum Input {
     Chunk,
     Footer,
     File,
+    Aliased,
     Idx,
 }
 
-const INPUTS: [Input; 5] = [
+const INPUTS: [Input; 6] = [
     Input::Block,
     Input::Chunk,
     Input::Footer,
     Input::File,
+    Input::Aliased,
     Input::Idx,
 ];
 
@@ -127,6 +180,7 @@ fn valid(input: Input) -> Vec<u8> {
         Input::Chunk => PackedChunk::new(sample_pg(1)).pack().unwrap(),
         Input::Footer => sample_file().1.clone(),
         Input::File => sample_file().0.clone(),
+        Input::Aliased => aliased_file().clone(),
         Input::Idx => sample_idx().clone(),
     }
 }
@@ -144,7 +198,7 @@ fn consume(input: Input, bytes: &[u8], tag: &str) {
             drop(predata::ffs::decode(bytes, None));
         }
         Input::Footer => drop(FileIndex::decode(bytes)),
-        Input::File => {
+        Input::File | Input::Aliased => {
             let path = scratch(tag);
             std::fs::write(&path, bytes).unwrap();
             if let Ok(mut r) = BpReader::open(&path) {
@@ -219,6 +273,17 @@ fn every_single_site_damage_is_ok_or_err() {
             }
         }
     }
+}
+
+/// The forged index of `aliased_file` is refused when the file is
+/// opened, before any read could build an array larger than the file.
+#[test]
+fn an_index_that_aliases_one_payload_is_refused() {
+    let path = scratch("aliased-open");
+    std::fs::write(&path, aliased_file()).unwrap();
+    let opened = BpReader::open(&path);
+    std::fs::remove_file(&path).unwrap();
+    assert!(opened.is_err(), "a forged index was accepted");
 }
 
 fn arb_damage() -> impl Strategy<Value = (usize, Damage)> {

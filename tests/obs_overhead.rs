@@ -87,11 +87,7 @@ fn run_once(dir: &std::path::Path) -> Duration {
                 .unwrap();
         }
     }
-    // The rank thread alone, whatever the host: a helper's scheduling
-    // would be most of the run-to-run spread, and the events recorded
-    // per chunk and per stage are the same.
-    let mut cfg = StagingConfig::new(N_COMPUTE, dir);
-    cfg.map_workers = Some(1);
+    let cfg = StagingConfig::new(N_COMPUTE, dir);
     let started = Instant::now();
     let area = StagingArea::spawn(
         stagings,
