@@ -8,20 +8,14 @@
 //! predata-report <snapshot.json>
 //! predata-report -              # read the snapshot from stdin
 //! predata-report --check <dir>  # render every *.json in <dir>; fail on any
-//! predata-report live <stream.jsonl>          # render a PREDATA_LIVE_PATH stream
-//! predata-report live --check <stream.jsonl>  # validate it, print nothing
 //! ```
 //!
 //! `--check` is the CI schema gate: it renders each checked-in sample
 //! snapshot and exits nonzero if any fails, so exporter drift against
-//! `crates/bench/testdata/` is caught at build time. `live --check`
-//! does the same for the rolling JSONL telemetry stream a
-//! `PREDATA_LIVE` run appends — every line must parse and carry the
-//! full frame/health/per-rank schema.
+//! `crates/bench/testdata/` is caught at build time.
 //!
 //! Snapshots come from `PREDATA_METRICS=/path/snapshot.json` (written
-//! at `StagingArea::join`) or from `obs::global().snapshot().to_json()`;
-//! live streams come from `PREDATA_LIVE_PATH=/path/stream.jsonl`.
+//! at `StagingArea::join`) or from `obs::global().snapshot().to_json()`.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -70,42 +64,13 @@ fn check_dir(dir: &str) -> ExitCode {
     }
 }
 
-/// Render (or with `check` just validate) a `PREDATA_LIVE_PATH` stream.
-fn live_stream(path: &str, check: bool) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("predata-report: reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match predata_bench::report::render_live_stream_str(&text) {
-        Ok(report) => {
-            if check {
-                eprintln!("predata-report: ok {path}");
-            } else {
-                print!("{report}");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("predata-report: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let path = match args.as_slice() {
         [flag, dir] if flag == "--check" => return check_dir(dir),
-        [sub, p] if sub == "live" => return live_stream(p, false),
-        [sub, flag, p] if sub == "live" && flag == "--check" => return live_stream(p, true),
         [p] if p != "--help" && p != "-h" => p.clone(),
         _ => {
-            eprintln!(
-                "usage: predata-report <snapshot.json | -> | --check <dir> | live [--check] <stream.jsonl>"
-            );
+            eprintln!("usage: predata-report <snapshot.json | -> | --check <dir>");
             return ExitCode::from(2);
         }
     };

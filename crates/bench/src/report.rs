@@ -4,18 +4,13 @@
 //! ([`obs::SNAPSHOT_VERSION`]; any other version is refused): counters,
 //! gauges, log₂ histograms, the per-step, per-rank stage rows of the
 //! fold, and the views over it — per-chunk lineage (when the run logged
-//! events), per-step perturbation, the live window and its health
-//! reports (when `PREDATA_LIVE` was on). The output mirrors the
+//! events) and per-step perturbation. The output mirrors the
 //! stage-breakdown tables of the paper's Fig. 7–9 — with one column per
 //! staging rank, so "where did step N's time go, on which rank" is one
-//! table — plus a per-chunk critical-path view, a straggler table, the
-//! paper §5-style perturbation summary, and the live-window health view.
-//! What `obs` derives (a chunk's total and dominant gap, a step's
-//! blocked fraction) is asked of `obs`'s own view types, not re-derived.
-//!
-//! [`render_live_stream_str`] additionally renders the *rolling JSONL
-//! stream* (`PREDATA_LIVE_PATH`) as a per-step dashboard — the
-//! `predata-report live` subcommand a user tails mid-run.
+//! table — plus a per-chunk critical-path view, a straggler table and
+//! the paper §5-style perturbation summary. What `obs` derives (a
+//! chunk's total and dominant gap, a step's blocked fraction) is asked
+//! of `obs`'s own view types, not re-derived.
 //!
 //! Used by the `predata-report` binary and by the schema-drift smoke
 //! test, so any change to the exporter's JSON shape fails the build
@@ -80,12 +75,6 @@ fn require_u64(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
     require(v, key, ctx)?
         .as_u64()
         .ok_or_else(|| format!("snapshot {ctx}: `{key}` is not a u64"))
-}
-
-fn require_f64(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
-    require(v, key, ctx)?
-        .as_f64()
-        .ok_or_else(|| format!("snapshot {ctx}: `{key}` is not a number"))
 }
 
 fn require_str<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v str, String> {
@@ -215,26 +204,15 @@ fn render_stage_summary(cells: &[StageCell], out: &mut String) {
 /// The degradation-ladder counters (DESIGN.md §3.3) pulled out of the
 /// flat counter list into their own view, so an operator reads the
 /// run's resilience story — faults seen, retries paid, chunks lost,
-/// steps run in-compute — at a glance. Omitted entirely for a run that
+/// outputs not written — at a glance. Omitted entirely for a run that
 /// climbed no rungs.
 fn render_resilience(root: &Value, out: &mut String) -> Result<(), String> {
-    const LADDER: [(&str, &str); 16] = [
+    const LADDER: [(&str, &str); 5] = [
         ("transport.faults_injected", "faults injected"),
         ("transport.retries", "retries absorbed"),
         ("transport.retry_exhausted", "retries exhausted"),
         ("staging.truncated_chunks", "chunks truncated"),
         ("staging.output_errors", "operator outputs not written"),
-        ("staging.admission_triggers", "overload sheds triggered"),
-        ("staging.admission_deferred_ops", "operators deferred"),
-        ("client.reclaimed_bytes", "bytes reclaimed"),
-        ("client.fallback_steps", "in-compute fallback steps"),
-        ("client.recoveries", "recoveries to staged writes"),
-        ("membership.joins", "staging ranks joined"),
-        ("membership.leaves", "staging ranks left"),
-        ("membership.evictions", "staging ranks evicted"),
-        ("membership.reroutes", "compute ranks re-routed"),
-        ("membership.handoff_blocks", "index blocks handed off"),
-        ("membership.handoff_bytes", "index bytes handed off"),
     ];
     let counters = require_array(root, "counters", "root")?;
     let mut lines = Vec::new();
@@ -470,165 +448,6 @@ fn render_perturb(root: &Value, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-/// Live-window view (the `live` section): the latest value and window
-/// extent of every series the plane kept.
-fn render_live(root: &Value, out: &mut String) -> Result<(), String> {
-    out.push_str("\n=== live telemetry (windowed) ===\n");
-    let section = require(root, "live", "root")?;
-    let window = require_u64(section, "window", "live")?;
-    if window == 0 {
-        out.push_str("(live plane disabled — run with PREDATA_LIVE=1)\n");
-        return Ok(());
-    }
-    out.push_str(&format!("window {window} step(s)\n"));
-    let series = require_array(section, "series", "live")?;
-    if !series.is_empty() {
-        out.push_str(&format!(
-            "{:<36} {:>8} {:>14} {:>14} {:>14}\n",
-            "series", "points", "last", "min", "max"
-        ));
-    }
-    for s in series {
-        let name = require_str(s, "name", "live.series[]")?;
-        let points = require_array(s, "points", "live.series[]")?;
-        let mut last = 0.0f64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for p in points {
-            let v = match p.as_array() {
-                Some([_, v]) => v.as_f64(),
-                _ => None,
-            }
-            .ok_or("snapshot live.series[]: point is not a [step,value] pair")?;
-            last = v;
-            min = min.min(v);
-            max = max.max(v);
-        }
-        if points.is_empty() {
-            continue;
-        }
-        out.push_str(&format!(
-            "{name:<36} {:>8} {last:>14.2} {min:>14.2} {max:>14.2}\n",
-            points.len()
-        ));
-    }
-    Ok(())
-}
-
-/// One health report (a `health` entry or a stream line's `health`
-/// object) as a dashboard row.
-fn health_row(report: &Value, out: &mut String) -> Result<(), String> {
-    let ctx = "health[]";
-    let step = require_u64(report, "step", ctx)?;
-    let ranks = require_u64(report, "ranks", ctx)?;
-    let backlog = require_u64(report, "backlog", ctx)?;
-    let trend = require_f64(report, "backlog_trend", ctx)?;
-    let blocked = require_f64(report, "blocked_fraction", ctx)?;
-    let exhausted = require_u64(report, "retry_exhausted", ctx)?;
-    let mut flags: Vec<String> = Vec::new();
-    for s in require_array(report, "signals", ctx)? {
-        let kind = require_str(s, "kind", "health[].signals[]")?;
-        flags.push(match kind {
-            "straggler" => format!(
-                "straggler r{} (z={:.2})",
-                require_u64(s, "rank", "health[].signals[]")?,
-                require_f64(s, "z", "health[].signals[]")?
-            ),
-            "backlog_growth" => format!(
-                "backlog +{:.1}/step",
-                require_f64(s, "per_step", "health[].signals[]")?
-            ),
-            "retry_exhaustion" => format!(
-                "retries exhausted x{}",
-                require_u64(s, "in_window", "health[].signals[]")?
-            ),
-            other => other.to_string(),
-        });
-    }
-    let flags = if flags.is_empty() {
-        "ok".to_string()
-    } else {
-        flags.join(", ")
-    };
-    out.push_str(&format!(
-        "{step:>6} {ranks:>5} {backlog:>8} {trend:>+9.2} {:>8} {exhausted:>9}  {flags}\n",
-        format!("{:.1}%", blocked * 100.0),
-    ));
-    Ok(())
-}
-
-const HEALTH_HEADER: &str = "  step ranks  backlog     trend blocked% retry-exh  signals\n";
-
-/// Health view (the `health` section): one row per closed step.
-fn render_health(root: &Value, out: &mut String) -> Result<(), String> {
-    out.push_str("\n=== health (cluster window) ===\n");
-    let reports = require_array(root, "health", "root")?;
-    if reports.is_empty() {
-        out.push_str("(no health reports — run with PREDATA_LIVE=1)\n");
-        return Ok(());
-    }
-    out.push_str(HEALTH_HEADER);
-    for report in reports {
-        health_row(report, out)?;
-    }
-    Ok(())
-}
-
-/// Render a rolling JSONL telemetry stream (`PREDATA_LIVE_PATH`) as a
-/// per-step dashboard: one health row per closed step, plus the per-rank
-/// rows of the last one. Every line must parse — this is
-/// the `predata-report live --check` gate CI runs on the stream a
-/// smoke run produced.
-pub fn render_live_stream_str(text: &str) -> Result<String, String> {
-    let mut out = String::new();
-    out.push_str("=== live telemetry stream ===\n");
-    out.push_str(HEALTH_HEADER);
-    let mut steps = 0usize;
-    let mut last_line: Option<Value> = None;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v: Value =
-            serde_json::from_str(line).map_err(|e| format!("stream line {}: {e}", i + 1))?;
-        let health = require(&v, "health", "stream line")?;
-        health_row(health, &mut out).map_err(|e| format!("stream line {}: {e}", i + 1))?;
-        // The stage rows must at least parse as an object even when we
-        // don't tabulate them — `--check` means every field a dashboard
-        // reads.
-        require(&v, "stages", "stream line")?
-            .as_object()
-            .ok_or_else(|| format!("stream line {}: `stages` is not an object", i + 1))?;
-        steps += 1;
-        last_line = Some(v);
-    }
-    if steps == 0 {
-        return Err("live stream: no telemetry lines".into());
-    }
-    if let Some(v) = last_line {
-        let per_rank = require_array(&v, "per_rank", "stream line")?;
-        out.push_str("\nlast step, per rank:\n");
-        out.push_str(&format!(
-            "{:>6} {:>14} {:>8} {:>6} {:>9}\n",
-            "rank", "compute", "backlog", "sheds", "truncated"
-        ));
-        for r in per_rank {
-            let ctx = "per_rank[]";
-            out.push_str(&format!(
-                "{:>6} {:>14} {:>8} {:>6} {:>9}\n",
-                require_u64(r, "rank", ctx)?,
-                fmt_ns(require_u64(r, "compute_ns", ctx)?),
-                require_u64(r, "backlog", ctx)?,
-                require_u64(r, "sheds", ctx)?,
-                require_u64(r, "truncated", ctx)?,
-            ));
-        }
-    }
-    out.push_str(&format!("\n({steps} step(s))\n"));
-    Ok(out)
-}
-
 /// Render a full snapshot (already parsed) into the report text.
 ///
 /// Fails with a descriptive message on any schema mismatch — the
@@ -650,8 +469,6 @@ pub fn render_snapshot(root: &Value) -> Result<String, String> {
     render_critical_path(&lineage, &mut out);
     render_stragglers(&lineage, 3, &mut out);
     render_perturb(root, &mut out)?;
-    render_live(root, &mut out)?;
-    render_health(root, &mut out)?;
     render_resilience(root, &mut out)?;
     render_counters(root, &mut out)?;
     render_gauges(root, &mut out)?;
@@ -680,9 +497,7 @@ mod tests {
             "per-step stage timing",
             "per-chunk critical path",
             "per-step perturbation",
-            "live telemetry (windowed)",
-            "health (cluster window)",
-            "straggler r2",
+            "stragglers (slowest 3 chunks per step)",
             "transport.rdma_get_bytes",
             "operator outputs not written staging.output_errors{op=sort} = 1",
         ] {
@@ -745,12 +560,12 @@ mod tests {
         let bare = format!("{{\"version\":{}}}", obs::SNAPSHOT_VERSION);
         let err = render_snapshot_str(&bare).unwrap_err();
         assert!(err.contains("steps"), "got: {err}");
-        let no_live = Registry::new()
+        let no_perturb = Registry::new()
             .snapshot()
             .to_json()
-            .replace("\"live\":", "\"dead\":");
-        let err = render_snapshot_str(&no_live).unwrap_err();
-        assert!(err.contains("`live`"), "got: {err}");
+            .replace("\"perturb\":", "\"dead\":");
+        let err = render_snapshot_str(&no_perturb).unwrap_err();
+        assert!(err.contains("`perturb`"), "got: {err}");
     }
 
     #[test]
@@ -800,7 +615,8 @@ mod tests {
         reg.counter("transport.retries", &[("op", "pull")]).add(3);
         reg.counter("transport.retry_exhausted", &[("op", "pull")])
             .add(1);
-        reg.counter("client.fallback_steps", &[]).add(2);
+        reg.counter("staging.output_errors", &[("op", "sort")])
+            .add(2);
         let report = render_snapshot_str(&reg.snapshot().to_json()).unwrap();
         assert!(
             report.contains("=== resilience (degradation ladder) ==="),
@@ -811,78 +627,11 @@ mod tests {
             "got: {report}"
         );
         assert!(
-            report.contains("in-compute fallback steps"),
+            report.contains("operator outputs not written"),
             "got: {report}"
         );
         // Rungs that never fired stay out of the view.
         assert!(!report.contains("chunks truncated"), "got: {report}");
-    }
-
-    /// A registry with the plane on, `n_ranks` ranks each finishing
-    /// `steps` steps; rank `slow`'s stage 4a takes 50 ms, the others'
-    /// 40 µs — a straggler.
-    fn live_run(
-        n_ranks: usize,
-        steps: u64,
-        slow: usize,
-        stream: Option<std::path::PathBuf>,
-    ) -> Registry {
-        let reg = Registry::new();
-        reg.live()
-            .configure(Some(obs::live::LiveConfig { window: 8 }), stream);
-        for step in 0..steps {
-            for rank in 0..n_ranks {
-                let ns = if rank == slow { 50_000_000 } else { 40_000 };
-                reg.record(Event::new("pull_map", step).rank(rank).at(0, ns));
-                reg.record(
-                    Event::new("request_received", step)
-                        .rank(rank)
-                        .chunk(rank as u64),
-                );
-                reg.step_end(n_ranks, step);
-            }
-        }
-        reg
-    }
-
-    /// The full live round trip: a registry with the telemetry plane
-    /// configured → to_json → parse → render, live and health included.
-    #[test]
-    fn renders_live_and_health_from_a_live_registry() {
-        let reg = live_run(4, 1, 3, None);
-        let json = reg.snapshot().to_json();
-        let report = render_snapshot_str(&json).expect("snapshot must render");
-        assert!(report.contains("window 8 step(s)"), "got: {report}");
-        assert!(report.contains("pull_map.total_ns"), "got: {report}");
-        assert!(report.contains("straggler r3"), "got: {report}");
-    }
-
-    /// The JSONL stream renderer consumes exactly what the live plane
-    /// writes to `PREDATA_LIVE_PATH`, and rejects non-JSON lines.
-    #[test]
-    fn renders_a_live_stream_and_rejects_garbage() {
-        let path =
-            std::env::temp_dir().join(format!("report-live-stream-{}.jsonl", std::process::id()));
-        let reg = live_run(3, 2, 1, Some(path.clone()));
-        reg.live().configure(None, None);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        let dashboard = render_live_stream_str(&text).expect("stream must render");
-        assert!(
-            dashboard.contains("live telemetry stream"),
-            "got: {dashboard}"
-        );
-        assert!(dashboard.contains("(2 step(s))"), "got: {dashboard}");
-        assert!(dashboard.contains("straggler r1"), "got: {dashboard}");
-        assert!(
-            dashboard.contains("last step, per rank") && dashboard.contains("50.00ms"),
-            "got: {dashboard}"
-        );
-
-        assert!(render_live_stream_str("").is_err(), "empty stream fails");
-        let err = render_live_stream_str("not json\n").unwrap_err();
-        assert!(err.contains("line 1"), "got: {err}");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! writer, under one rule — **a buffer is written again only after its
 //! exposure has ended** (the pull's completion was consumed by
 //! [`wait_drained`](PredataClient::wait_drained), or the exposure was
-//! withdrawn by [`reclaim_outstanding`](PredataClient::reclaim_outstanding))
-//! **and every other handle on it is gone** ([`Bytes::is_unique`]: the
+//! withdrawn because its fetch request never left) **and every other
+//! handle on it is gone** ([`Bytes::is_unique`]: the
 //! registry's and the puller's). A staging rank that is still decoding a
 //! pulled chunk therefore keeps it intact for as long as it holds it;
 //! the client packs into another buffer meanwhile.
@@ -92,11 +92,10 @@ pub struct PredataClient {
     endpoint: ComputeEndpoint,
     router: Arc<dyn Router>,
     ops: Vec<Arc<dyn ComputeSideOp>>,
-    /// Exposures not yet confirmed pulled: handle → (the client's
-    /// handle on the exposed buffer, step). Keyed by handle so
-    /// completions can be matched exactly and un-pulled dumps can be
-    /// withdrawn ([`Self::reclaim_outstanding`]).
-    outstanding: RefCell<HashMap<MemHandle, (Bytes, u64)>>,
+    /// Exposures not yet confirmed pulled: handle → the client's handle
+    /// on the exposed buffer. Keyed by handle so completions can be
+    /// matched exactly.
+    outstanding: RefCell<HashMap<MemHandle, Bytes>>,
     /// Buffers whose exposure has ended, kept to be packed into again
     /// (module docs: only once [`Bytes::is_unique`]).
     retired: RefCell<Vec<Bytes>>,
@@ -205,7 +204,7 @@ impl PredataClient {
         if lineage {
             obs::mark("request_sent", step).chunk(src);
         }
-        self.outstanding.borrow_mut().insert(handle, (buf, step));
+        self.outstanding.borrow_mut().insert(handle, buf);
         Ok(WriteReceipt {
             staging_rank,
             bytes,
@@ -228,8 +227,8 @@ impl PredataClient {
     }
 
     /// A completion arrived: the exposure is over and its buffer retires.
-    fn retire(&self, outstanding: &mut HashMap<MemHandle, (Bytes, u64)>, handle: MemHandle) {
-        if let Some((buf, _step)) = outstanding.remove(&handle) {
+    fn retire(&self, outstanding: &mut HashMap<MemHandle, Bytes>, handle: MemHandle) {
+        if let Some(buf) = outstanding.remove(&handle) {
             self.retired.borrow_mut().push(buf);
         }
     }
@@ -258,53 +257,6 @@ impl PredataClient {
             self.retire(&mut outstanding, ev.handle);
         }
         Ok(())
-    }
-
-    /// Exposures not yet confirmed pulled.
-    pub fn outstanding_writes(&self) -> usize {
-        self.outstanding.borrow().len()
-    }
-
-    /// Withdraw every exposure the staging area hasn't pulled, freeing
-    /// the pinned bytes (the buffers retire, to be packed into again)
-    /// and terminally marking each dump's lineage
-    /// [`Truncated`](obs::lineage::Stage::Truncated). Returns how many
-    /// exposures were withdrawn. Dumps whose pull already won the race
-    /// stay tracked — their completions drain normally.
-    ///
-    /// This is the client half of the degradation ladder: before
-    /// falling back to a synchronous in-compute write of the same data,
-    /// the abandoned staged copy must stop costing compute-node memory.
-    pub fn reclaim_outstanding(&self) -> usize {
-        let mut outstanding = self.outstanding.borrow_mut();
-        for ev in self.endpoint.poll_completions() {
-            self.retire(&mut outstanding, ev.handle);
-        }
-        let src = self.rank() as u64;
-        let mut reclaimed = 0usize;
-        let mut reclaimed_bytes = 0u64;
-        let mut retired = self.retired.borrow_mut();
-        outstanding.retain(|&handle, (buf, step)| {
-            match self.endpoint.reclaim(handle) {
-                Some(n) => {
-                    debug_assert_eq!(n, buf.len());
-                    obs::mark("truncated", *step).chunk(src);
-                    reclaimed += 1;
-                    reclaimed_bytes += n as u64;
-                    retired.push(std::mem::take(buf));
-                    false
-                }
-                // Pulled between the poll above and now: the completion
-                // path owns the accounting.
-                None => true,
-            }
-        });
-        if reclaimed > 0 {
-            obs::global()
-                .counter("client.reclaimed_bytes", &[])
-                .add(reclaimed_bytes);
-        }
-        reclaimed
     }
 }
 
@@ -413,42 +365,6 @@ mod tests {
         assert_ne!(third.as_ptr(), fourth.as_ptr());
         assert_eq!(PackedChunk::unpack(&third).unwrap().step, 3);
         assert_eq!(PackedChunk::unpack(&fourth).unwrap().step, 4);
-    }
-
-    #[test]
-    fn reclaimed_buffers_return_to_the_pool_and_unpin() {
-        let (fabric, client, staging) = one_client(None);
-        let pg = |step: u64| make_particle_pg(0, step, vec![0.5; 64]);
-        for step in 0..3 {
-            client.write_pg(pg(step)).unwrap();
-        }
-        let pinned = client.buffered_bytes();
-        assert_eq!(fabric.pinned_bytes(), pinned);
-        // One dump is pulled (and its reader lets go); two are withdrawn.
-        drop(pull(&staging));
-        assert_eq!(client.reclaim_outstanding(), 2);
-        for _ in 0..2 {
-            let late = staging.recv_request(Duration::from_secs(1)).unwrap();
-            assert!(matches!(
-                staging.rdma_get(&late),
-                Err(TransportError::StaleHandle(_))
-            ));
-        }
-        assert_eq!(client.outstanding_writes(), 0);
-        assert_eq!((client.buffered_bytes(), fabric.pinned_bytes()), (0, 0));
-        assert_eq!(client.retired.borrow().len(), 3);
-        assert!(client.retired.borrow().iter().all(Bytes::is_unique));
-        // All three are packed into again before anything is allocated.
-        let pool: Vec<*const u8> = client.retired.borrow().iter().map(|b| b.as_ptr()).collect();
-        for step in 3..6 {
-            client.write_pg(pg(step)).unwrap();
-        }
-        assert!(client.retired.borrow().is_empty());
-        for _ in 3..6 {
-            assert!(pool.contains(&pull(&staging).as_ptr()));
-        }
-        client.wait_drained(Duration::from_secs(1)).unwrap();
-        assert_eq!((client.buffered_bytes(), fabric.pinned_bytes()), (0, 0));
     }
 
     #[test]

@@ -28,14 +28,13 @@
 //!   side: an independent "MPI program" ([`minimpi`]) whose ranks gather
 //!   requests, build global [`agg::Aggregates`], pull chunks under a
 //!   [`transport::PullPolicy`], and drive every registered
-//!   [`op::StreamOp`] through the five-phase streaming pipeline.
+//!   [`op::StreamOp`] through the five-phase streaming pipeline. A
+//!   pull that fails transiently is retried, and one whose retries
+//!   exhaust is left out of the step ([`StepReport::truncated`]; DESIGN.md
+//!   §3.3, `docs/OPERATIONS.md` for the knobs).
 //! * [`incompute::InComputeRunner`] — the baseline placement: the same
 //!   operators executed synchronously on the compute ranks themselves
 //!   (the paper's "In-Compute-Node configuration").
-//! * [`resilient::ResilientClient`] — the degradation ladder: staged
-//!   writes with retry, truncation on exhaustion, and automatic
-//!   fallback to the in-compute placement while staging is unhealthy
-//!   (DESIGN.md §3.3, `docs/OPERATIONS.md` for the knobs).
 //! * [`ops`] — the operators evaluated in the paper: particle **sort**,
 //!   **histogram**, **2-D histogram** (GTC), array layout
 //!   **re-organization** (Pixie3D), plus the **bitmap index** used by
@@ -85,22 +84,18 @@
 //! # std::fs::remove_dir_all(&out).ok();
 //! ```
 
-pub mod admit;
 pub mod agg;
 pub mod chunk;
 pub mod client;
 pub mod incompute;
 pub mod op;
 pub mod ops;
-pub mod resilient;
 pub mod schema;
 pub mod staging;
 
-pub use admit::AdmitControl;
 pub use agg::Aggregates;
 pub use chunk::PackedChunk;
 pub use client::PredataClient;
 pub use incompute::InComputeRunner;
 pub use op::{OpResult, StreamOp, Tagged};
-pub use resilient::{DegradePolicy, ResilientClient, StepOutcome};
-pub use staging::{EpochHook, StagingArea, StagingConfig, StepReport};
+pub use staging::{StagingArea, StagingConfig, StepReport};

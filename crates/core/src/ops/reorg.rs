@@ -112,8 +112,7 @@ impl StreamOp for ReorgOp {
         let slab_elems = ((self.slab.1 - self.slab.0) * self.global[1] * self.global[2]) as usize;
         // Re-zero, don't reallocate: whatever the last step left behind
         // (its slabs come back from `finalize`) must not show through
-        // where this step delivers no piece — a skipped chunk, a shed
-        // operator.
+        // where this step delivers no piece — a skipped chunk.
         self.buffers.resize_with(self.vars.len(), Vec::new);
         for slab in &mut self.buffers {
             slab.clear();

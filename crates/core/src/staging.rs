@@ -3,29 +3,26 @@
 //! The staging area runs as its own SPMD program: each rank owns one
 //! [`transport::StagingEndpoint`], a share of the compute ranks (from the
 //! `Route()` inverse map), and a full set of operator instances. Per I/O
-//! step, [`StagingRank::run_step`] is five stages, each a private method
+//! step, [`StagingRank::run_step`] is four stages, each a private method
 //! with typed inputs and outputs:
 //!
 //! 1. **gather** — collect the fetch requests of the compute ranks this
 //!    rank serves (requests for later steps are stashed, a request for
 //!    an earlier one is [`StagingError::StepSkew`]);
-//! 2. **shed** — overload admission control ([`crate::admit`]): which
-//!    operators, if any, sit this step out;
-//! 3. **aggregate + initialize** — build the global [`Aggregates`] with
+//! 2. **aggregate + initialize** — build the global [`Aggregates`] with
 //!    one small staging-wide exchange and `initialize` every operator;
-//! 4. **pull + map** — pull every chunk in the order and pacing of the
+//! 3. **pull + map** — pull every chunk in the order and pacing of the
 //!    [`transport::PullPolicy`], decode and map each one, and append the
 //!    outputs to the operators' streams in that order;
-//! 5. **exchange + step end** — each operator's combine → shuffle →
-//!    reduce → finalize, then the live-telemetry tick and the
-//!    [`StepReport`].
+//! 4. **exchange + step end** — each operator's combine → shuffle →
+//!    reduce → finalize, then the [`StepReport`].
 //!
-//! Stages 1 and 4 can fail; `run_step` has one error exit, which closes
+//! Stages 1 and 3 can fail; `run_step` has one error exit, which closes
 //! the lineage record of every chunk gathered so far.
 //!
-//! # The pull → decode → map loop (stage 4)
+//! # The pull → decode → map loop (stage 3)
 //!
-//! Stage 4 is one loop on the rank thread (DESIGN.md §3.1 has the long
+//! Stage 3 is one loop on the rank thread (DESIGN.md §3.1 has the long
 //! form). For each request, in policy order: wait until the policy is
 //! willing, pull the chunk, unpack it, release the pull buffer, and append
 //! every operator's [`crate::op::ChunkMapper`] output to its stream:
@@ -56,19 +53,16 @@ use std::time::{Duration, Instant};
 
 use minimpi::{Comm, PoisonOnUnwind, World};
 use transport::{
-    Epoch, FaultKind, FetchRequest, PullPolicy, RetryPolicy, Router, StagingEndpoint,
-    TransportError,
+    FaultKind, FetchRequest, PullPolicy, RetryPolicy, Router, StagingEndpoint, TransportError,
 };
 
-use crate::admit::AdmitControl;
 use crate::agg::Aggregates;
 use crate::chunk::{ChunkError, PackedChunk};
-use crate::op::{complete_pipeline_traced, ChunkMapper, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
+use crate::op::{complete_pipeline_traced, ChunkMapper, OpCtx, OpResult, StreamOp, Tagged};
 
 /// Mark chunk `(src_rank, step)` truncated on staging rank `rank`: its
 /// pull was given up, or its step abandoned, and it will never reach
-/// `written`. A terminal lineage stage, and — counted per rank and step —
-/// the live plane's retries-exhausted signal.
+/// `written`. A terminal lineage stage.
 fn mark_truncated(rank: usize, src_rank: usize, step: u64) {
     obs::mark("truncated", step)
         .rank(rank)
@@ -157,23 +151,6 @@ struct Mapped {
     times: StageTimes,
 }
 
-/// The mapper of an operator shed by admission control: the work stays
-/// unmapped, not queued for later.
-struct ShedMapper;
-
-impl ChunkMapper for ShedMapper {
-    fn map_chunk(&self, _chunk: &PackedChunk, _ctx: &MapCtx) -> Vec<Tagged> {
-        Vec::new()
-    }
-}
-
-/// Callback at a membership epoch boundary: `(epoch, my_rank)`, invoked
-/// on every staging rank at the first step of the new epoch, between
-/// two staging-wide barriers. Index handoff rides on this — a leaving
-/// rank exports its committed shards, the successor republishes them —
-/// with whatever shared state the hook closes over.
-pub type EpochHook = dyn Fn(&Epoch, usize) + Send + Sync;
-
 /// Static configuration of the staging area.
 #[derive(Clone)]
 pub struct StagingConfig {
@@ -186,12 +163,6 @@ pub struct StagingConfig {
     /// Retry policy for fetch-request receives and `rdma_get` pulls
     /// (`PREDATA_RETRY`; its deadline is the per-step pull budget).
     pub retry: RetryPolicy,
-    /// Invoked at each epoch boundary of the router's membership
-    /// schedule (index handoff; see [`EpochHook`]).
-    pub on_epoch: Option<Arc<EpochHook>>,
-    /// Overload admission control (`PREDATA_ADMIT`) — degradation-ladder
-    /// rung 4; `None` never sheds.
-    pub admit: Option<Arc<AdmitControl>>,
 }
 
 impl StagingConfig {
@@ -201,8 +172,6 @@ impl StagingConfig {
             out_dir: out_dir.into(),
             gather_timeout: Duration::from_secs(30),
             retry: RetryPolicy::from_env(),
-            on_epoch: None,
-            admit: AdmitControl::from_env(),
         }
     }
 }
@@ -221,29 +190,22 @@ pub struct StepReport {
     /// exhaustion: the step's outputs exclude them (and say so in
     /// lineage). Empty on a healthy step.
     pub truncated: Vec<usize>,
-    /// Operators shed by admission control this step (ladder rung 4):
-    /// their mappers ran as no-ops, so their outputs cover no data.
-    pub deferred: Vec<String>,
-    /// Membership epoch version this step ran under (`None` when the
-    /// router has no membership schedule).
-    pub epoch: Option<u64>,
     /// Per-operator results.
     pub results: Vec<OpResult>,
     /// Where the step's time went.
     pub stages: StageTimes,
 }
 
-/// Where one rank's `run_step` went: the wall time of its five stages
+/// Where one rank's `run_step` went: the wall time of its four stages
 /// (plain `Instant`s, recorded whether or not `obs` is; they sum to the
-/// call less the membership bookkeeping ahead of `gather`) and the busy
-/// time inside `pull_map`, summed over the step's chunks. The busy times
+/// call) and the busy time inside `pull_map`, summed over the step's
+/// chunks. The busy times
 /// are spans of the rank thread inside that stage, so together they
 /// never exceed its wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Mostly waiting for the compute side's requests.
     pub gather: Duration,
-    pub shed: Duration,
     pub aggregate: Duration,
     pub pull_map: Duration,
     /// Includes waiting for the slowest rank in the operators' shuffles.
@@ -257,10 +219,9 @@ pub struct StageTimes {
 }
 
 impl StepReport {
-    /// Whether this step ran degraded (chunks truncated or operators
-    /// shed by admission control).
+    /// Whether this step ran degraded: chunks were truncated.
     pub fn is_degraded(&self) -> bool {
-        !self.truncated.is_empty() || !self.deferred.is_empty()
+        !self.truncated.is_empty()
     }
 }
 
@@ -293,9 +254,7 @@ impl StagingRank {
     ///
     /// Fails with [`StagingError::Io`] when the output directory cannot
     /// be created — a misconfigured path must surface at startup, not as
-    /// mysterious per-step write failures later — and when the router's
-    /// membership schedule is for a world of another size than `comm`'s:
-    /// its epochs would name ranks that are not there, or leave some out.
+    /// mysterious per-step write failures later.
     pub fn new(
         mut comm: Comm,
         endpoint: StagingEndpoint,
@@ -304,11 +263,6 @@ impl StagingRank {
         ops: Vec<Box<dyn StreamOp>>,
         cfg: StagingConfig,
     ) -> Result<Self, StagingError> {
-        let world = comm.size();
-        if router.membership().is_some_and(|m| m.world_size() != world) {
-            let why = format!("the router's membership schedule is not for {world} staging ranks");
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why).into());
-        }
         std::fs::create_dir_all(&cfg.out_dir)?;
         // An attached fault plan covers the staging-wide collectives
         // too: every collective entry consults `FaultKind::Collective`
@@ -339,49 +293,9 @@ impl StagingRank {
         self.comm.rank()
     }
 
-    /// Membership bookkeeping at the top of a step. When a new epoch
-    /// opens at `step`, every rank synchronizes, the epoch hook runs
-    /// (index handoff), and only then does anyone serve the new epoch —
-    /// in-flight pulls of earlier steps already completed against the
-    /// old owners, and this step's requests route to the new ones.
-    /// Returns the epoch version the step runs under.
-    fn enter_epoch(&self, step: u64) -> Option<u64> {
-        let membership = self.router.membership()?;
-        if let Some(opening) = membership.epoch_opening_at(step) {
-            // Barrier-bracketed: the handoff must not race the old
-            // epoch's tail nor the new epoch's first gather.
-            self.comm.barrier();
-            if let Some(hook) = &self.cfg.on_epoch {
-                hook(opening, self.comm.rank());
-            }
-            self.comm.barrier();
-            let reg = obs::global();
-            reg.gauge("membership.epoch", &[])
-                .set(opening.version as i64);
-            if self.comm.rank() == 0 {
-                reg.counter("membership.joins", &[])
-                    .add(opening.joined.len() as u64);
-                reg.counter("membership.leaves", &[])
-                    .add(opening.left.len() as u64);
-                reg.counter("membership.evictions", &[])
-                    .add(opening.evicted.len() as u64);
-                // Compute ranks whose owner changed across the boundary:
-                // their chunks re-route from this step on.
-                let moved = (0..self.cfg.n_compute)
-                    .filter(|&c| {
-                        self.router.route(c, step) != self.router.route(c, step.saturating_sub(1))
-                    })
-                    .count();
-                reg.counter("membership.reroutes", &[]).add(moved as u64);
-            }
-        }
-        Some(membership.epoch_at(step).version)
-    }
-
-    /// Process one I/O step end to end: the five stages of the module
+    /// Process one I/O step end to end: the four stages of the module
     /// docs, and the one exit of a step that fails in one of them.
     pub fn run_step(&mut self, step: u64) -> Result<StepReport, StagingError> {
-        let epoch = self.enter_epoch(step);
         // Filled by `gather` and kept here, so that whichever stage
         // abandons the step, the exit below sees what had arrived.
         let mut requests = Vec::new();
@@ -389,16 +303,14 @@ impl StagingRank {
             let t0 = Instant::now();
             self.gather(step, &mut requests)?;
             let t1 = Instant::now();
-            let deferred = self.shed(step, requests.len());
-            let t2 = Instant::now();
             let agg = self.aggregate(step, &requests);
+            let t2 = Instant::now();
+            let mapped = self.pull_map(step, &mut requests, &agg)?;
             let t3 = Instant::now();
-            let mapped = self.pull_map(step, &mut requests, &agg, &deferred)?;
-            let t4 = Instant::now();
-            let mut report = self.exchange(step, epoch, &agg, mapped, deferred);
+            let mut report = self.exchange(step, &agg, mapped);
             let s = &mut report.stages;
-            (s.gather, s.shed, s.aggregate, s.pull_map, s.exchange) =
-                (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4.elapsed());
+            (s.gather, s.aggregate, s.pull_map, s.exchange) =
+                (t1 - t0, t2 - t1, t3 - t2, t3.elapsed());
             Ok(report)
         })();
         if report.is_err() {
@@ -450,50 +362,7 @@ impl StagingRank {
         Ok(())
     }
 
-    /// Stage 2: overload admission control (degradation-ladder rung 4).
-    /// Returns the operators shed for this step — empty on a healthy
-    /// one — given the `backlog` of chunks the gather closed with.
-    ///
-    /// The decision reads two facts: this rank's backlog and the prior
-    /// step's simulation blocked-fraction (the perturbation view of the
-    /// fold). The live plane's health reports are advisory and never
-    /// consulted, so the decision (and every data byte downstream) is
-    /// identical with the plane on or off. A shed operator's
-    /// mappers become no-ops (stage 4 does none of its work) while its
-    /// collective phases still run, so an asymmetrically loaded area
-    /// never deadlocks. Its output is truncated — computed over no data
-    /// — rather than back-pressuring the simulation.
-    fn shed(&self, step: u64, backlog: usize) -> Vec<String> {
-        let Some(admit) = &self.cfg.admit else {
-            return Vec::new();
-        };
-        let blocked = step
-            .checked_sub(1)
-            .and_then(|prev| obs::global().perturb_at(prev))
-            .and_then(|stat| stat.blocked_fraction());
-        if !admit.overloaded(backlog, blocked) {
-            return Vec::new();
-        }
-        let deferred: Vec<String> = self
-            .ops
-            .iter()
-            .map(|op| op.name())
-            .filter(|n| admit.defers(n))
-            .map(String::from)
-            .collect();
-        if !deferred.is_empty() {
-            let reg = obs::global();
-            reg.counter("staging.admission_triggers", &[]).inc();
-            reg.counter("staging.admission_deferred_ops", &[])
-                .add(deferred.len() as u64);
-            for _ in &deferred {
-                obs::mark("shed", step).rank(self.comm.rank());
-            }
-        }
-        deferred
-    }
-
-    /// Stage 3 (paper stage 2b): exchange the partial results attached
+    /// Stage 2 (paper stage 2b): exchange the partial results attached
     /// to the requests staging-wide, and `initialize` every operator
     /// with the global [`Aggregates`]. Collective.
     fn aggregate(&mut self, step: u64, requests: &[FetchRequest]) -> Aggregates {
@@ -507,7 +376,7 @@ impl StagingRank {
         agg
     }
 
-    /// Stage 4 (paper stages 3 + 4a): put `requests` in policy order,
+    /// Stage 3 (paper stages 3 + 4a): put `requests` in policy order,
     /// pull every chunk, decode and map it, and append the outputs to the
     /// operators' streams in that order — the loop of the module docs.
     fn pull_map(
@@ -515,7 +384,6 @@ impl StagingRank {
         step: u64,
         requests: &mut Vec<FetchRequest>,
         agg: &Aggregates,
-        deferred: &[String],
     ) -> Result<Mapped, StagingError> {
         self.policy.order(requests);
         let mut out = Mapped {
@@ -526,23 +394,12 @@ impl StagingRank {
             return Ok(out);
         }
         let my_rank = self.comm.rank();
-        // Wall time of the whole rank-local stage: the row the live
-        // plane's straggler detector compares across ranks. Stage 5 is
-        // collective — every rank waits for the slowest inside it — so
-        // only this stage carries a per-rank imbalance signal.
+        // Wall time of the whole rank-local stage. Stage 4 is collective —
+        // every rank waits for the slowest inside it — so only this stage
+        // carries a per-rank imbalance signal.
         let _span = obs::span!("pull_map", step).rank(my_rank);
         // Map state frozen by `initialize`.
-        let mappers: Vec<Arc<dyn ChunkMapper>> = self
-            .ops
-            .iter()
-            .map(|op| {
-                if deferred.iter().any(|d| d == op.name()) {
-                    Arc::new(ShedMapper) as Arc<dyn ChunkMapper>
-                } else {
-                    op.mapper()
-                }
-            })
-            .collect();
+        let mappers: Vec<Arc<dyn ChunkMapper>> = self.ops.iter().map(|op| op.mapper()).collect();
         let map_ctx = op_ctx(&self.comm, &self.cfg, step, agg).map_ctx();
         // `stage` of the chunk from `src_rank` ran from `t0` to `t1` —
         // clock reads the caller made anyway.
@@ -624,18 +481,10 @@ impl StagingRank {
         Ok(out)
     }
 
-    /// Stage 5 (paper stage 4b and the step's end): every operator's
+    /// Stage 4 (paper stage 4b and the step's end): every operator's
     /// combine → shuffle → reduce → finalize over its mapped stream, the
-    /// lineage close-out, the live-telemetry tick, and the report.
-    /// Collective.
-    fn exchange(
-        &mut self,
-        step: u64,
-        epoch: Option<u64>,
-        agg: &Aggregates,
-        mapped: Mapped,
-        deferred: Vec<String>,
-    ) -> StepReport {
+    /// lineage close-out, and the report. Collective.
+    fn exchange(&mut self, step: u64, agg: &Aggregates, mapped: Mapped) -> StepReport {
         let Mapped {
             pull_order,
             truncated,
@@ -664,20 +513,12 @@ impl StagingRank {
             }
         }
         let chunks = pull_order.len() + truncated.len();
-        // Live telemetry tick (`PREDATA_LIVE`; default off): every rank
-        // runs every step from 0 regardless of membership (inactive
-        // ranks idle in the collectives), so each step is counted in by
-        // all `comm.size()` ranks and closed by the last — from the fold,
-        // with no collective of its own.
-        obs::global().step_end(self.comm.size(), step);
         StepReport {
             step,
             chunks,
             bytes_pulled,
             pull_order,
             truncated,
-            deferred,
-            epoch,
             results,
             stages: times,
         }
@@ -773,11 +614,11 @@ impl StagingArea {
 mod tests {
     use super::*;
     use crate::client::PredataClient;
+    use crate::op::MapCtx;
     use crate::ops::HistogramOp;
     use crate::schema::make_particle_pg;
     use transport::{
-        BlockRouter, EpochRouter, Fabric, FaultPlan, FifoPolicy, LargestFirstPolicy, Membership,
-        RateLimitedPolicy,
+        BlockRouter, Fabric, FaultPlan, FifoPolicy, LargestFirstPolicy, RateLimitedPolicy,
     };
 
     fn out_dir(name: &str) -> PathBuf {
@@ -1123,7 +964,7 @@ mod tests {
         let mut requests = Vec::new();
         sr.gather(STEP, &mut requests).unwrap();
         let agg = sr.aggregate(STEP, &requests);
-        let mapped = sr.pull_map(STEP, &mut requests, &agg, &[]).unwrap();
+        let mapped = sr.pull_map(STEP, &mut requests, &agg).unwrap();
 
         let policy_order: Vec<usize> = requests.iter().map(|r| r.src_rank).collect();
         assert_eq!(policy_order, [2, 1, 0], "largest chunk first");
@@ -1225,8 +1066,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The five stage times are the step: on a 64-chunk step they sum to
-    /// within 10 % of the `run_step` call, and stage 4's busy times fit
+    /// The four stage times are the step: on a 64-chunk step they sum to
+    /// within 10 % of the `run_step` call, and stage 3's busy times fit
     /// inside it.
     #[test]
     fn stage_times_sum_to_the_step() {
@@ -1251,7 +1092,7 @@ mod tests {
         let wall = started.elapsed();
         assert_eq!(report.chunks, 64);
         let s = report.stages;
-        let sum = s.gather + s.shed + s.aggregate + s.pull_map + s.exchange;
+        let sum = s.gather + s.aggregate + s.pull_map + s.exchange;
         assert!(sum <= wall && sum >= wall.mul_f64(0.9), "{s:?} of {wall:?}");
         assert!(
             s.pull_busy + s.decode_busy + s.map_busy <= s.pull_map,
@@ -1296,7 +1137,7 @@ mod tests {
     /// mapped on the rank thread, in pull order, even where the chunks
     /// are large and the host has a core to spare.
     #[test]
-    fn stage_4_maps_on_the_rank_thread_by_default() {
+    fn stage_3_maps_on_the_rank_thread_by_default() {
         let (_fabric, computes, stagings) = Fabric::new(4, 1, None);
         let router: Arc<dyn Router> = Arc::new(BlockRouter::new(4, 1));
         let dir = out_dir("rank-thread");
@@ -1321,34 +1162,6 @@ mod tests {
         assert_eq!(sr.run_step(0).unwrap().pull_order, [0, 1, 2, 3]);
         let me = std::thread::current().id();
         assert_eq!(*seen.lock().unwrap(), [(me, 0), (me, 1), (me, 2), (me, 3)]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A membership schedule is for one world size; a staging area of
-    /// another size refuses it at start-up instead of opening epochs
-    /// that name ranks it does not have.
-    #[test]
-    fn a_schedule_for_another_world_size_is_refused() {
-        let router: Arc<dyn Router> = Arc::new(EpochRouter::new(4, Membership::static_of(2)));
-        let dir = out_dir("world-size");
-        let new_rank = |n_staging: usize| {
-            let (_fabric, _computes, mut stagings) = Fabric::new(4, n_staging, None);
-            let (_world, mut comms) = World::with_size(n_staging);
-            StagingRank::new(
-                comms.remove(0),
-                stagings.remove(0),
-                Arc::clone(&router),
-                Box::new(FifoPolicy),
-                Vec::new(),
-                StagingConfig::new(4, &dir),
-            )
-        };
-        assert!(new_rank(2).is_ok());
-        match new_rank(3) {
-            Err(StagingError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
-            Err(e) => panic!("{e:?}"),
-            Ok(_) => panic!("a 2-rank schedule was accepted by a 3-rank area"),
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

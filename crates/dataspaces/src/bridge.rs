@@ -34,10 +34,6 @@ pub struct SpaceIndexOp {
     pub column: usize,
     /// Variable name within the space.
     pub var: String,
-    /// `true` when each pipeline rank owns its *own* space (the elastic
-    /// sharded deployment): every rank commits locally at `finalize`
-    /// instead of delegating to rank 0.
-    local: bool,
     cells_put: u64,
 }
 
@@ -48,23 +44,7 @@ impl SpaceIndexOp {
             space,
             column,
             var: var.into(),
-            local: false,
             cells_put: 0,
-        }
-    }
-
-    /// [`new`](Self::new) for a *rank-local* space: the deployment where
-    /// each staging rank runs its own DataSpaces server over the cells
-    /// it pulled. Every rank commits its own space at `finalize` — there
-    /// is no shared directory for rank 0 to commit on behalf of the
-    /// pipeline. This is the shape elastic membership hands off: a
-    /// leaving rank's committed shards are exported and republished into
-    /// the successor's space ([`DataSpaces::export_shards`] /
-    /// [`DataSpaces::import_shards`]).
-    pub fn local(space: Arc<DataSpaces>, column: usize, var: impl Into<String>) -> Self {
-        SpaceIndexOp {
-            local: true,
-            ..Self::new(space, column, var)
         }
     }
 }
@@ -147,10 +127,9 @@ impl StreamOp for SpaceIndexOp {
 
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
         // Publication point: all pipeline ranks have put their cells
-        // (complete_pipeline barriers before finalize). On a shared
-        // space rank 0 commits for everyone; a rank-local space has no
-        // one else to do it.
-        if self.local || ctx.my_rank() == 0 {
+        // (complete_pipeline barriers before finalize); rank 0 commits
+        // for everyone.
+        if ctx.my_rank() == 0 {
             self.space.commit(&self.var, ctx.step);
         }
         let mut result = OpResult {

@@ -369,48 +369,6 @@ impl ShardIndex {
         self.shards.iter().map(|s| s.0.committed.load()).collect()
     }
 
-    /// Clone the committed blocks held by `shards` — the export half of
-    /// a membership handoff. `Arc` clones of frozen blocks: the source
-    /// keeps serving in-flight readers untouched while the parcel is in
-    /// transit.
-    pub fn export_committed(&self, shards: &[usize]) -> Vec<(BlockKey, Arc<Block>)> {
-        let mut out = Vec::new();
-        for &s in shards {
-            for (k, b) in self.shards[s].0.committed.load().iter() {
-                out.push((*k, Arc::clone(b)));
-            }
-        }
-        out
-    }
-
-    /// Republish handed-off blocks into their destination shards'
-    /// committed planes — the import half of a membership handoff.
-    /// Copy-on-write per shard, serialized against concurrent
-    /// `publish`/`evict_before` by the shard's pending lock; a key the
-    /// destination already committed keeps the destination's copy.
-    /// Bumps the epoch once. Returns the number of blocks inserted.
-    pub fn import_committed(&self, blocks: Vec<(usize, BlockKey, Arc<Block>)>) -> usize {
-        let mut by_shard: HashMap<usize, Vec<(BlockKey, Arc<Block>)>> = HashMap::new();
-        for (shard, key, block) in blocks {
-            by_shard.entry(shard).or_default().push((key, block));
-        }
-        let mut inserted = 0;
-        for (s, incoming) in by_shard {
-            let shard = &self.shards[s].0;
-            let _serialize = shard.pending.lock();
-            let mut map = BlockMap::clone(&shard.committed.load());
-            for (key, block) in incoming {
-                map.entry(key).or_insert_with(|| {
-                    inserted += 1;
-                    block
-                });
-            }
-            shard.committed.store(Arc::new(map));
-        }
-        self.bump_epoch();
-        inserted
-    }
-
     /// Read block `key` through the pending overlay: the dirty-read
     /// path of `get_nowait`. Pending (newer) shadows committed.
     pub fn read_dirty<R>(

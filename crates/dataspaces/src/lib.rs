@@ -76,6 +76,4 @@ pub use service::{
     QueryServiceConfig, QueryTicket,
 };
 pub use session::Session;
-pub use space::{
-    CommitHook, DataSpaces, HandoffReport, Notification, Reduction, ShardParcel, SpaceStats, VarRef,
-};
+pub use space::{CommitHook, DataSpaces, Notification, Reduction, SpaceStats, VarRef};

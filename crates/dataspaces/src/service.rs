@@ -288,9 +288,9 @@ impl QueryService {
         &self.inner.space
     }
 
-    /// Jobs admitted but not yet picked up by a worker — the backlog
-    /// the live telemetry plane samples (also mirrored into the
-    /// `dataspaces.query_queue_depth` gauge at submit and serve).
+    /// Jobs admitted but not yet picked up by a worker (also mirrored
+    /// into the `dataspaces.query_queue_depth` gauge at submit and
+    /// serve).
     pub fn backlog(&self) -> usize {
         self.inner.jobs.len()
     }
@@ -330,9 +330,8 @@ impl QueryService {
         });
         match inner.jobs.try_submit(job) {
             Ok(()) => {
-                // `set`, not `record_max`: the live sampler reads the
-                // gauge's *current* value between steps, so submission
-                // must keep it fresh (set also maintains the HWM).
+                // `set`, not `record_max`: the gauge's *current* value
+                // must stay fresh (set also maintains the HWM).
                 inner.depth.set(inner.jobs.len() as i64);
                 Ok(QueryTicket { id, rx })
             }
@@ -528,8 +527,7 @@ mod tests {
         assert_eq!(resp.output.into_data(), expected);
     }
 
-    /// The backlog accessor the live plane samples: drained queue reads
-    /// zero, and the depth gauge stays current across submit/serve.
+    /// The backlog accessor: a drained queue reads zero.
     #[test]
     fn backlog_tracks_admission_queue() {
         let ds = staged_space();

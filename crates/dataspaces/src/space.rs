@@ -114,55 +114,6 @@ pub struct SpaceStats {
     pub notifications: AtomicU64,
 }
 
-/// One variable's slice of a [`ShardParcel`].
-struct ParcelVar {
-    name: String,
-    dtype: Option<Dtype>,
-    committed: Vec<u64>,
-    /// `(version, block grid coordinate, frozen block)`.
-    blocks: Vec<(u64, Vec<u64>, Arc<Block>)>,
-}
-
-/// A membership handoff parcel: the committed contents of a set of
-/// index shards, exported from a leaving rank's space and republished
-/// into a successor's under the next epoch. Blocks are `Arc` clones of
-/// frozen snapshots — exporting copies no payload bytes and the source
-/// keeps serving in-flight sessions while the parcel is in transit.
-pub struct ShardParcel {
-    vars: Vec<ParcelVar>,
-    n_bytes: u64,
-}
-
-impl ShardParcel {
-    pub fn n_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    pub fn n_blocks(&self) -> usize {
-        self.vars.iter().map(|v| v.blocks.len()).sum()
-    }
-
-    pub fn n_bytes(&self) -> u64 {
-        self.n_bytes
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.vars.iter().all(|v| v.blocks.is_empty())
-    }
-}
-
-/// What [`DataSpaces::import_shards`] republished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HandoffReport {
-    /// Variables touched by the parcel.
-    pub vars: usize,
-    /// Blocks inserted (keys the importer already held are kept — the
-    /// destination's own copy wins).
-    pub blocks: usize,
-    /// Payload bytes carried by the parcel.
-    pub bytes: u64,
-}
-
 /// The virtual shared space. Thread-safe: writers (staging operators) and
 /// readers (querying applications) call it concurrently; committed reads
 /// are lock-free against writers.
@@ -179,8 +130,6 @@ pub struct DataSpaces {
     commits: obs::Counter,
     snapshots: obs::Counter,
     evicted: obs::Counter,
-    handoff_blocks: obs::Counter,
-    handoff_bytes: obs::Counter,
     epoch_gauge: obs::Gauge,
 }
 
@@ -209,8 +158,6 @@ impl DataSpaces {
             commits: reg.counter("dataspaces.commits", &[]),
             snapshots: reg.counter("dataspaces.snapshots", &[]),
             evicted: reg.counter("dataspaces.evicted_blocks", &[]),
-            handoff_blocks: reg.counter("membership.handoff_blocks", &[]),
-            handoff_bytes: reg.counter("membership.handoff_bytes", &[]),
             epoch_gauge: reg.gauge("dataspaces.epoch", &[]),
         }
     }
@@ -614,99 +561,6 @@ impl DataSpaces {
         dropped
     }
 
-    /// Export the committed contents of `shards` as a handoff parcel —
-    /// the first half of a membership epoch change. A leaving staging
-    /// rank exports the shards it owns; the successor republishes them
-    /// with [`import_shards`](Self::import_shards). Only *committed*
-    /// blocks travel: pending (uncommitted) puts stay behind and drain
-    /// with the leaving rank.
-    pub fn export_shards(&self, shards: &[usize]) -> ShardParcel {
-        // Directory info gathered once: id → (name, dtype, committed).
-        let mut by_id: HashMap<u32, (String, Option<Dtype>, Vec<u64>)> = HashMap::new();
-        for dir in self.dirs.iter() {
-            for (name, meta) in dir.vars.lock().iter() {
-                by_id.insert(meta.id, (name.clone(), meta.dtype, meta.committed.clone()));
-            }
-        }
-        let mut vars: HashMap<u32, ParcelVar> = HashMap::new();
-        let mut n_bytes = 0u64;
-        for ((id, version, _), block) in self.index.export_committed(shards) {
-            let Some((name, dtype, committed)) = by_id.get(&id) else {
-                continue; // orphan block: directory entry raced away
-            };
-            let entry = vars.entry(id).or_insert_with(|| ParcelVar {
-                name: name.clone(),
-                dtype: *dtype,
-                committed: committed.clone(),
-                blocks: Vec::new(),
-            });
-            // The grid coordinate is recoverable: block corners are
-            // exact multiples of the block extent.
-            let g: Vec<u64> = block
-                .region
-                .corner
-                .iter()
-                .zip(&self.cfg.block)
-                .map(|(c, b)| c / b)
-                .collect();
-            n_bytes += block.data.byte_len() as u64;
-            entry.blocks.push((version, g, block));
-        }
-        let mut vars: Vec<ParcelVar> = vars.into_values().collect();
-        vars.sort_by(|a, b| a.name.cmp(&b.name));
-        ShardParcel { vars, n_bytes }
-    }
-
-    /// Republish a handoff parcel into this space — the second half of
-    /// a membership epoch change. Variable names are re-resolved against
-    /// the local directory (interned ids differ across spaces), blocks
-    /// land copy-on-write in the committed planes, and the carried
-    /// committed versions are registered *after* publication so a woken
-    /// waiter's snapshot always contains the handed-off blocks. Fails
-    /// fast with [`DsError::DtypeMismatch`] if a carried variable
-    /// conflicts with a local dtype.
-    pub fn import_shards(&self, parcel: ShardParcel) -> Result<HandoffReport, DsError> {
-        let mut report = HandoffReport::default();
-        let mut entries = Vec::new();
-        let mut registrations: Vec<(String, Vec<u64>)> = Vec::new();
-        for var in parcel.vars {
-            let id = {
-                let mut vars = self.dir(&var.name).vars.lock();
-                let id = self.entry_id(&mut vars, &var.name);
-                let meta = vars.get_mut(&var.name).expect("entry just ensured");
-                match (meta.dtype, var.dtype) {
-                    (Some(a), Some(b)) if a != b => return Err(DsError::DtypeMismatch),
-                    (None, carried) => meta.dtype = carried,
-                    _ => {}
-                }
-                id
-            };
-            report.vars += 1;
-            for (version, g, block) in var.blocks {
-                report.bytes += block.data.byte_len() as u64;
-                let key = (id, version, self.cfg.grid_index(&g));
-                entries.push((self.cfg.shard_of(&g), key, block));
-            }
-            registrations.push((var.name, var.committed));
-        }
-        report.blocks = self.index.import_committed(entries);
-        for (name, committed) in registrations {
-            let dir = self.dir(&name);
-            let mut vars = dir.vars.lock();
-            let meta = vars.get_mut(&name).expect("ensured above");
-            for v in committed {
-                if !meta.committed.contains(&v) {
-                    meta.committed.push(v);
-                }
-            }
-            dir.commit_cv.notify_all();
-        }
-        self.epoch_gauge.set(self.index.epoch() as i64);
-        self.handoff_blocks.add(report.blocks as u64);
-        self.handoff_bytes.add(report.bytes);
-        Ok(report)
-    }
-
     #[cfg(test)]
     pub(crate) fn test_index(&self) -> &ShardIndex {
         &self.index
@@ -1072,68 +926,6 @@ mod tests {
         let e = ds.put("field", 0, &r, ramp(&r)).unwrap_err();
         assert!(matches!(e, DsError::PutFaulted { version: 0, .. }), "{e}");
         assert!(std::error::Error::source(&e).is_some());
-    }
-
-    #[test]
-    fn handoff_republishes_byte_identical() {
-        let a = space();
-        let r = Region::new(vec![4, 4], vec![40, 40]);
-        a.put("field", 0, &r, ramp(&r)).unwrap();
-        a.commit("field", 0);
-        a.put("field", 1, &r, ramp(&r)).unwrap(); // uncommitted: stays behind
-
-        let all: Vec<usize> = (0..a.config().n_shards).collect();
-        let parcel = a.export_shards(&all);
-        assert!(parcel.n_blocks() > 0 && parcel.n_bytes() > 0);
-        assert_eq!(parcel.n_vars(), 1);
-
-        let b = space();
-        // Pre-existing local data must survive the import untouched.
-        let local = Region::new(vec![48, 48], vec![8, 8]);
-        b.put("own", 3, &local, ramp(&local)).unwrap();
-        b.commit("own", 3);
-
-        let rep = b.import_shards(parcel).unwrap();
-        assert_eq!(rep.blocks, 9, "40x40 over 16x16 blocks spans 3x3");
-        assert_eq!(
-            b.get("field", 0, &r, Duration::from_secs(1)).unwrap(),
-            ramp(&r),
-            "handed-off committed data reads byte-identical"
-        );
-        assert!(
-            !b.is_committed("field", 1),
-            "uncommitted puts do not travel"
-        );
-        assert_eq!(
-            b.get("own", 3, &local, Duration::from_secs(1)).unwrap(),
-            ramp(&local)
-        );
-    }
-
-    #[test]
-    fn import_wakes_waiters_and_rejects_dtype_conflicts() {
-        let a = space();
-        let r = Region::new(vec![0, 0], vec![16, 16]);
-        a.put("field", 5, &r, ramp(&r)).unwrap();
-        a.commit("field", 5);
-        let all: Vec<usize> = (0..a.config().n_shards).collect();
-        let parcel = a.export_shards(&all);
-
-        let b = Arc::new(space());
-        let b2 = Arc::clone(&b);
-        let waiter = std::thread::spawn(move || {
-            let r = Region::new(vec![0, 0], vec![16, 16]);
-            b2.get("field", 5, &r, Duration::from_secs(10))
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        b.import_shards(parcel).unwrap();
-        assert_eq!(waiter.join().unwrap().unwrap(), ramp(&r));
-
-        // A dtype conflict on import fails fast.
-        let c = space();
-        c.put("field", 0, &r, DataArray::U64(vec![0; 256])).unwrap();
-        let parcel = a.export_shards(&all);
-        assert_eq!(c.import_shards(parcel).unwrap_err(), DsError::DtypeMismatch);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! costs the same at step 10 000 as at step 10.
 
 use std::collections::BTreeMap;
-use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -123,10 +122,8 @@ pub struct SpanRow {
 /// How many step numbers the fold keeps of each `(stage, rank)`: a row
 /// whose step is this far (or further) behind the newest step its stage
 /// and rank have seen is dropped, so a run of any length holds a bounded
-/// table. The fold is the *recent* stage table — what the views read is
-/// the closing step and the one before it, and a run's whole history is
-/// what the live stream is for — and at 40 bytes a row, ≈ 60 stage–rank
-/// pairs a run, 256 steps are ≈ 600 kB.
+/// table. The fold is the *recent* stage table, and at 40 bytes a row,
+/// ≈ 60 stage–rank pairs a run, 256 steps are ≈ 600 kB.
 pub const FOLD_STEPS: u64 = 256;
 
 const SHARDS: usize = 16;
@@ -184,13 +181,13 @@ impl Fold {
         slot.1.add(ev.dur_ns(), ev.bytes);
     }
 
-    /// The rows of `steps`, sorted by `(stage, step, rank)`.
-    pub(crate) fn rows(&self, steps: RangeInclusive<u64>) -> Vec<SpanRow> {
+    /// Every row held, sorted by `(stage, step, rank)`.
+    pub(crate) fn rows(&self) -> Vec<SpanRow> {
         let mut rows = Vec::new();
         for shard in &self.shards {
             for (&(stage, rank), ring) in lock(shard).iter() {
                 let oldest = ring.newest.saturating_sub(FOLD_STEPS - 1);
-                for step in oldest.max(*steps.start())..=ring.newest.min(*steps.end()) {
+                for step in oldest..=ring.newest {
                     let (held, stat) = ring.slots[(step % FOLD_STEPS) as usize];
                     if held == step && stat.count > 0 {
                         rows.push(SpanRow {

@@ -23,9 +23,9 @@
 //!   the paper's Fig. 7–9 are the fold; [`perturb`] is three of its rows;
 //!   [`lineage`] is the log's events that carry a chunk,
 //!   first-write-wins per stage; the Chrome trace ([`trace`]) is the log
-//!   rendered; the [`live`] window is the fold read at each step's close.
-//!   [`Registry::snapshot`] → [`Snapshot::to_json`] exports all of them
-//!   in one schema ([`SNAPSHOT_VERSION`]) for `predata-report`.
+//!   rendered. [`Registry::snapshot`] → [`Snapshot::to_json`] exports
+//!   all of them in one schema ([`SNAPSHOT_VERSION`]) for
+//!   `predata-report`.
 //!
 //! Beside the events the [`Registry`] is a lock-light metrics registry:
 //! [`Counter`]s, [`Gauge`]s and [`Histogram`]s with fixed log₂ buckets,
@@ -50,16 +50,11 @@
 //!   per-chunk [`lineage`].
 //! * `PREDATA_TRACE=path` — turns detail on too, and has
 //!   [`Registry::export`] write the log there as a Chrome trace.
-//! * `PREDATA_LIVE` — `1` / `on` / `true` or `window=64` turns the
-//!   [`live`] plane on: a window of closed steps with a
-//!   [`live::HealthReport`] each, exported in the snapshot and — with
-//!   `PREDATA_LIVE_PATH=path` — as a rolling JSONL stream a dashboard
-//!   can tail mid-run. Off, its tick is one relaxed atomic load.
 //!
 //! The full `PREDATA_*` reference — including the transport fault/retry
-//! and client degradation knobs whose counters land in this registry —
-//! is `docs/OPERATIONS.md` at the repository root. The structured knobs
-//! (`k=v,k=v` specs) of every crate share one parser, [`spec`].
+//! knobs whose counters land in this registry — is `docs/OPERATIONS.md`
+//! at the repository root. The structured knobs (`k=v,k=v` specs) share
+//! one parser, [`spec`].
 //!
 //! The gates live on the [`Registry`], so a test builds its own
 //! ([`Registry::new`], [`Registry::set_detail`], …) and races nobody;
@@ -84,7 +79,6 @@
 
 mod event;
 pub mod lineage;
-pub mod live;
 mod metrics;
 pub mod perturb;
 pub mod spec;
@@ -113,10 +107,6 @@ pub struct Config {
     pub lineage: bool,
     /// Chrome-trace destination at export (`PREDATA_TRACE`); logs too.
     pub trace_path: Option<PathBuf>,
-    /// The live plane (`PREDATA_LIVE`) and its stream
-    /// (`PREDATA_LIVE_PATH`).
-    pub live: Option<live::LiveConfig>,
-    pub live_path: Option<PathBuf>,
 }
 
 impl Default for Config {
@@ -126,8 +116,7 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The process environment's configuration. A malformed
-    /// `PREDATA_LIVE` aborts loudly.
+    /// The process environment's configuration.
     pub fn from_env() -> Config {
         Config::from_lookup(|name| std::env::var(name).ok())
     }
@@ -135,7 +124,6 @@ impl Config {
     /// [`from_env`](Config::from_env) over any variable lookup, so the
     /// grammar is testable without touching the process environment.
     pub fn from_lookup(var: impl Fn(&str) -> Option<String>) -> Config {
-        let path = |name| var(name).filter(|p| !p.is_empty()).map(PathBuf::from);
         let metrics = var("PREDATA_METRICS").unwrap_or_default();
         let is_word = matches!(
             metrics.as_str(),
@@ -146,9 +134,9 @@ impl Config {
             export_path: (!is_word).then(|| PathBuf::from(&metrics)),
             lineage: var("PREDATA_LINEAGE")
                 .is_some_and(|v| !matches!(v.as_str(), "" | "0" | "off" | "false")),
-            trace_path: path("PREDATA_TRACE"),
-            live: spec::from_lookup(&var, "PREDATA_LIVE", live::LiveConfig::parse),
-            live_path: path("PREDATA_LIVE_PATH"),
+            trace_path: var("PREDATA_TRACE")
+                .filter(|p| !p.is_empty())
+                .map(PathBuf::from),
         }
     }
 }
@@ -204,10 +192,7 @@ mod tests {
         let cfg = config(&[]);
         assert_eq!(cfg, Config::default());
         assert!(cfg.spans && !cfg.lineage);
-        assert_eq!(
-            (cfg.export_path, cfg.trace_path, cfg.live),
-            (None, None, None)
-        );
+        assert_eq!((cfg.export_path, cfg.trace_path), (None, None));
     }
 
     #[test]
@@ -226,20 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn detail_and_live_variables() {
+    fn detail_variables() {
         assert!(config(&[("PREDATA_LINEAGE", "1")]).lineage);
         assert!(!config(&[("PREDATA_LINEAGE", "off")]).lineage);
-        let cfg = config(&[("PREDATA_TRACE", "/tmp/t.json"), ("PREDATA_LIVE_PATH", "")]);
+        assert_eq!(config(&[("PREDATA_TRACE", "")]).trace_path, None);
+        let cfg = config(&[("PREDATA_TRACE", "/tmp/t.json")]);
         assert_eq!(cfg.trace_path, Some(PathBuf::from("/tmp/t.json")));
-        assert_eq!(cfg.live_path, None, "an empty path is no path");
         let reg = Registry::with_config(cfg);
         assert!(reg.detail(), "a trace destination needs the log");
-        assert!(!reg.live().is_enabled());
-
-        let cfg = config(&[("PREDATA_LIVE", "window=8")]);
-        assert_eq!(cfg.live, Some(live::LiveConfig { window: 8 }));
-        assert!(Registry::with_config(cfg).live().is_enabled());
-        assert_eq!(config(&[("PREDATA_LIVE", "off")]).live, None);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::perturb::PerturbStat;
 
 /// Schema version [`Snapshot::to_json`] writes — the only one
 /// `predata-report` reads.
-pub const SNAPSHOT_VERSION: u64 = 4;
+pub const SNAPSHOT_VERSION: u64 = 5;
 
 /// Lock `m`, recovering the data of a poisoned mutex: every update under
 /// these locks leaves the tables valid at every step.
@@ -302,12 +302,10 @@ pub struct Registry {
     /// Chrome trace.
     export_path: Mutex<Option<PathBuf>>,
     trace_path: Mutex<Option<PathBuf>>,
-    /// The live telemetry plane (`PREDATA_LIVE`, see [`crate::live`]).
-    live: crate::live::LivePlane,
 }
 
 impl Default for Registry {
-    /// Recording on, detail off, no export, no live plane.
+    /// Recording on, detail off, no export.
     fn default() -> Self {
         Registry::with_config(crate::Config::default())
     }
@@ -341,7 +339,7 @@ impl Registry {
 
     /// A registry gated and exporting as `cfg` says.
     pub fn with_config(cfg: crate::Config) -> Self {
-        let reg = Registry {
+        Registry {
             counters: RwLock::default(),
             gauges: RwLock::default(),
             histograms: RwLock::default(),
@@ -351,10 +349,7 @@ impl Registry {
             log: Mutex::default(),
             export_path: Mutex::new(cfg.export_path),
             trace_path: Mutex::new(cfg.trace_path),
-            live: crate::live::LivePlane::default(),
-        };
-        reg.live.configure(cfg.live, cfg.live_path);
-        reg
+        }
     }
 
     /// Resolve (registering on first use) a counter handle.
@@ -427,21 +422,9 @@ impl Registry {
         }
     }
 
-    /// The fold's rows for `steps`, sorted by `(stage, step, rank)`.
-    pub fn span_rows(&self, steps: std::ops::RangeInclusive<u64>) -> Vec<SpanRow> {
-        self.fold.rows(steps)
-    }
-
     /// The per-chunk lineage view of the event log.
     pub fn lineage(&self) -> LineageView<'_> {
         LineageView(self)
-    }
-
-    /// The perturbation view of one step's rows, if any were recorded.
-    pub fn perturb_at(&self, step: u64) -> Option<PerturbStat> {
-        crate::perturb::view(&self.fold.rows(step..=step))
-            .pop()
-            .map(|(_, stat)| stat)
     }
 
     /// The event log rendered as Chrome-trace JSON.
@@ -449,22 +432,10 @@ impl Registry {
         crate::trace::render(&lock(&self.log))
     }
 
-    /// The live telemetry plane owned by this registry.
-    pub fn live(&self) -> &crate::live::LivePlane {
-        &self.live
-    }
-
-    /// The live plane's per-step tick, called by each of the `n_ranks`
-    /// staging ranks when it finishes `step`: the last one to arrive
-    /// closes the step (see [`crate::live`]).
-    pub fn step_end(&self, n_ranks: usize, step: u64) {
-        self.live.step_end(self, n_ranks, step);
-    }
-
     /// The shutdown hook: write the snapshot to the export path and the
-    /// Chrome trace to the trace path, where those are set, and flush
-    /// the live stream. The log is kept — the lineage view reads it too —
-    /// so a later export rewrites the trace with everything since.
+    /// Chrome trace to the trace path, where those are set. The log is
+    /// kept — the lineage view reads it too — so a later export rewrites
+    /// the trace with everything since.
     pub fn export(&self) -> std::io::Result<()> {
         if let Some(path) = self.export_path() {
             std::fs::write(path, self.snapshot().to_json())?;
@@ -472,7 +443,6 @@ impl Registry {
         if let Some(path) = lock(&self.trace_path).clone() {
             std::fs::write(path, self.trace_json())?;
         }
-        self.live.flush();
         Ok(())
     }
 
@@ -499,7 +469,7 @@ impl Registry {
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
-        let spans = self.fold.rows(0..=u64::MAX);
+        let spans = self.fold.rows();
         Snapshot {
             counters,
             gauges,
@@ -507,7 +477,6 @@ impl Registry {
             perturb: crate::perturb::view(&spans),
             spans,
             lineage: self.lineage().snapshot(),
-            live: self.live.snap(),
         }
     }
 }
@@ -535,8 +504,6 @@ pub struct Snapshot {
     lineage: Vec<ChunkLineage>,
     /// `(step, stat)` perturbation rows, step-sorted.
     perturb: Vec<(u64, PerturbStat)>,
-    /// The live plane's window. `None` unless `PREDATA_LIVE` was on.
-    live: Option<crate::live::LiveSnap>,
 }
 
 impl Snapshot {
@@ -608,21 +575,10 @@ impl Snapshot {
         &self.perturb
     }
 
-    /// The live plane's window; `None` unless `PREDATA_LIVE` was on.
-    pub fn live(&self) -> Option<&crate::live::LiveSnap> {
-        self.live.as_ref()
-    }
-
-    /// Health reports from the live plane, oldest first; empty unless
-    /// `PREDATA_LIVE` was on.
-    pub fn health(&self) -> &[crate::live::HealthReport] {
-        self.live.as_ref().map_or(&[], |l| l.health.as_slice())
-    }
-
     /// Render the snapshot as the JSON `predata-report` consumes:
     ///
     /// ```json
-    /// {"version":4,
+    /// {"version":5,
     ///  "counters":[{"name":"…","labels":{…},"value":0}],
     ///  "gauges":[{"name":"…","labels":{…},"value":0,"max":0}],
     ///  "histograms":[{"name":"…","labels":{…},"count":0,"sum":0,
@@ -633,12 +589,7 @@ impl Snapshot {
     ///              "events":[{"stage":"packed","at_ns":0,
     ///                         "bytes":0,"wait_ns":0}]}],
     ///  "perturb":[{"step":0,"compute_ns":0,"blocked_ns":0,
-    ///              "pull_bytes":0,"pulls":0}],
-    ///  "live":{"window":0,
-    ///          "series":[{"name":"…","points":[[step,value]]}]},
-    ///  "health":[{"step":0,"ranks":0,"blocked_fraction":0,"backlog":0,
-    ///             "backlog_trend":0,"retry_exhausted":0,
-    ///             "straggler_rank":null,"signals":[{"kind":"…"}]}]}
+    ///              "pull_bytes":0,"pulls":0}]}
     /// ```
     ///
     /// A stage row's `rank` is absent for rank-less events, a lineage
@@ -746,18 +697,6 @@ impl Snapshot {
                  \"pull_bytes\":{},\"pulls\":{}}}",
                 stat.compute_ns, stat.blocked_ns, stat.pull_bytes, stat.pulls
             ));
-        }
-        out.push_str("],\"live\":");
-        match &self.live {
-            Some(live) => live.push_json(&mut out),
-            None => out.push_str("{\"window\":0,\"series\":[]}"),
-        }
-        out.push_str(",\"health\":[");
-        for (i, report) in self.health().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            report.push_json(&mut out);
         }
         out.push_str("]}");
         out
@@ -901,7 +840,7 @@ mod tests {
         assert_eq!((all.count, all.total_ns, all.max_ns), (3, 180, 100));
         assert_eq!(snap.span("pull", 2), None);
         assert_eq!(snap.steps(), vec![0, 1]);
-        assert_eq!(reg.span_rows(1..=1).len(), 1);
+        assert_eq!(snap.span_rows().iter().filter(|r| r.step == 1).count(), 1);
     }
 
     /// Threads folding one key at once lose nothing.
@@ -977,14 +916,14 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         crate::span_in(&reg, "abandoned", 3).cancel();
-        crate::mark_in(&reg, "shed", 3).rank(1);
+        crate::mark_in(&reg, "truncated", 3).rank(1);
         let snap = reg.snapshot();
         let work = snap.span("work", 3).unwrap();
         assert_eq!((work.count, work.bytes), (1, 64));
         assert!(work.total_ns >= 1_000_000, "slept ≥ 1 ms: {work:?}");
         assert_eq!(snap.span("abandoned", 3), None);
-        let shed = snap.span("shed", 3).unwrap();
-        assert_eq!((shed.count, shed.total_ns), (1, 0), "a mark has no length");
+        let mark = snap.span("truncated", 3).unwrap();
+        assert_eq!((mark.count, mark.total_ns), (1, 0), "a mark has no length");
     }
 
     /// Worker busy time is a view of the `decode` and `map` rows — with
@@ -1020,7 +959,7 @@ mod tests {
         );
         reg.record(Event::new("finalize", 0).at(60, 61));
         let json = reg.snapshot().to_json();
-        assert!(json.starts_with("{\"version\":4,"));
+        assert!(json.starts_with("{\"version\":5,"));
         assert!(
             json.contains("\"counters\":[{\"name\":\"c\",\"labels\":{\"k\":\"v\"},\"value\":1}]")
         );
@@ -1037,13 +976,10 @@ mod tests {
             "\"lineage\":[{\"src\":3,\"step\":0,\"truncated\":false,\"events\":[\
              {\"stage\":\"rdma_done\",\"at_ns\":52,\"bytes\":4096,\"wait_ns\":42}]}]"
         ));
-        assert!(json.contains(
+        assert!(json.ends_with(
             "\"perturb\":[{\"step\":0,\"compute_ns\":0,\"blocked_ns\":0,\
-             \"pull_bytes\":4096,\"pulls\":1}]"
+             \"pull_bytes\":4096,\"pulls\":1}]}"
         ));
-        // The live sections are present even with the plane off.
-        assert!(json.contains("\"live\":{\"window\":0,\"series\":[]}"));
-        assert!(json.ends_with("\"health\":[]}"));
     }
 
     #[test]

@@ -77,12 +77,13 @@ mod tests {
         reg.record(Event::new("pull", 3).rank(0).at(0, 5).bytes(4096));
         reg.record(Event::new("pull", 3).rank(1).at(0, 5).bytes(4096));
         reg.record(Event::new("decode", 4).at(0, 5));
-        let stat = reg.perturb_at(3).expect("recorded step");
+        let snap = reg.snapshot();
+        let [(3, stat)] = snap.perturb() else {
+            panic!("one row, step 3 (no perturbation stage at step 4)");
+        };
         assert_eq!((stat.compute_ns, stat.blocked_ns), (60, 40));
         assert_eq!((stat.pulls, stat.pull_bytes), (2, 8192));
         assert!((stat.blocked_fraction().unwrap() - 0.4).abs() < 1e-12);
-        assert_eq!(reg.perturb_at(4), None, "no perturbation stage at step 4");
-        assert_eq!(reg.snapshot().perturb(), &[(3, stat)]);
     }
 
     #[test]

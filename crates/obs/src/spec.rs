@@ -1,18 +1,17 @@
 //! The one `k=v,k=v` parser behind every structured `PREDATA_*` knob.
 //!
-//! `PREDATA_FAULTS`, `PREDATA_RETRY`, `PREDATA_ADMIT` and `PREDATA_LIVE`
-//! (and `MembershipPlan::parse`, whose spec an application hands over
-//! itself) share one grammar: surrounding whitespace is ignored; the
-//! empty string is *unset*; `0` / `off` / `false` are the off-words;
-//! `1` / `on` / `true` the on-words; anything else is a comma-separated
-//! list of `key=value` fields (empty fields skipped, each trimmed). What
-//! unset, off and on *mean* is the knob's business — `PREDATA_RETRY=off`
-//! is "one attempt", `PREDATA_ADMIT=off` is "never shed", most knobs have
-//! no defaults for a bare on-word to switch on — so [`parse`] only
-//! classifies, and each knob's parser keeps its `match key` and its own
-//! validation. It lives here because `obs` is the lowest crate all of
-//! those parsers depend on — and so does [`from_env`], the one function
-//! through which a knob's parser meets the process environment.
+//! `PREDATA_FAULTS` and `PREDATA_RETRY` share one grammar: surrounding
+//! whitespace is ignored; the empty string is *unset*; `0` / `off` /
+//! `false` are the off-words; the on-words `1` / `on` / `true` are an
+//! error, because no structured knob has defaults for a bare on-word to
+//! switch on; anything else is a comma-separated list of `key=value`
+//! fields (empty fields skipped, each trimmed). What unset and off
+//! *mean* is the knob's business — `PREDATA_RETRY=off` is "one attempt",
+//! `PREDATA_FAULTS=off` is "no plan" — so [`parse`] only classifies, and
+//! each knob's parser keeps its `match key` and its own validation. It
+//! lives here because `obs` is the lowest crate both parsers depend on —
+//! and so does [`from_env`], the one function through which a knob's
+//! parser meets the process environment.
 //!
 //! ```
 //! use obs::spec::{parse, Spec};
@@ -22,6 +21,10 @@
 //! };
 //! assert_eq!((fields[0].key, fields[0].num::<u32>()), ("attempts", Ok(6)));
 //! assert!(matches!(parse("retry", "off"), Ok(Spec::Off)));
+//! assert_eq!(
+//!     parse("retry", "on").err().unwrap(),
+//!     "retry has no defaults to switch on: give key=value fields"
+//! );
 //! assert_eq!(
 //!     parse("retry", "attempts").err().unwrap(),
 //!     "retry field `attempts` is not key=value"
@@ -38,8 +41,6 @@ pub enum Spec<'a> {
     Unset,
     /// `0`, `off` or `false`.
     Off,
-    /// `1`, `on` or `true`.
-    On,
     /// The `key=value` fields, in spec order.
     Fields(Vec<Field<'a>>),
 }
@@ -54,12 +55,15 @@ pub struct Field<'a> {
 }
 
 /// Classify `spec`; `knob` is the word error messages call it by
-/// (`"retry field `x`: …"`). `Err` is a field without an `=`.
+/// (`"retry field `x`: …"`). `Err` is an on-word or a field without
+/// an `=`.
 pub fn parse<'a>(knob: &'static str, spec: &'a str) -> Result<Spec<'a>, String> {
     match spec.trim() {
         "" => Ok(Spec::Unset),
         "0" | "off" | "false" => Ok(Spec::Off),
-        "1" | "on" | "true" => Ok(Spec::On),
+        "1" | "on" | "true" => Err(format!(
+            "{knob} has no defaults to switch on: give key=value fields"
+        )),
         spec => spec
             .split(',')
             .map(str::trim)
@@ -80,18 +84,11 @@ pub fn parse<'a>(knob: &'static str, spec: &'a str) -> Result<Spec<'a>, String> 
     }
 }
 
-/// The error of a knob that has no defaults for a bare on-word
-/// (`1` / `on` / `true`) to switch on.
-pub fn no_defaults(knob: &str) -> String {
-    format!("{knob} has no defaults to switch on: give key=value fields")
-}
-
 /// The value of the knob in environment variable `name`, through the
 /// knob's own `parse`: `None` when the variable is unset (or not
 /// unicode), else whatever `parse` makes of its text — its off value
 /// for an off-word. A malformed spec aborts, naming the variable: a
-/// silently ignored fault plan or admission rule would fake a passing
-/// resilience run.
+/// silently ignored fault plan would fake a passing resilience run.
 pub fn from_env<T>(name: &str, parse: impl FnOnce(&str) -> Result<Option<T>, String>) -> Option<T> {
     from_lookup(|name| std::env::var(name).ok(), name, parse)
 }
@@ -112,7 +109,7 @@ impl Field<'_> {
         self.num_of(self.value)
     }
 
-    /// `part` of a compound value (`a..b`, `R@S`) as a `T`.
+    /// `part` of a compound value (`a..b`) as a `T`.
     pub fn num_of<T: FromStr<Err: Display>>(&self, part: &str) -> Result<T, String> {
         part.parse().map_err(|e| self.err(e))
     }

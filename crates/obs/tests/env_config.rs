@@ -14,7 +14,6 @@ fn global_registry_is_configured_from_the_environment() {
     std::env::set_var("PREDATA_METRICS", &snap_path);
     std::env::set_var("PREDATA_LINEAGE", "1");
     std::env::set_var("PREDATA_TRACE", &trace_path);
-    std::env::set_var("PREDATA_LIVE", "window=4");
 
     {
         let _g = obs::span!("pull", 2).chunk(5).bytes(1024);
@@ -22,7 +21,7 @@ fn global_registry_is_configured_from_the_environment() {
     }
     obs::mark("routed", 2).chunk(5);
     let reg = obs::global();
-    assert!(reg.enabled() && reg.detail() && reg.live().is_enabled());
+    assert!(reg.enabled() && reg.detail());
     assert_eq!(reg.export_path(), Some(snap_path.clone()));
 
     let snap = reg.snapshot();
@@ -37,7 +36,6 @@ fn global_registry_is_configured_from_the_environment() {
     let json = std::fs::read_to_string(&snap_path).unwrap();
     assert!(json.starts_with(&format!("{{\"version\":{},", obs::SNAPSHOT_VERSION)));
     assert!(json.contains("\"src\":5,\"step\":2"));
-    assert!(json.contains("\"live\":{\"window\":4,"));
     let trace = std::fs::read_to_string(&trace_path).unwrap();
     assert!(trace.contains("\"name\":\"pull\"") && trace.contains("\"ph\":\"X\""));
     assert!(trace.contains("\"ph\":\"s\""), "the chunk's flow starts");

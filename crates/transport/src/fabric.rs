@@ -306,9 +306,8 @@ impl ComputeEndpoint {
     /// Withdraw an exposure that was never pulled, freeing its pinned
     /// bytes; returns the reclaimed size. `None` means the registry no
     /// longer holds the handle — the pull won the race, and the normal
-    /// completion path will release the pin accounting instead. The
-    /// degradation ladder uses this to un-pin abandoned dumps before
-    /// re-writing them through the in-compute fallback.
+    /// completion path will release the pin accounting instead. A client
+    /// whose fetch request never left uses this to un-pin its dump.
     pub fn reclaim(&self, handle: MemHandle) -> Option<usize> {
         let mut reg = self.inner.registry.lock();
         let (buf, _step) = reg.exposed.remove(&handle.0)?;

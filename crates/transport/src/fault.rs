@@ -227,7 +227,6 @@ impl FaultPlan {
     pub fn parse(spec: &str) -> Result<Option<FaultPlan>, String> {
         let fields = match obs::spec::parse("fault", spec)? {
             Spec::Unset | Spec::Off => return Ok(None),
-            Spec::On => return Err(obs::spec::no_defaults("fault")),
             Spec::Fields(fields) => fields,
         };
         let mut plan = FaultPlan::new(0);

@@ -74,7 +74,6 @@
 pub mod evq;
 mod fabric;
 pub mod fault;
-pub mod membership;
 mod policy;
 mod request;
 pub mod retry;
@@ -85,7 +84,6 @@ pub use fabric::{
     TransportError,
 };
 pub use fault::{FaultKind, FaultPlan};
-pub use membership::{Epoch, EpochRouter, Membership, MembershipEvent, MembershipPlan};
 pub use policy::{
     CongestionSignal, FifoPolicy, LargestFirstPolicy, PhaseAwarePolicy, PullPolicy,
     RateLimitedPolicy,

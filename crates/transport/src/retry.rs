@@ -116,7 +116,6 @@ impl RetryPolicy {
         let fields = match obs::spec::parse("retry", spec)? {
             Spec::Unset => return Ok(None),
             Spec::Off => return Ok(Some(policy.attempts(1))),
-            Spec::On => return Err(obs::spec::no_defaults("retry")),
             Spec::Fields(fields) => fields,
         };
         for f in &fields {

@@ -184,20 +184,5 @@ fn main() {
             snap.lineage().len()
         );
     }
-
-    // Live telemetry plane (PREDATA_LIVE): the cluster health report of
-    // the last closed step. With PREDATA_LIVE_PATH set, the full
-    // per-step stream renders via `predata-report live`.
-    if let Some(health) = predata::obs::global().live().latest_health() {
-        let straggler = match health.straggler {
-            Some((rank, z)) => format!("straggler r{rank} (z={z:.2})"),
-            None => "no straggler".into(),
-        };
-        println!(
-            "live health @ step {}: {} rank(s), backlog {} (trend {:+.1}/step), \
-             retries exhausted {}, {straggler}",
-            health.step, health.ranks, health.backlog, health.backlog_trend, health.retry_exhausted
-        );
-    }
     std::fs::remove_dir_all(&out_dir).ok();
 }

@@ -10,10 +10,11 @@ use predata::core::ops::HistogramOp;
 use predata::core::schema::make_particle_pg;
 use predata::core::staging::{StagingError, StagingRank};
 use predata::core::{PackedChunk, PredataClient, StagingArea, StagingConfig};
+use predata::dataspaces::{DataSpaces, DsConfig, Region, SpaceIndexOp};
 use predata::ffs::AttrList;
 use predata::minimpi::World;
 use predata::transport::{
-    BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPolicy, Router, TransportError,
+    BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPolicy, RetryPolicy, Router, TransportError,
 };
 
 fn out_dir(tag: &str) -> std::path::PathBuf {
@@ -298,36 +299,50 @@ fn partial_dump_times_out_cleanly() {
 }
 
 // ---------------------------------------------------------------------------
-// The degradation ladder (DESIGN.md §3.3): retry → truncate → fall back.
+// The degradation ladder (DESIGN.md §3.3): retry → truncate.
 // ---------------------------------------------------------------------------
 
-/// Run a small deterministic GTC pipeline (sort + histogram, 4 compute →
-/// 2 staging, 2 steps) under `faults` and return the staging reports.
-/// Writes are issued from one thread so request arrival order — and with
-/// it the policy order and every merged output byte — is reproducible.
+/// GTC particles per compute rank in [`run_gtc`]: the label domain of its
+/// space is `GTC_IDS × 4` (local id × rank).
+const GTC_IDS: u64 = 60;
+
+/// Run a small deterministic GTC pipeline (sort + histogram, plus an index
+/// of every particle's weight into one shared space; 4 compute → 2
+/// staging, 2 steps) under `faults` — on the fabric, the staging
+/// collectives and the space's puts alike — and return the staging
+/// reports and the space. Writes are issued from one thread so request
+/// arrival order — and with it the policy order and every merged output
+/// byte — is reproducible.
 fn run_gtc(
     dir: &std::path::Path,
     faults: Option<Arc<predata::transport::FaultPlan>>,
-) -> Vec<predata::core::StepReport> {
+) -> (Vec<predata::core::StepReport>, Arc<DataSpaces>) {
     use predata::core::ops::{HistogramOp, SortOp};
     let (n_compute, n_staging, n_steps) = (4usize, 2usize, 2u64);
+    let space = Arc::new(DataSpaces::with_faults(
+        DsConfig::new(vec![GTC_IDS, n_compute as u64], vec![10, 1], 4),
+        faults.clone(),
+        RetryPolicy::default(),
+    ));
     let (_fabric, computes, stagings) =
         predata::transport::Fabric::with_faults(n_compute, n_staging, None, faults);
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
+    let ops_space = Arc::clone(&space);
     let area = predata::core::StagingArea::spawn(
         stagings,
         Arc::clone(&router),
-        Arc::new(|_| {
+        Arc::new(move |_| {
             vec![
                 Box::new(SortOp::new()) as Box<dyn StreamOp>,
                 Box::new(HistogramOp::new(vec![0], 8)),
+                Box::new(SpaceIndexOp::new(Arc::clone(&ops_space), 5, "weight")),
             ]
         }),
         Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         predata::core::StagingConfig::new(n_compute, dir),
         n_steps,
     );
-    let world = predata::apps::GtcWorld::new(n_compute, 60, 7);
+    let world = predata::apps::GtcWorld::new(n_compute, GTC_IDS as usize, 7);
     let clients: Vec<PredataClient> = computes
         .into_iter()
         .map(|e| PredataClient::new(e, Arc::clone(&router), vec![]))
@@ -339,10 +354,12 @@ fn run_gtc(
             c.write_pg(pg).unwrap();
         }
     }
-    area.join()
+    let reports = area
+        .join()
         .into_iter()
         .flat_map(|r| r.expect("staging rank survives"))
-        .collect()
+        .collect();
+    (reports, space)
 }
 
 /// Every `.bp` file under `dir`, relative name → bytes.
@@ -370,41 +387,43 @@ fn counter(name: &str, op: &str) -> u64 {
 /// The ladder end to end, in one test so the global retry counters can't
 /// race across test threads:
 ///
-/// (a) a seeded *transient* schedule (every pull fails exactly once) is
-///     absorbed by retries — the GTC operator output is byte-identical
-///     to the fault-free run, `retries{op=pull} > 0`,
+/// (a) a seeded *transient* schedule (every pull, put and collective
+///     entry fails exactly once) is absorbed by retries — the GTC
+///     operator output and the space's committed cells are identical to
+///     the fault-free run, `retries{op=pull|put|collective} > 0`,
 ///     `retry_exhausted{op=pull} == 0`;
 /// (b) a *hard* schedule (pulls never succeed) exhausts retries — the
 ///     step still completes, its chunks land truncated in report and
 ///     lineage; in a two-rank area, one abandoned chunk is truncated by
-///     the rank that serves it alone;
-/// (c) with `ResilientClient`s over a one-step outage, every rank falls
-///     back to in-compute for the faulted step and recovers to staged
-///     writes on the next — `fallback_steps > 0`, no abort anywhere.
+///     the rank that serves it alone.
 #[test]
-fn degradation_ladder_absorbs_truncates_and_falls_back() {
+fn degradation_ladder_absorbs_and_truncates() {
     use predata::core::ops::HistogramOp;
-    use predata::core::resilient::{DegradePolicy, ResilientClient};
     use predata::transport::{FaultKind, FaultPlan};
 
     // --- (a) transient faults: retried into a byte-identical run ---
     let clean_dir = out_dir("ladder-clean");
     let faulty_dir = out_dir("ladder-transient");
-    let reports = run_gtc(&clean_dir, None);
+    let (reports, clean_space) = run_gtc(&clean_dir, None);
     assert!(reports.iter().all(|r| !r.is_degraded()));
 
-    let retries_before = counter("transport.retries", "pull");
+    let retries_before = ["pull", "put", "collective"].map(|op| counter("transport.retries", op));
     let exhausted_before = counter("transport.retry_exhausted", "pull");
     let plan = Arc::new(FaultPlan::new(2026).drop_chunks(1.0).max_injections(1));
-    let reports = run_gtc(&faulty_dir, Some(plan));
+    let (reports, faulty_space) = run_gtc(&faulty_dir, Some(plan));
     assert!(
         reports.iter().all(|r| !r.is_degraded()),
         "transient faults must not truncate"
     );
-    assert!(
-        counter("transport.retries", "pull") > retries_before,
-        "the schedule faulted every pull once; retries must show"
-    );
+    for (op, before) in ["pull", "put", "collective"]
+        .into_iter()
+        .zip(retries_before)
+    {
+        assert!(
+            counter("transport.retries", op) > before,
+            "the schedule faulted every {op} once; retries must show"
+        );
+    }
     assert_eq!(
         counter("transport.retry_exhausted", "pull"),
         exhausted_before,
@@ -424,6 +443,19 @@ fn degradation_ladder_absorbs_truncates_and_falls_back() {
             "{name}: output must be byte-identical under absorbed faults"
         );
     }
+    let domain = Region::whole(&[GTC_IDS, 4]);
+    for version in 0..2 {
+        let cells = |space: &DataSpaces| {
+            space
+                .get("weight", version, &domain, Duration::from_secs(5))
+                .expect("every cell of a committed step")
+        };
+        assert_eq!(
+            cells(&faulty_space),
+            cells(&clean_space),
+            "version {version}: committed cells must match under absorbed faults"
+        );
+    }
     std::fs::remove_dir_all(&clean_dir).ok();
     std::fs::remove_dir_all(&faulty_dir).ok();
 
@@ -431,16 +463,20 @@ fn degradation_ladder_absorbs_truncates_and_falls_back() {
     // A schedule that abandons exactly one chunk of the second step of a
     // two-rank area: the rank serving it reports it truncated, the peer
     // and the first step are untouched, and every gathered chunk counts.
+    // It leaves the space's puts alone (its one variable has id 0): a
+    // put whose retries exhaust is a failed index, not a truncation.
     let plan = |seed| FaultPlan::new(seed).drop_chunks(0.25).steps(1..2);
     let victims = |seed| -> Vec<usize> {
         (0..4)
             .filter(|&r| plan(seed).selects(FaultKind::Drop, r as u64, 1))
             .collect()
     };
-    let seed = (0..).find(|&s| victims(s).len() == 1).unwrap();
+    let seed = (0..)
+        .find(|&s| victims(s).len() == 1 && !plan(s).selects(FaultKind::Put, 0, 1))
+        .unwrap();
     let victim = victims(seed)[0];
     let dir = out_dir("ladder-one-victim");
-    let reports = run_gtc(&dir, Some(Arc::new(plan(seed))));
+    let (reports, _) = run_gtc(&dir, Some(Arc::new(plan(seed))));
     // Staging rank 0's steps, then rank 1's; each serves two compute ranks.
     for (rank, steps) in reports.chunks(2).enumerate() {
         for rep in steps {
@@ -503,178 +539,5 @@ fn degradation_ladder_absorbs_truncates_and_falls_back() {
     }
     predata::obs::lineage::set_enabled(false);
     drop(_lineage);
-    std::fs::remove_dir_all(&dir).ok();
-
-    // --- (c) full ladder under an outage: fall back, then recover ---
-    // Steps 60..63; pulls of step 60 never succeed.
-    let fallback_before = predata::obs::global()
-        .snapshot()
-        .counter("client.fallback_steps", &[])
-        .unwrap_or(0);
-    let n_compute = 4;
-    let plan = Arc::new(FaultPlan::new(17).drop_chunks(1.0).steps(60..61));
-    let (_fabric, computes, stagings) =
-        predata::transport::Fabric::with_faults(n_compute, 1, None, Some(plan));
-    let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, 1));
-    let dir = out_dir("ladder-outage");
-
-    let staging_dir = dir.clone();
-    let staging_router = Arc::clone(&router);
-    let staging = std::thread::spawn(move || {
-        let (_world, mut comms) = World::with_size(1);
-        let mut rank = StagingRank::new(
-            comms.remove(0),
-            stagings.into_iter().next().unwrap(),
-            staging_router,
-            Box::new(FifoPolicy),
-            vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>],
-            StagingConfig::new(n_compute, &staging_dir),
-        )
-        .expect("staging rank starts");
-        (60..63u64).map(|s| rank.run_step(s)).collect::<Vec<_>>()
-    });
-
-    let workers: Vec<_> = computes
-        .into_iter()
-        .map(|endpoint| {
-            let router = Arc::clone(&router);
-            let dir = dir.clone();
-            std::thread::spawn(move || {
-                let rank = endpoint.rank();
-                let mut client = ResilientClient::new(
-                    endpoint,
-                    router,
-                    vec![],
-                    || vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>],
-                    &dir,
-                    DegradePolicy {
-                        unhealthy_after: 1,
-                        probe_every: 1,
-                        step_deadline: Duration::from_secs(1),
-                    },
-                );
-                (60..63u64)
-                    .map(|step| {
-                        let outcome =
-                            client.write_step(make_particle_pg(rank as u64, step, vec![0.0; 16]));
-                        (outcome.is_fallback(), client.is_degraded())
-                    })
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect();
-
-    for worker in workers {
-        let flips = worker.join().unwrap();
-        assert_eq!(
-            flips,
-            vec![(true, true), (false, false), (false, false)],
-            "fall back exactly on the outage step, recover on the next"
-        );
-    }
-    let staging_steps = staging.join().unwrap();
-    let outage = staging_steps[0].as_ref().expect("outage step completed");
-    assert_eq!(outage.truncated.len(), n_compute, "all pulls abandoned");
-    for later in &staging_steps[1..] {
-        let rep = later.as_ref().expect("healthy steps complete");
-        assert!(!rep.is_degraded());
-        assert_eq!(rep.chunks, n_compute);
-    }
-    assert!(
-        predata::obs::global()
-            .snapshot()
-            .counter("client.fallback_steps", &[])
-            .unwrap_or(0)
-            >= fallback_before + n_compute as u64,
-        "every rank paid exactly one fallback step"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The *expose*-side rung of the ladder: a pin-exhaustion outage makes
-/// `write_pg` itself fail (before any request is sent), so the client
-/// must fall back immediately, skip probes while unhealthy per
-/// `probe_every`, and flip back to staged writes as soon as a probe
-/// lands after the outage clears. Asserted purely through
-/// [`StepOutcome`] and `is_degraded()` — no process-global state.
-#[test]
-fn fallback_and_recovery_flip_at_the_right_steps() {
-    use predata::core::resilient::{DegradePolicy, ResilientClient, StepOutcome};
-    use predata::transport::FaultPlan;
-
-    // Steps 100..106; pins are exhausted for steps 100 and 101 only.
-    let plan = Arc::new(FaultPlan::new(3).pin_exhaustion(1.0).steps(100..102));
-    let (_fabric, computes, stagings) = Fabric::with_faults(1, 1, None, Some(plan));
-    let router: Arc<dyn Router> = Arc::new(BlockRouter::new(1, 1));
-    let dir = out_dir("flip");
-
-    let staging_dir = dir.clone();
-    let staging_router = Arc::clone(&router);
-    let staging = std::thread::spawn(move || {
-        let (_world, mut comms) = World::with_size(1);
-        let mut cfg = StagingConfig::new(1, &staging_dir);
-        // During the outage no request ever arrives; time the empty
-        // gathers out quickly so staging catches up to the client.
-        cfg.gather_timeout = Duration::from_millis(500);
-        let mut rank = StagingRank::new(
-            comms.remove(0),
-            stagings.into_iter().next().unwrap(),
-            staging_router,
-            Box::new(FifoPolicy),
-            vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>],
-            cfg,
-        )
-        .expect("staging rank starts");
-        // Outage steps legitimately time out (nothing was written);
-        // healthy steps must complete.
-        (100..106u64)
-            .map(|s| rank.run_step(s).is_ok())
-            .collect::<Vec<_>>()
-    });
-
-    let mut client = ResilientClient::new(
-        computes.into_iter().next().unwrap(),
-        router,
-        vec![],
-        || vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>],
-        &dir,
-        DegradePolicy {
-            unhealthy_after: 1,
-            probe_every: 2,
-            step_deadline: Duration::from_secs(5),
-        },
-    );
-    assert!(!client.is_degraded());
-    let mut flips = Vec::new();
-    for step in 100..106u64 {
-        let outcome = client.write_step(make_particle_pg(0, step, vec![0.0; 16]));
-        let had_error = matches!(&outcome, StepOutcome::FellBack { error: Some(_), .. });
-        flips.push((outcome.is_fallback(), had_error, client.is_degraded()));
-    }
-    assert_eq!(
-        flips,
-        vec![
-            // Outage: the probe hits the pin fault, records the error,
-            // and the step runs in-compute.
-            (true, true, true),
-            // Still unhealthy, step 101 is not a probe step (101 % 2 != 0):
-            // fall back without even trying staging.
-            (true, false, true),
-            // Outage over, step 102 probes, the staged write lands:
-            // recovered.
-            (false, false, false),
-            (false, false, false),
-            (false, false, false),
-            (false, false, false),
-        ],
-        "(fallback, probe-error, degraded) per step"
-    );
-
-    let staging_steps = staging.join().unwrap();
-    assert_eq!(
-        staging_steps,
-        vec![false, false, true, true, true, true],
-        "staging times out exactly on the two outage steps"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,9 +4,7 @@
 //! `docs/OPERATIONS.md` documents) and how each refuses a malformed
 //! spec: with an `Err` that names the knob and the offending field.
 
-use predata::core::AdmitControl;
-use predata::obs::live::LiveConfig;
-use predata::transport::{FaultPlan, MembershipPlan, RetryPolicy};
+use predata::transport::{FaultPlan, RetryPolicy};
 use proptest::prelude::*;
 
 struct Knob {
@@ -22,7 +20,7 @@ struct Knob {
     accepted: &'static [&'static str],
 }
 
-const KNOBS: [Knob; 5] = [
+const KNOBS: [Knob; 2] = [
     Knob {
         name: "fault",
         parse: |s| FaultPlan::parse(s).map(drop),
@@ -44,31 +42,6 @@ const KNOBS: [Knob; 5] = [
             "attempts=3,base_ms=1,max_ms=20,deadline_ms=2000",
             "attempts=1",
         ],
-    },
-    Knob {
-        name: "membership",
-        parse: |s| MembershipPlan::parse(s).map(drop),
-        has_on: false,
-        number_key: "base",
-        accepted: &["base=2", "base=2,leave=1@2,join=2@2", "base=3, evict=0@5"],
-    },
-    Knob {
-        name: "admit",
-        parse: |s| AdmitControl::parse(s).map(drop),
-        has_on: false,
-        number_key: "queue_hwm",
-        accepted: &[
-            "queue_hwm=64,defer=histogram+bitmap",
-            "blocked=0.3,defer=space_index",
-            "queue_hwm=8, blocked=0.25, defer=sort",
-        ],
-    },
-    Knob {
-        name: "live",
-        parse: |s| LiveConfig::parse(s).map(drop),
-        has_on: true,
-        number_key: "window",
-        accepted: &["window=64", "window=16"],
     },
 ];
 
@@ -124,8 +97,6 @@ fn malformed_specs_are_errors_that_name_the_field() {
     assert!(err.contains("`steps=3`") && err.contains("a..b"), "{err}");
     let err = FaultPlan::parse("steps=1..x").unwrap_err();
     assert!(err.contains("`steps=1..x`"), "{err}");
-    let err = MembershipPlan::parse("base=2,join=3").unwrap_err();
-    assert!(err.contains("`join=3`") && err.contains("R@S"), "{err}");
 }
 
 /// How a knob meets the environment (`obs::spec::from_env`, here over a
@@ -140,16 +111,14 @@ fn knobs_read_through_the_one_lookup() {
 
     assert!(from_lookup(unset, "PREDATA_FAULTS", FaultPlan::parse).is_none());
     assert!(from_lookup(unset, "PREDATA_RETRY", RetryPolicy::parse).is_none());
-    assert!(from_lookup(unset, "PREDATA_ADMIT", AdmitControl::parse).is_none());
 
     assert!(from_lookup(set(" off "), "PREDATA_FAULTS", FaultPlan::parse).is_none());
-    assert!(from_lookup(set("0"), "PREDATA_ADMIT", AdmitControl::parse).is_none());
     let no_retry = from_lookup(set("off"), "PREDATA_RETRY", RetryPolicy::parse);
     assert_eq!(no_retry.map(|p| p.max_attempts()), Some(1));
     let plan = from_lookup(set(" seed=7,drop=1 "), "PREDATA_FAULTS", FaultPlan::parse);
     assert_eq!(plan.map(|p| p.seed()), Some(7));
 
-    let malformed: [(&str, fn()); 3] = [
+    let malformed: [(&str, fn()); 2] = [
         ("PREDATA_FAULTS", || {
             from_lookup(
                 |_| Some("drop=x".into()),
@@ -160,13 +129,6 @@ fn knobs_read_through_the_one_lookup() {
         ("PREDATA_RETRY", || {
             from_lookup(|_| Some("on".into()), "PREDATA_RETRY", RetryPolicy::parse);
         }),
-        ("PREDATA_ADMIT", || {
-            from_lookup(
-                |_| Some("queue_hwm=8".into()),
-                "PREDATA_ADMIT",
-                AdmitControl::parse,
-            );
-        }),
     ];
     for (name, read) in malformed {
         let panic = std::panic::catch_unwind(read).expect_err(name);
@@ -176,12 +138,11 @@ fn knobs_read_through_the_one_lookup() {
 }
 
 /// Spec-shaped fragments: concatenated at random they reach every arm
-/// of every parser (keys, separators, numbers that overflow or do not
+/// of both parsers (keys, separators, numbers that overflow or do not
 /// parse, on/off words, non-ASCII).
 fn fragments() -> Vec<&'static str> {
     let words = "= = , , .. @ + - . 0 1 7 0.5 1e400 99999999999999999999 x é on off true false \
-        seed drop delay_ms steps max_injections attempts deadline_ms \
-        base join leave evict queue_hwm blocked defer window";
+        seed drop delay_ms steps max_injections attempts deadline_ms";
     let mut all: Vec<_> = words.split(' ').collect();
     all.push(" ");
     all

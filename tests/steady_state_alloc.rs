@@ -269,9 +269,9 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `SortOp` on a GTC staging rank. Every thread that runs a part of it —
-/// the rank thread, and any map helper — is marked a staging thread the
-/// first time it does, and its `HUGE` requests count from then on.
+/// `SortOp` on a GTC staging rank. The rank thread, which runs all of
+/// it, is marked a staging thread the first time it maps a chunk, and
+/// its `HUGE` requests count from then on.
 struct OnStaging {
     op: SortOp,
     seen: Arc<Seen>,
