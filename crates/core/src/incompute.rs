@@ -4,8 +4,8 @@
 //! ranks themselves, synchronously, before the dump is written — the
 //! configuration PreDatA is compared against throughout §V. Aggregation
 //! happens over the compute communicator (the attrs exchange replaces the
-//! fetch-request attachment), each rank `map`s its own chunk, and the
-//! shuffle runs over all compute ranks.
+//! fetch-request attachment), each rank `map`s its own chunk with every
+//! operator, and the step's one [`exchange`] runs over all compute ranks.
 
 use std::path::Path;
 
@@ -14,7 +14,7 @@ use minimpi::Comm;
 
 use crate::agg::Aggregates;
 use crate::chunk::PackedChunk;
-use crate::op::{complete_pipeline, ComputeSideOp, OpCtx, OpResult, StreamOp};
+use crate::op::{exchange, ComputeSideOp, OpCtx, OpResult, StreamOp};
 
 /// Runs operators in place on the compute ranks.
 pub struct InComputeRunner;
@@ -47,21 +47,31 @@ impl InComputeRunner {
             agg: Some(&agg),
         };
 
+        // Every operator initializes and maps this rank's chunk, then one
+        // exchange runs the back half of all of them.
         let chunk = PackedChunk::new(pg);
-        let mut results = Vec::with_capacity(ops.len());
-        for op in ops {
-            op.initialize(&agg, &ctx);
-            let mapped = op.map(&chunk, &ctx);
-            results.push(complete_pipeline(op.as_mut(), mapped, &ctx));
-        }
-        results
+        let streams = ops
+            .iter_mut()
+            .map(|op| {
+                op.initialize(&agg, &ctx);
+                op.map(&chunk, &ctx)
+            })
+            .collect();
+        drop(chunk);
+        let mut ops: Vec<_> = ops
+            .iter_mut()
+            .map(|op| op.as_mut() as &mut dyn StreamOp)
+            .collect();
+        exchange(&mut ops, streams, &ctx, &[])
     }
 }
 
 /// The synchronous dump write of the In-Compute-Node configuration (the
 /// ADIOS "MPI method"): ranks serialize their process groups, gather the
 /// blocks to rank 0, which appends them all to one BP file and writes the
-/// footer. Collective; returns the index on rank 0.
+/// footer. Collective; returns the index on rank 0, and rank 0 alone
+/// returns a failed write's error — after the barrier, like a written
+/// dump, so the other ranks never wait for a writer that gave up.
 ///
 /// This produces exactly the *unmerged* layout whose read cost Fig. 11
 /// compares against the staged/merged layout.
@@ -71,19 +81,19 @@ pub fn write_dump_collective(
     path: &Path,
 ) -> Result<Option<bpio::FileIndex>, bpio::BpError> {
     let block = pg.encode();
-    let blocks = comm.gather(0, block);
-    if comm.rank() != 0 {
+    let Some(blocks) = comm.gather(0, block) else {
         comm.barrier(); // wait for the writer to finish
         return Ok(None);
-    }
-    let mut w = bpio::BpWriter::create(path)?;
-    for b in blocks.expect("rank 0 gathered") {
-        let pg = bpio::ProcessGroup::decode(&b)?;
-        w.append_pg(&pg)?;
-    }
-    let idx = w.finish()?;
+    };
+    let written = (|| {
+        let mut w = bpio::BpWriter::create(path)?;
+        for b in blocks {
+            w.append_pg(&bpio::ProcessGroup::decode(&b)?)?;
+        }
+        w.finish()
+    })();
     comm.barrier();
-    Ok(Some(idx))
+    written.map(Some)
 }
 
 #[cfg(test)]
@@ -142,6 +152,28 @@ mod tests {
             assert_eq!(data.len(), 3 * PARTICLE_WIDTH);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A dump write that fails on rank 0 (its directory is missing)
+    /// returns there as an error, and strands no peer at the barrier:
+    /// every rank is back within 5 s.
+    #[test]
+    fn a_failed_dump_write_strands_no_rank() {
+        let path = std::env::temp_dir()
+            .join(format!("ic-missing-{}", std::process::id()))
+            .join("dump.bp");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let out = World::run(4, move |comm| {
+                let pg = make_particle_pg(comm.rank() as u64, 0, vec![0.0; PARTICLE_WIDTH]);
+                write_dump_collective(&comm, &pg, &path).map(|idx| idx.is_some())
+            });
+            tx.send(out.into_iter().map(|r| r.ok()).collect::<Vec<_>>())
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("a rank is still parked 5 s after rank 0's write failed");
+        assert_eq!(out, [None, Some(false), Some(false), Some(false)]);
     }
 
     #[test]

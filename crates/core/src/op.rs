@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use ffs::AttrList;
-use minimpi::Comm;
+use minimpi::{Comm, MpiData};
 
 use crate::agg::Aggregates;
 use crate::chunk::PackedChunk;
@@ -163,7 +163,10 @@ pub trait ComputeSideOp: Send + Sync {
 /// `initialize` → `map`* (once per chunk, streaming, through
 /// [`StreamOp::mapper`] on the rank thread) → `combine` → shuffle
 /// (`partition` routes tags) → `reduce`* (once per owned tag) →
-/// `finalize`.
+/// `finalize`. The step's operators share that shuffle: [`exchange`]
+/// runs every `combine`, moves all of their items in one `alltoall`,
+/// then every `reduce`, then every `finalize` in operator order — so the
+/// collectives a `finalize` enters line up across ranks.
 pub trait StreamOp: Send {
     fn name(&self) -> &str;
 
@@ -207,92 +210,78 @@ pub trait StreamOp: Send {
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult;
 }
 
-/// Exchange tagged intermediates among pipeline ranks: every item lands
-/// on `op.partition(tag)`'s rank, grouped by tag. Collective over `comm`.
-///
-/// Zero-copy: items are routed into per-destination buckets of
-/// `(tag, Bytes)` pairs and exchanged as-is — the shared buffers move
-/// through the communicator by reference count, with no wire framing to
-/// serialize on the way out or parse (and re-copy) on the way in. The
-/// traffic counters still see framed sizes (see the `minimpi` impl of
-/// `MpiData` for buckets), so bandwidth numbers stay comparable with
-/// the serialized encoding this replaced.
-pub fn shuffle_tagged(
-    items: Vec<Tagged>,
-    op: &dyn StreamOp,
-    comm: &Comm,
-) -> BTreeMap<u64, Vec<Bytes>> {
-    let n = comm.size();
-    // First pass: route every item and count per-destination items so
-    // the buckets below never reallocate.
-    let mut routed = Vec::with_capacity(items.len());
-    let mut bucket_items = vec![0usize; n];
-    let mut misrouted = 0usize;
-    for item in &items {
-        let dst = op.partition(item.tag, n);
-        // Contract: partition() must return a rank in 0..n. A violation
-        // is an operator bug — wrap (modulo) so routing stays a function
-        // of the returned value, and warn loudly, rather than silently
-        // clamping everything onto the last rank.
-        let dst = if dst < n {
-            dst
-        } else {
-            misrouted += 1;
-            dst % n
-        };
-        routed.push(dst);
-        bucket_items[dst] += 1;
+/// One destination's share of a step's exchange: `(op, tag, payload)`
+/// entries, `op` being the operator's index in the step's list. Buckets
+/// move through the communicator as-is: the payloads are shared buffers,
+/// so the shuffle moves reference counts and frames nothing. The traffic
+/// counters size them as if framed `[op u32][tag u64][len u32][bytes]`.
+#[derive(Clone)]
+struct Bucket(Vec<(u32, u64, Bytes)>);
+
+impl MpiData for Bucket {
+    fn byte_len(&self) -> usize {
+        self.0.iter().map(|(_, _, b)| 16 + b.len()).sum()
     }
-    if misrouted > 0 {
-        eprintln!(
-            "warning: op '{}' partition() returned out-of-range ranks for \
-             {misrouted} item(s); wrapped modulo {n}",
-            op.name()
-        );
-    }
-    // Second pass: move each item's payload into its bucket.
-    let mut buckets: Vec<Vec<(u64, Bytes)>> = bucket_items
-        .iter()
-        .map(|&cnt| Vec::with_capacity(cnt))
-        .collect();
-    for (item, dst) in items.into_iter().zip(routed) {
-        buckets[dst].push((item.tag, item.bytes));
-    }
-    let received = comm.alltoall(buckets);
-    // Regroup by tag — again by move; payload bytes are untouched.
-    let mut grouped: BTreeMap<u64, Vec<Bytes>> = BTreeMap::new();
-    for bucket in received {
-        for (tag, bytes) in bucket {
-            grouped.entry(tag).or_default().push(bytes);
+}
+
+/// Route every operator's combined items into one bucket per pipeline
+/// rank, each item by its own operator's `partition`.
+fn route(ops: &[&mut dyn StreamOp], combined: Vec<Vec<Tagged>>, n: usize) -> Vec<Bucket> {
+    let mut buckets = vec![Bucket(Vec::new()); n];
+    for (i, (op, items)) in ops.iter().zip(combined).enumerate() {
+        let mut misrouted = 0usize;
+        for item in items {
+            // Contract: partition() must return a rank in 0..n. A violation
+            // is an operator bug — wrap (modulo) so routing stays a function
+            // of the returned value, and warn loudly, rather than silently
+            // clamping everything onto the last rank.
+            let dst = op.partition(item.tag, n);
+            misrouted += usize::from(dst >= n);
+            buckets[dst % n].0.push((i as u32, item.tag, item.bytes));
+        }
+        if misrouted > 0 {
+            eprintln!(
+                "warning: op '{}' partition() returned out-of-range ranks for \
+                 {misrouted} item(s); wrapped modulo {n}",
+                op.name()
+            );
         }
     }
-    grouped
+    buckets
 }
 
-/// Run the post-map phases (combine → shuffle → reduce → finalize) for
-/// one operator. Shared by the staging runtime and the in-compute runner,
-/// which differ only in where `map` inputs come from. Each phase runs
-/// under an obs span, so per-stage timings land in the step tables of
-/// the metrics snapshot (the paper's Fig. 7–9 breakdowns).
-pub fn complete_pipeline(op: &mut dyn StreamOp, mapped: Vec<Tagged>, ctx: &OpCtx) -> OpResult {
-    complete_pipeline_traced(op, mapped, ctx, &[])
-}
-
-/// [`complete_pipeline`] that also marks each source chunk's `shuffled`
-/// and `reduced` lineage transitions as the phases complete. `chunk_srcs`
-/// are the compute ranks whose chunks fed `mapped` (the staging runtime
-/// passes its pull order); the lineage view is first-write-wins, so when
-/// several operators run, the first operator's phases — the earliest
-/// moment the chunk's data crossed that boundary — set the timestamps.
-/// The per-chunk marks serve only that view, so they are skipped unless
-/// the registry is logging events.
-pub fn complete_pipeline_traced(
-    op: &mut dyn StreamOp,
-    mapped: Vec<Tagged>,
+/// The back half of one step for every operator at once (paper Fig. 5
+/// after `map`), shared by the staging runtime, the in-compute runner and
+/// [`complete_pipeline`]. Collective over `ctx.comm`: every rank passes
+/// the same operators in the same order, `streams[i]` being the mapped
+/// stream of `ops[i]`.
+///
+/// 1. every operator's `combine`;
+/// 2. **one** `alltoall` of all operators' items, each routed by its own
+///    operator's `partition` and tagged with that operator's index;
+/// 3. every operator's `reduce`, once per owned tag, over its own items
+///    only — in source-rank order and, within one source, in the order
+///    that rank combined them;
+/// 4. every operator's `finalize`, in operator order (so the collectives
+///    they enter line up across ranks).
+///
+/// No barrier precedes `finalize`: no rank leaves the `alltoall` before
+/// every rank has entered it, that is, finished mapping — the one
+/// ordering a `finalize` relies on (`SpaceIndexOp`'s commit). The
+/// exchange runs with no operator or nothing to send too: it is the
+/// step's ordering point.
+///
+/// `chunk_srcs` are the compute ranks whose chunks fed the streams; each
+/// gets its `shuffled`, `reduced` and `written` lineage marks here, only
+/// while the registry logs events. Each phase runs under an obs span (the
+/// paper's Fig. 7–9 breakdowns).
+pub fn exchange(
+    ops: &mut [&mut dyn StreamOp],
+    streams: Vec<Vec<Tagged>>,
     ctx: &OpCtx,
     chunk_srcs: &[usize],
-) -> OpResult {
-    let (step, rank) = (ctx.step, ctx.comm.rank());
+) -> Vec<OpResult> {
+    let (step, rank) = (ctx.step, ctx.my_rank());
     let mark_chunks = |stage: &'static str| {
         if obs::global().detail() {
             for &src in chunk_srcs {
@@ -302,23 +291,43 @@ pub fn complete_pipeline_traced(
     };
     let combined = {
         let _s = obs::span!("combine", step).rank(rank);
-        op.combine(mapped)
+        ops.iter_mut()
+            .zip(streams)
+            .map(|(op, items)| op.combine(items))
+            .collect()
     };
-    let grouped = {
+    let mut grouped: Vec<BTreeMap<u64, Vec<Bytes>>> = vec![BTreeMap::new(); ops.len()];
+    {
         let _s = obs::span!("shuffle", step).rank(rank);
-        shuffle_tagged(combined, op, ctx.comm)
-    };
+        let buckets = route(ops, combined, ctx.n_ranks());
+        // Regroup by operator and tag — by move; payload bytes are
+        // untouched.
+        for (op, tag, bytes) in ctx.comm.alltoall(buckets).into_iter().flat_map(|b| b.0) {
+            grouped[op as usize].entry(tag).or_default().push(bytes);
+        }
+    }
     mark_chunks("shuffled");
     {
         let _s = obs::span!("reduce", step).rank(rank);
-        for (tag, items) in grouped {
-            op.reduce(tag, items, ctx);
+        for (op, groups) in ops.iter_mut().zip(grouped) {
+            for (tag, items) in groups {
+                op.reduce(tag, items, ctx);
+            }
         }
     }
     mark_chunks("reduced");
-    ctx.comm.barrier();
-    let _s = obs::span!("finalize", step).rank(rank);
-    op.finalize(ctx)
+    let results = {
+        let _s = obs::span!("finalize", step).rank(rank);
+        ops.iter_mut().map(|op| op.finalize(ctx)).collect()
+    };
+    mark_chunks("written");
+    results
+}
+
+/// [`exchange`] for one operator: combine → shuffle → reduce → finalize
+/// over its mapped stream. Collective over `ctx.comm`.
+pub fn complete_pipeline(op: &mut dyn StreamOp, mapped: Vec<Tagged>, ctx: &OpCtx) -> OpResult {
+    exchange(&mut [op], vec![mapped], ctx, &[]).remove(0)
 }
 
 #[cfg(test)]
@@ -326,9 +335,11 @@ mod tests {
     use super::*;
     use minimpi::World;
 
-    /// Word-count-flavoured test op: map emits (value, 1), reduce sums.
+    /// Records what `reduce` is handed: `(tag, payloads)` in call order,
+    /// each payload read as a little-endian `u64`.
+    #[derive(Default)]
     struct CountOp {
-        counts: BTreeMap<u64, u64>,
+        seen: Vec<(u64, Vec<u64>)>,
     }
 
     impl StreamOp for CountOp {
@@ -336,7 +347,7 @@ mod tests {
             "count"
         }
         fn initialize(&mut self, _agg: &Aggregates, _ctx: &OpCtx) {
-            self.counts.clear();
+            self.seen.clear();
         }
         fn mapper(&self) -> Arc<dyn ChunkMapper> {
             struct NoMap;
@@ -348,44 +359,58 @@ mod tests {
             Arc::new(NoMap)
         }
         fn reduce(&mut self, tag: u64, items: Vec<Bytes>, _ctx: &OpCtx) {
-            let sum = items
+            let payloads = items
                 .iter()
                 .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()))
-                .sum::<u64>();
-            *self.counts.entry(tag).or_default() += sum;
+                .collect();
+            self.seen.push((tag, payloads));
         }
         fn finalize(&mut self, _ctx: &OpCtx) -> OpResult {
             OpResult::default()
         }
     }
 
+    /// One item per tag, every one carrying `payload`.
+    fn items(tags: std::ops::Range<u64>, payload: u64) -> Vec<Tagged> {
+        tags.map(|t| Tagged::new(t, payload.to_le_bytes().to_vec()))
+            .collect()
+    }
+
+    /// One exchange of `streams` through `ops` on this rank.
+    fn run(comm: &Comm, ops: &mut [&mut dyn StreamOp], streams: Vec<Vec<Tagged>>) -> Vec<OpResult> {
+        let dir = std::env::temp_dir();
+        let ctx = OpCtx {
+            comm,
+            out_dir: &dir,
+            step: 0,
+            n_compute: comm.size(),
+            agg: None,
+        };
+        exchange(ops, streams, &ctx, &[])
+    }
+
     #[test]
-    fn shuffle_routes_by_partition_and_groups_by_tag() {
+    fn exchange_routes_by_partition_and_groups_by_tag() {
         let out = World::run(4, |comm| {
-            let op = CountOp {
-                counts: BTreeMap::new(),
-            };
+            let mut op = CountOp::default();
             // Every rank emits tags 0..8, payload = its rank.
-            let items: Vec<Tagged> = (0..8u64)
-                .map(|t| Tagged::new(t, (comm.rank() as u64).to_le_bytes().to_vec()))
-                .collect();
-            let grouped = shuffle_tagged(items, &op, &comm);
-            // Default partition: tag % 4 == my rank.
-            let my_tags: Vec<u64> = grouped.keys().copied().collect();
-            let all_from_everyone = grouped.values().all(|items| items.len() == 4);
-            (comm.rank(), my_tags, all_from_everyone)
+            run(&comm, &mut [&mut op], vec![items(0..8, comm.rank() as u64)]);
+            op.seen
         });
-        for (rank, tags, complete) in out {
-            assert_eq!(tags, vec![rank as u64, rank as u64 + 4]);
-            assert!(complete);
+        // Default partition: tag % 4 == my rank; one item from each rank,
+        // in source-rank order.
+        for (rank, seen) in out.into_iter().enumerate() {
+            let r = rank as u64;
+            assert_eq!(seen, [(r, vec![0, 1, 2, 3]), (r + 4, vec![0, 1, 2, 3])]);
         }
     }
 
     /// An op whose `partition` violates the contract and returns ranks
-    /// ≥ n. The shuffle must wrap these modulo n — historically it
-    /// clamped them all onto the last rank, skewing that rank's load and
-    /// mis-grouping tags.
-    struct BadPartitionOp;
+    /// ≥ n. The exchange must wrap these modulo n — historically the
+    /// shuffle clamped them all onto the last rank, skewing that rank's
+    /// load and mis-grouping tags.
+    #[derive(Default)]
+    struct BadPartitionOp(CountOp);
 
     impl StreamOp for BadPartitionOp {
         fn name(&self) -> &str {
@@ -393,19 +418,15 @@ mod tests {
         }
         fn initialize(&mut self, _agg: &Aggregates, _ctx: &OpCtx) {}
         fn mapper(&self) -> Arc<dyn ChunkMapper> {
-            struct NoMap;
-            impl ChunkMapper for NoMap {
-                fn map_chunk(&self, _chunk: &PackedChunk, _ctx: &MapCtx) -> Vec<Tagged> {
-                    unreachable!("driven directly in tests")
-                }
-            }
-            Arc::new(NoMap)
+            self.0.mapper()
         }
         fn partition(&self, tag: u64, n_ranks: usize) -> usize {
             // Off-by-a-lot: always out of range for n_ranks = 4.
             tag as usize + n_ranks
         }
-        fn reduce(&mut self, _tag: u64, _items: Vec<Bytes>, _ctx: &OpCtx) {}
+        fn reduce(&mut self, tag: u64, items: Vec<Bytes>, ctx: &OpCtx) {
+            self.0.reduce(tag, items, ctx);
+        }
         fn finalize(&mut self, _ctx: &OpCtx) -> OpResult {
             OpResult::default()
         }
@@ -414,16 +435,14 @@ mod tests {
     #[test]
     fn out_of_range_partition_wraps_modulo_not_clamped() {
         let out = World::run(4, |comm| {
-            let op = BadPartitionOp;
-            // Rank 0 emits tags 0..8; everyone participates in the
-            // collective.
-            let items: Vec<Tagged> = if comm.rank() == 0 {
-                (0..8u64).map(|t| Tagged::new(t, vec![t as u8])).collect()
-            } else {
-                Vec::new()
-            };
-            let grouped = shuffle_tagged(items, &op, &comm);
-            grouped.keys().copied().collect::<Vec<u64>>()
+            let mut op = BadPartitionOp::default();
+            // Rank 0 emits tags 0..8; everyone enters the exchange.
+            let tags = if comm.rank() == 0 { 0..8 } else { 0..0 };
+            run(&comm, &mut [&mut op], vec![items(tags, 0)]);
+            op.0.seen
+                .into_iter()
+                .map(|(tag, _)| tag)
+                .collect::<Vec<_>>()
         });
         // partition(tag) = tag + 4, wrapped mod 4 = tag % 4: each rank r
         // owns tags r and r+4. The old clamp sent all 8 tags to rank 3.
@@ -436,46 +455,105 @@ mod tests {
         }
     }
 
+    /// Nothing to send, and no operator at all: the exchange still runs —
+    /// one `alltoall` per rank, the step's ordering point — and reduces
+    /// nothing.
     #[test]
-    fn empty_shuffle_is_fine() {
-        let out = World::run(2, |comm| {
-            let op = CountOp {
-                counts: BTreeMap::new(),
-            };
-            shuffle_tagged(Vec::new(), &op, &comm).len()
+    fn empty_exchange_is_fine() {
+        let (out, world) = World::run_with_stats(2, |comm| {
+            let mut op = CountOp::default();
+            let results = run(&comm, &mut [&mut op], vec![Vec::new()]);
+            let none = run(&comm, &mut [], Vec::new());
+            (results.len(), op.seen.len(), none.len())
         });
-        assert_eq!(out, vec![0, 0]);
+        assert_eq!(out, [(1, 0, 0), (1, 0, 0)]);
+        assert_eq!(world.stats().collective_calls(), 2 * 2);
     }
 
     #[test]
     fn reduce_sees_all_contributions() {
         let out = World::run(3, |comm| {
-            let mut op = CountOp {
-                counts: BTreeMap::new(),
-            };
-            let items: Vec<Tagged> = (0..6u64)
-                .map(|t| Tagged::new(t, 1u64.to_le_bytes().to_vec()))
+            let mut op = CountOp::default();
+            run(&comm, &mut [&mut op], vec![items(0..6, 1)]);
+            op.seen
+        });
+        // Each tag owned by tag % 3; each contributes 3 (one per rank).
+        for (rank, seen) in out.iter().enumerate() {
+            assert_eq!(seen.len(), 2);
+            for (tag, payloads) in seen {
+                assert_eq!(*tag as usize % 3, rank);
+                assert_eq!(payloads.iter().sum::<u64>(), 3);
+            }
+        }
+    }
+
+    /// Two operators whose tags collide travel in one exchange: each
+    /// `reduce` sees only its own operator's items, in source-rank order.
+    #[test]
+    fn colliding_tags_reach_only_their_own_operator() {
+        let out = World::run(2, |comm| {
+            let (mut a, mut b) = (CountOp::default(), CountOp::default());
+            let me = comm.rank() as u64;
+            let streams = vec![items(0..4, me), items(0..4, 100 + me)];
+            run(&comm, &mut [&mut a, &mut b], streams);
+            (a.seen, b.seen)
+        });
+        for (rank, (a, b)) in out.into_iter().enumerate() {
+            let (t0, t1) = (rank as u64, rank as u64 + 2);
+            assert_eq!(a, [(t0, vec![0, 1]), (t1, vec![0, 1])]);
+            assert_eq!(b, [(t0, vec![100, 101]), (t1, vec![100, 101])]);
+        }
+    }
+
+    /// The four GTC operators (sort, histogram, 2-D histogram, bitmap
+    /// index) through one exchange on 2 ranks: 4 collective calls per
+    /// rank — the one `alltoall`, and `SortOp::finalize`'s `exscan` and
+    /// `allreduce` (a reduce and a bcast).
+    #[test]
+    fn four_gtc_operators_share_one_alltoall() {
+        use crate::ops::{BitmapIndexOp, Histogram2dOp, HistogramOp, SortOp};
+        use crate::schema::make_particle_pg;
+        let (_, world) = World::run_with_stats(2, |comm| {
+            let dir = std::env::temp_dir().join(format!(
+                "one-alltoall-{}-{}",
+                std::process::id(),
+                comm.rank()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let me = comm.rank() as u64;
+            let rows: Vec<f64> = (0..16u64)
+                .flat_map(|i| [i as f64, 1., 2., 3., 4., 5., me as f64, i as f64])
                 .collect();
-            let grouped = shuffle_tagged(items, &op, &comm);
-            let dir = std::env::temp_dir();
+            let pg = make_particle_pg(me, 0, rows);
+            let (mut sort, mut hist, mut hist2d, mut bitmap) = (
+                SortOp::new(),
+                HistogramOp::new(vec![0], 8),
+                Histogram2dOp::new(vec![(0, 1)], 4),
+                BitmapIndexOp::new(0, 8),
+            );
+            let mut ops: [&mut dyn StreamOp; 4] = [&mut sort, &mut hist, &mut hist2d, &mut bitmap];
+            let mut attrs = AttrList::new();
+            crate::ops::attach_particle_stats(&pg, &mut attrs);
+            let agg = Aggregates::local_only(&[(comm.rank(), attrs)]);
             let ctx = OpCtx {
                 comm: &comm,
                 out_dir: &dir,
                 step: 0,
-                n_compute: 3,
-                agg: None,
+                n_compute: 2,
+                agg: Some(&agg),
             };
-            for (tag, its) in grouped {
-                op.reduce(tag, its, &ctx);
-            }
-            op.counts
+            let chunk = PackedChunk::new(pg);
+            let streams = ops
+                .iter_mut()
+                .map(|op| {
+                    op.initialize(&agg, &ctx);
+                    op.map(&chunk, &ctx)
+                })
+                .collect();
+            let results = exchange(&mut ops, streams, &ctx, &[]);
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(results.len(), 4);
         });
-        // Each tag owned by tag%3; each contributes 3 (one per rank).
-        for (rank, counts) in out.iter().enumerate() {
-            for (tag, n) in counts {
-                assert_eq!(*tag as usize % 3, rank);
-                assert_eq!(*n, 3);
-            }
-        }
+        assert_eq!(world.stats().collective_calls(), 2 * 4);
     }
 }

@@ -261,7 +261,6 @@ impl<const AXES: usize> StreamOp for BinnedCountOp<AXES> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::shuffle_tagged;
     use crate::schema::make_particle_pg;
     use minimpi::World;
     use proptest::prelude::*;
@@ -323,8 +322,9 @@ mod tests {
         counts
     }
 
-    /// Map every chunk, combine, shuffle (one rank) and reduce: the items
-    /// that went into the shuffle and the reduced cells in key order.
+    /// Map every chunk, combine, group by tag (the shuffle of one rank)
+    /// and reduce: the items that went into the shuffle and the reduced
+    /// cells in key order.
     fn run_counts<const AXES: usize>(
         mut op: BinnedCountOp<AXES>,
         ranges: &[(f64, f64)],
@@ -350,7 +350,11 @@ mod tests {
         }
         let shuffled = op.combine(mapped);
         let n_shuffled = shuffled.len();
-        for (tag, items) in shuffle_tagged(shuffled, &op, ctx.comm) {
+        let mut grouped = std::collections::BTreeMap::<u64, Vec<bytes::Bytes>>::new();
+        for item in shuffled {
+            grouped.entry(item.tag).or_default().push(item.bytes);
+        }
+        for (tag, items) in grouped {
             op.reduce(tag, items, &ctx);
         }
         let mut owned = std::mem::take(&mut op.owned);

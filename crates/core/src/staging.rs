@@ -14,8 +14,9 @@
 //! 3. **pull + map** — pull every chunk in the order and pacing of the
 //!    [`transport::PullPolicy`], decode and map each one, and append the
 //!    outputs to the operators' streams in that order;
-//! 4. **exchange + step end** — each operator's combine → shuffle →
-//!    reduce → finalize, then the [`StepReport`].
+//! 4. **exchange + step end** — the one [`exchange`] of the step: every
+//!    operator's combine, one shuffle for all of them, every reduce, every
+//!    finalize in operator order; then the [`StepReport`].
 //!
 //! Stages 1 and 3 can fail; `run_step` has one error exit, which closes
 //! the lineage record of every chunk gathered so far.
@@ -58,7 +59,7 @@ use transport::{
 
 use crate::agg::Aggregates;
 use crate::chunk::{ChunkError, PackedChunk};
-use crate::op::{complete_pipeline_traced, ChunkMapper, OpCtx, OpResult, StreamOp, Tagged};
+use crate::op::{exchange, ChunkMapper, OpCtx, OpResult, StreamOp, Tagged};
 
 /// Mark chunk `(src_rank, step)` truncated on staging rank `rank`: its
 /// pull was given up, or its step abandoned, and it will never reach
@@ -208,7 +209,7 @@ pub struct StageTimes {
     pub gather: Duration,
     pub aggregate: Duration,
     pub pull_map: Duration,
-    /// Includes waiting for the slowest rank in the operators' shuffles.
+    /// Includes waiting for the slowest rank in the step's one shuffle.
     pub exchange: Duration,
     /// In `rdma_get`, retries included; not the policy's pacing waits.
     pub pull_busy: Duration,
@@ -481,9 +482,10 @@ impl StagingRank {
         Ok(out)
     }
 
-    /// Stage 4 (paper stage 4b and the step's end): every operator's
-    /// combine → shuffle → reduce → finalize over its mapped stream, the
-    /// lineage close-out, and the report. Collective.
+    /// Stage 4 (paper stage 4b and the step's end): the one
+    /// [`exchange`] of every operator's mapped stream — combine, one
+    /// shuffle, reduce, finalize, each chunk's lineage close-out — and
+    /// the report. Collective.
     fn exchange(&mut self, step: u64, agg: &Aggregates, mapped: Mapped) -> StepReport {
         let Mapped {
             pull_order,
@@ -493,25 +495,12 @@ impl StagingRank {
             times,
         } = mapped;
         let ctx = op_ctx(&self.comm, &self.cfg, step, agg);
-        let results = self
+        let mut ops: Vec<_> = self
             .ops
             .iter_mut()
-            .zip(per_op)
-            .map(|(op, stream)| complete_pipeline_traced(op.as_mut(), stream, &ctx, &pull_order))
+            .map(|op| op.as_mut() as &mut dyn StreamOp)
             .collect();
-        // Lineage catch-all: the first operator's in-phase marks win
-        // (first-write-wins); this closes every record even for op-less
-        // runs, and `written` here means "the step's outputs — including
-        // any merged bp files keyed by staging rank — are committed".
-        // Only the lineage view reads these per-chunk marks.
-        let rank = self.comm.rank();
-        if obs::global().detail() {
-            for &src in &pull_order {
-                for stage in ["shuffled", "reduced", "written"] {
-                    obs::mark(stage, step).rank(rank).chunk(src as u64);
-                }
-            }
-        }
+        let results = exchange(&mut ops, per_op, &ctx, &pull_order);
         let chunks = pull_order.len() + truncated.len();
         StepReport {
             step,
@@ -786,7 +775,7 @@ mod tests {
 
     /// An operator that panics inside the pipeline must surface as
     /// `WorkerPanicked(rank)` — not crash the harness, and not strand the
-    /// peer: rank 0 waits for rank 1 in its histogram's shuffle, and is
+    /// peer: rank 0 waits for rank 1 in the step's shuffle, and is
     /// woken out of it when rank 1 dies.
     #[test]
     fn panicking_rank_reports_worker_panicked() {
@@ -1166,7 +1155,7 @@ mod tests {
     }
 
     /// A mapper that panics is the rank's death: it reports
-    /// `WorkerPanicked`, and the peer parked in its histogram's shuffle is
+    /// `WorkerPanicked`, and the peer parked in the step's shuffle is
     /// woken, never left hanging.
     #[test]
     fn panicking_mapper_is_the_ranks_failure() {

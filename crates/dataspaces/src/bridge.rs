@@ -126,9 +126,10 @@ impl StreamOp for SpaceIndexOp {
     fn reduce(&mut self, _tag: u64, _items: Vec<bytes::Bytes>, _ctx: &OpCtx) {}
 
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
-        // Publication point: all pipeline ranks have put their cells
-        // (complete_pipeline barriers before finalize); rank 0 commits
-        // for everyone.
+        // Publication point: every pipeline rank has put its cells — a
+        // rank puts while it maps, and rank 0 left the step's exchange
+        // only after every rank entered it — so rank 0 commits for
+        // everyone.
         if ctx.my_rank() == 0 {
             self.space.commit(&self.var, ctx.step);
         }
@@ -205,6 +206,45 @@ mod tests {
             .reduce("weight", 0, &whole, Reduction::Max, Duration::from_secs(1))
             .unwrap();
         assert!((max - 1.7).abs() < 1e-12);
+    }
+
+    /// Rank 1 maps late. Rank 0 still commits every cell rank 1 put:
+    /// rank 0 leaves the exchange only after rank 1 has entered it,
+    /// which is after rank 1's map. Read back before anything recommits.
+    #[test]
+    fn a_late_mapper_is_in_rank_0s_commit() {
+        let space = Arc::new(DataSpaces::new(DsConfig::new(vec![8, 2], vec![4, 1], 2)));
+        let space2 = Arc::clone(&space);
+        let out = World::run(2, move |comm| {
+            let mut op = SpaceIndexOp::new(Arc::clone(&space2), 5, "weight");
+            let dir = std::env::temp_dir();
+            let ctx = OpCtx {
+                comm: &comm,
+                out_dir: &dir,
+                step: 0,
+                n_compute: 2,
+                agg: None,
+            };
+            op.initialize(&Aggregates::local_only(&[]), &ctx);
+            let me = comm.rank() as u64;
+            let rows: Vec<f64> = (0..8)
+                .flat_map(|id| [0., 0., 0., 0., 0., 1., me as f64, id as f64])
+                .collect();
+            // No handshake exists to wait on: the bad interleaving is
+            // rank 0 committing while rank 1 is still putting.
+            if me == 1 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            let mapped = op.map(&PackedChunk::new(make_particle_pg(me, 0, rows)), &ctx);
+            complete_pipeline(&mut op, mapped, &ctx);
+            (me == 0).then(|| {
+                let session = space2.session_now("weight", 0).unwrap();
+                session
+                    .reduce(&Region::whole(&[8, 2]), Reduction::Count)
+                    .unwrap()
+            })
+        });
+        assert_eq!(out, [Some(16.0), None]);
     }
 
     #[test]

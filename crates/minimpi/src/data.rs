@@ -94,15 +94,6 @@ impl MpiData for bytes::Bytes {
     }
 }
 
-/// A shuffle bucket: tagged shared buffers bound for one destination.
-/// Sized as if framed `[tag u64][len u32][bytes]` so traffic counters
-/// stay comparable with the serialized encoding this replaced.
-impl MpiData for Vec<(u64, bytes::Bytes)> {
-    fn byte_len(&self) -> usize {
-        self.iter().map(|(_, b)| 12 + b.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,9 +17,9 @@
 //! [`Stage::Truncated`] so a failed pull never leaves a dangling record.
 //!
 //! Each `(chunk, stage)` slot is **first-write-wins**: when two sites
-//! report the same stage (every operator's `shuffled`, then the staging
-//! runtime's end-of-step catch-all), the first one logged stands, and a
-//! `truncated` mark never overwrites evidence of progress.
+//! report the same stage, the first one logged stands, and a `truncated`
+//! mark never overwrites evidence of progress. (`shuffled`, `reduced`
+//! and `written` each have one site, the step's one exchange.)
 //!
 //! The log exists only while the registry's detail gate is on
 //! (`PREDATA_LINEAGE`, `PREDATA_TRACE`, or [`set_enabled`]); with it

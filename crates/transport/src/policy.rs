@@ -310,7 +310,9 @@ mod tests {
 
     #[test]
     fn rate_limiter_oversized_request_drains_burst_not_starves() {
-        let p = RateLimitedPolicy::new(1e9, 1e3);
+        // A burst refills in 1 ms: long enough that the second spend below
+        // finds the bucket still empty on a busy host.
+        let p = RateLimitedPolicy::new(1e6, 1e3);
         // A single request larger than the whole burst capacity: charged
         // the full burst (the most the bucket can ever hold), not
         // deferred forever.

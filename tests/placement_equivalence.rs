@@ -1,14 +1,17 @@
 //! Placement flexibility is PreDatA's core claim: the *same* operator
 //! produces the *same* results whether it runs on compute nodes or in the
 //! staging area. These tests run both placements over identical inputs
-//! and require identical outputs.
+//! and require identical outputs. The operators' tags collide (the sort's
+//! destination ranks, the histograms' columns, the index's chunk ranks),
+//! and in both placements they share one exchange per step.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use predata::apps::GtcWorld;
 use predata::core::op::StreamOp;
-use predata::core::ops::{Histogram2dOp, HistogramOp};
+use predata::core::ops::{BitmapIndexOp, Histogram2dOp, HistogramOp, SortOp};
 use predata::core::{InComputeRunner, PredataClient, StagingArea, StagingConfig};
 use predata::ffs::Value;
 use predata::minimpi::World;
@@ -20,11 +23,40 @@ fn out_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Collect every ArrU64 value from a set of OpResults into (name → bins).
-fn collect_bins(
-    values: impl Iterator<Item = (String, Vec<u64>)>,
-) -> std::collections::BTreeMap<String, Vec<u64>> {
-    values.collect()
+/// The histograms, the sort and the bitmap index, in one step.
+fn make_ops() -> Vec<Box<dyn StreamOp>> {
+    vec![
+        Box::new(HistogramOp::new(vec![0, 4], 12)),
+        Box::new(SortOp::new()),
+        Box::new(Histogram2dOp::new(vec![(0, 3)], 6)),
+        Box::new(BitmapIndexOp::new(4, 8)),
+    ]
+}
+
+/// Per-rank counts whose sum over the pipeline ranks does not depend on
+/// how many ranks there are.
+const SHARES: [&str; 4] = ["np_sorted", "indexed_chunks", "indexed_rows", "index_bytes"];
+
+/// Every ArrU64 value of a set of OpResults (name → bins), and the sum of
+/// every share in [`SHARES`] (name → [sum]).
+fn collect_values(
+    results: impl IntoIterator<Item = predata::core::op::OpResult>,
+) -> BTreeMap<String, Vec<u64>> {
+    let mut out = BTreeMap::new();
+    for res in results {
+        for (name, value) in res.values.iter() {
+            match value {
+                Value::ArrU64(b) => {
+                    out.insert(name.to_string(), b.clone());
+                }
+                Value::U64(n) if SHARES.contains(&name) => {
+                    out.entry(name.to_string()).or_insert(vec![0])[0] += n;
+                }
+                _ => {}
+            }
+        }
+    }
+    out
 }
 
 #[test]
@@ -39,12 +71,7 @@ fn histograms_identical_across_placements() {
     let area = StagingArea::spawn(
         stagings,
         Arc::clone(&router),
-        Arc::new(|_| {
-            vec![
-                Box::new(HistogramOp::new(vec![0, 4], 12)) as Box<dyn StreamOp>,
-                Box::new(Histogram2dOp::new(vec![(0, 3)], 6)),
-            ]
-        }),
+        Arc::new(|_| make_ops()),
         Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
         StagingConfig::new(n_compute, &dir_s),
         1,
@@ -62,19 +89,11 @@ fn histograms_identical_across_placements() {
     for (r, c) in clients.iter().enumerate() {
         c.write_pg(world.output_pg(r)).unwrap();
     }
-    let staged = collect_bins(area.join().into_iter().flat_map(|r| {
-        r.unwrap().into_iter().flat_map(|rep| {
-            rep.results.into_iter().flat_map(|res| {
-                res.values
-                    .iter()
-                    .filter_map(|(n, v)| match v {
-                        Value::ArrU64(b) => Some((n.to_string(), b.clone())),
-                        _ => None,
-                    })
-                    .collect::<Vec<_>>()
-            })
-        })
-    }));
+    let staged = collect_values(
+        area.join()
+            .into_iter()
+            .flat_map(|r| r.unwrap().into_iter().flat_map(|rep| rep.results)),
+    );
 
     // --- In-Compute-Node placement, same input ---
     let dir_i = out_dir("innode");
@@ -82,10 +101,7 @@ fn histograms_identical_across_placements() {
     let results = World::run(n_compute, move |comm| {
         let pg = pgs[comm.rank()].clone();
         let h1 = HistogramOp::new(vec![0, 4], 12);
-        let mut ops: Vec<Box<dyn StreamOp>> = vec![
-            Box::new(HistogramOp::new(vec![0, 4], 12)),
-            Box::new(Histogram2dOp::new(vec![(0, 3)], 6)),
-        ];
+        let mut ops = make_ops();
         let dir = std::env::temp_dir().join(format!(
             "placement-innode-{}-{}",
             std::process::id(),
@@ -95,19 +111,12 @@ fn histograms_identical_across_placements() {
         std::fs::remove_dir_all(&dir).ok();
         res
     });
-    let innode = collect_bins(results.into_iter().flat_map(|rank_res| {
-        rank_res.into_iter().flat_map(|res| {
-            res.values
-                .iter()
-                .filter_map(|(n, v)| match v {
-                    Value::ArrU64(b) => Some((n.to_string(), b.clone())),
-                    _ => None,
-                })
-                .collect::<Vec<_>>()
-        })
-    }));
+    let innode = collect_values(results.into_iter().flatten());
 
-    assert!(!staged.is_empty());
+    assert_eq!(staged.len(), 3 + SHARES.len(), "{staged:?}");
+    // Every particle was sorted once and indexed once.
+    assert!(staged["np_sorted"][0] > 0);
+    assert_eq!(staged["np_sorted"], staged["indexed_rows"]);
     assert_eq!(staged, innode, "identical results regardless of placement");
     std::fs::remove_dir_all(&dir_s).ok();
     std::fs::remove_dir_all(&dir_i).ok();
