@@ -190,7 +190,7 @@ mod tests {
             res.values.get_u64("cells_put")
         });
         assert_eq!(out, vec![Some(8), Some(8)]);
-        assert!(space.is_committed("weight", 0));
+        assert!(space.session_now("weight", 0).is_ok());
 
         // A consumer can now query arbitrary label regions.
         let whole = Region::whole(&[8, 2]);

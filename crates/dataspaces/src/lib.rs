@@ -20,8 +20,9 @@
 //!   region is pure arithmetic, no central master.
 //! * **data querying** — geometric range queries ([`DataSpaces::get`]),
 //!   aggregation/reduction queries ([`DataSpaces::reduce`]), and
-//!   *continuous queries* ([`DataSpaces::subscribe`]) that notify a
-//!   registered consumer whenever new data intersects its region.
+//!   *continuous queries* ([`QueryService::subscribe_reduce`]) that
+//!   re-evaluate a reduction over a registered consumer's region on
+//!   every commit of its variable.
 //! * **coherence** — versions: readers of version `v` block until the
 //!   writer [`DataSpaces::commit`]s it (get-after-put consistency across
 //!   applications).
@@ -76,4 +77,4 @@ pub use service::{
     QueryServiceConfig, QueryTicket,
 };
 pub use session::Session;
-pub use space::{CommitHook, DataSpaces, Notification, Reduction, SpaceStats, VarRef};
+pub use space::{CommitHook, DataSpaces, Reduction, SpaceStats, VarRef};

@@ -23,8 +23,10 @@
 //! continuous query: every commit of the variable re-evaluates the
 //! reduction over the subscribed region on that commit's snapshot and
 //! delivers a [`ContinuousUpdate`] through a *bounded* per-subscriber
-//! channel — a slow subscriber loses updates (counted in
-//! `dataspaces.continuous_dropped`), it never stalls the pool.
+//! queue — a slow subscriber loses updates (counted in
+//! `dataspaces.continuous_dropped`), it never stalls the pool. It is the
+//! space's one continuous query. Every hand-off here — jobs, replies,
+//! updates — is a [`transport::evq::EventQueue`].
 //!
 //! # Resilience
 //!
@@ -41,7 +43,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bpio::DataArray;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use transport::evq::{EventQueue, PollError, SubmitError};
 use transport::{FaultKind, FaultPlan, RetryPolicy};
@@ -119,10 +120,12 @@ pub struct QueryResponse {
     pub exec: Duration,
 }
 
+type Answer = Result<QueryResponse, DsError>;
+
 /// Claim check for an admitted query.
 pub struct QueryTicket {
     id: u64,
-    rx: Receiver<Result<QueryResponse, DsError>>,
+    reply: EventQueue<Answer>,
 }
 
 impl QueryTicket {
@@ -131,12 +134,14 @@ impl QueryTicket {
         self.id
     }
 
-    /// Block until the query completes, up to `timeout`.
+    /// Block until the query completes, up to `timeout`
+    /// (`Duration::MAX`: no limit). A query dropped unanswered — its
+    /// worker panicked — fails with [`DsError::ServiceClosed`].
     pub fn wait(self, timeout: Duration) -> Result<QueryResponse, DsError> {
-        match self.rx.recv_timeout(timeout) {
+        match self.reply.recv(timeout) {
             Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => Err(DsError::DeadlineMissed { query: self.id }),
-            Err(RecvTimeoutError::Disconnected) => Err(DsError::ServiceClosed),
+            Err(PollError::Timeout) => Err(DsError::DeadlineMissed { query: self.id }),
+            Err(PollError::Closed) => Err(DsError::ServiceClosed),
         }
     }
 }
@@ -150,22 +155,39 @@ pub struct ContinuousUpdate {
     pub value: f64,
 }
 
-/// A continuous query's subscriber end. Dropping it unsubscribes (the
-/// service prunes the subscription on its next delivery attempt).
+/// A continuous query's subscriber end. Dropping it closes its queue,
+/// which unsubscribes: the service prunes the subscription on its next
+/// delivery attempt.
 pub struct ContinuousHandle {
-    rx: Receiver<ContinuousUpdate>,
+    updates: EventQueue<ContinuousUpdate>,
 }
 
 impl ContinuousHandle {
-    /// Next update, up to `timeout`. `None` on timeout or service
-    /// shutdown.
+    /// Next update, up to `timeout` (`Duration::MAX`: no limit). `None`
+    /// on timeout or once the service is gone.
     pub fn recv(&self, timeout: Duration) -> Option<ContinuousUpdate> {
-        self.rx.recv_timeout(timeout).ok()
+        self.updates.recv(timeout).ok()
     }
 
     /// Next update if one is already buffered.
     pub fn try_recv(&self) -> Option<ContinuousUpdate> {
-        self.rx.try_recv().ok()
+        self.updates.try_poll()
+    }
+}
+
+impl Drop for ContinuousHandle {
+    fn drop(&mut self) {
+        self.updates.close();
+    }
+}
+
+/// A query's reply end, held by its job. Dropping it closes the reply
+/// queue, so a job lost unanswered (a worker panic) wakes its ticket.
+struct Reply(EventQueue<Answer>);
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -176,7 +198,7 @@ struct QueryJob {
     kind: QueryKind,
     admitted: Instant,
     deadline: Instant,
-    reply: Sender<Result<QueryResponse, DsError>>,
+    reply: Reply,
 }
 
 enum Job {
@@ -193,7 +215,15 @@ struct ContinuousSub {
     var: String,
     region: Region,
     how: Reduction,
-    tx: Sender<ContinuousUpdate>,
+    updates: EventQueue<ContinuousUpdate>,
+}
+
+/// A subscription dropped by the service going away closes its queue,
+/// so a subscriber parked in [`ContinuousHandle::recv`] wakes.
+impl Drop for ContinuousSub {
+    fn drop(&mut self) {
+        self.updates.close();
+    }
 }
 
 struct Inner {
@@ -318,7 +348,7 @@ impl QueryService {
             QueryKind::Reduce(..) => inner.admitted_reduce.inc(),
         }
         let now = Instant::now();
-        let (tx, rx) = bounded(1);
+        let reply = EventQueue::bounded(1);
         let job = Job::Query(QueryJob {
             id,
             var: var.to_string(),
@@ -326,14 +356,14 @@ impl QueryService {
             kind,
             admitted: now,
             deadline: now + deadline,
-            reply: tx,
+            reply: Reply(reply.clone()),
         });
         match inner.jobs.try_submit(job) {
             Ok(()) => {
                 // `set`, not `record_max`: the gauge's *current* value
                 // must stay fresh (set also maintains the HWM).
                 inner.depth.set(inner.jobs.len() as i64);
-                Ok(QueryTicket { id, rx })
+                Ok(QueryTicket { id, reply })
             }
             Err(SubmitError::Full(_)) => Err(DsError::QueueFull),
             Err(SubmitError::Closed(_)) => Err(DsError::ServiceClosed),
@@ -353,7 +383,7 @@ impl QueryService {
 
     /// Register a continuous reduction query: every commit of `var`
     /// re-evaluates `how` over `region` on that commit's snapshot and
-    /// delivers the value through a channel of `capacity` updates.
+    /// delivers the value through a queue of `capacity` updates.
     /// Overflow drops the update (counted), never blocks the pool.
     pub fn subscribe_reduce(
         &self,
@@ -362,15 +392,15 @@ impl QueryService {
         how: Reduction,
         capacity: usize,
     ) -> ContinuousHandle {
-        let (tx, rx) = bounded(capacity.max(1));
+        let updates = EventQueue::bounded(capacity.max(1));
         self.inner.subs.lock().push(ContinuousSub {
             var: var.to_string(),
             region,
             how,
-            tx,
+            updates: updates.clone(),
         });
         self.inner.admitted_continuous.inc();
-        ContinuousHandle { rx }
+        ContinuousHandle { updates }
     }
 
     /// Drain and stop: close admission, let workers finish queued
@@ -418,7 +448,7 @@ fn serve(inner: &Arc<Inner>, job: QueryJob) {
         Err(DsError::DeadlineMissed { .. }) => inner.deadline_missed.inc(),
         Err(_) => {}
     }
-    let _ = job.reply.send(result.map(|output| QueryResponse {
+    job.reply.0.submit(result.map(|output| QueryResponse {
         id: job.id,
         var: job.var,
         version: job.version,
@@ -469,7 +499,7 @@ fn serve_continuous(inner: &Arc<Inner>, var: &str, version: u64) {
         let Ok(value) = session.reduce(&sub.region, sub.how) else {
             return true;
         };
-        match sub.tx.try_send(ContinuousUpdate {
+        match sub.updates.try_submit(ContinuousUpdate {
             var: var.to_string(),
             version,
             value,
@@ -478,12 +508,12 @@ fn serve_continuous(inner: &Arc<Inner>, var: &str, version: u64) {
                 inner.delivered.inc();
                 true
             }
-            Err(TrySendError::Full(_)) => {
+            Err(SubmitError::Full(_)) => {
                 inner.dropped.inc();
                 true
             }
             // Handle dropped: unsubscribe.
-            Err(TrySendError::Disconnected(_)) => false,
+            Err(SubmitError::Closed(_)) => false,
         }
     });
 }
@@ -525,6 +555,34 @@ mod tests {
         assert_eq!(resp.version, 0);
         let expected = ds.get("field", 0, &q, Duration::from_secs(1)).unwrap();
         assert_eq!(resp.output.into_data(), expected);
+    }
+
+    /// `Duration::MAX` is no limit, not an `Instant` overflow.
+    #[test]
+    fn wait_without_a_limit_returns_the_answer() {
+        let ds = staged_space();
+        let svc = service(&ds, 1);
+        let q = Region::new(vec![0, 0], vec![4, 4]);
+        let ticket = svc
+            .submit("field", 0, QueryKind::Reduce(q, Reduction::Count))
+            .unwrap();
+        assert_eq!(ticket.wait(Duration::MAX).unwrap().output.value(), 16.0);
+    }
+
+    /// A job dropped before it is answered (its worker panicked) closes
+    /// the reply queue: the ticket fails instead of waiting forever.
+    #[test]
+    fn a_query_dropped_unanswered_closes_its_ticket() {
+        let reply = EventQueue::bounded(1);
+        let ticket = QueryTicket {
+            id: 0,
+            reply: reply.clone(),
+        };
+        drop(Reply(reply));
+        assert_eq!(
+            ticket.wait(Duration::from_secs(10)).unwrap_err(),
+            DsError::ServiceClosed
+        );
     }
 
     /// The backlog accessor: a drained queue reads zero.
@@ -656,7 +714,7 @@ mod tests {
     #[test]
     fn continuous_subscription_fires_per_commit_and_drops_on_overflow() {
         let ds = Arc::new(DataSpaces::new(DsConfig::new(vec![16, 16], vec![4, 4], 2)));
-        let svc = service(&ds, 2);
+        let svc = service(&ds, 1);
         let region = Region::whole(&[16, 16]);
         let sub = svc.subscribe_reduce("f", region.clone(), Reduction::Max, 1);
         for v in 0..3u64 {
@@ -671,10 +729,24 @@ mod tests {
         assert_eq!(first.value, first.version as f64);
         drop(sub);
         // After the handle drops, a later commit prunes the subscription
-        // rather than erroring.
+        // rather than erroring. One worker serves jobs in admission
+        // order, so the query answered after the commit proves the
+        // commit's continuous job was served.
         ds.put("f", 9, &region, DataArray::F64(vec![0.0; 256]))
             .unwrap();
         ds.commit("f", 9);
+        svc.query("f", 9, QueryKind::Reduce(region.clone(), Reduction::Count))
+            .unwrap();
+        assert!(svc.inner.subs.lock().is_empty());
+        // The service going away wakes a parked subscriber.
+        let other = svc.subscribe_reduce("f", region, Reduction::Max, 1);
+        drop(svc);
+        let parked = Instant::now();
+        assert_eq!(other.recv(Duration::from_secs(30)), None);
+        assert!(
+            parked.elapsed() < Duration::from_secs(10),
+            "woken by the close"
+        );
     }
 
     #[test]

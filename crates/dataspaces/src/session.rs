@@ -104,7 +104,7 @@ impl Session {
 }
 
 /// A range answer must cover its whole region.
-pub(crate) fn complete(region: &Region, covered: u64) -> Result<(), DsError> {
+fn complete(region: &Region, covered: u64) -> Result<(), DsError> {
     match region.volume() - covered {
         0 => Ok(()),
         missing_elems => Err(DsError::Incomplete { missing_elems }),

@@ -18,15 +18,14 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bpio::{copy_box_between, with_elem, DataArray, Dtype, Elem};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use bpio::{copy_box_between, DataArray, Dtype};
 use parking_lot::{Condvar, Mutex, RwLock};
 use transport::{FaultKind, FaultPlan, RetryPolicy};
 
 use crate::domain::{DsConfig, Region};
 use crate::error::DsError;
 use crate::index::{Block, ShardIndex};
-use crate::session::{complete, Session};
+use crate::session::Session;
 
 /// Per-variable directory entry (sharded by variable-name hash).
 struct VarMeta {
@@ -73,22 +72,6 @@ impl VarRef {
     }
 }
 
-/// A continuous-query notification: new data intersecting a subscribed
-/// region was put.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Notification {
-    pub var: String,
-    pub version: u64,
-    /// The intersection of the put with the subscribed region.
-    pub region: Region,
-}
-
-struct Subscription {
-    var: String,
-    region: Region,
-    tx: Sender<Notification>,
-}
-
 /// A hook invoked after every commit publishes (the query service's
 /// continuous queries ride on this).
 pub type CommitHook = Box<dyn Fn(&str, u64) + Send + Sync>;
@@ -111,7 +94,6 @@ pub struct SpaceStats {
     pub bytes_put: AtomicU64,
     pub bytes_got: AtomicU64,
     pub blocks_touched: AtomicU64,
-    pub notifications: AtomicU64,
 }
 
 /// The virtual shared space. Thread-safe: writers (staging operators) and
@@ -122,7 +104,6 @@ pub struct DataSpaces {
     index: ShardIndex,
     dirs: Box<[DirShard]>,
     next_var_id: AtomicU32,
-    subs: RwLock<Vec<Subscription>>,
     hooks: RwLock<Vec<CommitHook>>,
     stats: SpaceStats,
     faults: Option<Arc<FaultPlan>>,
@@ -150,7 +131,6 @@ impl DataSpaces {
             index,
             dirs,
             next_var_id: AtomicU32::new(0),
-            subs: RwLock::new(Vec::new()),
             hooks: RwLock::new(Vec::new()),
             stats: SpaceStats::default(),
             faults,
@@ -311,25 +291,6 @@ impl DataSpaces {
         self.stats
             .bytes_put
             .fetch_add(data.byte_len() as u64, Ordering::Relaxed);
-
-        // Continuous queries: notify intersecting subscriptions.
-        let subs = self.subs.read();
-        for s in subs.iter() {
-            if s.var == *var.name {
-                if let Some(hit) = s.region.intersect(region) {
-                    if s.tx
-                        .send(Notification {
-                            var: var.name.to_string(),
-                            version,
-                            region: hit,
-                        })
-                        .is_ok()
-                    {
-                        self.stats.notifications.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
         Ok(())
     }
 
@@ -355,14 +316,6 @@ impl DataSpaces {
         for hook in self.hooks.read().iter() {
             hook(var, version);
         }
-    }
-
-    pub fn is_committed(&self, var: &str, version: u64) -> bool {
-        self.dir(var)
-            .vars
-            .lock()
-            .get(var)
-            .is_some_and(|m| m.committed.contains(&version))
     }
 
     /// Block until `version` of `var` is committed, up to `timeout`.
@@ -455,53 +408,6 @@ impl DataSpaces {
         Ok(out)
     }
 
-    /// Retrieve without coherence (reader manages synchronization).
-    /// This is the one read path that sees *uncommitted* puts: pending
-    /// blocks overlay the committed snapshot, so it briefly takes the
-    /// touched shards' pending locks.
-    pub fn get_nowait(
-        &self,
-        var: &str,
-        version: u64,
-        region: &Region,
-    ) -> Result<DataArray, DsError> {
-        self.cfg.check(region)?;
-        let (var_id, dtype) = {
-            let vars = self.dir(var).vars.lock();
-            let meta = vars.get(var);
-            (meta.map(|m| m.id), meta.and_then(|m| m.dtype))
-        };
-        let (Some(var_id), Some(dtype)) = (var_id, dtype) else {
-            return Err(DsError::Incomplete {
-                missing_elems: region.volume(),
-            });
-        };
-        let mut out = DataArray::zeros(dtype, region.volume() as usize);
-        let covered = with_elem!(dtype, T => {
-            let dst = T::slice_mut(&mut out).expect("dispatched on out's dtype");
-            let mut covered = 0;
-            for g in self.cfg.blocks_of(region) {
-                let key = (var_id, version, self.cfg.grid_index(&g));
-                let hit = self.index.read_dirty(self.cfg.shard_of(&g), key, |block| {
-                    let isect = block.region.intersect(region).expect("blocks_of returned it");
-                    block.copy_to(&isect, dst, region)?;
-                    Some(block.count_filled(&isect))
-                });
-                if let Some(filled) = hit {
-                    covered += filled.ok_or(DsError::DtypeMismatch)?;
-                    self.stats.blocks_touched.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            covered
-        });
-        complete(region, covered)?;
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_got
-            .fetch_add(out.byte_len() as u64, Ordering::Relaxed);
-        Ok(out)
-    }
-
     /// Aggregation query over a region (paper: "max/min/average value for
     /// a particular field in a given sub-region"). Streams block by block
     /// over the committed snapshot; never materializes the full region.
@@ -515,20 +421,6 @@ impl DataSpaces {
     ) -> Result<f64, DsError> {
         let session = self.session(var, version, timeout)?;
         session.reduce(region, how)
-    }
-
-    /// Register a continuous query: the returned channel receives a
-    /// [`Notification`] for every future put intersecting `region`
-    /// (put-level, pre-commit; for commit-level continuous queries with
-    /// back-pressure see the query service).
-    pub fn subscribe(&self, var: &str, region: Region) -> Receiver<Notification> {
-        let (tx, rx) = unbounded();
-        self.subs.write().push(Subscription {
-            var: var.to_string(),
-            region,
-            tx,
-        });
-        rx
     }
 
     /// Register a hook invoked after every commit publishes. Hooks run
@@ -709,28 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn continuous_query_notifies_on_intersection() {
-        let ds = space();
-        let sub_region = Region::new(vec![0, 0], vec![10, 10]);
-        let rx = ds.subscribe("f", sub_region.clone());
-
-        // Outside the subscription: no notification.
-        let far = Region::new(vec![40, 40], vec![4, 4]);
-        ds.put("f", 0, &far, ramp(&far)).unwrap();
-        assert!(rx.try_recv().is_err());
-
-        // Overlapping: notified with the intersection.
-        let near = Region::new(vec![5, 5], vec![10, 10]);
-        ds.put("f", 0, &near, ramp(&near)).unwrap();
-        let n = rx.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(n.region, Region::new(vec![5, 5], vec![5, 5]));
-        assert_eq!(n.version, 0);
-        // Other variables do not notify.
-        ds.put("g", 0, &near, ramp(&near)).unwrap();
-        assert!(rx.try_recv().is_err());
-    }
-
-    #[test]
     fn commit_hooks_fire_after_publication() {
         let ds = space();
         let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -782,8 +652,11 @@ mod tests {
         }
         let dropped = ds.evict_before("f", 3);
         assert!(dropped > 0);
-        assert!(ds.get_nowait("f", 2, &r).is_err());
-        assert!(ds.get_nowait("f", 3, &r).is_ok());
+        assert!(matches!(
+            ds.session_now("f", 2),
+            Err(DsError::NotCommitted { .. })
+        ));
+        assert_eq!(ds.session_now("f", 3).unwrap().get(&r).unwrap(), ramp(&r));
     }
 
     #[test]
@@ -834,7 +707,7 @@ mod tests {
         // The reader finishes while all pending locks stay held; if the
         // read path touched any of them this would deadlock until the
         // timeout below trips.
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         std::thread::spawn(move || {
             let _ = tx.send(reader.join().unwrap());
         });
@@ -855,7 +728,6 @@ mod tests {
         let dropped = ds.evict_before("f", 1);
         assert!(dropped > 0);
         // New readers see the eviction...
-        assert!(ds.get_nowait("f", 0, &r).is_err());
         assert!(matches!(
             ds.session_now("f", 0),
             Err(DsError::NotCommitted { .. })
@@ -882,8 +754,6 @@ mod tests {
             ds.get("f", 0, &both, Duration::from_secs(1)),
             Err(DsError::Incomplete { .. })
         ));
-        // …the dirty path sees the overlay…
-        assert_eq!(ds.get_nowait("f", 0, &both).unwrap(), ramp(&both));
         // …and a re-commit publishes it.
         ds.commit("f", 0);
         assert_eq!(

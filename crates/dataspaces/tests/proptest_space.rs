@@ -99,17 +99,4 @@ proptest! {
             q.volume()
         );
     }
-
-    /// Notifications fire exactly for intersecting puts.
-    #[test]
-    fn notifications_iff_intersecting(sub in arb_region(), put in arb_region()) {
-        let ds = DataSpaces::new(DsConfig::new(DOM.to_vec(), vec![8, 8], 2));
-        let rx = ds.subscribe("f", sub.clone());
-        ds.put("f", 0, &put, ramp(&put)).unwrap();
-        let expected = sub.intersect(&put);
-        match rx.try_recv() {
-            Ok(n) => prop_assert_eq!(Some(n.region), expected),
-            Err(_) => prop_assert!(expected.is_none()),
-        }
-    }
 }

@@ -51,7 +51,6 @@
 //! assert!(run.interference < 0.06, "scheduled pulls bound interference");
 //! ```
 
-pub mod events;
 pub mod machine;
 pub mod net;
 pub mod pfs;

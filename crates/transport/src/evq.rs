@@ -1,24 +1,22 @@
-//! EVPath-flavoured typed event channels ("stones").
+//! The one in-process event queue.
 //!
-//! PreDatA buffers and manipulates in-transit data with the EVPath event
-//! system: events flow through a graph of *stones*, each applying a
-//! filter/transform action or handing events to a terminal handler. This
-//! module provides the small subset the staging node needs: a typed
-//! [`EventQueue`] and composable [`Stone`] chains.
+//! PreDatA moves in-transit data through a single event system, EVPath.
+//! Here every hand-off between threads is an [`EventQueue`]: the
+//! fabric's per-staging-rank request queues and per-compute-rank
+//! completion queues, the DataSpaces query service's job queue, its
+//! one-shot replies and its continuous-update queues, and the
+//! benchmark harness's hand-off probe.
 //!
-//! [`EventQueue`] is a multi-producer **multi-consumer** bounded queue
-//! built on a mutex + two condvars. Blocked producers park on `not_full`
-//! and blocked consumers on `not_empty` — there is no sleep-polling
-//! anywhere, so hand-off latency is bounded by the scheduler, not by a
-//! spin interval. [`EventQueue::close`] tears the queue down: parked
-//! producers fail fast with [`SubmitError::Closed`], and consumers drain
-//! the remaining events before seeing [`PollError::Closed`]. That is the
-//! shutdown/cancellation path of the query service's worker pool.
-//!
-//! Stones run inline on the submitting thread (EVPath's default immediate
-//! dispatch); queues decouple threads where a consumer needs it — the
-//! DataSpaces query service's job queue, and the benchmark harness's
-//! hand-off probe.
+//! [`EventQueue`] is a multi-producer **multi-consumer** queue, bounded
+//! or not, built on a mutex + two condvars. Blocked producers park on
+//! `not_full` and blocked consumers on `not_empty` — there is no
+//! sleep-polling anywhere, so hand-off latency is bounded by the
+//! scheduler, not by a spin interval. [`EventQueue::close`] tears the
+//! queue down: parked producers fail fast with [`SubmitError::Closed`],
+//! and consumers drain the remaining events before seeing
+//! [`PollError::Closed`]. Owners that must tell the other side they are
+//! gone (a dropped endpoint, subscriber or unanswered query) close their
+//! queue on drop.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,10 +43,6 @@ pub enum PollError {
 struct Inner<T> {
     queue: VecDeque<T>,
     closed: bool,
-    /// Deepest the queue has ever been — the back-pressure/utilization
-    /// signal the obs subsystem reports per pipeline queue. Updated under
-    /// the lock every push, so it costs no extra synchronization.
-    high_water: usize,
 }
 
 struct Shared<T> {
@@ -99,7 +93,6 @@ impl<T> EventQueue<T> {
                 inner: Mutex::new(Inner {
                     queue: VecDeque::new(),
                     closed: false,
-                    high_water: 0,
                 }),
                 not_empty: Condvar::new(),
                 not_full: Condvar::new(),
@@ -134,7 +127,6 @@ impl<T> EventQueue<T> {
             }
         }
         inner.queue.push_back(ev);
-        inner.high_water = inner.high_water.max(inner.queue.len());
         drop(inner);
         self.shared.not_empty.notify_one();
         Ok(())
@@ -152,7 +144,6 @@ impl<T> EventQueue<T> {
             }
         }
         inner.queue.push_back(ev);
-        inner.high_water = inner.high_water.max(inner.queue.len());
         drop(inner);
         self.shared.not_empty.notify_one();
         Ok(())
@@ -223,73 +214,6 @@ impl<T> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Deepest this queue has ever been (its depth high-water mark).
-    pub fn high_water(&self) -> usize {
-        self.shared.lock().high_water
-    }
-}
-
-/// One processing element: takes an event, optionally emits a transformed
-/// event downstream.
-type Action<T> = Box<dyn FnMut(T) -> Option<T> + Send>;
-
-/// A linear chain of actions ending in a terminal handler — the common
-/// stone topology in PreDatA's staging pipeline (decode → filter →
-/// operate → output).
-pub struct Stone<T> {
-    actions: Vec<Action<T>>,
-    terminal: Box<dyn FnMut(T) + Send>,
-    processed: u64,
-    dropped: u64,
-}
-
-impl<T> Stone<T> {
-    /// Create a stone whose surviving events reach `terminal`.
-    pub fn new(terminal: impl FnMut(T) + Send + 'static) -> Self {
-        Stone {
-            actions: Vec::new(),
-            terminal: Box::new(terminal),
-            processed: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Append a filter: events for which `keep` is false are dropped.
-    pub fn filter(mut self, mut keep: impl FnMut(&T) -> bool + Send + 'static) -> Self {
-        self.actions
-            .push(Box::new(move |ev| if keep(&ev) { Some(ev) } else { None }));
-        self
-    }
-
-    /// Append a transform.
-    pub fn transform(mut self, mut f: impl FnMut(T) -> T + Send + 'static) -> Self {
-        self.actions.push(Box::new(move |ev| Some(f(ev))));
-        self
-    }
-
-    /// Submit one event through the chain.
-    pub fn submit(&mut self, ev: T) {
-        let mut cur = Some(ev);
-        for action in &mut self.actions {
-            match cur.take() {
-                Some(ev) => cur = action(ev),
-                None => break,
-            }
-        }
-        match cur {
-            Some(ev) => {
-                self.processed += 1;
-                (self.terminal)(ev);
-            }
-            None => self.dropped += 1,
-        }
-    }
-
-    /// (delivered, dropped) counts.
-    pub fn counts(&self) -> (u64, u64) {
-        (self.processed, self.dropped)
-    }
 }
 
 #[cfg(test)]
@@ -305,19 +229,6 @@ mod tests {
         assert_eq!(q.try_poll(), Some(1));
         assert_eq!(q.try_poll(), Some(2));
         assert_eq!(q.try_poll(), None);
-    }
-
-    #[test]
-    fn high_water_tracks_deepest_fill() {
-        let q = EventQueue::unbounded();
-        assert_eq!(q.high_water(), 0);
-        for v in 0..5 {
-            q.submit(v);
-        }
-        while q.try_poll().is_some() {}
-        // Draining never lowers the mark.
-        q.submit(9);
-        assert_eq!(q.high_water(), 5);
     }
 
     #[test]
@@ -414,22 +325,5 @@ mod tests {
         let per_worker: Vec<u64> = workers.into_iter().map(|t| t.join().unwrap()).collect();
         assert_eq!(per_worker.iter().sum::<u64>(), 100);
         assert_eq!(consumed.load(Ordering::SeqCst), 5050);
-    }
-
-    #[test]
-    fn stone_chain_filters_and_transforms() {
-        let seen = Arc::new(AtomicU64::new(0));
-        let seen2 = Arc::clone(&seen);
-        let mut stone = Stone::new(move |v: u64| {
-            seen2.fetch_add(v, Ordering::SeqCst);
-        })
-        .filter(|v| v % 2 == 0)
-        .transform(|v| v * 10);
-        for v in 0..6 {
-            stone.submit(v);
-        }
-        // Evens 0,2,4 → ×10 → 0+20+40 = 60.
-        assert_eq!(seen.load(Ordering::SeqCst), 60);
-        assert_eq!(stone.counts(), (3, 3));
     }
 }

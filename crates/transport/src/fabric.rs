@@ -7,9 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
+use crate::evq::{EventQueue, PollError};
 use crate::fault::FaultPlan;
 use crate::request::FetchRequest;
 
@@ -112,9 +112,9 @@ struct FabricInner {
     registry: Mutex<Registry>,
     stats: FabricStats,
     /// Per-staging-rank request queues.
-    req_tx: Vec<Sender<FetchRequest>>,
+    requests: Vec<EventQueue<FetchRequest>>,
     /// Per-compute-rank completion queues.
-    comp_tx: Vec<Sender<CompletionEvent>>,
+    completions: Vec<EventQueue<CompletionEvent>>,
     /// Deterministic fault-injection schedule, if any (`PREDATA_FAULTS`).
     faults: Option<Arc<FaultPlan>>,
     /// obs handles, resolved once here so the `rdma_get` hot path is a
@@ -151,8 +151,8 @@ impl Fabric {
         pin_budget: Option<usize>,
         faults: Option<Arc<FaultPlan>>,
     ) -> (Fabric, Vec<ComputeEndpoint>, Vec<StagingEndpoint>) {
-        let (req_tx, req_rx): (Vec<_>, Vec<_>) = (0..n_staging).map(|_| unbounded()).unzip();
-        let (comp_tx, comp_rx): (Vec<_>, Vec<_>) = (0..n_compute).map(|_| unbounded()).unzip();
+        let requests: Vec<_> = (0..n_staging).map(|_| EventQueue::unbounded()).collect();
+        let completions: Vec<_> = (0..n_compute).map(|_| EventQueue::unbounded()).collect();
         let inner = Arc::new(FabricInner {
             registry: Mutex::new(Registry {
                 next: 1,
@@ -160,31 +160,31 @@ impl Fabric {
                 pinned_bytes: 0,
             }),
             stats: FabricStats::default(),
-            req_tx,
-            comp_tx,
+            requests: requests.clone(),
+            completions: completions.clone(),
             faults,
             obs_get_ns: obs::global().histogram("transport.rdma_get_ns", &[]),
             obs_get_bytes: obs::global().counter("transport.rdma_get_bytes", &[]),
             obs_pinned_hwm: obs::global().gauge("transport.pinned_bytes", &[]),
         });
-        let computes = comp_rx
+        let computes = completions
             .into_iter()
             .enumerate()
-            .map(|(rank, rx)| ComputeEndpoint {
+            .map(|(rank, completions)| ComputeEndpoint {
                 rank,
                 inner: Arc::clone(&inner),
-                completions: rx,
+                completions,
                 pin_budget,
                 my_pinned: Arc::new(AtomicUsize::new(0)),
             })
             .collect();
-        let stagings = req_rx
+        let stagings = requests
             .into_iter()
             .enumerate()
-            .map(|(rank, rx)| StagingEndpoint {
+            .map(|(rank, requests)| StagingEndpoint {
                 rank,
                 inner: Arc::clone(&inner),
-                requests: rx,
+                requests,
             })
             .collect();
         (Fabric { inner }, computes, stagings)
@@ -200,13 +200,20 @@ impl Fabric {
     }
 }
 
-/// Compute-node side of the fabric.
+/// Compute-node side of the fabric. Dropping it closes its completion
+/// queue.
 pub struct ComputeEndpoint {
     rank: usize,
     inner: Arc<FabricInner>,
-    completions: Receiver<CompletionEvent>,
+    completions: EventQueue<CompletionEvent>,
     pin_budget: Option<usize>,
     my_pinned: Arc<AtomicUsize>,
+}
+
+impl Drop for ComputeEndpoint {
+    fn drop(&mut self) {
+        self.completions.close();
+    }
 }
 
 impl ComputeEndpoint {
@@ -275,7 +282,7 @@ impl ComputeEndpoint {
             .stats
             .request_bytes
             .fetch_add(req.wire_bytes() as u64, Ordering::Relaxed);
-        self.inner.req_tx[staging_rank]
+        self.inner.requests[staging_rank]
             .send(req)
             .map_err(|_| TransportError::Disconnected)
     }
@@ -283,20 +290,15 @@ impl ComputeEndpoint {
     /// Block until the next pull-completion for one of this endpoint's
     /// exposures. Used by the compute-side runtime to recycle buffers.
     pub fn wait_completion(&self, timeout: Duration) -> Result<CompletionEvent, TransportError> {
-        match self.completions.recv_timeout(timeout) {
-            Ok(ev) => {
-                self.my_pinned.fetch_sub(ev.bytes, Ordering::Relaxed);
-                Ok(ev)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
-        }
+        let ev = self.completions.recv(timeout).map_err(poll_error)?;
+        self.my_pinned.fetch_sub(ev.bytes, Ordering::Relaxed);
+        Ok(ev)
     }
 
     /// Drain any already-arrived completions without blocking.
     pub fn poll_completions(&self) -> Vec<CompletionEvent> {
         let mut out = Vec::new();
-        while let Ok(ev) = self.completions.try_recv() {
+        while let Some(ev) = self.completions.try_poll() {
             self.my_pinned.fetch_sub(ev.bytes, Ordering::Relaxed);
             out.push(ev);
         }
@@ -319,11 +321,19 @@ impl ComputeEndpoint {
     }
 }
 
-/// Staging-node side of the fabric.
+/// Staging-node side of the fabric. Dropping it closes its request
+/// queue: later [`ComputeEndpoint::send_request`]s to it fail with
+/// [`TransportError::Disconnected`].
 pub struct StagingEndpoint {
     rank: usize,
     inner: Arc<FabricInner>,
-    requests: Receiver<FetchRequest>,
+    requests: EventQueue<FetchRequest>,
+}
+
+impl Drop for StagingEndpoint {
+    fn drop(&mut self) {
+        self.requests.close();
+    }
 }
 
 impl StagingEndpoint {
@@ -341,19 +351,14 @@ impl StagingEndpoint {
 
     /// Block for the next fetch request, with a deadline.
     pub fn recv_request(&self, timeout: Duration) -> Result<FetchRequest, TransportError> {
-        match self.requests.recv_timeout(timeout) {
-            Ok(r) => {
-                // The chunk's `request_received` transition, on this
-                // staging rank: counted per step, these marks are the
-                // rank's gathered backlog.
-                obs::mark("request_received", r.io_step)
-                    .rank(self.rank)
-                    .chunk(r.src_rank as u64);
-                Ok(r)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
-        }
+        let r = self.requests.recv(timeout).map_err(poll_error)?;
+        // The chunk's `request_received` transition, on this staging
+        // rank: counted per step, these marks are the rank's gathered
+        // backlog.
+        obs::mark("request_received", r.io_step)
+            .rank(self.rank)
+            .chunk(r.src_rank as u64);
+        Ok(r)
     }
 
     /// One-sided pull of an exposed chunk. Consumes the exposure (the
@@ -437,7 +442,7 @@ impl StagingEndpoint {
             .bytes_pulled
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
         self.inner.obs_get_bytes.add(buf.len() as u64);
-        let _ = self.inner.comp_tx[req.src_rank].send(CompletionEvent {
+        self.inner.completions[req.src_rank].submit(CompletionEvent {
             handle: req.handle,
             bytes: buf.len(),
             io_step,
@@ -447,6 +452,13 @@ impl StagingEndpoint {
 
 fn handle_raw(h: MemHandle) -> u64 {
     h.0
+}
+
+fn poll_error(e: PollError) -> TransportError {
+    match e {
+        PollError::Timeout => TransportError::Timeout,
+        PollError::Closed => TransportError::Disconnected,
+    }
 }
 
 #[cfg(test)]
@@ -555,6 +567,20 @@ mod tests {
                 .unwrap_err(),
             TransportError::Timeout
         );
+    }
+
+    #[test]
+    fn send_to_a_dropped_staging_endpoint_is_disconnected() {
+        let (_f, computes, mut stagings) = Fabric::new(1, 2, None);
+        let h = computes[0].expose(vec![0u8; 8].into(), 0).unwrap();
+        drop(stagings.remove(0));
+        assert_eq!(
+            computes[0].send_request(0, req(0, h, 8)),
+            Err(TransportError::Disconnected)
+        );
+        // The surviving staging rank still takes requests.
+        computes[0].send_request(1, req(0, h, 8)).unwrap();
+        assert_eq!(stagings[0].recv_request(Duration::ZERO).unwrap().handle, h);
     }
 
     #[test]

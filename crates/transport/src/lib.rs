@@ -8,8 +8,9 @@
 //! application's own communication.
 //!
 //! On Jaguar the wire was Portals RDMA over SeaStar; here the "fabric" is
-//! an in-process memory registry plus lock-free queues, preserving the
-//! protocol exactly:
+//! an in-process memory registry plus one request queue per staging rank
+//! and one completion queue per compute rank, preserving the protocol
+//! exactly:
 //!
 //! 1. compute: [`ComputeEndpoint::expose`] a chunk → [`MemHandle`]
 //! 2. compute: [`ComputeEndpoint::send_request`] with attached
@@ -28,8 +29,12 @@
 //! request, in policy order (DESIGN.md §3.4 has the measurement behind
 //! that).
 //!
-//! The [`evq`] module provides EVPath-flavoured typed event queues
-//! ("stones") used to chain in-transit processing inside a staging node.
+//! Every queue is an [`evq::EventQueue`], the workspace's one in-process
+//! event queue (EVPath's role in the paper): the fabric's request and
+//! completion queues here, and the DataSpaces query service's jobs,
+//! replies and continuous updates. Dropping an endpoint closes its
+//! queue, so a request sent to a dropped staging endpoint fails with
+//! [`TransportError::Disconnected`].
 //!
 //! The transport is also where failures are *made reproducible*: a
 //! seeded [`FaultPlan`] (gated by `PREDATA_FAULTS`, see [`fault`])

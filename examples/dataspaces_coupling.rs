@@ -1,7 +1,8 @@
 //! Model-to-model coupling through DataSpaces (paper §IV-D, Fig. 6):
 //! a producer indexes GTC particle data into the shared space while a
-//! consumer application queries sub-regions, aggregates, and receives
-//! continuous-query notifications — the put()/get() coupling pattern.
+//! consumer application queries sub-regions, aggregates, and receives a
+//! continuous query's update per commit — the put()/get() coupling
+//! pattern.
 //!
 //! ```text
 //! cargo run --release --example dataspaces_coupling
@@ -13,7 +14,9 @@ use std::time::{Duration, Instant};
 use predata::apps::GtcWorld;
 use predata::bpio::DataArray;
 use predata::core::schema::{COL_ID, COL_RANK, PARTICLE_WIDTH};
-use predata::dataspaces::{DataSpaces, DsConfig, Reduction, Region};
+use predata::dataspaces::{
+    DataSpaces, DsConfig, QueryService, QueryServiceConfig, Reduction, Region,
+};
 
 fn main() {
     let n_ranks = 8u64;
@@ -34,9 +37,11 @@ fn main() {
         ds.config().n_shards
     );
 
-    // A monitoring consumer registers a continuous query before any data.
-    let watch = Region::new(vec![0, 0], vec![ids_per_rank, 1]);
-    let notify = ds.subscribe("v_par", watch);
+    // A monitoring consumer registers a continuous query before any data:
+    // on every commit, count the filled cells of ids 0..8 of rank 0.
+    let service = QueryService::new(Arc::clone(&ds), QueryServiceConfig::default());
+    let watch = Region::new(vec![0, 0], vec![8, 1]);
+    let updates = service.subscribe_reduce("v_par", watch, Reduction::Count, 4);
 
     // Querying application: 4 consumer threads, 11 consecutive queries
     // each over disjoint regions (the Fig. 9 workload pattern).
@@ -103,10 +108,17 @@ fn main() {
         println!("reduction {how:?} over first {} ranks: {v:.4}", n_ranks / 2);
     }
 
-    let notifications = std::iter::from_fn(|| notify.try_recv().ok()).count();
+    let update = updates
+        .recv(Duration::from_secs(30))
+        .expect("commit update");
+    service.shutdown();
+    assert_eq!((update.version, update.value), (0, 8.0));
+    assert!(updates.try_recv().is_none(), "one update per commit");
     println!(
-        "continuous query on rank-0 column received {notifications} notifications \
+        "continuous query on ids 0..8 of rank 0: version {} counted {} cells \
          ({} puts / {} gets total through the space)",
+        update.version,
+        update.value,
         ds.stats().puts.load(std::sync::atomic::Ordering::Relaxed),
         ds.stats().gets.load(std::sync::atomic::Ordering::Relaxed)
     );

@@ -23,7 +23,6 @@ use predata::core::op::{ComputeSideOp, StreamOp};
 use predata::core::ops::{BitmapIndexOp, Histogram2dOp, HistogramOp, SortOp};
 use predata::core::{PredataClient, StagingArea, StagingConfig};
 use predata::ffs::Value;
-use predata::transport::evq::Stone;
 use predata::transport::{BlockRouter, Fabric, LargestFirstPolicy, PullPolicy, Router};
 
 fn main() {
@@ -99,26 +98,19 @@ fn main() {
         }
     }
 
-    // Monitoring feed: per-step statistics flow through an EVPath-style
-    // stone chain — filter out healthy steps, format the rest as alerts.
-    let alerts = Arc::new(std::sync::Mutex::new(Vec::<String>::new()));
-    {
-        let sink = Arc::clone(&alerts);
-        let mut alert_stone = Stone::new(move |msg: (u64, f64)| {
-            sink.lock()
-                .unwrap()
-                .push(format!("step {}: displaced fraction {:.2}", msg.0, msg.1));
-        })
-        .filter(|&(_, displaced)| displaced > 0.5); // only drifted steps alert
-        for step in 0..n_steps {
-            // Source events: one per dump (here from the app's own metric).
-            alert_stone.submit((step, 0.2 + 0.15 * step as f64));
-        }
-        let (delivered, dropped) = alert_stone.counts();
-        println!("monitor stone: {delivered} alerts, {dropped} healthy steps filtered");
-    }
-    for a in alerts.lock().unwrap().iter() {
-        println!("  ALERT {a}");
+    // Monitoring feed: one statistic per dump (here from the app's own
+    // metric); healthy steps are filtered out, drifted ones alert.
+    let alerts: Vec<(u64, f64)> = (0..n_steps)
+        .map(|step| (step, 0.2 + 0.15 * step as f64))
+        .filter(|&(_, displaced)| displaced > 0.5)
+        .collect();
+    println!(
+        "monitor: {} alerts, {} healthy steps filtered",
+        alerts.len(),
+        n_steps as usize - alerts.len()
+    );
+    for (step, displaced) in alerts {
+        println!("  ALERT step {step}: displaced fraction {displaced:.2}");
     }
 
     let mut monitored_steps = 0;

@@ -1,8 +1,8 @@
 //! Model-to-model coupling through DataSpaces (paper §IV-D, Fig. 6):
 //! the staging side indexes GTC's sorted particles into the shared space;
 //! a concurrently-running "querying application" retrieves disjoint
-//! sub-regions, issues reduction queries, and receives continuous-query
-//! notifications — all without blocking the producer.
+//! sub-regions, issues reduction queries, and receives a continuous
+//! query's update per commit — all without blocking the producer.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,7 +10,9 @@ use std::time::Duration;
 use predata::apps::GtcWorld;
 use predata::bpio::DataArray;
 use predata::core::schema::{COL_ID, COL_RANK, PARTICLE_WIDTH};
-use predata::dataspaces::{DataSpaces, DsConfig, Reduction, Region};
+use predata::dataspaces::{
+    DataSpaces, DsConfig, QueryService, QueryServiceConfig, Reduction, Region,
+};
 
 /// Index particles into the (local id, rank) domain the paper uses:
 /// cell (id, rank) holds the particle's weight attribute.
@@ -57,9 +59,11 @@ fn coupled_querying_application() {
         4,
     )));
 
-    // Continuous query registered *before* data arrives.
+    // Continuous query registered *before* data arrives: it counts the
+    // filled cells of ids 0..8 of rank 0 on every commit.
+    let service = QueryService::new(Arc::clone(&ds), QueryServiceConfig::default());
     let watch_region = Region::new(vec![0, 0], vec![8, 1]);
-    let notifications = ds.subscribe("weight", watch_region.clone());
+    let watch = service.subscribe_reduce("weight", watch_region, Reduction::Count, 4);
 
     // Querying application on 4 "cores", each polling a disjoint
     // (id-range, rank) sub-region — the paper's disjoint-region pattern.
@@ -127,15 +131,12 @@ fn coupled_querying_application() {
         .unwrap();
     assert!((0.5..=1.5).contains(&mx));
 
-    // The continuous query fired for puts intersecting its region.
-    let mut hits = 0;
-    while notifications.try_recv().is_ok() {
-        hits += 1;
-    }
-    assert_eq!(
-        hits, 8,
-        "one notification per particle put into ids 0..8 of rank 0"
-    );
+    // The continuous query fired once for the one commit, and saw every
+    // particle put into ids 0..8 of rank 0.
+    let update = watch.recv(Duration::from_secs(10)).expect("commit update");
+    assert_eq!((update.version, update.value), (0, 8.0));
+    service.shutdown();
+    assert!(watch.try_recv().is_none(), "one update per commit");
 
     // Load balance across shards (two-level balancing, level 1).
     let counts = ds.shard_block_counts();
@@ -162,6 +163,9 @@ fn second_step_reuses_space_and_evicts_old() {
 
     let dropped = ds.evict_before("weight", 1);
     assert!(dropped > 0);
-    assert!(ds.get_nowait("weight", 0, &whole).is_err());
-    assert!(ds.get_nowait("weight", 1, &whole).is_ok());
+    assert!(ds.session_now("weight", 0).is_err());
+    assert_eq!(
+        ds.get("weight", 1, &whole, Duration::from_secs(1)).unwrap(),
+        v1
+    );
 }
