@@ -262,6 +262,8 @@ pub trait Elem: Copy + Send + Sync + 'static {
     /// The elements of `data`, or `None` when it holds another type.
     fn slice(data: &DataArray) -> Option<&[Self]>;
     fn slice_mut(data: &mut DataArray) -> Option<&mut [Self]>;
+    /// `data` as the array of this element type.
+    fn into_array(data: Vec<Self>) -> DataArray;
     /// Widened to f64 (the type reductions accumulate in).
     fn to_f64(self) -> f64;
 }
@@ -281,6 +283,9 @@ macro_rules! impl_elem {
                     DataArray::$v(v) => Some(v),
                     _ => None,
                 }
+            }
+            fn into_array(data: Vec<Self>) -> DataArray {
+                DataArray::$v(data)
             }
             fn to_f64(self) -> f64 {
                 self as f64
@@ -439,17 +444,6 @@ impl Iterator for BoxRuns<'_> {
     }
 }
 
-/// Copy each run of `src_runs` in `src` to the paired run of `dst_runs`
-/// in `dst` (two [`BoxRuns`] over one sub-box). Returns the runs copied.
-pub fn copy_runs<T: Copy>(src: &[T], src_runs: BoxRuns, dst: &mut [T], dst_runs: BoxRuns) -> u64 {
-    let mut runs = 0;
-    for (s, d) in src_runs.zip(dst_runs) {
-        dst[d].copy_from_slice(&src[s]);
-        runs += 1;
-    }
-    runs
-}
-
 /// Copy a row-major chunk (`src`, occupying the box at `offset` with
 /// `extents`) into the right places of a row-major global buffer
 /// (`dst`, with `global` extents). Copies are done per contiguous
@@ -495,7 +489,12 @@ pub fn copy_box_between(
         };
         let s = T::slice(src).expect("dispatched on src's dtype");
         let d = T::slice_mut(dst).ok_or(mismatch)?;
-        Ok(copy_runs(s, src_runs, d, dst_runs))
+        let mut runs = 0;
+        for (from, to) in src_runs.zip(dst_runs) {
+            d[to].copy_from_slice(&s[from]);
+            runs += 1;
+        }
+        Ok(runs)
     })
 }
 

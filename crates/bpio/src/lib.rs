@@ -66,9 +66,7 @@ mod reader;
 mod util;
 mod writer;
 
-pub use array::{
-    box_to_linear, copy_box, copy_box_between, copy_runs, linear_len, BoxRuns, DataArray, Elem,
-};
+pub use array::{box_to_linear, copy_box, copy_box_between, linear_len, BoxRuns, DataArray, Elem};
 pub use dtype::Dtype;
 pub use error::{BpError, Result};
 pub use fileset::BpFileSet;

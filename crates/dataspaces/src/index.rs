@@ -110,7 +110,7 @@ fn word_masks(range: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
 
 /// The runs of `isect` (global coordinates, inside `region`) as ranges
 /// of the linear index local to `region`.
-fn runs<'a>(region: &'a Region, isect: &'a Region) -> BoxRuns<'a> {
+pub(crate) fn runs<'a>(region: &'a Region, isect: &'a Region) -> BoxRuns<'a> {
     BoxRuns::new(&region.corner, &region.extent, &isect.corner, &isect.extent)
         .expect("an intersection lies inside both of its boxes")
 }
@@ -178,15 +178,6 @@ impl Block {
     /// The fold of the whole block — computed once, then O(1).
     pub fn summary(&self) -> &Summary {
         self.summary.get_or_init(|| self.fold(&self.region))
-    }
-
-    /// Copy the elements of `isect` into `dst`, a buffer laid out
-    /// row-major over the box `dst_box`. `None` when the block holds
-    /// another element type than `T`.
-    pub fn copy_to<T: Elem>(&self, isect: &Region, dst: &mut [T], dst_box: &Region) -> Option<()> {
-        let src = T::slice(&self.data)?;
-        bpio::copy_runs(src, runs(&self.region, isect), dst, runs(dst_box, isect));
-        Some(())
     }
 }
 

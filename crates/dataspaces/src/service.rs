@@ -557,6 +557,29 @@ mod tests {
         assert_eq!(resp.output.into_data(), expected);
     }
 
+    /// A served range answer counts in the space's stats as a direct
+    /// get does; a reduction does not.
+    #[test]
+    fn served_range_answers_count_in_space_stats() {
+        let ds = staged_space();
+        let svc = service(&ds, 2);
+        let got = |ds: &DataSpaces| {
+            let stats = ds.stats();
+            (
+                stats.gets.load(Ordering::Relaxed),
+                stats.bytes_got.load(Ordering::Relaxed),
+            )
+        };
+        let q = Region::new(vec![10, 3], vec![30, 50]);
+        svc.query("field", 0, QueryKind::Reduce(q.clone(), Reduction::Sum))
+            .unwrap();
+        assert_eq!(got(&ds), (0, 0));
+        let answer = svc.query("field", 0, QueryKind::Range(q)).unwrap();
+        let bytes = answer.output.into_data().byte_len() as u64;
+        assert_eq!(bytes, 30 * 50 * 8);
+        assert_eq!(got(&ds), (1, bytes));
+    }
+
     /// `Duration::MAX` is no limit, not an `Instant` overflow.
     #[test]
     fn wait_without_a_limit_returns_the_answer() {

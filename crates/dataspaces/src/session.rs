@@ -13,14 +13,15 @@
 //! `blocks_of` order and each is a row-major fold, so an answer is a
 //! pure function of the query and the committed data.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bpio::{with_elem, DataArray, Dtype, Elem};
 
 use crate::domain::{DsConfig, Region};
 use crate::error::DsError;
-use crate::index::{Block, BlockMap, Summary};
-use crate::space::Reduction;
+use crate::index::{runs, Block, BlockMap, Summary};
+use crate::space::{Reduction, SpaceStats};
 
 /// A read session pinned to the committed snapshot of one
 /// `(variable, version)`. Cheap to clone and `Send + Sync`: scans from
@@ -36,6 +37,7 @@ pub struct Session {
     pub(crate) dtype: Option<Dtype>,
     pub(crate) epoch: u64,
     pub(crate) shards: Vec<Arc<BlockMap>>,
+    pub(crate) stats: Arc<SpaceStats>,
 }
 
 impl Session {
@@ -52,24 +54,27 @@ impl Session {
         self.epoch
     }
 
-    /// Retrieve the data of `region` from the pinned snapshot, copying
-    /// block runs straight to their place in the answer. Errors if
-    /// parts of the region were never put (holes).
+    /// Retrieve the data of `region` from the pinned snapshot. Errors
+    /// if a block holds another element type than the variable, then if
+    /// parts of the region were never put (holes). The answer is
+    /// appended band by band into a buffer that is never zeroed, so
+    /// each element is written once, in answer order (`band_walk`).
+    /// This is where every range answer, direct or served, is counted
+    /// in [`SpaceStats`].
     pub fn get(&self, region: &Region) -> Result<DataArray, DsError> {
         self.cfg.check(region)?;
         let dtype = self.dtype.unwrap_or(Dtype::F64);
-        let mut out = DataArray::zeros(dtype, region.volume() as usize);
-        let mut covered = 0;
-        with_elem!(dtype, T => {
-            let dst = T::slice_mut(&mut out).expect("dispatched on out's dtype");
-            for (block, isect) in self.blocks(region) {
-                covered += block.count_filled(&isect);
-                block
-                    .copy_to(&isect, dst, region)
-                    .ok_or(DsError::DtypeMismatch)?;
-            }
-        });
-        complete(region, covered)?;
+        let blocks: Vec<_> = self.blocks(region).collect();
+        if blocks.iter().any(|(block, _)| block.data.dtype() != dtype) {
+            return Err(DsError::DtypeMismatch);
+        }
+        let covered = blocks.iter().map(|(b, isect)| b.count_filled(isect));
+        complete(region, covered.sum())?;
+        let out = with_elem!(dtype, T => T::into_array(band_walk(&self.cfg, region, &blocks)));
+        self.stats.gets.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .bytes_got
+            .fetch_add(out.byte_len() as u64, Ordering::Relaxed);
         Ok(out)
     }
 
@@ -109,6 +114,50 @@ fn complete(region: &Region, covered: u64) -> Result<(), DsError> {
         0 => Ok(()),
         missing_elems => Err(DsError::Incomplete { missing_elems }),
     }
+}
+
+/// The answer of `region`. `blocks` must be every block it intersects,
+/// none missing (the completeness check guarantees it), in `blocks_of`
+/// order and all of element type `T`. Consecutive blocks
+/// that share every grid coordinate but the last form a *band*, and an
+/// answer row (one run of the last dimension) is the concatenation of
+/// one run from each block of its band. An odometer over the region's
+/// leading coordinates picks each row's band; each block keeps a cursor
+/// over its own runs, which it meets in its own row-major order. At
+/// rank 2 the bands follow one another in the answer; above it they
+/// interleave.
+fn band_walk<T: Elem>(cfg: &DsConfig, region: &Region, blocks: &[(&Block, Region)]) -> Vec<T> {
+    let mut out = Vec::with_capacity(region.volume() as usize);
+    if region.is_empty() {
+        return out;
+    }
+    let lead = region.rank() - 1;
+    let first = |d: usize| region.corner[d] / cfg.block[d];
+    let span = |d: usize| (region.corner[d] + region.extent[d] - 1) / cfg.block[d] - first(d) + 1;
+    let band_len = span(lead) as usize;
+    let mut cursors: Vec<_> = blocks
+        .iter()
+        .map(|(block, isect)| {
+            let src = T::slice(&block.data).expect("every block holds the answer's dtype");
+            (src, runs(&block.region, isect))
+        })
+        .collect();
+    let mut at = region.corner[..lead].to_vec();
+    for _ in 0..region.extent[..lead].iter().product::<u64>() {
+        let band = (0..lead).fold(0, |b, d| b * span(d) + at[d] / cfg.block[d] - first(d));
+        let band = band as usize * band_len;
+        for (src, runs) in &mut cursors[band..band + band_len] {
+            out.extend_from_slice(&src[runs.next().expect("a band block has a run per row")]);
+        }
+        for d in (0..lead).rev() {
+            at[d] += 1;
+            if at[d] < region.corner[d] + region.extent[d] {
+                break;
+            }
+            at[d] = region.corner[d];
+        }
+    }
+    out
 }
 
 /// Read the query's answer off the merged partial.

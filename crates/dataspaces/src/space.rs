@@ -90,8 +90,10 @@ pub enum Reduction {
 #[derive(Debug, Default)]
 pub struct SpaceStats {
     pub puts: AtomicU64,
+    /// Range answers, direct or served by a `QueryService`.
     pub gets: AtomicU64,
     pub bytes_put: AtomicU64,
+    /// Bytes of those answers.
     pub bytes_got: AtomicU64,
     pub blocks_touched: AtomicU64,
 }
@@ -105,7 +107,7 @@ pub struct DataSpaces {
     dirs: Box<[DirShard]>,
     next_var_id: AtomicU32,
     hooks: RwLock<Vec<CommitHook>>,
-    stats: SpaceStats,
+    stats: Arc<SpaceStats>,
     faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
     commits: obs::Counter,
@@ -132,7 +134,7 @@ impl DataSpaces {
             dirs,
             next_var_id: AtomicU32::new(0),
             hooks: RwLock::new(Vec::new()),
-            stats: SpaceStats::default(),
+            stats: Arc::default(),
             faults,
             retry,
             commits: reg.counter("dataspaces.commits", &[]),
@@ -383,6 +385,7 @@ impl DataSpaces {
             dtype,
             epoch: self.index.epoch(),
             shards: self.index.snapshot(),
+            stats: Arc::clone(&self.stats),
         };
         self.snapshots.inc();
         Ok(session)
@@ -399,13 +402,7 @@ impl DataSpaces {
         region: &Region,
         timeout: Duration,
     ) -> Result<DataArray, DsError> {
-        let session = self.session(var, version, timeout)?;
-        let out = session.get(region)?;
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_got
-            .fetch_add(out.byte_len() as u64, Ordering::Relaxed);
-        Ok(out)
+        self.session(var, version, timeout)?.get(region)
     }
 
     /// Aggregation query over a region (paper: "max/min/average value for

@@ -6,7 +6,9 @@
 //! per step flat", made checkable without the benchmark harness: a block
 //! that is never allocated is never faulted in. The large-chunk GTC dump
 //! through `SortOp` is held to the same for its output: a warm step
-//! sorts into the buffer the previous step's write handed back.
+//! sorts into the buffer the previous step's write handed back. A warm
+//! DataSpaces range answer is one block, asked for once and never
+//! zeroed.
 //!
 //! Its own test binary, because it replaces the global allocator.
 
@@ -18,11 +20,13 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use predata::apps::{GtcWorld, PixieWorld};
+use predata::bpio::DataArray;
 use predata::core::agg::Aggregates;
 use predata::core::chunk::PackedChunk;
 use predata::core::op::{ChunkMapper, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
 use predata::core::ops::{ReorgOp, SortOp};
 use predata::core::{PredataClient, StagingArea, StagingConfig};
+use predata::dataspaces::{DataSpaces, DsConfig, Region};
 use predata::ffs::AttrList;
 use predata::transport::{BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPolicy, Router};
 
@@ -34,11 +38,17 @@ const BIG: usize = 16 << 10;
 /// 1 MiB chunks it pulls and the sort's 1 MiB of key slots stay below it.
 const HUGE: usize = 2 << 20;
 
+/// The size of a whole-domain `query_scan` range answer.
+const ANSWER: usize = 4 << 20;
+
 thread_local! {
     /// Bytes this thread has asked the allocator for, and how many of
     /// its requests were for `BIG` or more.
     static BYTES: Cell<u64> = const { Cell::new(0) };
     static BIG_BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Requests for `ANSWER` or more, by entry point: `alloc`,
+    /// `alloc_zeroed`, `realloc`.
+    static ANSWER_SIZED: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
     /// Whether this thread is a GTC staging thread, whose `HUGE`
     /// requests count in `HUGE_ON_STAGING`.
     static GTC_STAGING: Cell<bool> = const { Cell::new(false) };
@@ -49,7 +59,16 @@ static HUGE_ON_STAGING: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
-fn count(size: usize) {
+/// Count a request of `size` B made through entry point `via` (an
+/// index of `ANSWER_SIZED`).
+fn count(size: usize, via: usize) {
+    if size >= ANSWER {
+        ANSWER_SIZED.with(|a| {
+            let mut n = a.get();
+            n[via] += 1;
+            a.set(n);
+        });
+    }
     BYTES.with(|b| b.set(b.get() + size as u64));
     if size >= BIG {
         BIG_BLOCKS.with(|b| b.set(b.get() + 1));
@@ -64,15 +83,15 @@ fn count(size: usize) {
 // them allocates nothing and is valid for the whole life of a thread.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), 0);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), 1);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(new_size, 2);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -380,4 +399,32 @@ fn a_warm_gtc_step_sorts_into_the_kept_output_buffer() {
         "a warm GTC step asked for a block of {HUGE} B or more on a staging thread"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `query_scan` space: a 1024 × 512 f64 domain in 64 × 32 blocks
+/// over 8 shards, fully committed. A warm whole-domain `Session::get`
+/// asks for one block of `ANSWER` B or more — through `alloc`, never
+/// `alloc_zeroed`, and never regrown — and writes the answer into it.
+#[test]
+fn a_warm_range_answer_is_one_unzeroed_block() {
+    let cfg = DsConfig::new(vec![1024, 512], vec![64, 32], 8);
+    let whole = Region::whole(&cfg.domain);
+    let ds = DataSpaces::new(cfg);
+    let data: Vec<f64> = (0..whole.volume()).map(|i| i as f64).collect();
+    ds.put("f", 0, &whole, DataArray::F64(data.clone()))
+        .unwrap();
+    ds.commit("f", 0);
+    let session = ds.session_now("f", 0).unwrap();
+    session.get(&whole).unwrap();
+
+    let before = ANSWER_SIZED.with(Cell::get);
+    let answer = session.get(&whole).unwrap();
+    let after = ANSWER_SIZED.with(Cell::get);
+    assert_eq!(answer.byte_len(), ANSWER);
+    assert_eq!(answer, DataArray::F64(data));
+    assert_eq!(
+        [0, 1, 2].map(|i| after[i] - before[i]),
+        [1, 0, 0],
+        "requests of {ANSWER} B or more for one warm answer, by [alloc, alloc_zeroed, realloc]"
+    );
 }
