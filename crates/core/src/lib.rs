@@ -9,26 +9,28 @@
 //! # Architecture (paper Figs. 4 & 5)
 //!
 //! ```text
-//! compute rank ──┐  partial_calculate() → pack(ffs) → route() → request
+//! compute rank ──┐  pack(ffs) → partial_calculate() → route() → request
 //! compute rank ──┤                                               │ attrs
 //! compute rank ──┘            (bulk bytes stay exposed)          ▼
-//!                                        staging rank: gather requests
-//!                                         → aggregate attrs (global)
-//!                                         → scheduled RDMA pulls
-//!                                         → initialize / map (streaming)
-//!                                         → combine / partition (shuffle)
-//!                                         → reduce / finalize
+//!                                 staging rank, four stages per step:
+//!                                  1. gather requests
+//!                                  2. aggregate attrs (global) → initialize
+//!                                  3. scheduled RDMA pulls → map (streaming)
+//!                                  4. one exchange: combine → shuffle
+//!                                     → reduce → finalize
 //! ```
 //!
 //! * [`client::PredataClient`] — the compute-node side, behind an
-//!   ADIOS-style write API ([`bpio`] groups). Also runs the optional
-//!   first pass ([`op::ComputeSideOp::partial_calculate`]) and attaches
-//!   its results to the fetch request.
+//!   ADIOS-style write API ([`bpio`] groups). Packs each chunk, then
+//!   runs the optional first pass
+//!   ([`op::ComputeSideOp::partial_calculate`]) and attaches its
+//!   results to the fetch request.
 //! * [`staging::StagingArea`] / [`staging::StagingRank`] — the staging
 //!   side: an independent "MPI program" ([`minimpi`]) whose ranks gather
 //!   requests, build global [`agg::Aggregates`], pull chunks under a
 //!   [`transport::PullPolicy`], and drive every registered
-//!   [`op::StreamOp`] through the five-phase streaming pipeline. A
+//!   [`op::StreamOp`] through the four stages of
+//!   [`StagingRank::run_step`](staging::StagingRank::run_step). A
 //!   pull that fails transiently is retried, and one whose retries
 //!   exhaust is left out of the step ([`StepReport::truncated`]; DESIGN.md
 //!   §3.3, `docs/OPERATIONS.md` for the knobs).

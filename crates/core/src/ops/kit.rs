@@ -40,16 +40,26 @@ pub(crate) fn global_range(agg: &Aggregates, column: usize) -> (f64, f64) {
 /// The compute-side pass of every operator that needs global ranges:
 /// attach the local particle count (`np`) and per-attribute
 /// `min_{name}` / `max_{name}`.
+///
+/// One row-major pass with eight running (min, max) lanes, updated by
+/// strict compares: `lo = if x < lo { x } else { lo }`. A lane starts at
+/// ±∞ and a strict compare never stores a NaN, so the lane is never NaN,
+/// and for a non-NaN `lo` that update is exactly `lo.min(x)`: a NaN `x`
+/// compares false and is dropped, and a ±0 tie keeps the lane, i.e. the
+/// first-seen zero. The attached bits are therefore those of a
+/// column-at-a-time `f64::min`/`max` scan. The compares matter for speed:
+/// `f64::min` must also handle a NaN in its first operand, which costs a
+/// fix-up on every element, while this form compiles to one bare
+/// `minpd`/`maxpd` per two lanes.
 pub fn attach_particle_stats(pg: &bpio::ProcessGroup, out: &mut AttrList) {
     let Some(rows) = particles_of(pg) else { return };
     out.set("np", Value::U64((rows.len() / PARTICLE_WIDTH) as u64));
-    // One row-major pass, eight running (min, max) lanes.
     let mut lo = [f64::INFINITY; PARTICLE_WIDTH];
     let mut hi = [f64::NEG_INFINITY; PARTICLE_WIDTH];
     for row in rows.chunks_exact(PARTICLE_WIDTH) {
         for c in 0..PARTICLE_WIDTH {
-            lo[c] = lo[c].min(row[c]);
-            hi[c] = hi[c].max(row[c]);
+            lo[c] = if row[c] < lo[c] { row[c] } else { lo[c] };
+            hi[c] = if row[c] > hi[c] { row[c] } else { hi[c] };
         }
     }
     for (c, name) in PARTICLE_ATTRS.iter().enumerate() {
@@ -110,6 +120,7 @@ mod tests {
     use crate::ops::{BitmapIndexOp, HistogramOp, SortOp};
     use crate::schema::make_particle_pg;
     use minimpi::World;
+    use proptest::prelude::*;
 
     /// The eight-pass reference: one strided pass per attribute.
     fn stats_by_column(rows: &[f64], out: &mut AttrList) {
@@ -149,6 +160,108 @@ mod tests {
             stats_by_column(&rows, &mut expect);
             // Encoded form: same keys in the same order, values to the bit.
             assert_eq!(got.to_bytes().unwrap(), expect.to_bytes().unwrap());
+        }
+    }
+
+    /// The attached `min_{name}` / `max_{name}` of every column, as bits,
+    /// where the pass attached them.
+    fn attached_bits(rows: Vec<f64>) -> Vec<(Option<u64>, Option<u64>)> {
+        let mut got = AttrList::new();
+        attach_particle_stats(&make_particle_pg(0, 0, rows), &mut got);
+        let bits = |key: String| match got.get(&key) {
+            Some(Value::F64(v)) => Some(v.to_bits()),
+            _ => None,
+        };
+        PARTICLE_ATTRS
+            .iter()
+            .map(|name| (bits(format!("min_{name}")), bits(format!("max_{name}"))))
+            .collect()
+    }
+
+    /// A ±0 tie keeps the first-seen zero, for `min_*` and `max_*` alike,
+    /// whatever rows of NaN come between — pinned here on its own, since
+    /// `f64::min(0.0, -0.0)` is documented as either zero.
+    #[test]
+    fn particle_stats_signed_zero_ties() {
+        const NAN: f64 = f64::NAN;
+        for (first, second) in [(0.0f64, -0.0f64), (-0.0, 0.0)] {
+            let chunks = [
+                vec![first, second],
+                vec![first, NAN, second],
+                vec![NAN, first, NAN, second, NAN],
+            ];
+            for column_values in chunks {
+                let rows = column_values
+                    .iter()
+                    .flat_map(|&v| [v; PARTICLE_WIDTH])
+                    .collect();
+                let want = Some(first.to_bits());
+                assert_eq!(
+                    attached_bits(rows),
+                    vec![(want, want); PARTICLE_WIDTH],
+                    "first seen {first:?}, then {column_values:?}"
+                );
+            }
+        }
+    }
+
+    /// The in-order scalar reference of the fold: per column, a value
+    /// replaces the running extreme only if it compares strictly past it.
+    fn stats_by_strict_compares(rows: &[f64], out: &mut AttrList) {
+        out.set("np", Value::U64((rows.len() / PARTICLE_WIDTH) as u64));
+        for (c, name) in PARTICLE_ATTRS.iter().enumerate() {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for row in rows.chunks_exact(PARTICLE_WIDTH) {
+                if row[c] < lo {
+                    lo = row[c];
+                }
+                if row[c] > hi {
+                    hi = row[c];
+                }
+            }
+            if lo <= hi {
+                out.set(format!("min_{name}"), Value::F64(lo));
+                out.set(format!("max_{name}"), Value::F64(hi));
+            }
+        }
+    }
+
+    /// Chunks of 0–33 rows and of 16 384 (a GTC dump's), drawn from NaN,
+    /// ±∞, ±0, subnormals and ordinary values.
+    fn arb_particle_rows() -> impl Strategy<Value = Vec<f64>> {
+        let n = prop_oneof![0usize..=33, Just(16_384)];
+        let v = || {
+            prop_oneof![
+                prop::sample::select(vec![
+                    f64::NAN,
+                    0.0,
+                    -0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::from_bits(1),
+                    -f64::from_bits(1),
+                    f64::MIN_POSITIVE / 3.0,
+                    -f64::MIN_POSITIVE / 3.0,
+                ]),
+                -1e3f64..1e3,
+            ]
+        };
+        n.prop_flat_map(move |n| prop::collection::vec(v(), n * PARTICLE_WIDTH))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn particle_stats_fold_is_both_references(rows in arb_particle_rows()) {
+            let mut got = AttrList::new();
+            attach_particle_stats(&make_particle_pg(0, 0, rows.clone()), &mut got);
+            let (mut by_column, mut by_compares) = (AttrList::new(), AttrList::new());
+            stats_by_column(&rows, &mut by_column);
+            stats_by_strict_compares(&rows, &mut by_compares);
+            let got = got.to_bytes().unwrap();
+            prop_assert_eq!(&got, &by_column.to_bytes().unwrap());
+            prop_assert_eq!(&got, &by_compares.to_bytes().unwrap());
         }
     }
 
