@@ -79,10 +79,6 @@ impl Aggregates {
         self.per_rank.keys().copied()
     }
 
-    pub fn attrs_of(&self, rank: usize) -> Option<&AttrList> {
-        self.per_rank.get(&rank)
-    }
-
     fn values_of<'a>(&'a self, key: &'a str) -> impl Iterator<Item = (usize, &'a Value)> + 'a {
         self.per_rank
             .iter()

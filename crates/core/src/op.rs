@@ -76,16 +76,11 @@ pub struct OpCtx<'a> {
     pub n_compute: usize,
     /// The step's global aggregates, when the runtime has them (staging
     /// and in-compute runners set this; hand-built test contexts may not).
+    /// No phase reads it: `initialize` is handed the aggregates directly.
     pub agg: Option<&'a Aggregates>,
 }
 
 impl<'a> OpCtx<'a> {
-    /// Attach the step aggregates.
-    pub fn with_agg(mut self, agg: &'a Aggregates) -> Self {
-        self.agg = Some(agg);
-        self
-    }
-
     pub fn my_rank(&self) -> usize {
         self.comm.rank()
     }
@@ -95,13 +90,12 @@ impl<'a> OpCtx<'a> {
     }
 
     /// The thread-safe subset of this context that `map` needs.
-    pub fn map_ctx(&self) -> MapCtx<'a> {
+    pub fn map_ctx(&self) -> MapCtx {
         MapCtx {
             my_rank: self.comm.rank(),
             n_ranks: self.comm.size(),
             step: self.step,
             n_compute: self.n_compute,
-            agg: self.agg,
         }
     }
 }
@@ -112,7 +106,7 @@ impl<'a> OpCtx<'a> {
 /// communication-free by construction — the shuffle is the only
 /// communicating phase between initialize and finalize.)
 #[derive(Debug, Clone, Copy)]
-pub struct MapCtx<'a> {
+pub struct MapCtx {
     /// This pipeline rank.
     pub my_rank: usize,
     /// Number of pipeline ranks.
@@ -121,11 +115,9 @@ pub struct MapCtx<'a> {
     pub step: u64,
     /// Total number of *compute* ranks contributing chunks.
     pub n_compute: usize,
-    /// The step's global aggregates, when the runtime has them.
-    pub agg: Option<&'a Aggregates>,
 }
 
-impl MapCtx<'_> {
+impl MapCtx {
     pub fn my_rank(&self) -> usize {
         self.my_rank
     }
@@ -153,7 +145,7 @@ pub trait ChunkMapper: Send + Sync {
 /// work whose small results ride on the data-fetch request.
 pub trait ComputeSideOp: Send + Sync {
     /// Inspect the outgoing process group; attach partial results
-    /// (local counts, min/max, filter summaries) to `out`.
+    /// (local counts, min/max) to `out`.
     fn partial_calculate(&self, pg: &bpio::ProcessGroup, out: &mut AttrList);
 }
 

@@ -14,29 +14,19 @@
 //! * [`reorg::ReorgOp`] — array-layout re-organization: merges scattered
 //!   per-process chunks of global arrays into large contiguous extents
 //!   before writing (Pixie3D).
-//! * [`filter::FilterOp`] — in-transit filtering/reduction: keep only the
-//!   particles inside configured attribute ranges (the paper's
-//!   "filtering and reduction" operator class).
-//! * [`moments::MomentsOp`] — streaming mean/variance/skewness per
-//!   attribute, the "statistical measures that can be used to validate
-//!   the veracity of the ongoing simulation".
 //!
 //! What they share — the bin formula, the global-range look-up, the
 //! compute-side [`attach_particle_stats`] and the one writer of operator
 //! outputs — is the private `kit` module.
 
 pub mod bitmap;
-pub mod filter;
 pub mod histogram;
 mod kit;
-pub mod moments;
 pub mod reorg;
 pub mod sort;
 
 pub use bitmap::{BitmapIndex, BitmapIndexOp, IndexSet};
-pub use filter::{FilterOp, RangeClause};
 pub use histogram::{Histogram2dOp, HistogramOp};
 pub use kit::attach_particle_stats;
-pub use moments::{MomentState, MomentsOp};
 pub use reorg::ReorgOp;
 pub use sort::SortOp;

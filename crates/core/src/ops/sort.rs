@@ -517,7 +517,6 @@ mod tests {
                 n_ranks,
                 step: 0,
                 n_compute: n_compute as usize,
-                agg: None,
             };
             let mapper = SortMapper { n_compute_hint: n_compute };
             let got: Vec<(u64, Vec<u8>)> = mapper

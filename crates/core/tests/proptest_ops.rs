@@ -9,7 +9,7 @@ use ffs::{AttrList, Value};
 use minimpi::World;
 use predata_core::agg::Aggregates;
 use predata_core::op::{complete_pipeline, OpCtx, StreamOp};
-use predata_core::ops::{FilterOp, HistogramOp, MomentsOp, RangeClause, SortOp};
+use predata_core::ops::{HistogramOp, SortOp};
 use predata_core::schema::{make_particle_pg, particle_key, PARTICLE_WIDTH};
 use predata_core::PackedChunk;
 use proptest::prelude::*;
@@ -104,9 +104,8 @@ where
             out_dir: &dir,
             step: 0,
             n_compute: 16,
-            agg: None,
-        }
-        .with_agg(&agg);
+            agg: Some(&agg),
+        };
         op.initialize(&agg, &ctx);
         let mut mapped = Vec::new();
         for (i, rows) in dump.chunks.iter().enumerate() {
@@ -194,45 +193,5 @@ proptest! {
         slices.sort_by_key(|(o, _)| *o);
         let got: Vec<u64> = slices.into_iter().flat_map(|(_, k)| k).collect();
         prop_assert_eq!(got, expect);
-    }
-
-    /// Moments match a naive serial computation.
-    #[test]
-    fn moments_match_naive(dump in arb_dump(5, 30), n_ranks in 1usize..4) {
-        let rows = dump.all_rows();
-        prop_assume!(rows.len() >= 2);
-        let xs: Vec<f64> = rows.iter().map(|r| r[3]).collect();
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        let outs = run_pipeline(
-            &dump,
-            n_ranks,
-            || Box::new(MomentsOp::new(vec![3])),
-            |res, _| (res.values.get_f64("mean_v_par"), res.values.get_f64("var_v_par")),
-        );
-        let owned: Vec<_> = outs.into_iter().filter(|(m, _)| m.is_some()).collect();
-        prop_assert_eq!(owned.len(), 1);
-        let (m, v) = owned[0];
-        prop_assert!((m.unwrap() - mean).abs() < 1e-9 * mean.abs().max(1.0));
-        prop_assert!((v.unwrap() - var).abs() < 1e-9 * var.max(1.0));
-    }
-
-    /// Filter keeps exactly the rows a naive scan keeps.
-    #[test]
-    fn filter_matches_naive(dump in arb_dump(5, 30), n_ranks in 1usize..4,
-                            lo in -8.0f64..0.0, width in 0.5f64..8.0) {
-        let hi = lo + width;
-        let rows = dump.all_rows();
-        let naive = rows.iter().filter(|r| (lo..=hi).contains(&r[0])).count() as u64;
-        let outs = run_pipeline(
-            &dump,
-            n_ranks,
-            move || Box::new(FilterOp::new(vec![RangeClause::new(0, lo, hi)])),
-            |res, _| res.values.get_u64("total_kept"),
-        );
-        for kept in outs.into_iter().flatten() {
-            prop_assert_eq!(kept, naive);
-        }
     }
 }

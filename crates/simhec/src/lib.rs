@@ -57,11 +57,9 @@ pub mod pfs;
 pub mod placement;
 pub mod rng;
 pub mod scenario;
-pub mod sizing;
 
 pub use machine::{MachineConfig, OpCosts};
 pub use net::{ClassId, FlowId, NetModel, NodeClass};
 pub use pfs::PfsModel;
 pub use placement::{advise_all, advise_op, Objective, PlacementAdvice};
 pub use scenario::{Placement, RunBreakdown, ScenarioConfig, StagedRun};
-pub use sizing::{size_staging_area, SizingRecommendation};

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use predata::core::op::StreamOp;
-use predata::core::ops::{HistogramOp, MomentsOp, SortOp};
+use predata::core::ops::{HistogramOp, SortOp};
 use predata::core::schema::make_particle_pg;
 use predata::core::{PredataClient, StagingArea, StagingConfig};
 use predata::transport::{BlockRouter, Fabric, FifoPolicy, PullPolicy, Router};
@@ -50,7 +50,6 @@ fn dump(rank: u64, step: u64) -> Vec<f64> {
 fn make_ops() -> Vec<Box<dyn StreamOp>> {
     vec![
         Box::new(HistogramOp::new(vec![0, 5], 16)),
-        Box::new(MomentsOp::new(vec![0, 1, 2])),
         Box::new(SortOp::new()), // writes bp output → exercises the bpio counters
     ]
 }
