@@ -161,13 +161,20 @@ impl ProcessGroup {
         (block, offsets)
     }
 
-    /// Append the block to `out`. Each payload is copied once, from its
-    /// [`DataArray`] to its place in `out`; reserve [`encoded_len`]
-    /// first and `out` never reallocates.
-    ///
-    /// [`encoded_len`]: ProcessGroup::encoded_len
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.walk(out, true, |_| {});
+    /// Append every header byte of the block to `out` — the block less
+    /// its payloads — and return where each variable's payload belongs:
+    /// its offset in `out`, in `vars` order. Reading `out` up to each
+    /// offset, that variable's payload ([`DataArray::as_le_bytes`]),
+    /// and so on, then `out`'s tail, reads the block.
+    pub fn encode_headers(&self, out: &mut Vec<u8>) -> Vec<usize> {
+        let start = out.len();
+        let mut cuts = Vec::with_capacity(self.vars.len());
+        let mut payloads = 0;
+        self.walk(out, false, |at| {
+            cuts.push(start + at as usize - payloads);
+            payloads += self.vars[cuts.len() - 1].data.byte_len();
+        });
+        cuts
     }
 
     /// Byte length of the encoded block.
@@ -231,21 +238,19 @@ impl ProcessGroup {
     ) -> (Vec<std::borrow::Cow<'a, [u8]>>, Vec<u64>, u64) {
         use std::borrow::Cow;
         head.clear();
-        let mut offsets = Vec::with_capacity(self.vars.len());
-        self.walk(head, false, |at| offsets.push(at));
+        let cuts = self.encode_headers(head);
         let head: &'a [u8] = head;
-        // A variable's header ends where its payload starts: at its block
-        // offset less the payload bytes before it.
         let mut segments = Vec::with_capacity(1 + 2 * self.vars.len());
-        let (mut cut, mut payloads) = (0usize, 0usize);
-        for (v, &at) in self.vars.iter().zip(&offsets) {
-            let end = at as usize - payloads;
-            segments.push(Cow::Borrowed(&head[cut..end]));
+        let mut offsets = Vec::with_capacity(self.vars.len());
+        let (mut from, mut payloads) = (0usize, 0usize);
+        for (v, &cut) in self.vars.iter().zip(&cuts) {
+            segments.push(Cow::Borrowed(&head[from..cut]));
             segments.push(v.data.as_le_bytes());
-            cut = end;
+            offsets.push((cut + payloads) as u64);
+            from = cut;
             payloads += v.data.byte_len();
         }
-        segments.push(Cow::Borrowed(&head[cut..]));
+        segments.push(Cow::Borrowed(&head[from..]));
         (segments, offsets, (head.len() + payloads) as u64)
     }
 
@@ -403,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_appends_the_block_and_never_regrows() {
+    fn encode_headers_appends_the_block_less_its_payloads() {
         let g = grid_group();
         let mut pg = ProcessGroup::new("grid", 7, 3);
         pg.write(&g, "n", DataArray::U64(vec![2])).unwrap();
@@ -414,12 +419,19 @@ mod tests {
         assert_eq!(pg.encoded_len(), block.len());
         assert_eq!(block.capacity(), block.len(), "sized exactly");
         let mut out = b"prefix".to_vec();
-        out.reserve_exact(pg.encoded_len());
-        let at = out.as_ptr();
-        pg.encode_into(&mut out);
+        let cuts = pg.encode_headers(&mut out);
         assert_eq!(&out[..6], b"prefix");
-        assert_eq!(&out[6..], &block[..]);
-        assert_eq!(out.as_ptr(), at, "reserved once, never moved");
+        assert_eq!(out.len() - 6, block.len() - pg.payload_bytes());
+        // Headers cut at `cuts`, payloads between: the block.
+        let mut joined = Vec::new();
+        let mut from = 6;
+        for (v, &cut) in pg.vars.iter().zip(&cuts) {
+            joined.extend_from_slice(&out[from..cut]);
+            joined.extend_from_slice(&v.data.as_le_bytes());
+            from = cut;
+        }
+        joined.extend_from_slice(&out[from..]);
+        assert_eq!(joined, block);
         assert_eq!(ProcessGroup::new("empty", 0, 0).encoded_len(), 5 + 4 + 20);
     }
 

@@ -75,10 +75,6 @@ impl Aggregates {
         self.per_rank.len()
     }
 
-    pub fn ranks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.per_rank.keys().copied()
-    }
-
     fn values_of<'a>(&'a self, key: &'a str) -> impl Iterator<Item = (usize, &'a Value)> + 'a {
         self.per_rank
             .iter()
@@ -89,10 +85,6 @@ impl Aggregates {
     /// count).
     pub fn sum_u64(&self, key: &str) -> u64 {
         self.values_of(key).filter_map(|(_, v)| v.as_u64()).sum()
-    }
-
-    pub fn sum_f64(&self, key: &str) -> f64 {
-        self.values_of(key).filter_map(|(_, v)| v.as_f64()).sum()
     }
 
     /// Global minimum of a numeric attribute.

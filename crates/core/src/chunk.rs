@@ -1,10 +1,15 @@
 //! Packed partial data chunks: one compute process' output for one step,
-//! framed as a self-describing `ffs` record (paper Stage 1b).
+//! framed as a self-describing `ffs` record (paper Stage 1b). The compute
+//! side exposes a chunk as a [`ChunkGather`] — frame and headers in a
+//! small buffer, payloads where the process group holds them — and the
+//! staging side unpacks the contiguous bytes a pull lands.
 
 use std::sync::Arc;
 
 use bpio::ProcessGroup;
+use bytes::Bytes;
 use ffs::{AttrList, BaseType, FieldDesc, FormatDesc, RecordEncoder};
+use transport::Gather;
 
 /// Errors from packing/unpacking chunks.
 #[derive(Debug)]
@@ -82,36 +87,21 @@ impl PackedChunk {
         }
     }
 
-    /// Pack into one contiguous self-describing buffer (Stage 1b).
+    /// Pack into one contiguous self-describing buffer (Stage 1b): the
+    /// frame and headers [`ChunkGather`] exposes, with every payload
+    /// written between them — the bytes a pull of that gather lands.
     pub fn pack(&self) -> Result<Vec<u8>, ChunkError> {
-        let mut buf = Vec::new();
-        self.pack_into(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// Pack onto the end of `out` — the one chunk encoder ([`pack`]
-    /// wraps it). The frame is written field by field and the process
-    /// group encodes itself in place inside it, so each payload byte is
-    /// copied once, from its `DataArray` to `out`; room is reserved
-    /// once and exactly, so a buffer that is reused for chunks of one
-    /// size is never regrown. On error `out` is left as it was.
-    ///
-    /// [`pack`]: PackedChunk::pack
-    pub fn pack_into(&self, out: &mut Vec<u8>) -> Result<(), ChunkError> {
-        let pg_len = self.pg.encoded_len();
-        out.reserve_exact(frame_len() + self.group.len() + pg_len);
-        self.write(pg_len, out)
-    }
-
-    /// The encoder proper; `pg_len` is `self.pg.encoded_len()`.
-    fn write(&self, pg_len: usize, out: &mut Vec<u8>) -> Result<(), ChunkError> {
-        let mut rec = RecordEncoder::self_contained(chunk_format(), &AttrList::new(), out)?;
-        rec.str(&self.group)?;
-        rec.u64(self.writer_rank)?;
-        rec.u64(self.step)?;
-        rec.u64(pg_len as u64)?;
-        rec.bytes_with(pg_len, |out| self.pg.encode_into(out))?;
-        Ok(rec.finish()?)
+        let mut head = Vec::new();
+        let cuts = encode_head(
+            &self.group,
+            self.writer_rank,
+            self.step,
+            &self.pg,
+            &mut head,
+        )?;
+        let mut out = Vec::with_capacity(head.len() + self.pg.payload_bytes());
+        regions(&head, &cuts, &self.pg, &mut |r| out.extend_from_slice(r));
+        Ok(out)
     }
 
     /// Unpack a buffer produced by [`PackedChunk::pack`].
@@ -156,20 +146,89 @@ impl PackedChunk {
     }
 }
 
-/// Bytes of a packed chunk that are neither its group name nor its PG
-/// block — the record header, the embedded schema and the fixed-size
-/// fields — measured once, on an empty chunk.
-fn frame_len() -> usize {
-    static LEN: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *LEN.get_or_init(|| {
-        let empty = PackedChunk::new(ProcessGroup::new("", 0, 0));
-        let pg_len = empty.pg.encoded_len();
-        let mut frame = Vec::new();
-        empty
-            .write(pg_len, &mut frame)
-            .expect("an empty chunk packs");
-        frame.len() - pg_len
-    })
+/// The one chunk frame encoder: the `ffs` record of `predata_chunk_v1`
+/// up to its last field, the PG block, whose bytes the record declares
+/// but does not hold ([`ffs::RecordEncoder::finish_out_of_line`]); then
+/// the PG block's headers ([`ProcessGroup::encode_headers`]). Appended
+/// to `out`; returns where each payload belongs in `out`. On error `out`
+/// is left as it was.
+fn encode_head(
+    group: &str,
+    writer_rank: u64,
+    step: u64,
+    pg: &ProcessGroup,
+    out: &mut Vec<u8>,
+) -> Result<Vec<usize>, ChunkError> {
+    let pg_len = pg.encoded_len();
+    let mut rec = RecordEncoder::self_contained(chunk_format(), &AttrList::new(), out)?;
+    rec.str(group)?;
+    rec.u64(writer_rank)?;
+    rec.u64(step)?;
+    rec.u64(pg_len as u64)?;
+    rec.finish_out_of_line(pg_len)?;
+    Ok(pg.encode_headers(out))
+}
+
+/// Call `f` on a packed chunk's regions in order: `head` cut at `cuts`,
+/// with `pg`'s payloads between the pieces ([`encode_head`]).
+fn regions(head: &[u8], cuts: &[usize], pg: &ProcessGroup, f: &mut dyn FnMut(&[u8])) {
+    let mut from = 0;
+    for (v, &cut) in pg.vars.iter().zip(cuts) {
+        f(&head[from..cut]);
+        f(&v.data.as_le_bytes());
+        from = cut;
+    }
+    f(&head[from..]);
+}
+
+/// A packed chunk exposed where it lies (Stage 1b without the copy): the
+/// frame and the PG block's headers in one small buffer, every payload
+/// in the [`ProcessGroup`]'s own arrays. Read in order, its regions are
+/// byte for byte [`PackedChunk::pack`] of the group; a staging rank's
+/// pull lands them in a buffer of its own ([`transport::Gather`]).
+pub struct ChunkGather {
+    head: Bytes,
+    cuts: Vec<usize>,
+    pg: ProcessGroup,
+    len: usize,
+}
+
+impl ChunkGather {
+    /// Frame `pg`, writing the headers into `head` (cleared first, so a
+    /// recycled buffer keeps its capacity). The group is moved in, not
+    /// copied.
+    pub fn new(pg: ProcessGroup, mut head: Vec<u8>) -> Result<ChunkGather, ChunkError> {
+        head.clear();
+        let cuts = encode_head(&pg.group, pg.writer_rank, pg.step, &pg, &mut head)?;
+        let len = head.len() + pg.payload_bytes();
+        Ok(ChunkGather {
+            head: Bytes::from(head),
+            cuts,
+            pg,
+            len,
+        })
+    }
+
+    /// The header buffer, by reference count: an exposer that keeps a
+    /// clone can tell when the gather is gone ([`Bytes::is_unique`]).
+    pub(crate) fn head(&self) -> &Bytes {
+        &self.head
+    }
+
+    /// The process group whose arrays are the payload regions.
+    pub(crate) fn pg(&self) -> &ProcessGroup {
+        &self.pg
+    }
+}
+
+impl Gather for ChunkGather {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn regions(&self, f: &mut dyn FnMut(&[u8])) {
+        regions(&self.head, &self.cuts, &self.pg, f);
+    }
 }
 
 #[cfg(test)]
@@ -203,24 +262,6 @@ mod tests {
             back.pg.var("x").unwrap().data,
             DataArray::F64(vec![0.5, -1.5])
         );
-    }
-
-    #[test]
-    fn pack_into_appends_reserves_exactly_and_reuses_capacity() {
-        let chunk = PackedChunk::new(sample_pg());
-        let packed = chunk.pack().unwrap();
-        assert_eq!(packed.capacity(), packed.len(), "sized exactly");
-        let mut buf = b"kept".to_vec();
-        chunk.pack_into(&mut buf).unwrap();
-        assert_eq!(&buf[..4], b"kept");
-        assert_eq!(&buf[4..], &packed[..]);
-        // A recycled buffer of the same size is refilled where it lies.
-        let mut recycled = packed.clone();
-        let at = recycled.as_ptr();
-        recycled.clear();
-        chunk.pack_into(&mut recycled).unwrap();
-        assert_eq!(recycled, packed);
-        assert_eq!((recycled.as_ptr(), recycled.capacity()), (at, packed.len()));
     }
 
     #[test]

@@ -2,27 +2,34 @@
 //!
 //! Applications keep their ADIOS-style output code: build a
 //! [`bpio::ProcessGroup`] and hand it to [`PredataClient::write_pg`].
-//! The client runs the registered compute-side passes, packs the group
-//! into a self-describing chunk, exposes it for one-sided access, picks a
-//! staging rank with the configured `Route()`, and sends the data-fetch
-//! request — then returns immediately. The simulation resumes while the
-//! staging area pulls the bulk bytes.
+//! The client frames the group as a self-describing chunk, runs the
+//! registered compute-side passes, exposes the chunk for one-sided
+//! access, picks a staging rank with the configured `Route()`, and sends
+//! the data-fetch request — then returns immediately. The simulation
+//! resumes while the staging area pulls the bulk bytes.
 //!
-//! # Buffer recycling
+//! # No payload copy on the compute side
 //!
-//! Packing is the one copy the compute side makes of a payload byte, and
-//! in the steady state it allocates nothing: the client keeps every
-//! buffer it has exposed and packs the next chunk into one of them. The
-//! exposed buffer is shared with the fabric by reference count
-//! ([`ComputeEndpoint::expose_bytes`]), and the client is its only
-//! writer, under one rule — **a buffer is written again only after its
-//! exposure has ended** (the pull's completion was consumed by
+//! `write_pg` takes the process group by value, so its arrays can be
+//! exposed where they lie: the chunk is a [`ChunkGather`] — the `ffs`
+//! frame and the PG's headers in a small buffer, then the payloads in
+//! the group's own arrays — handed to the fabric whole
+//! ([`ComputeEndpoint::expose_gather`]). The staging rank's pull lands
+//! those regions in a buffer of its own, so the one copy of a payload
+//! byte is made on the staging side, off the simulation's thread, and
+//! the group is freed there when the pull is done.
+//!
+//! # Header-buffer recycling
+//!
+//! In the steady state the header buffers allocate nothing: the client
+//! keeps every one it has exposed and frames the next chunk into one of
+//! them. The gather holds the buffer by reference count and the client
+//! keeps a clone; it writes a buffer again only after **its exposure has
+//! ended** (the pull's completion was consumed by
 //! [`wait_drained`](PredataClient::wait_drained), or the exposure was
-//! withdrawn because its fetch request never left) **and every other
-//! handle on it is gone** ([`Bytes::is_unique`]: the
-//! registry's and the puller's). A staging rank that is still decoding a
-//! pulled chunk therefore keeps it intact for as long as it holds it;
-//! the client packs into another buffer meanwhile.
+//! refused or withdrawn because its fetch request never left) **and
+//! every other handle on it is gone** ([`Bytes::is_unique`]: the
+//! gather's, which the pull drops once it has landed the chunk).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -32,9 +39,9 @@ use std::time::{Duration, Instant};
 use bpio::ProcessGroup;
 use bytes::Bytes;
 use ffs::AttrList;
-use transport::{ComputeEndpoint, FetchRequest, MemHandle, Router, TransportError};
+use transport::{ComputeEndpoint, FetchRequest, Gather, MemHandle, Router, TransportError};
 
-use crate::chunk::{ChunkError, PackedChunk};
+use crate::chunk::{ChunkError, ChunkGather, PackedChunk};
 use crate::op::ComputeSideOp;
 
 /// Client-side failures.
@@ -93,11 +100,11 @@ pub struct PredataClient {
     router: Arc<dyn Router>,
     ops: Vec<Arc<dyn ComputeSideOp>>,
     /// Exposures not yet confirmed pulled: handle → the client's handle
-    /// on the exposed buffer. Keyed by handle so completions can be
-    /// matched exactly.
+    /// on the exposed chunk's header buffer. Keyed by handle so
+    /// completions can be matched exactly.
     outstanding: RefCell<HashMap<MemHandle, Bytes>>,
-    /// Buffers whose exposure has ended, kept to be packed into again
-    /// (module docs: only once [`Bytes::is_unique`]).
+    /// Header buffers whose exposure has ended, kept to be framed into
+    /// again (module docs: only once [`Bytes::is_unique`]).
     retired: RefCell<Vec<Bytes>>,
 }
 
@@ -120,9 +127,9 @@ impl PredataClient {
         self.endpoint.rank()
     }
 
-    /// Asynchronous output of one process group: packs, runs the
-    /// compute-side passes, exposes, routes, requests. Does not wait for
-    /// the pull.
+    /// Asynchronous output of one process group: frames it, runs the
+    /// compute-side passes, exposes it, routes, requests. Does not wait
+    /// for the pull, and copies no payload byte (module docs).
     ///
     /// The whole call is the simulation's blocked-in-output window — the
     /// `blocked` row of the perturbation view — and the pack / route /
@@ -132,7 +139,7 @@ impl PredataClient {
     pub fn write_pg(&self, pg: ProcessGroup) -> Result<WriteReceipt, ClientError> {
         let step = pg.step;
         // The one clock read both always-on rows (`blocked`, `pack`)
-        // start from: packing is the first thing the call does.
+        // start from: framing is the first thing the call does.
         let started = obs::enabled().then(Instant::now);
         let receipt = self.write_pg_from(pg, started);
         if let Some(t) = started {
@@ -150,26 +157,25 @@ impl PredataClient {
     ) -> Result<WriteReceipt, ClientError> {
         let step = pg.step;
         let src = self.rank() as u64;
-        // Stage 1b: pack into a self-describing contiguous buffer — the
-        // one copy of the payload, into a buffer this client already owns.
-        let chunk = PackedChunk::new(pg);
-        let mut buf = self.take_buffer();
-        chunk.pack_into(&mut buf)?;
-        let bytes = buf.len();
+        // Stage 1b: the self-describing chunk, framed into a header
+        // buffer this client already owns; the payloads stay put.
+        let chunk = self.frame(pg)?;
+        let bytes = chunk.len();
         if let Some(t) = started {
             let pack = obs::Event::timed("pack", step, t, t.elapsed());
             obs::global().record(pack.chunk(src).bytes(bytes as u64));
         }
         // Stage 1a: optional local first pass; results ride the request.
-        // (After the pack, which does not need them, so that the pack's
-        // row is the pack alone.)
+        // (After the framing, which does not need them, so that the
+        // pack's row is the framing alone.)
         let mut attrs = AttrList::new();
         for op in &self.ops {
-            op.partial_calculate(&chunk.pg, &mut attrs);
+            op.partial_calculate(chunk.pg(), &mut attrs);
         }
-        // Stage 1c: expose + route + request.
-        let buf = Bytes::from(buf);
-        let handle = match self.endpoint.expose_bytes(buf.clone(), step) {
+        // Stage 1c: expose + route + request. The fabric owns the chunk
+        // from here; the client keeps its header buffer's handle.
+        let buf = chunk.head().clone();
+        let handle = match self.endpoint.expose_gather(Box::new(chunk), step) {
             Ok(handle) => handle,
             Err(e) => {
                 self.retired.borrow_mut().push(buf);
@@ -212,21 +218,23 @@ impl PredataClient {
         })
     }
 
-    /// An empty buffer to pack into: a retired one nobody else holds any
-    /// more, with its capacity, or a new one.
+    /// `pg` as a chunk, its headers framed into a recycled buffer.
+    fn frame(&self, pg: ProcessGroup) -> Result<ChunkGather, ChunkError> {
+        ChunkGather::new(pg, self.take_buffer())
+    }
+
+    /// A header buffer to frame into: a retired one nobody else holds
+    /// any more, with its capacity, or a new one.
     fn take_buffer(&self) -> Vec<u8> {
         let mut retired = self.retired.borrow_mut();
         match retired.iter().position(Bytes::is_unique) {
-            Some(i) => {
-                let mut buf = Vec::from(retired.swap_remove(i));
-                buf.clear();
-                buf
-            }
+            Some(i) => Vec::from(retired.swap_remove(i)),
             None => Vec::new(),
         }
     }
 
-    /// A completion arrived: the exposure is over and its buffer retires.
+    /// A completion arrived: the exposure is over and its header buffer
+    /// retires.
     fn retire(&self, outstanding: &mut HashMap<MemHandle, Bytes>, handle: MemHandle) {
         if let Some(buf) = outstanding.remove(&handle) {
             self.retired.borrow_mut().push(buf);
@@ -330,46 +338,96 @@ mod tests {
         buf
     }
 
+    /// The header buffer of `client`'s one outstanding exposure.
+    fn outstanding_head(client: &PredataClient) -> *const u8 {
+        let outstanding = client.outstanding.borrow();
+        assert_eq!(outstanding.len(), 1);
+        outstanding.values().next().unwrap().as_ptr()
+    }
+
     #[test]
-    fn a_buffer_the_staging_side_holds_is_never_overwritten() {
+    fn a_pulled_chunk_unpacks_to_the_group_written() {
+        let (_fabric, client, staging) = one_client(None);
+        let pg = make_particle_pg(0, 4, (0..96).map(|i| i as f64 * 0.5).collect());
+        let receipt = client.write_pg(pg.clone()).unwrap();
+        let landed = pull(&staging);
+        assert_eq!(landed.len(), receipt.bytes);
+        assert_eq!(
+            &landed[..],
+            &PackedChunk::new(pg.clone()).pack().unwrap()[..]
+        );
+        assert_eq!(PackedChunk::unpack(&landed).unwrap(), PackedChunk::new(pg));
+    }
+
+    #[test]
+    fn the_exposed_payload_is_the_groups_own_array() {
+        let (_fabric, client, _staging) = one_client(None);
+        let pg = make_particle_pg(0, 1, vec![1.5; 64]);
+        let arrays: Vec<*const u8> = pg
+            .vars
+            .iter()
+            .filter(|v| v.data.byte_len() > 0)
+            .map(|v| v.data.as_le_bytes().as_ptr())
+            .collect();
+        let chunk = client.frame(pg).unwrap();
+        let mut regions = Vec::new();
+        chunk.regions(&mut |r| regions.push(r.as_ptr()));
+        for at in arrays {
+            assert!(regions.contains(&at), "a payload was copied");
+        }
+    }
+
+    #[test]
+    fn header_buffers_are_recycled_once_the_pull_lets_go() {
         let (_fabric, client, staging) = one_client(None);
         let pg = |step: u64| make_particle_pg(0, step, vec![step as f64; 64]);
 
         client.write_pg(pg(1)).unwrap();
-        let held = pull(&staging);
-        let snapshot = held.to_vec();
+        let head = outstanding_head(&client);
+        let first = pull(&staging);
+        assert_ne!(first.as_ptr(), head, "the pull lands in its own buffer");
+        let snapshot = first.to_vec();
         client.wait_drained(Duration::from_secs(1)).unwrap();
+        assert!(client.retired.borrow()[0].is_unique(), "the gather is gone");
 
-        // The pull completed, but the staging side still reads `held`:
-        // the next dump must go somewhere else.
+        // The exposure ended and nothing else holds the header buffer:
+        // the next dump frames into it, and the landed chunk is intact.
         client.write_pg(pg(2)).unwrap();
-        let second = pull(&staging);
-        assert_ne!(second.as_ptr(), held.as_ptr());
-        assert_eq!(
-            &held[..],
-            &snapshot[..],
-            "bytes under a live handle changed"
-        );
-        assert_eq!(PackedChunk::unpack(&held).unwrap().step, 1);
+        assert_eq!(outstanding_head(&client), head);
+        assert_eq!(&first[..], &snapshot[..]);
+        assert_eq!(PackedChunk::unpack(&first).unwrap().step, 1);
+        assert_eq!(PackedChunk::unpack(&pull(&staging)).unwrap().step, 2);
         client.wait_drained(Duration::from_secs(1)).unwrap();
 
-        // Both handles dropped: the third dump lands in one of the two
-        // buffers, the fourth in the other, and nothing new is allocated.
-        let owned = [held.as_ptr(), second.as_ptr()];
-        drop((held, second));
-        for step in [3, 4] {
-            client.write_pg(pg(step)).unwrap();
-        }
-        let (third, fourth) = (pull(&staging), pull(&staging));
-        assert!(owned.contains(&third.as_ptr()) && owned.contains(&fourth.as_ptr()));
-        assert_ne!(third.as_ptr(), fourth.as_ptr());
-        assert_eq!(PackedChunk::unpack(&third).unwrap().step, 3);
-        assert_eq!(PackedChunk::unpack(&fourth).unwrap().step, 4);
+        // Two dumps in flight take two buffers; once both are pulled
+        // and drained, neither is allocated again.
+        client.write_pg(pg(3)).unwrap();
+        client.write_pg(pg(4)).unwrap();
+        let heads: Vec<_> = client
+            .outstanding
+            .borrow()
+            .values()
+            .map(|b| b.as_ptr())
+            .collect();
+        assert!(heads.contains(&head));
+        pull(&staging);
+        pull(&staging);
+        client.wait_drained(Duration::from_secs(1)).unwrap();
+        client.write_pg(pg(5)).unwrap();
+        client.write_pg(pg(6)).unwrap();
+        let again: Vec<_> = client
+            .outstanding
+            .borrow()
+            .values()
+            .map(|b| b.as_ptr())
+            .collect();
+        assert!(again.iter().all(|at| heads.contains(at)));
     }
 
     #[test]
-    fn a_refused_exposure_keeps_its_buffer() {
+    fn a_refused_exposure_keeps_its_header_buffer() {
         let (fabric, client, _staging) = one_client(Some(16));
+        let mut kept = None;
         for step in 0..2 {
             let err = client.write_pg(make_particle_pg(0, step, vec![0.0; 64]));
             assert!(matches!(
@@ -378,7 +436,11 @@ mod tests {
                     TransportError::PinBudgetExceeded { .. }
                 ))
             ));
-            assert_eq!(client.retired.borrow().len(), 1, "packed into, then kept");
+            let retired = client.retired.borrow();
+            assert_eq!(retired.len(), 1, "framed into, then kept");
+            assert!(retired[0].is_unique(), "the refused gather is gone");
+            let at = retired[0].as_ptr();
+            assert_eq!(*kept.get_or_insert(at), at, "and framed into again");
         }
         assert_eq!((client.buffered_bytes(), fabric.pinned_bytes()), (0, 0));
     }

@@ -9,20 +9,23 @@
 //! # Architecture (paper Figs. 4 & 5)
 //!
 //! ```text
-//! compute rank ──┐  pack(ffs) → partial_calculate() → route() → request
+//! compute rank ──┐  frame(ffs) → partial_calculate() → route() → request
 //! compute rank ──┤                                               │ attrs
-//! compute rank ──┘            (bulk bytes stay exposed)          ▼
+//! compute rank ──┘  (bulk bytes stay exposed, in the group's    ▼
+//!                    own arrays)
 //!                                 staging rank, four stages per step:
 //!                                  1. gather requests
 //!                                  2. aggregate attrs (global) → initialize
-//!                                  3. scheduled RDMA pulls → map (streaming)
+//!                                  3. scheduled RDMA pulls (each lands its
+//!                                     chunk on staging) → decode → map
 //!                                  4. one exchange: combine → shuffle
 //!                                     → reduce → finalize
 //! ```
 //!
 //! * [`client::PredataClient`] — the compute-node side, behind an
-//!   ADIOS-style write API ([`bpio`] groups). Packs each chunk, then
-//!   runs the optional first pass
+//!   ADIOS-style write API ([`bpio`] groups). Frames each chunk around
+//!   the group's own arrays ([`chunk::ChunkGather`], no payload copy),
+//!   then runs the optional first pass
 //!   ([`op::ComputeSideOp::partial_calculate`]) and attaches its
 //!   results to the fetch request.
 //! * [`staging::StagingArea`] / [`staging::StagingRank`] — the staging

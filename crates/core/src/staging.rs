@@ -463,8 +463,8 @@ impl StagingRank {
             let chunk = PackedChunk::unpack(&buf)?;
             let t_map = Instant::now();
             out.bytes_pulled += buf.len() as u64;
-            // The chunk owns its data now; the compute side may pack into
-            // the buffer again.
+            // The chunk owns its data now; the pulled buffer (landed here,
+            // or an exposer's whole buffer it may recycle) is let go.
             drop(buf);
             for (stream, mapper) in out.per_op.iter_mut().zip(&mappers) {
                 stream.extend(mapper.map_chunk(&chunk, &map_ctx));

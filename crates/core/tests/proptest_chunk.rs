@@ -2,11 +2,17 @@
 //! `PackedChunk::pack` is built on, its output equals an assembly of the
 //! documented layout written here from first principles (no `ffs`, no
 //! `bpio` encoder), the framing fingerprint is the one every earlier
-//! commit shipped, and a pack → unpack round trip is the identity.
+//! commit shipped, and a pack → unpack round trip is the identity. The
+//! gather the compute side exposes lands, through the fabric, as exactly
+//! those bytes.
+
+use std::time::Duration;
 
 use bpio::{DataArray, Dim, GroupDef, ProcessGroup, VarDef};
+use predata_core::chunk::ChunkGather;
 use predata_core::PackedChunk;
 use proptest::prelude::*;
+use transport::{Fabric, FetchRequest};
 
 /// `PackedChunk::format_fingerprint()` as of the commit that introduced
 /// `predata_chunk_v1`; staging ranks dispatch on it.
@@ -19,7 +25,13 @@ type VarSpec = (usize, Vec<u64>, bool, u64);
 
 fn arb_pg() -> impl Strategy<Value = ProcessGroup> {
     (
-        prop::sample::select(vec!["", "g", "pixie3d", "particles/électrons"]),
+        prop::sample::select(vec![
+            String::new(),
+            "g".into(),
+            "pixie3d".into(),
+            "particles/électrons".into(),
+            "long/".repeat(300),
+        ]),
         any::<u64>(),
         any::<u64>(),
         prop::collection::vec(
@@ -35,8 +47,8 @@ fn arb_pg() -> impl Strategy<Value = ProcessGroup> {
         .prop_map(|(group, writer_rank, step, vars)| {
             let vars: Vec<(VarDef, DataArray)> =
                 vars.into_iter().enumerate().map(make_var).collect();
-            let def = GroupDef::new(group, vars.iter().map(|(d, _)| d.clone()).collect()).unwrap();
-            let mut pg = ProcessGroup::new(group, writer_rank, step);
+            let def = GroupDef::new(&group, vars.iter().map(|(d, _)| d.clone()).collect()).unwrap();
+            let mut pg = ProcessGroup::new(&group, writer_rank, step);
             for (d, data) in vars {
                 pg.write(&def, &d.name, data).unwrap();
             }
@@ -170,5 +182,27 @@ proptest! {
         prop_assert_eq!(chunk.pg.encoded_len(), pg_block(&chunk.pg).len());
         prop_assert_eq!(packed.capacity(), packed.len());
         prop_assert_eq!(PackedChunk::unpack(&packed).unwrap(), chunk);
+    }
+
+    #[test]
+    fn a_landed_gather_is_the_packed_chunk(pg in arb_pg(), recycled in 0usize..4096) {
+        let packed = PackedChunk::new(pg.clone()).pack().unwrap();
+        let (fabric, computes, stagings) = Fabric::new(1, 1, None);
+        let gather = ChunkGather::new(pg, vec![0xAB; recycled]).unwrap();
+        let handle = computes[0].expose_gather(Box::new(gather), 0).unwrap();
+        prop_assert_eq!(fabric.pinned_bytes(), packed.len());
+        let req = FetchRequest {
+            src_rank: 0,
+            io_step: 0,
+            handle,
+            chunk_bytes: packed.len(),
+            format: PackedChunk::format_fingerprint(),
+            attrs: ffs::AttrList::new(),
+        };
+        let landed = stagings[0].rdma_get(&req).unwrap();
+        prop_assert_eq!(&landed[..], &packed[..]);
+        prop_assert_eq!(fabric.stats().bytes_pulled(), packed.len() as u64);
+        let done = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
+        prop_assert_eq!(done.bytes, packed.len());
     }
 }

@@ -62,9 +62,10 @@ impl Record {
 /// straight onto the end of a caller's buffer — the one encoder of the
 /// record wire layout ([`Record`]'s `encode_*` drive it with their stored
 /// values). A caller that already holds its data elsewhere skips the
-/// `Record` and its owned [`Value`]s: scalars go in by value, a byte
-/// array is written in place by a closure, and each payload byte is
-/// copied once, into a buffer the caller may keep and reuse.
+/// `Record` and its owned [`Value`]s: scalars go in by value, and a
+/// trailing byte array can be declared without being written
+/// ([`finish_out_of_line`](RecordEncoder::finish_out_of_line)), so its
+/// bytes are never copied into the encoder's buffer at all.
 ///
 /// Every field is checked against the format as it is written: its
 /// type, and an array's length against its fixed and variable
@@ -196,25 +197,15 @@ impl<'a> RecordEncoder<'a> {
         Ok(())
     }
 
-    /// Write the next field, a `u8` array of `len` bytes that `fill`
-    /// appends to the buffer it is handed — the bytes are produced in
-    /// their final place. `fill` appending any other number of bytes is
-    /// a [`FfsError::LengthMismatch`].
-    pub fn bytes_with(&mut self, len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+    /// End the record with its last field, a `u8` array of `len` bytes
+    /// that is declared here but not written: the record is whole once
+    /// the caller follows the buffer with exactly those `len` bytes,
+    /// wherever they lie. Only the format's last field can be left out
+    /// of line — any field after it is [`FfsError::UnsetField`].
+    pub fn finish_out_of_line(mut self, len: usize) -> Result<()> {
         self.field(BaseType::U8, Some(len as u64))?;
         self.w.u64(len as u64);
-        let buf = self.w.buf();
-        let before = buf.len();
-        fill(buf);
-        let got = buf.len().wrapping_sub(before);
-        if got != len {
-            return Err(FfsError::LengthMismatch {
-                field: self.fmt.fields()[self.next - 1].name.clone(),
-                expected: len as u64,
-                got: got as u64,
-            });
-        }
-        Ok(())
+        self.finish()
     }
 
     /// End the record; every field must have been written.
@@ -401,9 +392,9 @@ mod tests {
         let mut enc = RecordEncoder::self_contained(&f, r.attrs(), &mut out).unwrap();
         enc.str("t").unwrap();
         enc.u64(3).unwrap();
-        enc.bytes_with(3, |b| b.extend_from_slice(&[7, 8, 9]))
-            .unwrap();
-        enc.finish().unwrap();
+        enc.finish_out_of_line(3).unwrap();
+        // The caller supplies the declared bytes after the record.
+        out.extend_from_slice(&[7, 8, 9]);
         assert_eq!(&out[..4], b"kept");
         assert_eq!(&out[4..], &r.encode_self_contained().unwrap()[..]);
     }
@@ -413,24 +404,24 @@ mod tests {
         let f = blob_fmt();
         let attrs = AttrList::new();
         let mut out = b"kept".to_vec();
-        // Out of order, wrong type, wrong length, short fill, too many
-        // fields, too few: each is refused and rolled back.
-        type Steps = fn(&mut RecordEncoder) -> Result<()>;
+        // Out of order, wrong type, wrong declared length, too few
+        // fields: each is refused and rolled back.
+        type Steps = fn(RecordEncoder) -> Result<()>;
         type Check = fn(&FfsError) -> bool;
         let bad: [(Steps, Check); 5] = [
             (
-                |e| e.u64(1),
+                |mut e| e.u64(1),
                 |e| matches!(e, FfsError::TypeMismatch { field, .. } if field == "tag"),
             ),
             (
-                |e| e.str("t").and_then(|_| e.u64(2)).and_then(|_| e.u64(3)),
+                |mut e| e.str("t").and_then(|_| e.u64(2)).and_then(|_| e.u64(3)),
                 |e| matches!(e, FfsError::TypeMismatch { field, .. } if field == "raw"),
             ),
             (
-                |e| {
+                |mut e| {
                     e.str("t")?;
                     e.u64(2)?;
-                    e.bytes_with(3, |b| b.extend_from_slice(&[0; 3]))
+                    e.finish_out_of_line(3)
                 },
                 |e| {
                     matches!(
@@ -444,42 +435,71 @@ mod tests {
                 },
             ),
             (
-                |e| {
+                |mut e| {
                     e.str("t")?;
-                    e.u64(2)?;
-                    e.bytes_with(2, |b| b.push(0))
+                    e.finish_out_of_line(0)
                 },
-                |e| {
-                    matches!(
-                        e,
-                        FfsError::LengthMismatch {
-                            expected: 2,
-                            got: 1,
-                            ..
-                        }
-                    )
-                },
+                |e| matches!(e, FfsError::TypeMismatch { field, .. } if field == "len"),
             ),
             (
-                |e| {
+                |mut e| {
                     e.str("t")?;
-                    e.u64(0)?;
-                    e.bytes_with(0, |_| {})?;
-                    e.u64(9)
+                    e.finish()
                 },
-                |e| matches!(e, FfsError::NoSuchField(_)),
+                |e| matches!(e, FfsError::UnsetField(field) if field == "len"),
             ),
         ];
         for (steps, expected) in bad {
-            let mut enc = RecordEncoder::self_contained(&f, &attrs, &mut out).unwrap();
-            let err = steps(&mut enc).unwrap_err();
+            let enc = RecordEncoder::self_contained(&f, &attrs, &mut out).unwrap();
+            let err = steps(enc).unwrap_err();
             assert!(expected(&err), "{err:?}");
-            drop(enc);
             assert_eq!(out, b"kept");
         }
+        // Past the last field there is nothing to write.
+        let scalars = FormatDesc::new("s")
+            .field(FieldDesc::scalar("n", BaseType::U64))
+            .build()
+            .unwrap();
+        let mut enc = RecordEncoder::self_contained(&scalars, &attrs, &mut out).unwrap();
+        enc.u64(1).unwrap();
+        assert!(matches!(enc.u64(2), Err(FfsError::NoSuchField(_))));
+        drop(enc);
+        assert_eq!(out, b"kept");
+    }
+
+    #[test]
+    fn only_the_last_field_is_declared_out_of_line() {
+        // A byte array followed by another field: declaring the array
+        // out of line leaves that field unset, and the record is refused.
+        let f = FormatDesc::new("mid")
+            .field(FieldDesc::scalar("len", BaseType::U64))
+            .field(FieldDesc::vec("raw", BaseType::U8, "len"))
+            .field(FieldDesc::scalar("tail", BaseType::U64))
+            .build()
+            .unwrap();
+        let attrs = AttrList::new();
+        let mut out = b"kept".to_vec();
+        let mut enc = RecordEncoder::self_contained(&f, &attrs, &mut out).unwrap();
+        enc.u64(2).unwrap();
+        assert_eq!(
+            enc.finish_out_of_line(2),
+            Err(FfsError::UnsetField("tail".into()))
+        );
+        assert_eq!(out, b"kept");
+
+        // Declared last, with a length its size field contradicts.
+        let f = blob_fmt();
         let mut enc = RecordEncoder::self_contained(&f, &attrs, &mut out).unwrap();
         enc.str("t").unwrap();
-        assert_eq!(enc.finish(), Err(FfsError::UnsetField("len".into())));
+        enc.u64(4).unwrap();
+        assert!(matches!(
+            enc.finish_out_of_line(5),
+            Err(FfsError::LengthMismatch {
+                expected: 4,
+                got: 5,
+                ..
+            })
+        ));
         assert_eq!(out, b"kept");
     }
 }

@@ -102,9 +102,59 @@ impl FabricStats {
     }
 }
 
+/// Exposed memory that is not one buffer: regions that lie where their
+/// owner keeps them and, read in order, are the exposed bytes. The
+/// exposer hands the fabric the gather itself; a pull lands its regions
+/// in one buffer on the puller's side, so the copy is the puller's, not
+/// the exposer's ([`ComputeEndpoint::expose_gather`]).
+pub trait Gather: Send {
+    /// Total bytes: the sum of the regions' lengths.
+    fn len(&self) -> usize;
+
+    /// Whether there are no bytes at all.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Call `f` on every region, in order.
+    fn regions(&self, f: &mut dyn FnMut(&[u8]));
+}
+
+/// One registry entry: a whole buffer, handed over by reference count,
+/// or a gather, landed by the pull.
+enum Exposed {
+    Whole(Bytes),
+    Gather(Box<dyn Gather>),
+}
+
+impl Exposed {
+    fn len(&self) -> usize {
+        match self {
+            Exposed::Whole(buf) => buf.len(),
+            Exposed::Gather(g) => g.len(),
+        }
+    }
+
+    /// The exposed bytes as one buffer on the puller's side: a whole
+    /// buffer as it is, a gather copied region by region into a buffer
+    /// of its exact length. The gather is dropped here, on the caller's
+    /// thread, with whatever it owned.
+    fn land(self) -> Bytes {
+        match self {
+            Exposed::Whole(buf) => buf,
+            Exposed::Gather(g) => {
+                let mut out = Vec::with_capacity(g.len());
+                g.regions(&mut |r| out.extend_from_slice(r));
+                debug_assert_eq!(out.len(), g.len(), "a gather's regions sum to its length");
+                Bytes::from(out)
+            }
+        }
+    }
+}
+
 struct Registry {
     next: u64,
-    exposed: HashMap<u64, (Bytes, u64)>, // handle -> (buf, io_step)
+    exposed: HashMap<u64, (Exposed, u64)>, // handle -> (memory, io_step)
     pinned_bytes: usize,
 }
 
@@ -240,7 +290,26 @@ impl ComputeEndpoint {
     /// every reader is done with the bytes: its completion has arrived
     /// and the clone [`is_unique`](Bytes::is_unique).
     pub fn expose_bytes(&self, buf: Bytes, io_step: u64) -> Result<MemHandle, TransportError> {
-        let len = buf.len();
+        self.register(Exposed::Whole(buf), io_step)
+    }
+
+    /// Register a [`Gather`] for one-sided access: its regions stay
+    /// where they are, pinned, until a staging node pulls them, and the
+    /// pull lands them in one buffer of the puller's. The registry owns
+    /// the gather until then (or until [`reclaim`](Self::reclaim)), and
+    /// drops it on the thread that ends the exposure. A refused exposure
+    /// drops it here and pins nothing.
+    pub fn expose_gather(
+        &self,
+        gather: Box<dyn Gather>,
+        io_step: u64,
+    ) -> Result<MemHandle, TransportError> {
+        self.register(Exposed::Gather(gather), io_step)
+    }
+
+    /// The one registration path: fault plan, pin budget, registry.
+    fn register(&self, mem: Exposed, io_step: u64) -> Result<MemHandle, TransportError> {
+        let len = mem.len();
         if let Some(plan) = &self.inner.faults {
             if let Some(err) = plan.inject_expose(self.rank as u64, io_step, len) {
                 return Err(err);
@@ -258,7 +327,7 @@ impl ComputeEndpoint {
         let mut reg = self.inner.registry.lock();
         let h = reg.next;
         reg.next += 1;
-        reg.exposed.insert(h, (buf, io_step));
+        reg.exposed.insert(h, (mem, io_step));
         reg.pinned_bytes += len;
         let global_now = reg.pinned_bytes;
         drop(reg);
@@ -312,8 +381,8 @@ impl ComputeEndpoint {
     /// whose fetch request never left uses this to un-pin its dump.
     pub fn reclaim(&self, handle: MemHandle) -> Option<usize> {
         let mut reg = self.inner.registry.lock();
-        let (buf, _step) = reg.exposed.remove(&handle.0)?;
-        let len = buf.len();
+        let (mem, _step) = reg.exposed.remove(&handle.0)?;
+        let len = mem.len();
         reg.pinned_bytes -= len;
         drop(reg);
         self.my_pinned.fetch_sub(len, Ordering::Relaxed);
@@ -363,10 +432,11 @@ impl StagingEndpoint {
 
     /// One-sided pull of an exposed chunk. Consumes the exposure (the
     /// compute side sees a completion and may reuse its buffer) and
-    /// returns the bytes — the exposer's own buffer, by reference count.
+    /// returns the bytes: the exposer's own buffer, by reference count,
+    /// or a [`Gather`]'s regions landed in a buffer of the puller's.
     pub fn rdma_get(&self, req: &FetchRequest) -> Result<Bytes, TransportError> {
         let started = obs::enabled().then(std::time::Instant::now);
-        let (buf, io_step) = {
+        let (mem, io_step) = {
             let mut reg = self.inner.registry.lock();
             let entry = reg
                 .exposed
@@ -375,6 +445,7 @@ impl StagingEndpoint {
             reg.pinned_bytes -= entry.0.len();
             entry
         };
+        let buf = mem.land();
         self.inner.stats.rdma_gets.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = started {
             self.inner.obs_get_ns.record(t.elapsed().as_nanos() as u64);
@@ -402,7 +473,7 @@ impl StagingEndpoint {
             return Vec::new();
         }
         let started = obs::enabled().then(std::time::Instant::now);
-        type Entry = Result<(Bytes, u64), TransportError>;
+        type Entry = Result<(Exposed, u64), TransportError>;
         let entries: Vec<Entry> = {
             let mut reg = self.inner.registry.lock();
             reqs.iter()
@@ -416,11 +487,15 @@ impl StagingEndpoint {
                 })
                 .collect()
         };
+        let landed: Vec<_> = entries
+            .into_iter()
+            .map(|entry| entry.map(|(mem, io_step)| (mem.land(), io_step)))
+            .collect();
         self.inner.stats.rdma_gets.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = started {
             self.inner.obs_get_ns.record(t.elapsed().as_nanos() as u64);
         }
-        entries
+        landed
             .into_iter()
             .zip(reqs)
             .map(|(entry, req)| {
@@ -660,6 +735,124 @@ mod tests {
             .wait_completion(Duration::from_millis(10))
             .is_err());
         assert!(stagings[0].rdma_get_batch(&[]).is_empty());
+    }
+
+    /// A gather of owned parts that counts its drops.
+    struct Parts(Vec<Vec<u8>>, Arc<AtomicUsize>);
+
+    impl Gather for Parts {
+        fn len(&self) -> usize {
+            self.0.iter().map(Vec::len).sum()
+        }
+        fn regions(&self, f: &mut dyn FnMut(&[u8])) {
+            self.0.iter().for_each(|p| f(p));
+        }
+    }
+
+    impl Drop for Parts {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn parts(parts: &[&[u8]]) -> (Box<dyn Gather>, Arc<AtomicUsize>) {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let owned = parts.iter().map(|p| p.to_vec()).collect();
+        (Box::new(Parts(owned, Arc::clone(&drops))), drops)
+    }
+
+    #[test]
+    fn a_gather_lands_in_order_and_pins_its_full_length() {
+        let (fabric, computes, stagings) = Fabric::new(1, 1, Some(100));
+        let (g, drops) = parts(&[b"head", b"", &[9u8; 40], b"tail"]);
+        let h = computes[0].expose_gather(g, 7).unwrap();
+        assert_eq!(
+            (computes[0].pinned_bytes(), fabric.pinned_bytes()),
+            (48, 48)
+        );
+        assert_eq!(fabric.stats().peak_pinned_bytes(), 48);
+
+        let got = stagings[0].rdma_get(&req(0, h, 48)).unwrap();
+        let mut want = b"head".to_vec();
+        want.extend_from_slice(&[9u8; 40]);
+        want.extend_from_slice(b"tail");
+        assert_eq!(&got[..], &want[..]);
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "landed, then dropped");
+        assert_eq!(fabric.pinned_bytes(), 0);
+        let ev = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
+        assert_eq!((ev.bytes, ev.io_step), (48, 7));
+        assert_eq!(computes[0].pinned_bytes(), 0);
+        assert_eq!(fabric.stats().bytes_pulled(), 48);
+        assert_eq!(
+            stagings[0].rdma_get(&req(0, h, 48)),
+            Err(TransportError::StaleHandle(h))
+        );
+    }
+
+    #[test]
+    fn a_gather_is_reclaimed_and_refused_at_its_full_length() {
+        let (fabric, computes, _stagings) = Fabric::new(1, 1, Some(100));
+        let (g, drops) = parts(&[&[1u8; 30], &[2u8; 30]]);
+        let h = computes[0].expose_gather(g, 0).unwrap();
+        assert_eq!(computes[0].pinned_bytes(), 60);
+        // 60 pinned: a 50-byte gather does not fit, and pins nothing.
+        let (big, big_drops) = parts(&[&[0u8; 25], &[0u8; 25]]);
+        assert_eq!(
+            computes[0].expose_gather(big, 0),
+            Err(TransportError::PinBudgetExceeded {
+                requested: 50,
+                available: 40
+            })
+        );
+        assert_eq!(big_drops.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            (computes[0].pinned_bytes(), fabric.pinned_bytes()),
+            (60, 60)
+        );
+        assert_eq!(computes[0].reclaim(h), Some(60));
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!((computes[0].pinned_bytes(), fabric.pinned_bytes()), (0, 0));
+        assert_eq!(computes[0].reclaim(h), None);
+        // An injected pin fault refuses a gather too, pinning nothing.
+        let plan = Arc::new(crate::fault::FaultPlan::new(3).pin_exhaustion(1.0));
+        let (fabric, computes, _stagings) = Fabric::with_faults(1, 1, None, Some(plan));
+        let (g, drops) = parts(&[&[0u8; 8]]);
+        assert!(computes[0].expose_gather(g, 0).is_err());
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!((computes[0].pinned_bytes(), fabric.pinned_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_mixed_batch_fails_only_the_stale_slot() {
+        let (fabric, computes, stagings) = Fabric::new(1, 1, None);
+        let whole = Bytes::from(vec![1u8; 16]);
+        let h1 = computes[0].expose_bytes(whole.clone(), 3).unwrap();
+        let (g, drops) = parts(&[&[2u8; 8], &[3u8; 8]]);
+        let h2 = computes[0].expose_gather(g, 3).unwrap();
+        let stale = MemHandle::test_only(999);
+
+        let reqs = [req(0, h2, 16), req(0, stale, 0), req(0, h1, 16)];
+        let out = stagings[0].rdma_get_batch(&reqs);
+        assert_eq!(out.len(), 3);
+        let gathered = out[0].as_ref().unwrap();
+        assert_eq!(
+            (&gathered[..8], &gathered[8..]),
+            (&[2u8; 8][..], &[3u8; 8][..])
+        );
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(out[1], Err(TransportError::StaleHandle(stale)));
+        let landed = out[2].as_ref().unwrap();
+        assert_eq!(
+            landed.as_ptr(),
+            whole.as_ptr(),
+            "a whole buffer is not copied"
+        );
+        assert_eq!(fabric.stats().rdma_gets(), 1);
+        assert_eq!(fabric.stats().bytes_pulled(), 32);
+        assert_eq!(fabric.pinned_bytes(), 0);
+        let a = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
+        let b = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
+        assert_eq!([a.handle, b.handle], [h2, h1]);
     }
 
     #[test]

@@ -12,15 +12,19 @@
 //! and one completion queue per compute rank, preserving the protocol
 //! exactly:
 //!
-//! 1. compute: [`ComputeEndpoint::expose`] a chunk → [`MemHandle`]
+//! 1. compute: [`ComputeEndpoint::expose`] a chunk (or
+//!    [`expose_gather`](ComputeEndpoint::expose_gather) its regions) →
+//!    [`MemHandle`]
 //! 2. compute: [`ComputeEndpoint::send_request`] with attached
 //!    [`ffs::AttrList`] partial results (the Stage-1c "data fetch request")
 //! 3. staging: [`StagingEndpoint::recv_request`]s, aggregates attachments
-//! 4. staging: [`StagingEndpoint::rdma_get`] pulls bytes one-sided — it
-//!    is handed the exposed buffer itself, by reference count; completion
-//!    is posted to the compute endpoint's completion queue, and once the
-//!    puller has also dropped the bytes the exposer may recycle its
-//!    buffer ([`ComputeEndpoint::expose_bytes`]).
+//! 4. staging: [`StagingEndpoint::rdma_get`] pulls bytes one-sided — a
+//!    whole exposed buffer is handed over itself, by reference count
+//!    ([`ComputeEndpoint::expose_bytes`]), and a [`Gather`] exposed where
+//!    its regions lie ([`ComputeEndpoint::expose_gather`]) is landed in
+//!    one buffer of the puller's; completion is posted to the compute
+//!    endpoint's completion queue, and once nothing else holds the
+//!    exposed memory the exposer may recycle it.
 //!
 //! Pull *order and pacing* are policy ([`PullPolicy`]): FIFO, largest-first,
 //! or phase-aware (pause while the application is inside collectives —
@@ -85,7 +89,7 @@ pub mod retry;
 mod router;
 
 pub use fabric::{
-    CompletionEvent, ComputeEndpoint, Fabric, FabricStats, MemHandle, StagingEndpoint,
+    CompletionEvent, ComputeEndpoint, Fabric, FabricStats, Gather, MemHandle, StagingEndpoint,
     TransportError,
 };
 pub use fault::{FaultKind, FaultPlan};

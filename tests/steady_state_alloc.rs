@@ -1,14 +1,15 @@
-//! Steady-state allocation of the small-chunk dump: once every buffer
-//! has been through one exposure, a dump of a 128-rank Pixie3D world
-//! through clients → two staging ranks → `ReorgOp` allocates nothing
-//! proportional to the data — no pack buffer on the generator thread, no
-//! slab on the staging ranks. This is ROADMAP item 1's "page-fault count
-//! per step flat", made checkable without the benchmark harness: a block
+//! Steady-state allocation of the small-chunk dump: a dump of a 128-rank
+//! Pixie3D world through clients → two staging ranks → `ReorgOp`
+//! allocates nothing proportional to the data on the generator thread —
+//! not even on the first dump, since `write_pg` exposes the process
+//! group's own arrays and copies no payload — and, once warm, no slab on
+//! the staging ranks. This is ROADMAP item 1's "page-fault count per
+//! step flat", made checkable without the benchmark harness: a block
 //! that is never allocated is never faulted in. The large-chunk GTC dump
-//! through `SortOp` is held to the same for its output: a warm step
-//! sorts into the buffer the previous step's write handed back. A warm
-//! DataSpaces range answer is one block, asked for once and never
-//! zeroed.
+//! through `SortOp` is held to the same on the generator thread, and for
+//! its output: a warm step sorts into the buffer the previous step's
+//! write handed back. A warm DataSpaces range answer is one block, asked
+//! for once and never zeroed.
 //!
 //! Its own test binary, because it replaces the global allocator.
 
@@ -222,7 +223,9 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
         .collect();
 
     for step in 0..=WARM_UP {
-        // The simulation's own buffers, outside the measurement.
+        // The simulation's own buffers, outside the measurement — and
+        // the witness that the counter sees this thread's allocations.
+        let bytes_before = bytes_allocated();
         let pgs: Vec<_> = (0..n_compute)
             .map(|r| {
                 let mut pg = world.output_pg(r);
@@ -230,6 +233,12 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
                 pg
             })
             .collect();
+        if step == 0 {
+            assert!(
+                bytes_allocated() - bytes_before >= n_compute as u64 * (32 << 10),
+                "the counter sees the simulation's first output_pg allocate its arrays"
+            );
+        }
         let big_before = big_blocks();
         let mut worst_write = 0;
         for (client, pg) in clients.iter().zip(pgs) {
@@ -244,18 +253,12 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
         for client in &clients {
             client.wait_drained(Duration::from_secs(30)).unwrap();
         }
-        if step == 0 {
-            assert!(
-                big_blocks() > big_before,
-                "the counter sees the first dump allocate its buffers"
-            );
-        }
+        assert_eq!(
+            big_blocks() - big_before,
+            0,
+            "dump {step} allocated a chunk-sized block on the generator thread"
+        );
         if step == WARM_UP {
-            assert_eq!(
-                big_blocks() - big_before,
-                0,
-                "a warm dump allocated a chunk-sized block on the generator thread"
-            );
             assert!(
                 worst_write < 1024,
                 "a warm write_pg allocated {worst_write} B"
@@ -365,13 +368,44 @@ fn a_warm_gtc_step_sorts_into_the_kept_output_buffer() {
         if step == 2 {
             warm_from = HUGE_ON_STAGING.load(Ordering::Relaxed);
         }
-        for (rank, client) in clients.iter().enumerate() {
-            let mut pg = world.output_pg(rank);
-            pg.step = step;
-            client.write_pg(pg).unwrap();
+        // The simulation's own buffers, outside the measurement — and
+        // the witness that the counter sees chunk-sized blocks at all.
+        let big_before = big_blocks();
+        let pgs: Vec<_> = (0..n_compute)
+            .map(|rank| {
+                let mut pg = world.output_pg(rank);
+                pg.step = step;
+                pg
+            })
+            .collect();
+        assert!(
+            big_blocks() - big_before >= n_compute as u64,
+            "the counter sees output_pg allocate each rank's particle array"
+        );
+        let big_before = big_blocks();
+        let mut worst_write = 0;
+        for (client, pg) in clients.iter().zip(pgs) {
+            let before = bytes_allocated();
+            let receipt = client.write_pg(pg).unwrap();
+            worst_write = worst_write.max(bytes_allocated() - before);
+            assert!(
+                receipt.bytes > 3 << 18,
+                "a GTC chunk is about 1 MiB of particles"
+            );
         }
         for client in &clients {
             client.wait_drained(Duration::from_secs(30)).unwrap();
+        }
+        assert_eq!(
+            big_blocks() - big_before,
+            0,
+            "GTC dump {step} allocated a chunk-sized block on the generator thread"
+        );
+        if step >= 2 {
+            assert!(
+                worst_write < 1024,
+                "a warm GTC write_pg allocated {worst_write} B"
+            );
         }
         // Lockstep, as in the Pixie3D case: the step is written before
         // the next one starts.
