@@ -1094,14 +1094,14 @@ mod tests {
     /// An operator whose mapper notes the thread it runs on and the
     /// chunk it maps, and panics on the chunk of compute rank `panic_at`.
     struct ProbeOp {
-        seen: Arc<std::sync::Mutex<Vec<(std::thread::ThreadId, u64)>>>,
+        seen: Arc<parking_lot::Mutex<Vec<(std::thread::ThreadId, u64)>>>,
         panic_at: Option<u64>,
     }
     impl ChunkMapper for ProbeOp {
         fn map_chunk(&self, chunk: &PackedChunk, _ctx: &MapCtx) -> Vec<Tagged> {
             assert_ne!(Some(chunk.writer_rank), self.panic_at, "mapper bug");
             let me = std::thread::current().id();
-            self.seen.lock().unwrap().push((me, chunk.writer_rank));
+            self.seen.lock().push((me, chunk.writer_rank));
             Vec::new()
         }
     }
@@ -1136,7 +1136,7 @@ mod tests {
                 .write_pg(make_particle_pg(r as u64, 0, rows))
                 .unwrap();
         }
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let probe = ProbeOp {
             seen: Arc::clone(&seen),
             panic_at: None,
@@ -1150,7 +1150,7 @@ mod tests {
         );
         assert_eq!(sr.run_step(0).unwrap().pull_order, [0, 1, 2, 3]);
         let me = std::thread::current().id();
-        assert_eq!(*seen.lock().unwrap(), [(me, 0), (me, 1), (me, 2), (me, 3)]);
+        assert_eq!(*seen.lock(), [(me, 0), (me, 1), (me, 2), (me, 3)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

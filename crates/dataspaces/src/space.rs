@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bpio::{copy_box_between, DataArray, Dtype};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -329,25 +329,24 @@ impl DataSpaces {
         version: u64,
         timeout: Duration,
     ) -> Result<(), DsError> {
-        let deadline = Instant::now() + timeout;
         let dir = self.dir(var);
         let mut vars = dir.vars.lock();
-        loop {
-            if vars
-                .get(var)
-                .is_some_and(|m| m.committed.contains(&version))
-            {
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DsError::VersionTimeout {
-                    var: var.to_string(),
-                    version,
-                });
-            }
-            dir.commit_cv.wait_for(&mut vars, deadline - now);
+        let waited = dir.commit_cv.wait_while_for(
+            &mut vars,
+            |vars| {
+                !vars
+                    .get(var)
+                    .is_some_and(|m| m.committed.contains(&version))
+            },
+            timeout,
+        );
+        if waited.timed_out() {
+            return Err(DsError::VersionTimeout {
+                var: var.to_string(),
+                version,
+            });
         }
+        Ok(())
     }
 
     /// Open a read session pinned to the committed snapshot of
@@ -554,6 +553,8 @@ mod tests {
             ds.commit("race", version);
             waiter.join().unwrap().unwrap();
         }
+        // No deadline overflow: a committed version answers at once.
+        ds.wait_committed("race", 0, Duration::MAX).unwrap();
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! resolves through it.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
+
+use parking_lot::RwLock;
 
 use crate::types::FormatDesc;
 
@@ -30,7 +32,6 @@ impl FormatRegistry {
         let id = fmt.fingerprint();
         self.formats
             .write()
-            .expect("registry lock poisoned")
             .entry(id)
             .or_insert_with(|| Arc::clone(fmt));
         id
@@ -42,27 +43,20 @@ impl FormatRegistry {
     /// same stream share one `Arc`.
     pub fn intern(&self, fmt: FormatDesc) -> Arc<FormatDesc> {
         let id = fmt.fingerprint();
-        let mut map = self.formats.write().expect("registry lock poisoned");
+        let mut map = self.formats.write();
         Arc::clone(map.entry(id).or_insert_with(|| Arc::new(fmt)))
     }
 
     pub fn lookup(&self, id: FormatId) -> Option<Arc<FormatDesc>> {
-        self.formats
-            .read()
-            .expect("registry lock poisoned")
-            .get(&id)
-            .cloned()
+        self.formats.read().get(&id).cloned()
     }
 
     pub fn contains(&self, id: FormatId) -> bool {
-        self.formats
-            .read()
-            .expect("registry lock poisoned")
-            .contains_key(&id)
+        self.formats.read().contains_key(&id)
     }
 
     pub fn len(&self) -> usize {
-        self.formats.read().expect("registry lock poisoned").len()
+        self.formats.read().len()
     }
 
     pub fn is_empty(&self) -> bool {

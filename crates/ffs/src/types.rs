@@ -375,20 +375,6 @@ impl Value {
         })
     }
 
-    pub fn as_f64_slice(&self) -> Option<&[f64]> {
-        match self {
-            Value::ArrF64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64_slice(&self) -> Option<&[u64]> {
-        match self {
-            Value::ArrU64(v) => Some(v),
-            _ => None,
-        }
-    }
-
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),

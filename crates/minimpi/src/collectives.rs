@@ -283,19 +283,20 @@ mod tests {
 
     #[test]
     fn gate_sequence_numbers_are_deterministic_per_rank() {
-        use std::sync::{Arc, Mutex};
+        use parking_lot::Mutex;
+        use std::sync::Arc;
         let run = || {
             let log = Arc::new(Mutex::new(Vec::new()));
             let sink = Arc::clone(&log);
             World::run(2, move |mut c| {
                 let sink = Arc::clone(&sink);
                 c.set_collective_gate(Arc::new(move |op, rank, seq| {
-                    sink.lock().unwrap().push((op, rank, seq));
+                    sink.lock().push((op, rank, seq));
                 }));
                 c.allreduce(c.rank() as u64, |a, b| a + b);
                 c.allgather(c.rank() as u64);
             });
-            let mut entries = log.lock().unwrap().clone();
+            let mut entries = log.lock().clone();
             entries.sort_unstable();
             entries
         };

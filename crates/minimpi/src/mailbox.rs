@@ -2,7 +2,8 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::world::DeadRank;
 
@@ -30,7 +31,7 @@ impl Mailbox {
     }
 
     pub fn push(&self, src: usize, payload: Payload) {
-        self.queues.lock().expect("mailbox poisoned")[src].push_back(payload);
+        self.queues.lock()[src].push_back(payload);
         self.arrived.notify_all();
     }
 
@@ -44,16 +45,12 @@ impl Mailbox {
     /// Block until a message from `src` is queued and remove the oldest.
     /// Panics with "rank N died" instead of waiting on a dead world.
     pub fn take(&self, src: usize, dead: &DeadRank) -> Payload {
-        let mut queues = self.queues.lock().expect("mailbox poisoned");
-        loop {
-            if let Some(payload) = queues[src].pop_front() {
-                return payload;
-            }
-            queues = self
-                .arrived
-                .wait(dead.check(queues))
-                .expect("mailbox poisoned");
-        }
+        let mut queues = self.queues.lock();
+        self.arrived
+            .wait_while(&mut queues, |q| q[src].is_empty() && dead.check());
+        queues[src]
+            .pop_front()
+            .expect("the wait ends on a queued message")
     }
 }
 

@@ -1,7 +1,9 @@
 //! World creation and rank launching.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::comm::Comm;
 use crate::mailbox::Mailbox;
@@ -37,15 +39,15 @@ impl DeadRank {
             .is_ok()
     }
 
-    /// Panic in place of parking on a wait a dead rank will never end.
-    /// Takes the guard the caller holds, to release it first: the panic
-    /// must not poison a lock that live ranks still use.
-    pub fn check<G>(&self, guard: G) -> G {
+    /// Panic in place of parking on a wait a dead rank will never end;
+    /// otherwise true, so a wait condition can end with it. The panic
+    /// unwinds through the caller's guard, and the shim's locks recover
+    /// from it: the next caller gets the lock with its data intact.
+    pub fn check(&self) -> bool {
         if let Some(rank) = self.get() {
-            drop(guard);
             panic!("rank {rank} died");
         }
-        guard
+        true
     }
 }
 
@@ -68,8 +70,7 @@ impl Barrier {
     }
 
     /// Wake every waiter so it re-checks `dead` (see
-    /// [`crate::mailbox::Mailbox::wake_all`]). Runs in a `Drop`, so a
-    /// poisoned lock is passed through rather than unwrapped.
+    /// [`crate::mailbox::Mailbox::wake_all`]).
     fn wake_all(&self) {
         drop(self.state.lock());
         self.cv.notify_all();
@@ -77,7 +78,7 @@ impl Barrier {
 
     /// Panics with "rank N died" instead of waiting for a dead rank.
     pub fn wait(&self, dead: &DeadRank) {
-        let mut s = self.state.lock().expect("barrier poisoned");
+        let mut s = self.state.lock();
         let gen = s.1;
         s.0 += 1;
         if s.0 == self.parties {
@@ -85,9 +86,7 @@ impl Barrier {
             s.1 = s.1.wrapping_add(1);
             self.cv.notify_all();
         } else {
-            while s.1 == gen {
-                s = self.cv.wait(dead.check(s)).expect("barrier poisoned");
-            }
+            self.cv.wait_while(&mut s, |s| s.1 == gen && dead.check());
         }
     }
 }

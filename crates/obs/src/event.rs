@@ -15,10 +15,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{lock, Registry};
+use parking_lot::Mutex;
+
+use crate::metrics::Registry;
 
 /// One thing that happened: `stage` ran for `step` between `t0_ns` and
 /// `t1_ns` (nanoseconds since the process epoch; equal for a [`mark`]).
@@ -167,7 +168,7 @@ impl Fold {
             .fold(ev.rank.map_or(0, |r| r as usize + 1), |h, b| {
                 h.wrapping_mul(31).wrapping_add(b as usize)
             });
-        let mut shard = lock(&self.shards[hash % SHARDS]);
+        let mut shard = self.shards[hash % SHARDS].lock();
         let ring = shard.entry((ev.stage, ev.rank)).or_default();
         if ev.step.saturating_add(FOLD_STEPS) <= ring.newest {
             return;
@@ -185,7 +186,7 @@ impl Fold {
     pub(crate) fn rows(&self) -> Vec<SpanRow> {
         let mut rows = Vec::new();
         for shard in &self.shards {
-            for (&(stage, rank), ring) in lock(shard).iter() {
+            for (&(stage, rank), ring) in shard.lock().iter() {
                 let oldest = ring.newest.saturating_sub(FOLD_STEPS - 1);
                 for step in oldest..=ring.newest {
                     let (held, stat) = ring.slots[(step % FOLD_STEPS) as usize];

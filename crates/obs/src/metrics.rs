@@ -15,7 +15,9 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::Arc;
+
+use parking_lot::{Mutex, RwLock};
 
 use crate::event::{Event, Fold, SpanRow, SpanStat};
 use crate::lineage::ChunkLineage;
@@ -24,12 +26,6 @@ use crate::perturb::PerturbStat;
 /// Schema version [`Snapshot::to_json`] writes — the only one
 /// `predata-report` reads.
 pub const SNAPSHOT_VERSION: u64 = 5;
-
-/// Lock `m`, recovering the data of a poisoned mutex: every update under
-/// these locks leaves the tables valid at every step.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Number of log₂ histogram buckets: bucket 0 holds zero values, bucket
 /// `b ≥ 1` holds values in `[2^(b-1), 2^b)`. 64 buckets cover all of
@@ -314,18 +310,12 @@ impl Default for Registry {
 macro_rules! resolve {
     ($self:ident . $field:ident, $name:ident, $labels:ident, $ty:ty) => {{
         let key = MetricKey::new($name, $labels);
-        if let Some(m) = $self
-            .$field
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
+        if let Some(m) = $self.$field.read().get(&key) {
             return m.clone();
         }
         $self
             .$field
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
             .entry(key)
             .or_insert_with(<$ty>::default)
             .clone()
@@ -389,17 +379,17 @@ impl Registry {
 
     /// Where [`export`](Registry::export) writes the snapshot.
     pub fn export_path(&self) -> Option<PathBuf> {
-        lock(&self.export_path).clone()
+        self.export_path.lock().clone()
     }
 
     pub fn set_export_path(&self, path: Option<PathBuf>) {
-        *lock(&self.export_path) = path;
+        *self.export_path.lock() = path;
     }
 
     /// Send the Chrome trace to `path` at [`export`](Registry::export),
     /// and turn detail on so there are events to send.
     pub fn set_trace_path(&self, path: PathBuf) {
-        *lock(&self.trace_path) = Some(path);
+        *self.trace_path.lock() = Some(path);
         self.set_detail(true);
     }
 
@@ -413,7 +403,7 @@ impl Registry {
         self.fold.add(&ev);
         if self.detail() {
             let tid = crate::event::thread_id();
-            let mut log = lock(&self.log);
+            let mut log = self.log.lock();
             log.threads.entry(tid).or_insert_with(|| {
                 let thread = std::thread::current();
                 thread.name().unwrap_or("unnamed").to_string()
@@ -429,7 +419,7 @@ impl Registry {
 
     /// The event log rendered as Chrome-trace JSON.
     pub fn trace_json(&self) -> String {
-        crate::trace::render(&lock(&self.log))
+        crate::trace::render(&self.log.lock())
     }
 
     /// The shutdown hook: write the snapshot to the export path and the
@@ -440,7 +430,7 @@ impl Registry {
         if let Some(path) = self.export_path() {
             std::fs::write(path, self.snapshot().to_json())?;
         }
-        if let Some(path) = lock(&self.trace_path).clone() {
+        if let Some(path) = self.trace_path.lock().clone() {
             std::fs::write(path, self.trace_json())?;
         }
         Ok(())
@@ -451,21 +441,18 @@ impl Registry {
         let counters = self
             .counters
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
             .iter()
             .map(|(k, c)| (k.clone(), c.get()))
             .collect();
         let gauges = self
             .gauges
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
             .iter()
             .map(|(k, g)| (k.clone(), (g.get(), g.max())))
             .collect();
         let histograms = self
             .histograms
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
@@ -487,7 +474,7 @@ pub struct LineageView<'r>(&'r Registry);
 impl LineageView<'_> {
     /// Every chunk the log knows, sorted by `(step, src_rank)`.
     pub fn snapshot(&self) -> Vec<ChunkLineage> {
-        crate::lineage::view(&lock(&self.0.log).events)
+        crate::lineage::view(&self.0.log.lock().events)
     }
 }
 

@@ -108,11 +108,6 @@ impl PfsModel {
     pub fn read_time_ideal(&self, bytes: f64, clients: usize, ops: u64) -> f64 {
         ops as f64 * self.cfg.read_op_cost + bytes / self.effective_bw(clients)
     }
-
-    pub fn read_time(&mut self, bytes: f64, clients: usize, ops: u64) -> f64 {
-        let noise = self.rng.lognormal_factor(self.cfg.variability);
-        ops as f64 * self.cfg.read_op_cost + bytes / self.effective_bw(clients) * noise
-    }
 }
 
 #[cfg(test)]

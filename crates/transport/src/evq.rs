@@ -19,8 +19,10 @@
 //! queue on drop.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
+
+use parking_lot::{Condvar, Mutex};
 
 /// Queue submission failures.
 #[derive(Debug, PartialEq, Eq)]
@@ -49,15 +51,8 @@ struct Shared<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     not_full: Condvar,
-    cap: Option<usize>,
-}
-
-impl<T> Shared<T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    /// `usize::MAX` when unbounded.
+    cap: usize,
 }
 
 /// Typed MPMC event queue connecting threads inside a staging node.
@@ -79,15 +74,11 @@ impl<T> Clone for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Unbounded queue.
     pub fn unbounded() -> Self {
-        Self::with_capacity(None)
+        Self::bounded(usize::MAX)
     }
 
     /// Bounded queue of capacity `cap`.
     pub fn bounded(cap: usize) -> Self {
-        Self::with_capacity(Some(cap))
-    }
-
-    fn with_capacity(cap: Option<usize>) -> Self {
         EventQueue {
             shared: Arc::new(Shared {
                 inner: Mutex::new(Inner {
@@ -110,21 +101,13 @@ impl<T> EventQueue<T> {
     /// Blocking submit that reports teardown: parks while the queue is
     /// full, returns `Err(Closed)` if the queue is (or becomes) closed.
     pub fn send(&self, ev: T) -> Result<(), SubmitError<T>> {
-        let mut inner = self.shared.lock();
-        loop {
-            if inner.closed {
-                return Err(SubmitError::Closed(ev));
-            }
-            match self.shared.cap {
-                Some(cap) if inner.queue.len() >= cap => {
-                    inner = self
-                        .shared
-                        .not_full
-                        .wait(inner)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                _ => break,
-            }
+        let cap = self.shared.cap;
+        let mut inner = self.shared.inner.lock();
+        self.shared
+            .not_full
+            .wait_while(&mut inner, |i| !i.closed && i.queue.len() >= cap);
+        if inner.closed {
+            return Err(SubmitError::Closed(ev));
         }
         inner.queue.push_back(ev);
         drop(inner);
@@ -134,14 +117,12 @@ impl<T> EventQueue<T> {
 
     /// Non-blocking submit.
     pub fn try_submit(&self, ev: T) -> Result<(), SubmitError<T>> {
-        let mut inner = self.shared.lock();
+        let mut inner = self.shared.inner.lock();
         if inner.closed {
             return Err(SubmitError::Closed(ev));
         }
-        if let Some(cap) = self.shared.cap {
-            if inner.queue.len() >= cap {
-                return Err(SubmitError::Full(ev));
-            }
+        if inner.queue.len() >= self.shared.cap {
+            return Err(SubmitError::Full(ev));
         }
         inner.queue.push_back(ev);
         drop(inner);
@@ -153,42 +134,25 @@ impl<T> EventQueue<T> {
     /// teardown. A closed queue is drained before `Closed` is reported.
     /// `Duration::MAX` waits without a deadline.
     pub fn recv(&self, timeout: Duration) -> Result<T, PollError> {
-        // `None`: a timeout too long to state as a deadline (such as
-        // `Duration::MAX`) waits for an event or teardown alone.
-        let deadline = Instant::now().checked_add(timeout);
-        let mut inner = self.shared.lock();
-        loop {
-            if let Some(ev) = inner.queue.pop_front() {
+        let mut inner = self.shared.inner.lock();
+        self.shared.not_empty.wait_while_for(
+            &mut inner,
+            |i| i.queue.is_empty() && !i.closed,
+            timeout,
+        );
+        match inner.queue.pop_front() {
+            Some(ev) => {
                 drop(inner);
                 self.shared.not_full.notify_one();
-                return Ok(ev);
+                Ok(ev)
             }
-            if inner.closed {
-                return Err(PollError::Closed);
-            }
-            let Some(deadline) = deadline else {
-                inner = self
-                    .shared
-                    .not_empty
-                    .wait(inner)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                continue;
-            };
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PollError::Timeout);
-            }
-            let (g, _) = self
-                .shared
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            inner = g;
+            None if inner.closed => Err(PollError::Closed),
+            None => Err(PollError::Timeout),
         }
     }
 
     pub fn try_poll(&self) -> Option<T> {
-        let mut inner = self.shared.lock();
+        let mut inner = self.shared.inner.lock();
         let ev = inner.queue.pop_front();
         drop(inner);
         if ev.is_some() {
@@ -200,7 +164,7 @@ impl<T> EventQueue<T> {
     /// Close the queue: parked producers fail with `Closed`, consumers
     /// drain what remains then see [`PollError::Closed`]. Idempotent.
     pub fn close(&self) {
-        let mut inner = self.shared.lock();
+        let mut inner = self.shared.inner.lock();
         inner.closed = true;
         drop(inner);
         self.shared.not_empty.notify_all();
@@ -208,7 +172,7 @@ impl<T> EventQueue<T> {
     }
 
     pub fn len(&self) -> usize {
-        self.shared.lock().queue.len()
+        self.shared.inner.lock().queue.len()
     }
 
     pub fn is_empty(&self) -> bool {

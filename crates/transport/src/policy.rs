@@ -53,16 +53,12 @@ impl CongestionSignal {
     /// Park until the signal clears or `timeout` passes. Returns true if
     /// the network is idle on return.
     pub fn wait_until_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
         let mut busy = self.inner.busy.lock();
-        while *busy {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.inner.idle.wait_for(&mut busy, deadline - now);
-        }
-        true
+        !self
+            .inner
+            .idle
+            .wait_while_for(&mut busy, |busy| *busy, timeout)
+            .timed_out()
     }
 }
 
@@ -295,6 +291,8 @@ mod tests {
         assert!(p.wait_ready(&req(1), Duration::from_secs(10)));
         assert!(start.elapsed() < Duration::from_secs(5));
         t.join().unwrap();
+        // No deadline overflow: an idle signal answers at once.
+        assert!(p.wait_ready(&req(1), Duration::MAX));
     }
 
     #[test]
