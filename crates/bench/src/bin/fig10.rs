@@ -6,9 +6,7 @@
 //! I/O blocking saved is tiny. The CPU-cost gap narrows as scale grows
 //! (I/O weighs more), trending toward a crossover.
 
-use predata_bench::{
-    maybe_json, maybe_print_fault_ladder, pixie_config, print_table, PIXIE_SCALES,
-};
+use predata_bench::{maybe_json, pixie_config, print_table, PIXIE_SCALES};
 use simhec::{Placement, StagedRun};
 
 fn main() {
@@ -62,5 +60,4 @@ fn main() {
          The read-side payoff of this small cost is Fig. 11 (run `fig11`)."
     );
     maybe_json("fig10", &serde_json::Value::Array(series));
-    maybe_print_fault_ladder();
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use apps::PixieWorld;
 use bpio::{BpReader, BpWriter};
-use predata_bench::{maybe_json, maybe_print_fault_ladder, print_table};
+use predata_bench::{maybe_json, print_table};
 use predata_core::op::{ComputeSideOp, StreamOp};
 use predata_core::ops::ReorgOp;
 use predata_core::{PredataClient, StagingArea, StagingConfig};
@@ -125,5 +125,4 @@ fn main() {
     );
     std::fs::remove_dir_all(&dir).ok();
     maybe_json("fig11", &serde_json::Value::Array(series));
-    maybe_print_fault_ladder();
 }

@@ -8,7 +8,7 @@
 //! computation-dominant with the in-compute configuration paying a
 //! variable 0.25–7 s result-file write.
 
-use predata_bench::{gtc_config, maybe_json, maybe_print_fault_ladder, print_table, GTC_SCALES};
+use predata_bench::{gtc_config, maybe_json, print_table, GTC_SCALES};
 use simhec::scenario::OpKind;
 use simhec::{Placement, StagedRun};
 
@@ -54,5 +54,4 @@ fn main() {
          write that staging hides."
     );
     maybe_json("fig7", &serde_json::Value::Object(json));
-    maybe_print_fault_ladder();
 }

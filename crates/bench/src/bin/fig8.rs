@@ -10,7 +10,7 @@
 //! hidden relative to the data actually moved); interference < 6 %;
 //! ~98 CPU·hours saved at 16,384 cores over a 30-minute run.
 
-use predata_bench::{gtc_config, maybe_json, maybe_print_fault_ladder, print_table, GTC_SCALES};
+use predata_bench::{gtc_config, maybe_json, print_table, GTC_SCALES};
 use simhec::{Placement, StagedRun};
 
 fn main() {
@@ -78,5 +78,4 @@ fn main() {
         s.interference * 100.0,
     );
     maybe_json("fig8", &serde_json::Value::Array(series));
-    maybe_print_fault_ladder();
 }

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use bpio::DataArray;
 use dataspaces::{DataSpaces, DsConfig, Region};
-use predata_bench::{gtc_config, maybe_json, maybe_print_fault_ladder, print_table};
+use predata_bench::{gtc_config, maybe_json, print_table};
 use simhec::rng::SplitMix64;
 use simhec::scenario::OpKind;
 use simhec::{OpCosts, Placement, StagedRun};
@@ -140,5 +140,4 @@ fn main() {
         t0.elapsed().as_secs_f64() * 1e3
     );
     maybe_json("fig9", &serde_json::Value::Array(series));
-    maybe_print_fault_ladder();
 }

@@ -95,60 +95,6 @@ pub fn maybe_json(name: &str, value: &serde_json::Value) {
     }
 }
 
-/// After a figure run under an ambient fault schedule (`PREDATA_FAULTS`
-/// set to anything but off), print the degradation-ladder counters
-/// (DESIGN.md §3.3) — faults injected, retries paid, chunks truncated —
-/// so numbers produced under injection are never mistaken for clean-run
-/// numbers. Silent when no schedule is active: it asks for the plan the
-/// middleware itself runs under rather than reading the variable again.
-pub fn maybe_print_fault_ladder() {
-    if transport::FaultPlan::from_env().is_none() {
-        return;
-    }
-    const LADDER: [&str; 4] = [
-        "transport.faults_injected",
-        "transport.retries",
-        "transport.retry_exhausted",
-        "staging.truncated_chunks",
-    ];
-    let Ok(root) = serde_json::from_str(&obs::global().snapshot().to_json()) else {
-        return;
-    };
-    let Some(counters) = root.get("counters").and_then(|c| c.as_array()) else {
-        return;
-    };
-    let mut lines = Vec::new();
-    for c in counters {
-        let Some(name) = c.get("name").and_then(|n| n.as_str()) else {
-            continue;
-        };
-        if !LADDER.contains(&name) {
-            continue;
-        }
-        let value = c.get("value").and_then(|v| v.as_u64()).unwrap_or(0);
-        let labels = c
-            .get("labels")
-            .and_then(|l| l.as_object())
-            .map(|m| {
-                m.iter()
-                    .map(|(k, v)| format!("{k}={}", v.as_str().unwrap_or("?")))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .filter(|s| !s.is_empty());
-        let suffix = labels.map(|l| format!("{{{l}}}")).unwrap_or_default();
-        lines.push(format!("  {name}{suffix} = {value}"));
-    }
-    println!("\n=== fault schedule active (PREDATA_FAULTS) ===");
-    if lines.is_empty() {
-        println!("  no ladder counters ticked");
-    } else {
-        for l in lines {
-            println!("{l}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -161,8 +161,9 @@ pub struct StagingConfig {
     pub out_dir: PathBuf,
     /// Deadline for gathering one step's requests.
     pub gather_timeout: Duration,
-    /// Retry policy for fetch-request receives and `rdma_get` pulls
-    /// (`PREDATA_RETRY`; its deadline is the per-step pull budget).
+    /// Retry policy for fetch-request receives, `rdma_get` pulls and
+    /// collective entries (its deadline is the per-step pull budget);
+    /// [`RetryPolicy::default`] unless the builder sets another.
     pub retry: RetryPolicy,
 }
 
@@ -172,7 +173,7 @@ impl StagingConfig {
             n_compute,
             out_dir: out_dir.into(),
             gather_timeout: Duration::from_secs(30),
-            retry: RetryPolicy::from_env(),
+            retry: RetryPolicy::default(),
         }
     }
 }
@@ -267,7 +268,7 @@ impl StagingRank {
         std::fs::create_dir_all(&cfg.out_dir)?;
         // An attached fault plan covers the staging-wide collectives
         // too: every collective entry consults `FaultKind::Collective`
-        // under the ambient retry policy. Injection happens only at
+        // under the rank's `cfg.retry`. Injection happens only at
         // entry, before any message moves, and exhaustion *proceeds
         // anyway* — a rank unilaterally abandoning a collective would
         // deadlock its peers; the exhaustion is still counted

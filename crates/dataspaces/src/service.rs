@@ -31,9 +31,11 @@
 //! # Resilience
 //!
 //! The service is a boundary of the staged read path, so it honours the
-//! ambient fault plan: with `PREDATA_FAULTS` set, each query passes
-//! [`RetryPolicy::guard`] as a [`FaultKind::Query`] before it touches
-//! the space — transient faults are absorbed by retries (counted in
+//! fault plan of the space it serves ([`DataSpaces::fault_plan`], set by
+//! [`DataSpaces::with_faults`]): each query passes the space's
+//! [`RetryPolicy::guard`](transport::RetryPolicy::guard) as a
+//! [`FaultKind::Query`] before it touches the space — transient faults
+//! are absorbed by retries (counted in
 //! `transport.retries{op=query}`), exhaustion surfaces as
 //! [`DsError::Faulted`] (counted in `transport.retry_exhausted`).
 
@@ -45,7 +47,7 @@ use std::time::{Duration, Instant};
 use bpio::DataArray;
 use parking_lot::Mutex;
 use transport::evq::{EventQueue, PollError, SubmitError};
-use transport::{FaultKind, FaultPlan, RetryPolicy};
+use transport::FaultKind;
 
 use crate::domain::Region;
 use crate::error::DsError;
@@ -232,8 +234,6 @@ struct Inner {
     jobs: EventQueue<Job>,
     next_id: AtomicU64,
     subs: Mutex<Vec<ContinuousSub>>,
-    faults: Option<Arc<FaultPlan>>,
-    retry: RetryPolicy,
     admitted_range: obs::Counter,
     admitted_reduce: obs::Counter,
     admitted_continuous: obs::Counter,
@@ -263,8 +263,6 @@ impl QueryService {
             jobs: EventQueue::bounded(cfg.queue_cap),
             next_id: AtomicU64::new(0),
             subs: Mutex::new(Vec::new()),
-            faults: FaultPlan::from_env(),
-            retry: RetryPolicy::from_env(),
             admitted_range: reg.counter("dataspaces.queries_admitted", &[("kind", "range")]),
             admitted_reduce: reg.counter("dataspaces.queries_admitted", &[("kind", "reduce")]),
             admitted_continuous: reg
@@ -462,11 +460,10 @@ fn execute(inner: &Arc<Inner>, job: &QueryJob) -> Result<QueryOutput, DsError> {
     if Instant::now() >= job.deadline {
         return Err(DsError::DeadlineMissed { query: job.id });
     }
-    // Resilience boundary: consult the ambient fault plan under the
-    // ambient retry policy before touching the space.
-    let plan = inner.faults.as_deref();
-    inner
-        .retry
+    // Resilience boundary: consult the space's fault plan under its
+    // retry policy before touching the space.
+    let (plan, retry) = inner.space.fault_plan();
+    retry
         .guard(plan, "query", FaultKind::Query, job.id, job.version)
         .map_err(|cause| DsError::Faulted {
             query: job.id,

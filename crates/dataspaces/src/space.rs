@@ -118,12 +118,12 @@ pub struct DataSpaces {
 
 impl DataSpaces {
     pub fn new(cfg: DsConfig) -> Self {
-        Self::with_faults(cfg, FaultPlan::from_env(), RetryPolicy::from_env())
+        Self::with_faults(cfg, None, RetryPolicy::default())
     }
 
-    /// [`new`](Self::new) with an explicit fault plan and retry policy
-    /// instead of the ambient `PREDATA_FAULTS` / `PREDATA_RETRY` pair —
-    /// tests inject put faults without touching process env.
+    /// [`new`](Self::new) with a fault plan and the retry policy that
+    /// absorbs it: the one way a plan reaches this space's puts and the
+    /// queries a [`QueryService`](crate::QueryService) serves over it.
     pub fn with_faults(cfg: DsConfig, faults: Option<Arc<FaultPlan>>, retry: RetryPolicy) -> Self {
         let reg = obs::global();
         let index = ShardIndex::new(cfg.n_shards);
@@ -150,6 +150,12 @@ impl DataSpaces {
 
     pub fn stats(&self) -> &SpaceStats {
         &self.stats
+    }
+
+    /// The fault plan this space was built with, if any, and the retry
+    /// policy that absorbs it.
+    pub fn fault_plan(&self) -> (Option<&FaultPlan>, &RetryPolicy) {
+        (self.faults.as_deref(), &self.retry)
     }
 
     /// The current publication epoch (bumped by every commit/evict).
@@ -247,9 +253,9 @@ impl DataSpaces {
         if data.dtype() != var.dtype {
             return Err(DsError::DtypeMismatch);
         }
-        // Fault hook: an ambient plan may fail this put (FaultKind::Put
+        // Fault hook: the space's plan may fail this put (FaultKind::Put
         // rides the drop probability with its own salt). Transients are
-        // absorbed by the ambient retry policy before any block is
+        // absorbed by the space's retry policy before any block is
         // touched — a retried put never half-writes; exhaustion surfaces
         // as `PutFaulted` with the transport cause chained.
         let plan = self.faults.as_deref();
@@ -762,14 +768,14 @@ mod tests {
 
     #[test]
     fn put_faults_are_absorbed_or_chain_their_cause() {
-        let retry = RetryPolicy::parse("attempts=4,base_ms=1,max_ms=2,deadline_ms=5000")
-            .unwrap()
-            .unwrap();
+        let retry = RetryPolicy::default()
+            .attempts(4)
+            .base_backoff(Duration::from_millis(1))
+            .max_backoff(Duration::from_millis(2))
+            .deadline(Duration::from_secs(5));
         // Transient: one injection per (var, version); the retry wrapper
         // absorbs it and the put lands byte-identical.
-        let plan = FaultPlan::parse("seed=11,drop=1,max_injections=1")
-            .unwrap()
-            .unwrap();
+        let plan = FaultPlan::new(11).drop_chunks(1.0).max_injections(1);
         let ds = DataSpaces::with_faults(
             DsConfig::new(vec![64, 64], vec![16, 16], 4),
             Some(Arc::new(plan)),
@@ -785,7 +791,7 @@ mod tests {
 
         // Persistent: injections outlast the retry budget; the put
         // fails with the transport cause chained through `source()`.
-        let plan = FaultPlan::parse("seed=11,drop=1").unwrap().unwrap();
+        let plan = FaultPlan::new(11).drop_chunks(1.0);
         let ds = DataSpaces::with_faults(
             DsConfig::new(vec![64, 64], vec![16, 16], 4),
             Some(Arc::new(plan)),

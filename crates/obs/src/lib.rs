@@ -33,10 +33,8 @@
 //!
 //! # Environment contract
 //!
-//! [`Config::from_env`] is the one place this crate reads the
-//! environment for itself, once, when the [`global`] registry is first
-//! used ([`spec::from_env`] reads it for the structured knobs of the
-//! crates above):
+//! [`Config::from_env`] is the one place the workspace reads the
+//! environment, once, when the [`global`] registry is first used:
 //!
 //! * `PREDATA_METRICS` — `0` / `off` / `false` turns event recording off
 //!   at the source: no fold rows, no log, and nothing derived from them
@@ -51,10 +49,10 @@
 //! * `PREDATA_TRACE=path` — turns detail on too, and has
 //!   [`Registry::export`] write the log there as a Chrome trace.
 //!
-//! The full `PREDATA_*` reference — including the transport fault/retry
-//! knobs whose counters land in this registry — is `docs/OPERATIONS.md`
-//! at the repository root. The structured knobs (`k=v,k=v` specs) share
-//! one parser, [`spec`].
+//! The full `PREDATA_*` reference is `docs/OPERATIONS.md` at the
+//! repository root. Fault plans and retry policies are not knobs: they
+//! are arguments of the constructors they fault, and only their
+//! counters land in this registry.
 //!
 //! The gates live on the [`Registry`], so a test builds its own
 //! ([`Registry::new`], [`Registry::set_detail`], …) and races nobody;
@@ -81,7 +79,6 @@ mod event;
 pub mod lineage;
 mod metrics;
 pub mod perturb;
-pub mod spec;
 pub mod trace;
 
 pub use event::{mark, mark_in, span, span_in, Event, SpanGuard, SpanRow, SpanStat, FOLD_STEPS};

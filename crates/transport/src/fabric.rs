@@ -165,7 +165,8 @@ struct FabricInner {
     requests: Vec<EventQueue<FetchRequest>>,
     /// Per-compute-rank completion queues.
     completions: Vec<EventQueue<CompletionEvent>>,
-    /// Deterministic fault-injection schedule, if any (`PREDATA_FAULTS`).
+    /// Deterministic fault-injection schedule, if any
+    /// ([`Fabric::with_faults`]).
     faults: Option<Arc<FaultPlan>>,
     /// obs handles, resolved once here so the `rdma_get` hot path is a
     /// relaxed atomic add with no registry lookup.
@@ -183,18 +184,18 @@ impl Fabric {
     /// Build a fabric connecting `n_compute` compute endpoints to
     /// `n_staging` staging endpoints. `pin_budget` bounds the bytes each
     /// compute endpoint may keep exposed at once (None = unlimited).
-    /// Any ambient `PREDATA_FAULTS` schedule is attached.
+    /// No fault schedule is attached.
     pub fn new(
         n_compute: usize,
         n_staging: usize,
         pin_budget: Option<usize>,
     ) -> (Fabric, Vec<ComputeEndpoint>, Vec<StagingEndpoint>) {
-        Fabric::with_faults(n_compute, n_staging, pin_budget, FaultPlan::from_env())
+        Fabric::with_faults(n_compute, n_staging, pin_budget, None)
     }
 
-    /// [`Fabric::new`] with an explicit fault schedule (`None` = run
-    /// clean even if `PREDATA_FAULTS` is set) — the hook tests use to
-    /// pin a schedule regardless of the environment.
+    /// [`Fabric::new`] with a fault schedule (`None` = run clean): the
+    /// one way a plan reaches pulls, stale handles, pins and — through
+    /// [`StagingEndpoint::fault_plan`] — the staging collectives.
     pub fn with_faults(
         n_compute: usize,
         n_staging: usize,
@@ -413,7 +414,7 @@ impl StagingEndpoint {
     /// The fabric's fault schedule, if one is attached. The retrying
     /// pull loop consults it *before* each [`rdma_get`](Self::rdma_get)
     /// attempt; the raw fabric call itself never fakes failures, so
-    /// protocol tests stay exact under an ambient `PREDATA_FAULTS`.
+    /// protocol tests stay exact on a faulted fabric.
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.inner.faults.as_ref()
     }

@@ -5,7 +5,7 @@
 //! (ADIOS2/openPMD staging) treat staged transport as *unreliable by
 //! design*. This module is the test substrate for that stance: a
 //! [`FaultPlan`] is a seeded, reproducible schedule of transport faults
-//! — dropped pulls, stale handles, pull delays, pin-budget exhaustion —
+//! — dropped pulls, stale handles, pin-budget exhaustion —
 //! that the retry/degradation machinery must absorb.
 //!
 //! # Determinism
@@ -22,13 +22,12 @@
 //!
 //! # Where faults apply
 //!
-//! *Pull* faults (`drop`, `stale`, `delay`) are consulted by the
-//! retry-aware staging runtime **before** it calls
-//! [`StagingEndpoint::rdma_get`] — the raw fabric call stays exact, so
-//! unit tests of the fabric protocol are unaffected by an ambient
-//! `PREDATA_FAULTS`. *Pin* faults are consulted inside
-//! [`ComputeEndpoint::expose`], because the client's error path is what
-//! they exist to exercise. *Put* faults are consulted by the retrying
+//! *Pull* faults (`drop`, `stale`) are consulted by the retry-aware
+//! staging runtime **before** it calls [`StagingEndpoint::rdma_get`] —
+//! the raw fabric call stays exact, so unit tests of the fabric
+//! protocol see no fault they did not ask for. *Pin* faults are
+//! consulted inside [`ComputeEndpoint::expose`], because the client's
+//! error path is what they exist to exercise. *Put* faults are consulted by the retrying
 //! DataSpaces put path before the index is touched, and *collective*
 //! faults at the entry of minimpi shuffle/gather/reduce collectives,
 //! before any message moves — in both cases the underlying primitive
@@ -37,23 +36,24 @@
 //! [`StagingEndpoint::rdma_get`]: crate::StagingEndpoint::rdma_get
 //! [`ComputeEndpoint::expose`]: crate::ComputeEndpoint::expose
 //!
-//! # Environment contract
+//! # Where a plan comes from
 //!
-//! `PREDATA_FAULTS` holds a comma-separated `key=value` spec, e.g.
-//! `seed=7,drop=1.0,max_injections=1` (every pull fails once, then
-//! succeeds) or `seed=7,drop=1.0,steps=0..3` (pulls of steps 0–2 never
-//! succeed). Unset, empty, `0`, or `off` disables injection. Fields:
+//! The constructor of the thing being faulted:
+//! [`Fabric::with_faults`](crate::Fabric::with_faults) attaches a plan
+//! to pulls, stale handles and pins (and, through
+//! [`StagingEndpoint::fault_plan`](crate::StagingEndpoint::fault_plan),
+//! to the staging collectives); `DataSpaces::with_faults` attaches one
+//! to puts and to the query service over that space. Nothing reads a
+//! plan from the environment. A plan's fields are its builders:
 //!
-//! | key | meaning | default |
+//! | builder | meaning | default |
 //! |---|---|---|
-//! | `seed` | hash seed for chunk selection and retry jitter | `0` |
-//! | `drop` | P(pull attempt fails with `Timeout`, exposure kept); also P(query-service / DataSpaces-put / collective-entry attempt faults — each independently salted and keyed, so enabling one never perturbs another's schedule) | `0` |
-//! | `stale` | P(pull attempt fails with `StaleHandle`, exposure kept) | `0` |
-//! | `delay_ms` | sleep injected before selected pulls | `0` |
-//! | `delay` | P(pull is delayed by `delay_ms`) | `1` if `delay_ms` set |
-//! | `pin` | P(`expose` fails with `PinBudgetExceeded`) | `0` |
-//! | `max_injections` | failed attempts per chunk per kind | unbounded |
-//! | `steps=a..b` | only fault io_steps in `[a, b)` | all steps |
+//! | [`new(seed)`](FaultPlan::new) | hash seed for chunk selection and retry jitter | — |
+//! | [`drop_chunks`](FaultPlan::drop_chunks) | P(pull attempt fails with `Timeout`, exposure kept); also P(query-service / DataSpaces-put / collective-entry attempt faults — each independently salted and keyed, so enabling one never perturbs another's schedule) | `0` |
+//! | [`stale_handles`](FaultPlan::stale_handles) | P(pull attempt fails with `StaleHandle`, exposure kept) | `0` |
+//! | [`pin_exhaustion`](FaultPlan::pin_exhaustion) | P(`expose` fails with `PinBudgetExceeded`) | `0` |
+//! | [`max_injections`](FaultPlan::max_injections) | failed attempts per chunk per kind | unbounded |
+//! | [`steps`](FaultPlan::steps) | only fault io_steps in the range | all steps |
 //!
 //! Every injected fault increments the
 //! `transport.faults_injected{kind=…}` counter.
@@ -64,23 +64,17 @@
 //! use transport::{Fabric, FaultKind, FaultPlan};
 //!
 //! // Every chunk's first pull attempt fails; retries succeed.
-//! let plan = FaultPlan::parse("seed=42,drop=1.0,max_injections=1").unwrap().unwrap();
+//! let plan = FaultPlan::new(42).drop_chunks(1.0).max_injections(1);
 //! let (_fabric, computes, _stagings) = Fabric::new(1, 1, None);
 //! let handle = computes[0].expose(vec![0u8; 8].into(), 0).unwrap();
 //! assert!(plan.selects(FaultKind::Drop, 0, 0));
 //! assert!(plan.inject_pull(0, 0, handle).is_some(), "first attempt faulted");
 //! assert!(plan.inject_pull(0, 0, handle).is_none(), "second attempt clean");
-//!
-//! // "off" disables the plan entirely.
-//! assert!(FaultPlan::parse("off").unwrap().is_none());
 //! ```
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
-use obs::spec::Spec;
 use parking_lot::Mutex;
 
 use crate::fabric::{MemHandle, TransportError};
@@ -94,8 +88,6 @@ pub enum FaultKind {
     /// A pull attempt fails with [`TransportError::StaleHandle`] — the
     /// transient handle-advertisement race of a real fabric.
     Stale,
-    /// A pull attempt is delayed (burns deadline budget, then proceeds).
-    Delay,
     /// An `expose` fails with [`TransportError::PinBudgetExceeded`].
     Pin,
     /// A query-service execution attempt fails with
@@ -124,7 +116,6 @@ impl FaultKind {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Stale => "stale",
-            FaultKind::Delay => "delay",
             FaultKind::Pin => "pin",
             FaultKind::Query => "query",
             FaultKind::Put => "put",
@@ -136,7 +127,6 @@ impl FaultKind {
         match self {
             FaultKind::Drop => 0x0D0D,
             FaultKind::Stale => 0x57A1,
-            FaultKind::Delay => 0xDE1A,
             FaultKind::Pin => 0x0919,
             FaultKind::Query => 0x9E4A,
             FaultKind::Put => 0x9407,
@@ -146,15 +136,13 @@ impl FaultKind {
 }
 
 /// A seeded, deterministic schedule of transport faults. See the
-/// [module docs](self) for semantics and the `PREDATA_FAULTS` grammar.
+/// [module docs](self) for semantics and where a plan is attached.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
     drop_p: f64,
     stale_p: f64,
-    delay_p: f64,
     pin_p: f64,
-    delay: Duration,
     max_injections: u32,
     steps: Option<Range<u64>>,
     /// `(kind, src_rank, step)` → injections so far.
@@ -182,9 +170,7 @@ impl FaultPlan {
             seed,
             drop_p: 0.0,
             stale_p: 0.0,
-            delay_p: 0.0,
             pin_p: 0.0,
-            delay: Duration::ZERO,
             max_injections: u32::MAX,
             steps: None,
             injected: Mutex::new(HashMap::new()),
@@ -222,51 +208,6 @@ impl FaultPlan {
         self
     }
 
-    /// Parse a `PREDATA_FAULTS` spec. `Ok(None)` means "no plan"
-    /// (empty, `0`, or `off`); `Err` describes a malformed field.
-    pub fn parse(spec: &str) -> Result<Option<FaultPlan>, String> {
-        let fields = match obs::spec::parse("fault", spec)? {
-            Spec::Unset | Spec::Off => return Ok(None),
-            Spec::Fields(fields) => fields,
-        };
-        let mut plan = FaultPlan::new(0);
-        let mut delay_p: Option<f64> = None;
-        for f in &fields {
-            match f.key {
-                "seed" => plan.seed = f.num()?,
-                "drop" => plan.drop_p = f.num()?,
-                "stale" => plan.stale_p = f.num()?,
-                "pin" => plan.pin_p = f.num()?,
-                "delay" => delay_p = Some(f.num()?),
-                "delay_ms" => plan.delay = Duration::from_millis(f.num()?),
-                "max_injections" => plan.max_injections = f.num()?,
-                "steps" => {
-                    let (a, b) = f
-                        .value
-                        .split_once("..")
-                        .ok_or_else(|| f.err("wants a..b"))?;
-                    plan.steps = Some(f.num_of(a)?..f.num_of(b)?);
-                }
-                _ => return Err(f.unknown()),
-            }
-        }
-        plan.delay_p = match delay_p {
-            Some(p) => p,
-            None if plan.delay > Duration::ZERO => 1.0,
-            None => 0.0,
-        };
-        Ok(Some(plan))
-    }
-
-    /// The process-wide plan from `PREDATA_FAULTS`, read once. A
-    /// malformed spec aborts loudly — a silently ignored fault plan
-    /// would fake passing resilience tests.
-    pub fn from_env() -> Option<Arc<FaultPlan>> {
-        static PLAN: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-        PLAN.get_or_init(|| obs::spec::from_env("PREDATA_FAULTS", FaultPlan::parse).map(Arc::new))
-            .clone()
-    }
-
     /// The plan's seed (also salts retry-backoff jitter).
     pub fn seed(&self) -> u64 {
         self.seed
@@ -284,7 +225,6 @@ impl FaultPlan {
         let p = match kind {
             FaultKind::Drop => self.drop_p,
             FaultKind::Stale => self.stale_p,
-            FaultKind::Delay => self.delay_p,
             FaultKind::Pin => self.pin_p,
             FaultKind::Query | FaultKind::Put | FaultKind::Collective => self.drop_p,
         };
@@ -318,19 +258,16 @@ impl FaultPlan {
     }
 
     /// Consult the plan before one pull attempt of chunk
-    /// `(src_rank, step)` via `handle`: sleeps any injected delay, then
-    /// returns the injected error, if this attempt is faulted. The
-    /// caller skips the real `rdma_get` on `Some` — the exposure is
-    /// untouched, so a later attempt can succeed.
+    /// `(src_rank, step)` via `handle`: the injected error, if this
+    /// attempt is faulted. The caller skips the real `rdma_get` on
+    /// `Some` — the exposure is untouched, so a later attempt can
+    /// succeed.
     pub fn inject_pull(
         &self,
         src_rank: u64,
         step: u64,
         handle: MemHandle,
     ) -> Option<TransportError> {
-        if self.try_inject(FaultKind::Delay, src_rank, step) && self.delay > Duration::ZERO {
-            std::thread::sleep(self.delay);
-        }
         if self.try_inject(FaultKind::Drop, src_rank, step) {
             return Some(TransportError::Timeout);
         }
@@ -348,8 +285,7 @@ impl FaultPlan {
     /// coupling their schedules:
     ///
     /// * [`FaultKind::Query`], `(query id, dump version)`: one execution
-    ///   attempt of the query service. A faulted attempt first sleeps
-    ///   the plan's `delay_ms`, burning the query's deadline budget.
+    ///   attempt of the query service.
     /// * [`FaultKind::Put`], `(var id, dump version)`: one DataSpaces
     ///   `put` / `put_ref` attempt, before the index is touched.
     /// * [`FaultKind::Collective`], `(rank, collective sequence
@@ -361,13 +297,8 @@ impl FaultPlan {
     /// [`inject_pull`](Self::inject_pull) and
     /// [`inject_expose`](Self::inject_expose).
     pub fn inject(&self, kind: FaultKind, a: u64, b: u64) -> Option<TransportError> {
-        if !self.try_inject(kind, a, b) {
-            return None;
-        }
-        if kind == FaultKind::Query && self.delay > Duration::ZERO {
-            std::thread::sleep(self.delay);
-        }
-        Some(TransportError::Timeout)
+        self.try_inject(kind, a, b)
+            .then_some(TransportError::Timeout)
     }
 
     /// Consult the plan before one `expose` of `requested` bytes by
@@ -386,34 +317,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_full_grammar() {
-        let plan = FaultPlan::parse(
-            "seed=9, drop=0.5, stale=0.25, pin=0.1, delay_ms=3, max_injections=2, steps=1..4",
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(plan.seed(), 9);
-        assert_eq!(plan.drop_p, 0.5);
-        assert_eq!(plan.stale_p, 0.25);
-        assert_eq!(plan.pin_p, 0.1);
-        assert_eq!(plan.delay, Duration::from_millis(3));
-        assert_eq!(plan.delay_p, 1.0, "delay_ms without delay= implies p=1");
-        assert_eq!(plan.max_injections, 2);
-        assert_eq!(plan.steps, Some(1..4));
-    }
-
-    #[test]
-    fn parse_off_and_errors() {
-        assert!(FaultPlan::parse("").unwrap().is_none());
-        assert!(FaultPlan::parse("off").unwrap().is_none());
-        assert!(FaultPlan::parse("0").unwrap().is_none());
-        assert!(FaultPlan::parse("bogus").is_err());
-        assert!(FaultPlan::parse("drop=x").is_err());
-        assert!(FaultPlan::parse("steps=3").is_err());
-        assert!(FaultPlan::parse("frob=1").is_err());
-    }
 
     #[test]
     fn selection_is_deterministic_and_probability_shaped() {

@@ -41,12 +41,12 @@
 //! [`TransportError::Disconnected`].
 //!
 //! The transport is also where failures are *made reproducible*: a
-//! seeded [`FaultPlan`] (gated by `PREDATA_FAULTS`, see [`fault`])
-//! injects drop/delay/stale-handle/pin-exhaustion faults on a
-//! deterministic schedule, and [`RetryPolicy`] (gated by
-//! `PREDATA_RETRY`, see [`retry`]) gives pullers exponential backoff
-//! with jitter under a per-step deadline budget. `docs/OPERATIONS.md`
-//! is the authoritative table of these knobs.
+//! seeded [`FaultPlan`], handed to [`Fabric::with_faults`] (see
+//! [`fault`]), injects drop/stale-handle/pin-exhaustion faults on a
+//! deterministic schedule, and [`RetryPolicy`] (see [`retry`]) gives
+//! pullers exponential backoff with jitter under a per-step deadline
+//! budget. Both are constructor arguments; neither is read from the
+//! environment.
 //!
 //! # Example
 //!

@@ -15,12 +15,13 @@
 //! faults absorbed" is checkable as `retries > 0 && retry_exhausted ==
 //! 0` on the metrics snapshot.
 //!
-//! # Environment contract
+//! # Where a policy comes from
 //!
-//! `PREDATA_RETRY` tunes the process-wide default policy, e.g.
-//! `attempts=6,base_ms=2,max_ms=250,deadline_ms=30000`. `off` (or
-//! `attempts=1`) disables retrying — every transient error is
-//! immediately terminal, which restores the pre-retry behaviour.
+//! [`RetryPolicy::default`] is the one policy the middleware runs
+//! under; the builders tune it for whoever constructs the retrying
+//! component (`StagingConfig::retry`, `DataSpaces::with_faults`).
+//! `attempts(1)` disables retrying — every transient error is
+//! immediately terminal.
 //!
 //! # Example
 //!
@@ -42,16 +43,13 @@
 //! assert_eq!(out, Err(TransportError::Disconnected));
 //! ```
 
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-use obs::spec::Spec;
 
 use crate::fabric::TransportError;
 use crate::fault::{splitmix64, FaultKind, FaultPlan};
 
 /// Exponential-backoff retry policy with a deadline budget. See the
-/// [module docs](self) for the `PREDATA_RETRY` grammar.
+/// [module docs](self) for who sets it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,
@@ -107,39 +105,6 @@ impl RetryPolicy {
     /// The per-step deadline budget.
     pub fn step_deadline(&self) -> Duration {
         self.deadline
-    }
-
-    /// Parse a `PREDATA_RETRY` spec. `Ok(None)` means "use the default
-    /// policy" (empty spec); `off`/`0` yields a no-retry policy.
-    pub fn parse(spec: &str) -> Result<Option<RetryPolicy>, String> {
-        let mut policy = RetryPolicy::default();
-        let fields = match obs::spec::parse("retry", spec)? {
-            Spec::Unset => return Ok(None),
-            Spec::Off => return Ok(Some(policy.attempts(1))),
-            Spec::Fields(fields) => fields,
-        };
-        for f in &fields {
-            match f.key {
-                "attempts" => policy.max_attempts = f.num()?,
-                "base_ms" => policy.base_backoff = Duration::from_millis(f.num()?),
-                "max_ms" => policy.max_backoff = Duration::from_millis(f.num()?),
-                "deadline_ms" => policy.deadline = Duration::from_millis(f.num()?),
-                _ => return Err(f.unknown()),
-            }
-        }
-        policy.max_attempts = policy.max_attempts.max(1);
-        Ok(Some(policy))
-    }
-
-    /// The process-wide policy from `PREDATA_RETRY`, read once.
-    /// Malformed specs abort loudly.
-    pub fn from_env() -> RetryPolicy {
-        static POLICY: OnceLock<RetryPolicy> = OnceLock::new();
-        POLICY
-            .get_or_init(|| {
-                obs::spec::from_env("PREDATA_RETRY", RetryPolicy::parse).unwrap_or_default()
-            })
-            .clone()
     }
 
     /// Whether `err` is worth retrying: timeouts and stale handles are
@@ -237,25 +202,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_grammar_and_off() {
-        let p = RetryPolicy::parse("attempts=6, base_ms=2, max_ms=250, deadline_ms=30000")
-            .unwrap()
-            .unwrap();
-        assert_eq!(p.max_attempts(), 6);
-        assert_eq!(p.base_backoff, Duration::from_millis(2));
-        assert_eq!(p.max_backoff, Duration::from_millis(250));
-        assert_eq!(p.step_deadline(), Duration::from_secs(30));
-
-        assert_eq!(
-            RetryPolicy::parse("off").unwrap().unwrap().max_attempts(),
-            1
-        );
-        assert!(RetryPolicy::parse("").unwrap().is_none());
-        assert!(RetryPolicy::parse("attempts=x").is_err());
-        assert!(RetryPolicy::parse("frob=1").is_err());
-    }
-
-    #[test]
     fn backoff_grows_is_capped_and_deterministic() {
         let p = RetryPolicy::default()
             .base_backoff(Duration::from_millis(4))
@@ -294,16 +240,15 @@ mod tests {
             .attempts(3)
             .base_backoff(Duration::from_micros(10));
         let count = |name, op| obs::global().counter(name, &[("op", op)]).get();
-        let plan = |spec| FaultPlan::parse(spec).unwrap();
 
-        let transient = plan("drop=1,max_injections=1");
-        let out = p.guard(transient.as_ref(), "guard_transient", FaultKind::Put, 4, 1);
+        let transient = FaultPlan::new(0).drop_chunks(1.0).max_injections(1);
+        let out = p.guard(Some(&transient), "guard_transient", FaultKind::Put, 4, 1);
         assert_eq!(out, Ok(()));
         assert_eq!(count("transport.retries", "guard_transient"), 1);
         assert_eq!(count("transport.retry_exhausted", "guard_transient"), 0);
 
-        let hard = plan("drop=1");
-        let out = p.guard(hard.as_ref(), "guard_hard", FaultKind::Collective, 0, 7);
+        let hard = FaultPlan::new(0).drop_chunks(1.0);
+        let out = p.guard(Some(&hard), "guard_hard", FaultKind::Collective, 0, 7);
         assert_eq!(out, Err(TransportError::Timeout));
         assert_eq!(count("transport.retries", "guard_hard"), 2);
         assert_eq!(count("transport.retry_exhausted", "guard_hard"), 1);

@@ -10,7 +10,10 @@ use predata::core::ops::HistogramOp;
 use predata::core::schema::make_particle_pg;
 use predata::core::staging::{StagingError, StagingRank};
 use predata::core::{PackedChunk, PredataClient, StagingArea, StagingConfig};
-use predata::dataspaces::{DataSpaces, DsConfig, Region, SpaceIndexOp};
+use predata::dataspaces::{
+    DataSpaces, DsConfig, QueryKind, QueryOutput, QueryService, QueryServiceConfig, Reduction,
+    Region, SpaceIndexOp,
+};
 use predata::ffs::AttrList;
 use predata::minimpi::World;
 use predata::transport::{
@@ -232,6 +235,17 @@ fn pin_budget_exhaustion_fails_fast() {
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("pin budget"), "unexpected error: {msg}");
+
+    // An injected pin fault is the same error, on the first write.
+    let plan = predata::transport::FaultPlan::new(0).pin_exhaustion(1.0);
+    let (_fabric, computes, _stagings) = Fabric::with_faults(1, 1, None, Some(Arc::new(plan)));
+    let router: Arc<dyn Router> = Arc::new(BlockRouter::new(1, 1));
+    let client = PredataClient::new(computes.into_iter().next().unwrap(), router, vec![]);
+    let err = client
+        .write_pg(make_particle_pg(0, 0, vec![0.0; 8]))
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("pin budget"), "unexpected error: {msg}");
 }
 
 /// A dead staging area must not hang the application forever: the drain
@@ -362,6 +376,59 @@ fn run_gtc(
     (reports, space)
 }
 
+/// Reorganize one small Pixie3D dump (`ReorgOp`; 8 compute → 2 staging
+/// ranks, one step) into merged slabs under `dir`, with `faults` on the
+/// fabric and the staging collectives, and return the staging reports.
+fn run_pixie(
+    dir: &std::path::Path,
+    faults: Option<Arc<predata::transport::FaultPlan>>,
+) -> Vec<predata::core::StepReport> {
+    use predata::core::ops::ReorgOp;
+    let world = predata::apps::PixieWorld::new([2, 2, 2], [4, 4, 4]);
+    let (n_compute, n_staging) = (world.n_ranks(), 2);
+    let (_fabric, computes, stagings) = Fabric::with_faults(n_compute, n_staging, None, faults);
+    let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
+    let area = StagingArea::spawn(
+        stagings,
+        Arc::clone(&router),
+        Arc::new(|_| vec![Box::new(ReorgOp::pixie3d()) as Box<dyn StreamOp>]),
+        Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
+        StagingConfig::new(n_compute, dir),
+        1,
+    );
+    for (r, e) in computes.into_iter().enumerate() {
+        let client = PredataClient::new(e, Arc::clone(&router), vec![Arc::new(ReorgOp::pixie3d())]);
+        client.write_pg(world.output_pg(r)).unwrap();
+    }
+    area.join()
+        .into_iter()
+        .flat_map(|r| r.expect("staging rank survives"))
+        .collect()
+}
+
+/// Range and reduce answers of every committed `weight` version, whole
+/// domain and part of it, served by a `QueryService` over `space`.
+fn query_answers(space: &Arc<DataSpaces>) -> Vec<QueryOutput> {
+    let service = QueryService::new(Arc::clone(space), QueryServiceConfig::default());
+    let whole = Region::whole(&[GTC_IDS, 4]);
+    let part = Region::new(vec![10, 1], vec![30, 2]);
+    let mut answers = Vec::new();
+    for version in 0..2 {
+        for kind in [
+            QueryKind::Range(whole.clone()),
+            QueryKind::Range(part.clone()),
+            QueryKind::Reduce(whole.clone(), Reduction::Sum),
+            QueryKind::Reduce(part.clone(), Reduction::Max),
+        ] {
+            let answer = service
+                .query("weight", version, kind)
+                .expect("query served");
+            answers.push(answer.output);
+        }
+    }
+    answers
+}
+
 /// Every `.bp` file under `dir`, relative name → bytes.
 fn bp_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
@@ -387,11 +454,13 @@ fn counter(name: &str, op: &str) -> u64 {
 /// The ladder end to end, in one test so the global retry counters can't
 /// race across test threads:
 ///
-/// (a) a seeded *transient* schedule (every pull, put and collective
-///     entry fails exactly once) is absorbed by retries — the GTC
-///     operator output and the space's committed cells are identical to
-///     the fault-free run, `retries{op=pull|put|collective} > 0`,
-///     `retry_exhausted{op=pull} == 0`;
+/// (a) a seeded *transient* schedule (every pull, put, collective
+///     entry and query fails exactly once) is absorbed by retries — the
+///     GTC operator output, the space's committed cells, the query
+///     service's answers over that space and a Pixie3D reorganization's
+///     merged files are identical to the fault-free run,
+///     `retries{op=pull|put|collective|query} > 0`,
+///     `retry_exhausted{op=pull|query} == 0`;
 /// (b) a *hard* schedule (pulls never succeed) exhausts retries — the
 ///     step still completes, its chunks land truncated in report and
 ///     lineage; in a two-rank area, one abandoned chunk is truncated by
@@ -456,6 +525,55 @@ fn degradation_ladder_absorbs_and_truncates() {
             "version {version}: committed cells must match under absorbed faults"
         );
     }
+    // The query service takes the plan of the space it serves: every
+    // query's first attempt faults, and the retry answers it exactly.
+    let query_retries = counter("transport.retries", "query");
+    let query_exhausted = counter("transport.retry_exhausted", "query");
+    assert_eq!(
+        query_answers(&faulty_space),
+        query_answers(&clean_space),
+        "query answers must match under absorbed faults"
+    );
+    assert!(
+        counter("transport.retries", "query") > query_retries,
+        "the schedule faulted every query once; retries must show"
+    );
+    assert_eq!(
+        counter("transport.retry_exhausted", "query"),
+        query_exhausted,
+        "one injected failure per query cannot exhaust 4 attempts"
+    );
+    std::fs::remove_dir_all(&clean_dir).ok();
+    std::fs::remove_dir_all(&faulty_dir).ok();
+
+    // A transient schedule under a ReorgOp pipeline, with a stale handle
+    // after each dropped pull: the merged slabs come out byte for byte
+    // as on a clean fabric.
+    let clean_dir = out_dir("ladder-pixie-clean");
+    let faulty_dir = out_dir("ladder-pixie-transient");
+    let reports = run_pixie(&clean_dir, None);
+    assert!(reports.iter().all(|r| !r.is_degraded()));
+    let pull_retries = counter("transport.retries", "pull");
+    let plan = FaultPlan::new(2026)
+        .drop_chunks(1.0)
+        .stale_handles(1.0)
+        .max_injections(1);
+    let reports = run_pixie(&faulty_dir, Some(Arc::new(plan)));
+    assert!(
+        reports.iter().all(|r| !r.is_degraded()),
+        "transient faults must not truncate a reorganization"
+    );
+    assert!(
+        counter("transport.retries", "pull") >= pull_retries + 2 * 8,
+        "each of the 8 chunks was dropped once and found stale once"
+    );
+    let clean = bp_files(&clean_dir);
+    assert_eq!(clean.len(), 2, "one merged file per staging rank");
+    assert_eq!(
+        clean,
+        bp_files(&faulty_dir),
+        "merged files must be byte-identical under absorbed faults"
+    );
     std::fs::remove_dir_all(&clean_dir).ok();
     std::fs::remove_dir_all(&faulty_dir).ok();
 

@@ -12,6 +12,19 @@
 //!   put-level subscription, a dirty read of the pending plane or a
 //!   second discrete-event queue comes back only with this test changed
 //!   in the same commit.
+//! - **One environment reader.** `obs::Config::from_env` is the one
+//!   function under `crates/*/src` that reads the process environment;
+//!   every `PREDATA_*` name in `crates/` is a row of `docs/OPERATIONS.md`
+//!   and is read in `obs::Config::from_lookup`, and the table has no
+//!   other rows. Fault plans and retry policies are constructor
+//!   arguments, not knobs.
+//! - **No unpriced subsystem.** A subsystem the paper does not have —
+//!   elastic membership, a live telemetry plane, admission shedding, an
+//!   automatic in-compute fallback — and the code only tests and
+//!   `cargo bench` ran — the filter and moments operators, the sizing
+//!   model, Criterion benches and the `criterion` shim — come back only
+//!   with a `benchmark/` workload that prices them, and with this test
+//!   changed in the same commit; so does a fourth `PREDATA_*` knob.
 
 use std::path::{Path, PathBuf};
 
@@ -208,5 +221,148 @@ fn one_queue() {
     assert!(
         condvars.is_empty(),
         "a condvar outside evq.rs: {condvars:?}"
+    );
+}
+
+/// Every `PREDATA_*` name in `text`, in order of appearance.
+fn knob_names(text: &str) -> Vec<String> {
+    const PREFIX: &str = "PREDATA_";
+    let mut names = Vec::new();
+    let mut rest = text;
+    while let Some(at) = rest.find(PREFIX) {
+        rest = &rest[at + PREFIX.len()..];
+        let end = rest
+            .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+            .unwrap_or(rest.len());
+        if end > 0 {
+            names.push(format!("{PREFIX}{}", &rest[..end]));
+        }
+    }
+    names
+}
+
+/// The first column of the knob table in `docs/OPERATIONS.md`.
+fn documented_knobs() -> Vec<String> {
+    read(&root().join("docs/OPERATIONS.md"))
+        .lines()
+        .filter(|line| line.starts_with("| `PREDATA_"))
+        .flat_map(|line| knob_names(line).into_iter().take(1))
+        .collect()
+}
+
+/// The body of the `fn` named `name` in `src`: from its signature to the
+/// first line that closes at the signature's indentation.
+fn fn_body<'a>(src: &'a str, name: &str) -> &'a str {
+    let sig = format!("fn {name}(");
+    let at = src.find(&sig).unwrap_or_else(|| panic!("no `{sig}`"));
+    let line_start = src[..at].rfind('\n').map_or(0, |i| i + 1);
+    let indent = &src[line_start..at];
+    let indent = &indent[..indent.len() - indent.trim_start().len()];
+    let close = format!("\n{indent}}}");
+    let end = src[at..].find(&close).map_or(src.len(), |i| at + i);
+    &src[at..end]
+}
+
+#[test]
+fn one_environment_reader() {
+    let readers = offending_lines(
+        "crates",
+        &|p| is_rust(p) && shown(p).split('/').nth(2) == Some("src"),
+        &|line| line.contains("env::var"),
+    );
+    assert_eq!(
+        readers.len(),
+        1,
+        "the workspace reads the environment in exactly one function:\n{}",
+        readers.join("\n")
+    );
+    assert!(
+        readers[0].starts_with("crates/obs/src/lib.rs:")
+            && readers[0].contains("Config::from_lookup(|name| std::env::var(name).ok())"),
+        "the one reader is obs::Config::from_env: {}",
+        readers[0]
+    );
+
+    let mut in_crates: Vec<String> = files("crates", &any_file)
+        .iter()
+        .flat_map(|p| knob_names(&read(p)))
+        .collect();
+    in_crates.sort();
+    in_crates.dedup();
+    let mut documented = documented_knobs();
+    assert_eq!(
+        documented.len(),
+        3,
+        "docs/OPERATIONS.md has {} knob rows, not 3: {documented:?}",
+        documented.len()
+    );
+    documented.sort();
+    assert_eq!(
+        in_crates, documented,
+        "the PREDATA_* names in crates/ are exactly the rows of docs/OPERATIONS.md"
+    );
+
+    let obs = read(&root().join("crates/obs/src/lib.rs"));
+    let lookup = fn_body(&obs, "from_lookup");
+    let unread: Vec<_> = documented
+        .iter()
+        .filter(|name| !lookup.contains(&format!("var(\"{name}\")")))
+        .collect();
+    assert!(
+        unread.is_empty(),
+        "knobs obs::Config::from_lookup does not read: {unread:?}"
+    );
+}
+
+#[test]
+fn knob_names_and_fn_bodies_read_the_source() {
+    assert_eq!(
+        knob_names("`PREDATA_*` knobs: PREDATA_TRACE=path, \"PREDATA_METRICS\""),
+        ["PREDATA_TRACE", "PREDATA_METRICS"]
+    );
+    let src = "impl C {\n    fn a() {\n        b();\n    }\n    fn c() {}\n}\n";
+    assert_eq!(fn_body(src, "a"), "fn a() {\n        b();");
+}
+
+#[test]
+fn no_unpriced_subsystem() {
+    let deleted = |p: &Path| {
+        let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        ["membership.rs", "live.rs", "admit.rs", "resilient.rs"].contains(&name)
+    };
+    let back: Vec<_> = files(".", &deleted).iter().map(|p| shown(p)).collect();
+    assert!(back.is_empty(), "deleted subsystem is back: {back:?}");
+
+    let mut unpriced: Vec<_> = [
+        "crates/core/src/ops/filter.rs",
+        "crates/core/src/ops/moments.rs",
+        "crates/simhec/src/sizing.rs",
+        "shims/criterion",
+    ]
+    .into_iter()
+    .filter(|p| root().join(p).exists())
+    .map(str::to_string)
+    .collect();
+    unpriced.extend(
+        files("crates", &|p| {
+            p.components().any(|c| c.as_os_str() == "benches")
+        })
+        .iter()
+        .map(|p| shown(p)),
+    );
+    assert!(
+        unpriced.is_empty(),
+        "code no workload prices is back: {unpriced:?}"
+    );
+
+    let manifests = offending_lines(
+        ".",
+        &|p| p.file_name().is_some_and(|n| n == "Cargo.toml"),
+        &|line| line.contains("criterion"),
+    );
+    assert!(
+        manifests.is_empty(),
+        "a manifest names criterion:\n{}",
+        manifests.join("\n")
     );
 }
