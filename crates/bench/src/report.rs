@@ -118,11 +118,13 @@ fn parse_steps(root: &Value) -> Result<Vec<StageCell>, String> {
     Ok(cells)
 }
 
-/// Order stage names canonically: pipeline order first, the rest
-/// alphabetically after.
+/// Order stage names canonically: pipeline order first, an operator's
+/// row (`reduce.sort`) right after its phase's, the rest alphabetically
+/// after.
 fn stage_sort_key(stage: &str) -> (usize, String) {
-    match STAGE_ORDER.iter().position(|s| *s == stage) {
-        Some(i) => (i, String::new()),
+    let (phase, op) = stage.split_once('.').unwrap_or((stage, ""));
+    match STAGE_ORDER.iter().position(|s| *s == phase) {
+        Some(i) => (i, op.to_string()),
         None => (STAGE_ORDER.len(), stage.to_string()),
     }
 }
@@ -143,7 +145,7 @@ fn render_step_table(cells: &[StageCell], out: &mut String) {
     rows.sort_by_key(|&(step, stage)| (step, stage_sort_key(stage)));
     rows.dedup();
 
-    let mut header = format!("{:>6}  {:<18} {:>10}", "step", "stage", "all");
+    let mut header = format!("{:>6}  {:<22} {:>10}", "step", "stage", "all");
     for r in &ranks {
         header.push_str(&format!(" {:>10}", format!("r{r}")));
     }
@@ -157,7 +159,7 @@ fn render_step_table(cells: &[StageCell], out: &mut String) {
         if all == 0 {
             continue; // marks: counted in the summary, no time to tabulate
         }
-        out.push_str(&format!("{step:>6}  {stage:<18} {:>10}", fmt_ns(all)));
+        out.push_str(&format!("{step:>6}  {stage:<22} {:>10}", fmt_ns(all)));
         for r in &ranks {
             let cell = of_row()
                 .find(|c| c.rank == Some(*r))
@@ -179,7 +181,7 @@ fn render_stage_summary(cells: &[StageCell], out: &mut String) {
 
     out.push_str("\n=== stage summary (all steps) ===\n");
     out.push_str(&format!(
-        "{:<18} {:>8} {:>12} {:>12} {:>12}\n",
+        "{:<22} {:>8} {:>12} {:>12} {:>12}\n",
         "stage", "calls", "total", "mean", "max"
     ));
     for stage in stages {
@@ -191,7 +193,7 @@ fn render_stage_summary(cells: &[StageCell], out: &mut String) {
         }
         let mean = total.checked_div(calls).unwrap_or(0);
         out.push_str(&format!(
-            "{:<18} {:>8} {:>12} {:>12} {:>12}\n",
+            "{:<22} {:>8} {:>12} {:>12} {:>12}\n",
             stage,
             calls,
             fmt_ns(total),
@@ -519,10 +521,12 @@ mod tests {
         reg.record(Event::new("decode", 0).rank(1).at(0, 3_000_000));
         reg.record(Event::new("blocked", 0).at(0, 1_000_000));
         reg.record(Event::new("reduce", 1).rank(1).at(0, 500_000));
+        reg.record(Event::new("reduce.sort", 1).rank(1).at(0, 400_000));
+        reg.record(Event::new("finalize", 1).rank(1).at(0, 100_000));
         let json = reg.snapshot().to_json();
         let report = render_snapshot_str(&json).expect("live snapshot must render");
         let row = |step: u64, stage: &str| {
-            let want = format!("{step:>6}  {stage:<18}");
+            let want = format!("{step:>6}  {stage:<22}");
             let line = report.lines().find(|l| l.starts_with(&want));
             line.unwrap_or_else(|| panic!("no row for {stage}@{step}: {report}"))
                 .split_whitespace()
@@ -541,6 +545,12 @@ mod tests {
             "rank-less: all only"
         );
         assert_eq!(row(1, "reduce"), ["500.00us", "-", "500.00us"]);
+        assert_eq!(row(1, "reduce.sort"), ["400.00us", "-", "400.00us"]);
+        let at = |stage: &str| report.find(&format!("     1  {stage:<22}")).unwrap();
+        assert!(
+            at("reduce") < at("reduce.sort") && at("reduce.sort") < at("finalize"),
+            "an operator's row follows its phase's: {report}"
+        );
         assert!(report.contains("transport.pinned_bytes"));
     }
 

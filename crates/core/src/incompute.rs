@@ -176,9 +176,12 @@ mod tests {
         assert_eq!(out, [None, Some(false), Some(false), Some(false)]);
     }
 
+    /// Also the in-compute step's collectives: per rank, the aggregates'
+    /// `allgather` (a gather and its fan-out) and the exchange's one
+    /// `alltoall`.
     #[test]
     fn sort_in_compute_produces_global_order() {
-        let out = World::run(3, |comm| {
+        let (out, world) = World::run_with_stats(3, |comm| {
             let dir = std::env::temp_dir().join(format!(
                 "incompute-s-{}-{}",
                 std::process::id(),
@@ -215,5 +218,6 @@ mod tests {
         let all: Vec<u64> = slices.into_iter().flat_map(|(_, k)| k).collect();
         assert_eq!(all.len(), 6);
         assert!(all.windows(2).all(|w| w[0] <= w[1]), "{all:?}");
+        assert_eq!(world.stats().collective_calls(), 3 * 3);
     }
 }

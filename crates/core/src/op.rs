@@ -141,6 +141,31 @@ pub trait ChunkMapper: Send + Sync {
     fn map_chunk(&self, chunk: &PackedChunk, ctx: &MapCtx) -> Vec<Tagged>;
 }
 
+/// The rows one operator's phases are folded under in `obs`: its `map`
+/// of each chunk, its `reduce` of the step and its `finalize`, each
+/// nested in the step's row of that phase (`map.sort` in `map`). Names
+/// are `&'static str`, so a row costs what any span costs: one relaxed
+/// load while recording is off. Spelled with [`stage_rows!`](crate::stage_rows).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageRows {
+    pub map: &'static str,
+    pub reduce: &'static str,
+    pub finalize: &'static str,
+}
+
+/// The [`StageRows`] of the operator named `$op`: `map.$op`,
+/// `reduce.$op` and `finalize.$op`.
+#[macro_export]
+macro_rules! stage_rows {
+    ($op:literal) => {
+        $crate::op::StageRows {
+            map: concat!("map.", $op),
+            reduce: concat!("reduce.", $op),
+            finalize: concat!("finalize.", $op),
+        }
+    };
+}
+
 /// Optional compute-node first pass (paper Stage 1a): local, deterministic
 /// work whose small results ride on the data-fetch request.
 pub trait ComputeSideOp: Send + Sync {
@@ -157,10 +182,17 @@ pub trait ComputeSideOp: Send + Sync {
 /// (`partition` routes tags) → `reduce`* (once per owned tag) →
 /// `finalize`. The step's operators share that shuffle: [`exchange`]
 /// runs every `combine`, moves all of their items in one `alltoall`,
-/// then every `reduce`, then every `finalize` in operator order — so the
-/// collectives a `finalize` enters line up across ranks.
+/// then every `reduce` — an operator's owned tags in ascending order —
+/// then every `finalize` in operator order.
 pub trait StreamOp: Send {
     fn name(&self) -> &str;
+
+    /// This operator's rows in the `obs` fold. Provided: `map.op`,
+    /// `reduce.op`, `finalize.op`, shared by every operator that does
+    /// not name its own.
+    fn stage_rows(&self) -> StageRows {
+        stage_rows!("op")
+    }
 
     /// Set up per-step state from the global aggregates.
     fn initialize(&mut self, agg: &Aggregates, ctx: &OpCtx);
@@ -195,7 +227,10 @@ pub trait StreamOp: Send {
     /// Fold all intermediates for one owned tag (local + shuffled-in).
     /// Items arrive as shared [`Bytes`] views of the buffers the mappers
     /// serialized — `&item[..]` is the payload; nothing was re-framed in
-    /// transit.
+    /// transit. Within a step, `reduce` is called once per owned tag in
+    /// ascending tag order, so an operator may choose its tags to order
+    /// its work (the sort reduces its row counts first, then one key
+    /// range at a time).
     fn reduce(&mut self, tag: u64, items: Vec<Bytes>, ctx: &OpCtx);
 
     /// Emit results (files, statistics) and reset per-step state.
@@ -251,22 +286,25 @@ fn route(ops: &[&mut dyn StreamOp], combined: Vec<Vec<Tagged>>, n: usize) -> Vec
 /// 1. every operator's `combine`;
 /// 2. **one** `alltoall` of all operators' items, each routed by its own
 ///    operator's `partition` and tagged with that operator's index;
-/// 3. every operator's `reduce`, once per owned tag, over its own items
-///    only — in source-rank order and, within one source, in the order
-///    that rank combined them;
-/// 4. every operator's `finalize`, in operator order (so the collectives
-///    they enter line up across ranks).
+/// 3. every operator's `reduce`, once per owned tag in ascending tag
+///    order, over its own items only — in source-rank order and, within
+///    one source, in the order that rank combined them;
+/// 4. every operator's `finalize`, in operator order.
 ///
-/// No barrier precedes `finalize`: no rank leaves the `alltoall` before
-/// every rank has entered it, that is, finished mapping — the one
-/// ordering a `finalize` relies on (`SpaceIndexOp`'s commit). The
-/// exchange runs with no operator or nothing to send too: it is the
-/// step's ordering point.
+/// The `alltoall` is the only collective: a staging step enters three
+/// per rank (the request `gather`, the aggregates' `allgather` and this
+/// one), and no operator's `finalize` enters one. No barrier precedes
+/// `finalize`: no rank leaves the `alltoall` before every rank has
+/// entered it, that is, finished mapping — the one ordering a
+/// `finalize` relies on (`SpaceIndexOp`'s commit). The exchange runs
+/// with no operator or nothing to send too: it is the step's ordering
+/// point.
 ///
 /// `chunk_srcs` are the compute ranks whose chunks fed the streams; each
 /// gets its `shuffled`, `reduced` and `written` lineage marks here, only
 /// while the registry logs events. Each phase runs under an obs span (the
-/// paper's Fig. 7–9 breakdowns).
+/// paper's Fig. 7–9 breakdowns), and each operator's `reduce` and
+/// `finalize` under its own [`StageRows`] inside it.
 pub fn exchange(
     ops: &mut [&mut dyn StreamOp],
     streams: Vec<Vec<Tagged>>,
@@ -302,6 +340,7 @@ pub fn exchange(
     {
         let _s = obs::span!("reduce", step).rank(rank);
         for (op, groups) in ops.iter_mut().zip(grouped) {
+            let _s = obs::span!(op.stage_rows().reduce, step).rank(rank);
             for (tag, items) in groups {
                 op.reduce(tag, items, ctx);
             }
@@ -310,7 +349,12 @@ pub fn exchange(
     mark_chunks("reduced");
     let results = {
         let _s = obs::span!("finalize", step).rank(rank);
-        ops.iter_mut().map(|op| op.finalize(ctx)).collect()
+        ops.iter_mut()
+            .map(|op| {
+                let _s = obs::span!(op.stage_rows().finalize, step).rank(rank);
+                op.finalize(ctx)
+            })
+            .collect()
     };
     mark_chunks("written");
     results
@@ -498,9 +542,8 @@ mod tests {
     }
 
     /// The four GTC operators (sort, histogram, 2-D histogram, bitmap
-    /// index) through one exchange on 2 ranks: 4 collective calls per
-    /// rank — the one `alltoall`, and `SortOp::finalize`'s `exscan` and
-    /// `allreduce` (a reduce and a bcast).
+    /// index) through one exchange on 2 ranks: one collective call per
+    /// rank, the `alltoall` — no `finalize` enters one.
     #[test]
     fn four_gtc_operators_share_one_alltoall() {
         use crate::ops::{BitmapIndexOp, Histogram2dOp, HistogramOp, SortOp};
@@ -546,6 +589,27 @@ mod tests {
             std::fs::remove_dir_all(&dir).ok();
             assert_eq!(results.len(), 4);
         });
-        assert_eq!(world.stats().collective_calls(), 2 * 4);
+        assert_eq!(world.stats().collective_calls(), 2);
+    }
+
+    /// `reduce` sees an operator's owned tags in ascending order, however
+    /// the ranks emitted them and wherever the tags came from.
+    #[test]
+    fn reduce_is_called_in_ascending_tag_order() {
+        let out = World::run(3, |comm| {
+            let mut op = CountOp::default();
+            let me = comm.rank() as u64;
+            // Tags 0..12, descending and rotated by the rank.
+            let tags = (0..12u64).rev().map(|t| (t + 5 * me) % 12);
+            let stream = tags.map(|t| Tagged::new(t, me.to_le_bytes().to_vec()));
+            run(&comm, &mut [&mut op], vec![stream.collect()]);
+            op.seen
+        });
+        for (rank, seen) in out.into_iter().enumerate() {
+            let r = rank as u64;
+            let tags: Vec<u64> = seen.iter().map(|(tag, _)| *tag).collect();
+            assert_eq!(tags, [r, r + 3, r + 6, r + 9], "rank {rank}");
+            assert!(seen.iter().all(|(_, from)| *from == [0, 1, 2]));
+        }
     }
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use super::kit::{attach_particle_stats, bin_index, global_range, record_output};
 use crate::agg::Aggregates;
 use crate::chunk::PackedChunk;
-use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
+use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StageRows, StreamOp, Tagged};
 use crate::schema::{particles_of, PARTICLE_ATTRS, PARTICLE_WIDTH};
 use ffs::Value;
 
@@ -388,6 +388,10 @@ impl ComputeSideOp for BitmapIndexOp {
 impl StreamOp for BitmapIndexOp {
     fn name(&self) -> &str {
         "bitmap_index"
+    }
+
+    fn stage_rows(&self) -> StageRows {
+        crate::stage_rows!("bitmap_index")
     }
 
     fn initialize(&mut self, agg: &Aggregates, _ctx: &OpCtx) {

@@ -25,7 +25,7 @@ use ffs::{AttrList, Value};
 use super::kit::{attach_particle_stats, bin_index, global_range, write_output};
 use crate::agg::Aggregates;
 use crate::chunk::PackedChunk;
-use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
+use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StageRows, StreamOp, Tagged};
 use crate::schema::{particles_of, PARTICLE_ATTRS, PARTICLE_WIDTH};
 
 /// Configuration + per-step state of a binned-count operation whose keys
@@ -46,6 +46,8 @@ pub struct BinnedCountOp<const AXES: usize> {
     /// Operator (and group) name, value-key and file-name prefix, name
     /// of the bin-count scalar in the file.
     names: [&'static str; 3],
+    /// The operator's rows in the `obs` fold, after `names[0]`.
+    rows: StageRows,
     /// Global (min, max) per key and axis, from `initialize`.
     ranges: Vec<[(f64, f64); AXES]>,
     /// Reduced cells for keys this rank owns.
@@ -117,6 +119,7 @@ impl<const AXES: usize> BinnedCountOp<AXES> {
         tags: Vec<u64>,
         bins: usize,
         names: [&'static str; 3],
+        rows: StageRows,
     ) -> Self {
         assert!(bins > 0 && !keys.is_empty());
         assert!(keys.iter().flatten().all(|&c| c < PARTICLE_WIDTH));
@@ -126,6 +129,7 @@ impl<const AXES: usize> BinnedCountOp<AXES> {
             combine_enabled: true,
             tags,
             names,
+            rows,
             ranges: Vec::new(),
             owned: Vec::new(),
         }
@@ -143,7 +147,8 @@ impl BinnedCountOp<1> {
     pub fn new(columns: Vec<usize>, bins: usize) -> Self {
         let tags = columns.iter().map(|&c| c as u64).collect();
         let keys = columns.into_iter().map(|c| [c]).collect();
-        Self::with_keys(keys, tags, bins, ["histogram", "hist", "nbins"])
+        let names = ["histogram", "hist", "nbins"];
+        Self::with_keys(keys, tags, bins, names, crate::stage_rows!("histogram"))
     }
 
     /// Ablation variant: ship per-chunk bins through the shuffle instead
@@ -172,7 +177,8 @@ impl BinnedCountOp<2> {
     pub fn new(pairs: Vec<(usize, usize)>, bins: usize) -> Self {
         let tags = (0..pairs.len() as u64).collect();
         let keys = pairs.into_iter().map(|(a, b)| [a, b]).collect();
-        Self::with_keys(keys, tags, bins, ["histogram2d", "hist2d", "bins"])
+        let names = ["histogram2d", "hist2d", "bins"];
+        Self::with_keys(keys, tags, bins, names, crate::stage_rows!("histogram2d"))
     }
 }
 
@@ -185,6 +191,10 @@ impl<const AXES: usize> ComputeSideOp for BinnedCountOp<AXES> {
 impl<const AXES: usize> StreamOp for BinnedCountOp<AXES> {
     fn name(&self) -> &str {
         self.names[0]
+    }
+
+    fn stage_rows(&self) -> StageRows {
+        self.rows
     }
 
     fn initialize(&mut self, agg: &Aggregates, _ctx: &OpCtx) {

@@ -15,6 +15,10 @@ use crate::schema::{particles_of, PARTICLE_ATTRS, PARTICLE_WIDTH};
 /// the range land in the nearest end bin, NaN in bin 0, and a range with
 /// no width has only bin 0.
 ///
+/// The cut is taken through a signed cast: `as i64` saturates and sends
+/// NaN to 0 as `as usize` does, and the clamp puts negatives in bin 0,
+/// where `as usize` put them — the same bin for every input, but one
+/// conversion instruction where the unsigned one needs a branch.
 /// `#[inline]` because the callers' row loops are generic: they are
 /// compiled in whichever crate names `HistogramOp`, a crate away from
 /// this body.
@@ -23,7 +27,7 @@ pub(crate) fn bin_index(lo: f64, hi: f64, bins: usize, v: f64) -> usize {
     if hi <= lo {
         return 0;
     }
-    (((v - lo) / (hi - lo) * bins as f64) as usize).min(bins - 1)
+    (((v - lo) / (hi - lo) * bins as f64) as i64).clamp(0, bins as i64 - 1) as usize
 }
 
 /// Global (min, max) of particle attribute `column`, from what
@@ -263,6 +267,49 @@ mod tests {
             prop_assert_eq!(&got, &by_column.to_bytes().unwrap());
             prop_assert_eq!(&got, &by_compares.to_bytes().unwrap());
         }
+
+        /// The signed-cast bin is the unsigned cast's, `⌊x⌋ as usize`
+        /// capped at the top bin, for every value, range and bin count.
+        #[test]
+        fn signed_cast_bin_index_is_the_unsigned_one(
+            v in odd_or_plain(),
+            lo in odd_or_plain(),
+            hi in odd_or_plain(),
+            bins in prop_oneof![1usize..=1024, Just(1usize), Just(1024usize)],
+        ) {
+            let unsigned = if hi <= lo {
+                0
+            } else {
+                (((v - lo) / (hi - lo) * bins as f64) as usize).min(bins - 1)
+            };
+            prop_assert_eq!(bin_index(lo, hi, bins, v), unsigned);
+            prop_assert_eq!(bin_index(lo, lo, bins, v), 0);
+        }
+    }
+
+    /// NaN, ±∞, ±0, subnormals, huge and tiny magnitudes, and plain values
+    /// on either side of 0.
+    fn odd_or_plain() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            prop::sample::select(vec![
+                f64::NAN,
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::from_bits(1),
+                -f64::from_bits(1),
+                f64::MAX,
+                f64::MIN,
+                1e300,
+                -1e300,
+                9.3e18,
+                1.9e19,
+                1.0,
+            ]),
+            -1e3f64..1e3,
+            -1e20f64..1e20,
+        ]
     }
 
     /// A regular file where the output directory should be: every create
@@ -331,8 +378,9 @@ mod tests {
         std::fs::remove_file(dir).unwrap();
     }
 
-    /// Only rank 1's directory is broken: `SortOp::finalize`'s collectives
-    /// run before the write on both ranks, so rank 0 is not left waiting.
+    /// Only rank 1's directory is broken: `SortOp::finalize` takes its
+    /// offsets from the counts the exchange delivered, so neither rank
+    /// waits on the other around the write.
     #[test]
     fn one_rank_s_broken_directory_strands_no_peer() {
         let broken = broken_out_dir("sort");

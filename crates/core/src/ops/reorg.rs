@@ -22,7 +22,7 @@ use ffs::Value;
 
 use crate::agg::Aggregates;
 use crate::chunk::PackedChunk;
-use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
+use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StageRows, StreamOp, Tagged};
 
 /// Merge the named 3-D global variables into per-rank contiguous slabs.
 pub struct ReorgOp {
@@ -103,6 +103,10 @@ impl ComputeSideOp for ReorgOp {
 impl StreamOp for ReorgOp {
     fn name(&self) -> &str {
         "reorg"
+    }
+
+    fn stage_rows(&self) -> StageRows {
+        crate::stage_rows!("reorg")
     }
 
     fn initialize(&mut self, agg: &Aggregates, ctx: &OpCtx) {

@@ -400,8 +400,12 @@ impl StagingRank {
         // every rank waits for the slowest inside it — so only this stage
         // carries a per-rank imbalance signal.
         let _span = obs::span!("pull_map", step).rank(my_rank);
-        // Map state frozen by `initialize`.
-        let mappers: Vec<Arc<dyn ChunkMapper>> = self.ops.iter().map(|op| op.mapper()).collect();
+        // Map state frozen by `initialize`, and each operator's map row.
+        let mappers: Vec<(Arc<dyn ChunkMapper>, &'static str)> = self
+            .ops
+            .iter()
+            .map(|op| (op.mapper(), op.stage_rows().map))
+            .collect();
         let map_ctx = op_ctx(&self.comm, &self.cfg, step, agg).map_ctx();
         // `stage` of the chunk from `src_rank` ran from `t0` to `t1` —
         // clock reads the caller made anyway.
@@ -467,7 +471,8 @@ impl StagingRank {
             // The chunk owns its data now; the pulled buffer (landed here,
             // or an exposer's whole buffer it may recycle) is let go.
             drop(buf);
-            for (stream, mapper) in out.per_op.iter_mut().zip(&mappers) {
+            for (stream, (mapper, row)) in out.per_op.iter_mut().zip(&mappers) {
+                let _s = obs::span!(row, step).rank(my_rank).chunk(src_rank);
                 stream.extend(mapper.map_chunk(&chunk, &map_ctx));
             }
             let t_done = Instant::now();
@@ -754,6 +759,76 @@ mod tests {
             Err(StagingError::Transport(TransportError::Timeout))
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A staged GTC step — the four GTC operators on two staging ranks —
+    /// enters exactly three collectives per rank: the requests' `gather`,
+    /// the aggregates' `allgather` and the exchange's one `alltoall`.
+    #[test]
+    fn a_gtc_step_enters_gather_allgather_and_alltoall_only() {
+        use crate::ops::{BitmapIndexOp, Histogram2dOp, SortOp};
+        let (n_compute, n_staging, steps) = (4, 2, 3u64);
+        let (_fabric, computes, stagings) = Fabric::new(n_compute, n_staging, None);
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
+        let dir = out_dir("gtc-collectives");
+        let clients: Vec<PredataClient> = computes
+            .into_iter()
+            .map(|e| {
+                let stats = Arc::new(HistogramOp::new(vec![0], 8));
+                PredataClient::new(e, Arc::clone(&router), vec![stats])
+            })
+            .collect();
+        for step in 0..steps {
+            for (r, client) in clients.iter().enumerate() {
+                let rows: Vec<f64> = (0..64)
+                    .flat_map(|i| [i as f64, 1., 2., 3., 4., 5., (i % 4) as f64, r as f64])
+                    .collect();
+                client
+                    .write_pg(make_particle_pg(r as u64, step, rows))
+                    .unwrap();
+            }
+        }
+        let stagings = parking_lot::Mutex::new(stagings.into_iter().map(Some).collect::<Vec<_>>());
+        let entered = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::clone(&entered);
+        let (reports, world) = World::run_with_stats(n_staging, move |mut comm| {
+            let log = Arc::clone(&log);
+            comm.set_collective_gate(Arc::new(move |op, rank, _| log.lock().push((rank, op))));
+            let endpoint = stagings.lock()[comm.rank()].take().unwrap();
+            let ops: Vec<Box<dyn StreamOp>> = vec![
+                Box::new(SortOp::new()),
+                Box::new(HistogramOp::new(vec![0], 8)),
+                Box::new(Histogram2dOp::new(vec![(0, 1)], 4)),
+                Box::new(BitmapIndexOp::new(0, 8)),
+            ];
+            let cfg = StagingConfig::new(n_compute, &dir);
+            let policy = Box::new(FifoPolicy);
+            let mut sr = StagingRank::new(comm, endpoint, Arc::clone(&router), policy, ops, cfg);
+            let sr = sr.as_mut().unwrap();
+            (0..steps)
+                .map(|s| sr.run_step(s).unwrap())
+                .collect::<Vec<_>>()
+        });
+        for (rank, reports) in reports.iter().enumerate() {
+            let ops: Vec<_> = entered
+                .lock()
+                .iter()
+                .filter(|e| e.0 == rank as u64)
+                .map(|e| e.1)
+                .collect();
+            assert_eq!(
+                ops,
+                ["gather", "allgather", "alltoall"].repeat(steps as usize)
+            );
+            assert!(reports
+                .iter()
+                .all(|r| r.chunks == 2 && r.results.len() == 4));
+        }
+        assert_eq!(
+            world.stats().collective_calls(),
+            3 * n_staging as u64 * steps
+        );
+        std::fs::remove_dir_all(out_dir("gtc-collectives")).ok();
     }
 
     /// An operator whose `initialize` panics.

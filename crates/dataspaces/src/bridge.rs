@@ -16,7 +16,9 @@ use bpio::DataArray;
 use ffs::Value;
 use predata_core::agg::Aggregates;
 use predata_core::chunk::PackedChunk;
-use predata_core::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
+use predata_core::op::{
+    ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StageRows, StreamOp, Tagged,
+};
 use predata_core::schema::{particles_of, COL_ID, COL_RANK, PARTICLE_WIDTH};
 
 use crate::domain::Region;
@@ -60,6 +62,10 @@ impl ComputeSideOp for SpaceIndexOp {
 impl StreamOp for SpaceIndexOp {
     fn name(&self) -> &str {
         "space_index"
+    }
+
+    fn stage_rows(&self) -> StageRows {
+        predata_core::stage_rows!("space_index")
     }
 
     fn initialize(&mut self, _agg: &Aggregates, _ctx: &OpCtx) {

@@ -24,58 +24,6 @@ impl<T: Send + 'static> MpiData for WithSize<T> {
 }
 
 impl Comm {
-    /// Broadcast from `root`. `value` must be `Some` on the root and is
-    /// ignored elsewhere.
-    pub(crate) fn bcast<T: MpiData + Clone>(&self, root: usize, value: Option<T>) -> T {
-        self.world().stats().record_collective();
-        self.gate_collective("bcast");
-        if self.rank() == root {
-            let v = value.expect("bcast: root must supply a value");
-            for r in 0..self.size() {
-                if r != root {
-                    self.send(r, v.clone());
-                }
-            }
-            v
-        } else {
-            self.recv::<T>(root)
-        }
-    }
-
-    /// Reduce to `root` with an associative `op`. Returns `Some` on root.
-    pub(crate) fn reduce<T, F>(&self, root: usize, value: T, op: F) -> Option<T>
-    where
-        T: MpiData + Clone,
-        F: Fn(T, T) -> T,
-    {
-        self.world().stats().record_collective();
-        self.gate_collective("reduce");
-        if self.rank() == root {
-            let mut acc = value;
-            // Deterministic order: fold ranks 0..size skipping root, so
-            // floating-point reductions are reproducible run to run.
-            for r in 0..self.size() {
-                if r != root {
-                    acc = op(acc, self.recv::<T>(r));
-                }
-            }
-            Some(acc)
-        } else {
-            self.send(root, value);
-            None
-        }
-    }
-
-    /// Reduce + broadcast: every rank gets the reduction result.
-    pub fn allreduce<T, F>(&self, value: T, op: F) -> T
-    where
-        T: MpiData + Clone,
-        F: Fn(T, T) -> T,
-    {
-        let reduced = self.reduce(0, value, op);
-        self.bcast(0, reduced)
-    }
-
     /// Gather per-rank values to `root`, ordered by rank.
     pub fn gather<T: MpiData + Clone>(&self, root: usize, value: T) -> Option<Vec<T>> {
         self.world().stats().record_collective();
@@ -146,65 +94,11 @@ impl Comm {
             })
             .collect()
     }
-
-    /// Exclusive prefix reduction: rank i gets op(identity, v0, …, v(i-1)).
-    /// PreDatA's staging aggregation uses this to assign global array
-    /// offsets from per-chunk sizes.
-    pub fn exscan<T, F>(&self, value: T, identity: T, op: F) -> T
-    where
-        T: MpiData + Clone,
-        F: Fn(T, T) -> T,
-    {
-        self.world().stats().record_collective();
-        self.gate_collective("exscan");
-        let inclusive_prev = if self.rank() == 0 {
-            identity
-        } else {
-            self.recv::<T>(self.rank() - 1)
-        };
-        if self.rank() + 1 < self.size() {
-            self.send(self.rank() + 1, op(inclusive_prev.clone(), value));
-        }
-        inclusive_prev
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::World;
-
-    #[test]
-    fn bcast_from_each_root() {
-        for root in 0..3 {
-            let out = World::run(3, move |c| {
-                let v = if c.rank() == root {
-                    Some(root as u64 * 7)
-                } else {
-                    None
-                };
-                c.bcast(root, v)
-            });
-            assert_eq!(out, vec![root as u64 * 7; 3]);
-        }
-    }
-
-    #[test]
-    fn reduce_sum_and_max() {
-        let out = World::run(5, |c| c.reduce(2, c.rank() as u64, |a, b| a + b));
-        assert_eq!(out[2], Some(10));
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(v.is_some(), i == 2);
-        }
-        let out = World::run(5, |c| c.allreduce(c.rank() as i64 - 2, i64::max));
-        assert_eq!(out, vec![2; 5]);
-    }
-
-    #[test]
-    fn reduce_is_deterministic_for_floats() {
-        let a = World::run(7, |c| c.allreduce(0.1f64 * c.rank() as f64, |x, y| x + y));
-        let b = World::run(7, |c| c.allreduce(0.1f64 * c.rank() as f64, |x, y| x + y));
-        assert_eq!(a, b); // bitwise equal, same fold order
-    }
 
     #[test]
     fn gather_and_allgather_ordered() {
@@ -243,21 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn exscan_prefixes() {
-        let exc = World::run(5, |c| c.exscan((c.rank() + 1) as u64, 0, |a, b| a + b));
-        assert_eq!(exc, vec![0, 1, 3, 6, 10]);
-    }
-
-    #[test]
-    fn exscan_assigns_chunk_offsets() {
-        // The staging-aggregation use case: ranks own chunks of sizes
-        // 10, 0, 5, 7; offsets must be 0, 10, 10, 15.
-        let sizes = [10u64, 0, 5, 7];
-        let out = World::run(4, move |c| c.exscan(sizes[c.rank()], 0, |a, b| a + b));
-        assert_eq!(out, vec![0, 10, 10, 15]);
-    }
-
-    #[test]
     fn collective_gate_fires_at_every_data_moving_entry() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
@@ -268,17 +147,17 @@ mod tests {
             c.set_collective_gate(Arc::new(move |_op, _rank, _seq| {
                 counted.fetch_add(1, Ordering::Relaxed);
             }));
-            let s = c.allreduce(1u64, |a, b| a + b); // reduce + bcast: 2 entries
+            let t = c.alltoall(vec![c.rank() as u64; 4]); // 1 entry
             c.barrier(); // moves no data: no entry
             let g = c.allgather(c.rank() as u64); // gather + allgather: 2 entries
-            (s, g)
+            (t, g)
         });
-        for (s, g) in out {
-            assert_eq!(s, 4);
+        for (t, g) in out {
+            assert_eq!(t, vec![0, 1, 2, 3]);
             assert_eq!(g, vec![0, 1, 2, 3]);
         }
-        // 4 ranks × (allreduce 2 + allgather 2) = 16 entries.
-        assert_eq!(entries.load(Ordering::Relaxed), 16);
+        // 4 ranks × (alltoall 1 + allgather 2) = 12 entries.
+        assert_eq!(entries.load(Ordering::Relaxed), 12);
     }
 
     #[test]
@@ -293,57 +172,69 @@ mod tests {
                 c.set_collective_gate(Arc::new(move |op, rank, seq| {
                     sink.lock().push((op, rank, seq));
                 }));
-                c.allreduce(c.rank() as u64, |a, b| a + b);
+                c.gather(1, c.rank() as u64);
+                c.alltoall(vec![c.rank() as u64; 2]);
                 c.allgather(c.rank() as u64);
             });
             let mut entries = log.lock().clone();
-            entries.sort_unstable();
+            entries.sort_unstable_by_key(|&(_, rank, seq)| (rank, seq));
             entries
         };
         let a = run();
         assert_eq!(a, run(), "same program, same gate schedule");
-        // Per rank: reduce(0) bcast(1) gather(2) allgather(3).
+        // Per rank: gather(0) alltoall(1) gather(2) allgather(3).
         for rank in 0..2u64 {
-            let seqs: Vec<_> = a.iter().filter(|e| e.1 == rank).map(|e| e.2).collect();
-            assert_eq!(seqs.len(), 4);
+            let ops: Vec<_> = a
+                .iter()
+                .filter(|e| e.1 == rank)
+                .map(|e| (e.0, e.2))
+                .collect();
+            let want = [
+                ("gather", 0),
+                ("alltoall", 1),
+                ("gather", 2),
+                ("allgather", 3),
+            ];
+            assert_eq!(ops, want);
         }
     }
 
     #[test]
     fn back_to_back_collectives_do_not_cross_match() {
         let out = World::run(4, |c| {
-            let s1 = c.allreduce(1u64, |a, b| a + b);
+            let t1 = c.alltoall(vec![1u64; 4]);
             let g = c.allgather(c.rank() as u64);
-            let s2 = c.allreduce(10u64, |a, b| a + b);
-            (s1, g, s2)
+            let t2 = c.alltoall(vec![10u64 * c.rank() as u64; 4]);
+            (t1, g, t2)
         });
-        for (s1, g, s2) in out {
-            assert_eq!(s1, 4);
+        for (t1, g, t2) in out {
+            assert_eq!(t1, vec![1; 4]);
             assert_eq!(g, vec![0, 1, 2, 3]);
-            assert_eq!(s2, 40);
+            assert_eq!(t2, vec![0, 10, 20, 30]);
         }
     }
 
     /// With no tags, a collective's messages are told apart from the next
-    /// one's by order alone. An `exscan` and a `bcast` let senders run
-    /// ahead of their receivers, so many rounds queue up between one pair
-    /// of ranks; each still lands in its own round.
+    /// one's by order alone. A `gather` lets every rank but the root send
+    /// and leave, so many rounds queue up between one pair of ranks; each
+    /// still lands in its own round.
     #[test]
     fn senders_running_ahead_stay_in_their_own_round() {
         let out = World::run(4, |c| {
             let mut seen = Vec::new();
             for round in 0..200u64 {
-                let prefix = c.exscan(round, 0, |a, b| a + b);
                 let root = round as usize % c.size();
-                let b = c.bcast(root, (c.rank() == root).then_some(round * 1000));
-                seen.push((prefix, b));
+                if let Some(all) = c.gather(root, round * 10 + c.rank() as u64) {
+                    seen.push((round, all));
+                }
             }
             seen
         });
         for (rank, seen) in out.into_iter().enumerate() {
-            for (round, (prefix, b)) in seen.into_iter().enumerate() {
-                assert_eq!(prefix, round as u64 * rank as u64);
-                assert_eq!(b, round as u64 * 1000);
+            assert_eq!(seen.len(), 50);
+            for (round, all) in seen {
+                assert_eq!(round as usize % 4, rank);
+                assert_eq!(all, (0..4).map(|r| round * 10 + r).collect::<Vec<_>>());
             }
         }
     }

@@ -8,13 +8,12 @@ use crate::data::MpiData;
 use crate::world::World;
 
 /// A hook invoked at the entry of every data-moving collective
-/// (bcast/reduce/gather/allgather/alltoall/exscan), *before* the first
-/// message moves, with `(op, rank, collective_seq)`. The
-/// fault-injection layer installs one to exercise collective retries
-/// without this crate depending on the transport: the gate may sleep
-/// or count, but it always returns — a collective, once entered, runs
-/// to completion, because abandoning it unilaterally would deadlock
-/// every peer.
+/// (gather/allgather/alltoall), *before* the first message moves, with
+/// `(op, rank, collective_seq)`. The fault-injection layer installs one
+/// to exercise collective retries without this crate depending on the
+/// transport: the gate may sleep or count, but it always returns — a
+/// collective, once entered, runs to completion, because abandoning it
+/// unilaterally would deadlock every peer.
 pub type CollectiveGate = dyn Fn(&'static str, u64, u64) + Send + Sync;
 
 /// A rank's handle on its world. A world has one communicator, spanning

@@ -5,9 +5,9 @@
 //! on the peta-scale machine" for shuffling and synchronization, and both
 //! driver applications (GTC, Pixie3D) are MPI codes. This crate supplies
 //! what the pipeline calls of that model — ranks of one world communicator
-//! and the collectives the paper's code paths need (barrier, allreduce,
-//! gather, allgather, alltoall, exscan) — with each rank mapped to one OS
-//! thread in a single process. Semantics match MPI; the wire is shared
+//! and the four collectives a staging step and the in-compute baseline
+//! use (gather, allgather, alltoall, barrier) — with each rank mapped to
+//! one OS thread in a single process. Semantics match MPI; the wire is shared
 //! memory. Wall-clock timing at peta-scale is supplied separately by the
 //! `simhec` discrete-event model.
 //!
@@ -21,11 +21,15 @@
 //! ```
 //! use minimpi::World;
 //!
+//! // Each rank sends `10 * src + dst` to every `dst`, and sums what it
+//! // received alongside every rank's rank.
 //! let sums = World::run(4, |comm| {
-//!     let mine = (comm.rank() + 1) as u64;
-//!     comm.allreduce(mine, |a, b| a + b)
+//!     let me = comm.rank() as u64;
+//!     let received = comm.alltoall((0..4).map(|dst| 10 * me + dst).collect());
+//!     let ranks: u64 = comm.allgather(me).iter().sum();
+//!     received.iter().sum::<u64>() + ranks
 //! });
-//! assert_eq!(sums, vec![10, 10, 10, 10]);
+//! assert_eq!(sums, vec![66, 70, 74, 78]);
 //! ```
 //!
 //! # Traffic accounting

@@ -1,6 +1,5 @@
 //! Edge-case tests for the message-passing runtime: large payloads,
-//! non-commutative prefixes, repeated barriers, and communicators moved
-//! into helper threads.
+//! repeated barriers, and communicators moved into helper threads.
 
 use minimpi::{Comm, World};
 
@@ -15,30 +14,14 @@ fn large_payload_roundtrip() {
 }
 
 #[test]
-fn exscan_non_commutative_ops_respect_rank_order() {
-    // String-like concat via Vec<u8>: order must be rank order.
-    let out = World::run(4, |c| {
-        let mine = vec![b'a' + c.rank() as u8];
-        c.exscan(mine, Vec::new(), |mut a, b| {
-            a.extend(b);
-            a
-        })
-    });
-    assert_eq!(out[0], b"");
-    assert_eq!(out[1], b"a");
-    assert_eq!(out[2], b"ab");
-    assert_eq!(out[3], b"abc");
-}
-
-#[test]
 fn barrier_is_reusable_between_collectives() {
     let out = World::run(4, |c| {
         for _ in 0..50 {
             c.barrier();
         }
-        c.allreduce(1u8, |a, b| a + b)
+        c.allgather(1u8)
     });
-    assert_eq!(out, vec![4, 4, 4, 4]);
+    assert_eq!(out, vec![vec![1; 4]; 4]);
 }
 
 #[test]

@@ -25,6 +25,19 @@
 //!   model, Criterion benches and the `criterion` shim — come back only
 //!   with a `benchmark/` workload that prices them, and with this test
 //!   changed in the same commit; so does a fourth `PREDATA_*` knob.
+//! - **`minimpi` keeps only what the pipeline calls.** One communicator
+//!   per world, point-to-point messages private to the collectives and
+//!   matched by source alone, one barrier per world, and the collectives
+//!   a step enters (gather, allgather, alltoall). A split, a tag, a
+//!   wildcard, a timed or probing receive, a scatter / scan / exscan /
+//!   alltoallv, a reduce / allreduce / bcast, or a public send / recv
+//!   comes back only with a caller outside the crate's own tests.
+//! - **One exchange per step.** Every operator's intermediates travel in
+//!   one `alltoall` and no `finalize` enters a collective: the collective
+//!   counts of `op::tests::four_gtc_operators_share_one_alltoall`,
+//!   `staging::tests::a_gtc_step_enters_gather_allgather_and_alltoall_only`
+//!   and `incompute::tests::sort_in_compute_produces_global_order` hold
+//!   that; here only the per-operator back half stays deleted.
 
 use std::path::{Path, PathBuf};
 
@@ -364,5 +377,88 @@ fn no_unpriced_subsystem() {
         manifests.is_empty(),
         "a manifest names criterion:\n{}",
         manifests.join("\n")
+    );
+}
+
+/// The part of a source file before its first `#[cfg(test)]` line.
+fn non_test(src: &str) -> &str {
+    src.find("\n#[cfg(test)]").map_or(src, |at| &src[..at])
+}
+
+/// `(public, name)` of the `fn` a line declares, if it declares one:
+/// `pub` alone counts as public, `pub(crate)` does not.
+fn declared_fn(line: &str) -> Option<(bool, &str)> {
+    let line = line.trim_start();
+    let at = line.find("fn ")?;
+    let words: Vec<&str> = line[..at].split_whitespace().collect();
+    let qualifier = |w: &&str| w.starts_with("pub") || ["const", "unsafe", "async"].contains(w);
+    if !words.iter().all(qualifier) {
+        return None;
+    }
+    let rest = &line[at + 3..];
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some((words.contains(&"pub"), &rest[..end]))
+}
+
+#[test]
+fn minimpi_keeps_only_what_the_pipeline_calls() {
+    const GONE: [&str; 10] = [
+        "split",
+        "scatter",
+        "scan",
+        "exscan",
+        "alltoallv",
+        "recv_timeout",
+        "probe",
+        "reduce",
+        "allreduce",
+        "bcast",
+    ];
+    const PRIVATE: [&str; 2] = ["send", "recv"];
+    const NAMES: [&str; 4] = ["ANY_SOURCE", "ANY_TAG", "RESERVED_TAGS", "comm_id"];
+    let mut hits = Vec::new();
+    let mut barriers = 0;
+    for path in files("crates/minimpi/src", &is_rust) {
+        let src = read(&path);
+        for (i, line) in non_test(&src).lines().enumerate() {
+            let grown = declared_fn(line).is_some_and(|(public, name)| {
+                GONE.contains(&name) || (public && PRIVATE.contains(&name))
+            });
+            if grown || NAMES.iter().any(|n| line.contains(n)) {
+                hits.push(format!("{}:{}: {}", shown(&path), i + 1, line.trim()));
+            }
+            barriers += line.matches("Barrier::new(").count();
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "minimpi has grown surface the pipeline does not call:\n{}",
+        hits.join("\n")
+    );
+    assert_eq!(barriers, 1, "one barrier per world");
+}
+
+#[test]
+fn declared_fn_reads_visibility_and_name() {
+    assert_eq!(declared_fn("    pub fn exscan<T>("), Some((true, "exscan")));
+    assert_eq!(declared_fn("pub(crate) fn send<T>("), Some((false, "send")));
+    assert_eq!(declared_fn("    const fn bcast()"), Some((false, "bcast")));
+    assert_eq!(declared_fn("    // the fn scan is gone"), None);
+    assert_eq!(declared_fn("let f = |x| x; // no fn here"), None);
+    let src = "fn a() {}\n#[cfg(test)]\nmod tests { fn exscan() {} }";
+    assert_eq!(non_test(src), "fn a() {}");
+}
+
+#[test]
+fn one_exchange_per_step() {
+    let hits = offending_lines("crates", &any_file, &|line| {
+        line.contains("complete_pipeline_traced") || line.contains("shuffle_tagged")
+    });
+    assert!(
+        hits.is_empty(),
+        "the per-operator back half is back:\n{}",
+        hits.join("\n")
     );
 }
