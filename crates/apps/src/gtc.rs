@@ -88,10 +88,6 @@ impl GtcWorld {
         }
     }
 
-    pub fn step_index(&self) -> u64 {
-        self.step
-    }
-
     /// Electron count currently on `rank`.
     pub fn count(&self, rank: usize) -> usize {
         self.electrons[rank].len() / PARTICLE_WIDTH

@@ -46,10 +46,6 @@ impl PixieWorld {
         ]
     }
 
-    pub fn step_index(&self) -> u64 {
-        self.step
-    }
-
     /// Block offset of a rank (row-major rank → grid coordinate).
     pub fn offset_of(&self, rank: usize) -> [u64; 3] {
         let r = rank as u64;
@@ -232,7 +228,6 @@ mod tests {
         w.step();
         let after = w.local_field("px", 0);
         assert_ne!(before, after);
-        assert_eq!(w.step_index(), 1);
     }
 
     #[test]

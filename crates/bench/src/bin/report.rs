@@ -14,8 +14,10 @@
 //! snapshot and exits nonzero if any fails, so exporter drift against
 //! `crates/bench/testdata/` is caught at build time.
 //!
-//! Snapshots come from `PREDATA_METRICS=/path/snapshot.json` (written
-//! at `StagingArea::join`) or from `obs::global().snapshot().to_json()`.
+//! Snapshots come from `StagingArea::join`, which exports the staging
+//! endpoints' registry (for the global one, to `PREDATA_METRICS=/path`;
+//! for any other, to its `Registry::set_export_path`), or from any
+//! registry's `snapshot().to_json()`.
 
 use std::io::Read;
 use std::process::ExitCode;

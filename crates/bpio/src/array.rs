@@ -94,8 +94,7 @@ impl DataArray {
     /// so this returns a borrowed byte view of it — the writer hands
     /// the view straight to a vectored write and the payload is never
     /// re-assembled. Other targets fall back to the byte-swapping copy
-    /// of [`DataArray::to_le_bytes`], counted in the
-    /// `predata.bytes_copied` counter so the copy stays visible.
+    /// of [`DataArray::to_le_bytes`].
     pub fn as_le_bytes(&self) -> std::borrow::Cow<'_, [u8]> {
         #[cfg(target_endian = "little")]
         {
@@ -118,11 +117,7 @@ impl DataArray {
         }
         #[cfg(not(target_endian = "little"))]
         {
-            let bytes = self.to_le_bytes();
-            obs::global()
-                .counter("predata.bytes_copied", &[("site", "bpio.byteswap")])
-                .add(bytes.len() as u64);
-            std::borrow::Cow::Owned(bytes)
+            std::borrow::Cow::Owned(self.to_le_bytes())
         }
     }
 

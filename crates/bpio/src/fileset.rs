@@ -30,10 +30,6 @@ impl BpFileSet {
         Ok(BpFileSet { parts })
     }
 
-    pub fn n_parts(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Steps present in any part, sorted.
     pub fn steps(&self) -> Vec<u64> {
         let mut s: Vec<u64> = self.parts.iter().flat_map(|p| p.index().steps()).collect();
@@ -133,7 +129,6 @@ mod tests {
     fn assembles_across_files() {
         let paths = write_parts(&[(0, 5), (5, 4), (9, 3)], "asm");
         let mut set = BpFileSet::open(&paths).unwrap();
-        assert_eq!(set.n_parts(), 3);
         assert_eq!(set.steps(), vec![0]);
         let all = set.read_global("x", 0).unwrap();
         assert_eq!(all, DataArray::F64((0..12).map(|v| v as f64).collect()));

@@ -132,23 +132,6 @@ impl BpReader {
         global_var(std::slice::from_ref(self), var, step).map(|c| c.global.clone())
     }
 
-    /// Prune chunks by the footer min/max characteristics: which chunks
-    /// *might* contain values in `[lo, hi]`. This is the index-assisted
-    /// read reduction the paper's bitmap-indexing task relies on.
-    pub fn chunks_possibly_in_range(
-        &self,
-        var: &str,
-        step: u64,
-        lo: f64,
-        hi: f64,
-    ) -> Vec<&VarEntry> {
-        self.index
-            .chunks_of(var, step)
-            .into_iter()
-            .filter(|c| c.max >= lo && c.min <= hi)
-            .collect()
-    }
-
     /// One read op: fill `buf` from `offset`, counted in the stats.
     fn read_range(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.file.read_exact_at(buf, offset)?;
@@ -435,21 +418,6 @@ mod tests {
             r.read_global("field", 9),
             Err(BpError::NotFound { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn minmax_pruning() {
-        let path = tmp("prune");
-        write_strips(&path, 8); // values 0..32 in 8 strips
-        let r = BpReader::open(&path).unwrap();
-        // Values 30..31 live only in the last strip's rows; min/max per
-        // chunk spans full columns, so pruning keeps chunks whose range
-        // intersects [30, 31].
-        let hits = r.chunks_possibly_in_range("field", 0, 30.0, 31.0);
-        assert!(!hits.is_empty() && hits.len() < 8);
-        let all = r.chunks_possibly_in_range("field", 0, f64::MIN, f64::MAX);
-        assert_eq!(all.len(), 8);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -63,6 +63,10 @@ fn write_all_vectored(out: &mut File, bufs: &[&[u8]]) -> std::io::Result<()> {
 /// never assembled in memory, so appending a PG moves each payload
 /// buffer zero times (on little-endian targets) between the operator
 /// that produced it and the file.
+///
+/// The writer records no telemetry: it is built without a registry, so
+/// its pipeline callers record the `write` row and `bpio.bytes_written`
+/// in theirs ([`bytes_written`](BpWriter::bytes_written) gives the size).
 pub struct BpWriter {
     out: File,
     path: PathBuf,
@@ -114,18 +118,11 @@ impl BpWriter {
         let (segments, payload_offsets, block_len) = pg.encode_parts(&mut head);
         let base = self.pos;
         let slices: Vec<&[u8]> = segments.iter().map(|s| &s[..]).collect();
-        // Rank- and chunk-less: `writer_rank` is a staging rank for a
-        // merged output and a compute rank for an in-compute one.
-        let write_span = obs::span!("write", pg.step).bytes(block_len);
         if let Err(e) = write_all_vectored(&mut self.out, &slices) {
             self.closed = true;
             return Err(e.into());
         }
-        drop(write_span);
         self.pos += block_len;
-        obs::global()
-            .counter("bpio.bytes_written", &[])
-            .add(block_len);
         self.index.pgs.push(PgEntry {
             writer_rank: pg.writer_rank,
             step: pg.step,
@@ -156,17 +153,10 @@ impl BpWriter {
     /// single vectored write.
     pub fn finish(mut self) -> Result<FileIndex> {
         self.closed = true;
-        let started = obs::enabled().then(std::time::Instant::now);
         let idx = self.index.encode();
         let idx_len = (idx.len() as u64).to_le_bytes();
         write_all_vectored(&mut self.out, &[&idx, &idx_len, &FILE_MAGIC])?;
         self.out.flush()?;
-        if let Some(t) = started {
-            // Footer + flush latency: the "fsync" tail of a staged write.
-            obs::global()
-                .histogram("bpio.finish_ns", &[])
-                .record(t.elapsed().as_nanos() as u64);
-        }
         Ok(std::mem::take(&mut self.index))
     }
 }

@@ -110,23 +110,6 @@ impl Aggregates {
                 })
             })
     }
-
-    /// Exclusive prefix sum of an integer attribute in compute-rank order:
-    /// the global offset of `rank`'s contribution. `None` if the rank is
-    /// unknown.
-    pub fn prefix_u64(&self, key: &str, rank: usize) -> Option<u64> {
-        if !self.per_rank.contains_key(&rank) {
-            return None;
-        }
-        let mut acc = 0;
-        for (&r, a) in &self.per_rank {
-            if r == rank {
-                return Some(acc);
-            }
-            acc += a.get(key).and_then(Value::as_u64).unwrap_or(0);
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -153,10 +136,6 @@ mod tests {
         assert_eq!(agg.sum_u64("np"), 17);
         assert_eq!(agg.min_f64("min_x"), Some(-3.0));
         assert_eq!(agg.max_f64("max_x"), Some(5.0));
-        assert_eq!(agg.prefix_u64("np", 0), Some(0));
-        assert_eq!(agg.prefix_u64("np", 1), Some(10));
-        assert_eq!(agg.prefix_u64("np", 2), Some(10));
-        assert_eq!(agg.prefix_u64("np", 9), None);
         assert_eq!(agg.min_f64("absent"), None);
     }
 
@@ -172,12 +151,11 @@ mod tests {
                 })
                 .collect();
             let agg = Aggregates::build(local.iter().map(|(r, a)| (*r, a)), &comm);
-            (agg.n_ranks(), agg.sum_u64("np"), agg.prefix_u64("np", 4))
+            (agg.n_ranks(), agg.sum_u64("np"))
         });
-        for (n, total, prefix4) in out {
+        for (n, total) in out {
             assert_eq!(n, 6);
             assert_eq!(total, 1 + 2 + 3 + 4 + 5 + 6);
-            assert_eq!(prefix4, Some(1 + 2 + 3 + 4)); // ranks 0..3 precede 4
         }
     }
 }

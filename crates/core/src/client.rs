@@ -134,16 +134,17 @@ impl PredataClient {
     /// The whole call is the simulation's blocked-in-output window — the
     /// `blocked` row of the perturbation view — and the pack / route /
     /// request hand-offs inside it are the first three stages of the
-    /// chunk's lineage. (`wait_drained` is not attributed — it spans
-    /// steps.)
+    /// chunk's lineage, all in the endpoint's registry. (`wait_drained`
+    /// is not attributed — it spans steps.)
     pub fn write_pg(&self, pg: ProcessGroup) -> Result<WriteReceipt, ClientError> {
         let step = pg.step;
         // The one clock read both always-on rows (`blocked`, `pack`)
         // start from: framing is the first thing the call does.
-        let started = obs::enabled().then(Instant::now);
+        let started = self.endpoint.obs().enabled().then(Instant::now);
         let receipt = self.write_pg_from(pg, started);
         if let Some(t) = started {
-            obs::global().record(obs::Event::timed("blocked", step, t, t.elapsed()));
+            let blocked = obs::Event::timed("blocked", step, t, t.elapsed());
+            self.endpoint.obs().record(blocked);
         }
         receipt
     }
@@ -157,13 +158,14 @@ impl PredataClient {
     ) -> Result<WriteReceipt, ClientError> {
         let step = pg.step;
         let src = self.rank() as u64;
+        let obs = self.endpoint.obs();
         // Stage 1b: the self-describing chunk, framed into a header
         // buffer this client already owns; the payloads stay put.
         let chunk = self.frame(pg)?;
         let bytes = chunk.len();
         if let Some(t) = started {
             let pack = obs::Event::timed("pack", step, t, t.elapsed());
-            obs::global().record(pack.chunk(src).bytes(bytes as u64));
+            obs.record(pack.chunk(src).bytes(bytes as u64));
         }
         // Stage 1a: optional local first pass; results ride the request.
         // (After the framing, which does not need them, so that the
@@ -186,9 +188,9 @@ impl PredataClient {
         // Only the lineage view reads the `routed` and `request_sent`
         // marks, so they cost the simulation's thread nothing unless the
         // registry is logging events.
-        let lineage = obs::global().detail();
+        let lineage = obs.detail();
         if lineage {
-            obs::mark("routed", step).chunk(src);
+            obs::mark_in(obs, "routed", step).chunk(src);
         }
         if let Err(e) = self.endpoint.send_request(
             staging_rank,
@@ -208,7 +210,7 @@ impl PredataClient {
             return Err(e.into());
         }
         if lineage {
-            obs::mark("request_sent", step).chunk(src);
+            obs::mark_in(obs, "request_sent", step).chunk(src);
         }
         self.outstanding.borrow_mut().insert(handle, buf);
         Ok(WriteReceipt {

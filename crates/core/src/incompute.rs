@@ -88,7 +88,7 @@ pub fn write_dump_collective(
     let written = (|| {
         let mut w = bpio::BpWriter::create(path)?;
         for b in blocks {
-            w.append_pg(&bpio::ProcessGroup::decode(&b)?)?;
+            crate::ops::append_pg(comm.obs(), &mut w, &bpio::ProcessGroup::decode(&b)?)?;
         }
         w.finish()
     })();

@@ -304,23 +304,24 @@ fn route(ops: &[&mut dyn StreamOp], combined: Vec<Vec<Tagged>>, n: usize) -> Vec
 /// gets its `shuffled`, `reduced` and `written` lineage marks here, only
 /// while the registry logs events. Each phase runs under an obs span (the
 /// paper's Fig. 7–9 breakdowns), and each operator's `reduce` and
-/// `finalize` under its own [`StageRows`] inside it.
+/// `finalize` under its own [`StageRows`] inside it — all in the
+/// registry of `ctx.comm` ([`Comm::obs`]).
 pub fn exchange(
     ops: &mut [&mut dyn StreamOp],
     streams: Vec<Vec<Tagged>>,
     ctx: &OpCtx,
     chunk_srcs: &[usize],
 ) -> Vec<OpResult> {
-    let (step, rank) = (ctx.step, ctx.my_rank());
+    let (step, rank, obs) = (ctx.step, ctx.my_rank(), ctx.comm.obs());
     let mark_chunks = |stage: &'static str| {
-        if obs::global().detail() {
+        if obs.detail() {
             for &src in chunk_srcs {
-                obs::mark(stage, step).rank(rank).chunk(src as u64);
+                obs::mark_in(obs, stage, step).rank(rank).chunk(src as u64);
             }
         }
     };
     let combined = {
-        let _s = obs::span!("combine", step).rank(rank);
+        let _s = obs::span_in(obs, "combine", step).rank(rank);
         ops.iter_mut()
             .zip(streams)
             .map(|(op, items)| op.combine(items))
@@ -328,7 +329,7 @@ pub fn exchange(
     };
     let mut grouped: Vec<BTreeMap<u64, Vec<Bytes>>> = vec![BTreeMap::new(); ops.len()];
     {
-        let _s = obs::span!("shuffle", step).rank(rank);
+        let _s = obs::span_in(obs, "shuffle", step).rank(rank);
         let buckets = route(ops, combined, ctx.n_ranks());
         // Regroup by operator and tag — by move; payload bytes are
         // untouched.
@@ -338,9 +339,9 @@ pub fn exchange(
     }
     mark_chunks("shuffled");
     {
-        let _s = obs::span!("reduce", step).rank(rank);
+        let _s = obs::span_in(obs, "reduce", step).rank(rank);
         for (op, groups) in ops.iter_mut().zip(grouped) {
-            let _s = obs::span!(op.stage_rows().reduce, step).rank(rank);
+            let _s = obs::span_in(obs, op.stage_rows().reduce, step).rank(rank);
             for (tag, items) in groups {
                 op.reduce(tag, items, ctx);
             }
@@ -348,10 +349,10 @@ pub fn exchange(
     }
     mark_chunks("reduced");
     let results = {
-        let _s = obs::span!("finalize", step).rank(rank);
+        let _s = obs::span_in(obs, "finalize", step).rank(rank);
         ops.iter_mut()
             .map(|op| {
-                let _s = obs::span!(op.stage_rows().finalize, step).rank(rank);
+                let _s = obs::span_in(obs, op.stage_rows().finalize, step).rank(rank);
                 op.finalize(ctx)
             })
             .collect()

@@ -467,7 +467,7 @@ impl StreamOp for BitmapIndexOp {
         }
         debug_assert_eq!(blob.len(), total);
         let written = std::fs::write(&path, blob);
-        record_output(&mut result, path, written);
+        record_output(ctx, &mut result, path, written);
         self.built.clear();
         result
     }

@@ -262,7 +262,7 @@ impl<const AXES: usize> StreamOp for BinnedCountOp<AXES> {
                 .expect("declared scalar");
             pg.write(&def, "counts", DataArray::U64(cells))
                 .expect("bins^AXES cells");
-            write_output(&mut result, path, &[], &pg);
+            write_output(ctx, &mut result, path, &[], &pg);
         }
         result
     }

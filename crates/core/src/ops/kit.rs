@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use ffs::{AttrList, Value};
 
 use crate::agg::Aggregates;
-use crate::op::OpResult;
+use crate::op::{OpCtx, OpResult};
 use crate::schema::{particles_of, PARTICLE_ATTRS, PARTICLE_WIDTH};
 
 /// Which of the `bins` equal cuts of `[lo, hi]` holds `v`. Values outside
@@ -77,6 +77,7 @@ pub fn attach_particle_stats(pg: &bpio::ProcessGroup, out: &mut AttrList) {
 /// Write `pg` as the one process group of a new BP file at `path`, under
 /// the given footer annotations, and list the file in `result.files`.
 pub(crate) fn write_output(
+    ctx: &OpCtx,
     result: &mut OpResult,
     path: PathBuf,
     annotations: &[(&str, &str)],
@@ -86,10 +87,28 @@ pub(crate) fn write_output(
         for (name, value) in annotations {
             w.annotate(*name, *value);
         }
-        w.append_pg(pg)?;
+        append_pg(ctx.comm.obs(), &mut w, pg)?;
         w.finish().map(drop)
     });
-    record_output(result, path, written);
+    record_output(ctx, result, path, written);
+}
+
+/// `w.append_pg(pg)`, recorded in `obs`: the `write` row and
+/// `bpio.bytes_written`. The row is rank- and chunk-less — `writer_rank`
+/// is a staging rank for a merged output and a compute rank for an
+/// in-compute one.
+pub(crate) fn append_pg(
+    obs: &obs::Registry,
+    w: &mut bpio::BpWriter,
+    pg: &bpio::ProcessGroup,
+) -> bpio::Result<()> {
+    let span = obs::span_in(obs, "write", pg.step);
+    let before = w.bytes_written();
+    w.append_pg(pg)?;
+    let block = w.bytes_written() - before;
+    drop(span.bytes(block));
+    obs.counter("bpio.bytes_written", &[]).add(block);
+    Ok(())
 }
 
 /// List `path` in `result.files` if it was written. If it was not, the
@@ -97,6 +116,7 @@ pub(crate) fn write_output(
 /// good — so the loss is reported, not raised: the path stays out of
 /// `files`, `staging.output_errors{op}` ticks and one warning says why.
 pub(crate) fn record_output(
+    ctx: &OpCtx,
     result: &mut OpResult,
     path: PathBuf,
     written: Result<(), impl Display>,
@@ -105,7 +125,8 @@ pub(crate) fn record_output(
         Ok(()) => result.files.push(path),
         Err(e) => {
             let op = result.op.as_str();
-            obs::global()
+            ctx.comm
+                .obs()
                 .counter("staging.output_errors", &[("op", op)])
                 .inc();
             eprintln!(
@@ -320,20 +341,17 @@ mod tests {
         path
     }
 
-    fn output_errors(op: &str) -> u64 {
-        let labels = [("op", op)];
-        obs::global()
-            .counter("staging.output_errors", &labels)
-            .get()
-    }
-
     /// Run `make_op()` on `out_dirs.len()` ranks, one four-row chunk each,
-    /// rank `r` writing under `out_dirs[r]`; each rank's result.
+    /// rank `r` writing under `out_dirs[r]`; each rank's result, and the
+    /// `staging.output_errors` of the operator, from the ranks' registry.
     fn run_with_out_dirs(
         make_op: fn() -> Box<dyn StreamOp>,
         out_dirs: Vec<PathBuf>,
-    ) -> Vec<OpResult> {
-        World::run(out_dirs.len(), move |comm| {
+    ) -> (Vec<OpResult>, u64) {
+        let obs = obs::Registry::new();
+        let ranks = obs.clone();
+        let results = World::run(out_dirs.len(), move |mut comm| {
+            comm.set_obs(ranks.clone());
             let mut op = make_op();
             let ctx = OpCtx {
                 comm: &comm,
@@ -347,34 +365,36 @@ mod tests {
             let chunk = PackedChunk::new(make_particle_pg(comm.rank() as u64, 0, rows.collect()));
             let mapped = op.map(&chunk, &ctx);
             complete_pipeline(op.as_mut(), mapped, &ctx)
-        })
+        });
+        let labels = [("op", results[0].op.as_str())];
+        let errors = obs.counter("staging.output_errors", &labels).get();
+        (results, errors)
     }
 
     #[test]
     fn a_bp_output_that_cannot_be_written_is_counted_not_raised() {
         let dir = broken_out_dir("bp");
-        let before = output_errors("histogram");
-        let results =
+        let (results, errors) =
             run_with_out_dirs(|| Box::new(HistogramOp::new(vec![0], 4)), vec![dir.clone()]);
         assert!(results[0].files.is_empty());
         assert_eq!(
             results[0].values.get("hist_x"),
             Some(&Value::ArrU64(vec![1, 1, 1, 1]))
         );
-        assert_eq!(output_errors("histogram"), before + 1);
+        assert_eq!(errors, 1);
         std::fs::remove_file(dir).unwrap();
     }
 
     #[test]
     fn an_index_blob_that_cannot_be_written_is_counted_not_raised() {
         let dir = broken_out_dir("idx");
-        let before = output_errors("bitmap_index");
-        let results = run_with_out_dirs(|| Box::new(BitmapIndexOp::new(0, 4)), vec![dir.clone()]);
+        let (results, errors) =
+            run_with_out_dirs(|| Box::new(BitmapIndexOp::new(0, 4)), vec![dir.clone()]);
         assert!(results[0].files.is_empty());
         assert_eq!(results[0].values.get_u64("indexed_chunks"), Some(1));
         assert_eq!(results[0].values.get_u64("indexed_rows"), Some(4));
         assert!(results[0].values.get_u64("index_bytes").is_some());
-        assert_eq!(output_errors("bitmap_index"), before + 1);
+        assert_eq!(errors, 1);
         std::fs::remove_file(dir).unwrap();
     }
 
@@ -386,9 +406,8 @@ mod tests {
         let broken = broken_out_dir("sort");
         let good = std::env::temp_dir().join(format!("kit-sort-ok-{}", std::process::id()));
         std::fs::create_dir_all(&good).unwrap();
-        let before = output_errors("sort");
         let dirs = vec![good.clone(), broken.clone()];
-        let results = run_with_out_dirs(|| Box::new(SortOp::new()), dirs);
+        let (results, errors) = run_with_out_dirs(|| Box::new(SortOp::new()), dirs);
         assert_eq!(results[0].files.len(), 1);
         assert!(results[1].files.is_empty());
         for r in &results {
@@ -397,7 +416,7 @@ mod tests {
                 r.values.get_u64("np_sorted").is_some() && r.values.get_u64("offset").is_some()
             );
         }
-        assert_eq!(output_errors("sort"), before + 1);
+        assert_eq!(errors, 1);
         std::fs::remove_file(broken).unwrap();
         std::fs::remove_dir_all(good).unwrap();
     }

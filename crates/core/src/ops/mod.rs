@@ -27,6 +27,7 @@ pub mod sort;
 
 pub use bitmap::{BitmapIndex, BitmapIndexOp, IndexSet};
 pub use histogram::{Histogram2dOp, HistogramOp};
+pub(crate) use kit::append_pg;
 pub use kit::attach_particle_stats;
 pub use reorg::ReorgOp;
 pub use sort::SortOp;

@@ -247,7 +247,7 @@ impl StreamOp for ReorgOp {
                 .unwrap();
         }
         let annotations = [("layout", "merged"), ("prepared_by", "predata/reorg")];
-        super::kit::write_output(&mut result, path, &annotations, &pg);
+        super::kit::write_output(ctx, &mut result, path, &annotations, &pg);
         for (slab, var) in self.buffers.iter_mut().zip(pg.vars.drain(first_slab..)) {
             if let DataArray::F64(data) = var.data {
                 *slab = data;

@@ -374,7 +374,7 @@ impl StreamOp for SortOp {
         )
         .unwrap();
         let annotations = [("sorted_by", "label"), ("prepared_by", "predata/sort")];
-        super::kit::write_output(&mut result, path, &annotations, &pg);
+        super::kit::write_output(ctx, &mut result, path, &annotations, &pg);
         if let Some(bpio::DataArray::F64(mut rows)) = pg.vars.pop().map(|v| v.data) {
             if keeps_buffers(ctx) {
                 rows.clear();

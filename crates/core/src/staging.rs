@@ -64,8 +64,8 @@ use crate::op::{exchange, ChunkMapper, OpCtx, OpResult, StreamOp, Tagged};
 /// Mark chunk `(src_rank, step)` truncated on staging rank `rank`: its
 /// pull was given up, or its step abandoned, and it will never reach
 /// `written`. A terminal lineage stage.
-fn mark_truncated(rank: usize, src_rank: usize, step: u64) {
-    obs::mark("truncated", step)
+fn mark_truncated(obs: &obs::Registry, rank: usize, src_rank: usize, step: u64) {
+    obs::mark_in(obs, "truncated", step)
         .rank(rank)
         .chunk(src_rank as u64);
 }
@@ -257,6 +257,9 @@ impl StagingRank {
     /// Fails with [`StagingError::Io`] when the output directory cannot
     /// be created — a misconfigured path must surface at startup, not as
     /// mysterious per-step write failures later.
+    ///
+    /// The rank records into its endpoint's registry, and binds it to
+    /// `comm` so the operators' context ([`OpCtx::comm`]) reaches it too.
     pub fn new(
         mut comm: Comm,
         endpoint: StagingEndpoint,
@@ -266,6 +269,8 @@ impl StagingRank {
         cfg: StagingConfig,
     ) -> Result<Self, StagingError> {
         std::fs::create_dir_all(&cfg.out_dir)?;
+        let obs = endpoint.obs().clone();
+        comm.set_obs(obs.clone());
         // An attached fault plan covers the staging-wide collectives
         // too: every collective entry consults `FaultKind::Collective`
         // under the rank's `cfg.retry`. Injection happens only at
@@ -277,7 +282,8 @@ impl StagingRank {
             let plan = Arc::clone(plan);
             let retry = cfg.retry.clone();
             comm.set_collective_gate(Arc::new(move |_op, rank, seq| {
-                let _ = retry.guard(Some(&plan), "collective", FaultKind::Collective, rank, seq);
+                let kind = FaultKind::Collective;
+                let _ = retry.guard(&obs, Some(&plan), "collective", kind, rank, seq);
             }));
         }
         Ok(StagingRank {
@@ -319,7 +325,7 @@ impl StagingRank {
             // A failed or timed-out step leaves terminal lineage
             // records, not dangling ones.
             for r in &requests {
-                mark_truncated(self.comm.rank(), r.src_rank, step);
+                mark_truncated(self.comm.obs(), self.comm.rank(), r.src_rank, step);
             }
         }
         report
@@ -330,7 +336,8 @@ impl StagingRank {
     /// arrive early for a later step are stashed for its gather; one
     /// for an earlier step is [`StagingError::StepSkew`].
     fn gather(&mut self, step: u64, requests: &mut Vec<FetchRequest>) -> Result<(), StagingError> {
-        let _span = obs::span!("gather", step).rank(self.comm.rank());
+        let obs = self.comm.obs();
+        let _span = obs::span_in(obs, "gather", step).rank(self.comm.rank());
         let n_served = self
             .router
             .served_by(self.comm.rank(), self.cfg.n_compute, step)
@@ -349,7 +356,7 @@ impl StagingRank {
             (self.cfg.gather_timeout / recv_retry.max_attempts()).max(Duration::from_millis(1));
         while requests.len() < n_served {
             let endpoint = &self.endpoint;
-            let r = recv_retry.run("recv", step, |_| endpoint.recv_request(recv_slice))?;
+            let r = recv_retry.run(obs, "recv", step, |_| endpoint.recv_request(recv_slice))?;
             if r.io_step == step {
                 requests.push(r);
             } else if r.io_step > step {
@@ -368,7 +375,7 @@ impl StagingRank {
     /// to the requests staging-wide, and `initialize` every operator
     /// with the global [`Aggregates`]. Collective.
     fn aggregate(&mut self, step: u64, requests: &[FetchRequest]) -> Aggregates {
-        let _span = obs::span!("aggregate", step).rank(self.comm.rank());
+        let _span = obs::span_in(self.comm.obs(), "aggregate", step).rank(self.comm.rank());
         let local = requests.iter().map(|r| (r.src_rank, &r.attrs));
         let agg = Aggregates::build(local, &self.comm);
         let ctx = op_ctx(&self.comm, &self.cfg, step, &agg);
@@ -395,11 +402,11 @@ impl StagingRank {
         if requests.is_empty() {
             return Ok(out);
         }
-        let my_rank = self.comm.rank();
+        let (my_rank, obs) = (self.comm.rank(), self.comm.obs());
         // Wall time of the whole rank-local stage. Stage 4 is collective —
         // every rank waits for the slowest inside it — so only this stage
         // carries a per-rank imbalance signal.
-        let _span = obs::span!("pull_map", step).rank(my_rank);
+        let _span = obs::span_in(obs, "pull_map", step).rank(my_rank);
         // Map state frozen by `initialize`, and each operator's map row.
         let mappers: Vec<(Arc<dyn ChunkMapper>, &'static str)> = self
             .ops
@@ -414,7 +421,7 @@ impl StagingRank {
                 .rank(my_rank)
                 .chunk(src_rank as u64)
                 .bytes(bytes as u64);
-            obs::global().record(event);
+            obs.record(event);
         };
         let retry = &self.cfg.retry;
         let gather_timeout = self.cfg.gather_timeout;
@@ -427,7 +434,7 @@ impl StagingRank {
             // never arrive.
             let t_wait = Instant::now();
             let left = || gather_timeout.saturating_sub(t_wait.elapsed());
-            while !self.policy.wait_ready(req, left()) {
+            while !self.policy.wait_ready(req, left(), obs) {
                 if left().is_zero() {
                     return Err(TransportError::Timeout.into());
                 }
@@ -445,19 +452,22 @@ impl StagingRank {
                 .step_deadline()
                 .saturating_sub(t_pull - started)
                 .max(Duration::from_millis(1));
-            let pulled = retry.clone().deadline(remaining).run("pull", salt, |_| {
-                let plan = self.endpoint.fault_plan();
-                let fault = plan.and_then(|p| p.inject_pull(src_rank, step, req.handle));
-                fault.map_or_else(|| self.endpoint.rdma_get(req), Err)
-            });
+            let pulled = retry
+                .clone()
+                .deadline(remaining)
+                .run(obs, "pull", salt, |_| {
+                    let plan = self.endpoint.fault_plan();
+                    let fault = plan.and_then(|p| p.inject_pull(obs, src_rank, step, req.handle));
+                    fault.map_or_else(|| self.endpoint.rdma_get(req), Err)
+                });
             let buf = match pulled {
                 Ok(buf) => buf,
                 // A skipped chunk leaves the streams entirely — excluded,
                 // counted, and terminally marked in lineage, never
                 // silently half-applied.
                 Err(e) if RetryPolicy::is_retryable(&e) => {
-                    mark_truncated(my_rank, req.src_rank, step);
-                    obs::global().counter("staging.truncated_chunks", &[]).inc();
+                    mark_truncated(obs, my_rank, req.src_rank, step);
+                    obs.counter("staging.truncated_chunks", &[]).inc();
                     out.truncated.push(req.src_rank);
                     continue;
                 }
@@ -472,7 +482,7 @@ impl StagingRank {
             // or an exposer's whole buffer it may recycle) is let go.
             drop(buf);
             for (stream, (mapper, row)) in out.per_op.iter_mut().zip(&mappers) {
-                let _s = obs::span!(row, step).rank(my_rank).chunk(src_rank);
+                let _s = obs::span_in(obs, row, step).rank(my_rank).chunk(src_rank);
                 stream.extend(mapper.map_chunk(&chunk, &map_ctx));
             }
             let t_done = Instant::now();
@@ -534,6 +544,8 @@ type RankOutcome = Result<Vec<StepReport>, StagingError>;
 pub struct StagingArea {
     /// `(rank, handle)` so a panicked thread can be blamed by rank.
     handles: Vec<(usize, std::thread::JoinHandle<RankOutcome>)>,
+    /// The endpoints' registry, exported at [`join`](StagingArea::join).
+    obs: obs::Registry,
 }
 
 impl StagingArea {
@@ -555,6 +567,7 @@ impl StagingArea {
     ) -> StagingArea {
         let n = endpoints.len();
         let (world, comms) = World::with_size(n);
+        let obs = endpoints[0].obs().clone();
         let handles = endpoints
             .into_iter()
             .zip(comms)
@@ -580,7 +593,7 @@ impl StagingArea {
                 (rank, handle)
             })
             .collect();
-        StagingArea { handles }
+        StagingArea { handles, obs }
     }
 
     /// Wait for every staging rank; returns per-rank step reports. A
@@ -589,16 +602,18 @@ impl StagingArea {
     /// peer that its death (or another rank's error) woke out of a
     /// collective; the other ranks' results are still returned.
     ///
-    /// On the way out, honours the obs export contract: writes a JSON
-    /// metrics snapshot when `PREDATA_METRICS` names a path, and flushes
-    /// the Chrome trace when `PREDATA_TRACE` is set.
+    /// On the way out, honours the obs export contract for the
+    /// endpoints' registry: writes a JSON metrics snapshot where its
+    /// export path is set (`PREDATA_METRICS` for the global one), and
+    /// flushes the Chrome trace where its trace path is
+    /// (`PREDATA_TRACE`).
     pub fn join(self) -> Vec<Result<Vec<StepReport>, StagingError>> {
         let reports = self
             .handles
             .into_iter()
             .map(|(rank, h)| h.join().unwrap_or(Err(StagingError::WorkerPanicked(rank))))
             .collect();
-        if let Err(e) = obs::global().export() {
+        if let Err(e) = self.obs.export() {
             eprintln!("warning: PREDATA_METRICS / PREDATA_TRACE export failed: {e}");
         }
         reports
@@ -1006,7 +1021,8 @@ mod tests {
             .find(|&s| selects(s, 1) && !selects(s, 0) && !selects(s, 2))
             .unwrap();
         let plan = Arc::new(FaultPlan::new(seed).drop_chunks(0.5));
-        let (_fabric, computes, stagings) = Fabric::with_faults(3, 1, None, Some(plan));
+        let (_fabric, computes, stagings) =
+            Fabric::with_faults(3, 1, None, Some(plan), obs::Registry::new());
         let router: Arc<dyn Router> = Arc::new(BlockRouter::new(3, 1));
         let dir = out_dir("pull-map");
         // Rank r writes r+1 particles → chunk sizes 1 < 2 < 3.
@@ -1049,7 +1065,7 @@ mod tests {
     struct NeverReady;
     impl PullPolicy for NeverReady {
         fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
-        fn wait_ready(&self, _next: &FetchRequest, timeout: Duration) -> bool {
+        fn wait_ready(&self, _next: &FetchRequest, timeout: Duration, _: &obs::Registry) -> bool {
             std::thread::sleep(timeout);
             false
         }
@@ -1061,8 +1077,9 @@ mod tests {
     /// truncated.
     #[test]
     fn a_policy_that_never_turns_ready_times_the_step_out() {
-        const STEP: u64 = 95;
-        let (_fabric, computes, stagings) = Fabric::new(3, 1, None);
+        const STEP: u64 = 0;
+        let obs = obs::Registry::new();
+        let (_fabric, computes, stagings) = Fabric::with_faults(3, 1, None, None, obs.clone());
         let router: Arc<dyn Router> = Arc::new(BlockRouter::new(3, 1));
         let dir = out_dir("never-ready");
         for (r, e) in computes.into_iter().enumerate() {
@@ -1084,7 +1101,7 @@ mod tests {
             took >= Duration::from_millis(200) && took < Duration::from_secs(5),
             "{took:?}"
         );
-        let marked = obs::global().snapshot().span("truncated", STEP);
+        let marked = obs.snapshot().span("truncated", STEP);
         assert_eq!(marked.map(|s| s.count), Some(3), "one mark per chunk");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1094,7 +1111,8 @@ mod tests {
     /// are one free pull and seven refills of 64 ms each.
     #[test]
     fn rate_limited_pulls_are_charged_their_bytes() {
-        let (_fabric, computes, stagings) = Fabric::new(8, 1, None);
+        let obs = obs::Registry::new();
+        let (_fabric, computes, stagings) = Fabric::with_faults(8, 1, None, None, obs.clone());
         let router: Arc<dyn Router> = Arc::new(BlockRouter::new(8, 1));
         let dir = out_dir("rate-limited");
         for (r, e) in computes.into_iter().enumerate() {
@@ -1106,13 +1124,6 @@ mod tests {
                 ))
                 .unwrap();
         }
-        let deferrals = || {
-            let policy = [("policy", "rate_limited")];
-            obs::global()
-                .counter("transport.pull_deferrals", &policy)
-                .get()
-        };
-        let deferrals_before = deferrals();
         let mut sr = lone_rank(
             stagings,
             router,
@@ -1127,7 +1138,8 @@ mod tests {
             "8 × 64 KiB at 1 MB/s took {:?}",
             report.stages.pull_map
         );
-        assert!(deferrals() >= deferrals_before + 7);
+        let deferrals = obs.counter("transport.pull_deferrals", &[("policy", "rate_limited")]);
+        assert_eq!(deferrals.get(), 7, "one deferral per pull after the first");
         std::fs::remove_dir_all(&dir).ok();
     }
 

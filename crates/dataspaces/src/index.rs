@@ -236,9 +236,6 @@ pub(crate) struct ShardIndex {
     /// records the epoch it was taken at; two snapshots with the same
     /// epoch are identical.
     epoch: AtomicU64,
-    /// Put-side lock contention: how often a pending-plane lock was
-    /// found held (the per-shard contention signal in the obs registry).
-    contended: obs::Counter,
 }
 
 impl ShardIndex {
@@ -248,7 +245,6 @@ impl ShardIndex {
                 .map(|_| CacheAligned(Shard::default()))
                 .collect(),
             epoch: AtomicU64::new(0),
-            contended: obs::global().counter("dataspaces.shard_contended", &[]),
         }
     }
 
@@ -260,16 +256,9 @@ impl ShardIndex {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Lock one shard's pending plane, counting contention.
+    /// Lock one shard's pending plane.
     fn lock_pending(&self, shard: usize) -> MutexGuard<'_, HashMap<BlockKey, Block>> {
-        let m = &self.shards[shard].0.pending;
-        match m.try_lock() {
-            Some(g) => g,
-            None => {
-                self.contended.inc();
-                m.lock()
-            }
-        }
+        self.shards[shard].0.pending.lock()
     }
 
     /// Run `f` on the pending block `key` of `shard`, creating it first

@@ -234,14 +234,7 @@ struct Inner {
     jobs: EventQueue<Job>,
     next_id: AtomicU64,
     subs: Mutex<Vec<ContinuousSub>>,
-    admitted_range: obs::Counter,
-    admitted_reduce: obs::Counter,
-    admitted_continuous: obs::Counter,
-    served: obs::Counter,
     deadline_missed: obs::Counter,
-    depth: obs::Gauge,
-    wait_us: obs::Histogram,
-    exec_us: obs::Histogram,
     delivered: obs::Counter,
     dropped: obs::Counter,
 }
@@ -257,21 +250,16 @@ impl QueryService {
     /// Spawn the worker pool and hook commit notifications for
     /// continuous queries. The service holds the space alive; dropping
     /// the service shuts the pool down (in-flight queries finish).
+    ///
+    /// The service records into its space's registry
+    /// ([`DataSpaces::obs`]).
     pub fn new(space: Arc<DataSpaces>, cfg: QueryServiceConfig) -> QueryService {
-        let reg = obs::global();
+        let reg = space.obs();
         let inner = Arc::new(Inner {
             jobs: EventQueue::bounded(cfg.queue_cap),
             next_id: AtomicU64::new(0),
             subs: Mutex::new(Vec::new()),
-            admitted_range: reg.counter("dataspaces.queries_admitted", &[("kind", "range")]),
-            admitted_reduce: reg.counter("dataspaces.queries_admitted", &[("kind", "reduce")]),
-            admitted_continuous: reg
-                .counter("dataspaces.queries_admitted", &[("kind", "continuous")]),
-            served: reg.counter("dataspaces.queries_served", &[]),
             deadline_missed: reg.counter("dataspaces.query_deadline_missed", &[]),
-            depth: reg.gauge("dataspaces.query_queue_depth", &[]),
-            wait_us: reg.histogram("dataspaces.query_wait_us", &[]),
-            exec_us: reg.histogram("dataspaces.query_exec_us", &[]),
             delivered: reg.counter("dataspaces.continuous_delivered", &[]),
             dropped: reg.counter("dataspaces.continuous_dropped", &[]),
             space: Arc::clone(&space),
@@ -316,9 +304,7 @@ impl QueryService {
         &self.inner.space
     }
 
-    /// Jobs admitted but not yet picked up by a worker (also mirrored
-    /// into the `dataspaces.query_queue_depth` gauge at submit and
-    /// serve).
+    /// Jobs admitted but not yet picked up by a worker.
     pub fn backlog(&self) -> usize {
         self.inner.jobs.len()
     }
@@ -341,10 +327,6 @@ impl QueryService {
     ) -> Result<QueryTicket, DsError> {
         let inner = &self.inner;
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        match kind {
-            QueryKind::Range(_) => inner.admitted_range.inc(),
-            QueryKind::Reduce(..) => inner.admitted_reduce.inc(),
-        }
         let now = Instant::now();
         let reply = EventQueue::bounded(1);
         let job = Job::Query(QueryJob {
@@ -357,12 +339,7 @@ impl QueryService {
             reply: Reply(reply.clone()),
         });
         match inner.jobs.try_submit(job) {
-            Ok(()) => {
-                // `set`, not `record_max`: the gauge's *current* value
-                // must stay fresh (set also maintains the HWM).
-                inner.depth.set(inner.jobs.len() as i64);
-                Ok(QueryTicket { id, reply })
-            }
+            Ok(()) => Ok(QueryTicket { id, reply }),
             Err(SubmitError::Full(_)) => Err(DsError::QueueFull),
             Err(SubmitError::Closed(_)) => Err(DsError::ServiceClosed),
         }
@@ -397,7 +374,6 @@ impl QueryService {
             how,
             updates: updates.clone(),
         });
-        self.inner.admitted_continuous.inc();
         ContinuousHandle { updates }
     }
 
@@ -431,17 +407,14 @@ fn worker_loop(inner: &Arc<Inner>) {
 }
 
 fn serve(inner: &Arc<Inner>, job: QueryJob) {
-    inner.depth.set(inner.jobs.len() as i64);
     let waited = job.admitted.elapsed();
-    inner.wait_us.record(waited.as_micros() as u64);
     let started = Instant::now();
     let result = execute(inner, &job);
     let exec = started.elapsed();
-    inner.exec_us.record(exec.as_micros() as u64);
     match &result {
         Ok(_) => {
-            inner.served.inc();
-            obs::global().record(obs::Event::timed("ds.query", job.version, started, exec));
+            let event = obs::Event::timed("ds.query", job.version, started, exec);
+            inner.space.obs().record(event);
         }
         Err(DsError::DeadlineMissed { .. }) => inner.deadline_missed.inc(),
         Err(_) => {}
@@ -464,7 +437,14 @@ fn execute(inner: &Arc<Inner>, job: &QueryJob) -> Result<QueryOutput, DsError> {
     // retry policy before touching the space.
     let (plan, retry) = inner.space.fault_plan();
     retry
-        .guard(plan, "query", FaultKind::Query, job.id, job.version)
+        .guard(
+            inner.space.obs(),
+            plan,
+            "query",
+            FaultKind::Query,
+            job.id,
+            job.version,
+        )
         .map_err(|cause| DsError::Faulted {
             query: job.id,
             cause,
@@ -519,13 +499,21 @@ fn serve_continuous(inner: &Arc<Inner>, var: &str, version: u64) {
 mod tests {
     use super::*;
     use crate::domain::DsConfig;
+    use transport::RetryPolicy;
+
+    /// A space of its own, recording into a registry of its own.
+    fn own_space(cfg: DsConfig) -> Arc<DataSpaces> {
+        let retry = RetryPolicy::default();
+        Arc::new(DataSpaces::with_faults(
+            cfg,
+            None,
+            retry,
+            obs::Registry::new(),
+        ))
+    }
 
     fn staged_space() -> Arc<DataSpaces> {
-        let ds = Arc::new(DataSpaces::new(DsConfig::new(
-            vec![64, 64],
-            vec![16, 16],
-            4,
-        )));
+        let ds = own_space(DsConfig::new(vec![64, 64], vec![16, 16], 4));
         let whole = Region::whole(&[64, 64]);
         let data: Vec<f64> = (0..64 * 64).map(|i| i as f64).collect();
         ds.put("field", 0, &whole, DataArray::F64(data)).unwrap();
@@ -642,22 +630,17 @@ mod tests {
         }
     }
 
-    fn deadline_missed_count() -> u64 {
-        obs::global()
-            .snapshot()
-            .counter("dataspaces.query_deadline_missed", &[])
-            .unwrap_or(0)
-    }
-
     #[test]
     fn deadline_is_enforced() {
         let ds = staged_space();
         let svc = service(&ds, 1);
         let q = Region::new(vec![0, 0], vec![4, 4]);
         // A deadline already over at admission: the typed error names
-        // the query and the counter moves (`>=`: the registry is shared
-        // with tests running beside this one).
-        let before = deadline_missed_count();
+        // the query and the space's counter moves.
+        let missed = || {
+            let snap = ds.obs().snapshot();
+            snap.counter("dataspaces.query_deadline_missed", &[])
+        };
         let ticket = svc
             .submit_with_deadline("field", 0, QueryKind::Range(q.clone()), Duration::ZERO)
             .unwrap();
@@ -666,7 +649,7 @@ mod tests {
             ticket.wait(Duration::from_secs(5)).unwrap_err(),
             DsError::DeadlineMissed { query: id }
         );
-        assert!(deadline_missed_count() > before);
+        assert_eq!(missed(), Some(1));
         // Version 9 is never committed: the query spends its deadline
         // waiting for the commit and fails with the version it waited
         // for, not a hang.
@@ -815,5 +798,41 @@ mod tests {
             Err(other) => panic!("expected ServiceClosed, got {other:?}"),
             Ok(_) => panic!("expected ServiceClosed, got an admitted ticket"),
         }
+    }
+
+    /// A dropped continuous-query handle unsubscribes: the next commit
+    /// neither delivers to it nor counts a drop for it.
+    #[test]
+    fn a_dropped_handle_moves_no_continuous_counter() {
+        let ds = own_space(DsConfig::new(vec![16, 16], vec![4, 4], 2));
+        // `(continuous_delivered, continuous_dropped)`.
+        let counts = || {
+            let snap = ds.obs().snapshot();
+            let read = |name| snap.counter(name, &[]).unwrap_or(0);
+            (
+                read("dataspaces.continuous_delivered"),
+                read("dataspaces.continuous_dropped"),
+            )
+        };
+        // One worker serves jobs in admission order: a query answered
+        // after a commit proves that commit's continuous job was served.
+        let svc = service(&ds, 1);
+        let region = Region::whole(&[16, 16]);
+        let commit = |v: u64| {
+            ds.put("f", v, &region, DataArray::F64(vec![v as f64; 256]))
+                .unwrap();
+            ds.commit("f", v);
+            svc.query("f", v, QueryKind::Reduce(region.clone(), Reduction::Count))
+                .unwrap();
+        };
+        let sub = svc.subscribe_reduce("f", region.clone(), Reduction::Max, 1);
+        commit(0);
+        assert_eq!(counts(), (1, 0), "first update delivered");
+        commit(1);
+        assert_eq!(counts(), (1, 1), "unread queue full: dropped");
+        assert_eq!(sub.recv(Duration::from_secs(5)).map(|u| u.version), Some(0));
+        drop(sub);
+        commit(2);
+        assert_eq!(counts(), (1, 1), "the dropped handle is pruned");
     }
 }

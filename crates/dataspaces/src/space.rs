@@ -110,22 +110,26 @@ pub struct DataSpaces {
     stats: Arc<SpaceStats>,
     faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
-    commits: obs::Counter,
-    snapshots: obs::Counter,
-    evicted: obs::Counter,
-    epoch_gauge: obs::Gauge,
+    obs: obs::Registry,
 }
 
 impl DataSpaces {
+    /// A space with no fault plan, recording into the
+    /// [global registry](obs::global).
     pub fn new(cfg: DsConfig) -> Self {
-        Self::with_faults(cfg, None, RetryPolicy::default())
+        Self::with_faults(cfg, None, RetryPolicy::default(), obs::global().clone())
     }
 
-    /// [`new`](Self::new) with a fault plan and the retry policy that
-    /// absorbs it: the one way a plan reaches this space's puts and the
-    /// queries a [`QueryService`](crate::QueryService) serves over it.
-    pub fn with_faults(cfg: DsConfig, faults: Option<Arc<FaultPlan>>, retry: RetryPolicy) -> Self {
-        let reg = obs::global();
+    /// [`new`](Self::new) with a fault plan, the retry policy that
+    /// absorbs it and the registry the space records into: the one way
+    /// a plan or a registry reaches this space's puts and the queries a
+    /// [`QueryService`](crate::QueryService) serves over it.
+    pub fn with_faults(
+        cfg: DsConfig,
+        faults: Option<Arc<FaultPlan>>,
+        retry: RetryPolicy,
+        obs: obs::Registry,
+    ) -> Self {
         let index = ShardIndex::new(cfg.n_shards);
         let dirs = (0..cfg.n_shards).map(|_| DirShard::default()).collect();
         DataSpaces {
@@ -137,10 +141,7 @@ impl DataSpaces {
             stats: Arc::default(),
             faults,
             retry,
-            commits: reg.counter("dataspaces.commits", &[]),
-            snapshots: reg.counter("dataspaces.snapshots", &[]),
-            evicted: reg.counter("dataspaces.evicted_blocks", &[]),
-            epoch_gauge: reg.gauge("dataspaces.epoch", &[]),
+            obs,
         }
     }
 
@@ -156,6 +157,12 @@ impl DataSpaces {
     /// policy that absorbs it.
     pub fn fault_plan(&self) -> (Option<&FaultPlan>, &RetryPolicy) {
         (self.faults.as_deref(), &self.retry)
+    }
+
+    /// The registry this space, and a query service over it, record
+    /// into.
+    pub fn obs(&self) -> &obs::Registry {
+        &self.obs
     }
 
     /// The current publication epoch (bumped by every commit/evict).
@@ -260,7 +267,14 @@ impl DataSpaces {
         // as `PutFaulted` with the transport cause chained.
         let plan = self.faults.as_deref();
         self.retry
-            .guard(plan, "put", FaultKind::Put, var.id as u64, version)
+            .guard(
+                &self.obs,
+                plan,
+                "put",
+                FaultKind::Put,
+                var.id as u64,
+                version,
+            )
             .map_err(|cause| DsError::PutFaulted {
                 var: var.name.to_string(),
                 version,
@@ -319,8 +333,6 @@ impl DataSpaces {
             }
             dir.commit_cv.notify_all();
         }
-        self.commits.inc();
-        self.epoch_gauge.set(self.index.epoch() as i64);
         for hook in self.hooks.read().iter() {
             hook(var, version);
         }
@@ -392,7 +404,6 @@ impl DataSpaces {
             shards: self.index.snapshot(),
             stats: Arc::clone(&self.stats),
         };
-        self.snapshots.inc();
         Ok(session)
     }
 
@@ -449,10 +460,7 @@ impl DataSpaces {
             meta.committed.retain(|&v| v >= keep_from);
             meta.id
         };
-        let dropped = self.index.evict_before(id, keep_from);
-        self.epoch_gauge.set(self.index.epoch() as i64);
-        self.evicted.add(dropped as u64);
-        dropped
+        self.index.evict_before(id, keep_from)
     }
 
     #[cfg(test)]
@@ -780,6 +788,7 @@ mod tests {
             DsConfig::new(vec![64, 64], vec![16, 16], 4),
             Some(Arc::new(plan)),
             retry.clone(),
+            obs::Registry::new(),
         );
         let r = Region::new(vec![0, 0], vec![8, 8]);
         ds.put("field", 0, &r, ramp(&r)).unwrap();
@@ -788,6 +797,11 @@ mod tests {
             ds.get("field", 0, &r, Duration::from_secs(1)).unwrap(),
             ramp(&r)
         );
+        let retries = ds
+            .obs()
+            .snapshot()
+            .counter("transport.retries", &[("op", "put")]);
+        assert_eq!(retries, Some(1), "one retry, in the space's registry");
 
         // Persistent: injections outlast the retry budget; the put
         // fails with the transport cause chained through `source()`.
@@ -796,6 +810,7 @@ mod tests {
             DsConfig::new(vec![64, 64], vec![16, 16], 4),
             Some(Arc::new(plan)),
             retry,
+            obs::Registry::new(),
         );
         let e = ds.put("field", 0, &r, ramp(&r)).unwrap_err();
         assert!(matches!(e, DsError::PutFaulted { version: 0, .. }), "{e}");

@@ -29,16 +29,35 @@ pub struct Comm {
     /// Collectives this rank has entered — the deterministic sequence
     /// number handed to the gate.
     coll_seq: AtomicU64,
+    /// The registry what runs on this rank records into; see
+    /// [`set_obs`](Comm::set_obs).
+    obs: obs::Registry,
 }
 
 impl Comm {
+    /// A communicator of `world`'s rank `rank`, recording into the
+    /// [global registry](obs::global) until [`set_obs`](Comm::set_obs)
+    /// says otherwise.
     pub(crate) fn new(world: Arc<World>, rank: usize) -> Self {
         Comm {
             world,
             rank,
             gate: None,
             coll_seq: AtomicU64::new(0),
+            obs: obs::global().clone(),
         }
+    }
+
+    /// Record what runs on this rank (the operators, through their
+    /// context) into `obs`: the staging rank binds its fabric's registry
+    /// here, as it installs the fault plan's collective gate.
+    pub fn set_obs(&mut self, obs: obs::Registry) {
+        self.obs = obs;
+    }
+
+    /// The registry this rank records into.
+    pub fn obs(&self) -> &obs::Registry {
+        &self.obs
     }
 
     /// Install a [`CollectiveGate`] invoked at every data-moving

@@ -1,60 +1,28 @@
 //! Traffic accounting: message and byte counters per world.
 //!
-//! Each [`TrafficStats`] instance keeps exact per-world counts (the
-//! [`obs::Counter`] hot path is one relaxed atomic add) **and** mirrors
-//! every record into process-wide counters in [`obs::global`]
-//! (`minimpi.messages`, `minimpi.bytes`, `minimpi.collective_calls`), so
-//! compute-side MPI traffic shows up in the same snapshot as the staging
-//! side's transport/pipeline metrics.
+//! Each [`TrafficStats`] instance keeps exact per-world counts; the
+//! [`obs::Counter`] hot path is one relaxed atomic add.
 
 use obs::Counter;
 
 /// Aggregate counters over a world's lifetime. Cheap relaxed atomics;
 /// read them after `World::run` returns (or between phases) for exact
 /// values.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TrafficStats {
     messages: Counter,
     bytes: Counter,
     collective_calls: Counter,
-    global: GlobalMirror,
-}
-
-/// The process-wide counters every world also feeds.
-#[derive(Debug, Clone)]
-struct GlobalMirror {
-    messages: Counter,
-    bytes: Counter,
-    collective_calls: Counter,
-}
-
-impl Default for TrafficStats {
-    fn default() -> Self {
-        let reg = obs::global();
-        TrafficStats {
-            messages: Counter::standalone(),
-            bytes: Counter::standalone(),
-            collective_calls: Counter::standalone(),
-            global: GlobalMirror {
-                messages: reg.counter("minimpi.messages", &[]),
-                bytes: reg.counter("minimpi.bytes", &[]),
-                collective_calls: reg.counter("minimpi.collective_calls", &[]),
-            },
-        }
-    }
 }
 
 impl TrafficStats {
     pub(crate) fn record_send(&self, bytes: usize) {
         self.messages.inc();
         self.bytes.add(bytes as u64);
-        self.global.messages.inc();
-        self.global.bytes.add(bytes as u64);
     }
 
     pub(crate) fn record_collective(&self) {
         self.collective_calls.inc();
-        self.global.collective_calls.inc();
     }
 
     /// Total point-to-point messages sent (collectives are built from
@@ -73,8 +41,7 @@ impl TrafficStats {
         self.collective_calls.get()
     }
 
-    /// Reset this world's counters. The global mirror is monotonic and
-    /// is deliberately left untouched — it is a process-lifetime total.
+    /// Reset this world's counters.
     pub fn reset(&self) {
         self.messages.reset();
         self.bytes.reset();
@@ -97,28 +64,5 @@ mod tests {
         assert_eq!(s.collective_calls(), 1);
         s.reset();
         assert_eq!((s.messages(), s.bytes(), s.collective_calls()), (0, 0, 0));
-    }
-
-    #[test]
-    fn records_mirror_into_the_global_registry() {
-        let before = obs::global()
-            .snapshot()
-            .counter("minimpi.bytes", &[])
-            .unwrap_or(0);
-        let s = TrafficStats::default();
-        s.record_send(512);
-        let after = obs::global()
-            .snapshot()
-            .counter("minimpi.bytes", &[])
-            .expect("global mirror registered");
-        // Other tests may record concurrently; ours is at least present.
-        assert!(after >= before + 512);
-        // Per-world reset must not claw back the process-lifetime total.
-        s.reset();
-        let post_reset = obs::global()
-            .snapshot()
-            .counter("minimpi.bytes", &[])
-            .unwrap();
-        assert!(post_reset >= after);
     }
 }

@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use crate::metrics::Registry;
 
 /// One thing that happened: `stage` ran for `step` between `t0_ns` and
-/// `t1_ns` (nanoseconds since the process epoch; equal for a [`mark`]).
+/// `t1_ns` (nanoseconds since the process epoch; equal for a [`mark_in`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     pub stage: &'static str,
@@ -221,15 +221,14 @@ pub(crate) fn thread_id() -> u32 {
     })
 }
 
-/// A live span: records one [`Event`] when dropped, unless
-/// [`cancel`](SpanGuard::cancel)led. The builders say who did the work
-/// and for which chunk; `bytes` is usually known only at the end —
-/// `drop(guard.bytes(n))`.
+/// A live span: records one [`Event`] when dropped. The builders say
+/// who did the work and for which chunk; `bytes` is usually known only
+/// at the end — `drop(guard.bytes(n))`.
 pub struct SpanGuard<'r> {
     /// `None` when recording was off at creation: the guard is inert —
     /// no timestamps taken, nothing recorded on drop.
     live: Option<(&'r Registry, Instant)>,
-    /// A [`mark`]: the event's end is its start.
+    /// A [`mark_in`]: the event's end is its start.
     instant: bool,
     event: Event,
 }
@@ -248,11 +247,6 @@ impl SpanGuard<'_> {
     pub fn bytes(mut self, bytes: u64) -> Self {
         self.event = self.event.bytes(bytes);
         self
-    }
-
-    /// Drop without recording anything (the stage was abandoned).
-    pub fn cancel(mut self) {
-        self.live = None;
     }
 }
 
@@ -293,20 +287,9 @@ pub fn span_in<'r>(registry: &'r Registry, stage: &'static str, step: u64) -> Sp
     guard(registry, stage, step, false)
 }
 
-/// Start a span in the [global registry](crate::global). Prefer the
-/// [`span!`](crate::span!) macro.
-pub fn span(stage: &'static str, step: u64) -> SpanGuard<'static> {
-    span_in(crate::global(), stage, step)
-}
-
 /// A zero-length transition in `registry`, recorded when the returned
 /// guard drops — at the end of the statement, for
 /// `mark_in(reg, "routed", step).chunk(src);`.
 pub fn mark_in<'r>(registry: &'r Registry, stage: &'static str, step: u64) -> SpanGuard<'r> {
     guard(registry, stage, step, true)
-}
-
-/// [`mark_in`] the [global registry](crate::global).
-pub fn mark(stage: &'static str, step: u64) -> SpanGuard<'static> {
-    mark_in(crate::global(), stage, step)
 }

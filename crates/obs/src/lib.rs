@@ -12,9 +12,10 @@
 //! * **One record.** Everything timed is an [`Event`]: stage, step, the
 //!   staging rank that did the work, the source chunk it was done for,
 //!   start, end, bytes. It enters through [`Registry::record`] — in
-//!   practice through the guard [`span!`]`("decode", step)` returns
-//!   (`.rank(r)`, `.chunk(src)`, `.bytes(n)` say the rest; it records
-//!   when it drops) or through [`mark`] for a zero-length transition.
+//!   practice through the guard [`span_in`]`(&reg, "decode", step)`
+//!   returns (`.rank(r)`, `.chunk(src)`, `.bytes(n)` say the rest; it
+//!   records when it drops) or through [`mark_in`] for a zero-length
+//!   transition.
 //! * **Two sinks.** Always: a fold into `(stage, step, rank) →`
 //!   [`SpanStat`], sharded by stage and rank and bounded to the newest
 //!   [`FOLD_STEPS`] steps of each, in rings allocated once. Only while
@@ -31,10 +32,30 @@
 //! [`Counter`]s, [`Gauge`]s and [`Histogram`]s with fixed log₂ buckets,
 //! whose hot path is a relaxed atomic add.
 //!
+//! # One registry per run
+//!
+//! A [`Registry`] is a value, not a static: a cheap-`Clone` handle that
+//! the things being measured are built with. `transport::Fabric` and
+//! `dataspaces::DataSpaces` take one in their full constructors
+//! (`with_faults`), and everything built from them reads it from there:
+//! the endpoints and what wraps them (the client, the staging rank), the
+//! staging rank's `minimpi` communicator and through it the operators'
+//! context, the query service over a space. Values built without a
+//! fabric — a fault plan, a retry policy, a pull policy, a BP writer —
+//! hold no registry: their caller passes its own, or records for them.
+//! So a test, or one block of a larger run, builds its own registry
+//! ([`Registry::new`], [`Registry::set_detail`], …), reads absolute
+//! values from it and races nobody.
+//!
+//! The default constructors (`Fabric::new`, `DataSpaces::new`, a
+//! `minimpi` world's communicators) pass [`global`]: the process-wide
+//! registry, configured from the environment on first use.
+//!
 //! # Environment contract
 //!
 //! [`Config::from_env`] is the one place the workspace reads the
-//! environment, once, when the [`global`] registry is first used:
+//! environment, once, when the [`global`] registry is first used; a
+//! registry built with [`Registry::with_config`] reads none:
 //!
 //! * `PREDATA_METRICS` — `0` / `off` / `false` turns event recording off
 //!   at the source: no fold rows, no log, and nothing derived from them
@@ -51,13 +72,12 @@
 //!
 //! The full `PREDATA_*` reference is `docs/OPERATIONS.md` at the
 //! repository root. Fault plans and retry policies are not knobs: they
-//! are arguments of the constructors they fault, and only their
-//! counters land in this registry.
+//! are arguments of the constructors they fault, and their counters land
+//! in the registry of whoever runs them.
 //!
-//! The gates live on the [`Registry`], so a test builds its own
-//! ([`Registry::new`], [`Registry::set_detail`], …) and races nobody;
-//! [`set_enabled`], [`lineage::set_enabled`] and [`trace::install`] set
-//! the global registry's for whole-pipeline tests.
+//! The gates live on the [`Registry`]: [`Registry::set_enabled`],
+//! [`Registry::set_detail`] and [`Registry::set_trace_path`] set one
+//! registry's, and [`set_enabled`] the global one's.
 //!
 //! # Example
 //!
@@ -81,7 +101,7 @@ mod metrics;
 pub mod perturb;
 pub mod trace;
 
-pub use event::{mark, mark_in, span, span_in, Event, SpanGuard, SpanRow, SpanStat, FOLD_STEPS};
+pub use event::{mark_in, span_in, Event, SpanGuard, SpanRow, SpanStat, FOLD_STEPS};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LineageView, Registry, Snapshot, HIST_BUCKETS,
     SNAPSHOT_VERSION,
@@ -138,10 +158,9 @@ impl Config {
     }
 }
 
-/// The process-wide registry every instrumented crate records into, so
-/// compute-side (minimpi) and staging-side (transport, staging, bpio)
-/// numbers land in one report. Configured from the environment on first
-/// use.
+/// The process-wide registry: what the default constructors pass, so a
+/// run that names no registry still lands every number in one report.
+/// Configured from the environment on first use.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(|| Registry::with_config(Config::from_env()))
@@ -153,23 +172,10 @@ pub(crate) fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Whether the [`global`] registry records events.
-pub fn enabled() -> bool {
-    global().enabled()
-}
-
 /// Turn the [`global`] registry's event recording on or off (wins over
 /// `PREDATA_METRICS`).
 pub fn set_enabled(on: bool) {
     global().set_enabled(on);
-}
-
-/// Start a span in the [`global`] registry.
-#[macro_export]
-macro_rules! span {
-    ($stage:expr, $step:expr) => {
-        $crate::span($stage, $step)
-    };
 }
 
 #[cfg(test)]
@@ -216,22 +222,5 @@ mod tests {
         assert_eq!(cfg.trace_path, Some(PathBuf::from("/tmp/t.json")));
         let reg = Registry::with_config(cfg);
         assert!(reg.detail(), "a trace destination needs the log");
-    }
-
-    #[test]
-    fn span_macro_records_into_global() {
-        // No other unit test touches the global gate: they build their
-        // own registries.
-        set_enabled(true);
-        {
-            let _g = span!("unit-test-stage", 7);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let stat = global()
-            .snapshot()
-            .span("unit-test-stage", 7)
-            .expect("span recorded in global registry");
-        assert!(stat.count >= 1);
-        assert!(stat.total_ns > 0);
     }
 }

@@ -22,7 +22,8 @@
 //! and `written` each have one site, the step's one exchange.)
 //!
 //! The log exists only while the registry's detail gate is on
-//! (`PREDATA_LINEAGE`, `PREDATA_TRACE`, or [`set_enabled`]); with it
+//! (`PREDATA_LINEAGE`, `PREDATA_TRACE`, or
+//! [`Registry::set_detail`](crate::Registry::set_detail)); with it
 //! off there are no chunks to view. In the Chrome trace every stage of
 //! the view is a *flow event* (`"ph":"s"/"t"/"f"`), so Perfetto draws
 //! each chunk's journey as arrows across the compute/staging threads.
@@ -258,13 +259,6 @@ pub fn view<'e>(log: impl IntoIterator<Item = &'e (u32, Event)>) -> Vec<ChunkLin
             marks,
         })
         .collect()
-}
-
-/// Turn the [global registry](crate::global)'s event log — what this
-/// view and the Chrome trace are read from — on or off, as
-/// `PREDATA_LINEAGE` does at start-up.
-pub fn set_enabled(on: bool) {
-    crate::global().set_detail(on);
 }
 
 #[cfg(test)]

@@ -97,19 +97,14 @@ impl MetricKey {
     }
 }
 
-/// Monotonic counter handle. Clone-cheap (`Arc`).
+/// Monotonic counter handle. Clone-cheap (`Arc`); a `default()` one is
+/// attached to no registry (a world's exact traffic stats).
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// A standalone counter not attached to any registry (e.g. per-world
-    /// traffic stats that also mirror into a registered global counter).
-    pub fn standalone() -> Self {
-        Counter::default()
-    }
-
     pub fn add(&self, v: u64) {
         self.cell.fetch_add(v, Ordering::Relaxed);
     }
@@ -280,10 +275,16 @@ pub(crate) struct Log {
     pub(crate) threads: BTreeMap<u32, String>,
 }
 
-/// The metric store. Cheap to share (`&'static` via [`crate::global`] or
-/// per-test instances); every accessor takes `&self`.
-#[derive(Debug)]
+/// The metric store: a cheap-`Clone` handle (an `Arc` inside, like
+/// [`Counter`]), so a fabric, a space and everything built from them
+/// share one run's registry. Every accessor takes `&self`.
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
+    inner: Arc<Inner>,
+}
+
+#[derive(Debug)]
+struct Inner {
     counters: RwLock<BTreeMap<MetricKey, Counter>>,
     gauges: RwLock<BTreeMap<MetricKey, Gauge>>,
     histograms: RwLock<BTreeMap<MetricKey, Histogram>>,
@@ -300,20 +301,37 @@ pub struct Registry {
     trace_path: Mutex<Option<PathBuf>>,
 }
 
-impl Default for Registry {
+impl Default for Inner {
     /// Recording on, detail off, no export.
     fn default() -> Self {
-        Registry::with_config(crate::Config::default())
+        Inner::with_config(crate::Config::default())
+    }
+}
+
+impl Inner {
+    fn with_config(cfg: crate::Config) -> Self {
+        Inner {
+            counters: RwLock::default(),
+            gauges: RwLock::default(),
+            histograms: RwLock::default(),
+            enabled: AtomicBool::new(cfg.spans),
+            detail: AtomicBool::new(cfg.lineage || cfg.trace_path.is_some()),
+            fold: Fold::default(),
+            log: Mutex::default(),
+            export_path: Mutex::new(cfg.export_path),
+            trace_path: Mutex::new(cfg.trace_path),
+        }
     }
 }
 
 macro_rules! resolve {
     ($self:ident . $field:ident, $name:ident, $labels:ident, $ty:ty) => {{
         let key = MetricKey::new($name, $labels);
-        if let Some(m) = $self.$field.read().get(&key) {
+        if let Some(m) = $self.inner.$field.read().get(&key) {
             return m.clone();
         }
         $self
+            .inner
             .$field
             .write()
             .entry(key)
@@ -330,15 +348,7 @@ impl Registry {
     /// A registry gated and exporting as `cfg` says.
     pub fn with_config(cfg: crate::Config) -> Self {
         Registry {
-            counters: RwLock::default(),
-            gauges: RwLock::default(),
-            histograms: RwLock::default(),
-            enabled: AtomicBool::new(cfg.spans),
-            detail: AtomicBool::new(cfg.lineage || cfg.trace_path.is_some()),
-            fold: Fold::default(),
-            log: Mutex::default(),
-            export_path: Mutex::new(cfg.export_path),
-            trace_path: Mutex::new(cfg.trace_path),
+            inner: Arc::new(Inner::with_config(cfg)),
         }
     }
 
@@ -360,36 +370,36 @@ impl Registry {
     /// Whether events are recorded. Counters, gauges and histograms are
     /// always live.
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.inner.enabled.load(Ordering::Relaxed)
     }
 
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Whether recorded events are also kept one by one, for the
     /// lineage view and the Chrome trace.
     pub fn detail(&self) -> bool {
-        self.detail.load(Ordering::Relaxed)
+        self.inner.detail.load(Ordering::Relaxed)
     }
 
     pub fn set_detail(&self, on: bool) {
-        self.detail.store(on, Ordering::Relaxed);
+        self.inner.detail.store(on, Ordering::Relaxed);
     }
 
     /// Where [`export`](Registry::export) writes the snapshot.
     pub fn export_path(&self) -> Option<PathBuf> {
-        self.export_path.lock().clone()
+        self.inner.export_path.lock().clone()
     }
 
     pub fn set_export_path(&self, path: Option<PathBuf>) {
-        *self.export_path.lock() = path;
+        *self.inner.export_path.lock() = path;
     }
 
     /// Send the Chrome trace to `path` at [`export`](Registry::export),
     /// and turn detail on so there are events to send.
     pub fn set_trace_path(&self, path: PathBuf) {
-        *self.trace_path.lock() = Some(path);
+        *self.inner.trace_path.lock() = Some(path);
         self.set_detail(true);
     }
 
@@ -400,10 +410,10 @@ impl Registry {
         if !self.enabled() {
             return;
         }
-        self.fold.add(&ev);
+        self.inner.fold.add(&ev);
         if self.detail() {
             let tid = crate::event::thread_id();
-            let mut log = self.log.lock();
+            let mut log = self.inner.log.lock();
             log.threads.entry(tid).or_insert_with(|| {
                 let thread = std::thread::current();
                 thread.name().unwrap_or("unnamed").to_string()
@@ -419,7 +429,7 @@ impl Registry {
 
     /// The event log rendered as Chrome-trace JSON.
     pub fn trace_json(&self) -> String {
-        crate::trace::render(&self.log.lock())
+        crate::trace::render(&self.inner.log.lock())
     }
 
     /// The shutdown hook: write the snapshot to the export path and the
@@ -430,7 +440,7 @@ impl Registry {
         if let Some(path) = self.export_path() {
             std::fs::write(path, self.snapshot().to_json())?;
         }
-        if let Some(path) = self.trace_path.lock().clone() {
+        if let Some(path) = self.inner.trace_path.lock().clone() {
             std::fs::write(path, self.trace_json())?;
         }
         Ok(())
@@ -439,24 +449,27 @@ impl Registry {
     /// Point-in-time copy of every metric and every view.
     pub fn snapshot(&self) -> Snapshot {
         let counters = self
+            .inner
             .counters
             .read()
             .iter()
             .map(|(k, c)| (k.clone(), c.get()))
             .collect();
         let gauges = self
+            .inner
             .gauges
             .read()
             .iter()
             .map(|(k, g)| (k.clone(), (g.get(), g.max())))
             .collect();
         let histograms = self
+            .inner
             .histograms
             .read()
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
-        let spans = self.fold.rows();
+        let spans = self.inner.fold.rows();
         Snapshot {
             counters,
             gauges,
@@ -474,7 +487,7 @@ pub struct LineageView<'r>(&'r Registry);
 impl LineageView<'_> {
     /// Every chunk the log knows, sorted by `(step, src_rank)`.
     pub fn snapshot(&self) -> Vec<ChunkLineage> {
-        crate::lineage::view(&self.0.log.lock().events)
+        crate::lineage::view(&self.0.inner.log.lock().events)
     }
 }
 
@@ -896,19 +909,17 @@ mod tests {
     }
 
     #[test]
-    fn guards_time_cancel_and_mark() {
+    fn guards_time_and_mark() {
         let reg = Registry::new();
         {
             let _g = crate::span_in(&reg, "work", 3).bytes(64);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        crate::span_in(&reg, "abandoned", 3).cancel();
         crate::mark_in(&reg, "truncated", 3).rank(1);
         let snap = reg.snapshot();
         let work = snap.span("work", 3).unwrap();
         assert_eq!((work.count, work.bytes), (1, 64));
         assert!(work.total_ns >= 1_000_000, "slept ≥ 1 ms: {work:?}");
-        assert_eq!(snap.span("abandoned", 3), None);
         let mark = snap.span("truncated", 3).unwrap();
         assert_eq!((mark.count, mark.total_ns), (1, 0), "a mark has no length");
     }

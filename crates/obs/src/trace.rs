@@ -2,7 +2,8 @@
 //! log.
 //!
 //! While a registry's detail gate is on — `PREDATA_TRACE=path`,
-//! `PREDATA_LINEAGE`, or a programmatic [`install`] — every recorded
+//! `PREDATA_LINEAGE`, or
+//! [`Registry::set_trace_path`](crate::Registry::set_trace_path) — every recorded
 //! event is kept. [`crate::Registry::trace_json`] turns that log into
 //! the JSON array both viewers load directly: one metadata event
 //! (`"ph":"M"`) naming each recording thread, one *complete* event
@@ -14,15 +15,7 @@
 //! [`crate::Registry::export`] writes it once, at shutdown; nothing is
 //! streamed.
 
-use std::path::Path;
-
 use crate::metrics::{json_str, Log};
-
-/// Send the [global registry](crate::global)'s trace to `path` at
-/// export, and start logging events for it.
-pub fn install(path: impl AsRef<Path>) {
-    crate::global().set_trace_path(path.as_ref().to_path_buf());
-}
 
 /// Render `log` as Chrome-trace JSON.
 pub(crate) fn render(log: &Log) -> String {

@@ -15,12 +15,12 @@ fn global_registry_is_configured_from_the_environment() {
     std::env::set_var("PREDATA_LINEAGE", "1");
     std::env::set_var("PREDATA_TRACE", &trace_path);
 
+    let reg = obs::global();
     {
-        let _g = obs::span!("pull", 2).chunk(5).bytes(1024);
+        let _g = obs::span_in(reg, "pull", 2).chunk(5).bytes(1024);
         std::thread::sleep(Duration::from_millis(1));
     }
-    obs::mark("routed", 2).chunk(5);
-    let reg = obs::global();
+    obs::mark_in(reg, "routed", 2).chunk(5);
     assert!(reg.enabled() && reg.detail());
     assert_eq!(reg.export_path(), Some(snap_path.clone()));
 

@@ -220,7 +220,7 @@ mod tests {
         // 260 GB from 2048 clients: paper reports 8.6 s.
         let m = MachineConfig::xt5_like();
         let pfs = crate::pfs::PfsModel::new(m.pfs.clone(), 0);
-        let t = pfs.write_time_ideal(260e9, 2048);
+        let t = m.pfs.op_latency + 260e9 / pfs.effective_bw(2048);
         assert!(
             (5.0..20.0).contains(&t),
             "sync 260 GB write should be O(10 s), got {t:.1}"

@@ -88,12 +88,6 @@ impl PfsModel {
         client_bound.min(agg)
     }
 
-    /// Deterministic (noise-free) time to write `bytes` from `clients`
-    /// concurrent writers.
-    pub fn write_time_ideal(&self, bytes: f64, clients: usize) -> f64 {
-        self.cfg.op_latency + bytes / self.effective_bw(clients)
-    }
-
     /// Sampled write time including machine weather: bandwidth noise on
     /// the transfer term, heavy-tailed noise on the latency term.
     pub fn write_time(&mut self, bytes: f64, clients: usize) -> f64 {
@@ -136,15 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn write_time_scales_with_bytes() {
-        let m = model();
-        let t1 = m.write_time_ideal(1e9, 64);
-        let t2 = m.write_time_ideal(2e9, 64);
-        assert!(t2 > t1);
-        assert!((t2 - m.cfg.op_latency) / (t1 - m.cfg.op_latency) - 2.0 < 1e-9);
-    }
-
-    #[test]
     fn sampled_times_vary_but_reproduce() {
         let mut a = model();
         let mut b = model();
@@ -155,9 +140,10 @@ mod tests {
             ta.iter().any(|&t| (t - ta[0]).abs() > 1e-9),
             "noise present"
         );
-        // Best-of-5 (the paper's methodology) is close to ideal.
+        // Best-of-5 (the paper's methodology) is close to the noise-free
+        // time.
         let best = ta.iter().cloned().fold(f64::INFINITY, f64::min);
-        let ideal = a.write_time_ideal(1e9, 64);
+        let ideal = a.cfg.op_latency + 1e9 / a.effective_bw(64);
         assert!(best < ideal * 1.6);
     }
 

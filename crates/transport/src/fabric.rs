@@ -73,7 +73,6 @@ pub struct FabricStats {
     rdma_gets: AtomicU64,
     bytes_pulled: AtomicU64,
     requests_sent: AtomicU64,
-    request_bytes: AtomicU64,
     /// High-water mark of simultaneously exposed (pinned) bytes across all
     /// compute endpoints — the paper's "moderate consequent costs for data
     /// buffering on compute nodes".
@@ -89,9 +88,6 @@ impl FabricStats {
     }
     pub fn requests_sent(&self) -> u64 {
         self.requests_sent.load(Ordering::Relaxed)
-    }
-    pub fn request_bytes(&self) -> u64 {
-        self.request_bytes.load(Ordering::Relaxed)
     }
     pub fn peak_pinned_bytes(&self) -> usize {
         self.peak_pinned_bytes.load(Ordering::Relaxed)
@@ -168,7 +164,10 @@ struct FabricInner {
     /// Deterministic fault-injection schedule, if any
     /// ([`Fabric::with_faults`]).
     faults: Option<Arc<FaultPlan>>,
-    /// obs handles, resolved once here so the `rdma_get` hot path is a
+    /// The run's registry ([`Fabric::with_faults`]): every endpoint, and
+    /// what is built from one, records into it.
+    obs: obs::Registry,
+    /// Its handles, resolved once here so the `rdma_get` hot path is a
     /// relaxed atomic add with no registry lookup.
     obs_get_ns: obs::Histogram,
     obs_get_bytes: obs::Counter,
@@ -184,23 +183,34 @@ impl Fabric {
     /// Build a fabric connecting `n_compute` compute endpoints to
     /// `n_staging` staging endpoints. `pin_budget` bounds the bytes each
     /// compute endpoint may keep exposed at once (None = unlimited).
-    /// No fault schedule is attached.
+    /// No fault schedule is attached, and the fabric records into the
+    /// [global registry](obs::global).
     pub fn new(
         n_compute: usize,
         n_staging: usize,
         pin_budget: Option<usize>,
     ) -> (Fabric, Vec<ComputeEndpoint>, Vec<StagingEndpoint>) {
-        Fabric::with_faults(n_compute, n_staging, pin_budget, None)
+        Fabric::with_faults(
+            n_compute,
+            n_staging,
+            pin_budget,
+            None,
+            obs::global().clone(),
+        )
     }
 
-    /// [`Fabric::new`] with a fault schedule (`None` = run clean): the
-    /// one way a plan reaches pulls, stale handles, pins and — through
-    /// [`StagingEndpoint::fault_plan`] — the staging collectives.
+    /// [`Fabric::new`] with a fault schedule (`None` = run clean) and the
+    /// registry the run records into. The one way a plan reaches pulls,
+    /// stale handles, pins and — through [`StagingEndpoint::fault_plan`]
+    /// — the staging collectives; and the one way a registry reaches the
+    /// endpoints and what is built from them ([`ComputeEndpoint::obs`],
+    /// [`StagingEndpoint::obs`]).
     pub fn with_faults(
         n_compute: usize,
         n_staging: usize,
         pin_budget: Option<usize>,
         faults: Option<Arc<FaultPlan>>,
+        obs: obs::Registry,
     ) -> (Fabric, Vec<ComputeEndpoint>, Vec<StagingEndpoint>) {
         let requests: Vec<_> = (0..n_staging).map(|_| EventQueue::unbounded()).collect();
         let completions: Vec<_> = (0..n_compute).map(|_| EventQueue::unbounded()).collect();
@@ -214,9 +224,10 @@ impl Fabric {
             requests: requests.clone(),
             completions: completions.clone(),
             faults,
-            obs_get_ns: obs::global().histogram("transport.rdma_get_ns", &[]),
-            obs_get_bytes: obs::global().counter("transport.rdma_get_bytes", &[]),
-            obs_pinned_hwm: obs::global().gauge("transport.pinned_bytes", &[]),
+            obs_get_ns: obs.histogram("transport.rdma_get_ns", &[]),
+            obs_get_bytes: obs.counter("transport.rdma_get_bytes", &[]),
+            obs_pinned_hwm: obs.gauge("transport.pinned_bytes", &[]),
+            obs,
         });
         let computes = completions
             .into_iter()
@@ -272,6 +283,11 @@ impl ComputeEndpoint {
         self.rank
     }
 
+    /// The fabric's registry.
+    pub fn obs(&self) -> &obs::Registry {
+        &self.inner.obs
+    }
+
     /// Bytes this endpoint currently has exposed.
     pub fn pinned_bytes(&self) -> usize {
         self.my_pinned.load(Ordering::Relaxed)
@@ -312,7 +328,7 @@ impl ComputeEndpoint {
     fn register(&self, mem: Exposed, io_step: u64) -> Result<MemHandle, TransportError> {
         let len = mem.len();
         if let Some(plan) = &self.inner.faults {
-            if let Some(err) = plan.inject_expose(self.rank as u64, io_step, len) {
+            if let Some(err) = plan.inject_expose(&self.inner.obs, self.rank as u64, io_step, len) {
                 return Err(err);
             }
         }
@@ -348,10 +364,6 @@ impl ComputeEndpoint {
             .stats
             .requests_sent
             .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .request_bytes
-            .fetch_add(req.wire_bytes() as u64, Ordering::Relaxed);
         self.inner.requests[staging_rank]
             .send(req)
             .map_err(|_| TransportError::Disconnected)
@@ -411,6 +423,11 @@ impl StagingEndpoint {
         self.rank
     }
 
+    /// The fabric's registry.
+    pub fn obs(&self) -> &obs::Registry {
+        &self.inner.obs
+    }
+
     /// The fabric's fault schedule, if one is attached. The retrying
     /// pull loop consults it *before* each [`rdma_get`](Self::rdma_get)
     /// attempt; the raw fabric call itself never fakes failures, so
@@ -425,7 +442,7 @@ impl StagingEndpoint {
         // The chunk's `request_received` transition, on this staging
         // rank: counted per step, these marks are the rank's gathered
         // backlog.
-        obs::mark("request_received", r.io_step)
+        obs::mark_in(&self.inner.obs, "request_received", r.io_step)
             .rank(self.rank)
             .chunk(r.src_rank as u64);
         Ok(r)
@@ -436,7 +453,7 @@ impl StagingEndpoint {
     /// returns the bytes: the exposer's own buffer, by reference count,
     /// or a [`Gather`]'s regions landed in a buffer of the puller's.
     pub fn rdma_get(&self, req: &FetchRequest) -> Result<Bytes, TransportError> {
-        let started = obs::enabled().then(std::time::Instant::now);
+        let started = self.inner.obs.enabled().then(std::time::Instant::now);
         let (mem, io_step) = {
             let mut reg = self.inner.registry.lock();
             let entry = reg
@@ -473,7 +490,7 @@ impl StagingEndpoint {
         if reqs.is_empty() {
             return Vec::new();
         }
-        let started = obs::enabled().then(std::time::Instant::now);
+        let started = self.inner.obs.enabled().then(std::time::Instant::now);
         type Entry = Result<(Exposed, u64), TransportError>;
         let entries: Vec<Entry> = {
             let mut reg = self.inner.registry.lock();
@@ -697,13 +714,19 @@ mod tests {
     #[test]
     fn attached_fault_plan_faults_expose_only() {
         let plan = Arc::new(crate::fault::FaultPlan::new(3).pin_exhaustion(1.0));
-        let (_f, computes, stagings) = Fabric::with_faults(1, 1, None, Some(plan));
+        let obs = obs::Registry::new();
+        let (_f, computes, stagings) = Fabric::with_faults(1, 1, None, Some(plan), obs.clone());
         assert!(stagings[0].fault_plan().is_some());
         let err = computes[0].expose(vec![0u8; 32].into(), 0).unwrap_err();
         assert!(matches!(err, TransportError::PinBudgetExceeded { .. }));
+        let pins = obs
+            .snapshot()
+            .counter("transport.faults_injected", &[("kind", "pin")]);
+        assert_eq!(pins, Some(1), "counted in the fabric's registry");
         // Pull faults are the *caller's* job: raw rdma_get stays exact.
         let clean = Arc::new(crate::fault::FaultPlan::new(3).drop_chunks(1.0));
-        let (_f, computes, stagings) = Fabric::with_faults(1, 1, None, Some(clean));
+        let (_f, computes, stagings) =
+            Fabric::with_faults(1, 1, None, Some(clean), obs::Registry::new());
         let h = computes[0].expose(vec![5u8; 16].into(), 0).unwrap();
         assert!(stagings[0].rdma_get(&req(0, h, 16)).is_ok());
     }
@@ -816,7 +839,8 @@ mod tests {
         assert_eq!(computes[0].reclaim(h), None);
         // An injected pin fault refuses a gather too, pinning nothing.
         let plan = Arc::new(crate::fault::FaultPlan::new(3).pin_exhaustion(1.0));
-        let (fabric, computes, _stagings) = Fabric::with_faults(1, 1, None, Some(plan));
+        let (fabric, computes, _stagings) =
+            Fabric::with_faults(1, 1, None, Some(plan), obs::Registry::new());
         let (g, drops) = parts(&[&[0u8; 8]]);
         assert!(computes[0].expose_gather(g, 0).is_err());
         assert_eq!(drops.load(Ordering::Relaxed), 1);

@@ -56,7 +56,8 @@
 //! | [`steps`](FaultPlan::steps) | only fault io_steps in the range | all steps |
 //!
 //! Every injected fault increments the
-//! `transport.faults_injected{kind=…}` counter.
+//! `transport.faults_injected{kind=…}` counter of the registry its
+//! caller passes: the plan is built without a fabric and holds none.
 //!
 //! # Example
 //!
@@ -67,9 +68,12 @@
 //! let plan = FaultPlan::new(42).drop_chunks(1.0).max_injections(1);
 //! let (_fabric, computes, _stagings) = Fabric::new(1, 1, None);
 //! let handle = computes[0].expose(vec![0u8; 8].into(), 0).unwrap();
+//! let obs = obs::Registry::new();
 //! assert!(plan.selects(FaultKind::Drop, 0, 0));
-//! assert!(plan.inject_pull(0, 0, handle).is_some(), "first attempt faulted");
-//! assert!(plan.inject_pull(0, 0, handle).is_none(), "second attempt clean");
+//! assert!(plan.inject_pull(&obs, 0, 0, handle).is_some(), "first attempt faulted");
+//! assert!(plan.inject_pull(&obs, 0, 0, handle).is_none(), "second attempt clean");
+//! let injected = obs.snapshot().counter("transport.faults_injected", &[("kind", "drop")]);
+//! assert_eq!(injected, Some(1));
 //! ```
 
 use std::collections::HashMap;
@@ -239,8 +243,8 @@ impl FaultPlan {
     }
 
     /// Selected and still under the per-chunk injection cap: count one
-    /// injection and report it.
-    fn try_inject(&self, kind: FaultKind, src_rank: u64, step: u64) -> bool {
+    /// injection into `obs` and report it.
+    fn try_inject(&self, obs: &obs::Registry, kind: FaultKind, src_rank: u64, step: u64) -> bool {
         if !self.selects(kind, src_rank, step) {
             return false;
         }
@@ -251,8 +255,7 @@ impl FaultPlan {
         }
         *count += 1;
         drop(injected);
-        obs::global()
-            .counter("transport.faults_injected", &[("kind", kind.label())])
+        obs.counter("transport.faults_injected", &[("kind", kind.label())])
             .inc();
         true
     }
@@ -264,14 +267,15 @@ impl FaultPlan {
     /// succeed.
     pub fn inject_pull(
         &self,
+        obs: &obs::Registry,
         src_rank: u64,
         step: u64,
         handle: MemHandle,
     ) -> Option<TransportError> {
-        if self.try_inject(FaultKind::Drop, src_rank, step) {
+        if self.try_inject(obs, FaultKind::Drop, src_rank, step) {
             return Some(TransportError::Timeout);
         }
-        if self.try_inject(FaultKind::Stale, src_rank, step) {
+        if self.try_inject(obs, FaultKind::Stale, src_rank, step) {
             return Some(TransportError::StaleHandle(handle));
         }
         None
@@ -296,15 +300,27 @@ impl FaultPlan {
     /// Pulls and exposes, which carry a handle and a size, have
     /// [`inject_pull`](Self::inject_pull) and
     /// [`inject_expose`](Self::inject_expose).
-    pub fn inject(&self, kind: FaultKind, a: u64, b: u64) -> Option<TransportError> {
-        self.try_inject(kind, a, b)
+    pub fn inject(
+        &self,
+        obs: &obs::Registry,
+        kind: FaultKind,
+        a: u64,
+        b: u64,
+    ) -> Option<TransportError> {
+        self.try_inject(obs, kind, a, b)
             .then_some(TransportError::Timeout)
     }
 
     /// Consult the plan before one `expose` of `requested` bytes by
     /// compute rank `rank` at `step`.
-    pub fn inject_expose(&self, rank: u64, step: u64, requested: usize) -> Option<TransportError> {
-        if self.try_inject(FaultKind::Pin, rank, step) {
+    pub fn inject_expose(
+        &self,
+        obs: &obs::Registry,
+        rank: u64,
+        step: u64,
+        requested: usize,
+    ) -> Option<TransportError> {
+        if self.try_inject(obs, FaultKind::Pin, rank, step) {
             return Some(TransportError::PinBudgetExceeded {
                 requested,
                 available: 0,
@@ -344,57 +360,69 @@ mod tests {
 
     #[test]
     fn injection_cap_makes_faults_transient() {
+        let obs = obs::Registry::new();
         let h = MemHandle::test_only(9);
         let plan = FaultPlan::new(1).drop_chunks(1.0).max_injections(2);
         assert!(matches!(
-            plan.inject_pull(5, 3, h),
+            plan.inject_pull(&obs, 5, 3, h),
             Some(TransportError::Timeout)
         ));
         assert!(matches!(
-            plan.inject_pull(5, 3, h),
+            plan.inject_pull(&obs, 5, 3, h),
             Some(TransportError::Timeout)
         ));
-        assert!(plan.inject_pull(5, 3, h).is_none(), "cap reached");
+        assert!(plan.inject_pull(&obs, 5, 3, h).is_none(), "cap reached");
         assert!(
-            plan.inject_pull(6, 3, h).is_some(),
+            plan.inject_pull(&obs, 6, 3, h).is_some(),
             "other chunks unaffected"
+        );
+        let injected = obs
+            .snapshot()
+            .counter("transport.faults_injected", &[("kind", "drop")]);
+        assert_eq!(
+            injected,
+            Some(3),
+            "every injection counted, in the caller's registry"
         );
     }
 
     #[test]
     fn stale_faults_name_the_handle() {
+        let obs = obs::Registry::new();
         let h = MemHandle::test_only(11);
         let plan = FaultPlan::new(1).stale_handles(1.0);
         assert_eq!(
-            plan.inject_pull(0, 0, h),
+            plan.inject_pull(&obs, 0, 0, h),
             Some(TransportError::StaleHandle(h))
         );
     }
 
     #[test]
     fn step_filter_bounds_the_outage() {
+        let obs = obs::Registry::new();
         let h = MemHandle::test_only(10);
         let plan = FaultPlan::new(1).drop_chunks(1.0).steps(2..4);
-        assert!(plan.inject_pull(0, 1, h).is_none());
-        assert!(plan.inject_pull(0, 2, h).is_some());
-        assert!(plan.inject_pull(0, 3, h).is_some());
-        assert!(plan.inject_pull(0, 4, h).is_none());
+        assert!(plan.inject_pull(&obs, 0, 1, h).is_none());
+        assert!(plan.inject_pull(&obs, 0, 2, h).is_some());
+        assert!(plan.inject_pull(&obs, 0, 3, h).is_some());
+        assert!(plan.inject_pull(&obs, 0, 4, h).is_none());
     }
 
     #[test]
     fn put_and_collective_ride_drop_with_independent_schedules() {
+        let obs = obs::Registry::new();
         let plan = FaultPlan::new(3).drop_chunks(1.0).max_injections(1);
         let timeout = Some(TransportError::Timeout);
-        assert_eq!(plan.inject(FaultKind::Put, 4, 1), timeout);
+        assert_eq!(plan.inject(&obs, FaultKind::Put, 4, 1), timeout);
         assert!(
-            plan.inject(FaultKind::Put, 4, 1).is_none(),
+            plan.inject(&obs, FaultKind::Put, 4, 1).is_none(),
             "transient: retry clean"
         );
-        assert_eq!(plan.inject(FaultKind::Collective, 0, 7), timeout);
-        assert!(plan.inject(FaultKind::Collective, 0, 7).is_none());
+        assert_eq!(plan.inject(&obs, FaultKind::Collective, 0, 7), timeout);
+        assert!(plan.inject(&obs, FaultKind::Collective, 0, 7).is_none());
         // Keys are disjoint: the pull key (4, 1) is still uninjected.
         let h = MemHandle::test_only(1);
-        assert!(plan.inject_pull(4, 1, h).is_some());
+        assert!(plan.inject_pull(&obs, 4, 1, h).is_some());
 
         // At p < 1 the three kinds select from independent schedules.
         let plan = FaultPlan::new(11).drop_chunks(0.5);
@@ -407,8 +435,9 @@ mod tests {
 
     #[test]
     fn pin_faults_report_the_requested_size() {
+        let obs = obs::Registry::new();
         let plan = FaultPlan::new(0).pin_exhaustion(1.0);
-        match plan.inject_expose(2, 0, 4096) {
+        match plan.inject_expose(&obs, 2, 0, 4096) {
             Some(TransportError::PinBudgetExceeded { requested, .. }) => {
                 assert_eq!(requested, 4096)
             }

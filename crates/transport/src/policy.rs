@@ -69,7 +69,9 @@ impl CongestionSignal {
 /// before each pull it calls [`wait_ready`] with the request it is about
 /// to pull, and pulls only once the policy is willing (a policy that
 /// stays unwilling past the rank's gather timeout fails the step with
-/// `Timeout`).
+/// `Timeout`). A policy is built without a fabric: the rank passes its
+/// registry, and a policy that defers a pull counts it there, in
+/// `transport.pull_deferrals{policy}`.
 ///
 /// [`order`]: PullPolicy::order
 /// [`wait_ready`]: PullPolicy::wait_ready
@@ -82,7 +84,7 @@ pub trait PullPolicy: Send + Sync {
     /// on a condvar ([`PhaseAwarePolicy`]), or for the refill time of
     /// `next`'s bytes ([`RateLimitedPolicy`]) — and one that does not is
     /// always ready.
-    fn wait_ready(&self, _next: &FetchRequest, _timeout: Duration) -> bool {
+    fn wait_ready(&self, _next: &FetchRequest, _timeout: Duration, _obs: &obs::Registry) -> bool {
         true
     }
 }
@@ -122,10 +124,9 @@ impl PhaseAwarePolicy {
 impl PullPolicy for PhaseAwarePolicy {
     fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
 
-    fn wait_ready(&self, _next: &FetchRequest, timeout: Duration) -> bool {
+    fn wait_ready(&self, _next: &FetchRequest, timeout: Duration, obs: &obs::Registry) -> bool {
         if self.signal.is_busy() {
-            obs::global()
-                .counter("transport.pull_deferrals", &[("policy", "phase_aware")])
+            obs.counter("transport.pull_deferrals", &[("policy", "phase_aware")])
                 .inc();
         }
         self.signal.wait_until_idle(timeout)
@@ -183,7 +184,7 @@ impl RateLimitedPolicy {
 impl PullPolicy for RateLimitedPolicy {
     fn order(&mut self, _pending: &mut Vec<FetchRequest>) {}
 
-    fn wait_ready(&self, next: &FetchRequest, timeout: Duration) -> bool {
+    fn wait_ready(&self, next: &FetchRequest, timeout: Duration, obs: &obs::Registry) -> bool {
         let bytes = (next.chunk_bytes as f64).min(self.burst);
         if self.try_spend(bytes) {
             return true;
@@ -193,12 +194,8 @@ impl PullPolicy for RateLimitedPolicy {
         let deficit = (bytes - self.tokens.lock().0).max(0.0);
         let parked = Duration::from_secs_f64(deficit / self.bytes_per_sec).min(timeout);
         std::thread::sleep(parked);
-        obs::global()
-            .counter("transport.pull_deferrals", &[("policy", "rate_limited")])
+        obs.counter("transport.pull_deferrals", &[("policy", "rate_limited")])
             .inc();
-        obs::global()
-            .histogram("transport.ratelimit_wait_ns", &[])
-            .record(parked.as_nanos() as u64);
         self.try_spend(bytes)
     }
 }
@@ -227,7 +224,10 @@ mod tests {
         p.order(&mut q);
         let sizes: Vec<_> = q.iter().map(|r| r.chunk_bytes).collect();
         assert_eq!(sizes, vec![10, 30, 20]);
-        assert!(p.wait_ready(&q[0], Duration::ZERO), "never paces");
+        assert!(
+            p.wait_ready(&q[0], Duration::ZERO, &obs::Registry::new()),
+            "never paces"
+        );
     }
 
     #[test]
@@ -264,12 +264,15 @@ mod tests {
     fn phase_aware_defers_while_busy() {
         let sig = CongestionSignal::new();
         let p = PhaseAwarePolicy::new(sig.clone());
-        let ready = || p.wait_ready(&req(1), Duration::ZERO);
+        let obs = obs::Registry::new();
+        let ready = || p.wait_ready(&req(1), Duration::ZERO, &obs);
         assert!(ready());
         sig.set_busy(true);
         assert!(!ready());
         sig.set_busy(false);
         assert!(ready());
+        let deferrals = obs.counter("transport.pull_deferrals", &[("policy", "phase_aware")]);
+        assert_eq!(deferrals.get(), 1, "counted in the caller's registry");
     }
 
     #[test]
@@ -278,7 +281,7 @@ mod tests {
         sig.set_busy(true);
         let p = PhaseAwarePolicy::new(sig.clone());
         assert!(
-            !p.wait_ready(&req(1), Duration::from_millis(2)),
+            !p.wait_ready(&req(1), Duration::from_millis(2), &obs::Registry::new()),
             "still busy"
         );
         let t = std::thread::spawn(move || {
@@ -288,11 +291,11 @@ mod tests {
         let start = Instant::now();
         // Far shorter than the 10 s budget: woken by the condvar, not by
         // the deadline.
-        assert!(p.wait_ready(&req(1), Duration::from_secs(10)));
+        assert!(p.wait_ready(&req(1), Duration::from_secs(10), &obs::Registry::new()));
         assert!(start.elapsed() < Duration::from_secs(5));
         t.join().unwrap();
         // No deadline overflow: an idle signal answers at once.
-        assert!(p.wait_ready(&req(1), Duration::MAX));
+        assert!(p.wait_ready(&req(1), Duration::MAX, &obs::Registry::new()));
     }
 
     #[test]
@@ -331,7 +334,7 @@ mod tests {
         while p.try_spend(1e3) {}
         let start = Instant::now();
         assert!(
-            p.wait_ready(&req(1 << 20), Duration::from_secs(5)),
+            p.wait_ready(&req(1 << 20), Duration::from_secs(5), &obs::Registry::new()),
             "wait_ready starved by a chunk larger than the burst"
         );
         assert!(start.elapsed() < Duration::from_secs(1));
@@ -345,7 +348,10 @@ mod tests {
         // A 10 KB chunk is short at least 9 KB, which is 9 ms of refill:
         // wait_ready must park for the deficit, then succeed.
         let start = Instant::now();
-        assert!(p.wait_ready(&req(10_000), Duration::from_secs(1)));
+        let obs = obs::Registry::new();
+        assert!(p.wait_ready(&req(10_000), Duration::from_secs(1), &obs));
         assert!(start.elapsed() >= Duration::from_millis(5), "parked");
+        let deferrals = obs.counter("transport.pull_deferrals", &[("policy", "rate_limited")]);
+        assert_eq!(deferrals.get(), 1);
     }
 }

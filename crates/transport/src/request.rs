@@ -26,37 +26,3 @@ pub struct FetchRequest {
     /// inputs, etc. Hard-capped in size by `ffs::AttrList` encoding rules.
     pub attrs: AttrList,
 }
-
-impl FetchRequest {
-    /// Approximate on-wire size of this request (control-plane bytes).
-    pub fn wire_bytes(&self) -> usize {
-        // rank + step + handle + size + format
-        40 + self
-            .attrs
-            .iter()
-            .map(|(n, v)| n.len() + 4 + v.wire_size())
-            .sum::<usize>()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ffs::Value;
-
-    #[test]
-    fn wire_bytes_scale_with_attrs() {
-        let mut r = FetchRequest {
-            src_rank: 3,
-            io_step: 0,
-            handle: MemHandle::test_only(1),
-            chunk_bytes: 1 << 20,
-            format: 42,
-            attrs: AttrList::new(),
-        };
-        let bare = r.wire_bytes();
-        r.attrs.set("local_min", Value::F64(0.0));
-        assert!(r.wire_bytes() > bare);
-        assert!(r.wire_bytes() < 1024, "requests must stay tiny");
-    }
-}

@@ -11,9 +11,10 @@
 //!
 //! Retries are observable, never silent: each re-attempt increments
 //! `transport.retries{op=…}` and giving up increments
-//! `transport.retry_exhausted{op=…}`, so the acceptance bar "transient
-//! faults absorbed" is checkable as `retries > 0 && retry_exhausted ==
-//! 0` on the metrics snapshot.
+//! `transport.retry_exhausted{op=…}`, in the registry the caller passes
+//! (a policy is built without a fabric and holds none), so the
+//! acceptance bar "transient faults absorbed" is checkable as
+//! `retries > 0 && retry_exhausted == 0` on that registry's snapshot.
 //!
 //! # Where a policy comes from
 //!
@@ -29,17 +30,19 @@
 //! use transport::{RetryPolicy, TransportError};
 //!
 //! let policy = RetryPolicy::default().attempts(3);
+//! let obs = obs::Registry::new();
 //! let mut calls = 0;
 //! // Fails twice with a retryable Timeout, then succeeds.
-//! let out = policy.run("pull", 7, |attempt| {
+//! let out = policy.run(&obs, "pull", 7, |attempt| {
 //!     calls += 1;
 //!     if attempt < 2 { Err(TransportError::Timeout) } else { Ok(attempt) }
 //! });
 //! assert_eq!(out, Ok(2));
 //! assert_eq!(calls, 3);
+//! assert_eq!(obs.snapshot().counter("transport.retries", &[("op", "pull")]), Some(2));
 //!
 //! // Non-retryable errors surface immediately.
-//! let out: Result<(), _> = policy.run("pull", 7, |_| Err(TransportError::Disconnected));
+//! let out: Result<(), _> = policy.run(&obs, "pull", 7, |_| Err(TransportError::Disconnected));
 //! assert_eq!(out, Err(TransportError::Disconnected));
 //! ```
 
@@ -138,12 +141,13 @@ impl RetryPolicy {
 
     /// The one inject-then-retry gate: consult `plan` before each attempt
     /// at operation `kind` keyed `(a, b)` ([`FaultPlan::inject`]) and
-    /// absorb its transient faults under this policy, counted under
-    /// `op`. `Ok` means go ahead; `Err` is the fault that outlasted the
-    /// retries. Without a plan there is nothing to absorb: `Ok`, and no
-    /// counter moves.
+    /// absorb its transient faults under this policy, counted in `obs`
+    /// under `op`. `Ok` means go ahead; `Err` is the fault that outlasted
+    /// the retries. Without a plan there is nothing to absorb: `Ok`, and
+    /// no counter moves.
     pub fn guard(
         &self,
+        obs: &obs::Registry,
         plan: Option<&FaultPlan>,
         op: &'static str,
         kind: FaultKind,
@@ -153,19 +157,20 @@ impl RetryPolicy {
         let Some(plan) = plan else {
             return Ok(());
         };
-        self.run(op, (a << 32) ^ b, |_| {
-            plan.inject(kind, a, b).map_or(Ok(()), Err)
+        self.run(obs, op, (a << 32) ^ b, |_| {
+            plan.inject(obs, kind, a, b).map_or(Ok(()), Err)
         })
     }
 
     /// Run `f` under this policy. `f` gets the 0-based attempt index;
     /// retryable errors are re-attempted after [`backoff`](Self::backoff)
     /// until attempts or the deadline budget run out. Each re-attempt
-    /// increments `transport.retries{op}`; giving up on a retryable
-    /// error increments `transport.retry_exhausted{op}` — callers
-    /// translate that into the degradation ladder.
+    /// increments `obs`'s `transport.retries{op}`; giving up on a
+    /// retryable error increments its `transport.retry_exhausted{op}` —
+    /// callers translate that into the degradation ladder.
     pub fn run<T>(
         &self,
+        obs: &obs::Registry,
         op: &'static str,
         salt: u64,
         mut f: impl FnMut(u32) -> Result<T, TransportError>,
@@ -182,14 +187,11 @@ impl RetryPolicy {
                     let exhausted = attempt >= self.max_attempts
                         || started.elapsed() + backoff >= self.deadline;
                     if exhausted {
-                        obs::global()
-                            .counter("transport.retry_exhausted", &[("op", op)])
+                        obs.counter("transport.retry_exhausted", &[("op", op)])
                             .inc();
                         return Err(e);
                     }
-                    obs::global()
-                        .counter("transport.retries", &[("op", op)])
-                        .inc();
+                    obs.counter("transport.retries", &[("op", op)]).inc();
                     std::thread::sleep(backoff);
                 }
             }
@@ -223,7 +225,7 @@ mod tests {
             .attempts(3)
             .base_backoff(Duration::from_micros(10));
         let mut calls = 0;
-        let out: Result<(), _> = p.run("test_exhaust", 1, |_| {
+        let out: Result<(), _> = p.run(&obs::Registry::new(), "test_exhaust", 1, |_| {
             calls += 1;
             Err(TransportError::Timeout)
         });
@@ -233,29 +235,32 @@ mod tests {
 
     /// `guard` is injection and retry composed: a transient schedule
     /// costs one retry, a hard one exhausts with the injected error, and
-    /// no plan is no work. Each case counts under an `op` of its own.
+    /// no plan is no work. Each case counts in a registry of its own.
     #[test]
     fn guard_absorbs_a_transient_fault_and_exhausts_on_a_hard_one() {
         let p = RetryPolicy::default()
             .attempts(3)
             .base_backoff(Duration::from_micros(10));
-        let count = |name, op| obs::global().counter(name, &[("op", op)]).get();
+        let count = |obs: &obs::Registry, name| obs.counter(name, &[("op", "put")]).get();
 
+        let obs = obs::Registry::new();
         let transient = FaultPlan::new(0).drop_chunks(1.0).max_injections(1);
-        let out = p.guard(Some(&transient), "guard_transient", FaultKind::Put, 4, 1);
+        let out = p.guard(&obs, Some(&transient), "put", FaultKind::Put, 4, 1);
         assert_eq!(out, Ok(()));
-        assert_eq!(count("transport.retries", "guard_transient"), 1);
-        assert_eq!(count("transport.retry_exhausted", "guard_transient"), 0);
+        assert_eq!(count(&obs, "transport.retries"), 1);
+        assert_eq!(count(&obs, "transport.retry_exhausted"), 0);
 
+        let obs = obs::Registry::new();
         let hard = FaultPlan::new(0).drop_chunks(1.0);
-        let out = p.guard(Some(&hard), "guard_hard", FaultKind::Collective, 0, 7);
+        let out = p.guard(&obs, Some(&hard), "put", FaultKind::Put, 0, 7);
         assert_eq!(out, Err(TransportError::Timeout));
-        assert_eq!(count("transport.retries", "guard_hard"), 2);
-        assert_eq!(count("transport.retry_exhausted", "guard_hard"), 1);
+        assert_eq!(count(&obs, "transport.retries"), 2);
+        assert_eq!(count(&obs, "transport.retry_exhausted"), 1);
 
-        assert_eq!(p.guard(None, "guard_none", FaultKind::Query, 1, 1), Ok(()));
-        assert_eq!(count("transport.retries", "guard_none"), 0);
-        assert_eq!(count("transport.retry_exhausted", "guard_none"), 0);
+        let obs = obs::Registry::new();
+        assert_eq!(p.guard(&obs, None, "put", FaultKind::Put, 1, 1), Ok(()));
+        assert_eq!(count(&obs, "transport.retries"), 0);
+        assert_eq!(count(&obs, "transport.retry_exhausted"), 0);
     }
 
     #[test]
@@ -266,7 +271,8 @@ mod tests {
             .max_backoff(Duration::from_millis(5))
             .deadline(Duration::from_millis(20));
         let started = Instant::now();
-        let out: Result<(), _> = p.run("test_deadline", 1, |_| Err(TransportError::Timeout));
+        let obs = obs::Registry::new();
+        let out: Result<(), _> = p.run(&obs, "test_deadline", 1, |_| Err(TransportError::Timeout));
         assert_eq!(out, Err(TransportError::Timeout));
         assert!(
             started.elapsed() < Duration::from_millis(500),

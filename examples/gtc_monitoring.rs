@@ -34,10 +34,13 @@ fn main() {
     let out_dir = std::env::temp_dir().join("predata-gtc-monitoring");
     std::fs::create_dir_all(&out_dir).ok();
 
-    // Chunk lineage on by default for the demo; an explicit
-    // PREDATA_LINEAGE setting (e.g. `=0`) still wins.
+    // The run records into the global registry, which `Fabric::new`
+    // passes and the `PREDATA_*` variables configure. Chunk lineage is on
+    // by default for the demo; an explicit PREDATA_LINEAGE setting (e.g.
+    // `=0`) still wins.
+    let obs = predata::obs::global();
     if std::env::var_os("PREDATA_LINEAGE").is_none() {
-        predata::obs::lineage::set_enabled(true);
+        obs.set_detail(true);
     }
 
     println!(
@@ -92,7 +95,7 @@ fn main() {
             blocking.as_secs_f64() * 1e3,
             world.displaced_fraction() * 100.0
         );
-        let _compute = predata::obs::span!("compute", io_step);
+        let _compute = predata::obs::span_in(obs, "compute", io_step);
         for _ in 0..iterations_per_interval {
             world.step(); // simulation continues while staging pulls
         }
@@ -150,7 +153,7 @@ fn main() {
     // Perturbation summary (paper §V): how much of each interval the
     // simulation spent computing vs blocked in the output path, and the
     // transport activity concurrent with it.
-    let snap = predata::obs::global().snapshot();
+    let snap = obs.snapshot();
     let perturb = snap.perturb();
     if !perturb.is_empty() {
         println!("perturbation (compute vs output blocking per dump):");

@@ -16,6 +16,7 @@ use predata::dataspaces::{
 };
 use predata::ffs::AttrList;
 use predata::minimpi::World;
+use predata::obs::Registry;
 use predata::transport::{
     BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPolicy, RetryPolicy, Router, TransportError,
 };
@@ -25,11 +26,6 @@ fn out_dir(tag: &str) -> std::path::PathBuf {
     std::fs::create_dir_all(&d).unwrap();
     d
 }
-
-/// Lineage enablement is process-global; tests that toggle it and then
-/// assert on the log serialize through this lock so a concurrent test
-/// can't flip recording off mid-assertion.
-static LINEAGE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// An output directory that cannot be created (its parent is a plain
 /// file) must fail `StagingRank::new` with an Io error at startup, not
@@ -107,12 +103,10 @@ fn corrupt_chunk_reported_as_chunk_error() {
 #[test]
 fn failed_pull_truncates_lineage_instead_of_dangling() {
     use predata::obs::lineage::Stage;
-    let _lineage = LINEAGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    predata::obs::lineage::set_enabled(true);
-    // Step 40: far from the steps other tests in this process record, so
-    // the process-global lineage log can't collide across tests.
-    const STEP: u64 = 40;
-    let (_fabric, computes, stagings) = Fabric::new(2, 1, None);
+    const STEP: u64 = 0;
+    let obs = Registry::new();
+    obs.set_detail(true);
+    let (_fabric, computes, stagings) = Fabric::with_faults(2, 1, None, None, obs.clone());
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(2, 1));
     let dir = out_dir("lineage-trunc");
     let mut computes = computes.into_iter();
@@ -156,10 +150,9 @@ fn failed_pull_truncates_lineage_instead_of_dangling() {
         "corrupt chunk fails the step"
     );
 
-    let lineage = predata::obs::global().lineage().snapshot();
-    let of_step: Vec<_> = lineage.iter().filter(|c| c.step == STEP).collect();
-    assert_eq!(of_step.len(), 2, "both chunks of step {STEP} are tracked");
-    for chunk in of_step {
+    let lineage = obs.lineage().snapshot();
+    assert_eq!(lineage.len(), 2, "both chunks of step {STEP} are tracked");
+    for chunk in &lineage {
         assert!(
             chunk.is_complete() || chunk.is_truncated(),
             "chunk (src {}, step {STEP}) dangles: recorded {:?}",
@@ -176,7 +169,6 @@ fn failed_pull_truncates_lineage_instead_of_dangling() {
             assert!(!chunk.is_complete());
         }
     }
-    predata::obs::lineage::set_enabled(false);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -238,7 +230,9 @@ fn pin_budget_exhaustion_fails_fast() {
 
     // An injected pin fault is the same error, on the first write.
     let plan = predata::transport::FaultPlan::new(0).pin_exhaustion(1.0);
-    let (_fabric, computes, _stagings) = Fabric::with_faults(1, 1, None, Some(Arc::new(plan)));
+    let obs = Registry::new();
+    let (_fabric, computes, _stagings) =
+        Fabric::with_faults(1, 1, None, Some(Arc::new(plan)), obs.clone());
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(1, 1));
     let client = PredataClient::new(computes.into_iter().next().unwrap(), router, vec![]);
     let err = client
@@ -246,6 +240,10 @@ fn pin_budget_exhaustion_fails_fast() {
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("pin budget"), "unexpected error: {msg}");
+    let pins = obs
+        .snapshot()
+        .counter("transport.faults_injected", &[("kind", "pin")]);
+    assert_eq!(pins, Some(1), "the one injection, in the fabric's registry");
 }
 
 /// A dead staging area must not hang the application forever: the drain
@@ -323,13 +321,14 @@ const GTC_IDS: u64 = 60;
 /// Run a small deterministic GTC pipeline (sort + histogram, plus an index
 /// of every particle's weight into one shared space; 4 compute → 2
 /// staging, 2 steps) under `faults` — on the fabric, the staging
-/// collectives and the space's puts alike — and return the staging
-/// reports and the space. Writes are issued from one thread so request
-/// arrival order — and with it the policy order and every merged output
-/// byte — is reproducible.
+/// collectives and the space's puts alike — recording into `obs`, and
+/// return the staging reports and the space. Writes are issued from one
+/// thread so request arrival order — and with it the policy order and
+/// every merged output byte — is reproducible.
 fn run_gtc(
     dir: &std::path::Path,
     faults: Option<Arc<predata::transport::FaultPlan>>,
+    obs: &Registry,
 ) -> (Vec<predata::core::StepReport>, Arc<DataSpaces>) {
     use predata::core::ops::{HistogramOp, SortOp};
     let (n_compute, n_staging, n_steps) = (4usize, 2usize, 2u64);
@@ -337,9 +336,10 @@ fn run_gtc(
         DsConfig::new(vec![GTC_IDS, n_compute as u64], vec![10, 1], 4),
         faults.clone(),
         RetryPolicy::default(),
+        obs.clone(),
     ));
     let (_fabric, computes, stagings) =
-        predata::transport::Fabric::with_faults(n_compute, n_staging, None, faults);
+        Fabric::with_faults(n_compute, n_staging, None, faults, obs.clone());
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
     let ops_space = Arc::clone(&space);
     let area = predata::core::StagingArea::spawn(
@@ -378,15 +378,18 @@ fn run_gtc(
 
 /// Reorganize one small Pixie3D dump (`ReorgOp`; 8 compute → 2 staging
 /// ranks, one step) into merged slabs under `dir`, with `faults` on the
-/// fabric and the staging collectives, and return the staging reports.
+/// fabric and the staging collectives, recording into `obs`, and return
+/// the staging reports.
 fn run_pixie(
     dir: &std::path::Path,
     faults: Option<Arc<predata::transport::FaultPlan>>,
+    obs: &Registry,
 ) -> Vec<predata::core::StepReport> {
     use predata::core::ops::ReorgOp;
     let world = predata::apps::PixieWorld::new([2, 2, 2], [4, 4, 4]);
     let (n_compute, n_staging) = (world.n_ranks(), 2);
-    let (_fabric, computes, stagings) = Fabric::with_faults(n_compute, n_staging, None, faults);
+    let (_fabric, computes, stagings) =
+        Fabric::with_faults(n_compute, n_staging, None, faults, obs.clone());
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
     let area = StagingArea::spawn(
         stagings,
@@ -444,15 +447,12 @@ fn bp_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>
         .collect()
 }
 
-fn counter(name: &str, op: &str) -> u64 {
-    predata::obs::global()
-        .snapshot()
-        .counter(name, &[("op", op)])
-        .unwrap_or(0)
+/// Counter `name{op}` of `obs`, 0 while it was never touched.
+fn counter(obs: &Registry, name: &str, op: &str) -> u64 {
+    obs.snapshot().counter(name, &[("op", op)]).unwrap_or(0)
 }
 
-/// The ladder end to end, in one test so the global retry counters can't
-/// race across test threads:
+/// The ladder end to end, each run counted in a registry of its own:
 ///
 /// (a) a seeded *transient* schedule (every pull, put, collective
 ///     entry and query fails exactly once) is absorbed by retries — the
@@ -473,29 +473,25 @@ fn degradation_ladder_absorbs_and_truncates() {
     // --- (a) transient faults: retried into a byte-identical run ---
     let clean_dir = out_dir("ladder-clean");
     let faulty_dir = out_dir("ladder-transient");
-    let (reports, clean_space) = run_gtc(&clean_dir, None);
+    let (reports, clean_space) = run_gtc(&clean_dir, None, &Registry::new());
     assert!(reports.iter().all(|r| !r.is_degraded()));
 
-    let retries_before = ["pull", "put", "collective"].map(|op| counter("transport.retries", op));
-    let exhausted_before = counter("transport.retry_exhausted", "pull");
+    let obs = Registry::new();
     let plan = Arc::new(FaultPlan::new(2026).drop_chunks(1.0).max_injections(1));
-    let (reports, faulty_space) = run_gtc(&faulty_dir, Some(plan));
+    let (reports, faulty_space) = run_gtc(&faulty_dir, Some(plan), &obs);
     assert!(
         reports.iter().all(|r| !r.is_degraded()),
         "transient faults must not truncate"
     );
-    for (op, before) in ["pull", "put", "collective"]
-        .into_iter()
-        .zip(retries_before)
-    {
+    for op in ["pull", "put", "collective"] {
         assert!(
-            counter("transport.retries", op) > before,
+            counter(&obs, "transport.retries", op) > 0,
             "the schedule faulted every {op} once; retries must show"
         );
     }
     assert_eq!(
-        counter("transport.retry_exhausted", "pull"),
-        exhausted_before,
+        counter(&obs, "transport.retry_exhausted", "pull"),
+        0,
         "one injected failure per chunk cannot exhaust 4 attempts"
     );
     let clean = bp_files(&clean_dir);
@@ -527,20 +523,19 @@ fn degradation_ladder_absorbs_and_truncates() {
     }
     // The query service takes the plan of the space it serves: every
     // query's first attempt faults, and the retry answers it exactly.
-    let query_retries = counter("transport.retries", "query");
-    let query_exhausted = counter("transport.retry_exhausted", "query");
     assert_eq!(
         query_answers(&faulty_space),
         query_answers(&clean_space),
         "query answers must match under absorbed faults"
     );
-    assert!(
-        counter("transport.retries", "query") > query_retries,
-        "the schedule faulted every query once; retries must show"
+    assert_eq!(
+        counter(&obs, "transport.retries", "query"),
+        8,
+        "the schedule faulted each of the 8 queries once"
     );
     assert_eq!(
-        counter("transport.retry_exhausted", "query"),
-        query_exhausted,
+        counter(&obs, "transport.retry_exhausted", "query"),
+        0,
         "one injected failure per query cannot exhaust 4 attempts"
     );
     std::fs::remove_dir_all(&clean_dir).ok();
@@ -551,20 +546,21 @@ fn degradation_ladder_absorbs_and_truncates() {
     // as on a clean fabric.
     let clean_dir = out_dir("ladder-pixie-clean");
     let faulty_dir = out_dir("ladder-pixie-transient");
-    let reports = run_pixie(&clean_dir, None);
+    let reports = run_pixie(&clean_dir, None, &Registry::new());
     assert!(reports.iter().all(|r| !r.is_degraded()));
-    let pull_retries = counter("transport.retries", "pull");
     let plan = FaultPlan::new(2026)
         .drop_chunks(1.0)
         .stale_handles(1.0)
         .max_injections(1);
-    let reports = run_pixie(&faulty_dir, Some(Arc::new(plan)));
+    let obs = Registry::new();
+    let reports = run_pixie(&faulty_dir, Some(Arc::new(plan)), &obs);
     assert!(
         reports.iter().all(|r| !r.is_degraded()),
         "transient faults must not truncate a reorganization"
     );
-    assert!(
-        counter("transport.retries", "pull") >= pull_retries + 2 * 8,
+    assert_eq!(
+        counter(&obs, "transport.retries", "pull"),
+        2 * 8,
         "each of the 8 chunks was dropped once and found stale once"
     );
     let clean = bp_files(&clean_dir);
@@ -594,7 +590,7 @@ fn degradation_ladder_absorbs_and_truncates() {
         .unwrap();
     let victim = victims(seed)[0];
     let dir = out_dir("ladder-one-victim");
-    let (reports, _) = run_gtc(&dir, Some(Arc::new(plan(seed))));
+    let (reports, _) = run_gtc(&dir, Some(Arc::new(plan(seed))), &Registry::new());
     // Staging rank 0's steps, then rank 1's; each serves two compute ranks.
     for (rank, steps) in reports.chunks(2).enumerate() {
         for rep in steps {
@@ -605,14 +601,11 @@ fn degradation_ladder_absorbs_and_truncates() {
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    // Steps 50+: outside every other test's lineage key range.
-    const STEP: u64 = 50;
-    let _lineage = LINEAGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    predata::obs::lineage::set_enabled(true);
-    let exhausted_before = counter("transport.retry_exhausted", "pull");
+    const STEP: u64 = 0;
+    let obs = Registry::new();
+    obs.set_detail(true);
     let plan = Arc::new(FaultPlan::new(9).drop_chunks(1.0).steps(STEP..STEP + 1));
-    let (_fabric, computes, stagings) =
-        predata::transport::Fabric::with_faults(2, 1, None, Some(plan));
+    let (_fabric, computes, stagings) = Fabric::with_faults(2, 1, None, Some(plan), obs.clone());
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(2, 1));
     let dir = out_dir("ladder-exhaust");
     for (r, e) in computes.into_iter().enumerate() {
@@ -641,21 +634,19 @@ fn degradation_ladder_absorbs_and_truncates() {
     assert_eq!(truncated, vec![0, 1], "both chunks were abandoned");
     assert!(report.pull_order.is_empty(), "nothing was actually pulled");
     assert_eq!(report.results.len(), 1, "operators still finalized");
-    assert!(
-        counter("transport.retry_exhausted", "pull") >= exhausted_before + 2,
+    assert_eq!(
+        counter(&obs, "transport.retry_exhausted", "pull"),
+        2,
         "each abandoned chunk exhausted its retries"
     );
-    let lineage = predata::obs::global().lineage().snapshot();
-    let of_step: Vec<_> = lineage.iter().filter(|c| c.step == STEP).collect();
-    assert_eq!(of_step.len(), 2);
-    for chunk in of_step {
+    let lineage = obs.lineage().snapshot();
+    assert_eq!(lineage.len(), 2);
+    for chunk in &lineage {
         assert!(
             chunk.is_truncated(),
             "chunk (src {}, step {STEP}) must be terminally truncated",
             chunk.src_rank
         );
     }
-    predata::obs::lineage::set_enabled(false);
-    drop(_lineage);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -38,6 +38,34 @@
 //!   `staging::tests::a_gtc_step_enters_gather_allgather_and_alltoall_only`
 //!   and `incompute::tests::sort_in_compute_produces_global_order` hold
 //!   that; here only the per-operator back half stays deleted.
+//! - **Range answers written once.** `Session::get` appends a range
+//!   answer in answer order into a buffer it never zeroes (DESIGN.md
+//!   §3.5): `steady_state_alloc::a_warm_range_answer_is_one_unzeroed_block`
+//!   counts the one unzeroed block, and here no zero fill in the non-test
+//!   part of `session.rs` and no block-by-block `copy_to` come back.
+//! - **Particle stats fold in plain compares.** `attach_particle_stats`
+//!   updates its lanes by strict compares, which vectorise to bare
+//!   `minpd` / `maxpd`; `f64::min` / `max` there pays a NaN fix-up on
+//!   every element inside `write_pg` (DESIGN.md §3.6).
+//! - **`write_pg` copies no payload.** It exposes the process group's own
+//!   arrays as a gather (DESIGN.md §3.4): the non-test part of
+//!   `client.rs` packs no contiguous copy, and
+//!   `steady_state_alloc::a_warm_dump_allocates_nothing_proportional_to_the_data`
+//!   sees no chunk-sized block on the simulation's thread.
+//! - **Operators share one kit.** One `BpWriter::create` and one bin
+//!   formula under `crates/core/src/ops`, both in the private `kit`, and
+//!   no separate 2-D histogram operator: a second writer is a `finalize`
+//!   that can lose a file without `staging.output_errors` saying so, a
+//!   second bin formula a histogram and an index that can disagree about
+//!   an edge value.
+//! - **Stage 3 spawns no thread.** Outside its tests, `staging.rs`
+//!   spawns one kind of thread — a staging rank, in `StagingArea::spawn`
+//!   — and enters no thread scope.
+//! - **One registry per run.** Under `crates/*/src`, only the `obs`
+//!   crate and the default constructors (`Fabric::new`,
+//!   `DataSpaces::new`, a `minimpi` world's `Comm::new`) name
+//!   `obs::global()`; everything else records into the registry it was
+//!   built with.
 
 use std::path::{Path, PathBuf};
 
@@ -461,4 +489,157 @@ fn one_exchange_per_step() {
         "the per-operator back half is back:\n{}",
         hits.join("\n")
     );
+}
+
+/// Every line of the non-test part of `file` that `bad` flags.
+fn non_test_lines(file: &str, bad: &dyn Fn(&str) -> bool) -> Vec<String> {
+    let src = read(&root().join(file));
+    non_test(&src)
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| bad(line))
+        .map(|(i, line)| format!("{file}:{}: {}", i + 1, line.trim()))
+        .collect()
+}
+
+#[test]
+fn range_answers_written_once() {
+    let mut hits = non_test_lines("crates/dataspaces/src/session.rs", &|line| {
+        line.contains("DataArray::zeros(")
+    });
+    hits.extend(offending_lines(
+        "crates/dataspaces/src",
+        &is_rust,
+        &|line| line.contains("fn copy_to"),
+    ));
+    assert!(
+        hits.is_empty(),
+        "a range answer is zero-filled or copied block by block again:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn particle_stats_fold_in_plain_compares() {
+    let kit = read(&root().join("crates/core/src/ops/kit.rs"));
+    let body = fn_body(&kit, "attach_particle_stats");
+    let folds: Vec<_> = body
+        .lines()
+        .filter(|line| line.contains(".min(") || line.contains(".max("))
+        .map(str::trim)
+        .collect();
+    assert!(
+        folds.is_empty(),
+        "attach_particle_stats folds with f64::min/max again: {folds:?}"
+    );
+}
+
+#[test]
+fn write_pg_copies_no_payload() {
+    let packs = non_test_lines("crates/core/src/client.rs", &|line| {
+        ["pack_into", "encode_into", ".pack("]
+            .iter()
+            .any(|p| line.contains(p))
+    });
+    assert!(
+        packs.is_empty(),
+        "write_pg packs a contiguous copy again:\n{}",
+        packs.join("\n")
+    );
+}
+
+#[test]
+fn operators_share_one_kit() {
+    let in_ops = |pattern: &'static str| {
+        offending_lines("crates/core/src/ops", &is_rust, &move |line| {
+            line.contains(pattern)
+        })
+    };
+    for pattern in ["BpWriter::create", "as f64) as i64"] {
+        let hits = in_ops(pattern);
+        assert!(
+            hits.len() == 1 && hits[0].starts_with("crates/core/src/ops/kit.rs:"),
+            "`{pattern}` appears once under ops/, in kit.rs:\n{}",
+            hits.join("\n")
+        );
+    }
+    assert!(
+        !root().join("crates/core/src/ops/histogram2d.rs").exists(),
+        "a separate 2-D histogram operator is back"
+    );
+}
+
+#[test]
+fn stage_3_spawns_no_thread() {
+    let src = read(&root().join("crates/core/src/staging.rs"));
+    let src = non_test(&src);
+    assert_eq!(src.matches("thread::scope").count(), 0, "a thread scope");
+    let spawns = src.matches("thread::spawn").count() + src.matches(".spawn(").count();
+    assert_eq!(spawns, 1, "staging.rs spawns one kind of thread");
+    let builder = src
+        .find("thread::Builder::new()")
+        .expect("the staging rank's thread is built by name");
+    let next: String = src[builder..].lines().take(3).collect();
+    assert!(
+        next.contains(".name(format!(\"staging{}\""),
+        "the one spawned thread is a staging rank: {next}"
+    );
+}
+
+/// The `fn` whose body holds line `at` of `src`: the nearest line at or
+/// above it that declares one.
+fn enclosing_fn(src: &str, at: usize) -> Option<&str> {
+    src.lines()
+        .take(at + 1)
+        .filter_map(declared_fn)
+        .last()
+        .map(|(_, name)| name)
+}
+
+#[test]
+fn one_registry_per_run() {
+    const DEFAULT_CONSTRUCTORS: [(&str, &str); 3] = [
+        ("crates/transport/src/fabric.rs", "new"),
+        ("crates/dataspaces/src/space.rs", "new"),
+        ("crates/minimpi/src/comm.rs", "new"),
+    ];
+    let mut hits = Vec::new();
+    let mut defaults = Vec::new();
+    for path in files("crates", &|p| {
+        is_rust(p)
+            && shown(p).split('/').nth(2) == Some("src")
+            && !shown(p).starts_with("crates/obs/")
+    }) {
+        let src = read(&path);
+        let file = shown(&path);
+        for (i, line) in src.lines().enumerate() {
+            if !line.contains("obs::global()") {
+                continue;
+            }
+            let site = (file.as_str(), enclosing_fn(&src, i).unwrap_or(""));
+            if DEFAULT_CONSTRUCTORS.contains(&site) {
+                defaults.push(site.0.to_string());
+            } else {
+                hits.push(format!("{file}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "only obs and the default constructors name obs::global():\n{}",
+        hits.join("\n")
+    );
+    assert_eq!(
+        defaults.len(),
+        DEFAULT_CONSTRUCTORS.len(),
+        "each default constructor passes the global registry once: {defaults:?}"
+    );
+}
+
+#[test]
+fn enclosing_fn_reads_the_nearest_declaration() {
+    let src = "impl A {\n    pub fn new() -> A {\n        x(obs::global())\n    }\n\n    fn b() {\n        y();\n    }\n}";
+    assert_eq!(enclosing_fn(src, 2), Some("new"));
+    assert_eq!(enclosing_fn(src, 6), Some("b"));
+    assert_eq!(enclosing_fn(src, 0), None);
 }

@@ -16,14 +16,12 @@
 //! `obs.enabled_cost_frac` (`benchmark/run.sh --trace 1`) is the
 //! precision instrument for the 3% figure itself.
 //!
-//! Lives in its own integration-test binary (own process) because it
-//! toggles the process-global `obs::set_enabled` switch.
-//!
-//! Also exercises `Registry::set_export_path`, the programmatic
-//! override of `PREDATA_METRICS`: the measurement runs pin the export
-//! path to `None` (no snapshot I/O in the timed region regardless of
-//! the ambient environment), then a final run points it at a real file
-//! and asserts the current-version snapshot lands there.
+//! The runs record into a registry of the test's own, whose switch
+//! (`Registry::set_enabled`) only they read. It starts as an empty
+//! environment would configure it: no export path (no snapshot I/O in
+//! the timed region) and no event log. A final run points
+//! `Registry::set_export_path` at a real file and asserts the
+//! current-version snapshot lands there at `StagingArea::join`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,6 +30,7 @@ use predata::core::op::StreamOp;
 use predata::core::ops::HistogramOp;
 use predata::core::schema::make_particle_pg;
 use predata::core::{PredataClient, StagingArea, StagingConfig};
+use predata::obs::Registry;
 use predata::transport::{BlockRouter, Fabric, FifoPolicy, PullPolicy, Router};
 
 const N_COMPUTE: usize = 4;
@@ -63,10 +62,11 @@ fn make_ops() -> Vec<Box<dyn StreamOp>> {
     vec![Box::new(HistogramOp::new(vec![0, 1, 2, 3, 5], 64))]
 }
 
-/// One full pipeline run (write dumps, spawn staging, join); returns the
-/// staging-side wall time.
-fn run_once(dir: &std::path::Path) -> Duration {
-    let (_fabric, computes, stagings) = Fabric::new(N_COMPUTE, N_STAGING, None);
+/// One full pipeline run (write dumps, spawn staging, join), recording
+/// into `obs`; returns the staging-side wall time.
+fn run_once(dir: &std::path::Path, obs: &Registry) -> Duration {
+    let (_fabric, computes, stagings) =
+        Fabric::with_faults(N_COMPUTE, N_STAGING, None, None, obs.clone());
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(N_COMPUTE, N_STAGING));
     let clients: Vec<PredataClient> = computes
         .into_iter()
@@ -104,13 +104,17 @@ fn run_once(dir: &std::path::Path) -> Duration {
 /// interleaved pairs of runs: the run an eighth of the way up each
 /// sorted series. Not the very fastest: on this box one lucky run in 40
 /// lands up to 13 % under the second fastest, in either series.
-fn interleaved_fast_runs(trials: usize, dir: &std::path::Path) -> (Duration, Duration) {
+fn interleaved_fast_runs(
+    trials: usize,
+    dir: &std::path::Path,
+    obs: &Registry,
+) -> (Duration, Duration) {
     let mut series = [Vec::new(), Vec::new()]; // [off, on]
     for trial in 0..trials {
         let first_on = trial % 2 == 1;
         for on in [first_on, !first_on] {
-            predata::obs::set_enabled(on);
-            series[on as usize].push(run_once(dir));
+            obs.set_enabled(on);
+            series[on as usize].push(run_once(dir, obs));
         }
     }
     let [off, on] = series.map(|mut runs| {
@@ -125,18 +129,15 @@ fn metrics_overhead_stays_within_budget() {
     let dir = std::env::temp_dir().join(format!("obs-ovh-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    // No snapshot export during the timed runs, whatever the ambient
-    // PREDATA_METRICS says — the override wins over the environment.
-    predata::obs::global().set_export_path(None);
-    // The event log stays off: its cost is opt-in and outside this budget.
-    predata::obs::global().set_detail(false);
+    // No snapshot export during the timed runs, and no event log: its
+    // cost is opt-in and outside this budget.
+    let obs = Registry::new();
 
     // Warm-up: fault in code paths, allocators, and the temp filesystem.
-    predata::obs::set_enabled(false);
-    run_once(&dir);
+    obs.set_enabled(false);
+    run_once(&dir, &obs);
 
-    let (off, on) = interleaved_fast_runs(TRIALS, &dir);
-    predata::obs::set_enabled(false);
+    let (off, on) = interleaved_fast_runs(TRIALS, &dir, &obs);
 
     let ratio = on.as_secs_f64() / off.as_secs_f64().max(1e-9);
     assert!(
@@ -146,14 +147,12 @@ fn metrics_overhead_stays_within_budget() {
         (ratio - 1.0) * 100.0
     );
 
-    // With the measurement done, flip the override to a real path: one
-    // more run must export a current-version snapshot there at join().
+    // With the measurement done, set a real export path: one more run
+    // must export a current-version snapshot there at join().
     let snap_path = dir.join("override-snapshot.json");
-    predata::obs::global().set_export_path(Some(snap_path.clone()));
-    predata::obs::set_enabled(true);
-    run_once(&dir);
-    predata::obs::set_enabled(false);
-    predata::obs::global().set_export_path(None);
+    obs.set_export_path(Some(snap_path.clone()));
+    obs.set_enabled(true);
+    run_once(&dir, &obs);
     let text = std::fs::read_to_string(&snap_path)
         .expect("join() exports a snapshot to the overridden path");
     let root: serde_json::Value = serde_json::from_str(&text).expect("exported snapshot parses");

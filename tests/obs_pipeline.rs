@@ -8,11 +8,11 @@
 //! event stream, so they must agree with each other and with the
 //! transport's own counters.
 //!
-//! Uses the programmatic overrides (`obs::set_enabled`,
-//! `obs::lineage::set_enabled`, `obs::trace::install`) rather than
-//! `PREDATA_METRICS` / `PREDATA_TRACE` / `PREDATA_LINEAGE` so the test
-//! is immune to environment races; the env path is covered by unit
-//! tests in the `obs` crate.
+//! The run records into a registry of its own, handed to the fabric and
+//! gated by its setters (`set_detail`, `set_trace_path`) rather than by
+//! `PREDATA_METRICS` / `PREDATA_TRACE` / `PREDATA_LINEAGE`, so the test
+//! is immune to environment races and to every other test; the env path
+//! is covered by the `obs` crate's own tests.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -21,6 +21,7 @@ use predata::core::op::StreamOp;
 use predata::core::ops::{HistogramOp, SortOp};
 use predata::core::schema::make_particle_pg;
 use predata::core::{PredataClient, StagingArea, StagingConfig};
+use predata::obs::Registry;
 use predata::transport::{BlockRouter, Fabric, FifoPolicy, PullPolicy, Router};
 
 const N_COMPUTE: usize = 2;
@@ -62,13 +63,14 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn pipeline_emits_snapshot_and_perfetto_trace() {
-    predata::obs::set_enabled(true);
-    predata::obs::lineage::set_enabled(true);
+    let obs = Registry::new();
+    obs.set_detail(true);
     let trace_path = scratch("trace").join("trace.json");
-    predata::obs::trace::install(&trace_path);
+    obs.set_trace_path(trace_path.clone());
 
     let out_dir = scratch("out");
-    let (_fabric, computes, stagings) = Fabric::new(N_COMPUTE, N_STAGING, None);
+    let (_fabric, computes, stagings) =
+        Fabric::with_faults(N_COMPUTE, N_STAGING, None, None, obs.clone());
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(N_COMPUTE, N_STAGING));
 
     let clients: Vec<PredataClient> = computes
@@ -87,7 +89,7 @@ fn pipeline_emits_snapshot_and_perfetto_trace() {
     for step in 0..N_STEPS {
         // "Simulation compute" for the perturbation monitor: the dump
         // synthesis stands in for the application's iteration work.
-        let compute = predata::obs::span!("compute", step);
+        let compute = predata::obs::span_in(&obs, "compute", step);
         let dumps: Vec<Vec<f64>> = (0..N_COMPUTE as u64).map(|r| dump(r, step)).collect();
         drop(compute);
         for (r, c) in clients.iter().enumerate() {
@@ -110,7 +112,7 @@ fn pipeline_emits_snapshot_and_perfetto_trace() {
 
     // 1. The snapshot carries nonzero pull/decode/map/reduce span totals
     //    for every step — the raw material of the paper's breakdowns.
-    let snap = predata::obs::global().snapshot();
+    let snap = obs.snapshot();
     for step in 0..N_STEPS {
         for stage in ["pull", "decode", "map", "reduce"] {
             let stat = snap

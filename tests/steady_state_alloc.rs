@@ -8,8 +8,9 @@
 //! that is never allocated is never faulted in. The large-chunk GTC dump
 //! through `SortOp` is held to the same on the generator thread, and for
 //! its output: a warm step sorts into the buffer the previous step's
-//! write handed back. A warm DataSpaces range answer is one block, asked
-//! for once and never zeroed.
+//! write handed back — and the sort's finalize writes that 4 MiB output
+//! to its BP file without copying it. A warm DataSpaces range answer is
+//! one block, asked for once and never zeroed.
 //!
 //! Its own test binary, because it replaces the global allocator.
 
@@ -24,11 +25,15 @@ use predata::apps::{GtcWorld, PixieWorld};
 use predata::bpio::DataArray;
 use predata::core::agg::Aggregates;
 use predata::core::chunk::PackedChunk;
-use predata::core::op::{ChunkMapper, MapCtx, OpCtx, OpResult, StreamOp, Tagged};
-use predata::core::ops::{ReorgOp, SortOp};
+use predata::core::op::{
+    complete_pipeline, ChunkMapper, MapCtx, OpCtx, OpResult, StreamOp, Tagged,
+};
+use predata::core::ops::{attach_particle_stats, ReorgOp, SortOp};
+use predata::core::schema::{make_particle_pg, PARTICLE_WIDTH};
 use predata::core::{PredataClient, StagingArea, StagingConfig};
 use predata::dataspaces::{DataSpaces, DsConfig, Region};
 use predata::ffs::AttrList;
+use predata::minimpi::World;
 use predata::transport::{BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPolicy, Router};
 
 /// A block a 32 KiB chunk or a 256 KiB slab would need; every per-chunk
@@ -431,6 +436,87 @@ fn a_warm_gtc_step_sorts_into_the_kept_output_buffer() {
         HUGE_ON_STAGING.load(Ordering::Relaxed) - warm_from,
         0,
         "a warm GTC step asked for a block of {HUGE} B or more on a staging thread"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `SortOp`, with the bytes its `finalize` asks the allocator for.
+struct FinalizeCounted {
+    op: SortOp,
+    finalize_bytes: u64,
+}
+
+impl StreamOp for FinalizeCounted {
+    fn name(&self) -> &str {
+        self.op.name()
+    }
+    fn initialize(&mut self, agg: &Aggregates, ctx: &OpCtx) {
+        self.op.initialize(agg, ctx);
+    }
+    fn mapper(&self) -> Arc<dyn ChunkMapper> {
+        self.op.mapper()
+    }
+    fn partition(&self, tag: u64, n_ranks: usize) -> usize {
+        self.op.partition(tag, n_ranks)
+    }
+    fn reduce(&mut self, tag: u64, items: Vec<Bytes>, ctx: &OpCtx) {
+        self.op.reduce(tag, items, ctx);
+    }
+    fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
+        let before = bytes_allocated();
+        let result = self.op.finalize(ctx);
+        self.finalize_bytes = bytes_allocated() - before;
+        result
+    }
+}
+
+/// The output path copies no payload: `SortOp::finalize` lends its
+/// 4 MiB of sorted rows to a process group, and `kit::write_output`
+/// hands them to the vectored `BpWriter` as they lie. The whole finalize
+/// — group, writer, index, footer — asks the allocator for a small
+/// fraction of one copy of the rows.
+#[test]
+fn a_sort_output_is_written_without_a_payload_copy() {
+    // The `gtc_staged` staging rank's share: 65 536 particles, 4 MiB.
+    const ROWS: usize = 65_536;
+    let dir = std::env::temp_dir().join(format!("steady-alloc-out-{}", std::process::id()));
+    let out_dir = dir.clone();
+    let (finalize_bytes, files) = World::run(1, move |comm| {
+        let rows: Vec<f64> = (0..ROWS)
+            .flat_map(|i| {
+                let label = ((i * 7919) % ROWS) as f64;
+                [i as f64, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, label]
+            })
+            .collect();
+        let pg = make_particle_pg(0, 0, rows);
+        let mut attrs = AttrList::new();
+        attach_particle_stats(&pg, &mut attrs);
+        let agg = Aggregates::local_only(&[(0, attrs)]);
+        let ctx = OpCtx {
+            comm: &comm,
+            out_dir: &out_dir,
+            step: 0,
+            n_compute: 1,
+            agg: Some(&agg),
+        };
+        std::fs::create_dir_all(&out_dir).unwrap();
+        let mut op = FinalizeCounted {
+            op: SortOp::new(),
+            finalize_bytes: 0,
+        };
+        op.initialize(&agg, &ctx);
+        let mapped = op.map(&PackedChunk::new(pg), &ctx);
+        let result = complete_pipeline(&mut op, mapped, &ctx);
+        (op.finalize_bytes, result.files)
+    })
+    .remove(0);
+    assert_eq!(files.len(), 1, "the sorted rows were written");
+    let written = std::fs::metadata(&files[0]).unwrap().len();
+    let payload = (ROWS * PARTICLE_WIDTH * 8) as u64;
+    assert!(written > payload, "the file holds the {payload} B of rows");
+    assert!(
+        finalize_bytes < payload / 16,
+        "finalize asked for {finalize_bytes} B writing a {payload} B output: a payload copy"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
