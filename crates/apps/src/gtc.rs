@@ -88,24 +88,6 @@ impl GtcWorld {
         }
     }
 
-    /// Electron count currently on `rank`.
-    pub fn count(&self, rank: usize) -> usize {
-        self.electrons[rank].len() / PARTICLE_WIDTH
-    }
-
-    /// Total particles of one species (invariant across steps).
-    pub fn total_of(&self, s: Species) -> usize {
-        self.species(s)
-            .iter()
-            .map(|r| r.len() / PARTICLE_WIDTH)
-            .sum()
-    }
-
-    /// Total electrons (invariant across steps).
-    pub fn total(&self) -> usize {
-        self.total_of(Species::Electrons)
-    }
-
     /// Advance one iteration: push particles along their velocities,
     /// scatter velocities slightly, and migrate a random subset to random
     /// ranks (the random cross-rank motion the paper describes).
@@ -202,6 +184,11 @@ impl GtcWorld {
 mod tests {
     use super::*;
 
+    /// Particles of one species over all ranks (invariant across steps).
+    fn total_of(w: &GtcWorld, s: Species) -> usize {
+        w.species(s).iter().map(|r| r.len() / PARTICLE_WIDTH).sum()
+    }
+
     #[test]
     fn particles_conserved_across_steps() {
         let mut w = GtcWorld::new(4, 100, 42);
@@ -210,7 +197,7 @@ mod tests {
         for _ in 0..10 {
             w.step();
         }
-        assert_eq!(w.total(), 400);
+        assert_eq!(total_of(&w, Species::Electrons), 400);
         assert_eq!(
             w.all_labels(),
             labels0,
@@ -258,15 +245,15 @@ mod tests {
         assert_eq!(pg.writer_rank, 1);
         assert_eq!(
             predata_core::schema::particle_count(&pg),
-            Some(w.count(1) as u64)
+            Some((w.electrons[1].len() / PARTICLE_WIDTH) as u64)
         );
     }
 
     #[test]
     fn two_species_are_independent() {
         let mut w = GtcWorld::new(3, 50, 4);
-        assert_eq!(w.total_of(Species::Electrons), 150);
-        assert_eq!(w.total_of(Species::Ions), 150);
+        assert_eq!(total_of(&w, Species::Electrons), 150);
+        assert_eq!(total_of(&w, Species::Ions), 150);
         let e_labels = w.labels_of(Species::Electrons);
         let i_labels = w.labels_of(Species::Ions);
         assert_eq!(e_labels, i_labels, "label spaces coincide at t=0");

@@ -18,8 +18,10 @@
 //!
 //! Both are deterministic functions of their seed.
 
-pub mod gtc;
-pub mod pixie3d;
+#![warn(unreachable_pub)]
+
+mod gtc;
+mod pixie3d;
 
 pub use gtc::{GtcWorld, Species};
 pub use pixie3d::PixieWorld;

@@ -13,9 +13,9 @@ use predata_core::schema::{make_pixie_pg, PIXIE_FIELDS};
 /// All ranks of a Pixie3D-like run.
 pub struct PixieWorld {
     /// Ranks per dimension of the block grid.
-    pub grid: [u64; 3],
+    pub(crate) grid: [u64; 3],
     /// Local box extents per rank (paper production setting: 32³).
-    pub local: [u64; 3],
+    pub(crate) local: [u64; 3],
     time: f64,
     step: u64,
     /// Wave phase speed (per step).
@@ -87,7 +87,7 @@ impl PixieWorld {
     }
 
     /// One rank's local chunk of a field.
-    pub fn local_field(&self, field: &str, rank: usize) -> Vec<f64> {
+    pub(crate) fn local_field(&self, field: &str, rank: usize) -> Vec<f64> {
         let off = self.offset_of(rank);
         let mut v = Vec::with_capacity((self.local[0] * self.local[1] * self.local[2]) as usize);
         for i in 0..self.local[0] {
@@ -131,55 +131,6 @@ impl PixieWorld {
             .zip(&pz)
             .map(|(((r, x), y), z)| (x * x + y * y + z * z) / (2.0 * r))
             .sum()
-    }
-
-    /// Momentum flux through a rank's lower-x face: Σ px over i = 0.
-    pub fn local_flux(&self, rank: usize) -> f64 {
-        let off = self.offset_of(rank);
-        let mut s = 0.0;
-        for j in 0..self.local[1] {
-            for k in 0..self.local[2] {
-                s += self.field_at("px", [off[0], off[1] + j, off[2] + k]);
-            }
-        }
-        s
-    }
-
-    /// Max |v| = |p| / rho over a rank's chunk (the paper's "maximum
-    /// velocity" diagnostic).
-    pub fn local_max_velocity(&self, rank: usize) -> f64 {
-        let rho = self.local_field("rho", rank);
-        let px = self.local_field("px", rank);
-        let py = self.local_field("py", rank);
-        let pz = self.local_field("pz", rank);
-        rho.iter()
-            .zip(&px)
-            .zip(&py)
-            .zip(&pz)
-            .map(|(((r, x), y), z)| (x * x + y * y + z * z).sqrt() / r)
-            .fold(0.0, f64::max)
-    }
-
-    /// Central-difference divergence of momentum at an interior global
-    /// point (grid spacing 1).
-    pub fn divergence_at(&self, g: [u64; 3]) -> f64 {
-        let d = self.global_dims();
-        assert!(
-            (1..d[0] - 1).contains(&g[0])
-                && (1..d[1] - 1).contains(&g[1])
-                && (1..d[2] - 1).contains(&g[2]),
-            "divergence needs an interior point"
-        );
-        let dx = (self.field_at("px", [g[0] + 1, g[1], g[2]])
-            - self.field_at("px", [g[0] - 1, g[1], g[2]]))
-            / 2.0;
-        let dy = (self.field_at("py", [g[0], g[1] + 1, g[2]])
-            - self.field_at("py", [g[0], g[1] - 1, g[2]]))
-            / 2.0;
-        let dz = (self.field_at("pz", [g[0], g[1], g[2] + 1])
-            - self.field_at("pz", [g[0], g[1], g[2] - 1]))
-            / 2.0;
-        dx + dy + dz
     }
 }
 
@@ -242,16 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_are_finite_and_positive_energy() {
+    fn energy_is_finite_and_positive() {
         let w = PixieWorld::new([2, 2, 1], [4, 4, 4]);
         for r in 0..w.n_ranks() {
             let e = w.local_energy(r);
             assert!(e.is_finite() && e >= 0.0);
-            assert!(w.local_flux(r).is_finite());
-            assert!(w.local_max_velocity(r) >= 0.0);
         }
-        let div = w.divergence_at([4, 4, 2]);
-        assert!(div.is_finite());
     }
 
     #[test]

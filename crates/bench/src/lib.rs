@@ -16,6 +16,8 @@
 //! come from running the real middleware. Every binary prints a
 //! paper-style table and, with `--json`, a machine-readable series.
 
+#![warn(unreachable_pub)]
+
 use simhec::scenario::{OpKind, Placement, PullPolicyKind, ScenarioConfig};
 use simhec::{MachineConfig, OpCosts};
 

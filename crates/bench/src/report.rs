@@ -2,9 +2,9 @@
 //!
 //! The input is the one schema [`obs::Snapshot::to_json`] writes
 //! ([`obs::SNAPSHOT_VERSION`]; any other version is refused): counters,
-//! gauges, log₂ histograms, the per-step, per-rank stage rows of the
-//! fold, and the views over it — per-chunk lineage (when the run logged
-//! events) and per-step perturbation. The output mirrors the
+//! log₂ histograms, the per-step, per-rank stage rows of the fold, and
+//! the views over it — per-chunk lineage (when the run logged events)
+//! and per-step perturbation. The output mirrors the
 //! stage-breakdown tables of the paper's Fig. 7–9 — with one column per
 //! staging rank, so "where did step N's time go, on which rank" is one
 //! table — plus a per-chunk critical-path view, a straggler table and
@@ -39,7 +39,7 @@ const STAGE_ORDER: [&str; 12] = [
 ];
 
 /// Format a nanosecond quantity with a human-scale unit.
-pub fn fmt_ns(ns: u64) -> String {
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.2}s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
@@ -251,28 +251,6 @@ fn render_counters(root: &Value, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-fn render_gauges(root: &Value, out: &mut String) -> Result<(), String> {
-    let gauges = require_array(root, "gauges", "root")?;
-    out.push_str("\n=== gauges ===\n");
-    if gauges.is_empty() {
-        out.push_str("(none)\n");
-    }
-    for g in gauges {
-        let name = require_str(g, "name", "gauges[]")?;
-        let value = require(g, "value", "gauges[]")?
-            .as_i64()
-            .ok_or("snapshot gauges[]: `value` is not an i64")?;
-        let max = require(g, "max", "gauges[]")?
-            .as_i64()
-            .ok_or("snapshot gauges[]: `max` is not an i64")?;
-        out.push_str(&format!(
-            "{name}{} = {value} (high-water {max})\n",
-            label_suffix(g)
-        ));
-    }
-    Ok(())
-}
-
 fn render_histograms(root: &Value, out: &mut String) -> Result<(), String> {
     let hists = require_array(root, "histograms", "root")?;
     out.push_str("\n=== histograms ===\n");
@@ -455,7 +433,7 @@ fn render_perturb(root: &Value, out: &mut String) -> Result<(), String> {
 /// Fails with a descriptive message on any schema mismatch — the
 /// `predata-report` smoke test in CI runs this against a checked-in
 /// sample so exporter drift is caught at build time.
-pub fn render_snapshot(root: &Value) -> Result<String, String> {
+pub(crate) fn render_snapshot(root: &Value) -> Result<String, String> {
     let version = require_u64(root, "version", "root")?;
     if version != obs::SNAPSHOT_VERSION {
         return Err(format!(
@@ -473,7 +451,6 @@ pub fn render_snapshot(root: &Value) -> Result<String, String> {
     render_perturb(root, &mut out)?;
     render_resilience(root, &mut out)?;
     render_counters(root, &mut out)?;
-    render_gauges(root, &mut out)?;
     render_histograms(root, &mut out)?;
     Ok(out)
 }
@@ -515,7 +492,6 @@ mod tests {
     fn renders_a_live_registry_snapshot_with_a_column_per_rank() {
         let reg = Registry::new();
         reg.counter("transport.rdma_get_bytes", &[]).add(4096);
-        reg.gauge("transport.pinned_bytes", &[]).record_max(7);
         reg.histogram("transport.rdma_get_ns", &[]).record(1500);
         reg.record(Event::new("decode", 0).rank(0).at(0, 2_000_000));
         reg.record(Event::new("decode", 0).rank(1).at(0, 3_000_000));
@@ -551,7 +527,7 @@ mod tests {
             at("reduce") < at("reduce.sort") && at("reduce.sort") < at("finalize"),
             "an operator's row follows its phase's: {report}"
         );
-        assert!(report.contains("transport.pinned_bytes"));
+        assert!(report.contains("transport.rdma_get_ns"));
     }
 
     /// One version is written and one is read: every other is refused,

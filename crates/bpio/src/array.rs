@@ -30,6 +30,7 @@ impl DataArray {
         }
     }
 
+    #[allow(clippy::len_without_is_empty)] // callers size buffers; none asks for emptiness
     pub fn len(&self) -> usize {
         match self {
             DataArray::F32(v) => v.len(),
@@ -39,10 +40,6 @@ impl DataArray {
             DataArray::U32(v) => v.len(),
             DataArray::U64(v) => v.len(),
         }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     pub fn byte_len(&self) -> usize {
@@ -61,8 +58,10 @@ impl DataArray {
         }
     }
 
-    /// Little-endian payload bytes.
-    pub fn to_le_bytes(&self) -> Vec<u8> {
+    /// Little-endian payload bytes: the big-endian fallback of
+    /// [`as_le_bytes`](Self::as_le_bytes), and its oracle in the tests.
+    #[cfg(any(test, not(target_endian = "little")))]
+    fn to_le_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.byte_len());
         match self {
             DataArray::F32(v) => v
@@ -94,7 +93,7 @@ impl DataArray {
     /// so this returns a borrowed byte view of it — the writer hands
     /// the view straight to a vectored write and the payload is never
     /// re-assembled. Other targets fall back to the byte-swapping copy
-    /// of [`DataArray::to_le_bytes`].
+    /// of `to_le_bytes`.
     pub fn as_le_bytes(&self) -> std::borrow::Cow<'_, [u8]> {
         #[cfg(target_endian = "little")]
         {
@@ -122,7 +121,7 @@ impl DataArray {
     }
 
     /// Decode from little-endian payload bytes.
-    pub fn from_le_bytes(dtype: Dtype, bytes: &[u8]) -> Result<DataArray> {
+    pub(crate) fn from_le_bytes(dtype: Dtype, bytes: &[u8]) -> Result<DataArray> {
         if !bytes.len().is_multiple_of(dtype.size()) {
             return Err(BpError::Corrupt("payload not a multiple of element size"));
         }
@@ -162,7 +161,7 @@ impl DataArray {
     /// a NaN first element gives `(NaN, NaN)`, a later NaN never wins, and
     /// of the elements equal to an extreme the first one seen is kept —
     /// which only shows for ±0.0. Integer extremes are exact.
-    pub fn min_max(&self) -> Option<(f64, f64)> {
+    pub(crate) fn min_max(&self) -> Option<(f64, f64)> {
         fn ints<T: Copy + PartialOrd>(v: &[T], to: fn(T) -> f64) -> Option<(f64, f64)> {
             lane_min_max(v).map(|(lo, hi)| (to(lo), to(hi)))
         }
@@ -235,7 +234,7 @@ fn first_zero<T: Copy + PartialOrd + Default>(v: &[T], m: T) -> T {
 }
 
 /// Element count of a box with the given extents.
-pub fn linear_len(extents: &[u64]) -> u64 {
+pub(crate) fn linear_len(extents: &[u64]) -> u64 {
     extents.iter().product()
 }
 
@@ -439,23 +438,6 @@ impl Iterator for BoxRuns<'_> {
     }
 }
 
-/// Copy a row-major chunk (`src`, occupying the box at `offset` with
-/// `extents`) into the right places of a row-major global buffer
-/// (`dst`, with `global` extents). Copies are done per contiguous
-/// last-dimension run, the same access pattern a real reorganizer uses.
-///
-/// Returns the number of contiguous runs copied.
-pub fn copy_box(
-    src: &DataArray,
-    dst: &mut DataArray,
-    offset: &[u64],
-    extents: &[u64],
-    global: &[u64],
-) -> Result<u64> {
-    let origin = vec![0; global.len()];
-    copy_box_between(src, offset, extents, dst, &origin, global, offset, extents)
-}
-
 /// Copy the box `isect` (given in global coordinates) from a row-major
 /// `src` buffer occupying box (`src_corner`, `src_extent`) into a
 /// row-major `dst` buffer occupying (`dst_corner`, `dst_extent`).
@@ -496,6 +478,21 @@ pub fn copy_box_between(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Copy a row-major chunk (`src`, occupying the box at `offset` with
+    /// `extents`) into a row-major global buffer (`dst`, with `global`
+    /// extents), one contiguous last-dimension run at a time. Returns the
+    /// number of runs copied.
+    fn copy_box(
+        src: &DataArray,
+        dst: &mut DataArray,
+        offset: &[u64],
+        extents: &[u64],
+        global: &[u64],
+    ) -> Result<u64> {
+        let origin = vec![0; global.len()];
+        copy_box_between(src, offset, extents, dst, &origin, global, offset, extents)
+    }
 
     #[test]
     fn le_bytes_roundtrip_all_dtypes() {

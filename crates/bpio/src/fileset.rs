@@ -30,16 +30,8 @@ impl BpFileSet {
         Ok(BpFileSet { parts })
     }
 
-    /// Steps present in any part, sorted.
-    pub fn steps(&self) -> Vec<u64> {
-        let mut s: Vec<u64> = self.parts.iter().flat_map(|p| p.index().steps()).collect();
-        s.sort_unstable();
-        s.dedup();
-        s
-    }
-
     /// Global extents of `var` at `step` (from whichever part has it).
-    pub fn global_extents(&self, var: &str, step: u64) -> Result<Vec<u64>> {
+    pub(crate) fn global_extents(&self, var: &str, step: u64) -> Result<Vec<u64>> {
         reader::global_var(&self.parts, var, step).map(|c| c.global.clone())
     }
 
@@ -92,20 +84,17 @@ mod tests {
     /// Write a 1-D global array of 12 elements split as `parts` slices,
     /// one file per slice.
     fn write_parts(parts: &[(u64, u64)], tag: &str) -> Vec<PathBuf> {
-        let def = GroupDef::new(
-            "g",
-            vec![
-                VarDef::scalar("off", Dtype::U64),
-                VarDef::scalar("len", Dtype::U64),
-                VarDef::global_chunk(
-                    "x",
-                    Dtype::F64,
-                    vec![Dim::c(12)],
-                    vec![Dim::r("len")],
-                    vec![Dim::r("off")],
-                ),
-            ],
-        )
+        let def = GroupDef::new(vec![
+            VarDef::scalar("off", Dtype::U64),
+            VarDef::scalar("len", Dtype::U64),
+            VarDef::global_chunk(
+                "x",
+                Dtype::F64,
+                vec![Dim::c(12)],
+                vec![Dim::r("len")],
+                vec![Dim::r("off")],
+            ),
+        ])
         .unwrap();
         parts
             .iter()
@@ -129,7 +118,6 @@ mod tests {
     fn assembles_across_files() {
         let paths = write_parts(&[(0, 5), (5, 4), (9, 3)], "asm");
         let mut set = BpFileSet::open(&paths).unwrap();
-        assert_eq!(set.steps(), vec![0]);
         let all = set.read_global("x", 0).unwrap();
         assert_eq!(all, DataArray::F64((0..12).map(|v| v as f64).collect()));
         let boxed = set.read_box("x", 0, &[4], &[6]).unwrap();

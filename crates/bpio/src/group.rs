@@ -31,7 +31,7 @@ impl Dim {
 
 /// The kind of a variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VarKind {
+pub(crate) enum VarKind {
     /// A single scalar value per writer.
     Scalar,
     /// A per-writer local array (not part of any global space).
@@ -49,8 +49,8 @@ pub enum VarKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VarDef {
     pub name: String,
-    pub dtype: Dtype,
-    pub kind: VarKind,
+    pub(crate) dtype: Dtype,
+    pub(crate) kind: VarKind,
 }
 
 impl VarDef {
@@ -92,7 +92,6 @@ impl VarDef {
 /// A validated group of variable declarations.
 #[derive(Debug, Clone)]
 pub struct GroupDef {
-    name: String,
     vars: Vec<VarDef>,
     index: HashMap<String, usize>,
 }
@@ -101,8 +100,7 @@ impl GroupDef {
     /// Validate and build. Rules: unique names; `Dim::Ref`s must name
     /// integer scalars in the group; global chunks need equal ranks for
     /// global/local/offset.
-    pub fn new(name: impl Into<String>, vars: Vec<VarDef>) -> Result<GroupDef> {
-        let name = name.into();
+    pub fn new(vars: Vec<VarDef>) -> Result<GroupDef> {
         let mut index = HashMap::with_capacity(vars.len());
         for (i, v) in vars.iter().enumerate() {
             if index.insert(v.name.clone(), i).is_some() {
@@ -151,23 +149,19 @@ impl GroupDef {
                 }
             }
         }
-        Ok(GroupDef { name, vars, index })
+        Ok(GroupDef { vars, index })
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn vars(&self) -> &[VarDef] {
-        &self.vars
-    }
-
-    pub fn var(&self, name: &str) -> Option<&VarDef> {
+    pub(crate) fn var(&self, name: &str) -> Option<&VarDef> {
         self.index.get(name).map(|&i| &self.vars[i])
     }
 
     /// Resolve a dim list against this process's scalar values.
-    pub fn resolve_dims(&self, dims: &[Dim], scalars: &HashMap<String, u64>) -> Result<Vec<u64>> {
+    pub(crate) fn resolve_dims(
+        &self,
+        dims: &[Dim],
+        scalars: &HashMap<String, u64>,
+    ) -> Result<Vec<u64>> {
         dims.iter()
             .map(|d| match d {
                 Dim::Const(v) => Ok(*v),
@@ -205,55 +199,46 @@ mod tests {
                 vec![Dim::r("ox"), Dim::r("oy"), Dim::r("oz")],
             ));
         }
-        GroupDef::new("pixie3d", vars).unwrap()
+        GroupDef::new(vars).unwrap()
     }
 
     #[test]
     fn pixie_group_validates() {
         let g = pixie_group();
-        assert_eq!(g.vars().len(), 14);
+        assert_eq!(g.vars.len(), 14);
         assert!(g.var("rho").is_some());
         assert!(g.var("nope").is_none());
     }
 
     #[test]
     fn duplicate_rejected() {
-        let e = GroupDef::new(
-            "g",
-            vec![
-                VarDef::scalar("a", Dtype::U64),
-                VarDef::scalar("a", Dtype::F64),
-            ],
-        )
+        let e = GroupDef::new(vec![
+            VarDef::scalar("a", Dtype::U64),
+            VarDef::scalar("a", Dtype::F64),
+        ])
         .unwrap_err();
         assert!(matches!(e, BpError::DuplicateVar(_)));
     }
 
     #[test]
     fn ref_must_be_integer_scalar() {
-        let e = GroupDef::new(
-            "g",
-            vec![
-                VarDef::scalar("n", Dtype::F64), // float, not allowed as dim
-                VarDef::local("x", Dtype::F64, vec![Dim::r("n")]),
-            ],
-        )
+        let e = GroupDef::new(vec![
+            VarDef::scalar("n", Dtype::F64), // float, not allowed as dim
+            VarDef::local("x", Dtype::F64, vec![Dim::r("n")]),
+        ])
         .unwrap_err();
         assert!(matches!(e, BpError::BadDecl(_)));
     }
 
     #[test]
     fn rank_mismatch_rejected() {
-        let e = GroupDef::new(
-            "g",
-            vec![VarDef::global_chunk(
-                "x",
-                Dtype::F64,
-                vec![Dim::c(4), Dim::c(4)],
-                vec![Dim::c(2)],
-                vec![Dim::c(0)],
-            )],
-        )
+        let e = GroupDef::new(vec![VarDef::global_chunk(
+            "x",
+            Dtype::F64,
+            vec![Dim::c(4), Dim::c(4)],
+            vec![Dim::c(2)],
+            vec![Dim::c(0)],
+        )])
         .unwrap_err();
         assert!(matches!(e, BpError::BadDecl(_)));
     }

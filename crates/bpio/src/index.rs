@@ -13,11 +13,11 @@ use crate::util::{R, W};
 /// One process group's location in the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PgEntry {
-    pub writer_rank: u64,
-    pub step: u64,
+    pub(crate) writer_rank: u64,
+    pub(crate) step: u64,
     /// Byte offset of the PG block in the file.
-    pub offset: u64,
-    pub length: u64,
+    pub(crate) offset: u64,
+    pub(crate) length: u64,
 }
 
 /// One variable occurrence (one chunk) inside a process group.

@@ -33,7 +33,7 @@
 //! use bpio::{BpReader, BpWriter, DataArray, Dim, Dtype, GroupDef, ProcessGroup, VarDef};
 //!
 //! // Declare a group: one chunk of a 1-D global array per writer.
-//! let def = GroupDef::new("demo", vec![
+//! let def = GroupDef::new(vec![
 //!     VarDef::scalar("off", Dtype::U64),
 //!     VarDef::global_chunk("x", Dtype::F64,
 //!         vec![Dim::c(8)], vec![Dim::c(4)], vec![Dim::r("off")]),
@@ -55,6 +55,8 @@
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod array;
 mod dtype;
 mod error;
@@ -66,11 +68,11 @@ mod reader;
 mod util;
 mod writer;
 
-pub use array::{box_to_linear, copy_box, copy_box_between, linear_len, BoxRuns, DataArray, Elem};
+pub use array::{box_to_linear, copy_box_between, BoxRuns, DataArray, Elem};
 pub use dtype::Dtype;
 pub use error::{BpError, Result};
 pub use fileset::BpFileSet;
-pub use group::{Dim, GroupDef, VarDef, VarKind};
+pub use group::{Dim, GroupDef, VarDef};
 pub use index::{FileIndex, PgEntry, VarEntry};
 pub use pg::ProcessGroup;
 pub use reader::{BpReader, ReadStats};

@@ -13,7 +13,7 @@ use crate::util::{R, W};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PgVar {
     pub name: String,
-    pub dtype: Dtype,
+    pub(crate) dtype: Dtype,
     /// Resolved local extents ([] for scalars).
     pub local: Vec<u64>,
     /// Resolved global extents ([] unless a global chunk).
@@ -119,7 +119,7 @@ impl ProcessGroup {
     }
 
     /// Integer scalar values written so far (for dimension resolution).
-    pub fn scalar_values(&self) -> HashMap<String, u64> {
+    pub(crate) fn scalar_values(&self) -> HashMap<String, u64> {
         let mut m = HashMap::new();
         for v in &self.vars {
             if v.local.is_empty() && v.global.is_empty() {
@@ -232,7 +232,7 @@ impl ProcessGroup {
     /// Returns `(segments, payload_offsets, total_len)`; offsets are
     /// relative to the block start, exactly as in `encode_indexed`.
     #[allow(clippy::type_complexity)]
-    pub fn encode_parts<'a>(
+    pub(crate) fn encode_parts<'a>(
         &'a self,
         head: &'a mut Vec<u8>,
     ) -> (Vec<std::borrow::Cow<'a, [u8]>>, Vec<u64>, u64) {
@@ -296,20 +296,17 @@ mod tests {
     use crate::group::{Dim, VarDef};
 
     fn grid_group() -> GroupDef {
-        GroupDef::new(
-            "grid",
-            vec![
-                VarDef::scalar("n", Dtype::U64),
-                VarDef::scalar("off", Dtype::U64),
-                VarDef::global_chunk(
-                    "field",
-                    Dtype::F64,
-                    vec![Dim::c(16)],
-                    vec![Dim::r("n")],
-                    vec![Dim::r("off")],
-                ),
-            ],
-        )
+        GroupDef::new(vec![
+            VarDef::scalar("n", Dtype::U64),
+            VarDef::scalar("off", Dtype::U64),
+            VarDef::global_chunk(
+                "field",
+                Dtype::F64,
+                vec![Dim::c(16)],
+                vec![Dim::r("n")],
+                vec![Dim::r("off")],
+            ),
+        ])
         .unwrap()
     }
 

@@ -128,7 +128,7 @@ impl BpReader {
     }
 
     /// Global extents of `var` at `step` (error if absent or not global).
-    pub fn global_extents(&self, var: &str, step: u64) -> Result<Vec<u64>> {
+    pub(crate) fn global_extents(&self, var: &str, step: u64) -> Result<Vec<u64>> {
         global_var(std::slice::from_ref(self), var, step).map(|c| c.global.clone())
     }
 
@@ -281,20 +281,17 @@ mod tests {
 
     /// Write a 2-D global array (4x8) as `n_writers` chunks of 4x(8/n).
     fn write_strips(path: &Path, n_writers: u64) {
-        let g = GroupDef::new(
-            "g",
-            vec![
-                VarDef::scalar("oy", Dtype::U64),
-                VarDef::scalar("ly", Dtype::U64),
-                VarDef::global_chunk(
-                    "field",
-                    Dtype::F64,
-                    vec![Dim::c(4), Dim::c(8)],
-                    vec![Dim::c(4), Dim::r("ly")],
-                    vec![Dim::c(0), Dim::r("oy")],
-                ),
-            ],
-        )
+        let g = GroupDef::new(vec![
+            VarDef::scalar("oy", Dtype::U64),
+            VarDef::scalar("ly", Dtype::U64),
+            VarDef::global_chunk(
+                "field",
+                Dtype::F64,
+                vec![Dim::c(4), Dim::c(8)],
+                vec![Dim::c(4), Dim::r("ly")],
+                vec![Dim::c(0), Dim::r("oy")],
+            ),
+        ])
         .unwrap();
         let strip = 8 / n_writers;
         let mut w = BpWriter::create(path).unwrap();
@@ -377,16 +374,13 @@ mod tests {
     #[test]
     fn incomplete_tiling_detected() {
         let path = tmp("holes");
-        let g = GroupDef::new(
-            "g",
-            vec![VarDef::global_chunk(
-                "x",
-                Dtype::F64,
-                vec![Dim::c(8)],
-                vec![Dim::c(4)],
-                vec![Dim::c(0)],
-            )],
-        )
+        let g = GroupDef::new(vec![VarDef::global_chunk(
+            "x",
+            Dtype::F64,
+            vec![Dim::c(8)],
+            vec![Dim::c(4)],
+            vec![Dim::c(0)],
+        )])
         .unwrap();
         let mut w = BpWriter::create(&path).unwrap();
         let mut pg = ProcessGroup::new("g", 0, 0);

@@ -2,29 +2,29 @@
 
 use crate::error::{BpError, Result};
 
-pub(crate) struct W(pub Vec<u8>);
+pub(crate) struct W(pub(crate) Vec<u8>);
 
 impl W {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         W(Vec::new())
     }
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    pub fn s(&mut self, s: &str) {
+    pub(crate) fn s(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
     }
-    pub fn dims(&mut self, d: &[u64]) {
+    pub(crate) fn dims(&mut self, d: &[u64]) {
         self.u8(d.len() as u8);
         for &x in d {
             self.u64(x);
@@ -38,10 +38,10 @@ pub(crate) struct R<'a> {
 }
 
 impl<'a> R<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         R { buf, pos: 0 }
     }
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.buf.len() - self.pos < n {
             return Err(BpError::Corrupt("truncated block"));
         }
@@ -49,34 +49,34 @@ impl<'a> R<'a> {
         self.pos += n;
         Ok(s)
     }
-    pub fn u8(&mut self) -> Result<u8> {
+    pub(crate) fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
-    pub fn u32(&mut self) -> Result<u32> {
+    pub(crate) fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    pub fn u64(&mut self) -> Result<u64> {
+    pub(crate) fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    pub fn f64(&mut self) -> Result<f64> {
+    pub(crate) fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    pub fn s(&mut self) -> Result<String> {
+    pub(crate) fn s(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| BpError::Corrupt("non-utf8 string"))
     }
-    pub fn dims(&mut self) -> Result<Vec<u64>> {
+    pub(crate) fn dims(&mut self) -> Result<Vec<u64>> {
         let n = self.u8()? as usize;
         (0..n).map(|_| self.u64()).collect()
     }
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// An entry count off the wire, refused unless the bytes left could
     /// hold that many entries of `min_entry` bytes each — so a caller may
     /// allocate for it.
-    pub fn count(&mut self, min_entry: usize) -> Result<usize> {
+    pub(crate) fn count(&mut self, min_entry: usize) -> Result<usize> {
         let n = self.u32()? as usize;
         if n > self.remaining() / min_entry {
             return Err(BpError::Corrupt("entry count exceeds block"));

@@ -91,10 +91,6 @@ impl BpWriter {
         })
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Bytes appended so far (payload region).
     pub fn bytes_written(&self) -> u64 {
         self.pos
@@ -188,19 +184,16 @@ mod tests {
     }
 
     fn group_1d() -> GroupDef {
-        GroupDef::new(
-            "g",
-            vec![
-                VarDef::scalar("off", Dtype::U64),
-                VarDef::global_chunk(
-                    "x",
-                    Dtype::F64,
-                    vec![Dim::c(8)],
-                    vec![Dim::c(4)],
-                    vec![Dim::r("off")],
-                ),
-            ],
-        )
+        GroupDef::new(vec![
+            VarDef::scalar("off", Dtype::U64),
+            VarDef::global_chunk(
+                "x",
+                Dtype::F64,
+                vec![Dim::c(8)],
+                vec![Dim::c(4)],
+                vec![Dim::r("off")],
+            ),
+        ])
         .unwrap()
     }
 

@@ -19,22 +19,19 @@ fn tmp(tag: u64) -> PathBuf {
 }
 
 fn group() -> GroupDef {
-    GroupDef::new(
-        "g",
-        vec![
-            VarDef::scalar("o0", Dtype::U64),
-            VarDef::scalar("o1", Dtype::U64),
-            VarDef::scalar("l0", Dtype::U64),
-            VarDef::scalar("l1", Dtype::U64),
-            VarDef::global_chunk(
-                "a",
-                Dtype::F64,
-                vec![Dim::c(G[0]), Dim::c(G[1])],
-                vec![Dim::r("l0"), Dim::r("l1")],
-                vec![Dim::r("o0"), Dim::r("o1")],
-            ),
-        ],
-    )
+    GroupDef::new(vec![
+        VarDef::scalar("o0", Dtype::U64),
+        VarDef::scalar("o1", Dtype::U64),
+        VarDef::scalar("l0", Dtype::U64),
+        VarDef::scalar("l1", Dtype::U64),
+        VarDef::global_chunk(
+            "a",
+            Dtype::F64,
+            vec![Dim::c(G[0]), Dim::c(G[1])],
+            vec![Dim::r("l0"), Dim::r("l1")],
+            vec![Dim::r("o0"), Dim::r("o1")],
+        ),
+    ])
     .unwrap()
 }
 
@@ -204,7 +201,7 @@ fn write_chunks(path: &PathBuf, dtype: Dtype, global: &[u64], tiles: &[Tile]) {
     let mut w = BpWriter::create(path).unwrap();
     for (rank, (off, loc)) in tiles.iter().enumerate() {
         let var = VarDef::global_chunk("a", dtype, consts(global), consts(loc), consts(off));
-        let def = GroupDef::new("g", vec![var]).unwrap();
+        let def = GroupDef::new(vec![var]).unwrap();
         let mut pg = ProcessGroup::new("g", rank as u64, 0);
         let data = elems(dtype, box_indices(global, off, loc).into_iter());
         pg.write(&def, "a", data).unwrap();

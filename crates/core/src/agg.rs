@@ -70,25 +70,14 @@ impl Aggregates {
         }
     }
 
-    /// Number of compute ranks represented.
-    pub fn n_ranks(&self) -> usize {
-        self.per_rank.len()
-    }
-
     fn values_of<'a>(&'a self, key: &'a str) -> impl Iterator<Item = (usize, &'a Value)> + 'a {
         self.per_rank
             .iter()
             .filter_map(move |(r, a)| a.get(key).map(|v| (*r, v)))
     }
 
-    /// Sum of an integer attribute over all ranks (e.g. global particle
-    /// count).
-    pub fn sum_u64(&self, key: &str) -> u64 {
-        self.values_of(key).filter_map(|(_, v)| v.as_u64()).sum()
-    }
-
     /// Global minimum of a numeric attribute.
-    pub fn min_f64(&self, key: &str) -> Option<f64> {
+    pub(crate) fn min_f64(&self, key: &str) -> Option<f64> {
         self.values_of(key)
             .filter_map(|(_, v)| v.as_f64())
             .fold(None, |m, x| {
@@ -100,7 +89,7 @@ impl Aggregates {
     }
 
     /// Global maximum of a numeric attribute.
-    pub fn max_f64(&self, key: &str) -> Option<f64> {
+    pub(crate) fn max_f64(&self, key: &str) -> Option<f64> {
         self.values_of(key)
             .filter_map(|(_, v)| v.as_f64())
             .fold(None, |m, x| {
@@ -117,6 +106,11 @@ mod tests {
     use super::*;
     use minimpi::World;
 
+    /// Sum of an integer attribute over all ranks.
+    fn sum_u64(agg: &Aggregates, key: &str) -> u64 {
+        agg.values_of(key).filter_map(|(_, v)| v.as_u64()).sum()
+    }
+
     fn attrs(np: u64, lo: f64, hi: f64) -> AttrList {
         let mut a = AttrList::new();
         a.set("np", Value::U64(np));
@@ -132,8 +126,8 @@ mod tests {
             (1, attrs(0, 5.0, 5.0)),
             (2, attrs(7, -3.0, 0.0)),
         ]);
-        assert_eq!(agg.n_ranks(), 3);
-        assert_eq!(agg.sum_u64("np"), 17);
+        assert_eq!(agg.per_rank.len(), 3);
+        assert_eq!(sum_u64(&agg, "np"), 17);
         assert_eq!(agg.min_f64("min_x"), Some(-3.0));
         assert_eq!(agg.max_f64("max_x"), Some(5.0));
         assert_eq!(agg.min_f64("absent"), None);
@@ -151,7 +145,7 @@ mod tests {
                 })
                 .collect();
             let agg = Aggregates::build(local.iter().map(|(r, a)| (*r, a)), &comm);
-            (agg.n_ranks(), agg.sum_u64("np"))
+            (agg.per_rank.len(), sum_u64(&agg, "np"))
         });
         for (n, total) in out {
             assert_eq!(n, 6);

@@ -237,13 +237,10 @@ mod tests {
     use bpio::{DataArray, Dtype, GroupDef, VarDef};
 
     fn sample_pg() -> ProcessGroup {
-        let def = GroupDef::new(
-            "g",
-            vec![
-                VarDef::scalar("n", Dtype::U64),
-                VarDef::local("x", Dtype::F64, vec![bpio::Dim::r("n")]),
-            ],
-        )
+        let def = GroupDef::new(vec![
+            VarDef::scalar("n", Dtype::U64),
+            VarDef::local("x", Dtype::F64, vec![bpio::Dim::r("n")]),
+        ])
         .unwrap();
         let mut pg = ProcessGroup::new("g", 3, 9);
         pg.write(&def, "n", DataArray::U64(vec![2])).unwrap();

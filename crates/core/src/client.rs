@@ -90,8 +90,6 @@ pub struct WriteReceipt {
     pub staging_rank: usize,
     /// Size of the exposed chunk.
     pub bytes: usize,
-    /// Step the chunk belongs to.
-    pub step: u64,
 }
 
 /// One compute process' PreDatA client.
@@ -123,7 +121,7 @@ impl PredataClient {
         }
     }
 
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.endpoint.rank()
     }
 
@@ -216,7 +214,6 @@ impl PredataClient {
         Ok(WriteReceipt {
             staging_rank,
             bytes,
-            step,
         })
     }
 

@@ -5,7 +5,7 @@
 //! configuration PreDatA is compared against throughout §V. Aggregation
 //! happens over the compute communicator (the attrs exchange replaces the
 //! fetch-request attachment), each rank `map`s its own chunk with every
-//! operator, and the step's one [`exchange`] runs over all compute ranks.
+//! operator, and the step's one `exchange` runs over all compute ranks.
 
 use std::path::Path;
 

@@ -89,9 +89,11 @@
 //! # std::fs::remove_dir_all(&out).ok();
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod agg;
 pub mod chunk;
-pub mod client;
+mod client;
 pub mod incompute;
 pub mod op;
 pub mod ops;

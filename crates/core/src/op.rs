@@ -28,7 +28,7 @@ use crate::chunk::PackedChunk;
 /// exactly once, into a pre-sized `Vec<u8>` that is handed over whole.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tagged {
-    pub tag: u64,
+    pub(crate) tag: u64,
     pub bytes: Bytes,
 }
 
@@ -54,7 +54,7 @@ pub struct OpResult {
 
 impl OpResult {
     /// The result of operator `op`, with no value and no file yet.
-    pub fn new(op: &str) -> Self {
+    pub(crate) fn new(op: &str) -> Self {
         OpResult {
             op: op.into(),
             ..Default::default()
@@ -85,17 +85,14 @@ impl<'a> OpCtx<'a> {
         self.comm.rank()
     }
 
-    pub fn n_ranks(&self) -> usize {
+    pub(crate) fn n_ranks(&self) -> usize {
         self.comm.size()
     }
 
     /// The thread-safe subset of this context that `map` needs.
     pub fn map_ctx(&self) -> MapCtx {
         MapCtx {
-            my_rank: self.comm.rank(),
             n_ranks: self.comm.size(),
-            step: self.step,
-            n_compute: self.n_compute,
         }
     }
 }
@@ -107,22 +104,12 @@ impl<'a> OpCtx<'a> {
 /// communicating phase between initialize and finalize.)
 #[derive(Debug, Clone, Copy)]
 pub struct MapCtx {
-    /// This pipeline rank.
-    pub my_rank: usize,
     /// Number of pipeline ranks.
-    pub n_ranks: usize,
-    /// The I/O step being processed.
-    pub step: u64,
-    /// Total number of *compute* ranks contributing chunks.
-    pub n_compute: usize,
+    pub(crate) n_ranks: usize,
 }
 
 impl MapCtx {
-    pub fn my_rank(&self) -> usize {
-        self.my_rank
-    }
-
-    pub fn n_ranks(&self) -> usize {
+    pub(crate) fn n_ranks(&self) -> usize {
         self.n_ranks
     }
 }
@@ -180,7 +167,7 @@ pub trait ComputeSideOp: Send + Sync {
 /// `initialize` → `map`* (once per chunk, streaming, through
 /// [`StreamOp::mapper`] on the rank thread) → `combine` → shuffle
 /// (`partition` routes tags) → `reduce`* (once per owned tag) →
-/// `finalize`. The step's operators share that shuffle: [`exchange`]
+/// `finalize`. The step's operators share that shuffle: `exchange`
 /// runs every `combine`, moves all of their items in one `alltoall`,
 /// then every `reduce` — an operator's owned tags in ascending order —
 /// then every `finalize` in operator order.
@@ -306,7 +293,7 @@ fn route(ops: &[&mut dyn StreamOp], combined: Vec<Vec<Tagged>>, n: usize) -> Vec
 /// paper's Fig. 7–9 breakdowns), and each operator's `reduce` and
 /// `finalize` under its own [`StageRows`] inside it — all in the
 /// registry of `ctx.comm` ([`Comm::obs`]).
-pub fn exchange(
+pub(crate) fn exchange(
     ops: &mut [&mut dyn StreamOp],
     streams: Vec<Vec<Tagged>>,
     ctx: &OpCtx,
@@ -361,7 +348,7 @@ pub fn exchange(
     results
 }
 
-/// [`exchange`] for one operator: combine → shuffle → reduce → finalize
+/// `exchange` for one operator: combine → shuffle → reduce → finalize
 /// over its mapped stream. Collective over `ctx.comm`.
 pub fn complete_pipeline(op: &mut dyn StreamOp, mapped: Vec<Tagged>, ctx: &OpCtx) -> OpResult {
     exchange(&mut [op], vec![mapped], ctx, &[]).remove(0)

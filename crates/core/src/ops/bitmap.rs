@@ -22,7 +22,7 @@ use ffs::Value;
 /// A compressed bitmap over row ids, built by appending set bits in
 /// increasing order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CompressedBitmap {
+pub(crate) struct CompressedBitmap {
     /// (zero words skipped since previous entry, literal word).
     runs: Vec<(u32, u64)>,
     /// Word index of the last literal, for append.
@@ -31,12 +31,15 @@ pub struct CompressedBitmap {
 }
 
 impl CompressedBitmap {
-    pub fn new() -> Self {
+    /// The per-row reference build that `dense_build` is checked against.
+    #[cfg(test)]
+    fn new() -> Self {
         Self::default()
     }
 
     /// Set bit `i`. Bits must be appended in strictly increasing order.
-    pub fn push(&mut self, i: u64) {
+    #[cfg(test)]
+    fn push(&mut self, i: u64) {
         assert!(
             i >= self.len_bits,
             "bits must be appended in increasing order"
@@ -80,13 +83,8 @@ impl CompressedBitmap {
         bm
     }
 
-    /// Number of set bits.
-    pub fn count(&self) -> u64 {
-        self.runs.iter().map(|(_, w)| w.count_ones() as u64).sum()
-    }
-
     /// Iterate set bit positions in increasing order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = u64> + '_ {
         let mut word_idx: u64 = 0;
         let mut first = true;
         self.runs.iter().flat_map(move |&(skip, w)| {
@@ -105,11 +103,11 @@ impl CompressedBitmap {
 
     /// Memory footprint in bytes (the compression the paper relies on for
     /// keeping indexes in staging memory).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.runs.len() * std::mem::size_of::<(u32, u64)>()
     }
 
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.runs.len() * 12);
         out.extend_from_slice(&self.len_bits.to_le_bytes());
         out.extend_from_slice(&(self.runs.len() as u32).to_le_bytes());
@@ -120,7 +118,7 @@ impl CompressedBitmap {
         out
     }
 
-    pub fn from_bytes(buf: &[u8]) -> Option<(Self, usize)> {
+    pub(crate) fn from_bytes(buf: &[u8]) -> Option<(Self, usize)> {
         if buf.len() < 12 {
             return None;
         }
@@ -157,10 +155,10 @@ impl CompressedBitmap {
 /// A bin-encoded bitmap index over one attribute of one row set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BitmapIndex {
-    pub lo: f64,
-    pub hi: f64,
-    pub bins: Vec<CompressedBitmap>,
-    pub n_rows: u64,
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
+    pub(crate) bins: Vec<CompressedBitmap>,
+    pub(crate) n_rows: u64,
 }
 
 impl BitmapIndex {
@@ -172,7 +170,12 @@ impl BitmapIndex {
     /// is word-major (the `n_bins` words covering rows `64w..64w + 64`
     /// side by side), so it grows by one such row per 64 values and the
     /// row count need not be known up front.
-    pub fn build(values: impl Iterator<Item = f64>, lo: f64, hi: f64, n_bins: usize) -> Self {
+    pub(crate) fn build(
+        values: impl Iterator<Item = f64>,
+        lo: f64,
+        hi: f64,
+        n_bins: usize,
+    ) -> Self {
         assert!(n_bins > 0);
         let mut dense: Vec<u64> = Vec::with_capacity(values.size_hint().0.div_ceil(64) * n_bins);
         let mut n_rows = 0u64;
@@ -202,7 +205,7 @@ impl BitmapIndex {
     /// Answer `lo_q <= value <= hi_q`: rows certainly matching (from
     /// fully-covered bins) and candidate rows (boundary bins) that the
     /// caller must verify against the data.
-    pub fn query(&self, lo_q: f64, hi_q: f64) -> QueryResult {
+    pub(crate) fn query(&self, lo_q: f64, hi_q: f64) -> QueryResult {
         let mut hits = Vec::new();
         let mut candidates = Vec::new();
         if lo_q > hi_q || self.n_rows == 0 || lo_q > self.hi || hi_q < self.lo {
@@ -226,11 +229,11 @@ impl BitmapIndex {
     }
 
     /// Total compressed footprint.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.bins.iter().map(CompressedBitmap::heap_bytes).sum()
     }
 
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         // Exact size: 28-byte header + each bin's [len_bits u64][n u32]
         // [runs (u32, u64)…] encoding.
         let total = 28
@@ -360,9 +363,9 @@ impl IndexSet {
 /// `r % n` (two-level load balance, as in DataSpaces).
 pub struct BitmapIndexOp {
     /// Attribute column to index.
-    pub column: usize,
+    pub(crate) column: usize,
     /// Bins per index.
-    pub bins: usize,
+    pub(crate) bins: usize,
     range: (f64, f64),
     built: Vec<(u64, BitmapIndex)>,
 }
@@ -535,7 +538,7 @@ mod tests {
             bm.push(b);
         }
         assert_eq!(bm.iter_ones().collect::<Vec<_>>(), bits);
-        assert_eq!(bm.count(), bits.len() as u64);
+        assert_eq!(bm.iter_ones().count() as u64, bits.len() as u64);
     }
 
     #[test]
@@ -555,7 +558,7 @@ mod tests {
         // 100 set bits spread over 10M positions: far less than a dense
         // 10M/8 = 1.25 MB bitmap.
         assert!(bm.heap_bytes() < 100 * 16 + 16);
-        assert_eq!(bm.count(), 100);
+        assert_eq!(bm.iter_ones().count() as u64, 100);
     }
 
     #[test]

@@ -33,13 +33,13 @@ use crate::schema::{particles_of, PARTICLE_ATTRS, PARTICLE_WIDTH};
 pub struct BinnedCountOp<const AXES: usize> {
     /// Attribute columns of each key: the column to histogram, or the
     /// (column, column) pair to correlate.
-    pub keys: Vec<[usize; AXES]>,
+    pub(crate) keys: Vec<[usize; AXES]>,
     /// Bins per axis (cells per key = bins^AXES).
-    pub bins: usize,
+    pub(crate) bins: usize,
     /// When false, `map` emits one intermediate per (chunk × key) and
     /// the combine pass is skipped — the ablation baseline showing how
     /// much local combining shrinks the shuffle.
-    pub combine_enabled: bool,
+    pub(crate) combine_enabled: bool,
     /// Shuffle tag of each key, which decides the rank that owns its
     /// file: the column itself for one axis, the key's position for two.
     tags: Vec<u64>,
@@ -238,13 +238,10 @@ impl<const AXES: usize> StreamOp for BinnedCountOp<AXES> {
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
         let [op, prefix, bins_var] = self.names;
         let mut result = OpResult::new(op);
-        let def = GroupDef::new(
-            op,
-            vec![
-                VarDef::scalar(bins_var, Dtype::U64),
-                VarDef::local("counts", Dtype::U64, vec![Dim::r(bins_var); AXES]),
-            ],
-        )
+        let def = GroupDef::new(vec![
+            VarDef::scalar(bins_var, Dtype::U64),
+            VarDef::local("counts", Dtype::U64, vec![Dim::r(bins_var); AXES]),
+        ])
         .expect("static group");
         for (tag, cells) in std::mem::take(&mut self.owned) {
             let name = self.keys[self.key_of(tag)]

@@ -9,7 +9,7 @@
 //! * [`histogram::HistogramOp`] — per-attribute 1-D histograms for online
 //!   monitoring (GTC task 3) — and [`histogram::Histogram2dOp`] — 2-D
 //!   histograms for parallel-coordinate visualization (GTC task 3): one
-//!   implementation, [`histogram::BinnedCountOp`], with one or two
+//!   implementation, `histogram::BinnedCountOp`, with one or two
 //!   attribute columns per key.
 //! * [`reorg::ReorgOp`] — array-layout re-organization: merges scattered
 //!   per-process chunks of global arrays into large contiguous extents
@@ -19,11 +19,11 @@
 //! compute-side [`attach_particle_stats`] and the one writer of operator
 //! outputs — is the private `kit` module.
 
-pub mod bitmap;
-pub mod histogram;
+mod bitmap;
+mod histogram;
 mod kit;
-pub mod reorg;
-pub mod sort;
+mod reorg;
+mod sort;
 
 pub use bitmap::{BitmapIndex, BitmapIndexOp, IndexSet};
 pub use histogram::{Histogram2dOp, HistogramOp};

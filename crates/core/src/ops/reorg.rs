@@ -27,7 +27,7 @@ use crate::op::{ChunkMapper, ComputeSideOp, MapCtx, OpCtx, OpResult, StageRows, 
 /// Merge the named 3-D global variables into per-rank contiguous slabs.
 pub struct ReorgOp {
     /// Variables to merge (must be global chunks in incoming PGs).
-    pub vars: Vec<String>,
+    pub(crate) vars: Vec<String>,
     /// Global extents, discovered in `initialize` from attached attrs.
     global: Vec<u64>,
     /// This rank's slab `[lo, hi)` along dimension 0.
@@ -44,7 +44,7 @@ pub struct ReorgOp {
 const PIECE_HEADER: usize = 7 * 8;
 
 impl ReorgOp {
-    pub fn new(vars: Vec<String>) -> Self {
+    pub(crate) fn new(vars: Vec<String>) -> Self {
         assert!(!vars.is_empty());
         ReorgOp {
             vars,
@@ -228,7 +228,7 @@ impl StreamOp for ReorgOp {
                 vec![bpio::Dim::r("lo"), bpio::Dim::c(0), bpio::Dim::c(0)],
             ));
         }
-        let def = bpio::GroupDef::new("merged", vars).expect("static group");
+        let def = bpio::GroupDef::new(vars).expect("static group");
         let mut pg = bpio::ProcessGroup::new("merged", ctx.my_rank() as u64, ctx.step);
         for (name, val) in [
             ("gx", self.global[0]),

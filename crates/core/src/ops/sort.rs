@@ -344,21 +344,18 @@ impl StreamOp for SortOp {
         let path = ctx
             .out_dir
             .join(format!("sorted_step{}_rank{}.bp", ctx.step, ctx.my_rank()));
-        let def = bpio::GroupDef::new(
-            "sorted_particles",
-            vec![
-                bpio::VarDef::scalar("np", bpio::Dtype::U64),
-                bpio::VarDef::scalar("total", bpio::Dtype::U64),
-                bpio::VarDef::scalar("offset", bpio::Dtype::U64),
-                bpio::VarDef::global_chunk(
-                    "particles",
-                    bpio::Dtype::F64,
-                    vec![bpio::Dim::r("total"), bpio::Dim::c(8)],
-                    vec![bpio::Dim::r("np"), bpio::Dim::c(8)],
-                    vec![bpio::Dim::r("offset"), bpio::Dim::c(0)],
-                ),
-            ],
-        )
+        let def = bpio::GroupDef::new(vec![
+            bpio::VarDef::scalar("np", bpio::Dtype::U64),
+            bpio::VarDef::scalar("total", bpio::Dtype::U64),
+            bpio::VarDef::scalar("offset", bpio::Dtype::U64),
+            bpio::VarDef::global_chunk(
+                "particles",
+                bpio::Dtype::F64,
+                vec![bpio::Dim::r("total"), bpio::Dim::c(8)],
+                vec![bpio::Dim::r("np"), bpio::Dim::c(8)],
+                vec![bpio::Dim::r("offset"), bpio::Dim::c(0)],
+            ),
+        ])
         .expect("static group");
         let mut pg = bpio::ProcessGroup::new("sorted_particles", ctx.my_rank() as u64, ctx.step);
         for (name, val) in [("np", my_rows), ("total", total), ("offset", offset)] {
@@ -685,12 +682,7 @@ mod tests {
                 }
             }
 
-            let ctx = MapCtx {
-                my_rank: 0,
-                n_ranks,
-                step: 0,
-                n_compute: n_compute as usize,
-            };
+            let ctx = MapCtx { n_ranks };
             let mapper = SortMapper { n_compute_hint: n_compute };
             let got: Vec<(u64, Vec<u8>)> = mapper
                 .map_chunk(&PackedChunk::new(make_particle_pg(0, 0, rows.clone())), &ctx)

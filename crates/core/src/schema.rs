@@ -23,14 +23,11 @@ pub const COL_ID: usize = 7;
 
 /// The GTC particle output group: a particle count and an `np × 8` local
 /// array per species.
-pub fn gtc_particle_group() -> GroupDef {
-    GroupDef::new(
-        "gtc_particles",
-        vec![
-            VarDef::scalar("np", Dtype::U64),
-            VarDef::local("particles", Dtype::F64, vec![Dim::r("np"), Dim::c(8)]),
-        ],
-    )
+pub(crate) fn gtc_particle_group() -> GroupDef {
+    GroupDef::new(vec![
+        VarDef::scalar("np", Dtype::U64),
+        VarDef::local("particles", Dtype::F64, vec![Dim::r("np"), Dim::c(8)]),
+    ])
     .expect("static group is valid")
 }
 
@@ -67,7 +64,7 @@ pub fn particle_key(row: &[f64]) -> u64 {
 
 /// [`particle_key`] from the two label attributes alone, for callers
 /// that hold a row in another form than `&[f64]`.
-pub fn label_key(rank: f64, id: f64) -> u64 {
+pub(crate) fn label_key(rank: f64, id: f64) -> u64 {
     ((rank as u64) << 32) | (id as u64 & 0xffff_ffff)
 }
 
@@ -76,7 +73,7 @@ pub const PIXIE_FIELDS: [&str; 8] = ["rho", "px", "py", "pz", "ax", "ay", "az", 
 
 /// The Pixie3D output group: eight 3-D global doubles, block-decomposed.
 /// Global extents and this rank's offsets are carried as scalars.
-pub fn pixie3d_group(local: [u64; 3]) -> GroupDef {
+pub(crate) fn pixie3d_group(local: [u64; 3]) -> GroupDef {
     let mut vars = vec![
         VarDef::scalar("gx", Dtype::U64),
         VarDef::scalar("gy", Dtype::U64),
@@ -94,7 +91,7 @@ pub fn pixie3d_group(local: [u64; 3]) -> GroupDef {
             vec![Dim::r("ox"), Dim::r("oy"), Dim::r("oz")],
         ));
     }
-    GroupDef::new("pixie3d", vars).expect("static group is valid")
+    GroupDef::new(vars).expect("static group is valid")
 }
 
 /// Build one rank's Pixie3D process group from its eight local field

@@ -14,7 +14,7 @@
 //! 3. **pull + map** — pull every chunk in the order and pacing of the
 //!    [`transport::PullPolicy`], decode and map each one, and append the
 //!    outputs to the operators' streams in that order;
-//! 4. **exchange + step end** — the one [`exchange`] of the step: every
+//! 4. **exchange + step end** — the one `exchange` of the step: every
 //!    operator's combine, one shuffle for all of them, every reduce, every
 //!    finalize in operator order; then the [`StepReport`].
 //!
@@ -41,7 +41,7 @@
 //! *Mapping* happens where and as soon as the chunk is pulled, so each
 //! operator's stream is in policy order by construction and a step
 //! spawns no thread and builds no queue. The busy times of
-//! [`StageTimes`] are spans of this one thread: they never exceed the
+//! `StageTimes` are spans of this one thread: they never exceed the
 //! stage's wall time.
 //!
 //! All waiting is condvar-based; there are no sleep-poll loops. The rank
@@ -156,15 +156,15 @@ struct Mapped {
 #[derive(Clone)]
 pub struct StagingConfig {
     /// Number of compute ranks feeding the area.
-    pub n_compute: usize,
+    pub(crate) n_compute: usize,
     /// Directory for operator outputs.
-    pub out_dir: PathBuf,
+    pub(crate) out_dir: PathBuf,
     /// Deadline for gathering one step's requests.
     pub gather_timeout: Duration,
     /// Retry policy for fetch-request receives, `rdma_get` pulls and
     /// collective entries (its deadline is the per-step pull budget);
     /// [`RetryPolicy::default`] unless the builder sets another.
-    pub retry: RetryPolicy,
+    pub(crate) retry: RetryPolicy,
 }
 
 impl StagingConfig {
@@ -195,7 +195,7 @@ pub struct StepReport {
     /// Per-operator results.
     pub results: Vec<OpResult>,
     /// Where the step's time went.
-    pub stages: StageTimes,
+    pub(crate) stages: StageTimes,
 }
 
 /// Where one rank's `run_step` went: the wall time of its four stages
@@ -205,19 +205,19 @@ pub struct StepReport {
 /// are spans of the rank thread inside that stage, so together they
 /// never exceed its wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimes {
+pub(crate) struct StageTimes {
     /// Mostly waiting for the compute side's requests.
-    pub gather: Duration,
-    pub aggregate: Duration,
-    pub pull_map: Duration,
+    pub(crate) gather: Duration,
+    pub(crate) aggregate: Duration,
+    pub(crate) pull_map: Duration,
     /// Includes waiting for the slowest rank in the step's one shuffle.
-    pub exchange: Duration,
+    pub(crate) exchange: Duration,
     /// In `rdma_get`, retries included; not the policy's pacing waits.
-    pub pull_busy: Duration,
+    pub(crate) pull_busy: Duration,
     /// In `PackedChunk::unpack`.
-    pub decode_busy: Duration,
+    pub(crate) decode_busy: Duration,
     /// In the operators' `map_chunk`.
-    pub map_busy: Duration,
+    pub(crate) map_busy: Duration,
 }
 
 impl StepReport {
@@ -295,10 +295,6 @@ impl StagingRank {
             cfg,
             stashed: Vec::new(),
         })
-    }
-
-    pub fn rank(&self) -> usize {
-        self.comm.rank()
     }
 
     /// Process one I/O step end to end: the four stages of the module
@@ -531,9 +527,9 @@ impl StagingRank {
 }
 
 /// Factory signature for per-rank operator sets.
-pub type OpsFactory = dyn Fn(usize) -> Vec<Box<dyn StreamOp>> + Send + Sync;
+pub(crate) type OpsFactory = dyn Fn(usize) -> Vec<Box<dyn StreamOp>> + Send + Sync;
 /// Factory signature for per-rank pull policies.
-pub type PolicyFactory = dyn Fn(usize) -> Box<dyn PullPolicy> + Send + Sync;
+pub(crate) type PolicyFactory = dyn Fn(usize) -> Box<dyn PullPolicy> + Send + Sync;
 
 /// What one staging rank's thread produces: its per-step reports, or
 /// the error that stopped it.

@@ -47,7 +47,7 @@ fn arb_pg() -> impl Strategy<Value = ProcessGroup> {
         .prop_map(|(group, writer_rank, step, vars)| {
             let vars: Vec<(VarDef, DataArray)> =
                 vars.into_iter().enumerate().map(make_var).collect();
-            let def = GroupDef::new(&group, vars.iter().map(|(d, _)| d.clone()).collect()).unwrap();
+            let def = GroupDef::new(vars.iter().map(|(d, _)| d.clone()).collect()).unwrap();
             let mut pg = ProcessGroup::new(&group, writer_rank, step);
             for (d, data) in vars {
                 pg.write(&def, &d.name, data).unwrap();

@@ -33,9 +33,9 @@ use crate::space::{DataSpaces, VarRef};
 pub struct SpaceIndexOp {
     space: Arc<DataSpaces>,
     /// Attribute column stored in each (id, rank) cell.
-    pub column: usize,
+    pub(crate) column: usize,
     /// Variable name within the space.
-    pub var: String,
+    pub(crate) var: String,
     cells_put: u64,
 }
 

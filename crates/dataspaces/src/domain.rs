@@ -23,7 +23,7 @@ impl Region {
         }
     }
 
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.corner.len()
     }
 
@@ -34,13 +34,13 @@ impl Region {
         checked_volume(&self.extent).expect("region volume overflows u64")
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.extent.contains(&0)
     }
 
     /// Intersection, or `None` when disjoint/empty — or when either
     /// box's `corner + extent` overflows, which is no box at all.
-    pub fn intersect(&self, other: &Region) -> Option<Region> {
+    pub(crate) fn intersect(&self, other: &Region) -> Option<Region> {
         debug_assert_eq!(self.rank(), other.rank());
         let mut corner = Vec::with_capacity(self.rank());
         let mut extent = Vec::with_capacity(self.rank());
@@ -56,13 +56,6 @@ impl Region {
         }
         Some(Region { corner, extent })
     }
-
-    pub fn contains(&self, other: &Region) -> bool {
-        (0..self.rank()).all(|d| {
-            other.corner[d] >= self.corner[d]
-                && other.corner[d] + other.extent[d] <= self.corner[d] + self.extent[d]
-        })
-    }
 }
 
 /// Product of `extent`, or `None` when it overflows.
@@ -77,7 +70,7 @@ pub struct DsConfig {
     pub domain: Vec<u64>,
     /// Block extents — the unit of distribution. Smaller blocks spread
     /// load better but cost more index arithmetic per operation.
-    pub block: Vec<u64>,
+    pub(crate) block: Vec<u64>,
     /// Number of server shards (staging processes running DataSpaces).
     pub n_shards: usize,
 }
@@ -112,17 +105,8 @@ impl DsConfig {
         )
     }
 
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.domain.len()
-    }
-
-    /// Grid extents in blocks (ceil division per dimension).
-    pub fn grid(&self) -> Vec<u64> {
-        self.domain
-            .iter()
-            .zip(&self.block)
-            .map(|(d, b)| d.div_ceil(*b))
-            .collect()
     }
 
     /// Validate a region against the domain.
@@ -145,7 +129,7 @@ impl DsConfig {
     }
 
     /// The block region for grid coordinate `g` (clipped to the domain).
-    pub fn block_region(&self, g: &[u64]) -> Region {
+    pub(crate) fn block_region(&self, g: &[u64]) -> Region {
         let corner: Vec<u64> = g.iter().zip(&self.block).map(|(gi, b)| gi * b).collect();
         let extent: Vec<u64> = (0..self.rank())
             .map(|d| (self.block[d]).min(self.domain[d] - corner[d]))
@@ -154,7 +138,7 @@ impl DsConfig {
     }
 
     /// Grid coordinates of all blocks intersecting `region`.
-    pub fn blocks_of(&self, region: &Region) -> Vec<Vec<u64>> {
+    pub(crate) fn blocks_of(&self, region: &Region) -> Vec<Vec<u64>> {
         if region.is_empty() {
             return Vec::new();
         }
@@ -188,7 +172,7 @@ impl DsConfig {
     /// (the allocation-free block key used by the sharded index).
     ///
     /// [`grid`]: DsConfig::grid
-    pub fn grid_index(&self, g: &[u64]) -> u64 {
+    pub(crate) fn grid_index(&self, g: &[u64]) -> u64 {
         let mut idx = 0;
         for (d, gd) in g.iter().enumerate().take(self.rank()) {
             idx = idx * self.domain[d].div_ceil(self.block[d]) + gd;
@@ -198,7 +182,7 @@ impl DsConfig {
 
     /// The shard owning a block: FNV hash of its grid coordinate — the
     /// first level of load balancing (even data spread, no master).
-    pub fn shard_of(&self, g: &[u64]) -> usize {
+    pub(crate) fn shard_of(&self, g: &[u64]) -> usize {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &c in g {
             for b in c.to_le_bytes() {
@@ -211,7 +195,7 @@ impl DsConfig {
 
     /// The shard holding the *directory* entry for a variable — the
     /// second level of load balancing (index traffic spread by name).
-    pub fn dir_shard_of(&self, var: &str) -> usize {
+    pub(crate) fn dir_shard_of(&self, var: &str) -> usize {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in var.as_bytes() {
             h ^= *b as u64;
@@ -238,8 +222,6 @@ mod tests {
         assert_eq!(i.volume(), 25);
         let c = Region::new(vec![20, 20], vec![1, 1]);
         assert!(a.intersect(&c).is_none());
-        assert!(a.contains(&i));
-        assert!(!b.contains(&a));
     }
 
     #[test]
@@ -252,8 +234,7 @@ mod tests {
     #[test]
     fn grid_covers_domain_with_clipping() {
         let c = cfg();
-        assert_eq!(c.grid(), vec![4, 3]); // ceil(100/32), ceil(40/16)
-                                          // Last block in dim 0 is clipped to 4 wide (100 - 3*32).
+        // Last block in dim 0 is clipped to 4 wide (100 - 3*32).
         let last = c.block_region(&[3, 2]);
         assert_eq!(last.corner, vec![96, 32]);
         assert_eq!(last.extent, vec![4, 8]);

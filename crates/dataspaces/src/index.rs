@@ -10,7 +10,7 @@
 //!
 //! `commit` *freezes* a version's pending blocks and publishes a new
 //! committed map per touched shard (copy-on-write of the map, `Arc`
-//! clones of untouched blocks), bumping the global **epoch**. Readers of
+//! clones of untouched blocks). Readers of
 //! committed data clone the shard snapshots once at admission and then
 //! scan without touching any lock a writer uses: puts only ever lock the
 //! pending plane, so committed-version queries never block puts and puts
@@ -24,7 +24,6 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bpio::{with_elem, BoxRuns, DataArray, Dtype, Elem};
@@ -41,14 +40,14 @@ pub(crate) type BlockKey = (u32, u64, u64);
 /// has one defined rounding whoever computes it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Summary {
-    pub min: f64,
-    pub max: f64,
-    pub sum: f64,
-    pub n_filled: u64,
+    pub(crate) min: f64,
+    pub(crate) max: f64,
+    pub(crate) sum: f64,
+    pub(crate) n_filled: u64,
 }
 
 impl Summary {
-    pub const EMPTY: Summary = Summary {
+    pub(crate) const EMPTY: Summary = Summary {
         min: f64::INFINITY,
         max: f64::NEG_INFINITY,
         sum: 0.0,
@@ -70,7 +69,7 @@ impl Summary {
 
     /// Fold a later partial into this one (ties keep the earlier
     /// value, as in `push`, so even the sign of a zero is defined).
-    pub fn merge(&mut self, later: &Summary) {
+    pub(crate) fn merge(&mut self, later: &Summary) {
         if later.min < self.min {
             self.min = later.min;
         }
@@ -87,10 +86,10 @@ impl Summary {
 /// writers).
 #[derive(Clone)]
 pub(crate) struct Block {
-    pub region: Region,
-    pub data: DataArray,
+    pub(crate) region: Region,
+    pub(crate) data: DataArray,
     filled: Vec<u64>, // bitmask words
-    pub n_filled: u64,
+    pub(crate) n_filled: u64,
     /// The fold of the whole block, kept by the first reduction that
     /// asks for it. Only a frozen block is asked:
     /// [`ShardIndex::publish`] empties the cell as it freezes one.
@@ -116,7 +115,7 @@ pub(crate) fn runs<'a>(region: &'a Region, isect: &'a Region) -> BoxRuns<'a> {
 }
 
 impl Block {
-    pub fn new(region: Region, dtype: Dtype) -> Self {
+    pub(crate) fn new(region: Region, dtype: Dtype) -> Self {
         let n = region.volume() as usize;
         Block {
             data: DataArray::zeros(dtype, n),
@@ -127,7 +126,7 @@ impl Block {
         }
     }
 
-    pub fn is_set(&self, local_idx: usize) -> bool {
+    pub(crate) fn is_set(&self, local_idx: usize) -> bool {
         self.filled[local_idx / 64] & (1 << (local_idx % 64)) != 0
     }
 
@@ -136,7 +135,7 @@ impl Block {
     }
 
     /// Mark every element of `isect` filled.
-    pub fn mark_region(&mut self, isect: &Region) {
+    pub(crate) fn mark_region(&mut self, isect: &Region) {
         if self.is_full() {
             return;
         }
@@ -149,7 +148,7 @@ impl Block {
     }
 
     /// How many elements of `isect` are filled.
-    pub fn count_filled(&self, isect: &Region) -> u64 {
+    pub(crate) fn count_filled(&self, isect: &Region) -> u64 {
         if self.is_full() {
             return isect.volume();
         }
@@ -160,7 +159,7 @@ impl Block {
     }
 
     /// Fold the filled elements of `isect`, row-major.
-    pub fn fold(&self, isect: &Region) -> Summary {
+    pub(crate) fn fold(&self, isect: &Region) -> Summary {
         with_elem!(self.data.dtype(), T => {
             let data = T::slice(&self.data).expect("dispatched on the block's dtype");
             let full = self.is_full();
@@ -176,7 +175,7 @@ impl Block {
     }
 
     /// The fold of the whole block — computed once, then O(1).
-    pub fn summary(&self) -> &Summary {
+    pub(crate) fn summary(&self) -> &Summary {
         self.summary.get_or_init(|| self.fold(&self.region))
     }
 }
@@ -204,7 +203,7 @@ impl<T> SnapCell<T> {
         }
     }
 
-    pub fn load(&self) -> Arc<T> {
+    pub(crate) fn load(&self) -> Arc<T> {
         Arc::clone(&self.slot.read())
     }
 
@@ -229,31 +228,18 @@ impl Default for Shard {
     }
 }
 
-/// All shards plus the publication epoch.
+/// All shards.
 pub(crate) struct ShardIndex {
     shards: Box<[CacheAligned<Shard>]>,
-    /// Bumped on every publication (commit or evict). A snapshot
-    /// records the epoch it was taken at; two snapshots with the same
-    /// epoch are identical.
-    epoch: AtomicU64,
 }
 
 impl ShardIndex {
-    pub fn new(n_shards: usize) -> Self {
+    pub(crate) fn new(n_shards: usize) -> Self {
         ShardIndex {
             shards: (0..n_shards)
                 .map(|_| CacheAligned(Shard::default()))
                 .collect(),
-            epoch: AtomicU64::new(0),
         }
-    }
-
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    fn bump_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Lock one shard's pending plane.
@@ -266,7 +252,7 @@ impl ShardIndex {
     /// (put-after-commit, made visible by a later re-commit) starts from
     /// a private clone of the committed block, so the published snapshot
     /// stays frozen.
-    pub fn with_block<R>(
+    pub(crate) fn with_block<R>(
         &self,
         shard: usize,
         key: BlockKey,
@@ -284,12 +270,12 @@ impl ShardIndex {
     }
 
     /// Freeze and publish every pending block of `(var, version)`:
-    /// the epoch/snapshot publication point. Returns the number of
+    /// the snapshot publication point. Returns the number of
     /// blocks moved. Publication is copy-on-write per shard — map
     /// clones share untouched blocks by `Arc` — and serialized by the
     /// shard's pending lock, so concurrent commits of different
     /// variables cannot lose each other's blocks.
-    pub fn publish(&self, var: u32, version: u64) -> usize {
+    pub(crate) fn publish(&self, var: u32, version: u64) -> usize {
         let mut moved = 0;
         for shard in self.shards.iter() {
             let shard = &shard.0;
@@ -311,14 +297,13 @@ impl ShardIndex {
             }
             shard.committed.store(Arc::new(map));
         }
-        self.bump_epoch();
         moved
     }
 
     /// Drop every block (pending and committed) of `var` with a version
     /// below `keep_from`. In-flight snapshots keep the old maps alive —
     /// eviction is publication of a smaller map, not destruction.
-    pub fn evict_before(&self, var: u32, keep_from: u64) -> usize {
+    pub(crate) fn evict_before(&self, var: u32, keep_from: u64) -> usize {
         let mut dropped = 0;
         for shard in self.shards.iter() {
             let shard = &shard.0;
@@ -338,20 +323,19 @@ impl ShardIndex {
                 dropped += doomed;
             }
         }
-        self.bump_epoch();
         dropped
     }
 
     /// Clone every shard's committed snapshot: the admission step of a
     /// lock-free committed read. One shared-guarded pointer copy per
     /// shard; no put-side lock is touched.
-    pub fn snapshot(&self) -> Vec<Arc<BlockMap>> {
+    pub(crate) fn snapshot(&self) -> Vec<Arc<BlockMap>> {
         self.shards.iter().map(|s| s.0.committed.load()).collect()
     }
 
     /// Distinct blocks held per shard (pending ∪ committed) — the
     /// first-level load-balance view.
-    pub fn block_counts(&self) -> Vec<usize> {
+    pub(crate) fn block_counts(&self) -> Vec<usize> {
         self.shards
             .iter()
             .map(|s| {
@@ -370,7 +354,7 @@ impl ShardIndex {
     /// Hold every shard's pending (put-side) lock — test hook proving
     /// committed reads take none of them.
     #[cfg(test)]
-    pub fn lock_all_pending(&self) -> Vec<MutexGuard<'_, HashMap<BlockKey, Block>>> {
+    pub(crate) fn lock_all_pending(&self) -> Vec<MutexGuard<'_, HashMap<BlockKey, Block>>> {
         self.shards.iter().map(|s| s.0.pending.lock()).collect()
     }
 }
@@ -384,9 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn publish_moves_pending_to_committed_and_bumps_epoch() {
+    fn publish_moves_pending_to_committed() {
         let idx = ShardIndex::new(2);
-        let e0 = idx.epoch();
         idx.with_block(
             0,
             (1, 0, 0),
@@ -395,7 +378,6 @@ mod tests {
         );
         assert!(idx.snapshot()[0].is_empty(), "pending is not published");
         assert_eq!(idx.publish(1, 0), 1);
-        assert!(idx.epoch() > e0);
         assert!(idx.snapshot()[0].contains_key(&(1, 0, 0)));
         // Re-publishing with nothing pending moves nothing.
         assert_eq!(idx.publish(1, 0), 0);

@@ -30,7 +30,7 @@
 //!   the per-variable directory is sharded by name hash so *index*
 //!   traffic also spreads.
 //! * **lock-free committed reads** — [`DataSpaces::commit`] freezes a
-//!   version's blocks and publishes them as an immutable epoch snapshot;
+//!   version's blocks and publishes them as an immutable snapshot;
 //!   readers bind a [`Session`] to that snapshot and scan without taking
 //!   any lock a writer uses, so queries never block puts (and
 //!   `evict_before` never corrupts an in-flight scan: snapshot
@@ -59,7 +59,9 @@
 //! assert_eq!(max, 1.5);
 //! ```
 
-pub mod bridge;
+#![warn(unreachable_pub)]
+
+mod bridge;
 mod domain;
 mod error;
 mod index;
@@ -77,4 +79,4 @@ pub use service::{
     QueryServiceConfig, QueryTicket,
 };
 pub use session::Session;
-pub use space::{CommitHook, DataSpaces, Reduction, SpaceStats, VarRef};
+pub use space::{DataSpaces, Reduction, SpaceStats};

@@ -112,9 +112,6 @@ impl QueryOutput {
 /// A served query: its payload plus how long it queued and executed.
 #[derive(Debug, Clone)]
 pub struct QueryResponse {
-    pub id: u64,
-    pub var: String,
-    pub version: u64,
     pub output: QueryOutput,
     /// Admission-to-execution queue wait.
     pub waited: Duration,
@@ -131,11 +128,6 @@ pub struct QueryTicket {
 }
 
 impl QueryTicket {
-    /// The query's service-assigned id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Block until the query completes, up to `timeout`
     /// (`Duration::MAX`: no limit). A query dropped unanswered — its
     /// worker panicked — fails with [`DsError::ServiceClosed`].
@@ -252,7 +244,7 @@ impl QueryService {
     /// the service shuts the pool down (in-flight queries finish).
     ///
     /// The service records into its space's registry
-    /// ([`DataSpaces::obs`]).
+    /// (`DataSpaces::obs`).
     pub fn new(space: Arc<DataSpaces>, cfg: QueryServiceConfig) -> QueryService {
         let reg = space.obs();
         let inner = Arc::new(Inner {
@@ -297,16 +289,6 @@ impl QueryService {
             inner,
             workers: Mutex::new(workers),
         }
-    }
-
-    /// The space this service fronts.
-    pub fn space(&self) -> &Arc<DataSpaces> {
-        &self.inner.space
-    }
-
-    /// Jobs admitted but not yet picked up by a worker.
-    pub fn backlog(&self) -> usize {
-        self.inner.jobs.len()
     }
 
     /// Admit a query with the configured default deadline.
@@ -420,9 +402,6 @@ fn serve(inner: &Arc<Inner>, job: QueryJob) {
         Err(_) => {}
     }
     job.reply.0.submit(result.map(|output| QueryResponse {
-        id: job.id,
-        var: job.var,
-        version: job.version,
         output,
         waited,
         exec,
@@ -537,7 +516,6 @@ mod tests {
         let svc = service(&ds, 2);
         let q = Region::new(vec![10, 0], vec![30, 64]);
         let resp = svc.query("field", 0, QueryKind::Range(q.clone())).unwrap();
-        assert_eq!(resp.version, 0);
         let expected = ds.get("field", 0, &q, Duration::from_secs(1)).unwrap();
         assert_eq!(resp.output.into_data(), expected);
     }
@@ -602,7 +580,7 @@ mod tests {
         let ticket = svc.submit("field", 0, QueryKind::Range(q)).unwrap();
         ticket.wait(Duration::from_secs(5)).unwrap();
         svc.shutdown();
-        assert_eq!(svc.backlog(), 0, "served queue drains to zero");
+        assert_eq!(svc.inner.jobs.len(), 0, "served queue drains to zero");
     }
 
     #[test]
@@ -644,7 +622,7 @@ mod tests {
         let ticket = svc
             .submit_with_deadline("field", 0, QueryKind::Range(q.clone()), Duration::ZERO)
             .unwrap();
-        let id = ticket.id();
+        let id = ticket.id;
         assert_eq!(
             ticket.wait(Duration::from_secs(5)).unwrap_err(),
             DsError::DeadlineMissed { query: id }
@@ -690,14 +668,14 @@ mod tests {
                 QueryKind::Reduce(whole.clone(), Reduction::Count),
             )
             .unwrap();
-        while svc.backlog() > 0 {
+        while svc.inner.jobs.len() > 0 {
             std::thread::yield_now();
         }
         let waiting: Vec<_> = (0..3)
             .map(|_| svc.submit("field", 0, QueryKind::Range(whole.clone())))
             .collect::<Result<_, _>>()
             .expect("an idle queue admits its capacity");
-        assert_eq!(svc.backlog(), 3);
+        assert_eq!(svc.inner.jobs.len(), 3);
         assert!(matches!(
             svc.submit("field", 0, QueryKind::Range(whole.clone())),
             Err(DsError::QueueFull)

@@ -29,31 +29,16 @@ use crate::space::{Reduction, SpaceStats};
 #[derive(Clone)]
 pub struct Session {
     pub(crate) cfg: Arc<DsConfig>,
-    pub(crate) var: Arc<str>,
     pub(crate) var_id: u32,
     pub(crate) version: u64,
     /// `None` when the version was committed without any put (a scan
     /// then covers nothing).
     pub(crate) dtype: Option<Dtype>,
-    pub(crate) epoch: u64,
     pub(crate) shards: Vec<Arc<BlockMap>>,
     pub(crate) stats: Arc<SpaceStats>,
 }
 
 impl Session {
-    pub fn var(&self) -> &str {
-        &self.var
-    }
-
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The publication epoch this session is pinned to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Retrieve the data of `region` from the pinned snapshot. Errors
     /// if a block holds another element type than the variable, then if
     /// parts of the region were never put (holes). The answer is

@@ -56,25 +56,15 @@ impl Default for DirShard {
 /// A resolved variable handle: the directory lookup (name → interned
 /// id + dtype) done once, so hot put loops skip the directory lock.
 #[derive(Clone)]
-pub struct VarRef {
+pub(crate) struct VarRef {
     name: Arc<str>,
     id: u32,
     dtype: Dtype,
 }
 
-impl VarRef {
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn dtype(&self) -> Dtype {
-        self.dtype
-    }
-}
-
 /// A hook invoked after every commit publishes (the query service's
 /// continuous queries ride on this).
-pub type CommitHook = Box<dyn Fn(&str, u64) + Send + Sync>;
+pub(crate) type CommitHook = Box<dyn Fn(&str, u64) + Send + Sync>;
 
 /// Aggregation queries supported over regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +82,9 @@ pub struct SpaceStats {
     pub puts: AtomicU64,
     /// Range answers, direct or served by a `QueryService`.
     pub gets: AtomicU64,
-    pub bytes_put: AtomicU64,
+    pub(crate) bytes_put: AtomicU64,
     /// Bytes of those answers.
-    pub bytes_got: AtomicU64,
+    pub(crate) bytes_got: AtomicU64,
     pub blocks_touched: AtomicU64,
 }
 
@@ -155,19 +145,14 @@ impl DataSpaces {
 
     /// The fault plan this space was built with, if any, and the retry
     /// policy that absorbs it.
-    pub fn fault_plan(&self) -> (Option<&FaultPlan>, &RetryPolicy) {
+    pub(crate) fn fault_plan(&self) -> (Option<&FaultPlan>, &RetryPolicy) {
         (self.faults.as_deref(), &self.retry)
     }
 
     /// The registry this space, and a query service over it, record
     /// into.
-    pub fn obs(&self) -> &obs::Registry {
+    pub(crate) fn obs(&self) -> &obs::Registry {
         &self.obs
-    }
-
-    /// The current publication epoch (bumped by every commit/evict).
-    pub fn epoch(&self) -> u64 {
-        self.index.epoch()
     }
 
     fn dir(&self, var: &str) -> &DirShard {
@@ -202,7 +187,7 @@ impl DataSpaces {
     /// writer wins; conflicts error). Hot put loops resolve once and
     /// then call [`put_ref`](Self::put_ref), skipping the directory
     /// lock per put.
-    pub fn resolve_var(&self, var: &str, dtype: Dtype) -> Result<VarRef, DsError> {
+    pub(crate) fn resolve_var(&self, var: &str, dtype: Dtype) -> Result<VarRef, DsError> {
         let mut vars = self.dir(var).vars.lock();
         let id = self.entry_id(&mut vars, var);
         let meta = vars.get_mut(var).expect("entry just ensured");
@@ -243,7 +228,7 @@ impl DataSpaces {
 
     /// [`put`](Self::put) through a pre-resolved handle (no directory
     /// lock on the hot path).
-    pub fn put_ref(
+    pub(crate) fn put_ref(
         &self,
         var: &VarRef,
         version: u64,
@@ -317,7 +302,7 @@ impl DataSpaces {
     }
 
     /// Declare version `version` of `var` complete: freeze its pending
-    /// blocks, publish them as an immutable snapshot (the epoch bump),
+    /// blocks, publish them as an immutable snapshot,
     /// register the version, and wake waiting getters. Publication
     /// happens *before* registration, so a woken reader's snapshot
     /// always contains the committed blocks.
@@ -371,12 +356,17 @@ impl DataSpaces {
     /// `(var, version)`, waiting for the commit first. The session
     /// scans lock-free and survives later commits and evictions
     /// untouched (snapshot isolation).
-    pub fn session(&self, var: &str, version: u64, timeout: Duration) -> Result<Session, DsError> {
+    pub(crate) fn session(
+        &self,
+        var: &str,
+        version: u64,
+        timeout: Duration,
+    ) -> Result<Session, DsError> {
         self.wait_committed(var, version, timeout)?;
         self.session_now(var, version)
     }
 
-    /// [`session`](Self::session) without waiting: errors with
+    /// `session` without waiting: errors with
     /// [`DsError::NotCommitted`] unless the version is committed right
     /// now (and not yet evicted).
     pub fn session_now(&self, var: &str, version: u64) -> Result<Session, DsError> {
@@ -396,11 +386,9 @@ impl DataSpaces {
         };
         let session = Session {
             cfg: Arc::clone(&self.cfg),
-            var: Arc::from(var),
             var_id,
             version,
             dtype,
-            epoch: self.index.epoch(),
             shards: self.index.snapshot(),
             stats: Arc::clone(&self.stats),
         };
@@ -438,7 +426,7 @@ impl DataSpaces {
 
     /// Register a hook invoked after every commit publishes. Hooks run
     /// on the committing thread, after waiters were woken.
-    pub fn on_commit(&self, hook: CommitHook) {
+    pub(crate) fn on_commit(&self, hook: CommitHook) {
         self.hooks.write().push(hook);
     }
 
@@ -815,19 +803,5 @@ mod tests {
         let e = ds.put("field", 0, &r, ramp(&r)).unwrap_err();
         assert!(matches!(e, DsError::PutFaulted { version: 0, .. }), "{e}");
         assert!(std::error::Error::source(&e).is_some());
-    }
-
-    #[test]
-    fn epoch_advances_on_publication() {
-        let ds = space();
-        let e0 = ds.epoch();
-        let r = Region::new(vec![0, 0], vec![4, 4]);
-        ds.put("f", 0, &r, ramp(&r)).unwrap();
-        assert_eq!(ds.epoch(), e0, "puts do not publish");
-        ds.commit("f", 0);
-        let e1 = ds.epoch();
-        assert!(e1 > e0);
-        ds.evict_before("f", 1);
-        assert!(ds.epoch() > e1);
     }
 }

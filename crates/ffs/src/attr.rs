@@ -16,7 +16,7 @@ use crate::wire::{Reader, Writer};
 /// Hard cap on the encoded size of one attribute list, in bytes. Fetch
 /// requests are latency-critical control messages; anything bigger belongs
 /// in the bulk payload.
-pub const MAX_ENCODED_LEN: usize = 64 * 1024;
+pub(crate) const MAX_ENCODED_LEN: usize = 64 * 1024;
 
 /// An ordered collection of named small values.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -49,14 +49,6 @@ impl AttrList {
 
     pub fn get_u64(&self, name: &str) -> Option<u64> {
         self.get(name)?.as_u64()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
@@ -138,7 +130,7 @@ mod tests {
         a.set("min", Value::F64(-3.0));
         a.set("count", Value::U64(10));
         a.set("min", Value::F64(-5.0)); // replace
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.entries.len(), 2);
         assert_eq!(a.get_f64("min"), Some(-5.0));
         assert_eq!(a.get_u64("count"), Some(10));
         assert_eq!(a.get("absent"), None);

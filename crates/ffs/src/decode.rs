@@ -15,7 +15,7 @@ use crate::MAGIC;
 /// paying for a full decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedHeader {
-    pub version: u8,
+    pub(crate) version: u8,
     pub has_embedded_schema: bool,
     pub fingerprint: u64,
 }
@@ -146,10 +146,6 @@ pub struct RecordView<'a> {
 }
 
 impl<'a> RecordView<'a> {
-    pub fn format(&self) -> &Arc<FormatDesc> {
-        &self.format
-    }
-
     pub fn attrs(&self) -> &AttrList {
         &self.attrs
     }
@@ -349,7 +345,7 @@ mod tests {
             Err(FfsError::RegistryRequired(_))
         ));
 
-        let reg = FormatRegistry::new();
+        let reg = FormatRegistry::default();
         assert!(matches!(
             decode(&buf, Some(&reg)),
             Err(FfsError::UnknownFormat(_))
@@ -365,7 +361,7 @@ mod tests {
         let r = sample();
         let full = r.encode_self_contained().unwrap();
         let by_ref = r.encode_by_ref().unwrap();
-        let reg = FormatRegistry::new();
+        let reg = FormatRegistry::default();
         decode(&full, Some(&reg)).unwrap(); // learns the schema
         let back = decode(&by_ref, Some(&reg)).unwrap(); // now by-ref works
         assert_eq!(back.get("n"), Some(&Value::U64(3)));
@@ -431,7 +427,7 @@ mod tests {
             decode_view(&buf, None),
             Err(FfsError::RegistryRequired(_))
         ));
-        let reg = FormatRegistry::new();
+        let reg = FormatRegistry::default();
         reg.register(r.format());
         let view = decode_view(&buf, Some(&reg)).unwrap();
         let owned = decode(&buf, Some(&reg)).unwrap();

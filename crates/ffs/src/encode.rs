@@ -33,8 +33,10 @@ impl Record {
 
     /// Encode carrying only the format fingerprint. The receiver must hold
     /// the format in a [`crate::FormatRegistry`]; this saves the schema
-    /// bytes on every message of a long-lived stream.
-    pub fn encode_by_ref(&self) -> Result<Vec<u8>> {
+    /// bytes on every message of a long-lived stream. Only the tests
+    /// write such records; the pipeline embeds the schema.
+    #[cfg(test)]
+    pub(crate) fn encode_by_ref(&self) -> Result<Vec<u8>> {
         self.encode_inner(false)
     }
 
@@ -70,7 +72,7 @@ impl Record {
 /// Every field is checked against the format as it is written: its
 /// type, and an array's length against its fixed and variable
 /// dimensions. Dropping the encoder before
-/// [`finish`](RecordEncoder::finish) — which is what `?` on any of its
+/// `finish` — which is what `?` on any of its
 /// errors does — cuts the buffer back to the length it had at the
 /// start, so a failure never leaves half a record.
 pub struct RecordEncoder<'a> {
@@ -209,7 +211,7 @@ impl<'a> RecordEncoder<'a> {
     }
 
     /// End the record; every field must have been written.
-    pub fn finish(mut self) -> Result<()> {
+    pub(crate) fn finish(mut self) -> Result<()> {
         if let Some(unset) = self.fmt.fields().get(self.next) {
             return Err(FfsError::UnsetField(unset.name.clone()));
         }

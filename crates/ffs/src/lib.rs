@@ -40,6 +40,8 @@
 //! assert_eq!(back.get("px").unwrap(), &Value::ArrF64(vec![0.5, 1.5, 2.5]));
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod attr;
 mod decode;
 mod encode;
@@ -52,10 +54,8 @@ pub use attr::AttrList;
 pub use decode::{decode, decode_header, decode_view, DecodedHeader, RecordView, ViewValue};
 pub use encode::RecordEncoder;
 pub use error::{FfsError, Result};
-pub use registry::{FormatId, FormatRegistry};
-pub use types::{
-    BaseType, DimSpec, FieldDesc, FieldType, FormatBuilder, FormatDesc, Record, Value,
-};
+pub use registry::FormatRegistry;
+pub use types::{BaseType, DimSpec, FieldDesc, FormatBuilder, FormatDesc, Record, Value};
 
 /// Wire-format magic bytes at the start of every encoded record.
-pub const MAGIC: [u8; 4] = *b"FFS1";
+pub(crate) const MAGIC: [u8; 4] = *b"FFS1";

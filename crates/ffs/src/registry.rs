@@ -14,7 +14,7 @@ use parking_lot::RwLock;
 use crate::types::FormatDesc;
 
 /// Stable identifier of an interned format (its schema fingerprint).
-pub type FormatId = u64;
+pub(crate) type FormatId = u64;
 
 /// Thread-safe format store shared across senders and receivers.
 #[derive(Debug, Default)]
@@ -23,12 +23,10 @@ pub struct FormatRegistry {
 }
 
 impl FormatRegistry {
-    pub fn new() -> Self {
-        FormatRegistry::default()
-    }
-
     /// Register an already-shared format; returns its id. Idempotent.
-    pub fn register(&self, fmt: &Arc<FormatDesc>) -> FormatId {
+    /// Only the tests write by-reference records, so only they register.
+    #[cfg(test)]
+    pub(crate) fn register(&self, fmt: &Arc<FormatDesc>) -> FormatId {
         let id = fmt.fingerprint();
         self.formats
             .write()
@@ -41,26 +39,14 @@ impl FormatRegistry {
     /// If a structurally identical format is already present, that instance
     /// is returned and the argument dropped — so repeated decodes of the
     /// same stream share one `Arc`.
-    pub fn intern(&self, fmt: FormatDesc) -> Arc<FormatDesc> {
+    pub(crate) fn intern(&self, fmt: FormatDesc) -> Arc<FormatDesc> {
         let id = fmt.fingerprint();
         let mut map = self.formats.write();
         Arc::clone(map.entry(id).or_insert_with(|| Arc::new(fmt)))
     }
 
-    pub fn lookup(&self, id: FormatId) -> Option<Arc<FormatDesc>> {
+    pub(crate) fn lookup(&self, id: FormatId) -> Option<Arc<FormatDesc>> {
         self.formats.read().get(&id).cloned()
-    }
-
-    pub fn contains(&self, id: FormatId) -> bool {
-        self.formats.read().contains_key(&id)
-    }
-
-    pub fn len(&self) -> usize {
-        self.formats.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -78,36 +64,36 @@ mod tests {
 
     #[test]
     fn register_lookup() {
-        let reg = FormatRegistry::new();
+        let reg = FormatRegistry::default();
         let f = fmt("one");
         let id = reg.register(&f);
-        assert!(reg.contains(id));
+        assert!(reg.formats.read().contains_key(&id));
         assert_eq!(reg.lookup(id).unwrap().name(), "one");
         assert_eq!(reg.lookup(0xdead), None);
     }
 
     #[test]
     fn register_idempotent() {
-        let reg = FormatRegistry::new();
+        let reg = FormatRegistry::default();
         let f = fmt("one");
         let id1 = reg.register(&f);
         let id2 = reg.register(&f);
         assert_eq!(id1, id2);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.formats.read().len(), 1);
     }
 
     #[test]
     fn intern_canonicalizes() {
-        let reg = FormatRegistry::new();
+        let reg = FormatRegistry::default();
         let a = reg.intern(Arc::try_unwrap(fmt("x")).unwrap());
         let b = reg.intern(Arc::try_unwrap(fmt("x")).unwrap());
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.formats.read().len(), 1);
     }
 
     #[test]
     fn concurrent_interning_is_safe() {
-        let reg = Arc::new(FormatRegistry::new());
+        let reg = Arc::new(FormatRegistry::default());
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let reg = Arc::clone(&reg);
@@ -122,6 +108,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(reg.len(), 10);
+        assert_eq!(reg.formats.read().len(), 10);
     }
 }

@@ -26,7 +26,7 @@ pub enum BaseType {
 impl BaseType {
     /// Size in bytes of one element on the wire; strings are
     /// length-prefixed and report 0 here.
-    pub fn wire_size(self) -> usize {
+    pub(crate) fn wire_size(self) -> usize {
         match self {
             BaseType::I8 | BaseType::U8 => 1,
             BaseType::I16 | BaseType::U16 => 2,
@@ -36,7 +36,7 @@ impl BaseType {
         }
     }
 
-    pub fn is_integer(self) -> bool {
+    pub(crate) fn is_integer(self) -> bool {
         !matches!(self, BaseType::F32 | BaseType::F64 | BaseType::Str)
     }
 
@@ -74,7 +74,7 @@ impl BaseType {
     }
 
     /// Human-readable name used in error messages.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             BaseType::I8 => "i8",
             BaseType::U8 => "u8",
@@ -103,13 +103,13 @@ pub enum DimSpec {
 
 /// The type of a single field.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum FieldType {
+pub(crate) enum FieldType {
     Scalar(BaseType),
     Array { elem: BaseType, dims: Vec<DimSpec> },
 }
 
 impl FieldType {
-    pub fn type_name(&self) -> String {
+    pub(crate) fn type_name(&self) -> String {
         match self {
             FieldType::Scalar(b) => b.name().to_string(),
             FieldType::Array { elem, dims } => format!("{}[{}d]", elem.name(), dims.len()),
@@ -120,8 +120,8 @@ impl FieldType {
 /// A named field within a format.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FieldDesc {
-    pub name: String,
-    pub ty: FieldType,
+    pub(crate) name: String,
+    pub(crate) ty: FieldType,
 }
 
 impl FieldDesc {
@@ -167,15 +167,15 @@ impl FormatDesc {
         }
     }
 
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
-    pub fn fields(&self) -> &[FieldDesc] {
+    pub(crate) fn fields(&self) -> &[FieldDesc] {
         &self.fields
     }
 
-    pub fn field_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn field_index(&self, name: &str) -> Option<usize> {
         self.index.get(name).copied()
     }
 
@@ -303,7 +303,7 @@ pub enum Value {
 
 impl Value {
     /// The (base type, is-array) pair this value carries.
-    pub fn shape(&self) -> (BaseType, bool) {
+    pub(crate) fn shape(&self) -> (BaseType, bool) {
         match self {
             Value::I8(_) => (BaseType::I8, false),
             Value::U8(_) => (BaseType::U8, false),
@@ -329,13 +329,8 @@ impl Value {
         }
     }
 
-    /// True for a zero-length array value; scalars report false.
-    pub fn is_empty(&self) -> bool {
-        self.len() == Some(0)
-    }
-
     /// Array element count; scalars report `None`.
-    pub fn len(&self) -> Option<u64> {
+    pub(crate) fn len(&self) -> Option<u64> {
         Some(match self {
             Value::ArrI8(v) => v.len() as u64,
             Value::ArrU8(v) => v.len() as u64,
@@ -375,7 +370,7 @@ impl Value {
         })
     }
 
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -384,7 +379,7 @@ impl Value {
 
     /// Payload size of this value on the wire, in bytes (arrays include
     /// their 8-byte element-count prefix, strings their 4-byte length).
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         let (b, arr) = self.shape();
         if arr {
             8 + self.len().unwrap() as usize * b.wire_size()
@@ -398,7 +393,7 @@ impl Value {
         }
     }
 
-    pub fn type_name(&self) -> String {
+    pub(crate) fn type_name(&self) -> String {
         let (b, arr) = self.shape();
         if arr {
             format!("{}[]", b.name())
@@ -446,7 +441,8 @@ impl Record {
         &self.attrs
     }
 
-    pub fn attrs_mut(&mut self) -> &mut AttrList {
+    #[cfg(test)]
+    pub(crate) fn attrs_mut(&mut self) -> &mut AttrList {
         &mut self.attrs
     }
 

@@ -8,53 +8,53 @@ pub(crate) struct Writer<'a> {
 }
 
 impl<'a> Writer<'a> {
-    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+    pub(crate) fn new(buf: &'a mut Vec<u8>) -> Self {
         Writer { buf }
     }
 
     /// The vector written so far (whatever it held before included).
-    pub fn buf(&mut self) -> &mut Vec<u8> {
+    pub(crate) fn buf(&mut self) -> &mut Vec<u8> {
         self.buf
     }
 
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub fn u16(&mut self, v: u16) {
+    pub(crate) fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn f32(&mut self, v: f32) {
+    pub(crate) fn f32(&mut self, v: f32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
     /// Length-prefixed (u16) short string; formats and field names are
     /// bounded well under 64 KiB.
-    pub fn str16(&mut self, s: &str) {
+    pub(crate) fn str16(&mut self, s: &str) {
         debug_assert!(s.len() <= u16::MAX as usize, "name too long for wire");
         self.u16(s.len() as u16);
         self.bytes(s.as_bytes());
     }
 
     /// Length-prefixed (u32) long string.
-    pub fn str32(&mut self, s: &str) {
+    pub(crate) fn str32(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.bytes(s.as_bytes());
     }
@@ -67,15 +67,15 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(FfsError::Truncated(what));
         }
@@ -84,37 +84,37 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub fn u8(&mut self, what: &'static str) -> Result<u8> {
+    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8> {
         Ok(self.take(1, what)?[0])
     }
 
-    pub fn u16(&mut self, what: &'static str) -> Result<u16> {
+    pub(crate) fn u16(&mut self, what: &'static str) -> Result<u16> {
         Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
     }
 
-    pub fn u32(&mut self, what: &'static str) -> Result<u32> {
+    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    pub fn u64(&mut self, what: &'static str) -> Result<u64> {
+    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    pub fn f32(&mut self, what: &'static str) -> Result<f32> {
+    pub(crate) fn f32(&mut self, what: &'static str) -> Result<f32> {
         Ok(f32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    pub fn f64(&mut self, what: &'static str) -> Result<f64> {
+    pub(crate) fn f64(&mut self, what: &'static str) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    pub fn str16(&mut self, what: &'static str) -> Result<String> {
+    pub(crate) fn str16(&mut self, what: &'static str) -> Result<String> {
         let n = self.u16(what)? as usize;
         let raw = self.take(n, what)?;
         String::from_utf8(raw.to_vec()).map_err(|_| FfsError::Corrupt("non-utf8 name"))
     }
 
-    pub fn str32(&mut self, what: &'static str) -> Result<String> {
+    pub(crate) fn str32(&mut self, what: &'static str) -> Result<String> {
         let n = self.u32(what)? as usize;
         let raw = self.take(n, what)?;
         String::from_utf8(raw.to_vec()).map_err(|_| FfsError::Corrupt("non-utf8 string"))

@@ -1,12 +1,11 @@
 //! Property-based tests: arbitrary formats + matching records always
-//! round-trip bit-exactly through both encoding modes, and arbitrary
+//! round-trip bit-exactly through the self-contained encoding, and arbitrary
 //! byte mutations never panic the decoder.
 
 use std::sync::Arc;
 
 use ffs::{
-    decode, decode_header, decode_view, BaseType, DimSpec, FieldDesc, FormatDesc, FormatRegistry,
-    Record, Value,
+    decode, decode_header, decode_view, BaseType, DimSpec, FieldDesc, FormatDesc, Record, Value,
 };
 use proptest::prelude::*;
 
@@ -121,18 +120,6 @@ proptest! {
     }
 
     #[test]
-    fn by_ref_roundtrip_via_registry(far in arb_fmt_and_record()) {
-        let rec = build_record(&far);
-        let reg = FormatRegistry::new();
-        reg.register(rec.format());
-        let buf = rec.encode_by_ref().unwrap();
-        let back = decode(&buf, Some(&reg)).unwrap();
-        for (name, v) in &far.values {
-            prop_assert_eq!(back.get(name), Some(v));
-        }
-    }
-
-    #[test]
     fn encode_is_deterministic(far in arb_fmt_and_record()) {
         let a = build_record(&far).encode_self_contained().unwrap();
         let b = build_record(&far).encode_self_contained().unwrap();
@@ -161,21 +148,5 @@ proptest! {
         // Outcome may be Ok (benign flip) or Err; it must not panic.
         let _ = decode(&buf, None);
         let _ = decode_header(&buf);
-    }
-
-    #[test]
-    fn attrs_roundtrip(
-        far in arb_fmt_and_record(),
-        attr_vals in prop::collection::vec(any::<f64>().prop_filter("finite", |f| f.is_finite()), 0..5),
-    ) {
-        let mut rec = build_record(&far);
-        for (i, v) in attr_vals.iter().enumerate() {
-            rec.attrs_mut().set(format!("a{i}"), Value::F64(*v));
-        }
-        let buf = rec.encode_self_contained().unwrap();
-        let back = decode(&buf, None).unwrap();
-        for (i, v) in attr_vals.iter().enumerate() {
-            prop_assert_eq!(back.attrs().get_f64(&format!("a{i}")), Some(*v));
-        }
     }
 }

@@ -14,7 +14,7 @@ use crate::world::World;
 /// transport: the gate may sleep or count, but it always returns — a
 /// collective, once entered, runs to completion, because abandoning it
 /// unilaterally would deadlock every peer.
-pub type CollectiveGate = dyn Fn(&'static str, u64, u64) + Send + Sync;
+pub(crate) type CollectiveGate = dyn Fn(&'static str, u64, u64) + Send + Sync;
 
 /// A rank's handle on its world. A world has one communicator, spanning
 /// all of its ranks: a rank's communicator rank is its world rank.
@@ -60,7 +60,7 @@ impl Comm {
         &self.obs
     }
 
-    /// Install a [`CollectiveGate`] invoked at every data-moving
+    /// Install a `CollectiveGate` invoked at every data-moving
     /// collective's entry on this rank.
     pub fn set_collective_gate(&mut self, gate: Arc<CollectiveGate>) {
         self.gate = Some(gate);

@@ -8,7 +8,7 @@
 /// Marker for plain-old-data element types whose size is
 /// `size_of::<Self>()`. Implement it for your own `#[derive(Clone, Copy)]`
 /// structs to ship them through `minimpi` containers.
-pub trait MpiScalar: Copy + Send + 'static {}
+pub(crate) trait MpiScalar: Copy + Send + 'static {}
 
 macro_rules! impl_scalar {
     ($($t:ty),*) => { $(impl MpiScalar for $t {})* };

@@ -38,6 +38,8 @@
 //! per-rank and aggregate counters so experiments can measure, e.g., how
 //! much a `combine()` pass shrinks the shuffle volume.
 
+#![warn(unreachable_pub)]
+
 mod collectives;
 mod comm;
 mod data;
@@ -45,7 +47,7 @@ mod mailbox;
 mod stats;
 mod world;
 
-pub use comm::{CollectiveGate, Comm};
-pub use data::{MpiData, MpiScalar};
+pub use comm::Comm;
+pub use data::MpiData;
 pub use stats::TrafficStats;
 pub use world::{PoisonOnUnwind, World};

@@ -23,28 +23,28 @@ pub(crate) struct Mailbox {
 
 impl Mailbox {
     /// A mailbox of a world of `size` ranks.
-    pub fn new(size: usize) -> Self {
+    pub(crate) fn new(size: usize) -> Self {
         Mailbox {
             queues: Mutex::new((0..size).map(|_| VecDeque::new()).collect()),
             arrived: Condvar::new(),
         }
     }
 
-    pub fn push(&self, src: usize, payload: Payload) {
+    pub(crate) fn push(&self, src: usize, payload: Payload) {
         self.queues.lock()[src].push_back(payload);
         self.arrived.notify_all();
     }
 
     /// Wake every waiter so it re-checks `dead`. Taking the lock first
     /// means a waiter that read `dead` before the store is parked by now.
-    pub fn wake_all(&self) {
+    pub(crate) fn wake_all(&self) {
         drop(self.queues.lock());
         self.arrived.notify_all();
     }
 
     /// Block until a message from `src` is queued and remove the oldest.
     /// Panics with "rank N died" instead of waiting on a dead world.
-    pub fn take(&self, src: usize, dead: &DeadRank) -> Payload {
+    pub(crate) fn take(&self, src: usize, dead: &DeadRank) -> Payload {
         let mut queues = self.queues.lock();
         self.arrived
             .wait_while(&mut queues, |q| q[src].is_empty() && dead.check());

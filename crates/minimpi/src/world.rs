@@ -28,12 +28,12 @@ pub struct World {
 pub(crate) struct DeadRank(AtomicUsize);
 
 impl DeadRank {
-    pub fn get(&self) -> Option<usize> {
+    pub(crate) fn get(&self) -> Option<usize> {
         self.0.load(Ordering::Relaxed).checked_sub(1)
     }
 
     /// Record `rank` as dead; false if another rank died first.
-    pub fn set(&self, rank: usize) -> bool {
+    pub(crate) fn set(&self, rank: usize) -> bool {
         self.0
             .compare_exchange(0, rank + 1, Ordering::Relaxed, Ordering::Relaxed)
             .is_ok()
@@ -43,7 +43,7 @@ impl DeadRank {
     /// otherwise true, so a wait condition can end with it. The panic
     /// unwinds through the caller's guard, and the shim's locks recover
     /// from it: the next caller gets the lock with its data intact.
-    pub fn check(&self) -> bool {
+    pub(crate) fn check(&self) -> bool {
         if let Some(rank) = self.get() {
             panic!("rank {rank} died");
         }
@@ -61,7 +61,7 @@ pub(crate) struct Barrier {
 }
 
 impl Barrier {
-    pub fn new(parties: usize) -> Self {
+    pub(crate) fn new(parties: usize) -> Self {
         Barrier {
             state: Mutex::new((0, 0)),
             cv: Condvar::new(),
@@ -77,7 +77,7 @@ impl Barrier {
     }
 
     /// Panics with "rank N died" instead of waiting for a dead rank.
-    pub fn wait(&self, dead: &DeadRank) {
+    pub(crate) fn wait(&self, dead: &DeadRank) {
         let mut s = self.state.lock();
         let gen = s.1;
         s.0 += 1;
@@ -195,7 +195,7 @@ impl World {
         self.barrier.wake_all();
     }
 
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.mailboxes.len()
     }
 

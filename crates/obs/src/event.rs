@@ -81,7 +81,7 @@ impl Event {
         self
     }
 
-    pub fn dur_ns(&self) -> u64 {
+    pub(crate) fn dur_ns(&self) -> u64 {
         self.t1_ns.saturating_sub(self.t0_ns)
     }
 }
@@ -125,7 +125,7 @@ pub struct SpanRow {
 /// and rank have seen is dropped, so a run of any length holds a bounded
 /// table. The fold is the *recent* stage table, and at 40 bytes a row,
 /// ≈ 60 stage–rank pairs a run, 256 steps are ≈ 600 kB.
-pub const FOLD_STEPS: u64 = 256;
+pub(crate) const FOLD_STEPS: u64 = 256;
 
 const SHARDS: usize = 16;
 

@@ -18,18 +18,18 @@
 //!   transition.
 //! * **Two sinks.** Always: a fold into `(stage, step, rank) →`
 //!   [`SpanStat`], sharded by stage and rank and bounded to the newest
-//!   [`FOLD_STEPS`] steps of each, in rings allocated once. Only while
+//!   `FOLD_STEPS` steps of each, in rings allocated once. Only while
 //!   *detail* is requested: an append to the registry's one event log.
 //! * **Views.** Nothing else is stored. The per-step stage tables of
 //!   the paper's Fig. 7–9 are the fold; [`perturb`] is three of its rows;
 //!   [`lineage`] is the log's events that carry a chunk,
-//!   first-write-wins per stage; the Chrome trace ([`trace`]) is the log
+//!   first-write-wins per stage; the Chrome trace (`trace`) is the log
 //!   rendered. [`Registry::snapshot`] → [`Snapshot::to_json`] exports
 //!   all of them in one schema ([`SNAPSHOT_VERSION`]) for
 //!   `predata-report`.
 //!
 //! Beside the events the [`Registry`] is a lock-light metrics registry:
-//! [`Counter`]s, [`Gauge`]s and [`Histogram`]s with fixed log₂ buckets,
+//! [`Counter`]s and [`Histogram`]s with fixed log₂ buckets,
 //! whose hot path is a relaxed atomic add.
 //!
 //! # One registry per run
@@ -53,13 +53,13 @@
 //!
 //! # Environment contract
 //!
-//! [`Config::from_env`] is the one place the workspace reads the
+//! `Config::from_env` is the one place the workspace reads the
 //! environment, once, when the [`global`] registry is first used; a
-//! registry built with [`Registry::with_config`] reads none:
+//! registry built with `Registry::with_config` reads none:
 //!
 //! * `PREDATA_METRICS` — `0` / `off` / `false` turns event recording off
 //!   at the source: no fold rows, no log, and nothing derived from them
-//!   (counters, gauges and histograms stay exact — they are cheaper than
+//!   (counters and histograms stay exact — they are cheaper than
 //!   the branch that would gate them). A *path* value asks the
 //!   middleware (`predata_core::StagingArea::join`, through
 //!   [`Registry::export`]) to write a JSON snapshot there on shutdown.
@@ -95,17 +95,16 @@
 //! assert!(snap.to_json().contains("\"decode\""));
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod event;
 pub mod lineage;
 mod metrics;
 pub mod perturb;
-pub mod trace;
+mod trace;
 
-pub use event::{mark_in, span_in, Event, SpanGuard, SpanRow, SpanStat, FOLD_STEPS};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, LineageView, Registry, Snapshot, HIST_BUCKETS,
-    SNAPSHOT_VERSION,
-};
+pub use event::{mark_in, span_in, Event, SpanGuard, SpanRow, SpanStat};
+pub use metrics::{Counter, Histogram, LineageView, Registry, Snapshot, SNAPSHOT_VERSION};
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -115,15 +114,15 @@ use std::time::Instant;
 /// builds a registry that does it. The default is what an empty
 /// environment means: recording on, everything else off.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Config {
+pub(crate) struct Config {
     /// Record events at all (`PREDATA_METRICS` not an off-word).
-    pub spans: bool,
+    pub(crate) spans: bool,
     /// Snapshot destination at export (`PREDATA_METRICS` as a path).
-    pub export_path: Option<PathBuf>,
+    pub(crate) export_path: Option<PathBuf>,
     /// Log events for the lineage view (`PREDATA_LINEAGE`).
-    pub lineage: bool,
+    pub(crate) lineage: bool,
     /// Chrome-trace destination at export (`PREDATA_TRACE`); logs too.
-    pub trace_path: Option<PathBuf>,
+    pub(crate) trace_path: Option<PathBuf>,
 }
 
 impl Default for Config {
@@ -134,13 +133,13 @@ impl Default for Config {
 
 impl Config {
     /// The process environment's configuration.
-    pub fn from_env() -> Config {
+    pub(crate) fn from_env() -> Config {
         Config::from_lookup(|name| std::env::var(name).ok())
     }
 
     /// [`from_env`](Config::from_env) over any variable lookup, so the
     /// grammar is testable without touching the process environment.
-    pub fn from_lookup(var: impl Fn(&str) -> Option<String>) -> Config {
+    pub(crate) fn from_lookup(var: impl Fn(&str) -> Option<String>) -> Config {
         let metrics = var("PREDATA_METRICS").unwrap_or_default();
         let is_word = matches!(
             metrics.as_str(),

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use crate::event::Event;
 
 /// Number of recordable stages (the 11 pipeline stages + `truncated`).
-pub const N_STAGES: usize = 12;
+pub(crate) const N_STAGES: usize = 12;
 
 /// One chunk's stage transitions, in pipeline order. `Truncated` is the
 /// terminal mark of a step abandoned by an error.
@@ -125,7 +125,7 @@ impl Stage {
     }
 
     /// Whether this stage ends a chunk's journey.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(self, Stage::Written | Stage::Truncated)
     }
 }
@@ -209,7 +209,7 @@ impl ChunkLineage {
 
     /// Consecutive-stage deltas `(from, to, ns)` — the chunk's critical
     /// path through the pipeline.
-    pub fn critical_path(&self) -> Vec<(Stage, Stage, u64)> {
+    pub(crate) fn critical_path(&self) -> Vec<(Stage, Stage, u64)> {
         self.events()
             .windows(2)
             .map(|w| {
@@ -233,7 +233,7 @@ impl ChunkLineage {
 /// the pipeline's, first-write-wins per `(chunk, stage)` in log order,
 /// as one [`ChunkLineage`] per chunk sorted by `(step, src_rank)`. The
 /// log pairs each event with its recording thread's id.
-pub fn view<'e>(log: impl IntoIterator<Item = &'e (u32, Event)>) -> Vec<ChunkLineage> {
+pub(crate) fn view<'e>(log: impl IntoIterator<Item = &'e (u32, Event)>) -> Vec<ChunkLineage> {
     let mut chunks: BTreeMap<(u64, u64), Marks> = BTreeMap::new();
     for &(tid, ev) in log {
         let (Some(src), Some(stage)) = (

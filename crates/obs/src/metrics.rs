@@ -2,7 +2,7 @@
 //!
 //! Registration (name + labels → handle) takes a short-lived lock and
 //! allocates; it happens once per metric, at setup or per step. The hot
-//! path — [`Counter::add`], [`Gauge::set`], [`Histogram::record`] — is a
+//! path — [`Counter::add`], [`Histogram::record`] — is a
 //! handful of relaxed atomic operations on a shared handle: no locks, no
 //! allocation, safe to leave enabled in production runs.
 //!
@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -25,12 +25,12 @@ use crate::perturb::PerturbStat;
 
 /// Schema version [`Snapshot::to_json`] writes — the only one
 /// `predata-report` reads.
-pub const SNAPSHOT_VERSION: u64 = 5;
+pub const SNAPSHOT_VERSION: u64 = 6;
 
 /// Number of log₂ histogram buckets: bucket 0 holds zero values, bucket
 /// `b ≥ 1` holds values in `[2^(b-1), 2^b)`. 64 buckets cover all of
 /// `u64`, so recording never clamps.
-pub const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
 
 fn log2_bucket(v: u64) -> usize {
     if v == 0 {
@@ -38,42 +38,6 @@ fn log2_bucket(v: u64) -> usize {
     } else {
         (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
     }
-}
-
-/// Inclusive upper bound of bucket `b`: 0 for the zero bucket,
-/// `u64::MAX` for the saturated top bucket (it absorbs everything from
-/// `2^62` up, because [`log2_bucket`] clamps).
-fn bucket_hi(b: usize) -> u64 {
-    if b == 0 {
-        0
-    } else if b == HIST_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << b) - 1
-    }
-}
-
-/// Nearest-rank quantile over dense log₂ bucket counts: the inclusive
-/// upper bound of the bucket holding the `⌈q·count⌉`-th value — an
-/// upper estimate, never below the true quantile. `None` for an empty
-/// histogram or `q` outside `[0, 1]`.
-pub(crate) fn quantile_from_buckets(counts: &[u64; HIST_BUCKETS], q: f64) -> Option<u64> {
-    if !(0.0..=1.0).contains(&q) {
-        return None;
-    }
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut cum = 0u64;
-    for (b, &c) in counts.iter().enumerate() {
-        cum += c;
-        if cum >= rank {
-            return Some(bucket_hi(b));
-        }
-    }
-    Some(bucket_hi(HIST_BUCKETS - 1))
 }
 
 /// Fully-qualified metric identity: name + sorted label pairs.
@@ -122,50 +86,6 @@ impl Counter {
     }
 }
 
-/// Gauge handle: a current value plus its high-water mark.
-#[derive(Debug)]
-struct GaugeInner {
-    value: AtomicI64,
-    max: AtomicI64,
-}
-
-impl Default for GaugeInner {
-    fn default() -> Self {
-        GaugeInner {
-            value: AtomicI64::new(0),
-            max: AtomicI64::new(i64::MIN),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    inner: Arc<GaugeInner>,
-}
-
-impl Gauge {
-    pub fn set(&self, v: i64) {
-        self.inner.value.store(v, Ordering::Relaxed);
-        self.inner.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Raise the high-water mark without touching the current value —
-    /// for externally-tracked peaks (queue depth HWMs).
-    pub fn record_max(&self, v: i64) {
-        self.inner.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> i64 {
-        self.inner.value.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of [`set`](Gauge::set) / [`record_max`](Gauge::record_max)
-    /// values; a never-touched gauge reports its current value.
-    pub fn max(&self) -> i64 {
-        self.inner.max.load(Ordering::Relaxed).max(self.get())
-    }
-}
-
 /// Histogram handle: fixed log₂ buckets, relaxed atomics.
 #[derive(Debug)]
 struct HistogramInner {
@@ -196,25 +116,12 @@ impl Histogram {
         self.inner.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
     }
 
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.inner.sum.load(Ordering::Relaxed)
-    }
-
-    /// Nearest-rank quantile estimate (p50 = `quantile(0.5)`): the
-    /// inclusive upper bound of the log₂ bucket holding the
-    /// `⌈q·count⌉`-th value, so at most one bucket width above the true
-    /// quantile and never below it. `None` for an empty histogram or
-    /// `q` outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        quantile_from_buckets(&self.dense_buckets(), q)
-    }
-
-    fn dense_buckets(&self) -> [u64; HIST_BUCKETS] {
-        std::array::from_fn(|b| self.inner.buckets[b].load(Ordering::Relaxed))
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -242,29 +149,10 @@ impl Histogram {
 /// Point-in-time view of one histogram: only populated buckets, as
 /// `(low, high, count)` inclusive ranges.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub sum: u64,
-    pub buckets: Vec<(u64, u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Nearest-rank quantile estimate over the sparse buckets; same
-    /// semantics as [`Histogram::quantile`].
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if !(0.0..=1.0).contains(&q) || self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for &(_, hi, c) in &self.buckets {
-            cum += c;
-            if cum >= rank {
-                return Some(hi);
-            }
-        }
-        self.buckets.last().map(|&(_, hi, _)| hi)
-    }
+pub(crate) struct HistogramSnapshot {
+    pub(crate) count: u64,
+    pub(crate) sum: u64,
+    pub(crate) buckets: Vec<(u64, u64, u64)>,
 }
 
 /// The event log: the second sink, appended to only while detail is
@@ -286,7 +174,6 @@ pub struct Registry {
 #[derive(Debug)]
 struct Inner {
     counters: RwLock<BTreeMap<MetricKey, Counter>>,
-    gauges: RwLock<BTreeMap<MetricKey, Gauge>>,
     histograms: RwLock<BTreeMap<MetricKey, Histogram>>,
     /// Whether events are recorded at all (`PREDATA_METRICS`).
     enabled: AtomicBool,
@@ -312,7 +199,6 @@ impl Inner {
     fn with_config(cfg: crate::Config) -> Self {
         Inner {
             counters: RwLock::default(),
-            gauges: RwLock::default(),
             histograms: RwLock::default(),
             enabled: AtomicBool::new(cfg.spans),
             detail: AtomicBool::new(cfg.lineage || cfg.trace_path.is_some()),
@@ -346,7 +232,7 @@ impl Registry {
     }
 
     /// A registry gated and exporting as `cfg` says.
-    pub fn with_config(cfg: crate::Config) -> Self {
+    pub(crate) fn with_config(cfg: crate::Config) -> Self {
         Registry {
             inner: Arc::new(Inner::with_config(cfg)),
         }
@@ -357,17 +243,12 @@ impl Registry {
         resolve!(self.counters, name, labels, Counter)
     }
 
-    /// Resolve (registering on first use) a gauge handle.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        resolve!(self.gauges, name, labels, Gauge)
-    }
-
     /// Resolve (registering on first use) a histogram handle.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         resolve!(self.histograms, name, labels, Histogram)
     }
 
-    /// Whether events are recorded. Counters, gauges and histograms are
+    /// Whether events are recorded. Counters and histograms are
     /// always live.
     pub fn enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
@@ -428,7 +309,7 @@ impl Registry {
     }
 
     /// The event log rendered as Chrome-trace JSON.
-    pub fn trace_json(&self) -> String {
+    pub(crate) fn trace_json(&self) -> String {
         crate::trace::render(&self.inner.log.lock())
     }
 
@@ -455,13 +336,6 @@ impl Registry {
             .iter()
             .map(|(k, c)| (k.clone(), c.get()))
             .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .read()
-            .iter()
-            .map(|(k, g)| (k.clone(), (g.get(), g.max())))
-            .collect();
         let histograms = self
             .inner
             .histograms
@@ -472,7 +346,6 @@ impl Registry {
         let spans = self.inner.fold.rows();
         Snapshot {
             counters,
-            gauges,
             histograms,
             perturb: crate::perturb::view(&spans),
             spans,
@@ -495,7 +368,6 @@ impl LineageView<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     counters: Vec<(MetricKey, u64)>,
-    gauges: Vec<(MetricKey, (i64, i64))>,
     histograms: Vec<(MetricKey, HistogramSnapshot)>,
     /// The fold, sorted by `(stage, step, rank)`.
     spans: Vec<SpanRow>,
@@ -515,20 +387,6 @@ impl Snapshot {
             .map(|(_, v)| *v)
     }
 
-    /// `(value, high_water)` of a gauge.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<(i64, i64)> {
-        let key = MetricKey::new(name, labels);
-        self.gauges.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
-        let key = MetricKey::new(name, labels);
-        self.histograms
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
-    }
-
     /// Every fold row, sorted by `(stage, step, rank)`.
     pub fn span_rows(&self) -> &[SpanRow] {
         &self.spans
@@ -543,14 +401,6 @@ impl Snapshot {
         let mut stat = rows.next()?.stat;
         rows.for_each(|r| stat.merge(&r.stat));
         Some(stat)
-    }
-
-    /// All steps that have at least one row, ascending.
-    pub fn steps(&self) -> Vec<u64> {
-        let mut steps: Vec<u64> = self.spans.iter().map(|r| r.step).collect();
-        steps.sort_unstable();
-        steps.dedup();
-        steps
     }
 
     /// Time the staging ranks spent decoding and mapping `step`'s chunks:
@@ -578,9 +428,8 @@ impl Snapshot {
     /// Render the snapshot as the JSON `predata-report` consumes:
     ///
     /// ```json
-    /// {"version":5,
+    /// {"version":6,
     ///  "counters":[{"name":"…","labels":{…},"value":0}],
-    ///  "gauges":[{"name":"…","labels":{…},"value":0,"max":0}],
     ///  "histograms":[{"name":"…","labels":{…},"count":0,"sum":0,
     ///                 "buckets":[[lo,hi,count]]}],
     ///  "steps":[{"step":0,"stages":[{"stage":"pull","rank":0,"count":0,
@@ -605,14 +454,6 @@ impl Snapshot {
             }
             push_key(&mut out, k);
             out.push_str(&format!("\"value\":{v}}}"));
-        }
-        out.push_str("],\"gauges\":[");
-        for (i, (k, (v, max))) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, k);
-            out.push_str(&format!("\"value\":{v},\"max\":{max}}}"));
         }
         out.push_str("],\"histograms\":[");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -773,17 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_tracks_high_water() {
-        let reg = Registry::new();
-        let g = reg.gauge("depth", &[]);
-        g.set(3);
-        g.set(9);
-        g.set(1);
-        g.record_max(5); // below current max: no effect
-        assert_eq!(reg.snapshot().gauge("depth", &[]), Some((1, 9)));
-    }
-
-    #[test]
     fn histogram_counts_land_in_log2_buckets() {
         let reg = Registry::new();
         let h = reg.histogram("lat", &[]);
@@ -791,7 +621,8 @@ mod tests {
             h.record(v);
         }
         let snap = reg.snapshot();
-        let hs = snap.histogram("lat", &[]).unwrap();
+        let key = MetricKey::new("lat", &[]);
+        let (_, hs) = snap.histograms.iter().find(|(k, _)| *k == key).unwrap();
         assert_eq!(hs.count, 5);
         assert_eq!(hs.sum, 1007);
         assert_eq!(
@@ -839,7 +670,10 @@ mod tests {
         let all = snap.span("pull", 0).unwrap();
         assert_eq!((all.count, all.total_ns, all.max_ns), (3, 180, 100));
         assert_eq!(snap.span("pull", 2), None);
-        assert_eq!(snap.steps(), vec![0, 1]);
+        let mut steps: Vec<u64> = snap.span_rows().iter().map(|r| r.step).collect();
+        steps.sort_unstable();
+        steps.dedup();
+        assert_eq!(steps, vec![0, 1]);
         assert_eq!(snap.span_rows().iter().filter(|r| r.step == 1).count(), 1);
     }
 
@@ -868,7 +702,7 @@ mod tests {
         let reg = Registry::new();
         reg.record(Event::new("slow", 1));
         reg.record(Event::new("pull", 1).rank(1));
-        for step in 0..crate::FOLD_STEPS + 10 {
+        for step in 0..crate::event::FOLD_STEPS + 10 {
             reg.record(Event::new("pull", step));
         }
         reg.record(Event::new("pull", 3));
@@ -879,7 +713,7 @@ mod tests {
             .filter(|r| r.stage == "pull" && r.rank.is_none())
             .map(|r| r.step)
             .collect();
-        assert_eq!(pulls.len() as u64, crate::FOLD_STEPS);
+        assert_eq!(pulls.len() as u64, crate::event::FOLD_STEPS);
         assert_eq!(
             pulls[0], 10,
             "steps 0..10 fell off, late step 3 was dropped"
@@ -946,7 +780,6 @@ mod tests {
         let reg = Registry::new();
         reg.set_detail(true);
         reg.counter("c", &[("k", "v")]).add(1);
-        reg.gauge("g", &[]).set(-2);
         reg.histogram("h", &[]).record(3);
         reg.record(
             Event::new("pull", 0)
@@ -957,12 +790,9 @@ mod tests {
         );
         reg.record(Event::new("finalize", 0).at(60, 61));
         let json = reg.snapshot().to_json();
-        assert!(json.starts_with("{\"version\":5,"));
+        assert!(json.starts_with("{\"version\":6,"));
         assert!(
             json.contains("\"counters\":[{\"name\":\"c\",\"labels\":{\"k\":\"v\"},\"value\":1}]")
-        );
-        assert!(
-            json.contains("\"gauges\":[{\"name\":\"g\",\"labels\":{},\"value\":-2,\"max\":-2}]")
         );
         assert!(json.contains("\"buckets\":[[2,3,1]]"));
         assert!(json.contains(
@@ -978,45 +808,6 @@ mod tests {
             "\"perturb\":[{\"step\":0,\"compute_ns\":0,\"blocked_ns\":0,\
              \"pull_bytes\":4096,\"pulls\":1}]}"
         ));
-    }
-
-    #[test]
-    fn quantiles_over_log2_buckets() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat", &[]);
-        // Empty histogram and out-of-range q: no estimate.
-        assert_eq!(h.quantile(0.5), None);
-        h.record(5);
-        assert_eq!(h.quantile(-0.1), None);
-        assert_eq!(h.quantile(1.1), None);
-        // Single bucket: every quantile is its upper bound.
-        h.record(5);
-        h.record(6);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Some(7), "q={q}");
-        }
-        // Spread: p50 stays in the low bucket, p99 climbs to the top
-        // recorded one.
-        for _ in 0..97 {
-            h.record(1);
-        }
-        h.record(1 << 20);
-        assert_eq!(h.quantile(0.5), Some(1));
-        assert_eq!(h.quantile(0.99), Some(7));
-        assert_eq!(h.quantile(1.0), Some((1 << 21) - 1));
-        // Snapshot view agrees.
-        let snap = reg.snapshot();
-        let hs = snap.histogram("lat", &[]).unwrap();
-        assert_eq!(hs.quantile(0.5), Some(1));
-        assert_eq!(hs.quantile(1.0), Some((1 << 21) - 1));
-
-        // Zero values land in bucket 0 (quantile 0), and the saturated
-        // top bucket reports u64::MAX — it has no tighter bound.
-        let h = reg.histogram("edge", &[]);
-        h.record(0);
-        assert_eq!(h.quantile(0.5), Some(0));
-        h.record(u64::MAX);
-        assert_eq!(h.quantile(1.0), Some(u64::MAX));
     }
 
     #[test]

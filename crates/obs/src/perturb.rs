@@ -15,7 +15,7 @@
 //!
 //! so a report can correlate "step 7's compute ran 4% long" with "step
 //! 7 pulled 900 MB". Being rows of the fold they are recorded whenever
-//! recording is on; [`view`] only reads them.
+//! recording is on; `view` only reads them.
 
 use std::collections::BTreeMap;
 
@@ -47,7 +47,7 @@ impl PerturbStat {
 
 /// The `(step, stat)` rows of `rows`, step-sorted; steps with none of
 /// the three stages have no row.
-pub fn view(rows: &[SpanRow]) -> Vec<(u64, PerturbStat)> {
+pub(crate) fn view(rows: &[SpanRow]) -> Vec<(u64, PerturbStat)> {
     let mut steps: BTreeMap<u64, PerturbStat> = BTreeMap::new();
     for row in rows {
         match row.stage {

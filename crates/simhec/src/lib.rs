@@ -10,7 +10,7 @@
 //!
 //! This crate models exactly those mechanisms:
 //!
-//! * [`net`] — a fluid (rate-based) network: *node classes* with NIC
+//! * `net` — a fluid (rate-based) network: *node classes* with NIC
 //!   capacities, flows with max-min fair bandwidth sharing, background
 //!   utilization windows (application collectives), pausable flows
 //!   (phase-aware pull scheduling).
@@ -18,7 +18,7 @@
 //!   bandwidth limits, client-count scaling, and deterministic lognormal
 //!   performance variability (the "other jobs on the machine" the paper
 //!   works around by best-of-5 sampling).
-//! * [`machine`] — calibrated platform presets (XT5/XT4-like) and cost
+//! * `machine` — calibrated platform presets (XT5/XT4-like) and cost
 //!   models for the PreDatA operators.
 //! * [`scenario`] — the staged-application timeline: a bulk-synchronous
 //!   app with periodic output, run either with In-Compute-Node synchronous
@@ -51,15 +51,18 @@
 //! assert!(run.interference < 0.06, "scheduled pulls bound interference");
 //! ```
 
-pub mod machine;
-pub mod net;
+#![warn(unreachable_pub)]
+
+mod machine;
+mod net;
 pub mod pfs;
-pub mod placement;
+mod placement;
 pub mod rng;
 pub mod scenario;
 
+#[cfg(test)]
+mod proptest_net;
+
 pub use machine::{MachineConfig, OpCosts};
-pub use net::{ClassId, FlowId, NetModel, NodeClass};
-pub use pfs::PfsModel;
-pub use placement::{advise_all, advise_op, Objective, PlacementAdvice};
+pub use placement::{advise_op, Objective, PlacementAdvice};
 pub use scenario::{Placement, RunBreakdown, ScenarioConfig, StagedRun};

@@ -12,39 +12,37 @@ use crate::pfs::PfsConfig;
 /// Static description of the machine partition a job runs on.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Cores per compute node.
-    pub cores_per_node: usize,
     /// Per-node NIC bandwidth, bytes/s, each direction (SeaStar-class).
-    pub nic_bw: f64,
+    pub(crate) nic_bw: f64,
     /// Effective asynchronous RDMA ingest rate per *staging process* —
     /// well below NIC line rate: the staging process is simultaneously
     /// decoding, buffering and processing (measured DataStager behaviour).
     pub rdma_pull_per_proc: f64,
     /// In-memory packing rate per process (FFS encode ≈ memcpy).
-    pub memcpy_bw: f64,
+    pub(crate) memcpy_bw: f64,
     /// Latency per collective entry, seconds.
-    pub collective_alpha: f64,
+    pub(crate) collective_alpha: f64,
     /// Fraction of NIC bandwidth a machine-wide all-to-all sustains at
     /// the reference job size (`alltoall_ref_procs`)…
-    pub alltoall_base_eff: f64,
+    pub(crate) alltoall_base_eff: f64,
     /// …decaying as `(procs / ref).powf(-alltoall_scale_pow)` — torus
     /// bisection and message-injection limits bite as jobs grow.
-    pub alltoall_scale_pow: f64,
-    pub alltoall_ref_procs: f64,
+    pub(crate) alltoall_scale_pow: f64,
+    pub(crate) alltoall_ref_procs: f64,
     /// Fixed application-visible overhead of handing a dump to the
     /// staging area (request round-trip, scheduling delay), seconds.
-    pub staging_request_overhead: f64,
+    pub(crate) staging_request_overhead: f64,
     /// Main-loop drag while asynchronous pulls are active and the pull
     /// scheduler is *not* phase-aware: DMA traffic competes with the
     /// application for NIC injection and memory bandwidth.
-    pub drag_unthrottled: f64,
+    pub(crate) drag_unthrottled: f64,
     /// Residual drag with phase-aware scheduling (pauses are not
     /// instantaneous; in-flight RDMA completes).
-    pub drag_phase_aware: f64,
+    pub(crate) drag_phase_aware: f64,
     /// Drag grows logarithmically with job size (larger collectives are
     /// more sensitive); this is the reference size where the base drag
     /// applies.
-    pub drag_ref_procs: f64,
+    pub(crate) drag_ref_procs: f64,
     /// Shared parallel file system.
     pub pfs: PfsConfig,
 }
@@ -53,7 +51,6 @@ impl MachineConfig {
     /// XT5-partition-like (GTC experiments: 2 sockets × 4 cores, SeaStar2+).
     pub fn xt5_like() -> MachineConfig {
         MachineConfig {
-            cores_per_node: 8,
             nic_bw: 2.0e9,
             rdma_pull_per_proc: 0.20e9,
             memcpy_bw: 2.5e9,
@@ -72,7 +69,6 @@ impl MachineConfig {
     /// XT4-partition-like (Pixie3D experiments: 1 socket × 4 cores).
     pub fn xt4_like() -> MachineConfig {
         MachineConfig {
-            cores_per_node: 4,
             nic_bw: 1.6e9,
             rdma_pull_per_proc: 0.18e9,
             memcpy_bw: 2.0e9,
@@ -99,7 +95,7 @@ impl MachineConfig {
 
     /// Effective per-process bandwidth in a machine-wide all-to-all of
     /// `procs` participants, each on its own share of a node NIC.
-    pub fn alltoall_bw_per_proc(&self, procs: usize, procs_per_node: usize) -> f64 {
+    pub(crate) fn alltoall_bw_per_proc(&self, procs: usize, procs_per_node: usize) -> f64 {
         let nic_share = self.nic_bw / procs_per_node.max(1) as f64;
         let eff = self.alltoall_base_eff
             * (procs.max(1) as f64 / self.alltoall_ref_procs).powf(-self.alltoall_scale_pow);
@@ -108,20 +104,25 @@ impl MachineConfig {
 
     /// Wall time of an all-to-all exchanging `bytes_per_proc` (total sent
     /// by each of `procs` participants).
-    pub fn alltoall_time(&self, procs: usize, procs_per_node: usize, bytes_per_proc: f64) -> f64 {
+    pub(crate) fn alltoall_time(
+        &self,
+        procs: usize,
+        procs_per_node: usize,
+        bytes_per_proc: f64,
+    ) -> f64 {
         let bw = self.alltoall_bw_per_proc(procs, procs_per_node);
         self.collective_alpha * (procs as f64).log2().max(1.0) + bytes_per_proc / bw
     }
 
     /// Wall time of a small-message collective (reduce/bcast) over
     /// `procs` participants.
-    pub fn small_collective_time(&self, procs: usize) -> f64 {
+    pub(crate) fn small_collective_time(&self, procs: usize) -> f64 {
         self.collective_alpha * (procs.max(2) as f64).log2()
     }
 
     /// Main-loop drag factor while pulls are active, for a job of
     /// `procs` processes under the given scheduling discipline.
-    pub fn drag(&self, procs: usize, phase_aware: bool) -> f64 {
+    pub(crate) fn drag(&self, procs: usize, phase_aware: bool) -> f64 {
         let base = if phase_aware {
             self.drag_phase_aware
         } else {
@@ -146,18 +147,18 @@ impl MachineConfig {
 #[derive(Debug, Clone)]
 pub struct OpCosts {
     /// Local sort throughput per core, bytes/s.
-    pub sort_cpu_bps: f64,
+    pub(crate) sort_cpu_bps: f64,
     /// 1-D histogram scan throughput per core, bytes/s.
-    pub hist_cpu_bps: f64,
+    pub(crate) hist_cpu_bps: f64,
     /// 2-D histogram throughput per core, bytes/s (heavier binning math).
-    pub hist2d_cpu_bps: f64,
+    pub(crate) hist2d_cpu_bps: f64,
     /// Chunk-merge (re-organization) throughput per core — memcpy-bound.
-    pub reorg_cpu_bps: f64,
+    pub(crate) reorg_cpu_bps: f64,
     /// DataSpaces index-build throughput per core, bytes/s.
     pub index_cpu_bps: f64,
     /// Output bytes per input byte for histogram-class reductions
     /// (results are tiny; 8 MB files in the paper).
-    pub hist_output_bytes: f64,
+    pub(crate) hist_output_bytes: f64,
 }
 
 impl OpCosts {
@@ -177,7 +178,7 @@ impl OpCosts {
 
     /// CPU seconds to stream `bytes` through an operator at `bps` per
     /// core with `cores` cores.
-    pub fn cpu_time(bytes: f64, bps: f64, cores: usize) -> f64 {
+    pub(crate) fn cpu_time(bytes: f64, bps: f64, cores: usize) -> f64 {
         bytes / (bps * cores.max(1) as f64)
     }
 }

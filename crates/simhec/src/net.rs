@@ -21,61 +21,53 @@ use std::collections::BTreeMap;
 
 /// Index of a node class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClassId(pub usize);
+pub(crate) struct ClassId(pub(crate) usize);
 
 /// Identifier of an active flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowId(pub u64);
+pub(crate) struct FlowId(pub(crate) u64);
 
 /// A set of `count` identical nodes with symmetric NICs.
 #[derive(Debug, Clone)]
-pub struct NodeClass {
-    pub name: String,
-    pub count: usize,
+pub(crate) struct NodeClass {
+    pub(crate) count: usize,
     /// Per-node egress bandwidth, bytes/second.
-    pub nic_out: f64,
+    pub(crate) nic_out: f64,
     /// Per-node ingress bandwidth, bytes/second.
-    pub nic_in: f64,
-    /// Fraction of egress consumed by unmodeled traffic (0..1).
-    pub bg_out: f64,
-    /// Fraction of ingress consumed by unmodeled traffic (0..1).
-    pub bg_in: f64,
+    pub(crate) nic_in: f64,
 }
 
 impl NodeClass {
-    pub fn new(name: impl Into<String>, count: usize, nic_out: f64, nic_in: f64) -> Self {
+    pub(crate) fn new(count: usize, nic_out: f64, nic_in: f64) -> Self {
         assert!(count > 0 && nic_out > 0.0 && nic_in > 0.0);
         NodeClass {
-            name: name.into(),
             count,
             nic_out,
             nic_in,
-            bg_out: 0.0,
-            bg_in: 0.0,
         }
     }
 
     fn cap_out(&self) -> f64 {
-        self.count as f64 * self.nic_out * (1.0 - self.bg_out)
+        self.count as f64 * self.nic_out
     }
 
     fn cap_in(&self) -> f64 {
-        self.count as f64 * self.nic_in * (1.0 - self.bg_in)
+        self.count as f64 * self.nic_in
     }
 }
 
 /// Specification of a new flow.
 #[derive(Debug, Clone)]
-pub struct FlowSpec {
-    pub src: ClassId,
-    pub dst: ClassId,
+pub(crate) struct FlowSpec {
+    pub(crate) src: ClassId,
+    pub(crate) dst: ClassId,
     /// Number of identical parallel member transfers.
-    pub members: usize,
+    pub(crate) members: usize,
     /// Bytes each member must move.
-    pub bytes_per_member: f64,
+    pub(crate) bytes_per_member: f64,
     /// Per-member rate cap (single-NIC limit, throttle); `f64::INFINITY`
     /// for none.
-    pub cap_per_member: f64,
+    pub(crate) cap_per_member: f64,
 }
 
 #[derive(Debug)]
@@ -88,7 +80,7 @@ struct FlowState {
 
 /// The fluid network.
 #[derive(Debug, Default)]
-pub struct NetModel {
+pub(crate) struct NetModel {
     classes: Vec<NodeClass>,
     flows: BTreeMap<u64, FlowState>,
     next_id: u64,
@@ -99,31 +91,18 @@ pub struct NetModel {
 const EPS: f64 = 1e-9;
 
 impl NetModel {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NetModel::default()
     }
 
-    pub fn add_class(&mut self, class: NodeClass) -> ClassId {
+    pub(crate) fn add_class(&mut self, class: NodeClass) -> ClassId {
         self.classes.push(class);
         ClassId(self.classes.len() - 1)
     }
 
-    pub fn class(&self, id: ClassId) -> &NodeClass {
-        &self.classes[id.0]
-    }
-
-    /// Set the background-utilization fractions of a class (clamped to
-    /// [0, 0.999]) and recompute rates.
-    pub fn set_background(&mut self, id: ClassId, bg_out: f64, bg_in: f64) {
-        let c = &mut self.classes[id.0];
-        c.bg_out = bg_out.clamp(0.0, 0.999);
-        c.bg_in = bg_in.clamp(0.0, 0.999);
-        self.recompute();
-    }
-
     /// Start a flow; returns its id. Zero-byte flows complete immediately
     /// and are not registered.
-    pub fn add_flow(&mut self, spec: FlowSpec) -> Option<FlowId> {
+    pub(crate) fn add_flow(&mut self, spec: FlowSpec) -> Option<FlowId> {
         assert!(spec.members > 0, "flow must have members");
         assert!(spec.src.0 < self.classes.len() && spec.dst.0 < self.classes.len());
         if spec.bytes_per_member <= 0.0 {
@@ -145,46 +124,45 @@ impl NetModel {
         Some(FlowId(id))
     }
 
-    pub fn pause(&mut self, id: FlowId) {
+    pub(crate) fn pause(&mut self, id: FlowId) {
         if let Some(f) = self.flows.get_mut(&id.0) {
             f.paused = true;
             self.recompute();
         }
     }
 
-    pub fn resume(&mut self, id: FlowId) {
+    pub(crate) fn resume(&mut self, id: FlowId) {
         if let Some(f) = self.flows.get_mut(&id.0) {
             f.paused = false;
             self.recompute();
         }
     }
 
-    /// Current per-member rate (0 while paused or finished).
-    pub fn rate_of(&self, id: FlowId) -> f64 {
+    /// Current per-member rate (0 while paused or finished). This and
+    /// the two below are the tests' probes of the model.
+    #[cfg(test)]
+    pub(crate) fn rate_of(&self, id: FlowId) -> f64 {
         self.flows.get(&id.0).map_or(0.0, |f| f.rate)
     }
 
-    /// Remaining bytes per member (0 once finished/removed).
-    pub fn remaining_of(&self, id: FlowId) -> f64 {
-        self.flows.get(&id.0).map_or(0.0, |f| f.remaining)
-    }
-
-    pub fn is_active(&self, id: FlowId) -> bool {
+    pub(crate) fn is_active(&self, id: FlowId) -> bool {
         self.flows.contains_key(&id.0)
     }
 
-    pub fn active_flows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_flows(&self) -> usize {
         self.flows.len()
     }
 
     /// Total bytes delivered across all flows so far.
-    pub fn delivered_bytes(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn delivered_bytes(&self) -> f64 {
         self.delivered
     }
 
     /// Seconds until the earliest unpaused flow completes at current
     /// rates, with its id. `None` if nothing is moving.
-    pub fn next_completion(&self) -> Option<(f64, FlowId)> {
+    pub(crate) fn next_completion(&self) -> Option<(f64, FlowId)> {
         self.flows
             .iter()
             .filter(|(_, f)| !f.paused && f.rate > EPS)
@@ -197,7 +175,7 @@ impl NetModel {
     /// returned (the caller is responsible for choosing `dt` no larger
     /// than [`NetModel::next_completion`] when exact completion times
     /// matter; larger `dt` clamps at completion, it never over-delivers).
-    pub fn advance(&mut self, dt: f64) -> Vec<FlowId> {
+    pub(crate) fn advance(&mut self, dt: f64) -> Vec<FlowId> {
         assert!(dt >= 0.0 && dt.is_finite());
         let mut done = Vec::new();
         for (&id, f) in self.flows.iter_mut() {
@@ -313,33 +291,10 @@ impl NetModel {
         }
     }
 
-    /// Aggregate egress utilization of a class in [0, 1] (modeled flows
-    /// only, excluding background).
-    pub fn out_utilization(&self, id: ClassId) -> f64 {
-        let used: f64 = self
-            .flows
-            .values()
-            .filter(|f| !f.paused && f.spec.src == id)
-            .map(|f| f.rate * f.spec.members as f64)
-            .sum();
-        used / (self.classes[id.0].count as f64 * self.classes[id.0].nic_out)
-    }
-
-    /// Aggregate ingress utilization of a class in [0, 1].
-    pub fn in_utilization(&self, id: ClassId) -> f64 {
-        let used: f64 = self
-            .flows
-            .values()
-            .filter(|f| !f.paused && f.spec.dst == id)
-            .map(|f| f.rate * f.spec.members as f64)
-            .sum();
-        used / (self.classes[id.0].count as f64 * self.classes[id.0].nic_in)
-    }
-
     /// Run the network until flow `id` completes (ignoring other
     /// completions along the way); returns elapsed seconds. Panics if the
     /// flow cannot finish (rate permanently zero).
-    pub fn run_until_complete(&mut self, id: FlowId) -> f64 {
+    pub(crate) fn run_until_complete(&mut self, id: FlowId) -> f64 {
         let mut elapsed = 0.0;
         let mut guard = 0;
         while self.is_active(id) {
@@ -363,8 +318,8 @@ mod tests {
 
     fn two_classes(n_src: usize, n_dst: usize) -> (NetModel, ClassId, ClassId) {
         let mut net = NetModel::new();
-        let a = net.add_class(NodeClass::new("compute", n_src, 2.0 * GB, 2.0 * GB));
-        let b = net.add_class(NodeClass::new("staging", n_dst, 2.0 * GB, 2.0 * GB));
+        let a = net.add_class(NodeClass::new(n_src, 2.0 * GB, 2.0 * GB));
+        let b = net.add_class(NodeClass::new(n_dst, 2.0 * GB, 2.0 * GB));
         (net, a, b)
     }
 
@@ -448,19 +403,9 @@ mod tests {
         assert!((net.rate_of(f1) - 1.0 * GB).abs() < 1.0);
         // Paused flows make no progress.
         net.pause(f1);
-        let before = net.remaining_of(f1);
+        let before = net.flows[&f1.0].remaining;
         net.advance(1.0);
-        assert_eq!(net.remaining_of(f1), before);
-    }
-
-    #[test]
-    fn background_utilization_shrinks_capacity() {
-        let (mut net, a, b) = two_classes(1, 1);
-        let f = net
-            .add_flow(flow(a, b, 1, 10.0 * GB, f64::INFINITY))
-            .unwrap();
-        net.set_background(a, 0.75, 0.0); // 75 % of egress consumed elsewhere
-        assert!((net.rate_of(f) - 0.5 * GB).abs() < 1.0);
+        assert_eq!(net.flows[&f1.0].remaining, before);
     }
 
     #[test]
@@ -468,8 +413,8 @@ mod tests {
         // Collective among compute nodes + staging pull from compute:
         // both compete for compute egress.
         let mut net = NetModel::new();
-        let comp = net.add_class(NodeClass::new("compute", 32, 2.0 * GB, 2.0 * GB));
-        let stag = net.add_class(NodeClass::new("staging", 1, 2.0 * GB, 2.0 * GB));
+        let comp = net.add_class(NodeClass::new(32, 2.0 * GB, 2.0 * GB));
+        let stag = net.add_class(NodeClass::new(1, 2.0 * GB, 2.0 * GB));
         // Collective: every compute node exchanges 1 GB (self-loop class).
         let coll = net
             .add_flow(flow(comp, comp, 32, 1.0 * GB, f64::INFINITY))
@@ -502,17 +447,6 @@ mod tests {
         let (mut net, a, b) = two_classes(1, 1);
         assert!(net.add_flow(flow(a, b, 1, 0.0, f64::INFINITY)).is_none());
         assert_eq!(net.active_flows(), 0);
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let (mut net, a, b) = two_classes(4, 2);
-        net.add_flow(flow(a, b, 2, 1.0 * GB, f64::INFINITY))
-            .unwrap();
-        // 2 members at up to 2 GB/s each = 4 GB/s; staging in-cap = 4 GB/s
-        // → staging fully utilized, compute egress 4/8 = 50 %.
-        assert!((net.in_utilization(b) - 1.0).abs() < 1e-6);
-        assert!((net.out_utilization(a) - 0.5).abs() < 1e-6);
     }
 
     #[test]

@@ -19,31 +19,31 @@ use crate::rng::SplitMix64;
 #[derive(Debug, Clone)]
 pub struct PfsConfig {
     /// Aggregate bandwidth available to this job, bytes/s.
-    pub aggregate_bw: f64,
+    pub(crate) aggregate_bw: f64,
     /// Per-client streaming bandwidth, bytes/s.
-    pub per_client_bw: f64,
+    pub(crate) per_client_bw: f64,
     /// Latency floor per write operation, seconds (metadata, open/close,
     /// allocation). On a busy shared file system this term is heavy-tailed;
     /// `latency_sigma` governs its spread.
-    pub op_latency: f64,
+    pub(crate) op_latency: f64,
     /// Lognormal sigma of the per-operation latency term (the paper's
     /// "0.25 to 7 seconds" for an 8 MB histogram file is latency spread,
     /// not bandwidth).
-    pub latency_sigma: f64,
+    pub(crate) latency_sigma: f64,
     /// Per-operation cost of a non-contiguous *read* (seek/RPC), seconds.
-    pub read_op_cost: f64,
+    pub(crate) read_op_cost: f64,
     /// Efficiency lost per doubling of concurrent clients beyond
     /// `client_knee` (0 = perfectly scalable).
-    pub contention_loss: f64,
+    pub(crate) contention_loss: f64,
     /// Client count at which contention starts to bite.
-    pub client_knee: f64,
+    pub(crate) client_knee: f64,
     /// Lognormal sigma of run-to-run variability.
-    pub variability: f64,
+    pub(crate) variability: f64,
 }
 
 impl PfsConfig {
     /// Plausible Jaguar-era Lustre (Spider) share for one large job.
-    pub fn spider_like() -> PfsConfig {
+    pub(crate) fn spider_like() -> PfsConfig {
         PfsConfig {
             aggregate_bw: 30e9,
             per_client_bw: 0.35e9,
@@ -72,12 +72,8 @@ impl PfsModel {
         }
     }
 
-    pub fn config(&self) -> &PfsConfig {
-        &self.cfg
-    }
-
     /// Effective aggregate bandwidth when `clients` write concurrently.
-    pub fn effective_bw(&self, clients: usize) -> f64 {
+    pub(crate) fn effective_bw(&self, clients: usize) -> f64 {
         let c = clients.max(1) as f64;
         let client_bound = c * self.cfg.per_client_bw;
         let mut agg = self.cfg.aggregate_bw;
@@ -90,7 +86,7 @@ impl PfsModel {
 
     /// Sampled write time including machine weather: bandwidth noise on
     /// the transfer term, heavy-tailed noise on the latency term.
-    pub fn write_time(&mut self, bytes: f64, clients: usize) -> f64 {
+    pub(crate) fn write_time(&mut self, bytes: f64, clients: usize) -> f64 {
         let bw_noise = self.rng.lognormal_factor(self.cfg.variability);
         let lat_noise = self.rng.lognormal_factor(self.cfg.latency_sigma);
         self.cfg.op_latency * lat_noise + bytes / self.effective_bw(clients) * bw_noise

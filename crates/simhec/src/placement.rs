@@ -27,8 +27,6 @@ pub enum Objective {
 /// The advisor's verdict for one operator.
 #[derive(Debug, Clone)]
 pub struct PlacementAdvice {
-    pub op: OpKind,
-    pub objective: Objective,
     pub recommended: Placement,
     /// Objective metric in the In-Compute-Node placement.
     pub in_compute_metric: f64,
@@ -81,20 +79,10 @@ pub fn advise_op(base: &ScenarioConfig, op: OpKind, objective: Objective) -> Pla
         Placement::InComputeNode
     };
     PlacementAdvice {
-        op,
-        objective,
         recommended,
         in_compute_metric,
         staged_metric,
     }
-}
-
-/// Advise every operator of the configuration.
-pub fn advise_all(base: &ScenarioConfig, objective: Objective) -> Vec<PlacementAdvice> {
-    base.ops
-        .iter()
-        .map(|&op| advise_op(base, op, objective))
-        .collect()
 }
 
 #[cfg(test)]
@@ -155,13 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn advise_all_covers_every_op() {
+    fn cpu_cost_advice_for_every_op() {
         let cfg = gtc_like(4096);
-        let advice = advise_all(&cfg, Objective::CpuCost);
-        assert_eq!(advice.len(), 2);
-        assert_eq!(advice[0].op, OpKind::Sort);
-        assert_eq!(advice[1].op, OpKind::Histogram);
-        for a in advice {
+        for op in [OpKind::Sort, OpKind::Histogram] {
+            let a = advise_op(&cfg, op, Objective::CpuCost);
             assert!(a.in_compute_metric > 0.0 && a.staged_metric > 0.0);
             assert!(a.advantage() >= 1.0);
         }
@@ -170,8 +155,6 @@ mod tests {
     #[test]
     fn advantage_is_symmetric_ratio() {
         let a = PlacementAdvice {
-            op: OpKind::Sort,
-            objective: Objective::SimulationTime,
             recommended: Placement::Staging,
             in_compute_metric: 200.0,
             staged_metric: 100.0,

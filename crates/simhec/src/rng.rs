@@ -17,7 +17,7 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -30,13 +30,8 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Uniform in [lo, hi).
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Standard normal via Box–Muller.
-    pub fn normal(&mut self) -> f64 {
+    pub(crate) fn normal(&mut self) -> f64 {
         let u1 = self.next_f64().max(f64::MIN_POSITIVE);
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -44,7 +39,7 @@ impl SplitMix64 {
 
     /// Lognormal multiplier with median 1 and shape `sigma` — the
     /// heavy-tailed slowdowns a shared file system exhibits.
-    pub fn lognormal_factor(&mut self, sigma: f64) -> f64 {
+    pub(crate) fn lognormal_factor(&mut self, sigma: f64) -> f64 {
         (sigma * self.normal()).exp()
     }
 }
@@ -70,7 +65,7 @@ mod tests {
         let n = 10_000;
         let mut sum = 0.0;
         for _ in 0..n {
-            let x = r.uniform(2.0, 4.0);
+            let x = 2.0 + 2.0 * r.next_f64();
             assert!((2.0..4.0).contains(&x));
             sum += x;
         }

@@ -91,7 +91,7 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    pub fn compute_cores(&self) -> usize {
+    pub(crate) fn compute_cores(&self) -> usize {
         self.n_compute_procs * self.threads_per_proc
     }
 
@@ -107,7 +107,7 @@ impl ScenarioConfig {
         (self.staging_cores() / self.staging_threads_per_proc).max(1)
     }
 
-    pub fn staging_nodes(&self) -> usize {
+    pub(crate) fn staging_nodes(&self) -> usize {
         self.staging_procs().div_ceil(self.staging_procs_per_node)
     }
 
@@ -123,10 +123,6 @@ pub struct OpReport {
     /// Wall time the operator occupies its host (visible time when
     /// in-compute; staging-side busy time when staged).
     pub busy_time: f64,
-    /// Communication component of `busy_time`.
-    pub comm_time: f64,
-    /// Computation component.
-    pub cpu_time: f64,
     /// Time to write the operator's results.
     pub result_write_time: f64,
     /// Latency from the I/O trigger to results available.
@@ -136,14 +132,11 @@ pub struct OpReport {
 /// Aggregate outcome of one run.
 #[derive(Debug, Clone)]
 pub struct RunBreakdown {
-    pub placement: Placement,
     /// End-to-end wall time of the run.
     pub total_time: f64,
     /// Main-loop (compute + collectives) portion, including interference
     /// inflation.
     pub main_loop_time: f64,
-    /// Main-loop time had there been no interference.
-    pub main_loop_ideal: f64,
     /// Application-visible I/O blocking (sync writes, packing, buffer
     /// stalls).
     pub io_blocking_time: f64,
@@ -289,18 +282,14 @@ fn run_in_compute(cfg: &ScenarioConfig) -> RunBreakdown {
         .map(|(&op, (comm, cpu, write))| OpReport {
             op,
             busy_time: (comm + cpu + write) / steps,
-            comm_time: comm / steps,
-            cpu_time: cpu / steps,
             result_write_time: write / steps,
             latency: (comm + cpu + write) / steps,
         })
         .collect();
 
     RunBreakdown {
-        placement: Placement::InComputeNode,
         total_time: total,
         main_loop_time: main_loop,
-        main_loop_ideal: main_loop,
         io_blocking_time: io_blocking,
         op_visible_time: op_visible,
         ops,
@@ -316,13 +305,11 @@ fn run_staging(cfg: &ScenarioConfig) -> RunBreakdown {
     let mut pfs = PfsModel::new(cfg.machine.pfs.clone(), cfg.seed);
     let mut net = NetModel::new();
     let compute = net.add_class(NodeClass::new(
-        "compute",
         cfg.compute_nodes(),
         cfg.machine.nic_bw,
         cfg.machine.nic_bw,
     ));
     let staging = net.add_class(NodeClass::new(
-        "staging",
         cfg.staging_nodes(),
         cfg.machine.nic_bw,
         cfg.machine.nic_bw,
@@ -526,18 +513,14 @@ fn run_staging(cfg: &ScenarioConfig) -> RunBreakdown {
         .map(|(&op, (comm, cpu, write, lat))| OpReport {
             op,
             busy_time: (comm + cpu + write) / steps,
-            comm_time: comm / steps,
-            cpu_time: cpu / steps,
             result_write_time: write / steps,
             latency: lat / steps,
         })
         .collect();
 
     RunBreakdown {
-        placement: Placement::Staging,
         total_time: total,
         main_loop_time: main_loop,
-        main_loop_ideal,
         io_blocking_time: io_blocking,
         op_visible_time: 0.0,
         ops,

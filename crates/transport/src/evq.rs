@@ -100,7 +100,7 @@ impl<T> EventQueue<T> {
 
     /// Blocking submit that reports teardown: parks while the queue is
     /// full, returns `Err(Closed)` if the queue is (or becomes) closed.
-    pub fn send(&self, ev: T) -> Result<(), SubmitError<T>> {
+    pub(crate) fn send(&self, ev: T) -> Result<(), SubmitError<T>> {
         let cap = self.shared.cap;
         let mut inner = self.shared.inner.lock();
         self.shared
@@ -171,12 +171,9 @@ impl<T> EventQueue<T> {
         self.shared.not_full.notify_all();
     }
 
+    #[allow(clippy::len_without_is_empty)] // callers read a depth; none asks for emptiness
     pub fn len(&self) -> usize {
         self.shared.inner.lock().queue.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

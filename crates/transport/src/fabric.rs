@@ -64,7 +64,7 @@ impl std::error::Error for TransportError {}
 pub struct CompletionEvent {
     pub handle: MemHandle,
     pub bytes: usize,
-    pub io_step: u64,
+    pub(crate) io_step: u64,
 }
 
 /// Fabric-wide counters.
@@ -171,7 +171,6 @@ struct FabricInner {
     /// relaxed atomic add with no registry lookup.
     obs_get_ns: obs::Histogram,
     obs_get_bytes: obs::Counter,
-    obs_pinned_hwm: obs::Gauge,
 }
 
 /// Factory for matched endpoint sets.
@@ -226,7 +225,6 @@ impl Fabric {
             faults,
             obs_get_ns: obs.histogram("transport.rdma_get_ns", &[]),
             obs_get_bytes: obs.counter("transport.rdma_get_bytes", &[]),
-            obs_pinned_hwm: obs.gauge("transport.pinned_bytes", &[]),
             obs,
         });
         let computes = completions
@@ -293,7 +291,7 @@ impl ComputeEndpoint {
         self.my_pinned.load(Ordering::Relaxed)
     }
 
-    /// [`expose_bytes`](Self::expose_bytes) of a buffer already shaped
+    /// `expose_bytes` of a buffer already shaped
     /// `Arc<[u8]>`.
     pub fn expose(&self, buf: Arc<[u8]>, io_step: u64) -> Result<MemHandle, TransportError> {
         self.expose_bytes(buf.into(), io_step)
@@ -306,7 +304,11 @@ impl ComputeEndpoint {
     /// to the puller, so an exposer that keeps a clone can tell when
     /// every reader is done with the bytes: its completion has arrived
     /// and the clone [`is_unique`](Bytes::is_unique).
-    pub fn expose_bytes(&self, buf: Bytes, io_step: u64) -> Result<MemHandle, TransportError> {
+    pub(crate) fn expose_bytes(
+        &self,
+        buf: Bytes,
+        io_step: u64,
+    ) -> Result<MemHandle, TransportError> {
         self.register(Exposed::Whole(buf), io_step)
     }
 
@@ -350,7 +352,6 @@ impl ComputeEndpoint {
         drop(reg);
         self.my_pinned.fetch_add(len, Ordering::Relaxed);
         self.inner.stats.note_pinned(global_now);
-        self.inner.obs_pinned_hwm.set(global_now as i64);
         Ok(MemHandle(h))
     }
 

@@ -140,7 +140,7 @@ impl FaultKind {
 }
 
 /// A seeded, deterministic schedule of transport faults. See the
-/// [module docs](self) for semantics and where a plan is attached.
+/// module docs for semantics and where a plan is attached.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -210,11 +210,6 @@ impl FaultPlan {
     pub fn steps(mut self, range: Range<u64>) -> Self {
         self.steps = Some(range);
         self
-    }
-
-    /// The plan's seed (also salts retry-backoff jitter).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Whether the plan *selects* chunk `(src_rank, step)` for `kind` —
@@ -300,7 +295,7 @@ impl FaultPlan {
     /// Pulls and exposes, which carry a handle and a size, have
     /// [`inject_pull`](Self::inject_pull) and
     /// [`inject_expose`](Self::inject_expose).
-    pub fn inject(
+    pub(crate) fn inject(
         &self,
         obs: &obs::Registry,
         kind: FaultKind,
@@ -313,7 +308,7 @@ impl FaultPlan {
 
     /// Consult the plan before one `expose` of `requested` bytes by
     /// compute rank `rank` at `step`.
-    pub fn inject_expose(
+    pub(crate) fn inject_expose(
         &self,
         obs: &obs::Registry,
         rank: u64,

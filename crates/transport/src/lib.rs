@@ -20,7 +20,7 @@
 //! 3. staging: [`StagingEndpoint::recv_request`]s, aggregates attachments
 //! 4. staging: [`StagingEndpoint::rdma_get`] pulls bytes one-sided — a
 //!    whole exposed buffer is handed over itself, by reference count
-//!    ([`ComputeEndpoint::expose_bytes`]), and a [`Gather`] exposed where
+//!    (`ComputeEndpoint::expose_bytes`), and a [`Gather`] exposed where
 //!    its regions lie ([`ComputeEndpoint::expose_gather`]) is landed in
 //!    one buffer of the puller's; completion is posted to the compute
 //!    endpoint's completion queue, and once nothing else holds the
@@ -42,8 +42,8 @@
 //!
 //! The transport is also where failures are *made reproducible*: a
 //! seeded [`FaultPlan`], handed to [`Fabric::with_faults`] (see
-//! [`fault`]), injects drop/stale-handle/pin-exhaustion faults on a
-//! deterministic schedule, and [`RetryPolicy`] (see [`retry`]) gives
+//! `fault`), injects drop/stale-handle/pin-exhaustion faults on a
+//! deterministic schedule, and [`RetryPolicy`] (see `retry`) gives
 //! pullers exponential backoff with jitter under a per-step deadline
 //! budget. Both are constructor arguments; neither is read from the
 //! environment.
@@ -80,12 +80,14 @@
 //! ));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod evq;
 mod fabric;
-pub mod fault;
+mod fault;
 mod policy;
 mod request;
-pub mod retry;
+mod retry;
 mod router;
 
 pub use fabric::{
@@ -99,4 +101,4 @@ pub use policy::{
 };
 pub use request::FetchRequest;
 pub use retry::RetryPolicy;
-pub use router::{BlockRouter, ModuloRouter, Router};
+pub use router::{BlockRouter, Router};

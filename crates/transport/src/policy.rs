@@ -36,9 +36,7 @@ impl CongestionSignal {
     }
 
     /// Mark the network as busy with application traffic. Clearing the
-    /// flag wakes every thread parked in [`wait_until_idle`].
-    ///
-    /// [`wait_until_idle`]: CongestionSignal::wait_until_idle
+    /// flag wakes every thread parked in `wait_until_idle`.
     pub fn set_busy(&self, busy: bool) {
         *self.inner.busy.lock() = busy;
         if !busy {
@@ -46,13 +44,13 @@ impl CongestionSignal {
         }
     }
 
-    pub fn is_busy(&self) -> bool {
+    pub(crate) fn is_busy(&self) -> bool {
         *self.inner.busy.lock()
     }
 
     /// Park until the signal clears or `timeout` passes. Returns true if
     /// the network is idle on return.
-    pub fn wait_until_idle(&self, timeout: Duration) -> bool {
+    pub(crate) fn wait_until_idle(&self, timeout: Duration) -> bool {
         let mut busy = self.inner.busy.lock();
         !self
             .inner
@@ -140,9 +138,9 @@ impl PullPolicy for PhaseAwarePolicy {
 #[derive(Debug)]
 pub struct RateLimitedPolicy {
     /// Sustained budget, bytes per second.
-    pub bytes_per_sec: f64,
+    pub(crate) bytes_per_sec: f64,
     /// Burst capacity, bytes.
-    pub burst: f64,
+    pub(crate) burst: f64,
     /// Tokens (bytes) in the bucket, as of the instant beside them.
     tokens: Mutex<(f64, Instant)>,
 }
@@ -165,7 +163,7 @@ impl RateLimitedPolicy {
     /// demanding more would starve the caller forever. Draining the
     /// whole bucket keeps the long-run rate at the configured budget
     /// while letting oversized pulls through one refill apart.
-    pub fn try_spend(&self, bytes: f64) -> bool {
+    pub(crate) fn try_spend(&self, bytes: f64) -> bool {
         let bytes = bytes.min(self.burst);
         let mut guard = self.tokens.lock();
         let now = Instant::now();

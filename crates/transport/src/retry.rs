@@ -52,7 +52,7 @@ use crate::fabric::TransportError;
 use crate::fault::{splitmix64, FaultKind, FaultPlan};
 
 /// Exponential-backoff retry policy with a deadline budget. See the
-/// [module docs](self) for who sets it.
+/// module docs for who sets it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,
@@ -125,7 +125,7 @@ impl RetryPolicy {
     /// from the base, capped, with ±25% deterministic jitter derived
     /// from `salt` so concurrent pullers de-synchronise identically on
     /// every run.
-    pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let exp = self
             .base_backoff
             .saturating_mul(1u32 << attempt.min(16).saturating_sub(1))
@@ -140,7 +140,7 @@ impl RetryPolicy {
     }
 
     /// The one inject-then-retry gate: consult `plan` before each attempt
-    /// at operation `kind` keyed `(a, b)` ([`FaultPlan::inject`]) and
+    /// at operation `kind` keyed `(a, b)` (`FaultPlan::inject`) and
     /// absorb its transient faults under this policy, counted in `obs`
     /// under `op`. `Ok` means go ahead; `Err` is the fault that outlasted
     /// the retries. Without a plan there is nothing to absorb: `Ok`, and
@@ -163,7 +163,7 @@ impl RetryPolicy {
     }
 
     /// Run `f` under this policy. `f` gets the 0-based attempt index;
-    /// retryable errors are re-attempted after [`backoff`](Self::backoff)
+    /// retryable errors are re-attempted after `backoff`
     /// until attempts or the deadline budget run out. Each re-attempt
     /// increments `obs`'s `transport.retries{op}`; giving up on a
     /// retryable error increments its `transport.retry_exhausted{op}` —

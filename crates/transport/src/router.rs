@@ -1,9 +1,9 @@
 //! `Route()`: mapping compute ranks to staging nodes.
 //!
 //! The paper's Stage 1c sends each chunk's fetch request "to the staging
-//! node chosen by a user-overridable function Route()". The default keeps
-//! contiguous blocks of compute ranks on one staging node (locality with
-//! block-decomposed domains); a modulo router spreads neighbours instead.
+//! node chosen by a user-overridable function Route()". The one
+//! implementation keeps contiguous blocks of compute ranks on one staging
+//! node (locality with block-decomposed domains).
 
 /// Chooses the staging rank responsible for a compute rank's output.
 pub trait Router: Send + Sync {
@@ -55,29 +55,6 @@ impl Router for BlockRouter {
     }
 }
 
-/// Round-robin assignment: rank `c` → staging `c % n`.
-#[derive(Debug, Clone)]
-pub struct ModuloRouter {
-    n_staging: usize,
-}
-
-impl ModuloRouter {
-    pub fn new(n_staging: usize) -> Self {
-        assert!(n_staging > 0);
-        ModuloRouter { n_staging }
-    }
-}
-
-impl Router for ModuloRouter {
-    fn route(&self, compute_rank: usize, _io_step: u64) -> usize {
-        compute_rank % self.n_staging
-    }
-
-    fn n_staging(&self) -> usize {
-        self.n_staging
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +82,7 @@ mod tests {
 
     #[test]
     fn served_by_inverts_route() {
-        let r = ModuloRouter::new(3);
+        let r = BlockRouter::new(20, 3);
         for s in 0..3 {
             for c in r.served_by(s, 20, 0) {
                 assert_eq!(r.route(c, 0), s);

@@ -23,22 +23,19 @@ use proptest::prelude::*;
 
 /// Scalars, a chunk of a 2-D global array, a local array and an empty one.
 fn sample_pg(rank: u64) -> ProcessGroup {
-    let def = GroupDef::new(
-        "g",
-        vec![
-            VarDef::scalar("n", Dtype::U64),
-            VarDef::scalar("off", Dtype::U64),
-            VarDef::global_chunk(
-                "field",
-                Dtype::F64,
-                vec![Dim::c(2), Dim::c(6)],
-                vec![Dim::c(2), Dim::r("n")],
-                vec![Dim::c(0), Dim::r("off")],
-            ),
-            VarDef::local("ids", Dtype::I32, vec![Dim::r("n")]),
-            VarDef::local("none", Dtype::F32, vec![Dim::c(0)]),
-        ],
-    )
+    let def = GroupDef::new(vec![
+        VarDef::scalar("n", Dtype::U64),
+        VarDef::scalar("off", Dtype::U64),
+        VarDef::global_chunk(
+            "field",
+            Dtype::F64,
+            vec![Dim::c(2), Dim::c(6)],
+            vec![Dim::c(2), Dim::r("n")],
+            vec![Dim::c(0), Dim::r("off")],
+        ),
+        VarDef::local("ids", Dtype::I32, vec![Dim::r("n")]),
+        VarDef::local("none", Dtype::F32, vec![Dim::c(0)]),
+    ])
     .unwrap();
     let mut pg = ProcessGroup::new("g", rank, 0);
     pg.write(&def, "n", DataArray::U64(vec![3])).unwrap();
@@ -85,16 +82,13 @@ fn aliased_file() -> &'static Vec<u8> {
     FILE.get_or_init(|| {
         const CHUNKS: u64 = 16;
         const LEN: u64 = 32;
-        let def = GroupDef::new(
-            "g",
-            vec![VarDef::global_chunk(
-                "a",
-                Dtype::F64,
-                vec![Dim::c(LEN)],
-                vec![Dim::c(LEN)],
-                vec![Dim::c(0)],
-            )],
-        )
+        let def = GroupDef::new(vec![VarDef::global_chunk(
+            "a",
+            Dtype::F64,
+            vec![Dim::c(LEN)],
+            vec![Dim::c(LEN)],
+            vec![Dim::c(0)],
+        )])
         .unwrap();
         let mut pg = ProcessGroup::new("g", 0, 0);
         pg.write(&def, "a", DataArray::F64(vec![1.0; LEN as usize]))

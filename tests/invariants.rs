@@ -643,3 +643,127 @@ fn enclosing_fn_reads_the_nearest_declaration() {
     assert_eq!(enclosing_fn(src, 6), Some("b"));
     assert_eq!(enclosing_fn(src, 0), None);
 }
+
+#[test]
+fn every_crate_warns_unreachable_pub() {
+    let roots = files("crates", &|p| {
+        p.ends_with("src/lib.rs") && shown(p).split('/').count() == 4
+    });
+    assert!(roots.len() >= 10, "crate roots found: {roots:?}");
+    let quiet: Vec<String> = roots
+        .iter()
+        .filter(|p| {
+            !read(p)
+                .lines()
+                .any(|l| l.trim() == "#![warn(unreachable_pub)]")
+        })
+        .map(|p| shown(p))
+        .collect();
+    assert!(
+        quiet.is_empty(),
+        "a crate root without `#![warn(unreachable_pub)]` can export what nothing calls:\n{}",
+        quiet.join("\n")
+    );
+}
+
+/// The `run:` lines of the CI step whose name starts with `step`, with
+/// `\` continuations joined: one string per shell command.
+fn ci_step_commands(ci: &str, step: &str) -> Vec<String> {
+    let mut lines = ci
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with(&format!("- name: {step}")))
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with("- name:"))
+        .skip_while(|l| !l.trim_start().starts_with("run:"))
+        .skip(1);
+    let mut commands = Vec::new();
+    let mut current = String::new();
+    for line in lines.by_ref() {
+        let line = line.trim();
+        match line.strip_suffix('\\') {
+            Some(head) => current.push_str(head),
+            None => {
+                current.push_str(line);
+                commands.push(std::mem::take(&mut current));
+            }
+        }
+    }
+    commands.retain(|c| !c.is_empty());
+    commands
+}
+
+/// Every unit test of the package named `package` as the harness names
+/// it: module path, the inline module around it, and the function.
+fn unit_test_paths(package: &str) -> Vec<String> {
+    let dir = files("crates", &|p| p.ends_with("Cargo.toml"))
+        .into_iter()
+        .find(|m| read(m).contains(&format!("name = \"{package}\"")))
+        .unwrap_or_else(|| panic!("no crate is named {package}"));
+    let src = dir.parent().expect("crate dir").join("src");
+    let mut paths = Vec::new();
+    for file in files(&shown(&src), &is_rust) {
+        let rel = file
+            .strip_prefix(&src)
+            .expect("under src")
+            .with_extension("");
+        let mut module: Vec<String> = rel.iter().map(|c| c.to_string_lossy().into()).collect();
+        if matches!(module.last().map(String::as_str), Some("lib" | "mod")) {
+            module.pop();
+        }
+        if module.first().map(String::as_str) == Some("bin") {
+            continue;
+        }
+        let text = read(&file);
+        let lines: Vec<&str> = text.lines().collect();
+        let mut inline = String::new();
+        for (i, line) in lines.iter().enumerate() {
+            let t = line.trim_start();
+            if let Some(name) = t.strip_prefix("mod ").and_then(|r| r.strip_suffix(" {")) {
+                inline = name.to_string();
+            }
+            if t == "#[test]" {
+                let next = lines[i + 1..]
+                    .iter()
+                    .find(|l| !l.trim_start().starts_with("#["));
+                if let Some((_, name)) = next.and_then(|l| declared_fn(l)) {
+                    let mut path = module.clone();
+                    path.extend([inline.clone(), name.to_string()]);
+                    paths.push(path.join("::"));
+                }
+            }
+        }
+    }
+    paths
+}
+
+#[test]
+fn ci_test_filters_match_a_test() {
+    let ci = read(&root().join(".github/workflows/ci.yml"));
+    let commands = ci_step_commands(&ci, "Row-kernel oracles and output bytes");
+    let mut checked = 0;
+    let mut dead = Vec::new();
+    for command in &commands {
+        let Some((head, filters)) = command.split_once(" -- ") else {
+            continue;
+        };
+        let words: Vec<&str> = head.split_whitespace().collect();
+        let tests: Vec<String> = words
+            .windows(2)
+            .filter(|w| w[0] == "-p")
+            .flat_map(|w| unit_test_paths(w[1]))
+            .collect();
+        assert!(!tests.is_empty(), "no unit tests under `{head}`");
+        for filter in filters.split_whitespace() {
+            checked += 1;
+            if !tests.iter().any(|t| t.contains(filter)) {
+                dead.push(format!("`{filter}` in `{head}`"));
+            }
+        }
+    }
+    assert!(checked >= 14, "filter words read from CI: {checked}");
+    assert!(
+        dead.is_empty(),
+        "a CI test filter that matches no test passes silently:\n{}",
+        dead.join("\n")
+    );
+}
