@@ -52,8 +52,10 @@ impl From<bpio::BpError> for ChunkError {
 }
 
 /// The framing format for every packed chunk. Shared per process via a
-/// `OnceLock`, so all chunks of a run share one `Arc<FormatDesc>` and the
-/// fingerprint in the wire header is stable (staging nodes dispatch on it).
+/// `OnceLock`, so all chunks of a run share one `Arc<FormatDesc>`. Every
+/// chunk embeds this schema, and a staging node decodes it from the chunk
+/// itself; the fingerprint in the wire header is stable across runs, but
+/// nothing dispatches on it.
 fn chunk_format() -> &'static Arc<FormatDesc> {
     static FMT: std::sync::OnceLock<Arc<FormatDesc>> = std::sync::OnceLock::new();
     FMT.get_or_init(|| {
@@ -267,13 +269,21 @@ mod tests {
         let buf = chunk.pack().unwrap();
         let h = ffs::decode_header(&buf).unwrap();
         assert_eq!(h.fingerprint, PackedChunk::format_fingerprint());
-        assert!(h.has_embedded_schema);
     }
 
     #[test]
     fn unpack_rejects_garbage() {
         assert!(PackedChunk::unpack(b"junk").is_err());
         let mut buf = PackedChunk::new(sample_pg()).pack().unwrap();
+        // Byte 5 is the flags byte: cleared, it claims a record without
+        // its schema, which is no chunk's form and is refused.
+        buf[5] = 0;
+        assert!(matches!(
+            PackedChunk::unpack(&buf),
+            Err(ChunkError::Ffs(ffs::FfsError::Corrupt(_)))
+        ));
+        buf[5] = 1;
+        assert!(PackedChunk::unpack(&buf).is_ok());
         let n = buf.len();
         buf.truncate(n - 5);
         assert!(PackedChunk::unpack(&buf).is_err());

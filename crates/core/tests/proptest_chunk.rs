@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use transport::{Fabric, FetchRequest};
 
 /// `PackedChunk::format_fingerprint()` as of the commit that introduced
-/// `predata_chunk_v1`; staging ranks dispatch on it.
+/// `predata_chunk_v1`; it is in every chunk's wire header.
 const CHUNK_FINGERPRINT: u64 = 0xbaa4_0663_1fab_d530;
 
 /// One variable of a generated process group: dtype (by index), local

@@ -1,26 +1,26 @@
 //! Record decoding: header peek, schema recovery, payload materialization.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use crate::attr::AttrList;
-use crate::encode::{FLAG_EMBEDDED_SCHEMA, WIRE_VERSION};
+use crate::encode::{FLAGS, WIRE_VERSION};
 use crate::error::{FfsError, Result};
-use crate::registry::FormatRegistry;
 use crate::types::{BaseType, DimSpec, FieldDesc, FieldType, FormatDesc, Record, Value};
 use crate::wire::Reader;
 use crate::MAGIC;
 
-/// The fixed-size prefix of every record, readable without a registry.
-/// PreDatA's `route()` step uses this to dispatch chunks by format without
-/// paying for a full decode.
+/// The fixed-size prefix of every record: its format's fingerprint,
+/// read without parsing the schema. [`decode_view`] starts with this
+/// check of the first 14 bytes; nothing dispatches on the fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedHeader {
-    pub(crate) version: u8,
-    pub has_embedded_schema: bool,
     pub fingerprint: u64,
 }
 
-/// Peek the record header. Cheap: reads 14 bytes.
+/// Peek the record header. Cheap: reads 14 bytes. A flags byte other
+/// than the one the encoder writes (schema embedded) is
+/// [`FfsError::Corrupt`].
 pub fn decode_header(buf: &[u8]) -> Result<DecodedHeader> {
     let mut r = Reader::new(buf);
     let magic = r.take(4, "magic")?;
@@ -31,24 +31,18 @@ pub fn decode_header(buf: &[u8]) -> Result<DecodedHeader> {
     if version != WIRE_VERSION {
         return Err(FfsError::BadVersion(version));
     }
-    let flags = r.u8("flags")?;
+    if r.u8("flags")? != FLAGS {
+        return Err(FfsError::Corrupt("flags byte other than schema-embedded"));
+    }
     let fingerprint = r.u64("fingerprint")?;
-    Ok(DecodedHeader {
-        version,
-        has_embedded_schema: flags & FLAG_EMBEDDED_SCHEMA != 0,
-        fingerprint,
-    })
+    Ok(DecodedHeader { fingerprint })
 }
 
 /// Decode a full record: [`decode_view`], then every field materialized
 /// into an owned [`Value`] (array payloads are copied out of `buf`).
-///
-/// * Self-contained records decode with `registry = None`; if a registry is
-///   supplied, the recovered schema is interned into it as a side effect
-///   (mirroring FFS' format caching on first contact).
-/// * By-reference records require a registry holding the fingerprint.
-pub fn decode(buf: &[u8], registry: Option<&FormatRegistry>) -> Result<Record> {
-    let view = decode_view(buf, registry)?;
+/// The second argument is always `None`; see [`decode_view`].
+pub fn decode(buf: &[u8], _no_registry: Option<Infallible>) -> Result<Record> {
+    let view = decode_view(buf, None)?;
     let values = view
         .values
         .iter()
@@ -146,7 +140,8 @@ pub struct RecordView<'a> {
 }
 
 impl<'a> RecordView<'a> {
-    pub fn attrs(&self) -> &AttrList {
+    #[cfg(test)]
+    pub(crate) fn attrs(&self) -> &AttrList {
         &self.attrs
     }
 
@@ -158,25 +153,23 @@ impl<'a> RecordView<'a> {
 /// Decode a record without copying array payloads: the returned view
 /// borrows every array field from `buf`. This is the one record walk —
 /// [`decode`] materializes its result.
-pub fn decode_view<'a>(buf: &'a [u8], registry: Option<&FormatRegistry>) -> Result<RecordView<'a>> {
+///
+/// Every record carries its schema, so there is no format registry to
+/// pass: the second argument is an `Option` of the uninhabited
+/// [`Infallible`], which only `None` can fill. It remains so that
+/// callers written as `decode_view(&buf, None)` (the benchmark
+/// harness's among them) keep compiling, until ROADMAP item 1(c)
+/// drops it together with their `None`.
+pub fn decode_view<'a>(buf: &'a [u8], _no_registry: Option<Infallible>) -> Result<RecordView<'a>> {
     let header = decode_header(buf)?;
     let mut r = Reader::new(buf);
     r.take(14, "header")?; // skip re-validated header
 
-    let format: Arc<FormatDesc> = if header.has_embedded_schema {
-        let fmt = decode_schema(&mut r)?;
-        if fmt.fingerprint() != header.fingerprint {
-            return Err(FfsError::Corrupt("embedded schema fingerprint mismatch"));
-        }
-        match registry {
-            Some(reg) => reg.intern(fmt),
-            None => Arc::new(fmt),
-        }
-    } else {
-        let reg = registry.ok_or(FfsError::RegistryRequired(header.fingerprint))?;
-        reg.lookup(header.fingerprint)
-            .ok_or(FfsError::UnknownFormat(header.fingerprint))?
-    };
+    let format = decode_schema(&mut r)?;
+    if format.fingerprint() != header.fingerprint {
+        return Err(FfsError::Corrupt("embedded schema fingerprint mismatch"));
+    }
+    let format = Arc::new(format);
 
     let attrs = AttrList::decode_from(&mut r)?;
 
@@ -332,39 +325,21 @@ mod tests {
         let r = sample();
         let buf = r.encode_self_contained().unwrap();
         let h = decode_header(&buf).unwrap();
-        assert!(h.has_embedded_schema);
         assert_eq!(h.fingerprint, r.format().fingerprint());
+        assert_eq!(buf[5], FLAGS);
     }
 
     #[test]
-    fn by_ref_needs_registry() {
-        let r = sample();
-        let buf = r.encode_by_ref().unwrap();
-        assert!(matches!(
-            decode(&buf, None),
-            Err(FfsError::RegistryRequired(_))
-        ));
-
-        let reg = FormatRegistry::default();
-        assert!(matches!(
-            decode(&buf, Some(&reg)),
-            Err(FfsError::UnknownFormat(_))
-        ));
-
-        reg.register(r.format());
-        let back = decode(&buf, Some(&reg)).unwrap();
-        assert_eq!(back.get("step"), Some(&Value::U32(42)));
-    }
-
-    #[test]
-    fn self_contained_decode_interns_into_registry() {
-        let r = sample();
-        let full = r.encode_self_contained().unwrap();
-        let by_ref = r.encode_by_ref().unwrap();
-        let reg = FormatRegistry::default();
-        decode(&full, Some(&reg)).unwrap(); // learns the schema
-        let back = decode(&by_ref, Some(&reg)).unwrap(); // now by-ref works
-        assert_eq!(back.get("n"), Some(&Value::U64(3)));
+    fn flags_other_than_schema_embedded_are_refused() {
+        let mut buf = sample().encode_self_contained().unwrap();
+        // 0 is the by-reference form (fingerprint only) that FFS's
+        // format server reads; 3 sets a bit nothing defines.
+        for flags in [0, 3] {
+            buf[5] = flags;
+            assert!(matches!(decode_header(&buf), Err(FfsError::Corrupt(_))));
+            assert!(decode_view(&buf, None).is_err());
+            assert!(decode(&buf, None).is_err());
+        }
     }
 
     #[test]
@@ -417,27 +392,6 @@ mod tests {
             view.get("ids").unwrap().to_value().unwrap(),
             Value::ArrI32(vec![-1, 0, 1])
         );
-    }
-
-    #[test]
-    fn view_matches_owned_decode_on_by_ref_records() {
-        let r = sample();
-        let buf = r.encode_by_ref().unwrap();
-        assert!(matches!(
-            decode_view(&buf, None),
-            Err(FfsError::RegistryRequired(_))
-        ));
-        let reg = FormatRegistry::default();
-        reg.register(r.format());
-        let view = decode_view(&buf, Some(&reg)).unwrap();
-        let owned = decode(&buf, Some(&reg)).unwrap();
-        for f in ["step", "label", "n", "x", "ids"] {
-            assert_eq!(
-                &view.get(f).unwrap().to_value().unwrap(),
-                owned.get(f).unwrap(),
-                "field {f} must agree between view and owned decode"
-            );
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Record encoding: schema-embedded ("self-contained") and by-reference.
+//! Record encoding: the schema embedded in every record.
 //!
 //! Wire layout (all little-endian):
 //!
 //! ```text
 //! record      := magic(4) version(1) flags(1) fingerprint(8)
-//!                [schema]            -- iff flags bit 0
-//!                attrs payload
+//!                schema attrs payload   -- flags is always 1 (schema embedded)
 //! schema      := name:str16 nfields:u16 field*
 //! field       := name:str16 kind:u8 base:u8 [ndims:u8 dim*]   -- kind 0 scalar, 1 array
 //! dim         := 0 extent:u64 | 1 name:str16
@@ -21,26 +20,15 @@ use crate::wire::Writer;
 use crate::MAGIC;
 
 pub(crate) const WIRE_VERSION: u8 = 1;
-pub(crate) const FLAG_EMBEDDED_SCHEMA: u8 = 0b0000_0001;
+/// The flags byte of every record: bit 0, schema embedded. A decoder
+/// refuses any other value.
+pub(crate) const FLAGS: u8 = 0b0000_0001;
 
 impl Record {
     /// Encode with the schema embedded; any receiver can decode the result
     /// without prior knowledge. This is the form PreDatA uses for packed
     /// partial data chunks.
     pub fn encode_self_contained(&self) -> Result<Vec<u8>> {
-        self.encode_inner(true)
-    }
-
-    /// Encode carrying only the format fingerprint. The receiver must hold
-    /// the format in a [`crate::FormatRegistry`]; this saves the schema
-    /// bytes on every message of a long-lived stream. Only the tests
-    /// write such records; the pipeline embeds the schema.
-    #[cfg(test)]
-    pub(crate) fn encode_by_ref(&self) -> Result<Vec<u8>> {
-        self.encode_inner(false)
-    }
-
-    fn encode_inner(&self, embed: bool) -> Result<Vec<u8>> {
         let fmt = self.format();
         let payload_size: usize = self
             .values()
@@ -48,7 +36,7 @@ impl Record {
             .map(|v| v.as_ref().map_or(0, Value::wire_size))
             .sum();
         let mut buf = Vec::with_capacity(64 + payload_size);
-        let mut enc = RecordEncoder::begin(fmt, self.attrs(), embed, &mut buf)?;
+        let mut enc = RecordEncoder::self_contained(fmt, self.attrs(), &mut buf)?;
         for (field, v) in fmt.fields().iter().zip(self.values()) {
             let v = v
                 .as_ref()
@@ -62,12 +50,12 @@ impl Record {
 
 /// One record being encoded field by field, in declaration order,
 /// straight onto the end of a caller's buffer — the one encoder of the
-/// record wire layout ([`Record`]'s `encode_*` drive it with their stored
-/// values). A caller that already holds its data elsewhere skips the
-/// `Record` and its owned [`Value`]s: scalars go in by value, and a
-/// trailing byte array can be declared without being written
-/// ([`finish_out_of_line`](RecordEncoder::finish_out_of_line)), so its
-/// bytes are never copied into the encoder's buffer at all.
+/// record wire layout ([`Record::encode_self_contained`] drives it with
+/// the record's stored values). A caller that already holds its data
+/// elsewhere skips the `Record` and its owned [`Value`]s: scalars go in
+/// by value, and a trailing byte array can be declared without being
+/// written ([`finish_out_of_line`](RecordEncoder::finish_out_of_line)),
+/// so its bytes are never copied into the encoder's buffer at all.
 ///
 /// Every field is checked against the format as it is written: its
 /// type, and an array's length against its fixed and variable
@@ -96,15 +84,6 @@ impl<'a> RecordEncoder<'a> {
         attrs: &AttrList,
         out: &'a mut Vec<u8>,
     ) -> Result<Self> {
-        Self::begin(fmt, attrs, true, out)
-    }
-
-    pub(crate) fn begin(
-        fmt: &'a FormatDesc,
-        attrs: &AttrList,
-        embed: bool,
-        out: &'a mut Vec<u8>,
-    ) -> Result<Self> {
         let mut enc = RecordEncoder {
             start: out.len(),
             w: Writer::new(out),
@@ -116,11 +95,9 @@ impl<'a> RecordEncoder<'a> {
         let w = &mut enc.w;
         w.bytes(&MAGIC);
         w.u8(WIRE_VERSION);
-        w.u8(if embed { FLAG_EMBEDDED_SCHEMA } else { 0 });
+        w.u8(FLAGS);
         w.u64(fmt.fingerprint());
-        if embed {
-            encode_schema(w, fmt);
-        }
+        encode_schema(w, fmt);
         attrs.encode_into(w)?;
         Ok(enc)
     }
@@ -359,19 +336,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn by_ref_is_smaller_than_self_contained() {
-        let f = fmt();
-        let mut r = Record::new(&f);
-        r.set("n", Value::U32(2)).unwrap();
-        r.set("x", Value::ArrF64(vec![1.0, 2.0])).unwrap();
-        let full = r.encode_self_contained().unwrap();
-        let by_ref = r.encode_by_ref().unwrap();
-        assert!(by_ref.len() < full.len());
-        assert_eq!(&full[..4], &MAGIC);
-        assert_eq!(&by_ref[..4], &MAGIC);
     }
 
     fn blob_fmt() -> std::sync::Arc<FormatDesc> {

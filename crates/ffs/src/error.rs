@@ -40,10 +40,6 @@ pub enum FfsError {
     Truncated(&'static str),
     /// A length or tag on the wire is out of the permitted range.
     Corrupt(&'static str),
-    /// A by-reference record arrived but the registry has no such format.
-    UnknownFormat(u64),
-    /// A by-reference record was decoded without a registry.
-    RegistryRequired(u64),
     /// Attribute-related error (e.g. oversized attribute list).
     Attr(&'static str),
 }
@@ -84,13 +80,6 @@ impl fmt::Display for FfsError {
             FfsError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             FfsError::Truncated(what) => write!(f, "buffer truncated while reading {what}"),
             FfsError::Corrupt(what) => write!(f, "corrupt wire data: {what}"),
-            FfsError::UnknownFormat(id) => write!(f, "format {id:#018x} not in registry"),
-            FfsError::RegistryRequired(id) => {
-                write!(
-                    f,
-                    "record references format {id:#018x} but no registry was supplied"
-                )
-            }
             FfsError::Attr(what) => write!(f, "attribute error: {what}"),
         }
     }

@@ -10,24 +10,25 @@
 //! # Model
 //!
 //! * A [`FormatDesc`] names a record layout: an ordered list of
-//!   [`FieldDesc`]s, each a scalar or an array with fixed or
-//!   variable (another integer field's value) dimensions.
-//! * A [`FormatRegistry`] interns formats and assigns stable 64-bit
-//!   fingerprints, mirroring FFS' format-server caching: a sender may
-//!   encode *by reference* (fingerprint only) when the receiver is known
-//!   to have seen the schema, or *self-contained* with the schema embedded.
+//!   [`FieldDesc`]s, each a scalar or an array sized by an integer field
+//!   declared before it. Its 64-bit fingerprint identifies the layout.
 //! * [`Record`] is a set of field [`Value`]s plus an [`AttrList`] of small
 //!   out-of-band attributes (PreDatA attaches partial results from the
 //!   compute-node pass to data-fetch requests through these).
+//! * Every record is encoded *self-contained*: the schema travels in
+//!   front of the payload, so a receiver decodes it with no format
+//!   server. FFS can also send the fingerprint alone to a receiver that
+//!   has cached the schema; at this pipeline's chunk sizes the schema
+//!   parse that saves is negligible, so this crate keeps the one form.
 //!
 //! # Example
 //!
 //! ```
-//! use ffs::{FormatDesc, FieldDesc, BaseType, DimSpec, Record, Value};
+//! use ffs::{FormatDesc, FieldDesc, BaseType, Record, Value};
 //!
 //! let fmt = FormatDesc::new("particles")
 //!     .field(FieldDesc::scalar("nparticles", BaseType::U64))
-//!     .field(FieldDesc::array("px", BaseType::F64, vec![DimSpec::Var("nparticles".into())]))
+//!     .field(FieldDesc::vec("px", BaseType::F64, "nparticles"))
 //!     .build()
 //!     .unwrap();
 //!
@@ -36,8 +37,12 @@
 //! rec.set("px", Value::ArrF64(vec![0.5, 1.5, 2.5])).unwrap();
 //!
 //! let buf = rec.encode_self_contained().unwrap();
-//! let back = ffs::decode(&buf, None).unwrap();
-//! assert_eq!(back.get("px").unwrap(), &Value::ArrF64(vec![0.5, 1.5, 2.5]));
+//! let view = ffs::decode_view(&buf, None).unwrap();
+//! assert_eq!(view.get("nparticles").unwrap().as_u64(), Some(3));
+//! assert_eq!(
+//!     view.get("px").unwrap().to_value().unwrap(),
+//!     Value::ArrF64(vec![0.5, 1.5, 2.5])
+//! );
 //! ```
 
 #![warn(unreachable_pub)]
@@ -46,16 +51,17 @@ mod attr;
 mod decode;
 mod encode;
 mod error;
-mod registry;
 mod types;
 mod wire;
+
+#[cfg(test)]
+mod proptest_roundtrip;
 
 pub use attr::AttrList;
 pub use decode::{decode, decode_header, decode_view, DecodedHeader, RecordView, ViewValue};
 pub use encode::RecordEncoder;
 pub use error::{FfsError, Result};
-pub use registry::FormatRegistry;
-pub use types::{BaseType, DimSpec, FieldDesc, FormatBuilder, FormatDesc, Record, Value};
+pub use types::{BaseType, FieldDesc, FormatBuilder, FormatDesc, Record, Value};
 
 /// Wire-format magic bytes at the start of every encoded record.
 pub(crate) const MAGIC: [u8; 4] = *b"FFS1";

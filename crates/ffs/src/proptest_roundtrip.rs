@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
-use ffs::{
-    decode, decode_header, decode_view, BaseType, DimSpec, FieldDesc, FormatDesc, Record, Value,
-};
 use proptest::prelude::*;
+
+use crate::types::{BaseType, DimSpec, FieldDesc, FormatDesc, Record, Value};
+use crate::{decode, decode_header, decode_view};
 
 const NUMERIC: [BaseType; 10] = [
     BaseType::I8,

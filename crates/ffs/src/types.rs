@@ -93,7 +93,7 @@ impl BaseType {
 
 /// One dimension of an array field.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum DimSpec {
+pub(crate) enum DimSpec {
     /// Compile-time-fixed extent.
     Fixed(u64),
     /// Extent given by the named integer scalar field, which must be
@@ -132,7 +132,7 @@ impl FieldDesc {
         }
     }
 
-    pub fn array(name: impl Into<String>, elem: BaseType, dims: Vec<DimSpec>) -> Self {
+    pub(crate) fn array(name: impl Into<String>, elem: BaseType, dims: Vec<DimSpec>) -> Self {
         FieldDesc {
             name: name.into(),
             ty: FieldType::Array { elem, dims },
@@ -433,11 +433,11 @@ impl Record {
         }
     }
 
-    pub fn format(&self) -> &Arc<FormatDesc> {
+    pub(crate) fn format(&self) -> &Arc<FormatDesc> {
         &self.format
     }
 
-    pub fn attrs(&self) -> &AttrList {
+    pub(crate) fn attrs(&self) -> &AttrList {
         &self.attrs
     }
 
@@ -497,7 +497,8 @@ impl Record {
         Ok(())
     }
 
-    pub fn get(&self, name: &str) -> Option<&Value> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, name: &str) -> Option<&Value> {
         let idx = self.format.field_index(name)?;
         self.values[idx].as_ref()
     }

@@ -19,7 +19,9 @@ pub struct FetchRequest {
     /// Size of the exposed chunk in bytes (lets the scheduler plan without
     /// touching the data).
     pub chunk_bytes: usize,
-    /// Fingerprint of the chunk's `ffs` format, for cheap dispatch.
+    /// Fingerprint of the chunk's `ffs` format. Written by the client and
+    /// read by no stage: every chunk carries its own schema, so the
+    /// staging side decodes it without looking here.
     pub format: u64,
     /// Partial results attached by the compute-node pass
     /// (`partial_calculate`): local min/max, local sizes, prefix-sum
