@@ -35,18 +35,27 @@
 //!
 //! *Pulling* is the paper's server-directed, scheduled pull: one RDMA
 //! get per chunk, serially, each through the same path — fault plan
-//! consulted, retried under the step's deadline budget, skipped when the
-//! retries exhaust on a transient error ([`StepReport::truncated`]).
+//! consulted, retried under [`transport::retry`]'s one rule (at most four
+//! attempts), skipped when the retries exhaust on a transient error
+//! ([`StepReport::truncated`]).
 //!
 //! *Mapping* happens where and as soon as the chunk is pulled, so each
 //! operator's stream is in policy order by construction and a step
-//! spawns no thread and builds no queue. The busy times of
-//! `StageTimes` are spans of this one thread: they never exceed the
-//! stage's wall time.
+//! spawns no thread and builds no queue. The `pull`, `decode` and `map`
+//! rows of the rank's registry are spans of this one thread: together
+//! they never exceed the `pull_map` row.
 //!
-//! All waiting is condvar-based; there are no sleep-poll loops. The rank
-//! thread waits for one other: the policy, for at most
-//! [`StagingConfig::gather_timeout`].
+//! # One deadline per step
+//!
+//! `run_step` fixes one deadline when it starts,
+//! [`StagingConfig::step_timeout`] away, and every wait of the step is
+//! bounded by it: each gather receive waits until the deadline (a
+//! request that is late is waited for, never retried), and the pull
+//! policy's pacing waits get the time that remains. A step that reaches
+//! its deadline waiting ends with [`TransportError::Timeout`]. Pull
+//! retries are bounded by their attempt cap alone.
+//!
+//! All waiting is condvar-based; there are no sleep-poll loops.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -54,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use minimpi::{Comm, PoisonOnUnwind, World};
 use transport::{
-    FaultKind, FetchRequest, PullPolicy, RetryPolicy, Router, StagingEndpoint, TransportError,
+    retry, FaultKind, FetchRequest, PullPolicy, Router, StagingEndpoint, TransportError,
 };
 
 use crate::agg::Aggregates;
@@ -148,8 +157,6 @@ struct Mapped {
     bytes_pulled: u64,
     /// Every operator's `map_chunk` outputs, concatenated in policy order.
     per_op: Vec<Vec<Tagged>>,
-    /// The `*_busy` fields; `run_step` fills in the stages'.
-    times: StageTimes,
 }
 
 /// Static configuration of the staging area.
@@ -159,12 +166,10 @@ pub struct StagingConfig {
     pub(crate) n_compute: usize,
     /// Directory for operator outputs.
     pub(crate) out_dir: PathBuf,
-    /// Deadline for gathering one step's requests.
-    pub gather_timeout: Duration,
-    /// Retry policy for fetch-request receives, `rdma_get` pulls and
-    /// collective entries (its deadline is the per-step pull budget);
-    /// [`RetryPolicy::default`] unless the builder sets another.
-    pub(crate) retry: RetryPolicy,
+    /// How long one step may wait, from the start of
+    /// [`StagingRank::run_step`]: for its requests and for the pull
+    /// policy's pacing, all together (30 s by default).
+    pub step_timeout: Duration,
 }
 
 impl StagingConfig {
@@ -172,8 +177,7 @@ impl StagingConfig {
         StagingConfig {
             n_compute,
             out_dir: out_dir.into(),
-            gather_timeout: Duration::from_secs(30),
-            retry: RetryPolicy::default(),
+            step_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -194,30 +198,6 @@ pub struct StepReport {
     pub truncated: Vec<usize>,
     /// Per-operator results.
     pub results: Vec<OpResult>,
-    /// Where the step's time went.
-    pub(crate) stages: StageTimes,
-}
-
-/// Where one rank's `run_step` went: the wall time of its four stages
-/// (plain `Instant`s, recorded whether or not `obs` is; they sum to the
-/// call) and the busy time inside `pull_map`, summed over the step's
-/// chunks. The busy times
-/// are spans of the rank thread inside that stage, so together they
-/// never exceed its wall time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct StageTimes {
-    /// Mostly waiting for the compute side's requests.
-    pub(crate) gather: Duration,
-    pub(crate) aggregate: Duration,
-    pub(crate) pull_map: Duration,
-    /// Includes waiting for the slowest rank in the step's one shuffle.
-    pub(crate) exchange: Duration,
-    /// In `rdma_get`, retries included; not the policy's pacing waits.
-    pub(crate) pull_busy: Duration,
-    /// In `PackedChunk::unpack`.
-    pub(crate) decode_busy: Duration,
-    /// In the operators' `map_chunk`.
-    pub(crate) map_busy: Duration,
 }
 
 impl StepReport {
@@ -273,17 +253,16 @@ impl StagingRank {
         comm.set_obs(obs.clone());
         // An attached fault plan covers the staging-wide collectives
         // too: every collective entry consults `FaultKind::Collective`
-        // under the rank's `cfg.retry`. Injection happens only at
+        // under the retry rule. Injection happens only at
         // entry, before any message moves, and exhaustion *proceeds
         // anyway* — a rank unilaterally abandoning a collective would
         // deadlock its peers; the exhaustion is still counted
         // (`transport.retry_exhausted{op=collective}`) for the ladder.
         if let Some(plan) = endpoint.fault_plan() {
             let plan = Arc::clone(plan);
-            let retry = cfg.retry.clone();
             comm.set_collective_gate(Arc::new(move |_op, rank, seq| {
                 let kind = FaultKind::Collective;
-                let _ = retry.guard(&obs, Some(&plan), "collective", kind, rank, seq);
+                let _ = retry::guard(&obs, Some(&plan), "collective", kind, rank, seq);
             }));
         }
         Ok(StagingRank {
@@ -298,24 +277,18 @@ impl StagingRank {
     }
 
     /// Process one I/O step end to end: the four stages of the module
-    /// docs, and the one exit of a step that fails in one of them.
+    /// docs under the step's one deadline, and the one exit of a step
+    /// that fails in one of them.
     pub fn run_step(&mut self, step: u64) -> Result<StepReport, StagingError> {
+        let deadline = Instant::now() + self.cfg.step_timeout;
         // Filled by `gather` and kept here, so that whichever stage
         // abandons the step, the exit below sees what had arrived.
         let mut requests = Vec::new();
         let report = (|| {
-            let t0 = Instant::now();
-            self.gather(step, &mut requests)?;
-            let t1 = Instant::now();
+            self.gather(step, deadline, &mut requests)?;
             let agg = self.aggregate(step, &requests);
-            let t2 = Instant::now();
-            let mapped = self.pull_map(step, &mut requests, &agg)?;
-            let t3 = Instant::now();
-            let mut report = self.exchange(step, &agg, mapped);
-            let s = &mut report.stages;
-            (s.gather, s.aggregate, s.pull_map, s.exchange) =
-                (t1 - t0, t2 - t1, t3 - t2, t3.elapsed());
-            Ok(report)
+            let mapped = self.pull_map(step, deadline, &mut requests, &agg)?;
+            Ok(self.exchange(step, &agg, mapped))
         })();
         if report.is_err() {
             // A failed or timed-out step leaves terminal lineage
@@ -328,10 +301,16 @@ impl StagingRank {
     }
 
     /// Stage 1 (paper stage 2a): fill `requests` with this step's fetch
-    /// request from every compute rank this rank serves. Requests that
-    /// arrive early for a later step are stashed for its gather; one
-    /// for an earlier step is [`StagingError::StepSkew`].
-    fn gather(&mut self, step: u64, requests: &mut Vec<FetchRequest>) -> Result<(), StagingError> {
+    /// request from every compute rank this rank serves, waiting until
+    /// `deadline` at most. Requests that arrive early for a later step
+    /// are stashed for its gather; one for an earlier step is
+    /// [`StagingError::StepSkew`].
+    fn gather(
+        &mut self,
+        step: u64,
+        deadline: Instant,
+        requests: &mut Vec<FetchRequest>,
+    ) -> Result<(), StagingError> {
         let obs = self.comm.obs();
         let _span = obs::span_in(obs, "gather", step).rank(self.comm.rank());
         let n_served = self
@@ -343,16 +322,9 @@ impl StagingRank {
             .partition(|r| r.io_step == step);
         *requests = now;
         self.stashed = later;
-        // Receives retry in slices of the gather deadline: a missed
-        // slice is a retry (`transport.retries{op=recv}`), the spent
-        // deadline is exhaustion. The overall budget stays
-        // `gather_timeout`, as before retries existed.
-        let recv_retry = self.cfg.retry.clone().deadline(self.cfg.gather_timeout);
-        let recv_slice =
-            (self.cfg.gather_timeout / recv_retry.max_attempts()).max(Duration::from_millis(1));
         while requests.len() < n_served {
-            let endpoint = &self.endpoint;
-            let r = recv_retry.run(obs, "recv", step, |_| endpoint.recv_request(recv_slice))?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            let r = self.endpoint.recv_request(left)?;
             if r.io_step == step {
                 requests.push(r);
             } else if r.io_step > step {
@@ -387,6 +359,7 @@ impl StagingRank {
     fn pull_map(
         &mut self,
         step: u64,
+        deadline: Instant,
         requests: &mut Vec<FetchRequest>,
         agg: &Aggregates,
     ) -> Result<Mapped, StagingError> {
@@ -419,17 +392,14 @@ impl StagingRank {
                 .bytes(bytes as u64);
             obs.record(event);
         };
-        let retry = &self.cfg.retry;
-        let gather_timeout = self.cfg.gather_timeout;
-        let started = Instant::now();
+        let left = || deadline.saturating_duration_since(Instant::now());
         for req in requests.iter() {
             // The policy's deferral is the chunk's scheduling wait — the
             // rate/phase control the paper bounds interference with. It
-            // is asked again when it comes back unready with budget left;
-            // one that never turns ready ends the step like requests that
-            // never arrive.
+            // is asked again when it comes back unready before the step's
+            // deadline; one that never turns ready ends the step like
+            // requests that never arrive.
             let t_wait = Instant::now();
-            let left = || gather_timeout.saturating_sub(t_wait.elapsed());
             while !self.policy.wait_ready(req, left(), obs) {
                 if left().is_zero() {
                     return Err(TransportError::Timeout.into());
@@ -437,31 +407,23 @@ impl StagingRank {
             }
             let t_pull = Instant::now();
             event("pull_wait", req.src_rank, t_wait, t_pull, 0);
-            // The pull retries under the *step's* remaining deadline
-            // budget: transient errors (timeouts, stale handles, injected
-            // faults) back off and re-attempt; exhausting them skips this
-            // chunk — degradation, not abort. Any other error abandons the
-            // step.
+            // The pull runs under the retry rule: transient errors
+            // (timeouts, stale handles, injected faults) back off and
+            // re-attempt; exhausting them skips this chunk — degradation,
+            // not abort. Any other error abandons the step.
             let src_rank = req.src_rank as u64;
             let salt = (src_rank << 32) ^ step;
-            let remaining = retry
-                .step_deadline()
-                .saturating_sub(t_pull - started)
-                .max(Duration::from_millis(1));
-            let pulled = retry
-                .clone()
-                .deadline(remaining)
-                .run(obs, "pull", salt, |_| {
-                    let plan = self.endpoint.fault_plan();
-                    let fault = plan.and_then(|p| p.inject_pull(obs, src_rank, step, req.handle));
-                    fault.map_or_else(|| self.endpoint.rdma_get(req), Err)
-                });
+            let pulled = retry::retry(obs, "pull", salt, || {
+                let plan = self.endpoint.fault_plan();
+                let fault = plan.and_then(|p| p.inject_pull(obs, src_rank, step, req.handle));
+                fault.map_or_else(|| self.endpoint.rdma_get(req), Err)
+            });
             let buf = match pulled {
                 Ok(buf) => buf,
                 // A skipped chunk leaves the streams entirely — excluded,
                 // counted, and terminally marked in lineage, never
                 // silently half-applied.
-                Err(e) if RetryPolicy::is_retryable(&e) => {
+                Err(e) if e.is_retryable() => {
                     mark_truncated(obs, my_rank, req.src_rank, step);
                     obs.counter("staging.truncated_chunks", &[]).inc();
                     out.truncated.push(req.src_rank);
@@ -485,9 +447,6 @@ impl StagingRank {
             out.pull_order.push(req.src_rank);
             // The `decode` and `map` rows are the rank thread's busy time
             // (`Snapshot::worker_busy_ns`).
-            out.times.pull_busy += t_decode - t_pull;
-            out.times.decode_busy += t_map - t_decode;
-            out.times.map_busy += t_done - t_map;
             event("decode", req.src_rank, t_decode, t_map, 0);
             event("map", req.src_rank, t_map, t_done, 0);
         }
@@ -504,7 +463,6 @@ impl StagingRank {
             truncated,
             bytes_pulled,
             per_op,
-            times,
         } = mapped;
         let ctx = op_ctx(&self.comm, &self.cfg, step, agg);
         let mut ops: Vec<_> = self
@@ -521,7 +479,6 @@ impl StagingRank {
             pull_order,
             truncated,
             results,
-            stages: times,
         }
     }
 }
@@ -754,7 +711,7 @@ mod tests {
         let router: Arc<dyn Router> = Arc::new(BlockRouter::new(2, 1));
         let dir = out_dir("timeout");
         let mut cfg = StagingConfig::new(2, &dir);
-        cfg.gather_timeout = Duration::from_millis(30);
+        cfg.step_timeout = Duration::from_millis(30);
         let area = StagingArea::spawn(
             stagings,
             router,
@@ -769,6 +726,77 @@ mod tests {
             reports[0],
             Err(StagingError::Transport(TransportError::Timeout))
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The step's deadline is fixed when `run_step` starts, not restarted
+    /// per request: with T = 300 ms, rank 0 writing at once, rank 1
+    /// after 2T/3 and rank 2 never, the step times out at T — not a
+    /// full T after rank 1's request.
+    #[test]
+    fn one_deadline_bounds_the_whole_gather() {
+        const T: Duration = Duration::from_millis(300);
+        let (_fabric, computes, stagings) = Fabric::new(3, 1, None);
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(3, 1));
+        let dir = out_dir("one-deadline");
+        // Rank 2's client is held, never written with, until the end.
+        let mut clients: Vec<PredataClient> = computes
+            .into_iter()
+            .map(|e| PredataClient::new(e, Arc::clone(&router), vec![]))
+            .collect();
+        let _silent = clients.pop();
+        let mut cfg = StagingConfig::new(3, &dir);
+        cfg.step_timeout = T;
+        let mut sr = lone_rank(stagings, router, Box::new(FifoPolicy), Vec::new(), cfg);
+        let started = Instant::now();
+        let err = std::thread::scope(|s| {
+            s.spawn(move || {
+                for (r, client) in clients.iter().enumerate() {
+                    std::thread::sleep(T * 2 / 3 * r as u32);
+                    client
+                        .write_pg(make_particle_pg(r as u64, 0, vec![0.0; 8]))
+                        .unwrap();
+                }
+            });
+            sr.run_step(0).unwrap_err()
+        });
+        let took = started.elapsed();
+        assert!(
+            matches!(err, StagingError::Transport(TransportError::Timeout)),
+            "{err:?}"
+        );
+        assert!(took >= T && took < T * 2 / 3 + T, "{took:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A request that arrives late but inside the deadline is waited
+    /// for, not retried: the step completes and no retry is counted.
+    #[test]
+    fn a_late_request_is_waited_for_not_retried() {
+        const T: Duration = Duration::from_millis(300);
+        let obs = obs::Registry::new();
+        let (_fabric, mut computes, stagings) = Fabric::with_faults(1, 1, None, None, obs.clone());
+        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(1, 1));
+        let dir = out_dir("late-request");
+        let client = PredataClient::new(computes.remove(0), Arc::clone(&router), vec![]);
+        let mut cfg = StagingConfig::new(1, &dir);
+        cfg.step_timeout = T;
+        let mut sr = lone_rank(stagings, router, Box::new(FifoPolicy), Vec::new(), cfg);
+        let report = std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(T / 2);
+                client
+                    .write_pg(make_particle_pg(0, 0, vec![0.0; 8]))
+                    .unwrap();
+            });
+            sr.run_step(0).unwrap()
+        });
+        assert_eq!(report.pull_order, [0]);
+        let snapshot = obs.snapshot().to_json();
+        assert!(
+            !snapshot.contains("transport.retries"),
+            "a wait counted as a retry: {snapshot}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -974,8 +1002,9 @@ mod tests {
             Vec::new(),
             StagingConfig::new(2, &dir),
         );
+        let deadline = || Instant::now() + Duration::from_secs(5);
         let mut requests = Vec::new();
-        sr.gather(0, &mut requests).unwrap();
+        sr.gather(0, deadline(), &mut requests).unwrap();
         let key = |r: &FetchRequest| (r.src_rank, r.io_step);
         assert_eq!(
             requests.iter().map(key).collect::<Vec<_>>(),
@@ -986,7 +1015,7 @@ mod tests {
         // Rank 1 writes step 0 again: late for the gather of step 1,
         // which by then holds the stashed request.
         write(1, 0);
-        let err = sr.gather(1, &mut requests).unwrap_err();
+        let err = sr.gather(1, deadline(), &mut requests).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1027,21 +1056,18 @@ mod tests {
                 .write_pg(make_particle_pg(r as u64, STEP, vec![0.5; (r + 1) * 8]))
                 .unwrap();
         }
-        let mut cfg = StagingConfig::new(3, &dir);
-        cfg.retry = RetryPolicy::default()
-            .attempts(3)
-            .base_backoff(Duration::from_micros(100));
         let mut sr = lone_rank(
             stagings,
             router,
             Box::new(LargestFirstPolicy),
             vec![Box::new(HistogramOp::new(vec![0], 4))],
-            cfg,
+            StagingConfig::new(3, &dir),
         );
+        let deadline = Instant::now() + Duration::from_secs(5);
         let mut requests = Vec::new();
-        sr.gather(STEP, &mut requests).unwrap();
+        sr.gather(STEP, deadline, &mut requests).unwrap();
         let agg = sr.aggregate(STEP, &requests);
-        let mapped = sr.pull_map(STEP, &mut requests, &agg).unwrap();
+        let mapped = sr.pull_map(STEP, deadline, &mut requests, &agg).unwrap();
 
         let policy_order: Vec<usize> = requests.iter().map(|r| r.src_rank).collect();
         assert_eq!(policy_order, [2, 1, 0], "largest chunk first");
@@ -1068,8 +1094,8 @@ mod tests {
     }
 
     /// The rank thread bounds its own wait for the policy: a policy that
-    /// never turns ready ends the step with `Timeout` after
-    /// `gather_timeout`, and the step's exit marks every gathered chunk
+    /// never turns ready ends the step with `Timeout` at the step's
+    /// deadline, and the step's exit marks every gathered chunk
     /// truncated.
     #[test]
     fn a_policy_that_never_turns_ready_times_the_step_out() {
@@ -1084,7 +1110,7 @@ mod tests {
                 .unwrap();
         }
         let mut cfg = StagingConfig::new(3, &dir);
-        cfg.gather_timeout = Duration::from_millis(200);
+        cfg.step_timeout = Duration::from_millis(200);
         let mut sr = lone_rank(stagings, router, Box::new(NeverReady), Vec::new(), cfg);
         let started = Instant::now();
         let err = sr.run_step(STEP).unwrap_err();
@@ -1129,23 +1155,27 @@ mod tests {
         );
         let report = sr.run_step(0).unwrap();
         assert_eq!(report.pull_order, [0, 1, 2, 3, 4, 5, 6, 7]);
+        let pull_map = obs.snapshot().span("pull_map", 0).unwrap();
         assert!(
-            report.stages.pull_map >= Duration::from_millis(350),
-            "8 × 64 KiB at 1 MB/s took {:?}",
-            report.stages.pull_map
+            pull_map.total_ns >= 350_000_000,
+            "8 × 64 KiB at 1 MB/s took {} ns",
+            pull_map.total_ns
         );
         let deferrals = obs.counter("transport.pull_deferrals", &[("policy", "rate_limited")]);
         assert_eq!(deferrals.get(), 7, "one deferral per pull after the first");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The four stage times are the step: on a 64-chunk step they sum to
-    /// within 10 % of the `run_step` call, and stage 3's busy times fit
-    /// inside it.
+    /// The registry's stage rows are the step: on a 64-chunk step the
+    /// four stages' rows (stage 4 as its combine, shuffle, reduce and
+    /// finalize) sum to within 10 % of the `run_step` call, and stage
+    /// 3's busy rows fit inside its `pull_map` row.
     #[test]
     fn stage_times_sum_to_the_step() {
         let n_compute = 64;
-        let (_fabric, computes, stagings) = Fabric::new(n_compute, 1, None);
+        let obs = obs::Registry::new();
+        let (_fabric, computes, stagings) =
+            Fabric::with_faults(n_compute, 1, None, None, obs.clone());
         let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, 1));
         let dir = out_dir("stage-times");
         for (r, e) in computes.into_iter().enumerate() {
@@ -1164,14 +1194,25 @@ mod tests {
         let report = sr.run_step(0).unwrap();
         let wall = started.elapsed();
         assert_eq!(report.chunks, 64);
-        let s = report.stages;
-        let sum = s.gather + s.aggregate + s.pull_map + s.exchange;
-        assert!(sum <= wall && sum >= wall.mul_f64(0.9), "{s:?} of {wall:?}");
+        let snap = obs.snapshot();
+        let ns = |stage| snap.span(stage, 0).map_or(0, |s| s.total_ns);
+        let stages = [
+            "gather",
+            "aggregate",
+            "pull_map",
+            "combine",
+            "shuffle",
+            "reduce",
+            "finalize",
+        ];
+        let sum = Duration::from_nanos(stages.iter().map(|s| ns(s)).sum());
         assert!(
-            s.pull_busy + s.decode_busy + s.map_busy <= s.pull_map,
-            "{s:?}"
+            sum <= wall && sum >= wall.mul_f64(0.9),
+            "{sum:?} of {wall:?}"
         );
-        assert!(!s.pull_busy.is_zero() && !s.decode_busy.is_zero() && !s.map_busy.is_zero());
+        let busy = ["pull", "decode", "map"].map(ns);
+        assert!(busy.iter().sum::<u64>() <= ns("pull_map"), "{busy:?}");
+        assert!(busy.iter().all(|&b| b > 0), "{busy:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

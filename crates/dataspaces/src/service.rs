@@ -32,8 +32,8 @@
 //!
 //! The service is a boundary of the staged read path, so it honours the
 //! fault plan of the space it serves ([`DataSpaces::fault_plan`], set by
-//! [`DataSpaces::with_faults`]): each query passes the space's
-//! [`RetryPolicy::guard`](transport::RetryPolicy::guard) as a
+//! [`DataSpaces::with_faults`]): each query passes
+//! [`retry::guard`](transport::retry::guard) as a
 //! [`FaultKind::Query`] before it touches the space — transient faults
 //! are absorbed by retries (counted in
 //! `transport.retries{op=query}`), exhaustion surfaces as
@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use bpio::DataArray;
 use parking_lot::Mutex;
 use transport::evq::{EventQueue, PollError, SubmitError};
-use transport::FaultKind;
+use transport::{retry, FaultKind};
 
 use crate::domain::Region;
 use crate::error::DsError;
@@ -412,22 +412,21 @@ fn execute(inner: &Arc<Inner>, job: &QueryJob) -> Result<QueryOutput, DsError> {
     if Instant::now() >= job.deadline {
         return Err(DsError::DeadlineMissed { query: job.id });
     }
-    // Resilience boundary: consult the space's fault plan under its
-    // retry policy before touching the space.
-    let (plan, retry) = inner.space.fault_plan();
-    retry
-        .guard(
-            inner.space.obs(),
-            plan,
-            "query",
-            FaultKind::Query,
-            job.id,
-            job.version,
-        )
-        .map_err(|cause| DsError::Faulted {
-            query: job.id,
-            cause,
-        })?;
+    // Resilience boundary: consult the space's fault plan under the
+    // retry rule before touching the space.
+    let plan = inner.space.fault_plan();
+    retry::guard(
+        inner.space.obs(),
+        plan,
+        "query",
+        FaultKind::Query,
+        job.id,
+        job.version,
+    )
+    .map_err(|cause| DsError::Faulted {
+        query: job.id,
+        cause,
+    })?;
     let now = Instant::now();
     if now >= job.deadline {
         return Err(DsError::DeadlineMissed { query: job.id });
@@ -478,17 +477,10 @@ fn serve_continuous(inner: &Arc<Inner>, var: &str, version: u64) {
 mod tests {
     use super::*;
     use crate::domain::DsConfig;
-    use transport::RetryPolicy;
 
     /// A space of its own, recording into a registry of its own.
     fn own_space(cfg: DsConfig) -> Arc<DataSpaces> {
-        let retry = RetryPolicy::default();
-        Arc::new(DataSpaces::with_faults(
-            cfg,
-            None,
-            retry,
-            obs::Registry::new(),
-        ))
+        Arc::new(DataSpaces::with_faults(cfg, None, obs::Registry::new()))
     }
 
     fn staged_space() -> Arc<DataSpaces> {

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use bpio::{copy_box_between, DataArray, Dtype};
 use parking_lot::{Condvar, Mutex, RwLock};
-use transport::{FaultKind, FaultPlan, RetryPolicy};
+use transport::{retry, FaultKind, FaultPlan};
 
 use crate::domain::{DsConfig, Region};
 use crate::error::DsError;
@@ -99,7 +99,6 @@ pub struct DataSpaces {
     hooks: RwLock<Vec<CommitHook>>,
     stats: Arc<SpaceStats>,
     faults: Option<Arc<FaultPlan>>,
-    retry: RetryPolicy,
     obs: obs::Registry,
 }
 
@@ -107,19 +106,14 @@ impl DataSpaces {
     /// A space with no fault plan, recording into the
     /// [global registry](obs::global).
     pub fn new(cfg: DsConfig) -> Self {
-        Self::with_faults(cfg, None, RetryPolicy::default(), obs::global().clone())
+        Self::with_faults(cfg, None, obs::global().clone())
     }
 
-    /// [`new`](Self::new) with a fault plan, the retry policy that
-    /// absorbs it and the registry the space records into: the one way
-    /// a plan or a registry reaches this space's puts and the queries a
+    /// [`new`](Self::new) with a fault plan and the registry the space
+    /// records into: the one way a plan or a registry reaches this
+    /// space's puts and the queries a
     /// [`QueryService`](crate::QueryService) serves over it.
-    pub fn with_faults(
-        cfg: DsConfig,
-        faults: Option<Arc<FaultPlan>>,
-        retry: RetryPolicy,
-        obs: obs::Registry,
-    ) -> Self {
+    pub fn with_faults(cfg: DsConfig, faults: Option<Arc<FaultPlan>>, obs: obs::Registry) -> Self {
         let index = ShardIndex::new(cfg.n_shards);
         let dirs = (0..cfg.n_shards).map(|_| DirShard::default()).collect();
         DataSpaces {
@@ -130,7 +124,6 @@ impl DataSpaces {
             hooks: RwLock::new(Vec::new()),
             stats: Arc::default(),
             faults,
-            retry,
             obs,
         }
     }
@@ -143,10 +136,9 @@ impl DataSpaces {
         &self.stats
     }
 
-    /// The fault plan this space was built with, if any, and the retry
-    /// policy that absorbs it.
-    pub(crate) fn fault_plan(&self) -> (Option<&FaultPlan>, &RetryPolicy) {
-        (self.faults.as_deref(), &self.retry)
+    /// The fault plan this space was built with, if any.
+    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.faults.as_deref()
     }
 
     /// The registry this space, and a query service over it, record
@@ -247,24 +239,23 @@ impl DataSpaces {
         }
         // Fault hook: the space's plan may fail this put (FaultKind::Put
         // rides the drop probability with its own salt). Transients are
-        // absorbed by the space's retry policy before any block is
-        // touched — a retried put never half-writes; exhaustion surfaces
-        // as `PutFaulted` with the transport cause chained.
+        // absorbed by the retry rule before any block is touched — a
+        // retried put never half-writes; exhaustion surfaces as
+        // `PutFaulted` with the transport cause chained.
         let plan = self.faults.as_deref();
-        self.retry
-            .guard(
-                &self.obs,
-                plan,
-                "put",
-                FaultKind::Put,
-                var.id as u64,
-                version,
-            )
-            .map_err(|cause| DsError::PutFaulted {
-                var: var.name.to_string(),
-                version,
-                cause,
-            })?;
+        retry::guard(
+            &self.obs,
+            plan,
+            "put",
+            FaultKind::Put,
+            var.id as u64,
+            version,
+        )
+        .map_err(|cause| DsError::PutFaulted {
+            var: var.name.to_string(),
+            version,
+            cause,
+        })?;
         for g in self.cfg.blocks_of(region) {
             let block_region = self.cfg.block_region(&g);
             let isect = block_region
@@ -764,18 +755,12 @@ mod tests {
 
     #[test]
     fn put_faults_are_absorbed_or_chain_their_cause() {
-        let retry = RetryPolicy::default()
-            .attempts(4)
-            .base_backoff(Duration::from_millis(1))
-            .max_backoff(Duration::from_millis(2))
-            .deadline(Duration::from_secs(5));
-        // Transient: one injection per (var, version); the retry wrapper
+        // Transient: one injection per (var, version); the retry rule
         // absorbs it and the put lands byte-identical.
         let plan = FaultPlan::new(11).drop_chunks(1.0).max_injections(1);
         let ds = DataSpaces::with_faults(
             DsConfig::new(vec![64, 64], vec![16, 16], 4),
             Some(Arc::new(plan)),
-            retry.clone(),
             obs::Registry::new(),
         );
         let r = Region::new(vec![0, 0], vec![8, 8]);
@@ -791,13 +776,12 @@ mod tests {
             .counter("transport.retries", &[("op", "put")]);
         assert_eq!(retries, Some(1), "one retry, in the space's registry");
 
-        // Persistent: injections outlast the retry budget; the put
+        // Persistent: injections outlast the retries; the put
         // fails with the transport cause chained through `source()`.
         let plan = FaultPlan::new(11).drop_chunks(1.0);
         let ds = DataSpaces::with_faults(
             DsConfig::new(vec![64, 64], vec![16, 16], 4),
             Some(Arc::new(plan)),
-            retry,
             obs::Registry::new(),
         );
         let e = ds.put("field", 0, &r, ramp(&r)).unwrap_err();

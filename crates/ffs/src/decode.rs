@@ -6,7 +6,7 @@ use std::sync::Arc;
 use crate::attr::AttrList;
 use crate::encode::{FLAGS, WIRE_VERSION};
 use crate::error::{FfsError, Result};
-use crate::types::{BaseType, DimSpec, FieldDesc, FieldType, FormatDesc, Record, Value};
+use crate::types::{BaseType, DimSpec, FieldDesc, FieldType, FormatDesc, Value};
 use crate::wire::Reader;
 use crate::MAGIC;
 
@@ -40,15 +40,18 @@ pub fn decode_header(buf: &[u8]) -> Result<DecodedHeader> {
 
 /// Decode a full record: [`decode_view`], then every field materialized
 /// into an owned [`Value`] (array payloads are copied out of `buf`).
-/// The second argument is always `None`; see [`decode_view`].
-pub fn decode(buf: &[u8], _no_registry: Option<Infallible>) -> Result<Record> {
+/// The second argument is always `None`; see [`decode_view`]. The
+/// round-trip tests' oracle: the pipeline reads records through
+/// [`decode_view`] alone.
+#[cfg(test)]
+pub(crate) fn decode(buf: &[u8], _no_registry: Option<Infallible>) -> Result<crate::Record> {
     let view = decode_view(buf, None)?;
     let values = view
         .values
         .iter()
         .map(|v| v.to_value().map(Some))
         .collect::<Result<_>>()?;
-    Ok(Record::from_decoded(view.format, values, view.attrs))
+    Ok(crate::Record::from_decoded(view.format, values, view.attrs))
 }
 
 /// One field of a [`RecordView`]: scalars are decoded eagerly (they are
@@ -136,6 +139,7 @@ impl<'a> ViewValue<'a> {
 pub struct RecordView<'a> {
     format: Arc<FormatDesc>,
     values: Vec<ViewValue<'a>>,
+    #[cfg(test)]
     attrs: AttrList,
 }
 
@@ -151,8 +155,8 @@ impl<'a> RecordView<'a> {
 }
 
 /// Decode a record without copying array payloads: the returned view
-/// borrows every array field from `buf`. This is the one record walk —
-/// [`decode`] materializes its result.
+/// borrows every array field from `buf`. This is the one record walk
+/// (the tests' owned decoder materializes its result).
 ///
 /// Every record carries its schema, so there is no format registry to
 /// pass: the second argument is an `Option` of the uninhabited
@@ -171,7 +175,9 @@ pub fn decode_view<'a>(buf: &'a [u8], _no_registry: Option<Infallible>) -> Resul
     }
     let format = Arc::new(format);
 
-    let attrs = AttrList::decode_from(&mut r)?;
+    // The record-level attributes precede the fields; only tests read
+    // them.
+    let _attrs = AttrList::decode_from(&mut r)?;
 
     let mut values: Vec<ViewValue<'a>> = Vec::with_capacity(format.fields().len());
     for field in format.fields() {
@@ -204,7 +210,8 @@ pub fn decode_view<'a>(buf: &'a [u8], _no_registry: Option<Infallible>) -> Resul
     Ok(RecordView {
         format,
         values,
-        attrs,
+        #[cfg(test)]
+        attrs: _attrs,
     })
 }
 
@@ -286,7 +293,7 @@ pub(crate) fn view_value<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::FieldDesc;
+    use crate::types::{FieldDesc, Record};
 
     fn sample() -> Record {
         let fmt = FormatDesc::new("sample")

@@ -58,7 +58,7 @@ mod wire;
 mod proptest_roundtrip;
 
 pub use attr::AttrList;
-pub use decode::{decode, decode_header, decode_view, DecodedHeader, RecordView, ViewValue};
+pub use decode::{decode_header, decode_view, DecodedHeader, RecordView, ViewValue};
 pub use encode::RecordEncoder;
 pub use error::{FfsError, Result};
 pub use types::{BaseType, FieldDesc, FormatBuilder, FormatDesc, Record, Value};

@@ -6,8 +6,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use crate::decode::decode;
 use crate::types::{BaseType, DimSpec, FieldDesc, FormatDesc, Record, Value};
-use crate::{decode, decode_header, decode_view};
+use crate::{decode_header, decode_view};
 
 const NUMERIC: [BaseType; 10] = [
     BaseType::I8,

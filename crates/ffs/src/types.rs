@@ -421,6 +421,7 @@ impl Record {
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn from_decoded(
         format: Arc<FormatDesc>,
         values: Vec<Option<Value>>,

@@ -58,6 +58,19 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+impl TransportError {
+    /// Whether this error is worth retrying: timeouts and stale handles
+    /// are transient races (the exposure may land a beat later);
+    /// disconnects and pin-budget refusals are not — retrying cannot
+    /// make a dropped peer or an over-committed budget succeed.
+    pub fn is_retryable(&self) -> bool {
+        matches!(
+            self,
+            TransportError::Timeout | TransportError::StaleHandle(_)
+        )
+    }
+}
+
 /// Completion notice delivered to the exposing compute endpoint when a
 /// staging node finishes pulling one of its chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

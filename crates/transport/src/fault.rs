@@ -48,7 +48,7 @@
 //!
 //! | builder | meaning | default |
 //! |---|---|---|
-//! | [`new(seed)`](FaultPlan::new) | hash seed for chunk selection and retry jitter | — |
+//! | [`new(seed)`](FaultPlan::new) | hash seed for chunk selection | — |
 //! | [`drop_chunks`](FaultPlan::drop_chunks) | P(pull attempt fails with `Timeout`, exposure kept); also P(query-service / DataSpaces-put / collective-entry attempt faults — each independently salted and keyed, so enabling one never perturbs another's schedule) | `0` |
 //! | [`stale_handles`](FaultPlan::stale_handles) | P(pull attempt fails with `StaleHandle`, exposure kept) | `0` |
 //! | [`pin_exhaustion`](FaultPlan::pin_exhaustion) | P(`expose` fails with `PinBudgetExceeded`) | `0` |

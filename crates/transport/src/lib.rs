@@ -43,10 +43,10 @@
 //! The transport is also where failures are *made reproducible*: a
 //! seeded [`FaultPlan`], handed to [`Fabric::with_faults`] (see
 //! `fault`), injects drop/stale-handle/pin-exhaustion faults on a
-//! deterministic schedule, and [`RetryPolicy`] (see `retry`) gives
-//! pullers exponential backoff with jitter under a per-step deadline
-//! budget. Both are constructor arguments; neither is read from the
-//! environment.
+//! deterministic schedule, and [`retry`] is the one rule that absorbs
+//! them: at most four attempts, with exponential backoff and
+//! deterministic jitter. The plan is a constructor argument, the rule
+//! has no knob, and neither is read from the environment.
 //!
 //! # Example
 //!
@@ -87,7 +87,7 @@ mod fabric;
 mod fault;
 mod policy;
 mod request;
-mod retry;
+pub mod retry;
 mod router;
 
 pub use fabric::{
@@ -100,5 +100,4 @@ pub use policy::{
     RateLimitedPolicy,
 };
 pub use request::FetchRequest;
-pub use retry::RetryPolicy;
 pub use router::{BlockRouter, Router};

@@ -18,7 +18,7 @@ use predata::ffs::AttrList;
 use predata::minimpi::World;
 use predata::obs::Registry;
 use predata::transport::{
-    BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPolicy, RetryPolicy, Router, TransportError,
+    BlockRouter, Fabric, FetchRequest, FifoPolicy, PullPolicy, Router, TransportError,
 };
 
 fn out_dir(tag: &str) -> std::path::PathBuf {
@@ -275,7 +275,7 @@ fn partial_dump_times_out_cleanly() {
     let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, 1));
     let dir = out_dir("partial");
     let mut cfg = StagingConfig::new(n_compute, &dir);
-    cfg.gather_timeout = Duration::from_millis(80);
+    cfg.step_timeout = Duration::from_millis(80);
     let area = StagingArea::spawn(
         stagings,
         Arc::clone(&router),
@@ -335,7 +335,6 @@ fn run_gtc(
     let space = Arc::new(DataSpaces::with_faults(
         DsConfig::new(vec![GTC_IDS, n_compute as u64], vec![10, 1], 4),
         faults.clone(),
-        RetryPolicy::default(),
         obs.clone(),
     ));
     let (_fabric, computes, stagings) =

@@ -189,7 +189,6 @@ fn consume(input: Input, bytes: &[u8], tag: &str) {
             if let Ok(view) = predata::ffs::decode_view(bytes, None) {
                 drop(view.get("pg").map(|v| v.to_value()));
             }
-            drop(predata::ffs::decode(bytes, None));
         }
         Input::Footer => drop(FileIndex::decode(bytes)),
         Input::File | Input::Aliased => {

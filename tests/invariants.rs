@@ -16,8 +16,14 @@
 //!   function under `crates/*/src` that reads the process environment;
 //!   every `PREDATA_*` name in `crates/` is a row of `docs/OPERATIONS.md`
 //!   and is read in `obs::Config::from_lookup`, and the table has no
-//!   other rows. Fault plans and retry policies are constructor
-//!   arguments, not knobs.
+//!   other rows. Fault plans are constructor arguments, not knobs.
+//! - **One retry rule, one step deadline.** `transport::retry` is one
+//!   fixed rule (four attempts, a doubling backoff) with no value to set,
+//!   and a staging step waits under one deadline,
+//!   `StagingConfig::step_timeout`, fixed when `run_step` starts. A
+//!   `RetryPolicy`, its builders, a `gather_timeout`, a second step clock
+//!   (`StageTimes`) or a retried receive in `gather` comes back only with
+//!   this test changed in the same commit.
 //! - **No unpriced subsystem.** A subsystem the paper does not have —
 //!   elastic membership, a live telemetry plane, admission shedding, an
 //!   automatic in-compute fallback — and the code only tests and
@@ -352,6 +358,41 @@ fn one_environment_reader() {
     assert!(
         unread.is_empty(),
         "knobs obs::Config::from_lookup does not read: {unread:?}"
+    );
+}
+
+#[test]
+fn one_retry_rule_and_one_step_deadline() {
+    const GONE: [&str; 7] = [
+        "RetryPolicy",
+        "fn attempts(",
+        "fn base_backoff(",
+        "fn max_backoff(",
+        "fn step_deadline(",
+        "gather_timeout",
+        "StageTimes",
+    ];
+    let this = root().join(file!());
+    let hits = offending_lines(".", &|p| is_rust(p) && p != this, &|line| {
+        GONE.iter().any(|name| line.contains(name))
+    });
+    assert!(
+        hits.is_empty(),
+        "a retry knob or a second step budget is back:\n{}",
+        hits.join("\n")
+    );
+
+    let staging = read(&root().join("crates/core/src/staging.rs"));
+    let gather = fn_body(&staging, "gather");
+    assert!(
+        !gather.contains("retry"),
+        "gather retries its receives again:\n{gather}"
+    );
+    let run_step = fn_body(&staging, "run_step");
+    assert_eq!(
+        run_step.matches("Instant::now()").count(),
+        1,
+        "run_step reads the clock once, for its deadline:\n{run_step}"
     );
 }
 
