@@ -34,8 +34,9 @@
 //! ```
 //!
 //! *Pulling* is the paper's server-directed, scheduled pull: one RDMA
-//! get per chunk, serially, each through the same path — fault plan
-//! consulted, retried under [`transport::retry`]'s one rule (at most four
+//! get per chunk, serially, each through the same path — one
+//! `rdma_get` (which consults the fabric's fault plan, if any),
+//! retried under [`transport::retry`]'s one rule (at most four
 //! attempts), skipped when the retries exhaust on a transient error
 //! ([`StepReport::truncated`]).
 //!
@@ -62,9 +63,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minimpi::{Comm, PoisonOnUnwind, World};
-use transport::{
-    retry, FaultKind, FetchRequest, PullPolicy, Router, StagingEndpoint, TransportError,
-};
+use transport::{retry, FetchRequest, PullPolicy, Router, StagingEndpoint, TransportError};
 
 use crate::agg::Aggregates;
 use crate::chunk::{ChunkError, PackedChunk};
@@ -169,6 +168,13 @@ pub struct StagingConfig {
     /// How long one step may wait, from the start of
     /// [`StagingRank::run_step`]: for its requests and for the pull
     /// policy's pacing, all together (30 s by default).
+    ///
+    /// Under [`StagingArea::spawn`] a rank starts step s + 1 as soon as
+    /// step s ends, so this deadline also covers the wait for the step's
+    /// *first* request — the simulation's compute time between two
+    /// dumps. It must exceed the dump interval: a run whose dumps are
+    /// further apart fails with [`TransportError::Timeout`] though
+    /// nothing is wrong.
     pub step_timeout: Duration,
 }
 
@@ -240,6 +246,9 @@ impl StagingRank {
     ///
     /// The rank records into its endpoint's registry, and binds it to
     /// `comm` so the operators' context ([`OpCtx::comm`]) reaches it too.
+    /// A fault plan reaches the rank only through its endpoint: the
+    /// fabric faults `rdma_get` itself, and the staging collectives are
+    /// never faulted.
     pub fn new(
         mut comm: Comm,
         endpoint: StagingEndpoint,
@@ -249,22 +258,7 @@ impl StagingRank {
         cfg: StagingConfig,
     ) -> Result<Self, StagingError> {
         std::fs::create_dir_all(&cfg.out_dir)?;
-        let obs = endpoint.obs().clone();
-        comm.set_obs(obs.clone());
-        // An attached fault plan covers the staging-wide collectives
-        // too: every collective entry consults `FaultKind::Collective`
-        // under the retry rule. Injection happens only at
-        // entry, before any message moves, and exhaustion *proceeds
-        // anyway* — a rank unilaterally abandoning a collective would
-        // deadlock its peers; the exhaustion is still counted
-        // (`transport.retry_exhausted{op=collective}`) for the ladder.
-        if let Some(plan) = endpoint.fault_plan() {
-            let plan = Arc::clone(plan);
-            comm.set_collective_gate(Arc::new(move |_op, rank, seq| {
-                let kind = FaultKind::Collective;
-                let _ = retry::guard(&obs, Some(&plan), "collective", kind, rank, seq);
-            }));
-        }
+        comm.set_obs(endpoint.obs().clone());
         Ok(StagingRank {
             comm,
             endpoint,
@@ -408,16 +402,12 @@ impl StagingRank {
             let t_pull = Instant::now();
             event("pull_wait", req.src_rank, t_wait, t_pull, 0);
             // The pull runs under the retry rule: transient errors
-            // (timeouts, stale handles, injected faults) back off and
-            // re-attempt; exhausting them skips this chunk — degradation,
-            // not abort. Any other error abandons the step.
+            // (timeouts, stale handles, the fabric's injected faults)
+            // back off and re-attempt; exhausting them skips this chunk —
+            // degradation, not abort. Any other error abandons the step.
             let src_rank = req.src_rank as u64;
             let salt = (src_rank << 32) ^ step;
-            let pulled = retry::retry(obs, "pull", salt, || {
-                let plan = self.endpoint.fault_plan();
-                let fault = plan.and_then(|p| p.inject_pull(obs, src_rank, step, req.handle));
-                fault.map_or_else(|| self.endpoint.rdma_get(req), Err)
-            });
+            let pulled = retry::retry(obs, "pull", salt, || self.endpoint.rdma_get(req));
             let buf = match pulled {
                 Ok(buf) => buf,
                 // A skipped chunk leaves the streams entirely — excluded,
@@ -581,7 +571,8 @@ mod tests {
     use crate::ops::HistogramOp;
     use crate::schema::make_particle_pg;
     use transport::{
-        BlockRouter, Fabric, FaultPlan, FifoPolicy, LargestFirstPolicy, RateLimitedPolicy,
+        BlockRouter, Fabric, FaultKind, FaultPlan, FifoPolicy, LargestFirstPolicy,
+        RateLimitedPolicy,
     };
 
     fn out_dir(name: &str) -> PathBuf {
@@ -802,7 +793,11 @@ mod tests {
 
     /// A staged GTC step — the four GTC operators on two staging ranks —
     /// enters exactly three collectives per rank: the requests' `gather`,
-    /// the aggregates' `allgather` and the exchange's one `alltoall`.
+    /// the aggregates' `allgather` and the exchange's one `alltoall`. On
+    /// two ranks they move four messages a step: the `allgather`'s gather
+    /// and its fan-out, then one `alltoall` send each way. A barrier more
+    /// adds a collective call, an `alltoall` more adds one and two
+    /// messages.
     #[test]
     fn a_gtc_step_enters_gather_allgather_and_alltoall_only() {
         use crate::ops::{BitmapIndexOp, Histogram2dOp, SortOp};
@@ -828,11 +823,7 @@ mod tests {
             }
         }
         let stagings = parking_lot::Mutex::new(stagings.into_iter().map(Some).collect::<Vec<_>>());
-        let entered = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let log = Arc::clone(&entered);
-        let (reports, world) = World::run_with_stats(n_staging, move |mut comm| {
-            let log = Arc::clone(&log);
-            comm.set_collective_gate(Arc::new(move |op, rank, _| log.lock().push((rank, op))));
+        let (reports, world) = World::run_with_stats(n_staging, move |comm| {
             let endpoint = stagings.lock()[comm.rank()].take().unwrap();
             let ops: Vec<Box<dyn StreamOp>> = vec![
                 Box::new(SortOp::new()),
@@ -848,17 +839,7 @@ mod tests {
                 .map(|s| sr.run_step(s).unwrap())
                 .collect::<Vec<_>>()
         });
-        for (rank, reports) in reports.iter().enumerate() {
-            let ops: Vec<_> = entered
-                .lock()
-                .iter()
-                .filter(|e| e.0 == rank as u64)
-                .map(|e| e.1)
-                .collect();
-            assert_eq!(
-                ops,
-                ["gather", "allgather", "alltoall"].repeat(steps as usize)
-            );
+        for reports in &reports {
             assert!(reports
                 .iter()
                 .all(|r| r.chunks == 2 && r.results.len() == 4));
@@ -867,6 +848,7 @@ mod tests {
             world.stats().collective_calls(),
             3 * n_staging as u64 * steps
         );
+        assert_eq!(world.stats().messages(), 4 * steps);
         std::fs::remove_dir_all(out_dir("gtc-collectives")).ok();
     }
 

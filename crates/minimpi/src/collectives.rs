@@ -27,7 +27,6 @@ impl Comm {
     /// Gather per-rank values to `root`, ordered by rank.
     pub fn gather<T: MpiData + Clone>(&self, root: usize, value: T) -> Option<Vec<T>> {
         self.world().stats().record_collective();
-        self.gate_collective("gather");
         if self.rank() == root {
             let mut value = Some(value);
             Some(
@@ -51,7 +50,6 @@ impl Comm {
     pub fn allgather<T: MpiData + Clone>(&self, value: T) -> Vec<T> {
         let gathered = self.gather(0, value);
         self.world().stats().record_collective();
-        self.gate_collective("allgather");
         if self.rank() == 0 {
             let v = gathered.expect("rank 0 gathered");
             let bytes = v.iter().map(MpiData::byte_len).sum();
@@ -75,7 +73,6 @@ impl Comm {
             "alltoall: need one value per rank"
         );
         self.world().stats().record_collective();
-        self.gate_collective("alltoall");
         let mut mine = None;
         for (r, v) in values.into_iter().enumerate() {
             if r == self.rank() {
@@ -137,72 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn collective_gate_fires_at_every_data_moving_entry() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let entries = Arc::new(AtomicU64::new(0));
-        let counted = Arc::clone(&entries);
-        let out = World::run(4, move |mut c| {
-            let counted = Arc::clone(&counted);
-            c.set_collective_gate(Arc::new(move |_op, _rank, _seq| {
-                counted.fetch_add(1, Ordering::Relaxed);
-            }));
-            let t = c.alltoall(vec![c.rank() as u64; 4]); // 1 entry
-            c.barrier(); // moves no data: no entry
-            let g = c.allgather(c.rank() as u64); // gather + allgather: 2 entries
-            (t, g)
-        });
-        for (t, g) in out {
-            assert_eq!(t, vec![0, 1, 2, 3]);
-            assert_eq!(g, vec![0, 1, 2, 3]);
-        }
-        // 4 ranks × (alltoall 1 + allgather 2) = 12 entries.
-        assert_eq!(entries.load(Ordering::Relaxed), 12);
-    }
-
-    #[test]
-    fn gate_sequence_numbers_are_deterministic_per_rank() {
-        use parking_lot::Mutex;
-        use std::sync::Arc;
-        let run = || {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&log);
-            World::run(2, move |mut c| {
-                let sink = Arc::clone(&sink);
-                c.set_collective_gate(Arc::new(move |op, rank, seq| {
-                    sink.lock().push((op, rank, seq));
-                }));
-                c.gather(1, c.rank() as u64);
-                c.alltoall(vec![c.rank() as u64; 2]);
-                c.allgather(c.rank() as u64);
-            });
-            let mut entries = log.lock().clone();
-            entries.sort_unstable_by_key(|&(_, rank, seq)| (rank, seq));
-            entries
-        };
-        let a = run();
-        assert_eq!(a, run(), "same program, same gate schedule");
-        // Per rank: gather(0) alltoall(1) gather(2) allgather(3).
-        for rank in 0..2u64 {
-            let ops: Vec<_> = a
-                .iter()
-                .filter(|e| e.1 == rank)
-                .map(|e| (e.0, e.2))
-                .collect();
-            let want = [
-                ("gather", 0),
-                ("alltoall", 1),
-                ("gather", 2),
-                ("allgather", 3),
-            ];
-            assert_eq!(ops, want);
-        }
-    }
-
-    #[test]
     fn back_to_back_collectives_do_not_cross_match() {
         let out = World::run(4, |c| {
             let t1 = c.alltoall(vec![1u64; 4]);
+            c.barrier(); // moves no data between the two
             let g = c.allgather(c.rank() as u64);
             let t2 = c.alltoall(vec![10u64 * c.rank() as u64; 4]);
             (t1, g, t2)

@@ -1,20 +1,10 @@
 //! A rank's communicator, and the point-to-point messages the
 //! collectives are built from.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::data::MpiData;
 use crate::world::World;
-
-/// A hook invoked at the entry of every data-moving collective
-/// (gather/allgather/alltoall), *before* the first message moves, with
-/// `(op, rank, collective_seq)`. The fault-injection layer installs one
-/// to exercise collective retries without this crate depending on the
-/// transport: the gate may sleep or count, but it always returns — a
-/// collective, once entered, runs to completion, because abandoning it
-/// unilaterally would deadlock every peer.
-pub(crate) type CollectiveGate = dyn Fn(&'static str, u64, u64) + Send + Sync;
 
 /// A rank's handle on its world. A world has one communicator, spanning
 /// all of its ranks: a rank's communicator rank is its world rank.
@@ -24,11 +14,6 @@ pub(crate) type CollectiveGate = dyn Fn(&'static str, u64, u64) + Send + Sync;
 pub struct Comm {
     world: Arc<World>,
     rank: usize,
-    /// Optional per-rank collective-entry hook; see [`CollectiveGate`].
-    gate: Option<Arc<CollectiveGate>>,
-    /// Collectives this rank has entered — the deterministic sequence
-    /// number handed to the gate.
-    coll_seq: AtomicU64,
     /// The registry what runs on this rank records into; see
     /// [`set_obs`](Comm::set_obs).
     obs: obs::Registry,
@@ -42,15 +27,13 @@ impl Comm {
         Comm {
             world,
             rank,
-            gate: None,
-            coll_seq: AtomicU64::new(0),
             obs: obs::global().clone(),
         }
     }
 
     /// Record what runs on this rank (the operators, through their
     /// context) into `obs`: the staging rank binds its fabric's registry
-    /// here, as it installs the fault plan's collective gate.
+    /// here.
     pub fn set_obs(&mut self, obs: obs::Registry) {
         self.obs = obs;
     }
@@ -58,20 +41,6 @@ impl Comm {
     /// The registry this rank records into.
     pub fn obs(&self) -> &obs::Registry {
         &self.obs
-    }
-
-    /// Install a `CollectiveGate` invoked at every data-moving
-    /// collective's entry on this rank.
-    pub fn set_collective_gate(&mut self, gate: Arc<CollectiveGate>) {
-        self.gate = Some(gate);
-    }
-
-    /// Run the installed gate, if any, for one collective entry.
-    pub(crate) fn gate_collective(&self, op: &'static str) {
-        if let Some(gate) = &self.gate {
-            let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-            gate(op, self.rank as u64, seq);
-        }
     }
 
     /// This rank's index within the world.

@@ -10,7 +10,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::evq::{EventQueue, PollError};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultKind, FaultPlan};
 use crate::request::FetchRequest;
 
 /// Opaque handle to memory exposed for one-sided access.
@@ -212,9 +212,9 @@ impl Fabric {
     }
 
     /// [`Fabric::new`] with a fault schedule (`None` = run clean) and the
-    /// registry the run records into. The one way a plan reaches pulls,
-    /// stale handles, pins and — through [`StagingEndpoint::fault_plan`]
-    /// — the staging collectives; and the one way a registry reaches the
+    /// registry the run records into. The one way a plan reaches pulls
+    /// ([`StagingEndpoint::rdma_get`]) and pins
+    /// ([`ComputeEndpoint::expose`]); and the one way a registry reaches the
     /// endpoints and what is built from them ([`ComputeEndpoint::obs`],
     /// [`StagingEndpoint::obs`]).
     pub fn with_faults(
@@ -343,8 +343,11 @@ impl ComputeEndpoint {
     fn register(&self, mem: Exposed, io_step: u64) -> Result<MemHandle, TransportError> {
         let len = mem.len();
         if let Some(plan) = &self.inner.faults {
-            if let Some(err) = plan.inject_expose(&self.inner.obs, self.rank as u64, io_step, len) {
-                return Err(err);
+            if plan.inject(&self.inner.obs, FaultKind::Pin, self.rank as u64, io_step) {
+                return Err(TransportError::PinBudgetExceeded {
+                    requested: len,
+                    available: 0,
+                });
             }
         }
         if let Some(budget) = self.pin_budget {
@@ -442,14 +445,6 @@ impl StagingEndpoint {
         &self.inner.obs
     }
 
-    /// The fabric's fault schedule, if one is attached. The retrying
-    /// pull loop consults it *before* each [`rdma_get`](Self::rdma_get)
-    /// attempt; the raw fabric call itself never fakes failures, so
-    /// protocol tests stay exact on a faulted fabric.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.inner.faults.as_ref()
-    }
-
     /// Block for the next fetch request, with a deadline.
     pub fn recv_request(&self, timeout: Duration) -> Result<FetchRequest, TransportError> {
         let r = self.requests.recv(timeout).map_err(poll_error)?;
@@ -466,7 +461,23 @@ impl StagingEndpoint {
     /// compute side sees a completion and may reuse its buffer) and
     /// returns the bytes: the exposer's own buffer, by reference count,
     /// or a [`Gather`]'s regions landed in a buffer of the puller's.
+    ///
+    /// The fabric's fault plan, if any, is consulted first, keyed on the
+    /// chunk `(src_rank, io_step)`: a `drop` fault fails the attempt
+    /// with [`TransportError::Timeout`], then a `stale` fault with
+    /// [`TransportError::StaleHandle`]. A faulted attempt leaves the
+    /// exposure in place, times nothing and posts no completion, so a
+    /// retry can succeed.
     pub fn rdma_get(&self, req: &FetchRequest) -> Result<Bytes, TransportError> {
+        if let Some(plan) = &self.inner.faults {
+            let (obs, src, step) = (&self.inner.obs, req.src_rank as u64, req.io_step);
+            if plan.inject(obs, FaultKind::Drop, src, step) {
+                return Err(TransportError::Timeout);
+            }
+            if plan.inject(obs, FaultKind::Stale, src, step) {
+                return Err(TransportError::StaleHandle(req.handle));
+            }
+        }
         let started = self.inner.obs.enabled().then(std::time::Instant::now);
         let (mem, io_step) = {
             let mut reg = self.inner.registry.lock();
@@ -499,7 +510,9 @@ impl StagingEndpoint {
     ///
     /// Results are positional. A stale handle fails only its own slot
     /// ([`TransportError::StaleHandle`]); the other slots still deliver.
-    /// One batch counts as one `rdma_gets` fabric transaction.
+    /// One batch counts as one `rdma_gets` fabric transaction. It
+    /// consults no fault plan: the harness calls it on unfaulted fabrics
+    /// only.
     pub fn rdma_get_batch(&self, reqs: &[FetchRequest]) -> Vec<Result<Bytes, TransportError>> {
         if reqs.is_empty() {
             return Vec::new();
@@ -726,23 +739,55 @@ mod tests {
     }
 
     #[test]
-    fn attached_fault_plan_faults_expose_only() {
-        let plan = Arc::new(crate::fault::FaultPlan::new(3).pin_exhaustion(1.0));
+    fn attached_fault_plan_faults_pulls_and_pins() {
+        let plan = Arc::new(FaultPlan::new(3).pin_exhaustion(1.0));
         let obs = obs::Registry::new();
-        let (_f, computes, stagings) = Fabric::with_faults(1, 1, None, Some(plan), obs.clone());
-        assert!(stagings[0].fault_plan().is_some());
+        let (_f, computes, _stagings) = Fabric::with_faults(1, 1, None, Some(plan), obs.clone());
         let err = computes[0].expose(vec![0u8; 32].into(), 0).unwrap_err();
-        assert!(matches!(err, TransportError::PinBudgetExceeded { .. }));
+        assert_eq!(
+            err,
+            TransportError::PinBudgetExceeded {
+                requested: 32,
+                available: 0
+            }
+        );
         let pins = obs
             .snapshot()
             .counter("transport.faults_injected", &[("kind", "pin")]);
         assert_eq!(pins, Some(1), "counted in the fabric's registry");
-        // Pull faults are the *caller's* job: raw rdma_get stays exact.
-        let clean = Arc::new(crate::fault::FaultPlan::new(3).drop_chunks(1.0));
-        let (_f, computes, stagings) =
-            Fabric::with_faults(1, 1, None, Some(clean), obs::Registry::new());
-        let h = computes[0].expose(vec![5u8; 16].into(), 0).unwrap();
-        assert!(stagings[0].rdma_get(&req(0, h, 16)).is_ok());
+
+        // A pull fault fails the attempt in `rdma_get` itself and leaves
+        // the exposure pinned and uncompleted; the next attempt pulls it.
+        type Want = fn(MemHandle) -> TransportError;
+        let faults: [(FaultPlan, &str, Want); 2] = [
+            (FaultPlan::new(3).drop_chunks(1.0), "drop", |_| {
+                TransportError::Timeout
+            }),
+            (
+                FaultPlan::new(3).stale_handles(1.0),
+                "stale",
+                TransportError::StaleHandle,
+            ),
+        ];
+        for (plan, kind, want) in faults {
+            let obs = obs::Registry::new();
+            let plan = Some(Arc::new(plan.max_injections(1)));
+            let (fabric, computes, stagings) = Fabric::with_faults(1, 1, None, plan, obs.clone());
+            let h = computes[0].expose(vec![5u8; 16].into(), 0).unwrap();
+            assert_eq!(stagings[0].rdma_get(&req(0, h, 16)), Err(want(h)));
+            assert_eq!(fabric.pinned_bytes(), 16, "{kind}: exposure kept");
+            assert_eq!(fabric.stats().rdma_gets(), 0, "{kind}: nothing pulled");
+            assert!(computes[0].poll_completions().is_empty(), "{kind}");
+            assert_eq!(
+                &stagings[0].rdma_get(&req(0, h, 16)).unwrap()[..],
+                &[5u8; 16]
+            );
+            assert_eq!(computes[0].poll_completions().len(), 1, "{kind}");
+            let injected = obs
+                .snapshot()
+                .counter("transport.faults_injected", &[("kind", kind)]);
+            assert_eq!(injected, Some(1), "{kind}");
+        }
     }
 
     #[test]

@@ -22,16 +22,15 @@
 //!
 //! # Where faults apply
 //!
-//! *Pull* faults (`drop`, `stale`) are consulted by the retry-aware
-//! staging runtime **before** it calls [`StagingEndpoint::rdma_get`] —
-//! the raw fabric call stays exact, so unit tests of the fabric
-//! protocol see no fault they did not ask for. *Pin* faults are
-//! consulted inside [`ComputeEndpoint::expose`], because the client's
-//! error path is what they exist to exercise. *Put* faults are consulted by the retrying
-//! DataSpaces put path before the index is touched, and *collective*
-//! faults at the entry of minimpi shuffle/gather/reduce collectives,
-//! before any message moves — in both cases the underlying primitive
-//! stays exact.
+//! In the call that fails. *Pull* faults (`drop`, `stale`) are
+//! consulted inside [`StagingEndpoint::rdma_get`], before the registry
+//! lookup: a faulted attempt returns its error with the exposure
+//! untouched, nothing timed and no completion posted, so a retry can
+//! succeed. *Pin* faults are consulted inside
+//! [`ComputeEndpoint::expose`], because the client's error path is
+//! what they exist to exercise. *Put* and *query* faults are consulted
+//! by [`retry::guard`](crate::retry::guard) before the DataSpaces put
+//! or the query execution touches anything.
 //!
 //! [`StagingEndpoint::rdma_get`]: crate::StagingEndpoint::rdma_get
 //! [`ComputeEndpoint::expose`]: crate::ComputeEndpoint::expose
@@ -40,16 +39,15 @@
 //!
 //! The constructor of the thing being faulted:
 //! [`Fabric::with_faults`](crate::Fabric::with_faults) attaches a plan
-//! to pulls, stale handles and pins (and, through
-//! [`StagingEndpoint::fault_plan`](crate::StagingEndpoint::fault_plan),
-//! to the staging collectives); `DataSpaces::with_faults` attaches one
-//! to puts and to the query service over that space. Nothing reads a
-//! plan from the environment. A plan's fields are its builders:
+//! to pulls, stale handles and pins; `DataSpaces::with_faults`
+//! attaches one to puts and to the query service over that space.
+//! Nothing reads a plan from the environment. A plan's fields are its
+//! builders:
 //!
 //! | builder | meaning | default |
 //! |---|---|---|
 //! | [`new(seed)`](FaultPlan::new) | hash seed for chunk selection | — |
-//! | [`drop_chunks`](FaultPlan::drop_chunks) | P(pull attempt fails with `Timeout`, exposure kept); also P(query-service / DataSpaces-put / collective-entry attempt faults — each independently salted and keyed, so enabling one never perturbs another's schedule) | `0` |
+//! | [`drop_chunks`](FaultPlan::drop_chunks) | P(pull attempt fails with `Timeout`, exposure kept); also P(query-service / DataSpaces-put attempt faults — each independently salted and keyed, so enabling one never perturbs another's schedule) | `0` |
 //! | [`stale_handles`](FaultPlan::stale_handles) | P(pull attempt fails with `StaleHandle`, exposure kept) | `0` |
 //! | [`pin_exhaustion`](FaultPlan::pin_exhaustion) | P(`expose` fails with `PinBudgetExceeded`) | `0` |
 //! | [`max_injections`](FaultPlan::max_injections) | failed attempts per chunk per kind | unbounded |
@@ -62,16 +60,20 @@
 //! # Example
 //!
 //! ```
-//! use transport::{Fabric, FaultKind, FaultPlan};
+//! use transport::{Fabric, FaultPlan, FetchRequest, TransportError};
 //!
-//! // Every chunk's first pull attempt fails; retries succeed.
+//! // Every chunk's first pull attempt fails; a retry succeeds.
 //! let plan = FaultPlan::new(42).drop_chunks(1.0).max_injections(1);
-//! let (_fabric, computes, _stagings) = Fabric::new(1, 1, None);
-//! let handle = computes[0].expose(vec![0u8; 8].into(), 0).unwrap();
 //! let obs = obs::Registry::new();
-//! assert!(plan.selects(FaultKind::Drop, 0, 0));
-//! assert!(plan.inject_pull(&obs, 0, 0, handle).is_some(), "first attempt faulted");
-//! assert!(plan.inject_pull(&obs, 0, 0, handle).is_none(), "second attempt clean");
+//! let (_fabric, computes, stagings) =
+//!     Fabric::with_faults(1, 1, None, Some(plan.into()), obs.clone());
+//! let handle = computes[0].expose(vec![7u8; 8].into(), 0).unwrap();
+//! let req = FetchRequest {
+//!     src_rank: 0, io_step: 0, handle, chunk_bytes: 8,
+//!     format: 0, attrs: ffs::AttrList::new(),
+//! };
+//! assert_eq!(stagings[0].rdma_get(&req), Err(TransportError::Timeout));
+//! assert_eq!(&stagings[0].rdma_get(&req).unwrap()[..], &[7u8; 8]);
 //! let injected = obs.snapshot().counter("transport.faults_injected", &[("kind", "drop")]);
 //! assert_eq!(injected, Some(1));
 //! ```
@@ -81,38 +83,30 @@ use std::ops::Range;
 
 use parking_lot::Mutex;
 
-use crate::fabric::{MemHandle, TransportError};
-
 /// The injectable fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// A pull attempt fails with [`TransportError::Timeout`]; the
-    /// exposure is untouched, so a retry can succeed.
+    /// A pull attempt fails with [`Timeout`](crate::TransportError::Timeout);
+    /// the exposure is untouched, so a retry can succeed.
     Drop,
-    /// A pull attempt fails with [`TransportError::StaleHandle`] — the
-    /// transient handle-advertisement race of a real fabric.
+    /// A pull attempt fails with
+    /// [`StaleHandle`](crate::TransportError::StaleHandle) — the transient
+    /// handle-advertisement race of a real fabric.
     Stale,
-    /// An `expose` fails with [`TransportError::PinBudgetExceeded`].
+    /// An `expose` fails with
+    /// [`PinBudgetExceeded`](crate::TransportError::PinBudgetExceeded).
     Pin,
     /// A query-service execution attempt fails with
-    /// [`TransportError::Timeout`] before touching the space (the
-    /// staged read path a real deployment would retry). Rides the same
-    /// `drop` probability as pull faults but salts and counts
+    /// [`Timeout`](crate::TransportError::Timeout) before touching the
+    /// space (the staged read path a real deployment would retry). Rides
+    /// the same `drop` probability as pull faults but salts and counts
     /// independently, so enabling it never perturbs the pull schedule.
     Query,
     /// A DataSpaces `put`/`put_ref` attempt fails with
-    /// [`TransportError::Timeout`] before touching the index. Rides the
-    /// `drop` probability with an independent salt, keyed on
-    /// `(var_id, version)`.
+    /// [`Timeout`](crate::TransportError::Timeout) before touching the
+    /// index. Rides the `drop` probability with an independent salt,
+    /// keyed on `(var_id, version)`.
     Put,
-    /// A collective entry (shuffle/gather/reduce) fails with
-    /// [`TransportError::Timeout`] before any message moves. Rides the
-    /// `drop` probability with an independent salt, keyed on
-    /// `(rank, collective sequence number)`. Injection happens strictly
-    /// *before* the first send/recv of the collective, so a retried —
-    /// or even exhausted — attempt can still complete the collective
-    /// without deadlocking peers.
-    Collective,
 }
 
 impl FaultKind {
@@ -123,7 +117,6 @@ impl FaultKind {
             FaultKind::Pin => "pin",
             FaultKind::Query => "query",
             FaultKind::Put => "put",
-            FaultKind::Collective => "collective",
         }
     }
 
@@ -134,7 +127,6 @@ impl FaultKind {
             FaultKind::Pin => 0x0919,
             FaultKind::Query => 0x9E4A,
             FaultKind::Put => 0x9407,
-            FaultKind::Collective => 0xC011,
         }
     }
 }
@@ -225,7 +217,7 @@ impl FaultPlan {
             FaultKind::Drop => self.drop_p,
             FaultKind::Stale => self.stale_p,
             FaultKind::Pin => self.pin_p,
-            FaultKind::Query | FaultKind::Put | FaultKind::Collective => self.drop_p,
+            FaultKind::Query | FaultKind::Put => self.drop_p,
         };
         if p <= 0.0 {
             return false;
@@ -237,14 +229,19 @@ impl FaultPlan {
         fraction(h) < p
     }
 
-    /// Selected and still under the per-chunk injection cap: count one
-    /// injection into `obs` and report it.
-    fn try_inject(&self, obs: &obs::Registry, kind: FaultKind, src_rank: u64, step: u64) -> bool {
-        if !self.selects(kind, src_rank, step) {
+    /// Consult the plan before one attempt at `kind` keyed `(a, b)`:
+    /// whether this attempt is faulted — selected and still under the
+    /// per-key injection cap. An injection is counted into `obs`; the
+    /// caller builds its error and skips the real operation, so a later
+    /// attempt can succeed. The keys are `(src rank, io step)` for
+    /// pulls and pins, `(var id, dump version)` for puts and
+    /// `(query id, dump version)` for queries.
+    pub(crate) fn inject(&self, obs: &obs::Registry, kind: FaultKind, a: u64, b: u64) -> bool {
+        if !self.selects(kind, a, b) {
             return false;
         }
         let mut injected = self.injected.lock();
-        let count = injected.entry((kind, src_rank, step)).or_insert(0);
+        let count = injected.entry((kind, a, b)).or_insert(0);
         if *count >= self.max_injections {
             return false;
         }
@@ -253,75 +250,6 @@ impl FaultPlan {
         obs.counter("transport.faults_injected", &[("kind", kind.label())])
             .inc();
         true
-    }
-
-    /// Consult the plan before one pull attempt of chunk
-    /// `(src_rank, step)` via `handle`: the injected error, if this
-    /// attempt is faulted. The caller skips the real `rdma_get` on
-    /// `Some` — the exposure is untouched, so a later attempt can
-    /// succeed.
-    pub fn inject_pull(
-        &self,
-        obs: &obs::Registry,
-        src_rank: u64,
-        step: u64,
-        handle: MemHandle,
-    ) -> Option<TransportError> {
-        if self.try_inject(obs, FaultKind::Drop, src_rank, step) {
-            return Some(TransportError::Timeout);
-        }
-        if self.try_inject(obs, FaultKind::Stale, src_rank, step) {
-            return Some(TransportError::StaleHandle(handle));
-        }
-        None
-    }
-
-    /// Consult the plan before one attempt at an operation that is keyed
-    /// by two numbers and faults with `Timeout` before it touches
-    /// anything, so a retry is exact — the kinds that ride the `drop`
-    /// probability, each under its own salt and its own `(kind, a, b)`
-    /// injection count, so one spec exercises every path without
-    /// coupling their schedules:
-    ///
-    /// * [`FaultKind::Query`], `(query id, dump version)`: one execution
-    ///   attempt of the query service.
-    /// * [`FaultKind::Put`], `(var id, dump version)`: one DataSpaces
-    ///   `put` / `put_ref` attempt, before the index is touched.
-    /// * [`FaultKind::Collective`], `(rank, collective sequence
-    ///   number)`: strictly before the collective's first message. On
-    ///   retry exhaustion the caller proceeds with the collective
-    ///   anyway — abandoning one unilaterally would deadlock every peer.
-    ///
-    /// Pulls and exposes, which carry a handle and a size, have
-    /// [`inject_pull`](Self::inject_pull) and
-    /// [`inject_expose`](Self::inject_expose).
-    pub(crate) fn inject(
-        &self,
-        obs: &obs::Registry,
-        kind: FaultKind,
-        a: u64,
-        b: u64,
-    ) -> Option<TransportError> {
-        self.try_inject(obs, kind, a, b)
-            .then_some(TransportError::Timeout)
-    }
-
-    /// Consult the plan before one `expose` of `requested` bytes by
-    /// compute rank `rank` at `step`.
-    pub(crate) fn inject_expose(
-        &self,
-        obs: &obs::Registry,
-        rank: u64,
-        step: u64,
-        requested: usize,
-    ) -> Option<TransportError> {
-        if self.try_inject(obs, FaultKind::Pin, rank, step) {
-            return Some(TransportError::PinBudgetExceeded {
-                requested,
-                available: 0,
-            });
-        }
-        None
     }
 }
 
@@ -356,19 +284,12 @@ mod tests {
     #[test]
     fn injection_cap_makes_faults_transient() {
         let obs = obs::Registry::new();
-        let h = MemHandle::test_only(9);
         let plan = FaultPlan::new(1).drop_chunks(1.0).max_injections(2);
-        assert!(matches!(
-            plan.inject_pull(&obs, 5, 3, h),
-            Some(TransportError::Timeout)
-        ));
-        assert!(matches!(
-            plan.inject_pull(&obs, 5, 3, h),
-            Some(TransportError::Timeout)
-        ));
-        assert!(plan.inject_pull(&obs, 5, 3, h).is_none(), "cap reached");
+        assert!(plan.inject(&obs, FaultKind::Drop, 5, 3));
+        assert!(plan.inject(&obs, FaultKind::Drop, 5, 3));
+        assert!(!plan.inject(&obs, FaultKind::Drop, 5, 3), "cap reached");
         assert!(
-            plan.inject_pull(&obs, 6, 3, h).is_some(),
+            plan.inject(&obs, FaultKind::Drop, 6, 3),
             "other chunks unaffected"
         );
         let injected = obs
@@ -382,61 +303,33 @@ mod tests {
     }
 
     #[test]
-    fn stale_faults_name_the_handle() {
-        let obs = obs::Registry::new();
-        let h = MemHandle::test_only(11);
-        let plan = FaultPlan::new(1).stale_handles(1.0);
-        assert_eq!(
-            plan.inject_pull(&obs, 0, 0, h),
-            Some(TransportError::StaleHandle(h))
-        );
-    }
-
-    #[test]
     fn step_filter_bounds_the_outage() {
         let obs = obs::Registry::new();
-        let h = MemHandle::test_only(10);
         let plan = FaultPlan::new(1).drop_chunks(1.0).steps(2..4);
-        assert!(plan.inject_pull(&obs, 0, 1, h).is_none());
-        assert!(plan.inject_pull(&obs, 0, 2, h).is_some());
-        assert!(plan.inject_pull(&obs, 0, 3, h).is_some());
-        assert!(plan.inject_pull(&obs, 0, 4, h).is_none());
+        let faulted = |step| plan.inject(&obs, FaultKind::Drop, 0, step);
+        assert_eq!([1, 2, 3, 4].map(faulted), [false, true, true, false]);
     }
 
     #[test]
-    fn put_and_collective_ride_drop_with_independent_schedules() {
+    fn put_and_query_ride_drop_with_independent_schedules() {
         let obs = obs::Registry::new();
         let plan = FaultPlan::new(3).drop_chunks(1.0).max_injections(1);
-        let timeout = Some(TransportError::Timeout);
-        assert_eq!(plan.inject(&obs, FaultKind::Put, 4, 1), timeout);
+        assert!(plan.inject(&obs, FaultKind::Put, 4, 1));
         assert!(
-            plan.inject(&obs, FaultKind::Put, 4, 1).is_none(),
+            !plan.inject(&obs, FaultKind::Put, 4, 1),
             "transient: retry clean"
         );
-        assert_eq!(plan.inject(&obs, FaultKind::Collective, 0, 7), timeout);
-        assert!(plan.inject(&obs, FaultKind::Collective, 0, 7).is_none());
+        assert!(plan.inject(&obs, FaultKind::Query, 0, 7));
+        assert!(!plan.inject(&obs, FaultKind::Query, 0, 7));
         // Keys are disjoint: the pull key (4, 1) is still uninjected.
-        let h = MemHandle::test_only(1);
-        assert!(plan.inject_pull(&obs, 4, 1, h).is_some());
+        assert!(plan.inject(&obs, FaultKind::Drop, 4, 1));
 
         // At p < 1 the three kinds select from independent schedules.
         let plan = FaultPlan::new(11).drop_chunks(0.5);
         let diverges = (0..200u64).any(|i| {
             plan.selects(FaultKind::Drop, i, 0) != plan.selects(FaultKind::Put, i, 0)
-                || plan.selects(FaultKind::Drop, i, 0) != plan.selects(FaultKind::Collective, i, 0)
+                || plan.selects(FaultKind::Drop, i, 0) != plan.selects(FaultKind::Query, i, 0)
         });
         assert!(diverges, "independent salts give independent schedules");
-    }
-
-    #[test]
-    fn pin_faults_report_the_requested_size() {
-        let obs = obs::Registry::new();
-        let plan = FaultPlan::new(0).pin_exhaustion(1.0);
-        match plan.inject_expose(&obs, 2, 0, 4096) {
-            Some(TransportError::PinBudgetExceeded { requested, .. }) => {
-                assert_eq!(requested, 4096)
-            }
-            other => panic!("expected pin fault, got {other:?}"),
-        }
     }
 }

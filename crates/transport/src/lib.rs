@@ -43,8 +43,9 @@
 //! The transport is also where failures are *made reproducible*: a
 //! seeded [`FaultPlan`], handed to [`Fabric::with_faults`] (see
 //! `fault`), injects drop/stale-handle/pin-exhaustion faults on a
-//! deterministic schedule, and [`retry`] is the one rule that absorbs
-//! them: at most four attempts, with exponential backoff and
+//! deterministic schedule, in the call that fails
+//! ([`StagingEndpoint::rdma_get`], [`ComputeEndpoint::expose`]), and
+//! [`retry`] is the one rule that absorbs them: at most four attempts, with exponential backoff and
 //! deterministic jitter. The plan is a constructor argument, the rule
 //! has no knob, and neither is read from the environment.
 //!

@@ -91,8 +91,10 @@ pub fn retry<T>(
     }
 }
 
-/// The one inject-then-retry gate: consult `plan` before each attempt
-/// at operation `kind` keyed `(a, b)` (`FaultPlan::inject`) and absorb
+/// The inject-then-retry gate of the DataSpaces put and the query
+/// service: consult `plan` before each attempt at operation `kind` keyed
+/// `(a, b)`, failing a faulted attempt with [`TransportError::Timeout`]
+/// before it touches anything, and absorb
 /// its transient faults under [`retry`], counted in `obs` under `op`.
 /// `Ok` means go ahead; `Err` is the fault that outlasted the retries.
 /// Without a plan there is nothing to absorb: `Ok`, and no counter
@@ -109,7 +111,11 @@ pub fn guard(
         return Ok(());
     };
     retry(obs, op, (a << 32) ^ b, || {
-        plan.inject(obs, kind, a, b).map_or(Ok(()), Err)
+        if plan.inject(obs, kind, a, b) {
+            Err(TransportError::Timeout)
+        } else {
+            Ok(())
+        }
     })
 }
 

@@ -453,12 +453,12 @@ fn counter(obs: &Registry, name: &str, op: &str) -> u64 {
 
 /// The ladder end to end, each run counted in a registry of its own:
 ///
-/// (a) a seeded *transient* schedule (every pull, put, collective
-///     entry and query fails exactly once) is absorbed by retries — the
+/// (a) a seeded *transient* schedule (every pull, put and query fails
+///     exactly once) is absorbed by retries — the
 ///     GTC operator output, the space's committed cells, the query
 ///     service's answers over that space and a Pixie3D reorganization's
 ///     merged files are identical to the fault-free run,
-///     `retries{op=pull|put|collective|query} > 0`,
+///     `retries{op=pull|put|query} > 0`,
 ///     `retry_exhausted{op=pull|query} == 0`;
 /// (b) a *hard* schedule (pulls never succeed) exhausts retries — the
 ///     step still completes, its chunks land truncated in report and
@@ -482,7 +482,7 @@ fn degradation_ladder_absorbs_and_truncates() {
         reports.iter().all(|r| !r.is_degraded()),
         "transient faults must not truncate"
     );
-    for op in ["pull", "put", "collective"] {
+    for op in ["pull", "put"] {
         assert!(
             counter(&obs, "transport.retries", op) > 0,
             "the schedule faulted every {op} once; retries must show"

@@ -36,8 +36,15 @@
 //!   matched by source alone, one barrier per world, and the collectives
 //!   a step enters (gather, allgather, alltoall). A split, a tag, a
 //!   wildcard, a timed or probing receive, a scatter / scan / exscan /
-//!   alltoallv, a reduce / allreduce / bcast, or a public send / recv
+//!   alltoallv, a reduce / allreduce / bcast, a public send / recv, or a
+//!   collective-entry hook (`CollectiveGate`, `set_collective_gate`)
 //!   comes back only with a caller outside the crate's own tests.
+//! - **A fault is injected in the call that fails.** Pull and pin faults
+//!   are consulted inside the fabric (`StagingEndpoint::rdma_get`,
+//!   `ComputeEndpoint::expose`), put and query faults in
+//!   `transport::retry::guard`. No `FaultKind::Collective` comes back,
+//!   and the non-test code of `crates/core/src` names no `FaultPlan`,
+//!   `FaultKind` or `fault_plan`: the staging runtime only retries.
 //! - **One exchange per step.** Every operator's intermediates travel in
 //!   one `alltoall` and no `finalize` enters a collective: the collective
 //!   counts of `op::tests::four_gtc_operators_share_one_alltoall`,
@@ -473,7 +480,7 @@ fn declared_fn(line: &str) -> Option<(bool, &str)> {
 
 #[test]
 fn minimpi_keeps_only_what_the_pipeline_calls() {
-    const GONE: [&str; 10] = [
+    const GONE: [&str; 12] = [
         "split",
         "scatter",
         "scan",
@@ -484,9 +491,18 @@ fn minimpi_keeps_only_what_the_pipeline_calls() {
         "reduce",
         "allreduce",
         "bcast",
+        "set_collective_gate",
+        "gate_collective",
     ];
     const PRIVATE: [&str; 2] = ["send", "recv"];
-    const NAMES: [&str; 4] = ["ANY_SOURCE", "ANY_TAG", "RESERVED_TAGS", "comm_id"];
+    const NAMES: [&str; 6] = [
+        "ANY_SOURCE",
+        "ANY_TAG",
+        "RESERVED_TAGS",
+        "comm_id",
+        "CollectiveGate",
+        "coll_seq",
+    ];
     let mut hits = Vec::new();
     let mut barriers = 0;
     for path in files("crates/minimpi/src", &is_rust) {
@@ -507,6 +523,29 @@ fn minimpi_keeps_only_what_the_pipeline_calls() {
         hits.join("\n")
     );
     assert_eq!(barriers, 1, "one barrier per world");
+}
+
+#[test]
+fn faults_are_injected_in_the_call_that_fails() {
+    let this = root().join(file!());
+    let mut hits = offending_lines(".", &|p| is_rust(p) && p != this, &|line| {
+        line.contains("FaultKind::Collective")
+    });
+    for path in files("crates/core/src", &is_rust) {
+        for (i, line) in non_test(&read(&path)).lines().enumerate() {
+            if ["FaultPlan", "FaultKind", "fault_plan"]
+                .iter()
+                .any(|name| line.contains(name))
+            {
+                hits.push(format!("{}:{}: {}", shown(&path), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a fault is consulted outside the fabric call or the guard that fails:\n{}",
+        hits.join("\n")
+    );
 }
 
 #[test]
