@@ -122,23 +122,40 @@ impl DataArray {
 
     /// Decode from little-endian payload bytes.
     pub(crate) fn from_le_bytes(dtype: Dtype, bytes: &[u8]) -> Result<DataArray> {
+        let mut data = DataArray::zeros(dtype, 0);
+        data.assign_le_bytes(dtype, bytes)?;
+        Ok(data)
+    }
+
+    /// Replace the elements with little-endian payload `bytes` read as
+    /// `dtype` — the one conversion from a payload to a whole array.
+    /// The buffer is reused when it already holds `dtype`, so a warm
+    /// array of at least that many elements allocates nothing. On error
+    /// the array is left as it was.
+    pub(crate) fn assign_le_bytes(&mut self, dtype: Dtype, bytes: &[u8]) -> Result<()> {
         if !bytes.len().is_multiple_of(dtype.size()) {
             return Err(BpError::Corrupt("payload not a multiple of element size"));
         }
-        fn elems<T, const N: usize>(bytes: &[u8], from: impl Fn([u8; N]) -> T) -> Vec<T> {
-            bytes
-                .chunks_exact(N)
-                .map(|c| from(c.try_into().expect("chunks_exact yields N bytes")))
-                .collect()
+        fn refill<T, const N: usize>(v: &mut Vec<T>, bytes: &[u8], from: impl Fn([u8; N]) -> T) {
+            v.clear();
+            v.extend(
+                bytes
+                    .chunks_exact(N)
+                    .map(|c| from(c.try_into().expect("chunks_exact yields N bytes"))),
+            );
         }
-        Ok(match dtype {
-            Dtype::F32 => DataArray::F32(elems(bytes, f32::from_le_bytes)),
-            Dtype::F64 => DataArray::F64(elems(bytes, f64::from_le_bytes)),
-            Dtype::I32 => DataArray::I32(elems(bytes, i32::from_le_bytes)),
-            Dtype::I64 => DataArray::I64(elems(bytes, i64::from_le_bytes)),
-            Dtype::U32 => DataArray::U32(elems(bytes, u32::from_le_bytes)),
-            Dtype::U64 => DataArray::U64(elems(bytes, u64::from_le_bytes)),
-        })
+        if self.dtype() != dtype {
+            *self = DataArray::zeros(dtype, 0);
+        }
+        match self {
+            DataArray::F32(v) => refill(v, bytes, f32::from_le_bytes),
+            DataArray::F64(v) => refill(v, bytes, f64::from_le_bytes),
+            DataArray::I32(v) => refill(v, bytes, i32::from_le_bytes),
+            DataArray::I64(v) => refill(v, bytes, i64::from_le_bytes),
+            DataArray::U32(v) => refill(v, bytes, u32::from_le_bytes),
+            DataArray::U64(v) => refill(v, bytes, u64::from_le_bytes),
+        }
+        Ok(())
     }
 
     /// Overwrite elements `at` with little-endian payload `bytes` — the

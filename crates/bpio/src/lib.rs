@@ -74,7 +74,7 @@ pub use error::{BpError, Result};
 pub use fileset::BpFileSet;
 pub use group::{Dim, GroupDef, VarDef};
 pub use index::{FileIndex, PgEntry, VarEntry};
-pub use pg::ProcessGroup;
+pub use pg::{PgVar, ProcessGroup};
 pub use reader::{BpReader, ReadStats};
 pub use writer::BpWriter;
 

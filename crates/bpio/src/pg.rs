@@ -25,7 +25,7 @@ pub struct PgVar {
 
 /// One writer's output for one step, buildable incrementally and
 /// encodable as one contiguous block (what travels to staging or to disk).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProcessGroup {
     pub group: String,
     pub writer_rank: u64,
@@ -254,39 +254,57 @@ impl ProcessGroup {
         (segments, offsets, (head.len() + payloads) as u64)
     }
 
-    /// Decode a block produced by [`ProcessGroup::encode`].
+    /// Decode a block produced by [`ProcessGroup::encode`]: a fresh
+    /// group, [`ProcessGroup::decode_into`].
     pub fn decode(buf: &[u8]) -> Result<ProcessGroup> {
+        let mut pg = ProcessGroup::default();
+        pg.decode_into(buf)?;
+        Ok(pg)
+    }
+
+    /// Decode a block produced by [`ProcessGroup::encode`] into `self`,
+    /// replacing what it held — the one PG decoder. The group name, the
+    /// variables and their names, dimension lists and arrays are reused
+    /// in place, so decoding a group of the shape the last one had
+    /// allocates nothing: a staging rank keeps one group and decodes
+    /// every pulled chunk into it. The capacity kept is that of the
+    /// largest group decoded into it.
+    ///
+    /// On error `self` holds part of the old group and part of the new
+    /// one (each variable's array still of its dtype); the next decode
+    /// that succeeds replaces all of it.
+    pub fn decode_into(&mut self, buf: &[u8]) -> Result<()> {
         let mut r = R::new(buf);
-        let group = r.s()?;
-        let writer_rank = r.u64()?;
-        let step = r.u64()?;
+        r.s_into(&mut self.group)?;
+        self.writer_rank = r.u64()?;
+        self.step = r.u64()?;
         // A variable is at least an empty name, a dtype tag, three empty
         // dimension lists and a payload length.
         let nvars = r.count(4 + 1 + 3 + 8)?;
-        let mut vars = Vec::with_capacity(nvars);
-        for _ in 0..nvars {
-            let name = r.s()?;
+        self.vars.truncate(nvars);
+        self.vars.reserve_exact(nvars - self.vars.len());
+        for i in 0..nvars {
+            if i == self.vars.len() {
+                self.vars.push(PgVar {
+                    name: String::new(),
+                    dtype: Dtype::U64,
+                    local: Vec::new(),
+                    global: Vec::new(),
+                    offset: Vec::new(),
+                    data: DataArray::U64(Vec::new()),
+                });
+            }
+            let v = &mut self.vars[i];
+            r.s_into(&mut v.name)?;
             let dtype = Dtype::from_tag(r.u8()?).ok_or(BpError::Corrupt("bad dtype tag"))?;
-            let local = r.dims()?;
-            let global = r.dims()?;
-            let offset = r.dims()?;
+            r.dims_into(&mut v.local)?;
+            r.dims_into(&mut v.global)?;
+            r.dims_into(&mut v.offset)?;
             let plen = usize::try_from(r.u64()?).map_err(|_| BpError::Corrupt("payload length"))?;
-            let data = DataArray::from_le_bytes(dtype, r.take(plen)?)?;
-            vars.push(PgVar {
-                name,
-                dtype,
-                local,
-                global,
-                offset,
-                data,
-            });
+            v.data.assign_le_bytes(dtype, r.take(plen)?)?;
+            v.dtype = dtype;
         }
-        Ok(ProcessGroup {
-            group,
-            writer_rank,
-            step,
-            vars,
-        })
+        Ok(())
     }
 }
 
@@ -430,6 +448,44 @@ mod tests {
         joined.extend_from_slice(&out[from..]);
         assert_eq!(joined, block);
         assert_eq!(ProcessGroup::new("empty", 0, 0).encoded_len(), 5 + 4 + 20);
+    }
+
+    /// A second group of the first one's shape lands in the first one's
+    /// buffers: the same name, dimension and array allocations, holding
+    /// the second group's values.
+    #[test]
+    fn decode_into_reuses_every_buffer() {
+        let g = grid_group();
+        let block = |rank: u64, off: u64, x: f64| {
+            let mut pg = ProcessGroup::new("grid", rank, rank + 1);
+            pg.write(&g, "n", DataArray::U64(vec![2])).unwrap();
+            pg.write(&g, "off", DataArray::U64(vec![off])).unwrap();
+            pg.write(&g, "field", DataArray::F64(vec![x, -x])).unwrap();
+            pg
+        };
+        let (first, second) = (block(1, 0, 0.5), block(2, 14, 2.5));
+        let mut kept = ProcessGroup::decode(&first.encode()).unwrap();
+        let field = &kept.vars[2];
+        let ptrs = (
+            kept.group.as_ptr(),
+            kept.vars.as_ptr(),
+            field.name.as_ptr(),
+            field.offset.as_ptr(),
+            field.data.as_f64().unwrap().as_ptr(),
+        );
+        kept.decode_into(&second.encode()).unwrap();
+        assert_eq!(kept, second);
+        let field = &kept.vars[2];
+        assert_eq!(
+            ptrs,
+            (
+                kept.group.as_ptr(),
+                kept.vars.as_ptr(),
+                field.name.as_ptr(),
+                field.offset.as_ptr(),
+                field.data.as_f64().unwrap().as_ptr(),
+            )
+        );
     }
 
     #[test]

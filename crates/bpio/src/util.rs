@@ -62,12 +62,37 @@ impl<'a> R<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
     pub(crate) fn s(&mut self) -> Result<String> {
+        let mut s = String::new();
+        self.s_into(&mut s)?;
+        Ok(s)
+    }
+    /// [`R::s`] into `out`, whose capacity is kept. `out` is left as it
+    /// was on error.
+    pub(crate) fn s_into(&mut self, out: &mut String) -> Result<()> {
         let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| BpError::Corrupt("non-utf8 string"))
+        let s =
+            std::str::from_utf8(self.take(n)?).map_err(|_| BpError::Corrupt("non-utf8 string"))?;
+        out.clear();
+        out.push_str(s);
+        Ok(())
     }
     pub(crate) fn dims(&mut self) -> Result<Vec<u64>> {
+        let mut d = Vec::new();
+        self.dims_into(&mut d)?;
+        Ok(d)
+    }
+    /// [`R::dims`] into `out`, whose capacity is kept. `out` is left as
+    /// it was on error.
+    pub(crate) fn dims_into(&mut self, out: &mut Vec<u64>) -> Result<()> {
         let n = self.u8()? as usize;
-        (0..n).map(|_| self.u64()).collect()
+        let words = self.take(8 * n)?;
+        out.clear();
+        out.extend(
+            words
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))),
+        );
+        Ok(())
     }
     pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos

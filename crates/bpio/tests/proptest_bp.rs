@@ -347,3 +347,93 @@ fn read_stats_are_pinned_for_a_merged_and_an_unmerged_layout() {
     assert_eq!(run(0xA1, [1, 1, 1], 1), merged);
     assert_eq!(run(0xA2, [2, 3, 2], 3), unmerged);
 }
+
+// ---- One kept group decoded into, block after block ----------------------
+
+/// One variable: a name stem (index appended, so names are unique and
+/// vary in length), dtype, local extents (rank 0–3, extents 0–3, so
+/// scalars and empty arrays occur), whether it is a global chunk, and
+/// the seed its values derive from.
+type VarSpec = (&'static str, Dtype, Vec<u64>, bool, u64);
+
+fn arb_var() -> impl Strategy<Value = VarSpec> {
+    (
+        prop::sample::select(vec![
+            "",
+            "x",
+            "rho",
+            "ünïcode",
+            "a_much_longer_variable_name",
+        ]),
+        prop::sample::select(DTYPES.to_vec()),
+        prop::collection::vec(0u64..4, 0..=3),
+        any::<bool>(),
+        any::<u64>(),
+    )
+}
+
+/// A process group of 0–6 arbitrary variables.
+fn arb_group() -> impl Strategy<Value = ProcessGroup> {
+    (
+        prop::sample::select(vec!["", "g", "pixie3d", "particles"]),
+        any::<u64>(),
+        prop::collection::vec(arb_var(), 0..=6),
+    )
+        .prop_map(|(group, rank, vars)| {
+            let mut defs = Vec::new();
+            let mut arrays = Vec::new();
+            for (i, (stem, dtype, local, is_global, seed)) in vars.into_iter().enumerate() {
+                let name = format!("{stem}{i}");
+                // One element for a scalar (an empty product), small
+                // integers: exact in every dtype, never NaN.
+                let n = local.iter().product::<u64>();
+                let data = elems(dtype, (0..n).map(|k| (seed.wrapping_mul(k + 1) >> 52) + k));
+                let consts = |d: &[u64]| d.iter().map(|&x| Dim::c(x)).collect::<Vec<_>>();
+                defs.push(if local.is_empty() {
+                    VarDef::scalar(&name, dtype)
+                } else if is_global {
+                    let offset: Vec<u64> = local.iter().map(|_| seed % 3).collect();
+                    let global: Vec<u64> = local.iter().zip(&offset).map(|(l, o)| l + o).collect();
+                    VarDef::global_chunk(
+                        &name,
+                        dtype,
+                        consts(&global),
+                        consts(&local),
+                        consts(&offset),
+                    )
+                } else {
+                    VarDef::local(&name, dtype, consts(&local))
+                });
+                arrays.push((name, data));
+            }
+            let def = GroupDef::new(defs).unwrap();
+            let mut pg = ProcessGroup::new(group, rank, rank / 3);
+            for (name, data) in arrays {
+                pg.write(&def, &name, data).unwrap();
+            }
+            pg
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Blocks of any shape decoded one after another into one kept group
+    /// each read as a fresh decode does — also right after a decode of
+    /// the block cut short failed, halfway through replacing the group.
+    #[test]
+    fn decode_into_a_kept_group_is_a_fresh_decode(
+        groups in prop::collection::vec((arb_group(), any::<u64>()), 1..=6),
+    ) {
+        let mut kept = ProcessGroup::default();
+        for (pg, cut) in groups {
+            let block = pg.encode();
+            let cut = &block[..(cut % block.len() as u64) as usize];
+            prop_assert!(ProcessGroup::decode(cut).is_err());
+            prop_assert!(kept.decode_into(cut).is_err());
+            kept.decode_into(&block).unwrap();
+            prop_assert_eq!(&kept, &ProcessGroup::decode(&block).unwrap());
+            prop_assert_eq!(&kept, &pg);
+        }
+    }
+}

@@ -71,7 +71,7 @@ fn chunk_format() -> &'static Arc<FormatDesc> {
 }
 
 /// A decoded packed partial data chunk.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PackedChunk {
     pub group: String,
     pub writer_rank: u64,
@@ -106,20 +106,30 @@ impl PackedChunk {
         Ok(out)
     }
 
-    /// Unpack a buffer produced by [`PackedChunk::pack`].
-    ///
-    /// Decodes through [`ffs::decode_view`], so the (typically multi-MB)
-    /// `pg` payload is read as a borrowed slice of `buf` — never copied
-    /// into an intermediate `Vec` before [`ProcessGroup::decode`] parses
-    /// it. This is the staging hot path: every pulled chunk goes through
-    /// here once per step.
+    /// Unpack a buffer produced by [`PackedChunk::pack`] into a fresh
+    /// chunk: [`PackedChunk::unpack_into`].
     pub fn unpack(buf: &[u8]) -> Result<PackedChunk, ChunkError> {
+        let mut chunk = PackedChunk::default();
+        chunk.unpack_into(buf)?;
+        Ok(chunk)
+    }
+
+    /// Unpack a buffer produced by [`PackedChunk::pack`] into `self`,
+    /// replacing what it held — the staging hot path: a staging rank
+    /// keeps one chunk and unpacks every chunk it pulls into it.
+    ///
+    /// The frame is read through [`ffs::decode_view`], so the `pg` field
+    /// is a borrowed slice of `buf`, never copied before
+    /// [`ProcessGroup::decode_into`] parses it into the kept group; each
+    /// payload is then copied once, into an array the chunk already
+    /// holds when the last chunk had its shape. On error `self` is left
+    /// partly replaced; the next unpack that succeeds replaces all of it.
+    pub fn unpack_into(&mut self, buf: &[u8]) -> Result<(), ChunkError> {
         let rec = ffs::decode_view(buf, None)?;
         let group = rec
             .get("group")
             .and_then(|v| v.as_str())
-            .ok_or(ChunkError::Malformed("missing group"))?
-            .to_string();
+            .ok_or(ChunkError::Malformed("missing group"))?;
         let writer_rank = rec
             .get("writer_rank")
             .and_then(|v| v.as_u64())
@@ -132,13 +142,12 @@ impl PackedChunk {
             .get("pg")
             .and_then(|v| v.bytes())
             .ok_or(ChunkError::Malformed("missing payload"))?;
-        let pg = ProcessGroup::decode(pg_bytes)?;
-        Ok(PackedChunk {
-            group,
-            writer_rank,
-            step,
-            pg,
-        })
+        self.pg.decode_into(pg_bytes)?;
+        self.group.clear();
+        self.group.push_str(group);
+        self.writer_rank = writer_rank;
+        self.step = step;
+        Ok(())
     }
 
     /// The framing format's fingerprint (what `decode_header` reports for
@@ -261,6 +270,26 @@ mod tests {
             back.pg.var("x").unwrap().data,
             DataArray::F64(vec![0.5, -1.5])
         );
+    }
+
+    /// A chunk unpacked into a kept one reads as a fresh unpack, and
+    /// so does the next one after a buffer that did not unpack.
+    #[test]
+    fn unpack_into_a_kept_chunk_is_a_fresh_unpack() {
+        let mut other = sample_pg();
+        other.group = "other".into();
+        other.writer_rank = 5;
+        other.vars.truncate(1);
+        let (first, second) = (
+            PackedChunk::new(sample_pg()).pack().unwrap(),
+            PackedChunk::new(other).pack().unwrap(),
+        );
+        let mut kept = PackedChunk::unpack(&second).unwrap();
+        for buf in [&first, &second, &first] {
+            assert!(kept.unpack_into(&buf[..buf.len() - 1]).is_err());
+            kept.unpack_into(buf).unwrap();
+            assert_eq!(kept, PackedChunk::unpack(buf).unwrap());
+        }
     }
 
     #[test]

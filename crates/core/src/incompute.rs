@@ -74,7 +74,9 @@ impl InComputeRunner {
 /// dump, so the other ranks never wait for a writer that gave up.
 ///
 /// This produces exactly the *unmerged* layout whose read cost Fig. 11
-/// compares against the staged/merged layout.
+/// compares against the staged/merged layout. Rank 0 decodes every
+/// gathered block into one process group, reused from block to block
+/// ([`bpio::ProcessGroup::decode_into`]).
 pub fn write_dump_collective(
     comm: &Comm,
     pg: &bpio::ProcessGroup,
@@ -87,8 +89,10 @@ pub fn write_dump_collective(
     };
     let written = (|| {
         let mut w = bpio::BpWriter::create(path)?;
+        let mut decoded = bpio::ProcessGroup::default();
         for b in blocks {
-            crate::ops::append_pg(comm.obs(), &mut w, &bpio::ProcessGroup::decode(&b)?)?;
+            decoded.decode_into(&b)?;
+            crate::ops::append_pg(comm.obs(), &mut w, &decoded)?;
         }
         w.finish()
     })();

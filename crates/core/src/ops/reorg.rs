@@ -9,15 +9,22 @@
 //! slab owner, `reduce` copies pieces into contiguous slab buffers, and
 //! `finalize` writes each slab as one large contiguous extent ("merged").
 //!
-//! A payload byte is copied twice on its way from the decoded chunk to
-//! the file: `map` frames each piece with one slice copy, `reduce` copies
-//! the piece's rows from that frame into the slab, and `finalize` lends
-//! the slabs to the writer. The slabs themselves live as long as the
-//! operator: `initialize` re-zeroes them, so a step allocates no slab.
+//! `map` sends one item per destination slab and chunk: the pieces of all
+//! of the chunk's variables that fall in that slab, back to back, each a
+//! header and its rows. A Pixie3D chunk inside one slab is one item, not
+//! eight, and one that straddles a slab boundary is two.
+//!
+//! On a staging rank a payload byte is copied four times between the
+//! pull and the file: the pull lands the chunk, the decode copies each
+//! payload into the rank's kept chunk, `map` copies each piece's rows
+//! into its item with one slice copy, and `reduce` copies them from the
+//! item into the slab; `finalize` lends the slabs to the writer. The
+//! slabs themselves live as long as the operator: `initialize` re-zeroes
+//! them, so a step allocates no slab.
 
 use std::sync::Arc;
 
-use bpio::{BoxRuns, DataArray, Dtype};
+use bpio::{BoxRuns, DataArray, Dtype, PgVar};
 use ffs::Value;
 
 use crate::agg::Aggregates;
@@ -40,7 +47,7 @@ pub struct ReorgOp {
 
 /// A mapped piece: seven little-endian `u64` words — variable index,
 /// global corner (d0, d1, d2), extents (n0, n1, n2) — then the piece's
-/// `f64` payload, row-major.
+/// `f64` payload, row-major. An item is one or more pieces back to back.
 const PIECE_HEADER: usize = 7 * 8;
 
 impl ReorgOp {
@@ -131,33 +138,63 @@ impl StreamOp for ReorgOp {
         }
         impl ChunkMapper for ReorgMapper {
             fn map_chunk(&self, chunk: &PackedChunk, ctx: &MapCtx) -> Vec<Tagged> {
-                let n_ranks = ctx.n_ranks();
-                let mut out = Vec::new();
-                for (vi, var) in self.vars.iter().enumerate() {
-                    let Some(v) = chunk.pg.var(var) else { continue };
-                    if v.data.dtype() != Dtype::F64 || v.global.len() != 3 {
+                let (n_ranks, total_d0) = (ctx.n_ranks(), self.global[0]);
+                // The variables to merge that the chunk holds as 3-D
+                // `f64` global chunks, with their index.
+                let vars: Vec<(u64, &PgVar)> = (0u64..)
+                    .zip(&self.vars)
+                    .filter_map(|(vi, name)| {
+                        let v = chunk.pg.var(name)?;
+                        (v.data.dtype() == Dtype::F64 && v.global.len() == 3).then_some((vi, v))
+                    })
+                    .collect();
+                // Rows [lo, hi) along dim 0 of `v` that lie in `slab`.
+                let rows_in = |v: &PgVar, (slab_lo, slab_hi): (u64, u64)| {
+                    let (lo, hi) = (
+                        v.offset[0].max(slab_lo),
+                        (v.offset[0] + v.local[0]).min(slab_hi),
+                    );
+                    (lo < hi).then_some((lo, hi))
+                };
+                let row_bytes = |v: &PgVar| (v.local[1] * v.local[2]) as usize * 8;
+                // The rows any of them holds, and the slabs those touch.
+                let Some((first, end)) = vars
+                    .iter()
+                    .map(|(_, v)| (v.offset[0], v.offset[0] + v.local[0]))
+                    .filter(|(lo, hi)| lo < hi)
+                    .reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+                else {
+                    return Vec::new();
+                };
+                let dests = ReorgOp::slab_of(first, n_ranks, total_d0)
+                    ..=ReorgOp::slab_of(end - 1, n_ranks, total_d0);
+                let mut out = Vec::with_capacity(dests.clone().count());
+                for dest in dests {
+                    let slab = ReorgOp::slab_range(dest, n_ranks, total_d0);
+                    let len: usize = vars
+                        .iter()
+                        .filter_map(|(_, v)| {
+                            rows_in(v, slab)
+                                .map(|(lo, hi)| PIECE_HEADER + (hi - lo) as usize * row_bytes(v))
+                        })
+                        .sum();
+                    if len == 0 {
                         continue;
                     }
-                    let data = v.data.as_le_bytes();
-                    // Split the chunk along dim 0 by destination slab.
-                    let (o, l) = (&v.offset, &v.local);
-                    let mut d0 = o[0];
-                    while d0 < o[0] + l[0] {
-                        let dest = ReorgOp::slab_of(d0, n_ranks, self.global[0]);
-                        let (_, slab_hi) = ReorgOp::slab_range(dest, n_ranks, self.global[0]);
-                        let hi = (o[0] + l[0]).min(slab_hi);
-                        // Rows d0..hi of the chunk go to `dest` as one piece.
-                        let rows_per_d0 = (l[1] * l[2]) as usize;
-                        let start = ((d0 - o[0]) as usize) * rows_per_d0;
-                        let end = ((hi - o[0]) as usize) * rows_per_d0;
-                        let mut bytes = Vec::with_capacity(PIECE_HEADER + (end - start) * 8);
-                        for v in [vi as u64, d0, o[1], o[2], hi - d0, l[1], l[2]] {
-                            bytes.extend_from_slice(&v.to_le_bytes());
+                    let mut bytes = Vec::with_capacity(len);
+                    for &(vi, v) in &vars {
+                        let Some((lo, hi)) = rows_in(v, slab) else {
+                            continue;
+                        };
+                        // Rows lo..hi of the variable, as one piece.
+                        let (o, l) = (&v.offset, &v.local);
+                        for w in [vi, lo, o[1], o[2], hi - lo, l[1], l[2]] {
+                            bytes.extend_from_slice(&w.to_le_bytes());
                         }
-                        bytes.extend_from_slice(&data[start * 8..end * 8]);
-                        out.push(Tagged::new(dest as u64, bytes));
-                        d0 = hi;
+                        let at = |d0: u64| (d0 - o[0]) as usize * row_bytes(v);
+                        bytes.extend_from_slice(&v.data.as_le_bytes()[at(lo)..at(hi)]);
                     }
+                    out.push(Tagged::new(dest as u64, bytes));
                 }
                 out
             }
@@ -177,26 +214,31 @@ impl StreamOp for ReorgOp {
         let slab_corner = [self.slab.0, 0, 0];
         let slab_extent = [self.slab.1 - self.slab.0, self.global[1], self.global[2]];
         for item in items {
-            // The header is read where it lies and each row of the piece
-            // goes from the item straight to its place in the slab.
-            let word =
-                |i: usize| u64::from_le_bytes(item[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-            let corner = [word(1), word(2), word(3)];
-            let extent = [word(4), word(5), word(6)];
-            let rows = BoxRuns::new(&slab_corner, &slab_extent, &corner, &extent)
-                .expect("piece fits its slab");
-            let row_bytes = rows.run_len() * 8;
-            let slab = &mut self.buffers[word(0) as usize];
-            let payload = &item[PIECE_HEADER..];
-            assert_eq!(
-                payload.len() as u64,
-                extent.iter().product::<u64>() * 8,
-                "a piece carries exactly its box"
-            );
-            for (row, src) in rows.zip(payload.chunks_exact(row_bytes.max(1))) {
-                for (x, le) in slab[row].iter_mut().zip(src.chunks_exact(8)) {
-                    *x = f64::from_le_bytes(le.try_into().expect("8 bytes"));
+            // Each piece's header is read where it lies and each of its
+            // rows goes from the item straight to its place in the slab;
+            // the pieces must use up the item exactly.
+            let mut rest: &[u8] = &item;
+            while !rest.is_empty() {
+                assert!(rest.len() >= PIECE_HEADER, "a piece starts with its header");
+                let (header, tail) = rest.split_at(PIECE_HEADER);
+                let word = |i: usize| {
+                    u64::from_le_bytes(header[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+                };
+                let corner = [word(1), word(2), word(3)];
+                let extent = [word(4), word(5), word(6)];
+                let rows = BoxRuns::new(&slab_corner, &slab_extent, &corner, &extent)
+                    .expect("piece fits its slab");
+                let row_bytes = rows.run_len() * 8;
+                let slab = &mut self.buffers[word(0) as usize];
+                let len = extent.iter().product::<u64>() * 8;
+                assert!(len <= tail.len() as u64, "a piece carries exactly its box");
+                let (payload, next) = tail.split_at(len as usize);
+                for (row, src) in rows.zip(payload.chunks_exact(row_bytes.max(1))) {
+                    for (x, le) in slab[row].iter_mut().zip(src.chunks_exact(8)) {
+                        *x = f64::from_le_bytes(le.try_into().expect("8 bytes"));
+                    }
                 }
+                rest = next;
             }
         }
     }
@@ -359,10 +401,82 @@ mod tests {
         }
     }
 
+    /// Chunk `cr` of the 2×2×2 grid of 4×2×2 blocks tiling an 8×4×4
+    /// global, every field holding its index.
+    fn grid_chunk(cr: u64) -> PackedChunk {
+        let off = [(cr / 4) * 4, (cr / 2 % 2) * 2, (cr % 2) * 2];
+        let fields: HashMap<&str, Vec<f64>> = (0..)
+            .zip(PIXIE_FIELDS)
+            .map(|(fi, f)| (f, vec![fi as f64; 16]))
+            .collect();
+        PackedChunk::new(make_pixie_pg(cr, 0, [4, 2, 2], [8, 4, 4], off, fields))
+    }
+
+    /// A chunk's pieces for one slab travel as one item: each 4-row chunk
+    /// of the 8-row global is one item per slab its rows touch, in slab
+    /// order, carrying all eight variables.
+    #[test]
+    fn one_item_per_destination_per_chunk() {
+        let mut op = ReorgOp::pixie3d();
+        op.global = vec![8, 4, 4];
+        let mapper = op.mapper();
+        // Slabs of 8 / n rows: chunk rows 0..4 and 4..8 touch this many.
+        for (n_ranks, dests) in [
+            (1, [1, 1]),
+            (2, [1, 1]),
+            (3, [2, 2]),
+            (4, [2, 2]),
+            (8, [4, 4]),
+        ] {
+            for cr in 0..8u64 {
+                let items = mapper.map_chunk(&grid_chunk(cr), &MapCtx { n_ranks });
+                let tags: Vec<u64> = items.iter().map(|t| t.tag).collect();
+                assert_eq!(
+                    tags.len(),
+                    dests[cr as usize / 4],
+                    "{n_ranks} slabs, chunk {cr}"
+                );
+                assert!(tags.windows(2).all(|w| w[0] < w[1]), "{tags:?}");
+                let bytes: usize = items.iter().map(|t| t.bytes.len()).sum();
+                assert_eq!(bytes, 8 * (tags.len() * PIECE_HEADER + 16 * 8));
+            }
+        }
+    }
+
+    /// `reduce` uses up an item exactly: an item one byte longer than its
+    /// pieces is refused.
+    #[test]
+    #[should_panic(expected = "a piece starts with its header")]
+    fn reduce_refuses_an_item_it_does_not_use_up() {
+        let (_world, comms) = World::with_size(1);
+        let dir = std::env::temp_dir();
+        let ctx = OpCtx {
+            comm: &comms[0],
+            out_dir: &dir,
+            step: 0,
+            n_compute: 8,
+            agg: None,
+        };
+        let mut op = ReorgOp::pixie3d();
+        op.global = vec![8, 4, 4];
+        op.slab = (0, 8);
+        op.buffers = vec![vec![0.0; 128]; 8];
+        let mut item = op.mapper().map_chunk(&grid_chunk(5), &ctx.map_ctx())[0]
+            .bytes
+            .to_vec();
+        op.reduce(0, vec![item.clone().into()], &ctx);
+        assert_eq!(op.buffers[7].iter().filter(|&&x| x == 7.0).count(), 16);
+        item.push(0);
+        op.reduce(0, vec![item.into()], &ctx);
+    }
+
+    /// A chunk whose rows straddle the boundary of two slabs is two
+    /// items, one per slab, each with the rows of all eight variables
+    /// that fall in it.
     #[test]
     fn chunk_spanning_slab_boundary_is_split() {
         let out = World::run(2, |comm| {
-            let mut op = ReorgOp::new(vec!["rho".into()]);
+            let mut op = ReorgOp::pixie3d();
             let dir = std::env::temp_dir().join(format!(
                 "reorg-split-{}-{}",
                 std::process::id(),
@@ -383,40 +497,36 @@ mod tests {
             op.initialize(&Aggregates::local_only(&[(0, a)]), &ctx);
 
             // One chunk covering the whole 4x1x1 global, mapped on rank 0:
-            // must split into two pieces (rows 0-1 → rank 0, rows 2-3 → rank 1).
+            // must split into two items (rows 0-1 → rank 0, rows 2-3 → rank 1).
             let mapped = if comm.rank() == 0 {
-                let def = crate::schema::pixie3d_group([4, 1, 1]);
-                let mut pg = bpio::ProcessGroup::new("pixie3d", 0, 0);
-                for (n, v) in [
-                    ("gx", 4u64),
-                    ("gy", 1),
-                    ("gz", 1),
-                    ("ox", 0),
-                    ("oy", 0),
-                    ("oz", 0),
-                ] {
-                    pg.write(&def, n, DataArray::U64(vec![v])).unwrap();
-                }
-                for f in crate::schema::PIXIE_FIELDS {
-                    pg.write(&def, f, DataArray::F64(vec![10.0, 11.0, 12.0, 13.0]))
-                        .unwrap();
-                }
+                let fields = (0..)
+                    .zip(PIXIE_FIELDS)
+                    .map(|(fi, f)| (f, (10..14).map(|x| (fi * 100 + x) as f64).collect()))
+                    .collect();
+                let pg = make_pixie_pg(0, 0, [4, 1, 1], [4, 1, 1], [0, 0, 0], fields);
                 let m = op.map(&PackedChunk::new(pg), &ctx);
-                assert_eq!(m.len(), 2, "boundary-spanning chunk splits into 2 pieces");
+                let tags: Vec<u64> = m.iter().map(|t| t.tag).collect();
+                assert_eq!(tags, [0, 1], "boundary-spanning chunk splits into 2 items");
                 m
             } else {
                 Vec::new()
             };
             let result = complete_pipeline(&mut op, mapped, &ctx);
             let mut r = bpio::BpReader::open(&result.files[0]).unwrap();
-            let idx = r.index().chunks_of("rho", 0)[0].clone();
-            let d = r
-                .read_box("rho", 0, &idx.offset_in_global, &idx.local)
-                .unwrap();
+            let slabs: Vec<Vec<f64>> = PIXIE_FIELDS
+                .iter()
+                .map(|f| {
+                    let idx = r.index().chunks_of(f, 0)[0].clone();
+                    let d = r.read_box(f, 0, &idx.offset_in_global, &idx.local);
+                    d.unwrap().as_f64().unwrap().to_vec()
+                })
+                .collect();
             std::fs::remove_dir_all(&dir).ok();
-            d.as_f64().unwrap().to_vec()
+            slabs
         });
-        assert_eq!(out[0], vec![10.0, 11.0]);
-        assert_eq!(out[1], vec![12.0, 13.0]);
+        for (fi, (lo, hi)) in (0..).zip(out[0].iter().zip(&out[1])) {
+            assert_eq!(lo, &[(fi * 100 + 10) as f64, (fi * 100 + 11) as f64]);
+            assert_eq!(hi, &[(fi * 100 + 12) as f64, (fi * 100 + 13) as f64]);
+        }
     }
 }

@@ -25,13 +25,20 @@
 //!
 //! Stage 3 is one loop on the rank thread (DESIGN.md §3.1 has the long
 //! form). For each request, in policy order: wait until the policy is
-//! willing, pull the chunk, unpack it, release the pull buffer, and append
-//! every operator's [`crate::op::ChunkMapper`] output to its stream:
+//! willing, pull the chunk, decode it into the rank's kept chunk, release
+//! the pull buffer, and append every operator's
+//! [`crate::op::ChunkMapper`] output to its stream:
 //!
 //! ```text
-//!  rank thread:  wait_ready → rdma_get → unpack → drop buffer → map_chunk × ops ──▶ streams
-//!    policy order + pacing, one get per chunk, retried, skippable       (policy order)
+//!  rank thread:  wait_ready → rdma_get → unpack_into kept chunk → drop buffer → map_chunk × ops ──▶ streams
+//!    policy order + pacing, one get per chunk, retried, skippable                    (policy order)
 //! ```
+//!
+//! *Decoding* goes into one [`PackedChunk`] the rank keeps for its whole
+//! life ([`PackedChunk::unpack_into`]): its group name, variable names,
+//! dimension lists and arrays are overwritten in place, so a chunk of the
+//! shape the last one had costs its payload copies and allocates nothing
+//! in the decode.
 //!
 //! *Pulling* is the paper's server-directed, scheduled pull: one RDMA
 //! get per chunk, serially, each through the same path — one
@@ -223,6 +230,9 @@ pub struct StagingRank {
     cfg: StagingConfig,
     /// Requests that arrived early for future steps.
     stashed: Vec<FetchRequest>,
+    /// The chunk every pull is decoded into: its group, names, dimension
+    /// lists and arrays are reused from chunk to chunk and step to step.
+    chunk: PackedChunk,
 }
 
 /// The operator context of `step` on the rank that owns `comm` and `cfg`
@@ -267,6 +277,7 @@ impl StagingRank {
             ops,
             cfg,
             stashed: Vec::new(),
+            chunk: PackedChunk::default(),
         })
     }
 
@@ -423,15 +434,15 @@ impl StagingRank {
             };
             let t_decode = Instant::now();
             event("pull", req.src_rank, t_pull, t_decode, buf.len());
-            let chunk = PackedChunk::unpack(&buf)?;
+            self.chunk.unpack_into(&buf)?;
             let t_map = Instant::now();
             out.bytes_pulled += buf.len() as u64;
-            // The chunk owns its data now; the pulled buffer (landed here,
-            // or an exposer's whole buffer it may recycle) is let go.
+            // The kept chunk owns the data now; the pulled buffer (landed
+            // here, or an exposer's whole buffer it may recycle) is let go.
             drop(buf);
             for (stream, (mapper, row)) in out.per_op.iter_mut().zip(&mappers) {
                 let _s = obs::span_in(obs, row, step).rank(my_rank).chunk(src_rank);
-                stream.extend(mapper.map_chunk(&chunk, &map_ctx));
+                stream.extend(mapper.map_chunk(&self.chunk, &map_ctx));
             }
             let t_done = Instant::now();
             out.pull_order.push(req.src_rank);

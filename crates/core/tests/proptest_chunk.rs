@@ -2,9 +2,10 @@
 //! `PackedChunk::pack` is built on, its output equals an assembly of the
 //! documented layout written here from first principles (no `ffs`, no
 //! `bpio` encoder), the framing fingerprint is the one every earlier
-//! commit shipped, and a pack → unpack round trip is the identity. The
-//! gather the compute side exposes lands, through the fabric, as exactly
-//! those bytes.
+//! commit shipped, and a pack → unpack round trip is the identity, into
+//! a fresh chunk or into one kept from chunk to chunk. The gather the
+//! compute side exposes lands, through the fabric, as exactly those
+//! bytes.
 
 use std::time::Duration;
 
@@ -182,6 +183,26 @@ proptest! {
         prop_assert_eq!(chunk.pg.encoded_len(), pg_block(&chunk.pg).len());
         prop_assert_eq!(packed.capacity(), packed.len());
         prop_assert_eq!(PackedChunk::unpack(&packed).unwrap(), chunk);
+    }
+
+    /// Chunks of any shape unpacked one after another into one kept
+    /// chunk each read as a fresh unpack does — also right after an
+    /// unpack of the chunk cut short failed.
+    #[test]
+    fn unpack_into_a_kept_chunk_is_a_fresh_unpack(
+        pgs in prop::collection::vec((arb_pg(), any::<u64>()), 1..=6),
+    ) {
+        let mut kept = PackedChunk::default();
+        for (pg, cut) in pgs {
+            let chunk = PackedChunk::new(pg);
+            let packed = chunk.pack().unwrap();
+            let cut = &packed[..(cut % packed.len() as u64) as usize];
+            prop_assert!(PackedChunk::unpack(cut).is_err());
+            prop_assert!(kept.unpack_into(cut).is_err());
+            kept.unpack_into(&packed).unwrap();
+            prop_assert_eq!(&kept, &PackedChunk::unpack(&packed).unwrap());
+            prop_assert_eq!(&kept, &chunk);
+        }
     }
 
     #[test]

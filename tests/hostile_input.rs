@@ -10,6 +10,12 @@
 //! many chunks, and a bitmap-index `.idx` file — each go through every
 //! single-site damage (a sweep, so the count fields and the footer's
 //! length are certainly hit) and through seeded multi-site damage.
+//!
+//! The sweep decodes every PG block and packed chunk twice: fresh, and
+//! into one `PackedChunk` kept across the whole sweep, as a staging rank
+//! keeps one for every pull. Both must agree, whatever the last input
+//! left in the kept one, and what it keeps stays bounded by the bytes
+//! it was given.
 
 use predata::bpio::{
     BpReader, BpWriter, DataArray, Dim, Dtype, FileIndex, GroupDef, ProcessGroup, VarDef, VarEntry,
@@ -179,12 +185,20 @@ fn valid(input: Input) -> Vec<u8> {
     }
 }
 
-/// Hand `bytes` to everything that reads that kind of input.
-fn consume(input: Input, bytes: &[u8], tag: &str) {
+/// Hand `bytes` to everything that reads that kind of input; blocks and
+/// chunks are also decoded into `kept`, and must read as a fresh decode
+/// does (compared encoded: a damaged payload can hold a NaN).
+fn consume(input: Input, bytes: &[u8], tag: &str, kept: &mut PackedChunk) {
     match input {
-        Input::Block => drop(ProcessGroup::decode(bytes)),
+        Input::Block => {
+            let fresh = ProcessGroup::decode(bytes).map(|pg| pg.encode());
+            let reused = kept.pg.decode_into(bytes).map(|()| kept.pg.encode());
+            assert_eq!(reused.ok(), fresh.ok(), "a block decoded into a kept group");
+        }
         Input::Chunk => {
-            drop(PackedChunk::unpack(bytes));
+            let fresh = PackedChunk::unpack(bytes).map(|c| c.pack().unwrap());
+            let reused = kept.unpack_into(bytes).map(|()| kept.pack().unwrap());
+            assert_eq!(reused.ok(), fresh.ok(), "a chunk unpacked into a kept one");
             drop(predata::ffs::decode_header(bytes));
             if let Ok(view) = predata::ffs::decode_view(bytes, None) {
                 drop(view.get("pg").map(|v| v.to_value()));
@@ -249,9 +263,12 @@ fn damage(buf: &mut Vec<u8>, at: usize, how: Damage) {
 /// footer's index length are certainly among the sites.
 #[test]
 fn every_single_site_damage_is_ok_or_err() {
+    let mut kept = PackedChunk::default();
+    let mut longest = 0;
     for input in INPUTS {
         let good = valid(input);
-        consume(input, &good, "sweep");
+        longest = longest.max(good.len());
+        consume(input, &good, "sweep", &mut kept);
         for at in 0..good.len() {
             let kinds = [
                 Damage::Flip(at as u8),
@@ -262,10 +279,16 @@ fn every_single_site_damage_is_ok_or_err() {
             for how in kinds {
                 let mut bad = good.clone();
                 damage(&mut bad, at, how);
-                consume(input, &bad, "sweep");
+                consume(input, &bad, "sweep", &mut kept);
             }
         }
     }
+    // Every variable takes at least 16 bytes of the block that counts it.
+    assert!(
+        kept.pg.vars.capacity() <= longest / 16,
+        "a kept group holds room for {} variables after inputs of {longest} B at most",
+        kept.pg.vars.capacity()
+    );
 }
 
 /// The forged index of `aliased_file` is refused when the file is
@@ -306,6 +329,6 @@ proptest! {
         for (at, how) in sites {
             damage(&mut bad, at, how);
         }
-        consume(input, &bad, "seeded");
+        consume(input, &bad, "seeded", &mut PackedChunk::default());
     }
 }

@@ -74,6 +74,14 @@
 //! - **Stage 3 spawns no thread.** Outside its tests, `staging.rs`
 //!   spawns one kind of thread — a staging rank, in `StagingArea::spawn`
 //!   — and enters no thread scope.
+//! - **One decoder and a kept chunk.** `ProcessGroup::decode` is
+//!   `decode_into` on a fresh group and `PackedChunk::unpack` is
+//!   `unpack_into` on a fresh chunk, so each format has one decoder; the
+//!   staging loop (`pull_map`) unpacks every pull into the rank's kept
+//!   chunk, and the in-compute dump write decodes every gathered block
+//!   into one group (DESIGN.md §3.4): a warm chunk's arrays are reused,
+//!   which `steady_state_alloc::a_warm_dump_allocates_nothing_proportional_to_the_data`
+//!   counts.
 //! - **One registry per run.** Under `crates/*/src`, only the `obs`
 //!   crate and the default constructors (`Fabric::new`,
 //!   `DataSpaces::new`, a `minimpi` world's `Comm::new`) name
@@ -663,6 +671,31 @@ fn stage_3_spawns_no_thread() {
     assert!(
         next.contains(".name(format!(\"staging{}\""),
         "the one spawned thread is a staging rank: {next}"
+    );
+}
+
+#[test]
+fn one_decoder_and_a_kept_chunk() {
+    let body = |file: &str, name: &str| fn_body(&read(&root().join(file)), name).to_string();
+    for (file, wrapper, decoder) in [
+        ("crates/bpio/src/pg.rs", "decode", "decode_into("),
+        ("crates/core/src/chunk.rs", "unpack", "unpack_into("),
+    ] {
+        let wrapper = body(file, wrapper);
+        assert!(
+            wrapper.contains(decoder),
+            "{file}: a second decoder, not a call of `{decoder}`:\n{wrapper}"
+        );
+    }
+    let pull_map = body("crates/core/src/staging.rs", "pull_map");
+    assert!(
+        pull_map.contains("unpack_into(") && !pull_map.contains("unpack("),
+        "pull_map unpacks into a fresh chunk again:\n{pull_map}"
+    );
+    let dump = body("crates/core/src/incompute.rs", "write_dump_collective");
+    assert!(
+        dump.contains("decode_into(") && !dump.contains("decode("),
+        "the in-compute dump decodes into a fresh group per block again:\n{dump}"
     );
 }
 

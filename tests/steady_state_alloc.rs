@@ -3,9 +3,11 @@
 //! allocates nothing proportional to the data on the generator thread —
 //! not even on the first dump, since `write_pg` exposes the process
 //! group's own arrays and copies no payload — and, once warm, no slab on
-//! the staging ranks. This is ROADMAP item 1's "page-fault count per
-//! step flat", made checkable without the benchmark harness: a block
-//! that is never allocated is never faulted in. The large-chunk GTC dump
+//! the staging ranks, where a chunk's pull, decode and map together ask
+//! the allocator a bounded number of times. This is ROADMAP item 1's
+//! "page-fault count per step flat", made checkable without the
+//! benchmark harness: a block that is never allocated is never faulted
+//! in. The large-chunk GTC dump
 //! through `SortOp` is held to the same on the generator thread, and for
 //! its output: a warm step sorts into the buffer the previous step's
 //! write handed back — and the sort's finalize writes that 4 MiB output
@@ -51,6 +53,11 @@ thread_local! {
     /// Bytes this thread has asked the allocator for, and how many of
     /// its requests were for `BIG` or more.
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Requests this thread has made, of any size.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// `CALLS` when this thread first and last entered a measured
+    /// `map_chunk`, and how many times it did.
+    static MAPS: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
     static BIG_BLOCKS: Cell<u64> = const { Cell::new(0) };
     /// Requests for `ANSWER` or more, by entry point: `alloc`,
     /// `alloc_zeroed`, `realloc`.
@@ -76,6 +83,7 @@ fn count(size: usize, via: usize) {
         });
     }
     BYTES.with(|b| b.set(b.get() + size as u64));
+    CALLS.with(|c| c.set(c.get() + 1));
     if size >= BIG {
         BIG_BLOCKS.with(|b| b.set(b.get() + 1));
     }
@@ -127,12 +135,32 @@ struct Seen {
     cv: Condvar,
     big_in_initialize: AtomicU64,
     big_in_reduce: AtomicU64,
+    /// Per staging rank of the measured step: allocator calls between
+    /// its first and its last `map_chunk`, and the chunks in between.
+    calls_between_maps: Mutex<Vec<(u64, u64)>>,
 }
 
-/// `ReorgOp`, with the measured step's `initialize` and `reduce` counted.
+/// `ReorgOp`, with the measured step's `initialize` and `reduce` counted,
+/// and the allocator calls of its rank thread between two maps.
 struct Probed {
     op: ReorgOp,
     seen: Arc<Seen>,
+    step: u64,
+}
+
+/// A mapper that notes in `MAPS`, on the calling thread, how many
+/// allocator calls it had made each time the mapper is entered.
+struct CallCounted(Arc<dyn ChunkMapper>);
+
+impl ChunkMapper for CallCounted {
+    fn map_chunk(&self, chunk: &PackedChunk, ctx: &MapCtx) -> Vec<Tagged> {
+        let calls = CALLS.with(Cell::get);
+        MAPS.with(|m| {
+            let (first, _, n) = m.get();
+            m.set((if n == 0 { calls } else { first }, calls, n + 1));
+        });
+        self.0.map_chunk(chunk, ctx)
+    }
 }
 
 impl StreamOp for Probed {
@@ -140,6 +168,7 @@ impl StreamOp for Probed {
         self.op.name()
     }
     fn initialize(&mut self, agg: &Aggregates, ctx: &OpCtx) {
+        self.step = ctx.step;
         let before = big_blocks();
         self.op.initialize(agg, ctx);
         if ctx.step == WARM_UP {
@@ -150,7 +179,10 @@ impl StreamOp for Probed {
         }
     }
     fn mapper(&self) -> Arc<dyn ChunkMapper> {
-        self.op.mapper()
+        match self.step {
+            WARM_UP => Arc::new(CallCounted(self.op.mapper())),
+            _ => self.op.mapper(),
+        }
     }
     fn partition(&self, tag: u64, n_ranks: usize) -> usize {
         self.op.partition(tag, n_ranks)
@@ -167,12 +199,26 @@ impl StreamOp for Probed {
         }
     }
     fn finalize(&mut self, ctx: &OpCtx) -> OpResult {
+        if ctx.step == WARM_UP {
+            let (first, last, maps) = MAPS.with(Cell::get);
+            let mut calls = self.seen.calls_between_maps.lock().unwrap();
+            calls.push((last - first, maps.saturating_sub(1)));
+        }
         let result = self.op.finalize(ctx);
         *self.seen.finalized.lock().unwrap() += 1;
         self.seen.cv.notify_all();
         result
     }
 }
+
+/// Allocator calls a warm Pixie3D staging rank may make per chunk, from
+/// entering one chunk's map to entering the next's: the map, the pull
+/// that lands the next chunk, and its decode into the rank's kept chunk.
+/// Measured at 25.2: the landed buffer (1), `ffs::decode_view`'s schema
+/// and field table (19), and the map's item per destination with the
+/// vectors around it (5). Decoding into fresh arrays and mapping one
+/// piece per variable measured 93.2.
+const CALLS_PER_CHUNK: u64 = 32;
 
 #[test]
 fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
@@ -216,6 +262,7 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
             vec![Box::new(Probed {
                 op: ReorgOp::pixie3d(),
                 seen: Arc::clone(&for_ops),
+                step: 0,
             }) as Box<dyn StreamOp>]
         }),
         Arc::new(|_| Box::new(FifoPolicy) as Box<dyn PullPolicy>),
@@ -293,6 +340,17 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
         0,
         "ReorgOp::reduce allocated a piece-sized block on a warm step"
     );
+    let calls = seen.calls_between_maps.lock().unwrap();
+    assert_eq!(calls.len(), n_staging, "each staging rank reported once");
+    for &(calls, chunks) in calls.iter() {
+        assert_eq!(chunks, n_compute as u64 / n_staging as u64 - 1);
+        let per_chunk = calls as f64 / chunks as f64;
+        eprintln!("a warm Pixie3D chunk: {per_chunk:.1} allocator calls on its staging thread");
+        assert!(
+            per_chunk <= CALLS_PER_CHUNK as f64,
+            "a warm Pixie3D chunk made {per_chunk:.1} allocator calls on its staging thread"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
