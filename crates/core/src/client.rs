@@ -16,8 +16,12 @@
 //! the group's own arrays — handed to the fabric whole
 //! ([`ComputeEndpoint::expose_gather`]). The staging rank's pull lands
 //! those regions in a buffer of its own, so the one copy of a payload
-//! byte is made on the staging side, off the simulation's thread, and
-//! the group is freed there when the pull is done.
+//! byte is made on the staging side, off the simulation's thread. The
+//! gather comes back with the pull's completion, and the group is freed
+//! on this side, where it was allocated, when
+//! [`wait_drained`](PredataClient::wait_drained) consumes the
+//! completion. A staging rank wakes this thread once per pull loop, not
+//! once per chunk.
 //!
 //! # Header-buffer recycling
 //!
@@ -29,7 +33,8 @@
 //! [`wait_drained`](PredataClient::wait_drained), or the exposure was
 //! refused or withdrawn because its fetch request never left) **and
 //! every other handle on it is gone** ([`Bytes::is_unique`]: the
-//! gather's, which the pull drops once it has landed the chunk).
+//! gather's, which is dropped as its completion is consumed, so the
+//! buffer is unique by the time `wait_drained` retires it).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -421,6 +426,62 @@ mod tests {
             .map(|b| b.as_ptr())
             .collect();
         assert!(again.iter().all(|at| heads.contains(at)));
+    }
+
+    /// A number from this thread's `/proc/thread-self/status`.
+    #[cfg(target_os = "linux")]
+    fn thread_status(field: &str) -> u64 {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+        let line = status.lines().find_map(|l| l.strip_prefix(field));
+        line.and_then(|v| v.trim_start_matches(':').trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {field} in {status}"))
+    }
+
+    /// Whether thread `tid` of this process is asleep.
+    #[cfg(target_os = "linux")]
+    fn asleep(tid: &str) -> bool {
+        let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).unwrap();
+        let state = stat.rsplit_once(") ").map(|(_, rest)| &rest[..1]);
+        state == Some("S")
+    }
+
+    /// The simulation's thread parks in `wait_drained` for 64 chunks;
+    /// the staging thread pulls them in one completion batch, each pull
+    /// once the simulation's thread is asleep. It is woken once, when the
+    /// batch ends, not once per chunk: a woken thread counts a voluntary
+    /// context switch each time it parks again. Waking per pull measured
+    /// 64 here.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_pull_loop_wakes_the_exposer_once() {
+        const CHUNKS: u64 = 64;
+        let (_fabric, client, staging) = one_client(None);
+        for step in 0..CHUNKS {
+            client
+                .write_pg(make_particle_pg(0, step, vec![step as f64; 64]))
+                .unwrap();
+        }
+        let me = std::fs::read_link("/proc/thread-self").unwrap();
+        let tid = me.file_name().unwrap().to_string_lossy().into_owned();
+        let switches = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _batch = staging.completion_batch();
+                for _ in 0..CHUNKS {
+                    while !asleep(&tid) {
+                        std::thread::yield_now();
+                    }
+                    pull(&staging);
+                }
+            });
+            let before = thread_status("voluntary_ctxt_switches");
+            client.wait_drained(Duration::from_secs(30)).unwrap();
+            thread_status("voluntary_ctxt_switches") - before
+        });
+        assert_eq!(client.buffered_bytes(), 0);
+        assert!(
+            switches <= 4,
+            "the exposer parked {switches} times draining {CHUNKS} chunks"
+        );
     }
 
     #[test]

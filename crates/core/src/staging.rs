@@ -45,7 +45,12 @@
 //! `rdma_get` (which consults the fabric's fault plan, if any),
 //! retried under [`transport::retry`]'s one rule (at most four
 //! attempts), skipped when the retries exhaust on a transient error
-//! ([`StepReport::truncated`]).
+//! ([`StepReport::truncated`]). The loop runs inside one
+//! [`StagingEndpoint::completion_batch`]: every pull's completion (and
+//! the gather it carries home) is queued at once, and each exposer is
+//! woken once, when the loop ends — so a simulation thread parked for
+//! its completions waits at most one `pull_map`, and one that polls
+//! does not wait at all.
 //!
 //! *Mapping* happens where and as soon as the chunk is pulled, so each
 //! operator's stream is in policy order by construction and a step
@@ -398,6 +403,9 @@ impl StagingRank {
             obs.record(event);
         };
         let left = || deadline.saturating_duration_since(Instant::now());
+        // Each exposer is woken once, when the loop ends (however it
+        // ends), not once per chunk.
+        let _batch = self.endpoint.completion_batch();
         for req in requests.iter() {
             // The policy's deferral is the chunk's scheduling wait — the
             // rate/phase control the paper bounds interference with. It

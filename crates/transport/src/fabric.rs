@@ -1,4 +1,19 @@
 //! The in-process fabric: memory registry, request queues, completions.
+//!
+//! A pull ([`StagingEndpoint::rdma_get`]) takes the exposure out of the
+//! registry, lands its bytes on the puller's side and posts a completion
+//! to the exposer's queue. The completion carries the exposure home: a
+//! [`Gather`] goes back with it and is dropped on the exposer's own
+//! thread when it consumes the completion
+//! ([`ComputeEndpoint::wait_completion`],
+//! [`ComputeEndpoint::poll_completions`]), so the memory is freed where
+//! it was allocated, and the puller spends nothing on it. A whole buffer
+//! goes to the puller by reference count, as before.
+//!
+//! A bare pull wakes a parked exposer at once. Inside a
+//! [`StagingEndpoint::completion_batch`] the pull enqueues its
+//! completion quietly — an exposer that polls sees it at once — and the
+//! batch wakes each exposer it delivered to once, when it is dropped.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -80,6 +95,13 @@ pub struct CompletionEvent {
     pub(crate) io_step: u64,
 }
 
+/// A completion on its way home: the event, and the gather the pull
+/// landed, for the exposer to drop (module docs).
+struct Completed {
+    event: CompletionEvent,
+    _gather: Option<Box<dyn Gather>>,
+}
+
 /// Fabric-wide counters.
 #[derive(Debug, Default)]
 pub struct FabricStats {
@@ -115,7 +137,8 @@ impl FabricStats {
 /// owner keeps them and, read in order, are the exposed bytes. The
 /// exposer hands the fabric the gather itself; a pull lands its regions
 /// in one buffer on the puller's side, so the copy is the puller's, not
-/// the exposer's ([`ComputeEndpoint::expose_gather`]).
+/// the exposer's ([`ComputeEndpoint::expose_gather`]), and the gather
+/// comes back with the pull's completion (module docs).
 pub trait Gather: Send {
     /// Total bytes: the sum of the regions' lengths.
     fn len(&self) -> usize;
@@ -144,18 +167,18 @@ impl Exposed {
         }
     }
 
-    /// The exposed bytes as one buffer on the puller's side: a whole
+    /// The exposed bytes as one buffer on the puller's side — a whole
     /// buffer as it is, a gather copied region by region into a buffer
-    /// of its exact length. The gather is dropped here, on the caller's
-    /// thread, with whatever it owned.
-    fn land(self) -> Bytes {
+    /// of its exact length — and the gather, to go home with the
+    /// completion.
+    fn land(self) -> (Bytes, Option<Box<dyn Gather>>) {
         match self {
-            Exposed::Whole(buf) => buf,
+            Exposed::Whole(buf) => (buf, None),
             Exposed::Gather(g) => {
                 let mut out = Vec::with_capacity(g.len());
                 g.regions(&mut |r| out.extend_from_slice(r));
                 debug_assert_eq!(out.len(), g.len(), "a gather's regions sum to its length");
-                Bytes::from(out)
+                (Bytes::from(out), Some(g))
             }
         }
     }
@@ -173,7 +196,7 @@ struct FabricInner {
     /// Per-staging-rank request queues.
     requests: Vec<EventQueue<FetchRequest>>,
     /// Per-compute-rank completion queues.
-    completions: Vec<EventQueue<CompletionEvent>>,
+    completions: Vec<EventQueue<Completed>>,
     /// Deterministic fault-injection schedule, if any
     /// ([`Fabric::with_faults`]).
     faults: Option<Arc<FaultPlan>>,
@@ -258,6 +281,7 @@ impl Fabric {
                 rank,
                 inner: Arc::clone(&inner),
                 requests,
+                batch: Mutex::default(),
             })
             .collect();
         (Fabric { inner }, computes, stagings)
@@ -274,11 +298,11 @@ impl Fabric {
 }
 
 /// Compute-node side of the fabric. Dropping it closes its completion
-/// queue.
+/// queue and drops the gathers of the completions it never consumed.
 pub struct ComputeEndpoint {
     rank: usize,
     inner: Arc<FabricInner>,
-    completions: EventQueue<CompletionEvent>,
+    completions: EventQueue<Completed>,
     pin_budget: Option<usize>,
     my_pinned: Arc<AtomicUsize>,
 }
@@ -286,6 +310,7 @@ pub struct ComputeEndpoint {
 impl Drop for ComputeEndpoint {
     fn drop(&mut self) {
         self.completions.close();
+        while self.completions.try_poll().is_some() {}
     }
 }
 
@@ -328,9 +353,10 @@ impl ComputeEndpoint {
     /// Register a [`Gather`] for one-sided access: its regions stay
     /// where they are, pinned, until a staging node pulls them, and the
     /// pull lands them in one buffer of the puller's. The registry owns
-    /// the gather until then (or until [`reclaim`](Self::reclaim)), and
-    /// drops it on the thread that ends the exposure. A refused exposure
-    /// drops it here and pins nothing.
+    /// the gather until then; the pull's completion brings it back, to
+    /// be dropped on the thread that consumes the completion, and
+    /// [`reclaim`](Self::reclaim) drops it on the caller's. A refused
+    /// exposure drops it here and pins nothing.
     pub fn expose_gather(
         &self,
         gather: Box<dyn Gather>,
@@ -388,20 +414,28 @@ impl ComputeEndpoint {
 
     /// Block until the next pull-completion for one of this endpoint's
     /// exposures. Used by the compute-side runtime to recycle buffers.
+    /// The exposure's gather, if it was one, is dropped here, on the
+    /// caller's thread.
     pub fn wait_completion(&self, timeout: Duration) -> Result<CompletionEvent, TransportError> {
-        let ev = self.completions.recv(timeout).map_err(poll_error)?;
-        self.my_pinned.fetch_sub(ev.bytes, Ordering::Relaxed);
-        Ok(ev)
+        let done = self.completions.recv(timeout).map_err(poll_error)?;
+        Ok(self.consume(done))
     }
 
-    /// Drain any already-arrived completions without blocking.
+    /// Drain any already-arrived completions without blocking, dropping
+    /// their gathers as [`wait_completion`](Self::wait_completion) does.
     pub fn poll_completions(&self) -> Vec<CompletionEvent> {
         let mut out = Vec::new();
-        while let Some(ev) = self.completions.try_poll() {
-            self.my_pinned.fetch_sub(ev.bytes, Ordering::Relaxed);
-            out.push(ev);
+        while let Some(done) = self.completions.try_poll() {
+            out.push(self.consume(done));
         }
         out
+    }
+
+    /// A consumed completion: its pin is released, and its gather goes.
+    fn consume(&self, done: Completed) -> CompletionEvent {
+        self.my_pinned
+            .fetch_sub(done.event.bytes, Ordering::Relaxed);
+        done.event
     }
 
     /// Withdraw an exposure that was never pulled, freeing its pinned
@@ -427,6 +461,37 @@ pub struct StagingEndpoint {
     rank: usize,
     inner: Arc<FabricInner>,
     requests: EventQueue<FetchRequest>,
+    /// The open [`CompletionBatch`], if any.
+    batch: Mutex<Batch>,
+}
+
+/// A staging endpoint's completion batch: whether one is open, and the
+/// exposers its pulls have enqueued a completion to, not yet woken (kept
+/// with its capacity from batch to batch).
+#[derive(Default)]
+struct Batch {
+    open: bool,
+    exposers: Vec<usize>,
+}
+
+/// The guard of [`StagingEndpoint::completion_batch`]: dropping it wakes
+/// every exposer that a pull delivered a completion to while it lived,
+/// once each — on a normal exit, an early error return and unwinding
+/// alike.
+pub struct CompletionBatch<'a> {
+    endpoint: &'a StagingEndpoint,
+}
+
+impl Drop for CompletionBatch<'_> {
+    fn drop(&mut self) {
+        let mut batch = self.endpoint.batch.lock();
+        batch.open = false;
+        batch.exposers.sort_unstable();
+        batch.exposers.dedup();
+        for rank in batch.exposers.drain(..) {
+            self.endpoint.inner.completions[rank].wake();
+        }
+    }
 }
 
 impl Drop for StagingEndpoint {
@@ -445,6 +510,20 @@ impl StagingEndpoint {
         &self.inner.obs
     }
 
+    /// Open a completion batch: until the returned guard is dropped,
+    /// [`rdma_get`](Self::rdma_get) enqueues each completion without
+    /// waking its exposer, and the guard's drop wakes every exposer that
+    /// got one, once. A staging rank holds one around its pull loop, so
+    /// an exposer parked for its completions wakes once per loop, not
+    /// once per chunk; one that polls sees each completion as soon as
+    /// its pull ends. The batch is the endpoint's: a pull made on
+    /// another thread while it is open joins it, and the first of two
+    /// guards to drop ends it.
+    pub fn completion_batch(&self) -> CompletionBatch<'_> {
+        self.batch.lock().open = true;
+        CompletionBatch { endpoint: self }
+    }
+
     /// Block for the next fetch request, with a deadline.
     pub fn recv_request(&self, timeout: Duration) -> Result<FetchRequest, TransportError> {
         let r = self.requests.recv(timeout).map_err(poll_error)?;
@@ -460,7 +539,10 @@ impl StagingEndpoint {
     /// One-sided pull of an exposed chunk. Consumes the exposure (the
     /// compute side sees a completion and may reuse its buffer) and
     /// returns the bytes: the exposer's own buffer, by reference count,
-    /// or a [`Gather`]'s regions landed in a buffer of the puller's.
+    /// or a [`Gather`]'s regions landed in a buffer of the puller's. The
+    /// gather itself goes home with the completion (module docs), which
+    /// wakes the exposer at once, or, inside a
+    /// [`completion_batch`](Self::completion_batch), when the batch ends.
     ///
     /// The fabric's fault plan, if any, is consulted first, keyed on the
     /// chunk `(src_rank, io_step)`: a `drop` fault fails the attempt
@@ -488,12 +570,12 @@ impl StagingEndpoint {
             reg.pinned_bytes -= entry.0.len();
             entry
         };
-        let buf = mem.land();
+        let (buf, gather) = mem.land();
         self.inner.stats.rdma_gets.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = started {
             self.inner.obs_get_ns.record(t.elapsed().as_nanos() as u64);
         }
-        self.pull_done(req, &buf, io_step);
+        self.pull_done(req, &buf, io_step, gather);
         Ok(buf)
     }
 
@@ -544,8 +626,8 @@ impl StagingEndpoint {
             .into_iter()
             .zip(reqs)
             .map(|(entry, req)| {
-                let (buf, io_step) = entry?;
-                self.pull_done(req, &buf, io_step);
+                let ((buf, gather), io_step) = entry?;
+                self.pull_done(req, &buf, io_step, gather);
                 Ok(buf)
             })
             .collect()
@@ -553,20 +635,41 @@ impl StagingEndpoint {
 
     /// Per-request bookkeeping once bytes have left the registry:
     /// traffic stats and the best-effort completion posted back to the
-    /// exposing compute endpoint (if that endpoint is gone the data
-    /// still flows — matches one-sided RDMA semantics). The pull's
-    /// event is the caller's: it knows the rank and times the retries.
-    fn pull_done(&self, req: &FetchRequest, buf: &Bytes, io_step: u64) {
+    /// exposing compute endpoint with the pull's `gather` (if that
+    /// endpoint is gone the data still flows — matches one-sided RDMA
+    /// semantics — and the gather is dropped here). The completion wakes
+    /// its exposer now, or is recorded for the open batch to wake. The
+    /// pull's event is the caller's: it knows the rank and times the
+    /// retries.
+    fn pull_done(
+        &self,
+        req: &FetchRequest,
+        buf: &Bytes,
+        io_step: u64,
+        gather: Option<Box<dyn Gather>>,
+    ) {
         self.inner
             .stats
             .bytes_pulled
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
         self.inner.obs_get_bytes.add(buf.len() as u64);
-        self.inner.completions[req.src_rank].submit(CompletionEvent {
-            handle: req.handle,
-            bytes: buf.len(),
-            io_step,
-        });
+        let done = Completed {
+            event: CompletionEvent {
+                handle: req.handle,
+                bytes: buf.len(),
+                io_step,
+            },
+            _gather: gather,
+        };
+        let queue = &self.inner.completions[req.src_rank];
+        let mut batch = self.batch.lock();
+        if batch.open {
+            queue.submit_quiet(done);
+            batch.exposers.push(req.src_rank);
+        } else {
+            drop(batch);
+            queue.submit(done);
+        }
     }
 }
 
@@ -820,8 +923,11 @@ mod tests {
         assert!(stagings[0].rdma_get_batch(&[]).is_empty());
     }
 
-    /// A gather of owned parts that counts its drops.
-    struct Parts(Vec<Vec<u8>>, Arc<AtomicUsize>);
+    /// The threads that dropped a gather, in order.
+    type Drops = Arc<Mutex<Vec<std::thread::ThreadId>>>;
+
+    /// A gather of owned parts that records the thread that drops it.
+    struct Parts(Vec<Vec<u8>>, Drops);
 
     impl Gather for Parts {
         fn len(&self) -> usize {
@@ -834,14 +940,19 @@ mod tests {
 
     impl Drop for Parts {
         fn drop(&mut self) {
-            self.1.fetch_add(1, Ordering::Relaxed);
+            self.1.lock().push(std::thread::current().id());
         }
     }
 
-    fn parts(parts: &[&[u8]]) -> (Box<dyn Gather>, Arc<AtomicUsize>) {
-        let drops = Arc::new(AtomicUsize::new(0));
+    fn parts(parts: &[&[u8]]) -> (Box<dyn Gather>, Drops) {
+        let drops = Drops::default();
         let owned = parts.iter().map(|p| p.to_vec()).collect();
         (Box::new(Parts(owned, Arc::clone(&drops))), drops)
+    }
+
+    /// `f` on a thread of its own, standing for the staging rank's.
+    fn on_staging_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(f).join().unwrap())
     }
 
     #[test]
@@ -855,15 +966,20 @@ mod tests {
         );
         assert_eq!(fabric.stats().peak_pinned_bytes(), 48);
 
-        let got = stagings[0].rdma_get(&req(0, h, 48)).unwrap();
+        let got = on_staging_thread(|| stagings[0].rdma_get(&req(0, h, 48)).unwrap());
         let mut want = b"head".to_vec();
         want.extend_from_slice(&[9u8; 40]);
         want.extend_from_slice(b"tail");
         assert_eq!(&got[..], &want[..]);
-        assert_eq!(drops.load(Ordering::Relaxed), 1, "landed, then dropped");
+        assert!(drops.lock().is_empty(), "landed, and gone home");
         assert_eq!(fabric.pinned_bytes(), 0);
         let ev = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
         assert_eq!((ev.bytes, ev.io_step), (48, 7));
+        assert_eq!(
+            *drops.lock(),
+            [std::thread::current().id()],
+            "dropped when consumed, on the exposer's thread"
+        );
         assert_eq!(computes[0].pinned_bytes(), 0);
         assert_eq!(fabric.stats().bytes_pulled(), 48);
         assert_eq!(
@@ -887,13 +1003,13 @@ mod tests {
                 available: 40
             })
         );
-        assert_eq!(big_drops.load(Ordering::Relaxed), 1);
+        assert_eq!(big_drops.lock().len(), 1);
         assert_eq!(
             (computes[0].pinned_bytes(), fabric.pinned_bytes()),
             (60, 60)
         );
         assert_eq!(computes[0].reclaim(h), Some(60));
-        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(drops.lock().len(), 1);
         assert_eq!((computes[0].pinned_bytes(), fabric.pinned_bytes()), (0, 0));
         assert_eq!(computes[0].reclaim(h), None);
         // An injected pin fault refuses a gather too, pinning nothing.
@@ -902,7 +1018,7 @@ mod tests {
             Fabric::with_faults(1, 1, None, Some(plan), obs::Registry::new());
         let (g, drops) = parts(&[&[0u8; 8]]);
         assert!(computes[0].expose_gather(g, 0).is_err());
-        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(drops.lock().len(), 1);
         assert_eq!((computes[0].pinned_bytes(), fabric.pinned_bytes()), (0, 0));
     }
 
@@ -916,14 +1032,14 @@ mod tests {
         let stale = MemHandle::test_only(999);
 
         let reqs = [req(0, h2, 16), req(0, stale, 0), req(0, h1, 16)];
-        let out = stagings[0].rdma_get_batch(&reqs);
+        let out = on_staging_thread(|| stagings[0].rdma_get_batch(&reqs));
         assert_eq!(out.len(), 3);
         let gathered = out[0].as_ref().unwrap();
         assert_eq!(
             (&gathered[..8], &gathered[8..]),
             (&[2u8; 8][..], &[3u8; 8][..])
         );
-        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert!(drops.lock().is_empty(), "the gather went home");
         assert_eq!(out[1], Err(TransportError::StaleHandle(stale)));
         let landed = out[2].as_ref().unwrap();
         assert_eq!(
@@ -935,8 +1051,104 @@ mod tests {
         assert_eq!(fabric.stats().bytes_pulled(), 32);
         assert_eq!(fabric.pinned_bytes(), 0);
         let a = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
+        assert_eq!(
+            *drops.lock(),
+            [std::thread::current().id()],
+            "dropped when consumed, on the exposer's thread"
+        );
         let b = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
         assert_eq!([a.handle, b.handle], [h2, h1]);
+    }
+
+    /// Spawn an exposer thread that parks for one completion on
+    /// `compute`, and return once it is parked.
+    fn parked_exposer<'s>(
+        s: &'s std::thread::Scope<'s, '_>,
+        compute: &'s ComputeEndpoint,
+    ) -> std::thread::ScopedJoinHandle<'s, CompletionEvent> {
+        let t = s.spawn(|| compute.wait_completion(Duration::from_secs(30)).unwrap());
+        while compute.completions.parked_consumers() == 0 {
+            std::thread::yield_now();
+        }
+        t
+    }
+
+    #[test]
+    fn a_completion_batch_wakes_each_exposer_once_when_it_ends() {
+        let (_f, computes, stagings) = Fabric::new(2, 1, None);
+        let handles: Vec<MemHandle> = (0..4)
+            .map(|i| computes[i % 2].expose(vec![i as u8; 8].into(), 0).unwrap())
+            .collect();
+        std::thread::scope(|s| {
+            let exposers = [
+                parked_exposer(s, &computes[0]),
+                parked_exposer(s, &computes[1]),
+            ];
+            let batch = stagings[0].completion_batch();
+            for (i, &h) in handles.iter().enumerate() {
+                stagings[0].rdma_get(&req(i % 2, h, 8)).unwrap();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            for (c, t) in computes.iter().zip(&exposers) {
+                assert!(!t.is_finished(), "woken inside the batch");
+                assert_eq!(c.completions.parked_consumers(), 1);
+            }
+            drop(batch);
+            for (rank, t) in exposers.into_iter().enumerate() {
+                assert_eq!(t.join().unwrap().handle, handles[rank]);
+            }
+        });
+        // The rest were queued: an exposer that polls finds them.
+        for (rank, c) in computes.iter().enumerate() {
+            let left: Vec<_> = c.poll_completions().iter().map(|e| e.handle).collect();
+            assert_eq!(left, [handles[rank + 2]]);
+            assert_eq!(c.pinned_bytes(), 0);
+        }
+        // Outside a batch, a pull wakes its exposer at once.
+        let h = computes[0].expose(vec![0u8; 8].into(), 1).unwrap();
+        std::thread::scope(|s| {
+            let t = parked_exposer(s, &computes[0]);
+            stagings[0].rdma_get(&req(0, h, 8)).unwrap();
+            assert_eq!(t.join().unwrap().handle, h);
+        });
+    }
+
+    #[test]
+    fn a_completion_batch_wakes_on_an_error_return_and_on_unwinding() {
+        let (_f, computes, stagings) = Fabric::new(1, 1, None);
+        let staging = &stagings[0];
+        // A pull loop that leaves on `?` after its first pull.
+        let pull_two = |first: MemHandle| -> Result<(), TransportError> {
+            let _batch = staging.completion_batch();
+            staging.rdma_get(&req(0, first, 8))?;
+            staging.rdma_get(&req(0, MemHandle::test_only(999), 8))?;
+            Ok(())
+        };
+        let h = computes[0].expose(vec![1u8; 8].into(), 0).unwrap();
+        std::thread::scope(|s| {
+            let t = parked_exposer(s, &computes[0]);
+            assert!(pull_two(h).is_err());
+            assert_eq!(t.join().unwrap().handle, h);
+        });
+        // A pull loop that panics after its pull.
+        let h = computes[0].expose(vec![2u8; 8].into(), 0).unwrap();
+        std::thread::scope(|s| {
+            let t = parked_exposer(s, &computes[0]);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _batch = staging.completion_batch();
+                staging.rdma_get(&req(0, h, 8)).unwrap();
+                panic!("a mapper panicked");
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(t.join().unwrap().handle, h);
+        });
+        // The batch is closed again: the next pull wakes at once.
+        let h = computes[0].expose(vec![3u8; 8].into(), 0).unwrap();
+        std::thread::scope(|s| {
+            let t = parked_exposer(s, &computes[0]);
+            staging.rdma_get(&req(0, h, 8)).unwrap();
+            assert_eq!(t.join().unwrap().handle, h);
+        });
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //!    (`ComputeEndpoint::expose_bytes`), and a [`Gather`] exposed where
 //!    its regions lie ([`ComputeEndpoint::expose_gather`]) is landed in
 //!    one buffer of the puller's; completion is posted to the compute
-//!    endpoint's completion queue, and once nothing else holds the
-//!    exposed memory the exposer may recycle it.
+//!    endpoint's completion queue with the gather, which the exposer
+//!    drops when it consumes the completion, and once nothing else holds
+//!    the exposed memory the exposer may recycle it. A staging rank's
+//!    pull loop holds a [`StagingEndpoint::completion_batch`], so each
+//!    exposer is woken once per loop.
 //!
 //! Pull *order and pacing* are policy ([`PullPolicy`]): FIFO, largest-first,
 //! or phase-aware (pause while the application is inside collectives —
@@ -92,8 +95,8 @@ pub mod retry;
 mod router;
 
 pub use fabric::{
-    CompletionEvent, ComputeEndpoint, Fabric, FabricStats, Gather, MemHandle, StagingEndpoint,
-    TransportError,
+    CompletionBatch, CompletionEvent, ComputeEndpoint, Fabric, FabricStats, Gather, MemHandle,
+    StagingEndpoint, TransportError,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use policy::{

@@ -4,14 +4,15 @@
 //! not even on the first dump, since `write_pg` exposes the process
 //! group's own arrays and copies no payload — and, once warm, no slab on
 //! the staging ranks, where a chunk's pull, decode and map together ask
-//! the allocator a bounded number of times. This is ROADMAP item 1's
-//! "page-fault count per step flat", made checkable without the
-//! benchmark harness: a block that is never allocated is never faulted
-//! in. The large-chunk GTC dump
-//! through `SortOp` is held to the same on the generator thread, and for
-//! its output: a warm step sorts into the buffer the previous step's
-//! write handed back — and the sort's finalize writes that 4 MiB output
-//! to its BP file without copying it. A warm DataSpaces range answer is
+//! the allocator, and free blocks, a bounded number of times: the
+//! exposer's process group is freed on the exposer's side. This is
+//! ROADMAP item 1's "page-fault count per step flat", made checkable
+//! without the benchmark harness: a block that is never allocated is
+//! never faulted in. The large-chunk GTC dump through `SortOp` is held
+//! to the same on the generator thread, and for its output: a warm step
+//! sorts into the buffer the previous step's write handed back — and the
+//! sort's finalize writes that 4 MiB output to its BP file without
+//! copying it. A warm DataSpaces range answer is
 //! one block, asked for once and never zeroed.
 //!
 //! Its own test binary, because it replaces the global allocator.
@@ -55,9 +56,11 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
     /// Requests this thread has made, of any size.
     static CALLS: Cell<u64> = const { Cell::new(0) };
-    /// `CALLS` when this thread first and last entered a measured
-    /// `map_chunk`, and how many times it did.
-    static MAPS: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
+    /// Blocks this thread has freed.
+    static FREES: Cell<u64> = const { Cell::new(0) };
+    /// `CALLS` and `FREES` when this thread first and last entered a
+    /// measured `map_chunk`, and how many times it did.
+    static MAPS: Cell<(Counts, Counts, u64)> = const { Cell::new(((0, 0), (0, 0), 0)) };
     static BIG_BLOCKS: Cell<u64> = const { Cell::new(0) };
     /// Requests for `ANSWER` or more, by entry point: `alloc`,
     /// `alloc_zeroed`, `realloc`.
@@ -66,6 +69,9 @@ thread_local! {
     /// requests count in `HUGE_ON_STAGING`.
     static GTC_STAGING: Cell<bool> = const { Cell::new(false) };
 }
+
+/// A thread's `(CALLS, FREES)` at one moment.
+type Counts = (u64, u64);
 
 /// `HUGE` requests made by GTC staging threads, from any of them.
 static HUGE_ON_STAGING: AtomicU64 = AtomicU64::new(0);
@@ -109,6 +115,7 @@ unsafe impl GlobalAlloc for Counting {
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.with(|f| f.set(f.get() + 1));
         System.dealloc(ptr, layout)
     }
 }
@@ -135,9 +142,10 @@ struct Seen {
     cv: Condvar,
     big_in_initialize: AtomicU64,
     big_in_reduce: AtomicU64,
-    /// Per staging rank of the measured step: allocator calls between
-    /// its first and its last `map_chunk`, and the chunks in between.
-    calls_between_maps: Mutex<Vec<(u64, u64)>>,
+    /// Per staging rank of the measured step: allocator calls and frees
+    /// between its first and its last `map_chunk`, and the chunks in
+    /// between.
+    calls_between_maps: Mutex<Vec<(u64, u64, u64)>>,
 }
 
 /// `ReorgOp`, with the measured step's `initialize` and `reduce` counted,
@@ -149,12 +157,12 @@ struct Probed {
 }
 
 /// A mapper that notes in `MAPS`, on the calling thread, how many
-/// allocator calls it had made each time the mapper is entered.
+/// allocator calls and frees it had made each time the mapper is entered.
 struct CallCounted(Arc<dyn ChunkMapper>);
 
 impl ChunkMapper for CallCounted {
     fn map_chunk(&self, chunk: &PackedChunk, ctx: &MapCtx) -> Vec<Tagged> {
-        let calls = CALLS.with(Cell::get);
+        let calls = (CALLS.with(Cell::get), FREES.with(Cell::get));
         MAPS.with(|m| {
             let (first, _, n) = m.get();
             m.set((if n == 0 { calls } else { first }, calls, n + 1));
@@ -202,7 +210,7 @@ impl StreamOp for Probed {
         if ctx.step == WARM_UP {
             let (first, last, maps) = MAPS.with(Cell::get);
             let mut calls = self.seen.calls_between_maps.lock().unwrap();
-            calls.push((last - first, maps.saturating_sub(1)));
+            calls.push((last.0 - first.0, last.1 - first.1, maps.saturating_sub(1)));
         }
         let result = self.op.finalize(ctx);
         *self.seen.finalized.lock().unwrap() += 1;
@@ -219,6 +227,14 @@ impl StreamOp for Probed {
 /// vectors around it (5). Decoding into fresh arrays and mapping one
 /// piece per variable measured 93.2.
 const CALLS_PER_CHUNK: u64 = 32;
+
+/// Blocks a warm Pixie3D staging rank may free per chunk, over the same
+/// span: what its own pull, decode and map let go of. The exposer's
+/// process group — its name, variable names, dimension lists and arrays —
+/// is freed on the exposer's thread when it consumes the pull's
+/// completion, not here. Measured at 22.0; freeing the group
+/// on the staging thread measured 78.0.
+const FREES_PER_CHUNK: u64 = 32;
 
 #[test]
 fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
@@ -342,13 +358,21 @@ fn a_warm_dump_allocates_nothing_proportional_to_the_data() {
     );
     let calls = seen.calls_between_maps.lock().unwrap();
     assert_eq!(calls.len(), n_staging, "each staging rank reported once");
-    for &(calls, chunks) in calls.iter() {
+    for &(calls, frees, chunks) in calls.iter() {
         assert_eq!(chunks, n_compute as u64 / n_staging as u64 - 1);
         let per_chunk = calls as f64 / chunks as f64;
-        eprintln!("a warm Pixie3D chunk: {per_chunk:.1} allocator calls on its staging thread");
+        let freed = frees as f64 / chunks as f64;
+        eprintln!(
+            "a warm Pixie3D chunk: {per_chunk:.1} allocator calls and {freed:.1} frees \
+             on its staging thread"
+        );
         assert!(
             per_chunk <= CALLS_PER_CHUNK as f64,
             "a warm Pixie3D chunk made {per_chunk:.1} allocator calls on its staging thread"
+        );
+        assert!(
+            freed <= FREES_PER_CHUNK as f64,
+            "a warm Pixie3D chunk freed {freed:.1} blocks on its staging thread"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
