@@ -11,40 +11,39 @@
 //! # No payload copy on the compute side
 //!
 //! `write_pg` takes the process group by value, so its arrays can be
-//! exposed where they lie: the chunk is a [`ChunkGather`] — the `ffs`
-//! frame and the PG's headers in a small buffer, then the payloads in
-//! the group's own arrays — handed to the fabric whole
+//! exposed where they lie: the chunk is a gather — the `ffs` frame and
+//! the PG's headers in a small header buffer, then the payloads in the
+//! group's own arrays — handed to the fabric whole
 //! ([`ComputeEndpoint::expose_gather`]). The staging rank's pull lands
 //! those regions in a buffer of its own, so the one copy of a payload
 //! byte is made on the staging side, off the simulation's thread. The
 //! gather comes back with the pull's completion, and the group is freed
-//! on this side, where it was allocated, when
-//! [`wait_drained`](PredataClient::wait_drained) consumes the
-//! completion. A staging rank wakes this thread once per pull loop, not
-//! once per chunk.
+//! on this side, where it was allocated, when the client consumes the
+//! completion: at the start of the next `write_pg`, which first consumes
+//! every completion that has arrived, or in
+//! [`wait_drained`](PredataClient::wait_drained). A staging rank wakes
+//! this thread once per pull loop, not once per chunk.
 //!
-//! # Header-buffer recycling
+//! # Header buffers: one owner at a time
 //!
-//! In the steady state the header buffers allocate nothing: the client
-//! keeps every one it has exposed and frames the next chunk into one of
-//! them. The gather holds the buffer by reference count and the client
-//! keeps a clone; it writes a buffer again only after **its exposure has
-//! ended** (the pull's completion was consumed by
-//! [`wait_drained`](PredataClient::wait_drained), or the exposure was
-//! refused or withdrawn because its fetch request never left) **and
-//! every other handle on it is gone** ([`Bytes::is_unique`]: the
-//! gather's, which is dropped as its completion is consumed, so the
-//! buffer is unique by the time `wait_drained` retires it).
+//! In the steady state the header buffers allocate nothing. Each has one
+//! owner at a time: the client frames a chunk into one of its free
+//! headers, the gather owns it while the fabric holds the exposure, and
+//! dropping the gather — its completion consumed, its exposure refused
+//! or withdrawn because its fetch request never left, or its endpoint
+//! dropped — sends it back to the client's free headers (an
+//! [`EventQueue`], whichever thread drops the gather). Nothing is shared
+//! read-only, so nothing needs a uniqueness test before it is written
+//! again.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bpio::ProcessGroup;
-use bytes::Bytes;
 use ffs::AttrList;
-use transport::{ComputeEndpoint, FetchRequest, Gather, MemHandle, Router, TransportError};
+use transport::evq::EventQueue;
+use transport::{ComputeEndpoint, FetchRequest, Gather, Router, TransportError};
 
 use crate::chunk::{ChunkError, ChunkGather, PackedChunk};
 use crate::op::ComputeSideOp;
@@ -102,13 +101,11 @@ pub struct PredataClient {
     endpoint: ComputeEndpoint,
     router: Arc<dyn Router>,
     ops: Vec<Arc<dyn ComputeSideOp>>,
-    /// Exposures not yet confirmed pulled: handle → the client's handle
-    /// on the exposed chunk's header buffer. Keyed by handle so
-    /// completions can be matched exactly.
-    outstanding: RefCell<HashMap<MemHandle, Bytes>>,
-    /// Header buffers whose exposure has ended, kept to be framed into
-    /// again (module docs: only once [`Bytes::is_unique`]).
-    retired: RefCell<Vec<Bytes>>,
+    /// Exposures whose completion has not been consumed yet.
+    outstanding: Cell<usize>,
+    /// Header buffers no gather holds, to be framed into again (module
+    /// docs).
+    free_headers: EventQueue<Vec<u8>>,
 }
 
 impl PredataClient {
@@ -121,8 +118,8 @@ impl PredataClient {
             endpoint,
             router,
             ops,
-            outstanding: RefCell::new(HashMap::new()),
-            retired: RefCell::new(Vec::new()),
+            outstanding: Cell::new(0),
+            free_headers: EventQueue::unbounded(),
         }
     }
 
@@ -130,7 +127,8 @@ impl PredataClient {
         self.endpoint.rank()
     }
 
-    /// Asynchronous output of one process group: frames it, runs the
+    /// Asynchronous output of one process group: consumes the
+    /// completions that have arrived, frames the group, runs the
     /// compute-side passes, exposes it, routes, requests. Does not wait
     /// for the pull, and copies no payload byte (module docs).
     ///
@@ -142,7 +140,8 @@ impl PredataClient {
     pub fn write_pg(&self, pg: ProcessGroup) -> Result<WriteReceipt, ClientError> {
         let step = pg.step;
         // The one clock read both always-on rows (`blocked`, `pack`)
-        // start from: framing is the first thing the call does.
+        // start from: framing, with the header buffer it frames into, is
+        // the first thing the call does.
         let started = self.endpoint.obs().enabled().then(Instant::now);
         let receipt = self.write_pg_from(pg, started);
         if let Some(t) = started {
@@ -163,7 +162,9 @@ impl PredataClient {
         let src = self.rank() as u64;
         let obs = self.endpoint.obs();
         // Stage 1b: the self-describing chunk, framed into a header
-        // buffer this client already owns; the payloads stay put.
+        // buffer this client already owns (the pulled chunks' come home
+        // as their completions are consumed); the payloads stay put.
+        self.consume_arrived();
         let chunk = self.frame(pg)?;
         let bytes = chunk.len();
         if let Some(t) = started {
@@ -172,21 +173,15 @@ impl PredataClient {
         }
         // Stage 1a: optional local first pass; results ride the request.
         // (After the framing, which does not need them, so that the
-        // pack's row is the framing alone.)
+        // pack's row is the framing alone, with the consuming that
+        // brings its header buffer home.)
         let mut attrs = AttrList::new();
         for op in &self.ops {
             op.partial_calculate(chunk.pg(), &mut attrs);
         }
-        // Stage 1c: expose + route + request. The fabric owns the chunk
-        // from here; the client keeps its header buffer's handle.
-        let buf = chunk.head().clone();
-        let handle = match self.endpoint.expose_gather(Box::new(chunk), step) {
-            Ok(handle) => handle,
-            Err(e) => {
-                self.retired.borrow_mut().push(buf);
-                return Err(e.into());
-            }
-        };
+        // Stage 1c: expose + route + request. The fabric owns the chunk,
+        // header buffer and all, from here.
+        let handle = self.endpoint.expose_gather(Box::new(chunk), step)?;
         let staging_rank = self.router.route(self.rank(), step);
         // Only the lineage view reads the `routed` and `request_sent`
         // marks, so they cost the simulation's thread nothing unless the
@@ -209,44 +204,40 @@ impl PredataClient {
             // The request never left: withdraw the exposure so a failed
             // write doesn't leak pinned compute-node memory.
             self.endpoint.reclaim(handle);
-            self.retired.borrow_mut().push(buf);
             return Err(e.into());
         }
         if lineage {
             obs::mark_in(obs, "request_sent", step).chunk(src);
         }
-        self.outstanding.borrow_mut().insert(handle, buf);
+        self.outstanding.set(self.outstanding.get() + 1);
         Ok(WriteReceipt {
             staging_rank,
             bytes,
         })
     }
 
-    /// `pg` as a chunk, its headers framed into a recycled buffer.
+    /// `pg` as a chunk, its headers framed into a free header buffer, or
+    /// a new one; the buffer comes home when the chunk is dropped.
     fn frame(&self, pg: ProcessGroup) -> Result<ChunkGather, ChunkError> {
-        ChunkGather::new(pg, self.take_buffer())
+        let head = self.free_headers.try_poll().unwrap_or_default();
+        ChunkGather::new(pg, head, self.free_headers.clone())
     }
 
-    /// A header buffer to frame into: a retired one nobody else holds
-    /// any more, with its capacity, or a new one.
-    fn take_buffer(&self) -> Vec<u8> {
-        let mut retired = self.retired.borrow_mut();
-        match retired.iter().position(Bytes::is_unique) {
-            Some(i) => Vec::from(retired.swap_remove(i)),
-            None => Vec::new(),
-        }
+    /// Consume every completion that has arrived, without blocking: each
+    /// pulled chunk's group is freed and its header buffer comes home.
+    /// (Saturating: the completion of a write whose request never left,
+    /// its pull having won `reclaim`'s race, was never counted.)
+    fn consume_arrived(&self) {
+        let done = self.endpoint.poll_completions();
+        self.outstanding
+            .set(self.outstanding.get().saturating_sub(done));
     }
 
-    /// A completion arrived: the exposure is over and its header buffer
-    /// retires.
-    fn retire(&self, outstanding: &mut HashMap<MemHandle, Bytes>, handle: MemHandle) {
-        if let Some(buf) = outstanding.remove(&handle) {
-            self.retired.borrow_mut().push(buf);
-        }
-    }
-
-    /// Bytes currently buffered (exposed, not yet pulled) on this node —
-    /// the compute-side memory cost of asynchronous staging.
+    /// Bytes buffered on this node, exposed and not yet pulled — the
+    /// compute-side memory cost of asynchronous staging — as of the last
+    /// [`write_pg`](Self::write_pg) or
+    /// [`wait_drained`](Self::wait_drained), each of which first
+    /// consumes the completions that have arrived.
     pub fn buffered_bytes(&self) -> usize {
         self.endpoint.pinned_bytes()
     }
@@ -255,18 +246,15 @@ impl PredataClient {
     /// reuse point; a simulation calls this before *reusing* its output
     /// buffers, not after every write).
     pub fn wait_drained(&self, timeout: Duration) -> Result<(), TransportError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut outstanding = self.outstanding.borrow_mut();
-        for ev in self.endpoint.poll_completions() {
-            self.retire(&mut outstanding, ev.handle);
-        }
-        while !outstanding.is_empty() {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+        let deadline = Instant::now() + timeout;
+        self.consume_arrived();
+        while self.outstanding.get() > 0 {
+            let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(TransportError::Timeout);
             }
-            let ev = self.endpoint.wait_completion(remaining)?;
-            self.retire(&mut outstanding, ev.handle);
+            self.endpoint.wait_completion(remaining)?;
+            self.outstanding.set(self.outstanding.get() - 1);
         }
         Ok(())
     }
@@ -335,18 +323,23 @@ mod tests {
         (fabric, client, stagings.remove(0))
     }
 
-    fn pull(staging: &transport::StagingEndpoint) -> Bytes {
+    fn pull(staging: &transport::StagingEndpoint) -> Vec<u8> {
         let req = staging.recv_request(Duration::from_secs(1)).unwrap();
         let buf = staging.rdma_get(&req).unwrap();
         assert_eq!(buf.len(), req.chunk_bytes, "exposed exactly the chunk");
         buf
     }
 
-    /// The header buffer of `client`'s one outstanding exposure.
-    fn outstanding_head(client: &PredataClient) -> *const u8 {
-        let outstanding = client.outstanding.borrow();
-        assert_eq!(outstanding.len(), 1);
-        outstanding.values().next().unwrap().as_ptr()
+    /// Where `client`'s free header buffers are, in address order; they
+    /// stay free.
+    fn free_heads(client: &PredataClient) -> Vec<*const u8> {
+        let heads: Vec<Vec<u8>> = std::iter::from_fn(|| client.free_headers.try_poll()).collect();
+        let mut at: Vec<_> = heads.iter().map(|h| h.as_ptr()).collect();
+        heads
+            .into_iter()
+            .for_each(|h| client.free_headers.submit(h));
+        at.sort();
+        at
     }
 
     #[test]
@@ -387,45 +380,71 @@ mod tests {
         let pg = |step: u64| make_particle_pg(0, step, vec![step as f64; 64]);
 
         client.write_pg(pg(1)).unwrap();
-        let head = outstanding_head(&client);
+        assert!(free_heads(&client).is_empty(), "the gather holds it");
         let first = pull(&staging);
-        assert_ne!(first.as_ptr(), head, "the pull lands in its own buffer");
-        let snapshot = first.to_vec();
+        assert!(
+            free_heads(&client).is_empty(),
+            "it comes home with the completion"
+        );
         client.wait_drained(Duration::from_secs(1)).unwrap();
-        assert!(client.retired.borrow()[0].is_unique(), "the gather is gone");
+        let head = free_heads(&client);
+        assert_eq!(head.len(), 1, "home once the completion is consumed");
+        assert_ne!(first.as_ptr(), head[0], "the pull lands in its own buffer");
+        let snapshot = first.clone();
 
-        // The exposure ended and nothing else holds the header buffer:
-        // the next dump frames into it, and the landed chunk is intact.
+        // The next dump frames into it, and the landed chunk is intact.
         client.write_pg(pg(2)).unwrap();
-        assert_eq!(outstanding_head(&client), head);
-        assert_eq!(&first[..], &snapshot[..]);
+        assert!(free_heads(&client).is_empty(), "framed into again");
+        assert_eq!(first, snapshot);
         assert_eq!(PackedChunk::unpack(&first).unwrap().step, 1);
         assert_eq!(PackedChunk::unpack(&pull(&staging)).unwrap().step, 2);
         client.wait_drained(Duration::from_secs(1)).unwrap();
+        assert_eq!(free_heads(&client), head, "the same buffer came home");
 
         // Two dumps in flight take two buffers; once both are pulled
         // and drained, neither is allocated again.
         client.write_pg(pg(3)).unwrap();
         client.write_pg(pg(4)).unwrap();
-        let heads: Vec<_> = client
-            .outstanding
-            .borrow()
-            .values()
-            .map(|b| b.as_ptr())
-            .collect();
-        assert!(heads.contains(&head));
         pull(&staging);
         pull(&staging);
         client.wait_drained(Duration::from_secs(1)).unwrap();
+        let heads = free_heads(&client);
+        assert_eq!(heads.len(), 2);
+        assert!(heads.contains(&head[0]));
         client.write_pg(pg(5)).unwrap();
         client.write_pg(pg(6)).unwrap();
-        let again: Vec<_> = client
-            .outstanding
-            .borrow()
-            .values()
-            .map(|b| b.as_ptr())
-            .collect();
-        assert!(again.iter().all(|at| heads.contains(at)));
+        pull(&staging);
+        pull(&staging);
+        client.wait_drained(Duration::from_secs(1)).unwrap();
+        assert_eq!(free_heads(&client), heads);
+    }
+
+    /// A client that never calls `wait_drained` still lets go of every
+    /// pulled dump: the next `write_pg` consumes its completion, so what
+    /// stays buffered is the dump not yet pulled, and one header buffer
+    /// serves every dump.
+    #[test]
+    fn a_client_that_never_drains_keeps_only_what_is_not_pulled() {
+        let (_fabric, client, staging) = one_client(None);
+        let mut chunk = 0;
+        for step in 0..8 {
+            let pg = make_particle_pg(0, step, vec![step as f64; 64]);
+            chunk = client.write_pg(pg).unwrap().bytes;
+            assert!(
+                client.buffered_bytes() <= chunk,
+                "after dump {step}, {} B buffered for {chunk} B chunks",
+                client.buffered_bytes()
+            );
+            std::thread::scope(|s| s.spawn(|| pull(&staging)).join().unwrap());
+        }
+        assert_eq!(
+            client.buffered_bytes(),
+            chunk,
+            "the last dump waits for a next write or a drain to be consumed"
+        );
+        client.wait_drained(Duration::from_secs(1)).unwrap();
+        assert_eq!(client.buffered_bytes(), 0);
+        assert_eq!(free_heads(&client).len(), 1);
     }
 
     /// A number from this thread's `/proc/thread-self/status`.
@@ -496,11 +515,13 @@ mod tests {
                     TransportError::PinBudgetExceeded { .. }
                 ))
             ));
-            let retired = client.retired.borrow();
-            assert_eq!(retired.len(), 1, "framed into, then kept");
-            assert!(retired[0].is_unique(), "the refused gather is gone");
-            let at = retired[0].as_ptr();
-            assert_eq!(*kept.get_or_insert(at), at, "and framed into again");
+            let heads = free_heads(&client);
+            assert_eq!(heads.len(), 1, "framed into, then home");
+            assert_eq!(
+                *kept.get_or_insert(heads[0]),
+                heads[0],
+                "and framed into again"
+            );
         }
         assert_eq!((client.buffered_bytes(), fabric.pinned_bytes()), (0, 0));
     }

@@ -24,7 +24,7 @@
 //!
 //! * [`client::PredataClient`] — the compute-node side, behind an
 //!   ADIOS-style write API ([`bpio`] groups). Frames each chunk around
-//!   the group's own arrays ([`chunk::ChunkGather`], no payload copy),
+//!   the group's own arrays (a [`transport::Gather`], no payload copy),
 //!   then runs the optional first pass
 //!   ([`op::ComputeSideOp::partial_calculate`]) and attaches its
 //!   results to the fetch request.

@@ -445,8 +445,8 @@ impl StagingRank {
             self.chunk.unpack_into(&buf)?;
             let t_map = Instant::now();
             out.bytes_pulled += buf.len() as u64;
-            // The kept chunk owns the data now; the pulled buffer (landed
-            // here, or an exposer's whole buffer it may recycle) is let go.
+            // The kept chunk owns the data now; the buffer the pull landed
+            // in, this rank's own, is let go.
             drop(buf);
             for (stream, (mapper, row)) in out.per_op.iter_mut().zip(&mappers) {
                 let _s = obs::span_in(obs, row, step).rank(my_rank).chunk(src_rank);

@@ -3,9 +3,10 @@
 //! PreDatA moves in-transit data through a single event system, EVPath.
 //! Here every hand-off between threads is an [`EventQueue`]: the
 //! fabric's per-staging-rank request queues and per-compute-rank
-//! completion queues, the DataSpaces query service's job queue, its
-//! one-shot replies and its continuous-update queues, and the
-//! benchmark harness's hand-off probe.
+//! completion queues, a `PredataClient`'s free header buffers (a pulled
+//! chunk's header comes home on whichever thread drops its gather), the
+//! DataSpaces query service's job queue, its one-shot replies and its
+//! continuous-update queues, and the benchmark harness's hand-off probe.
 //!
 //! [`EventQueue`] is a multi-producer **multi-consumer** queue, bounded
 //! or not, built on a mutex + two condvars. Blocked producers park on

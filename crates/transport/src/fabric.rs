@@ -1,14 +1,17 @@
 //! The in-process fabric: memory registry, request queues, completions.
 //!
-//! A pull ([`StagingEndpoint::rdma_get`]) takes the exposure out of the
-//! registry, lands its bytes on the puller's side and posts a completion
-//! to the exposer's queue. The completion carries the exposure home: a
-//! [`Gather`] goes back with it and is dropped on the exposer's own
-//! thread when it consumes the completion
-//! ([`ComputeEndpoint::wait_completion`],
+//! Every exposure is a [`Gather`] the fabric owns from
+//! [`ComputeEndpoint::expose_gather`] until its completion carries it
+//! home (a whole buffer, [`ComputeEndpoint::expose`], is a gather of one
+//! region). A pull ([`StagingEndpoint::rdma_get`]) takes the exposure
+//! out of the registry, lands its bytes in a `Vec<u8>` the puller owns
+//! and posts a completion to the exposer's queue with the gather, which
+//! is dropped on the exposer's own thread when it consumes the
+//! completion ([`ComputeEndpoint::wait_completion`],
 //! [`ComputeEndpoint::poll_completions`]), so the memory is freed where
-//! it was allocated, and the puller spends nothing on it. A whole buffer
-//! goes to the puller by reference count, as before.
+//! it was allocated, and the puller spends nothing on it. Each buffer
+//! has one owner at a time: nothing is shared between exposer and
+//! puller.
 //!
 //! A bare pull wakes a parked exposer at once. Inside a
 //! [`StagingEndpoint::completion_batch`] the pull enqueues its
@@ -21,7 +24,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::evq::{EventQueue, PollError};
@@ -99,7 +101,7 @@ pub struct CompletionEvent {
 /// landed, for the exposer to drop (module docs).
 struct Completed {
     event: CompletionEvent,
-    _gather: Option<Box<dyn Gather>>,
+    _gather: Box<dyn Gather>,
 }
 
 /// Fabric-wide counters.
@@ -133,12 +135,12 @@ impl FabricStats {
     }
 }
 
-/// Exposed memory that is not one buffer: regions that lie where their
-/// owner keeps them and, read in order, are the exposed bytes. The
-/// exposer hands the fabric the gather itself; a pull lands its regions
-/// in one buffer on the puller's side, so the copy is the puller's, not
-/// the exposer's ([`ComputeEndpoint::expose_gather`]), and the gather
-/// comes back with the pull's completion (module docs).
+/// Exposed memory: regions that lie where their owner keeps them and,
+/// read in order, are the exposed bytes. The exposer hands the fabric
+/// the gather itself; a pull lands its regions in one buffer on the
+/// puller's side, so the copy is the puller's, not the exposer's
+/// ([`ComputeEndpoint::expose_gather`]), and the gather comes back with
+/// the pull's completion (module docs).
 pub trait Gather: Send {
     /// Total bytes: the sum of the regions' lengths.
     fn len(&self) -> usize;
@@ -152,41 +154,20 @@ pub trait Gather: Send {
     fn regions(&self, f: &mut dyn FnMut(&[u8]));
 }
 
-/// One registry entry: a whole buffer, handed over by reference count,
-/// or a gather, landed by the pull.
-enum Exposed {
-    Whole(Bytes),
-    Gather(Box<dyn Gather>),
-}
-
-impl Exposed {
+/// A whole buffer is a gather of one region.
+impl Gather for Arc<[u8]> {
     fn len(&self) -> usize {
-        match self {
-            Exposed::Whole(buf) => buf.len(),
-            Exposed::Gather(g) => g.len(),
-        }
+        <[u8]>::len(self)
     }
 
-    /// The exposed bytes as one buffer on the puller's side — a whole
-    /// buffer as it is, a gather copied region by region into a buffer
-    /// of its exact length — and the gather, to go home with the
-    /// completion.
-    fn land(self) -> (Bytes, Option<Box<dyn Gather>>) {
-        match self {
-            Exposed::Whole(buf) => (buf, None),
-            Exposed::Gather(g) => {
-                let mut out = Vec::with_capacity(g.len());
-                g.regions(&mut |r| out.extend_from_slice(r));
-                debug_assert_eq!(out.len(), g.len(), "a gather's regions sum to its length");
-                (Bytes::from(out), Some(g))
-            }
-        }
+    fn regions(&self, f: &mut dyn FnMut(&[u8])) {
+        f(self)
     }
 }
 
 struct Registry {
     next: u64,
-    exposed: HashMap<u64, (Exposed, u64)>, // handle -> (memory, io_step)
+    exposed: HashMap<u64, (Box<dyn Gather>, u64)>, // handle -> (memory, io_step)
     pinned_bytes: usize,
 }
 
@@ -329,45 +310,26 @@ impl ComputeEndpoint {
         self.my_pinned.load(Ordering::Relaxed)
     }
 
-    /// `expose_bytes` of a buffer already shaped
-    /// `Arc<[u8]>`.
+    /// [`expose_gather`](Self::expose_gather) of a whole buffer, a
+    /// gather of one region.
     pub fn expose(&self, buf: Arc<[u8]>, io_step: u64) -> Result<MemHandle, TransportError> {
-        self.expose_bytes(buf.into(), io_step)
+        self.expose_gather(Box::new(buf), io_step)
     }
 
-    /// Register a packed chunk for one-sided access and get its handle.
-    /// The buffer stays pinned until a staging node pulls it.
-    ///
-    /// The registry holds `buf` by reference count and hands that handle
-    /// to the puller, so an exposer that keeps a clone can tell when
-    /// every reader is done with the bytes: its completion has arrived
-    /// and the clone [`is_unique`](Bytes::is_unique).
-    pub(crate) fn expose_bytes(
-        &self,
-        buf: Bytes,
-        io_step: u64,
-    ) -> Result<MemHandle, TransportError> {
-        self.register(Exposed::Whole(buf), io_step)
-    }
-
-    /// Register a [`Gather`] for one-sided access: its regions stay
-    /// where they are, pinned, until a staging node pulls them, and the
-    /// pull lands them in one buffer of the puller's. The registry owns
-    /// the gather until then; the pull's completion brings it back, to
-    /// be dropped on the thread that consumes the completion, and
-    /// [`reclaim`](Self::reclaim) drops it on the caller's. A refused
-    /// exposure drops it here and pins nothing.
+    /// Register a [`Gather`] for one-sided access and get its handle:
+    /// its regions stay where they are, pinned, until a staging node
+    /// pulls them, and the pull lands them in one buffer of the
+    /// puller's. The registry owns the gather until then; the pull's
+    /// completion brings it back, to be dropped on the thread that
+    /// consumes the completion, and [`reclaim`](Self::reclaim) drops it
+    /// on the caller's. A refused exposure (fault plan, pin budget)
+    /// drops it here and pins nothing.
     pub fn expose_gather(
         &self,
         gather: Box<dyn Gather>,
         io_step: u64,
     ) -> Result<MemHandle, TransportError> {
-        self.register(Exposed::Gather(gather), io_step)
-    }
-
-    /// The one registration path: fault plan, pin budget, registry.
-    fn register(&self, mem: Exposed, io_step: u64) -> Result<MemHandle, TransportError> {
-        let len = mem.len();
+        let len = gather.len();
         if let Some(plan) = &self.inner.faults {
             if plan.inject(&self.inner.obs, FaultKind::Pin, self.rank as u64, io_step) {
                 return Err(TransportError::PinBudgetExceeded {
@@ -388,7 +350,7 @@ impl ComputeEndpoint {
         let mut reg = self.inner.registry.lock();
         let h = reg.next;
         reg.next += 1;
-        reg.exposed.insert(h, (mem, io_step));
+        reg.exposed.insert(h, (gather, io_step));
         reg.pinned_bytes += len;
         let global_now = reg.pinned_bytes;
         drop(reg);
@@ -413,22 +375,23 @@ impl ComputeEndpoint {
     }
 
     /// Block until the next pull-completion for one of this endpoint's
-    /// exposures. Used by the compute-side runtime to recycle buffers.
-    /// The exposure's gather, if it was one, is dropped here, on the
-    /// caller's thread.
+    /// exposures. The exposure's gather is dropped here, on the caller's
+    /// thread.
     pub fn wait_completion(&self, timeout: Duration) -> Result<CompletionEvent, TransportError> {
         let done = self.completions.recv(timeout).map_err(poll_error)?;
         Ok(self.consume(done))
     }
 
-    /// Drain any already-arrived completions without blocking, dropping
-    /// their gathers as [`wait_completion`](Self::wait_completion) does.
-    pub fn poll_completions(&self) -> Vec<CompletionEvent> {
-        let mut out = Vec::new();
+    /// Consume every already-arrived completion without blocking,
+    /// dropping their gathers as [`wait_completion`](Self::wait_completion)
+    /// does, and return how many there were.
+    pub fn poll_completions(&self) -> usize {
+        let mut n = 0;
         while let Some(done) = self.completions.try_poll() {
-            out.push(self.consume(done));
+            self.consume(done);
+            n += 1;
         }
-        out
+        n
     }
 
     /// A consumed completion: its pin is released, and its gather goes.
@@ -537,12 +500,13 @@ impl StagingEndpoint {
     }
 
     /// One-sided pull of an exposed chunk. Consumes the exposure (the
-    /// compute side sees a completion and may reuse its buffer) and
-    /// returns the bytes: the exposer's own buffer, by reference count,
-    /// or a [`Gather`]'s regions landed in a buffer of the puller's. The
-    /// gather itself goes home with the completion (module docs), which
-    /// wakes the exposer at once, or, inside a
-    /// [`completion_batch`](Self::completion_batch), when the batch ends.
+    /// compute side sees a completion and may reuse its memory) and
+    /// returns its bytes, landed region by region in a buffer of the
+    /// puller's own. The gather itself goes home with the completion
+    /// (module docs), which wakes the exposer at once, or, inside a
+    /// [`completion_batch`](Self::completion_batch), when the batch
+    /// ends. If the exposer's endpoint is gone, the bytes still land
+    /// (one-sided RDMA semantics) and the gather is dropped here.
     ///
     /// The fabric's fault plan, if any, is consulted first, keyed on the
     /// chunk `(src_rank, io_step)`: a `drop` fault fails the attempt
@@ -550,7 +514,7 @@ impl StagingEndpoint {
     /// [`TransportError::StaleHandle`]. A faulted attempt leaves the
     /// exposure in place, times nothing and posts no completion, so a
     /// retry can succeed.
-    pub fn rdma_get(&self, req: &FetchRequest) -> Result<Bytes, TransportError> {
+    pub fn rdma_get(&self, req: &FetchRequest) -> Result<Vec<u8>, TransportError> {
         if let Some(plan) = &self.inner.faults {
             let (obs, src, step) = (&self.inner.obs, req.src_rank as u64, req.io_step);
             if plan.inject(obs, FaultKind::Drop, src, step) {
@@ -561,7 +525,7 @@ impl StagingEndpoint {
             }
         }
         let started = self.inner.obs.enabled().then(std::time::Instant::now);
-        let (mem, io_step) = {
+        let (gather, io_step) = {
             let mut reg = self.inner.registry.lock();
             let entry = reg
                 .exposed
@@ -570,89 +534,24 @@ impl StagingEndpoint {
             reg.pinned_bytes -= entry.0.len();
             entry
         };
-        let (buf, gather) = mem.land();
-        self.inner.stats.rdma_gets.fetch_add(1, Ordering::Relaxed);
+        let mut buf = Vec::with_capacity(gather.len());
+        gather.regions(&mut |r| buf.extend_from_slice(r));
+        debug_assert_eq!(
+            buf.len(),
+            gather.len(),
+            "a gather's regions sum to its length"
+        );
+        let stats = &self.inner.stats;
+        stats.rdma_gets.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = started {
             self.inner.obs_get_ns.record(t.elapsed().as_nanos() as u64);
         }
-        self.pull_done(req, &buf, io_step, gather);
-        Ok(buf)
-    }
-
-    /// Pull a *run* of exposed chunks in one fabric transaction: the
-    /// registry is locked once for every handle, then per-request
-    /// bookkeeping and completions proceed as for
-    /// [`rdma_get`](Self::rdma_get).
-    ///
-    /// Nothing in this workspace calls it: the staging puller issues one
-    /// `rdma_get` per chunk (DESIGN.md §3.4). It is kept only because
-    /// the frozen `benchmark/` harness times it in its batched-pull
-    /// probe (`benchmark/src/probes.rs`); the `benchmark` issue that
-    /// retires that probe deletes this function with it.
-    ///
-    /// Results are positional. A stale handle fails only its own slot
-    /// ([`TransportError::StaleHandle`]); the other slots still deliver.
-    /// One batch counts as one `rdma_gets` fabric transaction. It
-    /// consults no fault plan: the harness calls it on unfaulted fabrics
-    /// only.
-    pub fn rdma_get_batch(&self, reqs: &[FetchRequest]) -> Vec<Result<Bytes, TransportError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let started = self.inner.obs.enabled().then(std::time::Instant::now);
-        type Entry = Result<(Exposed, u64), TransportError>;
-        let entries: Vec<Entry> = {
-            let mut reg = self.inner.registry.lock();
-            reqs.iter()
-                .map(|req| {
-                    let entry = reg
-                        .exposed
-                        .remove(&handle_raw(req.handle))
-                        .ok_or(TransportError::StaleHandle(req.handle))?;
-                    reg.pinned_bytes -= entry.0.len();
-                    Ok(entry)
-                })
-                .collect()
-        };
-        let landed: Vec<_> = entries
-            .into_iter()
-            .map(|entry| entry.map(|(mem, io_step)| (mem.land(), io_step)))
-            .collect();
-        self.inner.stats.rdma_gets.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = started {
-            self.inner.obs_get_ns.record(t.elapsed().as_nanos() as u64);
-        }
-        landed
-            .into_iter()
-            .zip(reqs)
-            .map(|(entry, req)| {
-                let ((buf, gather), io_step) = entry?;
-                self.pull_done(req, &buf, io_step, gather);
-                Ok(buf)
-            })
-            .collect()
-    }
-
-    /// Per-request bookkeeping once bytes have left the registry:
-    /// traffic stats and the best-effort completion posted back to the
-    /// exposing compute endpoint with the pull's `gather` (if that
-    /// endpoint is gone the data still flows — matches one-sided RDMA
-    /// semantics — and the gather is dropped here). The completion wakes
-    /// its exposer now, or is recorded for the open batch to wake. The
-    /// pull's event is the caller's: it knows the rank and times the
-    /// retries.
-    fn pull_done(
-        &self,
-        req: &FetchRequest,
-        buf: &Bytes,
-        io_step: u64,
-        gather: Option<Box<dyn Gather>>,
-    ) {
-        self.inner
-            .stats
+        stats
             .bytes_pulled
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
         self.inner.obs_get_bytes.add(buf.len() as u64);
+        // The pull's event is the caller's: it knows the rank and times
+        // the retries.
         let done = Completed {
             event: CompletionEvent {
                 handle: req.handle,
@@ -670,6 +569,19 @@ impl StagingEndpoint {
             drop(batch);
             queue.submit(done);
         }
+        Ok(buf)
+    }
+
+    /// [`rdma_get`](Self::rdma_get) of each request in turn, results in
+    /// request order: a stale handle fails only its own slot.
+    ///
+    /// Nothing in this workspace calls it: the staging puller issues one
+    /// `rdma_get` per chunk (DESIGN.md §3.4). It is kept only because
+    /// the frozen `benchmark/` harness times it in its batched-pull
+    /// probe (`benchmark/src/probes.rs`); the `benchmark` issue that
+    /// retires that probe deletes this function with it.
+    pub fn rdma_get_batch(&self, reqs: &[FetchRequest]) -> Vec<Result<Vec<u8>, TransportError>> {
+        reqs.iter().map(|r| self.rdma_get(r)).collect()
     }
 }
 
@@ -825,23 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn exposers_clone_is_unique_once_every_reader_let_go() {
-        let (_f, computes, stagings) = Fabric::new(1, 1, None);
-        let mine = Bytes::from(vec![3u8; 32]);
-        let h = computes[0].expose_bytes(mine.clone(), 0).unwrap();
-        assert!(!mine.is_unique(), "the registry holds it");
-        let pulled = stagings[0].rdma_get(&req(0, h, 32)).unwrap();
-        assert_eq!(pulled.as_ptr(), mine.as_ptr(), "the pull copies nothing");
-        assert!(!mine.is_unique(), "the puller holds it");
-        drop(pulled);
-        assert!(mine.is_unique());
-        // A withdrawn exposure lets go too.
-        let h = computes[0].expose_bytes(mine.clone(), 1).unwrap();
-        assert_eq!(computes[0].reclaim(h), Some(32));
-        assert!(mine.is_unique());
-    }
-
-    #[test]
     fn attached_fault_plan_faults_pulls_and_pins() {
         let plan = Arc::new(FaultPlan::new(3).pin_exhaustion(1.0));
         let obs = obs::Registry::new();
@@ -880,12 +775,12 @@ mod tests {
             assert_eq!(stagings[0].rdma_get(&req(0, h, 16)), Err(want(h)));
             assert_eq!(fabric.pinned_bytes(), 16, "{kind}: exposure kept");
             assert_eq!(fabric.stats().rdma_gets(), 0, "{kind}: nothing pulled");
-            assert!(computes[0].poll_completions().is_empty(), "{kind}");
+            assert_eq!(computes[0].poll_completions(), 0, "{kind}");
             assert_eq!(
                 &stagings[0].rdma_get(&req(0, h, 16)).unwrap()[..],
                 &[5u8; 16]
             );
-            assert_eq!(computes[0].poll_completions().len(), 1, "{kind}");
+            assert_eq!(computes[0].poll_completions(), 1, "{kind}");
             let injected = obs
                 .snapshot()
                 .counter("transport.faults_injected", &[("kind", kind)]);
@@ -894,22 +789,28 @@ mod tests {
     }
 
     #[test]
-    fn batched_pull_is_one_transaction_with_per_slot_errors() {
+    fn batched_pull_is_one_get_per_slot_with_per_slot_errors() {
         let (fabric, computes, stagings) = Fabric::new(1, 1, None);
-        let h1 = computes[0].expose(vec![1u8; 16].into(), 3).unwrap();
+        let first: Arc<[u8]> = vec![1u8; 16].into();
+        let h1 = computes[0].expose(Arc::clone(&first), 3).unwrap();
         let h2 = computes[0].expose(vec![2u8; 32].into(), 3).unwrap();
         let stale = MemHandle::test_only(999);
 
         let reqs = [req(0, h1, 16), req(0, stale, 0), req(0, h2, 32)];
         let out = stagings[0].rdma_get_batch(&reqs);
         assert_eq!(out.len(), 3);
-        assert_eq!(&out[0].as_ref().unwrap()[..], &[1u8; 16]);
+        let landed = out[0].as_ref().unwrap();
+        assert_eq!(&landed[..], &first[..]);
+        assert_ne!(
+            landed.as_ptr(),
+            first.as_ptr(),
+            "a whole buffer lands as a copy"
+        );
         assert_eq!(out[1], Err(TransportError::StaleHandle(stale)));
         assert_eq!(&out[2].as_ref().unwrap()[..], &[2u8; 32]);
 
-        // One fabric transaction moved all the bytes (the stale slot
-        // rode along in the same registry visit).
-        assert_eq!(fabric.stats().rdma_gets(), 1);
+        // One get per delivered slot; the stale slot moved nothing.
+        assert_eq!(fabric.stats().rdma_gets(), 2);
         assert_eq!(fabric.stats().bytes_pulled(), 48);
         assert_eq!(fabric.pinned_bytes(), 0);
 
@@ -1025,8 +926,8 @@ mod tests {
     #[test]
     fn a_mixed_batch_fails_only_the_stale_slot() {
         let (fabric, computes, stagings) = Fabric::new(1, 1, None);
-        let whole = Bytes::from(vec![1u8; 16]);
-        let h1 = computes[0].expose_bytes(whole.clone(), 3).unwrap();
+        let whole: Arc<[u8]> = vec![1u8; 16].into();
+        let h1 = computes[0].expose(Arc::clone(&whole), 3).unwrap();
         let (g, drops) = parts(&[&[2u8; 8], &[3u8; 8]]);
         let h2 = computes[0].expose_gather(g, 3).unwrap();
         let stale = MemHandle::test_only(999);
@@ -1042,14 +943,20 @@ mod tests {
         assert!(drops.lock().is_empty(), "the gather went home");
         assert_eq!(out[1], Err(TransportError::StaleHandle(stale)));
         let landed = out[2].as_ref().unwrap();
-        assert_eq!(
+        assert_eq!(&landed[..], &whole[..]);
+        assert_ne!(
             landed.as_ptr(),
             whole.as_ptr(),
-            "a whole buffer is not copied"
+            "a whole buffer lands as a copy"
         );
-        assert_eq!(fabric.stats().rdma_gets(), 1);
+        assert_eq!(fabric.stats().rdma_gets(), 2);
         assert_eq!(fabric.stats().bytes_pulled(), 32);
         assert_eq!(fabric.pinned_bytes(), 0);
+        assert_eq!(
+            Arc::strong_count(&whole),
+            2,
+            "its completion carries it home"
+        );
         let a = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
         assert_eq!(
             *drops.lock(),
@@ -1058,6 +965,11 @@ mod tests {
         );
         let b = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
         assert_eq!([a.handle, b.handle], [h2, h1]);
+        assert_eq!(
+            Arc::strong_count(&whole),
+            1,
+            "and was dropped when consumed"
+        );
     }
 
     /// Spawn an exposer thread that parks for one completion on
@@ -1100,8 +1012,9 @@ mod tests {
         });
         // The rest were queued: an exposer that polls finds them.
         for (rank, c) in computes.iter().enumerate() {
-            let left: Vec<_> = c.poll_completions().iter().map(|e| e.handle).collect();
-            assert_eq!(left, [handles[rank + 2]]);
+            let left = c.wait_completion(Duration::ZERO).unwrap();
+            assert_eq!(left.handle, handles[rank + 2]);
+            assert_eq!(c.poll_completions(), 0);
             assert_eq!(c.pinned_bytes(), 0);
         }
         // Outside a batch, a pull wakes its exposer at once.

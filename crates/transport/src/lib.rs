@@ -18,16 +18,14 @@
 //! 2. compute: [`ComputeEndpoint::send_request`] with attached
 //!    [`ffs::AttrList`] partial results (the Stage-1c "data fetch request")
 //! 3. staging: [`StagingEndpoint::recv_request`]s, aggregates attachments
-//! 4. staging: [`StagingEndpoint::rdma_get`] pulls bytes one-sided — a
-//!    whole exposed buffer is handed over itself, by reference count
-//!    (`ComputeEndpoint::expose_bytes`), and a [`Gather`] exposed where
-//!    its regions lie ([`ComputeEndpoint::expose_gather`]) is landed in
-//!    one buffer of the puller's; completion is posted to the compute
+//! 4. staging: [`StagingEndpoint::rdma_get`] pulls bytes one-sided: the
+//!    exposed [`Gather`]'s regions (a whole buffer is one region) land in
+//!    a `Vec<u8>` the puller owns; completion is posted to the compute
 //!    endpoint's completion queue with the gather, which the exposer
-//!    drops when it consumes the completion, and once nothing else holds
-//!    the exposed memory the exposer may recycle it. A staging rank's
-//!    pull loop holds a [`StagingEndpoint::completion_batch`], so each
-//!    exposer is woken once per loop.
+//!    drops when it consumes the completion. Each buffer has one owner
+//!    at a time. A staging rank's pull loop holds a
+//!    [`StagingEndpoint::completion_batch`], so each exposer is woken
+//!    once per loop.
 //!
 //! Pull *order and pacing* are policy ([`PullPolicy`]): FIFO, largest-first,
 //! or phase-aware (pause while the application is inside collectives —

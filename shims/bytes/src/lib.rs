@@ -7,41 +7,22 @@
 //! reference count moves — which is the whole point: once an operator
 //! has serialized a result, those bytes travel through `minimpi`
 //! mailboxes and into `bpio` without being reassembled. Converting an
-//! owned `Vec<u8>` in is also copy-free (the vector itself moves
-//! behind the `Arc`; an `Arc<[u8]>` conversion would relocate the
-//! contents next to the refcount header), and the way back out —
-//! [`Bytes::is_unique`] then `Vec::from` — is what lets a producer
-//! recycle a buffer once every consumer has dropped it. The API is the (tiny) subset
-//! of the real crate the workspace uses; anything fancier (`BytesMut`,
-//! vtables, rope splitting) is out of scope.
+//! owned `Vec<u8>` in is also copy-free: the vector itself moves behind
+//! the `Arc`. There is no way back out to an owned buffer: a buffer
+//! that is written again has one owner at a time and is never a
+//! `Bytes`. The API is the (tiny) subset of the real crate the
+//! workspace uses; anything fancier (`BytesMut`, vtables, rope
+//! splitting) is out of scope.
 
 use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
-
-/// The shared allocation behind a [`Bytes`]. Two shapes because the two
-/// producers differ: serializers hand over `Vec<u8>`s (moved as-is),
-/// the transport hands over pull buffers already shaped `Arc<[u8]>`.
-#[derive(Clone)]
-enum Backing {
-    Vec(Arc<Vec<u8>>),
-    Shared(Arc<[u8]>),
-}
-
-impl Backing {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Backing::Vec(v) => v,
-            Backing::Shared(s) => s,
-        }
-    }
-}
 
 /// A cheaply-cloneable, immutable slice of shared bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
     /// Backing allocation; `None` is the canonical empty buffer so
     /// `Bytes::new()` allocates nothing.
-    data: Option<Backing>,
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     len: usize,
 }
@@ -93,19 +74,6 @@ impl Bytes {
             len: end - start,
         }
     }
-
-    /// Whether this is the only handle on its backing allocation *and*
-    /// `Vec<u8>::from(self)` would take that allocation over instead of
-    /// copying it — the test a producer makes before recycling a buffer
-    /// it once shared. Like the real crate's, it is `false` for storage
-    /// a `Vec` cannot adopt (here an `Arc<[u8]>`, whose bytes sit beside
-    /// the reference count) and for the empty buffer.
-    pub fn is_unique(&self) -> bool {
-        match &self.data {
-            Some(Backing::Vec(v)) => Arc::strong_count(v) == 1,
-            Some(Backing::Shared(_)) | None => false,
-        }
-    }
 }
 
 impl Deref for Bytes {
@@ -113,7 +81,7 @@ impl Deref for Bytes {
 
     fn deref(&self) -> &[u8] {
         match &self.data {
-            Some(d) => &d.as_slice()[self.start..self.start + self.len],
+            Some(d) => &d[self.start..self.start + self.len],
             None => &[],
         }
     }
@@ -130,39 +98,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let len = v.len();
         Bytes {
-            data: Some(Backing::Vec(Arc::new(v))),
-            start: 0,
-            len,
-        }
-    }
-}
-
-impl From<Bytes> for Vec<u8> {
-    /// Takes the backing vector over when `b` is its only handle (no
-    /// copy: the allocation, capacity included, comes back); otherwise
-    /// copies the viewed range.
-    fn from(b: Bytes) -> Vec<u8> {
-        let Bytes { data, start, len } = b;
-        match data {
-            Some(Backing::Vec(v)) => match Arc::try_unwrap(v) {
-                Ok(mut v) => {
-                    v.truncate(start + len);
-                    v.drain(..start);
-                    v
-                }
-                Err(shared) => shared[start..start + len].to_vec(),
-            },
-            Some(Backing::Shared(s)) => s[start..start + len].to_vec(),
-            None => Vec::new(),
-        }
-    }
-}
-
-impl From<Arc<[u8]>> for Bytes {
-    fn from(data: Arc<[u8]>) -> Bytes {
-        let len = data.len();
-        Bytes {
-            data: Some(Backing::Shared(data)),
+            data: Some(Arc::new(v)),
             start: 0,
             len,
         }
@@ -177,7 +113,7 @@ impl From<&[u8]> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Bytes {
-        Bytes::from(Arc::<[u8]>::from(v))
+        Bytes::from(v.into_vec())
     }
 }
 
@@ -287,43 +223,6 @@ mod tests {
             .collect();
         assert_eq!(sums, vec![1, 2]);
         assert_eq!(u64::from_le_bytes(b[..8].try_into().unwrap()), 1);
-    }
-
-    #[test]
-    fn from_arc_is_zero_copy() {
-        let a: Arc<[u8]> = Arc::from(vec![9u8, 8, 7]);
-        let p = a.as_ptr();
-        let b = Bytes::from(a);
-        assert_eq!(&b[..], &[9, 8, 7]);
-        assert_eq!(b.as_ptr(), p);
-    }
-
-    #[test]
-    fn unique_vec_backing_comes_back_without_a_copy() {
-        let mut v = Vec::with_capacity(64);
-        v.extend_from_slice(&[1u8, 2, 3, 4]);
-        let p = v.as_ptr();
-        let b = Bytes::from(v);
-        let held = b.clone();
-        assert!(!b.is_unique(), "a second handle is alive");
-        assert_eq!(Vec::from(held.clone()), vec![1, 2, 3, 4], "shared: copied");
-        drop(held);
-        assert!(b.is_unique());
-        let back = Vec::from(b);
-        assert_eq!((back.as_ptr(), back.capacity()), (p, 64));
-        assert_eq!(back, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn unique_sub_view_and_other_backings_convert_by_contents() {
-        let b = Bytes::from(vec![0u8, 1, 2, 3, 4, 5]).slice(2..5);
-        assert!(b.is_unique());
-        assert_eq!(Vec::from(b), vec![2, 3, 4]);
-        let shared = Bytes::from(Arc::<[u8]>::from(vec![9u8, 8]));
-        assert!(!shared.is_unique(), "a Vec cannot adopt an Arc<[u8]>");
-        assert_eq!(Vec::from(shared), vec![9, 8]);
-        assert!(!Bytes::new().is_unique());
-        assert!(Vec::from(Bytes::new()).is_empty());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   poisoning and parks only in `wait_while*`. No file under `crates/`
 //!   names `std::sync`'s locks, its condvar or `PoisonError`.
 //! - **One queue.** `transport::evq::EventQueue` carries every hand-off
-//!   (fabric requests and completions, query jobs, replies and
-//!   continuous updates). A channel crate, an event-graph stone, a
+//!   (fabric requests and completions, a client's free header buffers,
+//!   query jobs, replies and continuous updates). A channel crate, an event-graph stone, a
 //!   put-level subscription, a dirty read of the pending plane or a
 //!   second discrete-event queue comes back only with this test changed
 //!   in the same commit.
@@ -45,6 +45,14 @@
 //!   `transport::retry::guard`. No `FaultKind::Collective` comes back,
 //!   and the non-test code of `crates/core/src` names no `FaultPlan`,
 //!   `FaultKind` or `fault_plan`: the staging runtime only retries.
+//! - **One exposure form and one pull path.** Every exposure is a
+//!   `transport::Gather` the fabric owns until its completion carries it
+//!   home, and every pull lands in a `Vec<u8>` the puller owns: no
+//!   `enum Exposed` or `fn expose_bytes` in `fabric.rs`, no `bytes`
+//!   dependency of `transport`, and `rdma_get_batch` is a loop over
+//!   `rdma_get` that never locks the registry itself. A header buffer
+//!   has one owner at a time, so no `is_unique` test comes back under
+//!   `crates/`, `shims/` or `tests/`.
 //! - **One exchange per step.** Every operator's intermediates travel in
 //!   one `alltoall` and no `finalize` enters a collective: the collective
 //!   counts of `op::tests::four_gtc_operators_share_one_alltoall`,
@@ -553,6 +561,38 @@ fn faults_are_injected_in_the_call_that_fails() {
         hits.is_empty(),
         "a fault is consulted outside the fabric call or the guard that fails:\n{}",
         hits.join("\n")
+    );
+}
+
+#[test]
+fn one_exposure_form_and_one_pull_path() {
+    let this = root().join(file!());
+    let mut hits = Vec::new();
+    for dir in ["crates", "shims", "tests"] {
+        hits.extend(offending_lines(
+            dir,
+            &|p| is_rust(p) && p != this,
+            &|line| line.contains("is_unique"),
+        ));
+    }
+    let fabric = read(&root().join("crates/transport/src/fabric.rs"));
+    for gone in ["enum Exposed", "fn expose_bytes"] {
+        if fabric.contains(gone) {
+            hits.push(format!("crates/transport/src/fabric.rs: `{gone}`"));
+        }
+    }
+    if read(&root().join("crates/transport/Cargo.toml")).contains("bytes") {
+        hits.push("crates/transport/Cargo.toml: `bytes`".into());
+    }
+    assert!(
+        hits.is_empty(),
+        "a second exposure form or a shared, uniqueness-tested buffer is back:\n{}",
+        hits.join("\n")
+    );
+    let batch = fn_body(&fabric, "rdma_get_batch");
+    assert!(
+        batch.contains("rdma_get(") && !batch.contains("registry"),
+        "rdma_get_batch is a second pull path again:\n{batch}"
     );
 }
 

@@ -222,17 +222,18 @@ impl StreamOp for Probed {
 /// Allocator calls a warm Pixie3D staging rank may make per chunk, from
 /// entering one chunk's map to entering the next's: the map, the pull
 /// that lands the next chunk, and its decode into the rank's kept chunk.
-/// Measured at 25.2: the landed buffer (1), `ffs::decode_view`'s schema
+/// Measured at 24.2: the landed buffer (1), `ffs::decode_view`'s schema
 /// and field table (19), and the map's item per destination with the
-/// vectors around it (5). Decoding into fresh arrays and mapping one
-/// piece per variable measured 93.2.
+/// vectors around it. Wrapping each landed buffer in a shared handle
+/// measured 25.2; decoding into fresh arrays and mapping one piece per
+/// variable measured 93.2.
 const CALLS_PER_CHUNK: u64 = 32;
 
 /// Blocks a warm Pixie3D staging rank may free per chunk, over the same
 /// span: what its own pull, decode and map let go of. The exposer's
 /// process group — its name, variable names, dimension lists and arrays —
 /// is freed on the exposer's thread when it consumes the pull's
-/// completion, not here. Measured at 22.0; freeing the group
+/// completion, not here. Measured at 21.0; freeing the group
 /// on the staging thread measured 78.0.
 const FREES_PER_CHUNK: u64 = 32;
 
