@@ -10,22 +10,14 @@ use crate::error::{BpError, Result};
 /// An owned, typed 1-D buffer holding the elements of an N-D array.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataArray {
-    F32(Vec<f32>),
     F64(Vec<f64>),
-    I32(Vec<i32>),
-    I64(Vec<i64>),
-    U32(Vec<u32>),
     U64(Vec<u64>),
 }
 
 impl DataArray {
     pub fn dtype(&self) -> Dtype {
         match self {
-            DataArray::F32(_) => Dtype::F32,
             DataArray::F64(_) => Dtype::F64,
-            DataArray::I32(_) => Dtype::I32,
-            DataArray::I64(_) => Dtype::I64,
-            DataArray::U32(_) => Dtype::U32,
             DataArray::U64(_) => Dtype::U64,
         }
     }
@@ -33,11 +25,7 @@ impl DataArray {
     #[allow(clippy::len_without_is_empty)] // callers size buffers; none asks for emptiness
     pub fn len(&self) -> usize {
         match self {
-            DataArray::F32(v) => v.len(),
             DataArray::F64(v) => v.len(),
-            DataArray::I32(v) => v.len(),
-            DataArray::I64(v) => v.len(),
-            DataArray::U32(v) => v.len(),
             DataArray::U64(v) => v.len(),
         }
     }
@@ -49,11 +37,7 @@ impl DataArray {
     /// Zero-filled array of `n` elements.
     pub fn zeros(dtype: Dtype, n: usize) -> DataArray {
         match dtype {
-            Dtype::F32 => DataArray::F32(vec![0.0; n]),
             Dtype::F64 => DataArray::F64(vec![0.0; n]),
-            Dtype::I32 => DataArray::I32(vec![0; n]),
-            Dtype::I64 => DataArray::I64(vec![0; n]),
-            Dtype::U32 => DataArray::U32(vec![0; n]),
             Dtype::U64 => DataArray::U64(vec![0; n]),
         }
     }
@@ -64,19 +48,7 @@ impl DataArray {
     fn to_le_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.byte_len());
         match self {
-            DataArray::F32(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
             DataArray::F64(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            DataArray::I32(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            DataArray::I64(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            DataArray::U32(v) => v
                 .iter()
                 .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
             DataArray::U64(v) => v
@@ -98,7 +70,7 @@ impl DataArray {
         #[cfg(target_endian = "little")]
         {
             fn view<T>(v: &[T]) -> &[u8] {
-                // Safety: T is a primitive numeric type (f32/f64/iN/uN):
+                // Safety: T is f64 or u64:
                 // no padding, no invalid byte patterns, and the slice
                 // spans exactly len * size_of::<T>() initialized bytes.
                 unsafe {
@@ -106,11 +78,7 @@ impl DataArray {
                 }
             }
             std::borrow::Cow::Borrowed(match self {
-                DataArray::F32(v) => view(v),
                 DataArray::F64(v) => view(v),
-                DataArray::I32(v) => view(v),
-                DataArray::I64(v) => view(v),
-                DataArray::U32(v) => view(v),
                 DataArray::U64(v) => view(v),
             })
         }
@@ -148,11 +116,7 @@ impl DataArray {
             *self = DataArray::zeros(dtype, 0);
         }
         match self {
-            DataArray::F32(v) => refill(v, bytes, f32::from_le_bytes),
             DataArray::F64(v) => refill(v, bytes, f64::from_le_bytes),
-            DataArray::I32(v) => refill(v, bytes, i32::from_le_bytes),
-            DataArray::I64(v) => refill(v, bytes, i64::from_le_bytes),
-            DataArray::U32(v) => refill(v, bytes, u32::from_le_bytes),
             DataArray::U64(v) => refill(v, bytes, u64::from_le_bytes),
         }
         Ok(())
@@ -179,19 +143,11 @@ impl DataArray {
     /// of the elements equal to an extreme the first one seen is kept —
     /// which only shows for ±0.0. Integer extremes are exact.
     pub(crate) fn min_max(&self) -> Option<(f64, f64)> {
-        fn ints<T: Copy + PartialOrd>(v: &[T], to: fn(T) -> f64) -> Option<(f64, f64)> {
-            lane_min_max(v).map(|(lo, hi)| (to(lo), to(hi)))
-        }
-        fn floats<T: Copy + PartialOrd + Default>(v: &[T], to: fn(T) -> f64) -> Option<(f64, f64)> {
-            lane_min_max(v).map(|(lo, hi)| (to(first_zero(v, lo)), to(first_zero(v, hi))))
-        }
         match self {
-            DataArray::F32(v) => floats(v, f64::from),
-            DataArray::F64(v) => floats(v, |x| x),
-            DataArray::I32(v) => ints(v, f64::from),
-            DataArray::I64(v) => ints(v, |x| x as f64),
-            DataArray::U32(v) => ints(v, f64::from),
-            DataArray::U64(v) => ints(v, |x| x as f64),
+            DataArray::F64(v) => {
+                lane_min_max(v).map(|(lo, hi)| (first_zero(v, lo), first_zero(v, hi)))
+            }
+            DataArray::U64(v) => lane_min_max(v).map(|(lo, hi)| (lo as f64, hi as f64)),
         }
     }
 
@@ -243,8 +199,8 @@ fn lane_min_max<T: Copy + PartialOrd>(v: &[T]) -> Option<(T, T)> {
 /// The element the in-order fold keeps for extreme `m`: the first one
 /// equal to it. Only a zero has a twin that compares equal (−0.0 vs
 /// 0.0), so any other `m` is already that element.
-fn first_zero<T: Copy + PartialOrd + Default>(v: &[T], m: T) -> T {
-    if m != T::default() {
+fn first_zero(v: &[f64], m: f64) -> f64 {
+    if m != 0.0 {
         return m;
     }
     v.iter().copied().find(|&x| x == m).unwrap_or(m)
@@ -304,7 +260,7 @@ macro_rules! impl_elem {
         }
     )*};
 }
-impl_elem!(f32 => F32, f64 => F64, i32 => I32, i64 => I64, u32 => U32, u64 => U64);
+impl_elem!(f64 => F64, u64 => U64);
 
 /// Evaluate `$body` with `$T` bound to the element type of `$dtype` —
 /// the one dispatch from a runtime [`Dtype`] to a kernel generic over
@@ -313,24 +269,8 @@ impl_elem!(f32 => F32, f64 => F64, i32 => I32, i64 => I64, u32 => U32, u64 => U6
 macro_rules! with_elem {
     ($dtype:expr, $T:ident => $body:expr) => {
         match $dtype {
-            $crate::Dtype::F32 => {
-                type $T = f32;
-                $body
-            }
             $crate::Dtype::F64 => {
                 type $T = f64;
-                $body
-            }
-            $crate::Dtype::I32 => {
-                type $T = i32;
-                $body
-            }
-            $crate::Dtype::I64 => {
-                type $T = i64;
-                $body
-            }
-            $crate::Dtype::U32 => {
-                type $T = u32;
                 $body
             }
             $crate::Dtype::U64 => {
@@ -514,11 +454,7 @@ mod tests {
     #[test]
     fn le_bytes_roundtrip_all_dtypes() {
         let arrays = [
-            DataArray::F32(vec![1.5, -2.5]),
             DataArray::F64(vec![1.0e300, -0.5]),
-            DataArray::I32(vec![i32::MIN, 7]),
-            DataArray::I64(vec![i64::MAX, -1]),
-            DataArray::U32(vec![0, u32::MAX]),
             DataArray::U64(vec![u64::MAX, 42]),
         ];
         for a in arrays {
@@ -531,11 +467,7 @@ mod tests {
     #[test]
     fn as_le_bytes_matches_owned_encoding() {
         let arrays = [
-            DataArray::F32(vec![1.5, -2.5]),
             DataArray::F64(vec![1.0e300, -0.5]),
-            DataArray::I32(vec![i32::MIN, 7]),
-            DataArray::I64(vec![i64::MAX, -1]),
-            DataArray::U32(vec![0, u32::MAX]),
             DataArray::U64(vec![u64::MAX, 42]),
         ];
         for a in arrays {
@@ -555,8 +487,8 @@ mod tests {
             DataArray::F64(vec![3.0, -1.0, 2.0]).min_max(),
             Some((-1.0, 3.0))
         );
-        assert_eq!(DataArray::U32(vec![]).min_max(), None);
-        assert_eq!(DataArray::I64(vec![5]).min_max(), Some((5.0, 5.0)));
+        assert_eq!(DataArray::U64(vec![]).min_max(), None);
+        assert_eq!(DataArray::U64(vec![5]).min_max(), Some((5.0, 5.0)));
     }
 
     /// The in-order scalar fold `min_max` must equal to the bit.
@@ -575,11 +507,7 @@ mod tests {
             Some((to(lo), to(hi)))
         }
         match a {
-            DataArray::F32(v) => mm(v, f64::from),
             DataArray::F64(v) => mm(v, |x| x),
-            DataArray::I32(v) => mm(v, f64::from),
-            DataArray::I64(v) => mm(v, |x| x as f64),
-            DataArray::U32(v) => mm(v, f64::from),
             DataArray::U64(v) => mm(v, |x| x as f64),
         }
     }
@@ -603,19 +531,6 @@ mod tests {
             ]),
             -1e3f64..1e3,
         ]
-    }
-
-    /// One array of `dtype`-like elements derived from `xs`, every dtype
-    /// taking the same positions of ties and extremes.
-    fn of_dtype(dtype: Dtype, xs: &[f64], ints: &[u64]) -> DataArray {
-        match dtype {
-            Dtype::F32 => DataArray::F32(xs.iter().map(|&x| x as f32).collect()),
-            Dtype::F64 => DataArray::F64(xs.to_vec()),
-            Dtype::I32 => DataArray::I32(ints.iter().map(|&i| i as i32).collect()),
-            Dtype::I64 => DataArray::I64(ints.iter().map(|&i| i as i64).collect()),
-            Dtype::U32 => DataArray::U32(ints.iter().map(|&i| i as u32).collect()),
-            Dtype::U64 => DataArray::U64(ints.to_vec()),
-        }
     }
 
     use proptest::prelude::*;
@@ -651,11 +566,9 @@ mod tests {
                 *x = f64::NAN;
             }
             let cases = [xs.clone(), at_k, at_0, vec![f64::NAN; xs.len()]];
-            for dtype in [Dtype::F32, Dtype::F64, Dtype::I32, Dtype::I64, Dtype::U32, Dtype::U64] {
-                for case in &cases {
-                    let a = of_dtype(dtype, case, &ints);
-                    prop_assert_eq!(bits(a.min_max()), bits(scalar_min_max(&a)), "{:?}", a);
-                }
+            let arrays = cases.into_iter().map(DataArray::F64).chain([DataArray::U64(ints)]);
+            for a in arrays {
+                prop_assert_eq!(bits(a.min_max()), bits(scalar_min_max(&a)), "{:?}", a);
             }
         }
     }
@@ -698,13 +611,13 @@ mod tests {
     #[test]
     fn copy_box_2d_quadrants() {
         // Assemble a 4x4 global from four 2x2 chunks.
-        let mut global = DataArray::zeros(Dtype::I32, 16);
-        let mk = |v: i32| DataArray::I32(vec![v; 4]);
+        let mut global = DataArray::zeros(Dtype::U64, 16);
+        let mk = |v: u64| DataArray::U64(vec![v; 4]);
         for (v, off) in [(1, [0, 0]), (2, [0, 2]), (3, [2, 0]), (4, [2, 2])] {
             let runs = copy_box(&mk(v), &mut global, &off, &[2, 2], &[4, 4]).unwrap();
             assert_eq!(runs, 2); // two rows per 2x2 chunk
         }
-        let DataArray::I32(g) = global else {
+        let DataArray::U64(g) = global else {
             unreachable!()
         };
         #[rustfmt::skip]
@@ -749,8 +662,8 @@ mod tests {
 
     #[test]
     fn copy_box_bounds_checked() {
-        let chunk = DataArray::I32(vec![0; 4]);
-        let mut global = DataArray::zeros(Dtype::I32, 16);
+        let chunk = DataArray::U64(vec![0; 4]);
+        let mut global = DataArray::zeros(Dtype::U64, 16);
         assert!(matches!(
             copy_box(&chunk, &mut global, &[3, 3], &[2, 2], &[4, 4]),
             Err(BpError::OutOfBounds { .. })
@@ -761,8 +674,8 @@ mod tests {
     fn copy_box_between_partial_overlap() {
         // src box at (2,2) 4x4 holding 1..16; dst box at (0,0) 6x6 zeros;
         // copy the intersection (4,4)..(6,6).
-        let src = DataArray::I32((1..=16).collect());
-        let mut dst = DataArray::zeros(Dtype::I32, 36);
+        let src = DataArray::U64((1..=16).collect());
+        let mut dst = DataArray::zeros(Dtype::U64, 36);
         let runs = copy_box_between(
             &src,
             &[2, 2],
@@ -775,7 +688,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(runs, 2);
-        let DataArray::I32(d) = dst else {
+        let DataArray::U64(d) = dst else {
             unreachable!()
         };
         // src element at global (4,4) = local (2,2) = idx 2*4+2 = 10 → value 11.
@@ -806,8 +719,8 @@ mod tests {
     /// Hostile corners: `corner + extent` must not wrap into bounds.
     #[test]
     fn copy_box_rejects_wrapping_offsets() {
-        let chunk = DataArray::I32(vec![0; 4]);
-        let mut global = DataArray::zeros(Dtype::I32, 16);
+        let chunk = DataArray::U64(vec![0; 4]);
+        let mut global = DataArray::zeros(Dtype::U64, 16);
         assert!(matches!(
             copy_box(&chunk, &mut global, &[u64::MAX - 1, 0], &[2, 2], &[4, 4]),
             Err(BpError::OutOfBounds { .. })
@@ -948,7 +861,7 @@ mod tests {
 
     #[test]
     fn copy_box_dtype_checked() {
-        let chunk = DataArray::F32(vec![0.0; 4]);
+        let chunk = DataArray::U64(vec![0; 4]);
         let mut global = DataArray::zeros(Dtype::F64, 16);
         assert!(matches!(
             copy_box(&chunk, &mut global, &[0, 0], &[2, 2], &[4, 4]),

@@ -1,58 +1,41 @@
 //! Element types of BP variables.
 
-/// Numeric element types supported by the BP-like format. (ADIOS supports
-//  more; these are the ones GTC and Pixie3D output.)
+/// Element types of the BP-like format: the ones the pipeline writes
+/// (particle rows and fields in `f64`, counts, labels and offsets in
+/// `u64`). ADIOS has more; tags 0 and 2–4 named `f32`, `i32`, `i64` and
+/// `u32`, which a reader now refuses as corrupt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dtype {
-    F32,
     F64,
-    I32,
-    I64,
-    U32,
     U64,
 }
 
 impl Dtype {
-    /// Element size in bytes.
-    pub fn size(self) -> usize {
-        match self {
-            Dtype::F32 | Dtype::I32 | Dtype::U32 => 4,
-            Dtype::F64 | Dtype::I64 | Dtype::U64 => 8,
-        }
+    /// Element size in bytes: both types are eight bytes wide.
+    pub(crate) fn size(self) -> usize {
+        8
     }
 
     pub fn name(self) -> &'static str {
         match self {
-            Dtype::F32 => "f32",
             Dtype::F64 => "f64",
-            Dtype::I32 => "i32",
-            Dtype::I64 => "i64",
-            Dtype::U32 => "u32",
             Dtype::U64 => "u64",
         }
     }
 
     pub(crate) fn tag(self) -> u8 {
         match self {
-            Dtype::F32 => 0,
             Dtype::F64 => 1,
-            Dtype::I32 => 2,
-            Dtype::I64 => 3,
-            Dtype::U32 => 4,
             Dtype::U64 => 5,
         }
     }
 
     pub(crate) fn from_tag(t: u8) -> Option<Self> {
-        Some(match t {
-            0 => Dtype::F32,
-            1 => Dtype::F64,
-            2 => Dtype::I32,
-            3 => Dtype::I64,
-            4 => Dtype::U32,
-            5 => Dtype::U64,
-            _ => return None,
-        })
+        match t {
+            1 => Some(Dtype::F64),
+            5 => Some(Dtype::U64),
+            _ => None,
+        }
     }
 }
 
@@ -61,18 +44,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sizes_and_tags_roundtrip() {
-        for d in [
-            Dtype::F32,
-            Dtype::F64,
-            Dtype::I32,
-            Dtype::I64,
-            Dtype::U32,
-            Dtype::U64,
-        ] {
+    fn tags_roundtrip_and_retired_tags_are_refused() {
+        for d in [Dtype::F64, Dtype::U64] {
             assert_eq!(Dtype::from_tag(d.tag()), Some(d));
-            assert!(d.size() == 4 || d.size() == 8);
         }
-        assert_eq!(Dtype::from_tag(99), None);
+        for t in [0, 2, 3, 4, 6, 99] {
+            assert_eq!(Dtype::from_tag(t), None);
+        }
     }
 }

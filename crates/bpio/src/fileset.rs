@@ -3,8 +3,8 @@
 //! Staging areas write one file per staging rank (merged slabs, sorted
 //! slices) to keep writers independent; analysis codes want the global
 //! array back. `BpFileSet` opens all parts, merges their footer indexes,
-//! and serves the same `read_global` / `read_box` API as a single file —
-//! exactly how ADIOS sub-files are consumed.
+//! and serves the whole global array back, as `BpReader::read_global`
+//! does for a single file — how ADIOS sub-files are consumed.
 
 use std::path::Path;
 
@@ -37,7 +37,7 @@ impl BpFileSet {
 
     /// Read the sub-box `[corner, corner+extent)` of `var` at `step`,
     /// assembling across parts. Verifies complete coverage.
-    pub fn read_box(
+    pub(crate) fn read_box(
         &mut self,
         var: &str,
         step: u64,

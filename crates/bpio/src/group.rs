@@ -98,7 +98,7 @@ pub struct GroupDef {
 
 impl GroupDef {
     /// Validate and build. Rules: unique names; `Dim::Ref`s must name
-    /// integer scalars in the group; global chunks need equal ranks for
+    /// `u64` scalars in the group; global chunks need equal ranks for
     /// global/local/offset.
     pub fn new(vars: Vec<VarDef>) -> Result<GroupDef> {
         let mut index = HashMap::with_capacity(vars.len());
@@ -107,21 +107,17 @@ impl GroupDef {
                 return Err(BpError::DuplicateVar(v.name.clone()));
             }
         }
-        let is_int_scalar = |n: &str| {
+        let is_u64_scalar = |n: &str| {
             index.get(n).is_some_and(|&i| {
-                matches!(vars[i].kind, VarKind::Scalar)
-                    && matches!(
-                        vars[i].dtype,
-                        Dtype::I32 | Dtype::I64 | Dtype::U32 | Dtype::U64
-                    )
+                matches!(vars[i].kind, VarKind::Scalar) && vars[i].dtype == Dtype::U64
             })
         };
         let check_dims = |dims: &[Dim], var: &str| -> Result<()> {
             for d in dims {
                 if let Dim::Ref(n) = d {
-                    if !is_int_scalar(n) {
+                    if !is_u64_scalar(n) {
                         return Err(BpError::BadDecl(format!(
-                            "variable `{var}` dimension references `{n}`, which is not an integer scalar in the group"
+                            "variable `{var}` dimension references `{n}`, which is not a u64 scalar in the group"
                         )));
                     }
                 }

@@ -68,6 +68,9 @@ mod reader;
 mod util;
 mod writer;
 
+#[cfg(test)]
+mod proptest_bp;
+
 pub use array::{box_to_linear, copy_box_between, BoxRuns, DataArray, Elem};
 pub use dtype::Dtype;
 pub use error::{BpError, Result};

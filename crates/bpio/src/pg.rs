@@ -118,21 +118,15 @@ impl ProcessGroup {
         Ok(())
     }
 
-    /// Integer scalar values written so far (for dimension resolution).
+    /// `u64` scalar values written so far (for dimension resolution).
     pub(crate) fn scalar_values(&self) -> HashMap<String, u64> {
         let mut m = HashMap::new();
         for v in &self.vars {
-            if v.local.is_empty() && v.global.is_empty() {
-                let val = match &v.data {
-                    DataArray::I32(x) => Some(x[0] as u64),
-                    DataArray::I64(x) => Some(x[0] as u64),
-                    DataArray::U32(x) => Some(x[0] as u64),
-                    DataArray::U64(x) => Some(x[0]),
-                    _ => None,
-                };
-                if let Some(val) = val {
-                    m.insert(v.name.clone(), val);
+            match &v.data {
+                DataArray::U64(x) if v.local.is_empty() && v.global.is_empty() => {
+                    m.insert(v.name.clone(), x[0]);
                 }
+                _ => {}
             }
         }
         m

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use bpio::ProcessGroup;
-use ffs::{AttrList, BaseType, FieldDesc, FormatDesc, RecordEncoder};
+use ffs::{BaseType, FieldDesc, FormatDesc, RecordEncoder};
 use transport::evq::EventQueue;
 use transport::Gather;
 
@@ -175,7 +175,7 @@ fn encode_head(
     out: &mut Vec<u8>,
 ) -> Result<Vec<usize>, ChunkError> {
     let pg_len = pg.encoded_len();
-    let mut rec = RecordEncoder::self_contained(chunk_format(), &AttrList::new(), out)?;
+    let mut rec = RecordEncoder::self_contained(chunk_format(), out);
     rec.str(group)?;
     rec.u64(writer_rank)?;
     rec.u64(step)?;
@@ -356,10 +356,10 @@ mod wire_format {
     /// `predata_chunk_v1`; it is in every chunk's wire header.
     const CHUNK_FINGERPRINT: u64 = 0xbaa4_0663_1fab_d530;
 
-    /// One variable of a generated process group: dtype (by index), local
+    /// One variable of a generated process group: dtype (F64 or U64), local
     /// extents (rank 0–3, extents 0–3 so empty arrays occur), whether it is
     /// a global chunk, and the seed its values derive from.
-    type VarSpec = (usize, Vec<u64>, bool, u64);
+    type VarSpec = (bool, Vec<u64>, bool, u64);
 
     fn arb_pg() -> impl Strategy<Value = ProcessGroup> {
         (
@@ -374,7 +374,7 @@ mod wire_format {
             any::<u64>(),
             prop::collection::vec(
                 (
-                    0usize..6,
+                    any::<bool>(),
                     prop::collection::vec(0u64..4, 0..=3),
                     any::<bool>(),
                     any::<u64>(),
@@ -394,17 +394,14 @@ mod wire_format {
             })
     }
 
-    fn make_var((i, (dtype, local, is_global, seed)): (usize, VarSpec)) -> (VarDef, DataArray) {
+    fn make_var((i, (is_f64, local, is_global, seed)): (usize, VarSpec)) -> (VarDef, DataArray) {
         let n = local.iter().product::<u64>() as usize;
-        // Small signed integers: exact in every dtype, never NaN.
+        // Small signed integers: exact in either dtype, never NaN.
         let value = |k: usize| (seed.wrapping_mul(k as u64 + 1) >> 40) as i64 - (1 << 23);
-        let data = match dtype {
-            0 => DataArray::F32((0..n).map(|k| value(k) as f32 * 0.5).collect()),
-            1 => DataArray::F64((0..n).map(|k| value(k) as f64 * 0.25).collect()),
-            2 => DataArray::I32((0..n).map(|k| value(k) as i32).collect()),
-            3 => DataArray::I64((0..n).map(|k| value(k) << 20).collect()),
-            4 => DataArray::U32((0..n).map(|k| value(k) as u32).collect()),
-            _ => DataArray::U64((0..n).map(|k| value(k) as u64).collect()),
+        let data = if is_f64 {
+            DataArray::F64((0..n).map(|k| value(k) as f64 * 0.25).collect())
+        } else {
+            DataArray::U64((0..n).map(|k| value(k) as u64).collect())
         };
         let name = format!("v{i}");
         let consts = |d: Vec<u64>| d.into_iter().map(Dim::c).collect::<Vec<_>>();
@@ -455,11 +452,7 @@ mod wire_format {
         for v in &pg.vars {
             str32(&mut out, &v.name);
             let (tag, payload): (u8, Vec<u8>) = match &v.data {
-                DataArray::F32(x) => (0, x.iter().flat_map(|e| e.to_le_bytes()).collect()),
                 DataArray::F64(x) => (1, x.iter().flat_map(|e| e.to_le_bytes()).collect()),
-                DataArray::I32(x) => (2, x.iter().flat_map(|e| e.to_le_bytes()).collect()),
-                DataArray::I64(x) => (3, x.iter().flat_map(|e| e.to_le_bytes()).collect()),
-                DataArray::U32(x) => (4, x.iter().flat_map(|e| e.to_le_bytes()).collect()),
                 DataArray::U64(x) => (5, x.iter().flat_map(|e| e.to_le_bytes()).collect()),
             };
             out.push(tag);
@@ -472,15 +465,15 @@ mod wire_format {
         out
     }
 
-    /// The chunk record: `"FFS1" version=1 flags=1(schema embedded)
-    /// fingerprint`, the schema of `predata_chunk_v1`, an empty attribute
-    /// list, then the five field values in declaration order.
+    /// The chunk record: `"FFS1" version=2 flags=1(schema embedded)
+    /// fingerprint`, the schema of `predata_chunk_v1`, then the five
+    /// field values in declaration order.
     fn chunk_record(chunk: &PackedChunk) -> Vec<u8> {
         const STR: u8 = 10;
         const U64: u8 = 7;
         const U8: u8 = 1;
         let mut out = b"FFS1".to_vec();
-        out.extend_from_slice(&[1, 1]);
+        out.extend_from_slice(&[2, 1]);
         out.extend_from_slice(&CHUNK_FINGERPRINT.to_le_bytes());
         str16(&mut out, "predata_chunk_v1");
         out.extend_from_slice(&5u16.to_le_bytes());
@@ -496,7 +489,6 @@ mod wire_format {
         str16(&mut out, "pg");
         out.extend_from_slice(&[1, U8, 1, 1]); // array of u8, one dim, variable:
         str16(&mut out, "pg_len");
-        out.extend_from_slice(&0u16.to_le_bytes()); // no attributes
         let block = pg_block(&chunk.pg);
         str32(&mut out, &chunk.group);
         out.extend_from_slice(&chunk.writer_rank.to_le_bytes());

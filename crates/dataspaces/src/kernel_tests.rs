@@ -16,14 +16,7 @@ use crate::{
     DataSpaces, DsConfig, DsError, QueryKind, QueryService, QueryServiceConfig, Reduction, Region,
 };
 
-const DTYPES: [Dtype; 6] = [
-    Dtype::F32,
-    Dtype::F64,
-    Dtype::I32,
-    Dtype::I64,
-    Dtype::U32,
-    Dtype::U64,
-];
+const DTYPES: [Dtype; 2] = [Dtype::F64, Dtype::U64];
 const REDUCTIONS: [Reduction; 5] = [
     Reduction::Min,
     Reduction::Max,
@@ -81,11 +74,7 @@ fn some_box(rng: &mut TestRng, rank: usize) -> Region {
 fn values(rng: &mut TestRng, dtype: Dtype, n: usize) -> DataArray {
     let mut raw = || rng.below(2_000_001) as f64 / 7.0 - 100_000.0;
     match dtype {
-        Dtype::F32 => DataArray::F32((0..n).map(|_| raw() as f32).collect()),
         Dtype::F64 => DataArray::F64((0..n).map(|_| raw()).collect()),
-        Dtype::I32 => DataArray::I32((0..n).map(|_| raw() as i32).collect()),
-        Dtype::I64 => DataArray::I64((0..n).map(|_| raw() as i64 * (1 << 33)).collect()),
-        Dtype::U32 => DataArray::U32((0..n).map(|_| raw().abs() as u32).collect()),
         Dtype::U64 => DataArray::U64((0..n).map(|_| raw().abs() as u64 * (1 << 33)).collect()),
     }
 }
@@ -268,7 +257,7 @@ proptest! {
     fn block_kernels_match_per_element_reference(
         seed in any::<u64>(),
         rank in 1usize..=4,
-        dtype in 0usize..6,
+        dtype in 0usize..DTYPES.len(),
     ) {
         let rng = &mut TestRng::new(seed);
         let region = some_box(rng, rank);
@@ -308,7 +297,7 @@ proptest! {
     fn queries_match_per_element_reference(
         seed in any::<u64>(),
         rank in 1usize..=4,
-        dtype in 0usize..6,
+        dtype in 0usize..DTYPES.len(),
     ) {
         let rng = &mut TestRng::new(seed);
         let dtype = DTYPES[dtype];

@@ -1,11 +1,12 @@
-//! Small out-of-band attributes carried alongside a record.
+//! Small out-of-band attributes, carried apart from records.
 //!
 //! PreDatA's compute-node pass (`partial_calculate`) attaches small partial
 //! results — local min/max, chunk sizes, prefix-sum inputs — to the
 //! data-fetch *request* rather than the bulk payload, so staging nodes can
 //! aggregate them before any bulk data moves. `AttrList` is the container
 //! for those attachments: an ordered name → scalar/small-array map with a
-//! hard size budget, since requests must stay tiny.
+//! hard size budget, since requests must stay tiny. A record carries no
+//! attribute list of its own.
 
 use crate::decode::view_value;
 use crate::encode::encode_value_payload;
@@ -55,31 +56,22 @@ impl AttrList {
         self.entries.iter().map(|(n, v)| (n.as_str(), v))
     }
 
-    /// Standalone serialization (e.g. for shipping attribute lists through
-    /// a transport that is not an `ffs` record).
+    /// Serialize: `count:u16`, then per entry `name:str16 base:u8
+    /// is_array:u8` and the value's payload. Fails if the encoded size
+    /// would exceed its 64 KiB budget.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let mut buf = Vec::with_capacity(64);
-        self.encode_into(&mut Writer::new(&mut buf))?;
-        Ok(buf)
-    }
-
-    /// Inverse of [`AttrList::to_bytes`].
-    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
-        Self::decode_from(&mut Reader::new(buf))
-    }
-
-    /// Serialize into `w`. Fails if the encoded size would exceed
-    /// [`MAX_ENCODED_LEN`].
-    pub(crate) fn encode_into(&self, w: &mut Writer) -> Result<()> {
         let payload: usize = self
             .entries
             .iter()
             .map(|(n, v)| 2 + n.len() + 2 + v.wire_size())
             .sum();
+        // Within the budget, every name fits its `u16` length and the
+        // count its `u16` (an entry takes at least 8 bytes).
         if payload > MAX_ENCODED_LEN {
             return Err(FfsError::Attr("attribute list exceeds 64 KiB budget"));
         }
-        debug_assert!(self.entries.len() <= u16::MAX as usize);
+        let mut buf = Vec::with_capacity(2 + payload);
+        let w = &mut Writer::new(&mut buf);
         w.u16(self.entries.len() as u16);
         for (name, value) in &self.entries {
             w.str16(name);
@@ -88,10 +80,13 @@ impl AttrList {
             w.u8(arr as u8);
             encode_value_payload(w, value);
         }
-        Ok(())
+        Ok(buf)
     }
 
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
+    /// Inverse of [`AttrList::to_bytes`]. A retired base tag, or a shape
+    /// no [`Value`] has, is [`FfsError::Corrupt`].
+    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
+        let r = &mut Reader::new(buf);
         let n = r.u16("attr count")? as usize;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
@@ -122,7 +117,6 @@ impl FromIterator<(String, Value)> for AttrList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{Reader, Writer};
 
     #[test]
     fn set_get_replace() {
@@ -141,27 +135,61 @@ mod tests {
         let mut a = AttrList::new();
         a.set("min", Value::F64(-1.25));
         a.set("hist", Value::ArrU64(vec![1, 2, 3]));
+        a.set("blob", Value::ArrU8(vec![0, 255]));
         a.set("tag", Value::Str("electrons".into()));
-        let mut buf = Vec::new();
-        a.encode_into(&mut Writer::new(&mut buf)).unwrap();
-        let back = AttrList::decode_from(&mut Reader::new(&buf)).unwrap();
+        let back = AttrList::from_bytes(&a.to_bytes().unwrap()).unwrap();
         assert_eq!(a, back);
+    }
+
+    /// One entry `a`, of base tag `tag`, array or not, with `payload`.
+    fn one_entry(tag: u8, is_array: bool, payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![1, 0, 1, 0, b'a', tag, is_array as u8];
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    #[test]
+    fn retired_tags_and_shapes_are_refused() {
+        let eight = [0u8; 8];
+        for tag in [0, 2, 3, 4, 5, 6, 8] {
+            assert_eq!(
+                AttrList::from_bytes(&one_entry(tag, false, &eight)),
+                Err(FfsError::Corrupt("unknown base-type tag"))
+            );
+        }
+        // A `u8` scalar, and `f64` and `str` arrays of one element.
+        let counted = [&1u64.to_le_bytes()[..], &eight].concat();
+        for (tag, is_array, payload) in [
+            (1, false, &eight[..1]),
+            (9, true, &counted),
+            (10, true, &counted),
+        ] {
+            assert_eq!(
+                AttrList::from_bytes(&one_entry(tag, is_array, payload)),
+                Err(FfsError::Corrupt("value shape with no wire form"))
+            );
+        }
+        // The surviving shapes of the same bytes decode.
+        assert_eq!(
+            AttrList::from_bytes(&one_entry(7, true, &counted))
+                .unwrap()
+                .get("a"),
+            Some(&Value::ArrU64(vec![0]))
+        );
     }
 
     #[test]
     fn budget_enforced() {
         let mut a = AttrList::new();
-        a.set("big", Value::ArrF64(vec![0.0; MAX_ENCODED_LEN / 8]));
-        let mut buf = Vec::new();
-        let mut w = Writer::new(&mut buf);
-        assert!(matches!(a.encode_into(&mut w), Err(FfsError::Attr(_))));
+        a.set("big", Value::ArrU64(vec![0; MAX_ENCODED_LEN / 8]));
+        assert!(matches!(a.to_bytes(), Err(FfsError::Attr(_))));
     }
 
     #[test]
     fn preserves_insertion_order() {
         let mut a = AttrList::new();
-        a.set("z", Value::U8(1));
-        a.set("a", Value::U8(2));
+        a.set("z", Value::U64(1));
+        a.set("a", Value::U64(2));
         let names: Vec<&str> = a.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["z", "a"]);
     }

@@ -3,10 +3,9 @@
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use crate::attr::AttrList;
 use crate::encode::{FLAGS, WIRE_VERSION};
 use crate::error::{FfsError, Result};
-use crate::types::{BaseType, DimSpec, FieldDesc, FieldType, FormatDesc, Value};
+use crate::types::{BaseType, FieldDesc, FieldType, FormatDesc, Value};
 use crate::wire::Reader;
 use crate::MAGIC;
 
@@ -18,8 +17,10 @@ pub struct DecodedHeader {
     pub fingerprint: u64,
 }
 
-/// Peek the record header. Cheap: reads 14 bytes. A flags byte other
-/// than the one the encoder writes (schema embedded) is
+/// Peek the record header. Cheap: reads 14 bytes. A version other than
+/// the encoder's is [`FfsError::BadVersion`] (version 1 carried a
+/// record-level attribute list this layout does not), and a flags byte
+/// other than the one the encoder writes (schema embedded) is
 /// [`FfsError::Corrupt`].
 pub fn decode_header(buf: &[u8]) -> Result<DecodedHeader> {
     let mut r = Reader::new(buf);
@@ -51,7 +52,7 @@ pub(crate) fn decode(buf: &[u8], _no_registry: Option<Infallible>) -> Result<cra
         .iter()
         .map(|v| v.to_value().map(Some))
         .collect::<Result<_>>()?;
-    Ok(crate::Record::from_decoded(view.format, values, view.attrs))
+    Ok(crate::Record::from_decoded(view.format, values))
 }
 
 /// One field of a [`RecordView`]: scalars are decoded eagerly (they are
@@ -99,12 +100,6 @@ impl<'a> ViewValue<'a> {
     /// Materialize an owned [`Value`] (copies array payloads) — the one
     /// place array elements are converted from wire bytes.
     pub fn to_value(&self) -> Result<Value> {
-        fn elems<T, const N: usize>(bytes: &[u8], from: fn([u8; N]) -> T) -> Vec<T> {
-            bytes
-                .chunks_exact(N)
-                .map(|c| from(c.try_into().expect("chunks_exact yields N bytes")))
-                .collect()
-        }
         let (elem, count, bytes) = match self {
             ViewValue::Scalar(v) => return Ok(v.clone()),
             ViewValue::Array { elem, count, bytes } => (*elem, *count, *bytes),
@@ -114,19 +109,16 @@ impl<'a> ViewValue<'a> {
         if count.checked_mul(elem.wire_size() as u64) != Some(bytes.len() as u64) {
             return Err(FfsError::Corrupt("array view length disagrees with count"));
         }
-        Ok(match elem {
-            BaseType::I8 => Value::ArrI8(elems(bytes, i8::from_le_bytes)),
-            BaseType::U8 => Value::ArrU8(bytes.to_vec()),
-            BaseType::I16 => Value::ArrI16(elems(bytes, i16::from_le_bytes)),
-            BaseType::U16 => Value::ArrU16(elems(bytes, u16::from_le_bytes)),
-            BaseType::I32 => Value::ArrI32(elems(bytes, i32::from_le_bytes)),
-            BaseType::U32 => Value::ArrU32(elems(bytes, u32::from_le_bytes)),
-            BaseType::I64 => Value::ArrI64(elems(bytes, i64::from_le_bytes)),
-            BaseType::U64 => Value::ArrU64(elems(bytes, u64::from_le_bytes)),
-            BaseType::F32 => Value::ArrF32(elems(bytes, f32::from_le_bytes)),
-            BaseType::F64 => Value::ArrF64(elems(bytes, f64::from_le_bytes)),
-            BaseType::Str => return Err(FfsError::Corrupt("string arrays are not supported")),
-        })
+        match elem {
+            BaseType::U8 => Ok(Value::ArrU8(bytes.to_vec())),
+            BaseType::U64 => Ok(Value::ArrU64(
+                bytes
+                    .chunks_exact(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+                    .collect(),
+            )),
+            BaseType::F64 | BaseType::Str => Err(FfsError::Corrupt("no array of this type")),
+        }
     }
 }
 
@@ -139,16 +131,9 @@ impl<'a> ViewValue<'a> {
 pub struct RecordView<'a> {
     format: Arc<FormatDesc>,
     values: Vec<ViewValue<'a>>,
-    #[cfg(test)]
-    attrs: AttrList,
 }
 
 impl<'a> RecordView<'a> {
-    #[cfg(test)]
-    pub(crate) fn attrs(&self) -> &AttrList {
-        &self.attrs
-    }
-
     pub fn get(&self, name: &str) -> Option<&ViewValue<'a>> {
         self.format.field_index(name).map(|i| &self.values[i])
     }
@@ -175,44 +160,24 @@ pub fn decode_view<'a>(buf: &'a [u8], _no_registry: Option<Infallible>) -> Resul
     }
     let format = Arc::new(format);
 
-    // The record-level attributes precede the fields; only tests read
-    // them.
-    let _attrs = AttrList::decode_from(&mut r)?;
-
     let mut values: Vec<ViewValue<'a>> = Vec::with_capacity(format.fields().len());
     for field in format.fields() {
         values.push(match &field.ty {
             FieldType::Scalar(b) => view_value(&mut r, *b, false, None)?,
-            FieldType::Array { elem, dims } => {
-                // Resolve expected length from already-decoded size fields
-                // (they are guaranteed to precede this array).
-                let mut expected: u64 = 1;
-                for d in dims {
-                    let extent = match d {
-                        DimSpec::Fixed(n) => *n,
-                        DimSpec::Var(name) => {
-                            let j = format
-                                .field_index(name)
-                                .ok_or(FfsError::Corrupt("dangling var dim"))?;
-                            values
-                                .get(j)
-                                .and_then(|v| v.as_u64())
-                                .ok_or(FfsError::Corrupt("var dim not yet decoded"))?
-                        }
-                    };
-                    expected = expected.saturating_mul(extent);
-                }
-                view_value(&mut r, *elem, true, Some(expected))?
+            FieldType::Array { elem, count } => {
+                // The size field precedes this array (checked when the
+                // schema was), so it is decoded already.
+                let n = format
+                    .field_index(count)
+                    .and_then(|j| values.get(j))
+                    .and_then(|v| v.as_u64())
+                    .ok_or(FfsError::Corrupt("array size field not yet decoded"))?;
+                view_value(&mut r, *elem, true, Some(n))?
             }
         });
     }
 
-    Ok(RecordView {
-        format,
-        values,
-        #[cfg(test)]
-        attrs: _attrs,
-    })
+    Ok(RecordView { format, values })
 }
 
 pub(crate) fn decode_schema(r: &mut Reader<'_>) -> Result<FormatDesc> {
@@ -226,16 +191,14 @@ pub(crate) fn decode_schema(r: &mut Reader<'_>) -> Result<FormatDesc> {
         let ty = match kind {
             0 => FieldType::Scalar(base),
             1 => {
-                let ndims = r.u8("ndims")? as usize;
-                let mut dims = Vec::with_capacity(ndims);
-                for _ in 0..ndims {
-                    dims.push(match r.u8("dim kind")? {
-                        0 => DimSpec::Fixed(r.u64("dim extent")?),
-                        1 => DimSpec::Var(r.str16("dim name")?),
-                        _ => return Err(FfsError::Corrupt("dim kind tag")),
-                    });
+                if r.u8("ndims")? != 1 {
+                    return Err(FfsError::Corrupt("array of other than one dimension"));
                 }
-                FieldType::Array { elem: base, dims }
+                if r.u8("dim kind")? != 1 {
+                    return Err(FfsError::Corrupt("array extent not given by a size field"));
+                }
+                let count = r.str16("dim name")?;
+                FieldType::Array { elem: base, count }
             }
             _ => return Err(FfsError::Corrupt("field kind tag")),
         };
@@ -246,39 +209,29 @@ pub(crate) fn decode_schema(r: &mut Reader<'_>) -> Result<FormatDesc> {
 
 /// Read one value payload: a scalar decoded, or an array as a borrowed
 /// view of its element bytes. `expected_len` (when known from the
-/// schema) is cross-checked against the on-wire element count.
+/// schema) is cross-checked against the on-wire element count. A shape
+/// no [`Value`] has is [`FfsError::Corrupt`].
 pub(crate) fn view_value<'a>(
     r: &mut Reader<'a>,
     base: BaseType,
     is_array: bool,
     expected_len: Option<u64>,
 ) -> Result<ViewValue<'a>> {
-    if !is_array {
-        return Ok(ViewValue::Scalar(match base {
-            BaseType::I8 => Value::I8(r.u8("i8")? as i8),
-            BaseType::U8 => Value::U8(r.u8("u8")?),
-            BaseType::I16 => Value::I16(r.u16("i16")? as i16),
-            BaseType::U16 => Value::U16(r.u16("u16")?),
-            BaseType::I32 => Value::I32(r.u32("i32")? as i32),
-            BaseType::U32 => Value::U32(r.u32("u32")?),
-            BaseType::I64 => Value::I64(r.u64("i64")? as i64),
-            BaseType::U64 => Value::U64(r.u64("u64")?),
-            BaseType::F32 => Value::F32(r.f32("f32")?),
-            BaseType::F64 => Value::F64(r.f64("f64")?),
-            BaseType::Str => Value::Str(r.str32("str")?),
-        }));
-    }
-
+    let elem_size = match (base, is_array) {
+        (BaseType::U64, false) => return Ok(ViewValue::Scalar(Value::U64(r.u64("u64")?))),
+        (BaseType::F64, false) => return Ok(ViewValue::Scalar(Value::F64(r.f64("f64")?))),
+        (BaseType::Str, false) => return Ok(ViewValue::Scalar(Value::Str(r.str32("str")?))),
+        (BaseType::U8 | BaseType::U64, true) => base.wire_size(),
+        _ => return Err(FfsError::Corrupt("value shape with no wire form")),
+    };
     let count = r.u64("array count")?;
     if expected_len.is_some_and(|exp| exp != count) {
-        return Err(FfsError::Corrupt("array count disagrees with dimensions"));
-    }
-    if base == BaseType::Str {
-        return Err(FfsError::Corrupt("string arrays are not supported"));
+        return Err(FfsError::Corrupt(
+            "array count disagrees with its size field",
+        ));
     }
     // Guard against hostile counts before slicing (and before any
     // materializing allocation).
-    let elem_size = base.wire_size();
     if count > (r.remaining() / elem_size) as u64 {
         return Err(FfsError::Truncated("array elements"));
     }
@@ -297,20 +250,21 @@ mod tests {
 
     fn sample() -> Record {
         let fmt = FormatDesc::new("sample")
-            .field(FieldDesc::scalar("step", BaseType::U32))
+            .field(FieldDesc::scalar("step", BaseType::U64))
             .field(FieldDesc::scalar("label", BaseType::Str))
+            .field(FieldDesc::scalar("lmin", BaseType::F64))
             .field(FieldDesc::scalar("n", BaseType::U64))
-            .field(FieldDesc::vec("x", BaseType::F64, "n"))
-            .field(FieldDesc::vec("ids", BaseType::I32, "n"))
+            .field(FieldDesc::vec("raw", BaseType::U8, "n"))
+            .field(FieldDesc::vec("ids", BaseType::U64, "n"))
             .build()
             .unwrap();
         let mut r = Record::new(&fmt);
-        r.set("step", Value::U32(42)).unwrap();
+        r.set("step", Value::U64(42)).unwrap();
         r.set("label", Value::Str("ions".into())).unwrap();
+        r.set("lmin", Value::F64(-2.0)).unwrap();
         r.set("n", Value::U64(3)).unwrap();
-        r.set("x", Value::ArrF64(vec![1.0, -2.0, 3.5])).unwrap();
-        r.set("ids", Value::ArrI32(vec![-1, 0, 1])).unwrap();
-        r.attrs_mut().set("lmin", Value::F64(-2.0));
+        r.set("raw", Value::ArrU8(vec![1, 0, 255])).unwrap();
+        r.set("ids", Value::ArrU64(vec![u64::MAX, 0, 1])).unwrap();
         r
     }
 
@@ -319,11 +273,9 @@ mod tests {
         let r = sample();
         let buf = r.encode_self_contained().unwrap();
         let back = decode(&buf, None).unwrap();
-        assert_eq!(back.get("step"), Some(&Value::U32(42)));
-        assert_eq!(back.get("label"), Some(&Value::Str("ions".into())));
-        assert_eq!(back.get("x"), Some(&Value::ArrF64(vec![1.0, -2.0, 3.5])));
-        assert_eq!(back.get("ids"), Some(&Value::ArrI32(vec![-1, 0, 1])));
-        assert_eq!(back.attrs().get_f64("lmin"), Some(-2.0));
+        for name in ["step", "label", "lmin", "n", "raw", "ids"] {
+            assert_eq!(back.get(name), r.get(name), "{name}");
+        }
         assert_eq!(back.format().fingerprint(), r.format().fingerprint());
     }
 
@@ -357,8 +309,33 @@ mod tests {
         buf[0] = b'X';
         assert!(matches!(decode_header(&buf), Err(FfsError::BadMagic)));
         buf[0] = saved;
-        buf[4] = 99;
-        assert!(matches!(decode_header(&buf), Err(FfsError::BadVersion(99))));
+        // Version 1 put a record-level attribute list after the schema.
+        for version in [1, 99] {
+            buf[4] = version;
+            assert_eq!(decode_header(&buf), Err(FfsError::BadVersion(version)));
+            assert_eq!(
+                decode_view(&buf, None).unwrap_err(),
+                FfsError::BadVersion(version)
+            );
+        }
+    }
+
+    /// A schema naming a base tag no type has any more is refused before
+    /// any payload is read.
+    #[test]
+    fn retired_base_tags_are_refused() {
+        let buf = sample().encode_self_contained().unwrap();
+        // The first field, `step`: name, then kind 0 and its base tag.
+        let at = 14 + 2 + "sample".len() + 2 + 2 + "step".len() + 1;
+        assert_eq!(buf[at], BaseType::U64.tag());
+        for tag in [0, 2, 3, 4, 5, 6, 8, 11, 255] {
+            let mut bad = buf.clone();
+            bad[at] = tag;
+            assert_eq!(
+                decode_view(&bad, None).unwrap_err(),
+                FfsError::Corrupt("unknown base-type tag")
+            );
+        }
     }
 
     #[test]
@@ -367,6 +344,7 @@ mod tests {
         let buf = r.encode_self_contained().unwrap();
         for cut in [buf.len() - 1, buf.len() / 2, 15] {
             assert!(decode(&buf[..cut], None).is_err(), "cut at {cut} must fail");
+            assert!(decode_view(&buf[..cut], None).is_err());
         }
     }
 
@@ -378,36 +356,47 @@ mod tests {
 
         assert_eq!(view.get("step").unwrap().as_u64(), Some(42));
         assert_eq!(view.get("label").unwrap().as_str(), Some("ions"));
-        assert_eq!(view.attrs().get_f64("lmin"), Some(-2.0));
 
-        // The f64 array is a borrowed slice whose pointer lies inside the
-        // input buffer — the zero-copy property, checked directly.
-        let ViewValue::Array { elem, count, bytes } = view.get("x").unwrap() else {
-            panic!("x must decode as an array view");
-        };
-        assert_eq!((*elem, *count), (BaseType::F64, 3));
+        // Array payloads are borrowed slices whose pointers lie inside
+        // the input buffer — the zero-copy property, checked directly.
         let buf_range = buf.as_ptr() as usize..buf.as_ptr() as usize + buf.len();
+        let raw = view.get("raw").unwrap().bytes().unwrap();
+        assert_eq!(raw, [1, 0, 255]);
+        assert!(buf_range.contains(&(raw.as_ptr() as usize)));
+        let ViewValue::Array { elem, count, bytes } = view.get("ids").unwrap() else {
+            panic!("ids must decode as an array view");
+        };
+        assert_eq!((*elem, *count), (BaseType::U64, 3));
         assert!(buf_range.contains(&(bytes.as_ptr() as usize)));
-        let xs: Vec<f64> = bytes
-            .chunks_exact(8)
-            .map(|w| f64::from_le_bytes(w.try_into().unwrap()))
-            .collect();
-        assert_eq!(xs, vec![1.0, -2.0, 3.5]);
+        assert_eq!(view.get("ids").unwrap().bytes(), None, "not a byte array");
 
         // Materializing still yields the owned decode's values.
         assert_eq!(
             view.get("ids").unwrap().to_value().unwrap(),
-            Value::ArrI32(vec![-1, 0, 1])
+            Value::ArrU64(vec![u64::MAX, 0, 1])
         );
     }
 
     #[test]
-    fn view_rejects_truncated_and_hostile_input() {
-        let r = sample();
-        let buf = r.encode_self_contained().unwrap();
-        for cut in [buf.len() - 1, buf.len() / 2, 15] {
-            assert!(decode_view(&buf[..cut], None).is_err());
+    fn hand_built_views_are_checked() {
+        let bytes = [0u8; 8];
+        for (elem, count) in [(BaseType::U64, 2), (BaseType::U8, 7)] {
+            let v = ViewValue::Array {
+                elem,
+                count,
+                bytes: &bytes,
+            };
+            assert!(matches!(v.to_value(), Err(FfsError::Corrupt(_))));
         }
+        let f64s = ViewValue::Array {
+            elem: BaseType::F64,
+            count: 1,
+            bytes: &bytes,
+        };
+        assert_eq!(
+            f64s.to_value(),
+            Err(FfsError::Corrupt("no array of this type"))
+        );
     }
 
     #[test]
@@ -415,12 +404,12 @@ mod tests {
         // Craft a record whose array claims u64::MAX elements.
         let fmt = FormatDesc::new("f")
             .field(FieldDesc::scalar("n", BaseType::U64))
-            .field(FieldDesc::vec("x", BaseType::F64, "n"))
+            .field(FieldDesc::vec("x", BaseType::U64, "n"))
             .build()
             .unwrap();
         let mut r = Record::new(&fmt);
         r.set("n", Value::U64(1)).unwrap();
-        r.set("x", Value::ArrF64(vec![0.0])).unwrap();
+        r.set("x", Value::ArrU64(vec![0])).unwrap();
         let mut buf = r.encode_self_contained().unwrap();
         // Overwrite the trailing count+payload with a huge count.
         let l = buf.len();

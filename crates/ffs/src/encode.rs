@@ -4,22 +4,25 @@
 //!
 //! ```text
 //! record      := magic(4) version(1) flags(1) fingerprint(8)
-//!                schema attrs payload   -- flags is always 1 (schema embedded)
+//!                schema payload                -- flags is always 1 (schema embedded)
 //! schema      := name:str16 nfields:u16 field*
-//! field       := name:str16 kind:u8 base:u8 [ndims:u8 dim*]   -- kind 0 scalar, 1 array
-//! dim         := 0 extent:u64 | 1 name:str16
-//! attrs       := see AttrList
+//! field       := name:str16 kind:u8 base:u8 [ndims:u8 dim]   -- kind 0 scalar, 1 array
+//! dim         := 1 name:str16                  -- ndims is always 1
 //! payload     := value*                        -- fields in declaration order
-//! value       := scalar bytes | count:u64 elems | len:u32 utf8  -- str
+//! value       := u64 | f64 | len:u32 utf8      -- scalars
+//!              | count:u64 elems               -- u8 and u64 arrays
 //! ```
+//!
+//! Version 2 is version 1 without the record-level attribute list that
+//! followed the schema (always empty: attributes ride fetch requests,
+//! as [`AttrList`](crate::AttrList)s of their own).
 
-use crate::attr::AttrList;
 use crate::error::{FfsError, Result};
-use crate::types::{BaseType, DimSpec, FieldType, FormatDesc, Record, Value};
+use crate::types::{BaseType, FieldType, FormatDesc, Record, Value};
 use crate::wire::Writer;
 use crate::MAGIC;
 
-pub(crate) const WIRE_VERSION: u8 = 1;
+pub(crate) const WIRE_VERSION: u8 = 2;
 /// The flags byte of every record: bit 0, schema embedded. A decoder
 /// refuses any other value.
 pub(crate) const FLAGS: u8 = 0b0000_0001;
@@ -36,7 +39,7 @@ impl Record {
             .map(|v| v.as_ref().map_or(0, Value::wire_size))
             .sum();
         let mut buf = Vec::with_capacity(64 + payload_size);
-        let mut enc = RecordEncoder::self_contained(fmt, self.attrs(), &mut buf)?;
+        let mut enc = RecordEncoder::self_contained(fmt, &mut buf);
         for (field, v) in fmt.fields().iter().zip(self.values()) {
             let v = v
                 .as_ref()
@@ -58,8 +61,7 @@ impl Record {
 /// so its bytes are never copied into the encoder's buffer at all.
 ///
 /// Every field is checked against the format as it is written: its
-/// type, and an array's length against its fixed and variable
-/// dimensions. Dropping the encoder before
+/// type, and an array's length against its size field. Dropping the encoder before
 /// `finish` — which is what `?` on any of its
 /// errors does — cuts the buffer back to the length it had at the
 /// start, so a failure never leaves half a record.
@@ -70,8 +72,8 @@ pub struct RecordEncoder<'a> {
     start: usize,
     /// Index of the next field to write.
     next: usize,
-    /// `(field index, value)` of the integer scalars written so far,
-    /// which later arrays' variable dimensions resolve against.
+    /// `(field index, value)` of the `u64` scalars written so far,
+    /// which later arrays' lengths resolve against.
     sizes: Vec<(usize, u64)>,
     finished: bool,
 }
@@ -79,11 +81,7 @@ pub struct RecordEncoder<'a> {
 impl<'a> RecordEncoder<'a> {
     /// Begin a self-contained record (schema embedded) of `fmt` at the
     /// end of `out`.
-    pub fn self_contained(
-        fmt: &'a FormatDesc,
-        attrs: &AttrList,
-        out: &'a mut Vec<u8>,
-    ) -> Result<Self> {
+    pub fn self_contained(fmt: &'a FormatDesc, out: &'a mut Vec<u8>) -> Self {
         let mut enc = RecordEncoder {
             start: out.len(),
             w: Writer::new(out),
@@ -98,8 +96,7 @@ impl<'a> RecordEncoder<'a> {
         w.u8(FLAGS);
         w.u64(fmt.fingerprint());
         encode_schema(w, fmt);
-        attrs.encode_into(w)?;
-        Ok(enc)
+        enc
     }
 
     /// Step past the next field, which must hold a `base` scalar (`len`
@@ -111,22 +108,14 @@ impl<'a> RecordEncoder<'a> {
         })?;
         match (&field.ty, len) {
             (FieldType::Scalar(b), None) if *b == base => {}
-            (FieldType::Array { elem, dims }, Some(got)) if *elem == base => {
-                let mut expected = 1u64;
-                for d in dims {
-                    let extent = match d {
-                        DimSpec::Fixed(n) => *n,
-                        DimSpec::Var(name) => {
-                            let j = fmt.field_index(name).expect("validated at build");
-                            self.sizes
-                                .iter()
-                                .find(|(i, _)| *i == j)
-                                .expect("size fields precede their arrays")
-                                .1
-                        }
-                    };
-                    expected = expected.saturating_mul(extent);
-                }
+            (FieldType::Array { elem, count }, Some(got)) if *elem == base => {
+                let j = fmt.field_index(count).expect("validated at build");
+                let expected = self
+                    .sizes
+                    .iter()
+                    .find(|(i, _)| *i == j)
+                    .expect("size fields precede their arrays")
+                    .1;
                 if expected != got {
                     return Err(FfsError::LengthMismatch {
                         field: field.name.clone(),
@@ -205,9 +194,10 @@ impl Drop for RecordEncoder<'_> {
     }
 }
 
+/// Names and the field count fit their `u16` prefixes:
+/// `FormatDesc::from_parts` refuses any that do not.
 pub(crate) fn encode_schema(w: &mut Writer, fmt: &FormatDesc) {
     w.str16(fmt.name());
-    debug_assert!(fmt.fields().len() <= u16::MAX as usize);
     w.u16(fmt.fields().len() as u16);
     for f in fmt.fields() {
         w.str16(&f.name);
@@ -216,85 +206,35 @@ pub(crate) fn encode_schema(w: &mut Writer, fmt: &FormatDesc) {
                 w.u8(0);
                 w.u8(b.tag());
             }
-            FieldType::Array { elem, dims } => {
+            FieldType::Array { elem, count } => {
                 w.u8(1);
                 w.u8(elem.tag());
-                debug_assert!(dims.len() <= u8::MAX as usize);
-                w.u8(dims.len() as u8);
-                for d in dims {
-                    match d {
-                        DimSpec::Fixed(n) => {
-                            w.u8(0);
-                            w.u64(*n);
-                        }
-                        DimSpec::Var(v) => {
-                            w.u8(1);
-                            w.str16(v);
-                        }
-                    }
-                }
+                w.u8(1); // one dimension,
+                w.u8(1); // sized by a field:
+                w.str16(count);
             }
         }
     }
 }
 
-/// Bulk-append a primitive-element slice as little-endian payload bytes.
-///
-/// On little-endian targets the in-memory buffer already *is* the wire
-/// encoding, so the whole array goes in with one `extend_from_slice`
-/// (the memcpy the element-wise loop below compiles to only after
-/// perfect vectorization). Other targets take the element-wise path.
-macro_rules! bulk_le {
-    ($w:expr, $a:expr, |$x:ident| $enc:expr) => {{
-        $w.u64($a.len() as u64);
-        #[cfg(target_endian = "little")]
-        {
-            // Safety: the element type is primitive numeric — no padding,
-            // no invalid byte patterns; the view spans exactly the slice.
-            let view = unsafe {
-                std::slice::from_raw_parts($a.as_ptr() as *const u8, std::mem::size_of_val(&$a[..]))
-            };
-            $w.bytes(view);
-        }
-        #[cfg(not(target_endian = "little"))]
-        for &$x in $a.iter() {
-            $enc;
-        }
-    }};
-}
-
 /// Write one value's payload bytes (no type header — the schema carries it).
 pub(crate) fn encode_value_payload(w: &mut Writer, v: &Value) {
     match v {
-        Value::I8(x) => w.u8(*x as u8),
-        Value::U8(x) => w.u8(*x),
-        Value::I16(x) => w.u16(*x as u16),
-        Value::U16(x) => w.u16(*x),
-        Value::I32(x) => w.u32(*x as u32),
-        Value::U32(x) => w.u32(*x),
-        Value::I64(x) => w.u64(*x as u64),
         Value::U64(x) => w.u64(*x),
-        Value::F32(x) => w.f32(*x),
         Value::F64(x) => w.f64(*x),
         Value::Str(s) => w.str32(s),
-        Value::ArrI8(a) => {
-            w.u64(a.len() as u64);
-            for &x in a {
-                w.u8(x as u8);
-            }
-        }
         Value::ArrU8(a) => {
             w.u64(a.len() as u64);
             w.bytes(a);
         }
-        Value::ArrI16(a) => bulk_le!(w, a, |x| w.u16(x as u16)),
-        Value::ArrU16(a) => bulk_le!(w, a, |x| w.u16(x)),
-        Value::ArrI32(a) => bulk_le!(w, a, |x| w.u32(x as u32)),
-        Value::ArrU32(a) => bulk_le!(w, a, |x| w.u32(x)),
-        Value::ArrI64(a) => bulk_le!(w, a, |x| w.u64(x as u64)),
-        Value::ArrU64(a) => bulk_le!(w, a, |x| w.u64(x)),
-        Value::ArrF32(a) => bulk_le!(w, a, |x| w.f32(x)),
-        Value::ArrF64(a) => bulk_le!(w, a, |x| w.f64(x)),
+        // Only attribute lists hold one (a histogram's counts), under
+        // their 64 KiB budget.
+        Value::ArrU64(a) => {
+            w.u64(a.len() as u64);
+            for &x in a {
+                w.u64(x);
+            }
+        }
     }
 }
 
@@ -305,8 +245,8 @@ mod tests {
 
     fn fmt() -> std::sync::Arc<FormatDesc> {
         FormatDesc::new("f")
-            .field(FieldDesc::scalar("n", BaseType::U32))
-            .field(FieldDesc::vec("x", BaseType::F64, "n"))
+            .field(FieldDesc::scalar("n", BaseType::U64))
+            .field(FieldDesc::vec("x", BaseType::U64, "n"))
             .build()
             .unwrap()
     }
@@ -315,7 +255,7 @@ mod tests {
     fn unset_field_rejected() {
         let f = fmt();
         let mut r = Record::new(&f);
-        r.set("n", Value::U32(1)).unwrap();
+        r.set("n", Value::U64(1)).unwrap();
         assert!(matches!(
             r.encode_self_contained(),
             Err(FfsError::UnsetField(_))
@@ -326,8 +266,8 @@ mod tests {
     fn var_dim_mismatch_rejected_at_encode() {
         let f = fmt();
         let mut r = Record::new(&f);
-        r.set("n", Value::U32(5)).unwrap();
-        r.set("x", Value::ArrF64(vec![1.0, 2.0])).unwrap();
+        r.set("n", Value::U64(5)).unwrap();
+        r.set("x", Value::ArrU64(vec![1, 2])).unwrap();
         assert!(matches!(
             r.encode_self_contained(),
             Err(FfsError::LengthMismatch {
@@ -355,7 +295,7 @@ mod tests {
         r.set("len", Value::U64(3)).unwrap();
         r.set("raw", Value::ArrU8(vec![7, 8, 9])).unwrap();
         let mut out = b"kept".to_vec();
-        let mut enc = RecordEncoder::self_contained(&f, r.attrs(), &mut out).unwrap();
+        let mut enc = RecordEncoder::self_contained(&f, &mut out);
         enc.str("t").unwrap();
         enc.u64(3).unwrap();
         enc.finish_out_of_line(3).unwrap();
@@ -368,7 +308,6 @@ mod tests {
     #[test]
     fn a_failed_or_abandoned_record_leaves_the_buffer_as_it_was() {
         let f = blob_fmt();
-        let attrs = AttrList::new();
         let mut out = b"kept".to_vec();
         // Out of order, wrong type, wrong declared length, too few
         // fields: each is refused and rolled back.
@@ -416,7 +355,7 @@ mod tests {
             ),
         ];
         for (steps, expected) in bad {
-            let enc = RecordEncoder::self_contained(&f, &attrs, &mut out).unwrap();
+            let enc = RecordEncoder::self_contained(&f, &mut out);
             let err = steps(enc).unwrap_err();
             assert!(expected(&err), "{err:?}");
             assert_eq!(out, b"kept");
@@ -426,7 +365,7 @@ mod tests {
             .field(FieldDesc::scalar("n", BaseType::U64))
             .build()
             .unwrap();
-        let mut enc = RecordEncoder::self_contained(&scalars, &attrs, &mut out).unwrap();
+        let mut enc = RecordEncoder::self_contained(&scalars, &mut out);
         enc.u64(1).unwrap();
         assert!(matches!(enc.u64(2), Err(FfsError::NoSuchField(_))));
         drop(enc);
@@ -443,9 +382,8 @@ mod tests {
             .field(FieldDesc::scalar("tail", BaseType::U64))
             .build()
             .unwrap();
-        let attrs = AttrList::new();
         let mut out = b"kept".to_vec();
-        let mut enc = RecordEncoder::self_contained(&f, &attrs, &mut out).unwrap();
+        let mut enc = RecordEncoder::self_contained(&f, &mut out);
         enc.u64(2).unwrap();
         assert_eq!(
             enc.finish_out_of_line(2),
@@ -455,7 +393,7 @@ mod tests {
 
         // Declared last, with a length its size field contradicts.
         let f = blob_fmt();
-        let mut enc = RecordEncoder::self_contained(&f, &attrs, &mut out).unwrap();
+        let mut enc = RecordEncoder::self_contained(&f, &mut out);
         enc.str("t").unwrap();
         enc.u64(4).unwrap();
         assert!(matches!(

@@ -14,8 +14,14 @@ pub enum FfsError {
     /// declared *after* the array (FFS requires size fields to precede
     /// the arrays they size, so a streaming decoder never back-tracks).
     BadVarDim { array: String, dim: String },
-    /// A variable dimension referenced a non-integer field.
+    /// An array's size field is not a `u64` scalar.
     NonIntegerDim { array: String, dim: String },
+    /// A field of a shape no [`Value`](crate::Value) has: the format
+    /// carries `u64`, `f64` and `str` scalars and `u8` and `u64` arrays.
+    Unsupported { field: String, ty: String },
+    /// A name or the field list is longer than its `u16` length prefix
+    /// on the wire can count.
+    TooLong { what: &'static str, len: usize },
     /// `Record::set` used a field name absent from the format.
     NoSuchField(String),
     /// The value's type does not match the field declaration.
@@ -55,7 +61,14 @@ impl fmt::Display for FfsError {
                 )
             }
             FfsError::NonIntegerDim { array, dim } => {
-                write!(f, "array `{array}` sized by non-integer field `{dim}`")
+                write!(f, "array `{array}` sized by `{dim}`, which is not a u64 scalar")
+            }
+            FfsError::Unsupported { field, ty } => write!(
+                f,
+                "field `{field}`: no {ty} on the wire (scalars are u64, f64, str; arrays u8[], u64[])"
+            ),
+            FfsError::TooLong { what, len } => {
+                write!(f, "{what} too long for the wire: {len} > {}", u16::MAX)
             }
             FfsError::NoSuchField(n) => write!(f, "no field `{n}` in format"),
             FfsError::TypeMismatch {
@@ -95,11 +108,11 @@ mod tests {
     fn display_is_informative() {
         let e = FfsError::TypeMismatch {
             field: "px".into(),
-            expected: "f64[]".into(),
-            got: "i32".into(),
+            expected: "u64[]".into(),
+            got: "f64".into(),
         };
         let s = e.to_string();
-        assert!(s.contains("px") && s.contains("f64[]") && s.contains("i32"));
+        assert!(s.contains("px") && s.contains("u64[]") && s.contains("f64"));
     }
 
     #[test]

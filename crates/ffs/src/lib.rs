@@ -10,11 +10,16 @@
 //! # Model
 //!
 //! * A [`FormatDesc`] names a record layout: an ordered list of
-//!   [`FieldDesc`]s, each a scalar or an array sized by an integer field
-//!   declared before it. Its 64-bit fingerprint identifies the layout.
-//! * [`Record`] is a set of field [`Value`]s plus an [`AttrList`] of small
-//!   out-of-band attributes (PreDatA attaches partial results from the
-//!   compute-node pass to data-fetch requests through these).
+//!   [`FieldDesc`]s, each a scalar or a one-dimensional array sized by a
+//!   `u64` field declared before it. Its 64-bit fingerprint identifies
+//!   the layout.
+//! * The types are the ones the pipeline writes: `u64`, `f64` and `str`
+//!   scalars, and `u8` and `u64` arrays ([`Value`]). A format or a wire
+//!   record naming any other shape is refused.
+//! * [`Record`] is a set of field [`Value`]s. Small out-of-band results
+//!   travel apart from records, in an [`AttrList`]: PreDatA attaches the
+//!   compute-node pass's partial results to data-fetch requests through
+//!   these.
 //! * Every record is encoded *self-contained*: the schema travels in
 //!   front of the payload, so a receiver decodes it with no format
 //!   server. FFS can also send the fingerprint alone to a receiver that
@@ -28,20 +33,20 @@
 //!
 //! let fmt = FormatDesc::new("particles")
 //!     .field(FieldDesc::scalar("nparticles", BaseType::U64))
-//!     .field(FieldDesc::vec("px", BaseType::F64, "nparticles"))
+//!     .field(FieldDesc::vec("ids", BaseType::U64, "nparticles"))
 //!     .build()
 //!     .unwrap();
 //!
 //! let mut rec = Record::new(&fmt);
 //! rec.set("nparticles", Value::U64(3)).unwrap();
-//! rec.set("px", Value::ArrF64(vec![0.5, 1.5, 2.5])).unwrap();
+//! rec.set("ids", Value::ArrU64(vec![5, 15, 25])).unwrap();
 //!
 //! let buf = rec.encode_self_contained().unwrap();
 //! let view = ffs::decode_view(&buf, None).unwrap();
 //! assert_eq!(view.get("nparticles").unwrap().as_u64(), Some(3));
 //! assert_eq!(
-//!     view.get("px").unwrap().to_value().unwrap(),
-//!     Value::ArrF64(vec![0.5, 1.5, 2.5])
+//!     view.get("ids").unwrap().to_value().unwrap(),
+//!     Value::ArrU64(vec![5, 15, 25])
 //! );
 //! ```
 

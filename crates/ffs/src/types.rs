@@ -3,54 +3,37 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::attr::AttrList;
 use crate::error::{FfsError, Result};
 
-/// Primitive element types understood by the wire format.
+/// Element types of the wire format: the ones the pipeline writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaseType {
-    I8,
+    /// Only as an array (a byte blob).
     U8,
-    I16,
-    U16,
-    I32,
-    U32,
-    I64,
     U64,
-    F32,
+    /// Only as a scalar.
     F64,
-    /// UTF-8 string; only valid as a scalar field.
+    /// UTF-8 string; only as a scalar.
     Str,
 }
 
 impl BaseType {
-    /// Size in bytes of one element on the wire; strings are
+    /// Size in bytes of one array element on the wire; strings are
     /// length-prefixed and report 0 here.
     pub(crate) fn wire_size(self) -> usize {
         match self {
-            BaseType::I8 | BaseType::U8 => 1,
-            BaseType::I16 | BaseType::U16 => 2,
-            BaseType::I32 | BaseType::U32 | BaseType::F32 => 4,
-            BaseType::I64 | BaseType::U64 | BaseType::F64 => 8,
+            BaseType::U8 => 1,
+            BaseType::U64 | BaseType::F64 => 8,
             BaseType::Str => 0,
         }
     }
 
-    pub(crate) fn is_integer(self) -> bool {
-        !matches!(self, BaseType::F32 | BaseType::F64 | BaseType::Str)
-    }
-
+    /// The wire tag. Tags 0, 2–6 and 8 named types this format no
+    /// longer carries; a decoder refuses them.
     pub(crate) fn tag(self) -> u8 {
         match self {
-            BaseType::I8 => 0,
             BaseType::U8 => 1,
-            BaseType::I16 => 2,
-            BaseType::U16 => 3,
-            BaseType::I32 => 4,
-            BaseType::U32 => 5,
-            BaseType::I64 => 6,
             BaseType::U64 => 7,
-            BaseType::F32 => 8,
             BaseType::F64 => 9,
             BaseType::Str => 10,
         }
@@ -58,15 +41,8 @@ impl BaseType {
 
     pub(crate) fn from_tag(t: u8) -> Result<Self> {
         Ok(match t {
-            0 => BaseType::I8,
             1 => BaseType::U8,
-            2 => BaseType::I16,
-            3 => BaseType::U16,
-            4 => BaseType::I32,
-            5 => BaseType::U32,
-            6 => BaseType::I64,
             7 => BaseType::U64,
-            8 => BaseType::F32,
             9 => BaseType::F64,
             10 => BaseType::Str,
             _ => return Err(FfsError::Corrupt("unknown base-type tag")),
@@ -76,43 +52,39 @@ impl BaseType {
     /// Human-readable name used in error messages.
     pub(crate) fn name(self) -> &'static str {
         match self {
-            BaseType::I8 => "i8",
             BaseType::U8 => "u8",
-            BaseType::I16 => "i16",
-            BaseType::U16 => "u16",
-            BaseType::I32 => "i32",
-            BaseType::U32 => "u32",
-            BaseType::I64 => "i64",
             BaseType::U64 => "u64",
-            BaseType::F32 => "f32",
             BaseType::F64 => "f64",
             BaseType::Str => "str",
         }
     }
 }
 
-/// One dimension of an array field.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum DimSpec {
-    /// Compile-time-fixed extent.
-    Fixed(u64),
-    /// Extent given by the named integer scalar field, which must be
-    /// declared before the array in the format.
-    Var(String),
-}
-
 /// The type of a single field.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum FieldType {
     Scalar(BaseType),
-    Array { elem: BaseType, dims: Vec<DimSpec> },
+    /// A one-dimensional array whose length is the `u64` field named
+    /// `count`, declared before it.
+    Array {
+        elem: BaseType,
+        count: String,
+    },
 }
 
 impl FieldType {
+    /// The (base type, is-array) pair of the field's values.
+    pub(crate) fn shape(&self) -> (BaseType, bool) {
+        match self {
+            FieldType::Scalar(b) => (*b, false),
+            FieldType::Array { elem, .. } => (*elem, true),
+        }
+    }
+
     pub(crate) fn type_name(&self) -> String {
         match self {
             FieldType::Scalar(b) => b.name().to_string(),
-            FieldType::Array { elem, dims } => format!("{}[{}d]", elem.name(), dims.len()),
+            FieldType::Array { elem, .. } => format!("{}[]", elem.name()),
         }
     }
 }
@@ -132,16 +104,15 @@ impl FieldDesc {
         }
     }
 
-    pub(crate) fn array(name: impl Into<String>, elem: BaseType, dims: Vec<DimSpec>) -> Self {
+    /// A 1-D array sized by a `u64` field declared earlier.
+    pub fn vec(name: impl Into<String>, elem: BaseType, count_field: impl Into<String>) -> Self {
         FieldDesc {
             name: name.into(),
-            ty: FieldType::Array { elem, dims },
+            ty: FieldType::Array {
+                elem,
+                count: count_field.into(),
+            },
         }
-    }
-
-    /// Convenience: a 1-D array sized by an integer field declared earlier.
-    pub fn vec(name: impl Into<String>, elem: BaseType, count_field: impl Into<String>) -> Self {
-        Self::array(name, elem, vec![DimSpec::Var(count_field.into())])
     }
 }
 
@@ -149,7 +120,9 @@ impl FieldDesc {
 ///
 /// Construct through [`FormatDesc::new`] + [`FormatBuilder::build`], which
 /// enforce the FFS streaming invariants: unique field names, size fields
-/// preceding the arrays they size, integer size fields, no string arrays.
+/// preceding the arrays they size, `u64` size fields, only the shapes a
+/// [`Value`] has, and names and a field count the wire's `u16` lengths
+/// can carry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FormatDesc {
     name: String,
@@ -195,58 +168,65 @@ impl FormatDesc {
             eat(f.name.as_bytes());
             match &f.ty {
                 FieldType::Scalar(b) => eat(&[0, b.tag()]),
-                FieldType::Array { elem, dims } => {
-                    eat(&[1, elem.tag(), dims.len() as u8]);
-                    for d in dims {
-                        match d {
-                            DimSpec::Fixed(n) => {
-                                eat(&[0]);
-                                eat(&n.to_le_bytes());
-                            }
-                            DimSpec::Var(v) => {
-                                eat(&[1]);
-                                eat(v.as_bytes());
-                                eat(&[0xfe]);
-                            }
-                        }
-                    }
+                // Array, one dimension, sized by a field: the bytes
+                // every earlier release hashed for this shape.
+                FieldType::Array { elem, count } => {
+                    eat(&[1, elem.tag(), 1, 1]);
+                    eat(count.as_bytes());
+                    eat(&[0xfe]);
                 }
             }
         }
         h
     }
 
+    /// The one check of a format, built or decoded.
     pub(crate) fn from_parts(name: String, fields: Vec<FieldDesc>) -> Result<Self> {
-        let mut index = HashMap::with_capacity(fields.len());
-        for (i, f) in fields.iter().enumerate() {
-            if index.insert(f.name.clone(), i).is_some() {
-                return Err(FfsError::DuplicateField(f.name.clone()));
+        let wire_len = |what: &'static str, len: usize| {
+            if len > u16::MAX as usize {
+                Err(FfsError::TooLong { what, len })
+            } else {
+                Ok(())
             }
-        }
-        // Validate var dims: must reference an earlier integer scalar.
+        };
+        wire_len("format name", name.len())?;
+        wire_len("field list", fields.len())?;
+        let mut index: HashMap<String, usize> = HashMap::with_capacity(fields.len());
         for (i, f) in fields.iter().enumerate() {
-            if let FieldType::Array { dims, .. } = &f.ty {
-                for d in dims {
-                    if let DimSpec::Var(v) = d {
-                        match index.get(v) {
-                            Some(&j) if j < i => match &fields[j].ty {
-                                FieldType::Scalar(b) if b.is_integer() => {}
-                                _ => {
-                                    return Err(FfsError::NonIntegerDim {
-                                        array: f.name.clone(),
-                                        dim: v.clone(),
-                                    })
-                                }
-                            },
-                            _ => {
-                                return Err(FfsError::BadVarDim {
-                                    array: f.name.clone(),
-                                    dim: v.clone(),
-                                })
-                            }
-                        }
+            wire_len("field name", f.name.len())?;
+            // Only the shapes a `Value` has: `u64`, `f64` and `str`
+            // scalars, `u8` and `u64` arrays.
+            if !matches!(
+                f.ty.shape(),
+                (BaseType::U64 | BaseType::F64 | BaseType::Str, false)
+                    | (BaseType::U8 | BaseType::U64, true)
+            ) {
+                return Err(FfsError::Unsupported {
+                    field: f.name.clone(),
+                    ty: f.ty.type_name(),
+                });
+            }
+            // A size field is a `u64` scalar declared earlier; `index`
+            // holds the earlier fields only.
+            if let FieldType::Array { count, .. } = &f.ty {
+                match index.get(count) {
+                    Some(&j) if fields[j].ty == FieldType::Scalar(BaseType::U64) => {}
+                    Some(_) => {
+                        return Err(FfsError::NonIntegerDim {
+                            array: f.name.clone(),
+                            dim: count.clone(),
+                        })
+                    }
+                    None => {
+                        return Err(FfsError::BadVarDim {
+                            array: f.name.clone(),
+                            dim: count.clone(),
+                        })
                     }
                 }
+            }
+            if index.insert(f.name.clone(), i).is_some() {
+                return Err(FfsError::DuplicateField(f.name.clone()));
             }
         }
         Ok(FormatDesc {
@@ -275,99 +255,51 @@ impl FormatBuilder {
     }
 }
 
-/// A concrete field value.
+/// A concrete field value: one of the shapes the pipeline writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    I8(i8),
-    U8(u8),
-    I16(i16),
-    U16(u16),
-    I32(i32),
-    U32(u32),
-    I64(i64),
     U64(u64),
-    F32(f32),
     F64(f64),
     Str(String),
-    ArrI8(Vec<i8>),
     ArrU8(Vec<u8>),
-    ArrI16(Vec<i16>),
-    ArrU16(Vec<u16>),
-    ArrI32(Vec<i32>),
-    ArrU32(Vec<u32>),
-    ArrI64(Vec<i64>),
     ArrU64(Vec<u64>),
-    ArrF32(Vec<f32>),
-    ArrF64(Vec<f64>),
 }
 
 impl Value {
     /// The (base type, is-array) pair this value carries.
     pub(crate) fn shape(&self) -> (BaseType, bool) {
         match self {
-            Value::I8(_) => (BaseType::I8, false),
-            Value::U8(_) => (BaseType::U8, false),
-            Value::I16(_) => (BaseType::I16, false),
-            Value::U16(_) => (BaseType::U16, false),
-            Value::I32(_) => (BaseType::I32, false),
-            Value::U32(_) => (BaseType::U32, false),
-            Value::I64(_) => (BaseType::I64, false),
             Value::U64(_) => (BaseType::U64, false),
-            Value::F32(_) => (BaseType::F32, false),
             Value::F64(_) => (BaseType::F64, false),
             Value::Str(_) => (BaseType::Str, false),
-            Value::ArrI8(_) => (BaseType::I8, true),
             Value::ArrU8(_) => (BaseType::U8, true),
-            Value::ArrI16(_) => (BaseType::I16, true),
-            Value::ArrU16(_) => (BaseType::U16, true),
-            Value::ArrI32(_) => (BaseType::I32, true),
-            Value::ArrU32(_) => (BaseType::U32, true),
-            Value::ArrI64(_) => (BaseType::I64, true),
             Value::ArrU64(_) => (BaseType::U64, true),
-            Value::ArrF32(_) => (BaseType::F32, true),
-            Value::ArrF64(_) => (BaseType::F64, true),
         }
     }
 
     /// Array element count; scalars report `None`.
     pub(crate) fn len(&self) -> Option<u64> {
-        Some(match self {
-            Value::ArrI8(v) => v.len() as u64,
-            Value::ArrU8(v) => v.len() as u64,
-            Value::ArrI16(v) => v.len() as u64,
-            Value::ArrU16(v) => v.len() as u64,
-            Value::ArrI32(v) => v.len() as u64,
-            Value::ArrU32(v) => v.len() as u64,
-            Value::ArrI64(v) => v.len() as u64,
-            Value::ArrU64(v) => v.len() as u64,
-            Value::ArrF32(v) => v.len() as u64,
-            Value::ArrF64(v) => v.len() as u64,
-            _ => return None,
-        })
+        match self {
+            Value::ArrU8(v) => Some(v.len() as u64),
+            Value::ArrU64(v) => Some(v.len() as u64),
+            _ => None,
+        }
     }
 
-    /// Widen any integer scalar to u64; `None` for everything else.
+    /// A `u64` scalar; `None` for everything else.
     pub fn as_u64(&self) -> Option<u64> {
-        Some(match *self {
-            Value::I8(v) => v as u64,
-            Value::U8(v) => v as u64,
-            Value::I16(v) => v as u64,
-            Value::U16(v) => v as u64,
-            Value::I32(v) => v as u64,
-            Value::U32(v) => v as u64,
-            Value::I64(v) => v as u64,
-            Value::U64(v) => v,
-            _ => return None,
-        })
+        match *self {
+            Value::U64(v) => Some(v),
+            _ => None,
+        }
     }
 
-    /// Widen any numeric scalar to f64; `None` for strings/arrays.
+    /// A numeric scalar widened to f64; `None` for strings/arrays.
     pub fn as_f64(&self) -> Option<f64> {
-        Some(match *self {
-            Value::F32(v) => v as f64,
-            Value::F64(v) => v,
-            _ => self.as_u64()? as f64,
-        })
+        match *self {
+            Value::F64(v) => Some(v),
+            _ => Some(self.as_u64()? as f64),
+        }
     }
 
     pub(crate) fn as_str(&self) -> Option<&str> {
@@ -380,16 +312,11 @@ impl Value {
     /// Payload size of this value on the wire, in bytes (arrays include
     /// their 8-byte element-count prefix, strings their 4-byte length).
     pub(crate) fn wire_size(&self) -> usize {
-        let (b, arr) = self.shape();
-        if arr {
-            8 + self.len().unwrap() as usize * b.wire_size()
-        } else if b == BaseType::Str {
-            4 + match self {
-                Value::Str(s) => s.len(),
-                _ => unreachable!(),
-            }
-        } else {
-            b.wire_size()
+        match self {
+            Value::U64(_) | Value::F64(_) => 8,
+            Value::Str(s) => 4 + s.len(),
+            Value::ArrU8(a) => 8 + a.len(),
+            Value::ArrU64(a) => 8 + 8 * a.len(),
         }
     }
 
@@ -404,12 +331,11 @@ impl Value {
 }
 
 /// A record under construction or the result of decoding: one optional
-/// value per field of its format, plus an attribute list.
+/// value per field of its format.
 #[derive(Debug, Clone)]
 pub struct Record {
     format: Arc<FormatDesc>,
     values: Vec<Option<Value>>,
-    attrs: AttrList,
 }
 
 impl Record {
@@ -417,82 +343,32 @@ impl Record {
         Record {
             format: Arc::clone(format),
             values: vec![None; format.fields().len()],
-            attrs: AttrList::new(),
         }
     }
 
     #[cfg(test)]
-    pub(crate) fn from_decoded(
-        format: Arc<FormatDesc>,
-        values: Vec<Option<Value>>,
-        attrs: AttrList,
-    ) -> Self {
-        Record {
-            format,
-            values,
-            attrs,
-        }
+    pub(crate) fn from_decoded(format: Arc<FormatDesc>, values: Vec<Option<Value>>) -> Self {
+        Record { format, values }
     }
 
     pub(crate) fn format(&self) -> &Arc<FormatDesc> {
         &self.format
     }
 
-    pub(crate) fn attrs(&self) -> &AttrList {
-        &self.attrs
-    }
-
-    #[cfg(test)]
-    pub(crate) fn attrs_mut(&mut self) -> &mut AttrList {
-        &mut self.attrs
-    }
-
-    /// Set a field, validating type and (where statically known) length.
+    /// Set a field, validating its type; an array's length is checked
+    /// against its size field at encode time.
     pub fn set(&mut self, name: &str, value: Value) -> Result<()> {
         let idx = self
             .format
             .field_index(name)
             .ok_or_else(|| FfsError::NoSuchField(name.to_string()))?;
         let field = &self.format.fields()[idx];
-        let (vb, varr) = value.shape();
-        match &field.ty {
-            FieldType::Scalar(b) => {
-                if varr || vb != *b {
-                    return Err(FfsError::TypeMismatch {
-                        field: name.to_string(),
-                        expected: b.name().to_string(),
-                        got: value.type_name(),
-                    });
-                }
-            }
-            FieldType::Array { elem, dims } => {
-                if !varr || vb != *elem {
-                    return Err(FfsError::TypeMismatch {
-                        field: name.to_string(),
-                        expected: format!("{}[]", elem.name()),
-                        got: value.type_name(),
-                    });
-                }
-                // Fully-fixed dims can be checked immediately; var dims are
-                // checked against the sibling size fields at encode time.
-                if dims.iter().all(|d| matches!(d, DimSpec::Fixed(_))) {
-                    let expected: u64 = dims
-                        .iter()
-                        .map(|d| match d {
-                            DimSpec::Fixed(n) => *n,
-                            DimSpec::Var(_) => unreachable!(),
-                        })
-                        .product();
-                    let got = value.len().unwrap();
-                    if expected != got {
-                        return Err(FfsError::LengthMismatch {
-                            field: name.to_string(),
-                            expected,
-                            got,
-                        });
-                    }
-                }
-            }
+        if value.shape() != field.ty.shape() {
+            return Err(FfsError::TypeMismatch {
+                field: name.to_string(),
+                expected: field.ty.type_name(),
+                got: value.type_name(),
+            });
         }
         self.values[idx] = Some(value);
         Ok(())
@@ -516,7 +392,7 @@ mod tests {
     fn particle_format() -> Arc<FormatDesc> {
         FormatDesc::new("gtc_particles")
             .field(FieldDesc::scalar("n", BaseType::U64))
-            .field(FieldDesc::vec("x", BaseType::F64, "n"))
+            .field(FieldDesc::vec("raw", BaseType::U8, "n"))
             .field(FieldDesc::vec("label", BaseType::U64, "n"))
             .build()
             .unwrap()
@@ -526,15 +402,15 @@ mod tests {
     fn build_and_index() {
         let f = particle_format();
         assert_eq!(f.name(), "gtc_particles");
-        assert_eq!(f.field_index("x"), Some(1));
+        assert_eq!(f.field_index("raw"), Some(1));
         assert_eq!(f.field_index("missing"), None);
     }
 
     #[test]
     fn duplicate_field_rejected() {
         let e = FormatDesc::new("f")
-            .field(FieldDesc::scalar("a", BaseType::I32))
-            .field(FieldDesc::scalar("a", BaseType::I64))
+            .field(FieldDesc::scalar("a", BaseType::U64))
+            .field(FieldDesc::scalar("a", BaseType::F64))
             .build()
             .unwrap_err();
         assert_eq!(e, FfsError::DuplicateField("a".into()));
@@ -543,21 +419,96 @@ mod tests {
     #[test]
     fn var_dim_must_precede_array() {
         let e = FormatDesc::new("f")
-            .field(FieldDesc::vec("x", BaseType::F64, "n"))
+            .field(FieldDesc::vec("x", BaseType::U64, "n"))
             .field(FieldDesc::scalar("n", BaseType::U64))
+            .build()
+            .unwrap_err();
+        assert!(matches!(e, FfsError::BadVarDim { .. }));
+        // Nor can an array size itself.
+        let e = FormatDesc::new("f")
+            .field(FieldDesc::vec("x", BaseType::U64, "x"))
             .build()
             .unwrap_err();
         assert!(matches!(e, FfsError::BadVarDim { .. }));
     }
 
     #[test]
-    fn var_dim_must_be_integer() {
+    fn var_dim_must_be_a_u64_scalar() {
+        for size in [
+            FieldDesc::scalar("n", BaseType::F64),
+            FieldDesc::scalar("n", BaseType::Str),
+            FieldDesc::vec("n", BaseType::U64, "m"),
+        ] {
+            let e = FormatDesc::new("f")
+                .field(FieldDesc::scalar("m", BaseType::U64))
+                .field(size)
+                .field(FieldDesc::vec("x", BaseType::U8, "n"))
+                .build()
+                .unwrap_err();
+            assert!(matches!(e, FfsError::NonIntegerDim { .. }), "{e:?}");
+        }
+    }
+
+    /// A scalar `u8` and arrays of `f64` or `str` have no [`Value`]:
+    /// they are refused at build, as at decode.
+    #[test]
+    fn shapes_without_a_value_are_refused() {
+        for (field, ty) in [
+            (FieldDesc::scalar("x", BaseType::U8), "u8"),
+            (FieldDesc::vec("x", BaseType::F64, "n"), "f64[]"),
+            (FieldDesc::vec("x", BaseType::Str, "n"), "str[]"),
+        ] {
+            let e = FormatDesc::new("f")
+                .field(FieldDesc::scalar("n", BaseType::U64))
+                .field(field)
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                e,
+                FfsError::Unsupported {
+                    field: "x".into(),
+                    ty: ty.into()
+                }
+            );
+        }
+    }
+
+    /// Names and the field count travel behind `u16` lengths: a longer
+    /// one is refused at build, not cut short on the wire.
+    #[test]
+    fn names_and_field_counts_the_wire_cannot_carry_are_refused() {
+        let long = "n".repeat(u16::MAX as usize + 1);
+        let e = FormatDesc::new(long.clone()).build().unwrap_err();
+        assert_eq!(
+            e,
+            FfsError::TooLong {
+                what: "format name",
+                len: 65_536
+            }
+        );
         let e = FormatDesc::new("f")
-            .field(FieldDesc::scalar("n", BaseType::F64))
-            .field(FieldDesc::vec("x", BaseType::F64, "n"))
+            .field(FieldDesc::scalar(long.clone(), BaseType::U64))
             .build()
             .unwrap_err();
-        assert!(matches!(e, FfsError::NonIntegerDim { .. }));
+        assert!(matches!(
+            e,
+            FfsError::TooLong {
+                what: "field name",
+                ..
+            }
+        ));
+        let many = (0..=u16::MAX as usize).fold(FormatDesc::new("f"), |b, i| {
+            b.field(FieldDesc::scalar(format!("f{i}"), BaseType::U64))
+        });
+        assert!(matches!(
+            many.build().unwrap_err(),
+            FfsError::TooLong {
+                what: "field list",
+                len: 65_536
+            }
+        ));
+        // The longest name the wire carries is accepted.
+        FormatDesc::new(&long[1..]).build().unwrap();
     }
 
     #[test]
@@ -567,7 +518,7 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let c = FormatDesc::new("gtc_particles")
             .field(FieldDesc::scalar("n", BaseType::U64))
-            .field(FieldDesc::vec("x", BaseType::F32, "n")) // f32 not f64
+            .field(FieldDesc::vec("raw", BaseType::U64, "n")) // u64 not u8
             .field(FieldDesc::vec("label", BaseType::U64, "n"))
             .build()
             .unwrap();
@@ -583,7 +534,11 @@ mod tests {
             Err(FfsError::TypeMismatch { .. })
         ));
         assert!(matches!(
-            r.set("x", Value::ArrF32(vec![1.0])),
+            r.set("raw", Value::ArrU64(vec![1])),
+            Err(FfsError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            r.set("n", Value::ArrU64(vec![1])),
             Err(FfsError::TypeMismatch { .. })
         ));
         assert!(matches!(
@@ -591,40 +546,23 @@ mod tests {
             Err(FfsError::NoSuchField(_))
         ));
         r.set("n", Value::U64(2)).unwrap();
-        r.set("x", Value::ArrF64(vec![1.0, 2.0])).unwrap();
-        assert_eq!(r.get("x").unwrap().len(), Some(2));
-    }
-
-    #[test]
-    fn fixed_dims_length_checked_eagerly() {
-        let f = FormatDesc::new("grid")
-            .field(FieldDesc::array(
-                "rho",
-                BaseType::F64,
-                vec![DimSpec::Fixed(2), DimSpec::Fixed(3)],
-            ))
-            .build()
-            .unwrap();
-        let mut r = Record::new(&f);
-        assert!(matches!(
-            r.set("rho", Value::ArrF64(vec![0.0; 5])),
-            Err(FfsError::LengthMismatch { .. })
-        ));
-        r.set("rho", Value::ArrF64(vec![0.0; 6])).unwrap();
+        r.set("raw", Value::ArrU8(vec![1, 2])).unwrap();
+        assert_eq!(r.get("raw").unwrap().len(), Some(2));
     }
 
     #[test]
     fn value_widening() {
-        assert_eq!(Value::I16(-1).as_u64(), Some(u64::MAX));
-        assert_eq!(Value::U32(7).as_f64(), Some(7.0));
+        assert_eq!(Value::U64(7).as_f64(), Some(7.0));
+        assert_eq!(Value::F64(0.5).as_u64(), None);
         assert_eq!(Value::Str("x".into()).as_u64(), None);
-        assert_eq!(Value::ArrF64(vec![1.0]).as_f64(), None);
+        assert_eq!(Value::ArrU64(vec![1]).as_f64(), None);
     }
 
     #[test]
     fn wire_size_accounting() {
         assert_eq!(Value::U64(0).wire_size(), 8);
         assert_eq!(Value::Str("abc".into()).wire_size(), 7);
-        assert_eq!(Value::ArrF32(vec![0.0; 4]).wire_size(), 8 + 16);
+        assert_eq!(Value::ArrU8(vec![0; 4]).wire_size(), 8 + 4);
+        assert_eq!(Value::ArrU64(vec![0; 4]).wire_size(), 8 + 32);
     }
 }

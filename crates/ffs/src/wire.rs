@@ -33,10 +33,6 @@ impl<'a> Writer<'a> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub(crate) fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -45,10 +41,10 @@ impl<'a> Writer<'a> {
         self.buf.extend_from_slice(v);
     }
 
-    /// Length-prefixed (u16) short string; formats and field names are
-    /// bounded well under 64 KiB.
+    /// Length-prefixed (u16) short string: a format, field or attribute
+    /// name, whose length `FormatDesc::from_parts` or the attribute
+    /// list's 64 KiB budget has bounded.
     pub(crate) fn str16(&mut self, s: &str) {
-        debug_assert!(s.len() <= u16::MAX as usize, "name too long for wire");
         self.u16(s.len() as u16);
         self.bytes(s.as_bytes());
     }
@@ -100,10 +96,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    pub(crate) fn f32(&mut self, what: &'static str) -> Result<f32> {
-        Ok(f32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
     pub(crate) fn f64(&mut self, what: &'static str) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
@@ -133,7 +125,6 @@ mod tests {
         w.u16(300);
         w.u32(70_000);
         w.u64(1 << 40);
-        w.f32(1.5);
         w.f64(-2.25);
         w.str16("hello");
         w.str32("world");
@@ -142,7 +133,6 @@ mod tests {
         assert_eq!(r.u16("t").unwrap(), 300);
         assert_eq!(r.u32("t").unwrap(), 70_000);
         assert_eq!(r.u64("t").unwrap(), 1 << 40);
-        assert_eq!(r.f32("t").unwrap(), 1.5);
         assert_eq!(r.f64("t").unwrap(), -2.25);
         assert_eq!(r.str16("t").unwrap(), "hello");
         assert_eq!(r.str32("t").unwrap(), "world");

@@ -10,6 +10,9 @@
 //! many chunks, and a bitmap-index `.idx` file — each go through every
 //! single-site damage (a sweep, so the count fields and the footer's
 //! length are certainly hit) and through seeded multi-site damage.
+//! Well-formed inputs that name a type or shape the formats no longer
+//! carry — an `ffs` record, an attribute list, a PG block — are refused
+//! outright.
 //!
 //! The sweep decodes every PG block and packed chunk twice: fresh, and
 //! into one `PackedChunk` kept across the whole sweep, as a staging rank
@@ -25,6 +28,7 @@ use predata::core::op::{complete_pipeline, OpCtx, StreamOp};
 use predata::core::ops::{BitmapIndex, BitmapIndexOp, IndexSet};
 use predata::core::schema::make_particle_pg;
 use predata::core::PackedChunk;
+use predata::ffs::{decode_view, AttrList, FfsError};
 use proptest::prelude::*;
 
 /// Scalars, a chunk of a 2-D global array, a local array and an empty one.
@@ -39,8 +43,8 @@ fn sample_pg(rank: u64) -> ProcessGroup {
             vec![Dim::c(2), Dim::r("n")],
             vec![Dim::c(0), Dim::r("off")],
         ),
-        VarDef::local("ids", Dtype::I32, vec![Dim::r("n")]),
-        VarDef::local("none", Dtype::F32, vec![Dim::c(0)]),
+        VarDef::local("ids", Dtype::U64, vec![Dim::r("n")]),
+        VarDef::local("none", Dtype::F64, vec![Dim::c(0)]),
     ])
     .unwrap();
     let mut pg = ProcessGroup::new("g", rank, 0);
@@ -49,9 +53,9 @@ fn sample_pg(rank: u64) -> ProcessGroup {
         .unwrap();
     let field = (0..6).map(|i| (rank * 6 + i) as f64).collect();
     pg.write(&def, "field", DataArray::F64(field)).unwrap();
-    pg.write(&def, "ids", DataArray::I32(vec![-1, 0, 1]))
+    pg.write(&def, "ids", DataArray::U64(vec![u64::MAX, 0, 1]))
         .unwrap();
-    pg.write(&def, "none", DataArray::F32(vec![])).unwrap();
+    pg.write(&def, "none", DataArray::F64(vec![])).unwrap();
     pg
 }
 
@@ -289,6 +293,181 @@ fn every_single_site_damage_is_ok_or_err() {
         "a kept group holds room for {} variables after inputs of {longest} B at most",
         kept.pg.vars.capacity()
     );
+}
+
+/// One field of a hand-laid `ffs` schema.
+enum Field {
+    /// A scalar of this base tag.
+    Scalar(u8),
+    /// An array of this base tag, with these dimensions: a fixed extent
+    /// (`Ok`) or the name of the field that sizes it (`Err`).
+    Array(u8, Vec<Result<u64, &'static str>>),
+}
+
+/// An `ffs` record laid out by hand: `"FFS1"`, `version`, flags 1 (schema
+/// embedded), the schema's fingerprint, the schema, an empty record-level
+/// attribute list in version 1, and `payload`. The fingerprint is the
+/// FNV-1a hash `FormatDesc::fingerprint` takes over the format's name,
+/// 0xff, and each field's name and shape, so a well-formed record of any
+/// shape gets past the header.
+fn ffs_record(version: u8, fields: &[(&str, Field)], payload: &[u8]) -> Vec<u8> {
+    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            fp = (fp ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let str16 = |out: &mut Vec<u8>, s: &str| {
+        out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    };
+    let mut schema = Vec::new();
+    str16(&mut schema, "hostile");
+    eat(b"hostile\xff");
+    schema.extend_from_slice(&(fields.len() as u16).to_le_bytes());
+    for (name, field) in fields {
+        str16(&mut schema, name);
+        eat(name.as_bytes());
+        match field {
+            Field::Scalar(tag) => {
+                schema.extend_from_slice(&[0, *tag]);
+                eat(&[0, *tag]);
+            }
+            Field::Array(tag, dims) => {
+                schema.extend_from_slice(&[1, *tag, dims.len() as u8]);
+                eat(&[1, *tag, dims.len() as u8]);
+                for dim in dims {
+                    match dim {
+                        Ok(extent) => {
+                            schema.push(0);
+                            schema.extend_from_slice(&extent.to_le_bytes());
+                            eat(&[0]);
+                            eat(&extent.to_le_bytes());
+                        }
+                        Err(size) => {
+                            schema.push(1);
+                            str16(&mut schema, size);
+                            eat(&[1]);
+                            eat(size.as_bytes());
+                            eat(&[0xfe]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let mut out = b"FFS1".to_vec();
+    out.extend_from_slice(&[version, 1]);
+    out.extend_from_slice(&fp.to_le_bytes());
+    out.extend_from_slice(&schema);
+    if version == 1 {
+        out.extend_from_slice(&[0, 0]);
+    }
+    out.extend_from_slice(payload);
+    out
+}
+
+/// `parts` concatenated: little-endian `u64`s and raw bytes.
+fn le(parts: &[&[u64]]) -> Vec<u8> {
+    parts
+        .iter()
+        .flat_map(|p| p.iter().flat_map(|x| x.to_le_bytes()))
+        .collect()
+}
+
+/// Well-formed bytes that name a retired type or shape: an `ffs` record
+/// with a retired base tag (0, 2–6, 8 were i8, i16, u16, i32, u32, i64,
+/// f32), a `u8` scalar, an `f64` or `str` array, a fixed or 2-D extent, or
+/// the version-1 layout; an attribute list entry of a retired tag; a PG
+/// block whose variable has a retired dtype tag (0, 2–4 were f32, i32,
+/// i64, u32). Each is refused — and the records also go through the
+/// chunk decoders, which must refuse them without a panic.
+#[test]
+fn garbage_naming_a_retired_type_is_refused() {
+    let mut kept = PackedChunk::default();
+    let n = || ("n", Field::Scalar(7));
+    let mut records = Vec::new();
+    for (tag, size) in [(0, 1), (2, 2), (3, 2), (4, 4), (5, 4), (6, 8), (8, 4)] {
+        let record = ffs_record(2, &[("x", Field::Scalar(tag))], &vec![0; size]);
+        records.push((format!("scalar of base tag {tag}"), record));
+    }
+    let one_elem = le(&[&[1, 1, 0]]);
+    for (what, fields, payload) in [
+        ("u8 scalar", vec![("x", Field::Scalar(1))], vec![7]),
+        (
+            "f64 array",
+            vec![n(), ("x", Field::Array(9, vec![Err("n")]))],
+            one_elem.clone(),
+        ),
+        (
+            "str array",
+            vec![n(), ("x", Field::Array(10, vec![Err("n")]))],
+            one_elem.clone(),
+        ),
+        (
+            "fixed extent",
+            vec![("x", Field::Array(7, vec![Ok(1)]))],
+            le(&[&[1, 0]]),
+        ),
+        (
+            "2-D array",
+            vec![n(), ("x", Field::Array(7, vec![Err("n"), Ok(1)]))],
+            one_elem,
+        ),
+        (
+            "no dimension",
+            vec![("x", Field::Array(7, vec![]))],
+            le(&[&[1, 0]]),
+        ),
+    ] {
+        records.push((what.to_string(), ffs_record(2, &fields, &payload)));
+    }
+    records.push(("version 1".to_string(), ffs_record(1, &[n()], &le(&[&[3]]))));
+    // The same record as version 2 is well-formed: the refusals above
+    // are the types', the shapes' and the layout's, not the hand layout's.
+    let good = ffs_record(
+        2,
+        &[n(), ("x", Field::Array(7, vec![Err("n")]))],
+        &le(&[&[1, 1, 5]]),
+    );
+    assert_eq!(
+        decode_view(&good, None).unwrap().get("n").unwrap().as_u64(),
+        Some(1)
+    );
+    for (what, record) in &records {
+        assert!(decode_view(record, None).is_err(), "{what} decoded");
+        assert!(PackedChunk::unpack(record).is_err(), "{what} unpacked");
+        consume(Input::Chunk, record, "retired", &mut kept);
+    }
+    assert_eq!(
+        decode_view(&records.last().unwrap().1, None).unwrap_err(),
+        FfsError::BadVersion(1)
+    );
+
+    // Attribute lists: one entry `a` of each retired tag.
+    for tag in [0u8, 2, 3, 4, 5, 6, 8] {
+        let mut blob = vec![1, 0, 1, 0, b'a', tag, 0];
+        blob.extend_from_slice(&[0; 8]);
+        assert!(
+            AttrList::from_bytes(&blob).is_err(),
+            "attribute of tag {tag}"
+        );
+    }
+
+    // A PG block of one `u64` variable `v` of two elements, its dtype tag
+    // (after the group, rank, step, count and name) replaced.
+    let def = GroupDef::new(vec![VarDef::local("v", Dtype::U64, vec![Dim::c(2)])]).unwrap();
+    let mut pg = ProcessGroup::new("g", 0, 0);
+    pg.write(&def, "v", DataArray::U64(vec![1, 2])).unwrap();
+    let block = pg.encode();
+    let at = (4 + 1) + 8 + 8 + 4 + (4 + 1);
+    assert_eq!(block[at], 5, "the u64 dtype tag");
+    for tag in [0u8, 2, 3, 4] {
+        let mut bad = block.clone();
+        bad[at] = tag;
+        assert!(ProcessGroup::decode(&bad).is_err(), "dtype tag {tag}");
+        consume(Input::Block, &bad, "retired", &mut kept);
+    }
 }
 
 /// The forged index of `aliased_file` is refused when the file is

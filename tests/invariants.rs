@@ -95,6 +95,14 @@
 //!   `DataSpaces::new`, a `minimpi` world's `Comm::new`) name
 //!   `obs::global()`; everything else records into the registry it was
 //!   built with.
+//! - **Each format carries the types the pipeline writes.** `ffs`'s
+//!   `BaseType` is {`U8`, `U64`, `F64`, `Str`} and its `Value` {`U64`,
+//!   `F64`, `Str`, `ArrU8`, `ArrU64`}; `bpio`'s `Dtype` and `DataArray`
+//!   are {`F64`, `U64`}. An array is one-dimensional and sized by a field
+//!   (no `DimSpec`), a record carries no attribute list of its own
+//!   (`RecordEncoder::self_contained` takes no `AttrList`), and
+//!   `crates/ffs/src` has one encode path: no `unsafe`, no
+//!   `target_endian`.
 
 use std::path::{Path, PathBuf};
 
@@ -919,4 +927,73 @@ fn ci_test_filters_match_a_test() {
         "a CI test filter that matches no test passes silently:\n{}",
         dead.join("\n")
     );
+}
+
+/// The variant names of `pub enum name` in `src`, comments and
+/// attributes skipped.
+fn enum_variants(src: &str, name: &str) -> Vec<String> {
+    let at = src
+        .find(&format!("pub enum {name} {{"))
+        .unwrap_or_else(|| panic!("no `pub enum {name}`"));
+    let body = &src[at..];
+    let body = &body[body.find('{').expect("enum body") + 1..body.find("\n}").expect("enum end")];
+    body.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with("#["))
+        .map(|l| {
+            let end = l
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(l.len());
+            l[..end].to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn each_format_carries_the_types_the_pipeline_writes() {
+    for (file, name, variants) in [
+        (
+            "crates/ffs/src/types.rs",
+            "BaseType",
+            &["U8", "U64", "F64", "Str"][..],
+        ),
+        (
+            "crates/ffs/src/types.rs",
+            "Value",
+            &["U64", "F64", "Str", "ArrU8", "ArrU64"],
+        ),
+        ("crates/bpio/src/dtype.rs", "Dtype", &["F64", "U64"]),
+        ("crates/bpio/src/array.rs", "DataArray", &["F64", "U64"]),
+    ] {
+        assert_eq!(
+            enum_variants(&read(&root().join(file)), name),
+            variants,
+            "{file}: `{name}` carries a type no caller writes, or lost one"
+        );
+    }
+    let hits = offending_lines("crates/ffs/src", &is_rust, &|line| {
+        ["DimSpec", "unsafe", "target_endian"]
+            .iter()
+            .any(|w| line.contains(w))
+    });
+    assert!(
+        hits.is_empty(),
+        "ffs grew a second array form or a second encode path:\n{}",
+        hits.join("\n")
+    );
+    let encode = read(&root().join("crates/ffs/src/encode.rs"));
+    let at = encode
+        .find("pub fn self_contained(")
+        .expect("RecordEncoder::self_contained");
+    let signature = &encode[at..at + encode[at..].find('{').expect("fn body")];
+    assert!(
+        !signature.contains("AttrList"),
+        "a record carries an attribute list again: {signature}"
+    );
+}
+
+#[test]
+fn enum_variants_reads_the_names() {
+    let src = "/// Doc.\npub enum E {\n    /// A.\n    A,\n    #[allow(x)]\n    B(u8),\n    C { x: u8 },\n}\n";
+    assert_eq!(enum_variants(src, "E"), ["A", "B", "C"]);
 }
